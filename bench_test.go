@@ -2,15 +2,15 @@
 // The SIGMOD 2013 demonstration paper has no quantitative tables, so the
 // series quantify the behaviours it demonstrates and claims qualitatively:
 //
-//	P1  BenchmarkFixpoint*     — naive vs semi-naive fixpoint (the engine
-//	                             choice replacing Bud)
+//	    BenchmarkFixpoint*     — transitive-closure fixpoint (the engine
+//	                             replacing Bud)
 //	P2  BenchmarkStage*        — the three-step stage pipeline of §2
 //	P3  BenchmarkDelegation*   — run-time delegation fan-out vs statically
 //	                             pre-installed rules
 //	P4  BenchmarkDistribution* — in-place distributed join vs centralizing
 //	                             the data (§1's "manage data in place")
 //	P5  BenchmarkTransport*    — in-memory bus vs TCP/gob messaging
-//	A1  BenchmarkAblation*     — indexes on/off, WAL on/off
+//	A1  BenchmarkAblation*     — WAL on/off
 //
 // Run with: go test -bench=. -benchmem
 package webdamlog_test
@@ -20,20 +20,13 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/engine"
 )
 
-func opts(semiNaive bool) engine.Options {
-	o := engine.DefaultOptions()
-	o.SemiNaive = semiNaive
-	return o
-}
-
-func benchTC(b *testing.B, edges [][2]int64, semiNaive bool) {
+func benchTC(b *testing.B, edges [][2]int64) {
 	b.Helper()
 	var derived int
 	for i := 0; i < b.N; i++ {
-		res, err := bench.RunTC(edges, opts(semiNaive))
+		res, err := bench.RunTC(edges)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -42,34 +35,18 @@ func benchTC(b *testing.B, edges [][2]int64, semiNaive bool) {
 	b.ReportMetric(float64(derived), "facts_derived")
 }
 
-func BenchmarkFixpointSemiNaiveChain(b *testing.B) {
+func BenchmarkFixpointChain(b *testing.B) {
 	for _, n := range []int{50, 100, 200, 400} {
 		b.Run(fmt.Sprintf("edges=%d", n), func(b *testing.B) {
-			benchTC(b, bench.ChainEdges(n), true)
+			benchTC(b, bench.ChainEdges(n))
 		})
 	}
 }
 
-func BenchmarkFixpointNaiveChain(b *testing.B) {
-	for _, n := range []int{50, 100, 200, 400} {
-		b.Run(fmt.Sprintf("edges=%d", n), func(b *testing.B) {
-			benchTC(b, bench.ChainEdges(n), false)
-		})
-	}
-}
-
-func BenchmarkFixpointSemiNaiveTree(b *testing.B) {
+func BenchmarkFixpointTree(b *testing.B) {
 	for _, n := range []int{1000, 4000, 16000} {
 		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
-			benchTC(b, bench.BinaryTreeEdges(n), true)
-		})
-	}
-}
-
-func BenchmarkFixpointNaiveTree(b *testing.B) {
-	for _, n := range []int{1000, 4000} {
-		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
-			benchTC(b, bench.BinaryTreeEdges(n), false)
+			benchTC(b, bench.BinaryTreeEdges(n))
 		})
 	}
 }
@@ -207,30 +184,6 @@ func BenchmarkBatchInsert(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("path=perfact-tcp/facts=%d", n), run(n, false, bench.RunRemoteInsertPath))
 		b.Run(fmt.Sprintf("path=batch-tcp/facts=%d", n), run(n, true, bench.RunRemoteInsertPath))
-	}
-}
-
-func BenchmarkAblationJoinIndexed(b *testing.B) {
-	for _, n := range []int{1000, 10000} {
-		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := bench.RunJoinAblation(n, n, true); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkAblationJoinScan(b *testing.B) {
-	for _, n := range []int{1000, 10000} {
-		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := bench.RunJoinAblation(n, n, false); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -7,16 +7,17 @@
 // delegation-control interface (Fig. 3). wdlbench therefore reproduces:
 //
 //	e1..e5 — the demonstrated behaviours, as scripted, checked scenarios
-//	p1..p10 — performance series quantifying the mechanisms the paper
-//	         relies on (fixpoint, stage pipeline, delegation, distribution,
+//	p2..p11 — performance series quantifying the mechanisms the paper
+//	         relies on (stage pipeline, delegation, distribution,
 //	         transports, batching, async delivery, anti-entropy resync,
-//	         join planning, the daemon service surface under load)
+//	         the daemon service surface under load, swarm scale); p1 and
+//	         p9 measured evaluation modes that no longer exist
 //	i1     — incremental view maintenance vs naive per-stage recomputation
-//	a1     — ablations of the remaining design choices (indexes, WAL)
+//	a1     — ablation of the remaining design choice (WAL)
 //
 // Usage:
 //
-//	wdlbench [-exp all|e1,e3,p1,p10,i1,...] [-quick]
+//	wdlbench [-exp all|e1,e3,p2,p10,i1,...] [-quick]
 package main
 
 import (
@@ -31,7 +32,6 @@ import (
 	"repro/internal/acl"
 	"repro/internal/bench"
 	"repro/internal/email"
-	"repro/internal/engine"
 	"repro/internal/facebook"
 	"repro/internal/peer"
 	"repro/internal/transport"
@@ -64,7 +64,7 @@ func metric(key string, v float64) {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "comma-separated experiment ids (e1..e5, p1..p11, i1, a1) or 'all'")
+	exp := flag.String("exp", "all", "comma-separated experiment ids (e1..e5, p2..p8, p10, p11, i1, a1) or 'all'")
 	jsonPath := flag.String("json", "", "write machine-readable per-experiment results (JSON) to this file")
 	flag.BoolVar(&quick, "quick", false, "smaller parameter sweeps")
 	flag.Parse()
@@ -79,7 +79,6 @@ func main() {
 		{"e3", "E3: control of delegation (Figure 3, §4)", runE3},
 		{"e4", "E4: customizing rules (§4)", runE4},
 		{"e5", "E5: the §2 delegation example, verbatim", runE5},
-		{"p1", "P1: fixpoint — naive vs semi-naive", runP1},
 		{"p2", "P2: stage latency decomposition", runP2},
 		{"p3", "P3: delegation fan-out vs pre-installed rules", runP3},
 		{"p4", "P4: distributed (delegated) vs centralized join", runP4},
@@ -87,11 +86,10 @@ func main() {
 		{"p6", "P6: update path — per-fact Insert vs atomic Batch (v2 API)", runP6},
 		{"p7", "P7: outbox — stage latency vs link RTT; convergence under faults", runP7},
 		{"p8", "P8: anti-entropy resync — receiver restart recovery; digest vs full re-send", runP8},
-		{"p9", "P9: join planning — cost-based order vs written-order ablation", runP9},
 		{"p10", "P10: daemon under load — concurrent applies vs bounded queues", runP10},
 		{"p11", "P11: swarm scale — interned, multiplexed follower graph at 10k+ peers", runP11},
 		{"i1", "I1: incremental view maintenance vs naive recompute", runI1},
-		{"a1", "A1: ablations — indexes, WAL", runA1},
+		{"a1", "A1: ablation — WAL", runA1},
 	}
 	known := map[string]bool{}
 	ids := make([]string, 0, len(all))
@@ -618,49 +616,6 @@ func runE5() error {
 	return printChecks(checks)
 }
 
-func runP1() error {
-	sizes := []int{50, 100, 200, 400}
-	treeSizes := []int{1000, 4000}
-	if quick {
-		sizes = []int{50, 100}
-		treeSizes = []int{1000}
-	}
-	semi := engine.DefaultOptions()
-	naive := engine.DefaultOptions()
-	naive.SemiNaive = false
-	fmt.Printf("%-18s %9s %9s %12s %12s %9s\n", "workload", "derived", "iter s/n", "semi-naive", "naive", "speedup")
-	for _, n := range sizes {
-		s, err := bench.RunTC(bench.ChainEdges(n), semi)
-		if err != nil {
-			return err
-		}
-		v, err := bench.RunTC(bench.ChainEdges(n), naive)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-18s %9d %4d/%-4d %12v %12v %8.1fx\n",
-			fmt.Sprintf("chain(%d)", n), s.Derived, s.Iterations, v.Iterations,
-			s.Duration.Round(time.Microsecond), v.Duration.Round(time.Microsecond),
-			float64(v.Duration)/float64(s.Duration))
-	}
-	for _, n := range treeSizes {
-		s, err := bench.RunTC(bench.BinaryTreeEdges(n), semi)
-		if err != nil {
-			return err
-		}
-		v, err := bench.RunTC(bench.BinaryTreeEdges(n), naive)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-18s %9d %4d/%-4d %12v %12v %8.1fx\n",
-			fmt.Sprintf("tree(%d)", n), s.Derived, s.Iterations, v.Iterations,
-			s.Duration.Round(time.Microsecond), v.Duration.Round(time.Microsecond),
-			float64(v.Duration)/float64(s.Duration))
-	}
-	fmt.Println("\nexpected shape: semi-naive wins, and the gap widens with workload size.")
-	return nil
-}
-
 func runP2() error {
 	sizes := []int{100, 1000, 10000}
 	if quick {
@@ -989,76 +944,6 @@ func runP8() error {
 	return nil
 }
 
-func runP9() error {
-	sizes := []int{1000, 10000, 100000}
-	if quick {
-		sizes = []int{1000, 10000}
-	}
-	fmt.Printf("%-10s | %12s %8s | %12s %8s | %s\n",
-		"rows/rel", "planner", "result", "written", "result", "speedup")
-	var lastSpeedup float64
-	for _, n := range sizes {
-		planned, err := bench.RunPlannerJoin(n, true)
-		if err != nil {
-			return err
-		}
-		written, err := bench.RunPlannerJoin(n, false)
-		if err != nil {
-			return err
-		}
-		if planned.Rows != written.Rows || planned.FP != written.FP {
-			return fmt.Errorf("p9: modes disagree at n=%d: planner %d rows (fp %x), written %d rows (fp %x)",
-				n, planned.Rows, planned.FP, written.Rows, written.FP)
-		}
-		lastSpeedup = float64(written.PerStage) / float64(planned.PerStage)
-		fmt.Printf("%-10d | %12v %8d | %12v %8d | %6.1fx\n", n,
-			planned.PerStage.Round(time.Microsecond), planned.Rows,
-			written.PerStage.Round(time.Microsecond), written.Rows,
-			lastSpeedup)
-	}
-	if lastSpeedup < 10 {
-		return fmt.Errorf("p9: planner is only %.1fx faster than written order at the largest tier; want >= 10x", lastSpeedup)
-	}
-	fmt.Println("\nexpected shape: the written order drags every row of the largest relation")
-	fmt.Println("through the chain before the four-row selector prunes; the planner starts")
-	fmt.Println("from the selector and probes the chain backwards, so the gap grows linearly")
-	fmt.Println("with the relation size — orders of magnitude at the 100k tier, with both")
-	fmt.Println("modes producing identical view contents.")
-
-	// Compiled tier: same planner in both modes; the only axis is whether
-	// the per-stage walk runs the compiled closure chains or the interpreter.
-	fmt.Printf("\n%-10s | %12s %8s | %12s %8s | %s\n",
-		"rows/rel", "compiled", "result", "interpreted", "result", "speedup")
-	var compSpeedup float64
-	for _, n := range sizes {
-		comp, interp, err := bench.RunCompiledJoin(n)
-		if err != nil {
-			return err
-		}
-		if comp.Rows != interp.Rows || comp.FP != interp.FP {
-			return fmt.Errorf("p9: compiled tier modes disagree at n=%d: compiled %d rows (fp %x), interpreted %d rows (fp %x)",
-				n, comp.Rows, comp.FP, interp.Rows, interp.FP)
-		}
-		compSpeedup = float64(interp.PerStage) / float64(comp.PerStage)
-		fmt.Printf("%-10d | %12v %8d | %12v %8d | %6.1fx\n", n,
-			comp.PerStage.Round(time.Microsecond), comp.Rows,
-			interp.PerStage.Round(time.Microsecond), interp.Rows,
-			compSpeedup)
-	}
-	if compSpeedup < 5 {
-		return fmt.Errorf("p9: compiled execution is only %.1fx faster than the interpreter at the largest tier; want >= 5x", compSpeedup)
-	}
-	fmt.Println("\nexpected shape: both modes run the identical planned order — a scan (or")
-	fmt.Println("delta walk) of n rows through variable binding, a builtin filter chain,")
-	fmt.Println("and a keyed join probe for the survivors — so the gap is pure per-tuple")
-	fmt.Println("interpretation overhead: the interpreter re-resolves names, re-checks")
-	fmt.Println("builtin arity, and allocates argument vectors and continuations at every")
-	fmt.Println("visit, while the compiled closure chain binds fixed slots and runs")
-	fmt.Println("precompiled comparisons. The ratio is roughly size-independent and holds")
-	fmt.Println("at 5x or better, with identical view contents in both modes.")
-	return nil
-}
-
 func runP10() error {
 	// Client-count sweep against a live wdld daemon: every client POSTs
 	// batches to /apply, the hub derives a view shipped over TCP to a
@@ -1217,27 +1102,7 @@ func runI1() error {
 }
 
 func runA1() error {
-	rows := []int{1000, 10000}
-	if quick {
-		rows = []int{1000}
-	}
-	fmt.Println("-- column hash indexes on join attributes --")
-	fmt.Printf("%-12s %14s %14s %10s\n", "rows/side", "indexed", "full scan", "speedup")
-	for _, n := range rows {
-		idx, err := bench.RunJoinAblation(n, n, true)
-		if err != nil {
-			return err
-		}
-		scan, err := bench.RunJoinAblation(n, n, false)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-12d %14v %14v %9.1fx\n", n,
-			idx.Duration.Round(time.Microsecond), scan.Duration.Round(time.Microsecond),
-			float64(scan.Duration)/float64(idx.Duration))
-	}
-
-	fmt.Println("\n-- write-ahead-log durability on the update path --")
+	fmt.Println("-- write-ahead-log durability on the update path --")
 	nf := 5000
 	if quick {
 		nf = 1000

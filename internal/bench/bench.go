@@ -39,7 +39,7 @@ func BinaryTreeEdges(n int) [][2]int64 {
 	return out
 }
 
-// TCResult measures one transitive-closure fixpoint (experiment P1).
+// TCResult measures one transitive-closure fixpoint.
 type TCResult struct {
 	Edges      int
 	Derived    int
@@ -48,10 +48,8 @@ type TCResult struct {
 }
 
 // RunTC loads the given edges into a single peer's store and runs the
-// classic transitive-closure program to fixpoint with the given engine
-// options. This is the micro-benchmark for the naive vs semi-naive
-// ablation.
-func RunTC(edges [][2]int64, opts engine.Options) (TCResult, error) {
+// classic transitive-closure program to fixpoint.
+func RunTC(edges [][2]int64) (TCResult, error) {
 	db := store.New()
 	edge, err := db.Declare(store.Schema{Name: "edge", Peer: "local", Kind: ast.Extensional, Cols: []string{"a", "b"}})
 	if err != nil {
@@ -63,7 +61,7 @@ func RunTC(edges [][2]int64, opts engine.Options) (TCResult, error) {
 	for _, e := range edges {
 		edge.Insert(value.Tuple{value.Int(e[0]), value.Int(e[1])})
 	}
-	e := engine.New("local", db, opts)
+	e := engine.New("local", db, engine.DefaultOptions())
 	prog, err := e.CompileProgram([]ast.Rule{
 		mustRule("t1", `tc@local($x,$y) :- edge@local($x,$y);`),
 		mustRule("t2", `tc@local($x,$z) :- tc@local($x,$y), edge@local($y,$z);`),
@@ -414,54 +412,6 @@ func makeMsg(payload int) protocol.FactsMsg {
 	return protocol.FactsMsg{Ops: []protocol.FactDelta{{
 		Fact: ast.NewFact("blobrel", "b", value.Blob(make([]byte, payload))),
 	}}}
-}
-
-// JoinAblation measures a two-way join with or without hash indexes
-// (ablation A1).
-type JoinAblation struct {
-	LeftSize, RightSize int
-	Matches             int
-	Duration            time.Duration
-}
-
-// RunJoinAblation builds left(n) ⋈ right(m) on the join key and evaluates
-// a single rule over it.
-func RunJoinAblation(left, right int, useIndex bool) (JoinAblation, error) {
-	db := store.New()
-	l, err := db.Declare(store.Schema{Name: "left", Peer: "local", Kind: ast.Extensional, Cols: []string{"k", "v"}})
-	if err != nil {
-		return JoinAblation{}, err
-	}
-	r, err := db.Declare(store.Schema{Name: "right", Peer: "local", Kind: ast.Extensional, Cols: []string{"k", "w"}})
-	if err != nil {
-		return JoinAblation{}, err
-	}
-	if _, err := db.Declare(store.Schema{Name: "out", Peer: "local", Kind: ast.Intensional, Cols: []string{"v", "w"}}); err != nil {
-		return JoinAblation{}, err
-	}
-	for i := 0; i < left; i++ {
-		l.Insert(value.Tuple{value.Int(int64(i)), value.Int(int64(i * 7))})
-	}
-	for i := 0; i < right; i++ {
-		r.Insert(value.Tuple{value.Int(int64(i % left)), value.Int(int64(i * 13))})
-	}
-	opts := engine.DefaultOptions()
-	opts.UseIndexes = useIndex
-	e := engine.New("local", db, opts)
-	prog, err := e.CompileProgram([]ast.Rule{
-		mustRule("j", `out@local($v,$w) :- left@local($k,$v), right@local($k,$w);`),
-	})
-	if err != nil {
-		return JoinAblation{}, err
-	}
-	start := time.Now()
-	res := e.RunStage(prog)
-	return JoinAblation{
-		LeftSize:  left,
-		RightSize: right,
-		Matches:   res.Derived,
-		Duration:  time.Since(start),
-	}, joinErrs(res.Errors)
 }
 
 // WALAblation measures update-stage latency with and without durability.

@@ -45,8 +45,8 @@ func WithPolicy(p acl.Policy) PeerOption {
 	return func(c *peer.Config) { c.Policy = p }
 }
 
-// WithEngineOptions overrides evaluation options (naive mode, no indexes,
-// iteration bounds) — used by the ablation benchmarks.
+// WithEngineOptions overrides evaluation options (per-stage recomputation
+// instead of incremental maintenance, the iteration bound, a tracer).
 func WithEngineOptions(o engine.Options) PeerOption {
 	return func(c *peer.Config) { c.Engine = &o }
 }

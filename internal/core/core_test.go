@@ -93,7 +93,7 @@ func TestAddPeerOptions(t *testing.T) {
 	sys := NewSystem()
 	p, err := sys.AddPeer("guarded",
 		WithPolicy(acl.NewTrustPolicy("hub")),
-		WithEngineOptions(engine.Options{SemiNaive: false, UseIndexes: false, MaxIterations: 10}),
+		WithEngineOptions(engine.Options{Incremental: false, MaxIterations: 10}),
 		WithProvenance(),
 	)
 	if err != nil {
@@ -102,7 +102,7 @@ func TestAddPeerOptions(t *testing.T) {
 	if p.Provenance() == nil {
 		t.Error("provenance not enabled")
 	}
-	if p.Engine().Options().SemiNaive {
+	if o := p.Engine().Options(); o.Incremental || o.MaxIterations != 10 {
 		t.Error("engine options not applied")
 	}
 	if p.Controller().Policy().DecideDelegation("stranger") != acl.Hold {

@@ -1,11 +1,6 @@
 package engine
 
-import (
-	"fmt"
-
-	"repro/internal/analysis"
-	"repro/internal/value"
-)
+import "repro/internal/analysis"
 
 // BuiltinPeer is the reserved peer name for built-in predicates. Atoms whose
 // peer is this constant are evaluated by the engine itself rather than by a
@@ -40,39 +35,34 @@ func IsBuiltinAtom(rel, peerName string) bool {
 	return ok
 }
 
-// evalBuiltin evaluates a built-in predicate under the current bindings.
-// All argument terms must be bound (guaranteed for compiled rules by
-// CheckSafety); it returns whether the predicate holds.
-func evalBuiltin(rel string, a *cAtom, env []value.Value) (bool, error) {
-	want, ok := builtinArity[rel]
-	if !ok {
-		return false, fmt.Errorf("engine: unknown builtin predicate %q", rel)
+// Builtin comparison op codes.
+const (
+	biLt uint8 = iota
+	biLe
+	biGt
+	biGe
+	biEq
+	biNeq
+)
+
+// builtinOps maps predicate names to their op codes.
+var builtinOps = map[string]uint8{"lt": biLt, "le": biLe, "gt": biGt, "ge": biGe, "eq": biEq, "neq": biNeq}
+
+// builtinHolds reports whether the comparison op holds for c, the
+// value.Compare result of the predicate's two arguments.
+func builtinHolds(op uint8, c int) bool {
+	switch op {
+	case biLt:
+		return c < 0
+	case biLe:
+		return c <= 0
+	case biGt:
+		return c > 0
+	case biGe:
+		return c >= 0
+	case biEq:
+		return c == 0
+	default:
+		return c != 0
 	}
-	if len(a.args) != want {
-		return false, fmt.Errorf("engine: builtin %s expects %d arguments, got %d", rel, want, len(a.args))
-	}
-	vals := make([]value.Value, len(a.args))
-	for i, arg := range a.args {
-		if arg.isVar {
-			vals[i] = env[arg.slot]
-		} else {
-			vals[i] = arg.val
-		}
-	}
-	c := vals[0].Compare(vals[1])
-	switch rel {
-	case "lt":
-		return c < 0, nil
-	case "le":
-		return c <= 0, nil
-	case "gt":
-		return c > 0, nil
-	case "ge":
-		return c >= 0, nil
-	case "eq":
-		return c == 0, nil
-	case "neq":
-		return c != 0, nil
-	}
-	return false, fmt.Errorf("engine: unknown builtin predicate %q", rel)
 }

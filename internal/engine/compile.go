@@ -75,6 +75,9 @@ func (s *slotAllocator) compileAtom(a ast.Atom) cAtom {
 	for i, t := range a.Args {
 		out.args[i] = s.compileTerm(t)
 	}
+	if !out.rel.isVar && !out.peer.isVar {
+		out.relID = out.rel.val.StringVal() + "@" + out.peer.val.StringVal()
+	}
 	return out
 }
 

@@ -2,118 +2,61 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ast"
 	"repro/internal/store"
 	"repro/internal/value"
 )
 
-// Compiled rule execution, compiler half (the runtime types live in
-// exec.go).
+// Rule execution, compiler half (the runtime types live in exec.go).
 //
-// compileExec analyzes one (rule, stage kind, delta position) triple under
-// the plan order the stage chose and emits the closure chain, or nil when
-// the rule must stay on the interpreter. The analysis simulates the walk's
-// binding state: with the order fixed, which slots are bound when each atom
-// runs is known statically, so every argument term compiles to exactly one
-// action — a probe-key part (constants and bound slots, guaranteed by the
-// index bucket), a slot binding (free first occurrence), or an equality
-// check (a repeat within the atom) — and the interpreter's per-tuple
-// bound[] bookkeeping disappears.
+// compileExec turns one (rule, stage kind, delta position) triple, under the
+// plan order the stage chose, into a closure chain. It is total: every rule
+// that passed CheckSafety compiles, for all three stage kinds. The analysis
+// simulates the walk's binding state: with the order fixed, which slots are
+// bound when each atom runs is known statically, so every argument term
+// compiles to exactly one action — a probe-key part (constants and bound
+// slots, guaranteed by the index bucket), a slot binding (free first
+// occurrence), or an equality check (a repeat within the atom).
 //
-// Rules fall back to the interpreter (cached nil) when any body atom could
-// leave the local peer — a variable peer or relation term, a remote
-// constant peer (delegation), a non-string name constant — or when a
-// builtin is unknown or mis-used (the interpreter owns the error
-// reporting). Relations unresolved at compile time stay compilable: an
-// undeclared local relation is empty for the whole stage (intensional heads
-// must be pre-declared, and auto-declared extensional heads only buffer
-// updates for the next stage), so those atoms compile to constant dead or
-// pass steps.
-
-// compileBlocker reports why a rule cannot be compiled, or "" when it can.
-// It is the quick structural half of the analysis (shared with Explain);
-// compileExec can still fall back on deeper per-order checks.
-func (e *Engine) compileBlocker(cr *CompiledRule) string {
-	for i := range cr.Body {
-		a := &cr.Body[i]
-		if a.peer.isVar {
-			return fmt.Sprintf("body atom %d: variable peer term (may delegate)", i+1)
-		}
-		if a.peer.val.Kind() != value.KindString {
-			return fmt.Sprintf("body atom %d: non-string peer term", i+1)
-		}
-		pn := a.peer.val.StringVal()
-		if pn == BuiltinPeer {
-			if a.rel.isVar || a.rel.val.Kind() != value.KindString {
-				return fmt.Sprintf("body atom %d: builtin predicate is not a constant", i+1)
-			}
-			rn := a.rel.val.StringVal()
-			if want, ok := builtinArity[rn]; !ok || want != len(a.args) {
-				return fmt.Sprintf("body atom %d: unknown or mis-used builtin %q", i+1, rn)
-			}
-			continue
-		}
-		if pn != e.local {
-			return fmt.Sprintf("body atom %d: remote peer %q (delegation boundary)", i+1, pn)
-		}
-		if a.rel.isVar {
-			return fmt.Sprintf("body atom %d: variable relation term", i+1)
-		}
-		if a.rel.val.Kind() != value.KindString {
-			return fmt.Sprintf("body atom %d: non-string relation term", i+1)
-		}
-	}
-	return ""
-}
-
-// Builtin comparison op codes (see builtin.go for the predicate semantics).
-const (
-	biLt uint8 = iota
-	biLe
-	biGt
-	biGe
-	biEq
-	biNeq
-)
-
-func builtinOpCodeFor(name string) (uint8, bool) {
-	switch name {
-	case "lt":
-		return biLt, true
-	case "le":
-		return biLe, true
-	case "gt":
-		return biGt, true
-	case "ge":
-		return biGe, true
-	case "eq":
-		return biEq, true
-	case "neq":
-		return biNeq, true
-	}
-	return 0, false
-}
+// An atom whose relation and peer terms are constants is classified once, at
+// compile time (analyzeAtom): builtin filter, negated membership test, delta
+// scan, keyed probe, the delegation boundary of a remote peer, or a runtime
+// error the walk reports per valuation. An atom with a variable relation or
+// peer term compiles to a dynamic step that resolves the names under the
+// current bindings and runs the same classification on first sight of each
+// (peer, relation) pair — the bind/check actions depend only on the static
+// binding state, so they are identical across resolutions.
+//
+// Relations unresolved at compile time are not an obstacle: an undeclared
+// local relation is empty for the whole stage (intensional heads must be
+// pre-declared, and auto-declared extensional heads only buffer updates for
+// the next stage), so those atoms compile to constant dead or pass steps.
 
 // stepSpec shapes (stepSpec.sKind).
 const (
-	specProbe   uint8 = iota // positive atom: keyed probe of a relation
-	specDelta                // positive atom at the delta position
-	specBuiltin              // builtin comparison filter
-	specNeg                  // negated atom: keyed membership test
-	specDead                 // positive atom that can never match (nil/mis-arity relation)
-	specPass                 // negated atom that always passes (nil/mis-arity relation)
+	specProbe    uint8 = iota // positive atom: keyed probe of a relation
+	specDelta                 // positive atom at the delta position
+	specBuiltin               // builtin comparison filter
+	specNeg                   // negated atom: keyed membership test
+	specDead                  // no valuation passes: nil/mis-arity relation, or a non-eval walk leaving the peer
+	specPass                  // negated atom that always passes (nil/mis-arity relation)
+	specDelegate              // remote peer: delegate the written suffix from here (kindEval only)
+	specError                 // report msg for this valuation and drop it (kindEval only)
+	specDynamic               // variable relation/peer term: classify at run time
 )
 
-// stepSpec is the compile-time analysis of one plan step.
+// stepSpec is the analysis of one plan step.
 type stepSpec struct {
 	pos   int
 	sKind uint8
 
-	rel   *store.Relation
-	relID string
-	arity int // relation arity for probes, len(args) for delta steps
-	mask  store.ColMask
+	rel               *store.Relation
+	relName, peerName string // peerName doubles as the delegation target
+	relID             string
+	arity             int // relation arity for probes, len(args) for delta steps
+	mask              store.ColMask
 	// member marks a probe with every column bound: a membership test on
 	// the primary tuple map, no index needed.
 	member bool
@@ -125,6 +68,12 @@ type stepSpec struct {
 	probeActs []argAct
 	scanActs  []argAct
 	binds     []argAct // the actBind subset, for fused-batch rebinding
+
+	// bound snapshots the binding state before the step, for the steps that
+	// need it at run time: the substitution of a delegated residual, and a
+	// dynamic step's deferred classification.
+	bound []bool
+	msg   string // specError
 
 	// builtin fields
 	biOp     uint8
@@ -160,121 +109,130 @@ func (sp *stepSpec) buildActs(a *cAtom, bound []bool) {
 	}
 }
 
-// analyzeStep classifies body position pos under the current binding state.
-// The bool result is false when the step cannot be compiled (fall back to
-// the interpreter for the whole rule).
-func (e *Engine) analyzeStep(cr *CompiledRule, pos int, kind stageKind, deltaPos int, bound []bool) (stepSpec, bool) {
+// analyzeStep classifies body position pos under the binding state bound:
+// at once when both name terms are constants, deferred to run time otherwise.
+func (e *Engine) analyzeStep(cr *CompiledRule, pos int, kind stageKind, deltaPos int, bound []bool) stepSpec {
 	a := &cr.Body[pos]
-	sp := stepSpec{pos: pos}
-	pn := a.peer.val.StringVal() // constant strings guaranteed by compileBlocker
-	rn := a.rel.val.StringVal()
-	if pn == BuiltinPeer {
-		code, ok := builtinOpCodeFor(rn)
-		if !ok || len(a.args) != 2 {
-			return sp, false
+	if a.peer.isVar || a.rel.isVar {
+		return stepSpec{pos: pos, sKind: specDynamic, bound: slices.Clone(bound)}
+	}
+	return e.analyzeAtom(cr, pos, a.peer.val, a.rel.val, kind, deltaPos, bound)
+}
+
+// analyzeAtom classifies body position pos with its name terms resolved to
+// peer and rel. The checks run in the order the paper's left-to-right
+// reading implies: where the atom lives decides first (a remote peer ends
+// the local walk whatever the relation term is), then what it names.
+func (e *Engine) analyzeAtom(cr *CompiledRule, pos int, peer, rel value.Value, kind stageKind, deltaPos int, bound []bool) stepSpec {
+	a := &cr.Body[pos]
+	sp := stepSpec{pos: pos, sKind: specDead}
+	fail := func(format string, args ...any) stepSpec {
+		if kind == kindEval { // DRed and rederive walks just drop the valuation
+			sp.sKind = specError
+			sp.msg = "engine: rule " + cr.Rule.ID + ": " + fmt.Sprintf(format, args...)
+		}
+		return sp
+	}
+	if peer.Kind() != value.KindString {
+		return fail("peer term of body atom %d is not a string", pos+1)
+	}
+	sp.peerName = peer.StringVal()
+	if sp.peerName != e.local && sp.peerName != BuiltinPeer {
+		if kind == kindEval { // a delegated suffix is not a local derivation
+			sp.sKind = specDelegate
+			sp.bound = slices.Clone(bound)
+		}
+		return sp
+	}
+	if rel.Kind() != value.KindString {
+		return fail("relation term of body atom %d is not a string", pos+1)
+	}
+	sp.relName = rel.StringVal()
+	if sp.peerName == BuiltinPeer {
+		op, ok := builtinOps[sp.relName]
+		if !ok {
+			return fail("engine: unknown builtin predicate %q", sp.relName)
+		}
+		if want := builtinArity[sp.relName]; len(a.args) != want {
+			return fail("engine: builtin %s expects %d arguments, got %d", sp.relName, want, len(a.args))
 		}
 		for _, t := range a.args {
 			if t.isVar && !bound[t.slot] {
-				return sp, false // unsafe placement; interpreter reports it
+				// Only reachable through a variable peer term: safety checks
+				// constant builtin atoms, and builtins bind nothing.
+				return fail("engine: builtin %s reached with $%s unbound", sp.relName, cr.SlotNames[t.slot])
 			}
 		}
 		sp.sKind = specBuiltin
-		sp.biOp = code
-		sp.biNegate = a.neg
+		sp.biOp, sp.biNegate = op, a.neg
 		sp.biL, sp.biR = a.args[0], a.args[1]
-		return sp, true
+		return sp
 	}
-	sp.relID = rn + "@" + pn
-	rel := e.db.Get(rn, pn)
-	if a.neg {
-		if rel == nil || rel.Schema().Arity() != len(a.args) {
-			sp.sKind = specPass
-			return sp, true
-		}
-		for _, arg := range a.args {
-			if arg.isVar && !bound[arg.slot] {
-				return sp, false // unsafe negation; interpreter's problem
-			}
-		}
+	sp.relID = sp.relName + "@" + sp.peerName
+	r := e.db.Get(sp.relName, sp.peerName)
+	usable := r != nil && r.Schema().Arity() == len(a.args)
+	switch {
+	case a.neg && !usable:
+		sp.sKind = specPass
+	case a.neg:
+		// Safety guarantees every argument is bound: membership test.
 		sp.sKind = specNeg
-		sp.rel = rel
+		sp.rel = r
 		for _, arg := range a.args {
-			if arg.isVar {
-				sp.parts = append(sp.parts, keyPart{isVar: true, slot: arg.slot})
-			} else {
-				sp.parts = append(sp.parts, keyPart{val: arg.val})
-			}
+			sp.parts = append(sp.parts, keyPart{isVar: arg.isVar, slot: arg.slot, val: arg.val})
 		}
-		return sp, true
-	}
-	if pos == deltaPos && kind != kindMatch {
+	case pos == deltaPos && kind != kindMatch:
 		sp.sKind = specDelta
 		sp.arity = len(a.args)
 		sp.buildActs(a, bound)
-		return sp, true
+	case usable:
+		sp.sKind = specProbe
+		sp.rel = r
+		sp.arity = len(a.args)
+		sp.buildActs(a, bound)
+		sp.member = sp.arity > 0 && sp.mask == (store.ColMask(1)<<uint(sp.arity))-1
 	}
-	if rel == nil || rel.Schema().Arity() != len(a.args) {
-		sp.sKind = specDead
-		return sp, true
-	}
-	sp.sKind = specProbe
-	sp.rel = rel
-	sp.arity = rel.Schema().Arity()
-	sp.buildActs(a, bound)
-	sp.member = sp.arity > 0 && sp.mask == (store.ColMask(1)<<uint(sp.arity))-1
-	return sp, true
+	return sp
 }
 
 // compileExec compiles one (rule, stage kind, delta position) walk under
-// the given plan order (nil = written order) into a closure-chain program,
-// or nil when the rule must interpret. Called through the stage's
-// compiledFor cache.
+// the given plan order (nil = written order) into a closure-chain program.
+// Called through the stage's compiledFor cache.
 func (e *Engine) compileExec(cr *CompiledRule, kind stageKind, deltaPos int, ord []int) *execProg {
-	if e.compileBlocker(cr) != "" {
-		return nil
-	}
-	order := ord
-	if order == nil {
-		order = make([]int, len(cr.Body))
-		for i := range order {
-			order[i] = i
-		}
-	}
-	if len(order) != len(cr.Body) {
-		return nil
-	}
 	// Forward pass: simulate the binding state the fixed order produces and
-	// analyze every step against it.
+	// analyze every step against it. Nothing runs past a step that ends the
+	// local walk, so the analysis stops there too.
 	bound := make([]bool, cr.NumSlots)
 	if kind == kindMatch {
 		markAtomSlots(&cr.Head, bound)
 	}
-	specs := make([]stepSpec, len(order))
-	for s, i := range order {
-		sp, ok := e.analyzeStep(cr, i, kind, deltaPos, bound)
-		if !ok {
-			return nil
-		}
-		specs[s] = sp
-		if sp.sKind == specProbe || sp.sKind == specDelta || sp.sKind == specDead {
-			for _, arg := range cr.Body[i].args {
-				if arg.isVar {
-					bound[arg.slot] = true
-				}
+	specs := make([]stepSpec, 0, len(cr.Body))
+walk:
+	for s := range cr.Body {
+		i := planPos(ord, s)
+		sp := e.analyzeStep(cr, i, kind, deltaPos, bound)
+		specs = append(specs, sp)
+		switch sp.sKind {
+		case specDead, specDelegate, specError:
+			break walk
+		case specProbe, specDelta, specDynamic:
+			if !cr.Body[i].neg {
+				markArgSlots(&cr.Body[i], bound)
 			}
 		}
 	}
 	// Backward pass: link the chain terminal-first so each step closure
 	// captures its continuation.
-	p := &execProg{kind: kind, deltaPos: deltaPos}
+	p := &execProg{kind: kind, deltaPos: deltaPos, tracing: kind == kindEval && e.opts.Tracer != nil}
 	if kind != kindMatch {
 		p.ctx.env = make([]value.Value, cr.NumSlots)
 	}
-	next := e.compileTerminal(cr, kind, p)
+	next := e.compileTerminal(cr, p)
 	// Fuse the delta scan with an immediately following keyed probe into a
 	// batch step: one lock acquisition and index resolve for the whole
-	// frontier instead of one per frontier tuple.
-	fuse := kind != kindMatch && len(specs) >= 2 &&
+	// frontier instead of one per frontier tuple. (Not when tracing: the
+	// batch has no per-atom continuation to hang the support on.)
+	fuse := kind != kindMatch && !p.tracing && len(specs) >= 2 &&
 		specs[0].sKind == specDelta &&
 		specs[1].sKind == specProbe && specs[1].mask != 0 && !specs[1].member
 	lo := 0
@@ -282,7 +240,7 @@ func (e *Engine) compileExec(cr *CompiledRule, kind stageKind, deltaPos int, ord
 		lo = 2
 	}
 	for s := len(specs) - 1; s >= lo; s-- {
-		next = compileStep(&specs[s], kind, p, next)
+		next = e.compileStep(cr, &specs[s], p, next)
 	}
 	if fuse {
 		next = compileFusedDelta(&specs[0], &specs[1], kind, p, next)
@@ -293,76 +251,75 @@ func (e *Engine) compileExec(cr *CompiledRule, kind stageKind, deltaPos int, ord
 
 // compileTerminal builds the full-match action: produce (with a fast path
 // for statically local intensional heads), over-delete, or found.
-func (e *Engine) compileTerminal(cr *CompiledRule, kind stageKind, p *execProg) stepFn {
+func (e *Engine) compileTerminal(cr *CompiledRule, p *execProg) stepFn {
 	x := &p.ctx
-	switch kind {
+	switch p.kind {
 	case kindMatch:
 		return func() { x.found = true }
 	case kindDRed:
-		return func() { x.e.produceDelete(cr, x.env, x.st) }
+		return func() { e.produceDelete(cr, x.env, x.st) }
 	}
 	h := &cr.Head
-	if cr.Rule.Op == ast.Derive && !h.rel.isVar && !h.peer.isVar &&
+	if cr.Rule.Op == ast.Derive && !p.tracing && h.relID != "" &&
 		h.rel.val.Kind() == value.KindString && h.peer.val.Kind() == value.KindString &&
 		h.peer.val.StringVal() == e.local {
-		rn := h.rel.val.StringVal()
-		if rel := e.db.Get(rn, e.local); rel != nil && rel.Kind() == ast.Intensional &&
+		if rel := e.db.GetID(h.relID); rel != nil && rel.Kind() == ast.Intensional &&
 			rel.Schema().Arity() == len(h.args) {
-			relID := rn + "@" + e.local
-			args := h.args
-			return func() {
-				t := make(value.Tuple, len(args))
-				for k, arg := range args {
-					if arg.isVar {
-						t[k] = x.env[arg.slot]
-					} else {
-						t[k] = arg.val
-					}
-				}
-				x.e.deriveLocal(x.st, rel, relID, t)
-			}
+			relID := h.relID
+			return func() { e.deriveLocal(x.st, rel, relID, h.tuple(x.env)) }
 		}
 	}
-	return func() { x.e.produce(cr, x.env, x.st) }
+	return func() { e.produce(cr, x.env, x.st) }
 }
 
 // compileStep builds one body step's closure around its continuation.
-func compileStep(sp *stepSpec, kind stageKind, p *execProg, next stepFn) stepFn {
+func (e *Engine) compileStep(cr *CompiledRule, sp *stepSpec, p *execProg, next stepFn) stepFn {
 	x := &p.ctx
+	kind := p.kind
+	a := &cr.Body[sp.pos]
+	if p.tracing && (sp.sKind == specProbe || sp.sKind == specDelta) {
+		// Tracing variant: the matched fact — the atom under the bindings
+		// its step just made — stays on the support stack while the rest of
+		// the body runs.
+		rn, pn, inner := sp.relName, sp.peerName, next
+		next = func() {
+			st := x.st
+			st.supports = append(st.supports, ast.Fact{Rel: rn, Peer: pn, Args: a.tuple(x.env)})
+			inner()
+			st.supports = st.supports[:len(st.supports)-1]
+		}
+	}
 	switch sp.sKind {
 	case specDead:
 		return func() {}
 	case specPass:
 		return next
+	case specError:
+		msg := sp.msg
+		return func() { x.st.errf("%s", msg) }
+	case specDelegate:
+		pos, bound, target := sp.pos, sp.bound, sp.peerName
+		return func() { e.addDelegation(cr, pos, x.env, bound, target, x.st) }
+	case specDynamic:
+		// One specialized step per (peer, relation) pair the terms resolve
+		// to, built on first sight; the chain lives for one stage.
+		pos, bound, deltaPos := sp.pos, sp.bound, p.deltaPos
+		steps := map[[2]value.Value]stepFn{}
+		return func() {
+			names := [2]value.Value{a.peer.value(x.env), a.rel.value(x.env)}
+			step := steps[names]
+			if step == nil {
+				rs := e.analyzeAtom(cr, pos, names[0], names[1], kind, deltaPos, bound)
+				step = e.compileStep(cr, &rs, p, next)
+				steps[names] = step
+			}
+			step()
+		}
 	case specBuiltin:
 		l, r := sp.biL, sp.biR
-		opc, negate := sp.biOp, sp.biNegate
+		op, negate := sp.biOp, sp.biNegate
 		return func() {
-			lv := l.val
-			if l.isVar {
-				lv = x.env[l.slot]
-			}
-			rv := r.val
-			if r.isVar {
-				rv = x.env[r.slot]
-			}
-			c := lv.Compare(rv)
-			var holds bool
-			switch opc {
-			case biLt:
-				holds = c < 0
-			case biLe:
-				holds = c <= 0
-			case biGt:
-				holds = c > 0
-			case biGe:
-				holds = c >= 0
-			case biEq:
-				holds = c == 0
-			default:
-				holds = c != 0
-			}
-			if holds != negate {
+			if builtinHolds(op, l.value(x.env).Compare(r.value(x.env))) != negate {
 				next()
 			}
 		}
@@ -418,7 +375,7 @@ func compileStep(sp *stepSpec, kind stageKind, p *execProg, next stepFn) stepFn 
 					next()
 				}
 				// The pre-deletion database includes this stage's ghosts.
-				x.st.incr.sweepGhostsKey(relID, mask, key, func(t value.Tuple) { cb(t) })
+				x.st.incr.sweepGhosts(relID, mask, key, func(t value.Tuple) { cb(t) })
 				x.key = x.key[:base]
 			}
 		}
@@ -439,7 +396,7 @@ func compileStep(sp *stepSpec, kind stageKind, p *execProg, next stepFn) stepFn 
 			x.key = appendKeyParts(x, x.key, parts)
 			key := x.key[base:]
 			rel.Probe(mask, key, cb)
-			x.st.incr.sweepGhostsKey(relID, mask, key, gcb)
+			x.st.incr.sweepGhosts(relID, mask, key, gcb)
 			x.key = x.key[:base]
 		}
 	}
@@ -514,7 +471,7 @@ func compileFusedDelta(da, pb *stepSpec, kind stageKind, p *execProg, next stepF
 					for _, b := range rebinds {
 						x.env[b.slot] = ta[b.col]
 					}
-					ic.sweepGhostsKey(relIDB, maskB, keys[j], unifyB)
+					ic.sweepGhosts(relIDB, maskB, keys[j], unifyB)
 				}
 			}
 		}

@@ -27,48 +27,16 @@ import (
 // Options configures evaluation. The zero value is not useful; use
 // DefaultOptions as a base.
 type Options struct {
-	// SemiNaive enables semi-naive (delta-driven) fixpoint iteration.
-	// When false the engine re-evaluates all rules from scratch each
-	// iteration (naive evaluation; kept for the ablation benchmarks).
-	SemiNaive bool
-	// UseIndexes enables hash indexes on bound column subsets during joins.
-	UseIndexes bool
-	// MaxIterations bounds fixpoint iterations as a safety net.
-	MaxIterations int
-	// Planner enables cost-based join planning: at stage time each rule's
-	// positive local body atoms are reordered by estimated selectivity
-	// (live relation cardinalities, the bound-argument mask each atom
-	// would be probed with, index statistics), and negated atoms and
-	// builtins float to the earliest position at which their variables
-	// are bound. Reordering stops at the first atom whose peer term is a
-	// variable or a remote constant, so delegation boundaries and the
-	// paper's safety semantics are untouched; results are provably
-	// unchanged (prop-tested against the written order). When false —
-	// the written-order ablation of experiment P9 — bodies evaluate
-	// exactly as written. See plan.go.
-	Planner bool
-	// Compiled enables compiled rule execution: once the stage fixes a body
-	// order for a (rule, stage kind, delta position) triple, that plan is
-	// compiled into a chain of specialized step closures over pre-resolved
-	// relation handles, precomputed probe masks/keys, and fixed binding
-	// slots — skipping the interpreter's per-tuple ord indirection, name
-	// resolution, and bound-value collection on every probe. Rules the
-	// compiler cannot prove equivalent (variable relation or peer terms,
-	// possibly-remote atoms, unresolved relations) fall back to the
-	// interpreter per rule. Compilation requires UseIndexes (the compiled
-	// probes are keyed) and no Tracer (supports are not tracked); it is
-	// silently inert otherwise. When false — the interpreter ablation of
-	// experiment P9's compiled tier — every rule takes today's generic
-	// walks. See compilefast.go and exec.go.
-	Compiled bool
 	// Incremental keeps derived relations materialized between stages and
 	// maintains them from each stage's base-fact deltas (inserts through the
 	// semi-naive machinery, deletions through an over-delete/rederive pass),
 	// instead of recomputing every view from scratch per stage. When false —
-	// the naive-recompute ablation — or when the program is not
-	// incrementally maintainable (negation in a view rule, a Tracer
-	// attached), every stage rebuilds the views. See incremental.go.
+	// the recompute reference the benchmark verifies against — or when the
+	// program is not incrementally maintainable (negation in a view rule, a
+	// Tracer attached), every stage rebuilds the views. See incremental.go.
 	Incremental bool
+	// MaxIterations bounds fixpoint iterations as a safety net.
+	MaxIterations int
 	// Tracer, when non-nil, observes every successful derivation. A tracer
 	// implies per-stage recomputation (provenance is rebuilt each stage), so
 	// it disables Incremental.
@@ -77,7 +45,7 @@ type Options struct {
 
 // DefaultOptions returns the production configuration.
 func DefaultOptions() Options {
-	return Options{SemiNaive: true, UseIndexes: true, Planner: true, Compiled: true, Incremental: true, MaxIterations: 1_000_000}
+	return Options{Incremental: true, MaxIterations: 1_000_000}
 }
 
 // Tracer observes derivations for provenance tracking and debugging.
@@ -191,13 +159,10 @@ type Engine struct {
 	planHits   atomic.Uint64
 	planMisses atomic.Uint64
 
-	// Compiled-execution telemetry: closure chains freshly compiled, cache
-	// lookups that reused one (per stage, like the plan cache), and rule
-	// invocations that fell back to the interpreter because the rule is not
-	// compilable (the nil verdict is cached too, counted once per stage).
-	ruleCompiles     atomic.Uint64
-	compiledHits     atomic.Uint64
-	compileFallbacks atomic.Uint64
+	// Rule-execution telemetry: closure chains freshly compiled and cache
+	// lookups that reused one (per stage, like the plan cache).
+	ruleCompiles atomic.Uint64
+	compiledHits atomic.Uint64
 }
 
 // New creates an engine for the peer named local over db.
@@ -219,17 +184,17 @@ func (e *Engine) Options() Options { return e.opts }
 
 // PlanCacheStats returns the lifetime join-plan cache counters: lookups
 // that reused a stage's cached plan (hits) and lookups that computed one
-// (misses). Always zero with the planner disabled.
+// (misses).
 func (e *Engine) PlanCacheStats() (hits, misses uint64) {
 	return e.planHits.Load(), e.planMisses.Load()
 }
 
-// CompiledStats returns the lifetime compiled-execution counters: closure
-// chains compiled, cache lookups that reused one, and (rule, stage kind,
-// delta position) triples that fell back to the interpreter. All zero with
-// compiled execution disabled.
+// CompiledStats returns the lifetime rule-execution counters: closure chains
+// compiled and cache lookups that reused one. The third result counted
+// interpreter fallbacks when there was an interpreter; every rule compiles
+// now, so it is always 0 (kept for callers that read it).
 func (e *Engine) CompiledStats() (compiles, hits, fallbacks uint64) {
-	return e.ruleCompiles.Load(), e.compiledHits.Load(), e.compileFallbacks.Load()
+	return e.ruleCompiles.Load(), e.compiledHits.Load(), 0
 }
 
 // termRef is a compiled term: either a constant or a slot in the rule's
@@ -238,6 +203,14 @@ type termRef struct {
 	isVar bool
 	slot  int
 	val   value.Value
+}
+
+// value resolves the term under the frame env.
+func (t termRef) value(env []value.Value) value.Value {
+	if t.isVar {
+		return env[t.slot]
+	}
+	return t.val
 }
 
 func (t termRef) String() string {
@@ -253,6 +226,18 @@ type cAtom struct {
 	rel  termRef
 	peer termRef
 	args []termRef
+	// relID is "rel@peer" when both name terms are constants, "" when either
+	// is a variable resolved at run time.
+	relID string
+}
+
+// tuple materializes the atom's argument terms under the frame env.
+func (a *cAtom) tuple(env []value.Value) value.Tuple {
+	t := make(value.Tuple, len(a.args))
+	for k, arg := range a.args {
+		t[k] = arg.value(env)
+	}
+	return t
 }
 
 // CompiledRule is a rule compiled against a variable frame: each distinct

@@ -24,16 +24,17 @@ type stageState struct {
 	delta       deltaSet
 	supports    []ast.Fact // ground body atoms on the current evaluation path
 	errCount    int
-	// planner holds the stage's join-plan cache (plan.go); nil means
-	// written-order evaluation (Options.Planner off).
+	// planner holds the stage's join-plan and compiled-chain caches
+	// (plan.go).
 	planner *stagePlanner
 	// incr is non-nil during RunStageIncremental: produce() additionally
 	// maintains the net view-delta bookkeeping (incremental.go).
 	incr *incrState
 }
 
-func newStageState() *stageState {
+func (e *Engine) newStageState() *stageState {
 	return &stageState{
+		planner: e.newPlanner(),
 		out: &Result{
 			Remote:      map[string][]FactOp{},
 			Delegations: map[string]map[string][]ast.Rule{},
@@ -62,22 +63,17 @@ func (st *stageState) errf(format string, args ...any) {
 // mutated (facts derived into them); everything else is returned in Result
 // for the peer to apply or transmit.
 func (e *Engine) RunStage(prog *Program) *Result {
-	st := newStageState()
-	st.planner = e.newPlanner()
+	st := e.newStageState()
 	for _, stratum := range prog.Strata {
-		if len(stratum) == 0 {
-			continue
-		}
-		if e.opts.SemiNaive {
-			e.runStratumSemiNaive(stratum, st)
-		} else {
-			e.runStratumNaive(stratum, st)
+		if len(stratum) > 0 {
+			e.runStratum(stratum, st)
 		}
 	}
 	return st.out
 }
 
-func (e *Engine) runStratumSemiNaive(stratum []*CompiledRule, st *stageState) {
+// runStratum runs one stratum's semi-naive fixpoint.
+func (e *Engine) runStratum(stratum []*CompiledRule, st *stageState) {
 	// Iteration 0: full evaluation of every rule in the stratum.
 	st.delta = deltaSet{}
 	for _, cr := range stratum {
@@ -88,7 +84,7 @@ func (e *Engine) runStratumSemiNaive(stratum []*CompiledRule, st *stageState) {
 	// position, restricting that position to the previous iteration's new
 	// facts. Any derivation that uses at least one new fact is found at the
 	// position of (one of) its new supports.
-	for iter := 0; len(st.delta) > 0; iter++ {
+	for len(st.delta) > 0 {
 		if st.out.Iterations >= e.opts.MaxIterations {
 			st.errf("engine: fixpoint exceeded %d iterations; aborting stratum", e.opts.MaxIterations)
 			return
@@ -96,228 +92,40 @@ func (e *Engine) runStratumSemiNaive(stratum []*CompiledRule, st *stageState) {
 		prev := st.delta
 		st.delta = deltaSet{}
 		for _, cr := range stratum {
-			for j := range cr.Body {
-				a := &cr.Body[j]
-				if a.neg {
-					continue
-				}
-				// Skip the pass when atom j's relation is statically known
-				// and received no new facts last iteration: the pass could
-				// only rediscover derivations already found, at the price of
-				// fully scanning every atom before j.
-				if !a.rel.isVar && !a.peer.isVar {
-					id := a.rel.val.StringVal() + "@" + a.peer.val.StringVal()
-					if len(prev[id]) == 0 {
-						continue
-					}
-				}
-				e.evalRule(cr, st, j, prev)
-			}
+			forDeltaPositions(cr, prev, func(j int) { e.evalRule(cr, st, j, prev) })
 		}
 		st.out.Iterations++
 	}
 }
 
-func (e *Engine) runStratumNaive(stratum []*CompiledRule, st *stageState) {
-	for {
-		if st.out.Iterations >= e.opts.MaxIterations {
-			st.errf("engine: fixpoint exceeded %d iterations; aborting stratum", e.opts.MaxIterations)
-			return
+// forDeltaPositions calls fn for every positive body position of cr that
+// can range over d. A position whose relation is statically known and has
+// no tuples in d is skipped: the pass could only rediscover derivations
+// already found, at the price of fully scanning every atom before it.
+func forDeltaPositions(cr *CompiledRule, d deltaSet, fn func(j int)) {
+	for j := range cr.Body {
+		a := &cr.Body[j]
+		if a.neg || (a.relID != "" && len(d[a.relID]) == 0) {
+			continue
 		}
-		before := st.out.Derived
-		st.delta = deltaSet{} // unused by naive joins but keeps produce() uniform
-		for _, cr := range stratum {
-			e.evalRule(cr, st, -1, nil)
-		}
-		st.out.Iterations++
-		if st.out.Derived == before {
-			return
-		}
+		fn(j)
 	}
 }
 
-// evalRule evaluates one rule. deltaPos < 0 requests a full evaluation;
-// otherwise body position deltaPos ranges over prevDelta instead of the
-// full relation. When the stage has a planner, the body is walked in the
-// plan's order instead of written order.
+// evalRule evaluates one rule through its compiled chain. deltaPos < 0
+// requests a full evaluation; otherwise body position deltaPos ranges over
+// prevDelta instead of the full relation.
 func (e *Engine) evalRule(cr *CompiledRule, st *stageState, deltaPos int, prevDelta deltaSet) {
-	if st.planner != nil {
-		if ep := st.planner.compiledFor(cr, kindEval, deltaPos); ep != nil {
-			ep.runEval(e, st, prevDelta)
-			return
-		}
-	}
-	env := make([]value.Value, cr.NumSlots)
-	bound := make([]bool, cr.NumSlots)
-	var ord []int
-	if st.planner != nil {
-		ord = st.planner.orderFor(cr, deltaPos)
-	}
-	e.evalFrom(cr, 0, env, bound, st, deltaPos, prevDelta, ord)
-}
-
-// bindAtomArgs unifies t against the atom's argument terms, binding free
-// variable slots. On a match it returns true plus the slots newly bound —
-// the caller must clear them (unbind) after its continuation returns. On a
-// mismatch (including arity) every partial binding is already undone.
-func bindAtomArgs(a *cAtom, t value.Tuple, env []value.Value, bound []bool) (bool, []int) {
-	if len(t) != len(a.args) {
-		return false, nil
-	}
-	var newlyBound []int
-	for k, arg := range a.args {
-		if arg.isVar {
-			if bound[arg.slot] {
-				if !env[arg.slot].Equal(t[k]) {
-					unbind(bound, newlyBound)
-					return false, nil
-				}
-			} else {
-				env[arg.slot] = t[k]
-				bound[arg.slot] = true
-				newlyBound = append(newlyBound, arg.slot)
-			}
-		} else if !arg.val.Equal(t[k]) {
-			unbind(bound, newlyBound)
-			return false, nil
-		}
-	}
-	return true, newlyBound
-}
-
-// unbind clears the given slots.
-func unbind(bound []bool, slots []int) {
-	for _, s := range slots {
-		bound[s] = false
-	}
-}
-
-// lookupMask computes the bound-column mask and values for an indexed
-// lookup of atom a against rel under the current bindings. A zero mask
-// (atom arity mismatch, or nothing bound) means "scan".
-func lookupMask(a *cAtom, rel *store.Relation, env []value.Value, bound []bool) (store.ColMask, []value.Value) {
-	var mask store.ColMask
-	var boundVals []value.Value
-	if len(a.args) != rel.Schema().Arity() {
-		return 0, nil
-	}
-	for k, arg := range a.args {
-		if arg.isVar {
-			if bound[arg.slot] {
-				mask |= 1 << uint(k)
-				boundVals = append(boundVals, env[arg.slot])
-			}
-		} else {
-			mask |= 1 << uint(k)
-			boundVals = append(boundVals, arg.val)
-		}
-	}
-	return mask, boundVals
+	st.planner.compiledFor(cr, kindEval, deltaPos).run(st, prevDelta)
 }
 
 // resolveName resolves a compiled relation/peer term to its string name.
 func resolveName(t termRef, env []value.Value) (string, bool) {
-	var v value.Value
-	if t.isVar {
-		v = env[t.slot]
-	} else {
-		v = t.val
-	}
+	v := t.value(env)
 	if v.Kind() != value.KindString {
 		return "", false
 	}
 	return v.StringVal(), true
-}
-
-// evalFrom evaluates the rule body from plan step `step` on. ord, when
-// non-nil, maps plan steps to body positions (written order otherwise);
-// all diagnostics and the deltaPos comparison use the *written* position,
-// so planned and unplanned evaluation report identically.
-func (e *Engine) evalFrom(cr *CompiledRule, step int, env []value.Value, bound []bool, st *stageState, deltaPos int, prevDelta deltaSet, ord []int) {
-	if step == len(cr.Body) {
-		e.produce(cr, env, st)
-		return
-	}
-	i := step
-	if ord != nil {
-		i = ord[step]
-	}
-	a := &cr.Body[i]
-	peerName, ok := resolveName(a.peer, env)
-	if !ok {
-		st.errf("engine: rule %s: peer term of body atom %d is not a string", cr.Rule.ID, i+1)
-		return
-	}
-	if peerName == BuiltinPeer {
-		relName, ok := resolveName(a.rel, env)
-		if !ok {
-			st.errf("engine: rule %s: relation term of body atom %d is not a string", cr.Rule.ID, i+1)
-			return
-		}
-		holds, err := evalBuiltin(relName, a, env)
-		if err != nil {
-			st.errf("engine: rule %s: %v", cr.Rule.ID, err)
-			return
-		}
-		if holds != a.neg {
-			e.evalFrom(cr, step+1, env, bound, st, deltaPos, prevDelta, ord)
-		}
-		return
-	}
-	if peerName != e.local {
-		e.addDelegation(cr, i, env, bound, peerName, st)
-		return
-	}
-	relName, ok := resolveName(a.rel, env)
-	if !ok {
-		st.errf("engine: rule %s: relation term of body atom %d is not a string", cr.Rule.ID, i+1)
-		return
-	}
-	rel := e.db.Get(relName, peerName)
-
-	if a.neg {
-		// Safety guarantees all argument terms are bound: membership test.
-		t := make(value.Tuple, len(a.args))
-		for k, arg := range a.args {
-			if arg.isVar {
-				t[k] = env[arg.slot]
-			} else {
-				t[k] = arg.val
-			}
-		}
-		if rel == nil || len(a.args) != rel.Schema().Arity() || !rel.Contains(t) {
-			e.evalFrom(cr, step+1, env, bound, st, deltaPos, prevDelta, ord)
-		}
-		return
-	}
-
-	// Positive atom: join against the relation (or the delta at deltaPos).
-	unifyAndRecurse := func(t value.Tuple) bool {
-		okTuple, newlyBound := bindAtomArgs(a, t, env, bound)
-		if okTuple {
-			if e.opts.Tracer != nil {
-				st.supports = append(st.supports, ast.Fact{Rel: relName, Peer: peerName, Args: t})
-				e.evalFrom(cr, step+1, env, bound, st, deltaPos, prevDelta, ord)
-				st.supports = st.supports[:len(st.supports)-1]
-			} else {
-				e.evalFrom(cr, step+1, env, bound, st, deltaPos, prevDelta, ord)
-			}
-			unbind(bound, newlyBound)
-		}
-		return true // keep scanning
-	}
-
-	if i == deltaPos {
-		for _, t := range prevDelta[relName+"@"+peerName] {
-			unifyAndRecurse(t)
-		}
-		return
-	}
-	if rel == nil {
-		return // unknown local relation: empty
-	}
-	mask, boundVals := lookupMask(a, rel, env, bound)
-	rel.Lookup(mask, boundVals, e.opts.UseIndexes, unifyAndRecurse)
 }
 
 // produce materializes the head under the current bindings and routes it:
@@ -334,14 +142,7 @@ func (e *Engine) produce(cr *CompiledRule, env []value.Value, st *stageState) {
 		st.errf("engine: rule %s: head relation term is not a string", cr.Rule.ID)
 		return
 	}
-	t := make(value.Tuple, len(cr.Head.args))
-	for k, arg := range cr.Head.args {
-		if arg.isVar {
-			t[k] = env[arg.slot]
-		} else {
-			t[k] = arg.val
-		}
-	}
+	t := cr.Head.tuple(env)
 	fact := ast.Fact{Rel: headRel, Peer: headPeer, Args: t}
 	op := cr.Rule.Op
 
@@ -401,7 +202,7 @@ func (e *Engine) produce(cr *CompiledRule, env []value.Value, st *stageState) {
 // does the fixpoint and incremental-maintenance bookkeeping: the semi-naive
 // delta, the derivation counter, and (under RunStageIncremental) the net
 // view-delta sets. Returns whether the tuple was new. Shared by produce and
-// the compiled terminal fast path (compilefast.go), which resolves the head
+// the terminal fast path (compilefast.go), which resolves the head
 // statically and skips produce's name resolution per derivation.
 func (e *Engine) deriveLocal(st *stageState, rel *store.Relation, relID string, t value.Tuple) bool {
 	if !rel.Insert(t) {
@@ -437,9 +238,10 @@ func (e *Engine) trace(st *stageState, head ast.Fact, cr *CompiledRule) {
 }
 
 // addDelegation emits the residual rule for the suffix starting at body
-// position i, with the prefix's bindings substituted in, targeted at peer
-// target. Residuals are deduplicated; the peer layer handles replacing the
-// previous stage's set (delegation maintenance).
+// position i, with the prefix's bindings (the slots marked in bound)
+// substituted in, targeted at peer target. Residuals are deduplicated; the
+// peer layer handles replacing the previous stage's set (delegation
+// maintenance).
 func (e *Engine) addDelegation(cr *CompiledRule, i int, env []value.Value, bound []bool, target string, st *stageState) {
 	sub := ast.Substitution{}
 	for slot, name := range cr.SlotNames {

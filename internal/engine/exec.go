@@ -4,20 +4,18 @@ import (
 	"repro/internal/value"
 )
 
-// Compiled rule execution, runtime half (the compiler lives in
-// compilefast.go).
+// Rule execution, runtime half (the compiler lives in compilefast.go).
 //
-// The interpreter (evalFrom / deleteFrom / matchFrom) re-derives everything
-// about an atom on every visit: the ord indirection, relation and peer name
-// resolution, the bound-column mask, a []value.Value of bound values, and a
-// fresh continuation closure per binding. Once a stage has fixed a body
-// order for a (rule, stage kind, delta position) triple, all of that is
-// static. compileExec turns the plan into a chain of step closures — one
-// per body atom, linked back to front — over pre-resolved
-// *store.Relation handles, precomputed ColMask probe masks, and fixed
-// binding slots, with probe keys appended into one reused buffer. The three
-// walk kinds compile separately: their terminals, delta sources, and ghost
-// sweeps differ (see stageKind).
+// Once a stage has fixed a body order for a (rule, stage kind, delta
+// position) triple, everything about visiting an atom is static: the
+// relation handle, the bound-column mask, which argument binds and which
+// checks. compileExec turns the plan into a chain of step closures — one
+// per body atom, linked back to front — over pre-resolved *store.Relation
+// handles, precomputed ColMask probe masks, and fixed binding slots, with
+// probe keys appended into one reused buffer. The three walk kinds compile
+// separately: their terminals, delta sources, and ghost sweeps differ (see
+// stageKind). This is the only way rules run; the test-only reference
+// evaluator (reference_test.go) is the oracle it is checked against.
 //
 // Every closure captures the program's own *execCtx, allocated once at
 // compile time, so a walk allocates nothing per tuple. That makes a
@@ -33,17 +31,17 @@ import (
 type stageKind uint8
 
 const (
-	// kindEval: full and semi-naive evaluation (the evalFrom walk); the
-	// delta position ranges over the previous iteration's new facts and a
-	// full body match produces the head.
+	// kindEval: full and semi-naive evaluation; the delta position ranges
+	// over the previous iteration's new facts, a full body match produces
+	// the head, and an atom at a remote peer delegates the rest of the body.
 	kindEval stageKind = iota
-	// kindDRed: the DRed over-delete walk (deleteFrom); the delta position
-	// ranges over the deletion frontier, every other positive position over
-	// the pre-deletion database (relation ∪ ghosts), and a match marks the
-	// head as over-deleted.
+	// kindDRed: the DRed over-delete walk; the delta position ranges over
+	// the deletion frontier, every other positive position over the
+	// pre-deletion database (relation ∪ ghosts), and a match marks the head
+	// as over-deleted.
 	kindDRed
-	// kindMatch: the rederivation existence check (matchFrom); head slots
-	// are pre-bound by unifyHead, the walk stops at the first full match.
+	// kindMatch: the rederivation existence check; head slots are pre-bound
+	// by unifyHead, the walk stops at the first full match.
 	kindMatch
 )
 
@@ -53,7 +51,6 @@ type stepFn func()
 
 // execCtx is the mutable state one compiled walk threads through its steps.
 type execCtx struct {
-	e  *Engine
 	st *stageState
 	// env is the rule's variable frame. For eval/DRed programs it is owned
 	// by the program (allocated at compile time); for match programs it is
@@ -77,24 +74,18 @@ type execCtx struct {
 type execProg struct {
 	kind     stageKind
 	deltaPos int
-	entry    stepFn
-	ctx      execCtx
+	// tracing selects, at compile time, the step variants that keep
+	// stageState.supports current for Options.Tracer (kindEval only).
+	tracing bool
+	entry   stepFn
+	ctx     execCtx
 }
 
-// runEval runs a compiled kindEval walk: the compiled equivalent of
-// evalRule's interpreted evalFrom call.
-func (p *execProg) runEval(e *Engine, st *stageState, prevDelta deltaSet) {
+// run runs a kindEval or kindDRed walk with delta as its delta source: the
+// previous iteration's new facts, or the deletion frontier.
+func (p *execProg) run(st *stageState, delta deltaSet) {
 	x := &p.ctx
-	x.e, x.st, x.delta = e, st, prevDelta
-	x.key = x.key[:0]
-	p.entry()
-	x.st, x.delta = nil, nil
-}
-
-// runDelete runs a compiled kindDRed walk over the deletion frontier.
-func (p *execProg) runDelete(e *Engine, st *stageState, frontier deltaSet) {
-	x := &p.ctx
-	x.e, x.st, x.delta = e, st, frontier
+	x.st, x.delta = st, delta
 	x.key = x.key[:0]
 	p.entry()
 	x.st, x.delta = nil, nil
@@ -102,9 +93,9 @@ func (p *execProg) runDelete(e *Engine, st *stageState, frontier deltaSet) {
 
 // runMatch runs a compiled kindMatch walk under the caller's head-unified
 // frame and reports whether the body has a satisfying local valuation.
-func (p *execProg) runMatch(e *Engine, st *stageState, env []value.Value) bool {
+func (p *execProg) runMatch(st *stageState, env []value.Value) bool {
 	x := &p.ctx
-	x.e, x.st, x.env = e, st, env
+	x.st, x.env = st, env
 	x.found = false
 	x.key = x.key[:0]
 	p.entry()

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -24,16 +26,9 @@ func TestCompiledCacheKeyedByStageKind(t *testing.T) {
 	}
 	cr := prog.Rules[0]
 	pl := e.newPlanner()
-	if pl == nil || pl.compiled == nil {
-		t.Fatal("default options should enable planning and compilation")
-	}
 	evalP := pl.compiledFor(cr, kindEval, 0)
 	dredP := pl.compiledFor(cr, kindDRed, 0)
 	matchP := pl.compiledFor(cr, kindMatch, -1)
-	if evalP == nil || dredP == nil || matchP == nil {
-		t.Fatalf("fully local positive rule should compile for every kind: eval=%v dred=%v match=%v",
-			evalP != nil, dredP != nil, matchP != nil)
-	}
 	if evalP == dredP || evalP == matchP || dredP == matchP {
 		t.Fatal("stage kinds share a compiled program: the cache key must include the kind")
 	}
@@ -57,191 +52,256 @@ func TestCompiledCacheKeyedByStageKind(t *testing.T) {
 	}
 }
 
-// TestCompiledEngagesByDefault asserts that under DefaultOptions a plain
-// local recursive program actually runs compiled — no silent fallback — and
-// produces the same closure for repeat stage-kind lookups.
-func TestCompiledEngagesByDefault(t *testing.T) {
-	e, db := testEnv(t, DefaultOptions(), "ext edge(a,b)", "int reach(a,b)")
-	insertFacts(t, db, `edge@local(1, 2);`, `edge@local(2, 3);`, `edge@local(3, 4);`)
-	prog, err := e.CompileProgram(mustRules(t,
-		`reach@local($x, $y) :- edge@local($x, $y);`,
-		`reach@local($x, $z) :- reach@local($x, $y), edge@local($y, $z);`,
-	))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := e.RunStage(prog)
-	checkNoErrors(t, res)
-	if got := relContents(db, "reach", "local"); len(got) != 6 {
-		t.Fatalf("reach has %d rows, want 6: %v", len(got), got)
-	}
-	compiles, _, fallbacks := e.CompiledStats()
-	if compiles == 0 {
-		t.Fatal("no rule compiled under default options")
-	}
-	if fallbacks != 0 {
-		t.Fatalf("%d interpreter fallbacks for a fully compilable program", fallbacks)
-	}
-}
-
-// TestCompiledFallsBackOnDelegation asserts rules whose body can leave the
-// peer are cached as interpreter fallbacks — delegation must keep flowing
-// through the interpreted walk — and counted as such.
-func TestCompiledFallsBackOnDelegation(t *testing.T) {
-	e, db := testEnv(t, DefaultOptions(), "ext e(a,b)")
-	insertFacts(t, db, `e@local(1, 2);`)
-	prog, err := e.CompileProgram(mustRules(t,
-		`out@remote($x, $y) :- e@local($x, $y), f@remote($y, $x);`,
-	))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := e.RunStage(prog)
-	checkNoErrors(t, res)
-	if len(res.Delegations) != 1 {
-		t.Fatalf("expected 1 delegation, got %d", len(res.Delegations))
-	}
-	compiles, _, fallbacks := e.CompiledStats()
-	if compiles != 0 || fallbacks == 0 {
-		t.Fatalf("CompiledStats() = (%d compiles, %d fallbacks), want (0, >0)", compiles, fallbacks)
-	}
-}
-
-// TestCompiledInertWithTracer: a tracer needs per-derivation supports, which
-// compiled walks do not track; Options.Compiled must go silently inert.
-func TestCompiledInertWithTracer(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Tracer = tracerFunc(func(ast.Fact, *ast.Rule, []ast.Fact) {})
-	e, db := testEnv(t, opts, "ext e(a,b)", "int p(a,b)")
-	insertFacts(t, db, `e@local(1, 2);`)
-	prog, err := e.CompileProgram(mustRules(t, `p@local($x, $y) :- e@local($x, $y);`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkNoErrors(t, e.RunStage(prog))
-	if compiles, hits, fallbacks := e.CompiledStats(); compiles != 0 || hits != 0 || fallbacks != 0 {
-		t.Fatalf("CompiledStats() = (%d, %d, %d) with a tracer attached, want all zero", compiles, hits, fallbacks)
-	}
-	if got := relContents(db, "p", "local"); len(got) != 1 {
-		t.Fatalf("p has %d rows, want 1", len(got))
-	}
-}
-
-// TestExplainAnnotatesCompiled checks the -explain rendering distinguishes
-// compiled rules, interpreter fallbacks, and globally disabled compilation.
-func TestExplainAnnotatesCompiled(t *testing.T) {
-	e, db := testEnv(t, DefaultOptions(), "ext e(a,b)", "int p(a,b)")
-	insertFacts(t, db, `e@local(1, 2);`)
+// TestEveryRuleShapeCompiles: compileExec is total. The shapes the old
+// interpreter owned — variable peer, variable relation, constant remote atom,
+// run-time builtin, non-string constant names — all yield a chain for all
+// three stage kinds, and the fallback counter stays 0.
+func TestEveryRuleShapeCompiles(t *testing.T) {
+	e, _ := testEnv(t, DefaultOptions(), "ext e(a,b)", "ext who(p)", "int v(a,b)")
 	rules := mustRules(t,
-		`p@local($x, $y) :- e@local($x, $y);`,
-		`out@remote($x) :- e@local($x, $y), f@remote($y, $x);`,
+		`v@local($x,$y) :- who@local($p), e@$p($x,$y);`,
+		`v@local($x,$y) :- who@local($r), $r@local($x,$y);`,
+		`v@local($x,$z) :- e@local($x,$y), far@remote($y,$z), e@local($z,$x);`,
+		`v@local($x,$y) :- e@local($x,$y), e@local($o,$p), $o@$p($x,$y);`,
+		`out@$p($x) :- who@local($p), e@local($x,$x), not e@$p($x,$x);`,
 	)
-	prog, err := e.CompileProgram(rules)
+	// A non-string constant in name position cannot be written in source; it
+	// arises when a residual's peer variable was bound to a number.
+	odd := mustRules(t, `v@local($x,$y) :- e@local($x,$y), e@local($y,$x);`)[0]
+	odd.ID = "odd"
+	odd.Body[1].Peer = ast.C(value.Int(7))
+	prog, err := e.CompileProgram(append(rules, odd))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := e.Explain(prog)
-	if !strings.Contains(out, "closure chains cached per stage kind") {
-		t.Fatalf("explain lacks the compiled annotation:\n%s", out)
+	pl := e.newPlanner()
+	for _, cr := range prog.Rules {
+		for _, kind := range []stageKind{kindEval, kindDRed, kindMatch} {
+			for pos := -1; pos < len(cr.Body); pos++ {
+				if kind == kindMatch && pos >= 0 {
+					continue
+				}
+				if ep := pl.compiledFor(cr, kind, pos); ep == nil || ep.entry == nil {
+					t.Fatalf("rule %s kind %d delta %d did not compile", cr.Rule.ID, kind, pos)
+				}
+			}
+		}
 	}
-	if !strings.Contains(out, "interpreter fallback") || !strings.Contains(out, "delegation boundary") {
-		t.Fatalf("explain lacks the fallback annotation with its reason:\n%s", out)
-	}
-
-	off := DefaultOptions()
-	off.Compiled = false
-	e2 := New("local", db, off)
-	prog2, err := e2.CompileProgram(rules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out2 := e2.Explain(prog2)
-	if !strings.Contains(out2, "compiled execution disabled") {
-		t.Fatalf("explain with Compiled off lacks the disabled notice:\n%s", out2)
-	}
-	if strings.Contains(out2, "closure chains cached") {
-		t.Fatalf("explain with Compiled off still claims compilation:\n%s", out2)
+	if _, _, fallbacks := e.CompiledStats(); fallbacks != 0 {
+		t.Fatalf("fallbacks = %d, want 0", fallbacks)
 	}
 }
 
-// TestCompiledIncrementalSequence drives inserts and deletes through a
-// maintained recursive view with compilation on and off, checking identical
-// contents after every stage — the compiled DRed and rederive walks against
-// their interpreted twins on a known-tricky shape (diamond support: a tuple
-// whose deleted derivation has a surviving alternative must be rederived).
-func TestCompiledIncrementalSequence(t *testing.T) {
-	type batch struct {
-		ins [][2]int64
-		del [][2]int64
+// TestPaperRuleResidual pins the paper's §2 signature rule end to end
+// through the compiled delegation step: the residual delegated to each
+// selected attendee is the written suffix with the prefix's bindings
+// substituted in, and the rule compiled rather than fell back.
+func TestPaperRuleResidual(t *testing.T) {
+	e, db := testEnv(t, DefaultOptions(), "ext selectedAttendee(a)", "int attendeePictures(id,name,owner,data)")
+	insertFacts(t, db, `selectedAttendee@local("emilien");`, `selectedAttendee@local("local");`)
+	prog, err := e.CompileProgram(mustRules(t,
+		`attendeePictures@local($id,$name,$owner,$data) :- selectedAttendee@local($a), pictures@$a($id,$name,$owner,$data);`))
+	if err != nil {
+		t.Fatal(err)
 	}
-	batches := []batch{
-		{ins: [][2]int64{{1, 2}, {2, 4}, {1, 3}, {3, 4}, {4, 5}}},
-		{del: [][2]int64{{2, 4}}},                          // reach(1,4) survives via 1→3→4
-		{del: [][2]int64{{3, 4}}},                          // now reach(1,4), reach(x,5) collapse
-		{ins: [][2]int64{{2, 4}}},                          // restore one path
-		{ins: [][2]int64{{5, 1}}, del: [][2]int64{{1, 2}}}, // cycle + cut
+	res := e.RunStage(prog)
+	checkNoErrors(t, res)
+	if len(res.Delegations["r1"]) != 1 || len(res.Delegations["r1"]["emilien"]) != 1 {
+		t.Fatalf("Delegations = %v, want exactly one residual, to emilien", res.Delegations)
 	}
-	run := func(opts Options) []map[string][]string {
-		e, db := testEnv(t, opts, "ext edge(a,b)", "int reach(a,b)")
+	want := `attendeePictures@local($id, $name, $owner, $data) :- pictures@emilien($id, $name, $owner, $data)`
+	if got := res.Delegations["r1"]["emilien"][0].String(); got != want {
+		t.Errorf("residual = %q\nwant       %q", got, want)
+	}
+	if compiles, _, fallbacks := e.CompiledStats(); compiles == 0 || fallbacks != 0 {
+		t.Fatalf("CompiledStats() = (%d compiles, %d fallbacks), want (>0, 0)", compiles, fallbacks)
+	}
+}
+
+// TestRuntimeErrorSteps pins the text of every runtime error a body step or
+// the head can report, and that an error drops only its own valuation: the
+// stage goes on and the healthy rule beside it still derives.
+func TestRuntimeErrorSteps(t *testing.T) {
+	cases := []struct {
+		name  string
+		decls []string
+		facts []string
+		rule  string
+		want  string
+	}{
+		{"peer variable bound to a number",
+			[]string{"ext who(p)"}, []string{`who@local(5);`},
+			`bad@local($x) :- who@local($p), data@$p($x);`,
+			`engine: rule r1: peer term of body atom 2 is not a string`},
+		{"relation variable bound to a number",
+			[]string{"ext who(p)"}, []string{`who@local(5);`},
+			`bad@local($x) :- who@local($r), $r@local($x);`,
+			`engine: rule r1: relation term of body atom 2 is not a string`},
+		{"unknown builtin through variable terms",
+			[]string{"ext ops(o,p)"}, []string{`ops@local("frob","builtin");`},
+			`bad@local($o) :- ops@local($o,$p), $o@$p($o,$p);`,
+			`engine: rule r1: engine: unknown builtin predicate "frob"`},
+		{"builtin arity through variable terms",
+			[]string{"ext ops(o,p)"}, []string{`ops@local("lt","builtin");`},
+			`bad@local($o) :- ops@local($o,$p), $o@$p($o);`,
+			`engine: rule r1: engine: builtin lt expects 2 arguments, got 1`},
+		{"head arity mismatch",
+			[]string{"ext src(x)", "int bad(a,b)"}, []string{`src@local("v");`},
+			`bad@local($x) :- src@local($x);`,
+			`engine: rule r1: head bad@local("v") has arity 1 but relation expects 2`},
+		{"head peer bound to a number",
+			[]string{"ext who(p)"}, []string{`who@local(5);`},
+			`bad@$p($p) :- who@local($p);`,
+			`engine: rule r1: head peer term is not a string`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e, db := testEnv(t, DefaultOptions(), append(tc.decls, "ext ok(x)", "int fine(x)")...)
+			insertFacts(t, db, append(tc.facts, `ok@local(1);`)...)
+			prog, err := e.CompileProgram(mustRules(t, tc.rule, `fine@local($x) :- ok@local($x);`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// One report per visit of the failing valuation: the full pass,
+			// plus the delta pass fine's derivation triggers when the failing
+			// atom's relation is only known at run time.
+			res := e.RunStage(prog)
+			if len(res.Errors) == 0 {
+				t.Fatalf("no error reported, want %q", tc.want)
+			}
+			for _, err := range res.Errors {
+				if err.Error() != tc.want {
+					t.Fatalf("Errors = %v\nwant only %q", res.Errors, tc.want)
+				}
+			}
+			if got := relContents(db, "fine", "local"); len(got) != 1 {
+				t.Fatalf("the error aborted the stage: fine = %v", got)
+			}
+		})
+	}
+}
+
+// TestRuntimeErrorCap: a pathological program reports 99 errors plus the
+// suppression notice, and still finishes the stage.
+func TestRuntimeErrorCap(t *testing.T) {
+	e, db := testEnv(t, DefaultOptions(), "ext who(p)", "int fine(x)")
+	for i := 0; i < 150; i++ {
+		db.Get("who", "local").Insert(value.Tuple{value.Int(int64(i))})
+	}
+	prog, err := e.CompileProgram(mustRules(t,
+		`bad@local($x) :- who@local($p), data@$p($x);`,
+		`fine@local($p) :- who@local($p);`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := e.RunStage(prog)
+	if len(res.Errors) != maxCollectedErrors {
+		t.Fatalf("collected %d errors, want the cap %d", len(res.Errors), maxCollectedErrors)
+	}
+	if got, want := res.Errors[0].Error(), `engine: rule r1: peer term of body atom 2 is not a string`; got != want {
+		t.Fatalf("first error = %q, want %q", got, want)
+	}
+	if got, want := res.Errors[maxCollectedErrors-1].Error(), `engine: too many runtime errors; suppressing the rest`; got != want {
+		t.Fatalf("last error = %q, want %q", got, want)
+	}
+	if n := db.Get("fine", "local").Len(); n != 150 {
+		t.Fatalf("fine has %d rows, want 150: the error flood aborted the stage", n)
+	}
+}
+
+// TestTracerRunsThroughCompiledChains: a tracer no longer switches the
+// engine to another evaluator. The tracing step variants keep the support
+// stack, production reports exactly the derivations (head, rule, supports
+// in walk order) the reference evaluator reports, and rules still compile.
+func TestTracerRunsThroughCompiledChains(t *testing.T) {
+	run := func(eval func(*Engine, *Program) *Result) ([]string, *Engine) {
+		var got []string
+		opts := DefaultOptions()
+		opts.Tracer = tracerFunc(func(head ast.Fact, rule *ast.Rule, supports []ast.Fact) {
+			got = append(got, fmt.Sprintf("%s by %s from %v", head, rule.ID, supports))
+		})
+		e, db := testEnv(t, opts, "ext edge(a,b)", "ext who(p)", "int reach(a,b)", "int far(a)")
+		insertFacts(t, db, `edge@local(1, 2);`, `edge@local(2, 3);`, `edge@local(2, 2);`, `who@local("local");`, `who@local("remote");`)
 		prog, err := e.CompileProgram(mustRules(t,
 			`reach@local($x, $y) :- edge@local($x, $y);`,
-			`reach@local($x, $z) :- reach@local($x, $y), edge@local($y, $z);`,
+			`reach@local($x, $z) :- reach@local($x, $y), edge@local($y, $z), neq@builtin($x, $z);`,
+			`far@local($x) :- who@local($p), edge@$p($x, $x);`,
+			`seen@remote($x) :- reach@local($x, $x), not edge@local($x, 1);`,
 		))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !prog.Incremental {
-			t.Fatal("positive program should be incremental")
+		if prog.Incremental {
+			t.Fatal("a traced program must recompute")
 		}
-		rv := NewRemoteView()
-		checkNoErrors(t, e.RunStageFull(prog, nil, rv))
-		base := db.Get("edge", "local")
-		var states []map[string][]string
-		for _, b := range batches {
-			in := &StageInput{Ins: map[string][]value.Tuple{}, Del: map[string][]value.Tuple{}}
-			for _, p := range b.ins {
-				tup := value.Tuple{value.Int(p[0]), value.Int(p[1])}
-				if base.Insert(tup) {
-					in.Ins["edge@local"] = append(in.Ins["edge@local"], tup)
-				}
-			}
-			for _, p := range b.del {
-				tup := value.Tuple{value.Int(p[0]), value.Int(p[1])}
-				if base.Delete(tup) {
-					in.Del["edge@local"] = append(in.Del["edge@local"], tup)
-				}
-			}
-			checkNoErrors(t, e.RunStageIncremental(prog, in, rv))
-			states = append(states, map[string][]string{
-				"edge":  relContents(db, "edge", "local"),
-				"reach": relContents(db, "reach", "local"),
-			})
-		}
-		compiles, _, _ := e.CompiledStats()
-		if opts.Compiled && compiles == 0 {
-			t.Fatal("compiled run never compiled a rule")
-		}
-		if !opts.Compiled && compiles != 0 {
-			t.Fatal("interpreted run compiled a rule")
-		}
-		return states
+		checkNoErrors(t, eval(e, prog))
+		sort.Strings(got)
+		return got, e
 	}
-	compiled := DefaultOptions()
-	interp := DefaultOptions()
-	interp.Compiled = false
-	got := run(compiled)
-	want := run(interp)
-	for step := range want {
-		for rel, w := range want[step] {
-			g := got[step][rel]
-			if len(g) != len(w) {
-				t.Fatalf("step %d: %s differs: compiled %v, interpreted %v", step, rel, g, w)
-			}
-			for i := range w {
-				if g[i] != w[i] {
-					t.Fatalf("step %d: %s row %d differs: %s vs %s", step, rel, i, g[i], w[i])
-				}
-			}
+	got, e := run((*Engine).RunStage)
+	want, _ := run(referenceStage)
+	// The reference rediscovers every derivation each naive iteration but
+	// only the first is new, so both sides report each (head, rule) once per
+	// distinct first support set; compare as sets of lines.
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("traced derivations differ\n--- production\n%s\n--- reference\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if len(got) == 0 || !strings.Contains(strings.Join(got, "\n"), `far@local(2) by r3 from [who@local("local") edge@local(2, 2)]`) {
+		t.Fatalf("missing the support set of the run-time-resolved atom:\n%s", strings.Join(got, "\n"))
+	}
+	if compiles, _, fallbacks := e.CompiledStats(); compiles == 0 || fallbacks != 0 {
+		t.Fatalf("CompiledStats() = (%d compiles, %d fallbacks) with a tracer attached, want (>0, 0)", compiles, fallbacks)
+	}
+}
+
+// TestExplainAnnotatesStepKinds checks the -explain rendering names what
+// each atom compiles to, including the delegation boundary.
+func TestExplainAnnotatesStepKinds(t *testing.T) {
+	e, db := testEnv(t, DefaultOptions(), "ext e(a,b)", "ext who(p)", "int p(a,b)")
+	insertFacts(t, db, `e@local(1, 2);`)
+	prog, err := e.CompileProgram(mustRules(t,
+		`p@local($x, $y) :- e@local($x, $y), lt@builtin($x, $y), not e@local($y, $x);`,
+		`out@remote($x) :- e@local($x, $y), f@remote($y, $x);`,
+		`p@local($x, $y) :- who@local($a), e@$a($x, $y);`,
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := e.Explain(prog)
+	for _, want := range []string{
+		"[rows=1, full scan]", "[builtin filter]", "[negated: membership test]",
+		"[delegates the rest of the body to remote]", "[resolved at run time: probe, filter or delegation]",
+		"keep written order",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("explain lacks %q:\n%s", want, out)
 		}
 	}
+	for _, gone := range []string{"planner disabled", "interpreter", "fallback"} {
+		if strings.Contains(out, gone) {
+			t.Fatalf("explain still mentions %q:\n%s", gone, out)
+		}
+	}
+}
+
+// TestIncrementalDiamondSupport drives inserts and deletes through a
+// maintained recursive view on a known-tricky shape (diamond support: a
+// tuple whose deleted derivation has a surviving alternative must be
+// rederived), checking production against the reference after every batch.
+func TestIncrementalDiamondSupport(t *testing.T) {
+	edgeOp := func(op ast.UpdateOp, a, b int64) FactOp {
+		return FactOp{Op: op, Fact: ast.NewFact("edge", "local", value.Int(a), value.Int(b))}
+	}
+	ins, del := ast.Derive, ast.Delete
+	batches := [][]FactOp{
+		{edgeOp(ins, 1, 2), edgeOp(ins, 2, 4), edgeOp(ins, 1, 3), edgeOp(ins, 3, 4), edgeOp(ins, 4, 5)},
+		{edgeOp(del, 2, 4)},                    // reach(1,4) survives via 1→3→4
+		{edgeOp(del, 3, 4)},                    // now reach(1,4), reach(x,5) collapse
+		{edgeOp(ins, 2, 4)},                    // restore one path
+		{edgeOp(ins, 5, 1), edgeOp(del, 1, 2)}, // cycle + cut
+	}
+	checkAgainstReference(t, "diamond", fuzzSchemas[:2], nil, mustRules(t,
+		`reach@local($x, $y) :- edge@local($x, $y);`,
+		`reach@local($x, $z) :- reach@local($x, $y), edge@local($y, $z);`,
+	), batches)
 }

@@ -8,38 +8,62 @@ import (
 	"repro/internal/value"
 )
 
+// fuzzSchemas is the fixed schema of FuzzEngineStage's program.
+var fuzzSchemas = []store.Schema{
+	{Name: "edge", Peer: "local", Kind: ast.Extensional, Cols: []string{"a", "b"}},
+	{Name: "reach", Peer: "local", Kind: ast.Intensional, Cols: []string{"a", "b"}},
+	{Name: "asc", Peer: "local", Kind: ast.Intensional, Cols: []string{"a", "b"}},
+	{Name: "seen", Peer: "local", Kind: ast.Intensional, Cols: []string{"a", "b"}},
+	{Name: "follows", Peer: "local", Kind: ast.Extensional, Cols: []string{"p"}},
+	{Name: "kinds", Peer: "local", Kind: ast.Extensional, Cols: []string{"r", "p"}},
+	{Name: "log", Peer: "local", Kind: ast.Extensional, Cols: []string{"a", "b"}},
+}
+
 // FuzzEngineStage decodes the fuzz input into batches of base-fact inserts
-// and deletes, drives them through a fixed recursive program (transitive
-// closure plus a builtin-filtered projection) on two incrementally
-// maintained engines — compiled+planner against the bare interpreter — and
-// on a from-scratch recompute reference, and requires all three to agree on
-// every relation after every batch. This fuzzes exactly the surface the
-// compiled layer replaces: semi-naive delta walks, DRed over-deletion,
-// rederivation, across arbitrary insert/delete interleavings.
+// and deletes and drives them through a fixed program — transitive closure,
+// a builtin-filtered projection, and one rule per delegating shape (variable
+// peer, constant remote atom mid-body, variable relation and peer resolving
+// to a local relation, a builtin or a remote peer; view, remote and
+// extensional heads) — on production incremental maintenance, production
+// recompute and the reference evaluator, requiring all three to agree on
+// every relation, remote emission, delegation and buffered update after
+// every batch. This fuzzes the whole execution surface: semi-naive delta
+// walks, DRed over-deletion, rederivation and the run-time-resolved steps,
+// across arbitrary insert/delete interleavings.
 func FuzzEngineStage(f *testing.F) {
 	f.Add([]byte{0x01, 0x12, 0x23, 0x34, 0x80, 0x12})
 	f.Add([]byte{0x01, 0x12, 0x01, 0x21, 0x81, 0x12, 0x01, 0x13, 0x01, 0x32})
 	f.Add([]byte{0xff, 0x00, 0x55, 0xaa, 0x0f, 0xf0, 0x33, 0xcc})
+	// follows: local, far, then retract local; edges in between.
+	f.Add([]byte{0x40, 0x00, 0x01, 0x12, 0x40, 0x01, 0x01, 0x23, 0xc0, 0x00, 0x01, 0x22})
+	// kinds: (edge,local), (lt,builtin), (edge,far), then retract the builtin.
+	f.Add([]byte{0x20, 0x00, 0x01, 0x12, 0x20, 0x03, 0x01, 0x21, 0x20, 0x02, 0xa0, 0x03, 0x20, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 120 {
 			data = data[:120] // bound fixpoint sizes, keep iterations fast
 		}
 		// Decode: 2 bytes per op. High bit of the first byte selects delete;
-		// the second byte packs the two attributes into a small domain so
-		// joins and collisions actually happen. Batch boundary every 4 ops.
-		type op struct {
-			del  bool
-			a, b int64
-		}
-		var batches [][]op
-		var cur []op
+		// bit 6 targets follows, bit 5 targets kinds, otherwise edge, whose
+		// two attributes the second byte packs into a small domain so joins
+		// and collisions actually happen. Batch boundary every 4 ops.
+		peers := []string{"local", "far"}
+		kinds := [][2]string{{"edge", "local"}, {"reach", "local"}, {"edge", "far"}, {"lt", BuiltinPeer}}
+		var batches [][]FactOp
+		var cur []FactOp
 		for i := 0; i+1 < len(data); i += 2 {
-			cur = append(cur, op{
-				del: data[i]&0x80 != 0,
-				a:   int64(data[i+1] >> 4 & 0x7),
-				b:   int64(data[i+1] & 0x7),
-			})
-			if len(cur) == 4 {
+			op := FactOp{Op: ast.Derive}
+			if data[i]&0x80 != 0 {
+				op.Op = ast.Delete
+			}
+			switch v := data[i+1]; {
+			case data[i]&0x40 != 0:
+				op.Fact = ast.NewFact("follows", "local", value.Str(peers[v%2]))
+			case data[i]&0x20 != 0:
+				op.Fact = ast.NewFact("kinds", "local", value.Str(kinds[v%4][0]), value.Str(kinds[v%4][1]))
+			default:
+				op.Fact = ast.NewFact("edge", "local", value.Int(int64(v>>4&0x7)), value.Int(int64(v&0x7)))
+			}
+			if cur = append(cur, op); len(cur) == 4 {
 				batches = append(batches, cur)
 				cur = nil
 			}
@@ -50,101 +74,14 @@ func FuzzEngineStage(f *testing.F) {
 		if len(batches) == 0 {
 			return
 		}
-
-		schemas := []store.Schema{
-			{Name: "edge", Peer: "local", Kind: ast.Extensional, Cols: []string{"a", "b"}},
-			{Name: "reach", Peer: "local", Kind: ast.Intensional, Cols: []string{"a", "b"}},
-			{Name: "asc", Peer: "local", Kind: ast.Intensional, Cols: []string{"a", "b"}},
-		}
-		rules := mustRules(t,
+		checkAgainstReference(t, "fuzz", fuzzSchemas, nil, mustRules(t,
 			`reach@local($x, $y) :- edge@local($x, $y);`,
 			`reach@local($x, $z) :- reach@local($x, $y), edge@local($y, $z);`,
 			`asc@local($x, $y) :- reach@local($x, $y), lt@builtin($x, $y);`,
-		)
-
-		run := func(opts Options, incremental bool) []map[string][]string {
-			db := store.New()
-			for _, s := range schemas {
-				if _, err := db.Declare(s); err != nil {
-					t.Fatal(err)
-				}
-			}
-			base := db.Get("edge", "local")
-			e := New("local", db, opts)
-			prog, err := e.CompileProgram(rules)
-			if err != nil {
-				t.Fatalf("compile: %v", err)
-			}
-			rv := NewRemoteView()
-			checkNoErrors(t, e.RunStageFull(prog, nil, rv))
-			var states []map[string][]string
-			for _, b := range batches {
-				// Net batch effect, per the StageInput contract (see the
-				// incremental grid test).
-				in := &StageInput{Ins: map[string][]value.Tuple{}, Del: map[string][]value.Tuple{}}
-				touched := map[string]value.Tuple{}
-				wasPresent := map[string]bool{}
-				var order []string
-				for _, o := range b {
-					tup := value.Tuple{value.Int(o.a), value.Int(o.b)}
-					k := tup.Key()
-					if _, seen := touched[k]; !seen {
-						touched[k] = tup
-						wasPresent[k] = base.Contains(tup)
-						order = append(order, k)
-					}
-					if o.del {
-						base.Delete(tup)
-					} else {
-						base.Insert(tup)
-					}
-				}
-				for _, k := range order {
-					tup := touched[k]
-					switch now := base.Contains(tup); {
-					case now && !wasPresent[k]:
-						in.Ins["edge@local"] = append(in.Ins["edge@local"], tup)
-					case !now && wasPresent[k]:
-						in.Del["edge@local"] = append(in.Del["edge@local"], tup)
-					}
-				}
-				if incremental {
-					checkNoErrors(t, e.RunStageIncremental(prog, in, rv))
-				} else {
-					checkNoErrors(t, e.RunStageFull(prog, nil, rv))
-				}
-				states = append(states, map[string][]string{
-					"edge":  relContents(db, "edge", "local"),
-					"reach": relContents(db, "reach", "local"),
-					"asc":   relContents(db, "asc", "local"),
-				})
-			}
-			return states
-		}
-
-		compiled := DefaultOptions()
-		interp := DefaultOptions()
-		interp.Compiled = false
-		interp.Planner = false
-		ref := run(compiled, false)
-		for _, cfg := range []struct {
-			name string
-			opts Options
-		}{{"compiled", compiled}, {"interpreted", interp}} {
-			got := run(cfg.opts, true)
-			for step := range ref {
-				for rel, w := range ref[step] {
-					g := got[step][rel]
-					if len(g) != len(w) {
-						t.Fatalf("%s step %d: relation %s differs: recompute %v, incremental %v", cfg.name, step, rel, w, g)
-					}
-					for i := range w {
-						if g[i] != w[i] {
-							t.Fatalf("%s step %d: relation %s row %d: %s vs %s", cfg.name, step, rel, i, w[i], g[i])
-						}
-					}
-				}
-			}
-		}
+			`seen@local($x, $y) :- follows@local($p), edge@$p($x, $y);`,
+			`seen@local($x, $z) :- edge@local($x, $y), hop@far($y, $z), edge@local($z, $x);`,
+			`out@far($x, $y) :- asc@local($x, $y), kinds@local($r, $p), $r@$p($y, $x);`,
+			`log@local($x, $y) :- kinds@local($r, "local"), $r@local($x, $y);`,
+		), batches)
 	})
 }

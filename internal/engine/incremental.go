@@ -117,34 +117,11 @@ type ghostIndex struct {
 	buckets map[string][]value.Tuple
 }
 
-// sweepGhosts calls fn for every ghost of relID matching the bound columns,
-// through a lazily built (and size-invalidated) per-mask index.
-func (ic *incrState) sweepGhosts(relID string, mask store.ColMask, boundVals []value.Value, fn func(value.Tuple)) {
-	g := ic.ghosts[relID]
-	if len(g) == 0 {
-		return
-	}
-	if mask == 0 {
-		for _, t := range g {
-			fn(t)
-		}
-		return
-	}
-	idx := ic.ghostIndexFor(relID, mask, g)
-	var keyBuf []byte
-	for _, v := range boundVals {
-		keyBuf = v.AppendKey(keyBuf)
-	}
-	for _, t := range idx.buckets[string(keyBuf)] {
-		fn(t)
-	}
-}
-
-// sweepGhostsKey is sweepGhosts for callers that already hold the encoded
-// probe key (compiled execution, compilefast.go): the ghost buckets are
-// keyed by the AppendKey encoding of the masked columns in ascending order —
-// the same convention as the store's index and probe keys.
-func (ic *incrState) sweepGhostsKey(relID string, mask store.ColMask, key []byte, fn func(value.Tuple)) {
+// sweepGhosts calls fn for every ghost of relID whose masked columns encode
+// to key, through a lazily built (and size-invalidated) per-mask index. The
+// ghost buckets are keyed by the AppendKey encoding of the masked columns in
+// ascending order — the same convention as the store's index and probe keys.
+func (ic *incrState) sweepGhosts(relID string, mask store.ColMask, key []byte, fn func(value.Tuple)) {
 	g := ic.ghosts[relID]
 	if len(g) == 0 {
 		return
@@ -284,8 +261,7 @@ func (e *Engine) RunStageFull(prog *Program, seeds map[string][]value.Tuple, rv 
 // (the views must be materialized and consistent), and passes the same
 // maintained remote view it passed there.
 func (e *Engine) RunStageIncremental(prog *Program, in *StageInput, rv *RemoteView) *Result {
-	st := newStageState()
-	st.planner = e.newPlanner()
+	st := e.newStageState()
 	ic := &incrState{
 		in:       in,
 		seeded:   map[string]map[string]bool{},
@@ -436,21 +412,8 @@ func (e *Engine) insertPhase(stratum []*CompiledRule, st *stageState, seed delta
 		prev := st.delta
 		st.delta = deltaSet{}
 		for _, cr := range stratum {
-			if cr.Event {
-				continue
-			}
-			for j := range cr.Body {
-				a := &cr.Body[j]
-				if a.neg {
-					continue
-				}
-				if !a.rel.isVar && !a.peer.isVar {
-					id := a.rel.val.StringVal() + "@" + a.peer.val.StringVal()
-					if len(prev[id]) == 0 {
-						continue
-					}
-				}
-				e.evalRule(cr, st, j, prev)
+			if !cr.Event {
+				forDeltaPositions(cr, prev, func(j int) { e.evalRule(cr, st, j, prev) })
 			}
 		}
 		for relID, ts := range st.delta {
@@ -463,8 +426,9 @@ func (e *Engine) insertPhase(stratum []*CompiledRule, st *stageState, seed delta
 // deletePhase implements DRed for one stratum: over-delete everything whose
 // derivation may have used a deleted tuple (joining the delta position over
 // the deletion frontier and the remaining positions over the pre-deletion
-// database, i.e. relation ∪ ghosts), then rederive the over-deleted tuples
-// that still have standing support.
+// database, i.e. relation ∪ ghosts; a fully matched body marks the produced
+// head as over-deleted), then rederive the over-deleted tuples that still
+// have standing support.
 func (e *Engine) deletePhase(prog *Program, stratum []*CompiledRule, st *stageState) {
 	ic := st.incr
 	frontier := copyDelta(ic.stageDel)
@@ -486,31 +450,9 @@ func (e *Engine) deletePhase(prog *Program, stratum []*CompiledRule, st *stageSt
 			if !cr.MaybeView || cr.Rule.Op != ast.Derive {
 				continue
 			}
-			for j := range cr.Body {
-				a := &cr.Body[j]
-				if a.neg {
-					continue
-				}
-				if !a.rel.isVar && !a.peer.isVar {
-					id := a.rel.val.StringVal() + "@" + a.peer.val.StringVal()
-					if len(frontier[id]) == 0 {
-						continue
-					}
-				}
-				if st.planner != nil {
-					if ep := st.planner.compiledFor(cr, kindDRed, j); ep != nil {
-						ep.runDelete(e, st, frontier)
-						continue
-					}
-				}
-				env := make([]value.Value, cr.NumSlots)
-				bound := make([]bool, cr.NumSlots)
-				var ord []int
-				if st.planner != nil {
-					ord = st.planner.orderFor(cr, j)
-				}
-				e.deleteFrom(cr, 0, env, bound, st, j, frontier, ord)
-			}
+			forDeltaPositions(cr, frontier, func(j int) {
+				st.planner.compiledFor(cr, kindDRed, j).run(st, frontier)
+			})
 		}
 		st.out.Iterations++
 		for relID, ts := range ic.frontier {
@@ -578,6 +520,8 @@ func (e *Engine) rederive(prog *Program, st *stageState, marks []relTuple) {
 // from the current database. The head is unified with the target tuple first
 // so the body walk is driven by bound values (indexable lookups); the
 // planner supplies a body order chosen for exactly that pre-bound state.
+// Atoms that resolve to remote peers fail the branch: a delegated suffix is
+// not a local derivation.
 func (e *Engine) rederivable(prog *Program, st *stageState, relName, peerName string, t value.Tuple) bool {
 	for _, cr := range prog.Rules {
 		if !cr.MaybeView || cr.Rule.Op != ast.Derive {
@@ -588,19 +532,7 @@ func (e *Engine) rederivable(prog *Program, st *stageState, relName, peerName st
 		if !unifyHead(cr, relName, peerName, t, env, bound) {
 			continue
 		}
-		if st.planner != nil {
-			if ep := st.planner.compiledFor(cr, kindMatch, -1); ep != nil {
-				if ep.runMatch(e, st, env) {
-					return true
-				}
-				continue
-			}
-		}
-		var ord []int
-		if st.planner != nil {
-			ord = st.planner.rederiveOrder(cr)
-		}
-		if e.matchFrom(cr, 0, env, bound, ord) {
+		if st.planner.compiledFor(cr, kindMatch, -1).runMatch(st, env) {
 			return true
 		}
 	}
@@ -638,162 +570,6 @@ func unifyHead(cr *CompiledRule, relName, peerName string, t value.Tuple, env []
 	return true
 }
 
-// matchFrom reports whether the rule body from plan step `step` has at
-// least one satisfying local valuation under the current bindings — the
-// existence check behind rederivation. Atoms that resolve to remote peers
-// fail the branch: a delegated suffix is not a local derivation. ord maps
-// plan steps to body positions as in evalFrom; the check is an existential
-// over full valuations, so any safe order decides it identically.
-func (e *Engine) matchFrom(cr *CompiledRule, step int, env []value.Value, bound []bool, ord []int) bool {
-	if step == len(cr.Body) {
-		return true
-	}
-	i := step
-	if ord != nil {
-		i = ord[step]
-	}
-	a := &cr.Body[i]
-	peerName, ok := resolveName(a.peer, env)
-	if !ok {
-		return false
-	}
-	if peerName == BuiltinPeer {
-		relName, ok := resolveName(a.rel, env)
-		if !ok {
-			return false
-		}
-		holds, err := evalBuiltin(relName, a, env)
-		if err != nil {
-			return false
-		}
-		return holds != a.neg && e.matchFrom(cr, step+1, env, bound, ord)
-	}
-	if peerName != e.local {
-		return false
-	}
-	relName, ok := resolveName(a.rel, env)
-	if !ok {
-		return false
-	}
-	rel := e.db.Get(relName, peerName)
-	if a.neg {
-		t := make(value.Tuple, len(a.args))
-		for k, arg := range a.args {
-			if arg.isVar {
-				t[k] = env[arg.slot]
-			} else {
-				t[k] = arg.val
-			}
-		}
-		if rel == nil || len(a.args) != rel.Schema().Arity() || !rel.Contains(t) {
-			return e.matchFrom(cr, step+1, env, bound, ord)
-		}
-		return false
-	}
-	if rel == nil {
-		return false
-	}
-	found := false
-	match := func(t value.Tuple) bool {
-		okTuple, newlyBound := bindAtomArgs(a, t, env, bound)
-		if okTuple {
-			if e.matchFrom(cr, step+1, env, bound, ord) {
-				found = true
-			}
-			unbind(bound, newlyBound)
-		}
-		return !found // stop scanning once satisfied
-	}
-	mask, boundVals := lookupMask(a, rel, env, bound)
-	rel.Lookup(mask, boundVals, e.opts.UseIndexes, match)
-	return found
-}
-
-// deleteFrom is the over-delete analogue of evalFrom: body position deltaPos
-// ranges over the deletion frontier, every other positive position over the
-// pre-deletion database (relation ∪ ghosts), and a fully matched body marks
-// the produced head as over-deleted. ord, when non-nil, maps plan steps to
-// body positions exactly as in evalFrom.
-func (e *Engine) deleteFrom(cr *CompiledRule, step int, env []value.Value, bound []bool, st *stageState, deltaPos int, frontier deltaSet, ord []int) {
-	if step == len(cr.Body) {
-		e.produceDelete(cr, env, st)
-		return
-	}
-	i := step
-	if ord != nil {
-		i = ord[step]
-	}
-	a := &cr.Body[i]
-	peerName, ok := resolveName(a.peer, env)
-	if !ok {
-		return
-	}
-	if peerName == BuiltinPeer {
-		relName, ok := resolveName(a.rel, env)
-		if !ok {
-			return
-		}
-		holds, err := evalBuiltin(relName, a, env)
-		if err != nil {
-			return
-		}
-		if holds != a.neg {
-			e.deleteFrom(cr, step+1, env, bound, st, deltaPos, frontier, ord)
-		}
-		return
-	}
-	if peerName != e.local {
-		return // delegated suffixes never derived locally
-	}
-	relName, ok := resolveName(a.rel, env)
-	if !ok {
-		return
-	}
-	relID := relName + "@" + peerName
-	rel := e.db.Get(relName, peerName)
-	if a.neg {
-		// MaybeView rules with negation force full recomputation (classify),
-		// so this is unreachable on the incremental path; keep the
-		// conservative membership check for safety.
-		t := make(value.Tuple, len(a.args))
-		for k, arg := range a.args {
-			if arg.isVar {
-				t[k] = env[arg.slot]
-			} else {
-				t[k] = arg.val
-			}
-		}
-		if rel == nil || len(a.args) != rel.Schema().Arity() || !rel.Contains(t) {
-			e.deleteFrom(cr, step+1, env, bound, st, deltaPos, frontier, ord)
-		}
-		return
-	}
-
-	unify := func(t value.Tuple) bool {
-		okTuple, newlyBound := bindAtomArgs(a, t, env, bound)
-		if okTuple {
-			e.deleteFrom(cr, step+1, env, bound, st, deltaPos, frontier, ord)
-			unbind(bound, newlyBound)
-		}
-		return true // keep scanning
-	}
-
-	if i == deltaPos {
-		for _, t := range frontier[relID] {
-			unify(t)
-		}
-		return
-	}
-	var mask store.ColMask
-	var boundVals []value.Value
-	if rel != nil {
-		mask, boundVals = lookupMask(a, rel, env, bound)
-		rel.Lookup(mask, boundVals, e.opts.UseIndexes, unify)
-	}
-	// The pre-deletion database includes everything deleted this stage.
-	st.incr.sweepGhosts(relID, mask, boundVals, func(t value.Tuple) { unify(t) })
-}
-
 // produceDelete marks the head tuple under the current bindings as
 // over-deleted if it is a currently materialized local view tuple. All other
 // head shapes (remote, extensional, already deleted) are ignored here: event
@@ -813,14 +589,7 @@ func (e *Engine) produceDelete(cr *CompiledRule, env []value.Value, st *stageSta
 	if rel == nil || rel.Kind() != ast.Intensional {
 		return
 	}
-	t := make(value.Tuple, len(cr.Head.args))
-	for k, arg := range cr.Head.args {
-		if arg.isVar {
-			t[k] = env[arg.slot]
-		} else {
-			t[k] = arg.val
-		}
-	}
+	t := cr.Head.tuple(env)
 	if len(t) != rel.Schema().Arity() {
 		return
 	}

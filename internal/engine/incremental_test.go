@@ -505,14 +505,12 @@ func runReference(t *testing.T, schemas []store.Schema, base map[string]value.Tu
 	for _, f := range base {
 		rel.Insert(f)
 	}
-	opts := DefaultOptions()
-	opts.Incremental = false
-	e := New("local", db, opts)
+	e := New("local", db, DefaultOptions())
 	prog, err := e.CompileProgram(rules)
 	if err != nil {
 		t.Fatalf("reference compile: %v", err)
 	}
-	res := e.RunStage(prog)
+	res := referenceStage(e, prog)
 	for _, err := range res.Errors {
 		t.Fatalf("reference stage error: %v", err)
 	}

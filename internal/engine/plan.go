@@ -11,16 +11,15 @@ import (
 // Join planning.
 //
 // The paper fixes body-atom order for *safety* ("atoms are evaluated from
-// left to right. The order matters"), and bare evaluation inherits it for
-// performance too: evalFrom joins positive atoms exactly as written, so a
-// badly ordered multi-way join scans its largest relation before the
-// selective atoms bind anything. This file reorders each rule's body at
-// stage time by estimated selectivity — live relation cardinalities, the
-// bound-argument mask each atom would be probed with under the order
-// chosen so far (sideways information passing: later atoms see earlier
-// atoms' bindings through the ordinary lookupMask machinery), and index
-// statistics (store.Relation.FanEstimate) — so the most selective atoms
-// bind first and the big relations are probed, not scanned.
+// left to right. The order matters"); followed for performance too, a badly
+// ordered multi-way join scans its largest relation before the selective
+// atoms bind anything. This file reorders each rule's body at stage time by
+// estimated selectivity — live relation cardinalities, the bound-argument
+// mask each atom would be probed with under the order chosen so far
+// (sideways information passing: later atoms are probed with earlier atoms'
+// bindings), and index statistics (store.Relation.FanEstimate) — so the
+// most selective atoms bind first and the big relations are probed, not
+// scanned.
 //
 // Reordering is restricted to what is provably model-invariant:
 //
@@ -46,12 +45,13 @@ import (
 // binding prerequisites allow — the delta is almost always the smallest
 // input — and the rest of the body is ordered around the variables it
 // binds. Rederivation checks get their own order, planned with every head
-// variable pre-bound (matchFrom runs head-unified).
+// variable pre-bound (they run head-unified).
 //
 // Plans are computed lazily, once per rule (and per delta position) per
 // stage, against the store cardinalities current at that moment; the
-// orders are deterministic given the store state. Options.Planner (default
-// on) gates everything; off is the written-order ablation of experiment P9.
+// orders are deterministic given the store state. plan_test.go pins the
+// orders; the written-order reference evaluator pins that they do not
+// change results.
 
 // plannerUnknownCost ranks atoms whose relation cannot be resolved at plan
 // time (a variable in relation position): after anything that estimates
@@ -80,49 +80,24 @@ type compiledKey struct {
 	deltaPos int
 }
 
-// stagePlanner owns the per-stage plan and compiled-chain caches. A nil
-// *stagePlanner everywhere means "written order, interpreted". planning is
-// false when only compilation is on (Options.Compiled without
-// Options.Planner): the caches exist but every order is the written one.
+// stagePlanner owns the per-stage plan and compiled-chain caches.
 type stagePlanner struct {
 	e        *Engine
-	planning bool
 	plans    map[*CompiledRule]*rulePlan
-	// compiled caches closure chains (nil = the rule is not compilable and
-	// interprets); nil map = compilation off.
 	compiled map[compiledKey]*execProg
 }
 
-// newPlanner returns the stage's planner, or nil when both the planner and
-// compiled execution are off. Compilation additionally requires indexes
-// (compiled probes are keyed) and no tracer (supports are not tracked).
 func (e *Engine) newPlanner() *stagePlanner {
-	planning := e.opts.Planner
-	compiling := e.opts.Compiled && e.opts.UseIndexes && e.opts.Tracer == nil
-	if !planning && !compiling {
-		return nil
-	}
-	pl := &stagePlanner{e: e, planning: planning, plans: map[*CompiledRule]*rulePlan{}}
-	if compiling {
-		pl.compiled = map[compiledKey]*execProg{}
-	}
-	return pl
+	return &stagePlanner{e: e, plans: map[*CompiledRule]*rulePlan{}, compiled: map[compiledKey]*execProg{}}
 }
 
 // compiledFor returns the cached closure chain for one (rule, stage kind,
 // delta position) triple, compiling it on first use against the stage's
-// plan order for that triple. nil means interpret: compilation is off, or
-// the rule is not compilable (the verdict is cached so the analysis runs
-// once per stage).
+// plan order for that triple.
 func (pl *stagePlanner) compiledFor(cr *CompiledRule, kind stageKind, deltaPos int) *execProg {
-	if pl.compiled == nil {
-		return nil
-	}
 	k := compiledKey{cr: cr, kind: kind, deltaPos: deltaPos}
-	if ep, ok := pl.compiled[k]; ok {
-		if ep != nil {
-			pl.e.compiledHits.Add(1)
-		}
+	if ep := pl.compiled[k]; ep != nil {
+		pl.e.compiledHits.Add(1)
 		return ep
 	}
 	var ord []int
@@ -133,11 +108,7 @@ func (pl *stagePlanner) compiledFor(cr *CompiledRule, kind stageKind, deltaPos i
 	}
 	ep := pl.e.compileExec(cr, kind, deltaPos, ord)
 	pl.compiled[k] = ep
-	if ep != nil {
-		pl.e.ruleCompiles.Add(1)
-	} else {
-		pl.e.compileFallbacks.Add(1)
-	}
+	pl.e.ruleCompiles.Add(1)
 	return ep
 }
 
@@ -177,11 +148,8 @@ func (pl *stagePlanner) planFor(cr *CompiledRule) *rulePlan {
 
 // orderFor returns the evaluation order for one rule invocation: body
 // position deltaPos ranges over the delta (-1 for a full evaluation). A
-// nil result means written order (always, when planning is off).
+// nil result means written order.
 func (pl *stagePlanner) orderFor(cr *CompiledRule, deltaPos int) []int {
-	if !pl.planning {
-		return nil
-	}
 	rp := pl.planFor(cr)
 	if rp == nil {
 		return nil
@@ -200,13 +168,10 @@ func (pl *stagePlanner) orderFor(cr *CompiledRule, deltaPos int) []int {
 	return rp.delta[deltaPos]
 }
 
-// rederiveOrder returns the order for head-unified existence checks
-// (matchFrom): every head variable is already bound, which usually makes
-// a very different atom the cheapest entry point.
+// rederiveOrder returns the order for head-unified existence checks: every
+// head variable is already bound, which usually makes a very different atom
+// the cheapest entry point.
 func (pl *stagePlanner) rederiveOrder(cr *CompiledRule) []int {
-	if !pl.planning {
-		return nil
-	}
 	rp := pl.planFor(cr)
 	if rp == nil {
 		return nil
@@ -227,11 +192,26 @@ func markAtomSlots(a *cAtom, bound []bool) {
 	if a.peer.isVar {
 		bound[a.peer.slot] = true
 	}
+	markArgSlots(a, bound)
+}
+
+// markArgSlots marks the variable slots of the atom's arguments as bound —
+// what matching a positive atom does.
+func markArgSlots(a *cAtom, bound []bool) {
 	for _, arg := range a.args {
 		if arg.isVar {
 			bound[arg.slot] = true
 		}
 	}
+}
+
+// planPos maps plan step s to its body position under ord (nil = written
+// order).
+func planPos(ord []int, s int) int {
+	if ord == nil {
+		return s
+	}
+	return ord[s]
 }
 
 // isFilter reports whether body atom i binds nothing and only prunes: a
@@ -277,11 +257,7 @@ func (pl *stagePlanner) order(cr *CompiledRule, region, deltaPos int, preBound [
 		placed[i] = true
 		order = append(order, i)
 		if !isFilter(cr, i) {
-			for _, arg := range cr.Body[i].args {
-				if arg.isVar {
-					bound[arg.slot] = true
-				}
-			}
+			markArgSlots(&cr.Body[i], bound)
 		}
 	}
 
@@ -337,7 +313,7 @@ func (pl *stagePlanner) atomCost(cr *CompiledRule, i int, bound []bool) float64 
 		return plannerUnknownCost
 	}
 	if a.rel.val.Kind() != value.KindString || a.peer.val.Kind() != value.KindString {
-		return 0 // resolveName rejects it immediately: nothing is scanned
+		return 0 // compiles to an error step: nothing is scanned
 	}
 	rel := pl.e.db.Get(a.rel.val.StringVal(), a.peer.val.StringVal())
 	if rel == nil {
@@ -365,99 +341,64 @@ func (pl *stagePlanner) atomCost(cr *CompiledRule, i int, bound []bool) float64 
 }
 
 // Explain renders, per rule of prog, the join order the planner chooses
-// against the store's *current* contents, with per-step cardinality and
-// selectivity estimates — the surface behind `wdl run -explain`. With
-// Options.Planner off it renders the written order (the ablation), noting
-// the gate.
+// against the store's *current* contents and how each step compiles for a
+// full evaluation, with per-step cardinality and selectivity estimates — the
+// surface behind `wdl run -explain`.
 func (e *Engine) Explain(prog *Program) string {
 	var sb strings.Builder
-	pl := &stagePlanner{e: e, planning: e.opts.Planner, plans: map[*CompiledRule]*rulePlan{}}
-	if !e.opts.Planner {
-		sb.WriteString("planner disabled (Options.Planner=false): bodies evaluate in written order\n")
-	}
-	compiling := e.opts.Compiled && e.opts.UseIndexes && e.opts.Tracer == nil
-	if !compiling {
-		sb.WriteString("compiled execution disabled (Options.Compiled off, indexes off, or tracer attached): the interpreter walks every rule\n")
-	}
+	pl := e.newPlanner()
 	for _, cr := range prog.Rules {
 		kind := "event"
 		if !cr.Event {
 			kind = "view"
 		}
 		fmt.Fprintf(&sb, "rule %s (stratum %d, %s): %s;\n", cr.Rule.ID, cr.Stratum, kind, cr.Rule.String())
-		region := planRegion(cr, e.local)
-		var ord []int
-		if e.opts.Planner {
-			ord = pl.orderFor(cr, -1)
-		}
-		if ord == nil {
-			ord = make([]int, len(cr.Body))
-			for i := range ord {
-				ord[i] = i
-			}
-			if e.opts.Planner && len(cr.Body) > 1 {
-				sb.WriteString("  written order (fewer than two reorderable atoms)\n")
-			}
+		ord := pl.orderFor(cr, -1)
+		if ord == nil && len(cr.Body) > 1 {
+			sb.WriteString("  written order (fewer than two reorderable atoms)\n")
 		}
 		bound := make([]bool, cr.NumSlots)
-		for step, i := range ord {
-			a := &cr.Body[i]
-			note := e.explainAtom(cr, i, bound)
-			fmt.Fprintf(&sb, "  %d. body atom %d: %s%s\n", step+1, i+1, cr.Rule.Body[i].String(), note)
+		for step := range cr.Body {
+			i := planPos(ord, step)
+			sp := e.analyzeStep(cr, i, kindEval, -1, bound)
+			fmt.Fprintf(&sb, "  %d. body atom %d: %s  [%s]\n", step+1, i+1, cr.Rule.Body[i].String(), explainStep(&sp))
 			if !isFilter(cr, i) {
-				for _, arg := range a.args {
-					if arg.isVar {
-						bound[arg.slot] = true
-					}
-				}
+				markArgSlots(&cr.Body[i], bound)
 			}
 		}
-		if region < len(cr.Body) {
+		if region := planRegion(cr, e.local); region < len(cr.Body) {
 			fmt.Fprintf(&sb, "  atoms %d.. keep written order: the peer term may resolve remote (delegation boundary)\n", region+1)
-		}
-		if compiling {
-			if reason := e.compileBlocker(cr); reason != "" {
-				fmt.Fprintf(&sb, "  compiled: interpreter fallback (%s)\n", reason)
-			} else {
-				sb.WriteString("  compiled: closure chains cached per stage kind — eval, over-delete (DRed), and rederive walks compile and cache separately per delta position\n")
-			}
 		}
 	}
 	return sb.String()
 }
 
-// explainAtom renders one planned step's annotation: filters as such,
-// positive atoms with live cardinality and the estimated fan under the
-// bindings accumulated so far.
-func (e *Engine) explainAtom(cr *CompiledRule, i int, bound []bool) string {
-	a := &cr.Body[i]
-	if !a.peer.isVar && a.peer.val.Kind() == value.KindString && a.peer.val.StringVal() == BuiltinPeer {
-		return "  [builtin filter]"
+// explainStep renders one analyzed step's annotation: what kind of step the
+// atom compiles to, and for keyed probes the live cardinality and the
+// estimated fan under the bindings accumulated so far.
+func explainStep(sp *stepSpec) string {
+	switch sp.sKind {
+	case specBuiltin:
+		return "builtin filter"
+	case specNeg, specPass:
+		return "negated: membership test"
+	case specDynamic:
+		return "resolved at run time: probe, filter or delegation"
+	case specDelegate:
+		return "delegates the rest of the body to " + sp.peerName
+	case specError:
+		return "runtime error: " + sp.msg
+	case specDead:
+		return "rows=0 (undeclared or arity mismatch)"
 	}
-	if a.neg {
-		return "  [negated: membership test]"
-	}
-	if a.rel.isVar || a.peer.isVar {
-		return "  [relation resolved at run time]"
-	}
-	rel := e.db.Get(a.rel.val.StringVal(), a.peer.val.StringVal())
-	if rel == nil {
-		return "  [rows=0 (undeclared)]"
+	if sp.mask == 0 {
+		return fmt.Sprintf("rows=%d, full scan", sp.rel.Len())
 	}
 	var boundCols []string
-	var mask store.ColMask
-	for k, arg := range a.args {
-		if arg.isVar && !bound[arg.slot] {
-			continue
-		}
-		mask |= 1 << uint(k)
-		if k < len(rel.Schema().Cols) {
-			boundCols = append(boundCols, rel.Schema().Cols[k])
+	for k, col := range sp.rel.Schema().Cols {
+		if sp.mask.Has(k) {
+			boundCols = append(boundCols, col)
 		}
 	}
-	est := rel.FanEstimate(mask)
-	if mask == 0 {
-		return fmt.Sprintf("  [rows=%d, full scan]", rel.Len())
-	}
-	return fmt.Sprintf("  [rows=%d, probe(%s), est≈%.4g]", rel.Len(), strings.Join(boundCols, ","), est)
+	return fmt.Sprintf("rows=%d, probe(%s), est≈%.4g", sp.rel.Len(), strings.Join(boundCols, ","), sp.rel.FanEstimate(sp.mask))
 }

@@ -3,6 +3,8 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/ast"
@@ -52,88 +54,6 @@ func randomProgram(rnd *rand.Rand, nRels, nRules, nFacts, domain int) (schemas [
 	return schemas, facts, rules
 }
 
-func runRandom(t *testing.T, schemas []store.Schema, facts []value.Tuple, rules []ast.Rule, opts Options) map[string][]string {
-	t.Helper()
-	db := store.New()
-	for _, s := range schemas {
-		if _, err := db.Declare(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	base := db.Get("e", "local")
-	for _, f := range facts {
-		base.Insert(f)
-	}
-	e := New("local", db, opts)
-	prog, err := e.CompileProgram(rules)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	res := e.RunStage(prog)
-	for _, err := range res.Errors {
-		t.Fatalf("stage error: %v", err)
-	}
-	out := map[string][]string{}
-	for _, s := range schemas {
-		out[s.Name] = relContents(db, s.Name, "local")
-	}
-	return out
-}
-
-// TestSemiNaiveEquivalentToNaiveOnRandomPrograms is the central correctness
-// property of the engine: on random positive programs, the optimized
-// semi-naive evaluation computes exactly the model that naive evaluation
-// computes.
-func TestSemiNaiveEquivalentToNaiveOnRandomPrograms(t *testing.T) {
-	rnd := rand.New(rand.NewSource(20130523)) // SIGMOD'13 demo week
-	for trial := 0; trial < 60; trial++ {
-		schemas, facts, rules := randomProgram(rnd, 1+rnd.Intn(3), 1+rnd.Intn(5), 5+rnd.Intn(30), 2+rnd.Intn(6))
-		semi := DefaultOptions()
-		naive := DefaultOptions()
-		naive.SemiNaive = false
-		gotSemi := runRandom(t, schemas, facts, rules, semi)
-		gotNaive := runRandom(t, schemas, facts, rules, naive)
-		for rel, semiRows := range gotSemi {
-			naiveRows := gotNaive[rel]
-			if len(semiRows) != len(naiveRows) {
-				t.Fatalf("trial %d: relation %s differs: semi-naive %d rows, naive %d rows\nrules: %v",
-					trial, rel, len(semiRows), len(naiveRows), rules)
-			}
-			for i := range semiRows {
-				if semiRows[i] != naiveRows[i] {
-					t.Fatalf("trial %d: relation %s row %d differs: %s vs %s",
-						trial, rel, i, semiRows[i], naiveRows[i])
-				}
-			}
-		}
-	}
-}
-
-// TestIndexedEquivalentToScanOnRandomPrograms checks that hash indexes do
-// not change results.
-func TestIndexedEquivalentToScanOnRandomPrograms(t *testing.T) {
-	rnd := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 30; trial++ {
-		schemas, facts, rules := randomProgram(rnd, 1+rnd.Intn(3), 1+rnd.Intn(5), 5+rnd.Intn(30), 2+rnd.Intn(6))
-		idx := DefaultOptions()
-		scan := DefaultOptions()
-		scan.UseIndexes = false
-		gotIdx := runRandom(t, schemas, facts, rules, idx)
-		gotScan := runRandom(t, schemas, facts, rules, scan)
-		for rel, a := range gotIdx {
-			b := gotScan[rel]
-			if len(a) != len(b) {
-				t.Fatalf("trial %d: relation %s differs with/without indexes (%d vs %d rows)", trial, rel, len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("trial %d: relation %s row %d differs: %s vs %s", trial, rel, i, a[i], b[i])
-				}
-			}
-		}
-	}
-}
-
 // withRandomFilters appends, to some rules, a builtin comparison and/or a
 // negated atom over the extensional base — always at the *end* of the body,
 // where safety is guaranteed (every variable is bound) and where the
@@ -171,133 +91,6 @@ func withRandomFilters(rnd *rand.Rand, rules []ast.Rule) []ast.Rule {
 		}
 	}
 	return rules
-}
-
-// TestPlannerEquivalentToWrittenOrderOnRandomPrograms asserts the planner's
-// central invariant: on random programs — multi-way joins plus trailing
-// builtin and negated filters the planner reorders aggressively — the
-// cost-based join order computes exactly the model written-order evaluation
-// computes.
-func TestPlannerEquivalentToWrittenOrderOnRandomPrograms(t *testing.T) {
-	rnd := rand.New(rand.NewSource(20260729))
-	for trial := 0; trial < 60; trial++ {
-		schemas, facts, rules := randomProgram(rnd, 1+rnd.Intn(3), 1+rnd.Intn(5), 5+rnd.Intn(30), 2+rnd.Intn(6))
-		rules = withRandomFilters(rnd, rules)
-		planned := DefaultOptions()
-		written := DefaultOptions()
-		written.Planner = false
-		gotPlanned := runRandom(t, schemas, facts, rules, planned)
-		gotWritten := runRandom(t, schemas, facts, rules, written)
-		for rel, plannedRows := range gotPlanned {
-			writtenRows := gotWritten[rel]
-			if len(plannedRows) != len(writtenRows) {
-				t.Fatalf("trial %d: relation %s differs: planner %d rows, written order %d rows\nrules: %v",
-					trial, rel, len(plannedRows), len(writtenRows), rules)
-			}
-			for i := range plannedRows {
-				if plannedRows[i] != writtenRows[i] {
-					t.Fatalf("trial %d: relation %s row %d differs: %s vs %s",
-						trial, rel, i, plannedRows[i], writtenRows[i])
-				}
-			}
-		}
-	}
-}
-
-// TestPlannerEquivalentOnRandomIncrementalSequences drives the same random
-// insert/delete batches through two incrementally maintained engines —
-// planner on and planner off — checking every view identical after every
-// batch. This covers the planned delta passes and the planned DRed
-// over-delete/rederive walks, not just one-shot full evaluation.
-func TestPlannerEquivalentOnRandomIncrementalSequences(t *testing.T) {
-	rnd := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 12; trial++ {
-		schemas, facts, rules := randomProgram(rnd, 1+rnd.Intn(3), 1+rnd.Intn(4), 5+rnd.Intn(20), 2+rnd.Intn(5))
-		// Pre-generate the batch schedule so both modes replay it verbatim.
-		type op struct {
-			del bool
-			t   value.Tuple
-		}
-		domain := int64(2 + rnd.Intn(6))
-		var batches [][]op
-		for s := 0; s < 10; s++ {
-			var b []op
-			for k := 0; k < 1+rnd.Intn(4); k++ {
-				b = append(b, op{
-					del: rnd.Intn(3) == 0,
-					t:   value.Tuple{value.Int(rnd.Int63n(domain)), value.Int(rnd.Int63n(domain))},
-				})
-			}
-			batches = append(batches, b)
-		}
-
-		run := func(opts Options) []map[string][]string {
-			db := store.New()
-			for _, s := range schemas {
-				if _, err := db.Declare(s); err != nil {
-					t.Fatal(err)
-				}
-			}
-			base := db.Get("e", "local")
-			for _, f := range facts {
-				base.Insert(f)
-			}
-			e := New("local", db, opts)
-			prog, err := e.CompileProgram(rules)
-			if err != nil {
-				t.Fatalf("compile: %v", err)
-			}
-			if !prog.Incremental {
-				t.Fatalf("random positive program unexpectedly not incremental")
-			}
-			rv := NewRemoteView()
-			res := e.RunStageFull(prog, nil, rv)
-			checkNoErrors(t, res)
-			var states []map[string][]string
-			for _, b := range batches {
-				in := &StageInput{Ins: map[string][]value.Tuple{}, Del: map[string][]value.Tuple{}}
-				for _, o := range b {
-					if o.del {
-						if base.Delete(o.t) {
-							in.Del["e@local"] = append(in.Del["e@local"], o.t)
-						}
-					} else if base.Insert(o.t) {
-						in.Ins["e@local"] = append(in.Ins["e@local"], o.t)
-					}
-				}
-				res := e.RunStageIncremental(prog, in, rv)
-				checkNoErrors(t, res)
-				state := map[string][]string{}
-				for _, s := range schemas {
-					state[s.Name] = relContents(db, s.Name, "local")
-				}
-				states = append(states, state)
-			}
-			return states
-		}
-
-		planned := DefaultOptions()
-		written := DefaultOptions()
-		written.Planner = false
-		gotPlanned := run(planned)
-		gotWritten := run(written)
-		for step := range gotPlanned {
-			p, w := gotPlanned[step], gotWritten[step]
-			for rel, pRows := range p {
-				wRows := w[rel]
-				if len(pRows) != len(wRows) {
-					t.Fatalf("trial %d step %d: relation %s differs: planner %d rows, written %d rows\nrules: %v",
-						trial, step, rel, len(pRows), len(wRows), rules)
-				}
-				for i := range pRows {
-					if pRows[i] != wRows[i] {
-						t.Fatalf("trial %d step %d: relation %s row %d differs: %s vs %s",
-							trial, step, rel, i, pRows[i], wRows[i])
-					}
-				}
-			}
-		}
-	}
 }
 
 // randomStratifiedProgram extends randomProgram with the constructs the
@@ -376,164 +169,297 @@ func randomStratifiedProgram(rnd *rand.Rand, nRels, nRules, nFacts, domain int) 
 	return schemas, facts, rules
 }
 
-// compiledGrid is the 2×2 {Planner} × {Compiled} differential matrix; every
-// cell must compute the same model. Cell 0 (everything on) is the reference.
-func compiledGrid() []Options {
-	var grid []Options
-	for _, planner := range []bool{true, false} {
-		for _, compiled := range []bool{true, false} {
-			o := DefaultOptions()
-			o.Planner = planner
-			o.Compiled = compiled
-			grid = append(grid, o)
-		}
+// withDelegatingRules appends the rule shapes whose bodies or heads leave
+// the peer or resolve at run time — the shapes only the old interpreter
+// could run — plus the small extensional relations they read:
+//
+//	peers(p)    peer names: "local" and the remote "far"
+//	names(r)    relation names: "e", intensional ones, and an undeclared one
+//	cmp(op, p)  (relation, peer) pairs resolving to a builtin, a local
+//	            relation, or a remote one
+//	sink(a, b)  target of extensional (buffered-update) heads
+//
+// Heads range over a local view, a remote relation, an extensional relation
+// (insert and delete), and a variable peer. Rules reading a variable relation
+// depend on every view, so their view head is always the top relation, which
+// no generated rule negates — the program stays stratified.
+func withDelegatingRules(rnd *rand.Rand, schemas []store.Schema, rules []ast.Rule) ([]store.Schema, []ast.Fact, []ast.Rule) {
+	top := schemas[len(schemas)-1].Name
+	for _, s := range []store.Schema{
+		{Name: "peers", Cols: []string{"p"}}, {Name: "names", Cols: []string{"r"}},
+		{Name: "cmp", Cols: []string{"op", "p"}}, {Name: "sink", Cols: []string{"a", "b"}},
+	} {
+		s.Peer, s.Kind = "local", ast.Extensional
+		schemas = append(schemas, s)
 	}
-	return grid
+	facts := []ast.Fact{
+		ast.NewFact("peers", "local", value.Str("local")), ast.NewFact("peers", "local", value.Str("far")),
+		ast.NewFact("names", "local", value.Str("e")), ast.NewFact("names", "local", value.Str("i0")),
+		ast.NewFact("names", "local", value.Str("nosuch")),
+		ast.NewFact("cmp", "local", value.Str("lt"), value.Str(BuiltinPeer)),
+		ast.NewFact("cmp", "local", value.Str("e"), value.Str("local")),
+		ast.NewFact("cmp", "local", value.Str("e"), value.Str("far")),
+	}
+	atom := func(rel, peer ast.Term, args ...string) ast.Atom {
+		a := ast.Atom{Rel: rel, Peer: peer}
+		for _, v := range args {
+			a.Args = append(a.Args, ast.V(v))
+		}
+		return a
+	}
+	local, far := ast.CStr("local"), ast.CStr("far")
+	e := func(a, b string) ast.Atom { return atom(ast.CStr("e"), local, a, b) }
+	bodies := []struct {
+		body    []ast.Atom
+		peerVar bool // $p is bound: the head may use it as its peer
+		topOnly bool // reads a variable relation
+	}{
+		{body: []ast.Atom{atom(ast.CStr("peers"), local, "p"), atom(ast.CStr("e"), ast.V("p"), "x", "y")}, peerVar: true},
+		{body: []ast.Atom{atom(ast.CStr("names"), local, "r"), atom(ast.V("r"), local, "x", "y")}, topOnly: true},
+		{body: []ast.Atom{e("x", "z"), atom(ast.CStr("hop"), far, "z", "y"), e("y", "x")}},
+		{body: []ast.Atom{e("x", "y"), atom(ast.CStr("cmp"), local, "o", "p"), atom(ast.V("o"), ast.V("p"), "x", "y")}, peerVar: true, topOnly: true},
+		{body: []ast.Atom{e("x", "y"), atom(ast.CStr("peers"), local, "p"), {Neg: true, Rel: ast.CStr("e"), Peer: ast.V("p"), Args: []ast.Term{ast.V("y"), ast.V("x")}}}, peerVar: true},
+	}
+	for n := 1 + rnd.Intn(3); n > 0; n-- {
+		b := bodies[rnd.Intn(len(bodies))]
+		r := ast.Rule{ID: fmt.Sprintf("d%d", n), Body: b.body}
+		view := relOf(schemas, rnd, ast.Intensional)
+		if b.topOnly {
+			view = top
+		}
+		switch k := rnd.Intn(6); {
+		case k == 0:
+			r.Head = atom(ast.CStr("out"), far, "x", "y")
+		case k == 1:
+			r.Head = atom(ast.CStr("sink"), local, "x", "y")
+		case k == 2:
+			r.Head, r.Op = atom(ast.CStr("sink"), local, "y", "x"), ast.Delete
+		case k == 3 && b.peerVar:
+			r.Head = atom(ast.CStr(view), ast.V("p"), "x", "y")
+		default:
+			r.Head = atom(ast.CStr(view), local, "x", "y")
+		}
+		rules = append(rules, r)
+	}
+	return schemas, facts, rules
 }
 
-func diffStates(t *testing.T, label string, want, got map[string][]string) {
+// relOf picks a random declared relation of the given kind.
+func relOf(schemas []store.Schema, rnd *rand.Rand, kind ast.RelKind) string {
+	var names []string
+	for _, s := range schemas {
+		if s.Kind == kind {
+			names = append(names, s.Name)
+		}
+	}
+	return names[rnd.Intn(len(names))]
+}
+
+// randomBatches generates n insert/delete batches: mostly over the binary
+// base relation e, sometimes over the control relations of the delegating
+// shapes, so peer/relation/builtin resolutions change mid-sequence too.
+func randomBatches(rnd *rand.Rand, n, domain int, delegating bool) [][]FactOp {
+	var batches [][]FactOp
+	for s := 0; s < n; s++ {
+		var b []FactOp
+		for k := 1 + rnd.Intn(4); k > 0; k-- {
+			f := ast.NewFact("e", "local", value.Int(int64(rnd.Intn(domain))), value.Int(int64(rnd.Intn(domain))))
+			if delegating && rnd.Intn(4) == 0 {
+				switch rnd.Intn(3) {
+				case 0:
+					f = ast.NewFact("peers", "local", value.Str([]string{"local", "far", "away"}[rnd.Intn(3)]))
+				case 1:
+					f = ast.NewFact("names", "local", value.Str([]string{"e", "i0", "sink"}[rnd.Intn(3)]))
+				default:
+					pair := [][2]string{{"lt", BuiltinPeer}, {"neq", BuiltinPeer}, {"e", "local"}, {"i0", "local"}, {"e", "far"}}[rnd.Intn(5)]
+					f = ast.NewFact("cmp", "local", value.Str(pair[0]), value.Str(pair[1]))
+				}
+			}
+			op := ast.Derive
+			if rnd.Intn(3) == 0 {
+				op = ast.Delete
+			}
+			b = append(b, FactOp{Op: op, Fact: f})
+		}
+		batches = append(batches, b)
+	}
+	return batches
+}
+
+// TestProductionEquivalentToReference is the engine's central correctness
+// property: on random stratified programs — multi-way joins, recursion,
+// negation across strata, builtin filters the planner floats, and the
+// delegating/run-time-resolved shapes — production rule execution, both
+// incrementally maintained and recomputed, produces exactly what the
+// reference evaluator produces: view contents, Result.Remote,
+// Result.Delegations, Result.LocalUpdates and Result.Errors, after the
+// initial stage and after each of 10 random insert/delete batches.
+func TestProductionEquivalentToReference(t *testing.T) {
+	rnd := rand.New(rand.NewSource(20130523)) // SIGMOD'13 demo week
+	delegating, incremental := 0, 0
+	for trial := 0; trial < 180; trial++ {
+		var schemas []store.Schema
+		var tuples []value.Tuple
+		var rules []ast.Rule
+		domain := 2 + rnd.Intn(6)
+		if trial%2 == 0 {
+			schemas, tuples, rules = randomProgram(rnd, 1+rnd.Intn(3), 1+rnd.Intn(5), 5+rnd.Intn(30), domain)
+			if trial%4 == 0 {
+				rules = withRandomFilters(rnd, rules)
+			}
+		} else {
+			schemas, tuples, rules = randomStratifiedProgram(rnd, 1+rnd.Intn(3), 1+rnd.Intn(5), 5+rnd.Intn(30), domain)
+		}
+		var facts []ast.Fact
+		withDeleg := trial%3 != 0
+		if withDeleg {
+			schemas, facts, rules = withDelegatingRules(rnd, schemas, rules)
+			delegating++
+		}
+		for _, tp := range tuples {
+			facts = append(facts, ast.Fact{Rel: "e", Peer: "local", Args: tp})
+		}
+		if checkAgainstReference(t, fmt.Sprintf("trial %d", trial), schemas, facts, rules, randomBatches(rnd, 10, domain, withDeleg)) {
+			incremental++
+		}
+	}
+	if delegating < 50 || incremental < 50 {
+		t.Fatalf("coverage too thin: %d delegating programs, %d incrementally maintained (want ≥ 50 each)", delegating, incremental)
+	}
+}
+
+// stageOutputs canonicalizes everything a stage produced — view contents of
+// the given peer plus Result.Remote, Delegations, LocalUpdates and Errors —
+// as sorted text, so two evaluators compare with one string equality.
+func stageOutputs(db *store.Store, local string, res *Result) string {
+	var lines []string
+	for _, rel := range db.RelationsOf(local) {
+		for _, t := range rel.Tuples() {
+			lines = append(lines, "fact "+rel.Schema().ID()+t.String())
+		}
+	}
+	for dst, ops := range res.Remote {
+		for _, op := range ops {
+			lines = append(lines, "remote "+dst+" "+op.String())
+		}
+	}
+	for id, byTarget := range res.Delegations {
+		for target, rules := range byTarget {
+			for _, r := range rules {
+				lines = append(lines, "delegate "+id+" -> "+target+": "+r.String())
+			}
+		}
+	}
+	for _, op := range res.LocalUpdates {
+		lines = append(lines, "update "+op.String())
+	}
+	for _, err := range res.Errors {
+		lines = append(lines, "error "+err.Error())
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
+// refWorld is one engine over its own store, built from shared schemas,
+// base facts and rules, so production and reference never share state.
+type refWorld struct {
+	e    *Engine
+	db   *store.Store
+	prog *Program
+}
+
+func newRefWorld(t testing.TB, opts Options, schemas []store.Schema, facts []ast.Fact, rules []ast.Rule) *refWorld {
 	t.Helper()
-	for rel, w := range want {
-		g := got[rel]
-		if len(g) != len(w) {
-			t.Fatalf("%s: relation %s differs: want %d rows, got %d\nwant: %v\ngot:  %v",
-				label, rel, len(w), len(g), w, g)
-		}
-		for i := range w {
-			if g[i] != w[i] {
-				t.Fatalf("%s: relation %s row %d differs: want %s, got %s", label, rel, i, w[i], g[i])
-			}
+	db := store.New()
+	for _, s := range schemas {
+		if _, err := db.Declare(s); err != nil {
+			t.Fatal(err)
 		}
 	}
+	for _, f := range facts {
+		db.Get(f.Rel, f.Peer).Insert(f.Args)
+	}
+	e := New("local", db, opts)
+	prog, err := e.CompileProgram(rules)
+	if err != nil {
+		t.Fatalf("compile: %v\nrules: %v", err, rules)
+	}
+	return &refWorld{e: e, db: db, prog: prog}
 }
 
-// TestCompiledGridEquivalentOnRandomPrograms runs random stratified programs
-// — recursion, cross-stratum negation, interior builtin filters — through
-// every cell of the {Planner} × {Compiled} grid and demands the identical
-// model from each: the compiled closure chains against the interpreter, with
-// and without cost-based orders.
-func TestCompiledGridEquivalentOnRandomPrograms(t *testing.T) {
-	rnd := rand.New(rand.NewSource(20260808))
-	grid := compiledGrid()
-	for trial := 0; trial < 50; trial++ {
-		schemas, facts, rules := randomStratifiedProgram(rnd, 1+rnd.Intn(3), 1+rnd.Intn(5), 5+rnd.Intn(30), 2+rnd.Intn(6))
-		ref := runRandom(t, schemas, facts, rules, grid[0])
-		for gi := 1; gi < len(grid); gi++ {
-			got := runRandom(t, schemas, facts, rules, grid[gi])
-			diffStates(t, fmt.Sprintf("trial %d grid{planner:%v,compiled:%v} rules %v",
-				trial, grid[gi].Planner, grid[gi].Compiled, rules), ref, got)
+// apply replays one batch of extensional inserts/deletes against the
+// world's store and returns its net effect as a StageInput (the peer
+// layer's contract: Ins present, Del absent, a tuple inserted and deleted
+// within the batch in neither).
+func (w *refWorld) apply(batch []FactOp) *StageInput {
+	in := &StageInput{Ins: map[string][]value.Tuple{}, Del: map[string][]value.Tuple{}}
+	was := map[string]bool{}
+	var order []ast.Fact
+	for _, op := range batch {
+		rel := w.db.Get(op.Fact.Rel, op.Fact.Peer)
+		if _, seen := was[op.Fact.Key()]; !seen {
+			was[op.Fact.Key()] = rel.Contains(op.Fact.Args)
+			order = append(order, op.Fact)
+		}
+		if op.Op == ast.Delete {
+			rel.Delete(op.Fact.Args)
+		} else {
+			rel.Insert(op.Fact.Args)
 		}
 	}
+	for _, f := range order {
+		id := f.Rel + "@" + f.Peer
+		switch now := w.db.Get(f.Rel, f.Peer).Contains(f.Args); {
+		case now && !was[f.Key()]:
+			in.Ins[id] = append(in.Ins[id], f.Args)
+		case !now && was[f.Key()]:
+			in.Del[id] = append(in.Del[id], f.Args)
+		}
+	}
+	return in
 }
 
-// TestCompiledGridEquivalentOnRandomIncrementalSequences drives 10 random
-// insert/delete batches through incrementally maintained engines in every
-// grid cell AND through a from-scratch recompute reference, checking every
-// view identical after every batch: compiled ≡ interpreted ≡ recompute on
-// the maintained DRed/rederive path, not just one-shot evaluation.
-func TestCompiledGridEquivalentOnRandomIncrementalSequences(t *testing.T) {
-	rnd := rand.New(rand.NewSource(20130524))
-	grid := compiledGrid()
-	for trial := 0; trial < 10; trial++ {
-		schemas, facts, rules := randomProgram(rnd, 1+rnd.Intn(3), 1+rnd.Intn(4), 5+rnd.Intn(20), 2+rnd.Intn(5))
-		type op struct {
-			del bool
-			t   value.Tuple
-		}
-		domain := int64(2 + rnd.Intn(6))
-		var batches [][]op
-		for s := 0; s < 10; s++ {
-			var b []op
-			for k := 0; k < 1+rnd.Intn(4); k++ {
-				b = append(b, op{
-					del: rnd.Intn(3) == 0,
-					t:   value.Tuple{value.Int(rnd.Int63n(domain)), value.Int(rnd.Int63n(domain))},
-				})
-			}
-			batches = append(batches, b)
-		}
-
-		// run replays the batch schedule: incrementally maintained when
-		// incremental is true, full recomputation per batch otherwise (the
-		// reference semantics), returning the state after every batch.
-		run := func(opts Options, incremental bool) []map[string][]string {
-			db := store.New()
-			for _, s := range schemas {
-				if _, err := db.Declare(s); err != nil {
-					t.Fatal(err)
-				}
-			}
-			base := db.Get("e", "local")
-			for _, f := range facts {
-				base.Insert(f)
-			}
-			e := New("local", db, opts)
-			prog, err := e.CompileProgram(rules)
-			if err != nil {
-				t.Fatalf("compile: %v", err)
-			}
-			if !prog.Incremental {
-				t.Fatalf("random positive program unexpectedly not incremental")
-			}
-			rv := NewRemoteView()
-			res := e.RunStageFull(prog, nil, rv)
-			checkNoErrors(t, res)
-			var states []map[string][]string
-			for _, b := range batches {
-				// Apply the batch and report its *net* effect, as the peer
-				// layer does: StageInput's contract says Ins tuples are
-				// present and Del tuples absent after ingestion, so a tuple
-				// inserted and deleted within one batch must appear in
-				// neither.
-				in := &StageInput{Ins: map[string][]value.Tuple{}, Del: map[string][]value.Tuple{}}
-				touched := map[string]value.Tuple{}
-				wasPresent := map[string]bool{}
-				var order []string
-				for _, o := range b {
-					k := o.t.Key()
-					if _, seen := touched[k]; !seen {
-						touched[k] = o.t
-						wasPresent[k] = base.Contains(o.t)
-						order = append(order, k)
-					}
-					if o.del {
-						base.Delete(o.t)
-					} else {
-						base.Insert(o.t)
-					}
-				}
-				for _, k := range order {
-					tup := touched[k]
-					switch now := base.Contains(tup); {
-					case now && !wasPresent[k]:
-						in.Ins["e@local"] = append(in.Ins["e@local"], tup)
-					case !now && wasPresent[k]:
-						in.Del["e@local"] = append(in.Del["e@local"], tup)
-					}
-				}
-				if incremental {
-					checkNoErrors(t, e.RunStageIncremental(prog, in, rv))
-				} else {
-					checkNoErrors(t, e.RunStageFull(prog, nil, rv))
-				}
-				state := map[string][]string{}
-				for _, s := range schemas {
-					state[s.Name] = relContents(db, s.Name, "local")
-				}
-				states = append(states, state)
-			}
-			return states
-		}
-
-		recompute := run(grid[0], false)
-		for _, opts := range grid {
-			got := run(opts, true)
-			for step := range recompute {
-				diffStates(t, fmt.Sprintf("trial %d step %d grid{planner:%v,compiled:%v} rules %v",
-					trial, step, opts.Planner, opts.Compiled, rules), recompute[step], got[step])
+// checkAgainstReference runs the same program and batch schedule through
+// production incremental maintenance, production recompute and the
+// reference evaluator, each over its own store, and demands identical
+// outputs (stageOutputs) after the initial stage and after every batch. It
+// reports whether the program was incrementally maintainable (otherwise the
+// "incremental" engine recomputed too).
+func checkAgainstReference(t testing.TB, label string, schemas []store.Schema, facts []ast.Fact, rules []ast.Rule, batches [][]FactOp) (incremental bool) {
+	t.Helper()
+	full := DefaultOptions()
+	full.Incremental = false
+	incr := newRefWorld(t, DefaultOptions(), schemas, facts, rules)
+	reco := newRefWorld(t, full, schemas, facts, rules)
+	ref := newRefWorld(t, full, schemas, facts, rules)
+	rvI, rvR := NewRemoteView(), NewRemoteView()
+	compare := func(step int, resI, resR *Result) {
+		t.Helper()
+		want := stageOutputs(ref.db, "local", referenceStage(ref.e, ref.prog))
+		for _, got := range []struct {
+			name string
+			out  string
+		}{{"incremental", stageOutputs(incr.db, "local", resI)}, {"recompute", stageOutputs(reco.db, "local", resR)}} {
+			if got.out != want {
+				t.Fatalf("%s step %d: production %s differs from the reference\nrules: %v\n--- reference\n%s\n--- %s\n%s",
+					label, step, got.name, rules, want, got.name, got.out)
 			}
 		}
 	}
+	compare(-1, incr.e.RunStageFull(incr.prog, nil, rvI), reco.e.RunStageFull(reco.prog, nil, rvR))
+	for step, b := range batches {
+		in := incr.apply(b)
+		reco.apply(b)
+		ref.apply(b)
+		var resI *Result
+		if incr.prog.Incremental {
+			resI = incr.e.RunStageIncremental(incr.prog, in, rvI)
+		} else {
+			resI = incr.e.RunStageFull(incr.prog, nil, rvI)
+		}
+		compare(step, resI, reco.e.RunStageFull(reco.prog, nil, rvR))
+	}
+	return incr.prog.Incremental
 }
 
 // TestMaxIterationsGuard verifies the runaway-fixpoint safety net.

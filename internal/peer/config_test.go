@@ -26,19 +26,18 @@ func TestNewPeerValidation(t *testing.T) {
 	}
 }
 
-func TestNaiveEngineConfig(t *testing.T) {
+func TestRecomputeEngineConfig(t *testing.T) {
 	n := NewNetwork()
 	opts := engine.DefaultOptions()
-	opts.SemiNaive = false
-	opts.UseIndexes = false
+	opts.Incremental = false
 	p, err := n.NewPeer(Config{Name: "alice", Engine: &opts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Engine().Options().SemiNaive || p.Engine().Options().UseIndexes {
-		t.Error("explicit naive/no-index options not honored")
+	if p.Engine().Options().Incremental {
+		t.Error("explicit recompute option not honored")
 	}
-	// The peer still computes correctly in naive mode.
+	// The peer still computes correctly recomputing every stage.
 	if err := p.LoadSource(`
 		relation extensional edge@alice(a,b);
 		relation intensional tc@alice(a,b);

@@ -156,11 +156,6 @@ func (p *Peer) registerMetrics(reg *metrics.Registry) {
 		_, hits, _ := eng.CompiledStats()
 		return float64(hits)
 	}, name)
-	reg.Counter("wdl_compile_fallbacks_total",
-		"Rule walks that fell back to the interpreter (delegating or dynamic rules).", "peer").Func(func() float64 {
-		_, _, fallbacks := eng.CompiledStats()
-		return float64(fallbacks)
-	}, name)
 
 	p.pm = pm
 }

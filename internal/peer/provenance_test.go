@@ -1,6 +1,7 @@
 package peer
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/acl"
@@ -36,6 +37,18 @@ func TestProvenanceRecordedAcrossStages(t *testing.T) {
 	why := prov.Why(album)
 	if len(why) != 1 || len(why[0].Supports) != 2 {
 		t.Fatalf("why(album) = %v", why)
+	}
+	// The exact support set, as recorded before tracing moved onto the
+	// compiled chains: both base facts, in body-walk order.
+	if got, want := fmt.Sprint(why[0].Supports), "[pictures@alice(1) private@alice(1)]"; got != want {
+		t.Fatalf("why(album) supports = %s, want %s", got, want)
+	}
+	if why := prov.Why(featured); len(why) != 1 || fmt.Sprint(why[0].Supports) != "[album@alice(1)]" {
+		t.Fatalf("why(featured) = %v, want one derivation from album@alice(1)", why)
+	}
+	// A traced peer runs the same compiled chains as any other.
+	if compiles, _, fallbacks := p.Engine().CompiledStats(); compiles == 0 || fallbacks != 0 {
+		t.Fatalf("CompiledStats() = (%d compiles, %d fallbacks) on a provenance peer, want (>0, 0)", compiles, fallbacks)
 	}
 	// featured's base supports reach through album to the two base facts.
 	base := prov.BaseSupports(featured)

@@ -45,12 +45,7 @@ func TestInsertManyMaintainsIndexes(t *testing.T) {
 		{value.Int(1), value.Str("b")},
 		{value.Int(2), value.Str("c")},
 	})
-	var hits int
-	r.Lookup(mask, []value.Value{value.Int(1)}, true, func(value.Tuple) bool {
-		hits++
-		return true
-	})
-	if hits != 2 {
+	if hits := total(probeMatches(r, mask, []value.Value{value.Int(1)})); hits != 2 {
 		t.Errorf("indexed lookup found %d tuples for k=1, want 2", hits)
 	}
 }

@@ -39,12 +39,12 @@ func BenchmarkRelationIndexedLookup(b *testing.B) {
 		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
 			r := benchRelation(n)
 			r.EnsureIndex(MaskOf(0))
-			bound := []value.Value{value.Int(7)}
+			key := value.Int(7).AppendKey(nil)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				count := 0
-				r.Lookup(MaskOf(0), bound, true, func(value.Tuple) bool { count++; return true })
+				r.Probe(MaskOf(0), key, func(value.Tuple) bool { count++; return true })
 			}
 		})
 	}
@@ -52,12 +52,17 @@ func BenchmarkRelationIndexedLookup(b *testing.B) {
 
 func BenchmarkRelationScanLookup(b *testing.B) {
 	r := benchRelation(10_000)
-	bound := []value.Value{value.Int(7)}
+	want := value.Int(7)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		count := 0
-		r.Lookup(MaskOf(0), bound, false, func(value.Tuple) bool { count++; return true })
+		r.Iterate(func(t value.Tuple) bool {
+			if t[0].Equal(want) {
+				count++
+			}
+			return true
+		})
 	}
 }
 

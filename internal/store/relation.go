@@ -78,7 +78,7 @@ func (m ColMask) Has(i int) bool { return m&(1<<uint(i)) != 0 }
 // is barely selective — think a constant or two-valued column: lookups
 // through it degenerate to scans, and every Delete pays a linear probe of
 // the giant bucket. Such indexes are dropped and remembered as degraded so
-// they are not rebuilt; Lookup falls back to scanning for those masks. A
+// they are not rebuilt; Probe falls back to scanning for those masks. A
 // merely *hot* bucket in an otherwise selective index (skew) is kept.
 const maxIndexBucket = 1024
 
@@ -113,7 +113,7 @@ type Relation struct {
 
 	// degraded remembers masks whose index was dropped as degenerate
 	// (degenerateBucket), mapped to the relation size at drop time, so it
-	// is not rebuilt on the next Lookup. A drop during a transiently
+	// is not rebuilt on the next Probe. A drop during a transiently
 	// skewed prefix (a bulk load arriving grouped by the indexed column)
 	// must not be forever: once the relation's size changes by 2x either
 	// way, the verdict is re-evaluated.
@@ -502,65 +502,6 @@ func (r *Relation) IndexCount() int {
 	return len(r.indexes)
 }
 
-// Lookup calls fn for every tuple whose columns in mask equal the
-// corresponding values in bound (bound has one entry per set bit of mask, in
-// ascending column order). If useIndex is true an index over mask is built
-// on first use; otherwise the relation is scanned. fn sees a snapshot taken
-// at call time and may mutate the relation (inserts during recursive rule
-// evaluation). Iteration stops when fn returns false.
-func (r *Relation) Lookup(mask ColMask, bound []value.Value, useIndex bool, fn func(value.Tuple) bool) {
-	if mask == 0 {
-		r.Iterate(fn)
-		return
-	}
-	if useIndex {
-		r.mu.Lock()
-		idx := r.ensureIndexLocked(mask)
-		if idx != nil {
-			bucket := idx[boundKey(bound)]
-			// The bucket's backing array is mutated in place only by Delete's
-			// swap-remove; appends during recursive insertion reallocate
-			// rather than alias. The engine's insert paths never delete
-			// mid-join, and its deletion pass (over-delete) may delete head
-			// tuples while a Lookup is in flight but records every deletion
-			// in its ghost set and re-sweeps ghosts after the Lookup, so a
-			// tuple skipped by the in-place swap is still visited. Any new
-			// caller that deletes during iteration must provide an
-			// equivalent re-sweep.
-			r.mu.Unlock()
-			for _, t := range bucket {
-				if !fn(t) {
-					return
-				}
-			}
-			return
-		}
-		// Degraded mask: fall through to the scan path.
-		r.mu.Unlock()
-	}
-	r.mu.RLock()
-	snap := make([]value.Tuple, 0, len(r.tuples))
-scan:
-	for _, t := range r.tuples {
-		bi := 0
-		for c := 0; c < len(t); c++ {
-			if mask.Has(c) {
-				if !t[c].Equal(bound[bi]) {
-					continue scan
-				}
-				bi++
-			}
-		}
-		snap = append(snap, t)
-	}
-	r.mu.RUnlock()
-	for _, t := range snap {
-		if !fn(t) {
-			return
-		}
-	}
-}
-
 // ContainsKey reports whether the relation holds a tuple with the given
 // canonical key — value.Tuple.Key's AppendKey encoding over every column.
 // The engine's compiled execution layer tests memberships with keys it has
@@ -573,12 +514,12 @@ func (r *Relation) ContainsKey(key []byte) bool {
 }
 
 // Probe calls fn for every tuple whose columns in mask encode (AppendKey,
-// ascending column order — the index-bucket key convention) to key. It is
-// Lookup with the bound values pre-encoded: the compiled execution layer
-// builds keys directly into a scratch buffer instead of collecting bound
-// []value.Value per probe. A zero mask iterates the whole relation; a
-// degraded mask falls back to a scan. fn sees a snapshot with the same
-// mutation caveats as Lookup.
+// ascending column order — the index-bucket key convention) to key; rule
+// execution builds keys directly into a scratch buffer. An index over mask
+// is built on first use. A zero mask iterates the whole relation; a
+// degraded mask falls back to a scan. fn sees a snapshot taken at call time
+// and may mutate the relation (inserts during recursive rule evaluation).
+// Iteration stops when fn returns false.
 func (r *Relation) Probe(mask ColMask, key []byte, fn func(value.Tuple) bool) {
 	if mask == 0 {
 		r.Iterate(fn)
@@ -588,7 +529,15 @@ func (r *Relation) Probe(mask ColMask, key []byte, fn func(value.Tuple) bool) {
 	idx := r.ensureIndexLocked(mask)
 	if idx != nil {
 		bucket := idx[string(key)]
-		// See Lookup for why handing the bucket out of the lock is sound.
+		// The bucket's backing array is mutated in place only by Delete's
+		// swap-remove; appends during recursive insertion reallocate
+		// rather than alias. The engine's insert paths never delete
+		// mid-join, and its deletion pass (over-delete) may delete head
+		// tuples while a Probe is in flight but records every deletion in
+		// its ghost set and re-sweeps ghosts after the Probe, so a tuple
+		// skipped by the in-place swap is still visited. Any new caller
+		// that deletes during iteration must provide an equivalent
+		// re-sweep.
 		r.mu.Unlock()
 		for _, t := range bucket {
 			if !fn(t) {
@@ -678,14 +627,6 @@ func indexKey(t value.Tuple, mask ColMask) string {
 		if mask.Has(c) {
 			dst = t[c].AppendKey(dst)
 		}
-	}
-	return string(dst)
-}
-
-func boundKey(bound []value.Value) string {
-	var dst []byte
-	for _, v := range bound {
-		dst = v.AppendKey(dst)
 	}
 	return string(dst)
 }

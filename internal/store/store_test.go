@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -99,12 +100,7 @@ func TestIndexedLookupMatchesScan(t *testing.T) {
 				if mask.Has(1) {
 					bound = append(bound, value.Str(b))
 				}
-				var viaIndex, viaScan int
-				r.Lookup(mask, bound, true, func(value.Tuple) bool { viaIndex++; return true })
-				r.Lookup(mask, bound, false, func(value.Tuple) bool { viaScan++; return true })
-				if viaIndex != viaScan {
-					t.Fatalf("mask %b bound %v: index %d != scan %d", mask, bound, viaIndex, viaScan)
-				}
+				diffMultiset(t, fmt.Sprintf("mask %b bound %v", mask, bound), scanMatches(r, mask, bound), probeMatches(r, mask, bound))
 			}
 		}
 	}
@@ -119,11 +115,7 @@ func TestIndexMaintainedAcrossMutations(t *testing.T) {
 	r.Insert(tup("a", "1"))
 	r.Insert(tup("a", "2"))
 	r.Insert(tup("b", "3"))
-	count := func(k string) int {
-		n := 0
-		r.Lookup(MaskOf(0), []value.Value{value.Str(k)}, true, func(value.Tuple) bool { n++; return true })
-		return n
-	}
+	count := func(k string) int { return total(probeMatches(r, MaskOf(0), []value.Value{value.Str(k)})) }
 	if count("a") != 2 || count("b") != 1 {
 		t.Fatalf("index counts wrong: a=%d b=%d", count("a"), count("b"))
 	}
@@ -143,7 +135,7 @@ func TestLookupEarlyStop(t *testing.T) {
 		r.Insert(tup("k", string(rune('a'+i))))
 	}
 	n := 0
-	r.Lookup(MaskOf(0), []value.Value{value.Str("k")}, true, func(value.Tuple) bool {
+	r.Probe(MaskOf(0), value.Str("k").AppendKey(nil), func(value.Tuple) bool {
 		n++
 		return n < 3
 	})
@@ -294,9 +286,7 @@ func TestDegradedIndexReevaluatedOnGrowth(t *testing.T) {
 		r.Insert(value.Tuple{value.Int(int64(i + 1)), value.Int(int64(i))})
 	}
 	// A lookup after 2x growth re-evaluates the verdict and rebuilds.
-	n := 0
-	r.Lookup(MaskOf(0), []value.Value{value.Int(5)}, true, func(value.Tuple) bool { n++; return true })
-	if n != 1 {
+	if n := total(probeMatches(r, MaskOf(0), []value.Value{value.Int(5)})); n != 1 {
 		t.Fatalf("lookup found %d tuples, want 1", n)
 	}
 	if r.IndexCount() != 1 {

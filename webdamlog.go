@@ -130,7 +130,9 @@ type Delta = peer.Delta
 // recovers the exhausted round budget.
 type QuiescenceError = peer.QuiescenceError
 
-// EngineOptions configures evaluation (semi-naive vs naive, indexes).
+// EngineOptions configures evaluation: incremental view maintenance vs
+// per-stage recomputation, the fixpoint iteration bound, and a derivation
+// tracer.
 type EngineOptions = engine.Options
 
 // PeerOption customizes peer creation in a System.

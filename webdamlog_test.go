@@ -46,8 +46,8 @@ func TestFacadeParsers(t *testing.T) {
 	if err != nil || len(prog.Facts) != 1 {
 		t.Fatalf("Parse: %v %v", prog, err)
 	}
-	if !webdamlog.DefaultEngineOptions().SemiNaive {
-		t.Error("default engine options must be semi-naive")
+	if !webdamlog.DefaultEngineOptions().Incremental {
+		t.Error("default engine options must maintain views incrementally")
 	}
 }
 
