@@ -331,9 +331,9 @@ func repl(ctx context.Context, p *peer.Peer, in io.Reader, out io.Writer) {
 			}
 		case line == "stats":
 			s := p.Stats()
-			fmt.Fprintf(out, "stages=%d skipped=%d derived=%d facts_in=%d facts_out=%d delegations_in=%d delegations_out=%d withdrawals=%d resync_requested=%d resync_snapshots=%d\n",
+			fmt.Fprintf(out, "stages=%d skipped=%d derived=%d facts_in=%d facts_out=%d delegations_in=%d delegations_out=%d withdrawals=%d resync_requested=%d resync_ranged_repairs=%d\n",
 				s.Stages, s.StagesSkipped, s.Derived, s.FactsIn, s.FactsOut, s.DelegationsIn, s.DelegationsOut, s.Withdrawals,
-				s.ResyncRequested, s.ResyncSnapshots)
+				s.ResyncRequested, s.ResyncRangedRepairs)
 		default:
 			fmt.Fprintln(out, "unknown command; try: +FACT -FACT rule drop dump rules pending accept reject stats quit")
 		}

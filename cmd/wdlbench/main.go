@@ -832,48 +832,58 @@ func runP8() error {
 	}
 	fmt.Println("-- receiver restart: kill and restart the volatile receiver, no further sender change --")
 	fmt.Printf("%-14s %8s %10s %10s %10s %10s %10s %12s\n",
-		"mode", "ops", "fixpoint", "rows after", "recovered", "requests", "snapshots", "recovery")
+		"mode", "ops", "fixpoint", "rows after", "recovered", "requests", "repairs", "recovery")
 	withR, err := bench.RunReceiverRestart(ops, true)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("%-14s %8d %10d %10d %10v %10d %10d %12v\n", "resync",
 		withR.Ops, withR.FixpointRows, withR.RowsAfter, withR.Recovered,
-		withR.Requests, withR.Snapshots, withR.RecoveryTime.Round(time.Millisecond))
+		withR.Requests, withR.Repairs, withR.RecoveryTime.Round(time.Millisecond))
 	without, err := bench.RunReceiverRestart(ops, false)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("%-14s %8d %10d %10d %10v %10d %10d %12s\n", "no resync",
 		without.Ops, without.FixpointRows, without.RowsAfter, without.Recovered,
-		without.Requests, without.Snapshots, "-")
+		without.Requests, without.Repairs, "-")
 	if !withR.Recovered {
 		return fmt.Errorf("p8: receiver did not recover the fixpoint via resync")
 	}
 	if without.Recovered {
 		return fmt.Errorf("p8: receiver recovered with resync disabled — the ablation is not measuring the mechanism")
 	}
+	// An empty ledger is repaired by the advert alone: no bisection round,
+	// and every maintained fact shipped exactly once — the served repair
+	// bytes are the view's full-range repair run, no more.
+	metric("restart_repair_bytes", float64(withR.RepairBytes))
+	metric("restart_full_view_bytes", float64(withR.FullViewBytes))
+	metric("restart_range_digest_bytes", float64(withR.RangeDigestBytes))
+	if withR.RangeDigestBytes != 0 {
+		return fmt.Errorf("p8: repairing an empty receiver served %dB of range digests; the advert alone should route it", withR.RangeDigestBytes)
+	}
+	if withR.RepairBytes != withR.FullViewBytes {
+		return fmt.Errorf("p8: repairing an empty receiver served %dB of repairs; shipping each fact once is %dB",
+			withR.RepairBytes, withR.FullViewBytes)
+	}
 
 	fmt.Println("\n-- steady-state anti-entropy cost per period, unchanged view --")
 	fmt.Printf("%-14s %12s | %-22s %12s | %s\n", "digest advert", "bytes", "naive full re-send", "bytes", "ratio")
 	fmt.Printf("%-14s %12d | %-22s %12d | %.1fx smaller\n", "",
-		withR.DigestBytes, "", withR.SnapshotBytes,
-		float64(withR.SnapshotBytes)/float64(withR.DigestBytes))
-	if withR.DigestBytes >= withR.SnapshotBytes {
+		withR.DigestBytes, "", withR.FullViewBytes,
+		float64(withR.FullViewBytes)/float64(withR.DigestBytes))
+	if uint64(withR.DigestBytes) >= withR.FullViewBytes {
 		return fmt.Errorf("p8: digest advert (%dB) is not smaller than a full re-send (%dB)",
-			withR.DigestBytes, withR.SnapshotBytes)
+			withR.DigestBytes, withR.FullViewBytes)
 	}
 	metric("steady_digest_bytes", float64(withR.DigestBytes))
-	metric("steady_snapshot_bytes", float64(withR.SnapshotBytes))
+	metric("steady_full_view_bytes", float64(withR.FullViewBytes))
 
 	// Large-view tier: the *sender* restarts against a receiver whose huge
-	// maintained ledger is intact except for a small δ. The ranged arm must
-	// repair through the Merkle bisection dialogue — no full snapshot served
-	// — in a small fraction of the full view's wire cost. The ablation arm
-	// (dialogue disabled) runs at the smallest tier and must converge to the
-	// identical fixpoint by re-shipping the whole view, which also validates
-	// the measured counterfactual snapshot size the larger tiers assert
-	// their ratio against.
+	// maintained ledger is intact except for a small δ. The repair must run
+	// through the Merkle bisection dialogue in a small fraction of what
+	// re-sending the view costs — the encoded size of its full-range repair
+	// run (peer.ViewRepairBytes).
 	fmt.Println("\n-- large-view repair: sender restart, δ-divergent intact receiver ledger --")
 	tiers := []struct {
 		size, div int
@@ -888,18 +898,15 @@ func runP8() error {
 	fmt.Printf("%-10s %6s %10s %10s | %12s %14s | %10s\n",
 		"view", "δ", "recovered", "recovery", "repair bytes", "full view", "ratio")
 	for _, tier := range tiers {
-		r, err := bench.RunLargeViewRepair(tier.size, tier.div, true)
+		r, err := bench.RunLargeViewRepair(tier.size, tier.div)
 		if err != nil {
 			return err
 		}
 		if !r.Recovered {
 			return fmt.Errorf("p8: large-view ranged repair did not recover the fixpoint at %d facts", tier.size)
 		}
-		if r.Snapshots != 0 {
-			return fmt.Errorf("p8: large-view ranged arm served %d full snapshots at %d facts; want 0", r.Snapshots, tier.size)
-		}
 		if r.RangedRepairs == 0 {
-			return fmt.Errorf("p8: large-view ranged arm served no ranged repairs at %d facts", tier.size)
+			return fmt.Errorf("p8: large-view tier served no ranged repairs at %d facts", tier.size)
 		}
 		ratio := float64(r.FullViewBytes) / float64(r.RepairBytes)
 		fmt.Printf("%-10d %6d %10v %10v | %12d %14d | %8.0fx\n",
@@ -909,38 +916,19 @@ func runP8() error {
 		metric(fmt.Sprintf("large_%d_full_view_bytes", tier.size), float64(r.FullViewBytes))
 		metric(fmt.Sprintf("large_%d_ratio", tier.size), ratio)
 		if ratio < tier.minRatio {
-			return fmt.Errorf("p8: ranged repair is only %.1fx smaller than a full snapshot at %d facts; want >= %.0fx",
+			return fmt.Errorf("p8: ranged repair is only %.1fx smaller than a full re-send at %d facts; want >= %.0fx",
 				ratio, tier.size, tier.minRatio)
 		}
 	}
-	abl, err := bench.RunLargeViewRepair(tiers[0].size, tiers[0].div, false)
-	if err != nil {
-		return err
-	}
-	if !abl.Recovered {
-		return fmt.Errorf("p8: large-view snapshot ablation did not recover the fixpoint")
-	}
-	if abl.Snapshots == 0 || abl.RangedRepairs != 0 {
-		return fmt.Errorf("p8: large-view ablation took the wrong path: %d snapshots, %d ranged repairs",
-			abl.Snapshots, abl.RangedRepairs)
-	}
-	if abl.SnapshotBytes < abl.FullViewBytes {
-		return fmt.Errorf("p8: ablation served %dB of snapshot, below one measured full view (%dB) — the counterfactual is off",
-			abl.SnapshotBytes, abl.FullViewBytes)
-	}
-	fmt.Printf("%-10d %6d %10v %10v | %12d %14s | %s\n",
-		abl.ViewSize, abl.Divergence, abl.Recovered, abl.Recovery.Round(time.Millisecond),
-		abl.SnapshotBytes, "(ablation)", "full snapshot path")
-	metric("large_ablation_snapshot_bytes", float64(abl.SnapshotBytes))
 
 	fmt.Println("\nexpected shape: without resync the restarted receiver stays empty forever")
 	fmt.Println("(the documented pre-resync gap); with it, the sender's periodic digest advert")
-	fmt.Println("finds the empty receiver, a stream reset replays a snapshot, and contents")
-	fmt.Println("equal the fault-free fixpoint — while an unchanged view costs only a")
-	fmt.Println("constant-size digest per period instead of a full re-send. On the large-view")
-	fmt.Println("tier the Merkle bisection dialogue repairs a δ-key divergence in O(δ log n)")
-	fmt.Println("bytes — two orders of magnitude under the O(view) snapshot at the 1M tier —")
-	fmt.Println("while both repair paths converge to the identical fixpoint.")
+	fmt.Println("finds the empty receiver, a stream reset re-ships the view once as full-range")
+	fmt.Println("repairs, and contents equal the fault-free fixpoint — while an unchanged view")
+	fmt.Println("costs only a constant-size digest per period instead of a full re-send. On the")
+	fmt.Println("large-view tier the same repair messages, narrowed by the Merkle bisection")
+	fmt.Println("dialogue, fix a δ-key divergence in O(δ log n) bytes — two orders of magnitude")
+	fmt.Println("under the O(view) re-send at the 1M tier.")
 	return nil
 }
 

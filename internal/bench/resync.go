@@ -24,15 +24,23 @@ type ResyncResult struct {
 	RowsAfter    int  // rows at the receiver when the run ended
 	RecoveryTime time.Duration
 
-	// Resync work actually performed.
-	Requests  uint64 // resync requests the receiver sent
-	Snapshots uint64 // repair snapshots the sender served
+	// Resync work actually performed: repair requests the receiver sent,
+	// and what the sender served — repair messages, their encoded size, and
+	// the encoded size of range-digest replies (bisection rounds beyond the
+	// advert; an empty receiver needs none).
+	Requests         uint64
+	Repairs          uint64
+	RepairBytes      uint64
+	RangeDigestBytes uint64
 
 	// Steady-state anti-entropy cost per period on an *unchanged* view:
 	// what one digest advert costs on the wire versus what naively
-	// re-sending the whole maintained view would cost.
+	// re-sending the whole maintained view would cost — the encoded size of
+	// its full-range repair run as the sender cuts it
+	// (peer.ViewRepairBytes). A restarted receiver's repair costs exactly
+	// that when every maintained fact is shipped once.
 	DigestBytes   int
-	SnapshotBytes int
+	FullViewBytes uint64
 }
 
 // resyncBenchInterval paces the anti-entropy adverts fast enough for a
@@ -155,10 +163,6 @@ func RunReceiverRestart(ops int, resync bool) (ResyncResult, error) {
 
 	// Steady-state anti-entropy cost on the (now unchanged) view: one
 	// digest advert versus one naive full re-send of the same view.
-	snap := protocol.SnapshotMsg{}
-	for _, t := range want {
-		snap.Ops = append(snap.Ops, protocol.FactDelta{Maint: true, Fact: ast.Fact{Rel: "view", Peer: "b", Args: t}})
-	}
 	advert := protocol.DigestMsg{
 		Epoch:   1,
 		AsOfSeq: uint64(ops),
@@ -168,11 +172,8 @@ func RunReceiverRestart(ops int, resync bool) (ResyncResult, error) {
 	if err != nil {
 		return res, err
 	}
-	sb, err := protocol.EncodePayload(snap)
-	if err != nil {
-		return res, err
-	}
-	res.DigestBytes, res.SnapshotBytes = len(db), len(sb)
+	res.DigestBytes = len(db)
+	res.FullViewBytes = a.ViewRepairBytes("b")
 
 	// Kill the receiver; bring up a fresh volatile incarnation. The sender
 	// changes nothing from here on.
@@ -199,14 +200,14 @@ func RunReceiverRestart(ops int, resync bool) (ResyncResult, error) {
 	}
 	res.RowsAfter = len(b2.Query("view"))
 	res.Requests = b2.Stats().ResyncRequested
-	res.Snapshots = a.Stats().ResyncSnapshots
+	s := a.Stats()
+	res.Repairs, res.RepairBytes, res.RangeDigestBytes = s.ResyncRangedRepairs, s.ResyncRangedRepairBytes, s.ResyncRangeDigestBytes
 	return res, nil
 }
 
 // LargeViewResult measures the large-view tier of experiment P8: a sender
 // restart against a receiver whose huge maintained view is almost correct,
-// repaired either through the Merkle-ranged bisection dialogue or (the
-// ablation) by re-shipping the whole view as a snapshot.
+// repaired through the Merkle-ranged bisection dialogue.
 type LargeViewResult struct {
 	ViewSize   int
 	Divergence int // keys the restarted sender lost + keys it gained
@@ -214,46 +215,34 @@ type LargeViewResult struct {
 	Recovery   time.Duration
 
 	// Sender-side repair traffic actually served.
-	Snapshots       uint64
-	SnapshotBytes   uint64
 	RangedRepairs   uint64
 	RangedBytes     uint64 // RangeRepairMsg bytes
 	DigestBytes     uint64 // RangeDigestMsg reply bytes
 	RangesRequested uint64 // receiver-side: leaf ranges whose repair was asked
 
 	// RepairBytes is what the repair cost on the wire: bisection digests
-	// plus ranged repairs when the dialogue ran, the snapshot when not.
+	// plus ranged repairs.
 	RepairBytes uint64
 
-	// FullViewBytes is the measured encoded size of one full-view snapshot
-	// of the final fixpoint (chunked exactly as the repair path chunks it)
-	// — the counterfactual cost a snapshot repair pays at this tier. The
-	// ablation arm's served SnapshotBytes is at least this (it re-ships the
-	// view at least once); measuring it directly lets the largest tier
-	// assert its ratio without driving a multi-minute snapshot arm.
+	// FullViewBytes is the encoded size of the final fixpoint's full-range
+	// repair run (peer.ViewRepairBytes) — the counterfactual cost of
+	// re-sending the whole view at this tier.
 	FullViewBytes uint64
 }
 
 // RunLargeViewRepair loads a maintained view of viewSize facts, converges,
 // then restarts the *sender* as a fresh incarnation that lost `divergence`
 // of its facts and gained `divergence` new ones. The receiver's ledger is
-// intact and almost correct — the scenario the ranged dialogue exists for.
-// With ranged=false the dialogue is disabled (RangedRepairFloor < 0) and
-// the same divergence is repaired by a full snapshot.
-func RunLargeViewRepair(viewSize, divergence int, ranged bool) (LargeViewResult, error) {
+// intact and almost correct — the scenario the bisection dialogue exists for.
+func RunLargeViewRepair(viewSize, divergence int) (LargeViewResult, error) {
 	res := LargeViewResult{ViewSize: viewSize, Divergence: 2 * divergence}
-	floor := 0
-	if !ranged {
-		floor = -1
-	}
 	n := peer.NewNetwork()
 	mkPeer := func(name string) (*peer.Peer, error) {
 		p, err := peer.New(peer.Config{
-			Name:              name,
-			OutboxAckTimeout:  20 * time.Millisecond,
-			OutboxBackoff:     5 * time.Millisecond,
-			ResyncInterval:    resyncBenchInterval,
-			RangedRepairFloor: floor,
+			Name:             name,
+			OutboxAckTimeout: 20 * time.Millisecond,
+			OutboxBackoff:    5 * time.Millisecond,
+			ResyncInterval:   resyncBenchInterval,
 		}, n.Bus().Endpoint(name))
 		if err != nil {
 			return nil, err
@@ -375,38 +364,12 @@ func RunLargeViewRepair(viewSize, divergence int, ranged bool) (LargeViewResult,
 	res.Recovery = time.Since(start)
 
 	s := a2.Stats()
-	res.Snapshots = s.ResyncSnapshots
-	res.SnapshotBytes = s.ResyncSnapshotBytes
 	res.RangedRepairs = s.ResyncRangedRepairs
 	res.RangedBytes = s.ResyncRangedRepairBytes
 	res.DigestBytes = s.ResyncRangeDigestBytes
 	res.RangesRequested = b.Stats().ResyncRangesRequested
-	if ranged {
-		res.RepairBytes = res.RangedBytes + res.DigestBytes
-	} else {
-		res.RepairBytes = res.SnapshotBytes
-	}
+	res.RepairBytes = res.RangedBytes + res.DigestBytes
 
-	// Counterfactual: the wire cost of re-shipping the final view as one
-	// chunked snapshot, measured by encoding the actual messages.
-	const chunkOps = 4096
-	for off := 0; off < len(final); off += chunkOps {
-		hi := off + chunkOps
-		if hi > len(final) {
-			hi = len(final)
-		}
-		msg := protocol.SnapshotMsg{More: hi < len(final)}
-		for _, k := range final[off:hi] {
-			msg.Ops = append(msg.Ops, protocol.FactDelta{
-				Maint: true,
-				Fact:  ast.Fact{Rel: "view", Peer: "b", Args: value.Tuple{value.Int(k)}},
-			})
-		}
-		enc, err := protocol.EncodePayload(msg)
-		if err != nil {
-			return res, err
-		}
-		res.FullViewBytes += uint64(len(enc))
-	}
+	res.FullViewBytes = a2.ViewRepairBytes("b")
 	return res, nil
 }

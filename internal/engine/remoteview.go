@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"sort"
-
 	"repro/internal/ast"
 	"repro/internal/store"
 	"repro/internal/value"
@@ -12,7 +10,7 @@ import (
 // program currently derives for remote peers (Derive-op heads only). It used
 // to be a private field of the Engine; it is now owned by the peer's
 // outbound session layer — it is per-(sender, receiver) stream state, the
-// thing a resync snapshot replays — and passed into RunStageFull /
+// thing a resync repair re-ships — and passed into RunStageFull /
 // RunStageIncremental, which diff each stage's emission set against it to
 // produce Result.RemoteOut.
 //
@@ -20,7 +18,7 @@ import (
 // (store.MerkleTree) per destination and relation, maintained incrementally
 // from the stage's own maintained deltas — never rebuilt by walking the
 // view. The tree roots are the O(1) digests an anti-entropy advert carries,
-// and the trees answer the bisection dialogue's range-digest and range-fact
+// and the trees answer the repair dialogue's range-digest and range-fact
 // queries in O(log n).
 //
 // A RemoteView is not safe for concurrent use; the peer accesses it under
@@ -69,34 +67,26 @@ func (v *RemoteView) Tree(dst, relID string) *store.MerkleTree {
 	return v.trees[dst][relID]
 }
 
-// RangeFacts returns the maintained facts of relID at dst whose canonical
-// key hash falls in the inclusive range [lo, hi], in canonical (hash, key)
-// order — the content of one ranged repair. The slice is the caller's.
-func (v *RemoteView) RangeFacts(dst, relID string, lo, hi uint64) []ast.Fact {
+// RangeFacts reads the maintained facts of relID at dst whose canonical key
+// hash falls in the inclusive range [lo, hi], in canonical (hash, key)
+// order, at most max at a time (max <= 0: all of them). It returns the end
+// of the hash sub-range the facts exhaust — [lo, end] holds exactly these
+// facts, and end == hi when the read was not cut (store.MerkleTree.RangeKeys)
+// — so one read is the content of one self-contained ranged repair and
+// [end+1, hi] is what the next one covers. The slice is the caller's.
+func (v *RemoteView) RangeFacts(dst, relID string, lo, hi uint64, max int) (facts []ast.Fact, end uint64) {
 	tr := v.trees[dst][relID]
 	if tr == nil {
-		return nil
+		return nil, hi
 	}
-	keys := tr.RangeKeys(lo, hi)
-	out := make([]ast.Fact, 0, len(keys))
+	keys, end := tr.RangeKeys(lo, hi, max)
+	facts = make([]ast.Fact, 0, len(keys))
 	for _, key := range keys {
 		if f, ok := v.views[dst][relID+"|"+key]; ok {
-			out = append(out, f)
+			facts = append(facts, f)
 		}
 	}
-	return out
-}
-
-// SnapshotFacts returns every fact maintained at dst, sorted by key — the
-// consistent content of a resync snapshot. The slice is the caller's.
-func (v *RemoteView) SnapshotFacts(dst string) []ast.Fact {
-	m := v.views[dst]
-	out := make([]ast.Fact, 0, len(m))
-	for _, f := range m {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
-	return out
+	return facts, end
 }
 
 // Diff diffs one stage's full Derive-op emission set against the maintained

@@ -67,7 +67,7 @@ func TestRemoteViewTreesTrackDiff(t *testing.T) {
 				if d := v.Digests(dst)[relID]; d != wantDig {
 					t.Fatalf("round %d: Digests %+v, want %+v", round, d, wantDig)
 				}
-				got := v.RangeFacts(dst, relID, 0, ^uint64(0))
+				got, _ := v.RangeFacts(dst, relID, 0, ^uint64(0), 0)
 				if len(got) != len(facts) {
 					t.Fatalf("round %d: RangeFacts full range returned %d facts, want %d", round, len(got), len(facts))
 				}
@@ -81,8 +81,8 @@ func TestRemoteViewTreesTrackDiff(t *testing.T) {
 						n++
 					}
 				}
-				if got := v.RangeFacts(dst, relID, lo, hi); len(got) != n {
-					t.Fatalf("round %d: RangeFacts[%x,%x] returned %d facts, want %d", round, lo, hi, len(got), n)
+				if got, end := v.RangeFacts(dst, relID, lo, hi, 0); len(got) != n || end != hi {
+					t.Fatalf("round %d: RangeFacts[%x,%x] returned %d facts to %x, want %d", round, lo, hi, len(got), end, n)
 				}
 			}
 		}
@@ -106,8 +106,8 @@ func TestRemoteViewOneShotDeleteSkipsTree(t *testing.T) {
 	if tr := v.Tree("b", "u@b"); tr != nil && tr.Len() != 0 {
 		t.Fatalf("cancelled insert joined the tree: %d members", tr.Len())
 	}
-	if len(v.SnapshotFacts("b")) != 0 {
-		t.Fatalf("cancelled insert joined the view: %v", v.SnapshotFacts("b"))
+	if len(v.views["b"]) != 0 {
+		t.Fatalf("cancelled insert joined the view: %v", v.views["b"])
 	}
 }
 

@@ -175,7 +175,7 @@ func TestApplyPendingOpsBound(t *testing.T) {
 
 // TestSlowPeerShedResetsStream: a destination with pending entries and no
 // ack progress for the shed window has its stream reset with the backlog
-// discarded — the queue depth collapses to the single snapshot entry.
+// discarded — the queue depth collapses to the single repair entry.
 func TestSlowPeerShedResetsStream(t *testing.T) {
 	n := NewNetwork()
 	alice, err := n.NewPeer(Config{
@@ -203,7 +203,7 @@ func TestSlowPeerShedResetsStream(t *testing.T) {
 	eventually(t, time.Second, func() bool {
 		total, _ := alice.OutboxPending()
 		return total == 1
-	}, "backlog not discarded: pending != 1 (the snapshot) after shed")
+	}, "backlog not discarded: pending != 1 (the repair) after shed")
 	if alice.Stats().OutboxResets == 0 {
 		t.Error("OutboxResets = 0 after a shed")
 	}
@@ -211,8 +211,8 @@ func TestSlowPeerShedResetsStream(t *testing.T) {
 
 // TestShedRepairedByResync is the end-to-end acceptance: a derived view
 // maintained at a stalled destination survives a shed — when the
-// destination wakes up it adopts the fresh stream and the shed snapshot
-// rebuilds the full view, despite the discarded backlog.
+// destination wakes up it adopts the fresh stream and the shed stream's
+// repair run rebuilds the full view, despite the discarded backlog.
 func TestShedRepairedByResync(t *testing.T) {
 	n := NewNetwork()
 	alice, err := n.NewPeer(Config{
@@ -261,5 +261,5 @@ func TestShedRepairedByResync(t *testing.T) {
 	go bob.Run(bctx)
 	eventually(t, 5*time.Second, func() bool {
 		return len(bob.Query("mirror")) == N
-	}, "shed snapshot did not rebuild the maintained view at the recovered peer")
+	}, "shed repair did not rebuild the maintained view at the recovered peer")
 }

@@ -1,0 +1,217 @@
+package peer
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"repro/internal/ast"
+	"repro/internal/protocol"
+	"repro/internal/store"
+	"repro/internal/value"
+)
+
+// fuzzBytes hands out the fuzz input a byte at a time, zeros once exhausted.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next() byte {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := (*b)[0]
+	*b = (*b)[1:]
+	return v
+}
+
+var fuzzRelIDs = []string{"view@b", "ext@b", "other@b", "view@c"}
+var fuzzRels = []string{"view", "ext", "other", "view"}
+
+// fuzzRangeRepair decodes the fuzz input into a ranged repair: a relation
+// id, up to 1023 ranges at 1/256th-of-the-hash-line granularity (Hi < Lo and
+// overlaps included), and ops over a small key space with every way of
+// being malformed one flag bit away.
+func fuzzRangeRepair(data []byte) protocol.RangeRepairMsg {
+	in := fuzzBytes(data)
+	msg := protocol.RangeRepairMsg{RelID: fuzzRelIDs[in.next()%4]}
+	for n := (int(in.next())<<8 | int(in.next())) % 1024; n > 0; n-- {
+		lo, hi := uint64(in.next())<<56, uint64(in.next())<<56|(1<<56-1)
+		msg.Ranges = append(msg.Ranges, protocol.HashRange{Lo: lo, Hi: hi})
+	}
+	for len(in) > 0 {
+		flags, k := in.next(), int64(in.next())
+		fd := protocol.FactDelta{
+			Delete: flags&1 != 0,
+			Maint:  flags&2 == 0,
+			Fact:   ast.NewFact(fuzzRels[flags>>2%4], "b", value.Int(k)),
+		}
+		if flags&16 != 0 {
+			fd.Fact.Peer = "c"
+		}
+		if flags&32 != 0 {
+			fd.Fact.Args = append(fd.Fact.Args, value.Int(k))
+		}
+		msg.Ops = append(msg.Ops, fd)
+	}
+	return msg
+}
+
+// ledgerKeys copies one session ledger's key sets, checking on the way that
+// every relation's summary tree still digests exactly its support map.
+func ledgerKeys(t *testing.T, p *Peer, from string) map[string]map[string]bool {
+	t.Helper()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	s := p.sessionLocked(from)
+	out := map[string]map[string]bool{}
+	for relID, m := range s.sup {
+		var d store.Digest
+		out[relID] = map[string]bool{}
+		for key := range m {
+			d.Add(key)
+			out[relID][key] = true
+		}
+		if got := s.ledgerDigest(relID); got != d {
+			t.Fatalf("%s ledger tree of %s digests %+v, its support map %+v", from, relID, got, d)
+		}
+	}
+	for relID := range s.trees {
+		if out[relID] == nil {
+			t.Fatalf("%s ledger keeps a tree for %s without support", from, relID)
+		}
+	}
+	return out
+}
+
+// FuzzRangeRepair: applying an arbitrary RangeRepairMsg from sender a — the
+// byte boundary a hostile or buggy peer reaches the ledger through — never
+// panics, never touches sender c's support, leaves a's ledger outside the
+// stated ranges untouched and inside them equal to the message's valid ops,
+// and keeps the view equal to what the two ledgers support.
+func FuzzRangeRepair(f *testing.F) {
+	full := []byte{0x00, 0xff}
+	enc := func(rel byte, ranges [][]byte, ops ...byte) []byte {
+		out := []byte{rel, byte(len(ranges) >> 8), byte(len(ranges))}
+		for _, r := range ranges {
+			out = append(out, r...)
+		}
+		return append(out, ops...)
+	}
+	many := make([][]byte, rangedMaxRanges+1)
+	for i := range many {
+		many[i] = full
+	}
+	f.Add(enc(0, [][]byte{full}, 0, 1, 0, 2))                             // well-formed: view@b becomes {1, 2}
+	f.Add(enc(0, [][]byte{{0x80, 0x10}}, 0, 3))                           // Hi < Lo
+	f.Add(enc(0, [][]byte{{0x00, 0x90}, {0x40, 0xff}}, 0, 7))             // overlapping ranges
+	f.Add(enc(0, [][]byte{full}, 16, 5))                                  // foreign Fact.Peer
+	f.Add(enc(0, [][]byte{full}, 4, 5))                                   // op for another relation than RelID
+	f.Add(enc(3, [][]byte{full}, 0, 5))                                   // RelID at another peer
+	f.Add(enc(0, [][]byte{full}, 1, 5))                                   // Delete op
+	f.Add(enc(0, [][]byte{full}, 2, 5))                                   // unmaintained op
+	f.Add(enc(0, many, 0, 9))                                             // > rangedMaxRanges
+	f.Add(enc(0, [][]byte{{0x00, 0x0f}}, 0, 200, 0, 201, 0, 202, 0, 203)) // new keys hashing outside the stated range
+	f.Add(enc(1, [][]byte{full}))                                         // empty an extensional relation's ledger
+	f.Add(enc(2, [][]byte{full}, 8, 5, 40, 6))                            // undeclared relation, wrong arity
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		msg := fuzzRangeRepair(data)
+
+		n := NewSequentialNetwork()
+		b, err := n.NewPeer(Config{Name: "b", ResyncInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		if err := b.DeclareRelation("view", ast.Intensional, "x"); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.DeclareRelation("ext", ast.Extensional, "x"); err != nil {
+			t.Fatal(err)
+		}
+		// Senders a and c each maintain 64 facts in both relations, half of
+		// them shared.
+		deliver := func(from string, seq uint64, payload protocol.Payload) *StageReport {
+			t.Helper()
+			ep := n.Bus().Endpoint(from)
+			if err := ep.Send(context.Background(), "b", protocol.DataMsg{Epoch: 1, Seq: seq, Msg: payload}); err != nil {
+				t.Fatal(err)
+			}
+			return b.RunStage()
+		}
+		for from, base := range map[string]int64{"a": 0, "c": 32} {
+			var load protocol.FactsMsg
+			for k := base; k < base+64; k++ {
+				for _, rel := range []string{"view", "ext"} {
+					load.Ops = append(load.Ops, protocol.FactDelta{Maint: true, Fact: ast.NewFact(rel, "b", value.Int(k))})
+				}
+			}
+			if rep := deliver(from, 1, load); len(rep.Errors) > 0 {
+				t.Fatal(rep.Errors)
+			}
+		}
+		before, beforeC := ledgerKeys(t, b, "a"), ledgerKeys(t, b, "c")
+
+		rep := deliver("a", 2, msg)
+
+		// The oracle: the ledger a well-behaved receiver ends up with.
+		inRanges := func(key string) bool {
+			h := store.KeyHash(key)
+			for _, r := range msg.Ranges {
+				if r.Lo <= h && h <= r.Hi {
+					return true
+				}
+			}
+			return false
+		}
+		want := before
+		refused := 1 // a message over the range cap is refused whole
+		if len(msg.Ranges) <= rangedMaxRanges {
+			refused = len(msg.Ops)
+			rel := map[string]bool{}
+			for key := range before[msg.RelID] {
+				if !inRanges(key) {
+					rel[key] = true
+				}
+			}
+			for _, fd := range msg.Ops {
+				key := fd.Fact.Args.Key()
+				if !fd.Delete && fd.Maint && fd.Fact.Peer == "b" && fd.Fact.Rel+"@b" == msg.RelID && inRanges(key) {
+					rel[key] = true
+					refused--
+				}
+			}
+			delete(want, msg.RelID)
+			if len(rel) > 0 {
+				want[msg.RelID] = rel
+			}
+		}
+		if got := b.Stats().RuntimeErrors; len(rep.Errors) < refused || got != uint64(len(rep.Errors)) {
+			t.Fatalf("%d refusals reported as %d stage errors and counted as %d", refused, len(rep.Errors), got)
+		}
+		if got := ledgerKeys(t, b, "a"); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("a's ledger after %+v:\n got %v\nwant %v", msg, got, want)
+		}
+		afterC := ledgerKeys(t, b, "c")
+		if fmt.Sprint(afterC) != fmt.Sprint(beforeC) {
+			t.Fatalf("a's repair changed c's ledger:\n got %v\nwant %v", afterC, beforeC)
+		}
+		// view@b has no local rules: it holds exactly what a and c support.
+		supported := map[string]bool{}
+		for _, ledger := range []map[string]map[string]bool{want, afterC} {
+			for key := range ledger["view@b"] {
+				if tup, err := value.DecodeKey(key); err == nil && len(tup) == 1 {
+					supported[key] = true
+				}
+			}
+		}
+		view := b.Query("view")
+		for _, tup := range view {
+			if !supported[tup.Key()] {
+				t.Fatalf("view@b holds %v, which neither sender supports", tup)
+			}
+		}
+		if len(view) != len(supported) {
+			t.Fatalf("view@b holds %d tuples, the ledgers support %d", len(view), len(supported))
+		}
+	})
+}

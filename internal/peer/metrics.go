@@ -72,7 +72,7 @@ func (p *Peer) registerMetrics(reg *metrics.Registry) {
 	reg.Counter("wdl_backpressure_rejections_total",
 		"Apply admissions rejected with ErrBackpressure (fail-fast).", "peer").Func(atomicFn(&ob.bpRejects), name)
 	reg.Counter("wdl_resync_adverts_total",
-		"Anti-entropy digest adverts transmitted.", "peer").Func(atomicFn(&ob.adverts), name)
+		"Periodic anti-entropy digest adverts transmitted.", "peer").Func(atomicFn(&ob.adverts), name)
 
 	reg.Gauge("wdl_outbox_depth",
 		"Unacknowledged outbox entries across all destinations.", "peer").Func(func() float64 {
@@ -113,14 +113,8 @@ func (p *Peer) registerMetrics(reg *metrics.Registry) {
 	reg.Counter("wdl_resync_requests_total",
 		"Anti-entropy repair requests sent (as a receiver).", "peer").Func(
 		statFn(func(s *Stats) uint64 { return s.ResyncRequested }), name)
-	reg.Counter("wdl_resync_snapshots_total",
-		"Repair snapshots served (as a sender, including sheds).", "peer").Func(
-		statFn(func(s *Stats) uint64 { return s.ResyncSnapshots }), name)
-	reg.Counter("wdl_resync_snapshot_bytes_total",
-		"Total encoded size of repair snapshots served.", "peer").Func(
-		statFn(func(s *Stats) uint64 { return s.ResyncSnapshotBytes }), name)
 	reg.Counter("wdl_resync_ranged_repairs_total",
-		"Ranged repair messages served (as a sender).", "peer").Func(
+		"Ranged repair messages served (as a sender, including reset and shed runs).", "peer").Func(
 		statFn(func(s *Stats) uint64 { return s.ResyncRangedRepairs }), name)
 	reg.Counter("wdl_resync_ranged_repair_bytes_total",
 		"Total encoded size of ranged repair messages served.", "peer").Func(

@@ -63,7 +63,6 @@ type outbox struct {
 	ep   transport.Endpoint
 	ctx  context.Context // peer lifetime: cancellation stops flushers and aborts dials
 	sync bool            // Config.SyncEmit: no flusher goroutines
-	logf func(string, ...any)
 
 	// defaultEpoch is the epoch new streams start in: random per instance
 	// for volatile peers, overridden with the persisted value for WAL-backed
@@ -99,7 +98,7 @@ type outbox struct {
 	// shedAfter, when positive, arms slow-peer shedding: a destination
 	// whose queue has pending entries but has made no ack progress for
 	// this long is shed — onShed is invoked (off all outbox locks) and is
-	// expected to reset the stream with a fresh snapshot via ShedReset,
+	// expected to reset the stream around a fresh repair run via ShedReset,
 	// dropping the wedged backlog and letting anti-entropy repair the
 	// destination when it recovers.
 	shedAfter time.Duration
@@ -144,12 +143,11 @@ type outbox struct {
 	bpRejects   atomic.Uint64 // admissions rejected with ErrBackpressure
 }
 
-func newOutbox(ep transport.Endpoint, ctx context.Context, syncMode bool, logf func(string, ...any)) *outbox {
+func newOutbox(ep transport.Endpoint, ctx context.Context, syncMode bool) *outbox {
 	return &outbox{
 		ep:           ep,
 		ctx:          ctx,
 		sync:         syncMode,
-		logf:         logf,
 		defaultEpoch: newEpoch(),
 		ackTimeout:   defaultAckTimeout,
 		baseBackoff:  defaultBaseBackoff,
@@ -246,27 +244,6 @@ func (o *outbox) EnqueueData(dst string, msg protocol.Payload) uint64 {
 	return seq
 }
 
-// EnqueueDataBatch enqueues a run of sequenced payloads contiguously: the
-// enqueue mutex is held across the whole run, so no concurrent enqueuer can
-// interleave a message between them. Chunked snapshots rely on this — the
-// receiver buffers chunks until the final one and must see them as one
-// uninterrupted sequence run (interleaved FactsMsgs would apply against the
-// pre-snapshot ledger, then be overwritten by the buffered chunks).
-func (o *outbox) EnqueueDataBatch(dst string, msgs ...protocol.Payload) {
-	if len(msgs) == 0 {
-		return
-	}
-	dq := o.queue(dst)
-	dq.enqMu.Lock()
-	for _, msg := range msgs {
-		o.enqueueHeld(dq, dst, msg)
-	}
-	dq.enqMu.Unlock()
-	o.enqueued.Add(uint64(len(msgs)))
-	dq.signal()
-	o.notifyActive()
-}
-
 // EnqueueDataCtx is EnqueueData with admission control: when the
 // destination's queue holds limit or more unacknowledged entries, a
 // fail-fast outbox rejects with ErrBackpressure immediately, a blocking one
@@ -340,20 +317,20 @@ func (o *outbox) enqueueHeld(dq *sendSession, dst string, msg protocol.Payload) 
 
 // Reset tears down and restarts the stream to dst under a fresh epoch — the
 // anti-entropy repair for a receiver that lost its stream state. The given
-// payloads (the resync snapshot, possibly chunked) become the new sequences
-// 1..n; surviving pending entries are renumbered behind them (their
-// maintained deltas are already reflected in the snapshot and replay as
-// no-ops; one-shot updates must still be delivered). The destination adopts
-// the fresh epoch at sequence 1 with a fresh watermark. For durable peers
-// onReset re-logs the stream so recovery sees the renumbering, not the
-// superseded entries.
+// payloads (the full-range repair run of the maintained view and the advert
+// that ends it) become the new sequences 1..n; surviving pending entries are
+// renumbered behind them (their maintained deltas are already reflected in
+// the run and replay as no-ops; one-shot updates must still be delivered).
+// The destination adopts the fresh epoch at sequence 1 with a fresh
+// watermark. For durable peers onReset re-logs the stream so recovery sees
+// the renumbering, not the superseded entries.
 func (o *outbox) Reset(dst string, firsts ...protocol.Payload) {
 	o.reset(dst, firsts, false)
 }
 
 // ShedReset is the slow-peer variant of Reset: the pending backlog is
-// *discarded* instead of renumbered behind the snapshot. Retaining it is
-// exactly what the queue bound exists to prevent, and the snapshot already
+// *discarded* instead of renumbered behind the repair run. Retaining it is
+// exactly what the queue bound exists to prevent, and the run already
 // carries the full maintained view; one-shot updates still queued to the
 // shed destination are abandoned (that loss is the documented cost of
 // shedding — the destination was unackable for the whole shed window).
@@ -571,7 +548,6 @@ func (o *outbox) flushQueue(dq *sendSession) (sent, failed, busy bool) {
 			dq.mu.Unlock()
 			if err := o.onPreFlush(); err != nil {
 				o.sendErrors.Add(1)
-				o.debugf("outbox %s: pre-flush sync: %v", dq.dst, err)
 				return sent, true, false
 			}
 			synced = true
@@ -586,7 +562,6 @@ func (o *outbox) flushQueue(dq *sendSession) (sent, failed, busy bool) {
 			if ack > 0 {
 				if err := o.send(dq.dst, protocol.AckMsg{Epoch: ackEpoch, Seq: ack}); err != nil {
 					o.sendErrors.Add(1)
-					o.debugf("outbox %s: ack send: %v", dq.dst, err)
 					return sent, true, false
 				}
 				sent = true
@@ -599,7 +574,6 @@ func (o *outbox) flushQueue(dq *sendSession) (sent, failed, busy bool) {
 			for _, c := range controls {
 				if err := o.send(dq.dst, c); err != nil {
 					o.sendErrors.Add(1)
-					o.debugf("outbox %s: control send: %v", dq.dst, err)
 					return sent, true, false // remaining controls dropped: best-effort
 				}
 				sent = true
@@ -612,7 +586,6 @@ func (o *outbox) flushQueue(dq *sendSession) (sent, failed, busy bool) {
 				if adv := o.onDigest(dq.dst); adv != nil {
 					if err := o.send(dq.dst, adv); err != nil {
 						o.sendErrors.Add(1)
-						o.debugf("outbox %s: digest advert send: %v", dq.dst, err)
 						return sent, true, false
 					}
 					o.adverts.Add(1)
@@ -625,7 +598,6 @@ func (o *outbox) flushQueue(dq *sendSession) (sent, failed, busy bool) {
 
 		if err := o.send(dq.dst, protocol.DataMsg{Epoch: epoch, Seq: seq, Msg: msg}); err != nil {
 			o.sendErrors.Add(1)
-			o.debugf("outbox %s: seq %d send: %v", dq.dst, seq, err)
 			return sent, true, false
 		}
 		sent = true
@@ -778,7 +750,7 @@ func (o *outbox) flusher(dq *sendSession) {
 
 // maybeShed sheds a persistently-unackable destination: its queue has
 // pending entries but has seen no ack progress for shedAfter. The callback
-// runs off all outbox locks — it takes the peer lock to snapshot the
+// runs off all outbox locks — it takes the peer lock to read the
 // maintained view and then calls ShedReset, which takes the session locks,
 // the same ordering the stage path uses (p.mu → session locks). Only the
 // async flusher calls this; sync-emit peers (in-process test networks) do
@@ -798,7 +770,6 @@ func (o *outbox) maybeShed(dq *sendSession) {
 	if !due {
 		return
 	}
-	o.debugf("outbox %s: no ack progress for %v with %d pending: shedding stream", dq.dst, o.shedAfter, pending)
 	o.onShed(dq.dst)
 	dq.mu.Lock()
 	dq.shedding = false
@@ -913,10 +884,4 @@ func (o *outbox) Shutdown() {
 	o.closed = true
 	o.mu.Unlock()
 	o.wg.Wait()
-}
-
-func (o *outbox) debugf(format string, args ...any) {
-	if o.logf != nil {
-		o.logf(format, args...)
-	}
 }

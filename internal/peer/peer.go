@@ -81,21 +81,15 @@ type Config struct {
 	// ResyncInterval is the anti-entropy period: roughly this often (per
 	// destination with a maintained remote view) the peer advertises
 	// order-insensitive digests of what it maintains there, and receivers
-	// whose own ledger digests differ request a repair snapshot. Zero keeps
-	// the default (5s); a negative value disables periodic adverts (repair
-	// on epoch adoption and stream wedges stays active — it is data-driven,
-	// not timer-driven).
+	// whose own ledger digests differ repair the difference through the
+	// ranged dialogue (range digests narrow the divergence, only differing
+	// ranges are re-shipped — O(δ log n) bytes for a nearly-correct ledger,
+	// the view shipped once for an empty one). Zero keeps the default (5s);
+	// a negative value disables periodic adverts (repair on epoch adoption
+	// and stream wedges stays active — it is data-driven, not
+	// timer-driven: the advert an adoption asks for rides the sequenced
+	// stream).
 	ResyncInterval time.Duration
-	// RangedRepairFloor gates Merkle-ranged repair: a digest mismatch whose
-	// total divergent content is at least this many facts is repaired by a
-	// bisection dialogue (range digests narrow the divergence, only
-	// differing ranges are re-shipped — O(δ log n) bytes instead of
-	// O(view)); anything smaller, plus every fresh-epoch and shed reset,
-	// keeps the full-snapshot path. Zero keeps the default (1024); a
-	// negative value disables ranged repair entirely.
-	RangedRepairFloor int
-	// Logf, when non-nil, receives debug log lines.
-	Logf func(format string, args ...any)
 
 	// Metrics, when non-nil, registers this peer's runtime metrics with the
 	// registry (metrics.go: stage latency and fixpoint rounds, outbox
@@ -121,10 +115,11 @@ type Config struct {
 	Admission AdmissionPolicy
 	// OutboxShedAfter arms slow-peer shedding: a destination whose queue
 	// has pending entries but no ack progress for this long has its stream
-	// shed — reset under a fresh epoch with a snapshot of the maintained
-	// view as sequence 1, the wedged backlog discarded. When the
-	// destination recovers it adopts the new stream and anti-entropy
-	// (digest adverts, repair snapshots) settles it. 0 disables shedding.
+	// shed — reset under a fresh epoch with the full-range repair of the
+	// maintained view as its first sequences, the wedged backlog discarded.
+	// When the destination recovers it adopts the new stream and
+	// anti-entropy (digest adverts, ranged repairs) settles it. 0 disables
+	// shedding.
 	// Only async (non-SyncEmit) peers shed.
 	OutboxShedAfter time.Duration
 }
@@ -149,7 +144,9 @@ type Hooks interface {
 	AfterStage(p *Peer, rep *StageReport) error
 }
 
-// Stats accumulates peer-lifetime counters.
+// Stats accumulates peer-lifetime counters. RuntimeErrors counts every error
+// a stage reported (StageReport.Errors): rule evaluation, refused or
+// malformed input, persistence, hooks.
 type Stats struct {
 	Stages         uint64
 	StagesSkipped  uint64
@@ -170,19 +167,18 @@ type Stats struct {
 	OutboxRetransmits uint64
 	OutboxSendErrors  uint64
 
-	// Anti-entropy counters: resync requests this peer sent (as a
-	// receiver), repair snapshots it served (as a sender, including
-	// sheds) and their total encoded size, and digest adverts transmitted.
-	ResyncRequested     uint64
-	ResyncSnapshots     uint64
-	ResyncSnapshotBytes uint64
-	ResyncAdverts       uint64
+	// Anti-entropy counters: repairs this peer asked for (as a receiver:
+	// stream resets, solicited adverts, digest mismatches acted on) and
+	// periodic digest adverts transmitted (sequenced adverts are outbox
+	// entries like any other).
+	ResyncRequested uint64
+	ResyncAdverts   uint64
 
-	// Ranged-repair counters: ranged repair messages this peer served (as
-	// a sender) and their total encoded size, range-digest traffic it
-	// served (requests answered, encoded reply bytes), and how many repair
-	// ranges it requested (as a receiver, after bisection narrowed the
-	// divergence).
+	// Ranged-repair counters: repair messages this peer served (as a
+	// sender, including reset and shed runs) and their total encoded size,
+	// range-digest traffic it served (encoded reply bytes), and how many
+	// repair ranges it requested (as a receiver, once the comparison
+	// narrowed the divergence).
 	ResyncRangedRepairs     uint64
 	ResyncRangedRepairBytes uint64
 	ResyncRangeDigestBytes  uint64
@@ -249,7 +245,6 @@ type Peer struct {
 	wal    *store.WAL
 	prov   *provenance.Store
 	ctrl   *acl.Controller
-	logf   func(string, ...any)
 
 	// ctx is the peer's lifetime: Close cancels it, which stops the outbox
 	// flushers and aborts any in-flight dial instead of letting it run to
@@ -298,12 +293,10 @@ type Peer struct {
 	// rv is the maintained remote view — the sender half's content ledger:
 	// every fact this peer's program currently derives at each destination,
 	// with per-relation digests. The engine diffs each stage's emissions
-	// against it; anti-entropy advertises its digests and snapshots it.
+	// against it; anti-entropy advertises its digests and re-ships its ranges.
 	rv *engine.RemoteView
 	// resyncEvery is the resolved anti-entropy period (0 = disabled).
 	resyncEvery time.Duration
-	// rangedFloor is the resolved ranged-repair floor (-1 = disabled).
-	rangedFloor int
 
 	lastSentDeleg map[string]map[string]string // ruleID -> target -> set fingerprint
 	ranOnce       bool
@@ -360,7 +353,6 @@ func New(cfg Config, ep transport.Endpoint) (*Peer, error) {
 		db:            db,
 		ep:            ep,
 		wal:           cfg.WAL,
-		logf:          cfg.Logf,
 		ctx:           ctx,
 		cancel:        cancel,
 		inbound:       make(map[string]*inSession),
@@ -375,7 +367,7 @@ func New(cfg Config, ep transport.Endpoint) (*Peer, error) {
 	if cfg.Interner != nil {
 		p.rv.SetInterner(cfg.Interner)
 	}
-	p.outbox = newOutbox(ep, ctx, cfg.SyncEmit, p.debugf)
+	p.outbox = newOutbox(ep, ctx, cfg.SyncEmit)
 	if cfg.OutboxAckTimeout > 0 {
 		p.outbox.ackTimeout = cfg.OutboxAckTimeout
 	}
@@ -389,13 +381,6 @@ func New(cfg Config, ep transport.Endpoint) (*Peer, error) {
 	}
 	if p.resyncEvery < 0 {
 		p.resyncEvery = 0
-	}
-	p.rangedFloor = cfg.RangedRepairFloor
-	if p.rangedFloor == 0 {
-		p.rangedFloor = defaultRangedRepairFloor
-	}
-	if p.rangedFloor < 0 {
-		p.rangedFloor = -1
 	}
 	p.outbox.resyncEvery = p.resyncEvery
 	p.outbox.onDigest = p.digestFor
@@ -462,38 +447,30 @@ func (p *Peer) openOutboxLog(dir string) error {
 	// Install the persistence hooks before seeding: seeding a queue starts
 	// its flusher, which reads them.
 	p.oblog = l
+	// The hooks drop append errors: a failed write is sticky in the log's
+	// buffered writer, so it fails the onPreFlush sync that gates every
+	// transmission instead.
 	p.outbox.onEnqueue = func(dst string, seq uint64, msg protocol.Payload) {
 		// Buffered append only: the fsync happens in onPreFlush, before the
 		// first transmission of a flush cycle, keeping stage commits off
 		// the disk path.
-		b, err := protocol.EncodePayload(msg)
-		if err == nil {
-			err = l.LogEnqueue(dst, seq, b)
-		}
-		if err != nil {
-			p.debugf("outbox log enqueue %s#%d: %v", dst, seq, err)
+		if b, err := protocol.EncodePayload(msg); err == nil {
+			_ = l.LogEnqueue(dst, seq, b)
 		}
 	}
 	p.outbox.onAck = func(dst string, seq uint64) {
-		if err := l.LogAck(dst, seq); err != nil {
-			p.debugf("outbox log ack %s#%d: %v", dst, seq, err)
-		}
+		_ = l.LogAck(dst, seq)
 	}
 	p.outbox.onReset = func(dst string, epoch uint64, entries []outEntry) {
 		// A reset supersedes everything logged for dst; the renumbered
 		// survivors are re-logged behind the reset record. Synced by
 		// onPreFlush before any of them can be transmitted.
 		if err := l.LogReset(dst, epoch); err != nil {
-			p.debugf("outbox log reset %s: %v", dst, err)
 			return
 		}
 		for _, e := range entries {
-			b, err := protocol.EncodePayload(e.msg)
-			if err == nil {
-				err = l.LogEnqueue(dst, e.seq, b)
-			}
-			if err != nil {
-				p.debugf("outbox log reset enqueue %s#%d: %v", dst, e.seq, err)
+			if b, err := protocol.EncodePayload(e.msg); err == nil {
+				_ = l.LogEnqueue(dst, e.seq, b)
 			}
 		}
 	}
@@ -633,12 +610,6 @@ func (p *Peer) Stats() Stats {
 func (p *Peer) flushIfSync() {
 	if p.outbox.sync {
 		p.outbox.FlushAll()
-	}
-}
-
-func (p *Peer) debugf(format string, args ...any) {
-	if p.logf != nil {
-		p.logf("[%s] "+format, append([]any{p.name}, args...)...)
 	}
 }
 
@@ -982,28 +953,17 @@ func (p *Peer) stageLocal(ctx context.Context, ops []engine.FactOp) error {
 
 // shedStream is the outbox's slow-peer callback: dst has had pending
 // entries with no ack progress for the whole shed window. Restart its
-// stream around a fresh snapshot of the maintained view (ShedReset
-// discards the wedged backlog) and forget the delegation fingerprints for
-// the target, exactly as a served reset request would — when the
-// destination recovers, it adopts the new epoch at sequence 1 and the
-// anti-entropy machinery settles the rest.
+// stream (ShedReset discards the wedged backlog) exactly as a served reset
+// request would — when the destination recovers, it adopts the new epoch at
+// sequence 1, and the advert that ends the restart's repair run settles
+// whatever the discarded backlog would have retracted.
 func (p *Peer) shedStream(dst string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return
 	}
-	p.debugf("shedding stream to %s", dst)
-	p.outbox.ShedReset(dst, p.snapshotChunksLocked(dst)...)
-	for ruleID, targets := range p.lastSentDeleg {
-		if _, ok := targets[dst]; ok {
-			delete(targets, dst)
-			if len(targets) == 0 {
-				delete(p.lastSentDeleg, ruleID)
-			}
-			p.progDirty = true
-		}
-	}
+	p.restartStreamLocked(dst, p.outbox.ShedReset)
 	p.kick()
 }
 

@@ -4,31 +4,32 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/ast"
 	"repro/internal/engine"
+	"repro/internal/protocol"
+	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/value"
 )
 
 // newRangedPeer attaches a volatile peer with the anti-entropy clock and
-// outbox timers shrunk to test speed and an explicit ranged-repair floor
-// (0 keeps the default, negative disables the dialogue). When faults is
-// non-nil the peer talks through a fault-injecting endpoint.
-func newRangedPeer(t *testing.T, n *Network, name string, floor int, faults *transport.FaultConfig) *Peer {
+// outbox timers shrunk to test speed. When faults is non-nil the peer talks
+// through a fault-injecting endpoint.
+func newRangedPeer(t *testing.T, n *Network, name string, faults *transport.FaultConfig) *Peer {
 	t.Helper()
 	ep := transport.Endpoint(n.Bus().Endpoint(name))
 	if faults != nil {
 		ep = transport.Faulty(ep, *faults)
 	}
 	p, err := New(Config{
-		Name:              name,
-		OutboxAckTimeout:  10 * time.Millisecond,
-		OutboxBackoff:     2 * time.Millisecond,
-		ResyncInterval:    resyncTestInterval,
-		RangedRepairFloor: floor,
+		Name:             name,
+		OutboxAckTimeout: 10 * time.Millisecond,
+		OutboxBackoff:    2 * time.Millisecond,
+		ResyncInterval:   resyncTestInterval,
 	}, ep)
 	if err != nil {
 		t.Fatal(err)
@@ -51,14 +52,14 @@ func applySrcFacts(t *testing.T, a *Peer, keys []int64) {
 
 // fixpointFor computes the fault-free fixpoint of the maintained view for
 // the given sender facts, on a pristine network with no failures or
-// restarts — the reference both repair paths must reproduce exactly.
+// restarts — the reference every repair must reproduce exactly.
 func fixpointFor(t *testing.T, keys []int64) string {
 	t.Helper()
 	n := NewNetwork()
-	a := newRangedPeer(t, n, "a", 0, nil)
+	a := newRangedPeer(t, n, "a", nil)
 	defer a.Close()
 	loadViewSender(t, a)
-	b := newRangedPeer(t, n, "b", 0, nil)
+	b := newRangedPeer(t, n, "b", nil)
 	defer b.Close()
 	if err := b.DeclareRelation("view", ast.Intensional, "x"); err != nil {
 		t.Fatal(err)
@@ -93,104 +94,203 @@ func mutateKeys(n int, drop map[int64]bool, add int) []int64 {
 	return out
 }
 
-// TestSenderRestartRangedRepair is the tentpole scenario: a receiver holds
-// a large, almost-correct maintained view when its sender restarts without
-// the facts it deleted while down. With the ranged dialogue enabled the
-// divergence is repaired through digest bisection — no full snapshot is
-// ever served — and the repair traffic is a fraction of the view. The
-// ablation arm (RangedRepairFloor < 0) runs the same schedule and must
-// converge identically, but by re-shipping the whole view.
+// TestSenderRestartRangedRepair: a receiver holds a large, almost-correct
+// maintained view when its sender restarts without the facts it deleted
+// while down. The divergence is repaired through digest bisection and the
+// repair traffic is a fraction of what re-shipping the view costs.
 func TestSenderRestartRangedRepair(t *testing.T) {
 	const viewSize = 3000
 	drop := map[int64]bool{500: true, 1500: true, 2500: true}
 	finalKeys := mutateKeys(viewSize, drop, 2)
 	want := fixpointFor(t, finalKeys)
 
-	type arm struct {
-		rangedRepairs, rangedBytes, digestBytes uint64
-		snapshots, snapshotBytes                uint64
-	}
-	run := func(t *testing.T, floor int) arm {
-		n := NewNetwork()
-		a := newRangedPeer(t, n, "a", floor, nil)
-		loadViewSender(t, a)
-		b := newRangedPeer(t, n, "b", floor, nil)
-		defer b.Close()
-		if err := b.DeclareRelation("view", ast.Intensional, "x"); err != nil {
-			t.Fatal(err)
-		}
-		applySrcFacts(t, a, intRange(viewSize))
-		if !drive([]*Peer{a, b}, func() bool { return len(b.Query("view")) == viewSize }, 10*time.Second) {
-			t.Fatalf("initial load never converged")
-		}
-
-		// Crash the sender; its fresh incarnation never knew the dropped keys.
-		a.Close()
-		a2 := newRangedPeer(t, n, "a", floor, nil)
-		defer a2.Close()
-		loadViewSender(t, a2)
-		applySrcFacts(t, a2, finalKeys)
-		if !drive([]*Peer{a2, b}, func() bool { return tupleSet(b, "view") == want }, 20*time.Second) {
-			t.Fatalf("restarted pair never converged:\n got %.120s\nwant %.120s", tupleSet(b, "view"), want)
-		}
-		s := a2.Stats()
-		return arm{
-			rangedRepairs: s.ResyncRangedRepairs,
-			rangedBytes:   s.ResyncRangedRepairBytes,
-			digestBytes:   s.ResyncRangeDigestBytes,
-			snapshots:     s.ResyncSnapshots,
-			snapshotBytes: s.ResyncSnapshotBytes,
-		}
-	}
-
-	var ranged, ablated arm
-	t.Run("ranged", func(t *testing.T) {
-		ranged = run(t, 0)
-		if ranged.snapshots != 0 {
-			t.Errorf("ranged arm served %d full snapshots, want 0", ranged.snapshots)
-		}
-		if ranged.rangedRepairs == 0 {
-			t.Errorf("ranged arm served no ranged repairs")
-		}
-	})
-	t.Run("snapshot-ablation", func(t *testing.T) {
-		ablated = run(t, -1)
-		if ablated.snapshots == 0 {
-			t.Errorf("ablation arm served no snapshot — divergence was never repaired")
-		}
-		if ablated.rangedRepairs != 0 {
-			t.Errorf("ablation arm served %d ranged repairs with the dialogue disabled", ablated.rangedRepairs)
-		}
-	})
-	if t.Failed() {
-		return
-	}
-	repairBytes := ranged.rangedBytes + ranged.digestBytes
-	if repairBytes == 0 || repairBytes*4 > ablated.snapshotBytes {
-		t.Errorf("ranged repair cost %d bytes (%d repair + %d digest); want well under the %d-byte snapshot",
-			repairBytes, ranged.rangedBytes, ranged.digestBytes, ablated.snapshotBytes)
-	}
-}
-
-// TestChunkedSnapshotRestart: a repair snapshot of a view larger than
-// snapshotChunkOps ships as a run of bounded chunks which the restarted
-// receiver buffers and applies atomically — the recovered view is exactly
-// the fault-free fixpoint, never a partially-applied prefix.
-func TestChunkedSnapshotRestart(t *testing.T) {
-	const viewSize = snapshotChunkOps + 1000
-	keys := intRange(viewSize)
 	n := NewNetwork()
-	a := newRangedPeer(t, n, "a", 0, nil)
-	defer a.Close()
+	a := newRangedPeer(t, n, "a", nil)
 	loadViewSender(t, a)
-	b := newRangedPeer(t, n, "b", 0, nil)
+	b := newRangedPeer(t, n, "b", nil)
+	defer b.Close()
 	if err := b.DeclareRelation("view", ast.Intensional, "x"); err != nil {
 		t.Fatal(err)
 	}
-	applySrcFacts(t, a, keys)
+	applySrcFacts(t, a, intRange(viewSize))
+	if !drive([]*Peer{a, b}, func() bool { return len(b.Query("view")) == viewSize }, 10*time.Second) {
+		t.Fatalf("initial load never converged")
+	}
+
+	// Crash the sender; its fresh incarnation never knew the dropped keys.
+	a.Close()
+	a2 := newRangedPeer(t, n, "a", nil)
+	defer a2.Close()
+	loadViewSender(t, a2)
+	applySrcFacts(t, a2, finalKeys)
+	if !drive([]*Peer{a2, b}, func() bool { return tupleSet(b, "view") == want }, 20*time.Second) {
+		t.Fatalf("restarted pair never converged:\n got %.120s\nwant %.120s", tupleSet(b, "view"), want)
+	}
+	s := a2.Stats()
+	if s.ResyncRangedRepairs == 0 {
+		t.Fatalf("sender served no ranged repairs")
+	}
+	// The full re-send this repair is measured against: the encoded size of
+	// the view's full-range repair run.
+	fullBytes := a2.ViewRepairBytes("b")
+	cost := s.ResyncRangedRepairBytes + s.ResyncRangeDigestBytes
+	if cost*4 > fullBytes {
+		t.Errorf("ranged repair cost %d bytes (%d repair + %d digest); want well under the %d-byte full re-send",
+			cost, s.ResyncRangedRepairBytes, s.ResyncRangeDigestBytes, fullBytes)
+	}
+}
+
+// convergedViewPair loads viewSize facts into the canonical maintained view
+// and drives sender and receiver until it has crossed and every ack landed.
+func convergedViewPair(t *testing.T, viewSize int, interval time.Duration) (a, b *Peer) {
+	t.Helper()
+	n := NewNetwork()
+	a = newResyncPeer(t, n, "a", interval)
+	t.Cleanup(func() { a.Close() })
+	loadViewSender(t, a)
+	b = newResyncPeer(t, n, "b", interval)
+	t.Cleanup(func() { b.Close() })
+	if err := b.DeclareRelation("view", ast.Intensional, "x"); err != nil {
+		t.Fatal(err)
+	}
+	applySrcFacts(t, a, intRange(viewSize))
+	if !drive([]*Peer{a, b}, func() bool {
+		pending, _ := a.OutboxPending()
+		return len(b.Query("view")) == viewSize && pending == 0
+	}, 20*time.Second) {
+		t.Fatalf("initial load never converged")
+	}
+	return a, b
+}
+
+// TestEmptyLedgerRangeAskedOutright: a receiver that follows the stream but
+// holds nothing of a relation the sender counts well over rangedRepairLeaf
+// facts in does not bisect — every subrange could only differ too. The
+// advert alone routes it: one repair request for the full range, no
+// range-digest round, each fact shipped once.
+func TestEmptyLedgerRangeAskedOutright(t *testing.T) {
+	const viewSize = 3 * rangedRepairLeaf
+	a, b := convergedViewPair(t, viewSize, resyncTestInterval)
+	b.mu.Lock()
+	ledger := b.sessionLocked("a")
+	for _, tup := range ledger.sup["view@b"] {
+		ledger.ledgerRemove("view@b", tup)
+	}
+	b.mu.Unlock()
+
+	a.mu.Lock()
+	want := a.rv.Tree("b", "view@b").Root()
+	a.mu.Unlock()
+	if !drive([]*Peer{a, b}, func() bool {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return ledger.ledgerDigest("view@b") == want
+	}, 10*time.Second) {
+		t.Fatalf("the emptied ledger was never repaired")
+	}
+	as, bs := a.Stats(), b.Stats()
+	if bs.ResyncRangesRequested != 1 || as.ResyncRangeDigestBytes != 0 ||
+		as.ResyncRangedRepairs != 1 || as.ResyncRangedRepairBytes != a.ViewRepairBytes("b") {
+		t.Errorf("want one full-range request answered by one full re-send (%d bytes) and no bisection:\nsender %+v\nreceiver %+v",
+			a.ViewRepairBytes("b"), as, bs)
+	}
+	if len(b.Query("view")) != viewSize {
+		t.Errorf("view@b holds %d facts, want %d", len(b.Query("view")), viewSize)
+	}
+}
+
+// TestBroadDivergenceAsksForRanges: a round whose mismatching ranges would
+// fan out into more than rangedMaxRound digests is not bisected further —
+// the receiver asks for the ranges themselves.
+func TestBroadDivergenceAsksForRanges(t *testing.T) {
+	const viewSize = 5000
+	const ranges = rangedMaxRound/rangedBisectFanout + 1
+	a, b := convergedViewPair(t, viewSize, -1)
+
+	// A round of digests disagreeing with an intact ledger on every range of
+	// an even partition of the hash line, each too populous for a leaf.
+	round := make([]protocol.RangeDigest, ranges)
+	step := fullRange.Hi / ranges
+	b.mu.Lock()
+	for i := range round {
+		lo := uint64(i) * step
+		hi := lo + step - 1
+		if i == ranges-1 {
+			hi = fullRange.Hi
+		}
+		d := b.sessionLocked("a").rangeDigest("view@b", lo, hi)
+		if d.Count == 0 {
+			t.Fatalf("ledger holds nothing in [%x,%x]: the round would not test the fan-out bound", lo, hi)
+		}
+		round[i] = protocol.RangeDigest{Lo: lo, Hi: hi, Hash: ^d.Hash, Count: 2 * rangedRepairLeaf}
+	}
+	b.compareRangesLocked("a", "view@b", round)
+	b.mu.Unlock()
+	b.Poke()
+
+	if !drive([]*Peer{a, b}, func() bool {
+		pending, _ := a.OutboxPending()
+		return a.Stats().ResyncRangedRepairs > 0 && pending == 0
+	}, 10*time.Second) {
+		t.Fatalf("the ranges were never re-shipped: %+v", a.Stats())
+	}
+	as, bs := a.Stats(), b.Stats()
+	if bs.ResyncRangesRequested != ranges || as.ResyncRangeDigestBytes != 0 {
+		t.Errorf("want %d ranges asked for outright and no digest round served:\nsender %+v\nreceiver %+v", ranges, as, bs)
+	}
+	if as.ResyncRangedRepairBytes < a.ViewRepairBytes("b") || len(b.Query("view")) != viewSize {
+		t.Errorf("the re-shipped ranges cover %d of the view's %d bytes; view@b holds %d facts, want %d",
+			as.ResyncRangedRepairBytes, a.ViewRepairBytes("b"), len(b.Query("view")), viewSize)
+	}
+}
+
+// repairCutEndpoint is a link that dies mid-run: while armed it delivers the
+// first sequenced repair message and fails every later one.
+type repairCutEndpoint struct {
+	transport.Endpoint
+	armed  atomic.Bool
+	passed atomic.Int32
+}
+
+func (e *repairCutEndpoint) Send(ctx context.Context, to string, msg protocol.Payload) error {
+	if dm, ok := msg.(protocol.DataMsg); ok && e.armed.Load() {
+		if _, ok := dm.Msg.(protocol.RangeRepairMsg); ok && e.passed.Add(1) > 1 {
+			return transport.ErrInjectedFault
+		}
+	}
+	return e.Endpoint.Send(ctx, to, msg)
+}
+
+// TestChunkedRepairRestart: the full-range repair of a view larger than
+// repairChunkOps ships as a run of bounded, self-contained messages. The
+// run is cut after its first message and the receiver killed: what it had
+// applied is exactly the sender's facts over the hash range that message
+// stated and nothing beyond it — no buffering, no half-applied range — and
+// its successor still converges to the fault-free fixpoint.
+func TestChunkedRepairRestart(t *testing.T) {
+	const viewSize = repairChunkOps + 1000
+	n := NewNetwork()
+	link := &repairCutEndpoint{Endpoint: n.Bus().Endpoint("a")}
+	a, err := New(Config{
+		Name:             "a",
+		OutboxAckTimeout: 10 * time.Millisecond,
+		OutboxBackoff:    2 * time.Millisecond,
+		ResyncInterval:   resyncTestInterval,
+	}, link)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Add(a)
+	defer a.Close()
+	loadViewSender(t, a)
+	b := newRangedPeer(t, n, "b", nil)
+	if err := b.DeclareRelation("view", ast.Intensional, "x"); err != nil {
+		t.Fatal(err)
+	}
+	applySrcFacts(t, a, intRange(viewSize))
 	// Converge AND let the ack land: once the sender drops the acknowledged
 	// prefix, plain retransmission can never recover a restarted receiver —
-	// only the snapshot path can.
+	// only a stream reset around the full-range repair can.
 	if !drive([]*Peer{a, b}, func() bool {
 		pending, _ := a.OutboxPending()
 		return len(b.Query("view")) == viewSize && pending == 0
@@ -199,36 +299,52 @@ func TestChunkedSnapshotRestart(t *testing.T) {
 	}
 	want := tupleSet(b, "view")
 
-	// The receiver loses everything; recovery must ship the whole view.
+	// The sender's view cut exactly as the repair run cuts it.
+	a.mu.Lock()
+	_, firstEnd := a.rv.RangeFacts("b", "view@b", 0, fullRange.Hi, repairChunkOps)
+	tree := a.rv.Tree("b", "view@b")
+	wantFirst := tree.RangeDigest(0, firstEnd)
+	a.mu.Unlock()
+	if wantFirst.Count != repairChunkOps || firstEnd == fullRange.Hi {
+		t.Fatalf("first chunk covers %d facts to %x; want %d and a cut", wantFirst.Count, firstEnd, repairChunkOps)
+	}
+
+	// The receiver loses everything; the reset stream's run is cut after its
+	// first message, and the receiver dies again with only that applied.
+	link.armed.Store(true)
 	b.Close()
-	b2 := newRangedPeer(t, n, "b", 0, nil)
-	defer b2.Close()
+	b2 := newRangedPeer(t, n, "b", nil)
 	if err := b2.DeclareRelation("view", ast.Intensional, "x"); err != nil {
 		t.Fatal(err)
 	}
-	partial := false
-	if !drive([]*Peer{a, b2}, func() bool {
-		if got := len(b2.Query("view")); got > 0 && got < viewSize {
-			partial = true
-		}
-		return tupleSet(b2, "view") == want
-	}, 20*time.Second) {
-		t.Fatalf("restarted receiver never recovered: %d of %d facts", len(b2.Query("view")), viewSize)
+	if !drive([]*Peer{a, b2}, func() bool { return len(b2.Query("view")) > 0 }, 20*time.Second) {
+		t.Fatalf("restarted receiver never received the first repair message")
 	}
-	if partial {
-		t.Errorf("receiver exposed a partially-applied snapshot mid-recovery")
+	b2.mu.Lock()
+	ledger := b2.sessionLocked("a")
+	gotFirst, gotRest := ledger.rangeDigest("view@b", 0, firstEnd), ledger.rangeDigest("view@b", firstEnd+1, fullRange.Hi)
+	b2.mu.Unlock()
+	if gotFirst != wantFirst || gotRest.Count != 0 || len(b2.Query("view")) != repairChunkOps {
+		t.Fatalf("cut run left %+v in the applied range (want %+v), %d facts beyond it, %d in the view",
+			gotFirst, wantFirst, gotRest.Count, len(b2.Query("view")))
 	}
-	if s := a.Stats(); s.ResyncSnapshots == 0 {
-		t.Errorf("sender stats: ResyncSnapshots = 0, want at least one chunked snapshot")
+	b2.Close()
+	link.armed.Store(false)
+
+	b3 := newRangedPeer(t, n, "b", nil)
+	defer b3.Close()
+	if err := b3.DeclareRelation("view", ast.Intensional, "x"); err != nil {
+		t.Fatal(err)
+	}
+	if !drive([]*Peer{a, b3}, func() bool { return tupleSet(b3, "view") == want }, 20*time.Second) {
+		t.Fatalf("receiver restarted mid-run never recovered: %d of %d facts", len(b3.Query("view")), viewSize)
 	}
 }
 
 // TestRangedDifferentialUnderFaults is the differential property test: a
 // randomized divergence schedule — sender restart with lost retractions,
 // receiver restart, live mutations after both — runs through a transport
-// that drops, duplicates and reorders, once with the ranged dialogue
-// enabled (floor shrunk so the small ledger qualifies) and once with it
-// disabled (snapshot-only). Both arms must converge to exactly the
+// that drops, duplicates and reorders, and must converge to exactly the
 // fault-free recompute fixpoint.
 func TestRangedDifferentialUnderFaults(t *testing.T) {
 	seeds := []int64{21, 22, 23}
@@ -262,65 +378,147 @@ func TestRangedDifferentialUnderFaults(t *testing.T) {
 			want := fixpointFor(t, finalKeys)
 
 			cfg := transport.FaultConfig{Seed: seed, Drop: 0.15, Dup: 0.1, Reorder: 0.1}
-			for _, floor := range []int{16, -1} {
-				name := "ranged"
-				if floor < 0 {
-					name = "snapshot-only"
-				}
-				t.Run(name, func(t *testing.T) {
-					n := NewNetwork()
-					a := newRangedPeer(t, n, "a", floor, &cfg)
-					loadViewSender(t, a)
-					b := newRangedPeer(t, n, "b", floor, &cfg)
-					if err := b.DeclareRelation("view", ast.Intensional, "x"); err != nil {
-						t.Fatal(err)
-					}
-					applySrcFacts(t, a, intRange(viewSize))
-					if !drive([]*Peer{a, b}, func() bool { return len(b.Query("view")) == viewSize }, 20*time.Second) {
-						t.Fatalf("initial load never converged under faults")
-					}
+			n := NewNetwork()
+			a := newRangedPeer(t, n, "a", &cfg)
+			loadViewSender(t, a)
+			b := newRangedPeer(t, n, "b", &cfg)
+			if err := b.DeclareRelation("view", ast.Intensional, "x"); err != nil {
+				t.Fatal(err)
+			}
+			applySrcFacts(t, a, intRange(viewSize))
+			if !drive([]*Peer{a, b}, func() bool { return len(b.Query("view")) == viewSize }, 20*time.Second) {
+				t.Fatalf("initial load never converged under faults")
+			}
 
-					// Sender crashes; its fresh incarnation owes retractions
-					// it will never send as deltas.
-					a.Close()
-					a2 := newRangedPeer(t, n, "a", floor, &cfg)
-					defer a2.Close()
-					loadViewSender(t, a2)
-					applySrcFacts(t, a2, restartKeys)
-					if !drive([]*Peer{a2, b}, func() bool { return len(b.Query("view")) == len(restartKeys) }, 30*time.Second) {
-						t.Fatalf("post-restart repair never converged: %d facts, want %d",
-							len(b.Query("view")), len(restartKeys))
-					}
+			// Sender crashes; its fresh incarnation owes retractions
+			// it will never send as deltas.
+			a.Close()
+			a2 := newRangedPeer(t, n, "a", &cfg)
+			defer a2.Close()
+			loadViewSender(t, a2)
+			applySrcFacts(t, a2, restartKeys)
+			if !drive([]*Peer{a2, b}, func() bool { return len(b.Query("view")) == len(restartKeys) }, 30*time.Second) {
+				t.Fatalf("post-restart repair never converged: %d facts, want %d",
+					len(b.Query("view")), len(restartKeys))
+			}
 
-					// Receiver crashes too, then the sender keeps mutating.
-					b.Close()
-					b2 := newRangedPeer(t, n, "b", floor, &cfg)
-					defer b2.Close()
-					if err := b2.DeclareRelation("view", ast.Intensional, "x"); err != nil {
-						t.Fatal(err)
-					}
-					mb := engine.NewBatch()
-					for k := range lateDrop {
-						mb.Delete(ast.NewFact("src", "a", value.Int(k)))
-					}
-					mb.Insert(ast.NewFact("src", "a", value.Int(viewSize+100)))
-					mb.Insert(ast.NewFact("src", "a", value.Int(viewSize+101)))
-					if err := a2.Apply(context.Background(), mb); err != nil {
-						t.Fatal(err)
-					}
-					if !drive([]*Peer{a2, b2}, func() bool { return tupleSet(b2, "view") == want }, 30*time.Second) {
-						t.Fatalf("differential arm diverged from the fault-free fixpoint:\n got %.160s\nwant %.160s",
-							tupleSet(b2, "view"), want)
-					}
-					s := a2.Stats()
-					if floor >= 0 && s.ResyncRangedRepairs == 0 {
-						t.Errorf("ranged arm repaired without any ranged repair message")
-					}
-					if floor < 0 && s.ResyncRangedRepairs != 0 {
-						t.Errorf("snapshot-only arm served %d ranged repairs", s.ResyncRangedRepairs)
-					}
-				})
+			// Receiver crashes too, then the sender keeps mutating.
+			b.Close()
+			b2 := newRangedPeer(t, n, "b", &cfg)
+			defer b2.Close()
+			if err := b2.DeclareRelation("view", ast.Intensional, "x"); err != nil {
+				t.Fatal(err)
+			}
+			mb := engine.NewBatch()
+			for k := range lateDrop {
+				mb.Delete(ast.NewFact("src", "a", value.Int(k)))
+			}
+			mb.Insert(ast.NewFact("src", "a", value.Int(viewSize+100)))
+			mb.Insert(ast.NewFact("src", "a", value.Int(viewSize+101)))
+			if err := a2.Apply(context.Background(), mb); err != nil {
+				t.Fatal(err)
+			}
+			if !drive([]*Peer{a2, b2}, func() bool { return tupleSet(b2, "view") == want }, 30*time.Second) {
+				t.Fatalf("diverged from the fault-free fixpoint:\n got %.160s\nwant %.160s",
+					tupleSet(b2, "view"), want)
+			}
+			s := a2.Stats()
+			if s.ResyncRangedRepairs == 0 {
+				t.Errorf("repaired without any ranged repair message")
 			}
 		})
+	}
+}
+
+// TestWideRepairRequestServedInBoundedChunks: one request for the whole hash
+// line over a 10k-fact view — what a fresh receiver legitimately sends and a
+// hostile one can always send — is served as bounded messages whose ranges
+// partition the request in hash order, without gap or overlap, each carrying
+// exactly the facts of its own ranges.
+func TestWideRepairRequestServedInBoundedChunks(t *testing.T) {
+	const viewSize = 10_000
+	n := NewNetwork()
+	a := newRangedPeer(t, n, "a", nil)
+	defer a.Close()
+	loadViewSender(t, a)
+	applySrcFacts(t, a, intRange(viewSize))
+	a.RunStage()
+
+	a.mu.Lock()
+	a.handleRangeRepairRequestLocked("b", protocol.RangeRepairRequestMsg{
+		RelID: "view@b", Ranges: []protocol.HashRange{fullRange}})
+	a.mu.Unlock()
+	dq := a.outbox.queue("b")
+	dq.mu.Lock()
+	entries := append([]outEntry(nil), dq.entries...)
+	dq.mu.Unlock()
+
+	msgs, facts := 0, map[string]bool{}
+	next, done := uint64(0), false
+	for _, e := range entries {
+		m, ok := e.msg.(protocol.RangeRepairMsg)
+		if !ok {
+			continue
+		}
+		msgs++
+		if len(m.Ops) == 0 || len(m.Ops) > repairChunkOps {
+			t.Errorf("repair message %d carries %d ops, want 1..%d", msgs, len(m.Ops), repairChunkOps)
+		}
+		lo := next
+		for _, r := range m.Ranges {
+			if done || r.Lo != next || r.Hi < r.Lo {
+				t.Fatalf("repair message %d states [%x,%x]; the partition continues at %x (complete: %v)", msgs, r.Lo, r.Hi, next, done)
+			}
+			next, done = r.Hi+1, r.Hi == fullRange.Hi
+		}
+		for _, fd := range m.Ops {
+			key := fd.Fact.Args.Key()
+			if h := store.KeyHash(key); h < lo || h > next-1 || facts[key] {
+				t.Fatalf("repair message %d carries %s outside its own ranges [%x,%x] (or twice)", msgs, fd, lo, next-1)
+			}
+			facts[key] = true
+		}
+	}
+	if !done || len(facts) != viewSize {
+		t.Errorf("run covers the hash line up to %x (complete: %v) with %d facts, want all %d", next-1, done, len(facts), viewSize)
+	}
+	if want := (viewSize + repairChunkOps - 1) / repairChunkOps; msgs != want {
+		t.Errorf("%d-fact view served in %d messages, want %d", viewSize, msgs, want)
+	}
+}
+
+// TestSplitRange: the subranges of a bisection round are ordered, disjoint
+// and cover the parent exactly, whatever its width — including the uint64
+// overflow at the top of the hash line.
+func TestSplitRange(t *testing.T) {
+	max := ^uint64(0)
+	for _, tc := range []struct {
+		name   string
+		r      protocol.HashRange
+		pieces int
+	}{
+		{"full range", fullRange, rangedBisectFanout},
+		{"single point", protocol.HashRange{Lo: 42, Hi: 42}, 1},
+		{"narrower than the fan-out", protocol.HashRange{Lo: 100, Hi: 104}, 5},
+		{"exactly the fan-out", protocol.HashRange{Lo: 0, Hi: rangedBisectFanout - 1}, rangedBisectFanout},
+		{"uneven width", protocol.HashRange{Lo: 7, Hi: 7 + 100}, 15},
+		{"top of the line", protocol.HashRange{Lo: max - 1000, Hi: max}, rangedBisectFanout},
+		{"single point at the top", protocol.HashRange{Lo: max, Hi: max}, 1},
+		{"upper half", protocol.HashRange{Lo: 1 << 63, Hi: max}, rangedBisectFanout},
+	} {
+		got := splitRange(tc.r)
+		if len(got) != tc.pieces {
+			t.Errorf("%s: %d subranges, want %d: %v", tc.name, len(got), tc.pieces, got)
+		}
+		next := tc.r.Lo
+		for i, s := range got {
+			if s.Lo != next || s.Hi < s.Lo || s.Hi > tc.r.Hi {
+				t.Fatalf("%s: subrange %d is [%x,%x], want it to start at %x inside [%x,%x]", tc.name, i, s.Lo, s.Hi, next, tc.r.Lo, tc.r.Hi)
+			}
+			next = s.Hi + 1
+		}
+		if last := got[len(got)-1].Hi; last != tc.r.Hi {
+			t.Errorf("%s: subranges end at %x, want %x", tc.name, last, tc.r.Hi)
+		}
 	}
 }

@@ -1,12 +1,16 @@
 package peer
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/ast"
+	"repro/internal/protocol"
+	"repro/internal/transport"
 	"repro/internal/value"
 )
 
@@ -32,6 +36,37 @@ func newResyncPeer(t *testing.T, n *Network, name string, interval time.Duration
 	return p
 }
 
+// lossyEndpoint is a link that silently loses the messages its drop func
+// selects (none while it is unset).
+type lossyEndpoint struct {
+	transport.Endpoint
+	drop atomic.Pointer[func(protocol.Payload) bool]
+}
+
+func (e *lossyEndpoint) Send(ctx context.Context, to string, msg protocol.Payload) error {
+	if drop := e.drop.Load(); drop != nil && (*drop)(msg) {
+		return nil
+	}
+	return e.Endpoint.Send(ctx, to, msg)
+}
+
+// newLossyPeer is newResyncPeer, adverts off, behind a lossyEndpoint.
+func newLossyPeer(t *testing.T, n *Network, name string) (*Peer, *lossyEndpoint) {
+	t.Helper()
+	link := &lossyEndpoint{Endpoint: n.Bus().Endpoint(name)}
+	p, err := New(Config{
+		Name:             name,
+		OutboxAckTimeout: 10 * time.Millisecond,
+		OutboxBackoff:    2 * time.Millisecond,
+		ResyncInterval:   -1,
+	}, link)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Add(p)
+	return p, link
+}
+
 // loadViewSender loads the canonical maintained-view program at the sender.
 func loadViewSender(t *testing.T, a *Peer) {
 	t.Helper()
@@ -47,8 +82,8 @@ func loadViewSender(t *testing.T, a *Peer) {
 // remaining gap, closed here: a volatile receiver holding a remotely
 // maintained view crashes and restarts, and the sender *never changes
 // again* — so no delta will ever flow. The sender's periodic digest advert
-// must find the restarted (empty) receiver, trigger a stream reset with a
-// snapshot, and restore the view to the fault-free fixpoint. The control
+// must find the restarted (empty) receiver, trigger a stream reset around the
+// full-range repair, and restore the view to the fault-free fixpoint. The control
 // arm runs the same schedule with anti-entropy disabled and must stay
 // diverged — the behavior this PR removes.
 func TestVolatileReceiverRestartResyncs(t *testing.T) {
@@ -127,8 +162,8 @@ func TestVolatileReceiverRestartResyncs(t *testing.T) {
 				if st := b2.Stats(); st.ResyncRequested == 0 {
 					t.Errorf("receiver recovered without ever requesting a resync: %+v", st)
 				}
-				if st := a.Stats(); st.ResyncSnapshots == 0 {
-					t.Errorf("sender never served a snapshot: %+v", st)
+				if st := a.Stats(); st.ResyncRangedRepairs == 0 || st.ResyncRangeDigestBytes != 0 {
+					t.Errorf("sender should have repaired the empty receiver by re-shipping alone, no bisection: %+v", st)
 				}
 			} else {
 				// Divergence is the documented pre-resync behavior: nothing
@@ -150,7 +185,7 @@ func TestVolatileReceiverRestartResyncs(t *testing.T) {
 // disabled, the data-driven repair must still work — a restarted receiver
 // that sees the sender's next mid-sequence delta has a wedged stream (the
 // acknowledged prefix is gone from the sender), asks for a reset, and the
-// reset snapshot restores the *whole* view, not just the new delta. On the
+// reset stream's repair run restores the *whole* view, not just the new delta. On the
 // pre-session code this scenario wedged the stream forever: the receiver
 // dropped the gap and the sender retransmitted it until the end of time.
 func TestReceiverRestartStreamRepairedOnNextSend(t *testing.T) {
@@ -193,29 +228,37 @@ func TestReceiverRestartStreamRepairedOnNextSend(t *testing.T) {
 // TestEpochAdoptionDropsStaleSupport: a volatile *sender* that crashes with
 // an undelivered retraction re-derives only what it still derives; its old
 // incarnation's facts would survive at the receiver forever. Adopting the
-// restarted sender's fresh epoch must trigger a resync, whose snapshot no
-// longer covers the stale fact — the receiver drops it and converges to the
-// new fixpoint.
+// restarted sender's fresh epoch must solicit its advert, whose comparison
+// asks for the diverging ranges afresh — the repair no longer covers the
+// stale fact, nor anything of a relation the new incarnation does not
+// maintain at all — and the receiver drops both and converges to the new
+// fixpoint.
 func TestEpochAdoptionDropsStaleSupport(t *testing.T) {
 	n := NewNetwork()
 	a := newResyncPeer(t, n, "a", -1)
 	loadViewSender(t, a)
+	if _, err := a.AddRule(`gone@b($x) :- src@a($x)`); err != nil {
+		t.Fatal(err)
+	}
 	b := newResyncPeer(t, n, "b", -1)
 	defer b.Close()
-	if err := b.DeclareRelation("view", ast.Intensional, "x"); err != nil {
-		t.Fatal(err)
+	for _, rel := range []string{"view", "gone"} {
+		if err := b.DeclareRelation(rel, ast.Intensional, "x"); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := int64(1); i <= 3; i++ {
 		if err := a.Insert(ast.NewFact("src", "a", value.Int(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !drive([]*Peer{a, b}, func() bool { return len(b.Query("view")) == 3 }, 10*time.Second) {
-		t.Fatalf("initial convergence failed: %v", b.Query("view"))
+	if !drive([]*Peer{a, b}, func() bool { return len(b.Query("view")) == 3 && len(b.Query("gone")) == 3 }, 10*time.Second) {
+		t.Fatalf("initial convergence failed: %v %v", b.Query("view"), b.Query("gone"))
 	}
 
-	// The sender crashes; its new incarnation derives only {1, 2} — fact 3
-	// is the stale support nothing will ever retract explicitly.
+	// The sender crashes; its new incarnation derives only view@b{1, 2} —
+	// fact 3 and all of gone@b are the stale support nothing will ever
+	// retract explicitly.
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -228,8 +271,147 @@ func TestEpochAdoptionDropsStaleSupport(t *testing.T) {
 		}
 	}
 	want := fmt.Sprint([]value.Tuple{{value.Int(1)}, {value.Int(2)}})
-	if !drive([]*Peer{a2, b}, func() bool { return tupleSet(b, "view") == want }, 20*time.Second) {
-		t.Fatalf("stale support survived the sender restart:\n got %s\nwant %s", tupleSet(b, "view"), want)
+	if !drive([]*Peer{a2, b}, func() bool { return tupleSet(b, "view") == want && len(b.Query("gone")) == 0 }, 20*time.Second) {
+		t.Fatalf("stale support survived the sender restart:\n got %s and gone@b %s\nwant %s and nothing",
+			tupleSet(b, "view"), tupleSet(b, "gone"), want)
+	}
+}
+
+// TestEpochAdoptionRepairBusySender: the restarted sender of
+// TestEpochAdoptionDropsStaleSupport does not fall silent — it emits a delta
+// per stage while the receiver is still catching up, so the advert the
+// adoption solicits describes a stream position the receiver has not reached
+// when it is built. With periodic adverts off nothing but that one advert
+// can ever retract the stale support: it must be compared exactly when the
+// receiver gets there. The second arm loses the request itself, which the
+// receiver repeats on later messages of the stream.
+func TestEpochAdoptionRepairBusySender(t *testing.T) {
+	for _, loseRequest := range []bool{false, true} {
+		t.Run(fmt.Sprintf("loseRequest=%v", loseRequest), func(t *testing.T) {
+			n := NewNetwork()
+			a := newResyncPeer(t, n, "a", -1)
+			loadViewSender(t, a)
+			if _, err := a.AddRule(`gone@b($x) :- src@a($x)`); err != nil {
+				t.Fatal(err)
+			}
+			b, link := newLossyPeer(t, n, "b")
+			defer b.Close()
+			for _, rel := range []string{"view", "gone"} {
+				if err := b.DeclareRelation(rel, ast.Intensional, "x"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := int64(1001); i <= 1003; i++ {
+				if err := a.Insert(ast.NewFact("src", "a", value.Int(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !drive([]*Peer{a, b}, func() bool { return len(b.Query("view")) == 3 && len(b.Query("gone")) == 3 }, 10*time.Second) {
+				t.Fatalf("initial convergence failed: %v %v", b.Query("view"), b.Query("gone"))
+			}
+
+			var lost atomic.Int32
+			if loseRequest {
+				drop := func(msg protocol.Payload) bool {
+					req, ok := msg.(protocol.ResyncRequestMsg)
+					return ok && req.Advert && lost.Add(1) == 1
+				}
+				link.drop.Store(&drop)
+			}
+			a.Close()
+			a2 := newResyncPeer(t, n, "a", -1)
+			defer a2.Close()
+			loadViewSender(t, a2)
+			// One delta per sender stage; the receiver only gets a turn every
+			// tenth, so it lags the stream throughout. The lost-request arm
+			// keeps the stream busy past the request limiter.
+			const facts = 200
+			for i := int64(0); i < facts; i++ {
+				if err := a2.Insert(ast.NewFact("src", "a", value.Int(i))); err != nil {
+					t.Fatal(err)
+				}
+				a2.RunStage()
+				if i%10 == 0 {
+					b.RunStage()
+				}
+				if loseRequest && i >= facts-10 {
+					drive([]*Peer{a2, b}, func() bool { return false }, resyncRequestTTL/8)
+				}
+			}
+			if !drive([]*Peer{a2, b}, func() bool { return len(b.Query("view")) == facts && len(b.Query("gone")) == 0 }, 10*time.Second) {
+				t.Fatalf("stale support survived a busy restarted sender: view@b has %d facts (want %d), gone@b %d (want 0)\nreceiver: %+v",
+					len(b.Query("view")), facts, len(b.Query("gone")), b.Stats())
+			}
+			if loseRequest && (lost.Load() < 2 || b.Stats().ResyncRequested < 2) {
+				t.Errorf("the lost advert request was never repeated (%d sent): %+v", lost.Load(), b.Stats())
+			}
+		})
+	}
+}
+
+// TestShedStreamClearsDroppedRelation: a stream restarted by the sender
+// (shed) discards its backlog — here the retractions that emptied a whole
+// relation, which the restart's repair run cannot state either, since the
+// sender maintains nothing in it any more. The advert that ends the run must
+// clear it at the receiver, with the receiver's own advert requests lost.
+func TestShedStreamClearsDroppedRelation(t *testing.T) {
+	n := NewNetwork()
+	a, aLink := newLossyPeer(t, n, "a")
+	defer a.Close()
+	if err := a.LoadSource(`
+		relation extensional src@a(x);
+		relation extensional aux@a(x);
+		view@b($x) :- src@a($x);
+		gone@b($x) :- aux@a($x);
+	`); err != nil {
+		t.Fatal(err)
+	}
+	b, bLink := newLossyPeer(t, n, "b")
+	defer b.Close()
+	for _, rel := range []string{"view", "gone"} {
+		if err := b.DeclareRelation(rel, ast.Intensional, "x"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := int64(1); i <= 3; i++ {
+		for _, rel := range []string{"src", "aux"} {
+			if err := a.Insert(ast.NewFact(rel, "a", value.Int(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !drive([]*Peer{a, b}, func() bool {
+		pending, _ := a.OutboxPending()
+		return len(b.Query("view")) == 3 && len(b.Query("gone")) == 3 && pending == 0
+	}, 10*time.Second) {
+		t.Fatalf("initial convergence failed: %v %v", b.Query("view"), b.Query("gone"))
+	}
+
+	noAdvertRequests := func(msg protocol.Payload) bool {
+		req, ok := msg.(protocol.ResyncRequestMsg)
+		return ok && req.Advert
+	}
+	bLink.drop.Store(&noAdvertRequests)
+	allData := func(msg protocol.Payload) bool { _, ok := msg.(protocol.DataMsg); return ok }
+	aLink.drop.Store(&allData)
+	for i := int64(1); i <= 3; i++ {
+		if err := a.Delete(ast.NewFact("aux", "a", value.Int(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !drive([]*Peer{a, b}, func() bool { pending, _ := a.OutboxPending(); return pending > 0 }, 10*time.Second) {
+		t.Fatal("the retractions never reached the sender's outbox")
+	}
+	a.shedStream("b")
+	aLink.drop.Store(nil)
+
+	want := fmt.Sprint([]value.Tuple{{value.Int(1)}, {value.Int(2)}, {value.Int(3)}})
+	if !drive([]*Peer{a, b}, func() bool { return tupleSet(b, "view") == want && len(b.Query("gone")) == 0 }, 10*time.Second) {
+		t.Fatalf("the relation the sender dropped survived its stream restart: view@b %s, gone@b %s",
+			tupleSet(b, "view"), tupleSet(b, "gone"))
+	}
+	if st := a.Stats(); st.OutboxSheds != 1 {
+		t.Errorf("want exactly the one shed: %+v", st)
 	}
 }
 
@@ -278,5 +460,58 @@ func TestResyncRestoresDelegations(t *testing.T) {
 	if !drive([]*Peer{c, b2}, func() bool { return tupleSet(c, "out") == want }, 20*time.Second) {
 		t.Fatalf("delegation was never re-installed after the receiver restart:\n out@c = %s, want %s\n delegated at b2: %v",
 			tupleSet(c, "out"), want, b2.DelegatedRules())
+	}
+}
+
+// TestDelegationDivergenceResendsDelegationsOnly: a receiver whose installed
+// delegations no longer match the advertised fingerprints, while every fact
+// the sender maintains there still does, asks for the delegations alone —
+// the plain ResyncRequestMsg — and gets them back without the sender
+// restarting the stream or re-shipping a single maintained fact.
+func TestDelegationDivergenceResendsDelegationsOnly(t *testing.T) {
+	n := NewNetwork()
+	c := newResyncPeer(t, n, "c", resyncTestInterval)
+	defer c.Close()
+	if err := c.LoadSource(`
+		relation extensional sel@c(p);
+		relation extensional base@c(x);
+		relation intensional out@c(x);
+		sel@c("b");
+		base@c(1);
+		base@c(2);
+		out@c($x) :- sel@c($p), data@$p($x);
+		mirror@b($x) :- base@c($x);
+	`); err != nil {
+		t.Fatal(err)
+	}
+	b := newResyncPeer(t, n, "b", resyncTestInterval)
+	defer b.Close()
+	if err := b.DeclareRelation("data", ast.Extensional, "x"); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.DeclareRelation("mirror", ast.Intensional, "x"); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.InsertString(`data@b(7);`); err != nil {
+		t.Fatal(err)
+	}
+	if !drive([]*Peer{c, b}, func() bool { return len(c.Query("out")) == 1 && len(b.Query("mirror")) == 2 }, 10*time.Second) {
+		t.Fatalf("initial convergence failed: out@c = %v, mirror@b = %v", c.Query("out"), b.Query("mirror"))
+	}
+
+	// b loses the installed delegation (and with it what it derived for c);
+	// c's fingerprint cache still says "sent, unchanged".
+	installs := b.Stats().DelegationsIn
+	b.mu.Lock()
+	b.dropDelegationsLocked("c")
+	b.mu.Unlock()
+	b.Poke()
+	if !drive([]*Peer{c, b}, func() bool {
+		return b.Stats().DelegationsIn > installs && len(c.Query("out")) == 1
+	}, 20*time.Second) {
+		t.Fatalf("delegation was never re-sent: out@c = %v, delegated at b: %v", c.Query("out"), b.DelegatedRules())
+	}
+	if st := c.Stats(); st.OutboxResets != 0 || st.ResyncRangedRepairs != 0 {
+		t.Errorf("delegation divergence restarted the stream or re-shipped facts: %+v", st)
 	}
 }

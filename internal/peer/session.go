@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/ast"
 	"repro/internal/protocol"
 	"repro/internal/store"
 	"repro/internal/value"
@@ -31,12 +30,12 @@ import (
 // Epoch adoption, watermark dedup and ack staging — previously inlined
 // across peer.go and stage.go — live in inSession.accept/stageAck. The
 // ledger and digests are what anti-entropy compares against a sender's
-// DigestMsg advertisement and what a SnapshotMsg replaces.
+// DigestMsg advertisement and what a RangeRepairMsg replaces, range by range.
 
 // resyncRequestTTL bounds how often a receiver re-asks the same sender for
-// repair: a request is best-effort (it can be lost, or the answering
-// snapshot can), so the receiver re-arms after this long rather than
-// waiting forever — but never spams a sender that is already answering.
+// repair: a request is best-effort (it can be lost, or its answer can), so
+// the receiver re-arms after this long rather than waiting forever — but
+// never spams a sender that is already answering.
 const resyncRequestTTL = time.Second
 
 // inSession is the receiver half of one (src → this peer) stream session.
@@ -62,11 +61,13 @@ type inSession struct {
 	ackSeq    uint64
 
 	// Resync rate limiters: when the matching request was last sent.
-	// Cleared on progress (stream adoption, snapshot application).
-	// advertWanted marks a solicited advert in flight (an Advert repair
-	// request went out): the digest comparison it triggers may bypass the
-	// repairAsked limiter once — the stamp rate-limits the *request*, not
-	// the repair the requested advert concludes is needed.
+	// Cleared on progress (stream adoption, repair application).
+	// advertWanted is set from the adoption of a fresh epoch until an advert
+	// of that epoch has been compared against the ledger: while it is set
+	// the sender is asked for one (an Advert repair request, re-sent under
+	// the repairAsked limiter), and the comparison it triggers may bypass
+	// that limiter once — the stamp rate-limits the *request*, not the
+	// repair the requested advert concludes is needed.
 	resetAsked   time.Time
 	repairAsked  time.Time
 	advertWanted bool
@@ -74,8 +75,8 @@ type inSession struct {
 	// sup is the per-sender support ledger: the facts src currently
 	// maintains at this peer, keyed by relation id then tuple key. It
 	// mirrors what src's remote view believes this peer holds — including
-	// maintained facts in extensional relations — and is exactly the set a
-	// SnapshotMsg replaces. trees keeps a Merkle summary tree per relation,
+	// maintained facts in extensional relations — and is the set ranged
+	// repairs rewrite. trees keeps a Merkle summary tree per relation,
 	// maintained on every add/remove: its root is the O(1) digest a
 	// DigestMsg advertisement is compared against, and its range reads
 	// answer the bisection dialogue in O(log n).
@@ -85,12 +86,6 @@ type inSession struct {
 	// tuples so a replicated fact's support entry shares its backing with
 	// the stored relation tuple and every other peer's ledger.
 	intern *value.Interner
-
-	// snapParts buffers the ops of a chunked snapshot in flight: every
-	// SnapshotMsg with More set parks its ops here, and the final chunk
-	// applies the whole snapshot atomically. A stream adoption discards a
-	// partial buffer — the new stream re-ships its snapshot from chunk one.
-	snapParts []protocol.FactDelta
 }
 
 func newInSession(from string) *inSession {
@@ -104,9 +99,9 @@ func newInSession(from string) *inSession {
 // accept runs the stream-acceptance state machine for one sequenced
 // message: epoch adoption, watermark dedup, gap detection, ack staging.
 // It reports whether the payload should be applied, and whether this
-// message adopted a new epoch of an already-known stream (the cue to
-// request a resync — the previous incarnation may have died owing us
-// retractions).
+// message adopted a new epoch of an already-known stream — from which on the
+// session wants the sender's advert (the previous incarnation may have died
+// owing us retractions).
 func (s *inSession) accept(msg protocol.DataMsg) (apply, adopted bool) {
 	if !s.known {
 		// First contact (or first after this peer lost its own state):
@@ -116,7 +111,6 @@ func (s *inSession) accept(msg protocol.DataMsg) (apply, adopted bool) {
 		s.known = true
 		s.epoch = msg.Epoch
 		s.seq = 0
-		s.snapParts = nil
 		s.advertWanted = false
 	} else if s.epoch != msg.Epoch {
 		if msg.Seq != 1 {
@@ -125,12 +119,11 @@ func (s *inSession) accept(msg protocol.DataMsg) (apply, adopted bool) {
 		}
 		// The sender restarted (or reset) its stream: adopt it with a
 		// fresh watermark, so its re-sends apply instead of being misread
-		// as replays of the old stream. A half-buffered snapshot of the
-		// old stream is dead — the new stream re-ships its own.
+		// as replays of the old stream.
 		s.epoch = msg.Epoch
 		s.seq = 0
-		s.snapParts = nil
-		s.advertWanted = false
+		s.advertWanted = true
+		s.repairAsked = time.Time{} // a dialogue with the old epoch does not delay asking the new one
 		adopted = true
 	}
 	if msg.Seq <= s.seq {
@@ -216,17 +209,6 @@ func (s *inSession) ledgerDigest(relID string) store.Digest {
 	return store.Digest{}
 }
 
-// ledgerCount returns how many facts the sender maintains here in total —
-// the size a repair would have to re-ship, which routes the repair: big
-// ledgers earn a ranged dialogue, small ones a plain snapshot.
-func (s *inSession) ledgerCount() int {
-	n := 0
-	for _, m := range s.sup {
-		n += len(m)
-	}
-	return n
-}
-
 // rangeDigest digests one hash range of one relation's ledger — the
 // receiver half of a bisection comparison.
 func (s *inSession) rangeDigest(relID string, lo, hi uint64) store.Digest {
@@ -236,15 +218,18 @@ func (s *inSession) rangeDigest(relID string, lo, hi uint64) store.Digest {
 	return store.Digest{}
 }
 
-// digestsMatch compares the sender's advertised per-relation digests
-// against this session's ledger digests — O(#relations), no tuples walked.
-func (s *inSession) digestsMatch(rels map[string]protocol.RelDigest) bool {
-	return len(s.mismatchedRels(rels)) == 0
+// repairDue checks and, when due, re-arms the repair-request limiter.
+func (s *inSession) repairDue(now time.Time) bool {
+	if !s.repairAsked.IsZero() && now.Sub(s.repairAsked) < resyncRequestTTL {
+		return false
+	}
+	s.repairAsked = now
+	return true
 }
 
 // mismatchedRels returns the relations whose advertised digest disagrees
 // with this session's ledger — including relations only one side has —
-// sorted for deterministic repair traffic.
+// sorted for deterministic repair traffic. O(#relations), no tuples walked.
 func (s *inSession) mismatchedRels(rels map[string]protocol.RelDigest) []string {
 	var out []string
 	for relID, rd := range rels {
@@ -260,48 +245,6 @@ func (s *inSession) mismatchedRels(rels map[string]protocol.RelDigest) []string 
 	}
 	sort.Strings(out)
 	return out
-}
-
-// staleAgainst returns the ledger facts a snapshot no longer covers —
-// support to drop — sorted for deterministic application. covered is keyed
-// by relation id then tuple key.
-func (s *inSession) staleAgainst(covered map[string]map[string]bool) []ast.Fact {
-	var stale []ast.Fact
-	for relID, m := range s.sup {
-		name, peerName := store.SplitID(relID)
-		for key, t := range m {
-			if !covered[relID][key] {
-				stale = append(stale, ast.Fact{Rel: name, Peer: peerName, Args: t})
-			}
-		}
-	}
-	sortFactsByKey(stale)
-	return stale
-}
-
-// sortFactsByKey sorts facts by canonical key with the keys precomputed —
-// a reset after a sender restart can put a whole ledger through here.
-func sortFactsByKey(fs []ast.Fact) {
-	if len(fs) < 2 {
-		return
-	}
-	keys := make([]string, len(fs))
-	for i, f := range fs {
-		keys[i] = f.Key()
-	}
-	sort.Sort(&factKeySorter{fs: fs, keys: keys})
-}
-
-type factKeySorter struct {
-	fs   []ast.Fact
-	keys []string
-}
-
-func (s *factKeySorter) Len() int           { return len(s.fs) }
-func (s *factKeySorter) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *factKeySorter) Swap(i, j int) {
-	s.fs[i], s.fs[j] = s.fs[j], s.fs[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
 // sendSession is the sender half of one (this peer → dst) stream session:

@@ -135,6 +135,7 @@ func (p *Peer) runStageLocked() *StageReport {
 	defer p.mu.Unlock()
 
 	rep := &StageReport{Stage: p.stageNo + 1}
+	defer func() { p.stats.RuntimeErrors += uint64(len(rep.Errors)) }()
 	startIngest := time.Now()
 	p.poked = false
 
@@ -221,7 +222,6 @@ func (p *Peer) runStageLocked() *StageReport {
 
 	p.stats.Stages++
 	p.stats.Derived += uint64(res.Derived)
-	p.stats.RuntimeErrors += uint64(len(res.Errors))
 	if p.pm != nil {
 		p.pm.stagesRan.Inc()
 		p.pm.stageSeconds.Observe(rep.Duration().Seconds())
@@ -399,15 +399,19 @@ func (p *Peer) stagedAckSessionsLocked() []*inSession {
 // the signature of a receiver that lost its state — asks the sender for a
 // stream reset (in-order retransmission alone can never recover it: the
 // sender has dropped the acknowledged prefix). And adopting a *new epoch*
-// of a known stream asks for a repair snapshot: the sender's previous
+// of a known stream wants the sender's digest advert: its previous
 // incarnation may have died owing us retractions, which its fresh
-// incarnation will never re-send.
+// incarnation will never re-send — the advert comparison finds exactly
+// those, O(δ log n) against a ledger that is in fact nearly correct. The
+// request is best-effort, so it is repeated (rate-limited) on every later
+// message of the stream until an advert of this epoch has been compared; the
+// answer rides the sequenced stream and cannot be lost or arrive early.
 func (p *Peer) ingestDataLocked(from string, msg protocol.DataMsg, rep *StageReport, d *stageDeltas) bool {
 	sess := p.sessionLocked(from)
 	apply, adopted := sess.accept(msg)
 	if !apply {
 		if sess.wedged(msg) {
-			p.requestResyncLocked(from, true)
+			p.requestResetLocked(from)
 		}
 		return false
 	}
@@ -419,37 +423,19 @@ func (p *Peer) ingestDataLocked(from string, msg protocol.DataMsg, rep *StageRep
 		// which may itself be the first re-delegation.
 		p.dropDelegationsLocked(from)
 	}
-	changed := p.ingestPayloadLocked(from, msg.Msg, rep, d)
-	if adopted {
-		if _, isSnapshot := msg.Msg.(protocol.SnapshotMsg); !isSnapshot {
-			p.requestAdoptionRepairLocked(from)
-		}
+	payload := msg.Msg
+	if adv, ok := payload.(protocol.DigestMsg); ok {
+		// A sequenced advert is current as of its own stream position,
+		// whatever was enqueued around it.
+		adv.Epoch, adv.AsOfSeq = msg.Epoch, msg.Seq
+		payload = adv
+	}
+	changed := p.ingestPayloadLocked(from, payload, rep, d)
+	if sess.advertWanted && sess.repairDue(time.Now()) {
+		p.stats.ResyncRequested++
+		p.outbox.EnqueueControl(from, protocol.ResyncRequestMsg{Advert: true})
 	}
 	return changed
-}
-
-// requestAdoptionRepairLocked asks a freshly adopted sender for repair: its
-// previous incarnation may have died owing us retractions its fresh stream
-// will never re-send. A session whose ledger is large enough to clear the
-// ranged-repair floor asks for an immediate digest advert instead of a view
-// re-ship — the advert comparison then routes the repair through the
-// bisection dialogue, turning the classic O(view) restart snapshot into
-// O(δ log n) when the ledger is in fact nearly correct. Small ledgers, and
-// peers with adverts disabled, keep the plain snapshot request.
-func (p *Peer) requestAdoptionRepairLocked(from string) {
-	s := p.sessionLocked(from)
-	if p.resyncEvery <= 0 || p.rangedFloor < 0 || s.ledgerCount() < p.rangedFloor {
-		p.requestResyncLocked(from, false)
-		return
-	}
-	now := time.Now()
-	if !s.repairAsked.IsZero() && now.Sub(s.repairAsked) < resyncRequestTTL {
-		return
-	}
-	s.repairAsked = now
-	s.advertWanted = true
-	p.stats.ResyncRequested++
-	p.outbox.EnqueueControl(from, protocol.ResyncRequestMsg{Advert: true})
 }
 
 // dropDelegationsLocked removes every delegation group the given origin
@@ -467,40 +453,42 @@ func (p *Peer) dropDelegationsLocked(origin string) {
 	}
 }
 
-// requestResyncLocked sends a best-effort repair request to a stream's
-// sender, rate-limited per session (resyncRequestTTL) so retransmission
-// storms and repeated digest adverts do not multiply snapshots. reset asks
-// for a full stream restart (the requester cannot follow the stream);
-// otherwise for an in-stream snapshot.
-func (p *Peer) requestResyncLocked(from string, reset bool) {
+// requestResetLocked asks a stream's sender, best-effort, to restart a
+// stream this peer cannot follow — rate-limited per session
+// (resyncRequestTTL) so retransmission storms and repeated digest adverts do
+// not multiply resets.
+func (p *Peer) requestResetLocked(from string) {
 	s := p.sessionLocked(from)
 	now := time.Now()
-	if reset {
-		if !s.resetAsked.IsZero() && now.Sub(s.resetAsked) < resyncRequestTTL {
-			return
-		}
-		s.resetAsked = now
-	} else {
-		if !s.repairAsked.IsZero() && now.Sub(s.repairAsked) < resyncRequestTTL {
-			return
-		}
-		s.repairAsked = now
+	if !s.resetAsked.IsZero() && now.Sub(s.resetAsked) < resyncRequestTTL {
+		return
 	}
+	s.resetAsked = now
 	p.stats.ResyncRequested++
-	p.outbox.EnqueueControl(from, protocol.ResyncRequestMsg{Reset: reset})
+	p.outbox.EnqueueControl(from, protocol.ResyncRequestMsg{Reset: true})
 }
+
+// fullRange is the whole key-hash line: a relation's root digest is the
+// digest of this range, and a whole view is the repair of it.
+var fullRange = protocol.HashRange{Lo: 0, Hi: ^uint64(0)}
 
 // handleDigestLocked compares a sender's anti-entropy advert against the
 // session's per-sender support ledger. Only a session that is caught up to
 // the advertised stream position may conclude divergence — anything behind
-// is still being decided by in-flight deltas. A session that does not know
-// the stream at all learned something important: the sender maintains
+// is still being decided by in-flight deltas (a sequenced advert is at its
+// own position by construction: ingestDataLocked). A session that does not
+// know the stream at all learned something important: the sender maintains
 // state here that this peer has lost (it restarted), so it asks for a full
 // stream reset.
+//
+// Divergence is repaired by what diverged. Delegation fingerprints that
+// disagree ask the sender to re-send its delegations; each relation whose
+// digest disagrees enters the ranged dialogue with the advertised digest as
+// its round zero — the digest of the full hash range.
 func (p *Peer) handleDigestLocked(from string, msg protocol.DigestMsg) {
 	s := p.sessionLocked(from)
 	if !s.known {
-		p.requestResyncLocked(from, true)
+		p.requestResetLocked(from)
 		return
 	}
 	if s.epoch != msg.Epoch || s.seq != msg.AsOfSeq {
@@ -510,58 +498,30 @@ func (p *Peer) handleDigestLocked(from string, msg protocol.DigestMsg) {
 		// carries the newer position.
 		return
 	}
-	mism := s.mismatchedRels(msg.Rels)
-	if len(mism) == 0 && p.delegationsMatchLocked(from, msg.Deleg) {
-		s.repairAsked = time.Time{}
-		s.advertWanted = false
-		return
-	}
 	if s.advertWanted {
 		// This advert was solicited (Advert repair request): the stamp that
 		// rate-limited the request must not also suppress the repair the
-		// comparison just concluded is needed.
+		// comparison may conclude is needed.
 		s.advertWanted = false
 		s.repairAsked = time.Time{}
 	}
-	// Route the repair. Delegation divergence always takes the snapshot
-	// path — serving it re-sends the residual rule sets, which no ranged
-	// dialogue carries. Fact divergence takes the bisection path when the
-	// divergent relations are collectively large enough to clear the floor
-	// (below it, one snapshot costs less than the dialogue).
-	if p.rangedFloor < 0 || !p.delegationsMatchLocked(from, msg.Deleg) {
-		p.requestResyncLocked(from, false)
+	mism := s.mismatchedRels(msg.Rels)
+	delegOK := p.delegationsMatchLocked(from, msg.Deleg)
+	if len(mism) == 0 && delegOK {
+		s.repairAsked = time.Time{}
 		return
 	}
-	total := 0
-	for _, relID := range mism {
-		n := int(msg.Rels[relID].Count)
-		if c := s.ledgerDigest(relID).Count; int(c) > n {
-			n = int(c)
-		}
-		total += n
-	}
-	if total < p.rangedFloor {
-		p.requestResyncLocked(from, false)
+	if !s.repairDue(time.Now()) {
 		return
 	}
-	p.startRangedRepairLocked(from, mism)
-}
-
-// startRangedRepairLocked opens the bisection dialogue with a divergent
-// sender: one full-range digest request per mismatched relation,
-// rate-limited exactly like a snapshot request (the dialogue is
-// best-effort; a lost round is restarted by the next advert).
-func (p *Peer) startRangedRepairLocked(from string, mism []string) {
-	s := p.sessionLocked(from)
-	now := time.Now()
-	if !s.repairAsked.IsZero() && now.Sub(s.repairAsked) < resyncRequestTTL {
-		return
-	}
-	s.repairAsked = now
 	p.stats.ResyncRequested++
-	full := []protocol.HashRange{{Lo: 0, Hi: ^uint64(0)}}
+	if !delegOK {
+		p.outbox.EnqueueControl(from, protocol.ResyncRequestMsg{})
+	}
 	for _, relID := range mism {
-		p.outbox.EnqueueControl(from, protocol.RangeDigestRequestMsg{RelID: relID, Ranges: full})
+		rd := msg.Rels[relID] // zero when only the ledger has the relation
+		p.compareRangesLocked(from, relID, []protocol.RangeDigest{
+			{Lo: fullRange.Lo, Hi: fullRange.Hi, Hash: rd.Hash, Count: rd.Count}})
 	}
 }
 
@@ -587,70 +547,14 @@ func (p *Peer) delegationsMatchLocked(from string, deleg map[string]uint64) bool
 	return true
 }
 
-// snapshotChunkOps bounds one snapshot chunk: a maintained view larger than
-// this ships as a contiguous run of SnapshotMsgs (every chunk but the last
-// with More set) instead of one unbounded gob message, and the receiver
-// buffers the run and applies it atomically at the final chunk.
-const snapshotChunkOps = 4096
-
-// snapshotChunksLocked builds the full-snapshot repair for dst as a run of
-// bounded chunks (always at least one — an empty final chunk is the whole
-// message for an empty view), counting the snapshot stats as it goes. The
-// caller enqueues the run contiguously (EnqueueDataBatch or a reset).
-func (p *Peer) snapshotChunksLocked(dst string) []protocol.Payload {
-	facts := p.rv.SnapshotFacts(dst)
-	ops := make([]protocol.FactDelta, len(facts))
-	for i, f := range facts {
-		ops[i] = protocol.FactDelta{Maint: true, Fact: f}
-	}
-	var chunks []protocol.Payload
-	for {
-		n := len(ops)
-		if n > snapshotChunkOps {
-			n = snapshotChunkOps
-		}
-		chunk := protocol.SnapshotMsg{Ops: ops[:n], More: n < len(ops)}
-		ops = ops[n:]
-		if b, err := protocol.EncodePayload(chunk); err == nil {
-			p.stats.ResyncSnapshotBytes += uint64(len(b))
-		}
-		chunks = append(chunks, chunk)
-		if len(ops) == 0 {
-			break
-		}
-	}
-	p.stats.ResyncSnapshots++
-	return chunks
-}
-
-// handleResyncRequestLocked serves a receiver's repair request with a
-// snapshot of everything this peer maintains there, and forgets the
-// delegation fingerprints for that target — the requester may have lost its
-// installed delegations along with its data, so the next stage (forced via
-// progDirty) re-sends the current residual sets, which the receiver
-// installs idempotently. A reset request additionally restarts the stream
-// under a fresh epoch, with the snapshot chunks as its sequences 1..n.
-//
-// An Advert request is different in kind: the requester holds a large,
-// probably-nearly-correct ledger and wants the digest advert *now* instead
-// of waiting out the advert clock — the comparison then routes the repair
-// (ranged, snapshot, or nothing). No view is shipped and no delegation
-// state is touched; if the comparison does conclude divergence, the
-// follow-up request comes back through here without the flag.
-func (p *Peer) handleResyncRequestLocked(from string, msg protocol.ResyncRequestMsg) {
-	if msg.Advert {
-		p.outbox.EnqueueControl(from, p.digestMsgLocked(from))
-		return
-	}
-	chunks := p.snapshotChunksLocked(from)
-	if msg.Reset {
-		p.outbox.Reset(from, chunks...)
-	} else {
-		p.outbox.EnqueueDataBatch(from, chunks...)
-	}
+// forgetSentDelegationsLocked drops the delegation fingerprints recorded for
+// dst — it may have lost its installed delegations along with its data — so
+// the next stage (forced via progDirty) re-sends the current residual sets,
+// which dst installs idempotently.
+func (p *Peer) forgetSentDelegationsLocked(dst string) {
 	for ruleID, targets := range p.lastSentDeleg {
-		if _, ok := targets[from]; ok {
-			delete(targets, from)
+		if _, ok := targets[dst]; ok {
+			delete(targets, dst)
 			if len(targets) == 0 {
 				delete(p.lastSentDeleg, ruleID)
 			}
@@ -659,62 +563,62 @@ func (p *Peer) handleResyncRequestLocked(from string, msg protocol.ResyncRequest
 	}
 }
 
-// applySnapshotLocked replaces the sender's support at this peer with
-// exactly the snapshot's content: ledger facts the snapshot no longer
-// covers are applied as maintained deletes (stale support from before a
-// crash dies here; a tuple with a surviving local derivation is kept by
-// the rederivation pass), then every snapshot fact is applied as a
-// maintained insert (idempotent for facts already supported). Since the
-// snapshot rides the sequenced stream, this is correctly ordered against
-// live deltas on both sides.
-func (p *Peer) applySnapshotLocked(from string, msg protocol.SnapshotMsg, rep *StageReport, d *stageDeltas) bool {
-	sess := p.sessionLocked(from)
-	covered := map[string]map[string]bool{}
-	for _, fd := range msg.Ops {
-		if fd.Fact.Peer != p.name || fd.Delete {
-			rep.Errors = append(rep.Errors, fmt.Errorf(
-				"peer %s: malformed snapshot entry %s from %s", p.name, fd.String(), from))
-			continue
-		}
-		relID := fd.Fact.Rel + "@" + fd.Fact.Peer
-		m := covered[relID]
-		if m == nil {
-			m = map[string]bool{}
-			covered[relID] = m
-		}
-		m[fd.Fact.Args.Key()] = true
+// handleResyncRequestLocked serves a receiver's request for what the ranged
+// dialogue does not carry. The plain form re-sends this peer's delegations
+// to the requester; a reset request restarts the stream as well.
+//
+// An Advert request is different in kind: the requester adopted a fresh
+// epoch of this stream and wants the digest advert *now* instead of waiting
+// out the advert clock — the comparison then repairs what differs, or
+// nothing. No view is shipped and no delegation state is touched. The advert
+// is sequenced: a requester still catching up with a busy stream compares it
+// exactly when it reaches the advert's position, and it is retransmitted
+// until acknowledged like any other entry.
+func (p *Peer) handleResyncRequestLocked(from string, msg protocol.ResyncRequestMsg) {
+	switch {
+	case msg.Advert:
+		p.outbox.EnqueueData(from, p.digestMsgLocked(from))
+	case msg.Reset:
+		p.restartStreamLocked(from, p.outbox.Reset)
+	default:
+		p.forgetSentDelegationsLocked(from)
 	}
-	ops := make([]ingestOp, 0, len(msg.Ops))
-	for _, f := range sess.staleAgainst(covered) {
-		ops = append(ops, ingestOp{del: true, maint: true, src: from, fact: f})
-	}
-	for _, fd := range msg.Ops {
-		if fd.Fact.Peer != p.name || fd.Delete {
-			continue
-		}
-		ops = append(ops, ingestOp{maint: true, src: from, fact: fd.Fact})
-	}
-	sess.repairAsked = time.Time{}
-	return p.applyOpsLocked(ops, rep, d)
 }
 
-// Ranged-repair tuning. The bisection dialogue is receiver-driven and
-// stateless: every round the receiver compares the sender's range digests
-// against its own ledger trees, asks for repair of mismatching ranges the
-// sender counts at most rangedRepairLeaf members in, and splits anything
-// bigger into rangedBisectFanout subranges for the next round — so a
-// divergence of δ keys in a view of n costs O(δ·fanout·log n) digests plus
-// O(δ) re-shipped facts instead of O(n). rangedMaxRanges caps one message —
+// restartStreamLocked restarts the stream to dst under a fresh epoch (reset
+// is the outbox's Reset or ShedReset): its first sequences are the
+// full-range repair of every relation this peer maintains there, then a
+// digest advert — against which dst finds whatever the run did not state,
+// such as a relation this peer no longer maintains at all. The delegation
+// fingerprints for dst are forgotten first — it dropped its installed
+// delegations on adopting the epoch, and may have lost them with its data —
+// so the advert lists none and the next stage re-sends the residual sets.
+func (p *Peer) restartStreamLocked(dst string, reset func(string, ...protocol.Payload)) {
+	p.forgetSentDelegationsLocked(dst)
+	run := p.viewRepairsLocked(dst)
+	p.countRepairsLocked(run)
+	reset(dst, append(run, p.digestMsgLocked(dst))...)
+}
+
+// Ranged-repair tuning. The dialogue is receiver-driven and stateless: every
+// round the receiver compares the sender's range digests against its own
+// ledger trees, asks for the content of mismatching ranges that are cheap
+// to re-ship or pointless to bisect, and splits anything else into
+// rangedBisectFanout subranges for the next round — so a divergence of δ
+// keys in a view of n costs O(δ·fanout·log n) digests plus O(δ) re-shipped
+// facts instead of O(n). rangedMaxRanges caps the ranges of one message —
 // bigger rounds ship as several independent requests (every round is
-// stateless), and the cap also bounds what a malformed request can make the
-// sender do. rangedMaxRound caps a whole round: divergence broad enough to
-// blow past it is cheaper as one snapshot.
+// stateless) — and rangedMaxRound the digests one reply may fan out into:
+// divergence broad enough to blow past it is cheaper re-shipped than
+// bisected further. repairChunkOps bounds the facts of one served repair
+// message, whatever the request: a wide range ships as a run of messages
+// over contiguous hash sub-ranges instead of one unbounded gob message.
 const (
-	defaultRangedRepairFloor = 1024
-	rangedRepairLeaf         = 128
-	rangedBisectFanout       = 16
-	rangedMaxRanges          = 512
-	rangedMaxRound           = 4096
+	rangedRepairLeaf   = 128
+	rangedBisectFanout = 16
+	rangedMaxRanges    = 512
+	rangedMaxRound     = 4096
+	repairChunkOps     = 4096
 )
 
 // splitRange cuts one hash range into up to rangedBisectFanout equal
@@ -734,6 +638,59 @@ func splitRange(r protocol.HashRange) []protocol.HashRange {
 			return out
 		}
 		lo = hi + 1
+	}
+}
+
+// compareRangesLocked is the one compare-and-route step of the repair
+// dialogue, shared by its round zero (a digest advert) and every later
+// round (a range-digest reply); the caller has established that the session
+// is caught up to the position the digests are stamped with. A range whose
+// digest disagrees with the ledger tree is asked for outright when the
+// sender counts at most rangedRepairLeaf facts in it, when it is a single
+// hash, or when the ledger holds nothing in it — bisecting an empty side
+// can only discover that every subrange differs, which is why a fresh
+// receiver is repaired by the advert alone, each fact shipped once — and is
+// split for the next round otherwise. Requests are best-effort: a lost
+// round is restarted by the next advert.
+func (p *Peer) compareRangesLocked(from, relID string, ranges []protocol.RangeDigest) {
+	s := p.sessionLocked(from)
+	var repair, bisect []protocol.HashRange
+	for _, rd := range ranges {
+		if rd.Hi < rd.Lo {
+			continue
+		}
+		d := s.rangeDigest(relID, rd.Lo, rd.Hi)
+		if d.Hash == rd.Hash && d.Count == rd.Count {
+			continue
+		}
+		r := protocol.HashRange{Lo: rd.Lo, Hi: rd.Hi}
+		if rd.Count <= rangedRepairLeaf || rd.Lo == rd.Hi || d.Count == 0 {
+			repair = append(repair, r)
+		} else {
+			bisect = append(bisect, r)
+		}
+	}
+	if len(bisect)*rangedBisectFanout > rangedMaxRound {
+		repair, bisect = append(repair, bisect...), nil
+	}
+	if len(repair) == 0 && len(bisect) == 0 {
+		return // every range agreed: the divergence healed (or lives in another relation)
+	}
+	// Progress: re-arm the limiter so the periodic advert does not open a
+	// competing dialogue mid-way.
+	s.repairAsked = time.Now()
+	if len(repair) > 0 {
+		p.stats.ResyncRangesRequested += uint64(len(repair))
+		p.outbox.EnqueueControl(from, protocol.RangeRepairRequestMsg{RelID: relID, Ranges: repair})
+	}
+	var deeper []protocol.HashRange
+	for _, r := range bisect {
+		deeper = append(deeper, splitRange(r)...)
+	}
+	for len(deeper) > 0 {
+		n := min(len(deeper), rangedMaxRanges)
+		p.outbox.EnqueueControl(from, protocol.RangeDigestRequestMsg{RelID: relID, Ranges: deeper[:n]})
+		deeper = deeper[n:]
 	}
 }
 
@@ -768,151 +725,169 @@ func (p *Peer) handleRangeDigestRequestLocked(from string, msg protocol.RangeDig
 }
 
 // handleRangeDigestLocked advances the bisection dialogue as the stream's
-// receiver: compare each advertised range against the ledger tree, request
-// repair of mismatching leaf-sized ranges, recurse into bigger ones. Like a
-// full digest advert, the reply is only meaningful to a session caught up
-// to its stamped stream position — anything else is still being decided by
-// in-flight deltas and is dropped (the next advert restarts the dialogue).
+// receiver. Like a full digest advert, the reply is only meaningful to a
+// session caught up to its stamped stream position — anything else is still
+// being decided by in-flight deltas and is dropped (the next advert
+// restarts the dialogue).
 func (p *Peer) handleRangeDigestLocked(from string, msg protocol.RangeDigestMsg) {
 	s := p.sessionLocked(from)
 	if !s.known || s.epoch != msg.Epoch || s.seq != msg.AsOfSeq || len(msg.Ranges) > rangedMaxRanges {
 		return
 	}
-	var repair, deeper []protocol.HashRange
-	for _, rd := range msg.Ranges {
-		if rd.Hi < rd.Lo {
-			continue
-		}
-		d := s.rangeDigest(msg.RelID, rd.Lo, rd.Hi)
-		if d.Hash == rd.Hash && d.Count == rd.Count {
-			continue
-		}
-		if rd.Count <= rangedRepairLeaf || rd.Lo == rd.Hi {
-			repair = append(repair, protocol.HashRange{Lo: rd.Lo, Hi: rd.Hi})
-			continue
-		}
-		deeper = append(deeper, splitRange(protocol.HashRange{Lo: rd.Lo, Hi: rd.Hi})...)
-	}
-	if len(repair) == 0 && len(deeper) == 0 {
-		return // every range agreed: the divergence healed (or lives in another relation)
-	}
-	if len(repair) > rangedMaxRound || len(deeper) > rangedMaxRound {
-		// Divergence too broad for a dialogue — one snapshot is cheaper.
-		// Clear the rate limiter the dialogue stamped so the request goes out.
-		s.repairAsked = time.Time{}
-		p.requestResyncLocked(from, false)
-		return
-	}
-	// Progress: re-arm the limiter so the periodic advert does not open a
-	// competing snapshot path mid-dialogue.
-	s.repairAsked = time.Now()
-	p.stats.ResyncRangesRequested += uint64(len(repair))
-	for len(repair) > 0 {
-		n := len(repair)
-		if n > rangedMaxRanges {
-			n = rangedMaxRanges
-		}
-		p.outbox.EnqueueControl(from, protocol.RangeRepairRequestMsg{RelID: msg.RelID, Ranges: repair[:n]})
-		repair = repair[n:]
-	}
-	for len(deeper) > 0 {
-		n := len(deeper)
-		if n > rangedMaxRanges {
-			n = rangedMaxRanges
-		}
-		p.outbox.EnqueueControl(from, protocol.RangeDigestRequestMsg{RelID: msg.RelID, Ranges: deeper[:n]})
-		deeper = deeper[n:]
-	}
+	p.compareRangesLocked(from, msg.RelID, msg.Ranges)
 }
 
-// handleRangeRepairRequestLocked serves the end of a bisection dialogue as
-// the stream's sender: re-ship the maintained facts of the requested ranges
-// as sequenced RangeRepairMsgs. Each message is self-contained — it carries
-// whole ranges together with every fact it maintains in them — so a run
-// chunked at roughly snapshotChunkOps facts needs no cross-message
-// atomicity; every piece is an idempotent range-scoped snapshot on its own.
+// rangeRepairsLocked builds the repair of the given hash ranges of relID as
+// maintained at dst: RangeRepairMsgs that between them cover exactly the
+// ranges, each carrying whole sub-ranges together with every fact maintained
+// in them and at most repairChunkOps facts in all. Narrow ranges share a
+// message; a range holding more than fits is cut, in hash order, into
+// contiguous sub-ranges across a run of messages. Every message is a
+// self-contained statement about its own ranges, so a run needs no
+// cross-message atomicity and a hostile full-range request costs the sender
+// bounded messages like any other.
+func (p *Peer) rangeRepairsLocked(dst, relID string, ranges []protocol.HashRange) []protocol.Payload {
+	var run []protocol.Payload
+	cur := protocol.RangeRepairMsg{RelID: relID}
+	flush := func() {
+		run = append(run, cur)
+		cur = protocol.RangeRepairMsg{RelID: relID}
+	}
+	for _, r := range ranges {
+		if r.Hi < r.Lo {
+			continue
+		}
+		for lo := r.Lo; ; {
+			facts, end := p.rv.RangeFacts(dst, relID, lo, r.Hi, repairChunkOps-len(cur.Ops))
+			cur.Ranges = append(cur.Ranges, protocol.HashRange{Lo: lo, Hi: end})
+			for _, f := range facts {
+				cur.Ops = append(cur.Ops, protocol.FactDelta{Maint: true, Fact: f})
+			}
+			if end == r.Hi {
+				break
+			}
+			flush()
+			lo = end + 1
+		}
+		if len(cur.Ops) >= repairChunkOps {
+			flush()
+		}
+	}
+	if len(cur.Ranges) > 0 {
+		flush()
+	}
+	return run
+}
+
+// viewRepairsLocked builds the repair of everything this peer maintains at
+// dst: the full hash range of every relation, in relation order.
+func (p *Peer) viewRepairsLocked(dst string) []protocol.Payload {
+	digs := p.rv.Digests(dst)
+	rels := make([]string, 0, len(digs))
+	for relID := range digs {
+		rels = append(rels, relID)
+	}
+	sort.Strings(rels)
+	var run []protocol.Payload
+	for _, relID := range rels {
+		run = append(run, p.rangeRepairsLocked(dst, relID, []protocol.HashRange{fullRange})...)
+	}
+	return run
+}
+
+// repairBytes is the encoded size of a repair run.
+func repairBytes(run []protocol.Payload) uint64 {
+	var n uint64
+	for _, m := range run {
+		if b, err := protocol.EncodePayload(m); err == nil {
+			n += uint64(len(b))
+		}
+	}
+	return n
+}
+
+// countRepairsLocked records a repair run this peer is about to serve.
+func (p *Peer) countRepairsLocked(run []protocol.Payload) {
+	p.stats.ResyncRangedRepairs += uint64(len(run))
+	p.stats.ResyncRangedRepairBytes += repairBytes(run)
+}
+
+// ViewRepairBytes returns what re-sending everything this peer maintains at
+// dst costs on the wire: the encoded size of the view's full-range repair
+// run, the baseline a narrower repair is measured against.
+func (p *Peer) ViewRepairBytes(dst string) uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return repairBytes(p.viewRepairsLocked(dst))
+}
+
+// handleRangeRepairRequestLocked serves the end of a repair dialogue as the
+// stream's sender: re-ship the maintained facts of the requested ranges as
+// sequenced RangeRepairMsgs.
 func (p *Peer) handleRangeRepairRequestLocked(from string, msg protocol.RangeRepairRequestMsg) {
 	if len(msg.Ranges) == 0 || len(msg.Ranges) > rangedMaxRanges {
 		return
 	}
-	var ranges []protocol.HashRange
-	var ops []protocol.FactDelta
-	flush := func() {
-		if len(ranges) == 0 {
-			return
-		}
-		m := protocol.RangeRepairMsg{RelID: msg.RelID, Ranges: ranges, Ops: ops}
-		p.stats.ResyncRangedRepairs++
-		if b, err := protocol.EncodePayload(m); err == nil {
-			p.stats.ResyncRangedRepairBytes += uint64(len(b))
-		}
+	run := p.rangeRepairsLocked(from, msg.RelID, msg.Ranges)
+	p.countRepairsLocked(run)
+	for _, m := range run {
 		p.outbox.EnqueueData(from, m)
-		ranges, ops = nil, nil
 	}
-	for _, r := range msg.Ranges {
-		if r.Hi < r.Lo {
-			continue
-		}
-		ranges = append(ranges, r)
-		for _, f := range p.rv.RangeFacts(from, msg.RelID, r.Lo, r.Hi) {
-			ops = append(ops, protocol.FactDelta{Maint: true, Fact: f})
-		}
-		if len(ops) >= snapshotChunkOps {
-			flush()
-		}
-	}
-	flush()
 }
 
-// applyRangeRepairLocked applies one range-scoped snapshot: within the
-// message's ranges, the sender's support here becomes exactly the message's
-// ops — ledger facts inside the ranges that the ops do not cover are
-// applied as maintained deletes, then the ops as maintained inserts (both
-// idempotent). The message rides the sequenced stream, so it is ordered
-// exactly-once against live deltas; applying it when the ranges no longer
-// mismatch is harmless for the same reason a replayed snapshot is.
+// applyRangeRepairLocked applies one ranged repair: within the message's
+// ranges, the sender's support here becomes exactly the message's ops —
+// ledger facts inside the ranges that the ops do not cover are applied as
+// maintained deletes (stale support from before a crash dies here; a tuple
+// with a surviving local derivation is kept by the rederivation pass), then
+// the ops as maintained inserts (both idempotent). An op that is not a
+// maintained insert into RelID at this peer, or whose key hashes outside
+// the stated ranges, is refused: nothing outside the ranges is touched. The
+// message rides the sequenced stream, so it is ordered exactly-once against
+// live deltas; applying it when the ranges no longer mismatch is harmless.
 func (p *Peer) applyRangeRepairLocked(from string, msg protocol.RangeRepairMsg, rep *StageReport, d *stageDeltas) bool {
 	sess := p.sessionLocked(from)
+	if len(msg.Ranges) > rangedMaxRanges {
+		rep.Errors = append(rep.Errors, fmt.Errorf(
+			"peer %s: ranged repair from %s states %d ranges, over the cap of %d", p.name, from, len(msg.Ranges), rangedMaxRanges))
+		return false
+	}
+	inRanges := func(h uint64) bool {
+		for _, r := range msg.Ranges {
+			if r.Lo <= h && h <= r.Hi {
+				return true
+			}
+		}
+		return false
+	}
 	covered := make(map[string]bool, len(msg.Ops))
+	ins := make([]ingestOp, 0, len(msg.Ops))
 	for _, fd := range msg.Ops {
-		if fd.Fact.Peer != p.name || fd.Delete || fd.Fact.Rel+"@"+fd.Fact.Peer != msg.RelID {
+		key := fd.Fact.Args.Key()
+		if fd.Fact.Peer != p.name || fd.Delete || !fd.Maint || fd.Fact.Rel+"@"+fd.Fact.Peer != msg.RelID || !inRanges(store.KeyHash(key)) {
 			rep.Errors = append(rep.Errors, fmt.Errorf(
 				"peer %s: malformed ranged repair entry %s from %s", p.name, fd.String(), from))
 			continue
 		}
-		covered[fd.Fact.Args.Key()] = true
+		covered[key] = true
+		ins = append(ins, ingestOp{maint: true, src: from, fact: fd.Fact})
 	}
-	var stale []ast.Fact
+	var ops []ingestOp
 	if tr := sess.trees[msg.RelID]; tr != nil {
 		name, peerName := store.SplitID(msg.RelID)
 		sup := sess.sup[msg.RelID]
 		for _, r := range msg.Ranges {
-			if r.Hi < r.Lo {
-				continue
-			}
-			for _, key := range tr.RangeKeys(r.Lo, r.Hi) {
-				if covered[key] {
-					continue
-				}
-				if t, ok := sup[key]; ok {
-					stale = append(stale, ast.Fact{Rel: name, Peer: peerName, Args: t})
+			keys, _ := tr.RangeKeys(r.Lo, r.Hi, 0)
+			for _, key := range keys {
+				if t, ok := sup[key]; ok && !covered[key] {
+					ops = append(ops, ingestOp{del: true, maint: true, src: from,
+						fact: ast.Fact{Rel: name, Peer: peerName, Args: t}})
 				}
 			}
 		}
-	}
-	sortFactsByKey(stale)
-	ops := make([]ingestOp, 0, len(stale)+len(msg.Ops))
-	for _, f := range stale {
-		ops = append(ops, ingestOp{del: true, maint: true, src: from, fact: f})
-	}
-	for _, fd := range msg.Ops {
-		if fd.Fact.Peer != p.name || fd.Delete || fd.Fact.Rel+"@"+fd.Fact.Peer != msg.RelID {
-			continue
-		}
-		ops = append(ops, ingestOp{maint: true, src: from, fact: fd.Fact})
 	}
 	sess.repairAsked = time.Time{}
-	return p.applyOpsLocked(ops, rep, d)
+	return p.applyOpsLocked(append(ops, ins...), rep, d)
 }
 
 // outboxCompactThreshold is the record count past which the outbox log is
@@ -966,22 +941,6 @@ func (p *Peer) ingestPayloadLocked(from string, payload protocol.Payload, rep *S
 		if decision == acl.Reject {
 			rep.Errors = append(rep.Errors, fmt.Errorf(
 				"peer %s: %w: delegation %s from %s", p.name, errdefs.ErrPolicyDenied, msg.RuleID, from))
-		}
-	case protocol.SnapshotMsg:
-		sess := p.sessionLocked(from)
-		if msg.More {
-			// One chunk of a larger snapshot: park its ops (the sequenced
-			// stream already acked it) and apply the whole run atomically at
-			// the final chunk.
-			sess.snapParts = append(sess.snapParts, msg.Ops...)
-			break
-		}
-		if len(sess.snapParts) > 0 {
-			msg.Ops = append(sess.snapParts, msg.Ops...)
-			sess.snapParts = nil
-		}
-		if p.applySnapshotLocked(from, msg, rep, d) {
-			changed = true
 		}
 	case protocol.RangeRepairMsg:
 		if p.applyRangeRepairLocked(from, msg, rep, d) {
@@ -1095,7 +1054,7 @@ func (p *Peer) applyOpsLocked(ops []ingestOp, rep *StageReport, d *stageDeltas) 
 //
 // Maintained deltas additionally keep the sender's session ledger in step:
 // it mirrors the sender's remote view of this peer — what anti-entropy
-// digests are compared against and what a resync snapshot replaces — so it
+// digests are compared against and what a ranged repair rewrites — so it
 // is updated whether or not the store membership changed.
 func (p *Peer) applyFactLocked(op ingestOp, rep *StageReport, d *stageDeltas) bool {
 	f := op.fact
@@ -1352,10 +1311,7 @@ func (p *Peer) Run(ctx context.Context) error {
 			return ctx.Err()
 		}
 		if p.HasWork() {
-			rep := p.RunStage()
-			for _, err := range rep.Errors {
-				p.debugf("stage %d: %v", rep.Stage, err)
-			}
+			p.RunStage()
 			continue
 		}
 		select {

@@ -115,10 +115,14 @@ type RelDigest struct {
 // the receiver. It is valid as of stream position (Epoch, AsOfSeq) — a
 // receiver that has not yet applied the stream up to AsOfSeq in that epoch
 // is merely behind and must ignore the advert rather than read the lag as
-// divergence. A receiver that is caught up and whose per-sender supported
-// sets (or installed delegations) digest differently answers with a
-// ResyncRequestMsg. Adverts are unsequenced and best-effort: a lost one is
-// repeated by the sender's periodic timer.
+// divergence. For a receiver that is caught up, each relation's digest is
+// round zero of the ranged-repair dialogue — the RangeDigest of the full hash
+// range — and diverging delegation fingerprints are answered with a
+// ResyncRequestMsg. Periodic adverts are unsequenced and best-effort: a lost
+// one is repeated by the sender's timer. An advert that must not be lost —
+// the answer to an Advert request, the end of a restarted stream's repair
+// run — rides the sequenced stream inside a DataMsg instead, and is current
+// as of that message's own position whatever Epoch and AsOfSeq say.
 type DigestMsg struct {
 	Epoch   uint64
 	AsOfSeq uint64
@@ -126,43 +130,26 @@ type DigestMsg struct {
 	Deleg   map[string]uint64
 }
 
-// ResyncRequestMsg asks the message's *receiver* (the stream's sender) to
-// repair the requester's copy of the maintained view. With Reset false the
-// sender enqueues a SnapshotMsg into the existing stream (digest mismatch:
-// content drifted, stream healthy). With Reset true the requester cannot
-// follow the stream at all — typically it restarted and lost its watermark
-// while the sender's stream is mid-sequence — so the sender tears the
-// stream down: fresh per-stream epoch, a snapshot as the new sequence 1,
-// surviving pending entries renumbered behind it. With Advert true the
-// requester holds a large, probably-nearly-correct ledger (a sender restart
-// adopted a fresh epoch over intact receiver state) and asks for an
-// immediate digest advert instead of a view re-ship: the advert comparison
-// then routes the repair — ranged if the trees are big, snapshot if not,
-// nothing at all if the ledger already matches. Requests are idempotent and
-// best-effort; the requester rate-limits and re-asks.
+// ResyncRequestMsg asks the message's *receiver* (the stream's sender) for
+// help the ranged-repair dialogue does not carry. The plain form says "re-send
+// your delegations to me": the requester's installed rule sets disagree with
+// the advertised fingerprints, so the sender forgets what it believes it
+// delegated there and its next stage re-sends the current residual sets. With
+// Reset true the requester cannot follow the stream at all — typically it
+// restarted and lost its watermark while the sender's stream is mid-sequence —
+// so the sender tears the stream down: fresh per-stream epoch, its maintained
+// view as full-range RangeRepairMsgs from sequence 1, a sequenced advert
+// after them (it clears what the run cannot state: relations the sender no
+// longer maintains), surviving pending entries renumbered behind, delegations
+// re-sent. With Advert true the requester adopted a fresh epoch of a known
+// sender over whatever ledger it holds and asks for a sequenced digest
+// advert: the comparison, made exactly when the requester reaches the
+// advert's stream position, repairs what differs — nothing at all if the
+// ledger already matches. Requests are idempotent and best-effort; the
+// requester rate-limits and re-asks.
 type ResyncRequestMsg struct {
 	Reset  bool
 	Advert bool
-}
-
-// SnapshotMsg carries the sender's complete maintained view for the
-// receiver — every fact it currently derives there, as maintained inserts.
-// It rides the sequenced stream (inside a DataMsg), so it is ordered
-// exactly-once against live deltas: deltas enqueued before the snapshot are
-// already reflected in it, deltas after it apply on top. On application the
-// receiver sets the sender's support to exactly the snapshot: facts it
-// carries gain support (idempotently), and per-sender support the snapshot
-// no longer covers is dropped — stale tuples from before a crash die here.
-//
-// Large views ship as a contiguous run of bounded chunks rather than one
-// giant gob message: every chunk but the last sets More, and the receiver
-// buffers chunks (they advance the watermark and ack like any sequenced
-// message) and applies the whole snapshot atomically at the final one. A
-// stream reset or epoch change discards a partial buffer — the new stream
-// re-ships its snapshot from chunk one.
-type SnapshotMsg struct {
-	Ops  []FactDelta
-	More bool
 }
 
 // HashRange is an inclusive interval [Lo, Hi] on the canonical 64-bit
@@ -185,9 +172,9 @@ type RangeDigest struct {
 
 // RangeDigestRequestMsg asks the stream's sender to digest the given hash
 // ranges of one relation's maintained view — one round of the bisection
-// dialogue, sent by a receiver whose ledger digest disagrees with an
-// advert. Unsequenced and best-effort: a lost round is restarted by the
-// next periodic advert.
+// dialogue, sent by a receiver whose ledger disagrees with the previous
+// round (the advert being round zero). Unsequenced and best-effort: a lost
+// round is restarted by the next periodic advert.
 type RangeDigestRequestMsg struct {
 	RelID  string
 	Ranges []HashRange
@@ -198,8 +185,8 @@ type RangeDigestRequestMsg struct {
 // AsOfSeq) exactly like a DigestMsg: a receiver that is not caught up to
 // that position must drop the reply (in-flight deltas are still deciding
 // the comparison). The receiver recurses on mismatching ranges — asking for
-// their subranges — and requests repair for mismatching ranges already at
-// leaf size.
+// their subranges — and requests repair for mismatching ranges the sender
+// counts few members in or its own ledger holds nothing in.
 type RangeDigestMsg struct {
 	Epoch   uint64
 	AsOfSeq uint64
@@ -215,15 +202,18 @@ type RangeRepairRequestMsg struct {
 	Ranges []HashRange
 }
 
-// RangeRepairMsg is the ranged analogue of SnapshotMsg: the authoritative
-// statement "my maintained view of RelID, restricted to Ranges, is exactly
-// Ops". It rides the sequenced stream, so it is ordered exactly-once
-// against live deltas. On application the receiver drops ledger support for
-// every tuple inside the ranges that Ops does not cover and applies Ops as
-// maintained inserts — a range-scoped snapshot, idempotent and safe to
-// apply even if the ranges no longer mismatch. A repair covering many
-// ranges may arrive as several messages, each self-contained over its own
-// range subset.
+// RangeRepairMsg is the one repair message: the authoritative statement "my
+// maintained view of RelID, restricted to Ranges, is exactly Ops". It rides
+// the sequenced stream, so it is ordered exactly-once against live deltas:
+// deltas enqueued before it are already reflected in it, deltas after it
+// apply on top. On application the receiver drops ledger support for every
+// tuple inside the ranges that Ops does not cover — stale tuples from before
+// a crash die here — and applies Ops as maintained inserts: idempotent, and
+// safe to apply even if the ranges no longer mismatch. The sender bounds
+// every message: a wide range (a whole view is the range [0, ^uint64(0)])
+// ships as a run of messages over contiguous hash sub-ranges, each
+// self-contained over its own sub-range, so a run cut short leaves every
+// range already applied correct and the next advert finishes the rest.
 type RangeRepairMsg struct {
 	RelID  string
 	Ranges []HashRange
@@ -272,7 +262,6 @@ func (DataMsg) payload()          {}
 func (AckMsg) payload()           {}
 func (DigestMsg) payload()        {}
 func (ResyncRequestMsg) payload() {}
-func (SnapshotMsg) payload()      {}
 
 func (MuxFrame) payload()              {}
 func (RangeDigestRequestMsg) payload() {}
@@ -303,7 +292,6 @@ func init() {
 	gob.Register(AckMsg{})
 	gob.Register(DigestMsg{})
 	gob.Register(ResyncRequestMsg{})
-	gob.Register(SnapshotMsg{})
 	gob.Register(MuxFrame{})
 	gob.Register(RangeDigestRequestMsg{})
 	gob.Register(RangeDigestMsg{})

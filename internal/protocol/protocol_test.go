@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/ast"
@@ -93,13 +94,12 @@ func TestControlMsgRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRangedMessagesRoundTrip: the bisection dialogue's four message types
-// and the chunk/advert flags survive the wire.
+// TestRangedMessagesRoundTrip: the repair dialogue's four message types and
+// the advert flag survive the wire.
 func TestRangedMessagesRoundTrip(t *testing.T) {
 	full := HashRange{Lo: 0, Hi: ^uint64(0)}
 	msgs := []Payload{
 		ResyncRequestMsg{Advert: true},
-		SnapshotMsg{More: true, Ops: []FactDelta{{Fact: ast.NewFact("r", "b", value.Int(1))}}},
 		RangeDigestRequestMsg{RelID: "r@b", Ranges: []HashRange{full, {Lo: 1, Hi: 2}}},
 		RangeDigestMsg{Epoch: 3, AsOfSeq: 9, RelID: "r@b", Ranges: []RangeDigest{
 			{Lo: 1, Hi: 2, Hash: 0xDEAD, Count: 4},
@@ -123,10 +123,6 @@ func TestRangedMessagesRoundTrip(t *testing.T) {
 			if !m.Advert || m.Reset {
 				t.Errorf("resync request = %+v", m)
 			}
-		case SnapshotMsg:
-			if !m.More || len(m.Ops) != 1 {
-				t.Errorf("snapshot chunk = %+v", m)
-			}
 		case RangeDigestRequestMsg:
 			if m.RelID != "r@b" || len(m.Ranges) != 2 || m.Ranges[0] != full {
 				t.Errorf("range digest request = %+v", m)
@@ -149,23 +145,25 @@ func TestRangedMessagesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRangedMessagesInsideDataMsg: the sequenced carriers (RangeRepairMsg,
-// chunked SnapshotMsg) also ride inside DataMsg, gob's interface-in-struct
-// case.
+// TestRangedMessagesInsideDataMsg: the sequenced repair carrier and the
+// sequenced advert also ride inside DataMsg, gob's interface-in-struct case.
 func TestRangedMessagesInsideDataMsg(t *testing.T) {
-	inner := RangeRepairMsg{RelID: "r@b", Ranges: []HashRange{{Lo: 7, Hi: 8}}}
-	b, err := Encode(Envelope{From: "a", To: "b", Msg: DataMsg{Epoch: 2, Seq: 5, Msg: inner}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeEnvelope(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dm := got.Msg.(DataMsg)
-	rm, ok := dm.Msg.(RangeRepairMsg)
-	if !ok || dm.Epoch != 2 || dm.Seq != 5 || rm.RelID != "r@b" || len(rm.Ranges) != 1 {
-		t.Fatalf("decoded %+v", got.Msg)
+	for _, inner := range []Payload{
+		RangeRepairMsg{RelID: "r@b", Ranges: []HashRange{{Lo: 7, Hi: 8}}},
+		DigestMsg{Rels: map[string]RelDigest{"r@b": {Hash: 0xBEEF, Count: 3}}, Deleg: map[string]uint64{"rule1": 9}},
+	} {
+		b, err := Encode(Envelope{From: "a", To: "b", Msg: DataMsg{Epoch: 2, Seq: 5, Msg: inner}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeEnvelope(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dm := got.Msg.(DataMsg)
+		if dm.Epoch != 2 || dm.Seq != 5 || !reflect.DeepEqual(dm.Msg, inner) {
+			t.Fatalf("decoded %+v, want %+v inside", got.Msg, inner)
+		}
 	}
 }
 

@@ -25,8 +25,8 @@ import "sort"
 //     O(log n) amortized (splits and collapses touch one page);
 //   - RangeDigest(lo, hi) decomposes the range into O(log n) whole
 //     subtrees plus at most two partially-covered leaf pages;
-//   - RangeKeys(lo, hi) enumerates the members of a range in
-//     O(log n + members).
+//   - RangeKeys(lo, hi, max) reads the members of a range in canonical
+//     order, max at a time, in O(log n + members read).
 //
 // Because node digests are order-insensitive folds of *members* (not
 // hashes of child digests), two trees summarizing the same set compare
@@ -251,25 +251,28 @@ func (n *merkleNode) rangeDigest(prefix uint64, depth int, lo, hi uint64, d *Dig
 	}
 }
 
-// RangeKeys returns the keys whose hash falls in the inclusive range
-// [lo, hi], in canonical (hash, key) order. The slice is the caller's.
-func (t *MerkleTree) RangeKeys(lo, hi uint64) []string {
-	if lo > hi {
-		return nil
+// RangeKeys returns, in canonical (hash, key) order, the keys whose hash
+// falls in the inclusive range [lo, hi] — at most max of them when max > 0 —
+// and the end of the hash sub-range the result exhausts: every member
+// hashing into [lo, end] is returned, and end == hi when nothing was cut. A
+// cut never separates members sharing one hash (a run of full 64-bit
+// collisions may therefore exceed max), so [end+1, hi] is exactly what is
+// left to read. The slice is the caller's.
+func (t *MerkleTree) RangeKeys(lo, hi uint64, max int) (keys []string, end uint64) {
+	w := rangeWalk{lo: lo, hi: hi, max: max, end: hi}
+	if lo <= hi {
+		t.root.rangeKeys(0, 0, &w)
 	}
-	var out []rangeKey
-	t.root.rangeKeys(0, 0, lo, hi, &out)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].hash != out[j].hash {
-			return out[i].hash < out[j].hash
-		}
-		return out[i].key < out[j].key
-	})
-	keys := make([]string, len(out))
-	for i, rk := range out {
-		keys[i] = rk.key
-	}
-	return keys
+	return w.keys, w.end
+}
+
+// rangeWalk is the state of one in-order RangeKeys traversal.
+type rangeWalk struct {
+	lo, hi uint64
+	max    int
+	keys   []string
+	last   uint64 // hash of the last key taken
+	end    uint64
 }
 
 type rangeKey struct {
@@ -277,22 +280,41 @@ type rangeKey struct {
 	key  string
 }
 
-func (n *merkleNode) rangeKeys(prefix uint64, depth int, lo, hi uint64, out *[]rangeKey) {
+// rangeKeys appends the subtree's members in [w.lo, w.hi] in canonical
+// order — children cover ascending hash prefixes, so only leaf pages need
+// sorting — and reports whether the walk was cut at w.max.
+func (n *merkleNode) rangeKeys(prefix uint64, depth int, w *rangeWalk) bool {
 	nLo, nHi := nodeSpan(prefix, depth)
-	if nHi < lo || nLo > hi || n.count == 0 {
-		return
+	if nHi < w.lo || nLo > w.hi || n.count == 0 {
+		return false
 	}
-	if n.children == nil {
-		for key, h := range n.keys {
-			if lo <= h && h <= hi {
-				*out = append(*out, rangeKey{hash: h, key: key})
+	if n.children != nil {
+		for i, c := range n.children {
+			if c != nil && c.rangeKeys(prefix|uint64(i)<<(64-merkleBits*(depth+1)), depth+1, w) {
+				return true
 			}
 		}
-		return
+		return false
 	}
-	for i, c := range n.children {
-		if c != nil {
-			c.rangeKeys(prefix|uint64(i)<<(64-merkleBits*(depth+1)), depth+1, lo, hi, out)
+	page := make([]rangeKey, 0, len(n.keys))
+	for key, h := range n.keys {
+		if w.lo <= h && h <= w.hi {
+			page = append(page, rangeKey{hash: h, key: key})
 		}
 	}
+	sort.Slice(page, func(i, j int) bool {
+		if page[i].hash != page[j].hash {
+			return page[i].hash < page[j].hash
+		}
+		return page[i].key < page[j].key
+	})
+	for _, rk := range page {
+		if w.max > 0 && len(w.keys) >= w.max && rk.hash != w.last {
+			w.end = w.last
+			return true
+		}
+		w.keys = append(w.keys, rk.key)
+		w.last = rk.hash
+	}
+	return false
 }

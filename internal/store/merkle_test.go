@@ -56,8 +56,8 @@ func TestMerkleTreeAgainstModel(t *testing.T) {
 			if got := tree.RangeDigest(lo, hi); got != want {
 				t.Fatalf("step %d: RangeDigest[%x,%x] %+v, brute force %+v", step, lo, hi, got, want)
 			}
-			if got := len(tree.RangeKeys(lo, hi)); got != n {
-				t.Fatalf("step %d: RangeKeys[%x,%x] returned %d keys, brute force %d", step, lo, hi, got, n)
+			if got, end := tree.RangeKeys(lo, hi, 0); len(got) != n || end != hi {
+				t.Fatalf("step %d: RangeKeys[%x,%x] returned %d keys to %x, brute force %d", step, lo, hi, len(got), end, n)
 			}
 		}
 	}
@@ -107,7 +107,7 @@ func TestMerkleRangeKeysCanonicalOrder(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		tree.Add(fmt.Sprintf("k%d", i))
 	}
-	keys := tree.RangeKeys(0, ^uint64(0))
+	keys, _ := tree.RangeKeys(0, ^uint64(0), 0)
 	if len(keys) != 500 {
 		t.Fatalf("enumerated %d of 500 keys", len(keys))
 	}
@@ -115,6 +115,43 @@ func TestMerkleRangeKeysCanonicalOrder(t *testing.T) {
 		a, b := KeyHash(keys[i-1]), KeyHash(keys[i])
 		if a > b || (a == b && keys[i-1] >= keys[i]) {
 			t.Fatalf("keys out of canonical order at %d: %q then %q", i, keys[i-1], keys[i])
+		}
+	}
+}
+
+// TestMerkleRangeKeysBounded: reading a range max keys at a time, resuming
+// each read at end+1, yields exactly the unbounded read — every piece within
+// the bound, exhausting its own hash sub-range, the last one ending at hi.
+func TestMerkleRangeKeysBounded(t *testing.T) {
+	tree := NewMerkleTree()
+	for i := 0; i < 3000; i++ {
+		tree.Add(fmt.Sprintf("k%d", i))
+	}
+	const hi = ^uint64(0) - 1<<60
+	want, _ := tree.RangeKeys(1<<60, hi, 0)
+	for _, max := range []int{1, 7, 128, 1000, len(want), len(want) + 1} {
+		var got []string
+		lo, reads := uint64(1<<60), 0
+		for {
+			keys, end := tree.RangeKeys(lo, hi, max)
+			reads++
+			if len(keys) > max {
+				t.Fatalf("max %d: read returned %d keys", max, len(keys))
+			}
+			if d := tree.RangeDigest(lo, end); int(d.Count) != len(keys) {
+				t.Fatalf("max %d: read [%x,%x] returned %d keys, the sub-range holds %d", max, lo, end, len(keys), d.Count)
+			}
+			got = append(got, keys...)
+			if end == hi {
+				break
+			}
+			lo = end + 1
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("max %d: %d bounded reads returned %d keys, unbounded read %d", max, reads, len(got), len(want))
+		}
+		if min := (len(want) + max - 1) / max; reads != min {
+			t.Fatalf("max %d: %d reads for %d keys, want %d", max, reads, len(want), min)
 		}
 	}
 }
