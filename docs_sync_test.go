@@ -1,7 +1,9 @@
 package webdamlog
 
 import (
+	"encoding/json"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -145,27 +147,85 @@ func TestDiagnosticsDocComplete(t *testing.T) {
 	}
 }
 
-// TestDocExperimentIDsExist cross-checks docs/EXPERIMENTS.md against the
-// wdlbench harness: every experiment id documented with a "### <id> —"
-// heading must be a known -exp value (the harness source lists them), so
-// the experiment catalogue cannot drift from the tool.
-func TestDocExperimentIDsExist(t *testing.T) {
+// TestExperimentsDocTargetsExist keeps docs/EXPERIMENTS.md honest: every
+// experiment id this repository has used has a table row, and every name in
+// backticks in a row's last column ("where it lives now") exists — a
+// Test…/Fuzz… name is a function in some *_test.go file, anything else is a
+// workload, metric or workload/metric of BENCHMARK.json, or a path in the
+// tree. Test names anywhere else on the page are held to the same rule.
+func TestExperimentsDocTargetsExist(t *testing.T) {
 	doc, err := os.ReadFile("docs/EXPERIMENTS.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	harness, err := os.ReadFile("cmd/wdlbench/main.go")
+	funcs := map[string]bool{}
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w+)\(`)
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			funcs[string(m[1])] = true
+		}
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	heading := regexp.MustCompile(`(?m)^### ([a-z][0-9]+) `)
-	ids := heading.FindAllStringSubmatch(string(doc), -1)
-	if len(ids) == 0 {
-		t.Fatal("no experiment headings found in docs/EXPERIMENTS.md")
+	type named struct {
+		Name string `json:"name"`
 	}
-	for _, m := range ids {
-		if !strings.Contains(string(harness), fmt.Sprintf("%q", m[1])) {
-			t.Errorf("docs/EXPERIMENTS.md documents experiment %s but cmd/wdlbench does not know it", m[1])
+	var manifest struct {
+		Workloads []named `json:"workloads"`
+		EndToEnd  []named `json:"end_to_end"`
+		PerLayer  []named `json:"per_layer"`
+	}
+	raw, err := os.ReadFile("BENCHMARK.json")
+	if err == nil {
+		err = json.Unmarshal(raw, &manifest)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledger := map[string]bool{}
+	for _, m := range append(manifest.EndToEnd, manifest.PerLayer...) {
+		ledger[m.Name] = true
+	}
+	for _, w := range manifest.Workloads {
+		ledger[w.Name] = true
+		for _, m := range manifest.EndToEnd {
+			ledger[w.Name+"/"+m.Name] = true
+		}
+	}
+	if len(funcs) < 100 || len(ledger) < 50 {
+		t.Fatalf("found %d test functions and %d ledger names; the gate is miswired", len(funcs), len(ledger))
+	}
+
+	testName := regexp.MustCompile("^(Test|Fuzz)\\w+$")
+	ticked := regexp.MustCompile("`([^`]+)`")
+	for _, m := range ticked.FindAllStringSubmatch(string(doc), -1) {
+		if testName.MatchString(m[1]) && !funcs[m[1]] {
+			t.Errorf("docs/EXPERIMENTS.md names %s, which no *_test.go file defines", m[1])
+		}
+	}
+	rows := map[string]string{} // id -> last cell
+	row := regexp.MustCompile(`(?m)^\| ([a-z][0-9]+) \|.*\| ([^|]+) \|$`)
+	for _, m := range row.FindAllStringSubmatch(string(doc), -1) {
+		rows[m[1]] = m[2]
+	}
+	for _, id := range strings.Fields("e1 e2 e3 e4 e5 p1 p2 p3 p4 p5 p6 p7 p8 p9 p10 p11 i1 a1") {
+		targets := ticked.FindAllStringSubmatch(rows[id], -1)
+		if len(targets) == 0 {
+			t.Errorf("docs/EXPERIMENTS.md has no row for experiment %s that names where it lives", id)
+		}
+		for _, m := range targets {
+			if testName.MatchString(m[1]) || ledger[m[1]] {
+				continue // test names were checked above
+			}
+			if _, err := os.Stat(m[1]); err != nil {
+				t.Errorf("docs/EXPERIMENTS.md, %s: %s is neither a BENCHMARK.json name nor a path", id, m[1])
+			}
 		}
 	}
 }

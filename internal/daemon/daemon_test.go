@@ -10,8 +10,12 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/peer"
 )
 
 // testConfig hosts a hub peer shipping a derived view to a watcher peer
@@ -350,4 +354,135 @@ func TestDaemonToleratesWarnings(t *testing.T) {
 		Program: `view@hub($x) :- data@hub($x);` + "\n" + `relation extensional data@hub(x);`,
 	}}}
 	startDaemon(t, cfg)
+}
+
+// stageGate is a wrapper hook that holds a peer's stage loop until the
+// channel is closed: a consumer that has stopped consuming.
+type stageGate chan struct{}
+
+func (g stageGate) BeforeStage(*peer.Peer) error                   { <-g; return nil }
+func (g stageGate) AfterStage(*peer.Peer, *peer.StageReport) error { return nil }
+
+// TestDaemonLoadBoundedOutbox: 50 concurrent /apply clients push 1200 facts
+// through a hub whose watcher has stalled. Blocking admission holds the
+// clients at the outbox bound instead of queueing every request; once the
+// watcher resumes, every request completes and both the watcher's view and a
+// subscription consumer's replica of it converge to every applied fact.
+func TestDaemonLoadBoundedOutbox(t *testing.T) {
+	const clients, requests, limit = 50, 12, 64
+	const facts = 2 * clients * requests
+	cfg := testConfig()
+	cfg.OutboxLimit, cfg.MaxPendingOps = limit, limit
+	d, base := startDaemon(t, cfg)
+	hub, watcher := d.Peer("hub"), d.Peer("watcher")
+	gate := make(stageGate)
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
+	watcher.SetHooks(gate)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	// A subscriber keeping its own replica of the view. Its channel is
+	// bounded: a burst it cannot absorb sheds the stream, and it resubscribes
+	// and re-baselines from a Query (inserts only, so replays are harmless).
+	var replica sync.Map
+	go func() {
+		for ctx.Err() == nil {
+			deltas, err := watcher.Subscribe(ctx, "mirror")
+			if err != nil {
+				return
+			}
+			for _, tup := range watcher.Query("mirror") {
+				replica.Store(tup.Key(), true)
+			}
+			for dl := range deltas {
+				replica.Store(dl.Tuple.Key(), true)
+			}
+		}
+	}()
+	var sampled atomic.Int64 // deepest hub outbox the sampler saw
+	go func() {
+		for ctx.Err() == nil {
+			depth, _ := hub.OutboxPending()
+			sampled.Store(max(sampled.Load(), int64(depth)))
+			time.Sleep(time.Millisecond)
+		}
+	}()
+
+	// Each request carries one fact the hub's rule derives the view from (a
+	// stage emission) and one addressed to the watcher outright (API intake,
+	// the kind OutboxLimit bounds).
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clients}}
+	defer client.CloseIdleConnections()
+	errs := make(chan error, clients)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < requests; r++ {
+				body, _ := json.Marshal(applyRequest{Peer: "hub", Insert: []string{
+					fmt.Sprintf(`data@hub("derived-%d-%d")`, c, r),
+					fmt.Sprintf(`mirror@watcher("direct-%d-%d")`, c, r),
+				}})
+				resp, err := client.Post(base+"/apply", "application/json", bytes.NewReader(body))
+				if err == nil {
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						err = fmt.Errorf("status %d", resp.StatusCode)
+					}
+				}
+				if err != nil {
+					errs <- fmt.Errorf("client %d request %d: %w", c, r, err)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+
+	// Hold the watcher until admission control has pushed back (or, with
+	// nothing pushing back, until every request was taken).
+	for held := false; !held; {
+		select {
+		case <-done:
+			held = true
+		case <-time.After(time.Millisecond):
+			held = hub.Stats().BackpressureWaits > 0
+		}
+	}
+	held, _ := hub.OutboxPending() // the held queue, whatever the sampler's timing
+	release()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("clients still blocked a minute after the watcher resumed")
+	}
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	count := func(m *sync.Map) (n int) {
+		m.Range(func(any, any) bool { n++; return true })
+		return n
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for len(watcher.Query("mirror")) != facts || count(&replica) != facts {
+		if time.Now().After(deadline) {
+			t.Fatalf("watcher's view holds %d of %d facts, the subscriber's replica %d",
+				len(watcher.Query("mirror")), facts, count(&replica))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := hub.Stats().BackpressureWaits; got == 0 {
+		t.Errorf("no client ever waited for queue space: admission control never engaged")
+	}
+	depth := max(sampled.Load(), int64(held))
+	if depth > 8*limit {
+		t.Errorf("hub outbox reached %d entries, over 8x its limit of %d: the queue tracks the request count", depth, limit)
+	}
+	t.Logf("max outbox depth %d, %d backpressure waits, %d subscription drops",
+		depth, hub.Stats().BackpressureWaits, watcher.Stats().SubscriptionDrops)
 }

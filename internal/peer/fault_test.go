@@ -284,3 +284,45 @@ func TestConvergenceAcrossDisconnect(t *testing.T) {
 		t.Fatalf("view@b never healed after reconnect: %d tuples, want 9", len(b.Query("view")))
 	}
 }
+
+// TestStageCommitDoesNotWaitForLink: behind a link whose every Send blocks
+// for a full RTT, the sender's stage still commits in well under one — its
+// emit step only enqueues, delivery is the flusher's job — while the update
+// itself cannot reach the receiver any sooner than the link allows.
+func TestStageCommitDoesNotWaitForLink(t *testing.T) {
+	const rtt = 20 * time.Millisecond
+	const updates = 6
+	n := NewNetwork()
+	a := newFaultyPeer(t, n, "a", transport.FaultConfig{Latency: rtt})
+	b := newFaultyPeer(t, n, "b", transport.FaultConfig{})
+	loadViewSender(t, a)
+	if err := b.DeclareRelation("view", ast.Intensional, "x"); err != nil {
+		t.Fatal(err)
+	}
+	a.RunStage() // compile
+	peers := []*Peer{a, b}
+
+	var commit, delivery time.Duration
+	for i := 0; i < updates; i++ {
+		if err := a.Insert(ast.NewFact("src", "a", value.Int(int64(i)))); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		if rep := a.RunStage(); !rep.Ran || len(rep.Errors) > 0 {
+			t.Fatalf("update %d: stage ran=%v errors=%v", i, rep.Ran, rep.Errors)
+		}
+		commit += time.Since(start)
+		if !drive(peers, func() bool { return len(b.Query("view")) == i+1 }, 10*time.Second) {
+			t.Fatalf("update %d never reached the receiver", i)
+		}
+		delivery += time.Since(start)
+		// Let the ack land so the next stage is the next update's alone.
+		drive(peers, func() bool { pending, _ := a.OutboxPending(); return pending == 0 }, 10*time.Second)
+	}
+	if commit/updates >= rtt {
+		t.Errorf("a stage took %v on average behind a %v link: it waited for the network", commit/updates, rtt)
+	}
+	if delivery/updates < rtt {
+		t.Errorf("updates arrived after %v on average over a %v link: the latency was not on the path", delivery/updates, rtt)
+	}
+}

@@ -285,10 +285,12 @@ func TestCoalescedMaintainedDeltas(t *testing.T) {
 	}
 	alice := ps["alice"].Endpoint()
 	fact := ast.NewFact("v", "bob", value.Str("z"))
+	var seq uint64
 	send := func(del bool) {
 		t.Helper()
-		err := alice.Send(ctx, "bob", protocol.FactsMsg{Ops: []protocol.FactDelta{
-			{Delete: del, Maint: true, Fact: fact}}})
+		seq++
+		err := alice.Send(ctx, "bob", protocol.DataMsg{Epoch: 1, Seq: seq, Msg: protocol.FactsMsg{
+			Ops: []protocol.FactDelta{{Delete: del, Maint: true, Fact: fact}}}})
 		if err != nil {
 			t.Fatal(err)
 		}

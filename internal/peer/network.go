@@ -31,7 +31,6 @@ type Network struct {
 	order []string
 
 	sequential bool
-	workers    int
 
 	// Wake-queue scheduler state (concurrent mode only). Peers and outboxes
 	// report gaining work through hooks (kick → markReady, outbox enqueue →
@@ -78,14 +77,6 @@ func NewSequentialNetwork() *Network {
 
 // Bus returns the underlying transport bus.
 func (n *Network) Bus() *transport.Bus { return n.bus }
-
-// SetWorkers bounds the concurrent scheduler's worker pool (default:
-// GOMAXPROCS). It has no effect on a sequential network.
-func (n *Network) SetWorkers(k int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.workers = k
-}
 
 // NewPeer creates a peer with the given config, attached to the network's
 // bus, and registers it. On a sequential network the peer is created in
@@ -291,7 +282,7 @@ func (n *Network) runSequential(ctx context.Context, maxRounds int) (rounds, sta
 // Work discovery is O(active peers): a peer that stays quiet is never
 // examined, so idle regions of a large swarm cost nothing per round.
 func (n *Network) runConcurrent(ctx context.Context, maxRounds int) (rounds, stages int, err error) {
-	workers := n.workerCount()
+	workers := runtime.GOMAXPROCS(0)
 	for r := 0; r < maxRounds; r++ {
 		if err := ctx.Err(); err != nil {
 			return rounds, stages, err
@@ -459,16 +450,6 @@ func (n *Network) readyPending() bool {
 		}
 	}
 	return false
-}
-
-func (n *Network) workerCount() int {
-	n.mu.Lock()
-	k := n.workers
-	n.mu.Unlock()
-	if k <= 0 {
-		k = runtime.GOMAXPROCS(0)
-	}
-	return k
 }
 
 func (n *Network) outboxesDrained() bool {

@@ -121,6 +121,59 @@ func TestDataMsgGapIsDroppedUntilRetransmit(t *testing.T) {
 	}
 }
 
+// TestBareDataRefused: facts, delegations and repairs that arrive outside a
+// DataMsg have no sequence number to dedup or order them by. Each is refused
+// and counted — a bare empty full-range repair does not drop the sender's
+// support, a bare FactsMsg (sent twice) applies neither time.
+func TestBareDataRefused(t *testing.T) {
+	n := NewSequentialNetwork()
+	b, err := n.NewPeer(Config{Name: "b", ResyncInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.DeclareRelation("view", ast.Intensional, "x"); err != nil {
+		t.Fatal(err)
+	}
+	a := n.Bus().Endpoint("a")
+	facts := func(k int64) protocol.FactsMsg {
+		return protocol.FactsMsg{Ops: []protocol.FactDelta{{Maint: true, Fact: ast.NewFact("view", "b", value.Int(k))}}}
+	}
+	deliver := func(msg protocol.Payload) *StageReport {
+		t.Helper()
+		if err := a.Send(context.Background(), "b", msg); err != nil {
+			t.Fatal(err)
+		}
+		return b.RunStage()
+	}
+	if rep := deliver(protocol.DataMsg{Epoch: 1, Seq: 1, Msg: facts(7)}); len(rep.Errors) > 0 {
+		t.Fatal(rep.Errors)
+	}
+	bare := []protocol.Payload{
+		protocol.RangeRepairMsg{RelID: "view@b", Ranges: []protocol.HashRange{fullRange}},
+		facts(8),
+		facts(8),
+		protocol.DelegationMsg{RuleID: "r"},
+	}
+	for _, msg := range bare {
+		if rep := deliver(msg); len(rep.Errors) != 1 {
+			t.Errorf("bare %T reported %v, want one refusal", msg, rep.Errors)
+		}
+		if got := tuples(b, "view"); len(got) != 1 || got[0] != "(7)" {
+			t.Fatalf("view@b after a bare %T = %v, want [(7)]", msg, got)
+		}
+	}
+	if got := b.Stats(); got.RuntimeErrors != uint64(len(bare)) || got.DelegationsIn != 0 {
+		t.Errorf("stats after %d bare data messages: %+v", len(bare), got)
+	}
+	// The sequenced stream is unharmed: a's support is still there to retract.
+	retract := facts(7)
+	retract.Ops[0].Delete = true
+	deliver(protocol.DataMsg{Epoch: 1, Seq: 2, Msg: retract})
+	if got := tuples(b, "view"); len(got) != 0 {
+		t.Errorf("view@b after the sequenced retraction = %v, want empty", got)
+	}
+}
+
 // addPeerHook registers a new peer (with staged work) on the network from
 // inside another peer's stage — the "peer discovered mid-run" scenario.
 type addPeerHook struct {

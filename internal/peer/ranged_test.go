@@ -97,46 +97,73 @@ func mutateKeys(n int, drop map[int64]bool, add int) []int64 {
 // TestSenderRestartRangedRepair: a receiver holds a large, almost-correct
 // maintained view when its sender restarts without the facts it deleted
 // while down. The divergence is repaired through digest bisection and the
-// repair traffic is a fraction of what re-shipping the view costs.
+// repair traffic is a fraction of what re-shipping the view costs — a
+// fraction that shrinks as the view grows: O(δ log n) against O(n).
 func TestSenderRestartRangedRepair(t *testing.T) {
-	const viewSize = 3000
-	drop := map[int64]bool{500: true, 1500: true, 2500: true}
-	finalKeys := mutateKeys(viewSize, drop, 2)
-	want := fixpointFor(t, finalKeys)
+	for _, tc := range []struct {
+		viewSize, divergence int // the restarted sender lost and gained `divergence` evenly spaced keys
+		minRatio             uint64
+		long                 bool
+	}{
+		{viewSize: 3000, divergence: 3, minRatio: 4},
+		{viewSize: 100_000, divergence: 32, minRatio: 20, long: true},
+	} {
+		t.Run(fmt.Sprint(tc.viewSize), func(t *testing.T) {
+			if tc.long && testing.Short() {
+				t.Skip("100k-fact tier")
+			}
+			drop := map[int64]bool{}
+			for i := 0; i < tc.divergence; i++ {
+				drop[int64(i*(tc.viewSize/tc.divergence)+tc.viewSize/(2*tc.divergence))] = true
+			}
+			finalKeys := mutateKeys(tc.viewSize, drop, tc.divergence)
+			// view@b mirrors src@a, so the fixpoint is the final key set; its
+			// digest makes every convergence poll O(1).
+			var want store.Digest
+			for _, k := range finalKeys {
+				want.Add(value.Tuple{value.Int(k)}.Key())
+			}
 
-	n := NewNetwork()
-	a := newRangedPeer(t, n, "a", nil)
-	loadViewSender(t, a)
-	b := newRangedPeer(t, n, "b", nil)
-	defer b.Close()
-	if err := b.DeclareRelation("view", ast.Intensional, "x"); err != nil {
-		t.Fatal(err)
-	}
-	applySrcFacts(t, a, intRange(viewSize))
-	if !drive([]*Peer{a, b}, func() bool { return len(b.Query("view")) == viewSize }, 10*time.Second) {
-		t.Fatalf("initial load never converged")
-	}
+			n := NewNetwork()
+			a := newRangedPeer(t, n, "a", nil)
+			loadViewSender(t, a)
+			b := newRangedPeer(t, n, "b", nil)
+			defer b.Close()
+			if err := b.DeclareRelation("view", ast.Intensional, "x"); err != nil {
+				t.Fatal(err)
+			}
+			view := b.Store().Get("view", "b")
+			applySrcFacts(t, a, intRange(tc.viewSize))
+			if !drive([]*Peer{a, b}, func() bool {
+				pending, _ := a.OutboxPending()
+				return view.Len() == tc.viewSize && pending == 0
+			}, 60*time.Second) {
+				t.Fatalf("initial load never converged")
+			}
 
-	// Crash the sender; its fresh incarnation never knew the dropped keys.
-	a.Close()
-	a2 := newRangedPeer(t, n, "a", nil)
-	defer a2.Close()
-	loadViewSender(t, a2)
-	applySrcFacts(t, a2, finalKeys)
-	if !drive([]*Peer{a2, b}, func() bool { return tupleSet(b, "view") == want }, 20*time.Second) {
-		t.Fatalf("restarted pair never converged:\n got %.120s\nwant %.120s", tupleSet(b, "view"), want)
-	}
-	s := a2.Stats()
-	if s.ResyncRangedRepairs == 0 {
-		t.Fatalf("sender served no ranged repairs")
-	}
-	// The full re-send this repair is measured against: the encoded size of
-	// the view's full-range repair run.
-	fullBytes := a2.ViewRepairBytes("b")
-	cost := s.ResyncRangedRepairBytes + s.ResyncRangeDigestBytes
-	if cost*4 > fullBytes {
-		t.Errorf("ranged repair cost %d bytes (%d repair + %d digest); want well under the %d-byte full re-send",
-			cost, s.ResyncRangedRepairBytes, s.ResyncRangeDigestBytes, fullBytes)
+			// Crash the sender; its fresh incarnation never knew the dropped keys.
+			a.Close()
+			a2 := newRangedPeer(t, n, "a", nil)
+			defer a2.Close()
+			loadViewSender(t, a2)
+			applySrcFacts(t, a2, finalKeys)
+			if !drive([]*Peer{a2, b}, func() bool { return view.Digest() == want }, 60*time.Second) {
+				t.Fatalf("restarted pair never converged: view@b digests %+v, want %+v", view.Digest(), want)
+			}
+			s := a2.Stats()
+			if s.ResyncRangedRepairs == 0 {
+				t.Fatalf("sender served no ranged repairs")
+			}
+			// The full re-send this repair is measured against: the encoded size of
+			// the view's full-range repair run.
+			fullBytes := a2.ViewRepairBytes("b")
+			cost := s.ResyncRangedRepairBytes + s.ResyncRangeDigestBytes
+			t.Logf("repair %d bytes (%d repair + %d digest), full re-send %d bytes: %.1fx",
+				cost, s.ResyncRangedRepairBytes, s.ResyncRangeDigestBytes, fullBytes, float64(fullBytes)/float64(cost))
+			if cost*tc.minRatio > fullBytes {
+				t.Errorf("ranged repair cost %d bytes; want at most 1/%d of the %d-byte full re-send", cost, tc.minRatio, fullBytes)
+			}
+		})
 	}
 }
 

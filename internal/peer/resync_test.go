@@ -142,6 +142,14 @@ func TestVolatileReceiverRestartResyncs(t *testing.T) {
 			if !drive([]*Peer{a, b}, func() bool { total, _ := a.OutboxPending(); return total == 0 }, 10*time.Second) {
 				t.Fatal("sender outbox never drained before the crash")
 			}
+			// What an unchanged view costs per anti-entropy period: one
+			// advert, smaller than the re-send it stands in for.
+			a.mu.Lock()
+			advert, err := protocol.EncodePayload(a.digestMsgLocked("b"))
+			a.mu.Unlock()
+			if full := a.ViewRepairBytes("b"); err != nil || uint64(len(advert)) >= full {
+				t.Errorf("digest advert is %d bytes (err %v), the view's full-range repair run %d", len(advert), err, full)
+			}
 
 			// Crash the receiver and bring up a fresh incarnation under the
 			// same name. The sender's relations do not change again.
@@ -162,8 +170,9 @@ func TestVolatileReceiverRestartResyncs(t *testing.T) {
 				if st := b2.Stats(); st.ResyncRequested == 0 {
 					t.Errorf("receiver recovered without ever requesting a resync: %+v", st)
 				}
-				if st := a.Stats(); st.ResyncRangedRepairs == 0 || st.ResyncRangeDigestBytes != 0 {
-					t.Errorf("sender should have repaired the empty receiver by re-shipping alone, no bisection: %+v", st)
+				if st := a.Stats(); st.ResyncRangedRepairBytes != a.ViewRepairBytes("b") || st.ResyncRangeDigestBytes != 0 {
+					t.Errorf("sender should have repaired the empty receiver by shipping each fact once (%d bytes), no bisection: %+v",
+						a.ViewRepairBytes("b"), st)
 				}
 			} else {
 				// Divergence is the documented pre-resync behavior: nothing

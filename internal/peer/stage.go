@@ -323,9 +323,13 @@ func (p *Peer) ingestLocked(rep *StageReport, d *stageDeltas) bool {
 		case protocol.AckMsg:
 			// Delivery bookkeeping, not peer state: never triggers a stage.
 			p.outbox.Ack(env.From, msg.Epoch, msg.Seq)
+		case protocol.FactsMsg, protocol.DelegationMsg, protocol.RangeRepairMsg:
+			// Data outside a DataMsg has no sequence number to dedup or
+			// order it by, and the outbox never sends it that way.
+			rep.Errors = append(rep.Errors, fmt.Errorf(
+				"peer %s: unsequenced %T from %s refused", p.name, msg, env.From))
 		default:
-			// Bare (unsequenced) payloads: best-effort legacy traffic and
-			// transport-level control. Applied without dedup.
+			// The control kinds travel bare: idempotent, applied as they come.
 			if p.ingestPayloadLocked(env.From, env.Msg, rep, d) {
 				changed = true
 			}

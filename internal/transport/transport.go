@@ -1,9 +1,11 @@
-// Package transport moves protocol envelopes between peers. Two
-// implementations are provided: an in-process Bus with deterministic FIFO
-// queues (used by tests, benchmarks and single-process deployments such as
-// the demo's "run everything on one laptop" mode), and a TCP transport
-// (tcp.go) for genuinely distributed peers, mirroring the paper's deployment
-// of peers on two laptops and the Webdam cloud.
+// Package transport moves protocol envelopes between peers. There are four
+// endpoint types: the in-process Bus with deterministic FIFO queues (tests,
+// the examples and single-process deployments such as the demo's "run
+// everything on one laptop" mode); TCP (tcp.go) for genuinely distributed
+// peers, mirroring the paper's deployment on two laptops and the Webdam
+// cloud; Mux (mux.go), many peers' streams over one carrier endpoint; and
+// Faulty (faulty.go), a wrapper injecting drops, duplicates, reordering,
+// send failures and latency into any of the others.
 package transport
 
 import (

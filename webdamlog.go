@@ -69,10 +69,11 @@
 // derivation and single-fact updates cost the size of the change rather
 // than the size of the database. Remote derivations ship as maintained
 // insert/retract deltas with per-sender support tracked at the receiver.
-// EngineOptions.Incremental turns the machinery off (the recompute-per-
-// stage ablation, measured by `wdlbench -exp i1`); programs with negation
-// through a view, provenance-traced peers and wrapper-hook peers fall back
-// to recomputation automatically. See docs/architecture.md.
+// EngineOptions.Incremental turns the machinery off (recompute per stage,
+// the reference the view_maint benchmark workload is checked against);
+// programs with negation through a view, provenance-traced peers and
+// wrapper-hook peers fall back to recomputation automatically. See
+// docs/architecture.md.
 //
 // The deeper layers are available directly: internal/engine (fixpoint
 // evaluation and delegation splitting), internal/peer (the stage loop and
