@@ -39,16 +39,15 @@ type Network struct {
 	// whole network: a quiescent region of a 100k-peer swarm costs nothing.
 	// schedMu is a leaf lock: nothing else is ever acquired under it, so the
 	// hooks are safe to fire from any goroutine and lock context.
-	schedMu  sync.Mutex
-	ready    map[string]struct{} // woken peers (set half: dedupe)
-	readyq   []string            // woken peers (queue half: FIFO order)
-	obAct    map[string]struct{} // peers whose outbox may have pending entries
-	unhooked map[string]struct{} // peers whose endpoint can't hook: polled every round
-	wakeCh   chan struct{}       // 1-slot, edge-triggered: some hook fired
+	schedMu sync.Mutex
+	ready   map[string]struct{} // woken peers (set half: dedupe)
+	readyq  []string            // woken peers (queue half: FIFO order)
+	obAct   map[string]struct{} // peers whose outbox may have pending entries
+	wakeCh  chan struct{}       // 1-slot, edge-triggered: some hook fired
 
 	// scans counts peers examined by the scheduler (HasWork / OutboxPending
-	// probes). Experiment P11 asserts it stays flat across a RunToQuiescence
-	// on an already-quiescent swarm.
+	// probes). TestSchedulerScansQuiescent and TestSwarmQuiescentScans assert
+	// it stays flat across a RunToQuiescence on an already-quiescent network.
 	scans atomic.Uint64
 }
 
@@ -56,12 +55,11 @@ type Network struct {
 // scheduler.
 func NewNetwork() *Network {
 	return &Network{
-		bus:      transport.NewBus(),
-		peers:    make(map[string]*Peer),
-		ready:    make(map[string]struct{}),
-		obAct:    make(map[string]struct{}),
-		unhooked: make(map[string]struct{}),
-		wakeCh:   make(chan struct{}, 1),
+		bus:    transport.NewBus(),
+		peers:  make(map[string]*Peer),
+		ready:  make(map[string]struct{}),
+		obAct:  make(map[string]struct{}),
+		wakeCh: make(chan struct{}, 1),
 	}
 }
 
@@ -113,17 +111,8 @@ func (n *Network) Add(p *Peer) {
 	}
 	// Wire the peer into the wake queue: message arrival at its endpoint and
 	// every internal kick mark it ready; outbox enqueues mark its outbox
-	// active. An endpoint that cannot hook (a wrapper over an unhookable
-	// inner) falls back to per-round polling.
-	hooked := false
-	if h, ok := p.ep.(transport.WakeHooker); ok {
-		hooked = h.SetWakeHook(func() { n.markReady(name) })
-	}
-	if !hooked {
-		n.schedMu.Lock()
-		n.unhooked[name] = struct{}{}
-		n.schedMu.Unlock()
-	}
+	// active.
+	p.ep.SetWakeHook(func() { n.markReady(name) })
 	p.setSchedHooks(func() { n.markReady(name) }, func() { n.markOutbox(name) })
 	// Conservative initial state: the peer may already hold work (recovered
 	// WAL state, pre-attach deliveries) and has never run a stage.
@@ -348,26 +337,18 @@ func (n *Network) runConcurrent(ctx context.Context, maxRounds int) (rounds, sta
 }
 
 // takeReady drains the wake queue and returns the woken peers that actually
-// have work, in wake order. Unhookable-endpoint peers are appended every
-// round (the polling fallback). A popped peer whose work check comes up
-// empty is simply dropped: any later work-gaining event re-marks it, because
-// hooks fire after the state they report is published.
+// have work, in wake order (the ready set keeps the queue free of
+// duplicates). A popped peer whose work check comes up empty is simply
+// dropped: any later work-gaining event re-marks it, because hooks fire
+// after the state they report is published.
 func (n *Network) takeReady() []*Peer {
 	n.schedMu.Lock()
 	names := n.readyq
 	n.readyq = nil
 	clear(n.ready)
-	for name := range n.unhooked {
-		names = append(names, name)
-	}
 	n.schedMu.Unlock()
 	var work []*Peer
-	seen := make(map[string]bool, len(names))
 	for _, name := range names {
-		if seen[name] {
-			continue
-		}
-		seen[name] = true
 		p := n.Peer(name)
 		if p == nil {
 			continue // woken before registration, or removed
@@ -423,33 +404,13 @@ func (n *Network) checkOutboxes() (total, stalled int, delivered bool) {
 	return total, stalled, delivered
 }
 
-// readyPending reports whether any wake-queue entry (or any unhookable
-// peer's work) exists without consuming the queue — the guard that keeps
-// quiescence decisions honest when checkOutboxes' deliveries just woke
-// receivers.
+// readyPending reports whether any wake-queue entry exists without consuming
+// the queue — the guard that keeps quiescence decisions honest when
+// checkOutboxes' deliveries just woke receivers.
 func (n *Network) readyPending() bool {
 	n.schedMu.Lock()
-	pending := len(n.ready) > 0
-	var poll []string
-	if !pending {
-		poll = make([]string, 0, len(n.unhooked))
-		for name := range n.unhooked {
-			poll = append(poll, name)
-		}
-	}
-	n.schedMu.Unlock()
-	if pending {
-		return true
-	}
-	for _, name := range poll {
-		if p := n.Peer(name); p != nil {
-			n.scans.Add(1)
-			if p.HasWork() {
-				return true
-			}
-		}
-	}
-	return false
+	defer n.schedMu.Unlock()
+	return len(n.ready) > 0
 }
 
 func (n *Network) outboxesDrained() bool {

@@ -889,7 +889,7 @@ func (p *Peer) Apply(ctx context.Context, b *engine.Batch) error {
 			return fmt.Errorf("peer %s: %w", p.name, errdefs.ErrClosed)
 		}
 		for _, dst := range order {
-			if !p.canRoute(dst) {
+			if !p.ep.CanRoute(dst) {
 				errs = append(errs, fmt.Errorf("peer %s: sending batch of %d to %s: %w",
 					p.name, remote[dst].Len(), dst, errdefs.ErrUnknownPeer))
 				continue
@@ -987,7 +987,7 @@ func (p *Peer) DeleteString(src string) error {
 
 func (p *Peer) update(op ast.UpdateOp, f ast.Fact) error {
 	if f.Peer != p.name {
-		if !p.canRoute(f.Peer) {
+		if !p.ep.CanRoute(f.Peer) {
 			return fmt.Errorf("peer %s: sending update for %s: %w: %q", p.name, f.String(), errdefs.ErrUnknownPeer, f.Peer)
 		}
 		if p.isClosed() {
@@ -1092,15 +1092,6 @@ func (p *Peer) isClosed() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.closed
-}
-
-// canRoute consults the transport's Router (when implemented) so API-level
-// updates to unknown peers fail synchronously instead of queueing forever.
-func (p *Peer) canRoute(dst string) bool {
-	if r, ok := p.ep.(transport.Router); ok {
-		return r.CanRoute(dst)
-	}
-	return true
 }
 
 // Poke schedules a stage attempt even though no inputs are queued. Wrappers

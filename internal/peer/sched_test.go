@@ -2,12 +2,14 @@ package peer
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/ast"
+	"repro/internal/engine"
 	"repro/internal/transport"
 	"repro/internal/value"
 )
@@ -253,14 +255,33 @@ func TestSequentialDeterminismPinned(t *testing.T) {
 
 // TestSchedulerScansQuiescent pins the O(active) property at the Network
 // level: RunToQuiescence on an already-quiescent concurrent network
-// examines zero peers.
+// examines zero peers — including peers whose endpoint is wrapped, in
+// transport.Faulty or in a struct embedding transport.Endpoint, because the
+// wake hook and routing are part of the Endpoint contract every wrapper
+// forwards.
 func TestSchedulerScansQuiescent(t *testing.T) {
 	n := NewNetwork()
+	var peers []*Peer
 	for i := 0; i < 20; i++ {
 		p, err := n.NewPeer(Config{Name: fmt.Sprintf("q%02d", i)})
 		if err != nil {
 			t.Fatal(err)
 		}
+		peers = append(peers, p)
+	}
+	wrapped := map[string]transport.Endpoint{
+		"qfaulty": transport.Faulty(n.Bus().Endpoint("qfaulty"), transport.FaultConfig{}),
+		"qembed":  &lossyEndpoint{Endpoint: n.Bus().Endpoint("qembed")},
+	}
+	for name, ep := range wrapped {
+		p, err := New(Config{Name: name}, ep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Add(p)
+		peers = append(peers, p)
+	}
+	for i, p := range peers {
 		defer p.Close()
 		if err := p.DeclareRelation("data", ast.Extensional, "x"); err != nil {
 			t.Fatal(err)
@@ -269,8 +290,16 @@ func TestSchedulerScansQuiescent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Traffic between the wrapped peers: the receiver is woken through the
+	// hook its wrapper forwards.
+	if _, err := n.Peer("qembed").AddRule(`data@qfaulty($x) :- data@qembed($x);`); err != nil {
+		t.Fatal(err)
+	}
 	if _, _, err := n.RunToQuiescence(context.Background(), 0); err != nil {
 		t.Fatal(err)
+	}
+	if got := len(n.Peer("qfaulty").Query("data")); got != 2 {
+		t.Fatalf("data@qfaulty has %d tuples, want 2", got)
 	}
 	scans0 := n.SchedulerScans()
 	if scans0 == 0 {
@@ -280,6 +309,12 @@ func TestSchedulerScansQuiescent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if delta := n.SchedulerScans() - scans0; delta != 0 {
-		t.Fatalf("quiescent run examined %d peers, want 0", delta)
+		t.Errorf("quiescent run examined %d peers, want 0", delta)
+	}
+	for name := range wrapped {
+		b := engine.NewBatch().Insert(ast.NewFact("data", "nobody", value.Int(1)))
+		if err := n.Peer(name).Apply(context.Background(), b); !errors.Is(err, transport.ErrUnknownPeer) {
+			t.Errorf("%s: Apply to an unattached peer: %v, want ErrUnknownPeer", name, err)
+		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/ast"
-	"repro/internal/transport"
 	"repro/internal/value"
 )
 
@@ -24,13 +23,12 @@ type swarmSpec struct {
 	postBytes             int // post ids are padded to this size
 	seed                  int64
 	intern                bool // one value.Interner for the whole swarm
-	sequential            bool // name-ordered reference scheduler on the bus, not wake queue + mux
+	sequential            bool // name-ordered reference scheduler, not the wake queue
 }
 
 type swarm struct {
 	spec      swarmSpec
 	net       *Network
-	mux       *transport.Mux // nil on the sequential reference
 	peers     []*Peer
 	followers [][]int // author -> followers
 	interner  *value.Interner
@@ -44,7 +42,7 @@ func buildSwarm(t *testing.T, spec swarmSpec) *swarm {
 	t.Helper()
 	s := &swarm{spec: spec, net: NewSequentialNetwork(), peers: make([]*Peer, spec.peers), followers: make([][]int, spec.peers)}
 	if !spec.sequential {
-		s.net, s.mux = NewNetwork(), transport.NewMux()
+		s.net = NewNetwork()
 	}
 	t.Cleanup(s.close)
 	if spec.intern {
@@ -55,11 +53,7 @@ func buildSwarm(t *testing.T, spec swarmSpec) *swarm {
 	cfg := Config{SyncEmit: true, ResyncInterval: -1, Interner: s.interner}
 	for i := range s.peers {
 		cfg.Name = swarmName(i)
-		ep := transport.Endpoint(s.net.Bus().Endpoint(cfg.Name))
-		if s.mux != nil {
-			ep = s.mux.Endpoint(cfg.Name)
-		}
-		p, err := New(cfg, ep)
+		p, err := New(cfg, s.net.Bus().Endpoint(cfg.Name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,9 +97,6 @@ func (s *swarm) close() {
 			p.Close()
 		}
 	}
-	if s.mux != nil {
-		s.mux.Close()
-	}
 	*s = swarm{}
 }
 
@@ -132,10 +123,10 @@ func (s *swarm) run(t *testing.T, rounds, perRound int) {
 }
 
 // TestSwarmDifferential runs one seeded 200-peer workload through the
-// wake-queue scheduler on an interned, multiplexed swarm and through the
-// sequential reference on the plain bus, and requires every peer's feed to
-// come out equal: a lost wake-up, a misrouted mux frame or an interning
-// alias shows up as a diverged view.
+// wake-queue scheduler on an interned swarm and through the sequential
+// reference, and requires every peer's feed to come out equal: a lost
+// wake-up, a misrouted envelope or an interning alias shows up as a
+// diverged view.
 func TestSwarmDifferential(t *testing.T) {
 	spec := swarmSpec{peers: 200, follows: 3, posts: 2, seed: 42}
 	ref := spec
@@ -163,7 +154,7 @@ func TestSwarmDifferential(t *testing.T) {
 }
 
 // TestSwarmQuiescentScans: once a swarm that exchanged real traffic over the
-// mux has converged, another RunToQuiescence examines zero peers.
+// bus has converged, another RunToQuiescence examines zero peers.
 func TestSwarmQuiescentScans(t *testing.T) {
 	s := buildSwarm(t, swarmSpec{peers: 100, follows: 3, posts: 1, seed: 7, intern: true})
 	s.run(t, 1, 10)

@@ -220,16 +220,6 @@ type RangeRepairMsg struct {
 	Ops    []FactDelta
 }
 
-// MuxFrame wraps one peer-to-peer envelope for transit over a shared
-// multiplexed link (transport.Mux): many (from, to) streams ride a single
-// carrier connection as tagged frames, and the mux on the receiving side
-// routes the inner envelope to the local endpoint it addresses. The inner
-// envelope keeps its original From/To/Seq, so per-pair FIFO order and the
-// outbox's sequencing survive the multiplexing unchanged.
-type MuxFrame struct {
-	Env Envelope
-}
-
 // ControlKind enumerates control messages.
 type ControlKind uint8
 
@@ -263,7 +253,6 @@ func (AckMsg) payload()           {}
 func (DigestMsg) payload()        {}
 func (ResyncRequestMsg) payload() {}
 
-func (MuxFrame) payload()              {}
 func (RangeDigestRequestMsg) payload() {}
 func (RangeDigestMsg) payload()        {}
 func (RangeRepairRequestMsg) payload() {}
@@ -292,7 +281,6 @@ func init() {
 	gob.Register(AckMsg{})
 	gob.Register(DigestMsg{})
 	gob.Register(ResyncRequestMsg{})
-	gob.Register(MuxFrame{})
 	gob.Register(RangeDigestRequestMsg{})
 	gob.Register(RangeDigestMsg{})
 	gob.Register(RangeRepairRequestMsg{})

@@ -33,7 +33,7 @@ type FaultConfig struct {
 	Fail float64
 	// Latency blocks each delivering Send for the given duration — a
 	// simulated link RTT. Stage commit latency must not inherit it
-	// (experiment P7).
+	// (TestStageCommitDoesNotWaitForLink).
 	Latency time.Duration
 }
 
@@ -57,14 +57,15 @@ type FaultStats struct {
 }
 
 // FaultyEndpoint wraps an Endpoint and injects drop / duplicate / reorder /
-// failure / latency faults into its Send path (receive-side behavior is
-// untouched — wrap both endpoints of a pair to disturb both directions).
-// It is the harness for the convergence-under-faults tests and experiment
-// P7: with the outbox's at-least-once delivery and the receiver's dedup, a
-// network over FaultyEndpoints must converge to exactly the contents of a
-// fault-free run.
+// failure / latency faults into its Send path (receive-side behavior,
+// routing and the wake hook are the wrapped endpoint's — wrap both endpoints
+// of a pair to disturb both directions). It is the harness for the
+// convergence-under-faults tests (TestTwoPeerConvergenceUnderFaults and its
+// siblings): with the outbox's at-least-once delivery and the receiver's
+// dedup, a network over FaultyEndpoints must converge to exactly the
+// contents of a fault-free run.
 type FaultyEndpoint struct {
-	inner Endpoint
+	Endpoint
 
 	mu     sync.Mutex
 	rng    *rand.Rand
@@ -83,11 +84,8 @@ func Faulty(inner Endpoint, cfg FaultConfig) *FaultyEndpoint {
 	if seed == 0 {
 		seed = 1
 	}
-	return &FaultyEndpoint{inner: inner, rng: rand.New(rand.NewSource(seed)), cfg: cfg}
+	return &FaultyEndpoint{Endpoint: inner, rng: rand.New(rand.NewSource(seed)), cfg: cfg}
 }
-
-// Name returns the wrapped endpoint's peer name.
-func (f *FaultyEndpoint) Name() string { return f.inner.Name() }
 
 // SetDown toggles a hard disconnect: while down, every Send fails with
 // ErrInjectedFault.
@@ -102,24 +100,6 @@ func (f *FaultyEndpoint) Stats() FaultStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.stats
-}
-
-// SetWakeHook forwards the scheduler hook to the wrapped endpoint, which is
-// where arrivals actually land (Drain delegates). It reports false when the
-// inner endpoint cannot hook, telling the caller to poll instead.
-func (f *FaultyEndpoint) SetWakeHook(fn func()) bool {
-	if h, ok := f.inner.(WakeHooker); ok {
-		return h.SetWakeHook(fn)
-	}
-	return false
-}
-
-// CanRoute delegates to the wrapped endpoint's Router, if any.
-func (f *FaultyEndpoint) CanRoute(to string) bool {
-	if r, ok := f.inner.(Router); ok {
-		return r.CanRoute(to)
-	}
-	return true
 }
 
 // Send applies the fault schedule, then delivers through the wrapped
@@ -183,12 +163,12 @@ func (f *FaultyEndpoint) Send(ctx context.Context, to string, msg protocol.Paylo
 		case <-time.After(cfg.Latency):
 		}
 	}
-	err := f.inner.Send(ctx, to, msg)
+	err := f.Endpoint.Send(ctx, to, msg)
 	if err == nil && verdict == "dup" {
-		err = f.inner.Send(ctx, to, msg)
+		err = f.Endpoint.Send(ctx, to, msg)
 	}
 	if release != nil {
-		if rerr := f.inner.Send(ctx, release.to, release.msg); err == nil {
+		if rerr := f.Endpoint.Send(ctx, release.to, release.msg); err == nil {
 			err = rerr
 		}
 	}
@@ -203,21 +183,9 @@ func (f *FaultyEndpoint) release(id uint64) {
 			h := f.held[i]
 			f.held = append(f.held[:i], f.held[i+1:]...)
 			f.mu.Unlock()
-			f.inner.Send(context.Background(), h.to, h.msg)
+			f.Endpoint.Send(context.Background(), h.to, h.msg)
 			return
 		}
 	}
 	f.mu.Unlock()
 }
-
-// Drain removes and returns all pending envelopes (delegated).
-func (f *FaultyEndpoint) Drain() []protocol.Envelope { return f.inner.Drain() }
-
-// Pending returns the number of queued envelopes (delegated).
-func (f *FaultyEndpoint) Pending() int { return f.inner.Pending() }
-
-// Notify returns the wakeup channel (delegated).
-func (f *FaultyEndpoint) Notify() <-chan struct{} { return f.inner.Notify() }
-
-// Close closes the wrapped endpoint.
-func (f *FaultyEndpoint) Close() error { return f.inner.Close() }

@@ -22,15 +22,14 @@ type TCPEndpoint struct {
 	name string
 	ln   net.Listener
 
+	inbox // envelopes read off inbound links (its own lock, not mu)
+
 	mu        sync.Mutex
 	directory map[string]string   // peer name -> dial address
 	conns     map[string]*tcpConn // open outgoing links
 	accepted  map[net.Conn]bool   // open inbound links (closed on shutdown)
-	queue     []protocol.Envelope
 	seq       uint64
 	closed    bool
-	notify    chan struct{}
-	wakeHook  func()
 	done      chan struct{} // closed by Close; releases the ctx watcher
 	wg        sync.WaitGroup
 
@@ -40,7 +39,6 @@ type TCPEndpoint struct {
 }
 
 var _ Endpoint = (*TCPEndpoint)(nil)
-var _ WakeHooker = (*TCPEndpoint)(nil)
 
 type tcpConn struct {
 	c net.Conn
@@ -67,12 +65,12 @@ func ListenTCP(ctx context.Context, name, addr string, directory map[string]stri
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
 	ep := &TCPEndpoint{
+		inbox:       newInbox(),
 		name:        name,
 		ln:          ln,
 		directory:   make(map[string]string, len(directory)),
 		conns:       make(map[string]*tcpConn),
 		accepted:    make(map[net.Conn]bool),
-		notify:      make(chan struct{}, 1),
 		done:        make(chan struct{}),
 		DialTimeout: 5 * time.Second,
 	}
@@ -112,24 +110,12 @@ func (e *TCPEndpoint) AddPeer(name, addr string) {
 	}
 }
 
-// CanRoute reports whether the directory has a dial address for the peer
-// (implements Router).
+// CanRoute reports whether the directory has a dial address for the peer.
 func (e *TCPEndpoint) CanRoute(to string) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	_, ok := e.directory[to]
 	return ok
-}
-
-// Peers returns the names in the directory.
-func (e *TCPEndpoint) Peers() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]string, 0, len(e.directory))
-	for name := range e.directory {
-		out = append(out, name)
-	}
-	return out
 }
 
 func (e *TCPEndpoint) acceptLoop() {
@@ -163,51 +149,40 @@ func (e *TCPEndpoint) readLoop(c net.Conn) {
 	r := bufio.NewReader(c)
 	for {
 		env, err := readFrame(r)
-		if err != nil {
-			return // EOF or peer failure: the link is dropped, sender redials
-		}
-		e.mu.Lock()
-		if e.closed {
-			e.mu.Unlock()
-			return
-		}
-		e.queue = append(e.queue, env)
-		hook := e.wakeHook
-		e.mu.Unlock()
-		select {
-		case e.notify <- struct{}{}:
-		default:
-		}
-		if hook != nil {
-			hook()
+		if err != nil || !e.push(env) {
+			return // EOF, peer failure or Close: the link is dropped, sender redials
 		}
 	}
 }
 
-// SetWakeHook implements WakeHooker: fn is invoked after every envelope read
-// off an inbound link.
-func (e *TCPEndpoint) SetWakeHook(fn func()) bool {
-	e.mu.Lock()
-	e.wakeHook = fn
-	e.mu.Unlock()
-	return true
-}
-
 // frame layout: 4-byte little-endian length, then the gob-encoded envelope.
-const maxFrame = 256 << 20 // 256 MiB: far beyond any sane batch, guards corruption
+const (
+	maxFrame   = 256 << 20 // 256 MiB: far beyond any sane batch, guards corruption
+	frameChunk = 64 << 10  // first allocation for a frame body
+)
 
 func readFrame(r io.Reader) (protocol.Envelope, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return protocol.Envelope{}, err
 	}
-	n := binary.LittleEndian.Uint32(lenBuf[:])
+	n := int(binary.LittleEndian.Uint32(lenBuf[:]))
 	if n > maxFrame {
 		return protocol.Envelope{}, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
-	body := make([]byte, n)
+	// Memory follows the bytes that arrive, not the length the peer claims:
+	// start at one chunk and at most double per read, so a header announcing
+	// maxFrame followed by three bytes costs a chunk, not 256 MiB.
+	body := make([]byte, min(n, frameChunk))
 	if _, err := io.ReadFull(r, body); err != nil {
 		return protocol.Envelope{}, err
+	}
+	for len(body) < n {
+		more := min(n-len(body), len(body))
+		body = append(body, make([]byte, more)...)
+		if _, err := io.ReadFull(r, body[len(body)-more:]); err != nil {
+			return protocol.Envelope{}, err
+		}
 	}
 	return protocol.DecodeEnvelope(body)
 }
@@ -323,25 +298,6 @@ func (e *TCPEndpoint) Send(ctx context.Context, to string, msg protocol.Payload)
 	return fmt.Errorf("transport: sending to %s: %w", to, lastErr)
 }
 
-// Drain removes and returns all pending envelopes.
-func (e *TCPEndpoint) Drain() []protocol.Envelope {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := e.queue
-	e.queue = nil
-	return out
-}
-
-// Pending returns the number of queued envelopes.
-func (e *TCPEndpoint) Pending() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.queue)
-}
-
-// Notify returns the wakeup channel.
-func (e *TCPEndpoint) Notify() <-chan struct{} { return e.notify }
-
 // Close shuts down the listener and all links.
 func (e *TCPEndpoint) Close() error {
 	e.mu.Lock()
@@ -359,6 +315,7 @@ func (e *TCPEndpoint) Close() error {
 		c.Close()
 	}
 	e.mu.Unlock()
+	e.shut()
 	err := e.ln.Close()
 	e.wg.Wait()
 	if err != nil && !errors.Is(err, net.ErrClosed) {

@@ -1,17 +1,16 @@
-// Package transport moves protocol envelopes between peers. There are four
+// Package transport moves protocol envelopes between peers. There are three
 // endpoint types: the in-process Bus with deterministic FIFO queues (tests,
-// the examples and single-process deployments such as the demo's "run
-// everything on one laptop" mode); TCP (tcp.go) for genuinely distributed
-// peers, mirroring the paper's deployment on two laptops and the Webdam
-// cloud; Mux (mux.go), many peers' streams over one carrier endpoint; and
-// Faulty (faulty.go), a wrapper injecting drops, duplicates, reordering,
-// send failures and latency into any of the others.
+// the examples, the swarm and single-process deployments such as the demo's
+// "run everything on one laptop" mode); TCP (tcp.go) for genuinely
+// distributed peers, mirroring the paper's deployment on two laptops and the
+// Webdam cloud; and Faulty (faulty.go), a wrapper injecting drops,
+// duplicates, reordering, send failures and latency into either of the
+// others. Bus and TCP endpoints share one receive queue type, inbox.
 package transport
 
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/errdefs"
@@ -35,35 +34,92 @@ var ErrClosed = errdefs.ErrClosed
 // channel that receives a token whenever new envelopes become available
 // (edge-triggered with one-slot coalescing, so receivers never miss a wakeup
 // but may see spurious ones).
+//
+// SetWakeHook installs fn (replacing any previous hook) to be called —
+// outside the endpoint's locks, possibly from the sender's goroutine — every
+// time an envelope is appended to the receive queue; the peer network's
+// wake-queue scheduler uses it to discover work in O(active peers) instead
+// of scanning every peer every round. CanRoute reports whether a destination
+// is currently routable (attached to the bus, present in the TCP dial
+// directory); the peer layer uses it to fail API-level updates to unknown
+// peers synchronously instead of queueing them in the outbox forever.
 type Endpoint interface {
 	Name() string
 	Send(ctx context.Context, to string, msg protocol.Payload) error
 	Drain() []protocol.Envelope
 	Pending() int
 	Notify() <-chan struct{}
+	SetWakeHook(fn func())
+	CanRoute(to string) bool
 	Close() error
 }
 
-// WakeHooker is optionally implemented by endpoints that can synchronously
-// report envelope arrival to an external scheduler. SetWakeHook installs fn
-// (replacing any previous hook) to be called — outside the endpoint's locks,
-// possibly from the sender's goroutine — every time envelopes are appended
-// to the receive queue; it reports whether arrivals will actually invoke the
-// hook (a wrapper whose inner endpoint cannot hook returns false, and the
-// caller must fall back to polling). The peer network's wake-queue scheduler
-// uses this to discover work in O(active peers) instead of scanning every
-// peer every round.
-type WakeHooker interface {
-	SetWakeHook(fn func()) bool
+// inbox is the receive half every endpoint type embeds: a FIFO queue, the
+// one-slot notify channel and the scheduler's wake hook. A closed inbox
+// refuses deliveries.
+type inbox struct {
+	mu     sync.Mutex
+	queue  []protocol.Envelope
+	closed bool
+	notify chan struct{}
+	hook   func()
 }
 
-// Router is optionally implemented by endpoints that can cheaply answer
-// whether a destination is currently routable (attached to the bus, present
-// in the TCP dial directory). The peer layer uses it to fail API-level
-// updates to unknown peers synchronously instead of queueing them in the
-// outbox forever. Endpoints without it are assumed to route everything.
-type Router interface {
-	CanRoute(to string) bool
+func newInbox() inbox { return inbox{notify: make(chan struct{}, 1)} }
+
+// push appends env and fires the wakeups outside the lock. It reports false
+// when the inbox is closed.
+func (b *inbox) push(env protocol.Envelope) bool {
+	b.mu.Lock()
+	if b.closed {
+		b.mu.Unlock()
+		return false
+	}
+	b.queue = append(b.queue, env)
+	hook := b.hook
+	b.mu.Unlock()
+	select {
+	case b.notify <- struct{}{}:
+	default:
+	}
+	if hook != nil {
+		hook()
+	}
+	return true
+}
+
+// SetWakeHook installs fn to run after every delivery into this inbox.
+func (b *inbox) SetWakeHook(fn func()) {
+	b.mu.Lock()
+	b.hook = fn
+	b.mu.Unlock()
+}
+
+// Drain removes and returns all pending envelopes.
+func (b *inbox) Drain() []protocol.Envelope {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	out := b.queue
+	b.queue = nil
+	return out
+}
+
+// Pending returns the number of queued envelopes.
+func (b *inbox) Pending() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.queue)
+}
+
+// Notify returns the wakeup channel.
+func (b *inbox) Notify() <-chan struct{} { return b.notify }
+
+// shut closes the inbox and drops whatever it still holds.
+func (b *inbox) shut() {
+	b.mu.Lock()
+	b.closed = true
+	b.queue = nil
+	b.mu.Unlock()
 }
 
 // Stats aggregates transport counters for benchmarks and monitoring.
@@ -72,16 +128,25 @@ type Stats struct {
 	MessagesDelivered uint64
 }
 
-// Bus is an in-process transport connecting any number of endpoints by
+// Bus is the in-process transport connecting any number of endpoints by
 // name. It is safe for concurrent use and delivers in per-sender FIFO
 // order. Delivery is synchronous: Send appends directly to the receiver's
 // queue, so after Send returns the message is visible to the receiver's
-// next Drain — which makes multi-peer unit tests deterministic.
+// next Drain — which makes multi-peer unit tests deterministic. A send holds
+// the bus lock only to resolve the destination and count the message, never
+// while enqueueing, so a slow receiver cannot stall other pairs.
 type Bus struct {
 	mu    sync.Mutex
 	nodes map[string]*BusEndpoint
 	stats Stats
 }
+
+// Mux and NewMux are the names the frozen benchmark/ package still uses for
+// the bus, which absorbed the in-process mux.
+type Mux = Bus
+
+// NewMux creates an empty bus (see Mux).
+func NewMux() *Bus { return NewBus() }
 
 // NewBus creates an empty bus.
 func NewBus() *Bus {
@@ -105,21 +170,9 @@ func (b *Bus) Endpoint(name string) *BusEndpoint {
 			return n
 		}
 	}
-	n := &BusEndpoint{bus: b, name: name, notify: make(chan struct{}, 1)}
+	n := &BusEndpoint{inbox: newInbox(), bus: b, name: name}
 	b.nodes[name] = n
 	return n
-}
-
-// Peers returns the names of all attached endpoints, sorted.
-func (b *Bus) Peers() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]string, 0, len(b.nodes))
-	for name := range b.nodes {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Stats returns a snapshot of the bus counters.
@@ -129,51 +182,31 @@ func (b *Bus) Stats() Stats {
 	return b.stats
 }
 
-// Quiescent reports whether no endpoint has undelivered messages.
-func (b *Bus) Quiescent() bool {
+// Close closes every attached endpoint.
+func (b *Bus) Close() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, n := range b.nodes {
-		n.mu.Lock()
-		pending := len(n.queue)
-		n.mu.Unlock()
-		if pending > 0 {
-			return false
-		}
+		n.shut()
 	}
-	return true
+	return nil
 }
 
 // BusEndpoint is an endpoint attached to a Bus.
 type BusEndpoint struct {
+	inbox
 	bus  *Bus
 	name string
-
-	mu       sync.Mutex
-	queue    []protocol.Envelope
-	seq      uint64
-	closed   bool
-	notify   chan struct{}
-	wakeHook func()
+	seq  uint64 // guarded by inbox.mu
 }
 
 var _ Endpoint = (*BusEndpoint)(nil)
-var _ WakeHooker = (*BusEndpoint)(nil)
-
-// SetWakeHook implements WakeHooker: fn is invoked after every delivery into
-// this endpoint's queue.
-func (n *BusEndpoint) SetWakeHook(fn func()) bool {
-	n.mu.Lock()
-	n.wakeHook = fn
-	n.mu.Unlock()
-	return true
-}
 
 // Name returns the endpoint's peer name.
 func (n *BusEndpoint) Name() string { return n.name }
 
 // CanRoute reports whether a peer with the given name has attached to the
-// bus (implements Router).
+// bus.
 func (n *BusEndpoint) CanRoute(to string) bool {
 	n.bus.mu.Lock()
 	defer n.bus.mu.Unlock()
@@ -206,32 +239,15 @@ func (n *BusEndpoint) Send(ctx context.Context, to string, msg protocol.Payload)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownPeer, to)
 	}
-
-	env := protocol.Envelope{From: n.name, To: to, Seq: seq, Msg: msg}
-	dst.mu.Lock()
-	if dst.closed {
-		dst.mu.Unlock()
+	if !dst.push(protocol.Envelope{From: n.name, To: to, Seq: seq, Msg: msg}) {
 		return fmt.Errorf("transport: peer %q is closed", to)
-	}
-	dst.queue = append(dst.queue, env)
-	hook := dst.wakeHook
-	dst.mu.Unlock()
-	select {
-	case dst.notify <- struct{}{}:
-	default:
-	}
-	if hook != nil {
-		hook()
 	}
 	return nil
 }
 
 // Drain removes and returns all pending envelopes.
 func (n *BusEndpoint) Drain() []protocol.Envelope {
-	n.mu.Lock()
-	out := n.queue
-	n.queue = nil
-	n.mu.Unlock()
+	out := n.inbox.Drain()
 	if len(out) > 0 {
 		n.bus.mu.Lock()
 		n.bus.stats.MessagesDelivered += uint64(len(out))
@@ -240,21 +256,8 @@ func (n *BusEndpoint) Drain() []protocol.Envelope {
 	return out
 }
 
-// Pending returns the number of queued envelopes.
-func (n *BusEndpoint) Pending() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.queue)
-}
-
-// Notify returns the wakeup channel.
-func (n *BusEndpoint) Notify() <-chan struct{} { return n.notify }
-
 // Close detaches the endpoint; subsequent sends to or from it fail.
 func (n *BusEndpoint) Close() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.closed = true
-	n.queue = nil
+	n.shut()
 	return nil
 }

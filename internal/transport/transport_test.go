@@ -63,6 +63,12 @@ func TestBusUnknownPeer(t *testing.T) {
 	if !errors.Is(err, ErrUnknownPeer) {
 		t.Errorf("err = %v, want ErrUnknownPeer", err)
 	}
+	if a.CanRoute("ghost") {
+		t.Error("CanRoute(ghost) = true")
+	}
+	if !a.CanRoute("a") {
+		t.Error("CanRoute(a) = false")
+	}
 }
 
 func TestBusClosedEndpoint(t *testing.T) {
@@ -78,12 +84,26 @@ func TestBusClosedEndpoint(t *testing.T) {
 	if err := b.Send(context.Background(), "a", factMsg(1)); !errors.Is(err, ErrClosed) {
 		t.Errorf("send from closed endpoint: %v", err)
 	}
+	// Crash semantics: re-attaching under the old name replaces the closed
+	// endpoint, and the new incarnation receives subsequent traffic.
+	b2 := bus.Endpoint("b")
+	if b2 == b {
+		t.Fatal("closed endpoint was not replaced")
+	}
+	if err := a.Send(context.Background(), "b", factMsg(2)); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(b2.Drain()); got != 1 {
+		t.Fatalf("drained %d, want 1", got)
+	}
 }
 
 func TestBusNotify(t *testing.T) {
 	bus := NewBus()
 	a := bus.Endpoint("a")
 	b := bus.Endpoint("b")
+	woke := 0
+	b.SetWakeHook(func() { woke++ })
 	if err := a.Send(context.Background(), "b", factMsg(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -92,28 +112,32 @@ func TestBusNotify(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("no wakeup after send")
 	}
+	if woke != 1 { // delivery is synchronous, and so is the hook
+		t.Errorf("wake hook fired %d times, want 1", woke)
+	}
 }
 
 func TestBusStatsAndQuiescence(t *testing.T) {
 	bus := NewBus()
 	a := bus.Endpoint("a")
 	b := bus.Endpoint("b")
-	if !bus.Quiescent() {
-		t.Error("fresh bus must be quiescent")
-	}
 	if err := a.Send(context.Background(), "b", factMsg(1)); err != nil {
 		t.Fatal(err)
 	}
-	if bus.Quiescent() {
-		t.Error("bus with queued message is not quiescent")
+	if b.Pending() != 1 {
+		t.Errorf("pending = %d, want 1", b.Pending())
 	}
 	b.Drain()
-	if !bus.Quiescent() {
-		t.Error("drained bus must be quiescent")
+	if b.Pending() != 0 {
+		t.Error("drained endpoint still pending")
 	}
 	st := bus.Stats()
 	if st.MessagesSent != 1 || st.MessagesDelivered != 1 {
 		t.Errorf("stats = %+v", st)
+	}
+	bus.Close()
+	if err := a.Send(context.Background(), "b", factMsg(2)); !errors.Is(err, ErrClosed) {
+		t.Errorf("send after bus Close: %v", err)
 	}
 }
 
