@@ -11,22 +11,17 @@ import (
 	"repro/internal/value"
 )
 
-// newMuxFaultPair builds two peers on separate muxes whose carriers — the
-// single shared frame link every stream between the muxes rides — are
-// fault-wrapped in both directions. All of the existing fault machinery
-// (at-least-once outbox, receiver dedup, anti-entropy) must hold when the
-// faults hit multiplexed frames instead of per-pair links.
+// newMuxFaultPair builds two stand-alone peers (no Network) on one
+// transport.NewMux() — the transport the swarm benchmark runs on — each
+// behind a fault-injecting wrapper, with outbox timers shrunk to test speed.
 func newMuxFaultPair(t *testing.T, cfg transport.FaultConfig) (a, b *Peer) {
 	t.Helper()
-	bus := transport.NewBus()
-	m1 := transport.NewMuxOver(transport.Faulty(bus.Endpoint("node1"), cfg))
-	m2 := transport.NewMuxOver(transport.Faulty(bus.Endpoint("node2"), cfg))
-	t.Cleanup(func() { m1.Close(); m2.Close() })
-	m1.Route("b", "node2")
-	m2.Route("a", "node1")
-
-	mk := func(m *transport.Mux, name string) *Peer {
-		p, err := New(Config{Name: name}, m.Endpoint(name))
+	m := transport.NewMux()
+	t.Cleanup(func() { m.Close() })
+	mk := func(name string, seed int64) *Peer {
+		c := cfg
+		c.Seed = seed
+		p, err := New(Config{Name: name}, transport.Faulty(m.Endpoint(name), c))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,13 +31,13 @@ func newMuxFaultPair(t *testing.T, cfg transport.FaultConfig) (a, b *Peer) {
 		t.Cleanup(func() { p.Close() })
 		return p
 	}
-	return mk(m1, "a"), mk(m2, "b")
+	return mk("a", cfg.Seed), mk("b", cfg.Seed+100)
 }
 
 // TestMuxConvergenceUnderFaults re-runs the two-peer maintained-view
-// convergence schedules with both peers behind multiplexed transports and
-// the faults injected into the shared carrier link: drops, duplicates,
-// reorders and failures of MuxFrames must stay invisible to the fixpoint.
+// convergence schedules on peers attached to a Mux, with independent fault
+// streams in both directions: drops, duplicates, reorders and failures must
+// stay invisible to the fixpoint.
 func TestMuxConvergenceUnderFaults(t *testing.T) {
 	schedules := []struct {
 		name string
@@ -101,31 +96,12 @@ func TestMuxConvergenceUnderFaults(t *testing.T) {
 	}
 }
 
-// TestMuxDisconnectRecovery hard-drops the carrier mid-stream (SetDown) and
-// checks the maintained view repairs once the link returns.
+// TestMuxDisconnectRecovery: the sender's link is down from its very first
+// message, before any session exists between the peers; the maintained view
+// is built once the link returns. (TestConvergenceAcrossDisconnect downs an
+// established link mid-stream.)
 func TestMuxDisconnectRecovery(t *testing.T) {
-	bus := transport.NewBus()
-	down := transport.Faulty(bus.Endpoint("node1"), transport.FaultConfig{Seed: 31})
-	m1 := transport.NewMuxOver(down)
-	m2 := transport.NewMuxOver(bus.Endpoint("node2"))
-	t.Cleanup(func() { m1.Close(); m2.Close() })
-	m1.Route("b", "node2")
-	m2.Route("a", "node1")
-
-	a, err := New(Config{Name: "a"}, m1.Endpoint("a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(Config{Name: "b"}, m2.Endpoint("b"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []*Peer{a, b} {
-		p.outbox.ackTimeout = 10 * time.Millisecond
-		p.outbox.baseBackoff = 2 * time.Millisecond
-		p.outbox.maxBackoff = 20 * time.Millisecond
-		t.Cleanup(func() { p.Close() })
-	}
+	a, b := newMuxFaultPair(t, transport.FaultConfig{Seed: 31})
 	if err := a.LoadSource(`
 		relation extensional src@a(x);
 		view@b($x) :- src@a($x);
@@ -137,6 +113,7 @@ func TestMuxDisconnectRecovery(t *testing.T) {
 	}
 	peers := []*Peer{a, b}
 
+	down := a.Endpoint().(*transport.FaultyEndpoint)
 	down.SetDown(true)
 	for i := int64(0); i < 5; i++ {
 		if err := a.Insert(ast.NewFact("src", "a", value.Int(i))); err != nil {
@@ -145,10 +122,10 @@ func TestMuxDisconnectRecovery(t *testing.T) {
 	}
 	drive(peers, func() bool { return false }, 50*time.Millisecond)
 	if got := len(b.Query("view")); got != 0 {
-		t.Fatalf("view@b has %d tuples while the carrier is down", got)
+		t.Fatalf("view@b has %d tuples while the link is down", got)
 	}
 	down.SetDown(false)
 	if !drive(peers, func() bool { return len(b.Query("view")) == 5 }, 20*time.Second) {
-		t.Fatalf("view@b never recovered after carrier reconnect: %v", b.Query("view"))
+		t.Fatalf("view@b never recovered after reconnect: %v", b.Query("view"))
 	}
 }
