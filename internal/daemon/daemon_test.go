@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/peer"
 )
 
@@ -360,7 +361,7 @@ func TestDaemonToleratesWarnings(t *testing.T) {
 // channel is closed: a consumer that has stopped consuming.
 type stageGate chan struct{}
 
-func (g stageGate) BeforeStage(*peer.Peer) error                   { <-g; return nil }
+func (g stageGate) BeforeStage(*peer.Peer, *engine.Batch) error    { <-g; return nil }
 func (g stageGate) AfterStage(*peer.Peer, *peer.StageReport) error { return nil }
 
 // TestDaemonLoadBoundedOutbox: 50 concurrent /apply clients push 1200 facts

@@ -110,9 +110,11 @@ type Result struct {
 	// RunStageFull (which maintain the caller's RemoteView), not by bare
 	// RunStage.
 	RemoteOut map[string][]RemoteOp
-	// Views maps "rel@peer" to the net change an incremental stage made to
-	// that materialized local view. Populated only by RunStageIncremental;
-	// full recomputations leave it nil (consumers diff snapshots instead).
+	// Views maps "rel@peer" to the net change the stage made to that
+	// materialized local view, relative to the store as the stage found it,
+	// in no particular order; relations that did not change are absent.
+	// Populated by RunStageIncremental and RunStageFull, not by bare
+	// RunStage.
 	Views map[string]*ViewDelta
 	// Delegations maps source rule ID -> target peer -> residual rules.
 	// The set for a (rule, target) pair replaces whatever that pair

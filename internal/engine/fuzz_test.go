@@ -27,7 +27,8 @@ var fuzzSchemas = []store.Schema{
 // extensional heads) — on production incremental maintenance, production
 // recompute and the reference evaluator, requiring all three to agree on
 // every relation, remote emission, delegation and buffered update after
-// every batch. This fuzzes the whole execution surface: semi-naive delta
+// every batch, and both production paths to report the same view deltas.
+// This fuzzes the whole execution surface: semi-naive delta
 // walks, DRed over-deletion, rederivation and the run-time-resolved steps,
 // across arbitrary insert/delete interleavings.
 func FuzzEngineStage(f *testing.F) {

@@ -226,11 +226,12 @@ func (e *Engine) classify(prog *Program) {
 // stage, program changes, and programs (or engines) that are not
 // incrementally maintainable. It clears the intensional relations, re-seeds
 // the externally supported and transient tuples the caller passes in, runs
-// the ordinary fixpoint, and diffs the remote emission set against the
-// caller's maintained remote view so that Result.RemoteOut still carries
-// deltas.
+// the ordinary fixpoint, and diffs both the rebuilt views against what the
+// clear dropped and the remote emission set against the caller's maintained
+// remote view, so Result.Views and Result.RemoteOut carry exact deltas as on
+// the incremental path.
 func (e *Engine) RunStageFull(prog *Program, seeds map[string][]value.Tuple, rv *RemoteView) *Result {
-	e.db.ClearIntensional()
+	dropped := e.db.ClearIntensional()
 	for relID, ts := range seeds {
 		rel := relByID(e.db, relID)
 		if rel == nil {
@@ -247,6 +248,14 @@ func (e *Engine) RunStageFull(prog *Program, seeds map[string][]value.Tuple, rv 
 		res = e.RunStage(prog)
 	} else {
 		res = &Result{Remote: map[string][]FactOp{}, Delegations: map[string]map[string][]ast.Rule{}}
+	}
+	for relID, old := range dropped {
+		if ins, del := relByID(e.db, relID).DiffSince(old); len(ins)+len(del) > 0 {
+			if res.Views == nil {
+				res.Views = map[string]*ViewDelta{}
+			}
+			res.Views[relID] = &ViewDelta{Ins: ins, Del: del}
+		}
 	}
 	res.RemoteOut = rv.Diff(res.Remote)
 	return res
@@ -375,10 +384,6 @@ func (e *Engine) RunStageIncremental(prog *Program, in *StageInput, rv *RemoteVi
 			vd.Del = append(vd.Del, t)
 			st.out.Retracted++
 		}
-	}
-	for _, vd := range views {
-		value.SortTuples(vd.Ins)
-		value.SortTuples(vd.Del)
 	}
 	if len(views) > 0 {
 		st.out.Views = views

@@ -30,10 +30,22 @@ func newIncrHarness(t *testing.T, decls []string, rules []ast.Rule) *incrHarness
 	if !prog.Incremental {
 		t.Fatalf("program unexpectedly not incrementally maintainable")
 	}
-	rv := NewRemoteView()
-	res := e.RunStageFull(prog, nil, rv)
-	checkNoErrors(t, res)
-	return &incrHarness{t: t, e: e, db: db, prog: prog, rv: rv}
+	h := &incrHarness{t: t, e: e, db: db, rv: NewRemoteView()}
+	h.full(prog)
+	return h
+}
+
+// full runs a rebuild stage of prog — a first stage or a program change —
+// and makes it the harness's program, verifying the reported view deltas
+// exactly as step does.
+func (h *incrHarness) full(prog *Program) *Result {
+	h.t.Helper()
+	before := h.snapshotViews()
+	res := h.e.RunStageFull(prog, nil, h.rv)
+	checkNoErrors(h.t, res)
+	h.checkViewDeltas(before, res)
+	h.prog = prog
+	return res
 }
 
 // step applies the given extensional inserts/deletes and runs one
@@ -146,6 +158,45 @@ func TestIncrementalInsertMatchesRecompute(t *testing.T) {
 	h.step([]ast.Fact{edge("c", "d")}, nil)
 	if got := relContents(h.db, "tc", "local"); len(got) != 6 {
 		t.Errorf("tc = %v, want 6 tuples", got)
+	}
+}
+
+// TestFullStageReportsViewDeltas: a rebuild reports the exact net change to
+// every view, like an incremental stage — on a first stage over existing
+// base facts, across program changes in both directions, and (as nothing)
+// on a rebuild that ends where it started.
+func TestFullStageReportsViewDeltas(t *testing.T) {
+	e, db := testEnv(t, DefaultOptions(), "ext edge(a,b)", "int tc(a,b)")
+	for _, f := range []ast.Fact{edge("a", "b"), edge("b", "c"), edge("c", "d")} {
+		db.Get(f.Rel, f.Peer).Insert(f.Args)
+	}
+	compile := func(rules []ast.Rule) *Program {
+		prog, err := e.CompileProgram(rules)
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+		return prog
+	}
+	count := func(res *Result) (ins, del int) {
+		if vd := res.Views["tc@local"]; vd != nil {
+			return len(vd.Ins), len(vd.Del)
+		}
+		return 0, 0
+	}
+	h := &incrHarness{t: t, e: e, db: db, rv: NewRemoteView()}
+	if ins, del := count(h.full(compile(tcRules(t)))); ins != 6 || del != 0 {
+		t.Fatalf("first stage reported +%d -%d, want +6 -0", ins, del)
+	}
+	h.step([]ast.Fact{edge("d", "e")}, nil)
+	// Dropping the recursive rule leaves the four direct edges.
+	if ins, del := count(h.full(compile(tcRules(t)[:1]))); ins != 0 || del != 6 {
+		t.Fatalf("program change reported +%d -%d, want +0 -6", ins, del)
+	}
+	if ins, del := count(h.full(compile(tcRules(t)))); ins != 6 || del != 0 {
+		t.Fatalf("restoring the closure reported +%d -%d, want +6 -0", ins, del)
+	}
+	if res := h.full(h.prog); res.Views != nil {
+		t.Fatalf("an unchanged rebuild reported %v", res.Views)
 	}
 }
 

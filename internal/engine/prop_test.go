@@ -360,6 +360,21 @@ func stageOutputs(db *store.Store, local string, res *Result) string {
 	return strings.Join(lines, "\n")
 }
 
+// viewDeltaKeys canonicalizes a stage's Result.Views as sorted text.
+func viewDeltaKeys(res *Result) string {
+	var lines []string
+	for relID, vd := range res.Views {
+		for _, t := range vd.Ins {
+			lines = append(lines, "+"+relID+t.String())
+		}
+		for _, t := range vd.Del {
+			lines = append(lines, "-"+relID+t.String())
+		}
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
 // refWorld is one engine over its own store, built from shared schemas,
 // base facts and rules, so production and reference never share state.
 type refWorld struct {
@@ -422,7 +437,8 @@ func (w *refWorld) apply(batch []FactOp) *StageInput {
 // checkAgainstReference runs the same program and batch schedule through
 // production incremental maintenance, production recompute and the
 // reference evaluator, each over its own store, and demands identical
-// outputs (stageOutputs) after the initial stage and after every batch. It
+// outputs (stageOutputs) after the initial stage and after every batch, and
+// identical view deltas (Result.Views) from the two production paths. It
 // reports whether the program was incrementally maintainable (otherwise the
 // "incremental" engine recomputed too).
 func checkAgainstReference(t testing.TB, label string, schemas []store.Schema, facts []ast.Fact, rules []ast.Rule, batches [][]FactOp) (incremental bool) {
@@ -444,6 +460,12 @@ func checkAgainstReference(t testing.TB, label string, schemas []store.Schema, f
 				t.Fatalf("%s step %d: production %s differs from the reference\nrules: %v\n--- reference\n%s\n--- %s\n%s",
 					label, step, got.name, rules, want, got.name, got.out)
 			}
+		}
+		// Both started from the same store and ended at the reference's, so
+		// exact view deltas must agree too.
+		if vi, vr := viewDeltaKeys(resI), viewDeltaKeys(resR); vi != vr {
+			t.Fatalf("%s step %d: view deltas differ\nrules: %v\n--- incremental\n%s\n--- recompute\n%s",
+				label, step, rules, vi, vr)
 		}
 	}
 	compare(-1, incr.e.RunStageFull(incr.prog, nil, rvI), reco.e.RunStageFull(reco.prog, nil, rvR))

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/engine"
 	"repro/internal/protocol"
 	"repro/internal/store"
 	"repro/internal/value"
@@ -213,5 +214,219 @@ func FuzzRangeRepair(f *testing.F) {
 		if len(view) != len(supported) {
 			t.Fatalf("view@b holds %d tuples, the ledgers support %d", len(view), len(supported))
 		}
+	})
+}
+
+// replayWorld is FuzzSubscriptionReplay's deployment: subject peers inc
+// (plain) and prov (provenance on, so every stage rebuilds its views) run
+// one program, pull from a scripted wrapper hook each, and receive
+// maintained and transient seeds from peer hub. Every relation of both
+// subjects is subscribed, with a replica built from the Subscribe-time
+// baseline. The sequential scheduler stages peers in name order, so hub's
+// emissions reach both subjects in the same round and the two see the same
+// stages — transient seeds expire at the same point on both.
+type replayWorld struct {
+	t        *testing.T
+	n        *Network
+	hub      *Peer
+	subjects []*Peer
+	hooks    map[string]*pullHook
+	toggle   map[string]string // subject -> rule id of the negation toggle
+	negated  bool
+	replicas map[string]map[string]bool // "rel@peer" -> key set
+	streams  map[string]<-chan Delta
+}
+
+var replayRels = []string{"link", "pulled", "seed", "tmp", "view", "reach", "filt"}
+
+const replayProgram = `
+	relation extensional link@%[1]s(x, y);
+	relation extensional pulled@%[1]s(x);
+	relation intensional seed@%[1]s(x);
+	relation intensional tmp@%[1]s(x);
+	relation intensional view@%[1]s(x);
+	relation intensional reach@%[1]s(x, y);
+	relation intensional filt@%[1]s(x);
+	view@%[1]s($x) :- pulled@%[1]s($x);
+	view@%[1]s($x) :- seed@%[1]s($x);
+	view@%[1]s($x) :- tmp@%[1]s($x);
+	reach@%[1]s($x, $y) :- link@%[1]s($x, $y);
+	reach@%[1]s($x, $z) :- reach@%[1]s($x, $y), link@%[1]s($y, $z);
+	view@%[1]s($x) :- reach@%[1]s($x, $y);
+`
+
+// toggleRule is the rule ReplaceRule flips: negated, its program leaves the
+// incremental envelope and every stage rebuilds.
+func toggleRule(peer string, negated bool) string {
+	not := ""
+	if negated {
+		not = "not "
+	}
+	return fmt.Sprintf(`filt@%[1]s($x) :- view@%[1]s($x), %[2]slink@%[1]s($x, $x);`, peer, not)
+}
+
+func newReplayWorld(t *testing.T) *replayWorld {
+	w := &replayWorld{t: t, n: NewSequentialNetwork(), hooks: map[string]*pullHook{},
+		toggle: map[string]string{}, replicas: map[string]map[string]bool{}, streams: map[string]<-chan Delta{}}
+	newPeer := func(cfg Config) *Peer {
+		cfg.ResyncInterval = -1
+		p, err := w.n.NewPeer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		return p
+	}
+	w.hub = newPeer(Config{Name: "hub"})
+	if err := w.hub.LoadSource(`
+		relation extensional src@hub(x);
+		seed@inc($x) :- src@hub($x);
+		seed@prov($x) :- src@hub($x);
+	`); err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{{Name: "inc"}, {Name: "prov", Provenance: true}} {
+		s := newPeer(cfg)
+		if err := s.LoadSource(fmt.Sprintf(replayProgram, cfg.Name)); err != nil {
+			t.Fatal(err)
+		}
+		id, err := s.AddRule(toggleRule(cfg.Name, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.toggle[cfg.Name] = id
+		w.hooks[cfg.Name] = &pullHook{}
+		s.SetHooks(w.hooks[cfg.Name])
+		// Subscribed before the first stage: its rebuild streams too.
+		for _, rel := range replayRels {
+			ch, err := s.Subscribe(context.Background(), rel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			relID := rel + "@" + cfg.Name
+			w.streams[relID] = ch
+			w.replicas[relID] = keySet(s.Query(rel))
+		}
+		w.subjects = append(w.subjects, s)
+	}
+	return w
+}
+
+func keySet(ts []value.Tuple) map[string]bool {
+	out := make(map[string]bool, len(ts))
+	for _, tup := range ts {
+		out[tup.Key()] = true
+	}
+	return out
+}
+
+// op applies one decoded operation: a maintained seed change at hub, or
+// the same local change at both subjects.
+func (w *replayWorld) op(kind, v byte) {
+	x, y := value.Int(int64(v>>4%6)), value.Int(int64(v%6))
+	kind %= 8
+	if kind == 7 {
+		w.negated = !w.negated
+	}
+	for _, s := range w.subjects {
+		var err error
+		switch kind {
+		case 0:
+			err = s.Insert(ast.NewFact("link", s.Name(), x, y))
+		case 1:
+			err = s.Delete(ast.NewFact("link", s.Name(), x, y))
+		case 4: // a transient seed: holds until the next stage that runs
+			err = w.hub.Insert(ast.NewFact("tmp", s.Name(), y))
+		case 5, 6:
+			op := engine.FactOp{Op: ast.Derive, Fact: ast.NewFact("pulled", s.Name(), y)}
+			if kind == 6 {
+				op.Op = ast.Delete
+			}
+			h := w.hooks[s.Name()]
+			h.queued = append(h.queued, op)
+			s.Poke()
+		case 7:
+			err = s.ReplaceRule(w.toggle[s.Name()], toggleRule(s.Name(), w.negated))
+		}
+		if err != nil {
+			w.t.Fatal(err)
+		}
+	}
+	var err error
+	switch kind {
+	case 2:
+		err = w.hub.Insert(ast.NewFact("src", "hub", y))
+	case 3:
+		err = w.hub.Delete(ast.NewFact("src", "hub", y))
+	}
+	if err != nil {
+		w.t.Fatal(err)
+	}
+}
+
+// check quiesces the network and requires every replica, advanced by what
+// its subscription streamed, to equal the relation — each delta exact (no
+// insert of a present key, no delete of an absent one) — and the two
+// subjects to agree.
+func (w *replayWorld) check(step int) {
+	w.t.Helper()
+	quiesce(w.t, w.n)
+	for _, s := range w.subjects {
+		if got := s.Subscribers(); got != len(replayRels) {
+			w.t.Fatalf("step %d: %s has %d live subscriptions, want %d", step, s.Name(), got, len(replayRels))
+		}
+		for _, rel := range replayRels {
+			relID := rel + "@" + s.Name()
+			replica := w.replicas[relID]
+			for _, d := range drainDeltas(w.streams[relID]) {
+				key := d.Tuple.Key()
+				if replica[key] != d.Delete {
+					w.t.Fatalf("step %d: %s streamed %v, not a change to replica %v", step, relID, d, replica)
+				}
+				if d.Delete {
+					delete(replica, key)
+				} else {
+					replica[key] = true
+				}
+			}
+			if want := keySet(s.Query(rel)); fmt.Sprint(replica) != fmt.Sprint(want) {
+				w.t.Fatalf("step %d: %s replica %v, Query %v", step, relID, replica, want)
+			}
+		}
+	}
+	for _, rel := range replayRels {
+		if a, p := tuples(w.subjects[0], rel), tuples(w.subjects[1], rel); fmt.Sprint(a) != fmt.Sprint(p) {
+			w.t.Fatalf("step %d: %s differs: incremental peer %v, provenance peer %v", step, rel, a, p)
+		}
+	}
+}
+
+// FuzzSubscriptionReplay: after every stage, a subscriber's baseline with
+// every streamed delta applied equals Query for every subscribed relation,
+// whatever produced the change — extensional inserts and deletes, maintained
+// and transient seeds from another peer, wrapper-hook pulls, program
+// changes flipping a rule into and out of negation (forcing rebuilds), on a
+// peer maintaining its views incrementally and on a provenance peer that
+// rebuilds them every stage. Each op is two bytes (kind, value); the kind's
+// high bit ends the stage after the op, so ops also coalesce in one stage.
+func FuzzSubscriptionReplay(f *testing.F) {
+	f.Add([]byte{0x80, 0x01, 0x80, 0x12, 0x81, 0x01})                                     // links, then a deletion cascading through reach
+	f.Add([]byte{0x82, 0x03, 0x84, 0x04, 0x80, 0x00, 0x83, 0x03})                         // maintained and transient seeds
+	f.Add([]byte{0x85, 0x02, 0x05, 0x03, 0x86, 0x02, 0x80, 0x22})                         // hook pulls and a pulled delete
+	f.Add([]byte{0x80, 0x11, 0x87, 0x00, 0x81, 0x11, 0x80, 0x22, 0x87, 0x00, 0x80, 0x33}) // negation on, changes, off
+	f.Add([]byte{0x00, 0x01, 0x01, 0x01, 0x02, 0x05, 0x03, 0x05, 0x84, 0x05})             // ops netting out inside one stage
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 96 {
+			data = data[:96] // bound stage sizes under the subscription buffer
+		}
+		w := newReplayWorld(t)
+		w.check(-1)
+		for i := 0; i+1 < len(data); i += 2 {
+			w.op(data[i], data[i+1])
+			if data[i]&0x80 != 0 {
+				w.check(i / 2)
+			}
+		}
+		w.check(len(data) / 2)
 	})
 }

@@ -41,6 +41,69 @@ func TestDeletionRetractsDerivedFacts(t *testing.T) {
 	}
 }
 
+// pullHook is a wrapper pull hook over a scripted service: each stage it
+// pulls whatever was queued since the previous one.
+type pullHook struct{ queued []engine.FactOp }
+
+func (h *pullHook) BeforeStage(_ *Peer, pull *engine.Batch) error {
+	for _, op := range h.queued {
+		pull.Add(op)
+	}
+	h.queued = nil
+	return nil
+}
+
+func (h *pullHook) AfterStage(*Peer, *StageReport) error { return nil }
+
+// queueRows queues a pull of the service rows src@peer(0..n-1).
+func (h *pullHook) queueRows(peer string, n int) {
+	for i := 0; i < n; i++ {
+		h.queued = append(h.queued, engine.FactOp{Op: ast.Derive, Fact: ast.NewFact("src", peer, value.Int(int64(i)))})
+	}
+}
+
+// TestHookPeerStaysIncremental: a wrapper peer's pull is ordinary ingestion,
+// so a stage whose pull (the service's whole state, as wrappers pull it)
+// brings one new row maintains the derived view from that one-row delta
+// instead of rebuilding all of it, and a pull that brings nothing new skips
+// the stage.
+func TestHookPeerStaysIncremental(t *testing.T) {
+	n := NewSequentialNetwork()
+	w, err := n.NewPeer(Config{Name: "w"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.LoadSource(`
+		relation extensional src@w(x);
+		relation intensional view@w(x);
+		view@w($x) :- src@w($x);
+	`); err != nil {
+		t.Fatal(err)
+	}
+	h := &pullHook{}
+	w.SetHooks(h)
+	h.queueRows("w", 5000)
+	quiesce(t, n)
+	if got := len(w.Query("view")); got != 5000 {
+		t.Fatalf("view holds %d rows after the first pull, want 5000", got)
+	}
+	h.queueRows("w", 5001)
+	w.Poke()
+	rep := w.RunStage()
+	if !rep.Ran || rep.Derived != 1 || len(rep.Errors) > 0 {
+		t.Fatalf("stage pulling one new row: ran=%v derived=%d errors=%v, want one derivation",
+			rep.Ran, rep.Derived, rep.Errors)
+	}
+	if got := len(w.Query("view")); got != 5001 {
+		t.Fatalf("view holds %d rows, want 5001", got)
+	}
+	h.queueRows("w", 5001)
+	w.Poke()
+	if rep := w.RunStage(); rep.Ran {
+		t.Fatalf("a pull that changed nothing ran a stage deriving %d", rep.Derived)
+	}
+}
+
 // TestDeletionPreservesAlternativeDerivation: a derived tuple with two
 // independent derivations survives losing one of them.
 func TestDeletionPreservesAlternativeDerivation(t *testing.T) {

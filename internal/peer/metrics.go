@@ -157,7 +157,7 @@ func (p *Peer) registerMetrics(reg *metrics.Registry) {
 // RegisterNetworkMetrics exposes the concurrent scheduler's wake-queue
 // counters on the registry: how many peers the scheduler has examined and
 // how much of the network is currently awake. On a quiescent swarm the scan
-// counter stays flat — the property experiment P11 asserts.
+// counter stays flat — the property TestSwarmQuiescentScans asserts.
 func RegisterNetworkMetrics(reg *metrics.Registry, n *Network) {
 	reg.Counter("wdl_sched_scans_total",
 		"Peers examined by the concurrent scheduler (HasWork/outbox probes).").Func(func() float64 {

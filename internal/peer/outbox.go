@@ -29,8 +29,8 @@ import (
 //   - async (the default): one flusher goroutine per destination drains the
 //     queue, retransmits unacked entries after ackTimeout, and backs off
 //     exponentially while the destination is unreachable. Stage latency is
-//     thereby decoupled from destination RTT and dial stalls (experiment
-//     P7).
+//     thereby decoupled from destination RTT and dial stalls
+//     (TestStageCommitDoesNotWaitForLink).
 //   - sync (Config.SyncEmit, used by NewSequentialNetwork): no goroutines;
 //     the queue is flushed synchronously at the end of every RunStage and
 //     by the network scheduler, which keeps in-process multi-peer tests

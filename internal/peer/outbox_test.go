@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/ast"
+	"repro/internal/engine"
 	"repro/internal/protocol"
 	"repro/internal/transport"
 	"repro/internal/value"
@@ -182,7 +183,7 @@ type addPeerHook struct {
 	err   error
 }
 
-func (h *addPeerHook) BeforeStage(p *Peer) error { return nil }
+func (h *addPeerHook) BeforeStage(*Peer, *engine.Batch) error { return nil }
 
 func (h *addPeerHook) AfterStage(p *Peer, rep *StageReport) error {
 	if h.added {

@@ -47,9 +47,9 @@ type Config struct {
 	// interned tuple (and its canonical key string), so a fact replicated
 	// across thousands of peers sharing one interner costs one tuple plus a
 	// map entry per replica instead of a full copy. Share one interner per
-	// swarm (experiment P11 relies on this for sub-linear memory). The table
-	// is append-only: it never evicts, so it is suited to corpus-like data,
-	// not unbounded unique streams.
+	// swarm (TestSwarmMemoryScaling gates the sub-linear memory this buys).
+	// The table is append-only: it never evicts, so it is suited to
+	// corpus-like data, not unbounded unique streams.
 	Interner *value.Interner
 	// WAL, when non-nil, makes the peer's extensional relations durable.
 	WAL *store.WAL
@@ -138,8 +138,13 @@ const (
 
 // Hooks lets wrappers synchronize external state around each stage.
 type Hooks interface {
-	// BeforeStage runs after inputs are ingested, before the fixpoint.
-	BeforeStage(p *Peer) error
+	// BeforeStage runs after inputs are ingested, before the fixpoint, with
+	// the peer lock released. It pulls external state by adding operations
+	// on this peer's relations to pull, never by mutating the store: the
+	// peer applies the pull as ordinary ingestion in the same stage, so
+	// what it changed is logged and maintained incrementally like any
+	// other update, and rows already present are no-ops.
+	BeforeStage(p *Peer, pull *engine.Batch) error
 	// AfterStage runs after outputs have been sent.
 	AfterStage(p *Peer, rep *StageReport) error
 }
@@ -214,7 +219,8 @@ type StageReport struct {
 	// DelegationsSent counts delegation-set messages emitted (including
 	// withdrawals).
 	DelegationsSent int
-	// Ingest, Fixpoint and Emit decompose the stage latency (experiment P2).
+	// Ingest, Fixpoint and Emit decompose the stage latency (the ledger's
+	// peer.ingest_us_p50, engine.fixpoint_us_p50 and peer.emit_us_p50).
 	Ingest   time.Duration
 	Fixpoint time.Duration
 	Emit     time.Duration
@@ -1124,12 +1130,10 @@ func (p *Peer) Close() error {
 		return nil
 	}
 	p.closed = true
-	subs := p.subs
-	p.subs = make(map[int]*subscription)
-	p.mu.Unlock()
-	for _, s := range subs {
-		close(s.ch)
+	for _, s := range p.subs {
+		p.dropSubLocked(s)
 	}
+	p.mu.Unlock()
 	// Cancel the peer context first (aborts in-flight dials and stops the
 	// flushers at their next check), then close the endpoint (unblocks any
 	// write in progress), then wait for the flushers to exit.

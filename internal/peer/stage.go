@@ -116,11 +116,13 @@ func (d *stageDeltas) engineInput() *engine.StageInput {
 // which is what lets a network of peers reach quiescence.
 //
 // When the program is incrementally maintainable (engine.Options.Incremental
-// and no tracer, hooks or negation-through-views), derived relations stay
+// and no tracer or negation-through-views), derived relations stay
 // materialized between stages and the engine maintains them from this
-// stage's base-fact deltas; otherwise the stage recomputes the views from
-// scratch, re-seeding externally supported and freshly arrived transient
-// facts.
+// stage's base-fact deltas — local updates, arrivals and wrapper pulls
+// alike; otherwise (and on the first stage and after program changes) the
+// stage recomputes the views from scratch, re-seeding externally supported
+// and freshly arrived transient facts. Both paths report the exact view
+// deltas subscriptions stream.
 func (p *Peer) RunStage() *StageReport {
 	rep := p.runStageLocked()
 	// Sync-emit peers flush everything the stage (or a skipped stage's ack
@@ -141,21 +143,6 @@ func (p *Peer) runStageLocked() *StageReport {
 
 	d := newStageDeltas()
 	changed := p.ingestLocked(rep, d)
-	if hooks := p.hooks; hooks != nil {
-		// Wrapper pull hook: let the external service refresh the wrapper's
-		// relations. Detect changes via relation version counters, since the
-		// hook mutates relations directly.
-		before := p.storeVersionLocked()
-		p.mu.Unlock()
-		err := hooks.BeforeStage(p)
-		p.mu.Lock()
-		if err != nil {
-			rep.Errors = append(rep.Errors, fmt.Errorf("peer %s: before-stage hook: %w", p.name, err))
-		}
-		if p.storeVersionLocked() != before {
-			changed = true
-		}
-	}
 	if p.progDirty {
 		p.compileLocked(rep)
 		p.needRebuild = true
@@ -189,12 +176,12 @@ func (p *Peer) runStageLocked() *StageReport {
 
 	// Step 2: fixpoint — incremental view maintenance on the fast path,
 	// recompute-from-scratch on the first stage, after program changes, and
-	// for peers outside the incremental envelope (hooks, provenance tracer,
-	// negation through views, Options.Incremental off).
+	// for programs outside the incremental envelope (provenance tracer,
+	// negation through views, Options.Incremental off). Either way the
+	// result carries the stage's exact view deltas.
 	startFix := time.Now()
-	incremental := p.prog != nil && p.prog.Incremental && !p.needRebuild && p.hooks == nil
 	var res *engine.Result
-	if incremental {
+	if p.prog != nil && p.prog.Incremental && !p.needRebuild {
 		p.expireTransientsLocked(d)
 		res = p.eng.RunStageIncremental(p.prog, d.engineInput(), p.rv)
 	} else {
@@ -229,7 +216,7 @@ func (p *Peer) runStageLocked() *StageReport {
 	}
 
 	// Stream the stage's net effect to subscribers before hooks observe it.
-	p.emitSubscriptionsLocked(rep, d, res, incremental)
+	p.emitSubscriptionsLocked(rep, d, res)
 
 	if hooks := p.hooks; hooks != nil {
 		// Run the hook outside the lock: it may call back into the peer.
@@ -336,6 +323,10 @@ func (p *Peer) ingestLocked(rep *StageReport, d *stageDeltas) bool {
 		}
 	}
 
+	if p.hooks != nil && p.pullLocked(rep, d) {
+		changed = true
+	}
+
 	durable := true
 	if p.wal != nil && rep.Applied > 0 {
 		if err := p.wal.Sync(); err != nil {
@@ -371,6 +362,31 @@ func (p *Peer) ingestLocked(rep *StageReport, d *stageDeltas) bool {
 		}
 	}
 	return changed
+}
+
+// pullLocked runs the wrapper pull hook (Hooks.BeforeStage) with the lock
+// released and applies what it pulled as ordinary ingestion, so the
+// external service's changes are recorded as this stage's deltas and logged
+// like any other update. A pulled fact of another peer's relation is
+// refused.
+func (p *Peer) pullLocked(rep *StageReport, d *stageDeltas) bool {
+	pull, hooks := engine.NewBatch(), p.hooks
+	p.mu.Unlock()
+	err := hooks.BeforeStage(p, pull)
+	p.mu.Lock()
+	if err != nil {
+		rep.Errors = append(rep.Errors, fmt.Errorf("peer %s: before-stage hook: %w", p.name, err))
+	}
+	ops := make([]ingestOp, 0, pull.Len())
+	for _, op := range pull.Ops() {
+		if op.Fact.Peer != p.name {
+			rep.Errors = append(rep.Errors, fmt.Errorf(
+				"peer %s: before-stage hook pulled foreign fact %s", p.name, op.Fact.String()))
+			continue
+		}
+		ops = append(ops, ingestOp{del: op.Op == ast.Delete, src: p.name, fact: op.Fact})
+	}
+	return p.applyOpsLocked(ops, rep, d)
 }
 
 // stagedAckSessionsLocked returns the inbound sessions with a staged
@@ -1276,16 +1292,6 @@ func (p *Peer) emitDelegationsLocked(res *engine.Result, rep *StageReport) {
 		}
 	}
 	p.lastSentDeleg = current
-}
-
-// storeVersionLocked sums relation version counters for cheap global change
-// detection around wrapper hooks.
-func (p *Peer) storeVersionLocked() uint64 {
-	var sum uint64
-	for _, r := range p.db.Relations() {
-		sum += r.Version()
-	}
-	return sum
 }
 
 func fingerprint(rules []ast.Rule) string {

@@ -36,9 +36,7 @@ type subscription struct {
 	id   int
 	rel  *store.Relation
 	ch   chan Delta
-	prev map[string]value.Tuple // relation contents at the last emit
-	vers uint64                 // relation version at the last emit
-	fp   uint64                 // relation content fingerprint at the last emit
+	stop func() bool // unregisters the ctx callback (context.AfterFunc)
 }
 
 // Subscribe streams changes to the named local relation: every time a stage
@@ -48,49 +46,33 @@ type subscription struct {
 // frontend polls-free view maintenance builds on.
 //
 // The baseline is the relation's contents at Subscribe time: only
-// subsequent changes stream. Works for extensional and rule-derived
-// (intensional) relations alike — a derived view that is cleared and
-// re-derived to the same contents produces no deltas.
+// subsequent changes stream, and a Query taken right after Subscribe with
+// every delta applied in order equals the relation after each stage.
+// Subscribing is O(1): the stream is each stage's own exact net changes.
+// Works for extensional and rule-derived (intensional) relations alike — a
+// derived view that is rebuilt to the same contents produces no deltas.
 //
 // The channel is closed when ctx is cancelled, when the peer is closed, or
-// if the consumer falls further behind than SubscribeBuffer deltas. The
-// relation must already be declared; subscribing to an unknown relation
-// returns an error wrapping errdefs.ErrUnknownRelation.
+// if the consumer falls further behind than SubscribeBuffer deltas; nothing
+// of the subscription outlives its channel. The relation must already be
+// declared; subscribing to an unknown relation returns an error wrapping
+// errdefs.ErrUnknownRelation.
 func (p *Peer) Subscribe(ctx context.Context, relName string) (<-chan Delta, error) {
 	rel := p.db.Get(relName, p.name)
 	if rel == nil {
 		return nil, fmt.Errorf("peer %s: %w: %s", p.name, errdefs.ErrUnknownRelation, relName)
 	}
-	// Build the baseline under p.mu: stages also hold p.mu, so the snapshot
-	// cannot tear against a concurrently-committing fixpoint (a delta
-	// between Tuples and Version would otherwise be lost forever).
+	// Register under p.mu: stages stream under p.mu too, so the contents as
+	// of now are exactly what the first streamed delta applies to.
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed {
-		p.mu.Unlock()
 		return nil, fmt.Errorf("peer %s: %w", p.name, errdefs.ErrClosed)
 	}
-	prev := make(map[string]value.Tuple)
-	for _, t := range rel.Tuples() {
-		prev[t.Key()] = t
-	}
-	sub := &subscription{
-		rel:  rel,
-		ch:   make(chan Delta, SubscribeBuffer),
-		prev: prev,
-		vers: rel.Version(),
-		fp:   rel.Fingerprint(),
-	}
 	p.subSeq++
-	sub.id = p.subSeq
+	sub := &subscription{id: p.subSeq, rel: rel, ch: make(chan Delta, SubscribeBuffer)}
+	sub.stop = context.AfterFunc(ctx, func() { p.removeSub(sub.id) })
 	p.subs[sub.id] = sub
-	p.mu.Unlock()
-
-	if ctx.Done() != nil {
-		go func() {
-			<-ctx.Done()
-			p.removeSub(sub.id)
-		}()
-	}
 	return sub.ch, nil
 }
 
@@ -104,44 +86,28 @@ func (p *Peer) Subscribers() int {
 // removeSub unregisters and closes a subscription; idempotent.
 func (p *Peer) removeSub(id int) {
 	p.mu.Lock()
-	sub, ok := p.subs[id]
-	if ok {
-		delete(p.subs, id)
+	defer p.mu.Unlock()
+	if sub, ok := p.subs[id]; ok {
+		p.dropSubLocked(sub)
 	}
-	p.mu.Unlock()
-	if ok {
-		close(sub.ch)
-	}
+}
+
+// dropSubLocked unregisters a live subscription, releases its ctx callback
+// and closes its channel — the one way every subscription ends.
+func (p *Peer) dropSubLocked(sub *subscription) {
+	delete(p.subs, sub.id)
+	sub.stop()
+	close(sub.ch)
 }
 
 // emitSubscriptionsLocked streams the stage's net effect to every
 // subscription. Called at the end of each stage that ran, with p.mu held.
-//
-// On incremental stages the deltas are exact and already known — the
-// extensional changes recorded during ingestion plus the engine's view
-// deltas — so delivery is O(deltas) with no snapshotting. Recomputation
-// stages (rebuilds, wrapper-hook peers whose relations are mutated out of
-// band) fall back to diffing the relation against the last emitted state.
-func (p *Peer) emitSubscriptionsLocked(rep *StageReport, d *stageDeltas, res *engine.Result, incremental bool) {
-	var dropped []int
-	for id, sub := range p.subs {
-		var deltas []Delta
-		if incremental {
-			deltas = sub.collectDeltas(p.name, d, res)
-			if len(deltas) > 0 {
-				for _, dl := range deltas {
-					if dl.Delete {
-						delete(sub.prev, dl.Tuple.Key())
-					} else {
-						sub.prev[dl.Tuple.Key()] = dl.Tuple
-					}
-				}
-			}
-			sub.vers = sub.rel.Version()
-			sub.fp = sub.rel.Fingerprint()
-		} else {
-			deltas = sub.diffDeltas()
-		}
+// Every stage knows its exact changes — the base-fact deltas recorded during
+// ingestion (wrapper pulls included) plus the engine's view deltas, which
+// rebuilds report as well as incremental stages — so delivery is O(deltas).
+func (p *Peer) emitSubscriptionsLocked(rep *StageReport, d *stageDeltas, res *engine.Result) {
+	for _, sub := range p.subs {
+		deltas := sub.collectDeltas(d, res)
 	deliver:
 		for i, dl := range deltas {
 			select {
@@ -150,23 +116,18 @@ func (p *Peer) emitSubscriptionsLocked(rep *StageReport, d *stageDeltas, res *en
 				rep.Errors = append(rep.Errors, fmt.Errorf(
 					"peer %s: %w: %s subscription dropped %d deltas",
 					p.name, errdefs.ErrSlowSubscriber, sub.rel.Name(), len(deltas)-i))
-				dropped = append(dropped, id)
+				p.dropSubLocked(sub)
+				p.stats.SubscriptionDrops++
 				break deliver
 			}
 		}
 	}
-	for _, id := range dropped {
-		sub := p.subs[id]
-		delete(p.subs, id)
-		close(sub.ch)
-	}
-	p.stats.SubscriptionDrops += uint64(len(dropped))
 }
 
-// collectDeltas assembles an incremental stage's exact deltas for this
-// subscription: deletions first, then insertions, each sorted.
-func (sub *subscription) collectDeltas(peerName string, d *stageDeltas, res *engine.Result) []Delta {
-	relID := sub.rel.Name() + "@" + peerName
+// collectDeltas assembles the stage's exact deltas for this subscription:
+// deletions first, then insertions, each sorted.
+func (sub *subscription) collectDeltas(d *stageDeltas, res *engine.Result) []Delta {
+	relID := sub.rel.Schema().ID()
 	var dels, ins []value.Tuple
 	for _, t := range d.del[relID] {
 		dels = append(dels, t)
@@ -227,46 +188,4 @@ func netTuples(dels, ins []value.Tuple) ([]value.Tuple, []value.Tuple) {
 		}
 	}
 	return keptDels, keptIns
-}
-
-// diffDeltas computes deltas by diffing the relation against the last
-// emitted state — the recomputation-stage fallback.
-func (sub *subscription) diffDeltas() []Delta {
-	v := sub.rel.Version()
-	if v == sub.vers {
-		return nil // untouched since the last emit
-	}
-	fp := sub.rel.Fingerprint()
-	if fp == sub.fp {
-		// Mutated but content-identical — the common case for a view
-		// cleared and re-derived to the same tuples. Skipping here keeps
-		// subscriptions O(1) per quiescent stage.
-		sub.vers = v
-		return nil
-	}
-	cur := sub.rel.Tuples() // sorted snapshot
-	curKeys := make(map[string]value.Tuple, len(cur))
-	for _, t := range cur {
-		curKeys[t.Key()] = t
-	}
-	var deltas []Delta
-	removed := make([]value.Tuple, 0)
-	for k, t := range sub.prev {
-		if _, still := curKeys[k]; !still {
-			removed = append(removed, t)
-		}
-	}
-	value.SortTuples(removed)
-	for _, t := range removed {
-		deltas = append(deltas, Delta{Rel: sub.rel.Name(), Delete: true, Tuple: t})
-	}
-	for _, t := range cur {
-		if _, had := sub.prev[t.Key()]; !had {
-			deltas = append(deltas, Delta{Rel: sub.rel.Name(), Tuple: t})
-		}
-	}
-	sub.prev = curKeys
-	sub.vers = v
-	sub.fp = fp
-	return deltas
 }

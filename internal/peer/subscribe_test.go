@@ -3,6 +3,7 @@ package peer
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -184,6 +185,56 @@ func TestSubscribeCloseOnPeerClose(t *testing.T) {
 	}
 	if _, err := alice.Subscribe(context.Background(), "data"); !errors.Is(err, errdefs.ErrClosed) {
 		t.Errorf("subscribe after close: %v, want ErrClosed", err)
+	}
+}
+
+// TestSubscriptionsLeaveNoGoroutines: nothing of a subscription outlives its
+// channel, even when its context is never cancelled — neither when it is
+// shed as a slow consumer nor when the peer closes under it.
+func TestSubscriptionsLeaveNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	n := NewSequentialNetwork()
+	alice, err := n.NewPeer(Config{Name: "alice"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := alice.DeclareRelation("data", ast.Extensional, "x"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel() // only once the count is in
+	subscribe := func(k int) {
+		for i := 0; i < k; i++ {
+			if _, err := alice.Subscribe(ctx, "data"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Half of them overflow their buffers in one stage and are shed.
+	subscribe(25)
+	b := engine.NewBatch()
+	for i := 0; i < SubscribeBuffer+1; i++ {
+		b.Insert(ast.NewFact("data", "alice", value.Int(int64(i))))
+	}
+	if err := alice.Apply(context.Background(), b); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, n)
+	if got := alice.Stats().SubscriptionDrops; got != 25 {
+		t.Fatalf("SubscriptionDrops = %d, want 25", got)
+	}
+	// The other half end with the peer.
+	subscribe(25)
+	if err := alice.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after 50 subscriptions ended, %d before the peer existed",
+				runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -54,7 +54,7 @@ func TestDeleteManyReportsRemoved(t *testing.T) {
 	s := New()
 	r := declTest(t, s, "data", "x")
 	r.InsertMany([]value.Tuple{{value.Int(1)}, {value.Int(2)}, {value.Int(3)}})
-	v := r.Version()
+	fp := r.Fingerprint()
 
 	removed := r.DeleteMany([]value.Tuple{{value.Int(2)}, {value.Int(9)}})
 	if len(removed) != 1 || removed[0][0].IntVal() != 2 {
@@ -63,16 +63,16 @@ func TestDeleteManyReportsRemoved(t *testing.T) {
 	if r.Len() != 2 {
 		t.Errorf("len = %d, want 2", r.Len())
 	}
-	if r.Version() == v {
-		t.Error("version not bumped by effective DeleteMany")
+	if r.Fingerprint() == fp {
+		t.Error("fingerprint unchanged by effective DeleteMany")
 	}
-	// A fully no-op batch does not bump the version.
-	v = r.Version()
+	// A fully no-op batch changes nothing.
+	fp = r.Fingerprint()
 	if got := r.DeleteMany([]value.Tuple{{value.Int(42)}}); len(got) != 0 {
 		t.Fatalf("removed = %v, want none", got)
 	}
-	if r.Version() != v {
-		t.Error("version bumped by no-op DeleteMany")
+	if r.Fingerprint() != fp {
+		t.Error("fingerprint changed by no-op DeleteMany")
 	}
 }
 

@@ -69,22 +69,3 @@ func (r *Relation) Digest() Digest {
 	defer r.mu.RUnlock()
 	return Digest{Hash: r.fp, Count: uint64(len(r.tuples))}
 }
-
-// Merkle returns the relation's Merkle summary tree over the canonical
-// tuple-key order. The first call builds it from the current contents
-// (O(n log n)); every mutation thereafter keeps it current, so later calls
-// are O(1). The returned tree is live — read it only under the discipline
-// that guards the relation itself (the peer's stage lock), never while a
-// concurrent mutator runs.
-func (r *Relation) Merkle() *MerkleTree {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.merkle == nil {
-		t := NewMerkleTree()
-		for key := range r.tuples {
-			t.Add(key)
-		}
-		r.merkle = t
-	}
-	return r.merkle
-}

@@ -46,8 +46,8 @@ func TestInternedRelationEquivalence(t *testing.T) {
 	if ir.Fingerprint() != pr.Fingerprint() {
 		t.Fatalf("Fingerprint %x != %x", ir.Fingerprint(), pr.Fingerprint())
 	}
-	if ir.Merkle().Root() != pr.Merkle().Root() {
-		t.Fatalf("Merkle root %+v != %+v", ir.Merkle().Root(), pr.Merkle().Root())
+	if im, pm := merkleOf(ir).Root(), merkleOf(pr).Root(); im != pm {
+		t.Fatalf("Merkle root %+v != %+v", im, pm)
 	}
 	if got, want := sortedKeys(ir), sortedKeys(pr); !equalStrings(got, want) {
 		t.Fatalf("contents diverged:\n%v\nvs\n%v", got, want)
@@ -98,8 +98,8 @@ func TestInternedDigestHistoryIndependence(t *testing.T) {
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatalf("history-dependent fingerprint: %x vs %x", a.Fingerprint(), b.Fingerprint())
 	}
-	if a.Merkle().Root() != b.Merkle().Root() {
-		t.Fatalf("history-dependent Merkle root: %+v vs %+v", a.Merkle().Root(), b.Merkle().Root())
+	if am, bm := merkleOf(a).Root(), merkleOf(b).Root(); am != bm {
+		t.Fatalf("history-dependent Merkle root: %+v vs %+v", am, bm)
 	}
 }
 

@@ -6,7 +6,8 @@
 // A Store holds all relations known at one peer, both the peer's own
 // relations and locally-materialized images of remote relations' schemas.
 // Extensional relations persist across computation stages; intensional
-// relations are cleared at the start of each stage and re-derived.
+// relations hold derived views, maintained by the engine between stages and
+// cleared only when it rebuilds them.
 package store
 
 import (
@@ -97,14 +98,7 @@ type Relation struct {
 	mu      sync.RWMutex
 	tuples  map[string]value.Tuple // key = Tuple.Key()
 	indexes map[ColMask]map[string][]value.Tuple
-	version uint64 // bumped on every mutation
 	fp      uint64 // XOR of member-tuple hashes: content fingerprint
-
-	// merkle, once a caller asks for it (Merkle), summarizes the tuple set
-	// as a range-queryable tree and is kept current by every mutation. Nil
-	// until then, so relations nobody range-compares pay one pointer check
-	// per mutation.
-	merkle *MerkleTree
 
 	// extSup tracks which remote senders currently maintain each tuple
 	// (support.go). Deliberately untouched by Clear: support outlives a view
@@ -180,14 +174,6 @@ func (r *Relation) Len() int {
 	return len(r.tuples)
 }
 
-// Version returns a counter bumped on every mutation, usable for
-// cheap change detection.
-func (r *Relation) Version() uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.version
-}
-
 // Fingerprint returns the content fingerprint: equal contents yield equal
 // fingerprints regardless of mutation history, so a cleared-and-rederived
 // view that ends up identical is recognizably unchanged. (Distinct contents
@@ -227,11 +213,7 @@ func (r *Relation) Insert(t value.Tuple) bool {
 		}
 		idx[ik] = bucket
 	}
-	r.version++
 	r.fp ^= tupleHash(key)
-	if r.merkle != nil {
-		r.merkle.Add(key)
-	}
 	return true
 }
 
@@ -281,13 +263,7 @@ func (r *Relation) InsertMany(ts []value.Tuple) []value.Tuple {
 			idx[ik] = bucket
 		}
 		r.fp ^= tupleHash(key)
-		if r.merkle != nil {
-			r.merkle.Add(key)
-		}
 		added = append(added, t)
-	}
-	if len(added) > 0 {
-		r.version++
 	}
 	return added
 }
@@ -324,13 +300,7 @@ func (r *Relation) DeleteMany(ts []value.Tuple) []value.Tuple {
 			}
 		}
 		r.fp ^= tupleHash(key)
-		if r.merkle != nil {
-			r.merkle.Remove(key)
-		}
 		removed = append(removed, t)
-	}
-	if len(removed) > 0 {
-		r.version++
 	}
 	return removed
 }
@@ -360,11 +330,7 @@ func (r *Relation) Delete(t value.Tuple) bool {
 			idx[ik] = bucket
 		}
 	}
-	r.version++
 	r.fp ^= tupleHash(key)
-	if r.merkle != nil {
-		r.merkle.Remove(key)
-	}
 	return true
 }
 
@@ -377,22 +343,42 @@ func (r *Relation) Contains(t value.Tuple) bool {
 	return ok
 }
 
-// Clear removes all tuples (used for intensional relations at stage start).
-func (r *Relation) Clear() {
+// Clear removes all tuples (used for intensional relations when a stage
+// rebuilds the views) and hands back the dropped key → tuple map — swapped
+// out, not copied — so the caller can diff the rebuilt relation against it
+// (DiffSince). The map is the caller's from now on.
+func (r *Relation) Clear() map[string]value.Tuple {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.tuples) == 0 {
-		return
+		return nil
 	}
+	old := r.tuples
 	r.tuples = make(map[string]value.Tuple)
 	for mask := range r.indexes {
 		r.indexes[mask] = make(map[string][]value.Tuple)
 	}
-	r.version++
 	r.fp = 0
-	if r.merkle != nil {
-		r.merkle = NewMerkleTree()
+	return old
+}
+
+// DiffSince returns the tuples the relation gained and lost relative to
+// old, a map Clear handed back: O(|old| + |relation|) lookups on the stored
+// keys, in no particular order.
+func (r *Relation) DiffSince(old map[string]value.Tuple) (ins, del []value.Tuple) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for key, t := range r.tuples {
+		if _, had := old[key]; !had {
+			ins = append(ins, t)
+		}
 	}
+	for key, t := range old {
+		if _, has := r.tuples[key]; !has {
+			del = append(del, t)
+		}
+	}
+	return ins, del
 }
 
 // Iterate calls fn for every tuple until fn returns false. The iteration
@@ -718,13 +704,17 @@ func (s *Store) RelationsOf(peer string) []*Relation {
 	return out
 }
 
-// ClearIntensional clears every intensional relation (stage start).
-func (s *Store) ClearIntensional() {
+// ClearIntensional clears every intensional relation (a view rebuild) and
+// returns what each held, keyed by relation id — an entry for every
+// intensional relation, nil when it was already empty (see Clear).
+func (s *Store) ClearIntensional() map[string]map[string]value.Tuple {
+	dropped := map[string]map[string]value.Tuple{}
 	for _, r := range s.Relations() {
 		if r.Kind() == ast.Intensional {
-			r.Clear()
+			dropped[r.schema.ID()] = r.Clear()
 		}
 	}
+	return dropped
 }
 
 // Facts returns every tuple in every relation owned by peer as facts,

@@ -65,21 +65,24 @@ func TestArityMismatchPanics(t *testing.T) {
 	r.Insert(tup("only-one"))
 }
 
-func TestVersionBumps(t *testing.T) {
+// TestClearDiffSince: Clear hands back exactly the tuples it dropped, and
+// DiffSince against that map reports what a rebuild gained and lost.
+func TestClearDiffSince(t *testing.T) {
 	r := NewRelation(schema2("r"))
-	v0 := r.Version()
-	r.Insert(tup("a", "b"))
-	v1 := r.Version()
-	if v1 == v0 {
-		t.Error("version must change on insert")
+	if old := r.Clear(); old != nil {
+		t.Fatalf("Clear of an empty relation handed back %v", old)
 	}
-	r.Insert(tup("a", "b")) // no-op
-	if r.Version() != v1 {
-		t.Error("version must not change on no-op insert")
+	r.InsertMany([]value.Tuple{tup("a", "1"), tup("b", "2"), tup("c", "3")})
+	old := r.Clear()
+	if len(old) != 3 || r.Len() != 0 {
+		t.Fatalf("Clear handed back %d tuples and kept %d, want 3 and 0", len(old), r.Len())
 	}
-	r.Delete(tup("a", "b"))
-	if r.Version() == v1 {
-		t.Error("version must change on delete")
+	r.InsertMany([]value.Tuple{tup("b", "2"), tup("d", "4")})
+	ins, del := r.DiffSince(old)
+	value.SortTuples(ins)
+	value.SortTuples(del)
+	if fmt.Sprint(ins) != "[(d, 4)]" || fmt.Sprint(del) != "[(a, 1) (c, 3)]" {
+		t.Fatalf("DiffSince = +%v -%v, want +[(d, 4)] -[(a, 1) (c, 3)]", ins, del)
 	}
 }
 

@@ -42,7 +42,8 @@ func faultSchedule(t *testing.T, cfg FaultConfig, sends int) string {
 // TestFaultyEndpointDeterministicSchedule: the same seed must produce the
 // identical fault schedule — which verdicts were rolled, which sends
 // failed, what was delivered. This determinism is what makes the
-// convergence suite and experiments p7/p8 reproducible. A different seed
+// convergence suite (TestTwoPeerConvergenceUnderFaults and its siblings in
+// internal/peer) reproducible. A different seed
 // must produce a different schedule.
 func TestFaultyEndpointDeterministicSchedule(t *testing.T) {
 	cfg := FaultConfig{Seed: 20130623, Drop: 0.15, Dup: 0.1, Reorder: 0.1, Fail: 0.1}

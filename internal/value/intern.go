@@ -6,7 +6,8 @@ import "sync"
 // holders. In a swarm of in-process peers the same fact is materialized at
 // every follower of its author — without interning each replica carries its
 // own Tuple slice, its own Value string backings and its own canonical key
-// string, and memory per peer becomes the scaling wall (experiment p11). An
+// string, and memory per peer becomes the scaling wall (TestSwarmMemoryScaling
+// and the swarm ledger workload's heap_mb). An
 // interned relation instead stores the one canonical Tuple and key the whole
 // process shares, so the marginal cost of a replica is a map entry.
 //

@@ -6,11 +6,14 @@
 //
 // A wrapper is an ordinary peer whose extensional relations mirror the
 // external service. Before each stage the wrapper pulls the service state
-// into its relations (so rules and delegations evaluated at the wrapper see
-// fresh data); after each stage it pushes rows that rules or remote peers
-// wrote into its relations back to the service. Because mirrored relations
-// treat the service as the source of truth, pushes are picked up again on
-// the next pull under the service's canonical identifiers.
+// as a batch of inserts (peer.Hooks.BeforeStage), which the peer ingests
+// like any other update: rows it already holds are no-ops, new rows are the
+// stage's deltas, so rules and delegations evaluated at the wrapper see
+// fresh data and its views stay incrementally maintained. After each stage
+// it pushes rows that rules or remote peers wrote into its relations back to
+// the service. Because mirrored relations treat the service as the source of
+// truth, pushes are picked up again on the next pull under the service's
+// canonical identifiers.
 package wrappers
 
 import (
@@ -19,6 +22,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/email"
+	"repro/internal/engine"
 	"repro/internal/facebook"
 	"repro/internal/peer"
 	"repro/internal/value"
@@ -89,14 +93,13 @@ func (w *FacebookGroupPeer) Sync() { w.p.Poke() }
 
 // BeforeStage implements peer.Hooks: pull the service into the relations,
 // translating service photo ids to relation-side ids.
-func (w *FacebookGroupPeer) BeforeStage(p *peer.Peer) error {
+func (w *FacebookGroupPeer) BeforeStage(p *peer.Peer, pull *engine.Batch) error {
 	photos, err := w.svc.Photos(w.group)
 	if err != nil {
 		return err
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	pics := p.Store().MustGet("pictures", p.Name())
 	for _, ph := range photos {
 		key := ph.Owner + "\x00" + ph.Name
 		relID, known := w.idByKey[key]
@@ -107,11 +110,9 @@ func (w *FacebookGroupPeer) BeforeStage(p *peer.Peer) error {
 			w.svcByID[relID] = ph.ID
 			w.idBySvc[ph.ID] = relID
 		}
-		pics.Insert(value.Tuple{
-			value.Int(relID), value.Str(ph.Name), value.Str(ph.Owner), value.Blob(ph.Data),
-		})
+		pull.Insert(ast.NewFact("pictures", p.Name(),
+			value.Int(relID), value.Str(ph.Name), value.Str(ph.Owner), value.Blob(ph.Data)))
 	}
-	comments := p.Store().MustGet("comments", p.Name())
 	svcComments, err := w.svc.Comments(w.group)
 	if err != nil {
 		return err
@@ -121,9 +122,8 @@ func (w *FacebookGroupPeer) BeforeStage(p *peer.Peer) error {
 		if !ok {
 			continue // photo not mirrored yet; next pull catches up
 		}
-		comments.Insert(value.Tuple{value.Int(relID), value.Str(c.Author), value.Str(c.Text)})
+		pull.Insert(ast.NewFact("comments", p.Name(), value.Int(relID), value.Str(c.Author), value.Str(c.Text)))
 	}
-	tags := p.Store().MustGet("tags", p.Name())
 	svcTags, err := w.svc.Tags(w.group)
 	if err != nil {
 		return err
@@ -133,7 +133,7 @@ func (w *FacebookGroupPeer) BeforeStage(p *peer.Peer) error {
 		if !ok {
 			continue
 		}
-		tags.Insert(value.Tuple{value.Int(relID), value.Str(tg.Person)})
+		pull.Insert(ast.NewFact("tags", p.Name(), value.Int(relID), value.Str(tg.Person)))
 	}
 	return nil
 }
@@ -224,23 +224,21 @@ func (w *FacebookUserPeer) Peer() *peer.Peer { return w.p }
 func (w *FacebookUserPeer) Sync() { w.p.Poke() }
 
 // BeforeStage implements peer.Hooks.
-func (w *FacebookUserPeer) BeforeStage(p *peer.Peer) error {
+func (w *FacebookUserPeer) BeforeStage(p *peer.Peer, pull *engine.Batch) error {
 	friends, err := w.svc.Friends(w.user)
 	if err != nil {
 		return err
 	}
-	frel := p.Store().MustGet("friends", p.Name())
 	for _, f := range friends {
-		frel.Insert(value.Tuple{value.Str(w.user), value.Str(f.Name)})
+		pull.Insert(ast.NewFact("friends", p.Name(), value.Str(w.user), value.Str(f.Name)))
 	}
-	prel := p.Store().MustGet("pictures", p.Name())
 	for _, g := range w.groups {
 		photos, err := w.svc.Photos(g)
 		if err != nil {
 			return err
 		}
 		for _, ph := range photos {
-			prel.Insert(value.Tuple{value.Int(ph.ID), value.Str(ph.Owner), value.Str(ph.URL)})
+			pull.Insert(ast.NewFact("pictures", p.Name(), value.Int(ph.ID), value.Str(ph.Owner), value.Str(ph.URL)))
 		}
 	}
 	return nil
@@ -285,15 +283,14 @@ func (w *EmailPeer) Peer() *peer.Peer { return w.p }
 func (w *EmailPeer) Sync() { w.p.Poke() }
 
 // BeforeStage implements peer.Hooks: mirror delivered mail into inbox.
-func (w *EmailPeer) BeforeStage(p *peer.Peer) error {
-	inbox := p.Store().MustGet("inbox", p.Name())
+func (w *EmailPeer) BeforeStage(p *peer.Peer, pull *engine.Batch) error {
 	for _, user := range w.svc.Mailboxes() {
 		msgs, err := w.svc.Inbox(user)
 		if err != nil {
 			continue
 		}
 		for _, m := range msgs {
-			inbox.Insert(value.Tuple{value.Str(m.To), value.Str(m.From), value.Str(m.Subject)})
+			pull.Insert(ast.NewFact("inbox", p.Name(), value.Str(m.To), value.Str(m.From), value.Str(m.Subject)))
 		}
 	}
 	return nil

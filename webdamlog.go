@@ -69,11 +69,14 @@
 // derivation and single-fact updates cost the size of the change rather
 // than the size of the database. Remote derivations ship as maintained
 // insert/retract deltas with per-sender support tracked at the receiver.
-// EngineOptions.Incremental turns the machinery off (recompute per stage,
-// the reference the view_maint benchmark workload is checked against);
-// programs with negation through a view, provenance-traced peers and
-// wrapper-hook peers fall back to recomputation automatically. See
-// docs/architecture.md.
+// Wrapper pulls are ordinary ingestion and stay on this path. What still
+// recomputes the views from scratch is the first stage, a program change
+// (a rule added, removed or replaced, a delegation installed or
+// withdrawn), a program with negation through a view, a provenance-traced
+// peer, and EngineOptions.Incremental turned off (the reference the
+// view_maint benchmark workload is checked against). Recompute stages
+// report the same exact view deltas, so subscriptions stream alike on both
+// paths. See docs/architecture.md.
 //
 // The deeper layers are available directly: internal/engine (fixpoint
 // evaluation and delegation splitting), internal/peer (the stage loop and
