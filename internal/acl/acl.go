@@ -7,8 +7,8 @@
 //     sigmod peer will be considered untrusted";
 //   - the sketched model of §2 "Access control": discretionary grants on
 //     stored relations, plus a default policy for derived relations computed
-//     from the provenance of their base facts (see the provenance package
-//     and ViewGuard).
+//     from the provenance of their base facts (see ViewGuard and
+//     engine.Engine.BaseSupports).
 package acl
 
 import (

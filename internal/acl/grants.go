@@ -123,7 +123,7 @@ func (g *Grants) Grantees(rel string) []string {
 }
 
 // ProvenanceSource answers "which base facts support this derived fact" —
-// satisfied by provenance.Store.
+// satisfied by *peer.Peer, which computes the answer from its store.
 type ProvenanceSource interface {
 	BaseSupports(f ast.Fact) []ast.Fact
 }

@@ -46,7 +46,7 @@ func WithPolicy(p acl.Policy) PeerOption {
 }
 
 // WithEngineOptions overrides evaluation options (per-stage recomputation
-// instead of incremental maintenance, the iteration bound, a tracer).
+// instead of incremental maintenance, the iteration bound).
 func WithEngineOptions(o engine.Options) PeerOption {
 	return func(c *peer.Config) { c.Engine = &o }
 }
@@ -64,11 +64,6 @@ func WithWAL(dir string) PeerOption {
 		}
 		c.WAL = w
 	}
-}
-
-// WithProvenance enables why-provenance tracking on the peer.
-func WithProvenance() PeerOption {
-	return func(c *peer.Config) { c.Provenance = true }
 }
 
 // AddPeer creates a peer named name in the system.

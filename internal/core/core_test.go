@@ -94,13 +94,9 @@ func TestAddPeerOptions(t *testing.T) {
 	p, err := sys.AddPeer("guarded",
 		WithPolicy(acl.NewTrustPolicy("hub")),
 		WithEngineOptions(engine.Options{Incremental: false, MaxIterations: 10}),
-		WithProvenance(),
 	)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if p.Provenance() == nil {
-		t.Error("provenance not enabled")
 	}
 	if o := p.Engine().Options(); o.Incremental || o.MaxIterations != 10 {
 		t.Error("engine options not applied")

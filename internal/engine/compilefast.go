@@ -13,7 +13,7 @@ import (
 //
 // compileExec turns one (rule, stage kind, delta position) triple, under the
 // plan order the stage chose, into a closure chain. It is total: every rule
-// that passed CheckSafety compiles, for all three stage kinds. The analysis
+// that passed CheckSafety compiles, for all four stage kinds. The analysis
 // simulates the walk's binding state: with the order fixed, which slots are
 // bound when each atom runs is known statically, so every argument term
 // compiles to exactly one action — a probe-key part (constants and bound
@@ -181,7 +181,7 @@ func (e *Engine) analyzeAtom(cr *CompiledRule, pos int, peer, rel value.Value, k
 		for _, arg := range a.args {
 			sp.parts = append(sp.parts, keyPart{isVar: arg.isVar, slot: arg.slot, val: arg.val})
 		}
-	case pos == deltaPos && kind != kindMatch:
+	case pos == deltaPos:
 		sp.sKind = specDelta
 		sp.arity = len(a.args)
 		sp.buildActs(a, bound)
@@ -203,7 +203,7 @@ func (e *Engine) compileExec(cr *CompiledRule, kind stageKind, deltaPos int, ord
 	// analyze every step against it. Nothing runs past a step that ends the
 	// local walk, so the analysis stops there too.
 	bound := make([]bool, cr.NumSlots)
-	if kind == kindMatch {
+	if kind.headBound() {
 		markAtomSlots(&cr.Head, bound)
 	}
 	specs := make([]stepSpec, 0, len(cr.Body))
@@ -223,17 +223,15 @@ walk:
 	}
 	// Backward pass: link the chain terminal-first so each step closure
 	// captures its continuation.
-	p := &execProg{kind: kind, deltaPos: deltaPos, tracing: kind == kindEval && e.opts.Tracer != nil}
-	if kind != kindMatch {
+	p := &execProg{kind: kind, deltaPos: deltaPos}
+	if !kind.headBound() {
 		p.ctx.env = make([]value.Value, cr.NumSlots)
 	}
 	next := e.compileTerminal(cr, p)
 	// Fuse the delta scan with an immediately following keyed probe into a
 	// batch step: one lock acquisition and index resolve for the whole
-	// frontier instead of one per frontier tuple. (Not when tracing: the
-	// batch has no per-atom continuation to hang the support on.)
-	fuse := kind != kindMatch && !p.tracing && len(specs) >= 2 &&
-		specs[0].sKind == specDelta &&
+	// frontier instead of one per frontier tuple.
+	fuse := len(specs) >= 2 && specs[0].sKind == specDelta &&
 		specs[1].sKind == specProbe && specs[1].mask != 0 && !specs[1].member
 	lo := 0
 	if fuse {
@@ -250,17 +248,19 @@ walk:
 }
 
 // compileTerminal builds the full-match action: produce (with a fast path
-// for statically local intensional heads), over-delete, or found.
+// for statically local intensional heads), over-delete, found, or record.
 func (e *Engine) compileTerminal(cr *CompiledRule, p *execProg) stepFn {
 	x := &p.ctx
 	switch p.kind {
 	case kindMatch:
 		return func() { x.found = true }
+	case kindWhy:
+		return func() { x.st.why = append(x.st.why, derivation(cr, x.env)) }
 	case kindDRed:
 		return func() { e.produceDelete(cr, x.env, x.st) }
 	}
 	h := &cr.Head
-	if cr.Rule.Op == ast.Derive && !p.tracing && h.relID != "" &&
+	if cr.Rule.Op == ast.Derive && h.relID != "" &&
 		h.rel.val.Kind() == value.KindString && h.peer.val.Kind() == value.KindString &&
 		h.peer.val.StringVal() == e.local {
 		if rel := e.db.GetID(h.relID); rel != nil && rel.Kind() == ast.Intensional &&
@@ -277,18 +277,6 @@ func (e *Engine) compileStep(cr *CompiledRule, sp *stepSpec, p *execProg, next s
 	x := &p.ctx
 	kind := p.kind
 	a := &cr.Body[sp.pos]
-	if p.tracing && (sp.sKind == specProbe || sp.sKind == specDelta) {
-		// Tracing variant: the matched fact — the atom under the bindings
-		// its step just made — stays on the support stack while the rest of
-		// the body runs.
-		rn, pn, inner := sp.relName, sp.peerName, next
-		next = func() {
-			st := x.st
-			st.supports = append(st.supports, ast.Fact{Rel: rn, Peer: pn, Args: a.tuple(x.env)})
-			inner()
-			st.supports = st.supports[:len(st.supports)-1]
-		}
-	}
 	switch sp.sKind {
 	case specDead:
 		return func() {}

@@ -32,27 +32,16 @@ type Options struct {
 	// semi-naive machinery, deletions through an over-delete/rederive pass),
 	// instead of recomputing every view from scratch per stage. When false —
 	// the recompute reference the benchmark verifies against — or when the
-	// program is not incrementally maintainable (negation in a view rule, a
-	// Tracer attached), every stage rebuilds the views. See incremental.go.
+	// program is not incrementally maintainable (negation in a view rule),
+	// every stage rebuilds the views. See incremental.go.
 	Incremental bool
 	// MaxIterations bounds fixpoint iterations as a safety net.
 	MaxIterations int
-	// Tracer, when non-nil, observes every successful derivation. A tracer
-	// implies per-stage recomputation (provenance is rebuilt each stage), so
-	// it disables Incremental.
-	Tracer Tracer
 }
 
 // DefaultOptions returns the production configuration.
 func DefaultOptions() Options {
 	return Options{Incremental: true, MaxIterations: 1_000_000}
-}
-
-// Tracer observes derivations for provenance tracking and debugging.
-type Tracer interface {
-	// OnDerive is called for each successful rule firing: the produced head
-	// fact, the rule that fired, and the ground body atoms that supported it.
-	OnDerive(head ast.Fact, rule *ast.Rule, supports []ast.Fact)
 }
 
 // FactOp is a produced fact together with what to do with it (derive/insert
@@ -277,9 +266,9 @@ type Program struct {
 	Strata [][]*CompiledRule
 
 	// Incremental reports that this program can be maintained by
-	// RunStageIncremental: Options.Incremental is on, no tracer is
-	// attached, and no rule that may derive into a local view uses
-	// negation. Otherwise every stage must recompute (RunStageFull).
+	// RunStageIncremental: Options.Incremental is on and no rule that may
+	// derive into a local view uses negation. Otherwise every stage must
+	// recompute (RunStageFull).
 	Incremental bool
 }
 

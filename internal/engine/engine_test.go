@@ -449,27 +449,17 @@ func TestSelfJoin(t *testing.T) {
 	}
 }
 
+// TestTracerSeesSupports: Why reports a derived fact's rule with one support
+// per positive body atom.
 func TestTracerSeesSupports(t *testing.T) {
-	var traced []string
-	opts := DefaultOptions()
-	opts.Tracer = tracerFunc(func(head ast.Fact, rule *ast.Rule, supports []ast.Fact) {
-		traced = append(traced, fmt.Sprintf("%s<=%d", head.String(), len(supports)))
-	})
-	e, db := testEnv(t, opts, "ext a(x)", "ext b(x)", "int both(x)")
-	insertFacts(t, db, `a@local("v");`, `b@local("v");`)
-	prog, err := e.CompileProgram(mustRules(t, `both@local($x) :- a@local($x), b@local($x);`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.RunStage(prog)
-	if len(traced) != 1 || traced[0] != `both@local("v")<=2` {
-		t.Errorf("traced = %v", traced)
+	e, prog := whyEnv(t, []string{"ext a(x)", "ext b(x)", "int both(x)"},
+		[]string{`a@local("v");`, `b@local("v");`},
+		[]string{`both@local($x) :- a@local($x), b@local($x);`})
+	got := e.Why(prog, mustFact(t, `both@local("v");`))
+	if len(got) != 1 || got[0].RuleID != "r1" || len(got[0].Supports) != 2 {
+		t.Errorf("Why(both(v)) = %v, want one derivation by r1 from 2 supports", whyLines(got))
 	}
 }
-
-type tracerFunc func(ast.Fact, *ast.Rule, []ast.Fact)
-
-func (f tracerFunc) OnDerive(h ast.Fact, r *ast.Rule, s []ast.Fact) { f(h, r, s) }
 
 func asErr[T error](err error, target *T) bool {
 	for err != nil {

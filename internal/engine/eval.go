@@ -22,8 +22,9 @@ type stageState struct {
 	remoteSeen  map[string]bool
 	delegSeen   map[string]bool
 	delta       deltaSet
-	supports    []ast.Fact // ground body atoms on the current evaluation path
-	errCount    int
+	// why collects the derivations a kindWhy walk finds (why.go).
+	why      []Derivation
+	errCount int
 	// planner holds the stage's join-plan and compiled-chain caches
 	// (plan.go).
 	planner *stagePlanner
@@ -152,7 +153,6 @@ func (e *Engine) produce(cr *CompiledRule, env []value.Value, st *stageState) {
 		if !st.remoteSeen[key] {
 			st.remoteSeen[key] = true
 			st.out.Remote[headPeer] = append(st.out.Remote[headPeer], fo)
-			e.trace(st, fact, cr)
 		}
 		return
 	}
@@ -182,9 +182,7 @@ func (e *Engine) produce(cr *CompiledRule, env []value.Value, st *stageState) {
 				cr.Rule.ID, headRel, headPeer)
 			return
 		}
-		if e.deriveLocal(st, rel, headRel+"@"+headPeer, t) {
-			e.trace(st, fact, cr)
-		}
+		e.deriveLocal(st, rel, headRel+"@"+headPeer, t)
 		return
 	}
 
@@ -194,19 +192,18 @@ func (e *Engine) produce(cr *CompiledRule, env []value.Value, st *stageState) {
 	if !st.updatesSeen[key] {
 		st.updatesSeen[key] = true
 		st.out.LocalUpdates = append(st.out.LocalUpdates, fo)
-		e.trace(st, fact, cr)
 	}
 }
 
 // deriveLocal inserts a derived tuple into a local intensional relation and
 // does the fixpoint and incremental-maintenance bookkeeping: the semi-naive
 // delta, the derivation counter, and (under RunStageIncremental) the net
-// view-delta sets. Returns whether the tuple was new. Shared by produce and
+// view-delta sets; a tuple already present is a no-op. Shared by produce and
 // the terminal fast path (compilefast.go), which resolves the head
 // statically and skips produce's name resolution per derivation.
-func (e *Engine) deriveLocal(st *stageState, rel *store.Relation, relID string, t value.Tuple) bool {
+func (e *Engine) deriveLocal(st *stageState, rel *store.Relation, relID string, t value.Tuple) {
 	if !rel.Insert(t) {
-		return false
+		return
 	}
 	st.out.Derived++
 	st.delta[relID] = append(st.delta[relID], t)
@@ -225,16 +222,6 @@ func (e *Engine) deriveLocal(st *stageState, rel *store.Relation, relID string, 
 			in[key] = t
 		}
 	}
-	return true
-}
-
-func (e *Engine) trace(st *stageState, head ast.Fact, cr *CompiledRule) {
-	if e.opts.Tracer == nil {
-		return
-	}
-	supports := make([]ast.Fact, len(st.supports))
-	copy(supports, st.supports)
-	e.opts.Tracer.OnDerive(head, cr.Rule, supports)
 }
 
 // addDelegation emits the residual rule for the suffix starting at body

@@ -12,7 +12,7 @@ import (
 // checks. compileExec turns the plan into a chain of step closures — one
 // per body atom, linked back to front — over pre-resolved *store.Relation
 // handles, precomputed ColMask probe masks, and fixed binding slots, with
-// probe keys appended into one reused buffer. The three walk kinds compile
+// probe keys appended into one reused buffer. The four walk kinds compile
 // separately: their terminals, delta sources, and ghost sweeps differ (see
 // stageKind). This is the only way rules run; the test-only reference
 // evaluator (reference_test.go) is the oracle it is checked against.
@@ -24,7 +24,7 @@ import (
 // linear, produce/produceDelete do not evaluate rules — and the engine runs
 // its fixpoint on one goroutine, so the shared ctx is safe.
 
-// stageKind distinguishes the three body walks a rule compiles for. The
+// stageKind distinguishes the four body walks a rule compiles for. The
 // kinds share a rule and often a plan order but compile to behaviorally
 // different programs, so the kind is part of the compiled-cache key
 // (compiledKey in plan.go).
@@ -43,7 +43,13 @@ const (
 	// kindMatch: the rederivation existence check; head slots are pre-bound
 	// by unifyHead, the walk stops at the first full match.
 	kindMatch
+	// kindWhy: the provenance query (why.go); head slots are pre-bound as
+	// for kindMatch, but every full match is recorded as a Derivation.
+	kindWhy
 )
+
+// headBound reports whether the walk runs under a head-unified frame.
+func (k stageKind) headBound() bool { return k >= kindMatch }
 
 // stepFn is one compiled body step. Steps take no arguments: each closure
 // captured its program's execCtx at compile time.
@@ -52,11 +58,10 @@ type stepFn func()
 // execCtx is the mutable state one compiled walk threads through its steps.
 type execCtx struct {
 	st *stageState
-	// env is the rule's variable frame. For eval/DRed programs it is owned
-	// by the program (allocated at compile time); for match programs it is
-	// the caller's head-unified frame. No bound []bool runs beside it: with
-	// the order fixed, which slots are bound at each step is decided at
-	// compile time.
+	// env is the rule's variable frame: owned by eval/DRed programs
+	// (allocated at compile time), the caller's head-unified frame for
+	// head-bound ones. No bound []bool runs beside it: with the order
+	// fixed, which slots are bound at each step is decided at compile time.
 	env []value.Value
 	// key is the shared probe-key scratch buffer. Each probe step appends
 	// its key parts and truncates back after its loop, so nested probes
@@ -74,11 +79,8 @@ type execCtx struct {
 type execProg struct {
 	kind     stageKind
 	deltaPos int
-	// tracing selects, at compile time, the step variants that keep
-	// stageState.supports current for Options.Tracer (kindEval only).
-	tracing bool
-	entry   stepFn
-	ctx     execCtx
+	entry    stepFn
+	ctx      execCtx
 }
 
 // run runs a kindEval or kindDRed walk with delta as its delta source: the
@@ -91,8 +93,8 @@ func (p *execProg) run(st *stageState, delta deltaSet) {
 	x.st, x.delta = nil, nil
 }
 
-// runMatch runs a compiled kindMatch walk under the caller's head-unified
-// frame and reports whether the body has a satisfying local valuation.
+// runMatch runs a head-bound walk under the caller's unified frame; a
+// kindMatch walk reports whether the body has a satisfying local valuation.
 func (p *execProg) runMatch(st *stageState, env []value.Value) bool {
 	x := &p.ctx
 	x.st, x.env = st, env

@@ -1,16 +1,16 @@
 package engine
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/store"
 	"repro/internal/value"
 )
 
-// TestCompiledCacheKeyedByStageKind pins the compiled-cache key: the three
+// TestCompiledCacheKeyedByStageKind pins the compiled-cache key: the four
 // walk kinds of one rule share a plan order but compile to behaviorally
 // different programs (different terminals, delta sources, ghost sweeps), so
 // a DRed program must never be served for a semi-naive eval walk or vice
@@ -29,7 +29,8 @@ func TestCompiledCacheKeyedByStageKind(t *testing.T) {
 	evalP := pl.compiledFor(cr, kindEval, 0)
 	dredP := pl.compiledFor(cr, kindDRed, 0)
 	matchP := pl.compiledFor(cr, kindMatch, -1)
-	if evalP == dredP || evalP == matchP || dredP == matchP {
+	whyP := pl.compiledFor(cr, kindWhy, -1)
+	if evalP == dredP || evalP == matchP || dredP == matchP || whyP == matchP {
 		t.Fatal("stage kinds share a compiled program: the cache key must include the kind")
 	}
 	if evalP.kind != kindEval || dredP.kind != kindDRed || matchP.kind != kindMatch {
@@ -47,8 +48,8 @@ func TestCompiledCacheKeyedByStageKind(t *testing.T) {
 		t.Fatal("distinct delta positions share a compiled program")
 	}
 	compiles, hits, fallbacks := e.CompiledStats()
-	if compiles != 4 || hits != 2 || fallbacks != 0 {
-		t.Fatalf("CompiledStats() = (%d, %d, %d), want (4, 2, 0)", compiles, hits, fallbacks)
+	if compiles != 5 || hits != 2 || fallbacks != 0 {
+		t.Fatalf("CompiledStats() = (%d, %d, %d), want (5, 2, 0)", compiles, hits, fallbacks)
 	}
 }
 
@@ -209,18 +210,14 @@ func TestRuntimeErrorCap(t *testing.T) {
 	}
 }
 
-// TestTracerRunsThroughCompiledChains: a tracer no longer switches the
-// engine to another evaluator. The tracing step variants keep the support
-// stack, production reports exactly the derivations (head, rule, supports
-// in walk order) the reference evaluator reports, and rules still compile.
+// TestTracerRunsThroughCompiledChains: Why runs as compiled chains, never
+// another evaluator. For every view tuple of a program with recursion,
+// builtins, a run-time-resolved atom and a delegating rule, production Why
+// reports exactly the derivations (rule, supports in written order) the
+// reference evaluator enumerates, and no rule falls back.
 func TestTracerRunsThroughCompiledChains(t *testing.T) {
-	run := func(eval func(*Engine, *Program) *Result) ([]string, *Engine) {
-		var got []string
-		opts := DefaultOptions()
-		opts.Tracer = tracerFunc(func(head ast.Fact, rule *ast.Rule, supports []ast.Fact) {
-			got = append(got, fmt.Sprintf("%s by %s from %v", head, rule.ID, supports))
-		})
-		e, db := testEnv(t, opts, "ext edge(a,b)", "ext who(p)", "int reach(a,b)", "int far(a)")
+	run := func(eval func(*Engine, *Program) *Result) (*Engine, *Program, *store.Store) {
+		e, db := testEnv(t, DefaultOptions(), "ext edge(a,b)", "ext who(p)", "int reach(a,b)", "int far(a)")
 		insertFacts(t, db, `edge@local(1, 2);`, `edge@local(2, 3);`, `edge@local(2, 2);`, `who@local("local");`, `who@local("remote");`)
 		prog, err := e.CompileProgram(mustRules(t,
 			`reach@local($x, $y) :- edge@local($x, $y);`,
@@ -231,26 +228,34 @@ func TestTracerRunsThroughCompiledChains(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if prog.Incremental {
-			t.Fatal("a traced program must recompute")
-		}
 		checkNoErrors(t, eval(e, prog))
-		sort.Strings(got)
-		return got, e
+		return e, prog, db
 	}
-	got, e := run((*Engine).RunStage)
-	want, _ := run(referenceStage)
-	// The reference rediscovers every derivation each naive iteration but
-	// only the first is new, so both sides report each (head, rule) once per
-	// distinct first support set; compare as sets of lines.
-	if strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Fatalf("traced derivations differ\n--- production\n%s\n--- reference\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	e, prog, db := run((*Engine).RunStage)
+	ref, refProg, _ := run(referenceStage)
+	_, want := referenceRun(ref, refProg)
+	var all []string
+	for _, rel := range db.RelationsOf("local") {
+		if rel.Kind() != ast.Intensional {
+			continue
+		}
+		for _, tp := range rel.Tuples() {
+			f := ast.Fact{Rel: rel.Schema().Name, Peer: "local", Args: tp}
+			got, exp := whyLines(e.Why(prog, f)), want[f.Key()]
+			slices.Sort(exp)
+			if strings.Join(got, "\n") != strings.Join(exp, "\n") {
+				t.Fatalf("Why(%s) differs\n--- production\n%s\n--- reference\n%s", f, strings.Join(got, "\n"), strings.Join(exp, "\n"))
+			}
+			for _, g := range got {
+				all = append(all, f.String()+" by "+g)
+			}
+		}
 	}
-	if len(got) == 0 || !strings.Contains(strings.Join(got, "\n"), `far@local(2) by r3 from [who@local("local") edge@local(2, 2)]`) {
-		t.Fatalf("missing the support set of the run-time-resolved atom:\n%s", strings.Join(got, "\n"))
+	if !slices.Contains(all, `far@local(2) by r3 from [who@local("local") edge@local(2, 2)]`) {
+		t.Fatalf("missing the support set of the run-time-resolved atom:\n%s", strings.Join(all, "\n"))
 	}
 	if compiles, _, fallbacks := e.CompiledStats(); compiles == 0 || fallbacks != 0 {
-		t.Fatalf("CompiledStats() = (%d compiles, %d fallbacks) with a tracer attached, want (>0, 0)", compiles, fallbacks)
+		t.Fatalf("CompiledStats() = (%d compiles, %d fallbacks) after Why, want (>0, 0)", compiles, fallbacks)
 	}
 }
 

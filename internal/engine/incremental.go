@@ -173,7 +173,7 @@ func (ic *incrState) ghostIndexFor(relID string, mask store.ColMask, g map[strin
 // stratification (CompileProgram / CompileRules).
 func (e *Engine) classify(prog *Program) {
 	idb := e.localIntensional()
-	ok := e.opts.Incremental && e.opts.Tracer == nil
+	ok := e.opts.Incremental
 	for _, cr := range prog.Rules {
 		localBody := true
 		hasNeg := false

@@ -68,12 +68,12 @@ type rulePlan struct {
 	rederive []int   // head slots pre-bound (rederivation existence checks)
 }
 
-// compiledKey identifies one compiled closure chain. The three walk kinds
-// (semi-naive eval, DRed over-delete, rederive match) compile the same rule
-// into behaviorally different programs — different terminals, different
+// compiledKey identifies one compiled closure chain. The four walk kinds
+// (semi-naive eval, DRed over-delete, rederive match, why) compile the same
+// rule into behaviorally different programs — different terminals, different
 // delta sources, ghost sweeps or not — so the stage kind is part of the
 // cache key: a DRed chain must never be served for a semi-naive walk (see
-// TestCompiledCacheDistinguishesStageKinds).
+// TestCompiledCacheKeyedByStageKind).
 type compiledKey struct {
 	cr       *CompiledRule
 	kind     stageKind
@@ -101,7 +101,7 @@ func (pl *stagePlanner) compiledFor(cr *CompiledRule, kind stageKind, deltaPos i
 		return ep
 	}
 	var ord []int
-	if kind == kindMatch {
+	if kind.headBound() {
 		ord = pl.rederiveOrder(cr)
 	} else {
 		ord = pl.orderFor(cr, deltaPos)

@@ -20,24 +20,48 @@ import (
 // referenceStage evaluates prog from scratch: intensional relations are
 // cleared, then every stratum is iterated until nothing new is derived.
 func referenceStage(e *Engine, prog *Program) *Result {
+	res, _ := referenceRun(e, prog)
+	return res
+}
+
+// referenceRun is referenceStage that also reports, per head fact key, the
+// derivations of each stratum's final naive iteration — the one that derives
+// nothing new, so it re-enumerates every body valuation over the fixpoint —
+// each rendered "ruleID from [supports]", supports in written body order.
+func referenceRun(e *Engine, prog *Program) (*Result, map[string][]string) {
 	e.db.ClearIntensional()
 	st := e.newStageState()
+	why := map[string][]string{}
 	for _, stratum := range prog.Strata {
 		for derived := -1; derived != st.out.Derived; st.out.Iterations++ {
 			derived = st.out.Derived
+			iter := map[string][]string{}
 			for _, cr := range stratum {
-				referenceWalk(e, cr, 0, make([]value.Value, cr.NumSlots), make([]bool, cr.NumSlots), st)
+				referenceWalk(e, cr, 0, make([]value.Value, cr.NumSlots), make([]bool, cr.NumSlots), nil, iter, st)
+			}
+			if derived == st.out.Derived {
+				for k, ds := range iter {
+					why[k] = append(why[k], ds...)
+				}
 			}
 		}
 	}
-	return st.out
+	return st.out, why
 }
 
 // referenceWalk matches body atom i and everything after it under the
-// bindings in env (bound marks the slots that hold one).
-func referenceWalk(e *Engine, cr *CompiledRule, i int, env []value.Value, bound []bool, st *stageState) {
+// bindings in env (bound marks the slots that hold one); sup holds the
+// facts the matched positive atoms before i stand on, and a full match of a
+// Derive rule is recorded in why.
+func referenceWalk(e *Engine, cr *CompiledRule, i int, env []value.Value, bound []bool, sup []ast.Fact, why map[string][]string, st *stageState) {
 	if i == len(cr.Body) {
 		e.produce(cr, env, st)
+		rel, okRel := resolveName(cr.Head.rel, env)
+		peer, okPeer := resolveName(cr.Head.peer, env)
+		if cr.Rule.Op == ast.Derive && okRel && okPeer {
+			key := ast.Fact{Rel: rel, Peer: peer, Args: cr.Head.tuple(env)}.Key()
+			why[key] = append(why[key], fmt.Sprintf("%s from %v", cr.Rule.ID, sup))
+		}
 		return
 	}
 	a := &cr.Body[i]
@@ -60,14 +84,14 @@ func referenceWalk(e *Engine, cr *CompiledRule, i int, env []value.Value, bound 
 		if err != nil {
 			st.errf("engine: rule %s: %v", cr.Rule.ID, err)
 		} else if holds != a.neg {
-			referenceWalk(e, cr, i+1, env, bound, st)
+			referenceWalk(e, cr, i+1, env, bound, sup, why, st)
 		}
 		return
 	}
 	rel := e.db.Get(relName, peerName)
 	if a.neg {
 		if rel == nil || !rel.Contains(a.tuple(env)) {
-			referenceWalk(e, cr, i+1, env, bound, st)
+			referenceWalk(e, cr, i+1, env, bound, sup, why, st)
 		}
 		return
 	}
@@ -95,9 +119,7 @@ func referenceWalk(e *Engine, cr *CompiledRule, i int, env []value.Value, bound 
 			}
 		}
 		if match {
-			st.supports = append(st.supports, ast.Fact{Rel: relName, Peer: peerName, Args: t})
-			referenceWalk(e, cr, i+1, env, bound, st)
-			st.supports = st.supports[:len(st.supports)-1]
+			referenceWalk(e, cr, i+1, env, bound, append(sup, ast.Fact{Rel: relName, Peer: peerName, Args: t}), why, st)
 		}
 		for _, s := range fresh {
 			bound[s] = false

@@ -218,7 +218,7 @@ func FuzzRangeRepair(f *testing.F) {
 }
 
 // replayWorld is FuzzSubscriptionReplay's deployment: subject peers inc
-// (plain) and prov (provenance on, so every stage rebuilds its views) run
+// (plain) and reco (Incremental off, so every stage rebuilds its views) run
 // one program, pull from a scripted wrapper hook each, and receive
 // maintained and transient seeds from peer hub. Every relation of both
 // subjects is subscribed, with a replica built from the Subscribe-time
@@ -281,11 +281,11 @@ func newReplayWorld(t *testing.T) *replayWorld {
 	if err := w.hub.LoadSource(`
 		relation extensional src@hub(x);
 		seed@inc($x) :- src@hub($x);
-		seed@prov($x) :- src@hub($x);
+		seed@reco($x) :- src@hub($x);
 	`); err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range []Config{{Name: "inc"}, {Name: "prov", Provenance: true}} {
+	for _, cfg := range []Config{{Name: "inc"}, {Name: "reco", Engine: &engine.Options{Incremental: false}}} {
 		s := newPeer(cfg)
 		if err := s.LoadSource(fmt.Sprintf(replayProgram, cfg.Name)); err != nil {
 			t.Fatal(err)
@@ -396,7 +396,7 @@ func (w *replayWorld) check(step int) {
 	}
 	for _, rel := range replayRels {
 		if a, p := tuples(w.subjects[0], rel), tuples(w.subjects[1], rel); fmt.Sprint(a) != fmt.Sprint(p) {
-			w.t.Fatalf("step %d: %s differs: incremental peer %v, provenance peer %v", step, rel, a, p)
+			w.t.Fatalf("step %d: %s differs: incremental peer %v, recomputing peer %v", step, rel, a, p)
 		}
 	}
 }
@@ -406,8 +406,8 @@ func (w *replayWorld) check(step int) {
 // whatever produced the change — extensional inserts and deletes, maintained
 // and transient seeds from another peer, wrapper-hook pulls, program
 // changes flipping a rule into and out of negation (forcing rebuilds), on a
-// peer maintaining its views incrementally and on a provenance peer that
-// rebuilds them every stage. Each op is two bytes (kind, value); the kind's
+// peer maintaining its views incrementally and on a peer with Incremental
+// off that rebuilds them every stage. Each op is two bytes (kind, value); the kind's
 // high bit ends the stage after the op, so ops also coalesce in one stage.
 func FuzzSubscriptionReplay(f *testing.F) {
 	f.Add([]byte{0x80, 0x01, 0x80, 0x12, 0x81, 0x01})                                     // links, then a deletion cascading through reach

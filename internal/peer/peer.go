@@ -30,7 +30,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/parser"
 	"repro/internal/protocol"
-	"repro/internal/provenance"
 	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/value"
@@ -61,8 +60,6 @@ type Config struct {
 	WALErr error
 	// Policy controls incoming delegations; nil accepts everything.
 	Policy acl.Policy
-	// Provenance enables why-provenance tracking of derived facts.
-	Provenance bool
 	// SyncEmit disables the outbox's background flusher goroutines: outgoing
 	// messages are flushed synchronously at the end of every RunStage
 	// instead, which keeps in-process multi-peer tests deterministic.
@@ -249,7 +246,6 @@ type Peer struct {
 	eng    *engine.Engine
 	ep     transport.Endpoint
 	wal    *store.WAL
-	prov   *provenance.Store
 	ctrl   *acl.Controller
 
 	// ctx is the peer's lifetime: Close cancels it, which stops the outbox
@@ -401,10 +397,6 @@ func New(cfg Config, ep transport.Endpoint) (*Peer, error) {
 			cancel()
 			return nil, fmt.Errorf("peer %s: %w", cfg.Name, err)
 		}
-	}
-	if cfg.Provenance {
-		p.prov = provenance.NewStore()
-		opts.Tracer = p.prov
 	}
 	p.eng = engine.New(cfg.Name, db, opts)
 	p.ctrl = acl.NewController(cfg.Policy, p.installDelegation)
@@ -584,8 +576,30 @@ func (p *Peer) Endpoint() transport.Endpoint { return p.ep }
 // Controller returns the delegation access controller.
 func (p *Peer) Controller() *acl.Controller { return p.ctrl }
 
-// Provenance returns the provenance store, or nil if disabled.
-func (p *Peer) Provenance() *provenance.Store { return p.prov }
+// Why returns every current derivation of f by the peer's rules and
+// installed delegations, computed from the store on demand; nil before the
+// first stage compiles the program.
+func (p *Peer) Why(f ast.Fact) []engine.Derivation {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.prog == nil {
+		return nil
+	}
+	return p.eng.Why(p.prog, f)
+}
+
+// BaseSupports returns the base facts that transitively support f (see
+// Engine.BaseSupports); nil before the first stage compiles the program.
+func (p *Peer) BaseSupports(f ast.Fact) []ast.Fact {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.prog == nil {
+		return nil
+	}
+	return p.eng.BaseSupports(p.prog, f)
+}
+
+var _ acl.ProvenanceSource = (*Peer)(nil)
 
 // SetHooks installs wrapper hooks (see Hooks).
 func (p *Peer) SetHooks(h Hooks) {

@@ -1,19 +1,21 @@
 package peer
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"repro/internal/acl"
 	"repro/internal/ast"
+	"repro/internal/engine"
 	"repro/internal/value"
 )
 
-// TestProvenanceRecordedAcrossStages checks that why-provenance is captured
-// for facts derived during a peer stage, including multi-rule chains.
+// TestProvenanceRecordedAcrossStages checks that why-provenance answers for
+// facts derived during a peer stage, including multi-rule chains.
 func TestProvenanceRecordedAcrossStages(t *testing.T) {
 	n := NewNetwork()
-	p, err := n.NewPeer(Config{Name: "alice", Provenance: true})
+	p, err := n.NewPeer(Config{Name: "alice"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,27 +33,21 @@ func TestProvenanceRecordedAcrossStages(t *testing.T) {
 	}
 	quiesce(t, n)
 
-	prov := p.Provenance()
 	album := ast.NewFact("album", "alice", value.Int(1))
 	featured := ast.NewFact("featured", "alice", value.Int(1))
-	why := prov.Why(album)
+	why := p.Why(album)
 	if len(why) != 1 || len(why[0].Supports) != 2 {
 		t.Fatalf("why(album) = %v", why)
 	}
-	// The exact support set, as recorded before tracing moved onto the
-	// compiled chains: both base facts, in body-walk order.
+	// The exact support set: both base facts, in written body order.
 	if got, want := fmt.Sprint(why[0].Supports), "[pictures@alice(1) private@alice(1)]"; got != want {
 		t.Fatalf("why(album) supports = %s, want %s", got, want)
 	}
-	if why := prov.Why(featured); len(why) != 1 || fmt.Sprint(why[0].Supports) != "[album@alice(1)]" {
+	if why := p.Why(featured); len(why) != 1 || fmt.Sprint(why[0].Supports) != "[album@alice(1)]" {
 		t.Fatalf("why(featured) = %v, want one derivation from album@alice(1)", why)
 	}
-	// A traced peer runs the same compiled chains as any other.
-	if compiles, _, fallbacks := p.Engine().CompiledStats(); compiles == 0 || fallbacks != 0 {
-		t.Fatalf("CompiledStats() = (%d compiles, %d fallbacks) on a provenance peer, want (>0, 0)", compiles, fallbacks)
-	}
 	// featured's base supports reach through album to the two base facts.
-	base := prov.BaseSupports(featured)
+	base := p.BaseSupports(featured)
 	if len(base) != 2 {
 		t.Fatalf("base supports = %v, want the 2 extensional facts", base)
 	}
@@ -67,7 +63,7 @@ func TestProvenanceRecordedAcrossStages(t *testing.T) {
 // for views, with declassification as the override.
 func TestViewGuardOverPeerProvenance(t *testing.T) {
 	n := NewNetwork()
-	p, err := n.NewPeer(Config{Name: "alice", Provenance: true})
+	p, err := n.NewPeer(Config{Name: "alice"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +80,7 @@ func TestViewGuardOverPeerProvenance(t *testing.T) {
 	quiesce(t, n)
 
 	grants := acl.NewGrants("alice")
-	guard := acl.NewViewGuard(grants, p.Provenance())
+	guard := acl.NewViewGuard(grants, p)
 	view := ast.NewFact("album", "alice", value.Int(1))
 
 	// Bob can read pictures but not private: the view is denied.
@@ -109,10 +105,10 @@ func TestViewGuardOverPeerProvenance(t *testing.T) {
 }
 
 // TestProvenanceResetsPerStage checks that stale derivations do not leak
-// across stages (views are recomputed, so is their provenance).
+// across stages: a fact no longer derivable has no answer.
 func TestProvenanceResetsPerStage(t *testing.T) {
 	n := NewNetwork()
-	p, err := n.NewPeer(Config{Name: "alice", Provenance: true})
+	p, err := n.NewPeer(Config{Name: "alice"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +122,8 @@ func TestProvenanceResetsPerStage(t *testing.T) {
 	}
 	quiesce(t, n)
 	old := ast.NewFact("view", "alice", value.Str("a"))
-	if !p.Provenance().IsDerived(old) {
-		t.Fatal("derivation not recorded")
+	if len(p.Why(old)) == 0 {
+		t.Fatal("no derivation reported")
 	}
 	if err := p.DeleteString(`src@alice("a");`); err != nil {
 		t.Fatal(err)
@@ -136,11 +132,50 @@ func TestProvenanceResetsPerStage(t *testing.T) {
 		t.Fatal(err)
 	}
 	quiesce(t, n)
-	if p.Provenance().IsDerived(old) {
+	if len(p.Why(old)) != 0 {
 		t.Error("stale provenance for a fact no longer derivable")
 	}
-	if !p.Provenance().IsDerived(ast.NewFact("view", "alice", value.Str("b"))) {
+	if len(p.Why(ast.NewFact("view", "alice", value.Str("b")))) == 0 {
 		t.Error("fresh derivation missing")
+	}
+}
+
+// TestProvenancePeerStaysIncremental: answering provenance questions costs
+// the stage loop nothing — after one insert into a 5 000-row base the stage
+// derives one view row, and Why and BaseSupports answer for it.
+func TestProvenancePeerStaysIncremental(t *testing.T) {
+	n := NewNetwork()
+	p, err := n.NewPeer(Config{Name: "alice"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.LoadSource(`
+		relation extensional src@alice(x);
+		relation intensional view@alice(x);
+		view@alice($x) :- src@alice($x);
+	`); err != nil {
+		t.Fatal(err)
+	}
+	b := engine.NewBatch()
+	for i := 0; i < 5000; i++ {
+		b.Insert(ast.NewFact("src", "alice", value.Int(int64(i))))
+	}
+	if err := p.Apply(context.Background(), b); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, n)
+	if err := p.InsertString(`src@alice(5000);`); err != nil {
+		t.Fatal(err)
+	}
+	if rep := p.RunStage(); rep.Derived != 1 {
+		t.Fatalf("StageReport.Derived = %d after one insert, want 1", rep.Derived)
+	}
+	row := ast.NewFact("view", "alice", value.Int(5000))
+	if why := p.Why(row); len(why) != 1 || fmt.Sprint(why[0].Supports) != "[src@alice(5000)]" {
+		t.Fatalf("Why(%s) = %v", row, why)
+	}
+	if base := p.BaseSupports(row); fmt.Sprint(base) != "[src@alice(5000)]" {
+		t.Fatalf("BaseSupports(%s) = %v", row, base)
 	}
 }
 

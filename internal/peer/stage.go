@@ -116,9 +116,9 @@ func (d *stageDeltas) engineInput() *engine.StageInput {
 // which is what lets a network of peers reach quiescence.
 //
 // When the program is incrementally maintainable (engine.Options.Incremental
-// and no tracer or negation-through-views), derived relations stay
-// materialized between stages and the engine maintains them from this
-// stage's base-fact deltas — local updates, arrivals and wrapper pulls
+// and no negation through views), derived relations stay materialized
+// between stages and the engine maintains them from this stage's base-fact
+// deltas — local updates, arrivals and wrapper pulls
 // alike; otherwise (and on the first stage and after program changes) the
 // stage recomputes the views from scratch, re-seeding externally supported
 // and freshly arrived transient facts. Both paths report the exact view
@@ -176,18 +176,15 @@ func (p *Peer) runStageLocked() *StageReport {
 
 	// Step 2: fixpoint — incremental view maintenance on the fast path,
 	// recompute-from-scratch on the first stage, after program changes, and
-	// for programs outside the incremental envelope (provenance tracer,
-	// negation through views, Options.Incremental off). Either way the
-	// result carries the stage's exact view deltas.
+	// for programs outside the incremental envelope (negation through views,
+	// Options.Incremental off). Either way the result carries the stage's
+	// exact view deltas.
 	startFix := time.Now()
 	var res *engine.Result
 	if p.prog != nil && p.prog.Incremental && !p.needRebuild {
 		p.expireTransientsLocked(d)
 		res = p.eng.RunStageIncremental(p.prog, d.engineInput(), p.rv)
 	} else {
-		if p.prov != nil {
-			p.prov.Reset()
-		}
 		res = p.eng.RunStageFull(p.prog, p.rebuildSeedsLocked(), p.rv)
 	}
 	p.transient = p.freshTransient

@@ -3,9 +3,7 @@ package store
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -176,7 +174,8 @@ func (l *OutboxLog) Sync() error {
 
 // Recover replays the log into its live state. Meant to be called once,
 // right after OpenOutboxLog, before new records are appended. A torn final
-// record (crash mid-append) is tolerated; corruption elsewhere is an error.
+// record (crash mid-append) is tolerated and cut off the file; corruption
+// elsewhere is an error.
 func (l *OutboxLog) Recover() (*OutboxState, error) {
 	st := &OutboxState{
 		Epochs:  map[string]uint64{},
@@ -185,30 +184,7 @@ func (l *OutboxLog) Recover() (*OutboxState, error) {
 		Acked:   map[string]uint64{},
 		Applied: map[string]AppliedMark{},
 	}
-	f, err := os.Open(filepath.Join(l.dir, outboxLogName))
-	if errors.Is(err, os.ErrNotExist) {
-		return st, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: reading outbox log: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var rec outboxRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			if isLastLine(sc) {
-				break // torn final record after a crash
-			}
-			return nil, fmt.Errorf("store: corrupt outbox record at line %d: %w", line, err)
-		}
+	err := replayLog(filepath.Join(l.dir, outboxLogName), "outbox", func(line int, rec *outboxRecord) error {
 		switch rec.Op {
 		case "enq":
 			st.Pending[rec.Peer] = append(st.Pending[rec.Peer], OutboxEntry{Seq: rec.Seq, Payload: rec.Payload})
@@ -239,11 +215,12 @@ func (l *OutboxLog) Recover() (*OutboxState, error) {
 			st.NextSeq[rec.Peer] = 0
 			st.Acked[rec.Peer] = 0
 		default:
-			return nil, fmt.Errorf("store: unknown outbox op %q at line %d", rec.Op, line)
+			return fmt.Errorf("store: %w: unknown outbox op %q at line %d", errdefs.ErrWAL, rec.Op, line)
 		}
-	}
-	if err := sc.Err(); err != nil && !errors.Is(err, io.EOF) {
-		return nil, fmt.Errorf("store: scanning outbox log: %w", err)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	for dst, pending := range st.Pending {
 		if len(pending) == 0 {

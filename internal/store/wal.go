@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -211,7 +212,8 @@ func (w *WAL) Snapshot(s *Store, peer string) error {
 
 // Recover loads the snapshot (if any) and replays the log into s. It is
 // meant to be called once, on an empty or freshly-created store, before any
-// new records are appended.
+// new records are appended. A record whose tuple does not fit its relation's
+// arity fails recovery with an error wrapping errdefs.ErrWAL.
 func (w *WAL) Recover(s *Store) error {
 	snapPath := filepath.Join(w.dir, snapName)
 	if b, err := os.ReadFile(snapPath); err == nil {
@@ -224,7 +226,11 @@ func (w *WAL) Recover(s *Store) error {
 			if err != nil {
 				return err
 			}
-			for _, t := range sr.Tuples {
+			for i, t := range sr.Tuples {
+				if len(t) != rel.Schema().Arity() {
+					return fmt.Errorf("store: %w: snapshot tuple %d of %s has %d values, want %d",
+						errdefs.ErrWAL, i+1, rel.Schema().ID(), len(t), rel.Schema().Arity())
+				}
 				rel.Insert(value.Tuple(t))
 			}
 		}
@@ -232,63 +238,80 @@ func (w *WAL) Recover(s *Store) error {
 		return fmt.Errorf("store: reading snapshot: %w", err)
 	}
 
-	logPath := filepath.Join(w.dir, logName)
-	f, err := os.Open(logPath)
+	return replayLog(filepath.Join(w.dir, logName), "wal", func(line int, rec *walRecord) error {
+		if rec.Op == "decl" {
+			_, err := s.Declare(Schema{Name: rec.Rel, Peer: rec.Peer, Kind: rec.Kind, Cols: rec.Cols})
+			return err
+		}
+		if rec.Op != "ins" && rec.Op != "del" {
+			return fmt.Errorf("store: %w: unknown wal op %q at line %d", errdefs.ErrWAL, rec.Op, line)
+		}
+		rel := s.Get(rec.Rel, rec.Peer)
+		if rel == nil {
+			return fmt.Errorf("store: %w: wal %s of undeclared relation %s@%s at line %d", errdefs.ErrWAL, rec.Op, rec.Rel, rec.Peer, line)
+		}
+		if len(rec.Args) != rel.Schema().Arity() {
+			return fmt.Errorf("store: %w: wal %s at line %d has %d values, %s has arity %d",
+				errdefs.ErrWAL, rec.Op, line, len(rec.Args), rel.Schema().ID(), rel.Schema().Arity())
+		}
+		if rec.Op == "ins" {
+			rel.Insert(value.Tuple(rec.Args))
+		} else {
+			rel.Delete(value.Tuple(rec.Args))
+		}
+		return nil
+	})
+}
+
+// replayLog decodes every complete record of the JSON-lines log at path, in
+// order, and hands it to apply with its 1-based line number. A record is
+// complete when its line ends in a newline and decodes. A final line that
+// does not is a torn tail — a crash mid-append — and is cut off the file,
+// so the next append starts on a line of its own instead of extending the
+// fragment into a corrupt record. An undecodable line anywhere else is
+// corruption. A missing file replays nothing. Shared by WAL and OutboxLog.
+func replayLog[R any](path, what string, apply func(line int, rec *R) error) error {
+	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
 	if err != nil {
-		return fmt.Errorf("store: reading wal: %w", err)
+		return fmt.Errorf("store: %w: reading %s: %w", errdefs.ErrWAL, what, err)
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
+	r := bufio.NewReader(f)
+	var off, good int64 // bytes read; end of the last complete record
+	for line := 1; ; line++ {
+		raw, err := r.ReadBytes('\n')
+		off += int64(len(raw))
+		if errors.Is(err, io.EOF) {
+			break // an unterminated final line is torn
+		}
+		if err != nil {
+			return fmt.Errorf("store: %w: reading %s: %w", errdefs.ErrWAL, what, err)
+		}
+		if len(bytes.TrimSpace(raw)) == 0 {
+			good = off
 			continue
 		}
-		var rec walRecord
+		var rec R
 		if err := json.Unmarshal(raw, &rec); err != nil {
-			// A torn final record after a crash is expected; anything else
-			// mid-file is corruption.
-			if isLastLine(sc) {
+			if _, err := r.Peek(1); errors.Is(err, io.EOF) {
 				break
 			}
-			return fmt.Errorf("store: corrupt wal record at line %d: %w", line, err)
+			return fmt.Errorf("store: %w: corrupt %s record at line %d: %w", errdefs.ErrWAL, what, line, err)
 		}
-		switch rec.Op {
-		case "decl":
-			if _, err := s.Declare(Schema{Name: rec.Rel, Peer: rec.Peer, Kind: rec.Kind, Cols: rec.Cols}); err != nil {
-				return err
-			}
-		case "ins":
-			rel := s.Get(rec.Rel, rec.Peer)
-			if rel == nil {
-				return fmt.Errorf("store: wal insert into undeclared relation %s@%s", rec.Rel, rec.Peer)
-			}
-			rel.Insert(value.Tuple(rec.Args))
-		case "del":
-			rel := s.Get(rec.Rel, rec.Peer)
-			if rel == nil {
-				return fmt.Errorf("store: wal delete from undeclared relation %s@%s", rec.Rel, rec.Peer)
-			}
-			rel.Delete(value.Tuple(rec.Args))
-		default:
-			return fmt.Errorf("store: unknown wal op %q at line %d", rec.Op, line)
+		if err := apply(line, &rec); err != nil {
+			return err
 		}
+		good = off
 	}
-	if err := sc.Err(); err != nil && !errors.Is(err, io.EOF) {
-		return fmt.Errorf("store: scanning wal: %w", err)
+	if off > good {
+		if err := os.Truncate(path, good); err != nil {
+			return fmt.Errorf("store: %w: cutting torn %s tail: %w", errdefs.ErrWAL, what, err)
+		}
 	}
 	return nil
-}
-
-// isLastLine reports whether the scanner has no further lines.
-func isLastLine(sc *bufio.Scanner) bool {
-	return !sc.Scan()
 }
 
 // Close flushes and closes the log file.

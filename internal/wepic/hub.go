@@ -32,13 +32,11 @@ type HubOptions struct {
 	// (the demo's SigmodFB); the publication and retrieval rules of §4 are
 	// installed.
 	FacebookPeer string
-	// Provenance enables why-provenance tracking.
-	Provenance bool
 }
 
 // NewHub creates the hub peer named name.
 func NewHub(n *peer.Network, name string, opts HubOptions) (*Hub, error) {
-	p, err := n.NewPeer(peer.Config{Name: name, Provenance: opts.Provenance})
+	p, err := n.NewPeer(peer.Config{Name: name})
 	if err != nil {
 		return nil, err
 	}

@@ -56,8 +56,6 @@ type Options struct {
 	// Policy controls incoming delegations (nil accepts everything; the
 	// demo uses acl.NewTrustPolicy(hub)).
 	Policy acl.Policy
-	// Provenance enables why-provenance tracking.
-	Provenance bool
 }
 
 // Picture is one photo as stored in a pictures relation.
@@ -90,7 +88,7 @@ type App struct {
 // New creates an attendee's Wepic peer named name on the network, declares
 // the application schema and installs the default rules.
 func New(n *peer.Network, name string, opts Options) (*App, error) {
-	p, err := n.NewPeer(peer.Config{Name: name, Policy: opts.Policy, Provenance: opts.Provenance})
+	p, err := n.NewPeer(peer.Config{Name: name, Policy: opts.Policy})
 	if err != nil {
 		return nil, err
 	}

@@ -72,11 +72,12 @@
 // Wrapper pulls are ordinary ingestion and stay on this path. What still
 // recomputes the views from scratch is the first stage, a program change
 // (a rule added, removed or replaced, a delegation installed or
-// withdrawn), a program with negation through a view, a provenance-traced
-// peer, and EngineOptions.Incremental turned off (the reference the
-// view_maint benchmark workload is checked against). Recompute stages
-// report the same exact view deltas, so subscriptions stream alike on both
-// paths. See docs/architecture.md.
+// withdrawn), a program with negation through a view, and
+// EngineOptions.Incremental turned off (the reference the view_maint
+// benchmark workload is checked against). Recompute stages report the same
+// exact view deltas, so subscriptions stream alike on both paths. Every peer
+// answers provenance questions (Peer.Why, Peer.BaseSupports) on demand from
+// the maintained store. See docs/architecture.md.
 //
 // The deeper layers are available directly: internal/engine (fixpoint
 // evaluation and delegation splitting), internal/peer (the stage loop and
@@ -135,8 +136,7 @@ type Delta = peer.Delta
 type QuiescenceError = peer.QuiescenceError
 
 // EngineOptions configures evaluation: incremental view maintenance vs
-// per-stage recomputation, the fixpoint iteration bound, and a derivation
-// tracer.
+// per-stage recomputation, and the fixpoint iteration bound.
 type EngineOptions = engine.Options
 
 // PeerOption customizes peer creation in a System.
@@ -147,7 +147,6 @@ var (
 	WithPolicy        = core.WithPolicy
 	WithEngineOptions = core.WithEngineOptions
 	WithWAL           = core.WithWAL
-	WithProvenance    = core.WithProvenance
 )
 
 // NewSystem creates an empty in-process WebdamLog system.
