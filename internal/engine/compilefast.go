@@ -247,8 +247,9 @@ walk:
 	return p
 }
 
-// compileTerminal builds the full-match action: produce (with a fast path
-// for statically local intensional heads), over-delete, found, or record.
+// compileTerminal builds the full-match action: produce (with fast paths for
+// statically local intensional heads and for remote view heads),
+// over-delete, found, or record.
 func (e *Engine) compileTerminal(cr *CompiledRule, p *execProg) stepFn {
 	x := &p.ctx
 	switch p.kind {
@@ -257,7 +258,13 @@ func (e *Engine) compileTerminal(cr *CompiledRule, p *execProg) stepFn {
 	case kindWhy:
 		return func() { x.st.why = append(x.st.why, derivation(cr, x.env)) }
 	case kindDRed:
+		if cr.Remote {
+			return func() { e.retractRemote(x, cr) }
+		}
 		return func() { e.produceDelete(cr, x.env, x.st) }
+	}
+	if cr.Remote {
+		return func() { e.deriveRemote(x, cr) }
 	}
 	h := &cr.Head
 	if cr.Rule.Op == ast.Derive && h.relID != "" &&

@@ -89,15 +89,20 @@ type Result struct {
 	// LocalUpdates are +/- updates to local extensional relations, to be
 	// applied at the beginning of the next local stage.
 	LocalUpdates []FactOp
-	// Remote maps destination peer name to every fact the stage derived for
-	// it — the full per-stage emission set, before delta maintenance.
+	// Remote maps destination peer name to the facts the stage's event rules
+	// emitted for it: the full Derive-op set and the one-shot deletes, before
+	// delta maintenance. Remote view rules are not in it under
+	// RunStageIncremental and RunStageFull — their derivations go straight
+	// into the caller's RemoteView — so RemoteOut, not Remote, is what the
+	// stage ships. Bare RunStage, which maintains no view, lists every
+	// remote emission here.
 	Remote map[string][]FactOp
 	// RemoteOut maps destination peer name to the deltas to actually ship:
 	// maintained inserts for newly derived facts, maintained deletes for
 	// facts whose last derivation disappeared, and pass-through one-shot
 	// deletion-rule updates. Populated by RunStageIncremental and
 	// RunStageFull (which maintain the caller's RemoteView), not by bare
-	// RunStage.
+	// RunStage. It covers both sources: remote view rules and event rules.
 	RemoteOut map[string][]RemoteOp
 	// Views maps "rel@peer" to the net change the stage made to that
 	// materialized local view, relative to the store as the stage found it,
@@ -242,14 +247,20 @@ type CompiledRule struct {
 	Body      []cAtom
 	Stratum   int
 
-	// Event marks rules outside the incremental view-maintenance fast path:
-	// deletion rules, rules whose head is (or may be) remote or extensional,
-	// and rules whose body may leave the local peer (delegation). Event
-	// rules are evaluated in full every stage, which preserves the paper's
-	// continuous emission and delegation-maintenance semantics; non-event
-	// ("view") rules are maintained from deltas. See classify in
-	// incremental.go.
+	// Event marks rules outside the incremental maintenance fast path:
+	// deletion rules, rules whose head is extensional or has a variable peer
+	// or relation, rules whose body may leave the local peer (delegation),
+	// and remote-head rules whose body negates or names a relation by a
+	// variable. Event rules are evaluated in full every stage, which
+	// preserves the paper's continuous emission and delegation-maintenance
+	// semantics; non-event rules — views and remote views — are maintained
+	// from deltas. See classify in incremental.go.
 	Event bool
+	// Remote marks remote view rules: a Derive rule whose head names a
+	// constant remote peer and relation and whose body is local, positive
+	// and constant-named. Its materialization is the RemoteView the stage
+	// maintains.
+	Remote bool
 	// MaybeView marks rules whose head could land in a local intensional
 	// relation (every view rule, plus event rules with a variable head
 	// relation or peer). Only these participate in the deletion pass and in

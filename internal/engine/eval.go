@@ -31,6 +31,10 @@ type stageState struct {
 	// incr is non-nil during RunStageIncremental: produce() additionally
 	// maintains the net view-delta bookkeeping (incremental.go).
 	incr *incrState
+	// rv is the caller's RemoteView during RunStageIncremental and
+	// RunStageFull, where remote view rules derive into it; nil in bare
+	// RunStage, which emits them into Result.Remote like any remote head.
+	rv *RemoteView
 }
 
 func (e *Engine) newStageState() *stageState {
@@ -64,7 +68,11 @@ func (st *stageState) errf(format string, args ...any) {
 // mutated (facts derived into them); everything else is returned in Result
 // for the peer to apply or transmit.
 func (e *Engine) RunStage(prog *Program) *Result {
-	st := e.newStageState()
+	return e.runStage(prog, e.newStageState())
+}
+
+// runStage runs every stratum's fixpoint under st.
+func (e *Engine) runStage(prog *Program, st *stageState) *Result {
 	for _, stratum := range prog.Strata {
 		if len(stratum) > 0 {
 			e.runStratum(stratum, st)
@@ -222,6 +230,49 @@ func (e *Engine) deriveLocal(st *stageState, rel *store.Relation, relID string, 
 			in[key] = t
 		}
 	}
+}
+
+// deriveRemote is the kindEval terminal of a remote view rule: it adds the
+// head under the current bindings to the stage's RemoteView. The tuple key
+// is encoded once, into the walk's scratch buffer, and a fact the view
+// already maintains costs no allocation.
+func (e *Engine) deriveRemote(x *execCtx, cr *CompiledRule) {
+	st := x.st
+	if st.rv == nil {
+		e.produce(cr, x.env, st)
+		return
+	}
+	h := &cr.Head
+	dst := h.peer.val.StringVal()
+	base := len(x.key)
+	x.key = appendHeadKey(x, x.key, h)
+	if key := x.key[base:]; !st.rv.maintained(dst, h.relID, key) {
+		st.rv.addMaint(dst, h.relID, string(key), h.tuple(x.env))
+	}
+	x.key = x.key[:base]
+}
+
+// retractRemote is the kindDRed terminal of a remote view rule: it retracts
+// the head under the current bindings from the stage's RemoteView and
+// queues it for the end-of-stage rederive check.
+func (e *Engine) retractRemote(x *execCtx, cr *CompiledRule) {
+	st := x.st
+	h := &cr.Head
+	dst := h.peer.val.StringVal()
+	base := len(x.key)
+	x.key = appendHeadKey(x, x.key, h)
+	if key, ok := st.rv.retractMaint(dst, h.relID, x.key[base:]); ok {
+		st.incr.remoteMarks = append(st.incr.remoteMarks, factRef{factID{dst, h.relID, key}, h.tuple(x.env)})
+	}
+	x.key = x.key[:base]
+}
+
+// appendHeadKey appends the tuple key of the head under the current frame.
+func appendHeadKey(x *execCtx, dst []byte, h *cAtom) []byte {
+	for _, arg := range h.args {
+		dst = arg.value(x.env).AppendKey(dst)
+	}
+	return dst
 }
 
 // addDelegation emits the residual rule for the suffix starting at body

@@ -21,16 +21,19 @@ var fuzzSchemas = []store.Schema{
 
 // FuzzEngineStage decodes the fuzz input into batches of base-fact inserts
 // and deletes and drives them through a fixed program — transitive closure,
-// a builtin-filtered projection, and one rule per delegating shape (variable
+// a builtin-filtered projection, one rule per delegating shape (variable
 // peer, constant remote atom mid-body, variable relation and peer resolving
 // to a local relation, a builtin or a remote peer; view, remote and
-// extensional heads) — on production incremental maintenance, production
-// recompute and the reference evaluator, requiring all three to agree on
-// every relation, remote emission, delegation and buffered update after
-// every batch, and both production paths to report the same view deltas.
-// This fuzzes the whole execution surface: semi-naive delta
-// walks, DRed over-deletion, rederivation and the run-time-resolved steps,
-// across arbitrary insert/delete interleavings.
+// extensional heads), and remote view rules into the same out@far an event
+// rule and a one-shot deletion rule also reach — on production incremental
+// maintenance, production recompute and the reference evaluator, requiring
+// all three to agree on every relation, delegation and buffered update after
+// every batch, the RemoteOut sequence of both production paths to leave
+// exactly the reference's remote facts (checkAgainstReference), and both
+// production paths to report the same view deltas and ship the same ops.
+// This fuzzes the whole execution surface: semi-naive delta walks, DRed
+// over-deletion, rederivation, the remote view's two sources and the
+// run-time-resolved steps, across arbitrary insert/delete interleavings.
 func FuzzEngineStage(f *testing.F) {
 	f.Add([]byte{0x01, 0x12, 0x23, 0x34, 0x80, 0x12})
 	f.Add([]byte{0x01, 0x12, 0x01, 0x21, 0x81, 0x12, 0x01, 0x13, 0x01, 0x32})
@@ -83,6 +86,9 @@ func FuzzEngineStage(f *testing.F) {
 			`seen@local($x, $z) :- edge@local($x, $y), hop@far($y, $z), edge@local($z, $x);`,
 			`out@far($x, $y) :- asc@local($x, $y), kinds@local($r, $p), $r@$p($y, $x);`,
 			`log@local($x, $y) :- kinds@local($r, "local"), $r@local($x, $y);`,
+			`out@far($x, $y) :- reach@local($x, $y), edge@local($y, $x);`,
+			`out@far($x, $x) :- seen@local($x, $y), lt@builtin($y, $x);`,
+			`-out@far($x, $y) :- edge@local($x, $y), follows@local("far");`,
 		), batches)
 	})
 }

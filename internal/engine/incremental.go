@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"sort"
-
 	"repro/internal/ast"
 	"repro/internal/store"
 	"repro/internal/value"
@@ -24,16 +22,27 @@ import (
 //   - view rules — head is a declared local intensional relation, body fully
 //     local and positive. These are the materialized views and take the
 //     delta path.
-//   - event rules — everything else: deletion rules, rules with remote or
-//     extensional or variable heads, rules whose body can leave the peer
-//     (delegation). Event rules are evaluated in full every stage, exactly
-//     as RunStage would, which preserves the paper's delegation-maintenance
-//     and update-emission semantics unchanged. Because all remote emissions
-//     and delegations come from event rules, Result.Remote and
-//     Result.Delegations stay complete per stage.
+//   - remote view rules — a Derive rule whose head names a constant remote
+//     peer and relation, body local, positive and constant-named: the
+//     paper's hub publish rule, and the §2 rule once delegated, e.g.
+//     attendeePictures@jules(…) :- pictures@emilien(…) at emilien. Their
+//     materialization is the caller's RemoteView, and they take the same
+//     delta path as views: the semi-naive pass adds a fact to the
+//     destination's view, the DRed over-delete retracts it, and an
+//     end-of-stage rederive check (kindMatch, head-unified) restores the
+//     retracted facts that are still derivable. A stage costs O(δ), not
+//     O(view).
+//   - event rules — everything else: deletion rules, rules with extensional
+//     or variable heads, rules whose body can leave the peer (delegation),
+//     and remote-head rules over negated or variable-named atoms. Event
+//     rules are evaluated in full every stage, exactly as RunStage would,
+//     which preserves the paper's delegation-maintenance and update-emission
+//     semantics unchanged. Result.Delegations is complete per stage;
+//     Result.Remote holds the event rules' emissions only.
 //
-// Remote Derive-op emissions are additionally diffed against the engine's
-// maintained remoteView, producing true insert/retract deltas
+// RemoteView.Diff ends the stage: it reconciles the event rules' emission
+// set against the previous stage's and folds in the remote view rules'
+// maintained changes, producing true insert/retract deltas
 // (Result.RemoteOut) instead of re-shipping the full set every stage.
 
 // StageInput describes the base-fact deltas of one peer stage. All tuples in
@@ -79,32 +88,39 @@ type incrState struct {
 	insNew map[string]map[string]value.Tuple
 	// frontier accumulates the next round of the over-delete fixpoint.
 	frontier deltaSet
-	// pending holds deletion candidates (StageInput.Cand) marked before the
-	// strata run; the first deletion phase folds them into its rederivation
-	// pass so a candidate with a surviving local derivation is restored.
-	pending []relTuple
+	// marks holds the tuples marked since the last rederivation pass:
+	// deletion candidates (StageInput.Cand), which the first deletion phase
+	// folds in so a candidate with a surviving local derivation is
+	// restored, and the current deletion phase's over-deletions.
+	marks []relTuple
+	// remoteMarks holds the remote view facts the DRed pass retracted, for
+	// the end-of-stage rederive check.
+	remoteMarks []factRef
 	// stageIns / stageDel accumulate all insertions / deletions seen so far
 	// this stage, seeding the delta passes of later strata.
 	stageIns deltaSet
 	stageDel deltaSet
 }
 
-func (ic *incrState) ghost(relID string, t value.Tuple) {
+func (ic *incrState) ghost(relID, key string, t value.Tuple) {
 	g := ic.ghosts[relID]
 	if g == nil {
 		g = map[string]value.Tuple{}
 		ic.ghosts[relID] = g
 	}
-	g[t.Key()] = t
+	g[key] = t
 }
 
-func (ic *incrState) mark(relID string, t value.Tuple) {
+// mark records t (whose key is key) as over-deleted, pending its
+// rederivation check.
+func (ic *incrState) mark(relID, key string, t value.Tuple) {
 	m := ic.marked[relID]
 	if m == nil {
 		m = map[string]value.Tuple{}
 		ic.marked[relID] = m
 	}
-	m[t.Key()] = t
+	m[key] = t
+	ic.marks = append(ic.marks, relTuple{relID, key, t})
 }
 
 func (ic *incrState) isSeeded(relID, key string) bool {
@@ -168,14 +184,14 @@ func (ic *incrState) ghostIndexFor(relID string, mask store.ColMask, g map[strin
 	return idx
 }
 
-// classify fills the Event / MaybeView flags of every rule and decides
-// whether the program as a whole is incrementally maintainable. Called after
-// stratification (CompileProgram / CompileRules).
+// classify fills the Event / Remote / MaybeView flags of every rule and
+// decides whether the program as a whole is incrementally maintainable.
+// Called after stratification (CompileProgram / CompileRules).
 func (e *Engine) classify(prog *Program) {
 	idb := e.localIntensional()
 	ok := e.opts.Incremental
 	for _, cr := range prog.Rules {
-		localBody := true
+		localBody, constNames := true, true
 		hasNeg := false
 		for i := range cr.Body {
 			a := &cr.Body[i]
@@ -199,20 +215,24 @@ func (e *Engine) classify(prog *Program) {
 			if a.neg {
 				hasNeg = true
 			}
+			if a.rel.isVar || a.rel.val.Kind() != value.KindString {
+				constNames = false
+			}
 		}
-		headPeerLocal := !cr.Head.peer.isVar &&
-			cr.Head.peer.val.Kind() == value.KindString &&
-			cr.Head.peer.val.StringVal() == e.local
+		headPeerNamed := !cr.Head.peer.isVar && cr.Head.peer.val.Kind() == value.KindString
+		headRelNamed := !cr.Head.rel.isVar && cr.Head.rel.val.Kind() == value.KindString
+		headPeerLocal := headPeerNamed && cr.Head.peer.val.StringVal() == e.local
 		headPeerMaybeLocal := cr.Head.peer.isVar || headPeerLocal
-		headRelIntensional := false
-		if !cr.Head.rel.isVar && cr.Head.rel.val.Kind() == value.KindString {
-			headRelIntensional = idb[cr.Head.rel.val.StringVal()]
-		}
+		headRelIntensional := headRelNamed && idb[cr.Head.rel.val.StringVal()]
 		cr.MaybeView = cr.Rule.Op == ast.Derive && headPeerMaybeLocal &&
 			(cr.Head.rel.isVar || headRelIntensional)
-		isView := cr.Rule.Op == ast.Derive && localBody &&
-			headPeerLocal && !cr.Head.rel.isVar && headRelIntensional
-		cr.Event = !isView
+		isView := cr.Rule.Op == ast.Derive && localBody && headPeerLocal && headRelIntensional
+		// A remote head over a local positive body is a view whose
+		// materialization is the RemoteView: nothing local reads it, so its
+		// maintenance never feeds back into the fixpoint.
+		cr.Remote = cr.Rule.Op == ast.Derive && localBody && !hasNeg && constNames &&
+			headPeerNamed && !headPeerLocal && headRelNamed
+		cr.Event = !isView && !cr.Remote
 		if cr.MaybeView && hasNeg {
 			// Deleting through negation would need insert deltas to feed
 			// view deletions and vice versa; fall back to recomputation.
@@ -226,10 +246,11 @@ func (e *Engine) classify(prog *Program) {
 // stage, program changes, and programs (or engines) that are not
 // incrementally maintainable. It clears the intensional relations, re-seeds
 // the externally supported and transient tuples the caller passes in, runs
-// the ordinary fixpoint, and diffs both the rebuilt views against what the
-// clear dropped and the remote emission set against the caller's maintained
-// remote view, so Result.Views and Result.RemoteOut carry exact deltas as on
-// the incremental path.
+// the ordinary fixpoint, and diffs the rebuilt views against what the clear
+// dropped, so Result.Views carries exact deltas as on the incremental path.
+// Both sources of the caller's remote view are rebuilt too: the maintained
+// facts are retracted and derived again, and the event emissions diffed, so
+// Result.RemoteOut is exact as well.
 func (e *Engine) RunStageFull(prog *Program, seeds map[string][]value.Tuple, rv *RemoteView) *Result {
 	dropped := e.db.ClearIntensional()
 	for relID, ts := range seeds {
@@ -243,11 +264,12 @@ func (e *Engine) RunStageFull(prog *Program, seeds map[string][]value.Tuple, rv 
 			}
 		}
 	}
-	var res *Result
+	rv.clearMaint()
+	st := e.newStageState()
+	st.rv = rv
+	res := st.out
 	if prog != nil {
-		res = e.RunStage(prog)
-	} else {
-		res = &Result{Remote: map[string][]FactOp{}, Delegations: map[string]map[string][]ast.Rule{}}
+		e.runStage(prog, st)
 	}
 	for relID, old := range dropped {
 		if ins, del := relByID(e.db, relID).DiffSince(old); len(ins)+len(del) > 0 {
@@ -264,13 +286,16 @@ func (e *Engine) RunStageFull(prog *Program, seeds map[string][]value.Tuple, rv 
 // RunStageIncremental maintains the materialized views from the stage's
 // base-fact deltas. Per stratum it (1) runs the over-delete/rederive pass
 // for the accumulated deletions, (2) runs semi-naive delta iterations of the
-// view rules over the accumulated insertions, and (3) evaluates the event
-// rules in full, cascading any local derivations they add back through the
-// view rules. The caller must have run a full stage for this program before
+// view and remote view rules over the accumulated insertions, and (3)
+// evaluates the event rules in full, cascading any local derivations they
+// add back through the view rules. The remote view facts the DRed passes
+// retracted get their rederive check at the end, against the stage's final
+// database. The caller must have run a full stage for this program before
 // (the views must be materialized and consistent), and passes the same
 // maintained remote view it passed there.
 func (e *Engine) RunStageIncremental(prog *Program, in *StageInput, rv *RemoteView) *Result {
 	st := e.newStageState()
+	st.rv = rv
 	ic := &incrState{
 		in:       in,
 		seeded:   map[string]map[string]bool{},
@@ -292,7 +317,7 @@ func (e *Engine) RunStageIncremental(prog *Program, in *StageInput, rv *RemoteVi
 		}
 		for relID, ts := range in.Del {
 			for _, t := range ts {
-				ic.ghost(relID, t)
+				ic.ghost(relID, t.Key(), t)
 			}
 			ic.stageDel[relID] = append(ic.stageDel[relID], ts...)
 		}
@@ -308,18 +333,24 @@ func (e *Engine) RunStageIncremental(prog *Program, in *StageInput, rv *RemoteVi
 			if rel == nil {
 				continue
 			}
+			var unseeded map[string]bool
 			for _, t := range ts {
 				key := t.Key()
 				if s := ic.seeded[relID]; s[key] {
 					delete(s, key)
-					ic.stageIns[relID] = dropTuple(ic.stageIns[relID], key)
+					if unseeded == nil {
+						unseeded = map[string]bool{}
+					}
+					unseeded[key] = true
 				}
 				if rel.Delete(t) {
-					ic.ghost(relID, t)
-					ic.mark(relID, t)
+					ic.ghost(relID, key, t)
+					ic.mark(relID, key, t)
 					ic.stageDel[relID] = append(ic.stageDel[relID], t)
-					ic.pending = append(ic.pending, relTuple{relID, t})
 				}
+			}
+			if unseeded != nil {
+				ic.stageIns[relID] = dropKeys(ic.stageIns[relID], unseeded)
 			}
 		}
 	}
@@ -359,9 +390,17 @@ func (e *Engine) RunStageIncremental(prog *Program, in *StageInput, rv *RemoteVi
 	// Candidates not consumed by any rule stratum (rule-less programs, or
 	// strata with no rules) still get their rederivation check — external
 	// support added back by a later coalesced message must restore them.
-	if len(ic.pending) > 0 {
-		e.rederive(prog, st, ic.pending)
-		ic.pending = nil
+	if len(ic.marks) > 0 {
+		marks := ic.marks
+		ic.marks = nil
+		e.rederive(prog, st, marks)
+	}
+	// Nothing local reads a remote fact, so the remote view facts the DRed
+	// passes retracted need one check, against the final database.
+	for _, m := range ic.remoteMarks {
+		if rel, peer := store.SplitID(m.relID); rv.retracted(m.factID) && e.rederivable(prog, st, rel, peer, m.args) {
+			rv.addMaint(m.dst, m.relID, m.key, m.args)
+		}
 	}
 
 	// Net view deltas.
@@ -402,8 +441,8 @@ func viewDeltaFor(views map[string]*ViewDelta, relID string) *ViewDelta {
 }
 
 // insertPhase runs the semi-naive delta iterations of the stratum's view
-// rules, seeded with the given delta, accumulating every new derivation into
-// the stage-wide insertion set.
+// and remote view rules, seeded with the given delta, accumulating every new
+// local derivation into the stage-wide insertion set.
 func (e *Engine) insertPhase(stratum []*CompiledRule, st *stageState, seed deltaSet) {
 	if len(seed) == 0 {
 		return
@@ -433,18 +472,17 @@ func (e *Engine) insertPhase(stratum []*CompiledRule, st *stageState, seed delta
 // the deletion frontier and the remaining positions over the pre-deletion
 // database, i.e. relation ∪ ghosts; a fully matched body marks the produced
 // head as over-deleted), then rederive the over-deleted tuples that still
-// have standing support.
+// have standing support. A remote view rule's match retracts its head from
+// the RemoteView instead; RunStageIncremental checks those at the end.
 func (e *Engine) deletePhase(prog *Program, stratum []*CompiledRule, st *stageState) {
 	ic := st.incr
 	frontier := copyDelta(ic.stageDel)
-	// Candidates marked before the strata ran must be rederivation-checked
-	// too: a tuple that lost its external support but still has a local
-	// derivation stays. (Checked in the first stratum; a check against
-	// not-yet-maintained later strata self-corrects — a wrongly kept tuple
-	// is re-marked when its support is over-deleted, a wrongly deleted one
-	// is re-derived by the insert pass.)
-	newMarks := ic.pending
-	ic.pending = nil
+	// Candidates marked before the strata ran (already in ic.marks) must be
+	// rederivation-checked too: a tuple that lost its external support but
+	// still has a local derivation stays. (Checked in the first stratum; a
+	// check against not-yet-maintained later strata self-corrects — a
+	// wrongly kept tuple is re-marked when its support is over-deleted, a
+	// wrongly deleted one is re-derived by the insert pass.)
 	for len(frontier) > 0 {
 		if st.out.Iterations >= e.opts.MaxIterations {
 			st.errf("engine: deletion pass exceeded %d iterations; aborting stratum", e.opts.MaxIterations)
@@ -452,7 +490,7 @@ func (e *Engine) deletePhase(prog *Program, stratum []*CompiledRule, st *stageSt
 		}
 		ic.frontier = deltaSet{}
 		for _, cr := range stratum {
-			if !cr.MaybeView || cr.Rule.Op != ast.Derive {
+			if !cr.MaybeView && !cr.Remote {
 				continue
 			}
 			forDeltaPositions(cr, frontier, func(j int) {
@@ -462,19 +500,18 @@ func (e *Engine) deletePhase(prog *Program, stratum []*CompiledRule, st *stageSt
 		st.out.Iterations++
 		for relID, ts := range ic.frontier {
 			ic.stageDel[relID] = append(ic.stageDel[relID], ts...)
-			for _, t := range ts {
-				newMarks = append(newMarks, relTuple{relID, t})
-			}
 		}
 		frontier = ic.frontier
 	}
-	e.rederive(prog, st, newMarks)
+	marks := ic.marks
+	ic.marks = nil
+	e.rederive(prog, st, marks)
 }
 
-// relTuple pairs a relation id with a tuple.
+// relTuple pairs a relation id with a tuple and its key.
 type relTuple struct {
-	relID string
-	tuple value.Tuple
+	relID, key string
+	tuple      value.Tuple
 }
 
 // rederive restores over-deleted tuples that still have support: an external
@@ -490,7 +527,7 @@ func (e *Engine) rederive(prog *Program, st *stageState, marks []relTuple) {
 			if m.relID == "" {
 				continue // already restored
 			}
-			if ic.marked[m.relID][m.tuple.Key()] == nil {
+			if ic.marked[m.relID][m.key] == nil {
 				m.relID = ""
 				continue
 			}
@@ -499,18 +536,17 @@ func (e *Engine) rederive(prog *Program, st *stageState, marks []relTuple) {
 				continue
 			}
 			name, peerName := store.SplitID(m.relID)
-			keep := ic.isSeeded(m.relID, m.tuple.Key()) ||
-				rel.HasExternalSupport(m.tuple) ||
+			keep := ic.isSeeded(m.relID, m.key) ||
+				rel.HasExternalSupport(m.key) ||
 				e.rederivable(prog, st, name, peerName, m.tuple)
 			if keep {
 				rel.Insert(m.tuple)
-				key := m.tuple.Key()
-				delete(ic.marked[m.relID], key)
+				delete(ic.marked[m.relID], m.key)
 				// Un-ghost: the tuple is back in the relation (the
 				// pre-deletion union view still sees it there), and a later
 				// stratum whose over-delete targets it again must not be
 				// stopped by the "already processed" check.
-				delete(ic.ghosts[m.relID], key)
+				delete(ic.ghosts[m.relID], m.key)
 				// Let the insert phase re-check derivations downstream of
 				// the restoration; existing heads dedupe to no-ops.
 				ic.stageIns[m.relID] = append(ic.stageIns[m.relID], m.tuple)
@@ -526,10 +562,13 @@ func (e *Engine) rederive(prog *Program, st *stageState, marks []relTuple) {
 // so the body walk is driven by bound values (indexable lookups); the
 // planner supplies a body order chosen for exactly that pre-bound state.
 // Atoms that resolve to remote peers fail the branch: a delegated suffix is
-// not a local derivation.
+// not a local derivation. A local fact is checked against the rules that may
+// derive into a view; a remote one against the remote view rules only, since
+// an event rule's emission of it belongs to the event source.
 func (e *Engine) rederivable(prog *Program, st *stageState, relName, peerName string, t value.Tuple) bool {
+	remote := peerName != e.local
 	for _, cr := range prog.Rules {
-		if !cr.MaybeView || cr.Rule.Op != ast.Derive {
+		if remote && !cr.Remote || !remote && !cr.MaybeView {
 			continue
 		}
 		env := make([]value.Value, cr.NumSlots)
@@ -578,8 +617,8 @@ func unifyHead(cr *CompiledRule, relName, peerName string, t value.Tuple, env []
 // produceDelete marks the head tuple under the current bindings as
 // over-deleted if it is a currently materialized local view tuple. All other
 // head shapes (remote, extensional, already deleted) are ignored here: event
-// rules re-emit their outputs in full and the remote view diff handles
-// retraction.
+// rules re-emit their outputs in full and RemoteView.Diff handles
+// retraction; remote view rules retract through retractRemote.
 func (e *Engine) produceDelete(cr *CompiledRule, env []value.Value, st *stageState) {
 	ic := st.incr
 	headPeer, ok := resolveName(cr.Head.peer, env)
@@ -606,43 +645,17 @@ func (e *Engine) produceDelete(cr *CompiledRule, env []value.Value, st *stageSta
 	if !rel.Delete(t) {
 		return
 	}
-	ic.ghost(relID, t)
-	ic.mark(relID, t)
+	ic.ghost(relID, key, t)
+	ic.mark(relID, key, t)
 	ic.frontier[relID] = append(ic.frontier[relID], t)
 }
 
-// sortRemoteOps orders deletes first, then inserts, each sorted by fact
-// key, for deterministic wire contents. Keys are precomputed: a torn-down
-// remote view can put its whole contents through here at once.
-func sortRemoteOps(ops []RemoteOp) {
-	keys := make([]string, len(ops))
-	for i, o := range ops {
-		r := "1"
-		if o.Op == ast.Delete {
-			r = "0"
-		}
-		keys[i] = r + o.Fact.Key()
-	}
-	sort.Sort(&remoteOpSorter{ops: ops, keys: keys})
-}
-
-type remoteOpSorter struct {
-	ops  []RemoteOp
-	keys []string
-}
-
-func (s *remoteOpSorter) Len() int           { return len(s.ops) }
-func (s *remoteOpSorter) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *remoteOpSorter) Swap(i, j int) {
-	s.ops[i], s.ops[j] = s.ops[j], s.ops[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-}
-
-// dropTuple removes every tuple with the given key from the slice.
-func dropTuple(ts []value.Tuple, key string) []value.Tuple {
+// dropKeys removes every tuple whose key is in keys from the slice, encoding
+// each tuple's key once.
+func dropKeys(ts []value.Tuple, keys map[string]bool) []value.Tuple {
 	out := ts[:0]
 	for _, t := range ts {
-		if t.Key() != key {
+		if !keys[t.Key()] {
 			out = append(out, t)
 		}
 	}

@@ -373,6 +373,41 @@ func TestSameStageSeedAndCandidateNetsOut(t *testing.T) {
 	}
 }
 
+// TestManyCoalescedSeedCandidatePairs: a stage that coalesced maintained +/-
+// of 2 000 tuples (each both a seed and a candidate) next to 20 seeds that
+// stay drops every pair from the insertion delta at once: nothing is
+// derived from the pairs, the 20 survivors are, and Result.Views reports
+// exactly that.
+func TestManyCoalescedSeedCandidatePairs(t *testing.T) {
+	h := newIncrHarness(t,
+		[]string{"int base(x)", "int v(x)"},
+		mustRules(t, `v@local($x) :- base@local($x);`))
+	base := h.db.Get("base", "local")
+	in := &StageInput{Ins: map[string][]value.Tuple{}, Cand: map[string][]value.Tuple{}}
+	for i := 0; i < 2020; i++ {
+		tup := value.Tuple{value.Int(int64(i))}
+		base.Insert(tup)
+		in.Ins["base@local"] = append(in.Ins["base@local"], tup)
+		if i >= 20 {
+			in.Cand["base@local"] = append(in.Cand["base@local"], tup)
+		}
+	}
+	res := h.e.RunStageIncremental(h.prog, in, h.rv)
+	checkNoErrors(t, res)
+	if got := relContents(h.db, "base", "local"); len(got) != 20 {
+		t.Errorf("base holds %d tuples, want the 20 seeds that were not candidates", len(got))
+	}
+	if got := relContents(h.db, "v", "local"); len(got) != 20 {
+		t.Errorf("v holds %d tuples, want 20: nothing may be derived from a retracted seed", len(got))
+	}
+	if vd := res.Views["base@local"]; vd == nil || len(vd.Ins) != 0 || len(vd.Del) != 2000 {
+		t.Errorf("base view delta = %+v, want 2000 deletions", vd)
+	}
+	if vd := res.Views["v@local"]; vd == nil || len(vd.Ins) != 20 || len(vd.Del) != 0 {
+		t.Errorf("v view delta = %+v, want 20 insertions", vd)
+	}
+}
+
 // TestOneShotRemoteDeleteEvictsRemoteView: a deletion-rule emission undoes
 // the fact at the receiver, so the maintained remote view must forget it —
 // the next stage re-ships the maintained insert while it is still derived.

@@ -340,16 +340,20 @@ func (pl *stagePlanner) atomCost(cr *CompiledRule, i int, bound []bool) float64 
 	return rel.FanEstimate(mask)
 }
 
-// Explain renders, per rule of prog, the join order the planner chooses
-// against the store's *current* contents and how each step compiles for a
-// full evaluation, with per-step cardinality and selectivity estimates — the
-// surface behind `wdl run -explain`.
+// Explain renders, per rule of prog, how the rule is maintained across
+// stages (view, remote view or event; see classify), the join order the
+// planner chooses against the store's *current* contents and how each step
+// compiles for a full evaluation, with per-step cardinality and selectivity
+// estimates — the surface behind `wdl run -explain`.
 func (e *Engine) Explain(prog *Program) string {
 	var sb strings.Builder
 	pl := e.newPlanner()
 	for _, cr := range prog.Rules {
 		kind := "event"
-		if !cr.Event {
+		switch {
+		case cr.Remote:
+			kind = "remote view"
+		case !cr.Event:
 			kind = "view"
 		}
 		fmt.Fprintf(&sb, "rule %s (stratum %d, %s): %s;\n", cr.Rule.ID, cr.Stratum, kind, cr.Rule.String())

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -183,6 +184,12 @@ func randomStratifiedProgram(rnd *rand.Rand, nRels, nRules, nFacts, domain int) 
 // (insert and delete), and a variable peer. Rules reading a variable relation
 // depend on every view, so their view head is always the top relation, which
 // no generated rule negates — the program stays stratified.
+//
+// Next to them come the remote view rules — out@far, or a view's name at
+// far, over joins of the maintained (and possibly recursive) views — a
+// one-shot deletion of out@far over a local body, and out@$p heads an event
+// rule can send to far, so the RemoteView's two sources and its one-shot
+// evictions overlap.
 func withDelegatingRules(rnd *rand.Rand, schemas []store.Schema, rules []ast.Rule) ([]store.Schema, []ast.Fact, []ast.Rule) {
 	top := schemas[len(schemas)-1].Name
 	for _, s := range []store.Schema{
@@ -219,6 +226,7 @@ func withDelegatingRules(rnd *rand.Rand, schemas []store.Schema, rules []ast.Rul
 		{body: []ast.Atom{e("x", "z"), atom(ast.CStr("hop"), far, "z", "y"), e("y", "x")}},
 		{body: []ast.Atom{e("x", "y"), atom(ast.CStr("cmp"), local, "o", "p"), atom(ast.V("o"), ast.V("p"), "x", "y")}, peerVar: true, topOnly: true},
 		{body: []ast.Atom{e("x", "y"), atom(ast.CStr("peers"), local, "p"), {Neg: true, Rel: ast.CStr("e"), Peer: ast.V("p"), Args: []ast.Term{ast.V("y"), ast.V("x")}}}, peerVar: true},
+		{body: []ast.Atom{e("x", "y"), atom(ast.CStr("peers"), local, "p")}, peerVar: true}, // emits to far from a local body
 	}
 	for n := 1 + rnd.Intn(3); n > 0; n-- {
 		b := bodies[rnd.Intn(len(bodies))]
@@ -236,10 +244,40 @@ func withDelegatingRules(rnd *rand.Rand, schemas []store.Schema, rules []ast.Rul
 			r.Head, r.Op = atom(ast.CStr("sink"), local, "y", "x"), ast.Delete
 		case k == 3 && b.peerVar:
 			r.Head = atom(ast.CStr(view), ast.V("p"), "x", "y")
+		case k == 4 && b.peerVar:
+			r.Head = atom(ast.CStr("out"), ast.V("p"), "x", "y")
 		default:
 			r.Head = atom(ast.CStr(view), local, "x", "y")
 		}
 		rules = append(rules, r)
+	}
+	body := func() string {
+		if rnd.Intn(3) == 0 {
+			return "e"
+		}
+		return relOf(schemas, rnd, ast.Intensional)
+	}
+	for n := rnd.Intn(3); n > 0; n-- {
+		// The head is out@far or a view's name at far, which the view@$p
+		// event rules above also reach.
+		head := "out"
+		if rnd.Intn(2) == 0 {
+			head = relOf(schemas, rnd, ast.Intensional)
+		}
+		r := ast.Rule{ID: fmt.Sprintf("v%d", n), Head: atom(ast.CStr(head), far, "x", "y")}
+		if rnd.Intn(2) == 0 {
+			r.Body = []ast.Atom{atom(ast.CStr(body()), local, "x", "y")}
+		} else {
+			r.Body = []ast.Atom{atom(ast.CStr(body()), local, "x", "z"), atom(ast.CStr(body()), local, "z", "y")}
+		}
+		if rnd.Intn(3) == 0 {
+			r.Body = append(r.Body, atom(ast.CStr("le"), ast.CStr(BuiltinPeer), "x", "y"))
+		}
+		rules = append(rules, r)
+	}
+	if rnd.Intn(3) == 0 {
+		rules = append(rules, ast.Rule{ID: "x1", Op: ast.Delete, Head: atom(ast.CStr("out"), far, "x", "y"),
+			Body: []ast.Atom{e("x", "y"), atom(ast.CStr("le"), ast.CStr(BuiltinPeer), "y", "x")}})
 	}
 	return schemas, facts, rules
 }
@@ -288,15 +326,16 @@ func randomBatches(rnd *rand.Rand, n, domain int, delegating bool) [][]FactOp {
 
 // TestProductionEquivalentToReference is the engine's central correctness
 // property: on random stratified programs — multi-way joins, recursion,
-// negation across strata, builtin filters the planner floats, and the
-// delegating/run-time-resolved shapes — production rule execution, both
-// incrementally maintained and recomputed, produces exactly what the
-// reference evaluator produces: view contents, Result.Remote,
-// Result.Delegations, Result.LocalUpdates and Result.Errors, after the
-// initial stage and after each of 10 random insert/delete batches.
+// negation across strata, builtin filters the planner floats, the
+// delegating/run-time-resolved shapes and remote view rules — production
+// rule execution, both incrementally maintained and recomputed, produces
+// exactly what the reference evaluator produces: view contents, the remote
+// facts its RemoteOut sequence leaves at each destination, Result.Delegations,
+// Result.LocalUpdates and Result.Errors, after the initial stage and after
+// each of 10 random insert/delete batches.
 func TestProductionEquivalentToReference(t *testing.T) {
 	rnd := rand.New(rand.NewSource(20130523)) // SIGMOD'13 demo week
-	delegating, incremental := 0, 0
+	delegating, incremental, remote := 0, 0, 0
 	for trial := 0; trial < 180; trial++ {
 		var schemas []store.Schema
 		var tuples []value.Tuple
@@ -319,28 +358,31 @@ func TestProductionEquivalentToReference(t *testing.T) {
 		for _, tp := range tuples {
 			facts = append(facts, ast.Fact{Rel: "e", Peer: "local", Args: tp})
 		}
-		if checkAgainstReference(t, fmt.Sprintf("trial %d", trial), schemas, facts, rules, randomBatches(rnd, 10, domain, withDeleg)) {
+		incr, rv := checkAgainstReference(t, fmt.Sprintf("trial %d", trial), schemas, facts, rules, randomBatches(rnd, 10, domain, withDeleg))
+		if incr {
 			incremental++
 		}
+		if rv {
+			remote++
+		}
 	}
-	if delegating < 50 || incremental < 50 {
-		t.Fatalf("coverage too thin: %d delegating programs, %d incrementally maintained (want ≥ 50 each)", delegating, incremental)
+	t.Logf("%d delegating programs, %d incrementally maintained, %d with a remote view rule", delegating, incremental, remote)
+	if delegating < 50 || incremental < 50 || remote < 50 {
+		t.Fatalf("coverage too thin: %d delegating programs, %d incrementally maintained, %d with a remote view rule (want ≥ 50 each)",
+			delegating, incremental, remote)
 	}
 }
 
-// stageOutputs canonicalizes everything a stage produced — view contents of
-// the given peer plus Result.Remote, Delegations, LocalUpdates and Errors —
-// as sorted text, so two evaluators compare with one string equality.
+// stageOutputs canonicalizes everything a stage produced locally — view
+// contents of the given peer plus Result.Delegations, LocalUpdates and
+// Errors — as sorted text, so two evaluators compare with one string
+// equality. Remote emissions are compared separately (remoteReplica):
+// production's Result.Remote holds the event rules' emissions only.
 func stageOutputs(db *store.Store, local string, res *Result) string {
 	var lines []string
 	for _, rel := range db.RelationsOf(local) {
 		for _, t := range rel.Tuples() {
 			lines = append(lines, "fact "+rel.Schema().ID()+t.String())
-		}
-	}
-	for dst, ops := range res.Remote {
-		for _, op := range ops {
-			lines = append(lines, "remote "+dst+" "+op.String())
 		}
 	}
 	for id, byTarget := range res.Delegations {
@@ -434,14 +476,128 @@ func (w *refWorld) apply(batch []FactOp) *StageInput {
 	return in
 }
 
+// remoteReplica is what a stream of RemoteOut ops leaves at each
+// destination: dst -> relation id -> tuple key -> fact. Replaying ops in
+// order, a maintained insert adds a fact and every delete — maintained or
+// one-shot — removes it.
+type remoteReplica map[string]map[string]map[string]ast.Fact
+
+func (r remoteReplica) replay(t testing.TB, out map[string][]RemoteOp) {
+	t.Helper()
+	for dst, ops := range out {
+		for _, op := range ops {
+			if op.Op == ast.Derive && !op.Maint {
+				t.Fatalf("RemoteOut ships an unmaintained insert %v", op)
+			}
+			r.put(dst, op.Fact, op.Op == ast.Derive)
+		}
+	}
+}
+
+func (r remoteReplica) put(dst string, f ast.Fact, present bool) {
+	relID := f.Rel + "@" + f.Peer
+	if present {
+		if r[dst] == nil {
+			r[dst] = map[string]map[string]ast.Fact{}
+		}
+		if r[dst][relID] == nil {
+			r[dst][relID] = map[string]ast.Fact{}
+		}
+		r[dst][relID][f.Args.Key()] = f
+		return
+	}
+	delete(r[dst][relID], f.Args.Key())
+}
+
+// text renders the replica as sorted "dst fact" lines.
+func (r remoteReplica) text() string {
+	var lines []string
+	for dst, rels := range r {
+		for _, facts := range rels {
+			for _, f := range facts {
+				lines = append(lines, dst+" "+f.String())
+			}
+		}
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
+// digests returns the replica's per-relation digests at dst, nil when empty
+// — what RemoteView.Digests must read.
+func (r remoteReplica) digests(dst string) map[string]store.Digest {
+	var out map[string]store.Digest
+	for relID, facts := range r[dst] {
+		if len(facts) == 0 {
+			continue
+		}
+		if out == nil {
+			out = map[string]store.Digest{}
+		}
+		var d store.Digest
+		for key := range facts {
+			d.Add(key)
+		}
+		out[relID] = d
+	}
+	return out
+}
+
+// referenceRemote returns what the reference stage leaves at each
+// destination — its Derive-op emission set minus the facts the same stage
+// deletes one-shot (those ship as the one-shot delete; the maintained insert
+// follows a stage later) — and its one-shot deletes as sorted text.
+func referenceRemote(res *Result) (held remoteReplica, shots string) {
+	held = remoteReplica{}
+	var shotLines []string
+	for dst, ops := range res.Remote {
+		for _, op := range ops {
+			if op.Op == ast.Derive {
+				held.put(dst, op.Fact, true)
+			}
+		}
+	}
+	for dst, ops := range res.Remote {
+		for _, op := range ops {
+			if op.Op == ast.Delete {
+				held.put(dst, op.Fact, false)
+				shotLines = append(shotLines, fmt.Sprintf("%s %s maint=false", dst, op))
+			}
+		}
+	}
+	sort.Strings(shotLines)
+	return held, strings.Join(shotLines, "\n")
+}
+
+// remoteOutText renders RemoteOut as sorted text; oneShot keeps only the
+// one-shot deletes.
+func remoteOutText(out map[string][]RemoteOp, oneShot bool) string {
+	var lines []string
+	for dst, ops := range out {
+		for _, op := range ops {
+			if oneShot && op.Maint {
+				continue
+			}
+			lines = append(lines, fmt.Sprintf("%s %s maint=%v", dst, FactOp{Op: op.Op, Fact: op.Fact}, op.Maint))
+		}
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
 // checkAgainstReference runs the same program and batch schedule through
 // production incremental maintenance, production recompute and the
 // reference evaluator, each over its own store, and demands identical
 // outputs (stageOutputs) after the initial stage and after every batch, and
-// identical view deltas (Result.Views) from the two production paths. It
-// reports whether the program was incrementally maintainable (otherwise the
-// "incremental" engine recomputed too).
-func checkAgainstReference(t testing.TB, label string, schemas []store.Schema, facts []ast.Fact, rules []ast.Rule, batches [][]FactOp) (incremental bool) {
+// identical view deltas (Result.Views) from the two production paths. Remote
+// emissions are checked as a sequence: each production path's RemoteOut,
+// replayed stage by stage into a per-destination replica, must leave exactly
+// what the reference stage emits, ship exactly its one-shot deletes, and
+// keep the RemoteView's summary trees equal to the replica's digests; the
+// two paths must ship the same ops. It reports whether the program was
+// incrementally maintainable (otherwise the "incremental" engine recomputed
+// too) and whether it had a remote view rule.
+func checkAgainstReference(t testing.TB, label string, schemas []store.Schema, facts []ast.Fact, rules []ast.Rule, batches [][]FactOp) (incremental, remote bool) {
 	t.Helper()
 	full := DefaultOptions()
 	full.Incremental = false
@@ -449,9 +605,12 @@ func checkAgainstReference(t testing.TB, label string, schemas []store.Schema, f
 	reco := newRefWorld(t, full, schemas, facts, rules)
 	ref := newRefWorld(t, full, schemas, facts, rules)
 	rvI, rvR := NewRemoteView(), NewRemoteView()
+	replI, replR := remoteReplica{}, remoteReplica{}
+	dsts := map[string]bool{}
 	compare := func(step int, resI, resR *Result) {
 		t.Helper()
-		want := stageOutputs(ref.db, "local", referenceStage(ref.e, ref.prog))
+		refRes := referenceStage(ref.e, ref.prog)
+		want := stageOutputs(ref.db, "local", refRes)
 		for _, got := range []struct {
 			name string
 			out  string
@@ -467,6 +626,40 @@ func checkAgainstReference(t testing.TB, label string, schemas []store.Schema, f
 			t.Fatalf("%s step %d: view deltas differ\nrules: %v\n--- incremental\n%s\n--- recompute\n%s",
 				label, step, rules, vi, vr)
 		}
+		if oi, or := remoteOutText(resI.RemoteOut, false), remoteOutText(resR.RemoteOut, false); oi != or {
+			t.Fatalf("%s step %d: RemoteOut differs\nrules: %v\n--- incremental\n%s\n--- recompute\n%s",
+				label, step, rules, oi, or)
+		}
+		held, shots := referenceRemote(refRes)
+		for dst := range held {
+			dsts[dst] = true
+		}
+		for _, w := range []struct {
+			name string
+			res  *Result
+			repl remoteReplica
+			rv   *RemoteView
+		}{{"incremental", resI, replI, rvI}, {"recompute", resR, replR, rvR}} {
+			w.repl.replay(t, w.res.RemoteOut)
+			if got, want := w.repl.text(), held.text(); got != want {
+				t.Fatalf("%s step %d: %s RemoteOut sequence leaves other facts than the reference emits\nrules: %v\n--- reference\n%s\n--- %s replica\n%s",
+					label, step, w.name, rules, want, w.name, got)
+			}
+			if got := remoteOutText(w.res.RemoteOut, true); got != shots {
+				t.Fatalf("%s step %d: %s one-shot deletes differ\nrules: %v\n--- reference\n%s\n--- %s\n%s",
+					label, step, w.name, rules, shots, w.name, got)
+			}
+			for dst := range w.res.RemoteOut {
+				dsts[dst] = true
+			}
+		}
+		for dst := range dsts {
+			di, dr := rvI.Digests(dst), rvR.Digests(dst)
+			if !reflect.DeepEqual(di, dr) || !reflect.DeepEqual(di, replI.digests(dst)) {
+				t.Fatalf("%s step %d: summary trees at %s differ\nrules: %v\nincremental %v\nrecompute   %v\nreplica     %v",
+					label, step, dst, rules, di, dr, replI.digests(dst))
+			}
+		}
 	}
 	compare(-1, incr.e.RunStageFull(incr.prog, nil, rvI), reco.e.RunStageFull(reco.prog, nil, rvR))
 	for step, b := range batches {
@@ -481,7 +674,10 @@ func checkAgainstReference(t testing.TB, label string, schemas []store.Schema, f
 		}
 		compare(step, resI, reco.e.RunStageFull(reco.prog, nil, rvR))
 	}
-	return incr.prog.Incremental
+	for _, cr := range incr.prog.Rules {
+		remote = remote || cr.Remote
+	}
+	return incr.prog.Incremental, remote
 }
 
 // TestMaxIterationsGuard verifies the runaway-fixpoint safety net.

@@ -57,27 +57,27 @@ func fuzzRangeRepair(data []byte) protocol.RangeRepairMsg {
 }
 
 // ledgerKeys copies one session ledger's key sets, checking on the way that
-// every relation's summary tree still digests exactly its support map.
+// every relation's summary tree digests exactly the keys it enumerates and
+// that no emptied relation keeps a tree.
 func ledgerKeys(t *testing.T, p *Peer, from string) map[string]map[string]bool {
 	t.Helper()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	s := p.sessionLocked(from)
 	out := map[string]map[string]bool{}
-	for relID, m := range s.sup {
+	for relID, tr := range s.trees {
+		keys, _ := tr.RangeKeys(fullRange.Lo, fullRange.Hi, 0)
+		if len(keys) == 0 {
+			t.Fatalf("%s ledger keeps an empty tree for %s", from, relID)
+		}
 		var d store.Digest
 		out[relID] = map[string]bool{}
-		for key := range m {
+		for _, key := range keys {
 			d.Add(key)
 			out[relID][key] = true
 		}
 		if got := s.ledgerDigest(relID); got != d {
-			t.Fatalf("%s ledger tree of %s digests %+v, its support map %+v", from, relID, got, d)
-		}
-	}
-	for relID := range s.trees {
-		if out[relID] == nil {
-			t.Fatalf("%s ledger keeps a tree for %s without support", from, relID)
+			t.Fatalf("%s ledger tree of %s digests %+v, its members %+v", from, relID, got, d)
 		}
 	}
 	return out

@@ -2,6 +2,7 @@ package peer
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/ast"
@@ -457,5 +458,72 @@ func TestIncrementalAndNaiveAgreeAcrossStages(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDelegatedRuleStaysODelta is the peer-level O(δ) gate: the paper's §2
+// delegation between two sequential peers — jules' rule installs
+// attendeePictures@jules(…) :- pictures@emilien(…) at emilien — makes a
+// picture inserted at emilien ship exactly one fact, and an insert-and-delete
+// round trip allocate no more with 5 000 pictures in the album than with 500
+// (within 1.2×): emilien maintains the delegated rule from the delta instead
+// of re-deriving the album every stage.
+func TestDelegatedRuleStaysODelta(t *testing.T) {
+	allocs := func(album int) float64 {
+		n := NewSequentialNetwork()
+		var ps [2]*Peer
+		for i, name := range []string{"emilien", "jules"} {
+			p, err := n.NewPeer(Config{Name: name})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps[i] = p
+		}
+		emilien, jules := ps[0], ps[1]
+		if err := emilien.LoadSource(`relation extensional pictures@emilien(id, name);`); err != nil {
+			t.Fatal(err)
+		}
+		if err := jules.LoadSource(`
+			relation extensional selectedAttendee@jules(attendee);
+			relation intensional attendeePictures@jules(id, name);
+			selectedAttendee@jules("emilien");
+			attendeePictures@jules($id, $name) :- selectedAttendee@jules($a), pictures@$a($id, $name);
+		`); err != nil {
+			t.Fatal(err)
+		}
+		b := engine.NewBatch()
+		for i := 0; i < album; i++ {
+			b.Insert(ast.NewFact("pictures", "emilien", value.Int(int64(i)), value.Str("p.jpg")))
+		}
+		if err := emilien.Apply(context.Background(), b); err != nil {
+			t.Fatal(err)
+		}
+		quiesce(t, n)
+		if got := len(jules.Query("attendeePictures")); got != album {
+			t.Fatalf("jules holds %d pictures, want %d", got, album)
+		}
+		pic := fmt.Sprintf(`pictures@emilien(%d, "new.jpg");`, album)
+		if err := emilien.InsertString(pic); err != nil {
+			t.Fatal(err)
+		}
+		if rep := emilien.RunStage(); rep.FactsSent != 1 {
+			t.Fatalf("%d pictures: emilien's stage shipped %d facts for one insert, want 1", album, rep.FactsSent)
+		}
+		quiesce(t, n)
+		return testing.AllocsPerRun(20, func() {
+			if err := emilien.DeleteString(pic); err != nil {
+				t.Fatal(err)
+			}
+			quiesce(t, n)
+			if err := emilien.InsertString(pic); err != nil {
+				t.Fatal(err)
+			}
+			quiesce(t, n)
+		})
+	}
+	small, large := allocs(500), allocs(5000)
+	t.Logf("allocations per delete+insert round trip: %.0f with 500 pictures, %.0f with 5000", small, large)
+	if large > 1.2*small {
+		t.Fatalf("a round trip allocates %.0f with 5000 pictures, %.0f with 500: the delegated rule is not maintained in O(δ)", large, small)
 	}
 }

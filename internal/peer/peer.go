@@ -498,10 +498,19 @@ func (p *Peer) sessionLocked(from string) *inSession {
 	s := p.inbound[from]
 	if s == nil {
 		s = newInSession(from)
-		s.intern = p.intern
 		p.inbound[from] = s
 	}
 	return s
+}
+
+// keyOf returns t's canonical form and key, through the peer's interner
+// when it has one: what ingestion files in the store, the support ledger and
+// the session ledger, so one fact's key bytes are stored once.
+func (p *Peer) keyOf(t value.Tuple) (value.Tuple, string) {
+	if p.intern != nil {
+		return p.intern.Tuple(t)
+	}
+	return t, t.Key()
 }
 
 // digestFor builds the anti-entropy advert for dst: per-relation digests of

@@ -200,8 +200,9 @@ func TestEmptyLedgerRangeAskedOutright(t *testing.T) {
 	a, b := convergedViewPair(t, viewSize, resyncTestInterval)
 	b.mu.Lock()
 	ledger := b.sessionLocked("a")
-	for _, tup := range ledger.sup["view@b"] {
-		ledger.ledgerRemove("view@b", tup)
+	keys, _ := ledger.trees["view@b"].RangeKeys(fullRange.Lo, fullRange.Hi, 0)
+	for _, key := range keys {
+		ledger.ledgerRemove("view@b", key)
 	}
 	b.mu.Unlock()
 

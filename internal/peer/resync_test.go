@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/ast"
+	"repro/internal/engine"
 	"repro/internal/protocol"
 	"repro/internal/transport"
 	"repro/internal/value"
@@ -522,5 +523,65 @@ func TestDelegationDivergenceResendsDelegationsOnly(t *testing.T) {
 	}
 	if st := c.Stats(); st.OutboxResets != 0 || st.ResyncRangedRepairs != 0 {
 		t.Errorf("delegation divergence restarted the stream or re-shipped facts: %+v", st)
+	}
+}
+
+// TestBisectionAgainstBusySender: the restarted sender of
+// TestEpochAdoptionRepairBusySender already maintains more than
+// rangedRepairLeaf facts when it answers the solicited advert, so only the
+// bisection dialogue can find the three stale facts — while every sender
+// stage emits another delta and the receiver lags. A range-digest reply
+// stamped with the position it was built at would always trail the delta
+// sent before it and be dropped, and with periodic adverts off nothing
+// would restart the dialogue; sequenced, it is compared at its own position.
+func TestBisectionAgainstBusySender(t *testing.T) {
+	n := NewSequentialNetwork()
+	newPeer := func(name string) *Peer {
+		p, err := n.NewPeer(Config{Name: name, ResyncInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	a, b := newPeer("a"), newPeer("b")
+	defer b.Close()
+	if err := b.DeclareRelation("view", ast.Intensional, "x"); err != nil {
+		t.Fatal(err)
+	}
+	loadViewSender(t, a)
+	for i := int64(1001); i <= 1003; i++ {
+		if err := a.Insert(ast.NewFact("src", "a", value.Int(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	quiesce(t, n)
+	a.Close()
+	a2 := newPeer("a")
+	defer a2.Close()
+	loadViewSender(t, a2)
+	batch := engine.NewBatch()
+	for i := int64(0); i < 2*rangedRepairLeaf; i++ {
+		batch.Insert(ast.NewFact("src", "a", value.Int(i)))
+	}
+	if err := a2.Apply(context.Background(), batch); err != nil {
+		t.Fatal(err)
+	}
+	a2.RunStage()
+	const busy = 100
+	for i := int64(0); i < busy; i++ {
+		if err := a2.Insert(ast.NewFact("src", "a", value.Int(10_000+i))); err != nil {
+			t.Fatal(err)
+		}
+		a2.RunStage()
+		if i%4 == 0 {
+			b.RunStage()
+		}
+	}
+	quiesce(t, n)
+	if got, want := len(b.Query("view")), 2*rangedRepairLeaf+busy; got != want {
+		t.Fatalf("view@b holds %d facts, want %d: the stale support survived (%+v)", got, want, b.Stats())
+	}
+	if b.Stats().ResyncRangesRequested == 0 || a2.Stats().ResyncRangeDigestBytes == 0 {
+		t.Fatalf("the repair did not go through a bisection round: receiver %+v, sender %+v", b.Stats(), a2.Stats())
 	}
 }

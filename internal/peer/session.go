@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/protocol"
 	"repro/internal/store"
-	"repro/internal/value"
 )
 
 // The stream session layer.
@@ -72,28 +71,18 @@ type inSession struct {
 	repairAsked  time.Time
 	advertWanted bool
 
-	// sup is the per-sender support ledger: the facts src currently
-	// maintains at this peer, keyed by relation id then tuple key. It
-	// mirrors what src's remote view believes this peer holds — including
-	// maintained facts in extensional relations — and is the set ranged
-	// repairs rewrite. trees keeps a Merkle summary tree per relation,
-	// maintained on every add/remove: its root is the O(1) digest a
+	// trees is the per-sender support ledger: the facts src currently
+	// maintains at this peer, as one Merkle summary tree of tuple keys per
+	// relation id. It mirrors what src's remote view believes this peer
+	// holds — including maintained facts in extensional relations — and is
+	// the set ranged repairs rewrite. A tree's root is the O(1) digest a
 	// DigestMsg advertisement is compared against, and its range reads
 	// answer the bisection dialogue in O(log n).
-	sup   map[string]map[string]value.Tuple
 	trees map[string]*store.MerkleTree
-	// intern, when set (peers with Config.Interner), canonicalizes ledger
-	// tuples so a replicated fact's support entry shares its backing with
-	// the stored relation tuple and every other peer's ledger.
-	intern *value.Interner
 }
 
 func newInSession(from string) *inSession {
-	return &inSession{
-		from:  from,
-		sup:   map[string]map[string]value.Tuple{},
-		trees: map[string]*store.MerkleTree{},
-	}
+	return &inSession{from: from, trees: map[string]*store.MerkleTree{}}
 }
 
 // accept runs the stream-acceptance state machine for one sequenced
@@ -156,23 +145,10 @@ func (s *inSession) stageAck() {
 	s.ackSeq = s.seq
 }
 
-// ledgerAdd records that the sender maintains (relID, t) here.
-func (s *inSession) ledgerAdd(relID string, t value.Tuple) {
-	m := s.sup[relID]
-	if m == nil {
-		m = map[string]value.Tuple{}
-		s.sup[relID] = m
-	}
-	key := t.Key()
-	if _, ok := m[key]; ok {
-		return
-	}
-	if s.intern != nil {
-		t, key = s.intern.Tuple(t)
-	} else {
-		t = t.Clone()
-	}
-	m[key] = t
+// ledgerAdd records that the sender maintains the tuple of relID whose
+// Tuple.Key is key here. The ledger keeps key itself: pass the one the store
+// keeps (Peer.keyOf), and the bytes are stored once.
+func (s *inSession) ledgerAdd(relID, key string) {
 	tr := s.trees[relID]
 	if tr == nil {
 		tr = store.NewMerkleTree()
@@ -181,22 +157,16 @@ func (s *inSession) ledgerAdd(relID string, t value.Tuple) {
 	tr.Add(key)
 }
 
-// ledgerRemove records that the sender no longer maintains (relID, t) here.
-func (s *inSession) ledgerRemove(relID string, t value.Tuple) {
-	m := s.sup[relID]
-	key := t.Key()
-	if _, ok := m[key]; !ok {
+// ledgerRemove records that the sender no longer maintains the tuple of
+// relID whose key is key here.
+func (s *inSession) ledgerRemove(relID, key string) {
+	tr := s.trees[relID]
+	if tr == nil || !tr.Has(key) {
 		return
 	}
-	delete(m, key)
-	if len(m) == 0 {
-		delete(s.sup, relID)
-	}
-	if tr := s.trees[relID]; tr != nil {
-		tr.Remove(key)
-		if tr.Len() == 0 {
-			delete(s.trees, relID)
-		}
+	tr.Remove(key)
+	if tr.Len() == 0 {
+		delete(s.trees, relID)
 	}
 }
 

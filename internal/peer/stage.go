@@ -44,8 +44,7 @@ func newStageDeltas() *stageDeltas {
 	}
 }
 
-func (d *stageDeltas) record(relID string, t value.Tuple, del bool) {
-	key := t.Key()
+func (d *stageDeltas) record(relID, key string, t value.Tuple, del bool) {
 	if del {
 		if m := d.ins[relID]; m[key] != nil {
 			delete(m, key) // inserted earlier this stage: net zero
@@ -61,8 +60,8 @@ func (d *stageDeltas) record(relID string, t value.Tuple, del bool) {
 	putTuple(d.ins, relID, key, t)
 }
 
-func (d *stageDeltas) addCand(relID string, t value.Tuple) {
-	putTuple(d.cand, relID, t.Key(), t)
+func (d *stageDeltas) addCand(relID, key string, t value.Tuple) {
+	putTuple(d.cand, relID, key, t)
 }
 
 // removeCand cancels a pending deletion candidate — a later operation in the
@@ -244,7 +243,7 @@ func (p *Peer) expireTransientsLocked(d *stageDeltas) {
 				continue
 			}
 			if rel.Contains(t) {
-				d.addCand(relID, t)
+				d.addCand(relID, key, t)
 			}
 		}
 	}
@@ -441,9 +440,13 @@ func (p *Peer) ingestDataLocked(from string, msg protocol.DataMsg, rep *StageRep
 		p.dropDelegationsLocked(from)
 	}
 	payload := msg.Msg
-	if adv, ok := payload.(protocol.DigestMsg); ok {
-		// A sequenced advert is current as of its own stream position,
-		// whatever was enqueued around it.
+	// A sequenced advert or range-digest reply is current as of its own
+	// stream position, whatever was enqueued around it.
+	switch adv := payload.(type) {
+	case protocol.DigestMsg:
+		adv.Epoch, adv.AsOfSeq = msg.Epoch, msg.Seq
+		payload = adv
+	case protocol.RangeDigestMsg:
 		adv.Epoch, adv.AsOfSeq = msg.Epoch, msg.Seq
 		payload = adv
 	}
@@ -713,20 +716,19 @@ func (p *Peer) compareRangesLocked(from, relID string, ranges []protocol.RangeDi
 
 // handleRangeDigestRequestLocked answers one bisection round as the stream's
 // sender: digest the requested ranges of the maintained view's summary tree
-// — O(log n) per range — and reply with the stream position the digests are
-// current as of (stages enqueue under p.mu, so position and tree are
-// mutually consistent, exactly as in digestFor).
+// — O(log n) per range — and reply inside the sequenced stream, like a
+// solicited advert: the digests are current as of the reply's own position
+// (stages enqueue under p.mu, so position and tree are mutually consistent),
+// and a receiver that lags a busy stream compares them exactly when it gets
+// there instead of dropping a reply stamped with a position it is not at.
 func (p *Peer) handleRangeDigestRequestLocked(from string, msg protocol.RangeDigestRequestMsg) {
 	if len(msg.Ranges) == 0 || len(msg.Ranges) > rangedMaxRanges {
 		return
 	}
 	tr := p.rv.Tree(from, msg.RelID)
-	epoch, nextSeq := p.outbox.streamState(from)
 	reply := protocol.RangeDigestMsg{
-		Epoch:   epoch,
-		AsOfSeq: nextSeq,
-		RelID:   msg.RelID,
-		Ranges:  make([]protocol.RangeDigest, 0, len(msg.Ranges)),
+		RelID:  msg.RelID,
+		Ranges: make([]protocol.RangeDigest, 0, len(msg.Ranges)),
 	}
 	for _, r := range msg.Ranges {
 		var d store.Digest
@@ -738,14 +740,14 @@ func (p *Peer) handleRangeDigestRequestLocked(from string, msg protocol.RangeDig
 	if b, err := protocol.EncodePayload(reply); err == nil {
 		p.stats.ResyncRangeDigestBytes += uint64(len(b))
 	}
-	p.outbox.EnqueueControl(from, reply)
+	p.outbox.EnqueueData(from, reply)
 }
 
 // handleRangeDigestLocked advances the bisection dialogue as the stream's
 // receiver. Like a full digest advert, the reply is only meaningful to a
-// session caught up to its stamped stream position — anything else is still
-// being decided by in-flight deltas and is dropped (the next advert
-// restarts the dialogue).
+// session caught up to its stamped stream position — a sequenced reply is
+// stamped with its own (ingestDataLocked); anything else is still being
+// decided by in-flight deltas and is dropped.
 func (p *Peer) handleRangeDigestLocked(from string, msg protocol.RangeDigestMsg) {
 	s := p.sessionLocked(from)
 	if !s.known || s.epoch != msg.Epoch || s.seq != msg.AsOfSeq || len(msg.Ranges) > rangedMaxRanges {
@@ -892,11 +894,14 @@ func (p *Peer) applyRangeRepairLocked(from string, msg protocol.RangeRepairMsg, 
 	var ops []ingestOp
 	if tr := sess.trees[msg.RelID]; tr != nil {
 		name, peerName := store.SplitID(msg.RelID)
-		sup := sess.sup[msg.RelID]
 		for _, r := range msg.Ranges {
 			keys, _ := tr.RangeKeys(r.Lo, r.Hi, 0)
 			for _, key := range keys {
-				if t, ok := sup[key]; ok && !covered[key] {
+				if covered[key] {
+					continue
+				}
+				// The ledger holds the keys it built itself: they decode.
+				if t, err := value.DecodeKey(key); err == nil {
 					ops = append(ops, ingestOp{del: true, maint: true, src: from,
 						fact: ast.Fact{Rel: name, Peer: peerName, Args: t}})
 				}
@@ -1034,7 +1039,8 @@ func (p *Peer) applyOpsLocked(ops []ingestOp, rep *StageReport, d *stageDeltas) 
 		// and one-shot inserts; only the maintained ones are ledgered.
 		for k := i; k < j; k++ {
 			if ops[k].maint {
-				p.sessionLocked(ops[k].src).ledgerAdd(rel.Schema().ID(), ops[k].fact.Args)
+				_, key := p.keyOf(ops[k].fact.Args)
+				p.sessionLocked(ops[k].src).ledgerAdd(rel.Schema().ID(), key)
 			}
 		}
 		var applied []value.Tuple
@@ -1049,7 +1055,7 @@ func (p *Peer) applyOpsLocked(ops []ingestOp, rep *StageReport, d *stageDeltas) 
 			p.stats.UpdatesApplied += uint64(len(applied))
 			relID := rel.Schema().ID()
 			for _, t := range applied {
-				d.record(relID, t, op.del)
+				d.record(relID, t.Key(), t, op.del)
 			}
 			if p.wal != nil {
 				if err := p.wal.LogMany(op.del, f.Rel, p.name, applied); err != nil {
@@ -1075,12 +1081,19 @@ func (p *Peer) applyOpsLocked(ops []ingestOp, rep *StageReport, d *stageDeltas) 
 // is updated whether or not the store membership changed.
 func (p *Peer) applyFactLocked(op ingestOp, rep *StageReport, d *stageDeltas) bool {
 	f := op.fact
+	// One key for the whole path: the ledgers and the store share its bytes.
+	var key string
+	if op.del {
+		key = f.Args.Key()
+	} else {
+		f.Args, key = p.keyOf(f.Args)
+	}
 	if op.maint {
 		sess := p.sessionLocked(op.src)
 		if op.del {
-			sess.ledgerRemove(f.Rel+"@"+p.name, f.Args)
+			sess.ledgerRemove(f.Rel+"@"+p.name, key)
 		} else {
-			sess.ledgerAdd(f.Rel+"@"+p.name, f.Args)
+			sess.ledgerAdd(f.Rel+"@"+p.name, key)
 		}
 	}
 	rel := p.db.Get(f.Rel, p.name)
@@ -1116,20 +1129,20 @@ func (p *Peer) applyFactLocked(op ingestOp, rep *StageReport, d *stageDeltas) bo
 				// supporter goes; a local derivation can still keep it. A
 				// transient seed from this very stage shields it until the
 				// normal expiry decides.
-				if rel.DropExternalSupport(f.Args, op.src) && rel.Contains(f.Args) &&
-					p.freshTransient[relID][f.Args.Key()] == nil {
-					d.addCand(relID, f.Args)
+				if rel.DropExternalSupport(key, op.src) && rel.Contains(f.Args) &&
+					p.freshTransient[relID][key] == nil {
+					d.addCand(relID, key, f.Args)
 					return true
 				}
 				return false
 			}
-			rel.AddExternalSupport(f.Args, op.src)
+			rel.AddExternalSupport(key, op.src)
 			// Re-supporting a tuple cancels a same-stage deletion candidate
 			// (a maintained insert/retract/insert run coalesced into one
 			// ingestion nets out to "supported").
-			cancelled := d.removeCand(relID, f.Args.Key())
-			if rel.Insert(f.Args) {
-				d.record(relID, f.Args, false)
+			cancelled := d.removeCand(relID, key)
+			if rel.InsertKeyed(f.Args, key) {
+				d.record(relID, key, f.Args, false)
 				rep.Seeds++
 				return true
 			}
@@ -1145,10 +1158,10 @@ func (p *Peer) applyFactLocked(op ingestOp, rep *StageReport, d *stageDeltas) bo
 		if p.freshTransient == nil {
 			p.freshTransient = map[string]map[string]value.Tuple{}
 		}
-		putTuple(p.freshTransient, relID, f.Args.Key(), f.Args)
-		cancelled := d.removeCand(relID, f.Args.Key())
-		if rel.Insert(f.Args) {
-			d.record(relID, f.Args, false)
+		putTuple(p.freshTransient, relID, key, f.Args)
+		cancelled := d.removeCand(relID, key)
+		if rel.InsertKeyed(f.Args, key) {
+			d.record(relID, key, f.Args, false)
 			rep.Seeds++
 			return true
 		}
@@ -1161,10 +1174,10 @@ func (p *Peer) applyFactLocked(op ingestOp, rep *StageReport, d *stageDeltas) bo
 	if op.del {
 		changed = rel.Delete(f.Args)
 	} else {
-		changed = rel.Insert(f.Args)
+		changed = rel.InsertKeyed(f.Args, key)
 	}
 	if changed {
-		d.record(relID, f.Args, op.del)
+		d.record(relID, key, f.Args, op.del)
 		rep.Applied++
 		p.stats.UpdatesApplied++
 		if p.wal != nil {

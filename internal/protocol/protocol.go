@@ -184,9 +184,11 @@ type RangeDigestRequestMsg struct {
 // digests of the requested ranges, valid as of stream position (Epoch,
 // AsOfSeq) exactly like a DigestMsg: a receiver that is not caught up to
 // that position must drop the reply (in-flight deltas are still deciding
-// the comparison). The receiver recurses on mismatching ranges — asking for
-// their subranges — and requests repair for mismatching ranges the sender
-// counts few members in or its own ledger holds nothing in.
+// the comparison). The sender sends it inside the sequenced stream, where
+// the position is the reply's own, so a receiver lagging a busy stream
+// compares it when it gets there. The receiver recurses on mismatching
+// ranges — asking for their subranges — and requests repair for mismatching
+// ranges the sender counts few members in or its own ledger holds nothing in.
 type RangeDigestMsg struct {
 	Epoch   uint64
 	AsOfSeq uint64

@@ -87,6 +87,20 @@ func childIndex(h uint64, depth int) int {
 	return int(h >> (64 - merkleBits*(depth+1)) & (merkleFanout - 1))
 }
 
+// Has reports whether key is a member.
+func (t *MerkleTree) Has(key string) bool {
+	h := KeyHash(key)
+	n, depth := &t.root, 0
+	for n.children != nil {
+		if n = n.children[childIndex(h, depth)]; n == nil {
+			return false
+		}
+		depth++
+	}
+	_, ok := n.keys[key]
+	return ok
+}
+
 // Add inserts key, reporting whether it was new.
 func (t *MerkleTree) Add(key string) bool {
 	h := KeyHash(key)

@@ -64,7 +64,11 @@ func TestMerkleTreeAgainstModel(t *testing.T) {
 
 	for step := 0; step < 4000; step++ {
 		key := fmt.Sprintf("k%d", rng.Intn(1200))
-		if _, in := model[key]; in && rng.Intn(3) == 0 {
+		_, in := model[key]
+		if tree.Has(key) != in {
+			t.Fatalf("step %d: Has(%s) = %v, model %v", step, key, !in, in)
+		}
+		if in && rng.Intn(3) == 0 {
 			if !tree.Remove(key) {
 				t.Fatalf("step %d: Remove(%s) of a present key returned false", step, key)
 			}

@@ -100,10 +100,10 @@ type Relation struct {
 	indexes map[ColMask]map[string][]value.Tuple
 	fp      uint64 // XOR of member-tuple hashes: content fingerprint
 
-	// extSup tracks which remote senders currently maintain each tuple
-	// (support.go). Deliberately untouched by Clear: support outlives a view
-	// rebuild.
-	extSup map[string]*extSupport
+	// extSup tracks which remote senders currently maintain each tuple, by
+	// tuple key (support.go). Deliberately untouched by Clear: support
+	// outlives a view rebuild.
+	extSup map[string][]string
 
 	// degraded remembers masks whose index was dropped as degenerate
 	// (degenerateBucket), mapped to the relation size at drop time, so it
@@ -188,18 +188,24 @@ func (r *Relation) Fingerprint() uint64 {
 // Insert adds t to the relation. It returns true if the tuple was new.
 // The tuple must match the relation's arity.
 func (r *Relation) Insert(t value.Tuple) bool {
+	return r.InsertKeyed(t, t.Key())
+}
+
+// InsertKeyed is Insert for a caller that already holds key == t.Key(). The
+// relation keeps key itself, so a caller that files the same key elsewhere
+// (the external support ledger) stores its bytes once.
+func (r *Relation) InsertKeyed(t value.Tuple, key string) bool {
 	if len(t) != r.schema.Arity() {
 		panic(fmt.Sprintf("store: arity mismatch inserting %d-tuple into %s(%d)",
 			len(t), r.schema.ID(), r.schema.Arity()))
 	}
-	key := t.Key()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.tuples[key]; dup {
 		return false
 	}
 	if r.intern != nil {
-		t, key = r.intern.Tuple(t)
+		t, key = r.intern.TupleKeyed(t, key)
 	} else {
 		t = t.Clone()
 	}

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"slices"
+
 	"repro/internal/value"
 )
 
@@ -15,78 +17,67 @@ import (
 // relation membership: Clear (a view rebuild) does not forget who supports
 // what, so a rebuild can re-seed exactly the externally supported tuples.
 
-// AddExternalSupport records that src currently derives t at a remote peer
-// and maintains it here. It does not insert t into the relation — membership
-// and support are separate ledgers. It returns true if this is a new
+// AddExternalSupport records that src currently derives the tuple whose
+// Tuple.Key is key at a remote peer and maintains it here. It does not
+// insert the tuple into the relation — membership and support are separate
+// ledgers — but keeps key itself, so a caller that inserts with the same key
+// (InsertKeyed) stores its bytes once. It returns true if this is a new
 // (tuple, src) support pair.
-func (r *Relation) AddExternalSupport(t value.Tuple, src string) bool {
-	key := t.Key()
+func (r *Relation) AddExternalSupport(key, src string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.extSup == nil {
-		r.extSup = make(map[string]*extSupport)
-	}
-	s := r.extSup[key]
-	if s == nil {
-		s = &extSupport{tuple: t.Clone(), srcs: make(map[string]struct{}, 1)}
-		r.extSup[key] = s
-	}
-	if _, dup := s.srcs[src]; dup {
+	srcs := r.extSup[key]
+	if slices.Contains(srcs, src) {
 		return false
 	}
-	s.srcs[src] = struct{}{}
+	if r.extSup == nil {
+		r.extSup = make(map[string][]string)
+	}
+	r.extSup[key] = append(srcs, src)
 	return true
 }
 
-// DropExternalSupport removes src's support for t. It returns true if the
-// support existed and the tuple is now externally unsupported — the signal
-// that the tuple became a deletion candidate (it may still have local rule
-// derivations; the evaluator decides).
-func (r *Relation) DropExternalSupport(t value.Tuple, src string) bool {
-	key := t.Key()
+// DropExternalSupport removes src's support for the tuple whose key is key.
+// It returns true if the support existed and the tuple is now externally
+// unsupported — the signal that the tuple became a deletion candidate (it may
+// still have local rule derivations; the evaluator decides).
+func (r *Relation) DropExternalSupport(key, src string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := r.extSup[key]
-	if s == nil {
+	srcs := r.extSup[key]
+	i := slices.Index(srcs, src)
+	if i < 0 {
 		return false
 	}
-	if _, ok := s.srcs[src]; !ok {
-		return false
-	}
-	delete(s.srcs, src)
-	if len(s.srcs) > 0 {
+	if len(srcs) > 1 {
+		r.extSup[key] = slices.Delete(srcs, i, i+1)
 		return false
 	}
 	delete(r.extSup, key)
 	return true
 }
 
-// HasExternalSupport reports whether any remote sender currently maintains t.
-func (r *Relation) HasExternalSupport(t value.Tuple) bool {
+// HasExternalSupport reports whether any remote sender currently maintains
+// the tuple whose key is key.
+func (r *Relation) HasExternalSupport(key string) bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	s := r.extSup[t.Key()]
-	return s != nil && len(s.srcs) > 0
+	return len(r.extSup[key]) > 0
 }
 
 // ExternallySupported returns all tuples with at least one external
 // supporter, sorted — the set a view rebuild must re-seed after clearing the
-// relation.
+// relation. The ledger holds keys only, so each tuple is decoded here: a
+// rebuild's cost, not every supported fact's memory.
 func (r *Relation) ExternallySupported() []value.Tuple {
 	r.mu.RLock()
 	out := make([]value.Tuple, 0, len(r.extSup))
-	for _, s := range r.extSup {
-		if len(s.srcs) > 0 {
-			out = append(out, s.tuple)
+	for key := range r.extSup {
+		if t, err := value.DecodeKey(key); err == nil { // keys are Tuple.Key encodings
+			out = append(out, t)
 		}
 	}
 	r.mu.RUnlock()
 	value.SortTuples(out)
 	return out
-}
-
-// extSupport is the per-tuple ledger of remote senders maintaining it.
-type extSupport struct {
-	tuple value.Tuple
-	srcs  map[string]struct{}
 }

@@ -102,10 +102,15 @@ func (in *Interner) Value(v Value) Value {
 // interner degrades to the non-shared equivalents: a private clone and a
 // fresh key.
 func (in *Interner) Tuple(t Tuple) (Tuple, string) {
+	return in.TupleKeyed(t, t.Key())
+}
+
+// TupleKeyed is Tuple for a caller that already holds key == t.Key(), so the
+// tuple is not encoded again.
+func (in *Interner) TupleKeyed(t Tuple, key string) (Tuple, string) {
 	if in == nil {
-		return t.Clone(), t.Key()
+		return t.Clone(), key
 	}
-	key := t.Key()
 	sh := &in.tuples[shardOf(key)]
 	sh.mu.Lock()
 	if it, ok := sh.m[key]; ok {
