@@ -235,7 +235,8 @@ func (e *Engine) deriveLocal(st *stageState, rel *store.Relation, relID string, 
 // deriveRemote is the kindEval terminal of a remote view rule: it adds the
 // head under the current bindings to the stage's RemoteView. The tuple key
 // is encoded once, into the walk's scratch buffer, and a fact the view
-// already maintains costs no allocation.
+// already maintains costs no allocation; a new one shares the key of an equal
+// tuple ingested this stage (incrState.storedKey).
 func (e *Engine) deriveRemote(x *execCtx, cr *CompiledRule) {
 	st := x.st
 	if st.rv == nil {
@@ -247,7 +248,7 @@ func (e *Engine) deriveRemote(x *execCtx, cr *CompiledRule) {
 	base := len(x.key)
 	x.key = appendHeadKey(x, x.key, h)
 	if key := x.key[base:]; !st.rv.maintained(dst, h.relID, key) {
-		st.rv.addMaint(dst, h.relID, string(key), h.tuple(x.env))
+		st.rv.addMaint(dst, h.relID, st.incr.storedKey(key), h.tuple(x.env))
 	}
 	x.key = x.key[:base]
 }

@@ -51,11 +51,24 @@ import (
 // already removed. Cand holds intensional deletion candidates — tuples whose
 // external support just vanished — which are still in the store: the
 // evaluator deletes them unless a local derivation (or a seed in Ins) keeps
-// them alive.
+// them alive. InsKeys, when set, holds the Tuple.Key of each Ins tuple, in
+// the same order: the key strings the store holds, which a remote view rule
+// deriving an equal tuple then shares instead of copying. Supported, when
+// set, reports whether a remote sender currently maintains the intensional
+// tuple of relID whose Tuple.Key is key here — an external support that
+// keeps an over-deleted tuple alive.
 type StageInput struct {
-	Ins  map[string][]value.Tuple // relID -> tuples inserted before the stage
-	Del  map[string][]value.Tuple // relID -> extensional tuples removed before the stage
-	Cand map[string][]value.Tuple // relID -> intensional tuples that lost external support
+	Ins       map[string][]value.Tuple // relID -> tuples inserted before the stage
+	InsKeys   map[string][]string      // relID -> the key of each Ins tuple
+	Del       map[string][]value.Tuple // relID -> extensional tuples removed before the stage
+	Cand      map[string][]value.Tuple // relID -> intensional tuples that lost external support
+	Supported func(relID, key string) bool
+}
+
+// supported reports whether a remote sender maintains the tuple (see
+// StageInput.Supported).
+func (in *StageInput) supported(relID, key string) bool {
+	return in != nil && in.Supported != nil && in.Supported(relID, key)
 }
 
 // Empty reports whether the input carries no deltas at all.
@@ -67,8 +80,10 @@ func (in *StageInput) Empty() bool {
 type incrState struct {
 	in *StageInput
 	// seeded marks the tuples of StageInput.Ins: externally present this
-	// stage, so rederivation keeps them regardless of rule support.
-	seeded map[string]map[string]bool
+	// stage, so rederivation keeps them regardless of rule support. Each key
+	// maps to itself, the string the store holds when StageInput.InsKeys
+	// gave it (storedKey).
+	seeded map[string]map[string]string
 	// ghosts holds every tuple deleted during this stage (base deletions and
 	// over-deletions), giving the deletion pass the pre-deletion database:
 	// non-delta join positions range over relation ∪ ghosts.
@@ -124,7 +139,24 @@ func (ic *incrState) mark(relID, key string, t value.Tuple) {
 }
 
 func (ic *incrState) isSeeded(relID, key string) bool {
-	return ic.seeded[relID][key]
+	_, ok := ic.seeded[relID][key]
+	return ok
+}
+
+// storedKey returns key as a string that shares the bytes of an equal key
+// ingested this stage when there is one — the key the store holds — so a
+// remote view rule that ships an ingested tuple as it is (a view over a base
+// relation, delegated to the base's peer) keeps no second copy of it. Else
+// it returns a fresh copy.
+func (ic *incrState) storedKey(key []byte) string {
+	if ic != nil {
+		for _, s := range ic.seeded {
+			if k, ok := s[string(key)]; ok {
+				return k
+			}
+		}
+	}
+	return string(key)
 }
 
 // ghostIndex is one mask's hash index over a ghost-set snapshot.
@@ -298,7 +330,7 @@ func (e *Engine) RunStageIncremental(prog *Program, in *StageInput, rv *RemoteVi
 	st.rv = rv
 	ic := &incrState{
 		in:       in,
-		seeded:   map[string]map[string]bool{},
+		seeded:   map[string]map[string]string{},
 		ghosts:   map[string]map[string]value.Tuple{},
 		marked:   map[string]map[string]value.Tuple{},
 		insNew:   map[string]map[string]value.Tuple{},
@@ -309,9 +341,15 @@ func (e *Engine) RunStageIncremental(prog *Program, in *StageInput, rv *RemoteVi
 	if in != nil {
 		for relID, ts := range in.Ins {
 			ic.stageIns[relID] = append(ic.stageIns[relID], ts...)
-			s := map[string]bool{}
-			for _, t := range ts {
-				s[t.Key()] = true
+			keys := in.InsKeys[relID]
+			s := make(map[string]string, len(ts))
+			for i, t := range ts {
+				if len(keys) == len(ts) {
+					s[keys[i]] = keys[i]
+				} else {
+					key := t.Key()
+					s[key] = key
+				}
 			}
 			ic.seeded[relID] = s
 		}
@@ -336,8 +374,8 @@ func (e *Engine) RunStageIncremental(prog *Program, in *StageInput, rv *RemoteVi
 			var unseeded map[string]bool
 			for _, t := range ts {
 				key := t.Key()
-				if s := ic.seeded[relID]; s[key] {
-					delete(s, key)
+				if ic.isSeeded(relID, key) {
+					delete(ic.seeded[relID], key)
 					if unseeded == nil {
 						unseeded = map[string]bool{}
 					}
@@ -537,7 +575,7 @@ func (e *Engine) rederive(prog *Program, st *stageState, marks []relTuple) {
 			}
 			name, peerName := store.SplitID(m.relID)
 			keep := ic.isSeeded(m.relID, m.key) ||
-				rel.HasExternalSupport(m.key) ||
+				ic.in.supported(m.relID, m.key) ||
 				e.rederivable(prog, st, name, peerName, m.tuple)
 			if keep {
 				rel.Insert(m.tuple)

@@ -306,6 +306,38 @@ func TestCandidateWithLocalDerivationSurvives(t *testing.T) {
 	}
 }
 
+// TestExternalSupportSurvivesOverDelete: a view tuple that loses its local
+// derivation stays while StageInput.Supported says a remote sender maintains
+// it, and goes once none does.
+func TestExternalSupportSurvivesOverDelete(t *testing.T) {
+	h := newIncrHarness(t,
+		[]string{"ext base(x)", "int v(x)"},
+		mustRules(t, `v@local($x) :- base@local($x);`))
+	one := value.Tuple{value.Int(1)}
+	h.step([]ast.Fact{ast.NewFact("base", "local", one...)}, nil)
+
+	var asked []string
+	h.db.Get("base", "local").Delete(one)
+	res := h.e.RunStageIncremental(h.prog, &StageInput{
+		Del: map[string][]value.Tuple{"base@local": {one}},
+		Supported: func(relID, key string) bool {
+			asked = append(asked, relID)
+			return relID == "v@local" && key == one.Key()
+		},
+	}, h.rv)
+	checkNoErrors(t, res)
+	if got := relContents(h.db, "v", "local"); len(got) != 1 || len(asked) != 1 {
+		t.Fatalf("v = %v after asking %v, want [(1)] kept by its external support", got, asked)
+	}
+
+	// The sender drops it: a candidate with no support left goes.
+	res = h.e.RunStageIncremental(h.prog, &StageInput{Cand: map[string][]value.Tuple{"v@local": {one}}}, h.rv)
+	checkNoErrors(t, res)
+	if got := relContents(h.db, "v", "local"); len(got) != 0 {
+		t.Errorf("v = %v, want empty once no sender maintains it", got)
+	}
+}
+
 // TestRestoredTupleReDeletedInLaterStratum: a tuple restored by an early
 // stratum's rederivation (against then-stale later-stratum support) must
 // still be deletable when the later stratum over-deletes that support — the

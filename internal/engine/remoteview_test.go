@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ast"
 	"repro/internal/store"
@@ -150,6 +151,41 @@ func TestClassifyRemoteViewRules(t *testing.T) {
 		}
 		if got := strings.Contains(e.Explain(prog), ", remote view): "); got != c.remote {
 			t.Errorf("at %s, Explain(%s) shows remote view: %v, want %v", c.local, c.rule, got, c.remote)
+		}
+	}
+}
+
+// TestRemoteViewSharesIngestedKey: a remote view rule that ships an ingested
+// tuple as it is keeps the key string StageInput.InsKeys gave for it — the
+// store's — not a copy; without InsKeys it keeps a copy.
+func TestRemoteViewSharesIngestedKey(t *testing.T) {
+	for _, given := range []bool{true, false} {
+		db := store.New()
+		rate, err := db.Declare(store.Schema{Name: "rate", Peer: "sigmod", Kind: ast.Extensional, Cols: []string{"id", "stars"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := New("sigmod", db, DefaultOptions())
+		prog, err := e.CompileProgram(mustRules(t, `hubRatings@jules($i, $s) :- rate@sigmod($i, $s);`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rv := NewRemoteView()
+		e.RunStageFull(prog, nil, rv)
+		row := value.Tuple{value.Int(7), value.Int(5)}
+		key := row.Key()
+		rate.InsertKeyed(row, key)
+		in := &StageInput{Ins: map[string][]value.Tuple{"rate@sigmod": {row}}}
+		if given {
+			in.InsKeys = map[string][]string{"rate@sigmod": {key}}
+		}
+		e.RunStageIncremental(prog, in, rv)
+		held, _ := rv.Tree("jules", "hubRatings@jules").RangeKeys(0, ^uint64(0), 0)
+		if len(held) != 1 || held[0] != key {
+			t.Fatalf("given=%v: view holds %q, want [%q]", given, held, key)
+		}
+		if shared := unsafe.StringData(held[0]) == unsafe.StringData(key); shared != given {
+			t.Errorf("given=%v: view's key shares the ingested key's bytes: %v", given, shared)
 		}
 	}
 }

@@ -1,0 +1,125 @@
+package peer
+
+import (
+	"context"
+	"errors"
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/ast"
+	"repro/internal/engine"
+	"repro/internal/errdefs"
+	"repro/internal/store"
+	"repro/internal/value"
+)
+
+// openDurable starts peer alice over the WAL directory dir.
+func openDurable(t *testing.T, dir string) (*Peer, *Network, error) {
+	t.Helper()
+	w, err := store.OpenWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := NewNetwork()
+	p, err := New(Config{Name: "alice", WAL: w}, n.Bus().Endpoint("alice"))
+	if err != nil {
+		w.Close()
+		return nil, nil, err
+	}
+	n.Add(p)
+	return p, n, nil
+}
+
+// TestPeerRestartKeepsPictureBitExact: a durable peer holding a Wepic
+// picture whose blob has every byte value, next to NaN, ±Inf, −0.0 and
+// empty values, comes back from a restart with the same canonical key.
+func TestPeerRestartKeepsPictureBitExact(t *testing.T) {
+	blob := make([]byte, 256)
+	for i := range blob {
+		blob[i] = byte(i)
+	}
+	pic := ast.NewFact("pictures", "alice", value.Int(1), value.Str("sea.jpg"), value.Blob(blob),
+		value.Float(math.NaN()), value.Float(math.Inf(1)), value.Float(math.Inf(-1)),
+		value.Float(math.Copysign(0, -1)), value.Str(""), value.Blob(nil))
+	dir := t.TempDir()
+	p, n, err := openDurable(t, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.DeclareRelation("pictures", ast.Extensional, "id", "name", "data", "nan", "inf", "ninf", "negzero", "empty", "nothing"); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Apply(context.Background(), engine.NewBatch().Insert(pic)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := n.RunToQuiescence(context.Background(), 50); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p, _, err = openDurable(t, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	got := p.Query("pictures")
+	if len(got) != 1 || got[0].Key() != pic.Args.Key() {
+		t.Fatalf("recovered %v, want the picture bit for bit", got)
+	}
+}
+
+// TestPeerRefusesOldFormatLogs: a durable peer over the previous version's
+// JSON-lines logs, or over an outbox log whose entry holds a payload in the
+// previous (gob) encoding, does not start, with ErrWAL saying to drain or
+// remove the log.
+func TestPeerRefusesOldFormatLogs(t *testing.T) {
+	gobPayload, err := os.ReadFile(filepath.Join("..", "protocol", "testdata", "gob_payload.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	setups := map[string]func(t *testing.T, dir string){
+		"json wal": func(t *testing.T, dir string) { copyFixture(t, dir, "wal.log") },
+		"json outbox log": func(t *testing.T, dir string) {
+			copyFixture(t, dir, "outbox.log")
+		},
+		"gob outbox entry": func(t *testing.T, dir string) {
+			l, err := store.OpenOutboxLog(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l.LogEpoch(3)
+			l.LogEnqueue("bob", 1, gobPayload)
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for name, setup := range setups {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			setup(t, dir)
+			p, _, err := openDurable(t, dir)
+			if err == nil {
+				p.Close()
+			}
+			if !errors.Is(err, errdefs.ErrWAL) || !strings.Contains(err.Error(), "drain") || !strings.Contains(err.Error(), "remove it") {
+				t.Fatalf("err = %v, want ErrWAL saying to drain or remove the log", err)
+			}
+		})
+	}
+}
+
+func copyFixture(t *testing.T, dir, name string) {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("..", "store", "testdata", "jsonera", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}

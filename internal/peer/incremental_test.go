@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ast"
 	"repro/internal/engine"
@@ -327,6 +328,80 @@ func TestRemoteRetractionSparesLocalDerivation(t *testing.T) {
 	quiesce(t, n)
 	if got := tuples(jules, "mirror"); len(got) != 0 {
 		t.Errorf("mirror = %v, want empty", got)
+	}
+}
+
+// TestTwoSendersSupportOneFact: a view tuple maintained by two senders
+// survives the first one's retraction — also across a view rebuild, which
+// re-seeds it from the senders' ledgers — and goes with the second one's.
+func TestTwoSendersSupportOneFact(t *testing.T) {
+	n, ps := newTestNetwork(t, "jules", "emilien", "sigmod")
+	jules := ps["jules"]
+	for _, name := range []string{"emilien", "sigmod"} {
+		if err := ps[name].LoadSource(fmt.Sprintf(`
+			relation extensional src@%[1]s(x);
+			src@%[1]s("v");
+			mirror@jules($x) :- src@%[1]s($x);
+		`, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jules.LoadSource(`relation intensional mirror@jules(x);`); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, n)
+	if got := tuples(jules, "mirror"); len(got) != 1 {
+		t.Fatalf("mirror = %v, want [(v)]", got)
+	}
+	if err := ps["emilien"].DeleteString(`src@emilien("v");`); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, n)
+	if got := tuples(jules, "mirror"); len(got) != 1 {
+		t.Fatalf("mirror after one sender's retraction = %v, want [(v)]", got)
+	}
+	// A program change rebuilds jules' views from scratch.
+	if err := jules.LoadSource(`relation extensional other@jules(x);`); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, n)
+	if got := tuples(jules, "mirror"); len(got) != 1 {
+		t.Fatalf("mirror after a rebuild = %v, want [(v)] re-seeded from sigmod's ledger", got)
+	}
+	if err := ps["sigmod"].DeleteString(`src@sigmod("v");`); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, n)
+	if got := tuples(jules, "mirror"); len(got) != 0 {
+		t.Errorf("mirror = %v, want empty once neither sender maintains it", got)
+	}
+}
+
+// TestDelegatedViewSharesStoredKey: a view rule that ships a base fact as it
+// is keeps one copy of the fact's key at the sender — the remote view's key
+// is the store's, whose string values are substrings of it.
+func TestDelegatedViewSharesStoredKey(t *testing.T) {
+	n, ps := newTestNetwork(t, "jules", "emilien")
+	emilien := ps["emilien"]
+	if err := emilien.LoadSource(`
+		relation extensional src@emilien(x);
+		mirror@jules($x) :- src@emilien($x);
+	`); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, n)
+	if err := emilien.InsertString(`src@emilien("a picture's worth of bytes");`); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, n)
+	stored := emilien.Store().Get("src", "emilien").Tuples()[0][0].StringVal()
+	held, _ := emilien.rv.Tree("jules", "mirror@jules").RangeKeys(fullRange.Lo, fullRange.Hi, 0)
+	if len(held) != 1 {
+		t.Fatalf("remote view holds %q, want one fact", held)
+	}
+	// The key is the value's kind byte and 8-byte length, then its bytes.
+	if unsafe.Add(unsafe.Pointer(unsafe.StringData(held[0])), 9) != unsafe.Pointer(unsafe.StringData(stored)) {
+		t.Errorf("the remote view's key is a copy of the stored one")
 	}
 }
 

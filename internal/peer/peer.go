@@ -292,6 +292,9 @@ type Peer struct {
 	// per-sender support ledger and digests, resync rate limiters. See
 	// session.go.
 	inbound map[string]*inSession
+	// supported is supportedLocked, bound once for every stage's
+	// engine.StageInput (a method value allocates each time it is taken).
+	supported func(relID, key string) bool
 	// rv is the maintained remote view — the sender half's content ledger:
 	// every fact this peer's program currently derives at each destination,
 	// with per-relation digests. The engine diffs each stage's emissions
@@ -365,6 +368,7 @@ func New(cfg Config, ep transport.Endpoint) (*Peer, error) {
 		subs:          make(map[int]*subscription),
 		needRebuild:   true,
 	}
+	p.supported = p.supportedLocked
 	p.intern = cfg.Interner
 	if cfg.Interner != nil {
 		p.rv.SetInterner(cfg.Interner)
@@ -479,7 +483,8 @@ func (p *Peer) openOutboxLog(dir string) error {
 			msg, err := protocol.DecodePayload(e.Payload)
 			if err != nil {
 				l.Close()
-				return fmt.Errorf("recovering outbox entry %d for %s: %w", e.Seq, dst, err)
+				return fmt.Errorf("%w: recovering outbox entry %d for %s (written by an older version?): %w; "+
+					"drain the outbox log with the version that wrote it, or remove it", errdefs.ErrWAL, e.Seq, dst, err)
 			}
 			entries = append(entries, outEntry{seq: e.Seq, msg: msg})
 		}
@@ -503,9 +508,23 @@ func (p *Peer) sessionLocked(from string) *inSession {
 	return s
 }
 
+// supportedLocked reports whether some sender currently maintains the tuple
+// of relID whose Tuple.Key is key at this peer: whether it is in one of the
+// inbound sessions' ledgers. That is the tuple's external support, which
+// keeps an intensional tuple alive when its local derivations go. Caller
+// holds p.mu.
+func (p *Peer) supportedLocked(relID, key string) bool {
+	for _, s := range p.inbound {
+		if s.ledgerHas(relID, key) {
+			return true
+		}
+	}
+	return false
+}
+
 // keyOf returns t's canonical form and key, through the peer's interner
-// when it has one: what ingestion files in the store, the support ledger and
-// the session ledger, so one fact's key bytes are stored once.
+// when it has one: what ingestion files in the store and the session ledger,
+// so one fact's key bytes are stored once.
 func (p *Peer) keyOf(t value.Tuple) (value.Tuple, string) {
 	if p.intern != nil {
 		return p.intern.Tuple(t)

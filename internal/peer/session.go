@@ -158,16 +158,35 @@ func (s *inSession) ledgerAdd(relID, key string) {
 }
 
 // ledgerRemove records that the sender no longer maintains the tuple of
-// relID whose key is key here.
-func (s *inSession) ledgerRemove(relID, key string) {
+// relID whose key is key here, reporting whether it did until now.
+func (s *inSession) ledgerRemove(relID, key string) bool {
 	tr := s.trees[relID]
 	if tr == nil || !tr.Has(key) {
-		return
+		return false
 	}
 	tr.Remove(key)
 	if tr.Len() == 0 {
 		delete(s.trees, relID)
 	}
+	return true
+}
+
+// ledgerHas reports whether the sender maintains the tuple of relID whose
+// key is key here.
+func (s *inSession) ledgerHas(relID, key string) bool {
+	tr := s.trees[relID]
+	return tr != nil && tr.Has(key)
+}
+
+// ledgerKeys returns the keys of every tuple of relID the sender maintains
+// here, in canonical order.
+func (s *inSession) ledgerKeys(relID string) []string {
+	tr := s.trees[relID]
+	if tr == nil {
+		return nil
+	}
+	keys, _ := tr.RangeKeys(fullRange.Lo, fullRange.Hi, 0)
+	return keys
 }
 
 // ledgerDigest returns the digest of one relation's ledger — a tree root

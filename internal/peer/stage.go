@@ -86,14 +86,17 @@ func putTuple(m map[string]map[string]value.Tuple, relID, key string, t value.Tu
 // engineInput converts the collected deltas into the engine's stage input.
 func (d *stageDeltas) engineInput() *engine.StageInput {
 	in := &engine.StageInput{
-		Ins:  map[string][]value.Tuple{},
-		Del:  map[string][]value.Tuple{},
-		Cand: map[string][]value.Tuple{},
+		Ins:     map[string][]value.Tuple{},
+		InsKeys: map[string][]string{},
+		Del:     map[string][]value.Tuple{},
+		Cand:    map[string][]value.Tuple{},
 	}
 	for relID, m := range d.ins {
-		for _, t := range m {
-			in.Ins[relID] = append(in.Ins[relID], t)
+		ts, keys := make([]value.Tuple, 0, len(m)), make([]string, 0, len(m))
+		for key, t := range m {
+			ts, keys = append(ts, t), append(keys, key)
 		}
+		in.Ins[relID], in.InsKeys[relID] = ts, keys
 	}
 	for relID, m := range d.del {
 		for _, t := range m {
@@ -182,7 +185,9 @@ func (p *Peer) runStageLocked() *StageReport {
 	var res *engine.Result
 	if p.prog != nil && p.prog.Incremental && !p.needRebuild {
 		p.expireTransientsLocked(d)
-		res = p.eng.RunStageIncremental(p.prog, d.engineInput(), p.rv)
+		in := d.engineInput()
+		in.Supported = p.supported
+		res = p.eng.RunStageIncremental(p.prog, in, p.rv)
 	} else {
 		res = p.eng.RunStageFull(p.prog, p.rebuildSeedsLocked(), p.rv)
 	}
@@ -251,17 +256,28 @@ func (p *Peer) expireTransientsLocked(d *stageDeltas) {
 }
 
 // rebuildSeedsLocked returns the facts a from-scratch recomputation must
-// re-insert after clearing the views: tuples maintained by remote senders
-// and transient seeds that arrived for this stage.
+// re-insert after clearing the views: tuples maintained by remote senders —
+// the keys of the senders' session ledgers, decoded — and transient seeds
+// that arrived for this stage.
 func (p *Peer) rebuildSeedsLocked() map[string][]value.Tuple {
 	seeds := map[string][]value.Tuple{}
 	for _, rel := range p.db.RelationsOf(p.name) {
 		if rel.Kind() != ast.Intensional {
 			continue
 		}
-		if ts := rel.ExternallySupported(); len(ts) > 0 {
-			relID := rel.Schema().ID()
-			seeds[relID] = append(seeds[relID], ts...)
+		relID := rel.Schema().ID()
+		seen := map[string]bool{}
+		for _, s := range p.inbound {
+			for _, key := range s.ledgerKeys(relID) {
+				if seen[key] {
+					continue
+				}
+				seen[key] = true
+				// The ledger holds the keys it built itself: they decode.
+				if t, err := value.DecodeKey(key); err == nil {
+					seeds[relID] = append(seeds[relID], t)
+				}
+			}
 		}
 	}
 	for relID, marks := range p.freshTransient {
@@ -632,7 +648,7 @@ func (p *Peer) restartStreamLocked(dst string, reset func(string, ...protocol.Pa
 // divergence broad enough to blow past it is cheaper re-shipped than
 // bisected further. repairChunkOps bounds the facts of one served repair
 // message, whatever the request: a wide range ships as a run of messages
-// over contiguous hash sub-ranges instead of one unbounded gob message.
+// over contiguous hash sub-ranges instead of one unbounded message.
 const (
 	rangedRepairLeaf   = 128
 	rangedBisectFanout = 16
@@ -1081,17 +1097,18 @@ func (p *Peer) applyOpsLocked(ops []ingestOp, rep *StageReport, d *stageDeltas) 
 // is updated whether or not the store membership changed.
 func (p *Peer) applyFactLocked(op ingestOp, rep *StageReport, d *stageDeltas) bool {
 	f := op.fact
-	// One key for the whole path: the ledgers and the store share its bytes.
+	// One key for the whole path: the ledger and the store share its bytes.
 	var key string
 	if op.del {
 		key = f.Args.Key()
 	} else {
 		f.Args, key = p.keyOf(f.Args)
 	}
+	dropped := false // op.src maintained the fact until this delete
 	if op.maint {
 		sess := p.sessionLocked(op.src)
 		if op.del {
-			sess.ledgerRemove(f.Rel+"@"+p.name, key)
+			dropped = sess.ledgerRemove(f.Rel+"@"+p.name, key)
 		} else {
 			sess.ledgerAdd(f.Rel+"@"+p.name, key)
 		}
@@ -1124,19 +1141,18 @@ func (p *Peer) applyFactLocked(op ingestOp, rep *StageReport, d *stageDeltas) bo
 	if rel.Kind() == ast.Intensional {
 		if op.maint {
 			if op.del {
-				// The sender no longer derives the fact: drop its support.
-				// The tuple becomes a deletion candidate only when the last
-				// supporter goes; a local derivation can still keep it. A
+				// The sender no longer derives the fact (its ledger entry went
+				// above). The tuple becomes a deletion candidate only when the
+				// last supporter goes; a local derivation can still keep it. A
 				// transient seed from this very stage shields it until the
 				// normal expiry decides.
-				if rel.DropExternalSupport(key, op.src) && rel.Contains(f.Args) &&
+				if dropped && !p.supportedLocked(relID, key) && rel.Contains(f.Args) &&
 					p.freshTransient[relID][key] == nil {
 					d.addCand(relID, key, f.Args)
 					return true
 				}
 				return false
 			}
-			rel.AddExternalSupport(key, op.src)
 			// Re-supporting a tuple cancels a same-stage deletion candidate
 			// (a maintained insert/retract/insert run coalesced into one
 			// ingestion nets out to "supported").

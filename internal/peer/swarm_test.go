@@ -178,7 +178,7 @@ func TestSwarmInterning(t *testing.T) {
 	}
 	feedTuple := func(follower int, author string) (found value.Tuple) {
 		s.peers[follower].Store().Get("feed", swarmName(follower)).Iterate(func(tup value.Tuple) bool {
-			if tup[0].S == author && (found == nil || tup.Key() < found.Key()) {
+			if tup[0].StringVal() == author && (found == nil || tup.Key() < found.Key()) {
 				found = tup
 			}
 			return true

@@ -1,11 +1,10 @@
 // Package protocol defines the messages WebdamLog peers exchange at the end
 // of each computation stage (paper §2: "the peer sends facts (updates) and
-// rules (delegations) to other peers"), and their gob-based wire codec.
+// rules (delegations) to other peers"), and their binary wire codec
+// (codec.go), which also encodes the payloads a durable outbox persists.
 package protocol
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"repro/internal/ast"
@@ -273,59 +272,4 @@ type Envelope struct {
 // String renders the envelope for logs.
 func (e Envelope) String() string {
 	return fmt.Sprintf("%s->%s #%d %T", e.From, e.To, e.Seq, e.Msg)
-}
-
-func init() {
-	gob.Register(FactsMsg{})
-	gob.Register(DelegationMsg{})
-	gob.Register(ControlMsg{})
-	gob.Register(DataMsg{})
-	gob.Register(AckMsg{})
-	gob.Register(DigestMsg{})
-	gob.Register(ResyncRequestMsg{})
-	gob.Register(RangeDigestRequestMsg{})
-	gob.Register(RangeDigestMsg{})
-	gob.Register(RangeRepairRequestMsg{})
-	gob.Register(RangeRepairMsg{})
-}
-
-// Encode serializes an envelope with gob.
-func Encode(env Envelope) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
-		return nil, fmt.Errorf("protocol: encoding envelope: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeEnvelope deserializes an envelope produced by Encode.
-func DecodeEnvelope(b []byte) (Envelope, error) {
-	var env Envelope
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&env); err != nil {
-		return Envelope{}, fmt.Errorf("protocol: decoding envelope: %w", err)
-	}
-	return env, nil
-}
-
-// payloadBox adapts a bare Payload to gob's interface encoding.
-type payloadBox struct {
-	Msg Payload
-}
-
-// EncodePayload serializes a bare payload (outbox persistence).
-func EncodePayload(p Payload) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&payloadBox{Msg: p}); err != nil {
-		return nil, fmt.Errorf("protocol: encoding payload: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodePayload deserializes a payload produced by EncodePayload.
-func DecodePayload(b []byte) (Payload, error) {
-	var box payloadBox
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&box); err != nil {
-		return nil, fmt.Errorf("protocol: decoding payload: %w", err)
-	}
-	return box.Msg, nil
 }

@@ -1,6 +1,10 @@
 package store
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"strings"
+)
 
 // Merkle summary trees over the canonical tuple-key order.
 //
@@ -12,7 +16,8 @@ import "sort"
 // same position in the 64-bit hash line without coordinating.
 //
 // Structure: a fanout-16 trie over the leading bits of each member's key
-// hash. Leaf pages hold up to merkleLeafMax (~128) keys; a page that
+// hash. Leaf pages hold up to merkleLeafMax (~128) keys, sorted in canonical
+// (hash, key) order — a slice costs a third of a map per member; a page that
 // overflows splits into sixteen children on the next 4 hash bits, and a
 // subtree that drains below merkleLeafMin collapses back into one page
 // (hysteresis, so a set oscillating around the threshold does not thrash).
@@ -53,25 +58,40 @@ const (
 )
 
 // MerkleTree is an incrementally maintained summary tree over a keyed set.
-// The zero value is not usable; call NewMerkleTree.
 type MerkleTree struct {
 	root merkleNode
 }
 
-// merkleNode is one trie node: a leaf page (children nil, keys set) or an
-// internal node (children set, keys nil). hash/count summarize the whole
-// subtree in both cases.
+// merkleNode is one trie node: a leaf page (children nil) or an internal
+// node (children set, keys nil). hash/count summarize the whole subtree in
+// both cases.
 type merkleNode struct {
 	hash     uint64
 	count    int
 	children *[merkleFanout]*merkleNode
-	keys     map[string]uint64 // key -> KeyHash(key)
+	keys     []rangeKey // a leaf's members, in canonical (hash, key) order
+}
+
+// rangeKey is one member: its key and KeyHash(key).
+type rangeKey struct {
+	hash uint64
+	key  string
+}
+
+func compareRangeKeys(a, b rangeKey) int {
+	if c := cmp.Compare(a.hash, b.hash); c != 0 {
+		return c
+	}
+	return strings.Compare(a.key, b.key)
+}
+
+// find returns where the member (h, key) is, or would go, in a leaf page.
+func (n *merkleNode) find(h uint64, key string) (int, bool) {
+	return slices.BinarySearchFunc(n.keys, rangeKey{h, key}, compareRangeKeys)
 }
 
 // NewMerkleTree returns an empty tree.
-func NewMerkleTree() *MerkleTree {
-	return &MerkleTree{root: merkleNode{keys: map[string]uint64{}}}
-}
+func NewMerkleTree() *MerkleTree { return &MerkleTree{} }
 
 // Root returns the digest of the whole set: O(1), and identical to folding
 // every member into a flat Digest.
@@ -97,7 +117,7 @@ func (t *MerkleTree) Has(key string) bool {
 		}
 		depth++
 	}
-	_, ok := n.keys[key]
+	_, ok := n.find(h, key)
 	return ok
 }
 
@@ -113,10 +133,19 @@ func (t *MerkleTree) Add(key string) bool {
 		n = n.child(childIndex(h, depth))
 		depth++
 	}
-	if _, dup := n.keys[key]; dup {
+	i, dup := n.find(h, key)
+	if dup {
 		return false
 	}
-	n.keys[key] = h
+	if len(n.keys) == cap(n.keys) {
+		// Grow a full page by a quarter, not the doubling append would do:
+		// pages are many and long-lived, so their spare room is memory held
+		// per member.
+		grown := make([]rangeKey, len(n.keys), len(n.keys)+len(n.keys)/4+1)
+		copy(grown, n.keys)
+		n.keys = grown
+	}
+	n.keys = slices.Insert(n.keys, i, rangeKey{h, key})
 	n.hash ^= h
 	n.count++
 	for i := 0; i < steps; i++ {
@@ -143,13 +172,14 @@ func (t *MerkleTree) Remove(key string) bool {
 		n = n.child(childIndex(h, depth))
 		depth++
 	}
-	if _, ok := n.keys[key]; !ok {
+	i, ok := n.find(h, key)
+	if !ok {
 		if DebugAsserts {
 			panic("store: MerkleTree.Remove of a key never added: " + key)
 		}
 		return false
 	}
-	delete(n.keys, key)
+	n.keys = slices.Delete(n.keys, i, i+1)
 	n.hash ^= h
 	n.count--
 	for i := 0; i < steps; i++ {
@@ -171,22 +201,33 @@ func (t *MerkleTree) Remove(key string) bool {
 func (n *merkleNode) child(i int) *merkleNode {
 	c := n.children[i]
 	if c == nil {
-		c = &merkleNode{keys: map[string]uint64{}}
+		c = &merkleNode{}
 		n.children[i] = c
 	}
 	return c
 }
 
 // split turns an overflowing leaf page at the given depth into an internal
-// node, redistributing its keys on the next merkleBits hash bits.
+// node, redistributing its keys on the next merkleBits hash bits. The page is
+// walked in order, so every child's page is sorted too; each is allocated at
+// the size it starts with.
 func (n *merkleNode) split(depth int) {
 	keys := n.keys
 	n.keys = nil
 	n.children = new([merkleFanout]*merkleNode)
-	for key, h := range keys {
-		c := n.child(childIndex(h, depth))
-		c.keys[key] = h
-		c.hash ^= h
+	var sizes [merkleFanout]int
+	for _, rk := range keys {
+		sizes[childIndex(rk.hash, depth)]++
+	}
+	for i, size := range sizes {
+		if size > 0 {
+			n.children[i] = &merkleNode{keys: make([]rangeKey, 0, size)}
+		}
+	}
+	for _, rk := range keys {
+		c := n.child(childIndex(rk.hash, depth))
+		c.keys = append(c.keys, rk)
+		c.hash ^= rk.hash
 		c.count++
 	}
 }
@@ -196,25 +237,22 @@ func (n *merkleNode) collapse() {
 	if n.children == nil {
 		return
 	}
-	keys := make(map[string]uint64, n.count)
-	n.gather(keys)
+	n.keys = n.gather(make([]rangeKey, 0, n.count))
 	n.children = nil
-	n.keys = keys
 }
 
-// gather collects every (key, hash) below n.
-func (n *merkleNode) gather(into map[string]uint64) {
+// gather appends every member below n to into, in canonical order: children
+// cover ascending hash prefixes.
+func (n *merkleNode) gather(into []rangeKey) []rangeKey {
 	if n.children == nil {
-		for key, h := range n.keys {
-			into[key] = h
-		}
-		return
+		return append(into, n.keys...)
 	}
 	for _, c := range n.children {
 		if c != nil {
-			c.gather(into)
+			into = c.gather(into)
 		}
 	}
+	return into
 }
 
 // RangeDigest returns the digest of the members whose key hash falls in the
@@ -250,9 +288,9 @@ func (n *merkleNode) rangeDigest(prefix uint64, depth int, lo, hi uint64, d *Dig
 		return
 	}
 	if n.children == nil {
-		for _, h := range n.keys {
-			if lo <= h && h <= hi {
-				d.Hash ^= h
+		for _, rk := range n.keys {
+			if lo <= rk.hash && rk.hash <= hi {
+				d.Hash ^= rk.hash
 				d.Count++
 			}
 		}
@@ -289,14 +327,9 @@ type rangeWalk struct {
 	end    uint64
 }
 
-type rangeKey struct {
-	hash uint64
-	key  string
-}
-
 // rangeKeys appends the subtree's members in [w.lo, w.hi] in canonical
-// order — children cover ascending hash prefixes, so only leaf pages need
-// sorting — and reports whether the walk was cut at w.max.
+// order — children cover ascending hash prefixes and leaf pages are sorted —
+// and reports whether the walk was cut at w.max.
 func (n *merkleNode) rangeKeys(prefix uint64, depth int, w *rangeWalk) bool {
 	nLo, nHi := nodeSpan(prefix, depth)
 	if nHi < w.lo || nLo > w.hi || n.count == 0 {
@@ -310,19 +343,10 @@ func (n *merkleNode) rangeKeys(prefix uint64, depth int, w *rangeWalk) bool {
 		}
 		return false
 	}
-	page := make([]rangeKey, 0, len(n.keys))
-	for key, h := range n.keys {
-		if w.lo <= h && h <= w.hi {
-			page = append(page, rangeKey{hash: h, key: key})
+	for _, rk := range n.keys {
+		if rk.hash < w.lo || rk.hash > w.hi {
+			continue
 		}
-	}
-	sort.Slice(page, func(i, j int) bool {
-		if page[i].hash != page[j].hash {
-			return page[i].hash < page[j].hash
-		}
-		return page[i].key < page[j].key
-	})
-	for _, rk := range page {
 		if w.max > 0 && len(w.keys) >= w.max && rk.hash != w.last {
 			w.end = w.last
 			return true

@@ -1,14 +1,13 @@
 package store
 
 import (
-	"bufio"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"repro/internal/errdefs"
+	"repro/internal/value"
 )
 
 // OutboxLog persists a peer's delivery state alongside its WAL: outgoing
@@ -20,30 +19,50 @@ import (
 // restarts, with replays suppressed.
 //
 // The log lives in its own append-only file (outbox.log) in the WAL
-// directory, with its own compaction: acknowledged entries make the log
-// garbage-heavy over time, so Compact rewrites it to just the live state.
-// Payloads are opaque bytes (the peer encodes them with protocol's codec),
-// keeping this package free of protocol types.
+// directory, in the record format of logfile.go, with its own compaction:
+// acknowledged entries make the log garbage-heavy over time, so Compact
+// rewrites it to just the live state. Payloads are opaque bytes (the peer
+// encodes them with protocol's codec), keeping this package free of
+// protocol types.
 type OutboxLog struct {
 	dir string
-
-	mu      sync.Mutex
-	f       *os.File
-	w       *bufio.Writer
-	records int  // appended since open/compaction
-	dirty   bool // appended since the last Sync
-	closed  bool
+	log *logFile
 }
 
 const outboxLogName = "outbox.log"
 
-// outboxRecord is one log line.
+// Outbox log record ops.
+const (
+	obEnqueue byte = iota + 1 // Peer, Seq, Payload
+	obAck                     // Peer, Seq
+	obApplied                 // Peer, Epoch, Seq
+	obEpoch                   // Epoch
+	obReset                   // Peer, Epoch
+)
+
+// outboxRecord is one log record: every field is written, the op says which
+// ones mean something.
 type outboxRecord struct {
-	Op      string `json:"op"` // "enq", "ack", "app", "epoch", "reset"
-	Peer    string `json:"peer,omitempty"`
-	Epoch   uint64 `json:"epoch,omitempty"`
-	Seq     uint64 `json:"seq"`
-	Payload []byte `json:"payload,omitempty"`
+	Op      byte
+	Peer    string
+	Epoch   uint64
+	Seq     uint64
+	Payload []byte
+}
+
+func (rec *outboxRecord) append(dst []byte) []byte {
+	dst = value.AppendString(append(dst, rec.Op), rec.Peer)
+	dst = binary.AppendUvarint(dst, rec.Epoch)
+	dst = binary.AppendUvarint(dst, rec.Seq)
+	return append(binary.AppendUvarint(dst, uint64(len(rec.Payload))), rec.Payload...)
+}
+
+func decodeOutboxRecord(r *value.Reader) outboxRecord {
+	rec := outboxRecord{Op: r.Byte(), Peer: r.Str(), Epoch: r.Uvarint(), Seq: r.Uvarint(), Payload: r.Bytes()}
+	if rec.Op < obEnqueue || rec.Op > obReset {
+		r.Fail(value.ErrCorrupt)
+	}
+	return rec
 }
 
 // OutboxEntry is one recovered pending message.
@@ -83,63 +102,48 @@ func OpenOutboxLog(dir string) (*OutboxLog, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w: opening outbox log dir: %w", errdefs.ErrWAL, err)
 	}
-	f, err := os.OpenFile(filepath.Join(dir, outboxLogName), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+	l, err := openLogFile(filepath.Join(dir, outboxLogName), outboxMagic, "outbox log")
 	if err != nil {
-		return nil, fmt.Errorf("store: %w: opening outbox log: %w", errdefs.ErrWAL, err)
+		return nil, err
 	}
-	return &OutboxLog{dir: dir, f: f, w: bufio.NewWriter(f)}, nil
+	return &OutboxLog{dir: dir, log: l}, nil
 }
 
 // Records returns the number of records appended since open or the last
 // compaction — the peer's cue to compact.
 func (l *OutboxLog) Records() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.records
+	l.log.mu.Lock()
+	defer l.log.mu.Unlock()
+	return l.log.records
 }
 
 func (l *OutboxLog) append(rec outboxRecord) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("store: %w: outbox log is closed", errdefs.ErrWAL)
-	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("store: %w: encoding outbox record: %w", errdefs.ErrWAL, err)
-	}
-	if _, err := l.w.Write(b); err != nil {
-		return fmt.Errorf("store: %w: appending outbox record: %w", errdefs.ErrWAL, err)
-	}
-	if err := l.w.WriteByte('\n'); err != nil {
-		return fmt.Errorf("store: %w: appending outbox record: %w", errdefs.ErrWAL, err)
-	}
-	l.records++
-	l.dirty = true
-	return nil
+	l.log.mu.Lock()
+	defer l.log.mu.Unlock()
+	return l.log.write(rec.append(l.log.record()))
 }
 
 // LogEnqueue records a sequenced message committed for dst.
 func (l *OutboxLog) LogEnqueue(dst string, seq uint64, payload []byte) error {
-	return l.append(outboxRecord{Op: "enq", Peer: dst, Seq: seq, Payload: payload})
+	return l.append(outboxRecord{Op: obEnqueue, Peer: dst, Seq: seq, Payload: payload})
 }
 
 // LogAck records dst's cumulative acknowledgment of sequences <= seq.
 func (l *OutboxLog) LogAck(dst string, seq uint64) error {
-	return l.append(outboxRecord{Op: "ack", Peer: dst, Seq: seq})
+	return l.append(outboxRecord{Op: obAck, Peer: dst, Seq: seq})
 }
 
 // LogApplied records that the incoming message from sender with the given
 // stream epoch and sequence number has been applied (the receiver-side
 // dedup watermark).
 func (l *OutboxLog) LogApplied(from string, epoch, seq uint64) error {
-	return l.append(outboxRecord{Op: "app", Peer: from, Epoch: epoch, Seq: seq})
+	return l.append(outboxRecord{Op: obApplied, Peer: from, Epoch: epoch, Seq: seq})
 }
 
 // LogEpoch records this peer's default stream epoch, once, so it stays
 // stable across restarts.
 func (l *OutboxLog) LogEpoch(epoch uint64) error {
-	return l.append(outboxRecord{Op: "epoch", Epoch: epoch})
+	return l.append(outboxRecord{Op: obEpoch, Epoch: epoch})
 }
 
 // LogReset records that the stream to dst was torn down and restarted under
@@ -147,35 +151,22 @@ func (l *OutboxLog) LogEpoch(epoch uint64) error {
 // entries, its ack floor) is superseded. The caller re-logs the entries
 // that survived the reset, renumbered, after this record.
 func (l *OutboxLog) LogReset(dst string, epoch uint64) error {
-	return l.append(outboxRecord{Op: "reset", Peer: dst, Epoch: epoch})
+	return l.append(outboxRecord{Op: obReset, Peer: dst, Epoch: epoch})
 }
 
 // Sync flushes buffered records and fsyncs the log file. A no-op when
 // nothing was appended since the last Sync, so callers can invoke it
 // liberally (the outbox flushers do, before every transmit cycle).
 func (l *OutboxLog) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("store: %w: outbox log is closed", errdefs.ErrWAL)
-	}
-	if !l.dirty {
-		return nil
-	}
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("store: %w: flushing outbox log: %w", errdefs.ErrWAL, err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("store: %w: syncing outbox log: %w", errdefs.ErrWAL, err)
-	}
-	l.dirty = false
-	return nil
+	l.log.mu.Lock()
+	defer l.log.mu.Unlock()
+	return l.log.sync()
 }
 
 // Recover replays the log into its live state. Meant to be called once,
 // right after OpenOutboxLog, before new records are appended. A torn final
 // record (crash mid-append) is tolerated and cut off the file; corruption
-// elsewhere is an error.
+// elsewhere is an error, and so is a log not in this version's format.
 func (l *OutboxLog) Recover() (*OutboxState, error) {
 	st := &OutboxState{
 		Epochs:  map[string]uint64{},
@@ -184,14 +175,14 @@ func (l *OutboxLog) Recover() (*OutboxState, error) {
 		Acked:   map[string]uint64{},
 		Applied: map[string]AppliedMark{},
 	}
-	err := replayLog(filepath.Join(l.dir, outboxLogName), "outbox", func(line int, rec *outboxRecord) error {
+	err := replayLog(filepath.Join(l.dir, outboxLogName), outboxMagic, "outbox log", true, decodeOutboxRecord, func(_ int, rec outboxRecord) error {
 		switch rec.Op {
-		case "enq":
+		case obEnqueue:
 			st.Pending[rec.Peer] = append(st.Pending[rec.Peer], OutboxEntry{Seq: rec.Seq, Payload: rec.Payload})
 			if rec.Seq > st.NextSeq[rec.Peer] {
 				st.NextSeq[rec.Peer] = rec.Seq
 			}
-		case "ack":
+		case obAck:
 			if rec.Seq > st.Acked[rec.Peer] {
 				st.Acked[rec.Peer] = rec.Seq
 			}
@@ -202,20 +193,18 @@ func (l *OutboxLog) Recover() (*OutboxState, error) {
 				}
 			}
 			st.Pending[rec.Peer] = kept
-		case "app":
+		case obApplied:
 			mark := st.Applied[rec.Peer]
 			if rec.Epoch != mark.Epoch || rec.Seq > mark.Seq {
 				st.Applied[rec.Peer] = AppliedMark{Epoch: rec.Epoch, Seq: rec.Seq}
 			}
-		case "epoch":
+		case obEpoch:
 			st.Epoch = rec.Epoch
-		case "reset":
+		case obReset:
 			st.Epochs[rec.Peer] = rec.Epoch
 			delete(st.Pending, rec.Peer)
 			st.NextSeq[rec.Peer] = 0
 			st.Acked[rec.Peer] = 0
-		default:
-			return fmt.Errorf("store: %w: unknown outbox op %q at line %d", errdefs.ErrWAL, rec.Op, line)
 		}
 		return nil
 	})
@@ -233,110 +222,70 @@ func (l *OutboxLog) Recover() (*OutboxState, error) {
 // Compact atomically rewrites the log to contain exactly the given live
 // state, discarding acknowledged history.
 func (l *OutboxLog) Compact(st *OutboxState) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
+	l.log.mu.Lock()
+	defer l.log.mu.Unlock()
+	if l.log.closed {
 		return fmt.Errorf("store: %w: outbox log is closed", errdefs.ErrWAL)
 	}
-	tmp := filepath.Join(l.dir, outboxLogName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := writeLogFile(filepath.Join(l.dir, outboxLogName), outboxMagic, func(add func([]byte) error) error {
+		var body []byte
+		write := func(rec outboxRecord) error {
+			body = rec.append(body[:0])
+			return add(body)
+		}
+		if st.Epoch != 0 {
+			if err := write(outboxRecord{Op: obEpoch, Epoch: st.Epoch}); err != nil {
+				return err
+			}
+		}
+		// Per-stream epochs (streams reset away from the default) come before
+		// the per-destination records they scope — a reset record clears the
+		// destination's recovered state, so nothing may precede it.
+		for dst, epoch := range st.Epochs {
+			if epoch != 0 && epoch != st.Epoch {
+				if err := write(outboxRecord{Op: obReset, Peer: dst, Epoch: epoch}); err != nil {
+					return err
+				}
+			}
+		}
+		for dst, acked := range st.Acked {
+			if acked > 0 {
+				// One synthetic enqueue+ack pair preserves the sequence floor.
+				if err := write(outboxRecord{Op: obEnqueue, Peer: dst, Seq: acked}); err != nil {
+					return err
+				}
+				if err := write(outboxRecord{Op: obAck, Peer: dst, Seq: acked}); err != nil {
+					return err
+				}
+			}
+		}
+		for dst, pending := range st.Pending {
+			for _, e := range pending {
+				if err := write(outboxRecord{Op: obEnqueue, Peer: dst, Seq: e.Seq, Payload: e.Payload}); err != nil {
+					return err
+				}
+			}
+		}
+		for from, mark := range st.Applied {
+			if err := write(outboxRecord{Op: obApplied, Peer: from, Epoch: mark.Epoch, Seq: mark.Seq}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return fmt.Errorf("store: %w: compacting outbox log: %w", errdefs.ErrWAL, err)
 	}
-	w := bufio.NewWriter(f)
-	write := func(rec outboxRecord) error {
-		b, err := json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(b); err != nil {
-			return err
-		}
-		return w.WriteByte('\n')
-	}
-	var werr error
-	if st.Epoch != 0 {
-		if err := write(outboxRecord{Op: "epoch", Epoch: st.Epoch}); err != nil {
-			werr = err
-		}
-	}
-	// Per-stream epochs (streams reset away from the default) come before
-	// the per-destination records they scope — a reset record clears the
-	// destination's recovered state, so nothing may precede it.
-	for dst, epoch := range st.Epochs {
-		if epoch != 0 && epoch != st.Epoch {
-			if err := write(outboxRecord{Op: "reset", Peer: dst, Epoch: epoch}); err != nil {
-				werr = err
-			}
-		}
-	}
-	for dst, acked := range st.Acked {
-		if acked > 0 {
-			// One synthetic enqueue+ack pair preserves the sequence floor.
-			if err := write(outboxRecord{Op: "enq", Peer: dst, Seq: acked}); err != nil {
-				werr = err
-			}
-			if err := write(outboxRecord{Op: "ack", Peer: dst, Seq: acked}); err != nil {
-				werr = err
-			}
-		}
-	}
-	for dst, pending := range st.Pending {
-		for _, e := range pending {
-			if err := write(outboxRecord{Op: "enq", Peer: dst, Seq: e.Seq, Payload: e.Payload}); err != nil {
-				werr = err
-			}
-		}
-	}
-	for from, mark := range st.Applied {
-		if err := write(outboxRecord{Op: "app", Peer: from, Epoch: mark.Epoch, Seq: mark.Seq}); err != nil {
-			werr = err
-		}
-	}
-	if werr == nil {
-		werr = w.Flush()
-	}
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if err := f.Close(); werr == nil {
-		werr = err
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: %w: compacting outbox log: %w", errdefs.ErrWAL, werr)
-	}
-	if err := os.Rename(tmp, filepath.Join(l.dir, outboxLogName)); err != nil {
-		return fmt.Errorf("store: %w: installing compacted outbox log: %w", errdefs.ErrWAL, err)
-	}
-	// Swap the append handle onto the compacted file. Records still
-	// buffered for the old inode are superseded by the snapshot just
-	// written (the caller excludes concurrent appenders), so the buffer is
-	// simply discarded with it.
-	l.f.Close()
-	nf, err := os.OpenFile(filepath.Join(l.dir, outboxLogName), os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		l.closed = true
-		return fmt.Errorf("store: %w: reopening outbox log: %w", errdefs.ErrWAL, err)
-	}
-	l.f = nf
-	l.w = bufio.NewWriter(nf)
-	l.records = 0
-	l.dirty = false
+	// Append to the compacted file from now on. Records still buffered for
+	// the old inode are superseded by the state just written (the caller
+	// excludes concurrent appenders), so the buffer is dropped with it.
+	l.log.swap(f)
 	return nil
 }
 
 // Close flushes and closes the log file.
 func (l *OutboxLog) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil
-	}
-	l.closed = true
-	if err := l.w.Flush(); err != nil {
-		l.f.Close()
-		return fmt.Errorf("store: flushing outbox log on close: %w", err)
-	}
-	return l.f.Close()
+	l.log.mu.Lock()
+	defer l.log.mu.Unlock()
+	return l.log.close()
 }

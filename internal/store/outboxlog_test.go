@@ -222,14 +222,7 @@ func TestOutboxLogTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate a crash mid-append: a torn trailing record.
-	f, err := os.OpenFile(filepath.Join(dir, outboxLogName), os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"op":"enq","peer":"bob","se`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	tearLog(t, dir, outboxLogName, tornOutboxRecord())
 
 	l2, err := OpenOutboxLog(dir)
 	if err != nil {
@@ -270,7 +263,7 @@ func TestOutboxLogTornTailSurvivesSecondRestart(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tearLog(t, dir, outboxLogName, `{"op":"enq","peer":"bob","se`)
+	tearLog(t, dir, outboxLogName, tornOutboxRecord())
 
 	l, _, err = recoverOutboxLog(t, dir)
 	if err != nil {
@@ -318,7 +311,8 @@ func FuzzOutboxLogReplay(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(logged)
-	f.Add(append(logged, `{"op":"enq","peer":"bob","seq":3,"pay`...))
+	f.Add(append(logged, tornOutboxRecord()...))
+	f.Add(logged[:len(logged)-1])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, outboxLogName), data, 0o644); err != nil {
@@ -351,6 +345,13 @@ func FuzzOutboxLogReplay(f *testing.F) {
 			t.Fatalf("second recovery differs\n got %+v\nwant %+v", second, first)
 		}
 	})
+}
+
+// tornOutboxRecord returns the first half of an enqueue record for bob.
+func tornOutboxRecord() []byte {
+	rec := outboxRecord{Op: obEnqueue, Peer: "bob", Seq: 3, Payload: []byte("m3")}
+	b := framed(rec.append(nil))
+	return b[:len(b)/2]
 }
 
 func hasKey(m map[string]uint64, k string) bool {

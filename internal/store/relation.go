@@ -100,11 +100,6 @@ type Relation struct {
 	indexes map[ColMask]map[string][]value.Tuple
 	fp      uint64 // XOR of member-tuple hashes: content fingerprint
 
-	// extSup tracks which remote senders currently maintain each tuple, by
-	// tuple key (support.go). Deliberately untouched by Clear: support
-	// outlives a view rebuild.
-	extSup map[string][]string
-
 	// degraded remembers masks whose index was dropped as degenerate
 	// (degenerateBucket), mapped to the relation size at drop time, so it
 	// is not rebuilt on the next Probe. A drop during a transiently
@@ -115,7 +110,8 @@ type Relation struct {
 
 	// intern, when non-nil, canonicalizes inserted tuples and their keys
 	// through a shared table (value.Interner): the relation then stores the
-	// process-wide canonical Tuple and key instead of private clones, so a
+	// process-wide canonical Tuple and key instead of a private copy (whose
+	// string payloads are substrings of its key, Tuple.InKey), so a
 	// fact replicated at many peers costs one tuple plus a map entry per
 	// replica. Purely an aliasing change — contents, digests and iteration
 	// are indistinguishable from an uninterned relation.
@@ -193,7 +189,7 @@ func (r *Relation) Insert(t value.Tuple) bool {
 
 // InsertKeyed is Insert for a caller that already holds key == t.Key(). The
 // relation keeps key itself, so a caller that files the same key elsewhere
-// (the external support ledger) stores its bytes once.
+// (a peer's session ledger) stores its bytes once.
 func (r *Relation) InsertKeyed(t value.Tuple, key string) bool {
 	if len(t) != r.schema.Arity() {
 		panic(fmt.Sprintf("store: arity mismatch inserting %d-tuple into %s(%d)",
@@ -207,7 +203,7 @@ func (r *Relation) InsertKeyed(t value.Tuple, key string) bool {
 	if r.intern != nil {
 		t, key = r.intern.TupleKeyed(t, key)
 	} else {
-		t = t.Clone()
+		t = t.InKey(key)
 	}
 	r.tuples[key] = t
 	for mask, idx := range r.indexes {
@@ -256,7 +252,7 @@ func (r *Relation) InsertMany(ts []value.Tuple) []value.Tuple {
 		if r.intern != nil {
 			t, key = r.intern.Tuple(t)
 		} else {
-			t = t.Clone()
+			t = t.InKey(key)
 		}
 		r.tuples[key] = t
 		for mask, idx := range r.indexes {

@@ -1,15 +1,10 @@
 package store
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
-	"errors"
+	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"repro/internal/ast"
 	"repro/internal/errdefs"
@@ -18,45 +13,65 @@ import (
 
 // WAL provides durability for a peer's extensional relations: every
 // declaration, insert and delete is appended to a log file, and Snapshot
-// compacts the log into a full dump. Recover replays snapshot + log.
+// compacts the log into a full dump. Recover replays snapshot + log. Both
+// files hold the records of logfile.go.
 //
 // The paper's system keeps peer state in the Bud runtime's persistent
 // collections; this is our equivalent storage substrate.
 type WAL struct {
 	dir string
-
-	mu      sync.Mutex
-	f       *os.File
-	w       *bufio.Writer
-	records int // appended since the last snapshot
-	closed  bool
+	log *logFile
 }
 
 const (
 	logName  = "wal.log"
-	snapName = "snapshot.json"
-	snapTmp  = "snapshot.json.tmp"
+	snapName = "snapshot.log"
+	// oldSnapName is the snapshot of the JSON-era format: refused, since an
+	// emptied wal.log beside it would otherwise recover as an empty store.
+	oldSnapName = "snapshot.json"
 )
 
+// WAL record ops.
+const (
+	walDecl byte = iota + 1
+	walIns
+	walDel
+)
+
+// walRecord is one log record: a declaration (Rel, Peer, Kind, Cols) or an
+// insert or delete (Rel, Peer, Args). Every field is written.
 type walRecord struct {
-	Op   string        `json:"op"` // "decl", "ins", "del"
-	Rel  string        `json:"rel"`
-	Peer string        `json:"peer"`
-	Kind ast.RelKind   `json:"kind,omitempty"`
-	Cols []string      `json:"cols,omitempty"`
-	Args []value.Value `json:"args,omitempty"`
+	Op   byte
+	Rel  string
+	Peer string
+	Kind ast.RelKind
+	Cols []string
+	Args value.Tuple
 }
 
-type snapshotFile struct {
-	Relations []snapshotRelation `json:"relations"`
+func (rec *walRecord) append(dst []byte) []byte {
+	dst = value.AppendString(append(dst, rec.Op), rec.Rel)
+	dst = value.AppendString(dst, rec.Peer)
+	dst = binary.AppendUvarint(append(dst, byte(rec.Kind)), uint64(len(rec.Cols)))
+	for _, c := range rec.Cols {
+		dst = value.AppendString(dst, c)
+	}
+	return rec.Args.Encode(dst)
 }
 
-type snapshotRelation struct {
-	Rel    string          `json:"rel"`
-	Peer   string          `json:"peer"`
-	Kind   ast.RelKind     `json:"kind"`
-	Cols   []string        `json:"cols"`
-	Tuples [][]value.Value `json:"tuples"`
+func decodeWALRecord(r *value.Reader) walRecord {
+	rec := walRecord{Op: r.Byte(), Rel: r.Str(), Peer: r.Str(), Kind: ast.RelKind(r.Byte())}
+	if n := r.Count(1); n > 0 {
+		rec.Cols = make([]string, n)
+		for i := range rec.Cols {
+			rec.Cols[i] = r.Str()
+		}
+	}
+	rec.Args = r.Tuple()
+	if rec.Op < walDecl || rec.Op > walDel || rec.Kind > ast.Intensional {
+		r.Fail(value.ErrCorrupt)
+	}
+	return rec
 }
 
 // OpenWAL opens (creating if needed) the log in dir. Failures wrap
@@ -65,11 +80,11 @@ func OpenWAL(dir string) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w: opening wal dir: %w", errdefs.ErrWAL, err)
 	}
-	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+	l, err := openLogFile(filepath.Join(dir, logName), walMagic, "wal")
 	if err != nil {
-		return nil, fmt.Errorf("store: %w: opening wal: %w", errdefs.ErrWAL, err)
+		return nil, err
 	}
-	return &WAL{dir: dir, f: f, w: bufio.NewWriter(f)}, nil
+	return &WAL{dir: dir, log: l}, nil
 }
 
 // Dir returns the directory holding the log and snapshot.
@@ -77,49 +92,29 @@ func (w *WAL) Dir() string { return w.dir }
 
 // Records returns the number of records appended since the last snapshot.
 func (w *WAL) Records() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.records
+	w.log.mu.Lock()
+	defer w.log.mu.Unlock()
+	return w.log.records
 }
 
 func (w *WAL) append(rec walRecord) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.appendLocked(rec)
-}
-
-func (w *WAL) appendLocked(rec walRecord) error {
-	if w.closed {
-		return fmt.Errorf("store: %w: wal is closed", errdefs.ErrWAL)
-	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("store: %w: encoding wal record: %w", errdefs.ErrWAL, err)
-	}
-	if _, err := w.w.Write(b); err != nil {
-		return fmt.Errorf("store: %w: appending wal record: %w", errdefs.ErrWAL, err)
-	}
-	if err := w.w.WriteByte('\n'); err != nil {
-		return fmt.Errorf("store: %w: appending wal record: %w", errdefs.ErrWAL, err)
-	}
-	w.records++
-	return nil
+	w.log.mu.Lock()
+	defer w.log.mu.Unlock()
+	return w.log.write(rec.append(w.log.record()))
 }
 
 // LogMany appends one insert (or delete, when del is set) record per tuple
 // under a single lock acquisition — the durability half of an atomic batch.
 func (w *WAL) LogMany(del bool, rel, peer string, ts []value.Tuple) error {
-	if len(ts) == 0 {
-		return nil
-	}
-	op := "ins"
+	rec := walRecord{Op: walIns, Rel: rel, Peer: peer}
 	if del {
-		op = "del"
+		rec.Op = walDel
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
+	w.log.mu.Lock()
+	defer w.log.mu.Unlock()
 	for _, t := range ts {
-		if err := w.appendLocked(walRecord{Op: op, Rel: rel, Peer: peer, Args: t}); err != nil {
+		rec.Args = t
+		if err := w.log.write(rec.append(w.log.record())); err != nil {
 			return err
 		}
 	}
@@ -128,203 +123,116 @@ func (w *WAL) LogMany(del bool, rel, peer string, ts []value.Tuple) error {
 
 // LogDeclare records a relation declaration.
 func (w *WAL) LogDeclare(schema Schema) error {
-	return w.append(walRecord{Op: "decl", Rel: schema.Name, Peer: schema.Peer, Kind: schema.Kind, Cols: schema.Cols})
+	return w.append(walRecord{Op: walDecl, Rel: schema.Name, Peer: schema.Peer, Kind: schema.Kind, Cols: schema.Cols})
 }
 
 // LogInsert records an insert into rel@peer.
 func (w *WAL) LogInsert(rel, peer string, t value.Tuple) error {
-	return w.append(walRecord{Op: "ins", Rel: rel, Peer: peer, Args: t})
+	return w.append(walRecord{Op: walIns, Rel: rel, Peer: peer, Args: t})
 }
 
 // LogDelete records a delete from rel@peer.
 func (w *WAL) LogDelete(rel, peer string, t value.Tuple) error {
-	return w.append(walRecord{Op: "del", Rel: rel, Peer: peer, Args: t})
+	return w.append(walRecord{Op: walDel, Rel: rel, Peer: peer, Args: t})
 }
 
 // Sync flushes buffered records and fsyncs the log file.
 func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return fmt.Errorf("store: %w: wal is closed", errdefs.ErrWAL)
-	}
-	if err := w.w.Flush(); err != nil {
-		return fmt.Errorf("store: %w: flushing wal: %w", errdefs.ErrWAL, err)
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("store: %w: syncing wal: %w", errdefs.ErrWAL, err)
-	}
-	return nil
+	w.log.mu.Lock()
+	defer w.log.mu.Unlock()
+	return w.log.sync()
 }
 
 // Snapshot writes a full dump of every extensional relation in s owned by
-// peer, then truncates the log. On success the on-disk state equals s.
+// peer — a declaration record per relation, an insert record per tuple —
+// then empties the log. On success the on-disk state equals s.
 func (w *WAL) Snapshot(s *Store, peer string) error {
-	var snap snapshotFile
-	for _, r := range s.RelationsOf(peer) {
-		if r.Kind() != ast.Extensional {
-			continue
-		}
-		sr := snapshotRelation{
-			Rel:  r.Schema().Name,
-			Peer: r.Schema().Peer,
-			Kind: r.Kind(),
-			Cols: r.Schema().Cols,
-		}
-		for _, t := range r.Tuples() {
-			sr.Tuples = append(sr.Tuples, t)
-		}
-		snap.Relations = append(snap.Relations, sr)
+	w.log.mu.Lock()
+	defer w.log.mu.Unlock()
+	if w.log.closed {
+		return fmt.Errorf("store: %w: wal is closed", errdefs.ErrWAL)
 	}
-	b, err := json.Marshal(&snap)
+	f, err := writeLogFile(filepath.Join(w.dir, snapName), snapshotMagic, func(add func([]byte) error) error {
+		var body []byte
+		for _, r := range s.RelationsOf(peer) {
+			if r.Kind() != ast.Extensional {
+				continue
+			}
+			sch := r.Schema()
+			rec := walRecord{Op: walDecl, Rel: sch.Name, Peer: sch.Peer, Kind: sch.Kind, Cols: sch.Cols}
+			body = rec.append(body[:0])
+			if err := add(body); err != nil {
+				return err
+			}
+			rec.Op = walIns
+			for _, t := range r.Tuples() {
+				rec.Args = t
+				body = rec.append(body[:0])
+				if err := add(body); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
 	if err != nil {
-		return fmt.Errorf("store: encoding snapshot: %w", err)
+		return fmt.Errorf("store: %w: writing snapshot: %w", errdefs.ErrWAL, err)
 	}
-
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return errors.New("store: wal is closed")
+	f.Close()
+	// Empty the log down to its header. A crash before this point replays
+	// the old records over the snapshot, which they already produced.
+	if err := writeHeader(w.log.f, walMagic); err != nil {
+		return fmt.Errorf("store: %w: truncating wal: %w", errdefs.ErrWAL, err)
 	}
-	tmp := filepath.Join(w.dir, snapTmp)
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return fmt.Errorf("store: writing snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(w.dir, snapName)); err != nil {
-		return fmt.Errorf("store: installing snapshot: %w", err)
-	}
-	// Truncate the log: reopen with O_TRUNC.
-	if err := w.w.Flush(); err != nil {
-		return fmt.Errorf("store: flushing wal before truncate: %w", err)
-	}
-	if err := w.f.Close(); err != nil {
-		return fmt.Errorf("store: closing wal before truncate: %w", err)
-	}
-	f, err := os.OpenFile(filepath.Join(w.dir, logName), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: truncating wal: %w", err)
-	}
-	w.f = f
-	w.w = bufio.NewWriter(f)
-	w.records = 0
+	w.log.w.Reset(w.log.f)
+	w.log.records = 0
+	w.log.dirty = true // the truncation itself is synced by the next Sync
 	return nil
 }
 
 // Recover loads the snapshot (if any) and replays the log into s. It is
 // meant to be called once, on an empty or freshly-created store, before any
 // new records are appended. A record whose tuple does not fit its relation's
-// arity fails recovery with an error wrapping errdefs.ErrWAL.
+// arity fails recovery with an error wrapping errdefs.ErrWAL, and so does a
+// log or snapshot not in this version's format.
 func (w *WAL) Recover(s *Store) error {
-	snapPath := filepath.Join(w.dir, snapName)
-	if b, err := os.ReadFile(snapPath); err == nil {
-		var snap snapshotFile
-		if err := json.Unmarshal(b, &snap); err != nil {
-			return fmt.Errorf("store: decoding snapshot: %w", err)
-		}
-		for _, sr := range snap.Relations {
-			rel, err := s.Declare(Schema{Name: sr.Rel, Peer: sr.Peer, Kind: sr.Kind, Cols: sr.Cols})
-			if err != nil {
-				return err
-			}
-			for i, t := range sr.Tuples {
-				if len(t) != rel.Schema().Arity() {
-					return fmt.Errorf("store: %w: snapshot tuple %d of %s has %d values, want %d",
-						errdefs.ErrWAL, i+1, rel.Schema().ID(), len(t), rel.Schema().Arity())
-				}
-				rel.Insert(value.Tuple(t))
-			}
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("store: reading snapshot: %w", err)
+	if _, err := os.Stat(filepath.Join(w.dir, oldSnapName)); err == nil {
+		return fmt.Errorf("store: %w: %s is a snapshot written by an older version: "+
+			"drain it with the version that wrote it, or remove it", errdefs.ErrWAL, filepath.Join(w.dir, oldSnapName))
 	}
+	if err := replayLog(filepath.Join(w.dir, snapName), snapshotMagic, "snapshot", false, decodeWALRecord, applyTo(s, "snapshot")); err != nil {
+		return err
+	}
+	return replayLog(filepath.Join(w.dir, logName), walMagic, "wal", true, decodeWALRecord, applyTo(s, "wal"))
+}
 
-	return replayLog(filepath.Join(w.dir, logName), "wal", func(line int, rec *walRecord) error {
-		if rec.Op == "decl" {
+// applyTo replays WAL records into s.
+func applyTo(s *Store, what string) func(n int, rec walRecord) error {
+	return func(n int, rec walRecord) error {
+		if rec.Op == walDecl {
 			_, err := s.Declare(Schema{Name: rec.Rel, Peer: rec.Peer, Kind: rec.Kind, Cols: rec.Cols})
 			return err
 		}
-		if rec.Op != "ins" && rec.Op != "del" {
-			return fmt.Errorf("store: %w: unknown wal op %q at line %d", errdefs.ErrWAL, rec.Op, line)
-		}
 		rel := s.Get(rec.Rel, rec.Peer)
 		if rel == nil {
-			return fmt.Errorf("store: %w: wal %s of undeclared relation %s@%s at line %d", errdefs.ErrWAL, rec.Op, rec.Rel, rec.Peer, line)
+			return fmt.Errorf("store: %w: %s record %d changes undeclared relation %s@%s", errdefs.ErrWAL, what, n, rec.Rel, rec.Peer)
 		}
 		if len(rec.Args) != rel.Schema().Arity() {
-			return fmt.Errorf("store: %w: wal %s at line %d has %d values, %s has arity %d",
-				errdefs.ErrWAL, rec.Op, line, len(rec.Args), rel.Schema().ID(), rel.Schema().Arity())
+			return fmt.Errorf("store: %w: %s record %d has %d values, %s has arity %d",
+				errdefs.ErrWAL, what, n, len(rec.Args), rel.Schema().ID(), rel.Schema().Arity())
 		}
-		if rec.Op == "ins" {
-			rel.Insert(value.Tuple(rec.Args))
+		if rec.Op == walIns {
+			rel.Insert(rec.Args)
 		} else {
-			rel.Delete(value.Tuple(rec.Args))
+			rel.Delete(rec.Args)
 		}
 		return nil
-	})
-}
-
-// replayLog decodes every complete record of the JSON-lines log at path, in
-// order, and hands it to apply with its 1-based line number. A record is
-// complete when its line ends in a newline and decodes. A final line that
-// does not is a torn tail — a crash mid-append — and is cut off the file,
-// so the next append starts on a line of its own instead of extending the
-// fragment into a corrupt record. An undecodable line anywhere else is
-// corruption. A missing file replays nothing. Shared by WAL and OutboxLog.
-func replayLog[R any](path, what string, apply func(line int, rec *R) error) error {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
 	}
-	if err != nil {
-		return fmt.Errorf("store: %w: reading %s: %w", errdefs.ErrWAL, what, err)
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	var off, good int64 // bytes read; end of the last complete record
-	for line := 1; ; line++ {
-		raw, err := r.ReadBytes('\n')
-		off += int64(len(raw))
-		if errors.Is(err, io.EOF) {
-			break // an unterminated final line is torn
-		}
-		if err != nil {
-			return fmt.Errorf("store: %w: reading %s: %w", errdefs.ErrWAL, what, err)
-		}
-		if len(bytes.TrimSpace(raw)) == 0 {
-			good = off
-			continue
-		}
-		var rec R
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			if _, err := r.Peek(1); errors.Is(err, io.EOF) {
-				break
-			}
-			return fmt.Errorf("store: %w: corrupt %s record at line %d: %w", errdefs.ErrWAL, what, line, err)
-		}
-		if err := apply(line, &rec); err != nil {
-			return err
-		}
-		good = off
-	}
-	if off > good {
-		if err := os.Truncate(path, good); err != nil {
-			return fmt.Errorf("store: %w: cutting torn %s tail: %w", errdefs.ErrWAL, what, err)
-		}
-	}
-	return nil
 }
 
 // Close flushes and closes the log file.
 func (w *WAL) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return nil
-	}
-	w.closed = true
-	if err := w.w.Flush(); err != nil {
-		w.f.Close()
-		return fmt.Errorf("store: flushing wal on close: %w", err)
-	}
-	return w.f.Close()
+	w.log.mu.Lock()
+	defer w.log.mu.Unlock()
+	return w.log.close()
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -142,15 +141,8 @@ func TestWALTornFinalRecordTolerated(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a crash mid-append: a truncated JSON line at the end.
-	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"op":"ins","rel":"r","pe`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	// Simulate a crash mid-append: half a record at the end.
+	tearLog(t, dir, logName, tornWALRecord())
 
 	w2, err := OpenWAL(dir)
 	if err != nil {
@@ -238,16 +230,26 @@ func TestWALSnapshotOnlyExtensional(t *testing.T) {
 
 // tearLog appends half a record to the log file name in dir: a crash in the
 // middle of an append.
-func tearLog(t testing.TB, dir, name, half string) {
+func tearLog(t testing.TB, dir, name string, half []byte) {
 	t.Helper()
 	f, err := os.OpenFile(filepath.Join(dir, name), os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if _, err := f.WriteString(half); err != nil {
+	if _, err := f.Write(half); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// framed returns a record as it lands in a log file.
+func framed(body []byte) []byte { return seal(append(make([]byte, recordHdr), body...)) }
+
+// tornWALRecord returns the first half of an insert record into r@p.
+func tornWALRecord() []byte {
+	rec := walRecord{Op: walIns, Rel: "r", Peer: "p", Args: value.Tuple{value.Int(3)}}
+	b := framed(rec.append(nil))
+	return b[:len(b)/2]
 }
 
 // recoverWAL opens the WAL in dir and recovers it into a fresh store.
@@ -277,7 +279,7 @@ func TestWALTornTailSurvivesSecondRestart(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tearLog(t, dir, logName, `{"op":"ins","rel":"r","pe`)
+	tearLog(t, dir, logName, tornWALRecord())
 
 	w, _, err = recoverWAL(t, dir)
 	if err != nil {
@@ -321,25 +323,31 @@ func TestWALRecoverRejectsWrongArity(t *testing.T) {
 	}
 	w, _, err = recoverWAL(t, dir)
 	w.Close()
-	if !errors.Is(err, errdefs.ErrWAL) || !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("log: err = %v, want ErrWAL naming line 2", err)
+	if !errors.Is(err, errdefs.ErrWAL) || !strings.Contains(err.Error(), "wal record 2") {
+		t.Fatalf("log: err = %v, want ErrWAL naming record 2", err)
 	}
 
 	dir = t.TempDir()
-	snap, err := json.Marshal(snapshotFile{Relations: []snapshotRelation{{
-		Rel: "r", Peer: "p", Kind: ast.Extensional, Cols: []string{"a"},
-		Tuples: [][]value.Value{{value.Int(1)}, {value.Int(1), value.Int(2)}},
-	}}})
+	f, err := writeLogFile(filepath.Join(dir, snapName), snapshotMagic, func(add func([]byte) error) error {
+		for _, rec := range []walRecord{
+			{Op: walDecl, Rel: "r", Peer: "p", Kind: ast.Extensional, Cols: []string{"a"}},
+			{Op: walIns, Rel: "r", Peer: "p", Args: value.Tuple{value.Int(1)}},
+			{Op: walIns, Rel: "r", Peer: "p", Args: value.Tuple{value.Int(1), value.Int(2)}},
+		} {
+			if err := add(rec.append(nil)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, snapName), snap, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	f.Close()
 	w, _, err = recoverWAL(t, dir)
 	w.Close()
-	if !errors.Is(err, errdefs.ErrWAL) || !strings.Contains(err.Error(), "tuple 2") {
-		t.Fatalf("snapshot: err = %v, want ErrWAL naming tuple 2", err)
+	if !errors.Is(err, errdefs.ErrWAL) || !strings.Contains(err.Error(), "snapshot record 3") {
+		t.Fatalf("snapshot: err = %v, want ErrWAL naming record 3", err)
 	}
 }
 
@@ -377,7 +385,9 @@ func FuzzWALReplay(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(logged)
-	f.Add(append(logged, `{"op":"ins","rel":"r","peer":"p","args":[3,`...))
+	f.Add(append(logged, tornWALRecord()...))
+	f.Add(logged[:len(logged)-3])
+	f.Add([]byte(walMagic[:5]))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, logName), data, 0o644); err != nil {

@@ -1,9 +1,7 @@
 package transport
 
 import (
-	"bufio"
 	"bytes"
-	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -20,7 +18,7 @@ func TestReadFrameAllocatesWhatArrives(t *testing.T) {
 	in := []byte{0, 0, 0, 0x10, 'a', 'b', 'c'} // 256 MiB, little-endian
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := readFrame(bytes.NewReader(in))
+	_, _, err := readFrame(bytes.NewReader(in), nil)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("truncated frame decoded")
@@ -31,20 +29,26 @@ func TestReadFrameAllocatesWhatArrives(t *testing.T) {
 }
 
 // TestReadFrameLarge: a frame several chunks long, whose body is read in
-// growing pieces, decodes to what was written.
+// growing pieces, decodes to what was written; the next frame on the link
+// reuses the buffer.
 func TestReadFrameLarge(t *testing.T) {
 	var msg protocol.FactsMsg
 	for i := 0; i < 200; i++ {
 		msg.Append(false, ast.NewFact("r", "p", value.Int(int64(i)), value.Str(strings.Repeat("x", 1024))))
 	}
-	var buf bytes.Buffer
-	if err := writeFrame(bufio.NewWriter(&buf), protocol.Envelope{From: "a", To: "b", Seq: 3, Msg: msg}); err != nil {
+	frame, err := appendFrame(nil, protocol.Envelope{From: "a", To: "b", Seq: 3, Msg: msg})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() < 3*frameChunk {
-		t.Fatalf("frame of %d bytes does not span several chunks", buf.Len())
+	if len(frame) < 3*frameChunk {
+		t.Fatalf("frame of %d bytes does not span several chunks", len(frame))
 	}
-	env, err := readFrame(&buf)
+	small, err := appendFrame(nil, protocol.Envelope{From: "a", To: "b", Seq: 4, Msg: protocol.AckMsg{Epoch: 1, Seq: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(append(frame, small...))
+	env, buf, err := readFrame(r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,9 +56,19 @@ func TestReadFrameLarge(t *testing.T) {
 	if !ok || env.Seq != 3 || got.Len() != 200 || got.Ops[199].Fact.Args[0].IntVal() != 199 {
 		t.Fatalf("large frame decoded as %v", env)
 	}
+	env, buf2, err := readFrame(r, buf)
+	if err != nil || env.Msg != (protocol.AckMsg{Epoch: 1, Seq: 2}) {
+		t.Fatalf("second frame decoded as %v, %v", env, err)
+	}
+	if &buf2[0] != &buf[0] {
+		t.Error("second frame did not reuse the link's buffer")
+	}
+	if got.Ops[0].Fact.Args[1].StringVal() != strings.Repeat("x", 1024) {
+		t.Error("decoded fact aliases the reused frame buffer")
+	}
 }
 
-// frameSeeds returns one encoded frame per registered payload kind.
+// frameSeeds returns one encoded frame per payload kind.
 func frameSeeds(tb testing.TB) [][]byte {
 	f := ast.NewFact("r", "p", value.Int(1), value.Str("x"))
 	ops := []protocol.FactDelta{{Fact: f}, {Delete: true, Maint: true, Fact: f}}
@@ -74,41 +88,40 @@ func frameSeeds(tb testing.TB) [][]byte {
 	}
 	var seeds [][]byte
 	for i, p := range payloads {
-		var buf bytes.Buffer
-		if err := writeFrame(bufio.NewWriter(&buf), protocol.Envelope{From: "a", To: "b", Seq: uint64(i + 1), Msg: p}); err != nil {
+		frame, err := appendFrame(nil, protocol.Envelope{From: "a", To: "b", Seq: uint64(i + 1), Msg: p})
+		if err != nil {
 			tb.Fatal(err)
 		}
-		seeds = append(seeds, buf.Bytes())
+		seeds = append(seeds, frame)
 	}
 	return seeds
 }
 
 // FuzzReadFrame feeds arbitrary bytes to the TCP transport's frame reader —
 // the first code to touch what a remote peer sends. It must never panic, and
-// every envelope it decodes must survive writeFrame and read back with the
-// same routing metadata and payload type.
+// every envelope it decodes must encode back to exactly the frame it was
+// read from.
 func FuzzReadFrame(f *testing.F) {
 	for _, seed := range frameSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
+		var buf []byte
 		for {
-			env, err := readFrame(r)
+			read := len(data) - r.Len()
+			env, b, err := readFrame(r, buf)
 			if err != nil {
 				return
 			}
-			var buf bytes.Buffer
-			if err := writeFrame(bufio.NewWriter(&buf), env); err != nil {
+			buf = b
+			frame := data[read : len(data)-r.Len()]
+			back, err := appendFrame(nil, env)
+			if err != nil {
 				t.Fatalf("decoded %v does not re-encode: %v", env, err)
 			}
-			back, err := readFrame(&buf)
-			if err != nil {
-				t.Fatalf("re-encoded %v does not decode: %v", env, err)
-			}
-			if back.From != env.From || back.To != env.To || back.Seq != env.Seq ||
-				fmt.Sprintf("%T", back.Msg) != fmt.Sprintf("%T", env.Msg) {
-				t.Fatalf("round trip changed %v into %v", env, back)
+			if !bytes.Equal(back, frame) {
+				t.Fatalf("decoded %v re-encodes to\n%x\nnot the frame\n%x", env, back, frame)
 			}
 		}
 	})

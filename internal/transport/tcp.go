@@ -17,7 +17,8 @@ import (
 // TCPEndpoint is a peer's attachment to a TCP network of peers. Every peer
 // listens on its own address; outgoing connections are dialed lazily per
 // destination and kept open (one FIFO link per peer pair, like the paper's
-// deployment). Envelopes are gob-encoded and length-prefixed on the wire.
+// deployment). Each envelope travels as one frame: a length prefix and the
+// protocol package's binary encoding.
 type TCPEndpoint struct {
 	name string
 	ln   net.Listener
@@ -43,8 +44,8 @@ var _ Endpoint = (*TCPEndpoint)(nil)
 type tcpConn struct {
 	c net.Conn
 
-	mu sync.Mutex // serializes writers on this link
-	w  *bufio.Writer
+	mu  sync.Mutex // serializes writers on this link
+	buf []byte     // the frame being written, reused across sends
 }
 
 // ListenTCP starts a TCP endpoint for peer name on addr (e.g. ":7001" or
@@ -147,60 +148,66 @@ func (e *TCPEndpoint) readLoop(c net.Conn) {
 		e.mu.Unlock()
 	}()
 	r := bufio.NewReader(c)
+	var body []byte
 	for {
-		env, err := readFrame(r)
+		env, b, err := readFrame(r, body)
 		if err != nil || !e.push(env) {
 			return // EOF, peer failure or Close: the link is dropped, sender redials
 		}
+		if cap(b) <= keepFrame {
+			body = b // decoded envelopes never alias the frame
+		}
 	}
 }
 
-// frame layout: 4-byte little-endian length, then the gob-encoded envelope.
+// frame layout: 4-byte little-endian length, then the envelope in the
+// protocol package's encoding.
 const (
 	maxFrame   = 256 << 20 // 256 MiB: far beyond any sane batch, guards corruption
 	frameChunk = 64 << 10  // first allocation for a frame body
+	keepFrame  = 16 << 10  // a link keeps a frame buffer up to this size for the next frame
 )
 
-func readFrame(r io.Reader) (protocol.Envelope, error) {
+// readFrame reads and decodes one frame, reading the body into buf's
+// storage when it fits and returning the buffer it used.
+func readFrame(r io.Reader, buf []byte) (protocol.Envelope, []byte, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return protocol.Envelope{}, err
+		return protocol.Envelope{}, buf, err
 	}
 	n := int(binary.LittleEndian.Uint32(lenBuf[:]))
 	if n > maxFrame {
-		return protocol.Envelope{}, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
+		return protocol.Envelope{}, buf, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
 	// Memory follows the bytes that arrive, not the length the peer claims:
-	// start at one chunk and at most double per read, so a header announcing
-	// maxFrame followed by three bytes costs a chunk, not 256 MiB.
-	body := make([]byte, min(n, frameChunk))
-	if _, err := io.ReadFull(r, body); err != nil {
-		return protocol.Envelope{}, err
-	}
+	// read at most one chunk, or as much as has arrived, at a time, so a
+	// header announcing maxFrame followed by three bytes costs a chunk, not
+	// 256 MiB.
+	body := buf[:0]
 	for len(body) < n {
-		more := min(n-len(body), len(body))
+		more := min(n-len(body), max(len(body), frameChunk))
 		body = append(body, make([]byte, more)...)
 		if _, err := io.ReadFull(r, body[len(body)-more:]); err != nil {
-			return protocol.Envelope{}, err
+			return protocol.Envelope{}, body, err
 		}
 	}
-	return protocol.DecodeEnvelope(body)
+	env, err := protocol.DecodeEnvelope(body)
+	return env, body, err
 }
 
-func writeFrame(w *bufio.Writer, env protocol.Envelope) error {
-	body, err := protocol.Encode(env)
+// appendFrame appends env's frame to dst.
+func appendFrame(dst []byte, env protocol.Envelope) ([]byte, error) {
+	start := len(dst) + 4
+	dst, err := protocol.AppendEnvelope(append(dst, 0, 0, 0, 0), env)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(body)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
-		return err
+	n := len(dst) - start
+	if n > maxFrame {
+		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
-	if _, err := w.Write(body); err != nil {
-		return err
-	}
-	return w.Flush()
+	binary.LittleEndian.PutUint32(dst[start-4:], uint32(n))
+	return dst, nil
 }
 
 func (e *TCPEndpoint) link(ctx context.Context, to string) (*tcpConn, error) {
@@ -238,10 +245,23 @@ func (e *TCPEndpoint) link(ctx context.Context, to string) (*tcpConn, error) {
 		c.Close()
 		return cur, nil
 	}
-	conn := &tcpConn{c: c, w: bufio.NewWriter(c)}
+	conn := &tcpConn{c: c}
 	e.conns[to] = conn
 	e.mu.Unlock()
 	return conn, nil
+}
+
+// write sends env as one frame. Caller holds c.mu.
+func (c *tcpConn) write(env protocol.Envelope) error {
+	frame, err := appendFrame(c.buf[:0], env)
+	if err != nil {
+		return err
+	}
+	if cap(frame) <= keepFrame {
+		c.buf = frame
+	}
+	_, err = c.c.Write(frame)
+	return err
 }
 
 func (e *TCPEndpoint) dropLink(to string, conn *tcpConn) {
@@ -287,7 +307,7 @@ func (e *TCPEndpoint) Send(ctx context.Context, to string, msg protocol.Payload)
 		} else {
 			conn.c.SetWriteDeadline(time.Time{})
 		}
-		err = writeFrame(conn.w, env)
+		err = conn.write(env)
 		conn.mu.Unlock()
 		if err == nil {
 			return nil

@@ -357,7 +357,9 @@ func TestEnvelopeCodec(t *testing.T) {
 }
 
 func TestDecodeCorruptEnvelope(t *testing.T) {
-	if _, err := protocol.DecodeEnvelope([]byte("not gob")); err == nil {
-		t.Error("corrupt envelope decoded")
+	for _, in := range [][]byte{nil, []byte("not an envelope"), {1, 'a', 1, 'b', 0, 99}} {
+		if _, err := protocol.DecodeEnvelope(in); err == nil {
+			t.Errorf("corrupt envelope %q decoded", in)
+		}
 	}
 }

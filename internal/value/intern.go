@@ -89,9 +89,9 @@ func (in *Interner) Value(v Value) Value {
 	if in == nil {
 		return v
 	}
-	switch v.K {
+	switch v.k {
 	case KindString, KindBlob:
-		v.S = in.String(v.S)
+		v.s = in.String(v.s)
 	}
 	return v
 }

@@ -3,11 +3,13 @@
 //
 // Values are small immutable scalars: strings, 64-bit integers, 64-bit
 // floats, booleans and binary blobs (used for picture payloads in the Wepic
-// application). The package provides total ordering, hashing, and a compact
-// binary codec used by the wire protocol and the write-ahead log.
+// application). The package provides total ordering, hashing, and the
+// compact binary codec (codec.go) that the wire protocol's frames and the
+// store's log records are built from.
 package value
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -49,135 +51,111 @@ func (k Kind) String() string {
 }
 
 // Value is a single immutable WebdamLog data value. The zero Value is the
-// empty string. Fields are exported so values serialize through encoding/gob
-// without custom codecs, but callers should treat values as immutable and
-// construct them with Str, Int, Float, Bool and Blob.
+// empty string. Construct values with Str, Int, Float, Bool and Blob and read
+// them with the accessors; they travel and persist in their Encode form. A
+// value is 32 bytes: the string payload of strings and blobs, or the 64 bits
+// of an int, a float or a bool, and the kind.
 type Value struct {
-	K Kind
-	S string // payload for KindString and KindBlob
-	I int64
-	F float64
-	B bool
+	s string // KindString and KindBlob payload
+	n uint64 // int64 bits, float64 bits, or 0/1 for a bool
+	k Kind
 }
 
 // Str returns a string value.
-func Str(s string) Value { return Value{K: KindString, S: s} }
+func Str(s string) Value { return Value{k: KindString, s: s} }
 
 // Int returns an integer value.
-func Int(i int64) Value { return Value{K: KindInt, I: i} }
+func Int(i int64) Value { return Value{k: KindInt, n: uint64(i)} }
 
-// Float returns a float value.
-func Float(f float64) Value { return Value{K: KindFloat, F: f} }
+// Float returns a float value. Its bits are kept as they are: NaN payloads
+// and −0.0 survive every copy and encoding.
+func Float(f float64) Value { return Value{k: KindFloat, n: math.Float64bits(f)} }
 
 // Bool returns a boolean value.
-func Bool(b bool) Value { return Value{K: KindBool, B: b} }
+func Bool(b bool) Value {
+	if b {
+		return Value{k: KindBool, n: 1}
+	}
+	return Value{k: KindBool}
+}
 
 // Blob returns a binary value. The bytes are copied.
-func Blob(b []byte) Value { return Value{K: KindBlob, S: string(b)} }
+func Blob(b []byte) Value { return Value{k: KindBlob, s: string(b)} }
 
 // Kind reports the dynamic type of v.
-func (v Value) Kind() Kind { return v.K }
+func (v Value) Kind() Kind { return v.k }
 
 // StringVal returns the string payload (valid for KindString).
-func (v Value) StringVal() string { return v.S }
+func (v Value) StringVal() string { return v.s }
 
 // IntVal returns the integer payload (valid for KindInt).
-func (v Value) IntVal() int64 { return v.I }
+func (v Value) IntVal() int64 { return int64(v.n) }
 
 // FloatVal returns the float payload (valid for KindFloat).
-func (v Value) FloatVal() float64 { return v.F }
+func (v Value) FloatVal() float64 { return math.Float64frombits(v.n) }
 
 // BoolVal returns the boolean payload (valid for KindBool).
-func (v Value) BoolVal() bool { return v.B }
+func (v Value) BoolVal() bool { return v.n != 0 }
 
 // BlobVal returns a copy of the binary payload (valid for KindBlob).
-func (v Value) BlobVal() []byte { return []byte(v.S) }
+func (v Value) BlobVal() []byte { return []byte(v.s) }
 
 // IsZero reports whether v is the zero value (the empty string).
 func (v Value) IsZero() bool { return v == Value{} }
 
-// Equal reports whether two values are identical in kind and payload.
+// Equal reports whether two values are identical in kind and payload. Floats
+// compare as numbers (−0.0 equals 0.0), except that NaN equals NaN.
 func (v Value) Equal(w Value) bool {
-	if v.K != w.K {
+	if v.k != w.k {
 		return false
 	}
-	switch v.K {
+	switch v.k {
 	case KindString, KindBlob:
-		return v.S == w.S
-	case KindInt:
-		return v.I == w.I
+		return v.s == w.s
 	case KindFloat:
-		return v.F == w.F || (math.IsNaN(v.F) && math.IsNaN(w.F))
-	case KindBool:
-		return v.B == w.B
+		vf, wf := v.FloatVal(), w.FloatVal()
+		return vf == wf || (math.IsNaN(vf) && math.IsNaN(wf))
 	}
-	return false
+	return v.n == w.n
 }
 
 // Compare imposes a total order over values: first by kind, then by payload.
 // It returns -1, 0 or +1.
 func (v Value) Compare(w Value) int {
-	if v.K != w.K {
-		if v.K < w.K {
+	if v.k != w.k {
+		if v.k < w.k {
 			return -1
 		}
 		return 1
 	}
-	switch v.K {
+	switch v.k {
 	case KindString, KindBlob:
-		return strings.Compare(v.S, w.S)
+		return strings.Compare(v.s, w.s)
 	case KindInt:
-		switch {
-		case v.I < w.I:
-			return -1
-		case v.I > w.I:
-			return 1
-		}
-		return 0
+		return cmp.Compare(v.IntVal(), w.IntVal())
 	case KindFloat:
-		vf, wf := v.F, w.F
-		vn, wn := math.IsNaN(vf), math.IsNaN(wf)
-		switch {
-		case vn && wn:
-			return 0
-		case vn:
-			return -1
-		case wn:
-			return 1
-		case vf < wf:
-			return -1
-		case vf > wf:
-			return 1
-		}
-		return 0
-	case KindBool:
-		switch {
-		case !v.B && w.B:
-			return -1
-		case v.B && !w.B:
-			return 1
-		}
-		return 0
+		// cmp.Compare orders NaN first and treats NaNs as equal.
+		return cmp.Compare(v.FloatVal(), w.FloatVal())
 	}
-	return 0
+	return cmp.Compare(v.n, w.n)
 }
 
 // String renders the value for display: strings unquoted, blobs summarized.
 func (v Value) String() string {
-	switch v.K {
+	switch v.k {
 	case KindString:
-		return v.S
+		return v.s
 	case KindInt:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.FormatInt(v.IntVal(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(v.FloatVal(), 'g', -1, 64)
 	case KindBool:
-		return strconv.FormatBool(v.B)
+		return strconv.FormatBool(v.BoolVal())
 	case KindBlob:
-		if len(v.S) <= 8 {
-			return fmt.Sprintf("0x%x", v.S)
+		if len(v.s) <= 8 {
+			return fmt.Sprintf("0x%x", v.s)
 		}
-		return fmt.Sprintf("blob(%dB)", len(v.S))
+		return fmt.Sprintf("blob(%dB)", len(v.s))
 	}
 	return "?"
 }
@@ -185,123 +163,112 @@ func (v Value) String() string {
 // Literal renders the value in WebdamLog concrete syntax so that parsing the
 // result yields the value back (strings quoted with escapes, blobs hex).
 func (v Value) Literal() string {
-	switch v.K {
+	switch v.k {
 	case KindString:
-		return strconv.Quote(v.S)
-	case KindInt:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.Quote(v.s)
 	case KindFloat:
-		s := strconv.FormatFloat(v.F, 'g', -1, 64)
+		s := v.String()
 		// Force a float marker so the parser does not read it back as int.
 		if !strings.ContainsAny(s, ".eE") && !strings.Contains(s, "Inf") && !strings.Contains(s, "NaN") {
 			s += ".0"
 		}
 		return s
-	case KindBool:
-		return strconv.FormatBool(v.B)
 	case KindBlob:
-		return fmt.Sprintf("0x%x", v.S)
+		return fmt.Sprintf("0x%x", v.s)
 	}
-	return "?"
+	return v.String()
 }
 
-// Hash returns a 64-bit FNV-1a hash of the value.
+// Hash returns a 64-bit FNV-1a hash of the value's canonical key.
 func (v Value) Hash() uint64 {
 	h := fnv.New64a()
 	var buf [9]byte
-	buf[0] = byte(v.K)
-	switch v.K {
-	case KindString, KindBlob:
-		h.Write(buf[:1])
-		h.Write([]byte(v.S))
-	case KindInt:
-		binary.LittleEndian.PutUint64(buf[1:], uint64(v.I))
-		h.Write(buf[:])
-	case KindFloat:
-		binary.LittleEndian.PutUint64(buf[1:], math.Float64bits(v.F))
-		h.Write(buf[:])
-	case KindBool:
-		if v.B {
-			buf[1] = 1
-		}
-		h.Write(buf[:2])
+	h.Write(v.appendHead(buf[:0]))
+	if v.k == KindString || v.k == KindBlob {
+		h.Write([]byte(v.s))
 	}
 	return h.Sum64()
+}
+
+// appendHead appends v's canonical key up to its string payload: the kind
+// byte, then the payload length (strings, blobs), the 8 bits' bytes (ints,
+// floats) or one byte 0/1 (bools).
+func (v Value) appendHead(dst []byte) []byte {
+	dst = append(dst, byte(v.k))
+	switch v.k {
+	case KindString, KindBlob:
+		return binary.LittleEndian.AppendUint64(dst, uint64(len(v.s)))
+	case KindBool:
+		return append(dst, byte(v.n))
+	}
+	return binary.LittleEndian.AppendUint64(dst, v.n)
 }
 
 // AppendKey appends a canonical, order-insensitive byte encoding of v to dst.
 // Distinct values have distinct encodings, making it usable as a map key.
 func (v Value) AppendKey(dst []byte) []byte {
-	dst = append(dst, byte(v.K))
-	switch v.K {
-	case KindString, KindBlob:
-		var lenBuf [8]byte
-		binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(v.S)))
-		dst = append(dst, lenBuf[:]...)
-		dst = append(dst, v.S...)
-	case KindInt:
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], uint64(v.I))
-		dst = append(dst, buf[:]...)
-	case KindFloat:
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.F))
-		dst = append(dst, buf[:]...)
-	case KindBool:
-		if v.B {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
-	}
-	return dst
+	return append(v.appendHead(dst), v.s...)
 }
 
 // Key returns the canonical byte encoding of v as a string (usable as a map key).
 func (v Value) Key() string { return string(v.AppendKey(nil)) }
 
-// Encode appends the wire encoding of v to dst. Decode reverses it.
+// Encode appends the wire encoding of v to dst: the canonical key form, a
+// kind byte then 8 little-endian bytes (int, float bits, string and blob
+// length, the payload after it) or one byte 0/1 (bool). Float bits are kept
+// as they are, so NaN payloads, ±Inf and −0.0 survive. Decode reverses it.
 func (v Value) Encode(dst []byte) []byte { return v.AppendKey(dst) }
 
 // ErrCorrupt reports a malformed value or tuple encoding.
 var ErrCorrupt = errors.New("value: corrupt encoding")
 
-// Decode reads one value from b, returning the value and the remaining bytes.
-func Decode(b []byte) (Value, []byte, error) {
+// extent checks the value encoded at the start of b and returns its kind,
+// its encoded size and the length of its string payload (0 for scalars). It
+// accepts exactly what Encode writes: a known kind, enough bytes, and a bool
+// byte of 0 or 1.
+func extent(b []byte) (k Kind, size, n int, ok bool) {
 	if len(b) < 1 {
-		return Value{}, nil, ErrCorrupt
+		return 0, 0, 0, false
 	}
-	k := Kind(b[0])
-	b = b[1:]
+	k = Kind(b[0])
 	switch k {
 	case KindString, KindBlob:
-		if len(b) < 8 {
-			return Value{}, nil, ErrCorrupt
+		if len(b) < 9 {
+			return 0, 0, 0, false
 		}
-		n := binary.LittleEndian.Uint64(b[:8])
-		b = b[8:]
-		if uint64(len(b)) < n {
-			return Value{}, nil, ErrCorrupt
+		l := binary.LittleEndian.Uint64(b[1:9])
+		if l > uint64(len(b)-9) {
+			return 0, 0, 0, false
 		}
-		return Value{K: k, S: string(b[:n])}, b[n:], nil
-	case KindInt:
-		if len(b) < 8 {
-			return Value{}, nil, ErrCorrupt
-		}
-		return Value{K: k, I: int64(binary.LittleEndian.Uint64(b[:8]))}, b[8:], nil
-	case KindFloat:
-		if len(b) < 8 {
-			return Value{}, nil, ErrCorrupt
-		}
-		return Value{K: k, F: math.Float64frombits(binary.LittleEndian.Uint64(b[:8]))}, b[8:], nil
+		return k, 9 + int(l), int(l), true
+	case KindInt, KindFloat:
+		return k, 9, 0, len(b) >= 9
 	case KindBool:
-		if len(b) < 1 {
-			return Value{}, nil, ErrCorrupt
-		}
-		return Value{K: k, B: b[0] != 0}, b[1:], nil
-	default:
-		return Value{}, nil, ErrCorrupt
+		return k, 2, 0, len(b) >= 2 && b[1] <= 1
 	}
+	return 0, 0, 0, false
+}
+
+// decodeAt builds the value whose extent starts b, with s as its string
+// payload.
+func decodeAt(b []byte, k Kind, s string) Value {
+	switch k {
+	case KindString, KindBlob:
+		return Value{k: k, s: s}
+	case KindBool:
+		return Value{k: k, n: uint64(b[1])}
+	}
+	return Value{k: k, n: binary.LittleEndian.Uint64(b[1:9])}
+}
+
+// Decode reads one value from b, returning the value and the remaining bytes.
+func Decode(b []byte) (Value, []byte, error) {
+	r := NewReader(b)
+	v := r.Value()
+	if r.err != nil {
+		return Value{}, nil, r.err
+	}
+	return v, r.b, nil
 }
 
 // Tuple is an ordered sequence of values — one stored fact's arguments.
@@ -309,6 +276,32 @@ type Tuple []Value
 
 // NewTuple builds a tuple from its arguments.
 func NewTuple(vs ...Value) Tuple { return Tuple(vs) }
+
+// InKey returns a copy of the tuple whose string and blob payloads are
+// substrings of key, which must be t.Key(): a holder that keeps a tuple and
+// its key stores the payload bytes once, and pins nothing of wherever t's
+// strings came from (a decoded frame, a parsed request).
+func (t Tuple) InKey(key string) Tuple {
+	if t == nil {
+		return nil
+	}
+	out := make(Tuple, len(t))
+	off := 0
+	for i, v := range t {
+		switch v.k {
+		case KindString, KindBlob:
+			off += 9 // kind, length
+			v.s = key[off : off+len(v.s)]
+			off += len(v.s)
+		case KindBool:
+			off += 2
+		default:
+			off += 9
+		}
+		out[i] = v
+	}
+	return out
+}
 
 // Clone returns a copy of the tuple (values themselves are immutable).
 func (t Tuple) Clone() Tuple {
@@ -404,40 +397,6 @@ func (t Tuple) String() string {
 	}
 	sb.WriteByte(')')
 	return sb.String()
-}
-
-// Encode appends the wire encoding of the tuple (length-prefixed) to dst.
-func (t Tuple) Encode(dst []byte) []byte {
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(t)))
-	dst = append(dst, lenBuf[:]...)
-	for _, v := range t {
-		dst = v.Encode(dst)
-	}
-	return dst
-}
-
-// DecodeTuple reads one tuple from b, returning the tuple and remaining bytes.
-func DecodeTuple(b []byte) (Tuple, []byte, error) {
-	if len(b) < 4 {
-		return nil, nil, ErrCorrupt
-	}
-	n := binary.LittleEndian.Uint32(b[:4])
-	b = b[4:]
-	if n > uint32(len(b)) { // each value takes at least 1 byte
-		return nil, nil, ErrCorrupt
-	}
-	t := make(Tuple, 0, n)
-	var v Value
-	var err error
-	for i := uint32(0); i < n; i++ {
-		v, b, err = Decode(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		t = append(t, v)
-	}
-	return t, b, nil
 }
 
 // SortTuples sorts a slice of tuples in place in lexicographic order.
