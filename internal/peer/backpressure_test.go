@@ -70,13 +70,11 @@ func TestApplyFailFastBackpressure(t *testing.T) {
 // caller, and it completes once the destination starts acking.
 func TestApplyBlocksUntilSpace(t *testing.T) {
 	n := NewNetwork()
-	alice, err := n.NewPeer(Config{
-		Name: "alice", OutboxLimit: 2,
-		OutboxAckTimeout: 20 * time.Millisecond, OutboxBackoff: 2 * time.Millisecond,
-	})
+	alice, err := n.NewPeer(Config{Name: "alice", OutboxLimit: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	shrinkOutboxTimers(alice, 20*time.Millisecond)
 	sink, err := n.NewPeer(Config{Name: "sink"})
 	if err != nil {
 		t.Fatal(err)
@@ -178,16 +176,11 @@ func TestApplyPendingOpsBound(t *testing.T) {
 // discarded — the queue depth collapses to the single repair entry.
 func TestSlowPeerShedResetsStream(t *testing.T) {
 	n := NewNetwork()
-	alice, err := n.NewPeer(Config{
-		Name:             "alice",
-		OutboxShedAfter:  80 * time.Millisecond,
-		OutboxAckTimeout: 20 * time.Millisecond,
-		OutboxBackoff:    2 * time.Millisecond,
-		ResyncInterval:   -1,
-	})
+	alice, err := n.NewPeer(Config{Name: "alice", OutboxShedAfter: 80 * time.Millisecond, ResyncInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	shrinkOutboxTimers(alice, 20*time.Millisecond)
 	if _, err := n.NewPeer(Config{Name: "bob"}); err != nil { // never acks
 		t.Fatal(err)
 	}
@@ -215,16 +208,11 @@ func TestSlowPeerShedResetsStream(t *testing.T) {
 // repair run rebuilds the full view, despite the discarded backlog.
 func TestShedRepairedByResync(t *testing.T) {
 	n := NewNetwork()
-	alice, err := n.NewPeer(Config{
-		Name:             "alice",
-		OutboxShedAfter:  80 * time.Millisecond,
-		OutboxAckTimeout: 20 * time.Millisecond,
-		OutboxBackoff:    2 * time.Millisecond,
-		ResyncInterval:   50 * time.Millisecond,
-	})
+	alice, err := n.NewPeer(Config{Name: "alice", OutboxShedAfter: 80 * time.Millisecond, ResyncInterval: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
+	shrinkOutboxTimers(alice, 20*time.Millisecond)
 	bob, err := n.NewPeer(Config{Name: "bob"})
 	if err != nil {
 		t.Fatal(err)

@@ -72,22 +72,27 @@ func TestPeerRestartKeepsPictureBitExact(t *testing.T) {
 	}
 }
 
-// TestPeerRefusesOldFormatLogs: a durable peer over the previous version's
-// JSON-lines logs, or over an outbox log whose entry holds a payload in the
-// previous (gob) encoding, does not start, with ErrWAL saying to drain or
-// remove the log.
+// TestPeerRefusesOldFormatLogs: a durable peer over the JSON-lines logs of
+// the JSON era, over a log whose outbox entry holds a payload in the gob
+// encoding of that era, or over the three files of log format version 1,
+// does not start, with ErrWAL saying to drain or remove the log.
 func TestPeerRefusesOldFormatLogs(t *testing.T) {
 	gobPayload, err := os.ReadFile(filepath.Join("..", "protocol", "testdata", "gob_payload.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	setups := map[string]func(t *testing.T, dir string){
-		"json wal": func(t *testing.T, dir string) { copyFixture(t, dir, "wal.log") },
+		"json wal": func(t *testing.T, dir string) { copyFixture(t, dir, "jsonera", "wal.log") },
 		"json outbox log": func(t *testing.T, dir string) {
-			copyFixture(t, dir, "outbox.log")
+			copyFixture(t, dir, "jsonera", "outbox.log")
+		},
+		"v1 logs": func(t *testing.T, dir string) {
+			for _, name := range []string{"wal.log", "outbox.log", "snapshot.log"} {
+				copyFixture(t, dir, "v1", name)
+			}
 		},
 		"gob outbox entry": func(t *testing.T, dir string) {
-			l, err := store.OpenOutboxLog(dir)
+			l, err := store.OpenWAL(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,9 +118,11 @@ func TestPeerRefusesOldFormatLogs(t *testing.T) {
 	}
 }
 
-func copyFixture(t *testing.T, dir, name string) {
+// copyFixture copies the old-format log file name of the fixture set (a
+// directory under store's testdata) into dir.
+func copyFixture(t *testing.T, dir, set, name string) {
 	t.Helper()
-	b, err := os.ReadFile(filepath.Join("..", "store", "testdata", "jsonera", name))
+	b, err := os.ReadFile(filepath.Join("..", "store", "testdata", set, name))
 	if err != nil {
 		t.Fatal(err)
 	}

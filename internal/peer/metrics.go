@@ -73,6 +73,12 @@ func (p *Peer) registerMetrics(reg *metrics.Registry) {
 		"Apply admissions rejected with ErrBackpressure (fail-fast).", "peer").Func(atomicFn(&ob.bpRejects), name)
 	reg.Counter("wdl_resync_adverts_total",
 		"Periodic anti-entropy digest adverts transmitted.", "peer").Func(atomicFn(&ob.adverts), name)
+	if w := p.wal; w != nil {
+		reg.Counter("wdl_log_syncs_total",
+			"Fsyncs of the durable log (wal.log): at most one per stage end.", "peer").Func(func() float64 {
+			return float64(w.Syncs())
+		}, name)
+	}
 
 	reg.Gauge("wdl_outbox_depth",
 		"Unacknowledged outbox entries across all destinations.", "peer").Func(func() float64 {

@@ -110,14 +110,14 @@ type outbox struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	// persistMu serializes enqueue persistence (shared) against log
-	// compaction (exclusive): a compaction snapshot must never race an
+	// persistMu serializes enqueue persistence (shared) against a log
+	// checkpoint (exclusive): the checkpoint's state must never race an
 	// append that already reached the old log file, or the rename would
 	// silently drop a durable entry.
 	persistMu sync.RWMutex
 
 	// onEnqueue/onAck/onReset, when set, persist outbox transitions
-	// (WAL-backed peers); see store.OutboxLog. onPreFlush runs before a
+	// (WAL-backed peers) in the peer's log. onPreFlush runs before a
 	// flush cycle transmits data entries: durable peers sync the log there,
 	// off the stage path, preserving the invariant that a transmitted
 	// sequence number is always recoverable.
@@ -829,34 +829,15 @@ func (o *outbox) seed(dst string, epoch, nextSeq, acked uint64, entries []outEnt
 	dq.signal()
 }
 
-// compactTo rewrites the log to the outbox's live state plus the given
-// applied watermarks, excluding concurrent enqueuers for the duration so a
-// logged-but-unsnapshotted entry can never be dropped by the rewrite.
-func (o *outbox) compactTo(log *store.OutboxLog, applied map[string]store.AppliedMark) error {
+// checkpoint hands write the live delivery state, encoding retained
+// payloads, with concurrent enqueuers excluded until write returns, so an
+// entry logged after the state was taken can never be dropped by the
+// rewrite. Applied watermarks are the peer's, added by write.
+func (o *outbox) checkpoint(write func(*store.OutboxState) error) error {
 	o.persistMu.Lock()
 	defer o.persistMu.Unlock()
-	st, err := o.collectState(protocol.EncodePayload)
-	if err != nil {
-		return err
-	}
+	st := store.NewOutboxState()
 	st.Epoch = o.defaultEpoch
-	for from, mark := range applied {
-		st.Applied[from] = mark
-	}
-	return log.Compact(st)
-}
-
-// collectState snapshots the live delivery state for log compaction,
-// encoding retained payloads with encode. Applied watermarks are the
-// peer's, merged in by the caller.
-func (o *outbox) collectState(encode func(protocol.Payload) ([]byte, error)) (*store.OutboxState, error) {
-	st := &store.OutboxState{
-		Epochs:  map[string]uint64{},
-		Pending: map[string][]store.OutboxEntry{},
-		NextSeq: map[string]uint64{},
-		Acked:   map[string]uint64{},
-		Applied: map[string]store.AppliedMark{},
-	}
 	for _, dq := range o.snapshot() {
 		dq.mu.Lock()
 		entries := make([]outEntry, len(dq.entries))
@@ -867,14 +848,14 @@ func (o *outbox) collectState(encode func(protocol.Payload) ([]byte, error)) (*s
 		st.NextSeq[dq.dst] = nextSeq
 		st.Acked[dq.dst] = acked
 		for _, e := range entries {
-			b, err := encode(e.msg)
+			b, err := protocol.EncodePayload(e.msg)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			st.Pending[dq.dst] = append(st.Pending[dq.dst], store.OutboxEntry{Seq: e.seq, Payload: b})
 		}
 	}
-	return st, nil
+	return write(st)
 }
 
 // Shutdown stops the flushers and waits for them; call after cancelling the

@@ -17,7 +17,7 @@ import (
 // After a crash, a fresh engine re-derives and re-sends everything it still
 // derives — but a retraction emitted while the destination was unreachable
 // exists nowhere except the outbox. A WAL-backed peer must recover it from
-// the outbox log and deliver it, or the receiver keeps the stale fact
+// its log and deliver it, or the receiver keeps the stale fact
 // forever.
 func TestDurableOutboxRedeliversAfterRestart(t *testing.T) {
 	ctx := context.Background()

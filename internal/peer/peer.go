@@ -67,14 +67,6 @@ type Config struct {
 	// assumes a reliable transport (the in-process bus): failed sends stay
 	// queued and retry at the next flush, but there is no retransmit timer.
 	SyncEmit bool
-	// OutboxAckTimeout overrides the outbox's retransmission timer: how long
-	// a transmitted message may wait for its acknowledgment before the
-	// flusher re-sends it (default 200ms). Zero keeps the default.
-	OutboxAckTimeout time.Duration
-	// OutboxBackoff overrides the outbox's base retry backoff after a
-	// failed delivery attempt; it doubles per consecutive failure up to a
-	// cap of 200x the base (default base 10ms). Zero keeps the default.
-	OutboxBackoff time.Duration
 	// ResyncInterval is the anti-entropy period: roughly this often (per
 	// destination with a maintained remote view) the peer advertises
 	// order-insensitive digests of what it maintains there, and receivers
@@ -245,8 +237,13 @@ type Peer struct {
 	intern *value.Interner
 	eng    *engine.Engine
 	ep     transport.Endpoint
-	wal    *store.WAL
-	ctrl   *acl.Controller
+	// wal is the peer's one durable log (nil for volatile peers): its
+	// extensional updates and its delivery state — outgoing entries until
+	// acknowledged, so they survive a crash and are re-sent on recovery,
+	// and the applied watermarks that suppress replays of messages applied
+	// before it.
+	wal  *store.WAL
+	ctrl *acl.Controller
 
 	// ctx is the peer's lifetime: Close cancels it, which stops the outbox
 	// flushers and aborts any in-flight dial instead of letting it run to
@@ -254,10 +251,6 @@ type Peer struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	outbox *outbox
-	// oblog persists outbox state for WAL-backed peers: pending entries
-	// survive a crash and are re-sent on recovery, and the applied-watermark
-	// map suppresses replays of messages applied before the crash.
-	oblog *store.OutboxLog
 
 	mu         sync.Mutex
 	ownRules   []ast.Rule
@@ -343,8 +336,10 @@ func New(cfg Config, ep transport.Endpoint) (*Peer, error) {
 	if cfg.Interner != nil {
 		db.SetInterner(cfg.Interner)
 	}
+	var recovered *store.OutboxState
 	if cfg.WAL != nil {
-		if err := cfg.WAL.Recover(db); err != nil {
+		var err error
+		if recovered, err = cfg.WAL.Recover(db); err != nil {
 			return nil, fmt.Errorf("peer %s: recovering: %w", cfg.Name, err)
 		}
 	}
@@ -374,13 +369,6 @@ func New(cfg Config, ep transport.Endpoint) (*Peer, error) {
 		p.rv.SetInterner(cfg.Interner)
 	}
 	p.outbox = newOutbox(ep, ctx, cfg.SyncEmit)
-	if cfg.OutboxAckTimeout > 0 {
-		p.outbox.ackTimeout = cfg.OutboxAckTimeout
-	}
-	if cfg.OutboxBackoff > 0 {
-		p.outbox.baseBackoff = cfg.OutboxBackoff
-		p.outbox.maxBackoff = 200 * cfg.OutboxBackoff
-	}
 	p.resyncEvery = cfg.ResyncInterval
 	if p.resyncEvery == 0 {
 		p.resyncEvery = defaultResyncInterval
@@ -397,7 +385,7 @@ func New(cfg Config, ep transport.Endpoint) (*Peer, error) {
 	p.maxPendingOps = cfg.MaxPendingOps
 	p.admitFailFast = cfg.Admission == AdmitFailFast
 	if cfg.WAL != nil {
-		if err := p.openOutboxLog(cfg.WAL.Dir()); err != nil {
+		if err := p.resumeDelivery(recovered); err != nil {
 			cancel()
 			return nil, fmt.Errorf("peer %s: %w", cfg.Name, err)
 		}
@@ -410,21 +398,13 @@ func New(cfg Config, ep transport.Endpoint) (*Peer, error) {
 	return p, nil
 }
 
-// openOutboxLog attaches durable delivery state to a WAL-backed peer:
-// recover pending entries and watermarks, seed the outbox, and install the
-// persistence hooks. An entry is logged and synced before a flusher can
-// transmit it, so a transmitted sequence number is never reused after a
-// crash.
-func (p *Peer) openOutboxLog(dir string) error {
-	l, err := store.OpenOutboxLog(dir)
-	if err != nil {
-		return err
-	}
-	st, err := l.Recover()
-	if err != nil {
-		l.Close()
-		return err
-	}
+// resumeDelivery restores the delivery state recovered from the log —
+// applied watermarks, the default epoch, pending entries — and installs the
+// hooks that log every outbox transition. An entry is logged and synced
+// before a flusher can transmit it, so a transmitted sequence number is
+// never reused after a crash.
+func (p *Peer) resumeDelivery(st *store.OutboxState) error {
+	l := p.wal
 	for from, mark := range st.Applied {
 		s := p.sessionLocked(from)
 		s.known = true
@@ -437,21 +417,19 @@ func (p *Peer) openOutboxLog(dir string) error {
 		// so it stays stable across restarts (receivers keep their
 		// watermarks).
 		epoch = newEpoch()
-		if err := l.LogEpoch(epoch); err == nil {
+		err := l.LogEpoch(epoch)
+		if err == nil {
 			err = l.Sync()
 		}
 		if err != nil {
-			l.Close()
 			return err
 		}
 	}
 	p.outbox.defaultEpoch = epoch
 	// Install the persistence hooks before seeding: seeding a queue starts
-	// its flusher, which reads them.
-	p.oblog = l
-	// The hooks drop append errors: a failed write is sticky in the log's
-	// buffered writer, so it fails the onPreFlush sync that gates every
-	// transmission instead.
+	// its flusher, which reads them. The hooks drop append errors: a failed
+	// write is sticky in the log's buffered writer, so it fails the
+	// onPreFlush sync that gates every transmission instead.
 	p.outbox.onEnqueue = func(dst string, seq uint64, msg protocol.Payload) {
 		// Buffered append only: the fsync happens in onPreFlush, before the
 		// first transmission of a flush cycle, keeping stage commits off
@@ -482,9 +460,8 @@ func (p *Peer) openOutboxLog(dir string) error {
 		for _, e := range st.Pending[dst] {
 			msg, err := protocol.DecodePayload(e.Payload)
 			if err != nil {
-				l.Close()
 				return fmt.Errorf("%w: recovering outbox entry %d for %s (written by an older version?): %w; "+
-					"drain the outbox log with the version that wrote it, or remove it", errdefs.ErrWAL, e.Seq, dst, err)
+					"drain the log with the version that wrote it, or remove it", errdefs.ErrWAL, e.Seq, dst, err)
 			}
 			entries = append(entries, outEntry{seq: e.Seq, msg: msg})
 		}
@@ -685,10 +662,13 @@ func (p *Peer) setSchedHooks(ready, outboxActive func()) {
 }
 
 // DeclareRelation declares (or re-checks) a relation owned by this peer.
+// The declaration is logged under p.mu, like every append a checkpoint
+// must not race.
 func (p *Peer) DeclareRelation(name string, kind ast.RelKind, cols ...string) error {
 	schema := store.Schema{Name: name, Peer: p.name, Kind: kind, Cols: cols}
-	rel := p.db.Get(name, p.name)
-	created := rel == nil
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	created := p.db.Get(name, p.name) == nil
 	if _, err := p.db.Declare(schema); err != nil {
 		return fmt.Errorf("peer %s: %w", p.name, err)
 	}
@@ -699,9 +679,7 @@ func (p *Peer) DeclareRelation(name string, kind ast.RelKind, cols ...string) er
 	}
 	if created {
 		// New relations can change conservative stratification.
-		p.mu.Lock()
 		p.progDirty = true
-		p.mu.Unlock()
 		p.kick()
 	}
 	return nil
@@ -1178,26 +1156,19 @@ func (p *Peer) Close() error {
 	p.mu.Unlock()
 	// Cancel the peer context first (aborts in-flight dials and stops the
 	// flushers at their next check), then close the endpoint (unblocks any
-	// write in progress), then wait for the flushers to exit.
+	// write in progress), then wait for the flushers to exit, and only then
+	// sync and close the log they append to.
 	p.cancel()
 	var errs []error
+	if err := p.ep.Close(); err != nil {
+		errs = append(errs, err)
+	}
+	p.outbox.Shutdown()
 	if p.wal != nil {
 		if err := p.wal.Sync(); err != nil {
 			errs = append(errs, err)
 		}
 		if err := p.wal.Close(); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	if err := p.ep.Close(); err != nil {
-		errs = append(errs, err)
-	}
-	p.outbox.Shutdown()
-	if p.oblog != nil {
-		if err := p.oblog.Sync(); err != nil {
-			errs = append(errs, err)
-		}
-		if err := p.oblog.Close(); err != nil {
 			errs = append(errs, err)
 		}
 	}

@@ -147,7 +147,8 @@ func TestPeerWALRecovery(t *testing.T) {
 	}
 }
 
-// TestPeerWALSnapshotRecovery checks recovery through a snapshot + tail.
+// TestPeerWALSnapshotRecovery checks recovery through a checkpoint (the
+// log rewritten to a snapshot of the live state) + tail.
 func TestPeerWALSnapshotRecovery(t *testing.T) {
 	dir := t.TempDir()
 	n := NewNetwork()
@@ -169,9 +170,7 @@ func TestPeerWALSnapshotRecovery(t *testing.T) {
 	if _, _, err := n.RunToQuiescence(context.Background(), 50); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Snapshot(p.Store(), "alice"); err != nil {
-		t.Fatal(err)
-	}
+	checkpoint(t, p)
 	if err := p.InsertString(`pics@alice(2);`); err != nil {
 		t.Fatal(err)
 	}
@@ -194,5 +193,18 @@ func TestPeerWALSnapshotRecovery(t *testing.T) {
 	defer p2.Close()
 	if got := p2.Query("pics"); len(got) != 2 {
 		t.Fatalf("recovered pics = %v, want 2", got)
+	}
+}
+
+// checkpoint rewrites p's log to its live state, as a stage does once the
+// log has outgrown it.
+func checkpoint(t *testing.T, p *Peer) {
+	t.Helper()
+	rep := &StageReport{}
+	p.mu.Lock()
+	p.checkpointLocked(rep)
+	p.mu.Unlock()
+	if len(rep.Errors) > 0 {
+		t.Fatal(rep.Errors)
 	}
 }

@@ -25,15 +25,11 @@ func newRangedPeer(t *testing.T, n *Network, name string, faults *transport.Faul
 	if faults != nil {
 		ep = transport.Faulty(ep, *faults)
 	}
-	p, err := New(Config{
-		Name:             name,
-		OutboxAckTimeout: 10 * time.Millisecond,
-		OutboxBackoff:    2 * time.Millisecond,
-		ResyncInterval:   resyncTestInterval,
-	}, ep)
+	p, err := New(Config{Name: name, ResyncInterval: resyncTestInterval}, ep)
 	if err != nil {
 		t.Fatal(err)
 	}
+	shrinkOutboxTimers(p, 10*time.Millisecond)
 	n.Add(p)
 	return p
 }
@@ -299,15 +295,11 @@ func TestChunkedRepairRestart(t *testing.T) {
 	const viewSize = repairChunkOps + 1000
 	n := NewNetwork()
 	link := &repairCutEndpoint{Endpoint: n.Bus().Endpoint("a")}
-	a, err := New(Config{
-		Name:             "a",
-		OutboxAckTimeout: 10 * time.Millisecond,
-		OutboxBackoff:    2 * time.Millisecond,
-		ResyncInterval:   resyncTestInterval,
-	}, link)
+	a, err := New(Config{Name: "a", ResyncInterval: resyncTestInterval}, link)
 	if err != nil {
 		t.Fatal(err)
 	}
+	shrinkOutboxTimers(a, 10*time.Millisecond)
 	n.Add(a)
 	defer a.Close()
 	loadViewSender(t, a)

@@ -24,17 +24,22 @@ const resyncTestInterval = 20 * time.Millisecond
 // interval < 0 disables periodic adverts.
 func newResyncPeer(t *testing.T, n *Network, name string, interval time.Duration) *Peer {
 	t.Helper()
-	p, err := New(Config{
-		Name:             name,
-		OutboxAckTimeout: 10 * time.Millisecond,
-		OutboxBackoff:    2 * time.Millisecond,
-		ResyncInterval:   interval,
-	}, n.Bus().Endpoint(name))
+	p, err := New(Config{Name: name, ResyncInterval: interval}, n.Bus().Endpoint(name))
 	if err != nil {
 		t.Fatal(err)
 	}
+	shrinkOutboxTimers(p, 10*time.Millisecond)
 	n.Add(p)
 	return p
+}
+
+// shrinkOutboxTimers sets p's retransmission timer to ackTimeout and its
+// retry backoff to 2ms doubling up to 400ms, so delivery cycles run at test
+// speed. Call it before p enqueues anything: flushers read the fields.
+func shrinkOutboxTimers(p *Peer, ackTimeout time.Duration) {
+	p.outbox.ackTimeout = ackTimeout
+	p.outbox.baseBackoff = 2 * time.Millisecond
+	p.outbox.maxBackoff = 400 * time.Millisecond
 }
 
 // lossyEndpoint is a link that silently loses the messages its drop func
@@ -55,15 +60,11 @@ func (e *lossyEndpoint) Send(ctx context.Context, to string, msg protocol.Payloa
 func newLossyPeer(t *testing.T, n *Network, name string) (*Peer, *lossyEndpoint) {
 	t.Helper()
 	link := &lossyEndpoint{Endpoint: n.Bus().Endpoint(name)}
-	p, err := New(Config{
-		Name:             name,
-		OutboxAckTimeout: 10 * time.Millisecond,
-		OutboxBackoff:    2 * time.Millisecond,
-		ResyncInterval:   -1,
-	}, link)
+	p, err := New(Config{Name: name, ResyncInterval: -1}, link)
 	if err != nil {
 		t.Fatal(err)
 	}
+	shrinkOutboxTimers(p, 10*time.Millisecond)
 	n.Add(p)
 	return p, link
 }

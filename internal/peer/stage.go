@@ -140,6 +140,9 @@ func (p *Peer) runStageLocked() *StageReport {
 
 	rep := &StageReport{Stage: p.stageNo + 1}
 	defer func() { p.stats.RuntimeErrors += uint64(len(rep.Errors)) }()
+	if p.wal != nil && p.wal.CheckpointDue() {
+		p.checkpointLocked(rep)
+	}
 	startIngest := time.Now()
 	p.poked = false
 
@@ -154,10 +157,6 @@ func (p *Peer) runStageLocked() *StageReport {
 		changed = true
 	}
 	rep.Ingest = time.Since(startIngest)
-
-	if p.oblog != nil && p.oblog.Records() > outboxCompactThreshold {
-		p.compactOutboxLogLocked(rep)
-	}
 
 	if !changed {
 		p.stats.StagesSkipped++
@@ -339,39 +338,30 @@ func (p *Peer) ingestLocked(rep *StageReport, d *stageDeltas) bool {
 		changed = true
 	}
 
-	durable := true
-	if p.wal != nil && rep.Applied > 0 {
-		if err := p.wal.Sync(); err != nil {
-			rep.Errors = append(rep.Errors, err)
-			durable = false
-		}
-	}
 	// Release the staged acks only once everything they certify is durable:
-	// the applied facts (WAL) and the per-sender watermark (outbox log). On
-	// a persistence failure the acks stay staged — the sender retransmits,
-	// the replay coalesces onto the same staged ack, and the release is
-	// retried by a later ingestion.
+	// the applied facts and the per-sender watermarks, in one sync of the
+	// log. On a persistence failure the acks stay staged — the sender
+	// retransmits, the replay coalesces onto the same staged ack, and the
+	// release is retried by a later ingestion.
 	ackable := p.stagedAckSessionsLocked()
-	if p.oblog != nil && len(ackable) > 0 && durable {
+	if p.wal != nil && (rep.Applied > 0 || len(ackable) > 0) {
+		var err error
 		for _, s := range ackable {
-			if err := p.oblog.LogApplied(s.from, s.ackEpoch, s.ackSeq); err != nil {
-				rep.Errors = append(rep.Errors, err)
-				durable = false
-				break
+			if err == nil {
+				err = p.wal.LogApplied(s.from, s.ackEpoch, s.ackSeq)
 			}
 		}
-		if durable {
-			if err := p.oblog.Sync(); err != nil {
-				rep.Errors = append(rep.Errors, err)
-				durable = false
-			}
+		if err == nil {
+			err = p.wal.Sync()
+		}
+		if err != nil {
+			rep.Errors = append(rep.Errors, err)
+			return changed
 		}
 	}
-	if durable {
-		for _, s := range ackable {
-			p.outbox.EnqueueAck(s.from, s.ackEpoch, s.ackSeq)
-			s.ackStaged = false
-		}
+	for _, s := range ackable {
+		p.outbox.EnqueueAck(s.from, s.ackEpoch, s.ackSeq)
+		s.ackStaged = false
 	}
 	return changed
 }
@@ -928,23 +918,22 @@ func (p *Peer) applyRangeRepairLocked(from string, msg protocol.RangeRepairMsg, 
 	return p.applyOpsLocked(append(ops, ins...), rep, d)
 }
 
-// outboxCompactThreshold is the record count past which the outbox log is
-// rewritten to its live state at the end of a stage.
-const outboxCompactThreshold = 8192
-
-// compactOutboxLogLocked rewrites the outbox log to the live delivery state
-// (acknowledged history dropped). Concurrent enqueuers are excluded for the
-// duration (outbox.compactTo), so no logged entry can fall between the
-// snapshot and the rewrite.
-func (p *Peer) compactOutboxLogLocked(rep *StageReport) {
-	applied := make(map[string]store.AppliedMark, len(p.inbound))
-	for from, s := range p.inbound {
-		if s.known {
-			applied[from] = store.AppliedMark{Epoch: s.epoch, Seq: s.seq}
+// checkpointLocked rewrites the log to the live state: the extensional
+// store, the outbox's delivery state and the applied watermarks. p.mu
+// excludes the stage's appends, acks, resets and declarations, and
+// outbox.checkpoint excludes concurrent enqueuers, so no record can reach
+// the superseded file after the state is taken.
+func (p *Peer) checkpointLocked(rep *StageReport) {
+	err := p.outbox.checkpoint(func(st *store.OutboxState) error {
+		for from, s := range p.inbound {
+			if s.known {
+				st.Applied[from] = store.AppliedMark{Epoch: s.epoch, Seq: s.seq}
+			}
 		}
-	}
-	if err := p.outbox.compactTo(p.oblog, applied); err != nil {
-		rep.Errors = append(rep.Errors, fmt.Errorf("peer %s: compacting outbox log: %w", p.name, err))
+		return p.wal.Checkpoint(p.db, p.name, st)
+	})
+	if err != nil {
+		rep.Errors = append(rep.Errors, fmt.Errorf("peer %s: checkpointing the log: %w", p.name, err))
 	}
 }
 
@@ -1045,33 +1034,32 @@ func (p *Peer) applyOpsLocked(ops []ingestOp, rep *StageReport, d *stageDeltas) 
 			i++
 			continue
 		}
-		tuples := make([]value.Tuple, j-i)
+		// One key per tuple for the whole run: the ledger, the store and the
+		// deltas share it.
+		relID := rel.Schema().ID()
+		tuples, keys := make([]value.Tuple, j-i), make([]string, j-i)
 		for k := i; k < j; k++ {
-			tuples[k-i] = ops[k].fact.Args
-		}
-		// Maintained inserts into an extensional relation: the sender keeps
-		// them in its remote view, so the session ledger mirrors them
-		// (dedup inside ledgerAdd), applied or not. Runs may mix maintained
-		// and one-shot inserts; only the maintained ones are ledgered.
-		for k := i; k < j; k++ {
+			if op.del {
+				tuples[k-i], keys[k-i] = ops[k].fact.Args, ops[k].fact.Args.Key()
+			} else {
+				tuples[k-i], keys[k-i] = p.keyOf(ops[k].fact.Args)
+			}
+			// Maintained inserts into an extensional relation: the sender
+			// keeps them in its remote view, so the session ledger mirrors
+			// them (dedup inside ledgerAdd), applied or not. Runs may mix
+			// maintained and one-shot inserts; only the maintained ones are
+			// ledgered.
 			if ops[k].maint {
-				_, key := p.keyOf(ops[k].fact.Args)
-				p.sessionLocked(ops[k].src).ledgerAdd(rel.Schema().ID(), key)
+				p.sessionLocked(ops[k].src).ledgerAdd(relID, keys[k-i])
 			}
 		}
-		var applied []value.Tuple
-		if op.del {
-			applied = rel.DeleteMany(tuples)
-		} else {
-			applied = rel.InsertMany(tuples)
-		}
+		applied, appliedKeys := rel.ApplyMany(op.del, tuples, keys)
 		if len(applied) > 0 {
 			changed = true
 			rep.Applied += len(applied)
 			p.stats.UpdatesApplied += uint64(len(applied))
-			relID := rel.Schema().ID()
-			for _, t := range applied {
-				d.record(relID, t.Key(), t, op.del)
+			for n, t := range applied {
+				d.record(relID, appliedKeys[n], t, op.del)
 			}
 			if p.wal != nil {
 				if err := p.wal.LogMany(op.del, f.Rel, p.name, applied); err != nil {

@@ -104,7 +104,7 @@ func TestWALLogMany(t *testing.T) {
 	}
 	defer w2.Close()
 	s2 := New()
-	if err := w2.Recover(s2); err != nil {
+	if _, err := w2.Recover(s2); err != nil {
 		t.Fatal(err)
 	}
 	rel := s2.Get("data", "p")

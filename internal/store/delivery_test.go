@@ -3,13 +3,12 @@ package store
 import (
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 )
 
 func TestOutboxLogRecover(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenOutboxLog(dir)
+	l, err := OpenWAL(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,12 +26,12 @@ func TestOutboxLogRecover(t *testing.T) {
 	must(l.Sync())
 	must(l.Close())
 
-	l2, err := OpenOutboxLog(dir)
+	l2, err := OpenWAL(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	st, err := l2.Recover()
+	st, err := l2.Recover(New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +51,7 @@ func TestOutboxLogRecover(t *testing.T) {
 
 func TestOutboxLogCompact(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenOutboxLog(dir)
+	l, err := OpenWAL(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,18 +74,20 @@ func TestOutboxLogCompact(t *testing.T) {
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := l.Recover()
+	st, err := l.Recover(New())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Compact(st); err != nil {
+	if err := l.Checkpoint(New(), "p", st); err != nil {
 		t.Fatal(err)
 	}
-	if l.Records() != 0 {
-		t.Errorf("records after compaction = %d, want 0", l.Records())
+	// epoch, the enqueue+ack pair keeping bob's floor, bob's pending entry,
+	// dave's watermark
+	if l.Records() != 5 {
+		t.Errorf("records after checkpoint = %d, want 5", l.Records())
 	}
-	// Compaction must shrink the file to the live state.
-	fi, err := os.Stat(filepath.Join(dir, outboxLogName))
+	// The checkpoint must shrink the file to the live state.
+	fi, err := os.Stat(filepath.Join(dir, logName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,12 +104,12 @@ func TestOutboxLogCompact(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := OpenOutboxLog(dir)
+	l2, err := OpenWAL(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	st2, err := l2.Recover()
+	st2, err := l2.Recover(New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,17 +123,17 @@ func TestOutboxLogCompact(t *testing.T) {
 		t.Errorf("dave applied = %+v, want epoch 5 seq 3", st2.Applied["dave"])
 	}
 	if st2.Epoch != 99 {
-		t.Errorf("epoch = %d, want 99 preserved across compaction", st2.Epoch)
+		t.Errorf("epoch = %d, want 99 preserved across the checkpoint", st2.Epoch)
 	}
 }
 
 // TestOutboxLogCompactionRoundTripInterleaved: appends before and after a
-// mid-stream compaction — including a per-stream reset — must recover to
-// exactly the live state: the compaction snapshot plus everything appended
-// after it, with nothing from the superseded history resurrected.
+// mid-stream checkpoint — including a per-stream reset — must recover to
+// exactly the live state: the checkpoint plus everything appended after it,
+// with nothing from the superseded history resurrected.
 func TestOutboxLogCompactionRoundTripInterleaved(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenOutboxLog(dir)
+	l, err := OpenWAL(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +158,8 @@ func TestOutboxLogCompactionRoundTripInterleaved(t *testing.T) {
 	must(l.LogEnqueue("c", 1, []byte("c1'")))
 	must(l.Sync())
 
-	// Mid-stream compaction of the state as a caller would snapshot it.
-	must(l.Compact(&OutboxState{
+	// Mid-stream checkpoint of the state as a caller would take it.
+	must(l.Checkpoint(New(), "p", &OutboxState{
 		Epoch:   77,
 		Epochs:  map[string]uint64{"b": 77, "c": 99},
 		Pending: map[string][]OutboxEntry{"b": {{Seq: 2, Payload: []byte("b2")}}, "c": {{Seq: 1, Payload: []byte("c1'")}}},
@@ -175,13 +176,13 @@ func TestOutboxLogCompactionRoundTripInterleaved(t *testing.T) {
 	must(l.Sync())
 	must(l.Close())
 
-	// Recovery must see the snapshot plus phase 2, nothing else.
-	l2, err := OpenOutboxLog(dir)
+	// Recovery must see the checkpoint plus phase 2, nothing else.
+	l2, err := OpenWAL(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	st, err := l2.Recover()
+	st, err := l2.Recover(New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestOutboxLogCompactionRoundTripInterleaved(t *testing.T) {
 
 func TestOutboxLogTornTail(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenOutboxLog(dir)
+	l, err := OpenWAL(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,14 +223,14 @@ func TestOutboxLogTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate a crash mid-append: a torn trailing record.
-	tearLog(t, dir, outboxLogName, tornOutboxRecord())
+	tearLog(t, dir, logName, tornOutboxRecord())
 
-	l2, err := OpenOutboxLog(dir)
+	l2, err := OpenWAL(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	st, err := l2.Recover()
+	st, err := l2.Recover(New())
 	if err != nil {
 		t.Fatalf("torn tail should be tolerated: %v", err)
 	}
@@ -238,22 +239,19 @@ func TestOutboxLogTornTail(t *testing.T) {
 	}
 }
 
-// recoverOutboxLog opens the outbox log in dir and recovers it.
-func recoverOutboxLog(t testing.TB, dir string) (*OutboxLog, *OutboxState, error) {
+// recoverOutboxLog opens the log in dir and recovers its delivery state.
+func recoverOutboxLog(t testing.TB, dir string) (*WAL, *OutboxState, error) {
 	t.Helper()
-	l, err := OpenOutboxLog(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := l.Recover()
-	return l, st, err
+	w, _, st, err := recoverBoth(t, dir)
+	return w, st, err
 }
 
-// TestOutboxLogTornTailSurvivesSecondRestart: as for the WAL, records logged
-// after a restart over a torn tail must not be glued to the fragment.
+// TestOutboxLogTornTailSurvivesSecondRestart: as for the store's records,
+// delivery records logged after a restart over a torn tail must not be
+// glued to the fragment.
 func TestOutboxLogTornTailSurvivesSecondRestart(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenOutboxLog(dir)
+	l, err := OpenWAL(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +261,7 @@ func TestOutboxLogTornTailSurvivesSecondRestart(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tearLog(t, dir, outboxLogName, tornOutboxRecord())
+	tearLog(t, dir, logName, tornOutboxRecord())
 
 	l, _, err = recoverOutboxLog(t, dir)
 	if err != nil {
@@ -287,74 +285,9 @@ func TestOutboxLogTornTailSurvivesSecondRestart(t *testing.T) {
 	}
 }
 
-// FuzzOutboxLogReplay feeds arbitrary bytes to OutboxLog.Recover as the log
-// file, with the property FuzzWALReplay checks: no panic, and after a
-// successful recovery, logging one more entry and recovering again yields
-// exactly the first state plus that entry.
-func FuzzOutboxLogReplay(f *testing.F) {
-	dir := f.TempDir()
-	l, err := OpenOutboxLog(dir)
-	if err != nil {
-		f.Fatal(err)
-	}
-	l.LogEpoch(9)
-	l.LogEnqueue("bob", 1, []byte("m1"))
-	l.LogEnqueue("bob", 2, []byte("m2"))
-	l.LogAck("bob", 1)
-	l.LogApplied("carol", 4, 6)
-	l.LogReset("dave", 11)
-	if err := l.Close(); err != nil {
-		f.Fatal(err)
-	}
-	logged, err := os.ReadFile(filepath.Join(dir, outboxLogName))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(logged)
-	f.Add(append(logged, tornOutboxRecord()...))
-	f.Add(logged[:len(logged)-1])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, outboxLogName), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		l, first, err := recoverOutboxLog(t, dir)
-		if err != nil {
-			l.Close()
-			return
-		}
-		dst := "fuzz"
-		for first.Pending[dst] != nil || first.Epochs[dst] != 0 || first.Acked[dst] != 0 || hasKey(first.NextSeq, dst) {
-			dst += "z"
-		}
-		if err := l.LogEnqueue(dst, 5, []byte("m")); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		l.Close()
-		l, second, err := recoverOutboxLog(t, dir)
-		l.Close()
-		if err != nil {
-			t.Fatalf("second recovery failed: %v", err)
-		}
-		first.Pending[dst] = []OutboxEntry{{Seq: 5, Payload: []byte("m")}}
-		first.NextSeq[dst] = 5
-		if !reflect.DeepEqual(first, second) {
-			t.Fatalf("second recovery differs\n got %+v\nwant %+v", second, first)
-		}
-	})
-}
-
 // tornOutboxRecord returns the first half of an enqueue record for bob.
 func tornOutboxRecord() []byte {
-	rec := outboxRecord{Op: obEnqueue, Peer: "bob", Seq: 3, Payload: []byte("m3")}
+	rec := walRecord{Op: walEnqueue, Peer: "bob", Seq: 3, Payload: []byte("m3")}
 	b := framed(rec.append(nil))
 	return b[:len(b)/2]
-}
-
-func hasKey(m map[string]uint64, k string) bool {
-	_, ok := m[k]
-	return ok
 }

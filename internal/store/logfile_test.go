@@ -33,8 +33,8 @@ func extremeTuple() value.Tuple {
 var extremeSchema = Schema{Name: "pics", Peer: "p", Kind: ast.Extensional,
 	Cols: []string{"blob", "nan", "nanp", "inf", "ninf", "negzero", "str", "empty", "bad"}}
 
-// TestWALKeepsEveryValueBitExact: the extreme tuple survives the log and the
-// snapshot with the same canonical key — bit for bit, not merely Equal.
+// TestWALKeepsEveryValueBitExact: the extreme tuple survives the log and a
+// checkpoint with the same canonical key — bit for bit, not merely Equal.
 func TestWALKeepsEveryValueBitExact(t *testing.T) {
 	want := extremeTuple()
 	check := func(how string, s *Store) {
@@ -68,7 +68,7 @@ func TestWALKeepsEveryValueBitExact(t *testing.T) {
 	}
 	check("log", s)
 
-	if err := w.Snapshot(s, "p"); err != nil {
+	if err := w.Checkpoint(s, "p", NewOutboxState()); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -79,48 +79,73 @@ func TestWALKeepsEveryValueBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("snapshot", s)
+	check("checkpoint", s)
 }
 
 // TestOldFormatLogsRefused: the JSON-lines WAL and outbox log of the
-// previous version (testdata/jsonera, whose outbox entry holds a gob
-// payload), and its JSON snapshot, fail recovery with ErrWAL saying what to
-// do, and are left as they were.
+// JSON era (testdata/jsonera, whose outbox entry holds a gob payload), and
+// its JSON snapshot, fail recovery with ErrWAL saying what to do, and are
+// left as they were.
 func TestOldFormatLogsRefused(t *testing.T) {
-	for _, name := range []string{logName, outboxLogName, oldSnapName} {
+	for _, name := range []string{logName, "outbox.log", "snapshot.json"} {
 		t.Run(name, func(t *testing.T) {
 			src := name
-			if name == oldSnapName {
+			if name == "snapshot.json" {
 				src = logName // any old file will do; only the name matters
 			}
-			old, err := os.ReadFile(filepath.Join("testdata", "jsonera", src))
-			if err != nil {
-				t.Fatal(err)
-			}
-			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, name), old, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if name == outboxLogName {
-				l, _, err := recoverOutboxLog(t, dir)
-				l.Close()
-				checkRefused(t, err)
-			} else {
-				w, _, err := recoverWAL(t, dir)
-				w.Close()
-				checkRefused(t, err)
-			}
-			if now, _ := os.ReadFile(filepath.Join(dir, name)); string(now) != string(old) {
-				t.Errorf("refused file was changed:\n%q", now)
-			}
+			checkRefused(t, map[string]string{name: filepath.Join("testdata", "jsonera", src)}, name)
 		})
 	}
 }
 
-func checkRefused(t *testing.T, err error) {
+// TestV1LogsRefused: the three files of format version 1 (testdata/v1: a
+// binary wal.log, outbox.log and snapshot.log, written by that version) are
+// refused together, and so is each of them alone — an outbox.log or
+// snapshot.log beside a current wal.log included, since ignoring it would
+// drop the pending deliveries, watermarks or snapshot it holds.
+func TestV1LogsRefused(t *testing.T) {
+	v1 := func(name string) string { return filepath.Join("testdata", "v1", name) }
+	checkRefused(t, map[string]string{logName: v1(logName), "outbox.log": v1("outbox.log"), "snapshot.log": v1("snapshot.log")}, "")
+	checkRefused(t, map[string]string{logName: v1(logName)}, logName)
+	for _, stray := range []string{"outbox.log", "snapshot.log"} {
+		current := t.TempDir()
+		w, err := OpenWAL(current)
+		if err != nil {
+			t.Fatal(err)
+		}
+		must(t, w.LogEpoch(3))
+		must(t, w.Close())
+		checkRefused(t, map[string]string{logName: filepath.Join(current, logName), stray: v1(stray)}, stray)
+	}
+}
+
+// checkRefused copies files (name → source) into a fresh directory and
+// checks that recovering it fails with ErrWAL naming the file named (any of
+// them when named is empty) and saying to drain or remove it, and that the
+// files are left as they were.
+func checkRefused(t *testing.T, files map[string]string, named string) {
 	t.Helper()
-	if !errors.Is(err, errdefs.ErrWAL) || !strings.Contains(err.Error(), "drain it") || !strings.Contains(err.Error(), "remove it") {
-		t.Fatalf("err = %v, want ErrWAL saying to drain or remove the file", err)
+	dir := t.TempDir()
+	for name, src := range files {
+		b, err := os.ReadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w, _, err := recoverWAL(t, dir)
+	w.Close()
+	if !errors.Is(err, errdefs.ErrWAL) || !strings.Contains(err.Error(), "drain it") || !strings.Contains(err.Error(), "remove it") ||
+		!strings.Contains(err.Error(), filepath.Join(dir, named)) {
+		t.Fatalf("err = %v, want ErrWAL naming %s and saying to drain or remove it", err, filepath.Join(dir, named))
+	}
+	for name, src := range files {
+		old, _ := os.ReadFile(src)
+		if now, _ := os.ReadFile(filepath.Join(dir, name)); string(now) != string(old) {
+			t.Errorf("refused %s was changed:\n%q", name, now)
+		}
 	}
 }
 
@@ -169,23 +194,23 @@ func TestLogTornAtEveryByte(t *testing.T) {
 	})
 	t.Run("outbox", func(t *testing.T) {
 		dir := t.TempDir()
-		l, err := OpenOutboxLog(dir)
+		l, err := OpenWAL(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		l.LogEpoch(5)
 		l.LogEnqueue("bob", 1, []byte("m1"))
 		l.Sync()
-		before := fileSize(t, filepath.Join(dir, outboxLogName))
+		before := fileSize(t, filepath.Join(dir, logName))
 		l.LogEnqueue("bob", 2, []byte("m2"))
 		l.Close()
-		full, err := os.ReadFile(filepath.Join(dir, outboxLogName))
+		full, err := os.ReadFile(filepath.Join(dir, logName))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for cut := before; cut <= int64(len(full)); cut++ {
 			d := t.TempDir()
-			if err := os.WriteFile(filepath.Join(d, outboxLogName), full[:cut], 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(d, logName), full[:cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
 			l, st, err := recoverOutboxLog(t, d)
@@ -223,8 +248,7 @@ func b2i(b bool) int {
 }
 
 // TestLogDamageIsNotATornTail: a record that fails its checksum with more
-// records after it is corruption, not a crash, and so is any damage to a
-// snapshot, which is only ever replaced whole.
+// records after it is corruption, not a crash.
 func TestLogDamageIsNotATornTail(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenWAL(dir)
@@ -249,33 +273,12 @@ func TestLogDamageIsNotATornTail(t *testing.T) {
 	if !errors.Is(err, errdefs.ErrWAL) || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("damaged record: err = %v, want a checksum error", err)
 	}
-
-	dir = t.TempDir()
-	s := New()
-	rel, _ := s.Declare(Schema{Name: "r", Peer: "p", Kind: ast.Extensional, Cols: []string{"a"}})
-	rel.Insert(value.Tuple{value.Int(1)})
-	w, err = OpenWAL(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Snapshot(s, "p"); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	snap := filepath.Join(dir, snapName)
-	if err := os.Truncate(snap, fileSize(t, snap)-1); err != nil {
-		t.Fatal(err)
-	}
-	w, _, err = recoverWAL(t, dir)
-	w.Close()
-	if !errors.Is(err, errdefs.ErrWAL) {
-		t.Fatalf("cut snapshot: err = %v, want ErrWAL", err)
-	}
 }
 
 // TestLogDamagedLengthIsNotATornTail: a middle record whose length is
 // damaged so that it points past the end of the file is corruption, not a
-// torn tail — recovery fails with ErrWAL and cuts nothing — in both logs.
+// torn tail — recovery fails with ErrWAL and cuts nothing — among the
+// store's records and among the delivery records.
 func TestLogDamagedLengthIsNotATornTail(t *testing.T) {
 	for _, lg := range []struct {
 		name  string
@@ -294,8 +297,8 @@ func TestLogDamagedLengthIsNotATornTail(t *testing.T) {
 			w.Close()
 			return err
 		}},
-		{outboxLogName, func(dir string) {
-			l, _ := OpenOutboxLog(dir)
+		{"outbox", func(dir string) {
+			l, _ := OpenWAL(dir)
 			l.LogEpoch(1)
 			for seq := uint64(1); seq <= 4; seq++ {
 				l.LogEnqueue("bob", seq, []byte("m"))
@@ -310,7 +313,7 @@ func TestLogDamagedLengthIsNotATornTail(t *testing.T) {
 		t.Run(lg.name, func(t *testing.T) {
 			dir := t.TempDir()
 			lg.write(dir)
-			path := filepath.Join(dir, lg.name)
+			path := filepath.Join(dir, logName)
 			b, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -336,10 +339,10 @@ func TestLogDamagedLengthIsNotATornTail(t *testing.T) {
 }
 
 // TestCompactKeepsPayloadBytes: payloads with every byte value survive a
-// compaction and a restart, and empty ones come back nil.
+// checkpoint and a restart, and empty ones come back nil.
 func TestCompactKeepsPayloadBytes(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenOutboxLog(dir)
+	l, err := OpenWAL(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +353,7 @@ func TestCompactKeepsPayloadBytes(t *testing.T) {
 	st := &OutboxState{Epoch: 1, Epochs: map[string]uint64{}, NextSeq: map[string]uint64{"b": 2},
 		Pending: map[string][]OutboxEntry{"b": {{Seq: 1, Payload: all}, {Seq: 2}}},
 		Acked:   map[string]uint64{}, Applied: map[string]AppliedMark{}}
-	if err := l.Compact(st); err != nil {
+	if err := l.Checkpoint(New(), "p", st); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()

@@ -191,14 +191,21 @@ func (r *Relation) Insert(t value.Tuple) bool {
 // relation keeps key itself, so a caller that files the same key elsewhere
 // (a peer's session ledger) stores its bytes once.
 func (r *Relation) InsertKeyed(t value.Tuple, key string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	_, _, added := r.insertLocked(t, key)
+	return added
+}
+
+// insertLocked adds t under its key unless it is present, returning the
+// tuple and key as stored and whether it was new.
+func (r *Relation) insertLocked(t value.Tuple, key string) (value.Tuple, string, bool) {
 	if len(t) != r.schema.Arity() {
 		panic(fmt.Sprintf("store: arity mismatch inserting %d-tuple into %s(%d)",
 			len(t), r.schema.ID(), r.schema.Arity()))
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if _, dup := r.tuples[key]; dup {
-		return false
+		return nil, "", false
 	}
 	if r.intern != nil {
 		t, key = r.intern.TupleKeyed(t, key)
@@ -216,7 +223,7 @@ func (r *Relation) InsertKeyed(t value.Tuple, key string) bool {
 		idx[ik] = bucket
 	}
 	r.fp ^= tupleHash(key)
-	return true
+	return t, key, true
 }
 
 // dropIndexLocked removes a barely selective index and remembers not to
@@ -234,77 +241,45 @@ func (r *Relation) dropIndexLocked(mask ColMask) {
 // input order), which is exactly what the caller must log to a WAL. Every
 // tuple must match the relation's arity.
 func (r *Relation) InsertMany(ts []value.Tuple) []value.Tuple {
-	if len(ts) == 0 {
-		return nil
-	}
-	var added []value.Tuple
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, t := range ts {
-		if len(t) != r.schema.Arity() {
-			panic(fmt.Sprintf("store: arity mismatch inserting %d-tuple into %s(%d)",
-				len(t), r.schema.ID(), r.schema.Arity()))
-		}
-		key := t.Key()
-		if _, dup := r.tuples[key]; dup {
-			continue
-		}
-		if r.intern != nil {
-			t, key = r.intern.Tuple(t)
-		} else {
-			t = t.InKey(key)
-		}
-		r.tuples[key] = t
-		for mask, idx := range r.indexes {
-			ik := indexKey(t, mask)
-			bucket := append(idx[ik], t)
-			if degenerateBucket(len(bucket), len(r.tuples)) {
-				r.dropIndexLocked(mask)
-				continue
-			}
-			idx[ik] = bucket
-		}
-		r.fp ^= tupleHash(key)
-		added = append(added, t)
-	}
+	added, _ := r.ApplyMany(false, ts, nil)
 	return added
 }
 
 // DeleteMany removes all tuples under a single lock acquisition, returning
 // the tuples that actually existed (in input order).
 func (r *Relation) DeleteMany(ts []value.Tuple) []value.Tuple {
-	if len(ts) == 0 {
-		return nil
-	}
-	var removed []value.Tuple
+	removed, _ := r.ApplyMany(true, ts, nil)
+	return removed
+}
+
+// ApplyMany inserts (or, when del is set, deletes) all tuples under a single
+// lock acquisition and returns the tuples that changed the relation, in
+// input order, with their keys. keys, when non-nil, holds every tuple's key
+// (keys[i] == ts[i].Key()), so a caller that has encoded them already does
+// not have them encoded again.
+func (r *Relation) ApplyMany(del bool, ts []value.Tuple, keys []string) (changed []value.Tuple, changedKeys []string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, t := range ts {
-		key := t.Key()
-		if _, ok := r.tuples[key]; !ok {
+	for i, t := range ts {
+		var key string
+		if keys != nil {
+			key = keys[i]
+		} else {
+			key = t.Key()
+		}
+		if del {
+			if !r.deleteLocked(t, key) {
+				continue
+			}
+		} else if stored, storedKey, added := r.insertLocked(t, key); added {
+			t, key = stored, storedKey
+		} else {
 			continue
 		}
-		delete(r.tuples, key)
-		for mask, idx := range r.indexes {
-			ik := indexKey(t, mask)
-			bucket := idx[ik]
-			for i := range bucket {
-				if bucket[i].Equal(t) {
-					bucket[i] = bucket[len(bucket)-1]
-					bucket = bucket[:len(bucket)-1]
-					break
-				}
-			}
-			if len(bucket) == 0 {
-				delete(idx, ik)
-			} else {
-				idx[ik] = bucket
-			}
-		}
-		r.fp ^= tupleHash(key)
-		removed = append(removed, t)
+		changed = append(changed, t)
+		changedKeys = append(changedKeys, key)
 	}
-	return removed
+	return changed, changedKeys
 }
 
 // Delete removes t from the relation. It returns true if the tuple existed.
@@ -312,6 +287,11 @@ func (r *Relation) Delete(t value.Tuple) bool {
 	key := t.Key()
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.deleteLocked(t, key)
+}
+
+// deleteLocked removes t, whose key is key, reporting whether it was there.
+func (r *Relation) deleteLocked(t value.Tuple, key string) bool {
 	if _, ok := r.tuples[key]; !ok {
 		return false
 	}

@@ -11,67 +11,247 @@ import (
 	"repro/internal/value"
 )
 
-// WAL provides durability for a peer's extensional relations: every
-// declaration, insert and delete is appended to a log file, and Snapshot
-// compacts the log into a full dump. Recover replays snapshot + log. Both
-// files hold the records of logfile.go.
+// WAL is a peer's one durable log (wal.log). It holds two kinds of record:
+//
+//   - the declarations, inserts and deletes of the peer's extensional
+//     relations;
+//   - the transitions of its delivery state: sequenced messages enqueued for
+//     a destination until it acknowledges them, the per-sender watermark of
+//     applied incoming messages, the default stream epoch and per-stream
+//     resets. A durable peer that crashes with deltas in flight recovers the
+//     pending entries and re-sends them, and recovers the watermarks so
+//     retransmissions it already applied are deduplicated.
+//
+// Recover replays the log; Checkpoint rewrites it to the live state once the
+// records appended since the last checkpoint outgrow it (CheckpointDue).
+// Payloads are opaque bytes (the peer encodes them with protocol's codec),
+// keeping this package free of protocol types.
 //
 // The paper's system keeps peer state in the Bud runtime's persistent
 // collections; this is our equivalent storage substrate.
 type WAL struct {
 	dir string
 	log *logFile
+	// written is the number of records the last checkpoint wrote; 0 after
+	// recovery, when the file's history is unknown.
+	written int
 }
 
 const (
-	logName  = "wal.log"
-	snapName = "snapshot.log"
-	// oldSnapName is the snapshot of the JSON-era format: refused, since an
-	// emptied wal.log beside it would otherwise recover as an empty store.
-	oldSnapName = "snapshot.json"
+	logName = "wal.log"
+	// checkpointMin is how many records may be appended after a checkpoint
+	// before the next is due, however small it was.
+	checkpointMin = 8192
 )
 
-// WAL record ops.
+// oldLogNames are the files older versions kept beside wal.log. Recovery
+// refuses to start over one: ignoring it would drop the pending deliveries
+// and watermarks or the snapshot it holds.
+var oldLogNames = []string{"outbox.log", "snapshot.log", "snapshot.json"}
+
+// Log record tags.
 const (
-	walDecl byte = iota + 1
-	walIns
-	walDel
+	walDecl    byte = iota + 1 // Rel, Peer, Kind, Cols
+	walIns                     // Rel, Peer, Args
+	walDel                     // Rel, Peer, Args
+	walEnqueue                 // Peer (the destination), Seq, Payload
+	walAck                     // Peer (the destination), Seq
+	walApplied                 // Peer (the sender), Epoch, Seq
+	walEpoch                   // Epoch
+	walReset                   // Peer (the destination), Epoch
 )
 
-// walRecord is one log record: a declaration (Rel, Peer, Kind, Cols) or an
-// insert or delete (Rel, Peer, Args). Every field is written.
+// walRecord is one log record; the tag says which fields it holds.
 type walRecord struct {
-	Op   byte
-	Rel  string
-	Peer string
-	Kind ast.RelKind
-	Cols []string
-	Args value.Tuple
+	Op      byte
+	Rel     string
+	Peer    string
+	Kind    ast.RelKind
+	Cols    []string
+	Args    value.Tuple
+	Epoch   uint64
+	Seq     uint64
+	Payload []byte
 }
 
 func (rec *walRecord) append(dst []byte) []byte {
-	dst = value.AppendString(append(dst, rec.Op), rec.Rel)
-	dst = value.AppendString(dst, rec.Peer)
-	dst = binary.AppendUvarint(append(dst, byte(rec.Kind)), uint64(len(rec.Cols)))
-	for _, c := range rec.Cols {
-		dst = value.AppendString(dst, c)
+	dst = append(dst, rec.Op)
+	switch rec.Op {
+	case walDecl, walIns, walDel:
+		dst = value.AppendString(value.AppendString(dst, rec.Rel), rec.Peer)
+		if rec.Op != walDecl {
+			return rec.Args.Encode(dst)
+		}
+		dst = binary.AppendUvarint(append(dst, byte(rec.Kind)), uint64(len(rec.Cols)))
+		for _, c := range rec.Cols {
+			dst = value.AppendString(dst, c)
+		}
+		return dst
+	case walEpoch:
+		return binary.AppendUvarint(dst, rec.Epoch)
 	}
-	return rec.Args.Encode(dst)
+	dst = value.AppendString(dst, rec.Peer)
+	if rec.Op == walApplied || rec.Op == walReset {
+		dst = binary.AppendUvarint(dst, rec.Epoch)
+	}
+	if rec.Op != walReset {
+		dst = binary.AppendUvarint(dst, rec.Seq)
+	}
+	if rec.Op == walEnqueue {
+		dst = append(binary.AppendUvarint(dst, uint64(len(rec.Payload))), rec.Payload...)
+	}
+	return dst
 }
 
 func decodeWALRecord(r *value.Reader) walRecord {
-	rec := walRecord{Op: r.Byte(), Rel: r.Str(), Peer: r.Str(), Kind: ast.RelKind(r.Byte())}
-	if n := r.Count(1); n > 0 {
-		rec.Cols = make([]string, n)
-		for i := range rec.Cols {
-			rec.Cols[i] = r.Str()
+	rec := walRecord{Op: r.Byte()}
+	switch rec.Op {
+	case walDecl, walIns, walDel:
+		rec.Rel, rec.Peer = r.Str(), r.Str()
+		if rec.Op != walDecl {
+			rec.Args = r.Tuple()
+			break
 		}
-	}
-	rec.Args = r.Tuple()
-	if rec.Op < walDecl || rec.Op > walDel || rec.Kind > ast.Intensional {
+		if rec.Kind = ast.RelKind(r.Byte()); rec.Kind > ast.Intensional {
+			r.Fail(value.ErrCorrupt)
+		}
+		if n := r.Count(1); n > 0 {
+			rec.Cols = make([]string, n)
+			for i := range rec.Cols {
+				rec.Cols[i] = r.Str()
+			}
+		}
+	case walEpoch:
+		rec.Epoch = r.Uvarint()
+	case walEnqueue, walAck, walApplied, walReset:
+		rec.Peer = r.Str()
+		if rec.Op == walApplied || rec.Op == walReset {
+			rec.Epoch = r.Uvarint()
+		}
+		if rec.Op != walReset {
+			rec.Seq = r.Uvarint()
+		}
+		if rec.Op == walEnqueue {
+			rec.Payload = r.Bytes()
+		}
+	default:
 		r.Fail(value.ErrCorrupt)
 	}
 	return rec
+}
+
+// OutboxEntry is one recovered pending message.
+type OutboxEntry struct {
+	Seq     uint64
+	Payload []byte
+}
+
+// AppliedMark is a receiver-side dedup watermark: the highest applied
+// sequence within the sender's stream epoch.
+type AppliedMark struct {
+	Epoch uint64
+	Seq   uint64
+}
+
+// OutboxState is the live delivery state recovered from the log, and what a
+// checkpoint writes back.
+type OutboxState struct {
+	// Epoch is this peer's default stream epoch (0 if never logged): the
+	// epoch every outgoing stream starts in.
+	Epoch uint64
+	// Epochs maps destinations whose stream was reset to the per-stream
+	// epoch that replaced the default (see LogReset).
+	Epochs map[string]uint64
+	// Pending maps destination to unacknowledged entries in sequence order.
+	Pending map[string][]OutboxEntry
+	// NextSeq maps destination to the highest sequence number ever assigned.
+	NextSeq map[string]uint64
+	// Acked maps destination to the highest acknowledged sequence number.
+	Acked map[string]uint64
+	// Applied maps sender to its applied watermark.
+	Applied map[string]AppliedMark
+}
+
+// NewOutboxState returns an empty delivery state.
+func NewOutboxState() *OutboxState {
+	return &OutboxState{
+		Epochs:  map[string]uint64{},
+		Pending: map[string][]OutboxEntry{},
+		NextSeq: map[string]uint64{},
+		Acked:   map[string]uint64{},
+		Applied: map[string]AppliedMark{},
+	}
+}
+
+// apply replays one delivery record into st.
+func (st *OutboxState) apply(rec walRecord) {
+	switch rec.Op {
+	case walEnqueue:
+		st.Pending[rec.Peer] = append(st.Pending[rec.Peer], OutboxEntry{Seq: rec.Seq, Payload: rec.Payload})
+		st.NextSeq[rec.Peer] = max(st.NextSeq[rec.Peer], rec.Seq)
+	case walAck:
+		st.Acked[rec.Peer] = max(st.Acked[rec.Peer], rec.Seq)
+		kept := st.Pending[rec.Peer][:0]
+		for _, e := range st.Pending[rec.Peer] {
+			if e.Seq > rec.Seq {
+				kept = append(kept, e)
+			}
+		}
+		st.Pending[rec.Peer] = kept
+	case walApplied:
+		if mark := st.Applied[rec.Peer]; rec.Epoch != mark.Epoch || rec.Seq > mark.Seq {
+			st.Applied[rec.Peer] = AppliedMark{Epoch: rec.Epoch, Seq: rec.Seq}
+		}
+	case walEpoch:
+		st.Epoch = rec.Epoch
+	case walReset:
+		st.Epochs[rec.Peer] = rec.Epoch
+		delete(st.Pending, rec.Peer)
+		st.NextSeq[rec.Peer] = 0
+		st.Acked[rec.Peer] = 0
+	}
+}
+
+// records hands write the records that rebuild st.
+func (st *OutboxState) records(write func(walRecord) error) error {
+	if st.Epoch != 0 {
+		if err := write(walRecord{Op: walEpoch, Epoch: st.Epoch}); err != nil {
+			return err
+		}
+	}
+	// Per-stream epochs come before the per-destination records they scope:
+	// a reset record clears the destination's recovered state.
+	for dst, epoch := range st.Epochs {
+		if epoch != 0 && epoch != st.Epoch {
+			if err := write(walRecord{Op: walReset, Peer: dst, Epoch: epoch}); err != nil {
+				return err
+			}
+		}
+	}
+	for dst, acked := range st.Acked {
+		if acked > 0 {
+			// One payloadless enqueue+ack pair keeps the sequence floor.
+			if err := write(walRecord{Op: walEnqueue, Peer: dst, Seq: acked}); err != nil {
+				return err
+			}
+			if err := write(walRecord{Op: walAck, Peer: dst, Seq: acked}); err != nil {
+				return err
+			}
+		}
+	}
+	for dst, pending := range st.Pending {
+		for _, e := range pending {
+			if err := write(walRecord{Op: walEnqueue, Peer: dst, Seq: e.Seq, Payload: e.Payload}); err != nil {
+				return err
+			}
+		}
+	}
+	for from, mark := range st.Applied {
+		if err := write(walRecord{Op: walApplied, Peer: from, Epoch: mark.Epoch, Seq: mark.Seq}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // OpenWAL opens (creating if needed) the log in dir. Failures wrap
@@ -80,21 +260,34 @@ func OpenWAL(dir string) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w: opening wal dir: %w", errdefs.ErrWAL, err)
 	}
-	l, err := openLogFile(filepath.Join(dir, logName), walMagic, "wal")
+	l, err := openLogFile(filepath.Join(dir, logName))
 	if err != nil {
 		return nil, err
 	}
 	return &WAL{dir: dir, log: l}, nil
 }
 
-// Dir returns the directory holding the log and snapshot.
+// OpenOutboxLog is OpenWAL under the name of the file the delivery records
+// had before they joined the one log; benchmark/probes.go still calls it.
+func OpenOutboxLog(dir string) (*WAL, error) { return OpenWAL(dir) }
+
+// Dir returns the directory holding the log.
 func (w *WAL) Dir() string { return w.dir }
 
-// Records returns the number of records appended since the last snapshot.
+// Records returns the number of records in the log file: those recovered or
+// written by the last checkpoint, plus those appended since.
 func (w *WAL) Records() int {
 	w.log.mu.Lock()
 	defer w.log.mu.Unlock()
 	return w.log.records
+}
+
+// Syncs returns the number of fsyncs of the log so far; a Sync with nothing
+// appended since the last one does not count.
+func (w *WAL) Syncs() uint64 {
+	w.log.mu.Lock()
+	defer w.log.mu.Unlock()
+	return w.log.syncs
 }
 
 func (w *WAL) append(rec walRecord) error {
@@ -136,90 +329,131 @@ func (w *WAL) LogDelete(rel, peer string, t value.Tuple) error {
 	return w.append(walRecord{Op: walDel, Rel: rel, Peer: peer, Args: t})
 }
 
-// Sync flushes buffered records and fsyncs the log file.
+// LogEnqueue records a sequenced message committed for dst.
+func (w *WAL) LogEnqueue(dst string, seq uint64, payload []byte) error {
+	return w.append(walRecord{Op: walEnqueue, Peer: dst, Seq: seq, Payload: payload})
+}
+
+// LogAck records dst's cumulative acknowledgment of sequences <= seq.
+func (w *WAL) LogAck(dst string, seq uint64) error {
+	return w.append(walRecord{Op: walAck, Peer: dst, Seq: seq})
+}
+
+// LogApplied records that the incoming message from sender with the given
+// stream epoch and sequence number has been applied (the receiver-side
+// dedup watermark).
+func (w *WAL) LogApplied(from string, epoch, seq uint64) error {
+	return w.append(walRecord{Op: walApplied, Peer: from, Epoch: epoch, Seq: seq})
+}
+
+// LogEpoch records this peer's default stream epoch, once, so it stays
+// stable across restarts.
+func (w *WAL) LogEpoch(epoch uint64) error {
+	return w.append(walRecord{Op: walEpoch, Epoch: epoch})
+}
+
+// LogReset records that the stream to dst was torn down and restarted under
+// a fresh per-stream epoch: everything previously logged for dst (pending
+// entries, its ack floor) is superseded. The caller re-logs the entries
+// that survived the reset, renumbered, after this record.
+func (w *WAL) LogReset(dst string, epoch uint64) error {
+	return w.append(walRecord{Op: walReset, Peer: dst, Epoch: epoch})
+}
+
+// Sync flushes buffered records and fsyncs the log file. A no-op when
+// nothing was appended since the last Sync, so callers can invoke it
+// liberally (the outbox flushers do, before every transmit cycle).
 func (w *WAL) Sync() error {
 	w.log.mu.Lock()
 	defer w.log.mu.Unlock()
 	return w.log.sync()
 }
 
-// Snapshot writes a full dump of every extensional relation in s owned by
-// peer — a declaration record per relation, an insert record per tuple —
-// then empties the log. On success the on-disk state equals s.
-func (w *WAL) Snapshot(s *Store, peer string) error {
+// CheckpointDue reports whether the records appended since the last
+// checkpoint exceed max(checkpointMin, the records that checkpoint wrote) —
+// so the file never holds more than twice the live state plus
+// checkpointMin records. After recovery every record in the file counts as
+// appended.
+func (w *WAL) CheckpointDue() bool {
+	w.log.mu.Lock()
+	defer w.log.mu.Unlock()
+	return w.log.records-w.written > max(checkpointMin, w.written)
+}
+
+// Checkpoint atomically rewrites the log to the live state: a declaration
+// per extensional relation of peer in s and an insert per tuple, then the
+// delivery state st. The caller excludes every other append until it
+// returns: a record that reached the superseded file would be lost with it.
+func (w *WAL) Checkpoint(s *Store, peer string, st *OutboxState) error {
 	w.log.mu.Lock()
 	defer w.log.mu.Unlock()
 	if w.log.closed {
 		return fmt.Errorf("store: %w: wal is closed", errdefs.ErrWAL)
 	}
-	f, err := writeLogFile(filepath.Join(w.dir, snapName), snapshotMagic, func(add func([]byte) error) error {
+	n := 0
+	f, err := writeLogFile(filepath.Join(w.dir, logName), func(add func([]byte) error) error {
 		var body []byte
+		write := func(rec walRecord) error {
+			body = rec.append(body[:0])
+			n++
+			return add(body)
+		}
 		for _, r := range s.RelationsOf(peer) {
 			if r.Kind() != ast.Extensional {
 				continue
 			}
 			sch := r.Schema()
-			rec := walRecord{Op: walDecl, Rel: sch.Name, Peer: sch.Peer, Kind: sch.Kind, Cols: sch.Cols}
-			body = rec.append(body[:0])
-			if err := add(body); err != nil {
+			if err := write(walRecord{Op: walDecl, Rel: sch.Name, Peer: sch.Peer, Kind: sch.Kind, Cols: sch.Cols}); err != nil {
 				return err
 			}
-			rec.Op = walIns
 			for _, t := range r.Tuples() {
-				rec.Args = t
-				body = rec.append(body[:0])
-				if err := add(body); err != nil {
+				if err := write(walRecord{Op: walIns, Rel: sch.Name, Peer: sch.Peer, Args: t}); err != nil {
 					return err
 				}
 			}
 		}
-		return nil
+		return st.records(write)
 	})
 	if err != nil {
-		return fmt.Errorf("store: %w: writing snapshot: %w", errdefs.ErrWAL, err)
+		return fmt.Errorf("store: %w: writing checkpoint: %w", errdefs.ErrWAL, err)
 	}
-	f.Close()
-	// Empty the log down to its header. A crash before this point replays
-	// the old records over the snapshot, which they already produced.
-	if err := writeHeader(w.log.f, walMagic); err != nil {
-		return fmt.Errorf("store: %w: truncating wal: %w", errdefs.ErrWAL, err)
-	}
-	w.log.w.Reset(w.log.f)
-	w.log.records = 0
-	w.log.dirty = true // the truncation itself is synced by the next Sync
+	w.log.swap(f, n)
+	w.written = n
 	return nil
 }
 
-// Recover loads the snapshot (if any) and replays the log into s. It is
-// meant to be called once, on an empty or freshly-created store, before any
-// new records are appended. A record whose tuple does not fit its relation's
-// arity fails recovery with an error wrapping errdefs.ErrWAL, and so does a
-// log or snapshot not in this version's format.
-func (w *WAL) Recover(s *Store) error {
-	if _, err := os.Stat(filepath.Join(w.dir, oldSnapName)); err == nil {
-		return fmt.Errorf("store: %w: %s is a snapshot written by an older version: "+
-			"drain it with the version that wrote it, or remove it", errdefs.ErrWAL, filepath.Join(w.dir, oldSnapName))
+// Recover replays the log into s and returns the delivery state it holds.
+// It is meant to be called once, on an empty or freshly-created store,
+// before any new records are appended. A torn final record (a crash
+// mid-append) is tolerated and cut off the file. A record whose tuple does
+// not fit its relation's arity fails recovery with an error wrapping
+// errdefs.ErrWAL, and so does a log not in this version's format or a log
+// file of an older version beside it.
+func (w *WAL) Recover(s *Store) (*OutboxState, error) {
+	for _, name := range oldLogNames {
+		path := filepath.Join(w.dir, name)
+		if _, err := os.Stat(path); err == nil {
+			return nil, fmt.Errorf("store: %w: %s is a log written by an older version, which kept more than %s: "+
+				"drain it with the version that wrote it, or remove it", errdefs.ErrWAL, path, logName)
+		}
 	}
-	if err := replayLog(filepath.Join(w.dir, snapName), snapshotMagic, "snapshot", false, decodeWALRecord, applyTo(s, "snapshot")); err != nil {
-		return err
-	}
-	return replayLog(filepath.Join(w.dir, logName), walMagic, "wal", true, decodeWALRecord, applyTo(s, "wal"))
-}
-
-// applyTo replays WAL records into s.
-func applyTo(s *Store, what string) func(n int, rec walRecord) error {
-	return func(n int, rec walRecord) error {
+	st := NewOutboxState()
+	n, err := replayLog(filepath.Join(w.dir, logName), func(n int, rec walRecord) error {
+		if rec.Op > walDel {
+			st.apply(rec)
+			return nil
+		}
 		if rec.Op == walDecl {
 			_, err := s.Declare(Schema{Name: rec.Rel, Peer: rec.Peer, Kind: rec.Kind, Cols: rec.Cols})
 			return err
 		}
 		rel := s.Get(rec.Rel, rec.Peer)
 		if rel == nil {
-			return fmt.Errorf("store: %w: %s record %d changes undeclared relation %s@%s", errdefs.ErrWAL, what, n, rec.Rel, rec.Peer)
+			return fmt.Errorf("store: %w: wal record %d changes undeclared relation %s@%s", errdefs.ErrWAL, n, rec.Rel, rec.Peer)
 		}
 		if len(rec.Args) != rel.Schema().Arity() {
-			return fmt.Errorf("store: %w: %s record %d has %d values, %s has arity %d",
-				errdefs.ErrWAL, what, n, len(rec.Args), rel.Schema().ID(), rel.Schema().Arity())
+			return fmt.Errorf("store: %w: wal record %d has %d values, %s has arity %d",
+				errdefs.ErrWAL, n, len(rec.Args), rel.Schema().ID(), rel.Schema().Arity())
 		}
 		if rec.Op == walIns {
 			rel.Insert(rec.Args)
@@ -227,7 +461,19 @@ func applyTo(s *Store, what string) func(n int, rec walRecord) error {
 			rel.Delete(rec.Args)
 		}
 		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	w.log.mu.Lock()
+	w.log.records += n
+	w.log.mu.Unlock()
+	for dst, pending := range st.Pending {
+		if len(pending) == 0 {
+			delete(st.Pending, dst)
+		}
+	}
+	return st, nil
 }
 
 // Close flushes and closes the log file.

@@ -3,8 +3,11 @@ package store
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -21,7 +24,7 @@ func TestWALRecoverEmptyDir(t *testing.T) {
 	}
 	defer w.Close()
 	s := New()
-	if err := w.Recover(s); err != nil {
+	if _, err := w.Recover(s); err != nil {
 		t.Fatal(err)
 	}
 	if len(s.Relations()) != 0 {
@@ -58,7 +61,7 @@ func TestWALLogAndRecover(t *testing.T) {
 	}
 	defer w2.Close()
 	s := New()
-	if err := w2.Recover(s); err != nil {
+	if _, err := w2.Recover(s); err != nil {
 		t.Fatal(err)
 	}
 	rel := s.Get("pics", "alice")
@@ -92,16 +95,25 @@ func TestWALSnapshotCompactsLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.Records() != 11 {
-		t.Errorf("records = %d, want 11", w.Records())
+	for i := 0; i < 10; i++ {
+		tp := value.Tuple{value.Int(int64(i))}
+		if err := w.LogDelete("r", "p", tp); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.LogInsert("r", "p", tp); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := w.Snapshot(s, "p"); err != nil {
+	if w.Records() != 31 {
+		t.Errorf("records = %d, want 31", w.Records())
+	}
+	if err := w.Checkpoint(s, "p", NewOutboxState()); err != nil {
 		t.Fatal(err)
 	}
-	if w.Records() != 0 {
-		t.Errorf("records after snapshot = %d, want 0", w.Records())
+	if w.Records() != 11 || w.CheckpointDue() {
+		t.Errorf("records after checkpoint = %d (due %v), want the 11 live ones", w.Records(), w.CheckpointDue())
 	}
-	// A post-snapshot mutation must still recover on top of the snapshot.
+	// A post-checkpoint mutation must still recover on top of the checkpoint.
 	tp := value.Tuple{value.Int(100)}
 	rel.Insert(tp)
 	if err := w.LogInsert("r", "p", tp); err != nil {
@@ -117,7 +129,7 @@ func TestWALSnapshotCompactsLog(t *testing.T) {
 	}
 	defer w2.Close()
 	s2 := New()
-	if err := w2.Recover(s2); err != nil {
+	if _, err := w2.Recover(s2); err != nil {
 		t.Fatal(err)
 	}
 	if got := s2.Get("r", "p").Len(); got != 11 {
@@ -150,7 +162,7 @@ func TestWALTornFinalRecordTolerated(t *testing.T) {
 	}
 	defer w2.Close()
 	s := New()
-	if err := w2.Recover(s); err != nil {
+	if _, err := w2.Recover(s); err != nil {
 		t.Fatalf("torn tail must be tolerated: %v", err)
 	}
 	if got := s.Get("r", "p").Len(); got != 1 {
@@ -175,7 +187,7 @@ func TestWALInsertIntoUndeclaredFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	if err := w2.Recover(New()); err == nil {
+	if _, err := w2.Recover(New()); err == nil {
 		t.Error("recovery of insert into undeclared relation must fail")
 	}
 }
@@ -208,7 +220,7 @@ func TestWALSnapshotOnlyExtensional(t *testing.T) {
 	idb, _ := s.Declare(Schema{Name: "i", Peer: "p", Kind: ast.Intensional, Cols: []string{"a"}})
 	ext.Insert(value.Tuple{value.Int(1)})
 	idb.Insert(value.Tuple{value.Int(2)})
-	if err := w.Snapshot(s, "p"); err != nil {
+	if err := w.Checkpoint(s, "p", NewOutboxState()); err != nil {
 		t.Fatal(err)
 	}
 	s2 := New()
@@ -217,14 +229,14 @@ func TestWALSnapshotOnlyExtensional(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	if err := w2.Recover(s2); err != nil {
+	if _, err := w2.Recover(s2); err != nil {
 		t.Fatal(err)
 	}
 	if s2.Get("i", "p") != nil {
-		t.Error("intensional relation leaked into snapshot")
+		t.Error("intensional relation leaked into the checkpoint")
 	}
 	if got := s2.Get("e", "p"); got == nil || got.Len() != 1 {
-		t.Error("extensional relation missing from snapshot")
+		t.Error("extensional relation missing from the checkpoint")
 	}
 }
 
@@ -255,12 +267,8 @@ func tornWALRecord() []byte {
 // recoverWAL opens the WAL in dir and recovers it into a fresh store.
 func recoverWAL(t testing.TB, dir string) (*WAL, *Store, error) {
 	t.Helper()
-	w, err := OpenWAL(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New()
-	return w, s, w.Recover(s)
+	w, s, _, err := recoverBoth(t, dir)
+	return w, s, err
 }
 
 // TestWALTornTailSurvivesSecondRestart: Recover cuts the torn tail off the
@@ -303,9 +311,9 @@ func TestWALTornTailSurvivesSecondRestart(t *testing.T) {
 	}
 }
 
-// TestWALRecoverRejectsWrongArity: a well-formed record or snapshot tuple
-// that does not fit its relation fails recovery with ErrWAL naming where it
-// is, instead of panicking in Relation.Insert.
+// TestWALRecoverRejectsWrongArity: a well-formed appended or checkpointed
+// tuple that does not fit its relation fails recovery with ErrWAL naming
+// its record, instead of panicking in Relation.Insert.
 func TestWALRecoverRejectsWrongArity(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenWAL(dir)
@@ -328,7 +336,7 @@ func TestWALRecoverRejectsWrongArity(t *testing.T) {
 	}
 
 	dir = t.TempDir()
-	f, err := writeLogFile(filepath.Join(dir, snapName), snapshotMagic, func(add func([]byte) error) error {
+	f, err := writeLogFile(filepath.Join(dir, logName), func(add func([]byte) error) error {
 		for _, rec := range []walRecord{
 			{Op: walDecl, Rel: "r", Peer: "p", Kind: ast.Extensional, Cols: []string{"a"}},
 			{Op: walIns, Rel: "r", Peer: "p", Args: value.Tuple{value.Int(1)}},
@@ -346,29 +354,103 @@ func TestWALRecoverRejectsWrongArity(t *testing.T) {
 	f.Close()
 	w, _, err = recoverWAL(t, dir)
 	w.Close()
-	if !errors.Is(err, errdefs.ErrWAL) || !strings.Contains(err.Error(), "snapshot record 3") {
-		t.Fatalf("snapshot: err = %v, want ErrWAL naming record 3", err)
+	if !errors.Is(err, errdefs.ErrWAL) || !strings.Contains(err.Error(), "wal record 3") {
+		t.Fatalf("checkpoint: err = %v, want ErrWAL naming record 3", err)
 	}
 }
 
 // dumpStore renders every relation's schema and contents as sorted lines.
-func dumpStore(s *Store) string {
+func dumpStore(s *Store) []string {
 	var lines []string
 	for _, r := range s.Relations() {
 		lines = append(lines, fmt.Sprintf("%s %v %q", r.Schema().ID(), r.Kind(), r.Schema().Cols))
 		for _, tp := range r.Tuples() {
-			lines = append(lines, r.Schema().ID()+" "+tp.Key())
+			lines = append(lines, fmt.Sprintf("%s %q", r.Schema().ID(), tp.Key()))
 		}
 	}
 	sort.Strings(lines)
-	return strings.Join(lines, "\n")
+	return lines
 }
 
-// FuzzWALReplay feeds arbitrary bytes to WAL.Recover as the log file. It must
-// not panic; and when it succeeds, a restarted peer that logs more and
-// restarts again must recover exactly the first recovery plus what it
-// logged — whatever torn tail the bytes ended in.
-func FuzzWALReplay(f *testing.F) {
+// recovery is what recovering a log gives: the store, rendered, and the
+// delivery state.
+type recovery struct {
+	store []string
+	st    *OutboxState
+}
+
+// recoverDir recovers the log in dir into a fresh store, closing it after.
+func recoverDir(t testing.TB, dir string) (recovery, error) {
+	t.Helper()
+	w, s, st, err := recoverBoth(t, dir)
+	w.Close()
+	return recovery{dumpStore(s), st}, err
+}
+
+// recoverBoth opens the log in dir and recovers both record families.
+func recoverBoth(t testing.TB, dir string) (*WAL, *Store, *OutboxState, error) {
+	t.Helper()
+	w, err := OpenWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New()
+	st, err := w.Recover(s)
+	return w, s, st, err
+}
+
+// logMore appends the records FuzzLogReplay and TestLogCrashPoints log after
+// a recovery: a fresh relation with one tuple and an entry for a fresh
+// destination, neither named anywhere in before.
+func logMore(t testing.TB, w *WAL, before recovery) (rel, dst string) {
+	t.Helper()
+	rel, dst = "more", "later"
+	for slices.ContainsFunc(before.store, func(line string) bool { return strings.HasPrefix(line, rel+"@p ") }) {
+		rel += "e"
+	}
+	for hasKey(before.st.NextSeq, dst) || before.st.Epochs[dst] != 0 || before.st.Acked[dst] != 0 {
+		dst += "r"
+	}
+	must(t, w.LogDeclare(Schema{Name: rel, Peer: "p", Kind: ast.Extensional, Cols: []string{"a"}}))
+	must(t, w.LogInsert(rel, "p", value.Tuple{value.Int(7)}))
+	must(t, w.LogEnqueue(dst, 5, []byte("m")))
+	must(t, w.Sync())
+	return rel, dst
+}
+
+// plusMore is before with what logMore logged.
+func plusMore(before recovery, rel, dst string) recovery {
+	s := New()
+	r, _ := s.Declare(Schema{Name: rel, Peer: "p", Kind: ast.Extensional, Cols: []string{"a"}})
+	r.Insert(value.Tuple{value.Int(7)})
+	st := *before.st
+	st.Pending = maps.Clone(st.Pending)
+	st.NextSeq = maps.Clone(st.NextSeq)
+	st.Pending[dst] = []OutboxEntry{{Seq: 5, Payload: []byte("m")}}
+	st.NextSeq[dst] = 5
+	lines := append(slices.Clone(before.store), dumpStore(s)...)
+	sort.Strings(lines)
+	return recovery{lines, &st}
+}
+
+func must(t testing.TB, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func hasKey(m map[string]uint64, k string) bool {
+	_, ok := m[k]
+	return ok
+}
+
+// FuzzLogReplay feeds arbitrary bytes to WAL.Recover as the log file. It
+// must not panic; and when it succeeds, a restarted peer that logs more —
+// store records and delivery records — and restarts again must recover
+// exactly the first recovery plus what it logged, whatever torn tail the
+// bytes ended in.
+func FuzzLogReplay(f *testing.F) {
 	dir := f.TempDir()
 	w, err := OpenWAL(dir)
 	if err != nil {
@@ -377,6 +459,12 @@ func FuzzWALReplay(f *testing.F) {
 	w.LogDeclare(Schema{Name: "r", Peer: "p", Kind: ast.Extensional, Cols: []string{"a", "b"}})
 	w.LogMany(false, "r", "p", []value.Tuple{{value.Int(1), value.Str("x")}, {value.Int(2), value.Str("y")}})
 	w.LogDelete("r", "p", value.Tuple{value.Int(1), value.Str("x")})
+	w.LogEpoch(9)
+	w.LogEnqueue("bob", 1, []byte("m1"))
+	w.LogEnqueue("bob", 2, []byte("m2"))
+	w.LogAck("bob", 1)
+	w.LogApplied("carol", 4, 6)
+	w.LogReset("dave", 11)
 	if err := w.Close(); err != nil {
 		f.Fatal(err)
 	}
@@ -386,6 +474,7 @@ func FuzzWALReplay(f *testing.F) {
 	}
 	f.Add(logged)
 	f.Add(append(logged, tornWALRecord()...))
+	f.Add(append(logged, tornOutboxRecord()...))
 	f.Add(logged[:len(logged)-3])
 	f.Add([]byte(walMagic[:5]))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -393,39 +482,103 @@ func FuzzWALReplay(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, logName), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		w, first, err := recoverWAL(t, dir)
+		w, s, st, err := recoverBoth(t, dir)
 		if err != nil {
 			w.Close()
 			return
 		}
-		name := "fuzz"
-		for first.Get(name, "p") != nil {
-			name += "z"
-		}
-		sch := Schema{Name: name, Peer: "p", Kind: ast.Extensional, Cols: []string{"a"}}
-		tp := value.Tuple{value.Int(7)}
-		if err := w.LogDeclare(sch); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.LogInsert(name, "p", tp); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Sync(); err != nil {
-			t.Fatal(err)
-		}
+		first := recovery{dumpStore(s), st}
+		rel, dst := logMore(t, w, first)
 		w.Close()
-		w, second, err := recoverWAL(t, dir)
-		w.Close()
+		second, err := recoverDir(t, dir)
 		if err != nil {
 			t.Fatalf("second recovery failed: %v", err)
 		}
-		rel, err := first.Declare(sch)
+		if want := plusMore(first, rel, dst); !reflect.DeepEqual(second, want) {
+			t.Fatalf("second recovery differs\n got %+v\nwant %+v", second, want)
+		}
+	})
+}
+
+// TestLogCrashPoints cuts a log mixing every record tag at every record
+// boundary and at every byte of its last record — a crash at any point of
+// any append. Every recovery must equal the recovery of a log holding just
+// the records before the cut, and logging more after it and recovering
+// again must give that plus what was logged.
+func TestLogCrashPoints(t *testing.T) {
+	sch := Schema{Name: "r", Peer: "p", Kind: ast.Extensional, Cols: []string{"a", "b"}}
+	one, two := value.Tuple{value.Int(1), value.Str("one")}, extremeTuple()[:2]
+	steps := []func(w *WAL) error{
+		func(w *WAL) error { return w.LogEpoch(5) },
+		func(w *WAL) error { return w.LogDeclare(sch) },
+		func(w *WAL) error { return w.LogMany(false, "r", "p", []value.Tuple{one, two}) },
+		func(w *WAL) error { return w.LogEnqueue("bob", 1, []byte("m1")) },
+		func(w *WAL) error { return w.LogApplied("carol", 3, 4) },
+		func(w *WAL) error { return w.LogEnqueue("bob", 2, []byte("m2")) },
+		func(w *WAL) error { return w.LogDelete("r", "p", one) },
+		func(w *WAL) error { return w.LogAck("bob", 1) },
+		func(w *WAL) error { return w.LogReset("dave", 8) },
+		func(w *WAL) error { return w.LogEnqueue("dave", 1, []byte("d1")) },
+		func(w *WAL) error { return w.LogApplied("carol", 3, 9) },
+	}
+	// ends[k] is the file size holding the first k steps; want[k] their
+	// recovery from a log that never held more.
+	dir := t.TempDir()
+	w, err := OpenWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := []int64{headerLen}
+	for _, step := range steps {
+		must(t, step(w))
+		must(t, w.Sync())
+		ends = append(ends, fileSize(t, filepath.Join(dir, logName)))
+	}
+	w.Close()
+	full, err := os.ReadFile(filepath.Join(dir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]recovery, len(steps)+1)
+	for k := range want {
+		d := t.TempDir()
+		w, err := OpenWAL(d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel.Insert(tp)
-		if got, want := dumpStore(second), dumpStore(first); got != want {
-			t.Fatalf("second recovery differs\n--- got\n%s\n--- want\n%s", got, want)
+		for _, step := range steps[:k] {
+			must(t, step(w))
 		}
-	})
+		w.Close()
+		if want[k], err = recoverDir(t, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cuts := append([]int64(nil), ends...)
+	for cut := ends[len(steps)-1] + 1; cut < ends[len(steps)]; cut++ {
+		cuts = append(cuts, cut)
+	}
+	for _, cut := range cuts {
+		k := 0
+		for k < len(steps) && ends[k+1] <= cut {
+			k++
+		}
+		d := t.TempDir()
+		if err := os.WriteFile(filepath.Join(d, logName), full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w, s, st, err := recoverBoth(t, d)
+		if err != nil {
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		if got := (recovery{dumpStore(s), st}); !reflect.DeepEqual(got, want[k]) {
+			t.Fatalf("cut at %d: recovered %+v\nwant the first %d records: %+v", cut, got, k, want[k])
+		}
+		rel, dst := logMore(t, w, want[k])
+		w.Close()
+		got, err := recoverDir(t, d)
+		if want := plusMore(want[k], rel, dst); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("cut at %d: second restart: %v\n got %+v\nwant %+v", cut, err, got, want)
+		}
+	}
 }
