@@ -13,10 +13,11 @@ import (
 	"repro/internal/value"
 )
 
-// TestDurablePeerKeepsOneLogFile: a durable peer that enqueues, is acked,
-// has a stream reset and takes a checkpoint keeps exactly one file, wal.log,
-// and comes back from it with its facts and its stream.
-func TestDurablePeerKeepsOneLogFile(t *testing.T) {
+// TestDurablePeerLogFiles: a durable peer that enqueues, is acked, has a
+// stream reset and takes a checkpoint keeps exactly the log's two files,
+// outbox.log and wal.log, and comes back from them with its facts and its
+// stream.
+func TestDurablePeerLogFiles(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	open := func() (*Peer, *Peer, *Network) {
@@ -91,8 +92,8 @@ func TestDurablePeerKeepsOneLogFile(t *testing.T) {
 	for _, e := range entries {
 		names = append(names, e.Name())
 	}
-	if len(names) != 1 || names[0] != "wal.log" {
-		t.Fatalf("the log directory holds %v, want exactly wal.log", names)
+	if len(names) != 2 || names[0] != "outbox.log" || names[1] != "wal.log" {
+		t.Fatalf("the log directory holds %v, want exactly outbox.log and wal.log", names)
 	}
 
 	alice, bob, n = open()

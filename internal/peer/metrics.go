@@ -75,7 +75,7 @@ func (p *Peer) registerMetrics(reg *metrics.Registry) {
 		"Periodic anti-entropy digest adverts transmitted.", "peer").Func(atomicFn(&ob.adverts), name)
 	if w := p.wal; w != nil {
 		reg.Counter("wdl_log_syncs_total",
-			"Fsyncs of the durable log (wal.log): at most one per stage end.", "peer").Func(func() float64 {
+			"Fsyncs of the durable log (wal.log, outbox.log): at most one per stage end.", "peer").Func(func() float64 {
 			return float64(w.Syncs())
 		}, name)
 	}

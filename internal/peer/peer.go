@@ -454,7 +454,7 @@ func (p *Peer) resumeDelivery(st *store.OutboxState) error {
 			}
 		}
 	}
-	p.outbox.onPreFlush = l.Sync
+	p.outbox.onPreFlush = l.SyncOutbox
 	for dst, next := range st.NextSeq {
 		var entries []outEntry
 		for _, e := range st.Pending[dst] {

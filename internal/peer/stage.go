@@ -340,7 +340,7 @@ func (p *Peer) ingestLocked(rep *StageReport, d *stageDeltas) bool {
 
 	// Release the staged acks only once everything they certify is durable:
 	// the applied facts and the per-sender watermarks, in one sync of the
-	// log. On a persistence failure the acks stay staged — the sender
+	// log's wal.log. On a persistence failure the acks stay staged — the sender
 	// retransmits, the replay coalesces onto the same staged ack, and the
 	// release is retried by a later ingestion.
 	ackable := p.stagedAckSessionsLocked()
@@ -352,7 +352,7 @@ func (p *Peer) ingestLocked(rep *StageReport, d *stageDeltas) bool {
 			}
 		}
 		if err == nil {
-			err = p.wal.Sync()
+			err = p.wal.SyncUpdates()
 		}
 		if err != nil {
 			rep.Errors = append(rep.Errors, err)

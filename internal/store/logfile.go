@@ -14,7 +14,7 @@ import (
 	"repro/internal/value"
 )
 
-// The log file (wal.log) is an 8-byte header — six magic bytes naming the
+// Each file of the log (wal.log, outbox.log) is an 8-byte header — six magic bytes naming the
 // file kind and a big-endian format version — and then records, each a
 // 4-byte little-endian body length, that length's 4-byte CRC-32C, the body's
 // 4-byte CRC-32C and the body. The length has its own checksum so that a
@@ -25,8 +25,8 @@ import (
 // blob holding any bytes, NaN, ±Inf, −0.0 — comes back bit for bit.
 //
 // A file that does not start with this version's header was written by an
-// older version (version 1 kept the delivery records in outbox.log and
-// checkpoints in snapshot.log; before it, the logs were JSON lines) or is
+// older version (version 1 wrote outbox.log under a magic of its own and
+// kept snapshots in snapshot.log; before it, the logs were JSON lines) or is
 // not a log at all: it is refused, never misread.
 const (
 	walMagic = "WDLWAL\x00\x02"

@@ -100,9 +100,9 @@ func TestOldFormatLogsRefused(t *testing.T) {
 
 // TestV1LogsRefused: the three files of format version 1 (testdata/v1: a
 // binary wal.log, outbox.log and snapshot.log, written by that version) are
-// refused together, and so is each of them alone — an outbox.log or
-// snapshot.log beside a current wal.log included, since ignoring it would
-// drop the pending deliveries, watermarks or snapshot it holds.
+// refused together, and so is each of them alone — a version-1 outbox.log or
+// a snapshot.log beside a current wal.log included, since misreading or
+// ignoring it would drop the pending deliveries or the snapshot it holds.
 func TestV1LogsRefused(t *testing.T) {
 	v1 := func(name string) string { return filepath.Join("testdata", "v1", name) }
 	checkRefused(t, map[string]string{logName: v1(logName), "outbox.log": v1("outbox.log"), "snapshot.log": v1("snapshot.log")}, "")
@@ -201,16 +201,16 @@ func TestLogTornAtEveryByte(t *testing.T) {
 		l.LogEpoch(5)
 		l.LogEnqueue("bob", 1, []byte("m1"))
 		l.Sync()
-		before := fileSize(t, filepath.Join(dir, logName))
+		before := fileSize(t, filepath.Join(dir, outboxName))
 		l.LogEnqueue("bob", 2, []byte("m2"))
 		l.Close()
-		full, err := os.ReadFile(filepath.Join(dir, logName))
+		full, err := os.ReadFile(filepath.Join(dir, outboxName))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for cut := before; cut <= int64(len(full)); cut++ {
 			d := t.TempDir()
-			if err := os.WriteFile(filepath.Join(d, logName), full[:cut], 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(d, outboxName), full[:cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
 			l, st, err := recoverOutboxLog(t, d)
@@ -297,7 +297,7 @@ func TestLogDamagedLengthIsNotATornTail(t *testing.T) {
 			w.Close()
 			return err
 		}},
-		{"outbox", func(dir string) {
+		{outboxName, func(dir string) {
 			l, _ := OpenWAL(dir)
 			l.LogEpoch(1)
 			for seq := uint64(1); seq <= 4; seq++ {
@@ -313,7 +313,7 @@ func TestLogDamagedLengthIsNotATornTail(t *testing.T) {
 		t.Run(lg.name, func(t *testing.T) {
 			dir := t.TempDir()
 			lg.write(dir)
-			path := filepath.Join(dir, logName)
+			path := filepath.Join(dir, lg.name)
 			b, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)

@@ -1,7 +1,7 @@
 // Package store implements the tuple storage layer of a WebdamLog peer:
 // named relations holding sets of tuples, lazily-built hash indexes over
-// column subsets, and optional durability through a write-ahead log with
-// snapshots (wal.go).
+// column subsets, and optional durability through a checkpointed
+// write-ahead log (wal.go).
 //
 // A Store holds all relations known at one peer, both the peer's own
 // relations and locally-materialized images of remote relations' schemas.

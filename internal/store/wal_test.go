@@ -399,7 +399,7 @@ func recoverBoth(t testing.TB, dir string) (*WAL, *Store, *OutboxState, error) {
 	return w, s, st, err
 }
 
-// logMore appends the records FuzzLogReplay and TestLogCrashPoints log after
+// logMore appends the records fuzzLogReplay and TestLogCrashPoints log after
 // a recovery: a fresh relation with one tuple and an entry for a fresh
 // destination, neither named anywhere in before.
 func logMore(t testing.TB, w *WAL, before recovery) (rel, dst string) {
@@ -445,12 +445,29 @@ func hasKey(m map[string]uint64, k string) bool {
 	return ok
 }
 
-// FuzzLogReplay feeds arbitrary bytes to WAL.Recover as the log file. It
-// must not panic; and when it succeeds, a restarted peer that logs more —
-// store records and delivery records — and restarts again must recover
-// exactly the first recovery plus what it logged, whatever torn tail the
-// bytes ended in.
-func FuzzLogReplay(f *testing.F) {
+// FuzzWALReplay fuzzes wal.log, the file of the store's records and the
+// applied watermarks (fuzzLogReplay).
+func FuzzWALReplay(f *testing.F) {
+	fuzzLogReplay(f, logName, func(logged []byte) [][]byte {
+		return [][]byte{logged, append(slices.Clip(logged), tornWALRecord()...), logged[:len(logged)-3], []byte(walMagic[:5])}
+	})
+}
+
+// FuzzOutboxLogReplay fuzzes outbox.log, the file of the rest of the
+// delivery state (fuzzLogReplay).
+func FuzzOutboxLogReplay(f *testing.F) {
+	fuzzLogReplay(f, outboxName, func(logged []byte) [][]byte {
+		return [][]byte{logged, append(slices.Clip(logged), tornOutboxRecord()...), logged[:len(logged)-3]}
+	})
+}
+
+// fuzzLogReplay feeds arbitrary bytes to WAL.Recover as the log's file name,
+// seeded with what seeds makes of that file of a log holding every record
+// tag. Recover must not panic; and when it succeeds, a restarted peer that
+// logs more — store records and delivery records — and restarts again must
+// recover exactly the first recovery plus what it logged, whatever torn tail
+// the bytes ended in.
+func fuzzLogReplay(f *testing.F, name string, seeds func(logged []byte) [][]byte) {
 	dir := f.TempDir()
 	w, err := OpenWAL(dir)
 	if err != nil {
@@ -468,18 +485,16 @@ func FuzzLogReplay(f *testing.F) {
 	if err := w.Close(); err != nil {
 		f.Fatal(err)
 	}
-	logged, err := os.ReadFile(filepath.Join(dir, logName))
+	logged, err := os.ReadFile(filepath.Join(dir, name))
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(logged)
-	f.Add(append(logged, tornWALRecord()...))
-	f.Add(append(logged, tornOutboxRecord()...))
-	f.Add(logged[:len(logged)-3])
-	f.Add([]byte(walMagic[:5]))
+	for _, seed := range seeds(logged) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, logName), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		w, s, st, err := recoverBoth(t, dir)
@@ -501,10 +516,11 @@ func FuzzLogReplay(f *testing.F) {
 }
 
 // TestLogCrashPoints cuts a log mixing every record tag at every record
-// boundary and at every byte of its last record — a crash at any point of
-// any append. Every recovery must equal the recovery of a log holding just
-// the records before the cut, and logging more after it and recovering
-// again must give that plus what was logged.
+// boundary and at every byte of the last record, one file at a time, the
+// other left whole — a crash at any point of any append, in either file.
+// Every recovery must equal the recovery of a log that never held the
+// records past the cut, and logging more after it and recovering again
+// must give that plus what was logged.
 func TestLogCrashPoints(t *testing.T) {
 	sch := Schema{Name: "r", Peer: "p", Kind: ast.Extensional, Cols: []string{"a", "b"}}
 	one, two := value.Tuple{value.Int(1), value.Str("one")}, extremeTuple()[:2]
@@ -521,64 +537,91 @@ func TestLogCrashPoints(t *testing.T) {
 		func(w *WAL) error { return w.LogEnqueue("dave", 1, []byte("d1")) },
 		func(w *WAL) error { return w.LogApplied("carol", 3, 9) },
 	}
-	// ends[k] is the file size holding the first k steps; want[k] their
-	// recovery from a log that never held more.
+	// Each step appends to one file: of[i] is step i's file, ends[f][k] the
+	// size of file f holding its first k steps.
 	dir := t.TempDir()
 	w, err := OpenWAL(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ends := []int64{headerLen}
-	for _, step := range steps {
+	of := make([]int, len(steps))
+	ends := [2][]int64{{headerLen}, {headerLen}}
+	for i, step := range steps {
 		must(t, step(w))
 		must(t, w.Sync())
-		ends = append(ends, fileSize(t, filepath.Join(dir, logName)))
+		grew := 0
+		for file, name := range logNames {
+			if size := fileSize(t, filepath.Join(dir, name)); size != ends[file][len(ends[file])-1] {
+				ends[file] = append(ends[file], size)
+				of[i] = file
+				grew++
+			}
+		}
+		if grew != 1 {
+			t.Fatalf("step %d changed %d files", i, grew)
+		}
 	}
 	w.Close()
-	full, err := os.ReadFile(filepath.Join(dir, logName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]recovery, len(steps)+1)
-	for k := range want {
+	// want recovers a log that holds only the first k steps of file.
+	want := func(file, k int) recovery {
 		d := t.TempDir()
 		w, err := OpenWAL(d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, step := range steps[:k] {
+		seen := 0
+		for i, step := range steps {
+			if of[i] == file {
+				if seen++; seen > k {
+					continue
+				}
+			}
 			must(t, step(w))
 		}
 		w.Close()
-		if want[k], err = recoverDir(t, d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cuts := append([]int64(nil), ends...)
-	for cut := ends[len(steps)-1] + 1; cut < ends[len(steps)]; cut++ {
-		cuts = append(cuts, cut)
-	}
-	for _, cut := range cuts {
-		k := 0
-		for k < len(steps) && ends[k+1] <= cut {
-			k++
-		}
-		d := t.TempDir()
-		if err := os.WriteFile(filepath.Join(d, logName), full[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		w, s, st, err := recoverBoth(t, d)
+		r, err := recoverDir(t, d)
 		if err != nil {
-			t.Fatalf("cut at %d: %v", cut, err)
+			t.Fatal(err)
 		}
-		if got := (recovery{dumpStore(s), st}); !reflect.DeepEqual(got, want[k]) {
-			t.Fatalf("cut at %d: recovered %+v\nwant the first %d records: %+v", cut, got, k, want[k])
+		return r
+	}
+	for file, name := range logNames {
+		other := logNames[1-file]
+		full, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
 		}
-		rel, dst := logMore(t, w, want[k])
-		w.Close()
-		got, err := recoverDir(t, d)
-		if want := plusMore(want[k], rel, dst); err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("cut at %d: second restart: %v\n got %+v\nwant %+v", cut, err, got, want)
+		whole, err := os.ReadFile(filepath.Join(dir, other))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fe := ends[file]
+		cuts := slices.Clone(fe)
+		for cut := fe[len(fe)-2] + 1; cut < fe[len(fe)-1]; cut++ {
+			cuts = append(cuts, cut)
+		}
+		for _, cut := range cuts {
+			k := 0
+			for k+1 < len(fe) && fe[k+1] <= cut {
+				k++
+			}
+			d := t.TempDir()
+			must(t, os.WriteFile(filepath.Join(d, name), full[:cut], 0o644))
+			must(t, os.WriteFile(filepath.Join(d, other), whole, 0o644))
+			w, s, st, err := recoverBoth(t, d)
+			if err != nil {
+				t.Fatalf("%s cut at %d: %v", name, cut, err)
+			}
+			before := want(file, k)
+			if got := (recovery{dumpStore(s), st}); !reflect.DeepEqual(got, before) {
+				t.Fatalf("%s cut at %d: recovered %+v\nwant its first %d records: %+v", name, cut, got, k, before)
+			}
+			rel, dst := logMore(t, w, before)
+			w.Close()
+			got, err := recoverDir(t, d)
+			if want := plusMore(before, rel, dst); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s cut at %d: second restart: %v\n got %+v\nwant %+v", name, cut, err, got, want)
+			}
 		}
 	}
 }
