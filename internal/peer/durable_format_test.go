@@ -74,45 +74,60 @@ func TestPeerRestartKeepsPictureBitExact(t *testing.T) {
 
 // TestPeerRefusesOldFormatLogs: a durable peer over the JSON-lines logs of
 // the JSON era, over a log whose outbox entry holds a payload in the gob
-// encoding of that era, or over the three files of log format version 1,
-// does not start, with ErrWAL saying to drain or remove the log.
+// encoding of that era or in a retired layout of the binary codec — a
+// DigestMsg stamped with its stream position, as a solicited advert of the
+// previous version leaves behind — or over the three files of log format
+// version 1, does not start, with ErrWAL naming the file at fault and saying
+// to drain or remove the log. Each setup returns that file.
 func TestPeerRefusesOldFormatLogs(t *testing.T) {
 	gobPayload, err := os.ReadFile(filepath.Join("..", "protocol", "testdata", "gob_payload.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	setups := map[string]func(t *testing.T, dir string){
-		"json wal": func(t *testing.T, dir string) { copyFixture(t, dir, "jsonera", "wal.log") },
-		"json outbox log": func(t *testing.T, dir string) {
+	pendingEntry := func(t *testing.T, dir string, payload []byte) string {
+		l, err := store.OpenWAL(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.LogEpoch(3)
+		l.LogEnqueue("bob", 1, payload)
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return "outbox.log"
+	}
+	setups := map[string]func(t *testing.T, dir string) string{
+		"json wal": func(t *testing.T, dir string) string { copyFixture(t, dir, "jsonera", "wal.log"); return "wal.log" },
+		"json outbox log": func(t *testing.T, dir string) string {
 			copyFixture(t, dir, "jsonera", "outbox.log")
+			return "outbox.log"
 		},
-		"v1 logs": func(t *testing.T, dir string) {
+		"v1 logs": func(t *testing.T, dir string) string {
 			for _, name := range []string{"wal.log", "outbox.log", "snapshot.log"} {
 				copyFixture(t, dir, "v1", name)
 			}
+			return "snapshot.log"
 		},
-		"gob outbox entry": func(t *testing.T, dir string) {
-			l, err := store.OpenWAL(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			l.LogEpoch(3)
-			l.LogEnqueue("bob", 1, gobPayload)
-			if err := l.Close(); err != nil {
-				t.Fatal(err)
-			}
+		"gob outbox entry": func(t *testing.T, dir string) string { return pendingEntry(t, dir, gobPayload) },
+		// Tag 6, epoch 3, as of sequence 9, one relation "r" with hash
+		// 0xBEEF and count 3, no delegations.
+		"stamped advert entry": func(t *testing.T, dir string) string {
+			return pendingEntry(t, dir, []byte{6, 3, 9, 1, 1, 'r', 0xEF, 0xBE, 0, 0, 0, 0, 0, 0, 3, 0})
 		},
 	}
 	for name, setup := range setups {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			setup(t, dir)
+			file := setup(t, dir)
 			p, _, err := openDurable(t, dir)
 			if err == nil {
 				p.Close()
 			}
 			if !errors.Is(err, errdefs.ErrWAL) || !strings.Contains(err.Error(), "drain") || !strings.Contains(err.Error(), "remove it") {
 				t.Fatalf("err = %v, want ErrWAL saying to drain or remove the log", err)
+			}
+			if !strings.Contains(err.Error(), filepath.Join(dir, file)) {
+				t.Fatalf("err = %v, want it to name %s", err, file)
 			}
 		})
 	}

@@ -102,7 +102,11 @@ func TestDurablePeerLogFiles(t *testing.T) {
 	if got := alice.Query("src"); len(got) != 3 {
 		t.Fatalf("recovered src = %v, want 3 facts", got)
 	}
-	if epoch, next := alice.outbox.streamState("bob"); epoch == alice.outbox.defaultEpoch || next == 0 {
+	dq := alice.outbox.queue("bob")
+	dq.mu.Lock()
+	epoch, next := dq.epoch, dq.nextSeq
+	dq.mu.Unlock()
+	if epoch == alice.outbox.defaultEpoch || next == 0 {
 		t.Fatalf("recovered stream to bob at epoch %d seq %d, want the reset stream", epoch, next)
 	}
 }

@@ -72,7 +72,7 @@ func (p *Peer) registerMetrics(reg *metrics.Registry) {
 	reg.Counter("wdl_backpressure_rejections_total",
 		"Apply admissions rejected with ErrBackpressure (fail-fast).", "peer").Func(atomicFn(&ob.bpRejects), name)
 	reg.Counter("wdl_resync_adverts_total",
-		"Periodic anti-entropy digest adverts transmitted.", "peer").Func(atomicFn(&ob.adverts), name)
+		"Periodic anti-entropy digest adverts enqueued in the sequenced stream.", "peer").Func(atomicFn(&ob.adverts), name)
 	if w := p.wal; w != nil {
 		reg.Counter("wdl_log_syncs_total",
 			"Fsyncs of the durable log (wal.log, outbox.log): at most one per stage end.", "peer").Func(func() float64 {

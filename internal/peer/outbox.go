@@ -38,10 +38,11 @@ import (
 //     flush.
 //
 // Entries with a sequence number are retained until acked. Control traffic
-// (acks of the peer's own inbox, pongs, resync requests) is best-effort:
-// sent after the data flush, dropped on failure (the protocol regenerates
-// it). Anti-entropy digest adverts ride the flush cycle too, on a
-// per-session clock (resyncEvery).
+// (acks of the peer's own inbox, pongs, resync and range requests) is
+// best-effort: sent after the data flush, dropped on failure (the protocol
+// regenerates it). Nothing else travels outside a DataMsg: the anti-entropy
+// advert clock (resyncEvery) lives here, but the advert it triggers is a
+// sequenced entry like any other.
 
 // outboxDefaults tuning; tests shrink these for fast fault convergence.
 const (
@@ -77,11 +78,11 @@ type outbox struct {
 
 	// resyncEvery is the anti-entropy advert period (0 = disabled):
 	// roughly every resyncEvery per destination, the flush cycle asks
-	// onDigest for an advert of the maintained view and sends it
-	// best-effort. The peer's callback returns nil when there is nothing
-	// to advertise.
+	// onDigest to enqueue an advert of the maintained view, unless one is
+	// still awaiting its ack. The peer's callback reports whether it
+	// enqueued one (there may be nothing to advertise).
 	resyncEvery time.Duration
-	onDigest    func(dst string) protocol.Payload
+	onDigest    func(dst string) bool
 
 	// Flow control. limit bounds each destination's unacknowledged entry
 	// queue for admission-controlled enqueues (EnqueueDataCtx — the Apply
@@ -138,7 +139,7 @@ type outbox struct {
 	sendErrors  atomic.Uint64
 	resets      atomic.Uint64 // stream resets (anti-entropy repairs + sheds)
 	sheds       atomic.Uint64 // slow-peer sheds (subset of resets)
-	adverts     atomic.Uint64 // anti-entropy digest adverts transmitted
+	adverts     atomic.Uint64 // periodic anti-entropy digest adverts enqueued
 	bpWaits     atomic.Uint64 // admissions that had to wait for queue space
 	bpRejects   atomic.Uint64 // admissions rejected with ErrBackpressure
 }
@@ -208,22 +209,6 @@ func (o *outbox) snapshot() []*sendSession {
 		out = append(out, o.queues[dst])
 	}
 	return out
-}
-
-// streamState returns the current epoch and the highest assigned sequence
-// number of the stream to dst (zeros when no stream exists yet). The peer
-// reads it under its own lock when building a digest advert, so the pair is
-// consistent with the enqueues made so far.
-func (o *outbox) streamState(dst string) (epoch, nextSeq uint64) {
-	o.mu.Lock()
-	dq := o.queues[dst]
-	o.mu.Unlock()
-	if dq == nil {
-		return 0, 0
-	}
-	dq.mu.Lock()
-	defer dq.mu.Unlock()
-	return dq.epoch, dq.nextSeq
 }
 
 // EnqueueData appends a sequenced payload for dst and returns its sequence
@@ -320,7 +305,9 @@ func (o *outbox) enqueueHeld(dq *sendSession, dst string, msg protocol.Payload) 
 // payloads (the full-range repair run of the maintained view and the advert
 // that ends it) become the new sequences 1..n; surviving pending entries are
 // renumbered behind them (their maintained deltas are already reflected in
-// the run and replay as no-ops; one-shot updates must still be delivered).
+// the run and replay as no-ops; one-shot updates must still be delivered),
+// except digests, which describe a stream position the reset discards and
+// which the run's own advert supersedes.
 // The destination adopts the fresh epoch at sequence 1 with a fresh
 // watermark. For durable peers onReset re-logs the stream so recovery sees
 // the renumbering, not the superseded entries.
@@ -353,6 +340,9 @@ func (o *outbox) reset(dst string, firsts []protocol.Payload, drop bool) {
 	}
 	if !drop {
 		for _, e := range dq.entries {
+			if _, ok := e.msg.(protocol.DigestMsg); ok {
+				continue // describes a stream position the reset discards
+			}
 			entries = append(entries, outEntry{seq: uint64(len(entries)) + 1, msg: e.msg})
 		}
 	}
@@ -464,7 +454,8 @@ func (o *outbox) send(dst string, msg protocol.Payload) error {
 }
 
 // advertDue checks (and, when due, re-arms) the session's anti-entropy
-// advert clock.
+// advert clock. A period in which an advert still awaits its ack passes
+// without another: an unreachable destination holds one, not one per period.
 func (o *outbox) advertDue(dq *sendSession) bool {
 	if o.resyncEvery <= 0 || o.onDigest == nil {
 		return false
@@ -475,12 +466,18 @@ func (o *outbox) advertDue(dq *sendSession) bool {
 		return false
 	}
 	dq.lastAdvert = time.Now()
+	for _, e := range dq.entries {
+		if m, ok := e.msg.(protocol.DigestMsg); ok && m.Advert {
+			return false
+		}
+	}
 	return true
 }
 
-// flushQueue pushes everything currently sendable for one destination:
-// unsent data entries in sequence order, then the pending ack, then control
-// messages, then (when its clock says so) the anti-entropy digest advert.
+// flushQueue pushes everything currently sendable for one destination: when
+// its clock says so it first has the peer enqueue the anti-entropy digest
+// advert, then sends unsent data entries in sequence order, then the pending
+// ack, then control messages.
 // Reports whether anything was transmitted, whether a send failed, and
 // whether another flush of the same queue was already in progress (busy —
 // this call did nothing). Respects the queue's backoff gate.
@@ -525,6 +522,13 @@ func (o *outbox) flushQueue(dq *sendSession) (sent, failed, busy bool) {
 		}
 		dq.mu.Unlock()
 	}()
+
+	// The advert joins the stream whatever is still in flight: the receiver
+	// compares it at its own position, so a busy stream needs no quiet
+	// moment for it.
+	if o.advertDue(dq) && o.onDigest(dq.dst) {
+		o.adverts.Add(1)
+	}
 
 	synced := false
 	for {
@@ -577,20 +581,6 @@ func (o *outbox) flushQueue(dq *sendSession) (sent, failed, busy bool) {
 					return sent, true, false // remaining controls dropped: best-effort
 				}
 				sent = true
-			}
-			// Anti-entropy: advertise the maintained view's digests on the
-			// session clock, after everything queued went out (the advert's
-			// AsOfSeq then reflects a fully transmitted stream). Dropped on
-			// failure like any control — the clock repeats it.
-			if o.advertDue(dq) {
-				if adv := o.onDigest(dq.dst); adv != nil {
-					if err := o.send(dq.dst, adv); err != nil {
-						o.sendErrors.Add(1)
-						return sent, true, false
-					}
-					o.adverts.Add(1)
-					sent = true
-				}
 			}
 			return sent, false, false
 		}

@@ -3,6 +3,7 @@ package peer
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -122,10 +123,12 @@ func TestDataMsgGapIsDroppedUntilRetransmit(t *testing.T) {
 	}
 }
 
-// TestBareDataRefused: facts, delegations and repairs that arrive outside a
-// DataMsg have no sequence number to dedup or order them by. Each is refused
-// and counted — a bare empty full-range repair does not drop the sender's
-// support, a bare FactsMsg (sent twice) applies neither time.
+// TestBareDataRefused: facts, delegations, repairs and digests that arrive
+// outside a DataMsg have no sequence number to dedup or order them by. Each
+// is refused and counted, and leaves the sender's ledger and the outbox back
+// to it as they were — a bare empty full-range repair does not drop the
+// sender's support, a bare FactsMsg (sent twice) applies neither time, a
+// bare advert claiming the sender maintains nothing asks for no repair.
 func TestBareDataRefused(t *testing.T) {
 	n := NewSequentialNetwork()
 	b, err := n.NewPeer(Config{Name: "b", ResyncInterval: -1})
@@ -154,13 +157,26 @@ func TestBareDataRefused(t *testing.T) {
 		facts(8),
 		facts(8),
 		protocol.DelegationMsg{RuleID: "r"},
+		protocol.DigestMsg{Advert: true},
 	}
+	state := func() string {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		dq := b.outbox.queue("a")
+		dq.mu.Lock()
+		defer dq.mu.Unlock()
+		return fmt.Sprint(b.sessionLocked("a").ledgerDigest("view@b"), len(dq.entries), dq.pendingAck, len(dq.controls), b.stats.ResyncRequested)
+	}
+	before := state()
 	for _, msg := range bare {
 		if rep := deliver(msg); len(rep.Errors) != 1 {
 			t.Errorf("bare %T reported %v, want one refusal", msg, rep.Errors)
 		}
 		if got := tuples(b, "view"); len(got) != 1 || got[0] != "(7)" {
 			t.Fatalf("view@b after a bare %T = %v, want [(7)]", msg, got)
+		}
+		if after := state(); after != before {
+			t.Fatalf("a bare %T changed the ledger or the outbox: %s, was %s", msg, after, before)
 		}
 	}
 	if got := b.Stats(); got.RuntimeErrors != uint64(len(bare)) || got.DelegationsIn != 0 {
@@ -350,5 +366,43 @@ func TestCloseCancelsInFlightDial(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close hung on an in-flight dial")
+	}
+}
+
+// TestResetDropsPendingDigests: a stream reset renumbers the pending entries
+// behind the repair run and its advert — except digests. Each describes the
+// stream position it was enqueued at, which the reset discards, and the
+// run's own advert supersedes them: an idle sender's periodic advert, still
+// pending when the restarted receiver it wedged asks for the reset, must not
+// be compared again behind the run.
+func TestResetDropsPendingDigests(t *testing.T) {
+	n := NewNetwork()
+	a, err := New(Config{Name: "a", ResyncInterval: -1}, &unreachableEndpoint{Endpoint: n.Bus().Endpoint("a"), dst: "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	fact := func(k int64) protocol.FactsMsg {
+		return protocol.FactsMsg{Ops: []protocol.FactDelta{{Maint: true, Fact: ast.NewFact("view", "b", value.Int(k))}}}
+	}
+	a.outbox.EnqueueData("b", fact(1))
+	a.outbox.EnqueueData("b", protocol.DigestMsg{Advert: true})
+	a.outbox.EnqueueData("b", protocol.DigestMsg{Rels: map[string][]protocol.RangeDigest{"view@b": {{Lo: 1, Hi: 2}}}})
+	a.outbox.EnqueueData("b", fact(2))
+	run := protocol.RangeRepairMsg{RelID: "view@b", Ranges: []protocol.HashRange{fullRange}}
+	advert := protocol.DigestMsg{Advert: true, Deleg: map[string]uint64{"r": 1}}
+	a.outbox.Reset("b", run, advert)
+
+	dq := a.outbox.queue("b")
+	dq.mu.Lock()
+	defer dq.mu.Unlock()
+	want := []protocol.Payload{run, advert, fact(1), fact(2)}
+	if len(dq.entries) != len(want) || dq.nextSeq != uint64(len(want)) {
+		t.Fatalf("reset stream holds %d entries up to seq %d, want %d", len(dq.entries), dq.nextSeq, len(want))
+	}
+	for i, e := range dq.entries {
+		if e.seq != uint64(i+1) || !reflect.DeepEqual(e.msg, want[i]) {
+			t.Errorf("entry %d = seq %d %#v, want seq %d %#v", i, e.seq, e.msg, i+1, want[i])
+		}
 	}
 }

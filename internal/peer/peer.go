@@ -68,16 +68,16 @@ type Config struct {
 	// queued and retry at the next flush, but there is no retransmit timer.
 	SyncEmit bool
 	// ResyncInterval is the anti-entropy period: roughly this often (per
-	// destination with a maintained remote view) the peer advertises
-	// order-insensitive digests of what it maintains there, and receivers
-	// whose own ledger digests differ repair the difference through the
-	// ranged dialogue (range digests narrow the divergence, only differing
-	// ranges are re-shipped — O(δ log n) bytes for a nearly-correct ledger,
-	// the view shipped once for an empty one). Zero keeps the default (5s);
-	// a negative value disables periodic adverts (repair on epoch adoption
-	// and stream wedges stays active — it is data-driven, not
-	// timer-driven: the advert an adoption asks for rides the sequenced
-	// stream).
+	// destination with a maintained remote view) the peer enqueues, in its
+	// sequenced stream there, an advert of order-insensitive digests of
+	// what it maintains there — never a second while one awaits its ack —
+	// and receivers whose own ledger digests differ repair the difference
+	// through the ranged dialogue (range digests narrow the divergence, only
+	// differing ranges are re-shipped — O(δ log n) bytes for a
+	// nearly-correct ledger, the view shipped once for an empty one). Zero
+	// keeps the default (5s); a negative value disables periodic adverts
+	// (repair on epoch adoption and stream wedges stays active — it is
+	// data-driven, not timer-driven).
 	ResyncInterval time.Duration
 
 	// Metrics, when non-nil, registers this peer's runtime metrics with the
@@ -163,8 +163,8 @@ type Stats struct {
 
 	// Anti-entropy counters: repairs this peer asked for (as a receiver:
 	// stream resets, solicited adverts, digest mismatches acted on) and
-	// periodic digest adverts transmitted (sequenced adverts are outbox
-	// entries like any other).
+	// periodic digest adverts enqueued (as a sender; solicited adverts and
+	// those ending a stream restart are not counted).
 	ResyncRequested uint64
 	ResyncAdverts   uint64
 
@@ -377,7 +377,7 @@ func New(cfg Config, ep transport.Endpoint) (*Peer, error) {
 		p.resyncEvery = 0
 	}
 	p.outbox.resyncEvery = p.resyncEvery
-	p.outbox.onDigest = p.digestFor
+	p.outbox.onDigest = p.advertise
 	p.outbox.limit = cfg.OutboxLimit
 	p.outbox.failFast = cfg.Admission == AdmitFailFast
 	p.outbox.shedAfter = cfg.OutboxShedAfter
@@ -460,8 +460,8 @@ func (p *Peer) resumeDelivery(st *store.OutboxState) error {
 		for _, e := range st.Pending[dst] {
 			msg, err := protocol.DecodePayload(e.Payload)
 			if err != nil {
-				return fmt.Errorf("%w: recovering outbox entry %d for %s (written by an older version?): %w; "+
-					"drain the log with the version that wrote it, or remove it", errdefs.ErrWAL, e.Seq, dst, err)
+				return fmt.Errorf("%w: recovering outbox entry %d for %s from %s (written by an older version?): %w; "+
+					"drain the log with the version that wrote it, or remove it", errdefs.ErrWAL, e.Seq, dst, l.OutboxPath(), err)
 			}
 			entries = append(entries, outEntry{seq: e.Seq, msg: msg})
 		}
@@ -509,29 +509,31 @@ func (p *Peer) keyOf(t value.Tuple) (value.Tuple, string) {
 	return t, t.Key()
 }
 
-// digestFor builds the anti-entropy advert for dst: per-relation digests of
-// everything this peer maintains there plus fingerprint hashes of the rule
-// sets it currently delegates there, stamped with the stream position the
-// view is current as of. Returns nil when neither exists. Called by the
-// outbox's flush cycle; taking p.mu here makes the digests and the stream
-// position mutually consistent (stages enqueue under p.mu).
-func (p *Peer) digestFor(dst string) protocol.Payload {
+// advertise is the outbox's advert-clock callback: it enqueues the periodic
+// anti-entropy advert for dst in the sequenced stream, exactly as a solicited
+// advert is enqueued, and reports whether there was anything to advertise.
+// Taking p.mu keeps the digests consistent with the stream position the
+// advert takes (stages enqueue under p.mu too).
+func (p *Peer) advertise(dst string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return nil
+		return false
 	}
 	msg := p.digestMsgLocked(dst)
 	if len(msg.Rels) == 0 && len(msg.Deleg) == 0 {
-		return nil
+		return false
 	}
-	return msg
+	p.outbox.EnqueueData(dst, msg)
+	return true
 }
 
-// digestMsgLocked builds the digest advert itself, empty maps and all — an
-// advert *request* (ResyncRequestMsg.Advert) is answered even when this
-// peer maintains nothing at the requester, because "nothing" is exactly
-// what the requester's stale ledger needs to learn.
+// digestMsgLocked builds the complete advert for dst — per relation, the
+// digest of the full hash range of everything this peer maintains there,
+// plus fingerprint hashes of the rule sets it currently delegates there —
+// empty maps and all: an advert *request* (ResyncRequestMsg.Advert) is
+// answered even when this peer maintains nothing at the requester, because
+// "nothing" is exactly what the requester's stale ledger needs to learn.
 func (p *Peer) digestMsgLocked(dst string) protocol.DigestMsg {
 	digs := p.rv.Digests(dst)
 	var deleg map[string]uint64
@@ -543,12 +545,11 @@ func (p *Peer) digestMsgLocked(dst string) protocol.DigestMsg {
 			deleg[ruleID] = store.KeyHash(fp)
 		}
 	}
-	epoch, nextSeq := p.outbox.streamState(dst)
-	rels := make(map[string]protocol.RelDigest, len(digs))
+	rels := make(map[string][]protocol.RangeDigest, len(digs))
 	for relID, d := range digs {
-		rels[relID] = protocol.RelDigest{Hash: d.Hash, Count: d.Count}
+		rels[relID] = []protocol.RangeDigest{{Lo: fullRange.Lo, Hi: fullRange.Hi, Hash: d.Hash, Count: d.Count}}
 	}
-	return protocol.DigestMsg{Epoch: epoch, AsOfSeq: nextSeq, Rels: rels, Deleg: deleg}
+	return protocol.DigestMsg{Rels: rels, Deleg: deleg, Advert: true}
 }
 
 // Name returns the peer's name.

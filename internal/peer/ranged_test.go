@@ -465,8 +465,8 @@ func TestWideRepairRequestServedInBoundedChunks(t *testing.T) {
 	a.RunStage()
 
 	a.mu.Lock()
-	a.handleRangeRepairRequestLocked("b", protocol.RangeRepairRequestMsg{
-		RelID: "view@b", Ranges: []protocol.HashRange{fullRange}})
+	a.handleRangeRequestLocked("b", protocol.RangeRequestMsg{
+		RelID: "view@b", Repair: []protocol.HashRange{fullRange}})
 	a.mu.Unlock()
 	dq := a.outbox.queue("b")
 	dq.mu.Lock()

@@ -11,6 +11,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/engine"
 	"repro/internal/protocol"
+	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/value"
 )
@@ -80,14 +81,15 @@ func loadViewSender(t *testing.T, a *Peer) {
 	}
 }
 
-// TestVolatileReceiverRestartResyncs is the scenario PR 3 documented as its
-// remaining gap, closed here: a volatile receiver holding a remotely
+// TestVolatileReceiverRestartResyncs: a volatile receiver holding a remotely
 // maintained view crashes and restarts, and the sender *never changes
-// again* — so no delta will ever flow. The sender's periodic digest advert
-// must find the restarted (empty) receiver, trigger a stream reset around the
-// full-range repair, and restore the view to the fault-free fixpoint. The control
-// arm runs the same schedule with anti-entropy disabled and must stay
-// diverged — the behavior this PR removes.
+// again* — so no delta will ever flow. The sender's periodic digest advert,
+// a sequenced entry of the old stream, reaches the restarted (empty)
+// receiver mid-sequence: the stream is wedged, so the receiver asks for a
+// stream reset, whose full-range repair run restores the view to the
+// fault-free fixpoint. The control arm runs the same schedule with
+// anti-entropy disabled and must stay diverged: nothing else ever reaches
+// the restarted receiver.
 func TestVolatileReceiverRestartResyncs(t *testing.T) {
 	for _, resync := range []bool{true, false} {
 		name := "with-resync"
@@ -138,9 +140,9 @@ func TestVolatileReceiverRestartResyncs(t *testing.T) {
 			}
 			// Let every in-flight entry be acknowledged before the crash:
 			// a leftover unacked entry would be retransmitted into the
-			// fresh receiver and trigger the (always-on) wedge repair,
-			// which is a different scenario than the idle-sender one this
-			// test pins down.
+			// fresh receiver and wedge the stream whether adverts are on or
+			// not. This test pins down the idle sender, whose periodic
+			// advert is the only message the fresh receiver ever sees.
 			if !drive([]*Peer{a, b}, func() bool { total, _ := a.OutboxPending(); return total == 0 }, 10*time.Second) {
 				t.Fatal("sender outbox never drained before the crash")
 			}
@@ -584,5 +586,128 @@ func TestBisectionAgainstBusySender(t *testing.T) {
 	}
 	if b.Stats().ResyncRangesRequested == 0 || a2.Stats().ResyncRangeDigestBytes == 0 {
 		t.Fatalf("the repair did not go through a bisection round: receiver %+v, sender %+v", b.Stats(), a2.Stats())
+	}
+}
+
+// unreachableEndpoint loses every message to one destination: silently
+// (sends succeed, nothing is acked), or failing every send.
+type unreachableEndpoint struct {
+	transport.Endpoint
+	dst  string
+	fail bool
+}
+
+func (e *unreachableEndpoint) Send(ctx context.Context, to string, msg protocol.Payload) error {
+	if to != e.dst {
+		return e.Endpoint.Send(ctx, to, msg)
+	}
+	if e.fail {
+		return transport.ErrInjectedFault
+	}
+	return nil
+}
+
+// TestUnreachableDestinationHoldsOneAdvert: a periodic advert is an outbox
+// entry, so a destination that never acks would collect one per period
+// unless the clock skips the periods in which one is still pending. Over ten
+// periods a black-holed destination and one whose sends fail each hold
+// exactly one.
+func TestUnreachableDestinationHoldsOneAdvert(t *testing.T) {
+	for _, fail := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fail=%v", fail), func(t *testing.T) {
+			n := NewNetwork()
+			link := &unreachableEndpoint{Endpoint: n.Bus().Endpoint("a"), dst: "b", fail: fail}
+			a, err := New(Config{Name: "a", ResyncInterval: resyncTestInterval}, link)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer a.Close()
+			shrinkOutboxTimers(a, 10*time.Millisecond)
+			n.Add(a)
+			loadViewSender(t, a)
+			applySrcFacts(t, a, intRange(5))
+			drive([]*Peer{a}, func() bool { return false }, 10*resyncTestInterval)
+
+			dq := a.outbox.queue("b")
+			dq.mu.Lock()
+			adverts := 0
+			for _, e := range dq.entries {
+				if m, ok := e.msg.(protocol.DigestMsg); ok && m.Advert {
+					adverts++
+				}
+			}
+			entries := len(dq.entries)
+			dq.mu.Unlock()
+			if st := a.Stats(); adverts != 1 || st.ResyncAdverts != 1 {
+				t.Fatalf("the unreachable destination's queue holds %d adverts among %d entries, %d enqueued; want exactly one",
+					adverts, entries, st.ResyncAdverts)
+			}
+		})
+	}
+}
+
+// TestDurableReceiverRestartRepairedUnderLoad: a durable receiver restarts
+// with its applied watermark but an empty support ledger, so the sender's
+// stream goes on without a wedge, while the sender emits a delta every stage
+// and never has an empty queue when its advert clock fires. The next
+// periodic advert, compared at its own stream position, finds the ledger
+// short and the ranged repair restores the view — with no stream reset.
+func TestDurableReceiverRestartRepairedUnderLoad(t *testing.T) {
+	n := NewSequentialNetwork()
+	dir := t.TempDir()
+	openB := func() *Peer {
+		w, err := store.OpenWAL(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := n.NewPeer(Config{Name: "b", WAL: w, ResyncInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.DeclareRelation("view", ast.Intensional, "x"); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	a, err := n.NewPeer(Config{Name: "a", ResyncInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	loadViewSender(t, a)
+	b := openB()
+	applySrcFacts(t, a, intRange(20))
+	quiesce(t, n)
+	if len(b.Query("view")) != 20 {
+		t.Fatalf("initial convergence failed: %v", b.Query("view"))
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b = openB()
+	defer b.Close()
+	if len(b.Query("view")) != 0 {
+		t.Fatalf("the restarted receiver kept its intensional view: %v", b.Query("view"))
+	}
+
+	want := 20
+	for i := int64(0); i < 200 && len(b.Query("view")) != want; i++ {
+		if err := a.Insert(ast.NewFact("src", "a", value.Int(1000+i))); err != nil {
+			t.Fatal(err)
+		}
+		want++
+		a.RunStage()
+		if pending, _ := a.OutboxPending(); pending == 0 {
+			t.Fatal("the sender's queue emptied: the stream is not under load")
+		}
+		b.RunStage()
+		time.Sleep(time.Millisecond)
+	}
+	if got := len(b.Query("view")); got != want {
+		t.Fatalf("view@b holds %d facts, want %d: the advert never repaired the restarted receiver (sender %+v, receiver %+v)",
+			got, want, a.Stats(), b.Stats())
+	}
+	if st := a.Stats(); st.ResyncAdverts == 0 || st.OutboxResets != 0 || st.ResyncRangedRepairs == 0 {
+		t.Errorf("want the repair to come from a periodic advert and a ranged repair, no stream reset: %+v", st)
 	}
 }

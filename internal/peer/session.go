@@ -1,7 +1,6 @@
 package peer
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -28,8 +27,8 @@ import (
 //
 // Epoch adoption, watermark dedup and ack staging — previously inlined
 // across peer.go and stage.go — live in inSession.accept/stageAck. The
-// ledger and digests are what anti-entropy compares against a sender's
-// DigestMsg advertisement and what a RangeRepairMsg replaces, range by range.
+// ledger and digests are what anti-entropy compares a sender's DigestMsgs
+// against and what a RangeRepairMsg replaces, range by range.
 
 // resyncRequestTTL bounds how often a receiver re-asks the same sender for
 // repair: a request is best-effort (it can be lost, or its answer can), so
@@ -75,8 +74,8 @@ type inSession struct {
 	// maintains at this peer, as one Merkle summary tree of tuple keys per
 	// relation id. It mirrors what src's remote view believes this peer
 	// holds — including maintained facts in extensional relations — and is
-	// the set ranged repairs rewrite. A tree's root is the O(1) digest a
-	// DigestMsg advertisement is compared against, and its range reads
+	// the set ranged repairs rewrite. A tree's root is the O(1) digest an
+	// advert's full-range digest is compared against, and its range reads
 	// answer the bisection dialogue in O(log n).
 	trees map[string]*store.MerkleTree
 }
@@ -216,26 +215,6 @@ func (s *inSession) repairDue(now time.Time) bool {
 	return true
 }
 
-// mismatchedRels returns the relations whose advertised digest disagrees
-// with this session's ledger — including relations only one side has —
-// sorted for deterministic repair traffic. O(#relations), no tuples walked.
-func (s *inSession) mismatchedRels(rels map[string]protocol.RelDigest) []string {
-	var out []string
-	for relID, rd := range rels {
-		d := s.ledgerDigest(relID)
-		if d.Hash != rd.Hash || d.Count != rd.Count {
-			out = append(out, relID)
-		}
-	}
-	for relID, tr := range s.trees {
-		if _, ok := rels[relID]; !ok && tr.Len() > 0 {
-			out = append(out, relID)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // sendSession is the sender half of one (this peer → dst) stream session:
 // the per-stream epoch, the sequence numbers, the unacknowledged entries,
 // and the delivery state the outbox's flushers drive. Locking: enqMu
@@ -267,7 +246,7 @@ type sendSession struct {
 	stalled      bool          // the last flush attempt failed
 	backoff      time.Duration // current backoff step (doubles per failure)
 	nextTry      time.Time     // backoff gate for retries after a failure
-	lastAdvert   time.Time     // when the last anti-entropy digest advert went out
+	lastAdvert   time.Time     // when the anti-entropy advert clock last fired
 	retransmitAt time.Time     // ack deadline: pushed on every data transmission
 
 	// Flow-control state. spaceWait, when non-nil, is closed (and cleared)

@@ -3,6 +3,8 @@ package peer
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"time"
 
@@ -321,9 +323,10 @@ func (p *Peer) ingestLocked(rep *StageReport, d *stageDeltas) bool {
 		case protocol.AckMsg:
 			// Delivery bookkeeping, not peer state: never triggers a stage.
 			p.outbox.Ack(env.From, msg.Epoch, msg.Seq)
-		case protocol.FactsMsg, protocol.DelegationMsg, protocol.RangeRepairMsg:
-			// Data outside a DataMsg has no sequence number to dedup or
-			// order it by, and the outbox never sends it that way.
+		case protocol.FactsMsg, protocol.DelegationMsg, protocol.RangeRepairMsg, protocol.DigestMsg:
+			// Data and digests outside a DataMsg have no sequence number to
+			// dedup or order them by (a digest is compared at its stream
+			// position), and the outbox never sends them that way.
 			rep.Errors = append(rep.Errors, fmt.Errorf(
 				"peer %s: unsequenced %T from %s refused", p.name, msg, env.From))
 		default:
@@ -418,7 +421,8 @@ func (p *Peer) stagedAckSessionsLocked() []*inSession {
 //
 // Two repair triggers live here. A *wedged* stream — the sender is
 // mid-sequence but this session has never applied anything of its epoch,
-// the signature of a receiver that lost its state — asks the sender for a
+// the signature of a receiver that lost its state, whether the message is
+// a delta or the idle sender's periodic advert — asks the sender for a
 // stream reset (in-order retransmission alone can never recover it: the
 // sender has dropped the acknowledged prefix). And adopting a *new epoch*
 // of a known stream wants the sender's digest advert: its previous
@@ -427,7 +431,8 @@ func (p *Peer) stagedAckSessionsLocked() []*inSession {
 // those, O(δ log n) against a ledger that is in fact nearly correct. The
 // request is best-effort, so it is repeated (rate-limited) on every later
 // message of the stream until an advert of this epoch has been compared; the
-// answer rides the sequenced stream and cannot be lost or arrive early.
+// answer rides the sequenced stream like every digest, and cannot be lost or
+// arrive early.
 func (p *Peer) ingestDataLocked(from string, msg protocol.DataMsg, rep *StageReport, d *stageDeltas) bool {
 	sess := p.sessionLocked(from)
 	apply, adopted := sess.accept(msg)
@@ -445,18 +450,7 @@ func (p *Peer) ingestDataLocked(from string, msg protocol.DataMsg, rep *StageRep
 		// which may itself be the first re-delegation.
 		p.dropDelegationsLocked(from)
 	}
-	payload := msg.Msg
-	// A sequenced advert or range-digest reply is current as of its own
-	// stream position, whatever was enqueued around it.
-	switch adv := payload.(type) {
-	case protocol.DigestMsg:
-		adv.Epoch, adv.AsOfSeq = msg.Epoch, msg.Seq
-		payload = adv
-	case protocol.RangeDigestMsg:
-		adv.Epoch, adv.AsOfSeq = msg.Epoch, msg.Seq
-		payload = adv
-	}
-	changed := p.ingestPayloadLocked(from, payload, rep, d)
+	changed := p.ingestPayloadLocked(from, msg.Msg, rep, d)
 	if sess.advertWanted && sess.repairDue(time.Now()) {
 		p.stats.ResyncRequested++
 		p.outbox.EnqueueControl(from, protocol.ResyncRequestMsg{Advert: true})
@@ -498,30 +492,22 @@ func (p *Peer) requestResetLocked(from string) {
 // digest of this range, and a whole view is the repair of it.
 var fullRange = protocol.HashRange{Lo: 0, Hi: ^uint64(0)}
 
-// handleDigestLocked compares a sender's anti-entropy advert against the
-// session's per-sender support ledger. Only a session that is caught up to
-// the advertised stream position may conclude divergence — anything behind
-// is still being decided by in-flight deltas (a sequenced advert is at its
-// own position by construction: ingestDataLocked). A session that does not
-// know the stream at all learned something important: the sender maintains
-// state here that this peer has lost (it restarted), so it asks for a full
-// stream reset.
-//
-// Divergence is repaired by what diverged. Delegation fingerprints that
-// disagree ask the sender to re-send its delegations; each relation whose
+// handleDigestLocked compares a sender's digests against the session's
+// per-sender support ledger. Digests only ever ride the sequenced stream, so
+// each is compared at its own stream position: whatever the sender enqueued
+// before it has been applied here, nothing after it has. A bisection reply
+// goes straight to the compare step. A complete advert also states what it
+// leaves out — a relation the ledger holds and the advert does not list is
+// empty at the sender — and its delegation fingerprints, which, when they
+// disagree, ask the sender to re-send its delegations. Each relation whose
 // digest disagrees enters the ranged dialogue with the advertised digest as
 // its round zero — the digest of the full hash range.
 func (p *Peer) handleDigestLocked(from string, msg protocol.DigestMsg) {
 	s := p.sessionLocked(from)
-	if !s.known {
-		p.requestResetLocked(from)
-		return
-	}
-	if s.epoch != msg.Epoch || s.seq != msg.AsOfSeq {
-		// Behind the advert (deltas still in flight), or already past it
-		// (the advert is stale — a reordered delivery after newer deltas
-		// applied): neither is evidence of divergence. The next advert
-		// carries the newer position.
+	if !msg.Advert {
+		for _, relID := range slices.Sorted(maps.Keys(msg.Rels)) {
+			p.compareRangesLocked(from, relID, msg.Rels[relID])
+		}
 		return
 	}
 	if s.advertWanted {
@@ -531,9 +517,24 @@ func (p *Peer) handleDigestLocked(from string, msg protocol.DigestMsg) {
 		s.advertWanted = false
 		s.repairAsked = time.Time{}
 	}
-	mism := s.mismatchedRels(msg.Rels)
+	rounds := make(map[string][]protocol.RangeDigest, len(msg.Rels)+len(s.trees))
+	maps.Copy(rounds, msg.Rels)
+	for relID := range s.trees {
+		if _, ok := rounds[relID]; !ok {
+			rounds[relID] = []protocol.RangeDigest{{Lo: fullRange.Lo, Hi: fullRange.Hi}}
+		}
+	}
+	var diverged []string
+	for relID, ranges := range rounds {
+		for _, rd := range ranges {
+			if s.rangeDigest(relID, rd.Lo, rd.Hi) != (store.Digest{Hash: rd.Hash, Count: rd.Count}) {
+				diverged = append(diverged, relID)
+				break
+			}
+		}
+	}
 	delegOK := p.delegationsMatchLocked(from, msg.Deleg)
-	if len(mism) == 0 && delegOK {
+	if len(diverged) == 0 && delegOK {
 		s.repairAsked = time.Time{}
 		return
 	}
@@ -544,10 +545,9 @@ func (p *Peer) handleDigestLocked(from string, msg protocol.DigestMsg) {
 	if !delegOK {
 		p.outbox.EnqueueControl(from, protocol.ResyncRequestMsg{})
 	}
-	for _, relID := range mism {
-		rd := msg.Rels[relID] // zero when only the ledger has the relation
-		p.compareRangesLocked(from, relID, []protocol.RangeDigest{
-			{Lo: fullRange.Lo, Hi: fullRange.Hi, Hash: rd.Hash, Count: rd.Count}})
+	slices.Sort(diverged)
+	for _, relID := range diverged {
+		p.compareRangesLocked(from, relID, rounds[relID])
 	}
 }
 
@@ -596,10 +596,10 @@ func (p *Peer) forgetSentDelegationsLocked(dst string) {
 // An Advert request is different in kind: the requester adopted a fresh
 // epoch of this stream and wants the digest advert *now* instead of waiting
 // out the advert clock — the comparison then repairs what differs, or
-// nothing. No view is shipped and no delegation state is touched. The advert
-// is sequenced: a requester still catching up with a busy stream compares it
-// exactly when it reaches the advert's position, and it is retransmitted
-// until acknowledged like any other entry.
+// nothing. No view is shipped and no delegation state is touched. Like every
+// advert it is sequenced: a requester still catching up with a busy stream
+// compares it exactly when it reaches the advert's position, and it is
+// retransmitted until acknowledged like any other entry.
 func (p *Peer) handleResyncRequestLocked(from string, msg protocol.ResyncRequestMsg) {
 	switch {
 	case msg.Advert:
@@ -669,16 +669,19 @@ func splitRange(r protocol.HashRange) []protocol.HashRange {
 
 // compareRangesLocked is the one compare-and-route step of the repair
 // dialogue, shared by its round zero (a digest advert) and every later
-// round (a range-digest reply); the caller has established that the session
-// is caught up to the position the digests are stamped with. A range whose
+// round (a bisection reply), each compared at its own stream position. A
+// round of more than rangedMaxRanges digests is refused. A range whose
 // digest disagrees with the ledger tree is asked for outright when the
 // sender counts at most rangedRepairLeaf facts in it, when it is a single
 // hash, or when the ledger holds nothing in it — bisecting an empty side
 // can only discover that every subrange differs, which is why a fresh
 // receiver is repaired by the advert alone, each fact shipped once — and is
-// split for the next round otherwise. Requests are best-effort: a lost
-// round is restarted by the next advert.
+// split for the next round otherwise. The round's request asks for both; it
+// is best-effort: a lost round is restarted by the next advert.
 func (p *Peer) compareRangesLocked(from, relID string, ranges []protocol.RangeDigest) {
+	if len(ranges) > rangedMaxRanges {
+		return
+	}
 	s := p.sessionLocked(from)
 	var repair, bisect []protocol.HashRange
 	for _, rd := range ranges {
@@ -705,61 +708,56 @@ func (p *Peer) compareRangesLocked(from, relID string, ranges []protocol.RangeDi
 	// Progress: re-arm the limiter so the periodic advert does not open a
 	// competing dialogue mid-way.
 	s.repairAsked = time.Now()
-	if len(repair) > 0 {
-		p.stats.ResyncRangesRequested += uint64(len(repair))
-		p.outbox.EnqueueControl(from, protocol.RangeRepairRequestMsg{RelID: relID, Ranges: repair})
-	}
+	p.stats.ResyncRangesRequested += uint64(len(repair))
 	var deeper []protocol.HashRange
 	for _, r := range bisect {
 		deeper = append(deeper, splitRange(r)...)
 	}
-	for len(deeper) > 0 {
+	req := protocol.RangeRequestMsg{RelID: relID, Repair: repair}
+	for {
 		n := min(len(deeper), rangedMaxRanges)
-		p.outbox.EnqueueControl(from, protocol.RangeDigestRequestMsg{RelID: relID, Ranges: deeper[:n]})
-		deeper = deeper[n:]
+		req.Digest = deeper[:n]
+		p.outbox.EnqueueControl(from, req)
+		if deeper = deeper[n:]; len(deeper) == 0 {
+			return
+		}
+		req = protocol.RangeRequestMsg{RelID: relID}
 	}
 }
 
-// handleRangeDigestRequestLocked answers one bisection round as the stream's
-// sender: digest the requested ranges of the maintained view's summary tree
-// — O(log n) per range — and reply inside the sequenced stream, like a
-// solicited advert: the digests are current as of the reply's own position
-// (stages enqueue under p.mu, so position and tree are mutually consistent),
-// and a receiver that lags a busy stream compares them exactly when it gets
-// there instead of dropping a reply stamped with a position it is not at.
-func (p *Peer) handleRangeDigestRequestLocked(from string, msg protocol.RangeDigestRequestMsg) {
-	if len(msg.Ranges) == 0 || len(msg.Ranges) > rangedMaxRanges {
+// handleRangeRequestLocked serves one round of the repair dialogue as the
+// stream's sender, inside the sequenced stream: the maintained facts of the
+// Repair ranges as RangeRepairMsgs, then the digests of the Digest ranges —
+// O(log n) each off the maintained view's summary tree — as one DigestMsg.
+// Both are current as of their own stream position (stages enqueue under
+// p.mu, so position and tree agree), so a receiver that lags a busy stream
+// compares the digests exactly when it gets there.
+func (p *Peer) handleRangeRequestLocked(from string, msg protocol.RangeRequestMsg) {
+	if len(msg.Digest) > rangedMaxRanges || len(msg.Repair) > rangedMaxRanges {
+		return
+	}
+	run := p.rangeRepairsLocked(from, msg.RelID, msg.Repair)
+	p.countRepairsLocked(run)
+	for _, m := range run {
+		p.outbox.EnqueueData(from, m)
+	}
+	if len(msg.Digest) == 0 {
 		return
 	}
 	tr := p.rv.Tree(from, msg.RelID)
-	reply := protocol.RangeDigestMsg{
-		RelID:  msg.RelID,
-		Ranges: make([]protocol.RangeDigest, 0, len(msg.Ranges)),
-	}
-	for _, r := range msg.Ranges {
+	digests := make([]protocol.RangeDigest, 0, len(msg.Digest))
+	for _, r := range msg.Digest {
 		var d store.Digest
 		if tr != nil {
 			d = tr.RangeDigest(r.Lo, r.Hi)
 		}
-		reply.Ranges = append(reply.Ranges, protocol.RangeDigest{Lo: r.Lo, Hi: r.Hi, Hash: d.Hash, Count: d.Count})
+		digests = append(digests, protocol.RangeDigest{Lo: r.Lo, Hi: r.Hi, Hash: d.Hash, Count: d.Count})
 	}
+	reply := protocol.DigestMsg{Rels: map[string][]protocol.RangeDigest{msg.RelID: digests}}
 	if b, err := protocol.EncodePayload(reply); err == nil {
 		p.stats.ResyncRangeDigestBytes += uint64(len(b))
 	}
 	p.outbox.EnqueueData(from, reply)
-}
-
-// handleRangeDigestLocked advances the bisection dialogue as the stream's
-// receiver. Like a full digest advert, the reply is only meaningful to a
-// session caught up to its stamped stream position — a sequenced reply is
-// stamped with its own (ingestDataLocked); anything else is still being
-// decided by in-flight deltas and is dropped.
-func (p *Peer) handleRangeDigestLocked(from string, msg protocol.RangeDigestMsg) {
-	s := p.sessionLocked(from)
-	if !s.known || s.epoch != msg.Epoch || s.seq != msg.AsOfSeq || len(msg.Ranges) > rangedMaxRanges {
-		return
-	}
-	p.compareRangesLocked(from, msg.RelID, msg.Ranges)
 }
 
 // rangeRepairsLocked builds the repair of the given hash ranges of relID as
@@ -844,20 +842,6 @@ func (p *Peer) ViewRepairBytes(dst string) uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return repairBytes(p.viewRepairsLocked(dst))
-}
-
-// handleRangeRepairRequestLocked serves the end of a repair dialogue as the
-// stream's sender: re-ship the maintained facts of the requested ranges as
-// sequenced RangeRepairMsgs.
-func (p *Peer) handleRangeRepairRequestLocked(from string, msg protocol.RangeRepairRequestMsg) {
-	if len(msg.Ranges) == 0 || len(msg.Ranges) > rangedMaxRanges {
-		return
-	}
-	run := p.rangeRepairsLocked(from, msg.RelID, msg.Ranges)
-	p.countRepairsLocked(run)
-	for _, m := range run {
-		p.outbox.EnqueueData(from, m)
-	}
 }
 
 // applyRangeRepairLocked applies one ranged repair: within the message's
@@ -974,15 +958,11 @@ func (p *Peer) ingestPayloadLocked(from string, payload protocol.Payload, rep *S
 			changed = true
 		}
 	case protocol.DigestMsg:
-		// Anti-entropy advert: pure delivery bookkeeping plus, possibly, a
-		// repair request — never itself a reason to run the fixpoint.
+		// Anti-entropy digests: pure delivery bookkeeping plus, possibly, a
+		// repair request — never themselves a reason to run the fixpoint.
 		p.handleDigestLocked(from, msg)
-	case protocol.RangeDigestRequestMsg:
-		p.handleRangeDigestRequestLocked(from, msg)
-	case protocol.RangeDigestMsg:
-		p.handleRangeDigestLocked(from, msg)
-	case protocol.RangeRepairRequestMsg:
-		p.handleRangeRepairRequestLocked(from, msg)
+	case protocol.RangeRequestMsg:
+		p.handleRangeRequestLocked(from, msg)
 	case protocol.ResyncRequestMsg:
 		p.handleResyncRequestLocked(from, msg)
 	case protocol.ControlMsg:
@@ -996,20 +976,41 @@ func (p *Peer) ingestPayloadLocked(from string, payload protocol.Payload, rep *S
 }
 
 // applyOpsLocked applies a sequence of fact operations, recording the net
-// deltas and reporting whether any changed the peer's state. Consecutive
-// runs of the same operation on the same declared extensional relation take
-// a batched path — one store lock acquisition and one WAL append run per
-// group instead of one per fact — which is what makes a 1000-fact Batch a
-// single cheap transaction. Anything irregular (undeclared relations,
-// intensional facts, arity mismatches, alternating ops, maintained
-// retractions) falls back to the per-fact path, preserving operation order
-// either way.
+// deltas and reporting whether any changed the peer's state. Every fact of
+// an extensional relation goes through one path: consecutive runs of the
+// same operation on the same relation are applied together — one store lock
+// acquisition and one WAL append run per run, a single fact being a run of
+// one — which is what makes a 1000-fact Batch a single cheap transaction.
+// An insert into a relation this peer does not know declares it extensional
+// first ("peers may discover … new relations"). Intensional facts, arity
+// mismatches, deletes from unknown relations and maintained retractions take
+// the per-fact path (applyFactLocked), preserving operation order either
+// way.
 func (p *Peer) applyOpsLocked(ops []ingestOp, rep *StageReport, d *stageDeltas) bool {
 	changed := false
+	// One run's tuples and keys; a run of one, the usual case, stays off the
+	// heap.
+	var tbuf [1]value.Tuple
+	var kbuf [1]string
+	tuples, keys := tbuf[:0], kbuf[:0]
 	for i := 0; i < len(ops); {
 		op := ops[i]
 		f := op.fact
 		rel := p.db.Get(f.Rel, p.name)
+		if rel == nil && !op.del {
+			schema := store.Schema{Name: f.Rel, Peer: p.name, Kind: ast.Extensional, Cols: genericCols(len(f.Args))}
+			var err error
+			if rel, err = p.db.Declare(schema); err != nil {
+				rep.Errors = append(rep.Errors, err)
+				i++
+				continue
+			}
+			if p.wal != nil {
+				if err := p.wal.LogDeclare(schema); err != nil {
+					rep.Errors = append(rep.Errors, err)
+				}
+			}
+		}
 		if rel == nil || rel.Kind() != ast.Extensional || len(f.Args) != rel.Schema().Arity() ||
 			(op.maint && op.del) {
 			if p.applyFactLocked(op, rep, d) {
@@ -1027,39 +1028,34 @@ func (p *Peer) applyOpsLocked(ops []ingestOp, rep *StageReport, d *stageDeltas) 
 			len(ops[j].fact.Args) == rel.Schema().Arity() {
 			j++
 		}
-		if j-i == 1 {
-			if p.applyFactLocked(op, rep, d) {
-				changed = true
-			}
-			i++
-			continue
-		}
 		// One key per tuple for the whole run: the ledger, the store and the
 		// deltas share it.
 		relID := rel.Schema().ID()
-		tuples, keys := make([]value.Tuple, j-i), make([]string, j-i)
+		tuples, keys = tuples[:0], keys[:0]
 		for k := i; k < j; k++ {
+			t, key := ops[k].fact.Args, ""
 			if op.del {
-				tuples[k-i], keys[k-i] = ops[k].fact.Args, ops[k].fact.Args.Key()
+				key = t.Key()
 			} else {
-				tuples[k-i], keys[k-i] = p.keyOf(ops[k].fact.Args)
+				t, key = p.keyOf(t)
 			}
+			tuples, keys = append(tuples, t), append(keys, key)
 			// Maintained inserts into an extensional relation: the sender
 			// keeps them in its remote view, so the session ledger mirrors
 			// them (dedup inside ledgerAdd), applied or not. Runs may mix
 			// maintained and one-shot inserts; only the maintained ones are
 			// ledgered.
 			if ops[k].maint {
-				p.sessionLocked(ops[k].src).ledgerAdd(relID, keys[k-i])
+				p.sessionLocked(ops[k].src).ledgerAdd(relID, key)
 			}
 		}
-		applied, appliedKeys := rel.ApplyMany(op.del, tuples, keys)
-		if len(applied) > 0 {
+		if n := rel.ApplyMany(op.del, tuples, keys); n > 0 {
+			applied := tuples[:n]
 			changed = true
-			rep.Applied += len(applied)
-			p.stats.UpdatesApplied += uint64(len(applied))
-			for n, t := range applied {
-				d.record(relID, appliedKeys[n], t, op.del)
+			rep.Applied += n
+			p.stats.UpdatesApplied += uint64(n)
+			for k, t := range applied {
+				d.record(relID, keys[k], t, op.del)
 			}
 			if p.wal != nil {
 				if err := p.wal.LogMany(op.del, f.Rel, p.name, applied); err != nil {
@@ -1072,12 +1068,13 @@ func (p *Peer) applyOpsLocked(ops []ingestOp, rep *StageReport, d *stageDeltas) 
 	return changed
 }
 
-// applyFactLocked routes one fact delta. Extensional relations are updated
-// durably now (maintained retractions of durable updates are ignored).
-// Intensional facts are transient seeds when unmaintained — they hold until
-// the next stage that runs — and per-sender supported tuples when
-// maintained. It returns true if the peer's state changed in a way the
-// fixpoint must observe.
+// applyFactLocked routes one fact delta that applyOpsLocked's extensional
+// path does not take: intensional facts — transient seeds when unmaintained,
+// holding until the next stage that runs, and per-sender supported tuples
+// when maintained — arity mismatches, deletes from unknown relations, and
+// maintained retractions of extensional facts, which are ignored (durable
+// updates are never unwound by lost derivations). It returns true if the
+// peer's state changed in a way the fixpoint must observe.
 //
 // Maintained deltas additionally keep the sender's session ledger in step:
 // it mirrors the sender's remote view of this peer — what anti-entropy
@@ -1103,22 +1100,7 @@ func (p *Peer) applyFactLocked(op ingestOp, rep *StageReport, d *stageDeltas) bo
 	}
 	rel := p.db.Get(f.Rel, p.name)
 	if rel == nil {
-		if op.del {
-			return false // deleting from an unknown relation: nothing to do
-		}
-		// "Peers may discover … new relations": auto-declare extensional.
-		schema := store.Schema{Name: f.Rel, Peer: p.name, Kind: ast.Extensional, Cols: genericCols(len(f.Args))}
-		var err error
-		rel, err = p.db.Declare(schema)
-		if err != nil {
-			rep.Errors = append(rep.Errors, err)
-			return false
-		}
-		if p.wal != nil {
-			if err := p.wal.LogDeclare(schema); err != nil {
-				rep.Errors = append(rep.Errors, err)
-			}
-		}
+		return false // deleting from an unknown relation: nothing to do
 	}
 	if len(f.Args) != rel.Schema().Arity() {
 		rep.Errors = append(rep.Errors, fmt.Errorf(
@@ -1126,43 +1108,26 @@ func (p *Peer) applyFactLocked(op ingestOp, rep *StageReport, d *stageDeltas) bo
 		return false
 	}
 	relID := rel.Schema().ID()
-	if rel.Kind() == ast.Intensional {
-		if op.maint {
-			if op.del {
-				// The sender no longer derives the fact (its ledger entry went
-				// above). The tuple becomes a deletion candidate only when the
-				// last supporter goes; a local derivation can still keep it. A
-				// transient seed from this very stage shields it until the
-				// normal expiry decides.
-				if dropped && !p.supportedLocked(relID, key) && rel.Contains(f.Args) &&
-					p.freshTransient[relID][key] == nil {
-					d.addCand(relID, key, f.Args)
-					return true
-				}
-				return false
-			}
-			// Re-supporting a tuple cancels a same-stage deletion candidate
-			// (a maintained insert/retract/insert run coalesced into one
-			// ingestion nets out to "supported").
-			cancelled := d.removeCand(relID, key)
-			if rel.InsertKeyed(f.Args, key) {
-				d.record(relID, key, f.Args, false)
-				rep.Seeds++
+	if rel.Kind() != ast.Intensional {
+		return false // a maintained retraction of an extensional fact
+	}
+	if op.maint {
+		if op.del {
+			// The sender no longer derives the fact (its ledger entry went
+			// above). The tuple becomes a deletion candidate only when the
+			// last supporter goes; a local derivation can still keep it. A
+			// transient seed from this very stage shields it until the
+			// normal expiry decides.
+			if dropped && !p.supportedLocked(relID, key) && rel.Contains(f.Args) &&
+				p.freshTransient[relID][key] == nil {
+				d.addCand(relID, key, f.Args)
 				return true
 			}
-			return cancelled
-		}
-		if op.del {
-			rep.Errors = append(rep.Errors, fmt.Errorf(
-				"peer %s: cannot delete transient fact %s from intensional relation", p.name, f.String()))
 			return false
 		}
-		// Transient seed: hold until the next stage that runs. It also
-		// shields the tuple from a same-stage support-loss candidate.
-		if p.freshTransient == nil {
-			p.freshTransient = map[string]map[string]value.Tuple{}
-		}
-		putTuple(p.freshTransient, relID, key, f.Args)
+		// Re-supporting a tuple cancels a same-stage deletion candidate
+		// (a maintained insert/retract/insert run coalesced into one
+		// ingestion nets out to "supported").
 		cancelled := d.removeCand(relID, key)
 		if rel.InsertKeyed(f.Args, key) {
 			d.record(relID, key, f.Args, false)
@@ -1171,32 +1136,24 @@ func (p *Peer) applyFactLocked(op ingestOp, rep *StageReport, d *stageDeltas) bo
 		}
 		return cancelled
 	}
-	if op.maint && op.del {
-		return false // durable updates are never unwound by lost derivations
-	}
-	var changed bool
 	if op.del {
-		changed = rel.Delete(f.Args)
-	} else {
-		changed = rel.InsertKeyed(f.Args, key)
+		rep.Errors = append(rep.Errors, fmt.Errorf(
+			"peer %s: cannot delete transient fact %s from intensional relation", p.name, f.String()))
+		return false
 	}
-	if changed {
-		d.record(relID, key, f.Args, op.del)
-		rep.Applied++
-		p.stats.UpdatesApplied++
-		if p.wal != nil {
-			var err error
-			if op.del {
-				err = p.wal.LogDelete(f.Rel, f.Peer, f.Args)
-			} else {
-				err = p.wal.LogInsert(f.Rel, f.Peer, f.Args)
-			}
-			if err != nil {
-				rep.Errors = append(rep.Errors, err)
-			}
-		}
+	// Transient seed: hold until the next stage that runs. It also
+	// shields the tuple from a same-stage support-loss candidate.
+	if p.freshTransient == nil {
+		p.freshTransient = map[string]map[string]value.Tuple{}
 	}
-	return changed
+	putTuple(p.freshTransient, relID, key, f.Args)
+	cancelled := d.removeCand(relID, key)
+	if rel.InsertKeyed(f.Args, key) {
+		d.record(relID, key, f.Args, false)
+		rep.Seeds++
+		return true
+	}
+	return cancelled
 }
 
 // compileLocked rebuilds the engine program from own + delegated rules.

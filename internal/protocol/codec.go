@@ -39,22 +39,27 @@ import (
 // maps both encode as count 0 and decode as nil; source positions (ast.Pos)
 // are not carried; a variable term carries no constant.
 
-// Payload kind tags.
+// Payload kind tags. A tag whose layout changes gets a fresh number and the
+// old one stays reserved, so a payload of an older layout — on the wire or in
+// a log — fails to decode instead of being misread.
 const (
 	tagFacts byte = iota + 1
 	tagDelegation
 	tagControl
 	tagData
 	tagAck
-	tagDigest
+	tagDigest // retired: a DigestMsg stamped with Epoch and AsOfSeq
 	tagResync
-	tagRangeDigestRequest
-	tagRangeDigest
-	tagRangeRepairRequest
+	tagRangeDigestRequest // retired
+	tagRangeDigest        // retired
+	tagRangeRepairRequest // retired
 	tagRangeRepair
+	tagDigestV2
+	tagRangeRequest
 )
 
-// Flag bits: FactDelta's, then ResyncRequestMsg's.
+// Flag bits: FactDelta's, then ResyncRequestMsg's (DigestMsg's Advert is
+// flagAdvert).
 const (
 	flagDelete byte = 1 << iota
 	flagMaint
@@ -180,17 +185,25 @@ func appendPayload(dst []byte, p Payload, top bool) ([]byte, error) {
 		dst = binary.AppendUvarint(append(dst, tagAck), m.Epoch)
 		dst = binary.AppendUvarint(dst, m.Seq)
 	case DigestMsg:
-		dst = binary.AppendUvarint(append(dst, tagDigest), m.Epoch)
-		dst = binary.AppendUvarint(dst, m.AsOfSeq)
-		dst = binary.AppendUvarint(dst, uint64(len(m.Rels)))
+		dst = binary.AppendUvarint(append(dst, tagDigestV2), uint64(len(m.Rels)))
 		for _, k := range slices.Sorted(maps.Keys(m.Rels)) {
-			dst = binary.LittleEndian.AppendUint64(value.AppendString(dst, k), m.Rels[k].Hash)
-			dst = binary.AppendUvarint(dst, m.Rels[k].Count)
+			dst = binary.AppendUvarint(value.AppendString(dst, k), uint64(len(m.Rels[k])))
+			for _, r := range m.Rels[k] {
+				dst = binary.LittleEndian.AppendUint64(dst, r.Lo)
+				dst = binary.LittleEndian.AppendUint64(dst, r.Hi)
+				dst = binary.LittleEndian.AppendUint64(dst, r.Hash)
+				dst = binary.AppendUvarint(dst, r.Count)
+			}
 		}
 		dst = binary.AppendUvarint(dst, uint64(len(m.Deleg)))
 		for _, k := range slices.Sorted(maps.Keys(m.Deleg)) {
 			dst = binary.LittleEndian.AppendUint64(value.AppendString(dst, k), m.Deleg[k])
 		}
+		var f byte
+		if m.Advert {
+			f = flagAdvert
+		}
+		dst = append(dst, f)
 	case ResyncRequestMsg:
 		var f byte
 		if m.Reset {
@@ -200,21 +213,9 @@ func appendPayload(dst []byte, p Payload, top bool) ([]byte, error) {
 			f |= flagAdvert
 		}
 		dst = append(dst, tagResync, f)
-	case RangeDigestRequestMsg:
-		dst = appendRanges(value.AppendString(append(dst, tagRangeDigestRequest), m.RelID), m.Ranges)
-	case RangeDigestMsg:
-		dst = binary.AppendUvarint(append(dst, tagRangeDigest), m.Epoch)
-		dst = binary.AppendUvarint(dst, m.AsOfSeq)
-		dst = value.AppendString(dst, m.RelID)
-		dst = binary.AppendUvarint(dst, uint64(len(m.Ranges)))
-		for _, r := range m.Ranges {
-			dst = binary.LittleEndian.AppendUint64(dst, r.Lo)
-			dst = binary.LittleEndian.AppendUint64(dst, r.Hi)
-			dst = binary.LittleEndian.AppendUint64(dst, r.Hash)
-			dst = binary.AppendUvarint(dst, r.Count)
-		}
-	case RangeRepairRequestMsg:
-		dst = appendRanges(value.AppendString(append(dst, tagRangeRepairRequest), m.RelID), m.Ranges)
+	case RangeRequestMsg:
+		dst = appendRanges(value.AppendString(append(dst, tagRangeRequest), m.RelID), m.Digest)
+		dst = appendRanges(dst, m.Repair)
 	case RangeRepairMsg:
 		dst = appendRanges(value.AppendString(append(dst, tagRangeRepair), m.RelID), m.Ranges)
 		dst = appendOps(dst, m.Ops)
@@ -343,14 +344,21 @@ func (d *decoder) payload(top bool) Payload {
 		return DataMsg{Epoch: d.Uvarint(), Seq: d.Uvarint(), Msg: d.payload(false)}
 	case tagAck:
 		return AckMsg{Epoch: d.Uvarint(), Seq: d.Uvarint()}
-	case tagDigest:
-		m := DigestMsg{Epoch: d.Uvarint(), AsOfSeq: d.Uvarint()}
+	case tagDigestV2:
+		var m DigestMsg
 		var prev string
-		if n := d.Count(10); n > 0 {
-			m.Rels = make(map[string]RelDigest, n)
+		if n := d.Count(2); n > 0 {
+			m.Rels = make(map[string][]RangeDigest, n)
 			for i := 0; i < n; i++ {
 				k := d.mapKey(&prev, i)
-				m.Rels[k] = RelDigest{Hash: d.Uint64(), Count: d.Uvarint()}
+				var rs []RangeDigest
+				if n := d.Count(minRangeSize + 9); n > 0 {
+					rs = make([]RangeDigest, n)
+					for i := range rs {
+						rs[i] = RangeDigest{Lo: d.Uint64(), Hi: d.Uint64(), Hash: d.Uint64(), Count: d.Uvarint()}
+					}
+				}
+				m.Rels[k] = rs
 			}
 		}
 		if n := d.Count(9); n > 0 {
@@ -360,23 +368,13 @@ func (d *decoder) payload(top bool) Payload {
 				m.Deleg[k] = d.Uint64()
 			}
 		}
+		m.Advert = d.flags(flagAdvert) != 0
 		return m
 	case tagResync:
 		f := d.flags(flagReset | flagAdvert)
 		return ResyncRequestMsg{Reset: f&flagReset != 0, Advert: f&flagAdvert != 0}
-	case tagRangeDigestRequest:
-		return RangeDigestRequestMsg{RelID: d.Str(), Ranges: d.ranges()}
-	case tagRangeDigest:
-		m := RangeDigestMsg{Epoch: d.Uvarint(), AsOfSeq: d.Uvarint(), RelID: d.Str()}
-		if n := d.Count(minRangeSize + 9); n > 0 {
-			m.Ranges = make([]RangeDigest, n)
-			for i := range m.Ranges {
-				m.Ranges[i] = RangeDigest{Lo: d.Uint64(), Hi: d.Uint64(), Hash: d.Uint64(), Count: d.Uvarint()}
-			}
-		}
-		return m
-	case tagRangeRepairRequest:
-		return RangeRepairRequestMsg{RelID: d.Str(), Ranges: d.ranges()}
+	case tagRangeRequest:
+		return RangeRequestMsg{RelID: d.Str(), Digest: d.ranges(), Repair: d.ranges()}
 	case tagRangeRepair:
 		return RangeRepairMsg{RelID: d.Str(), Ranges: d.ranges(), Ops: d.ops()}
 	}

@@ -100,11 +100,11 @@ func (g gen) ranges() []HashRange {
 	return rs
 }
 
-// payload draws one of the eleven kinds (kind < 0: any); a DataMsg wraps
-// any other kind.
+// payload draws one of the nine kinds (kind < 0: any); a DataMsg wraps any
+// other kind.
 func (g gen) payload(kind int) Payload {
 	if kind < 0 {
-		kind = g.Intn(11)
+		kind = g.Intn(payloadKinds)
 	}
 	switch kind {
 	case 0:
@@ -116,18 +116,22 @@ func (g gen) payload(kind int) Payload {
 	case 3:
 		inner := 3
 		for inner == 3 {
-			inner = g.Intn(11)
+			inner = g.Intn(payloadKinds)
 		}
 		return DataMsg{Epoch: g.u64(), Seq: g.u64(), Msg: g.payload(inner)}
 	case 4:
 		return AckMsg{Epoch: g.u64(), Seq: g.u64()}
 	case 5:
-		m := DigestMsg{Epoch: g.u64(), AsOfSeq: g.u64()}
+		m := DigestMsg{Advert: g.Intn(2) == 0}
 		for i := g.Intn(3); i > 0; i-- {
 			if m.Rels == nil {
-				m.Rels = map[string]RelDigest{}
+				m.Rels = map[string][]RangeDigest{}
 			}
-			m.Rels[g.str()] = RelDigest{Hash: g.u64(), Count: g.u64()}
+			var rs []RangeDigest
+			for j := g.Intn(3); j > 0; j-- {
+				rs = append(rs, RangeDigest{Lo: g.u64(), Hi: g.u64(), Hash: g.u64(), Count: g.u64()})
+			}
+			m.Rels[g.str()] = rs
 		}
 		for i := g.Intn(3); i > 0; i-- {
 			if m.Deleg == nil {
@@ -139,17 +143,24 @@ func (g gen) payload(kind int) Payload {
 	case 6:
 		return ResyncRequestMsg{Reset: g.Intn(2) == 0, Advert: g.Intn(2) == 0}
 	case 7:
-		return RangeDigestRequestMsg{RelID: g.str(), Ranges: g.ranges()}
-	case 8:
-		m := RangeDigestMsg{Epoch: g.u64(), AsOfSeq: g.u64(), RelID: g.str()}
-		for i := g.Intn(3); i > 0; i-- {
-			m.Ranges = append(m.Ranges, RangeDigest{Lo: g.u64(), Hi: g.u64(), Hash: g.u64(), Count: g.u64()})
-		}
-		return m
-	case 9:
-		return RangeRepairRequestMsg{RelID: g.str(), Ranges: g.ranges()}
+		return RangeRequestMsg{RelID: g.str(), Digest: g.ranges(), Repair: g.ranges()}
 	}
 	return RangeRepairMsg{RelID: g.str(), Ranges: g.ranges(), Ops: g.ops()}
+}
+
+// payloadKinds is the number of payload types.
+const payloadKinds = 9
+
+// retiredPayloads are payloads of the retired layouts — an advert stamped
+// with Epoch and AsOfSeq, a range-digest request, a stamped range-digest
+// reply and a range-repair request — as older versions wrote them to the
+// wire and to outbox logs. Their tags stay reserved: each must fail to
+// decode.
+var retiredPayloads = [][]byte{
+	{tagDigest, 3, 9, 1, 1, 'r', 0xEF, 0xBE, 0, 0, 0, 0, 0, 0, 3, 0},
+	{tagRangeDigestRequest, 1, 'r', 1, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF},
+	{tagRangeDigest, 3, 9, 1, 'r', 0},
+	{tagRangeRepairRequest, 1, 'r', 0},
 }
 
 // same compares two decoded structures by their Go syntax, which (unlike
@@ -187,8 +198,8 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			t.Fatalf("bare payload %#v decoded as %#v, %v", env.Msg, p, err)
 		}
 	}
-	if len(kinds) != 11 {
-		t.Fatalf("covered %d payload kinds, want 11: %v", len(kinds), kinds)
+	if len(kinds) != payloadKinds {
+		t.Fatalf("covered %d payload kinds, want %d: %v", len(kinds), payloadKinds, kinds)
 	}
 }
 
@@ -198,13 +209,15 @@ func TestNilAndEmptyDecodeAsNil(t *testing.T) {
 	in := []Payload{
 		FactsMsg{Ops: []FactDelta{{Fact: ast.Fact{Rel: "r", Peer: "p", Args: value.Tuple{}}}}},
 		DelegationMsg{RuleID: "r1", Rules: []ast.Rule{{Head: ast.Atom{Args: []ast.Term{}}, Body: []ast.Atom{}}}},
-		DigestMsg{Rels: map[string]RelDigest{}, Deleg: map[string]uint64{}},
+		DigestMsg{Rels: map[string][]RangeDigest{}, Deleg: map[string]uint64{}},
+		DigestMsg{Rels: map[string][]RangeDigest{"r": {}}},
 		RangeRepairMsg{Ranges: []HashRange{}, Ops: []FactDelta{}},
 	}
 	want := []Payload{
 		FactsMsg{Ops: []FactDelta{{Fact: ast.Fact{Rel: "r", Peer: "p"}}}},
 		DelegationMsg{RuleID: "r1", Rules: []ast.Rule{{}}},
 		DigestMsg{},
+		DigestMsg{Rels: map[string][]RangeDigest{"r": nil}},
 		RangeRepairMsg{},
 	}
 	for i, p := range in {
@@ -269,11 +282,11 @@ func TestForgedCountsAllocateNothing(t *testing.T) {
 	forged := map[string][]byte{
 		"2^32 ops":          cat(route, []byte{tagFacts}, uv(1<<32), []byte{0, 1, 'r', 1, 'p', 0}),
 		"2^32 rules":        cat(route, []byte{tagDelegation}, uv(0), uv(1<<32), make([]byte, 40)),
-		"2^32 digests":      cat(route, []byte{tagDigest}, uv(1), uv(1), uv(1<<32), make([]byte, 40)),
+		"2^32 digests":      cat(route, []byte{tagDigestV2}, uv(1), uv(1), []byte("r"), uv(1<<32), make([]byte, 40)),
 		"2^32 values":       cat(route, []byte{tagFacts}, uv(1), []byte{0}, uv(1), []byte("r"), uv(1), []byte("p"), uv(1<<32), make([]byte, 40)),
 		"2^40-byte name":    cat(uv(1<<40), []byte("abc")),
 		"2^40-byte value":   cat(route, []byte{tagFacts}, uv(1), []byte{0}, uv(1), []byte("r"), uv(1), []byte("p"), uv(1), []byte{byte(value.KindBlob)}, huge, []byte("xyz")),
-		"2^32 ranges":       cat(route, []byte{tagRangeRepairRequest}, uv(0), uv(1<<32), make([]byte, 40)),
+		"2^32 ranges":       cat(route, []byte{tagRangeRequest}, uv(0), uv(1<<32), make([]byte, 40)),
 		"2^40-byte rule id": cat(route, []byte{tagDelegation}, uv(1<<40), make([]byte, 40)),
 	}
 	for name, b := range forged {
@@ -312,15 +325,40 @@ func TestEncodeRefusesWhatCannotDecode(t *testing.T) {
 	}
 }
 
+// TestRetiredTagsRefused: a payload of a retired layout is refused, not
+// misread, whether it arrives bare or inside a DataMsg.
+func TestRetiredTagsRefused(t *testing.T) {
+	for _, b := range retiredPayloads {
+		if p, err := DecodePayload(b); err == nil {
+			t.Errorf("retired tag %d decoded as %#v", b[0], p)
+		}
+		if p, err := DecodePayload(append([]byte{tagData, 1, 1}, b...)); err == nil {
+			t.Errorf("retired tag %d inside a DataMsg decoded as %#v", b[0], p)
+		}
+	}
+}
+
 // FuzzDecodePayload: any input either fails to decode or decodes to a
-// payload whose encoding is exactly the input.
+// payload whose encoding is exactly the input; a retired tag never decodes.
 func FuzzDecodePayload(f *testing.F) {
 	g := gen{rand.New(rand.NewSource(1))}
-	for kind := 0; kind < 11; kind++ {
-		b, err := EncodePayload(g.payload(kind))
+	full := RangeDigest{Lo: 0, Hi: ^uint64(0), Hash: 0xBEEF, Count: 3}
+	seeds := []Payload{
+		DigestMsg{Rels: map[string][]RangeDigest{"r@b": {full}}, Deleg: map[string]uint64{"rule1": 9}, Advert: true},
+		DigestMsg{Rels: map[string][]RangeDigest{"r@b": {{Lo: 1, Hi: 2, Hash: 5, Count: 1}, {Lo: 3, Hi: 4}}}},
+		RangeRequestMsg{RelID: "r@b", Digest: []HashRange{{Lo: 0, Hi: 1 << 60}}, Repair: []HashRange{{Lo: 7, Hi: 7}}},
+	}
+	for kind := 0; kind < payloadKinds; kind++ {
+		seeds = append(seeds, g.payload(kind))
+	}
+	for _, p := range seeds {
+		b, err := EncodePayload(p)
 		if err != nil {
 			f.Fatal(err)
 		}
+		f.Add(b)
+	}
+	for _, b := range retiredPayloads {
 		f.Add(b)
 	}
 	if b, err := os.ReadFile(filepath.Join("testdata", "gob_payload.bin")); err == nil {
@@ -330,6 +368,10 @@ func FuzzDecodePayload(f *testing.F) {
 		p, err := DecodePayload(data)
 		if err != nil {
 			return
+		}
+		switch data[0] {
+		case tagDigest, tagRangeDigestRequest, tagRangeDigest, tagRangeRepairRequest:
+			t.Fatalf("retired tag %d decoded as %#v", data[0], p)
 		}
 		back, err := EncodePayload(p)
 		if err != nil {

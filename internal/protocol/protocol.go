@@ -98,35 +98,27 @@ type AckMsg struct {
 	Seq   uint64
 }
 
-// RelDigest is an order-insensitive summary of one relation's maintained
-// fact set: the XOR fold of the member tuples' key hashes (store.KeyHash)
-// plus the member count. Both ends of a digest comparison compute it the
-// same way, so equal sets compare equal without shipping or walking tuples.
-type RelDigest struct {
-	Hash  uint64
-	Count uint64
-}
-
-// DigestMsg is the sender's anti-entropy advertisement: per relation at the
-// receiver, a digest of every fact the sender's rule program currently
-// derives for it and maintains there (its remote view), plus — per source
-// rule — a fingerprint hash of the residual rule set currently delegated to
-// the receiver. It is valid as of stream position (Epoch, AsOfSeq) — a
-// receiver that has not yet applied the stream up to AsOfSeq in that epoch
-// is merely behind and must ignore the advert rather than read the lag as
-// divergence. For a receiver that is caught up, each relation's digest is
-// round zero of the ranged-repair dialogue — the RangeDigest of the full hash
-// range — and diverging delegation fingerprints are answered with a
-// ResyncRequestMsg. Periodic adverts are unsequenced and best-effort: a lost
-// one is repeated by the sender's timer. An advert that must not be lost —
-// the answer to an Advert request, the end of a restarted stream's repair
-// run — rides the sequenced stream inside a DataMsg instead, and is current
-// as of that message's own position whatever Epoch and AsOfSeq say.
+// DigestMsg states the sender's digests of its maintained view at the
+// receiver, and always rides the sequenced stream inside a DataMsg, so it is
+// current as of its own stream position: the receiver compares it exactly
+// when it gets there, whatever was enqueued around it, and a lost one is
+// retransmitted like any other entry. Rels maps a receiver relation id to
+// range digests of the facts the sender maintains there (its remote view).
+//
+// With Advert set it is the complete advert — the periodic one, the answer
+// to an Advert request, or the end of a restarted stream's repair run: every
+// relation the sender maintains at the receiver, each as one digest of the
+// full hash range (a relation not listed is empty), plus, per source rule, a
+// fingerprint hash of the residual rule set currently delegated to the
+// receiver. Each relation's digest is round zero of the ranged-repair
+// dialogue, and diverging delegation fingerprints are answered with a
+// ResyncRequestMsg. Otherwise it answers one bisection round
+// (RangeRequestMsg.Digest): the digests of the requested ranges of one
+// relation, and no delegations.
 type DigestMsg struct {
-	Epoch   uint64
-	AsOfSeq uint64
-	Rels    map[string]RelDigest
-	Deleg   map[string]uint64
+	Rels   map[string][]RangeDigest
+	Deleg  map[string]uint64
+	Advert bool
 }
 
 // ResyncRequestMsg asks the message's *receiver* (the stream's sender) for
@@ -141,10 +133,9 @@ type DigestMsg struct {
 // after them (it clears what the run cannot state: relations the sender no
 // longer maintains), surviving pending entries renumbered behind, delegations
 // re-sent. With Advert true the requester adopted a fresh epoch of a known
-// sender over whatever ledger it holds and asks for a sequenced digest
-// advert: the comparison, made exactly when the requester reaches the
-// advert's stream position, repairs what differs — nothing at all if the
-// ledger already matches. Requests are idempotent and best-effort; the
+// sender over whatever ledger it holds and asks for the digest advert now
+// rather than at the sender's next period: the comparison repairs what
+// differs — nothing at all if the ledger already matches. Requests are idempotent and best-effort; the
 // requester rate-limits and re-asks.
 type ResyncRequestMsg struct {
 	Reset  bool
@@ -169,38 +160,16 @@ type RangeDigest struct {
 	Count  uint64
 }
 
-// RangeDigestRequestMsg asks the stream's sender to digest the given hash
-// ranges of one relation's maintained view — one round of the bisection
-// dialogue, sent by a receiver whose ledger disagrees with the previous
-// round (the advert being round zero). Unsequenced and best-effort: a lost
-// round is restarted by the next periodic advert.
-type RangeDigestRequestMsg struct {
+// RangeRequestMsg is one round of the bisection dialogue, sent by a
+// receiver whose ledger disagrees with the sender's digests of one relation:
+// it asks the stream's sender to digest the Digest ranges (answered by a
+// sequenced DigestMsg) and to re-ship the Repair ranges (answered by
+// sequenced RangeRepairMsgs). Unsequenced and best-effort, like every
+// request: a lost round is restarted by the next advert.
+type RangeRequestMsg struct {
 	RelID  string
-	Ranges []HashRange
-}
-
-// RangeDigestMsg answers a RangeDigestRequestMsg with the sender-side
-// digests of the requested ranges, valid as of stream position (Epoch,
-// AsOfSeq) exactly like a DigestMsg: a receiver that is not caught up to
-// that position must drop the reply (in-flight deltas are still deciding
-// the comparison). The sender sends it inside the sequenced stream, where
-// the position is the reply's own, so a receiver lagging a busy stream
-// compares it when it gets there. The receiver recurses on mismatching
-// ranges — asking for their subranges — and requests repair for mismatching
-// ranges the sender counts few members in or its own ledger holds nothing in.
-type RangeDigestMsg struct {
-	Epoch   uint64
-	AsOfSeq uint64
-	RelID   string
-	Ranges  []RangeDigest
-}
-
-// RangeRepairRequestMsg asks the stream's sender to re-ship the given hash
-// ranges of one relation's maintained view as a ranged repair. Unsequenced
-// and best-effort, like every repair request.
-type RangeRepairRequestMsg struct {
-	RelID  string
-	Ranges []HashRange
+	Digest []HashRange
+	Repair []HashRange
 }
 
 // RangeRepairMsg is the one repair message: the authoritative statement "my
@@ -253,11 +222,8 @@ func (DataMsg) payload()          {}
 func (AckMsg) payload()           {}
 func (DigestMsg) payload()        {}
 func (ResyncRequestMsg) payload() {}
-
-func (RangeDigestRequestMsg) payload() {}
-func (RangeDigestMsg) payload()        {}
-func (RangeRepairRequestMsg) payload() {}
-func (RangeRepairMsg) payload()        {}
+func (RangeRequestMsg) payload()  {}
+func (RangeRepairMsg) payload()   {}
 
 // Envelope wraps a payload with routing metadata. Seq is a per-sender
 // sequence number; transports deliver envelopes from one sender in Seq

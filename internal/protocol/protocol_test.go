@@ -94,17 +94,14 @@ func TestControlMsgRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRangedMessagesRoundTrip: the repair dialogue's four message types and
-// the advert flag survive the wire.
+// TestRangedMessagesRoundTrip: the repair dialogue's message types and the
+// advert flag survive the wire.
 func TestRangedMessagesRoundTrip(t *testing.T) {
 	full := HashRange{Lo: 0, Hi: ^uint64(0)}
 	msgs := []Payload{
 		ResyncRequestMsg{Advert: true},
-		RangeDigestRequestMsg{RelID: "r@b", Ranges: []HashRange{full, {Lo: 1, Hi: 2}}},
-		RangeDigestMsg{Epoch: 3, AsOfSeq: 9, RelID: "r@b", Ranges: []RangeDigest{
-			{Lo: 1, Hi: 2, Hash: 0xDEAD, Count: 4},
-		}},
-		RangeRepairRequestMsg{RelID: "r@b", Ranges: []HashRange{{Lo: 5, Hi: 6}}},
+		RangeRequestMsg{RelID: "r@b", Digest: []HashRange{full, {Lo: 1, Hi: 2}}, Repair: []HashRange{{Lo: 5, Hi: 6}}},
+		DigestMsg{Rels: map[string][]RangeDigest{"r@b": {{Lo: 1, Hi: 2, Hash: 0xDEAD, Count: 4}}}},
 		RangeRepairMsg{RelID: "r@b", Ranges: []HashRange{full}, Ops: []FactDelta{
 			{Maint: true, Fact: ast.NewFact("r", "b", value.Str("x"))},
 		}},
@@ -123,17 +120,17 @@ func TestRangedMessagesRoundTrip(t *testing.T) {
 			if !m.Advert || m.Reset {
 				t.Errorf("resync request = %+v", m)
 			}
-		case RangeDigestRequestMsg:
-			if m.RelID != "r@b" || len(m.Ranges) != 2 || m.Ranges[0] != full {
-				t.Errorf("range digest request = %+v", m)
+		case RangeRequestMsg:
+			if m.RelID != "r@b" || len(m.Digest) != 2 || m.Digest[0] != full {
+				t.Errorf("range request's digest ranges = %+v", m)
 			}
-		case RangeDigestMsg:
-			if m.Epoch != 3 || m.AsOfSeq != 9 || len(m.Ranges) != 1 || m.Ranges[0].Hash != 0xDEAD || m.Ranges[0].Count != 4 {
+			if len(m.Repair) != 1 || m.Repair[0] != (HashRange{Lo: 5, Hi: 6}) {
+				t.Errorf("range request's repair ranges = %+v", m)
+			}
+		case DigestMsg:
+			rs := m.Rels["r@b"]
+			if m.Advert || len(m.Rels) != 1 || len(rs) != 1 || rs[0].Hash != 0xDEAD || rs[0].Count != 4 {
 				t.Errorf("range digest = %+v", m)
-			}
-		case RangeRepairRequestMsg:
-			if m.RelID != "r@b" || len(m.Ranges) != 1 || m.Ranges[0] != (HashRange{Lo: 5, Hi: 6}) {
-				t.Errorf("range repair request = %+v", m)
 			}
 		case RangeRepairMsg:
 			if m.RelID != "r@b" || len(m.Ranges) != 1 || len(m.Ops) != 1 || !m.Ops[0].Maint {
@@ -145,12 +142,15 @@ func TestRangedMessagesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRangedMessagesInsideDataMsg: the sequenced repair carrier and the
-// sequenced advert also ride inside DataMsg, gob's interface-in-struct case.
+// TestRangedMessagesInsideDataMsg: the sequenced repair carrier and both
+// shapes of the digest ride inside DataMsg.
 func TestRangedMessagesInsideDataMsg(t *testing.T) {
+	full := HashRange{Lo: 0, Hi: ^uint64(0)}
 	for _, inner := range []Payload{
 		RangeRepairMsg{RelID: "r@b", Ranges: []HashRange{{Lo: 7, Hi: 8}}},
-		DigestMsg{Rels: map[string]RelDigest{"r@b": {Hash: 0xBEEF, Count: 3}}, Deleg: map[string]uint64{"rule1": 9}},
+		DigestMsg{Rels: map[string][]RangeDigest{"r@b": {{Lo: full.Lo, Hi: full.Hi, Hash: 0xBEEF, Count: 3}}},
+			Deleg: map[string]uint64{"rule1": 9}, Advert: true},
+		DigestMsg{Rels: map[string][]RangeDigest{"r@b": {{Lo: 7, Hi: 8, Hash: 0xBEEF, Count: 3}, {Lo: 9, Hi: 9}}}},
 	} {
 		b, err := Encode(Envelope{From: "a", To: "b", Msg: DataMsg{Epoch: 2, Seq: 5, Msg: inner}})
 		if err != nil {

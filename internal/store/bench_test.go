@@ -76,7 +76,7 @@ func BenchmarkWALAppend(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := w.LogInsert("r", "p", t); err != nil {
+		if err := w.LogMany(false, "r", "p", []value.Tuple{t}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -56,7 +56,7 @@ func TestWALKeepsEveryValueBitExact(t *testing.T) {
 	if err := w.LogDeclare(extremeSchema); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.LogInsert("pics", "p", want); err != nil {
+	if err := w.LogMany(false, "pics", "p", []value.Tuple{want}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -162,10 +162,10 @@ func TestLogTornAtEveryByte(t *testing.T) {
 		}
 		sch := Schema{Name: "r", Peer: "p", Kind: ast.Extensional, Cols: []string{"a", "b"}}
 		w.LogDeclare(sch)
-		w.LogInsert("r", "p", value.Tuple{value.Int(1), value.Str("one")})
+		w.LogMany(false, "r", "p", []value.Tuple{{value.Int(1), value.Str("one")}})
 		w.Sync()
 		before := fileSize(t, filepath.Join(dir, logName))
-		w.LogInsert("r", "p", extremeTuple()[:2])
+		w.LogMany(false, "r", "p", []value.Tuple{extremeTuple()[:2]})
 		w.Close()
 		full, err := os.ReadFile(filepath.Join(dir, logName))
 		if err != nil {
@@ -183,7 +183,7 @@ func TestLogTornAtEveryByte(t *testing.T) {
 			if want := 1 + b2i(cut == int64(len(full))); s.Get("r", "p").Len() != want {
 				t.Fatalf("cut at %d: recovered %d tuples, want %d", cut, s.Get("r", "p").Len(), want)
 			}
-			w.LogInsert("r", "p", value.Tuple{value.Int(9), value.Str("after")})
+			w.LogMany(false, "r", "p", []value.Tuple{{value.Int(9), value.Str("after")}})
 			w.Close()
 			w, s2, err := recoverWAL(t, d)
 			w.Close()
@@ -256,8 +256,8 @@ func TestLogDamageIsNotATornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.LogDeclare(Schema{Name: "r", Peer: "p", Kind: ast.Extensional, Cols: []string{"a"}})
-	w.LogInsert("r", "p", value.Tuple{value.Int(1)})
-	w.LogInsert("r", "p", value.Tuple{value.Int(2)})
+	w.LogMany(false, "r", "p", []value.Tuple{{value.Int(1)}})
+	w.LogMany(false, "r", "p", []value.Tuple{{value.Int(2)}})
 	w.Close()
 	path := filepath.Join(dir, logName)
 	b, err := os.ReadFile(path)
@@ -289,7 +289,7 @@ func TestLogDamagedLengthIsNotATornTail(t *testing.T) {
 			w, _ := OpenWAL(dir)
 			w.LogDeclare(Schema{Name: "r", Peer: "p", Kind: ast.Extensional, Cols: []string{"a"}})
 			for i := int64(1); i <= 4; i++ {
-				w.LogInsert("r", "p", value.Tuple{value.Int(i)})
+				w.LogMany(false, "r", "p", []value.Tuple{{value.Int(i)}})
 			}
 			w.Close()
 		}, func(dir string) error {

@@ -13,6 +13,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -241,25 +242,25 @@ func (r *Relation) dropIndexLocked(mask ColMask) {
 // input order), which is exactly what the caller must log to a WAL. Every
 // tuple must match the relation's arity.
 func (r *Relation) InsertMany(ts []value.Tuple) []value.Tuple {
-	added, _ := r.ApplyMany(false, ts, nil)
-	return added
+	ts = slices.Clone(ts)
+	return ts[:r.ApplyMany(false, ts, nil)]
 }
 
 // DeleteMany removes all tuples under a single lock acquisition, returning
 // the tuples that actually existed (in input order).
 func (r *Relation) DeleteMany(ts []value.Tuple) []value.Tuple {
-	removed, _ := r.ApplyMany(true, ts, nil)
-	return removed
+	ts = slices.Clone(ts)
+	return ts[:r.ApplyMany(true, ts, nil)]
 }
 
-// ApplyMany inserts (or, when del is set, deletes) all tuples under a single
-// lock acquisition and returns the tuples that changed the relation, in
-// input order, with their keys. keys, when non-nil, holds every tuple's key
-// (keys[i] == ts[i].Key()), so a caller that has encoded them already does
-// not have them encoded again.
-func (r *Relation) ApplyMany(del bool, ts []value.Tuple, keys []string) (changed []value.Tuple, changedKeys []string) {
+// ApplyMany inserts (or, when del is set, deletes) ts under one lock and
+// moves the n tuples that changed the relation, an inserted one as stored, to
+// the front of ts in input order, returning n. keys, when non-nil, holds each
+// tuple's key, so it is not encoded again, and is compacted alongside ts.
+func (r *Relation) ApplyMany(del bool, ts []value.Tuple, keys []string) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	n := 0
 	for i, t := range ts {
 		var key string
 		if keys != nil {
@@ -276,10 +277,13 @@ func (r *Relation) ApplyMany(del bool, ts []value.Tuple, keys []string) (changed
 		} else {
 			continue
 		}
-		changed = append(changed, t)
-		changedKeys = append(changedKeys, key)
+		ts[n] = t
+		if keys != nil {
+			keys[n] = key
+		}
+		n++
 	}
-	return changed, changedKeys
+	return n
 }
 
 // Delete removes t from the relation. It returns true if the tuple existed.

@@ -307,6 +307,10 @@ func OpenOutboxLog(dir string) (*WAL, error) { return OpenWAL(dir) }
 // Dir returns the directory holding the log.
 func (w *WAL) Dir() string { return w.dir }
 
+// OutboxPath returns the path of the log's outbox.log, for errors about the
+// delivery records it holds.
+func (w *WAL) OutboxPath() string { return filepath.Join(w.dir, outboxName) }
+
 // lock takes both files' locks, in file order, and returns their release.
 func (w *WAL) lock() (unlock func()) {
 	for _, l := range w.logs {
@@ -362,16 +366,6 @@ func (w *WAL) LogMany(del bool, rel, peer string, ts []value.Tuple) error {
 // LogDeclare records a relation declaration.
 func (w *WAL) LogDeclare(schema Schema) error {
 	return w.append(walRecord{Op: walDecl, Rel: schema.Name, Peer: schema.Peer, Kind: schema.Kind, Cols: schema.Cols})
-}
-
-// LogInsert records an insert into rel@peer.
-func (w *WAL) LogInsert(rel, peer string, t value.Tuple) error {
-	return w.append(walRecord{Op: walIns, Rel: rel, Peer: peer, Args: t})
-}
-
-// LogDelete records a delete from rel@peer.
-func (w *WAL) LogDelete(rel, peer string, t value.Tuple) error {
-	return w.append(walRecord{Op: walDel, Rel: rel, Peer: peer, Args: t})
 }
 
 // LogEnqueue records a sequenced message committed for dst.

@@ -42,13 +42,13 @@ func TestWALLogAndRecover(t *testing.T) {
 	if err := w.LogDeclare(sch); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.LogInsert("pics", "alice", value.Tuple{value.Int(1), value.Str("a.jpg")}); err != nil {
+	if err := w.LogMany(false, "pics", "alice", []value.Tuple{{value.Int(1), value.Str("a.jpg")}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.LogInsert("pics", "alice", value.Tuple{value.Int(2), value.Str("b.jpg")}); err != nil {
+	if err := w.LogMany(false, "pics", "alice", []value.Tuple{{value.Int(2), value.Str("b.jpg")}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.LogDelete("pics", "alice", value.Tuple{value.Int(1), value.Str("a.jpg")}); err != nil {
+	if err := w.LogMany(true, "pics", "alice", []value.Tuple{{value.Int(1), value.Str("a.jpg")}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -91,16 +91,16 @@ func TestWALSnapshotCompactsLog(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tp := value.Tuple{value.Int(int64(i))}
 		rel.Insert(tp)
-		if err := w.LogInsert("r", "p", tp); err != nil {
+		if err := w.LogMany(false, "r", "p", []value.Tuple{tp}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 10; i++ {
 		tp := value.Tuple{value.Int(int64(i))}
-		if err := w.LogDelete("r", "p", tp); err != nil {
+		if err := w.LogMany(true, "r", "p", []value.Tuple{tp}); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.LogInsert("r", "p", tp); err != nil {
+		if err := w.LogMany(false, "r", "p", []value.Tuple{tp}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -116,7 +116,7 @@ func TestWALSnapshotCompactsLog(t *testing.T) {
 	// A post-checkpoint mutation must still recover on top of the checkpoint.
 	tp := value.Tuple{value.Int(100)}
 	rel.Insert(tp)
-	if err := w.LogInsert("r", "p", tp); err != nil {
+	if err := w.LogMany(false, "r", "p", []value.Tuple{tp}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -147,7 +147,7 @@ func TestWALTornFinalRecordTolerated(t *testing.T) {
 	if err := w.LogDeclare(sch); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.LogInsert("r", "p", value.Tuple{value.Int(1)}); err != nil {
+	if err := w.LogMany(false, "r", "p", []value.Tuple{{value.Int(1)}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -176,7 +176,7 @@ func TestWALInsertIntoUndeclaredFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.LogInsert("ghost", "p", value.Tuple{value.Int(1)}); err != nil {
+	if err := w.LogMany(false, "ghost", "p", []value.Tuple{{value.Int(1)}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -200,7 +200,7 @@ func TestWALClosedRejectsAppends(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.LogInsert("r", "p", value.Tuple{value.Int(1)}); err == nil {
+	if err := w.LogMany(false, "r", "p", []value.Tuple{{value.Int(1)}}); err == nil {
 		t.Error("append after close must fail")
 	}
 	if err := w.Close(); err != nil {
@@ -294,7 +294,7 @@ func TestWALTornTailSurvivesSecondRestart(t *testing.T) {
 		t.Fatalf("first restart: %v", err)
 	}
 	for i := int64(1); i <= 2; i++ {
-		if err := w.LogInsert("r", "p", value.Tuple{value.Int(i)}); err != nil {
+		if err := w.LogMany(false, "r", "p", []value.Tuple{{value.Int(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -323,7 +323,7 @@ func TestWALRecoverRejectsWrongArity(t *testing.T) {
 	if err := w.LogDeclare(Schema{Name: "r", Peer: "p", Kind: ast.Extensional, Cols: []string{"a"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.LogInsert("r", "p", value.Tuple{value.Int(1), value.Int(2)}); err != nil {
+	if err := w.LogMany(false, "r", "p", []value.Tuple{{value.Int(1), value.Int(2)}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -412,7 +412,7 @@ func logMore(t testing.TB, w *WAL, before recovery) (rel, dst string) {
 		dst += "r"
 	}
 	must(t, w.LogDeclare(Schema{Name: rel, Peer: "p", Kind: ast.Extensional, Cols: []string{"a"}}))
-	must(t, w.LogInsert(rel, "p", value.Tuple{value.Int(7)}))
+	must(t, w.LogMany(false, rel, "p", []value.Tuple{{value.Int(7)}}))
 	must(t, w.LogEnqueue(dst, 5, []byte("m")))
 	must(t, w.Sync())
 	return rel, dst
@@ -475,7 +475,7 @@ func fuzzLogReplay(f *testing.F, name string, seeds func(logged []byte) [][]byte
 	}
 	w.LogDeclare(Schema{Name: "r", Peer: "p", Kind: ast.Extensional, Cols: []string{"a", "b"}})
 	w.LogMany(false, "r", "p", []value.Tuple{{value.Int(1), value.Str("x")}, {value.Int(2), value.Str("y")}})
-	w.LogDelete("r", "p", value.Tuple{value.Int(1), value.Str("x")})
+	w.LogMany(true, "r", "p", []value.Tuple{{value.Int(1), value.Str("x")}})
 	w.LogEpoch(9)
 	w.LogEnqueue("bob", 1, []byte("m1"))
 	w.LogEnqueue("bob", 2, []byte("m2"))
@@ -531,7 +531,7 @@ func TestLogCrashPoints(t *testing.T) {
 		func(w *WAL) error { return w.LogEnqueue("bob", 1, []byte("m1")) },
 		func(w *WAL) error { return w.LogApplied("carol", 3, 4) },
 		func(w *WAL) error { return w.LogEnqueue("bob", 2, []byte("m2")) },
-		func(w *WAL) error { return w.LogDelete("r", "p", one) },
+		func(w *WAL) error { return w.LogMany(true, "r", "p", []value.Tuple{one}) },
 		func(w *WAL) error { return w.LogAck("bob", 1) },
 		func(w *WAL) error { return w.LogReset("dave", 8) },
 		func(w *WAL) error { return w.LogEnqueue("dave", 1, []byte("d1")) },

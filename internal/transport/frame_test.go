@@ -68,7 +68,8 @@ func TestReadFrameLarge(t *testing.T) {
 	}
 }
 
-// frameSeeds returns one encoded frame per payload kind.
+// frameSeeds returns one encoded frame per payload kind, and digests in both
+// shapes and a repair inside the DataMsg they travel in.
 func frameSeeds(tb testing.TB) [][]byte {
 	f := ast.NewFact("r", "p", value.Int(1), value.Str("x"))
 	ops := []protocol.FactDelta{{Fact: f}, {Delete: true, Maint: true, Fact: f}}
@@ -79,12 +80,14 @@ func frameSeeds(tb testing.TB) [][]byte {
 		protocol.ControlMsg{Kind: protocol.ControlPong, Token: 7},
 		protocol.DataMsg{Epoch: 3, Seq: 1, Msg: protocol.FactsMsg{Ops: ops}},
 		protocol.AckMsg{Epoch: 3, Seq: 1},
-		protocol.DigestMsg{Epoch: 3, AsOfSeq: 1, Rels: map[string]protocol.RelDigest{"r": {Hash: 9, Count: 2}}, Deleg: map[string]uint64{"r1": 5}},
+		protocol.DataMsg{Epoch: 3, Seq: 2, Msg: protocol.DigestMsg{Rels: map[string][]protocol.RangeDigest{
+			"r": {{Lo: 0, Hi: ^uint64(0), Hash: 9, Count: 2}}}, Deleg: map[string]uint64{"r1": 5}, Advert: true}},
 		protocol.ResyncRequestMsg{Reset: true, Advert: true},
-		protocol.RangeDigestRequestMsg{RelID: "r", Ranges: ranges},
-		protocol.RangeDigestMsg{Epoch: 3, AsOfSeq: 1, RelID: "r", Ranges: []protocol.RangeDigest{{Lo: 1, Hi: 2, Hash: 3, Count: 4}}},
-		protocol.RangeRepairRequestMsg{RelID: "r", Ranges: ranges},
+		protocol.RangeRequestMsg{RelID: "r", Digest: ranges, Repair: ranges},
+		protocol.DataMsg{Epoch: 3, Seq: 3, Msg: protocol.DigestMsg{Rels: map[string][]protocol.RangeDigest{
+			"r": {{Lo: 1, Hi: 2, Hash: 3, Count: 4}}}}},
 		protocol.RangeRepairMsg{RelID: "r", Ranges: ranges, Ops: ops},
+		protocol.DataMsg{Epoch: 3, Seq: 4, Msg: protocol.RangeRepairMsg{RelID: "r", Ranges: ranges, Ops: ops}},
 	}
 	var seeds [][]byte
 	for i, p := range payloads {
