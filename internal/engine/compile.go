@@ -105,23 +105,10 @@ func (e *Engine) CompileRule(r ast.Rule) (*CompiledRule, error) {
 // CompileProgram compiles and stratifies a rule set. Errors from individual
 // rules are joined; a stratification failure is reported for the whole set.
 func (e *Engine) CompileProgram(rules []ast.Rule) (*Program, error) {
-	prog := &Program{}
-	var errs []error
-	for _, r := range rules {
-		cr, err := e.CompileRule(r)
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		prog.Rules = append(prog.Rules, cr)
-	}
+	prog, errs := e.CompileRules(rules)
 	if len(errs) > 0 {
 		return nil, errors.Join(errs...)
 	}
-	if err := e.stratify(prog); err != nil {
-		return nil, err
-	}
-	e.classify(prog)
 	return prog, nil
 }
 
@@ -141,8 +128,7 @@ func (e *Engine) CompileRules(rules []ast.Rule) (*Program, []error) {
 		prog.Rules = append(prog.Rules, cr)
 	}
 	if err := e.stratify(prog); err != nil {
-		errs = append(errs, err)
-		return nil, errs
+		return nil, append(errs, err)
 	}
 	e.classify(prog)
 	return prog, errs

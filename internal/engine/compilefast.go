@@ -172,7 +172,11 @@ func (e *Engine) analyzeAtom(cr *CompiledRule, pos int, peer, rel value.Value, k
 	r := e.db.Get(sp.relName, sp.peerName)
 	usable := r != nil && r.Schema().Arity() == len(a.args)
 	switch {
-	case a.neg && !usable:
+	case a.neg && (!usable || kind == kindDRed):
+		// An over-delete may over-approximate, and only a removed rule's
+		// walk meets a negated atom (negation in a rule that derives into a
+		// view makes the program non-incremental): passing it covers every
+		// derivation the pre-deletion database allowed.
 		sp.sKind = specPass
 	case a.neg:
 		// Safety guarantees every argument is bound: membership test.

@@ -15,7 +15,6 @@
 package engine
 
 import (
-	"fmt"
 	"sort"
 	"sync/atomic"
 
@@ -28,12 +27,13 @@ import (
 // DefaultOptions as a base.
 type Options struct {
 	// Incremental keeps derived relations materialized between stages and
-	// maintains them from each stage's base-fact deltas (inserts through the
-	// semi-naive machinery, deletions through an over-delete/rederive pass),
-	// instead of recomputing every view from scratch per stage. When false —
-	// the recompute reference the benchmark verifies against — or when the
-	// program is not incrementally maintainable (negation in a view rule),
-	// every stage rebuilds the views. See incremental.go.
+	// maintains them from each stage's base-fact and program deltas (inserts
+	// through the semi-naive machinery, deletions through an
+	// over-delete/rederive pass), instead of recomputing every view from
+	// scratch per stage. When false — the recompute reference the benchmark
+	// verifies against — or when the program is not incrementally
+	// maintainable (negation in a view rule), every stage rebuilds the views
+	// (RunStageFull). See incremental.go.
 	Incremental bool
 	// MaxIterations bounds fixpoint iterations as a safety net.
 	MaxIterations int
@@ -94,7 +94,7 @@ type Result struct {
 	// delta maintenance. Remote view rules are not in it under
 	// RunStageIncremental and RunStageFull — their derivations go straight
 	// into the caller's RemoteView — so RemoteOut, not Remote, is what the
-	// stage ships. Bare RunStage, which maintains no view, lists every
+	// stage ships. Bare RunStage, which is given no RemoteView, lists every
 	// remote emission here.
 	Remote map[string][]FactOp
 	// RemoteOut maps destination peer name to the deltas to actually ship:
@@ -106,7 +106,8 @@ type Result struct {
 	RemoteOut map[string][]RemoteOp
 	// Views maps "rel@peer" to the net change the stage made to that
 	// materialized local view, relative to the store as the stage found it,
-	// in no particular order; relations that did not change are absent.
+	// in no particular order; relations that did not change are absent. A
+	// view that was empty when the stage began reports its whole contents.
 	// Populated by RunStageIncremental and RunStageFull, not by bare
 	// RunStage.
 	Views map[string]*ViewDelta
@@ -147,6 +148,11 @@ type Engine struct {
 	local string
 	db    *store.Store
 	opts  Options
+	// views is the program the materialized views were last made
+	// consistent with (nil: the empty program). RunStageIncremental
+	// maintains them from the difference between it and the stage's
+	// program; see programDelta.
+	views *Program
 
 	// Plan-cache telemetry: planFor lookups that found an existing plan vs
 	// ones that computed a fresh one. The cache is per stage, so hits
@@ -209,13 +215,6 @@ func (t termRef) value(env []value.Value) value.Value {
 	return t.val
 }
 
-func (t termRef) String() string {
-	if t.isVar {
-		return fmt.Sprintf("$%d", t.slot)
-	}
-	return t.val.Literal()
-}
-
 // cAtom is a compiled atom.
 type cAtom struct {
 	neg  bool
@@ -266,6 +265,12 @@ type CompiledRule struct {
 	// relation or peer). Only these participate in the deletion pass and in
 	// rederivation checks.
 	MaybeView bool
+
+	// key identifies the rule across recompilations: its origin, its
+	// classification and its rendered text — not its ID, which a
+	// re-installed delegation renumbers. Two programs differ by the rules
+	// whose keys only one of them has (programDelta).
+	key string
 }
 
 // String renders the original rule.
@@ -278,10 +283,7 @@ type Program struct {
 
 	// Incremental reports that this program can be maintained by
 	// RunStageIncremental: Options.Incremental is on and no rule that may
-	// derive into a local view uses negation. Otherwise every stage must
-	// recompute (RunStageFull).
+	// derive into a local view uses negation. Otherwise every stage
+	// rebuilds the views (RunStageFull).
 	Incremental bool
 }
-
-// RuleCount returns the number of rules in the program.
-func (p *Program) RuleCount() int { return len(p.Rules) }

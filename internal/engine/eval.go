@@ -28,8 +28,8 @@ type stageState struct {
 	// planner holds the stage's join-plan and compiled-chain caches
 	// (plan.go).
 	planner *stagePlanner
-	// incr is non-nil during RunStageIncremental: produce() additionally
-	// maintains the net view-delta bookkeeping (incremental.go).
+	// incr is the stage's maintenance bookkeeping (incremental.go); nil
+	// outside runDelta.
 	incr *incrState
 	// rv is the caller's RemoteView during RunStageIncremental and
 	// RunStageFull, where remote view rules derive into it; nil in bare
@@ -63,48 +63,13 @@ func (st *stageState) errf(format string, args ...any) {
 	st.out.Errors = append(st.out.Errors, fmt.Errorf(format, args...))
 }
 
-// RunStage evaluates the program to fixpoint against the current store
-// contents and returns the stage outputs. Local intensional relations are
-// mutated (facts derived into them); everything else is returned in Result
-// for the peer to apply or transmit.
+// RunStage evaluates the program over the current store contents as a first
+// build — the program delta from the empty program, with no base-fact deltas
+// and no RemoteView — and returns the stage outputs. Local intensional
+// relations gain what the program derives (nothing is retracted); everything
+// else is returned in Result for the peer to apply or transmit.
 func (e *Engine) RunStage(prog *Program) *Result {
-	return e.runStage(prog, e.newStageState())
-}
-
-// runStage runs every stratum's fixpoint under st.
-func (e *Engine) runStage(prog *Program, st *stageState) *Result {
-	for _, stratum := range prog.Strata {
-		if len(stratum) > 0 {
-			e.runStratum(stratum, st)
-		}
-	}
-	return st.out
-}
-
-// runStratum runs one stratum's semi-naive fixpoint.
-func (e *Engine) runStratum(stratum []*CompiledRule, st *stageState) {
-	// Iteration 0: full evaluation of every rule in the stratum.
-	st.delta = deltaSet{}
-	for _, cr := range stratum {
-		e.evalRule(cr, st, -1, nil)
-	}
-	st.out.Iterations++
-	// Delta iterations: re-evaluate each rule once per positive body
-	// position, restricting that position to the previous iteration's new
-	// facts. Any derivation that uses at least one new fact is found at the
-	// position of (one of) its new supports.
-	for len(st.delta) > 0 {
-		if st.out.Iterations >= e.opts.MaxIterations {
-			st.errf("engine: fixpoint exceeded %d iterations; aborting stratum", e.opts.MaxIterations)
-			return
-		}
-		prev := st.delta
-		st.delta = deltaSet{}
-		for _, cr := range stratum {
-			forDeltaPositions(cr, prev, func(j int) { e.evalRule(cr, st, j, prev) })
-		}
-		st.out.Iterations++
-	}
+	return e.runDelta(nil, prog, nil, nil).out
 }
 
 // forDeltaPositions calls fn for every positive body position of cr that
@@ -171,7 +136,7 @@ func (e *Engine) produce(cr *CompiledRule, env []value.Value, st *stageState) {
 		// Unknown local head relations are auto-declared extensional.
 		var err error
 		rel, err = e.db.Declare(store.Schema{
-			Name: headRel, Peer: headPeer, Kind: ast.Extensional, Cols: genericCols(len(t)),
+			Name: headRel, Peer: headPeer, Kind: ast.Extensional, Cols: store.GenericCols(len(t)),
 		})
 		if err != nil {
 			st.errf("engine: rule %s: %v", cr.Rule.ID, err)
@@ -205,30 +170,38 @@ func (e *Engine) produce(cr *CompiledRule, env []value.Value, st *stageState) {
 
 // deriveLocal inserts a derived tuple into a local intensional relation and
 // does the fixpoint and incremental-maintenance bookkeeping: the semi-naive
-// delta, the derivation counter, and (under RunStageIncremental) the net
-// view-delta sets; a tuple already present is a no-op. Shared by produce and
-// the terminal fast path (compilefast.go), which resolves the head
-// statically and skips produce's name resolution per derivation.
+// delta, the derivation counter, and the net view-delta sets — none for a
+// view that was empty when the stage began and lost nothing since, whose
+// delta is its contents; a tuple already present is a no-op. Shared by
+// produce and the terminal fast path (compilefast.go), which resolves the
+// head statically and skips produce's name resolution per derivation.
 func (e *Engine) deriveLocal(st *stageState, rel *store.Relation, relID string, t value.Tuple) {
 	if !rel.Insert(t) {
 		return
 	}
 	st.out.Derived++
 	st.delta[relID] = append(st.delta[relID], t)
-	if ic := st.incr; ic != nil {
-		key := t.Key()
-		if m := ic.marked[relID]; m[key] != nil {
-			delete(m, key) // deleted then rederived this stage: net zero
-			// Un-ghost so a later deletion round can re-target it.
-			delete(ic.ghosts[relID], key)
-		} else if !ic.isSeeded(relID, key) {
-			in := ic.insNew[relID]
-			if in == nil {
-				in = map[string]value.Tuple{}
-				ic.insNew[relID] = in
-			}
-			in[key] = t
+	ic := st.incr
+	if ic == nil {
+		return
+	}
+	m := ic.marked[relID]
+	fresh := ic.isFresh(rel, relID)
+	if fresh && len(m) == 0 {
+		return
+	}
+	key := t.Key()
+	if m[key] != nil {
+		delete(m, key) // deleted then rederived this stage: net zero
+		// Un-ghost so a later deletion round can re-target it.
+		delete(ic.ghosts[relID], key)
+	} else if !fresh && !ic.isSeeded(relID, key) {
+		in := ic.insNew[relID]
+		if in == nil {
+			in = map[string]value.Tuple{}
+			ic.insNew[relID] = in
 		}
+		in[key] = t
 	}
 }
 
@@ -306,14 +279,4 @@ func (e *Engine) addDelegation(cr *CompiledRule, i int, env []value.Value, bound
 		st.out.Delegations[cr.Rule.ID] = byTarget
 	}
 	byTarget[target] = append(byTarget[target], residual)
-}
-
-// genericCols returns placeholder column names c0..c(n-1) for relations
-// discovered at run time.
-func genericCols(n int) []string {
-	cols := make([]string, n)
-	for i := range cols {
-		cols[i] = fmt.Sprintf("c%d", i)
-	}
-	return cols
 }

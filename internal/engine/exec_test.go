@@ -308,5 +308,5 @@ func TestIncrementalDiamondSupport(t *testing.T) {
 	checkAgainstReference(t, "diamond", fuzzSchemas[:2], nil, mustRules(t,
 		`reach@local($x, $y) :- edge@local($x, $y);`,
 		`reach@local($x, $z) :- reach@local($x, $y), edge@local($y, $z);`,
-	), batches)
+	), batches, nil)
 }

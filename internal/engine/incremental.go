@@ -1,21 +1,28 @@
 package engine
 
 import (
+	"fmt"
+	"maps"
+
 	"repro/internal/ast"
 	"repro/internal/store"
 	"repro/internal/value"
 )
 
-// Incremental stage evaluation: materialized views maintained across stages.
+// Stage evaluation: materialized views maintained across stages.
 //
-// Bare RunStage recomputes every intensional relation from scratch, so the
-// cost of a stage grows with the size of the database rather than the size
-// of the change. This file carries the semi-naive deltas *across* stages
-// instead: derived relations stay materialized between stages, each stage's
-// base-fact batch enters the fixpoint as the initial delta, and deletions
-// are handled DRed-style — over-delete everything that may depend on a
-// deleted fact, then rederive what still has an alternative derivation, so
-// retracting one support never kills a tuple that has another.
+// Derived relations stay materialized between stages, and every stage
+// maintains them from two kinds of change. One is the base-fact batch the
+// peer ingested, which enters the fixpoint as the initial delta. The other
+// is the program delta against the program the views were last consistent
+// with: added rules are evaluated in full once, in their stratum, before its
+// insert phase; each removed rule gets one over-delete walk. Deletions are
+// handled DRed-style — over-delete everything that may depend on a deleted
+// fact or a removed rule, then rederive what still has an alternative
+// derivation, so retracting one support never kills a tuple that has
+// another. The first build is the delta from the empty program, so one
+// driver (runDelta) runs every stage: bare RunStage, RunStageIncremental,
+// and RunStageFull, which clears the views and re-seeds them first.
 //
 // Rules are split statically (classify):
 //
@@ -35,10 +42,11 @@ import (
 //   - event rules — everything else: deletion rules, rules with extensional
 //     or variable heads, rules whose body can leave the peer (delegation),
 //     and remote-head rules over negated or variable-named atoms. Event
-//     rules are evaluated in full every stage, exactly as RunStage would,
-//     which preserves the paper's delegation-maintenance and update-emission
-//     semantics unchanged. Result.Delegations is complete per stage;
-//     Result.Remote holds the event rules' emissions only.
+//     rules are evaluated in full every stage, which preserves the paper's
+//     delegation-maintenance and update-emission semantics unchanged, so
+//     adding or removing one needs no walk of its own.
+//     Result.Delegations is complete per stage; Result.Remote holds the
+//     event rules' emissions only.
 //
 // RemoteView.Diff ends the stage: it reconciles the event rules' emission
 // set against the previous stage's and folds in the remote view rules'
@@ -71,19 +79,19 @@ func (in *StageInput) supported(relID, key string) bool {
 	return in != nil && in.Supported != nil && in.Supported(relID, key)
 }
 
-// Empty reports whether the input carries no deltas at all.
-func (in *StageInput) Empty() bool {
-	return in == nil || (len(in.Ins) == 0 && len(in.Del) == 0 && len(in.Cand) == 0)
-}
-
 // incrState carries the per-stage bookkeeping of an incremental run.
 type incrState struct {
 	in *StageInput
 	// seeded marks the tuples of StageInput.Ins: externally present this
 	// stage, so rederivation keeps them regardless of rule support. Each key
 	// maps to itself, the string the store holds when StageInput.InsKeys
-	// gave it (storedKey).
+	// gave it (storedKey). A relation's set is built on first use (seedsOf),
+	// so a first build over a large batch indexes none of it.
 	seeded map[string]map[string]string
+	// fresh records, per intensional relation derived into, whether it was
+	// empty when the stage began (isFresh); such a view reports its whole
+	// contents as its delta instead of keeping insNew.
+	fresh map[string]bool
 	// ghosts holds every tuple deleted during this stage (base deletions and
 	// over-deletions), giving the deletion pass the pre-deletion database:
 	// non-delta join positions range over relation ∪ ghosts.
@@ -138,9 +146,44 @@ func (ic *incrState) mark(relID, key string, t value.Tuple) {
 	ic.marks = append(ic.marks, relTuple{relID, key, t})
 }
 
+// seedsOf returns relID's seed set (see seeded), building it on first use.
+func (ic *incrState) seedsOf(relID string) map[string]string {
+	s, ok := ic.seeded[relID]
+	if ok || ic.in == nil {
+		return s
+	}
+	ts, keys := ic.in.Ins[relID], ic.in.InsKeys[relID]
+	if len(ts) > 0 {
+		s = make(map[string]string, len(ts))
+		for i, t := range ts {
+			if len(keys) == len(ts) {
+				s[keys[i]] = keys[i]
+			} else {
+				key := t.Key()
+				s[key] = key
+			}
+		}
+	}
+	ic.seeded[relID] = s
+	return s
+}
+
 func (ic *incrState) isSeeded(relID, key string) bool {
-	_, ok := ic.seeded[relID][key]
+	_, ok := ic.seedsOf(relID)[key]
 	return ok
+}
+
+// isFresh reports whether relID, which a derivation just inserted into, was
+// empty when the stage began. Decided on the first derivation into it: then
+// the relation holds that one tuple, and a tuple it held at stage start is
+// either still there or — deleted this stage — a ghost.
+func (ic *incrState) isFresh(rel *store.Relation, relID string) bool {
+	fresh, ok := ic.fresh[relID]
+	if !ok {
+		fresh = rel.Len() == 1 && len(ic.ghosts[relID]) == 0
+		ic.fresh[relID] = fresh
+	}
+	return fresh
 }
 
 // storedKey returns key as a string that shares the bytes of an equal key
@@ -149,9 +192,9 @@ func (ic *incrState) isSeeded(relID, key string) bool {
 // relation, delegated to the base's peer) keeps no second copy of it. Else
 // it returns a fresh copy.
 func (ic *incrState) storedKey(key []byte) string {
-	if ic != nil {
-		for _, s := range ic.seeded {
-			if k, ok := s[string(key)]; ok {
+	if ic.in != nil {
+		for relID := range ic.in.Ins {
+			if k, ok := ic.seedsOf(relID)[string(key)]; ok {
 				return k
 			}
 		}
@@ -265,6 +308,7 @@ func (e *Engine) classify(prog *Program) {
 		cr.Remote = cr.Rule.Op == ast.Derive && localBody && !hasNeg && constNames &&
 			headPeerNamed && !headPeerLocal && headRelNamed
 		cr.Event = !isView && !cr.Remote
+		cr.key = fmt.Sprintf("%s\x00%t%t%t\x00%s", cr.Rule.Origin, cr.Event, cr.Remote, cr.MaybeView, cr.Rule)
 		if cr.MaybeView && hasNeg {
 			// Deleting through negation would need insert deltas to feed
 			// view deletions and vice versa; fall back to recomputation.
@@ -274,63 +318,101 @@ func (e *Engine) classify(prog *Program) {
 	prog.Incremental = ok
 }
 
-// RunStageFull recomputes every view from scratch — the path for the first
-// stage, program changes, and programs (or engines) that are not
-// incrementally maintainable. It clears the intensional relations, re-seeds
-// the externally supported and transient tuples the caller passes in, runs
-// the ordinary fixpoint, and diffs the rebuilt views against what the clear
-// dropped, so Result.Views carries exact deltas as on the incremental path.
-// Both sources of the caller's remote view are rebuilt too: the maintained
-// facts are retracted and derived again, and the event emissions diffed, so
-// Result.RemoteOut is exact as well.
-func (e *Engine) RunStageFull(prog *Program, seeds map[string][]value.Tuple, rv *RemoteView) *Result {
-	dropped := e.db.ClearIntensional()
-	for relID, ts := range seeds {
-		rel := relByID(e.db, relID)
-		if rel == nil {
-			continue
+// programDelta returns the rules of prog whose keys prev lacks (added) and
+// the rules of prev whose keys prog lacks (removed); nil stands for the empty
+// program. Rules with equal keys derive the same facts, so a recompilation
+// that only renumbers or reorders rules is no delta at all.
+func programDelta(prev, prog *Program) (added map[*CompiledRule]bool, removed []*CompiledRule) {
+	if prev == prog {
+		return nil, nil
+	}
+	if prev == nil {
+		prev = &Program{}
+	}
+	had, has := map[string]bool{}, map[string]bool{}
+	for _, cr := range prev.Rules {
+		had[cr.key] = true
+	}
+	added = map[*CompiledRule]bool{}
+	for _, cr := range prog.Rules {
+		has[cr.key] = true
+		added[cr] = !had[cr.key]
+	}
+	for _, cr := range prev.Rules {
+		if !has[cr.key] {
+			has[cr.key] = true // walk a duplicated rule once
+			removed = append(removed, cr)
 		}
-		for _, t := range ts {
-			if len(t) == rel.Schema().Arity() {
-				rel.Insert(t)
+	}
+	return added, removed
+}
+
+// RunStageFull rebuilds every view — the path for programs (or engines) that
+// are not incrementally maintainable. It clears the intensional relations,
+// keeps the tuples the caller still seeds (keep: externally supported and
+// transient ones; nil keeps none), runs the first build (the delta from the
+// empty program), and diffs the rebuilt views against what the clear
+// dropped, so Result.Views carries exact deltas as on the incremental path.
+// The caller's remote view is rebuilt too: the maintained facts are
+// retracted and derived again, and the event emissions diffed, so
+// Result.RemoteOut is exact as well.
+func (e *Engine) RunStageFull(prog *Program, keep func(relID, key string) bool, rv *RemoteView) *Result {
+	dropped := e.db.ClearIntensional()
+	for relID, old := range dropped {
+		for key, t := range old {
+			if keep != nil && keep(relID, key) {
+				e.db.GetID(relID).InsertKeyed(t, key)
 			}
 		}
 	}
 	rv.clearMaint()
-	st := e.newStageState()
-	st.rv = rv
-	res := st.out
-	if prog != nil {
-		e.runStage(prog, st)
-	}
+	e.views = prog
+	res := e.runDelta(nil, prog, nil, rv).out
 	for relID, old := range dropped {
-		if ins, del := relByID(e.db, relID).DiffSince(old); len(ins)+len(del) > 0 {
+		if ins, del := e.db.GetID(relID).DiffSince(old); len(ins)+len(del) > 0 {
 			if res.Views == nil {
 				res.Views = map[string]*ViewDelta{}
 			}
 			res.Views[relID] = &ViewDelta{Ins: ins, Del: del}
 		}
 	}
-	res.RemoteOut = rv.Diff(res.Remote)
 	return res
 }
 
 // RunStageIncremental maintains the materialized views from the stage's
-// base-fact deltas. Per stratum it (1) runs the over-delete/rederive pass
-// for the accumulated deletions, (2) runs semi-naive delta iterations of the
-// view and remote view rules over the accumulated insertions, and (3)
-// evaluates the event rules in full, cascading any local derivations they
-// add back through the view rules. The remote view facts the DRed passes
-// retracted get their rederive check at the end, against the stage's final
-// database. The caller must have run a full stage for this program before
-// (the views must be materialized and consistent), and passes the same
-// maintained remote view it passed there.
+// base-fact deltas and from the program delta between prog and the program
+// this engine's last RunStageIncremental or RunStageFull left them consistent
+// with — none before the first, so the first stage is the delta from the
+// empty program. The caller passes the same RemoteView every stage.
 func (e *Engine) RunStageIncremental(prog *Program, in *StageInput, rv *RemoteView) *Result {
+	prev := e.views
+	e.views = prog
+	st := e.runDelta(prev, prog, in, rv)
+	st.out.Views = e.netViews(st)
+	return st.out
+}
+
+// runDelta is the fixpoint driver. The views are consistent with prev (nil:
+// the empty program, as is a nil prog) over the store as it was before the
+// ingestion in describes. Deletions and deletion candidates are marked
+// first, and each removed rule that may derive into a view or the RemoteView
+// gets one over-delete walk (kindDRed with no delta position: every atom
+// ranges over relation ∪ ghosts). Per stratum it then (1) runs the
+// over-delete/rederive pass, which cascades those marks and checks them
+// against prog, (2) evaluates the added rules in full and runs the semi-naive
+// delta iterations, and (3) evaluates the event rules in full. Retracted
+// remote view facts are rederive-checked at the end, and a RemoteView, when
+// given, is diffed into Result.RemoteOut.
+func (e *Engine) runDelta(prev, prog *Program, in *StageInput, rv *RemoteView) *stageState {
+	if prog == nil {
+		prog = &Program{}
+	}
 	st := e.newStageState()
 	st.rv = rv
 	ic := &incrState{
 		in:       in,
 		seeded:   map[string]map[string]string{},
+		fresh:    map[string]bool{},
 		ghosts:   map[string]map[string]value.Tuple{},
 		marked:   map[string]map[string]value.Tuple{},
 		insNew:   map[string]map[string]value.Tuple{},
@@ -340,18 +422,8 @@ func (e *Engine) RunStageIncremental(prog *Program, in *StageInput, rv *RemoteVi
 	st.incr = ic
 	if in != nil {
 		for relID, ts := range in.Ins {
-			ic.stageIns[relID] = append(ic.stageIns[relID], ts...)
-			keys := in.InsKeys[relID]
-			s := make(map[string]string, len(ts))
-			for i, t := range ts {
-				if len(keys) == len(ts) {
-					s[keys[i]] = keys[i]
-				} else {
-					key := t.Key()
-					s[key] = key
-				}
-			}
-			ic.seeded[relID] = s
+			// Clipped: appending must not write into the caller's array.
+			ic.stageIns[relID] = ts[:len(ts):len(ts)]
 		}
 		for relID, ts := range in.Del {
 			for _, t := range ts {
@@ -367,7 +439,7 @@ func (e *Engine) RunStageIncremental(prog *Program, in *StageInput, rv *RemoteVi
 		// the insertion delta too, or the insert phase would derive from a
 		// tuple that no longer exists.
 		for relID, ts := range in.Cand {
-			rel := relByID(e.db, relID)
+			rel := e.db.GetID(relID)
 			if rel == nil {
 				continue
 			}
@@ -392,17 +464,33 @@ func (e *Engine) RunStageIncremental(prog *Program, in *StageInput, rv *RemoteVi
 			}
 		}
 	}
+	added, removed := programDelta(prev, prog)
+	if len(removed) > 0 {
+		ic.frontier = deltaSet{}
+		for _, cr := range removed {
+			if cr.MaybeView || cr.Remote {
+				st.planner.compiledFor(cr, kindDRed, -1).run(st, nil)
+			}
+		}
+		for relID, ts := range ic.frontier {
+			ic.stageDel[relID] = append(ic.stageDel[relID], ts...)
+		}
+	}
 
 	for _, stratum := range prog.Strata {
 		if len(stratum) == 0 {
 			continue
 		}
-		e.deletePhase(prog, stratum, st)
-		e.insertPhase(stratum, st, copyDelta(ic.stageIns))
+		e.deletePhase(prog, stratum, st, added)
+		e.insertPhase(stratum, st, maps.Clone(ic.stageIns), added)
 		// Event rules run on the maintained state. Their local derivations
 		// (variable-head rules) cascade back through the view rules until
 		// nothing new appears; emission dedup keeps outputs exact.
 		for {
+			if st.out.Iterations >= e.opts.MaxIterations {
+				st.errf("engine: fixpoint exceeded %d iterations; aborting stratum", e.opts.MaxIterations)
+				break
+			}
 			st.delta = deltaSet{}
 			for _, cr := range stratum {
 				if cr.Event {
@@ -417,11 +505,7 @@ func (e *Engine) RunStageIncremental(prog *Program, in *StageInput, rv *RemoteVi
 			for relID, ts := range newly {
 				ic.stageIns[relID] = append(ic.stageIns[relID], ts...)
 			}
-			e.insertPhase(stratum, st, newly)
-			if st.out.Iterations >= e.opts.MaxIterations {
-				st.errf("engine: fixpoint exceeded %d iterations; aborting stratum", e.opts.MaxIterations)
-				break
-			}
+			e.insertPhase(stratum, st, newly, nil)
 		}
 	}
 
@@ -440,9 +524,25 @@ func (e *Engine) RunStageIncremental(prog *Program, in *StageInput, rv *RemoteVi
 			rv.addMaint(m.dst, m.relID, m.key, m.args)
 		}
 	}
+	if rv != nil {
+		st.out.RemoteOut = rv.Diff(st.out.Remote)
+	}
+	return st
+}
 
-	// Net view deltas.
+// netViews returns the stage's net view deltas (nil when no view changed)
+// and counts its net retractions into Result.Retracted.
+func (e *Engine) netViews(st *stageState) map[string]*ViewDelta {
+	ic := st.incr
 	views := map[string]*ViewDelta{}
+	for relID, fresh := range ic.fresh {
+		if !fresh {
+			continue
+		}
+		if ins, _ := e.db.GetID(relID).DiffSince(nil); len(ins) > 0 {
+			views[relID] = &ViewDelta{Ins: ins}
+		}
+	}
 	for relID, m := range ic.insNew {
 		if len(m) == 0 {
 			continue
@@ -453,7 +553,7 @@ func (e *Engine) RunStageIncremental(prog *Program, in *StageInput, rv *RemoteVi
 		}
 	}
 	for relID, m := range ic.marked {
-		if len(m) == 0 {
+		if len(m) == 0 || ic.fresh[relID] {
 			continue
 		}
 		vd := viewDeltaFor(views, relID)
@@ -462,11 +562,10 @@ func (e *Engine) RunStageIncremental(prog *Program, in *StageInput, rv *RemoteVi
 			st.out.Retracted++
 		}
 	}
-	if len(views) > 0 {
-		st.out.Views = views
+	if len(views) == 0 {
+		return nil
 	}
-	st.out.RemoteOut = rv.Diff(st.out.Remote)
-	return st.out
+	return views
 }
 
 func viewDeltaFor(views map[string]*ViewDelta, relID string) *ViewDelta {
@@ -480,13 +579,15 @@ func viewDeltaFor(views map[string]*ViewDelta, relID string) *ViewDelta {
 
 // insertPhase runs the semi-naive delta iterations of the stratum's view
 // and remote view rules, seeded with the given delta, accumulating every new
-// local derivation into the stage-wide insertion set.
-func (e *Engine) insertPhase(stratum []*CompiledRule, st *stageState, seed deltaSet) {
-	if len(seed) == 0 {
+// local derivation into the stage-wide insertion set. Its first round
+// evaluates the added rules in full instead: nothing they derive is
+// materialized yet, and the full walk already sees the seed.
+func (e *Engine) insertPhase(stratum []*CompiledRule, st *stageState, seed deltaSet, added map[*CompiledRule]bool) {
+	if len(seed) == 0 && added == nil {
 		return
 	}
 	st.delta = seed
-	for len(st.delta) > 0 {
+	for first := true; first || len(st.delta) > 0; first = false {
 		if st.out.Iterations >= e.opts.MaxIterations {
 			st.errf("engine: fixpoint exceeded %d iterations; aborting stratum", e.opts.MaxIterations)
 			return
@@ -494,7 +595,11 @@ func (e *Engine) insertPhase(stratum []*CompiledRule, st *stageState, seed delta
 		prev := st.delta
 		st.delta = deltaSet{}
 		for _, cr := range stratum {
-			if !cr.Event {
+			switch {
+			case cr.Event:
+			case first && added[cr]:
+				e.evalRule(cr, st, -1, nil)
+			default:
 				forDeltaPositions(cr, prev, func(j int) { e.evalRule(cr, st, j, prev) })
 			}
 		}
@@ -511,16 +616,15 @@ func (e *Engine) insertPhase(stratum []*CompiledRule, st *stageState, seed delta
 // database, i.e. relation ∪ ghosts; a fully matched body marks the produced
 // head as over-deleted), then rederive the over-deleted tuples that still
 // have standing support. A remote view rule's match retracts its head from
-// the RemoteView instead; RunStageIncremental checks those at the end.
-func (e *Engine) deletePhase(prog *Program, stratum []*CompiledRule, st *stageState) {
+// the RemoteView instead; runDelta checks those at the end. Added rules take
+// no part: nothing they derive is materialized yet.
+func (e *Engine) deletePhase(prog *Program, stratum []*CompiledRule, st *stageState, added map[*CompiledRule]bool) {
 	ic := st.incr
-	frontier := copyDelta(ic.stageDel)
-	// Candidates marked before the strata ran (already in ic.marks) must be
-	// rederivation-checked too: a tuple that lost its external support but
-	// still has a local derivation stays. (Checked in the first stratum; a
-	// check against not-yet-maintained later strata self-corrects — a
-	// wrongly kept tuple is re-marked when its support is over-deleted, a
-	// wrongly deleted one is re-derived by the insert pass.)
+	frontier := maps.Clone(ic.stageDel)
+	// Candidates and removed rules' marks (already in ic.marks) are checked
+	// in the first stratum; a check against not-yet-maintained later strata
+	// self-corrects — a wrongly kept tuple is re-marked when its support is
+	// over-deleted, a wrongly deleted one is re-derived by the insert pass.
 	for len(frontier) > 0 {
 		if st.out.Iterations >= e.opts.MaxIterations {
 			st.errf("engine: deletion pass exceeded %d iterations; aborting stratum", e.opts.MaxIterations)
@@ -528,7 +632,7 @@ func (e *Engine) deletePhase(prog *Program, stratum []*CompiledRule, st *stageSt
 		}
 		ic.frontier = deltaSet{}
 		for _, cr := range stratum {
-			if !cr.MaybeView && !cr.Remote {
+			if !cr.MaybeView && !cr.Remote || added[cr] {
 				continue
 			}
 			forDeltaPositions(cr, frontier, func(j int) {
@@ -569,7 +673,7 @@ func (e *Engine) rederive(prog *Program, st *stageState, marks []relTuple) {
 				m.relID = ""
 				continue
 			}
-			rel := relByID(e.db, m.relID)
+			rel := e.db.GetID(m.relID)
 			if rel == nil {
 				continue
 			}
@@ -688,26 +792,14 @@ func (e *Engine) produceDelete(cr *CompiledRule, env []value.Value, st *stageSta
 	ic.frontier[relID] = append(ic.frontier[relID], t)
 }
 
-// dropKeys removes every tuple whose key is in keys from the slice, encoding
-// each tuple's key once.
+// dropKeys returns the tuples of ts whose key is not in keys, in a new
+// slice, encoding each tuple's key once.
 func dropKeys(ts []value.Tuple, keys map[string]bool) []value.Tuple {
-	out := ts[:0]
+	out := make([]value.Tuple, 0, len(ts))
 	for _, t := range ts {
 		if !keys[t.Key()] {
 			out = append(out, t)
 		}
 	}
 	return out
-}
-
-func copyDelta(d deltaSet) deltaSet {
-	out := make(deltaSet, len(d))
-	for k, v := range d {
-		out[k] = append([]value.Tuple(nil), v...)
-	}
-	return out
-}
-
-func relByID(db *store.Store, relID string) *store.Relation {
-	return db.GetID(relID)
 }

@@ -35,9 +35,8 @@ func newIncrHarness(t *testing.T, decls []string, rules []ast.Rule) *incrHarness
 	return h
 }
 
-// full runs a rebuild stage of prog — a first stage or a program change —
-// and makes it the harness's program, verifying the reported view deltas
-// exactly as step does.
+// full runs a RunStageFull rebuild of prog and makes it the harness's
+// program, verifying the reported view deltas exactly as step does.
 func (h *incrHarness) full(prog *Program) *Result {
 	h.t.Helper()
 	before := h.snapshotViews()
@@ -71,6 +70,14 @@ func (h *incrHarness) step(ins, del []ast.Fact) *Result {
 	checkNoErrors(h.t, res)
 	h.checkViewDeltas(before, res)
 	return res
+}
+
+// change makes prog the harness's program through an incremental stage with
+// no base-fact change — the program delta against the previous program —
+// verifying the reported view deltas exactly as step does.
+func (h *incrHarness) change(prog *Program) *Result {
+	h.prog = prog
+	return h.step(nil, nil)
 }
 
 func (h *incrHarness) snapshotViews() map[string]map[string]bool {
@@ -197,6 +204,107 @@ func TestFullStageReportsViewDeltas(t *testing.T) {
 	}
 	if res := h.full(h.prog); res.Views != nil {
 		t.Fatalf("an unchanged rebuild reported %v", res.Views)
+	}
+}
+
+// TestProgramDeltaReportsViewDeltas: the first stage is the delta from the
+// empty program, and a program change is maintained, not rebuilt: removing a
+// rule retracts exactly what only it derived, adding one derives exactly
+// what is new, and a recompilation that renumbers and reorders the same
+// rules derives and retracts nothing.
+func TestProgramDeltaReportsViewDeltas(t *testing.T) {
+	e, db := testEnv(t, DefaultOptions(), "ext edge(a,b)", "int tc(a,b)")
+	for _, f := range []ast.Fact{edge("a", "b"), edge("b", "c"), edge("c", "d")} {
+		db.Get(f.Rel, f.Peer).Insert(f.Args)
+	}
+	renumbered := tcRules(t)
+	renumbered[0], renumbered[1] = renumbered[1], renumbered[0]
+	h := &incrHarness{t: t, e: e, db: db, rv: NewRemoteView()}
+	for i, c := range []struct {
+		rules                    []ast.Rule
+		ins, del, derived, retra int
+	}{
+		{tcRules(t), 6, 0, 6, 0},     // first stage
+		{tcRules(t)[:1], 0, 3, 0, 3}, // drop the recursive rule: the direct edges stay
+		{tcRules(t), 3, 0, 3, 0},     // and back
+		{renumbered, 0, 0, 0, 0},
+	} {
+		prog, err := e.CompileProgram(c.rules)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := h.change(prog)
+		var ins, del int
+		if vd := res.Views["tc@local"]; vd != nil {
+			ins, del = len(vd.Ins), len(vd.Del)
+		}
+		if ins != c.ins || del != c.del || res.Derived != c.derived || res.Retracted != c.retra {
+			t.Fatalf("change %d: +%d -%d, derived %d, retracted %d; want +%d -%d, derived %d, retracted %d",
+				i, ins, del, res.Derived, res.Retracted, c.ins, c.del, c.derived, c.retra)
+		}
+	}
+}
+
+// TestProgramDeltaLeavesOtherViewsAlone: adding a remote view rule and
+// removing it again — a delegation arriving and being withdrawn — derives
+// nothing into an unrelated view, and ships the rule's facts as maintained
+// inserts, then as maintained deletes.
+func TestProgramDeltaLeavesOtherViewsAlone(t *testing.T) {
+	e, db := testEnv(t, DefaultOptions(), "ext src(x)", "int big(x)", "ext pic(x)")
+	for i := 0; i < 500; i++ {
+		db.Get("src", "local").Insert(value.Tuple{value.Int(int64(i))})
+	}
+	db.Get("pic", "local").Insert(value.Tuple{value.Int(1)})
+	db.Get("pic", "local").Insert(value.Tuple{value.Int(2)})
+	compile := func(srcs ...string) *Program {
+		prog, err := e.CompileProgram(mustRules(t, srcs...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog
+	}
+	const big, album = `big@local($x) :- src@local($x);`, `album@far($x) :- pic@local($x);`
+	h := &incrHarness{t: t, e: e, db: db, rv: NewRemoteView()}
+	if res := h.change(compile(big)); res.Derived != 500 {
+		t.Fatalf("first stage derived %d, want 500", res.Derived)
+	}
+	for _, c := range []struct {
+		prog *Program
+		op   ast.UpdateOp
+	}{{compile(big, album), ast.Derive}, {compile(big), ast.Delete}} {
+		res := h.change(c.prog)
+		if res.Derived != 0 || res.Views != nil {
+			t.Fatalf("program change derived %d into the views (%v), want 0", res.Derived, res.Views)
+		}
+		if ops := res.RemoteOut["far"]; len(ops) != 2 || ops[0].Op != c.op || !ops[0].Maint || ops[1].Op != c.op || !ops[1].Maint {
+			t.Fatalf("RemoteOut = %v, want two maintained %v ops", ops, c.op)
+		}
+	}
+}
+
+// TestRemovedNegationRuleRetracts: a view rule with negation needs rebuilds,
+// and a change that removes it goes back to maintenance. The removed rule's
+// over-delete walk must let its negated atom pass: here the negated tuple
+// arrives in the same stage, so a walk testing the atom against the current
+// store would find no derivation to retract.
+func TestRemovedNegationRuleRetracts(t *testing.T) {
+	e, db := testEnv(t, DefaultOptions(), "ext a(x)", "ext b(x)", "int v(x)")
+	one := value.Tuple{value.Int(1)}
+	db.Get("a", "local").Insert(one)
+	old, err := e.CompileProgram(mustRules(t, `v@local($x) :- a@local($x), not b@local($x);`))
+	if err != nil || old.Incremental {
+		t.Fatalf("compile: %v (incremental %v, want a rebuild program)", err, old.Incremental)
+	}
+	rv := NewRemoteView()
+	e.RunStageFull(old, nil, rv)
+	next, err := e.CompileProgram(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Get("b", "local").Insert(one)
+	res := e.RunStageIncremental(next, &StageInput{Ins: map[string][]value.Tuple{"b@local": {one}}}, rv)
+	if n := db.Get("v", "local").Len(); n != 0 || res.Retracted != 1 {
+		t.Fatalf("v holds %d tuples after its only rule went, retracted %d; want 0 and 1", n, res.Retracted)
 	}
 }
 

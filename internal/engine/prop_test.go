@@ -332,7 +332,8 @@ func randomBatches(rnd *rand.Rand, n, domain int, delegating bool) [][]FactOp {
 // exactly what the reference evaluator produces: view contents, the remote
 // facts its RemoteOut sequence leaves at each destination, Result.Delegations,
 // Result.LocalUpdates and Result.Errors, after the initial stage and after
-// each of 10 random insert/delete batches.
+// each of 10 random insert/delete batches — across a program change: one
+// random rule is replaced by another at batch 3 and restored at batch 7.
 func TestProductionEquivalentToReference(t *testing.T) {
 	rnd := rand.New(rand.NewSource(20130523)) // SIGMOD'13 demo week
 	delegating, incremental, remote := 0, 0, 0
@@ -349,6 +350,13 @@ func TestProductionEquivalentToReference(t *testing.T) {
 		} else {
 			schemas, tuples, rules = randomStratifiedProgram(rnd, 1+rnd.Intn(3), 1+rnd.Intn(5), 5+rnd.Intn(30), domain)
 		}
+		// A rule of a second program over the same relations replaces a
+		// random rule at batch 3, and the original comes back at batch 7.
+		gen := randomStratifiedProgram
+		if trial%2 == 0 {
+			gen = randomProgram // its positive rules may form any cycle
+		}
+		_, _, alt := gen(rnd, len(schemas)-1, 1+rnd.Intn(3), 0, domain)
 		var facts []ast.Fact
 		withDeleg := trial%3 != 0
 		if withDeleg {
@@ -358,7 +366,12 @@ func TestProductionEquivalentToReference(t *testing.T) {
 		for _, tp := range tuples {
 			facts = append(facts, ast.Fact{Rel: "e", Peer: "local", Args: tp})
 		}
-		incr, rv := checkAgainstReference(t, fmt.Sprintf("trial %d", trial), schemas, facts, rules, randomBatches(rnd, 10, domain, withDeleg))
+		replaced := append([]ast.Rule(nil), rules...)
+		k := rnd.Intn(len(replaced))
+		replaced[k] = alt[rnd.Intn(len(alt))]
+		replaced[k].ID = rules[k].ID
+		edits := map[int][]ast.Rule{3: replaced, 7: rules}
+		incr, rv := checkAgainstReference(t, fmt.Sprintf("trial %d", trial), schemas, facts, rules, randomBatches(rnd, 10, domain, withDeleg), edits)
 		if incr {
 			incremental++
 		}
@@ -594,10 +607,14 @@ func remoteOutText(out map[string][]RemoteOp, oneShot bool) string {
 // replayed stage by stage into a per-destination replica, must leave exactly
 // what the reference stage emits, ship exactly its one-shot deletes, and
 // keep the RemoteView's summary trees equal to the replica's digests; the
-// two paths must ship the same ops. It reports whether the program was
-// incrementally maintainable (otherwise the "incremental" engine recomputed
-// too) and whether it had a remote view rule.
-func checkAgainstReference(t testing.TB, label string, schemas []store.Schema, facts []ast.Fact, rules []ast.Rule, batches [][]FactOp) (incremental, remote bool) {
+// two paths must ship the same ops. edits[i], when present, is the whole
+// rule set every world recompiles to before batch i: a program change the
+// incremental engine maintains as a program delta. The incremental world's
+// first stage is a RunStageIncremental too — the delta from the empty
+// program. It reports whether the program was incrementally maintainable at
+// every stage (otherwise the "incremental" engine recomputed too) and
+// whether it had a remote view rule.
+func checkAgainstReference(t testing.TB, label string, schemas []store.Schema, facts []ast.Fact, rules []ast.Rule, batches [][]FactOp, edits map[int][]ast.Rule) (incremental, remote bool) {
 	t.Helper()
 	full := DefaultOptions()
 	full.Incremental = false
@@ -661,23 +678,35 @@ func checkAgainstReference(t testing.TB, label string, schemas []store.Schema, f
 			}
 		}
 	}
-	compare(-1, incr.e.RunStageFull(incr.prog, nil, rvI), reco.e.RunStageFull(reco.prog, nil, rvR))
+	incremental = true
+	stage := func(in *StageInput) *Result {
+		for _, cr := range incr.prog.Rules {
+			remote = remote || cr.Remote
+		}
+		if !incr.prog.Incremental {
+			incremental = false
+			return incr.e.RunStageFull(incr.prog, nil, rvI)
+		}
+		return incr.e.RunStageIncremental(incr.prog, in, rvI)
+	}
+	compare(-1, stage(nil), reco.e.RunStageFull(reco.prog, nil, rvR))
 	for step, b := range batches {
+		if edit, ok := edits[step]; ok {
+			rules = edit
+			for _, w := range []*refWorld{incr, reco, ref} {
+				prog, err := w.e.CompileProgram(rules)
+				if err != nil {
+					t.Fatalf("%s step %d: compile edit: %v\nrules: %v", label, step, err, rules)
+				}
+				w.prog = prog
+			}
+		}
 		in := incr.apply(b)
 		reco.apply(b)
 		ref.apply(b)
-		var resI *Result
-		if incr.prog.Incremental {
-			resI = incr.e.RunStageIncremental(incr.prog, in, rvI)
-		} else {
-			resI = incr.e.RunStageFull(incr.prog, nil, rvI)
-		}
-		compare(step, resI, reco.e.RunStageFull(reco.prog, nil, rvR))
+		compare(step, stage(in), reco.e.RunStageFull(reco.prog, nil, rvR))
 	}
-	for _, cr := range incr.prog.Rules {
-		remote = remote || cr.Remote
-	}
-	return incr.prog.Incremental, remote
+	return incremental, remote
 }
 
 // TestMaxIterationsGuard verifies the runaway-fixpoint safety net.

@@ -405,9 +405,10 @@ func (w *replayWorld) check(step int) {
 // every streamed delta applied equals Query for every subscribed relation,
 // whatever produced the change — extensional inserts and deletes, maintained
 // and transient seeds from another peer, wrapper-hook pulls, program
-// changes flipping a rule into and out of negation (forcing rebuilds), on a
-// peer maintaining its views incrementally and on a peer with Incremental
-// off that rebuilds them every stage. Each op is two bytes (kind, value); the kind's
+// changes flipping a rule into and out of negation (into it, every stage
+// rebuilds the views; out of it, the change is a program delta that removes
+// the negated rule), on a peer maintaining its views incrementally and on a
+// peer with Incremental off that rebuilds them every stage. Each op is two bytes (kind, value); the kind's
 // high bit ends the stage after the op, so ops also coalesce in one stage.
 func FuzzSubscriptionReplay(f *testing.F) {
 	f.Add([]byte{0x80, 0x01, 0x80, 0x12, 0x81, 0x01})                                     // links, then a deletion cascading through reach

@@ -602,3 +602,105 @@ func TestDelegatedRuleStaysODelta(t *testing.T) {
 		t.Fatalf("a round trip allocates %.0f with 5000 pictures, %.0f with 500: the delegated rule is not maintained in O(δ)", large, small)
 	}
 }
+
+// TestDelegationIsAProgramDelta: installing, withdrawing and re-sending a
+// delegation changes the program at a peer, and a program change is a
+// program delta to its views, not a rebuild. When jules selects emilien, the
+// §2 rule's residual arrives at emilien, whose stage ships the three
+// pictures as maintained inserts and derives nothing into its unrelated
+// 5 000-row view; unselecting withdraws it, and the stage ships maintained
+// deletes, again deriving nothing. A plain ResyncRequestMsg from emilien
+// makes jules re-send the delegation, and that stage derives nothing into
+// jules' own 5 000-row view either.
+func TestDelegationIsAProgramDelta(t *testing.T) {
+	const rows = 5000
+	n := NewSequentialNetwork()
+	peers := map[string]*Peer{}
+	for _, name := range []string{"emilien", "jules"} {
+		p, err := n.NewPeer(Config{Name: name, ResyncInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		peers[name] = p
+		if err := p.LoadSource(fmt.Sprintf(`
+			relation extensional src@%[1]s(x);
+			relation intensional big@%[1]s(x);
+			big@%[1]s($x) :- src@%[1]s($x);
+		`, name)); err != nil {
+			t.Fatal(err)
+		}
+		b := engine.NewBatch()
+		for i := 0; i < rows; i++ {
+			b.Insert(ast.NewFact("src", name, value.Int(int64(i))))
+		}
+		if err := p.Apply(context.Background(), b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	emilien, jules := peers["emilien"], peers["jules"]
+	if err := emilien.LoadSource(`
+		relation extensional pictures@emilien(id, name);
+		pictures@emilien(1, "sea.jpg");
+		pictures@emilien(2, "sky.jpg");
+		pictures@emilien(3, "sun.jpg");
+	`); err != nil {
+		t.Fatal(err)
+	}
+	if err := jules.LoadSource(`
+		relation extensional selectedAttendee@jules(attendee);
+		relation intensional attendeePictures@jules(id, name);
+		attendeePictures@jules($id, $name) :- selectedAttendee@jules($a), pictures@$a($id, $name);
+	`); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, n)
+	for _, p := range peers {
+		if got := len(p.Query("big")); got != rows {
+			t.Fatalf("%s: big holds %d rows, want %d", p.Name(), got, rows)
+		}
+	}
+	maintained := func() int {
+		jules.mu.Lock()
+		defer jules.mu.Unlock()
+		return len(jules.sessionLocked("emilien").ledgerKeys("attendeePictures@jules"))
+	}
+
+	for _, c := range []struct {
+		op   func(string) error
+		want int // pictures jules holds, each maintained by emilien
+	}{{jules.InsertString, 3}, {jules.DeleteString, 0}} {
+		if err := c.op(`selectedAttendee@jules("emilien");`); err != nil {
+			t.Fatal(err)
+		}
+		if rep := jules.RunStage(); rep.DelegationsSent != 1 {
+			t.Fatalf("jules sent %d delegation messages, want 1", rep.DelegationsSent)
+		}
+		rep := emilien.RunStage()
+		if !rep.Ran || rep.Derived != 0 || rep.FactsSent != 3 || len(rep.Errors) > 0 {
+			t.Fatalf("emilien's stage: ran %v, derived %d, shipped %d facts, errors %v; want derived 0, 3 facts",
+				rep.Ran, rep.Derived, rep.FactsSent, rep.Errors)
+		}
+		quiesce(t, n)
+		if got, ledger := len(jules.Query("attendeePictures")), maintained(); got != c.want || ledger != c.want {
+			t.Fatalf("jules holds %d pictures, %d of them maintained by emilien; want %d", got, ledger, c.want)
+		}
+	}
+
+	if err := jules.InsertString(`selectedAttendee@jules("emilien");`); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, n)
+	emilien.mu.Lock()
+	emilien.outbox.EnqueueControl("jules", protocol.ResyncRequestMsg{})
+	emilien.mu.Unlock()
+	emilien.RunStage() // nothing to do, but a sync peer flushes its outbox
+	rep := jules.RunStage()
+	if !rep.Ran || rep.Derived != 0 || rep.DelegationsSent != 1 || len(rep.Errors) > 0 {
+		t.Fatalf("jules' stage serving the request: ran %v, derived %d, sent %d delegation messages, errors %v; want derived 0, 1 message",
+			rep.Ran, rep.Derived, rep.DelegationsSent, rep.Errors)
+	}
+	quiesce(t, n)
+	if got := len(jules.Query("attendeePictures")); got != 3 {
+		t.Fatalf("jules holds %d pictures after the resync, want 3", got)
+	}
+}

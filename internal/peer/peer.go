@@ -270,10 +270,6 @@ type Peer struct {
 	// pm caches the hot-path metric children (nil = metrics disabled).
 	pm *peerMetrics
 
-	// needRebuild forces the next stage to recompute the materialized views
-	// from scratch (first stage, program changes). Incremental maintenance
-	// resumes afterwards.
-	needRebuild bool
 	// transient holds "rel@peer" -> key -> tuple for transient intensional
 	// seeds awaiting expiry at the next stage that runs; freshTransient
 	// collects the marks of the ingestion in progress.
@@ -297,7 +293,6 @@ type Peer struct {
 	resyncEvery time.Duration
 
 	lastSentDeleg map[string]map[string]string // ruleID -> target -> set fingerprint
-	ranOnce       bool
 	poked         bool
 	hooks         Hooks
 	stats         Stats
@@ -361,7 +356,7 @@ func New(cfg Config, ep transport.Endpoint) (*Peer, error) {
 		lastSentDeleg: make(map[string]map[string]string),
 		wake:          make(chan struct{}, 1),
 		subs:          make(map[int]*subscription),
-		needRebuild:   true,
+		progDirty:     true, // the first stage compiles, rules or not
 	}
 	p.supported = p.supportedLocked
 	p.intern = cfg.Interner
@@ -1090,15 +1085,15 @@ func (p *Peer) QueryFacts(relName string) []ast.Fact {
 }
 
 // HasWork reports whether a stage would make progress: unread inbox
-// messages, staged updates, transient seeds, program changes, or the very
-// first stage.
+// messages, staged updates, transient seeds, or program changes (the very
+// first stage compiles one).
 func (p *Peer) HasWork() bool {
 	if p.ep.Pending() > 0 {
 		return true
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.pendingOps) > 0 || p.progDirty || !p.ranOnce || p.poked
+	return len(p.pendingOps) > 0 || p.progDirty || p.poked
 }
 
 // OutboxPending returns the number of outgoing messages not yet acknowledged

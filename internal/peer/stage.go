@@ -1,11 +1,13 @@
 package peer
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"maps"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/acl"
@@ -122,11 +124,13 @@ func (d *stageDeltas) engineInput() *engine.StageInput {
 // When the program is incrementally maintainable (engine.Options.Incremental
 // and no negation through views), derived relations stay materialized
 // between stages and the engine maintains them from this stage's base-fact
-// deltas — local updates, arrivals and wrapper pulls
-// alike; otherwise (and on the first stage and after program changes) the
-// stage recomputes the views from scratch, re-seeding externally supported
-// and freshly arrived transient facts. Both paths report the exact view
-// deltas subscriptions stream.
+// deltas — local updates, arrivals and wrapper pulls alike — and from the
+// program delta since the last stage: the first stage builds the views as
+// the delta from the empty program, and a delegation installed, withdrawn
+// or dropped costs the rules it adds or removes, not a rebuild. Otherwise
+// every stage rebuilds the views, re-seeding externally supported and
+// freshly arrived transient facts. Both paths report the exact view deltas
+// subscriptions stream.
 func (p *Peer) RunStage() *StageReport {
 	rep := p.runStageLocked()
 	// Sync-emit peers flush everything the stage (or a skipped stage's ack
@@ -152,10 +156,6 @@ func (p *Peer) runStageLocked() *StageReport {
 	changed := p.ingestLocked(rep, d)
 	if p.progDirty {
 		p.compileLocked(rep)
-		p.needRebuild = true
-		changed = true
-	}
-	if !p.ranOnce {
 		changed = true
 	}
 	rep.Ingest = time.Since(startIngest)
@@ -174,27 +174,23 @@ func (p *Peer) runStageLocked() *StageReport {
 
 	p.stageNo++
 	rep.Stage = p.stageNo
-	p.ranOnce = true
 	rep.Ran = true
 
-	// Step 2: fixpoint — incremental view maintenance on the fast path,
-	// recompute-from-scratch on the first stage, after program changes, and
-	// for programs outside the incremental envelope (negation through views,
-	// Options.Incremental off). Either way the result carries the stage's
-	// exact view deltas.
+	// Step 2: fixpoint (see RunStage).
 	startFix := time.Now()
 	var res *engine.Result
-	if p.prog != nil && p.prog.Incremental && !p.needRebuild {
+	if p.prog.Incremental {
 		p.expireTransientsLocked(d)
 		in := d.engineInput()
 		in.Supported = p.supported
 		res = p.eng.RunStageIncremental(p.prog, in, p.rv)
 	} else {
-		res = p.eng.RunStageFull(p.prog, p.rebuildSeedsLocked(), p.rv)
+		res = p.eng.RunStageFull(p.prog, func(relID, key string) bool {
+			return p.supportedLocked(relID, key) || p.freshTransient[relID][key] != nil
+		}, p.rv)
 	}
 	p.transient = p.freshTransient
 	p.freshTransient = nil
-	p.needRebuild = false
 	rep.Fixpoint = time.Since(startFix)
 	rep.Derived = res.Derived
 	rep.Retracted = res.Retracted
@@ -254,39 +250,6 @@ func (p *Peer) expireTransientsLocked(d *stageDeltas) {
 		}
 	}
 	p.transient = nil
-}
-
-// rebuildSeedsLocked returns the facts a from-scratch recomputation must
-// re-insert after clearing the views: tuples maintained by remote senders —
-// the keys of the senders' session ledgers, decoded — and transient seeds
-// that arrived for this stage.
-func (p *Peer) rebuildSeedsLocked() map[string][]value.Tuple {
-	seeds := map[string][]value.Tuple{}
-	for _, rel := range p.db.RelationsOf(p.name) {
-		if rel.Kind() != ast.Intensional {
-			continue
-		}
-		relID := rel.Schema().ID()
-		seen := map[string]bool{}
-		for _, s := range p.inbound {
-			for _, key := range s.ledgerKeys(relID) {
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				// The ledger holds the keys it built itself: they decode.
-				if t, err := value.DecodeKey(key); err == nil {
-					seeds[relID] = append(seeds[relID], t)
-				}
-			}
-		}
-	}
-	for relID, marks := range p.freshTransient {
-		for _, t := range marks {
-			seeds[relID] = append(seeds[relID], t)
-		}
-	}
-	return seeds
 }
 
 // ingestLocked performs step 1 of the stage — applying staged local
@@ -998,7 +961,7 @@ func (p *Peer) applyOpsLocked(ops []ingestOp, rep *StageReport, d *stageDeltas) 
 		f := op.fact
 		rel := p.db.Get(f.Rel, p.name)
 		if rel == nil && !op.del {
-			schema := store.Schema{Name: f.Rel, Peer: p.name, Kind: ast.Extensional, Cols: genericCols(len(f.Args))}
+			schema := store.Schema{Name: f.Rel, Peer: p.name, Kind: ast.Extensional, Cols: store.GenericCols(len(f.Args))}
 			var err error
 			if rel, err = p.db.Declare(schema); err != nil {
 				rep.Errors = append(rep.Errors, err)
@@ -1163,17 +1126,9 @@ func (p *Peer) applyFactLocked(op ingestOp, rep *StageReport, d *stageDeltas) bo
 func (p *Peer) compileLocked(rep *StageReport) {
 	all := make([]ast.Rule, 0, len(p.ownRules)+len(p.delegated))
 	all = append(all, p.ownRules...)
-	keys := make([]delegationKey, 0, len(p.delegated))
-	for k := range p.delegated {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Origin != keys[j].Origin {
-			return keys[i].Origin < keys[j].Origin
-		}
-		return keys[i].RuleID < keys[j].RuleID
-	})
-	for _, k := range keys {
+	for _, k := range slices.SortedFunc(maps.Keys(p.delegated), func(a, b delegationKey) int {
+		return cmp.Or(strings.Compare(a.Origin, b.Origin), strings.Compare(a.RuleID, b.RuleID))
+	}) {
 		all = append(all, p.delegated[k]...)
 	}
 	prog, errs := p.eng.CompileRules(all)
@@ -1183,6 +1138,9 @@ func (p *Peer) compileLocked(rep *StageReport) {
 		var errs2 []error
 		prog, errs2 = p.eng.CompileRules(p.ownRules)
 		errs = append(errs, errs2...)
+	}
+	if prog == nil {
+		prog, _ = p.eng.CompileRules(nil) // no rules at all still stratifies
 	}
 	p.compileErr = errs
 	for _, err := range errs {
@@ -1272,14 +1230,6 @@ func fingerprint(rules []ast.Rule) string {
 		sb = append(sb, '\n')
 	}
 	return string(sb)
-}
-
-func genericCols(n int) []string {
-	cols := make([]string, n)
-	for i := range cols {
-		cols[i] = fmt.Sprintf("c%d", i)
-	}
-	return cols
 }
 
 // Run drives the peer until ctx is cancelled: stages run whenever there is

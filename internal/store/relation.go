@@ -33,6 +33,16 @@ type Schema struct {
 // Arity returns the number of columns.
 func (s Schema) Arity() int { return len(s.Cols) }
 
+// GenericCols returns placeholder column names c0..c(n-1) for a relation
+// discovered at run time — a fact or a rule head naming an undeclared one.
+func GenericCols(n int) []string {
+	cols := make([]string, n)
+	for i := range cols {
+		cols[i] = fmt.Sprintf("c%d", i)
+	}
+	return cols
+}
+
 // ID returns the canonical "name@peer" identifier.
 func (s Schema) ID() string { return s.Name + "@" + s.Peer }
 

@@ -69,13 +69,14 @@
 // derivation and single-fact updates cost the size of the change rather
 // than the size of the database. Remote derivations ship as maintained
 // insert/retract deltas with per-sender support tracked at the receiver.
-// Wrapper pulls are ordinary ingestion and stay on this path. What still
-// recomputes the views from scratch is the first stage, a program change
-// (a rule added, removed or replaced, a delegation installed or
-// withdrawn), a program with negation through a view, and
-// EngineOptions.Incremental turned off (the reference the view_maint
-// benchmark workload is checked against). Recompute stages report the same
-// exact view deltas, so subscriptions stream alike on both paths. Every peer
+// Wrapper pulls are ordinary ingestion and stay on this path, and so does a
+// program change (a rule added, removed or replaced, a delegation installed
+// or withdrawn): it is a program delta, and the first stage is the delta
+// from the empty program. What still rebuilds the views every stage is a
+// program with negation through a view, and EngineOptions.Incremental
+// turned off (the reference the view_maint benchmark workload is checked
+// against). Rebuilding stages report the same exact view deltas, so
+// subscriptions stream alike on both paths. Every peer
 // answers provenance questions (Peer.Why, Peer.BaseSupports) on demand from
 // the maintained store. See docs/architecture.md.
 //
