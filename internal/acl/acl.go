@@ -14,6 +14,7 @@ package acl
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -48,7 +49,7 @@ func (d Decision) String() string {
 
 // Policy decides what to do with delegations arriving from a peer.
 type Policy interface {
-	// DecideDelegation is consulted for each incoming delegation set.
+	// DecideDelegation is consulted for each incoming residual.
 	DecideDelegation(origin string) Decision
 }
 
@@ -111,12 +112,22 @@ type ClosedPolicy struct{}
 // DecideDelegation implements Policy.
 func (ClosedPolicy) DecideDelegation(string) Decision { return Reject }
 
-// PendingDelegation is a delegation held in the approval queue.
+// Residual is one delegated rule as the controller sees it. The unit a user
+// approves is the origin's source rule (Origin, RuleID), which delegates its
+// residuals one at a time; Key identifies the residual itself.
+type Residual struct {
+	Origin, RuleID, Key string
+	Rule                ast.Rule
+}
+
+// PendingDelegation is a delegation held in the approval queue: the
+// residuals of one (origin, rule) received and not withdrawn so far.
 type PendingDelegation struct {
 	ID     int
 	Origin string
 	RuleID string
 	Rules  []ast.Rule
+	keys   []string // Rules[i] is the residual keys[i]
 }
 
 // String renders the pending entry the way the demo UI shows it.
@@ -128,19 +139,17 @@ func (p PendingDelegation) String() string {
 	return s
 }
 
-// InstallFunc applies an accepted delegation: it replaces the rule set
-// delegated by (origin, ruleID) at the local peer.
-type InstallFunc func(origin, ruleID string, rules []ast.Rule)
-
 // Controller mediates between incoming delegations and the local program,
-// implementing the approval queue of Figure 3.
+// implementing the approval queue of Figure 3. It only decides: the peer
+// installs what it accepts, one residual at a time, under its own stage.
 type Controller struct {
-	policy  Policy
-	install InstallFunc
+	policy Policy
+	ready  func()
 
 	mu       sync.Mutex
 	pending  map[string]*PendingDelegation // key = origin+"\x00"+ruleID
-	accepted map[string]bool               // keys whose updates now auto-apply
+	accepted map[string]bool               // keys whose residuals now auto-apply
+	approved []Residual                    // held, then accepted: for the peer's next stage
 	nextID   int
 	rejected int
 }
@@ -148,15 +157,16 @@ type Controller struct {
 // ErrNoSuchDelegation is returned by Accept/Reject for unknown queue ids.
 var ErrNoSuchDelegation = errors.New("acl: no such pending delegation")
 
-// NewController builds a controller with the given policy. install is
-// called, possibly from Accept, to apply a delegation to the local program.
-func NewController(policy Policy, install InstallFunc) *Controller {
+// NewController builds a controller with the given policy. Accept calls
+// ready, outside the controller's lock, once the residuals it approved await
+// installation (TakeApproved).
+func NewController(policy Policy, ready func()) *Controller {
 	if policy == nil {
 		policy = OpenPolicy{}
 	}
 	return &Controller{
 		policy:   policy,
-		install:  install,
+		ready:    ready,
 		pending:  make(map[string]*PendingDelegation),
 		accepted: make(map[string]bool),
 	}
@@ -165,58 +175,70 @@ func NewController(policy Policy, install InstallFunc) *Controller {
 // Policy returns the controller's policy (e.g. to adjust trust at runtime).
 func (c *Controller) Policy() Policy { return c.policy }
 
-// OnDelegation handles an incoming delegation set for (origin, ruleID).
-// Empty rule sets are withdrawals and always apply immediately (removing
-// rules can only reduce what the local peer computes for others). Updates to
-// a delegation that was explicitly accepted before are auto-applied: the
-// user approved the rule, and the origin is merely maintaining it.
-func (c *Controller) OnDelegation(origin, ruleID string, rules []ast.Rule) Decision {
-	key := origin + "\x00" + ruleID
-	if len(rules) == 0 {
-		c.mu.Lock()
-		delete(c.pending, key)
-		c.mu.Unlock()
-		c.install(origin, ruleID, nil)
-		return Accept
-	}
+// Decide handles one residual arriving from its origin: Accept means the
+// caller installs it now, Hold queues it for approval, Reject drops it.
+// Residuals of a delegation that was accepted before are auto-applied: the
+// user approved the rule, and the origin is merely maintaining it. Once the
+// policy accepts a delegation, its residuals still held are approved too,
+// for the caller's stage to take (TakeApproved) — ready is not called.
+func (c *Controller) Decide(r Residual) Decision {
+	key := r.Origin + "\x00" + r.RuleID
+	d := c.policy.DecideDelegation(r.Origin)
 	c.mu.Lock()
-	wasAccepted := c.accepted[key]
-	c.mu.Unlock()
-	d := c.policy.DecideDelegation(origin)
-	if wasAccepted && d == Hold {
+	defer c.mu.Unlock()
+	if c.accepted[key] && d == Hold {
 		d = Accept
 	}
+	held := c.pending[key]
 	switch d {
 	case Accept:
-		c.mu.Lock()
 		c.accepted[key] = true
-		delete(c.pending, key)
-		c.mu.Unlock()
-		c.install(origin, ruleID, rules)
-	case Hold:
-		c.mu.Lock()
-		if cur, ok := c.pending[key]; ok {
-			cur.Rules = rules // origin re-sent: keep the freshest version
-		} else {
-			c.nextID++
-			c.pending[key] = &PendingDelegation{ID: c.nextID, Origin: origin, RuleID: ruleID, Rules: rules}
+		if held != nil {
+			c.approveLocked(key, held)
 		}
-		c.mu.Unlock()
+	case Hold:
+		if held == nil {
+			c.nextID++
+			held = &PendingDelegation{ID: c.nextID, Origin: r.Origin, RuleID: r.RuleID}
+			c.pending[key] = held
+		}
+		if i := slices.Index(held.keys, r.Key); i >= 0 {
+			held.Rules[i] = r.Rule // origin re-sent: keep the freshest version
+		} else {
+			held.Rules, held.keys = append(held.Rules, r.Rule), append(held.keys, r.Key)
+		}
 	case Reject:
-		c.mu.Lock()
 		c.rejected++
-		c.mu.Unlock()
 	}
 	return d
 }
 
-// Pending lists queued delegations ordered by arrival.
+// Withdraw drops a residual its origin no longer delegates from the approval
+// queue; nothing happens unless it is held there.
+func (c *Controller) Withdraw(origin, ruleID, key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	k := origin + "\x00" + ruleID
+	held := c.pending[k]
+	if held == nil {
+		return
+	}
+	if i := slices.Index(held.keys, key); i >= 0 {
+		held.Rules, held.keys = slices.Delete(held.Rules, i, i+1), slices.Delete(held.keys, i, i+1)
+	}
+	if len(held.keys) == 0 {
+		delete(c.pending, k)
+	}
+}
+
+// Pending lists queued delegations ordered by arrival, as copies: the queue
+// changes as residuals arrive and leave.
 func (c *Controller) Pending() []PendingDelegation {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]PendingDelegation, 0, len(c.pending))
 	for _, p := range c.pending {
-		out = append(out, *p)
+		out = append(out, PendingDelegation{ID: p.ID, Origin: p.Origin, RuleID: p.RuleID, Rules: slices.Clone(p.Rules)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -229,27 +251,40 @@ func (c *Controller) Rejected() int {
 	return c.rejected
 }
 
-// Accept approves pending delegation id: the rules are installed and future
-// updates from the same (origin, rule) auto-apply.
+// Accept approves pending delegation id: its residuals await the peer's next
+// stage (TakeApproved), and later residuals of the same (origin, rule)
+// auto-apply.
 func (c *Controller) Accept(id int) error {
 	c.mu.Lock()
-	var key string
-	var found *PendingDelegation
-	for k, p := range c.pending {
+	for key, p := range c.pending {
 		if p.ID == id {
-			key, found = k, p
-			break
+			c.accepted[key] = true
+			c.approveLocked(key, p)
+			c.mu.Unlock()
+			c.ready()
+			return nil
 		}
 	}
-	if found == nil {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: id %d", ErrNoSuchDelegation, id)
-	}
-	delete(c.pending, key)
-	c.accepted[key] = true
 	c.mu.Unlock()
-	c.install(found.Origin, found.RuleID, found.Rules)
-	return nil
+	return fmt.Errorf("%w: id %d", ErrNoSuchDelegation, id)
+}
+
+// approveLocked moves a pending delegation's residuals to the approved list.
+func (c *Controller) approveLocked(key string, p *PendingDelegation) {
+	delete(c.pending, key)
+	for i, r := range p.Rules {
+		c.approved = append(c.approved, Residual{Origin: p.Origin, RuleID: p.RuleID, Key: p.keys[i], Rule: r})
+	}
+}
+
+// TakeApproved returns the residuals accepted while held, in approval order,
+// and forgets them: the caller installs those its origin still delegates.
+func (c *Controller) TakeApproved() []Residual {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := c.approved
+	c.approved = nil
+	return out
 }
 
 // Reject drops pending delegation id.

@@ -2,36 +2,28 @@ package acl
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/value"
 )
 
-func sampleRules(n int) []ast.Rule {
-	out := make([]ast.Rule, n)
-	for i := range out {
-		out[i] = ast.Rule{
-			ID:     "r",
-			Origin: "origin",
-			Head:   ast.NewAtom("out", "origin", ast.V("x")),
-			Body:   []ast.Atom{{Rel: ast.CStr("in"), Peer: ast.CStr("me"), Args: []ast.Term{ast.V("x")}}},
-		}
-	}
-	return out
+// residual returns the i-th residual of julia's rule r1.
+func residual(i int) Residual {
+	return Residual{Origin: "julia", RuleID: "r1", Key: fmt.Sprint(i), Rule: ast.Rule{
+		Head: ast.NewAtom("out", "julia", ast.V("x")),
+		Body: []ast.Atom{{Rel: ast.CStr("in"), Peer: ast.CStr("me"), Args: []ast.Term{ast.C(value.Int(int64(i))), ast.V("x")}}},
+	}}
 }
 
-type installRecorder struct {
-	calls []struct {
-		Origin, RuleID string
-		N              int
-	}
-}
-
-func (r *installRecorder) install(origin, ruleID string, rules []ast.Rule) {
-	r.calls = append(r.calls, struct {
-		Origin, RuleID string
-		N              int
-	}{origin, ruleID, len(rules)})
+// newRecordingController returns a controller over policy and a counter of
+// its ready calls.
+func newRecordingController(policy Policy) (*Controller, *int) {
+	n := new(int)
+	return NewController(policy, func() { *n++ }), n
 }
 
 func TestTrustPolicyDecisions(t *testing.T) {
@@ -65,41 +57,38 @@ func TestOpenAndClosedPolicies(t *testing.T) {
 }
 
 func TestControllerAcceptFlow(t *testing.T) {
-	rec := &installRecorder{}
-	c := NewController(NewTrustPolicy(), rec.install)
-	d := c.OnDelegation("julia", "r1", sampleRules(1))
-	if d != Hold {
+	c, ready := newRecordingController(NewTrustPolicy())
+	if d := c.Decide(residual(1)); d != Hold {
 		t.Fatalf("decision = %v, want hold", d)
 	}
-	if len(rec.calls) != 0 {
-		t.Fatal("install called before approval")
+	if d := c.Decide(residual(2)); d != Hold {
+		t.Fatalf("decision = %v, want hold", d)
+	}
+	if *ready != 0 || len(c.TakeApproved()) != 0 {
+		t.Fatal("residuals approved before the user accepted them")
 	}
 	pend := c.Pending()
-	if len(pend) != 1 || pend[0].Origin != "julia" {
-		t.Fatalf("pending = %v", pend)
+	if len(pend) != 1 || pend[0].Origin != "julia" || len(pend[0].Rules) != 2 {
+		t.Fatalf("pending = %v, want one delegation of two residuals", pend)
 	}
 	if err := c.Accept(pend[0].ID); err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.calls) != 1 || rec.calls[0].N != 1 {
-		t.Fatalf("install calls = %v", rec.calls)
+	if got := c.TakeApproved(); *ready != 1 || len(got) != 2 || got[0].Key != "1" || got[1].Key != "2" {
+		t.Fatalf("accept: ready called %d times, approved %v", *ready, got)
 	}
-	if len(c.Pending()) != 0 {
+	if len(c.Pending()) != 0 || len(c.TakeApproved()) != 0 {
 		t.Error("queue not cleared after accept")
 	}
-	// Maintenance updates from the accepted source auto-apply.
-	if d := c.OnDelegation("julia", "r1", sampleRules(2)); d != Accept {
-		t.Errorf("maintenance update decision = %v, want accept", d)
-	}
-	if len(rec.calls) != 2 || rec.calls[1].N != 2 {
-		t.Fatalf("install calls = %v", rec.calls)
+	// Later residuals of the accepted rule auto-apply.
+	if d := c.Decide(residual(3)); d != Accept {
+		t.Errorf("maintenance decision = %v, want accept", d)
 	}
 }
 
 func TestControllerRejectFlow(t *testing.T) {
-	rec := &installRecorder{}
-	c := NewController(NewTrustPolicy(), rec.install)
-	c.OnDelegation("julia", "r1", sampleRules(1))
+	c, ready := newRecordingController(NewTrustPolicy())
+	c.Decide(residual(1))
 	pend := c.Pending()
 	if err := c.Reject(pend[0].ID); err != nil {
 		t.Fatal(err)
@@ -107,43 +96,45 @@ func TestControllerRejectFlow(t *testing.T) {
 	if c.Rejected() != 1 || len(c.Pending()) != 0 {
 		t.Errorf("rejected=%d pending=%d", c.Rejected(), len(c.Pending()))
 	}
-	if len(rec.calls) != 0 {
-		t.Error("rejected delegation was installed")
+	if *ready != 0 || len(c.TakeApproved()) != 0 {
+		t.Error("rejected delegation was approved")
 	}
 	// A rejected (not accepted) origin stays held on resend.
-	if d := c.OnDelegation("julia", "r1", sampleRules(1)); d != Hold {
+	if d := c.Decide(residual(1)); d != Hold {
 		t.Errorf("resend decision = %v, want hold", d)
 	}
 }
 
 func TestControllerWithdrawalAlwaysApplies(t *testing.T) {
-	rec := &installRecorder{}
-	c := NewController(NewTrustPolicy(), rec.install)
-	c.OnDelegation("julia", "r1", sampleRules(1)) // held
-	if d := c.OnDelegation("julia", "r1", nil); d != Accept {
-		t.Errorf("withdrawal decision = %v, want accept", d)
+	c, _ := newRecordingController(NewTrustPolicy())
+	c.Decide(residual(1)) // held
+	c.Decide(residual(2)) // held
+	c.Withdraw("julia", "r1", "1")
+	if pend := c.Pending(); len(pend) != 1 || len(pend[0].Rules) != 1 {
+		t.Fatalf("pending = %v, want the one residual not withdrawn", pend)
 	}
+	c.Withdraw("julia", "r1", "2")
+	c.Withdraw("julia", "r1", "3") // never held: nothing to do
 	if len(c.Pending()) != 0 {
-		t.Error("withdrawal must clear the pending entry")
-	}
-	if len(rec.calls) != 1 || rec.calls[0].N != 0 {
-		t.Errorf("withdrawal install = %v", rec.calls)
+		t.Error("withdrawing every residual must clear the pending entry")
 	}
 }
 
 func TestControllerResendRefreshesPending(t *testing.T) {
-	rec := &installRecorder{}
-	c := NewController(NewTrustPolicy(), rec.install)
-	c.OnDelegation("julia", "r1", sampleRules(1))
-	c.OnDelegation("julia", "r1", sampleRules(3)) // maintenance resend while pending
+	c, _ := newRecordingController(NewTrustPolicy())
+	c.Decide(residual(1))
+	c.Decide(residual(2))
+	fresh := residual(1)
+	fresh.Rule.Head = ast.NewAtom("fresh", "julia", ast.V("x"))
+	c.Decide(fresh) // the same residual re-delivered while pending
 	pend := c.Pending()
-	if len(pend) != 1 || len(pend[0].Rules) != 3 {
-		t.Fatalf("pending = %v, want one entry with 3 rules", pend)
+	if len(pend) != 1 || len(pend[0].Rules) != 2 || pend[0].Rules[0].Head.String() != fresh.Rule.Head.String() {
+		t.Fatalf("pending = %v, want one entry of 2 residuals, the first refreshed", pend)
 	}
 }
 
 func TestControllerUnknownIDs(t *testing.T) {
-	c := NewController(nil, func(string, string, []ast.Rule) {})
+	c := NewController(nil, func() {})
 	if err := c.Accept(42); !errors.Is(err, ErrNoSuchDelegation) {
 		t.Errorf("Accept(42) = %v", err)
 	}
@@ -153,23 +144,91 @@ func TestControllerUnknownIDs(t *testing.T) {
 }
 
 func TestControllerNilPolicyAcceptsAll(t *testing.T) {
-	rec := &installRecorder{}
-	c := NewController(nil, rec.install)
-	if d := c.OnDelegation("anyone", "r1", sampleRules(1)); d != Accept {
+	c, _ := newRecordingController(nil)
+	if d := c.Decide(residual(1)); d != Accept {
 		t.Errorf("decision = %v", d)
 	}
-	if len(rec.calls) != 1 {
-		t.Error("install not called")
+}
+
+// TestControllerTrustApprovesHeld: once the policy trusts the origin, its
+// next residual is accepted and the ones still held are approved with it,
+// for the deciding caller to take without being called back.
+func TestControllerTrustApprovesHeld(t *testing.T) {
+	policy := NewTrustPolicy()
+	c, ready := newRecordingController(policy)
+	c.Decide(residual(1))
+	policy.Trust("julia")
+	if d := c.Decide(residual(2)); d != Accept {
+		t.Fatalf("decision = %v, want accept", d)
+	}
+	if got := c.TakeApproved(); *ready != 0 || len(got) != 1 || got[0].Key != "1" || len(c.Pending()) != 0 {
+		t.Fatalf("held residual not approved: ready %d, approved %v, pending %v", *ready, got, c.Pending())
+	}
+}
+
+// TestControllerConcurrentUse: a peer's stages decide, withdraw and take
+// residuals while a user lists, accepts and rejects the queue from another
+// goroutine (run with -race): no residual is handed over twice.
+func TestControllerConcurrentUse(t *testing.T) {
+	c := NewController(NewTrustPolicy(), func() {})
+	const rules, residuals = 8, 400
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // the user
+		defer wg.Done()
+		for {
+			for _, p := range c.Pending() {
+				if p.ID%3 == 0 {
+					c.Reject(p.ID)
+				} else {
+					c.Accept(p.ID)
+				}
+			}
+			select {
+			case <-done:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+	installed := map[string]bool{}
+	take := func(r Residual) {
+		if installed[r.Key] {
+			t.Fatalf("residual %s handed over twice", r.Key)
+		}
+		installed[r.Key] = true
+	}
+	for i := 0; i < residuals; i++ {
+		r := residual(i)
+		r.RuleID = fmt.Sprint(i % rules)
+		if c.Decide(r) == Accept {
+			take(r)
+		}
+		if i%5 == 4 {
+			c.Withdraw(r.Origin, r.RuleID, r.Key)
+		}
+		for _, a := range c.TakeApproved() {
+			take(a)
+		}
+	}
+	close(done)
+	wg.Wait()
+	for _, a := range c.TakeApproved() {
+		take(a)
+	}
+	if len(installed) == 0 {
+		t.Fatal("nothing was accepted")
 	}
 }
 
 func TestControllerRejectPolicy(t *testing.T) {
-	rec := &installRecorder{}
-	c := NewController(ClosedPolicy{}, rec.install)
-	if d := c.OnDelegation("anyone", "r1", sampleRules(1)); d != Reject {
+	c, ready := newRecordingController(ClosedPolicy{})
+	if d := c.Decide(residual(1)); d != Reject {
 		t.Errorf("decision = %v", d)
 	}
-	if c.Rejected() != 1 || len(rec.calls) != 0 {
+	if c.Rejected() != 1 || *ready != 0 || len(c.Pending()) != 0 {
 		t.Error("reject accounting wrong")
 	}
 }

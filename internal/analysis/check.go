@@ -107,10 +107,10 @@ func (c *checker) checkSafety() {
 // over the peer's declared intensional relations, and emits WDL002 with the
 // engine's exact verdict for a negation cycle.
 func (c *checker) checkStratification() {
-	byPeer := map[string][]ast.Rule{}
-	for i, r := range c.rules {
+	byPeer := map[string][]*ast.Rule{}
+	for i := range c.rules {
 		if p := c.rulePeers[i]; p != "" {
-			byPeer[p] = append(byPeer[p], r)
+			byPeer[p] = append(byPeer[p], &c.rules[i])
 		}
 	}
 	peers := make([]string, 0, len(byPeer))

@@ -48,8 +48,8 @@ func (v *CycleViolation) Detail() string {
 
 // headTargets returns the local intensional relations the rule's head might
 // derive into: nil for "none" and the full set for a wildcard head.
-func headTargets(r ast.Rule, idb map[string]bool, local string, all []string) []string {
-	h := r.Head
+func headTargets(r *ast.Rule, idb map[string]bool, local string, all []string) []string {
+	h := &r.Head
 	if !h.Peer.IsVar() && h.Peer.Val.StringVal() != local {
 		return nil // remote head: a message, not a local derivation
 	}
@@ -71,9 +71,10 @@ type bodyDep struct {
 	pos  ast.Pos
 }
 
-func bodyDeps(r ast.Rule, idb map[string]bool, local string, all []string) []bodyDep {
+func bodyDeps(r *ast.Rule, idb map[string]bool, local string, all []string) []bodyDep {
 	var out []bodyDep
-	for _, a := range r.Body {
+	for i := range r.Body {
+		a := &r.Body[i]
 		if !a.Peer.IsVar() && a.Peer.Val.StringVal() != local {
 			continue // definitely remote: evaluated by delegation at the remote peer
 		}
@@ -96,7 +97,7 @@ func bodyDeps(r ast.Rule, idb map[string]bool, local string, all []string) []bod
 // Rules with no local intensional head (pure update / message / delegation
 // rules) are placed after every stratum they depend on. A negation cycle
 // returns a nil Stratification and a non-nil violation.
-func Stratify(local string, idb map[string]bool, rules []ast.Rule) (*Stratification, *CycleViolation) {
+func Stratify(local string, idb map[string]bool, rules []*ast.Rule) (*Stratification, *CycleViolation) {
 	all := make([]string, 0, len(idb))
 	for name := range idb {
 		all = append(all, name)

@@ -112,8 +112,8 @@ func BenchmarkDelegationSplitStage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		db.ClearIntensional()
 		res := e.RunStage(prog)
-		if len(res.Delegations["r0"]) != 50 {
-			b.Fatalf("delegation targets = %d, want 50", len(res.Delegations["r0"]))
+		if len(delegations(b, res)["r0"]) != 50 {
+			b.Fatalf("delegation targets = %d, want 50", len(delegations(b, res)["r0"]))
 		}
 	}
 }

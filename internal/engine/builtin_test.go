@@ -126,9 +126,9 @@ func TestBuiltinInDelegatedResidual(t *testing.T) {
 	}
 	res := e.RunStage(prog)
 	checkNoErrors(t, res)
-	rules := res.Delegations["r1"]["remote"]
+	rules := delegations(t, res)["r1"]["remote"]
 	if len(rules) != 1 {
-		t.Fatalf("delegations = %v", res.Delegations)
+		t.Fatalf("delegations = %v", delegations(t, res))
 	}
 	want := `view@local($id) :- rate@remote($id, $s), ge@builtin($s, 4)`
 	if got := rules[0].String(); got != want {

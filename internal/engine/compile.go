@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/ast"
+	"repro/internal/value"
 )
 
 // SafetyError reports a rule that violates WebdamLog's safety conditions.
@@ -77,6 +78,7 @@ func (s *slotAllocator) compileAtom(a ast.Atom) cAtom {
 	}
 	if !out.rel.isVar && !out.peer.isVar {
 		out.relID = out.rel.val.StringVal() + "@" + out.peer.val.StringVal()
+		out.deltaID = out.relID
 	}
 	return out
 }
@@ -96,9 +98,15 @@ func (e *Engine) CompileRule(r ast.Rule) (*CompiledRule, error) {
 	for i, a := range r.Body {
 		cr.Body[i] = alloc.compileAtom(a)
 	}
+	for i := range cr.Body {
+		if a := &cr.Body[i]; a.peer.isVar && !a.rel.isVar && a.rel.val.Kind() == value.KindString {
+			a.deltaID = a.rel.val.StringVal() + "@" + e.local
+		}
+	}
 	cr.Head = alloc.compileAtom(r.Head)
 	cr.NumSlots = len(alloc.names)
 	cr.SlotNames = alloc.names
+	cr.key = r.ID + "\x00" + r.Origin + "\x00" + r.String()
 	return cr, nil
 }
 
@@ -114,10 +122,13 @@ func (e *Engine) CompileProgram(rules []ast.Rule) (*Program, error) {
 
 // CompileRules is the tolerant variant used by the peer runtime: rules that
 // fail safety checks are skipped (with their errors reported) and the rest
-// of the program still compiles. A stratification failure, which concerns
-// the rule set as a whole, returns a nil program.
-func (e *Engine) CompileRules(rules []ast.Rule) (*Program, []error) {
-	prog := &Program{}
+// of the program still compiles. compiled are rules compiled earlier, by
+// CompileRule, which the program takes as they are: a peer compiles a
+// delegated rule once, when it arrives, not on every program change. A
+// stratification failure, which concerns the rule set as a whole, returns a
+// nil program.
+func (e *Engine) CompileRules(rules []ast.Rule, compiled ...*CompiledRule) (*Program, []error) {
+	prog := &Program{Rules: make([]*CompiledRule, 0, len(rules)+len(compiled))}
 	var errs []error
 	for _, r := range rules {
 		cr, err := e.CompileRule(r)
@@ -127,6 +138,7 @@ func (e *Engine) CompileRules(rules []ast.Rule) (*Program, []error) {
 		}
 		prog.Rules = append(prog.Rules, cr)
 	}
+	prog.Rules = append(prog.Rules, compiled...)
 	if err := e.stratify(prog); err != nil {
 		return nil, append(errs, err)
 	}

@@ -42,7 +42,7 @@ const (
 	specNeg                   // negated atom: keyed membership test
 	specDead                  // no valuation passes: nil/mis-arity relation, or a non-eval walk leaving the peer
 	specPass                  // negated atom that always passes (nil/mis-arity relation)
-	specDelegate              // remote peer: delegate the written suffix from here (kindEval only)
+	specDelegate              // remote peer: delegate the written suffix from here (kindEval, a maintained rule's kindDRed)
 	specError                 // report msg for this valuation and drop it (kindEval only)
 	specDynamic               // variable relation/peer term: classify at run time
 )
@@ -138,7 +138,9 @@ func (e *Engine) analyzeAtom(cr *CompiledRule, pos int, peer, rel value.Value, k
 	}
 	sp.peerName = peer.StringVal()
 	if sp.peerName != e.local && sp.peerName != BuiltinPeer {
-		if kind == kindEval { // a delegated suffix is not a local derivation
+		// A delegated suffix is not a local derivation: only evaluation and
+		// a maintained rule's over-delete act on the delegation.
+		if kind == kindEval || kind == kindDRed && !cr.Event {
 			sp.sKind = specDelegate
 			sp.bound = slices.Clone(bound)
 		}
@@ -210,10 +212,18 @@ func (e *Engine) compileExec(cr *CompiledRule, kind stageKind, deltaPos int, ord
 	if kind.headBound() {
 		markAtomSlots(&cr.Head, bound)
 	}
+	if kind == kindResidual {
+		for i := deltaPos; i < len(cr.Body); i++ {
+			markAtomSlots(&cr.Body[i], bound)
+		}
+	}
 	specs := make([]stepSpec, 0, len(cr.Body))
 walk:
 	for s := range cr.Body {
 		i := planPos(ord, s)
+		if kind == kindResidual && i == deltaPos {
+			break // the prefix is matched: positions past it keep written order
+		}
 		sp := e.analyzeStep(cr, i, kind, deltaPos, bound)
 		specs = append(specs, sp)
 		switch sp.sKind {
@@ -253,11 +263,12 @@ walk:
 
 // compileTerminal builds the full-match action: produce (with fast paths for
 // statically local intensional heads and for remote view heads),
-// over-delete, found, or record.
+// over-delete, found, or record. A kindResidual walk ends before the body
+// does, so its terminal is reaching the delegation point.
 func (e *Engine) compileTerminal(cr *CompiledRule, p *execProg) stepFn {
 	x := &p.ctx
 	switch p.kind {
-	case kindMatch:
+	case kindMatch, kindResidual:
 		return func() { x.found = true }
 	case kindWhy:
 		return func() { x.st.why = append(x.st.why, derivation(cr, x.env)) }
@@ -298,7 +309,13 @@ func (e *Engine) compileStep(cr *CompiledRule, sp *stepSpec, p *execProg, next s
 		return func() { x.st.errf("%s", msg) }
 	case specDelegate:
 		pos, bound, target := sp.pos, sp.bound, sp.peerName
-		return func() { e.addDelegation(cr, pos, x.env, bound, target, x.st) }
+		switch {
+		case p.deltaPos >= pos:
+			return func() {} // the delta lies past the split: nothing new here
+		case kind == kindDRed:
+			return func() { e.retractResidual(x, cr, pos, bound, target) }
+		}
+		return func() { e.deriveResidual(x, cr, pos, bound, target) }
 	case specDynamic:
 		// One specialized step per (peer, relation) pair the terms resolve
 		// to, built on first sight; the chain lives for one stage.

@@ -11,7 +11,8 @@
 // evaluated from left to right. The order matters"). When evaluation of a
 // body reaches an atom whose peer term resolves to a remote peer, the
 // remainder of the body — with the prefix's bindings substituted in — is
-// emitted as a residual rule delegated to that peer.
+// delegated to that peer as a residual rule, which travels as a fact of the
+// reserved relation ResidualRel and is maintained like any remote fact.
 package engine
 
 import (
@@ -90,19 +91,20 @@ type Result struct {
 	// applied at the beginning of the next local stage.
 	LocalUpdates []FactOp
 	// Remote maps destination peer name to the facts the stage's event rules
-	// emitted for it: the full Derive-op set and the one-shot deletes, before
-	// delta maintenance. Remote view rules are not in it under
-	// RunStageIncremental and RunStageFull — their derivations go straight
-	// into the caller's RemoteView — so RemoteOut, not Remote, is what the
-	// stage ships. Bare RunStage, which is given no RemoteView, lists every
-	// remote emission here.
+	// emitted for it: the full Derive-op set, residual facts included (see
+	// ResidualRel), and the one-shot deletes, before delta maintenance.
+	// Maintained rules are not in it under RunStageIncremental and
+	// RunStageFull — their derivations go straight into the caller's
+	// RemoteView — so RemoteOut, not Remote, is what the stage ships. Bare
+	// RunStage, which is given no RemoteView, lists every remote emission
+	// here.
 	Remote map[string][]FactOp
 	// RemoteOut maps destination peer name to the deltas to actually ship:
-	// maintained inserts for newly derived facts, maintained deletes for
-	// facts whose last derivation disappeared, and pass-through one-shot
-	// deletion-rule updates. Populated by RunStageIncremental and
+	// maintained inserts for newly derived facts and residuals, maintained
+	// deletes for those whose last derivation disappeared, and pass-through
+	// one-shot deletion-rule updates. Populated by RunStageIncremental and
 	// RunStageFull (which maintain the caller's RemoteView), not by bare
-	// RunStage. It covers both sources: remote view rules and event rules.
+	// RunStage.
 	RemoteOut map[string][]RemoteOp
 	// Views maps "rel@peer" to the net change the stage made to that
 	// materialized local view, relative to the store as the stage found it,
@@ -111,10 +113,6 @@ type Result struct {
 	// Populated by RunStageIncremental and RunStageFull, not by bare
 	// RunStage.
 	Views map[string]*ViewDelta
-	// Delegations maps source rule ID -> target peer -> residual rules.
-	// The set for a (rule, target) pair replaces whatever that pair
-	// delegated in previous stages (delegation maintenance).
-	Delegations map[string]map[string][]ast.Rule
 	// Derived counts new intensional facts derived in this stage.
 	Derived int
 	// Retracted counts intensional facts deleted by this stage's deletion
@@ -224,6 +222,11 @@ type cAtom struct {
 	// relID is "rel@peer" when both name terms are constants, "" when either
 	// is a variable resolved at run time.
 	relID string
+	// deltaID is the relation a delta position here can range over — a
+	// delta holds relations of this peer only: relID, or the relation of
+	// that name here when only the peer is a variable; "" when the relation
+	// is one.
+	deltaID string
 }
 
 // tuple materializes the atom's argument terms under the frame env.
@@ -248,17 +251,18 @@ type CompiledRule struct {
 
 	// Event marks rules outside the incremental maintenance fast path:
 	// deletion rules, rules whose head is extensional or has a variable peer
-	// or relation, rules whose body may leave the local peer (delegation),
-	// and remote-head rules whose body negates or names a relation by a
-	// variable. Event rules are evaluated in full every stage, which
-	// preserves the paper's continuous emission and delegation-maintenance
-	// semantics; non-event rules — views and remote views — are maintained
-	// from deltas. See classify in incremental.go.
+	// or relation — unless every valuation delegates before reaching it —
+	// rules whose local prefix negates or names a relation by a variable,
+	// and remote-head rules whose locally run body does. Event rules are
+	// evaluated in full every stage, which preserves the paper's continuous
+	// emission semantics; the others — views, remote views and maintained
+	// delegations — are maintained from deltas. See classify in
+	// incremental.go.
 	Event bool
 	// Remote marks remote view rules: a Derive rule whose head names a
-	// constant remote peer and relation and whose body is local, positive
-	// and constant-named. Its materialization is the RemoteView the stage
-	// maintains.
+	// constant remote peer and relation and whose locally run body is
+	// positive and constant-named. Its materialization is the RemoteView
+	// the stage maintains.
 	Remote bool
 	// MaybeView marks rules whose head could land in a local intensional
 	// relation (every view rule, plus event rules with a variable head
@@ -266,10 +270,10 @@ type CompiledRule struct {
 	// rederivation checks.
 	MaybeView bool
 
-	// key identifies the rule across recompilations: its origin, its
-	// classification and its rendered text — not its ID, which a
-	// re-installed delegation renumbers. Two programs differ by the rules
-	// whose keys only one of them has (programDelta).
+	// key identifies the rule across recompilations: its ID, origin and
+	// rendered text, computed once by CompileRule. Two programs differ by
+	// the rules whose key and classification only one of them has
+	// (programDelta).
 	key string
 }
 
@@ -286,4 +290,8 @@ type Program struct {
 	// derive into a local view uses negation. Otherwise every stage
 	// rebuilds the views (RunStageFull).
 	Incremental bool
+
+	// keys holds each rule's identity and classification, as classify left
+	// them: a rule shared with a later program may be reclassified there.
+	keys []ruleKey
 }

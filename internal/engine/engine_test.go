@@ -80,6 +80,30 @@ func relContents(db *store.Store, name, peer string) []string {
 	return out
 }
 
+// delegations reads a stage's residual facts (Result.Remote) back as rules:
+// source rule ID -> target peer -> residual rules, each with its origin.
+func delegations(t testing.TB, res *Result) map[string]map[string][]ast.Rule {
+	t.Helper()
+	out := map[string]map[string][]ast.Rule{}
+	for target, ops := range res.Remote {
+		for _, op := range ops {
+			if op.Fact.Rel != ResidualRel {
+				continue
+			}
+			origin, ruleID, r, err := Residual(op.Fact.Args)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.ID, r.Origin = ruleID, origin
+			if out[ruleID] == nil {
+				out[ruleID] = map[string][]ast.Rule{}
+			}
+			out[ruleID][target] = append(out[ruleID][target], r)
+		}
+	}
+	return out
+}
+
 func checkNoErrors(t *testing.T, res *Result) {
 	t.Helper()
 	for _, err := range res.Errors {
@@ -237,7 +261,7 @@ func TestDelegationSplit(t *testing.T) {
 	}
 	res := e.RunStage(prog)
 	checkNoErrors(t, res)
-	byTarget := res.Delegations["r1"]
+	byTarget := delegations(t, res)["r1"]
 	if byTarget == nil {
 		t.Fatal("no delegations for r1")
 	}
@@ -259,8 +283,8 @@ func TestDelegationSplit(t *testing.T) {
 	db.ClearIntensional()
 	res = e.RunStage(prog)
 	checkNoErrors(t, res)
-	if len(res.Delegations["r1"]["emilien"]) != 0 {
-		t.Errorf("delegations persist after support retracted: %v", res.Delegations)
+	if len(delegations(t, res)["r1"]["emilien"]) != 0 {
+		t.Errorf("delegations persist after support retracted: %v", delegations(t, res))
 	}
 }
 
@@ -274,8 +298,8 @@ func TestDelegationPerValuation(t *testing.T) {
 	}
 	res := e.RunStage(prog)
 	checkNoErrors(t, res)
-	if len(res.Delegations["r1"]) != 2 {
-		t.Fatalf("delegation targets = %v, want emilien and jules", res.Delegations["r1"])
+	if len(delegations(t, res)["r1"]) != 2 {
+		t.Fatalf("delegation targets = %v, want emilien and jules", delegations(t, res)["r1"])
 	}
 }
 

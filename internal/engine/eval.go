@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ast"
 	"repro/internal/store"
@@ -20,7 +21,6 @@ type stageState struct {
 	out         *Result
 	updatesSeen map[string]bool
 	remoteSeen  map[string]bool
-	delegSeen   map[string]bool
 	delta       deltaSet
 	// why collects the derivations a kindWhy walk finds (why.go).
 	why      []Derivation
@@ -39,14 +39,10 @@ type stageState struct {
 
 func (e *Engine) newStageState() *stageState {
 	return &stageState{
-		planner: e.newPlanner(),
-		out: &Result{
-			Remote:      map[string][]FactOp{},
-			Delegations: map[string]map[string][]ast.Rule{},
-		},
+		planner:     e.newPlanner(),
+		out:         &Result{Remote: map[string][]FactOp{}},
 		updatesSeen: map[string]bool{},
 		remoteSeen:  map[string]bool{},
-		delegSeen:   map[string]bool{},
 		delta:       deltaSet{},
 	}
 }
@@ -73,13 +69,14 @@ func (e *Engine) RunStage(prog *Program) *Result {
 }
 
 // forDeltaPositions calls fn for every positive body position of cr that
-// can range over d. A position whose relation is statically known and has
-// no tuples in d is skipped: the pass could only rediscover derivations
-// already found, at the price of fully scanning every atom before it.
+// can range over d. A position whose relation is statically known (deltaID)
+// and has no tuples in d is skipped: the pass could only rediscover
+// derivations already found, at the price of fully scanning every atom
+// before it.
 func forDeltaPositions(cr *CompiledRule, d deltaSet, fn func(j int)) {
 	for j := range cr.Body {
 		a := &cr.Body[j]
-		if a.neg || (a.relID != "" && len(d[a.relID]) == 0) {
+		if a.neg || (a.deltaID != "" && len(d[a.deltaID]) == 0) {
 			continue
 		}
 		fn(j)
@@ -102,6 +99,15 @@ func resolveName(t termRef, env []value.Value) (string, bool) {
 	return v.StringVal(), true
 }
 
+// emitRemote lists fo, bound for dst, in Result.Remote once per stage.
+func emitRemote(st *stageState, dst string, fo FactOp) {
+	key := dst + "\x00" + fo.Key()
+	if !st.remoteSeen[key] {
+		st.remoteSeen[key] = true
+		st.out.Remote[dst] = append(st.out.Remote[dst], fo)
+	}
+}
+
 // produce materializes the head under the current bindings and routes it:
 // local intensional -> derive now (feeding the fixpoint); local extensional
 // -> buffered update for the next stage; remote -> outgoing message.
@@ -120,13 +126,12 @@ func (e *Engine) produce(cr *CompiledRule, env []value.Value, st *stageState) {
 	fact := ast.Fact{Rel: headRel, Peer: headPeer, Args: t}
 	op := cr.Rule.Op
 
+	if headRel == ResidualRel {
+		st.errf("engine: rule %s: %s is reserved for delegations", cr.Rule.ID, ResidualRel)
+		return
+	}
 	if headPeer != e.local {
-		fo := FactOp{Op: op, Fact: fact}
-		key := headPeer + "\x00" + fo.Key()
-		if !st.remoteSeen[key] {
-			st.remoteSeen[key] = true
-			st.out.Remote[headPeer] = append(st.out.Remote[headPeer], fo)
-		}
+		emitRemote(st, headPeer, FactOp{Op: op, Fact: fact})
 		return
 	}
 
@@ -236,7 +241,7 @@ func (e *Engine) retractRemote(x *execCtx, cr *CompiledRule) {
 	base := len(x.key)
 	x.key = appendHeadKey(x, x.key, h)
 	if key, ok := st.rv.retractMaint(dst, h.relID, x.key[base:]); ok {
-		st.incr.remoteMarks = append(st.incr.remoteMarks, factRef{factID{dst, h.relID, key}, h.tuple(x.env)})
+		st.incr.remoteMarks = append(st.incr.remoteMarks, remoteMark{factRef: factRef{factID{dst, h.relID, key}, h.tuple(x.env)}})
 	}
 	x.key = x.key[:base]
 }
@@ -249,34 +254,63 @@ func appendHeadKey(x *execCtx, dst []byte, h *cAtom) []byte {
 	return dst
 }
 
-// addDelegation emits the residual rule for the suffix starting at body
-// position i, with the prefix's bindings (the slots marked in bound)
-// substituted in, targeted at peer target. Residuals are deduplicated; the
-// peer layer handles replacing the previous stage's set (delegation
-// maintenance).
-func (e *Engine) addDelegation(cr *CompiledRule, i int, env []value.Value, bound []bool, target string, st *stageState) {
+// ResidualRel is the reserved relation delegations travel in. The residual
+// rule a stage delegates to peer target for the suffix of rule ruleID at
+// this peer is the fact ResidualRel@target(origin, ruleID, rule), the rule
+// in ast.Rule.AppendBinary form (see Residual), maintained in the RemoteView
+// like any remote fact: it ships as a maintained insert when its first
+// derivation appears and as a maintained delete when its last one goes. The
+// name is no identifier, so no parsed program can name the relation.
+const ResidualRel = "#residual"
+
+// Residual decodes a residual fact's arguments (see ResidualRel).
+func Residual(args value.Tuple) (origin, ruleID string, r ast.Rule, err error) {
+	if len(args) != 3 || args[0].Kind() != value.KindString || args[1].Kind() != value.KindString ||
+		args[2].Kind() != value.KindBlob {
+		return "", "", r, fmt.Errorf("engine: %s%s is not a residual", ResidualRel, args)
+	}
+	r, err = ast.DecodeRule([]byte(args[2].StringVal()))
+	return args[0].StringVal(), args[1].StringVal(), r, err
+}
+
+// residualArgs builds the residual fact's arguments for the suffix starting
+// at body position i, with the prefix's bindings (the slots marked in bound)
+// substituted in.
+func (e *Engine) residualArgs(cr *CompiledRule, i int, env []value.Value, bound []bool) value.Tuple {
 	sub := ast.Substitution{}
 	for slot, name := range cr.SlotNames {
 		if bound[slot] {
 			sub[name] = env[slot]
 		}
 	}
-	residual := sub.ApplyRule(ast.Rule{
-		ID:     cr.Rule.ID,
-		Origin: e.local,
-		Op:     cr.Rule.Op,
-		Head:   cr.Rule.Head,
-		Body:   cr.Rule.Body[i:],
-	})
-	key := cr.Rule.ID + "\x00" + target + "\x00" + residual.String()
-	if st.delegSeen[key] {
+	r := sub.ApplyRule(ast.Rule{Op: cr.Rule.Op, Head: cr.Rule.Head, Body: cr.Rule.Body[i:]})
+	return value.Tuple{value.Str(e.local), value.Str(cr.Rule.ID), value.Blob(r.AppendBinary(nil))}
+}
+
+// deriveResidual is the kindEval step at a body atom that resolved to the
+// remote peer target: it delegates the suffix from position i there. A
+// maintained rule adds the residual to the stage's RemoteView, an event rule
+// (or bare RunStage) emits it into Result.Remote.
+func (e *Engine) deriveResidual(x *execCtx, cr *CompiledRule, i int, bound []bool, target string) {
+	st := x.st
+	args := e.residualArgs(cr, i, x.env, bound)
+	if cr.Event || st.rv == nil {
+		emitRemote(st, target, FactOp{Op: ast.Derive, Fact: ast.Fact{Rel: ResidualRel, Peer: target, Args: args}})
 		return
 	}
-	st.delegSeen[key] = true
-	byTarget := st.out.Delegations[cr.Rule.ID]
-	if byTarget == nil {
-		byTarget = map[string][]ast.Rule{}
-		st.out.Delegations[cr.Rule.ID] = byTarget
+	st.rv.addMaint(target, ResidualRel+"@"+target, args.Key(), args)
+}
+
+// retractResidual is the kindDRed step of a maintained rule at a body atom
+// that resolved to the remote peer target: it retracts the residual from the
+// stage's RemoteView and queues it, with the walk's frame, for the
+// end-of-stage check (stands) — unless the rule is being removed.
+func (e *Engine) retractResidual(x *execCtx, cr *CompiledRule, i int, bound []bool, target string) {
+	st := x.st
+	args := e.residualArgs(cr, i, x.env, bound)
+	relID := ResidualRel + "@" + target
+	if key, ok := st.rv.retractMaint(target, relID, []byte(args.Key())); ok && !st.incr.removing {
+		st.incr.remoteMarks = append(st.incr.remoteMarks, remoteMark{
+			factRef: factRef{factID{target, relID, key}, args}, cr: cr, pos: i, env: slices.Clone(x.env)})
 	}
-	byTarget[target] = append(byTarget[target], residual)
 }

@@ -34,11 +34,13 @@ const (
 	// kindEval: full and semi-naive evaluation; the delta position ranges
 	// over the previous iteration's new facts, a full body match produces
 	// the head, and an atom at a remote peer delegates the rest of the body.
+	// A delegation whose prefix holds no delta position is no new one.
 	kindEval stageKind = iota
 	// kindDRed: the DRed over-delete walk; the delta position ranges over
 	// the deletion frontier, every other positive position over the
-	// pre-deletion database (relation ∪ ghosts), and a match marks the head
-	// as over-deleted.
+	// pre-deletion database (relation ∪ ghosts), a match marks the head as
+	// over-deleted, and a maintained rule's delegation retracts its
+	// residual.
 	kindDRed
 	// kindMatch: the rederivation existence check; head slots are pre-bound
 	// by unifyHead, the walk stops at the first full match.
@@ -46,6 +48,11 @@ const (
 	// kindWhy: the provenance query (why.go); head slots are pre-bound as
 	// for kindMatch, but every full match is recorded as a Derivation.
 	kindWhy
+	// kindResidual: the residual existence check (stands); the walk covers
+	// the prefix before the delegation point (the deltaPos of its cache
+	// key), the slots of the head and the suffix are pre-bound from the
+	// retracting walk's frame, and reaching the point is a match.
+	kindResidual
 )
 
 // headBound reports whether the walk runs under a head-unified frame.

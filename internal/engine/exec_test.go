@@ -107,11 +107,11 @@ func TestPaperRuleResidual(t *testing.T) {
 	}
 	res := e.RunStage(prog)
 	checkNoErrors(t, res)
-	if len(res.Delegations["r1"]) != 1 || len(res.Delegations["r1"]["emilien"]) != 1 {
-		t.Fatalf("Delegations = %v, want exactly one residual, to emilien", res.Delegations)
+	if len(delegations(t, res)["r1"]) != 1 || len(delegations(t, res)["r1"]["emilien"]) != 1 {
+		t.Fatalf("residuals = %v, want exactly one, to emilien", delegations(t, res))
 	}
 	want := `attendeePictures@local($id, $name, $owner, $data) :- pictures@emilien($id, $name, $owner, $data)`
-	if got := res.Delegations["r1"]["emilien"][0].String(); got != want {
+	if got := delegations(t, res)["r1"]["emilien"][0].String(); got != want {
 		t.Errorf("residual = %q\nwant       %q", got, want)
 	}
 	if compiles, _, fallbacks := e.CompiledStats(); compiles == 0 || fallbacks != 0 {

@@ -44,13 +44,15 @@ var fuzzRules = []string{
 // and deletes and rule toggles, and drives them through a program drawn
 // from fuzzRules on production incremental maintenance, production
 // recompute and the reference evaluator, requiring all three to agree on
-// every relation, delegation and buffered update after every batch, the
-// RemoteOut sequence of both production paths to leave exactly the
-// reference's remote facts (checkAgainstReference), and both production
-// paths to report the same view deltas and ship the same ops. A toggle adds
-// or removes one rule — the view, remote view, delegating and deletion rules
-// alike — and renumbers the rest by position, as a re-installed delegation
-// is, so the incremental engine maintains the change as a program delta.
+// every relation and buffered update after every batch, the RemoteOut
+// sequence of both production paths to leave exactly the reference's remote
+// facts and residuals (checkAgainstReference), and both production paths to
+// report the same view deltas and ship the same ops. A toggle adds or
+// removes one rule — the view, remote view, delegating and deletion rules
+// alike — and renumbers the rest by position, so the rules after it come
+// back under new IDs: the incremental engine maintains the change as a
+// program delta, and a renumbered rule's residuals are withdrawn and
+// delegated again under its new ID.
 // This fuzzes the whole execution surface: semi-naive delta walks, DRed
 // over-deletion, rederivation, the remote view's two sources, the
 // run-time-resolved steps and added and removed rules, across arbitrary

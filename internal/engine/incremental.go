@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"maps"
 
 	"repro/internal/ast"
@@ -26,11 +25,11 @@ import (
 //
 // Rules are split statically (classify):
 //
-//   - view rules — head is a declared local intensional relation, body fully
-//     local and positive. These are the materialized views and take the
+//   - view rules — head is a declared local intensional relation, body
+//     positive and run here. These are the materialized views and take the
 //     delta path.
 //   - remote view rules — a Derive rule whose head names a constant remote
-//     peer and relation, body local, positive and constant-named: the
+//     peer and relation, body run here, positive and constant-named: the
 //     paper's hub publish rule, and the §2 rule once delegated, e.g.
 //     attendeePictures@jules(…) :- pictures@emilien(…) at emilien. Their
 //     materialization is the caller's RemoteView, and they take the same
@@ -39,19 +38,26 @@ import (
 //     end-of-stage rederive check (kindMatch, head-unified) restores the
 //     retracted facts that are still derivable. A stage costs O(δ), not
 //     O(view).
-//   - event rules — everything else: deletion rules, rules with extensional
-//     or variable heads, rules whose body can leave the peer (delegation),
-//     and remote-head rules over negated or variable-named atoms. Event
-//     rules are evaluated in full every stage, which preserves the paper's
-//     delegation-maintenance and update-emission semantics unchanged, so
-//     adding or removing one needs no walk of its own.
-//     Result.Delegations is complete per stage; Result.Remote holds the
-//     event rules' emissions only.
+//   - delegating rules — a body that may leave the peer after a positive,
+//     constant-named local prefix. The walk that reaches a remote atom
+//     derives a residual fact (ResidualRel) at that peer instead of the
+//     head, and the residuals are maintained in the RemoteView exactly like
+//     remote view facts: added by the semi-naive pass, retracted by the DRed
+//     over-delete, restored by an end-of-stage check of the prefix
+//     (kindResidual). A rule whose atom may also resolve to this peer must
+//     be a view or remote view rule for the valuations that stay here.
+//   - event rules — everything else: deletion rules and rules with
+//     extensional or variable heads that may run to the end here, rules
+//     whose local prefix negates, and remote-head rules over negated or
+//     variable-named atoms. Event rules are evaluated in full every stage,
+//     which preserves the paper's update-emission semantics unchanged, so
+//     adding or removing one needs no walk of its own. Result.Remote holds
+//     their emissions, the residuals they delegate included.
 //
 // RemoteView.Diff ends the stage: it reconciles the event rules' emission
-// set against the previous stage's and folds in the remote view rules'
-// maintained changes, producing true insert/retract deltas
-// (Result.RemoteOut) instead of re-shipping the full set every stage.
+// set against the previous stage's and folds in the maintained rules'
+// changes, producing true insert/retract deltas (Result.RemoteOut) instead
+// of re-shipping the full set every stage.
 
 // StageInput describes the base-fact deltas of one peer stage. All tuples in
 // Ins are already present in the store (the peer applied extensional updates
@@ -116,9 +122,12 @@ type incrState struct {
 	// folds in so a candidate with a surviving local derivation is
 	// restored, and the current deletion phase's over-deletions.
 	marks []relTuple
-	// remoteMarks holds the remote view facts the DRed pass retracted, for
-	// the end-of-stage rederive check.
-	remoteMarks []factRef
+	// remoteMarks holds the remote view facts and residuals the DRed pass
+	// retracted, for the end-of-stage rederive check.
+	remoteMarks []remoteMark
+	// removing is set while removed rules take their over-delete walk: the
+	// residuals they retract have no rule left to restore them.
+	removing bool
 	// stageIns / stageDel accumulate all insertions / deletions seen so far
 	// this stage, seeding the delta passes of later strata.
 	stageIns deltaSet
@@ -259,56 +268,76 @@ func (ic *incrState) ghostIndexFor(relID string, mask store.ColMask, g map[strin
 	return idx
 }
 
+// ruleKey is a rule's identity (CompiledRule.key) with its classification.
+type ruleKey struct {
+	id    string
+	class ruleClass
+}
+
+// ruleClass is a rule's classification: its Event, Remote and MaybeView.
+type ruleClass struct{ event, remote, maybeView bool }
+
+// constPeer returns the atom's peer name when its peer term is a constant
+// string.
+func constPeer(a *cAtom) (string, bool) {
+	if a.peer.isVar || a.peer.val.Kind() != value.KindString {
+		return "", false
+	}
+	return a.peer.val.StringVal(), true
+}
+
 // classify fills the Event / Remote / MaybeView flags of every rule and
 // decides whether the program as a whole is incrementally maintainable.
-// Called after stratification (CompileProgram / CompileRules).
+// Called after stratification (CompileRules).
 func (e *Engine) classify(prog *Program) {
 	idb := e.localIntensional()
 	ok := e.opts.Incremental
-	for _, cr := range prog.Rules {
-		localBody, constNames := true, true
-		hasNeg := false
+	prog.keys = make([]ruleKey, len(prog.Rules))
+	for n, cr := range prog.Rules {
+		// deleg is the first atom that may leave the peer (len(Body): none
+		// may), where a delegation splits the rule; atoms past one named at
+		// another peer never run here.
+		deleg := planRegion(cr, e.local)
+		prefixOK, constNames, hasNeg := true, true, false
 		for i := range cr.Body {
 			a := &cr.Body[i]
-			if a.peer.isVar {
-				localBody = false
-				if a.neg {
-					hasNeg = true
-				}
-				continue
-			}
-			pn := ""
-			if a.peer.val.Kind() == value.KindString {
-				pn = a.peer.val.StringVal()
-			}
-			if pn == BuiltinPeer {
+			pn, named := constPeer(a)
+			if named && pn == BuiltinPeer {
 				continue // built-ins are pure filters, negated or not
 			}
-			if pn != e.local {
-				localBody = false
+			if !a.peer.isVar && pn != e.local {
+				break
 			}
-			if a.neg {
-				hasNeg = true
-			}
-			if a.rel.isVar || a.rel.val.Kind() != value.KindString {
-				constNames = false
+			relNamed := !a.rel.isVar && a.rel.val.Kind() == value.KindString
+			hasNeg = hasNeg || a.neg
+			constNames = constNames && relNamed
+			if i < deleg {
+				prefixOK = prefixOK && !a.neg && relNamed
 			}
 		}
+		// static: every valuation delegates at deleg, none runs to the head.
+		static := false
+		if deleg < len(cr.Body) {
+			_, static = constPeer(&cr.Body[deleg])
+		}
+		// A rule whose delegation point may resolve here is maintained when
+		// the valuations that stay here are those of a view or remote view.
+		stays := deleg == len(cr.Body) || prefixOK && !static
 		headPeerNamed := !cr.Head.peer.isVar && cr.Head.peer.val.Kind() == value.KindString
 		headRelNamed := !cr.Head.rel.isVar && cr.Head.rel.val.Kind() == value.KindString
 		headPeerLocal := headPeerNamed && cr.Head.peer.val.StringVal() == e.local
 		headPeerMaybeLocal := cr.Head.peer.isVar || headPeerLocal
 		headRelIntensional := headRelNamed && idb[cr.Head.rel.val.StringVal()]
-		cr.MaybeView = cr.Rule.Op == ast.Derive && headPeerMaybeLocal &&
-			(cr.Head.rel.isVar || headRelIntensional)
-		isView := cr.Rule.Op == ast.Derive && localBody && headPeerLocal && headRelIntensional
-		// A remote head over a local positive body is a view whose
+		derive := cr.Rule.Op == ast.Derive
+		cr.MaybeView = derive && headPeerMaybeLocal && (cr.Head.rel.isVar || headRelIntensional)
+		isView := derive && stays && headPeerLocal && headRelIntensional
+		// A remote head over a positive body run here is a view whose
 		// materialization is the RemoteView: nothing local reads it, so its
 		// maintenance never feeds back into the fixpoint.
-		cr.Remote = cr.Rule.Op == ast.Derive && localBody && !hasNeg && constNames &&
+		cr.Remote = derive && stays && !hasNeg && constNames &&
 			headPeerNamed && !headPeerLocal && headRelNamed
-		cr.Event = !isView && !cr.Remote
-		cr.key = fmt.Sprintf("%s\x00%t%t%t\x00%s", cr.Rule.Origin, cr.Event, cr.Remote, cr.MaybeView, cr.Rule)
+		cr.Event = !isView && !cr.Remote && !(static && prefixOK)
+		prog.keys[n] = ruleKey{cr.key, ruleClass{cr.Event, cr.Remote, cr.MaybeView}}
 		if cr.MaybeView && hasNeg {
 			// Deleting through negation would need insert deltas to feed
 			// view deletions and vice versa; fall back to recomputation.
@@ -321,7 +350,7 @@ func (e *Engine) classify(prog *Program) {
 // programDelta returns the rules of prog whose keys prev lacks (added) and
 // the rules of prev whose keys prog lacks (removed); nil stands for the empty
 // program. Rules with equal keys derive the same facts, so a recompilation
-// that only renumbers or reorders rules is no delta at all.
+// that only reorders rules, or reuses them, is no delta at all.
 func programDelta(prev, prog *Program) (added map[*CompiledRule]bool, removed []*CompiledRule) {
 	if prev == prog {
 		return nil, nil
@@ -329,18 +358,18 @@ func programDelta(prev, prog *Program) (added map[*CompiledRule]bool, removed []
 	if prev == nil {
 		prev = &Program{}
 	}
-	had, has := map[string]bool{}, map[string]bool{}
-	for _, cr := range prev.Rules {
-		had[cr.key] = true
+	had, has := make(map[ruleKey]bool, len(prev.Rules)), make(map[ruleKey]bool, len(prog.Rules))
+	for _, k := range prev.keys {
+		had[k] = true
 	}
-	added = map[*CompiledRule]bool{}
-	for _, cr := range prog.Rules {
-		has[cr.key] = true
-		added[cr] = !had[cr.key]
+	added = make(map[*CompiledRule]bool, len(prog.Rules))
+	for i, cr := range prog.Rules {
+		has[prog.keys[i]] = true
+		added[cr] = !had[prog.keys[i]]
 	}
-	for _, cr := range prev.Rules {
-		if !has[cr.key] {
-			has[cr.key] = true // walk a duplicated rule once
+	for i, cr := range prev.Rules {
+		if k := prev.keys[i]; !has[k] {
+			has[k] = true // walk a duplicated rule once
 			removed = append(removed, cr)
 		}
 	}
@@ -467,11 +496,13 @@ func (e *Engine) runDelta(prev, prog *Program, in *StageInput, rv *RemoteView) *
 	added, removed := programDelta(prev, prog)
 	if len(removed) > 0 {
 		ic.frontier = deltaSet{}
+		ic.removing = true
 		for _, cr := range removed {
-			if cr.MaybeView || cr.Remote {
+			if cr.MaybeView || !cr.Event {
 				st.planner.compiledFor(cr, kindDRed, -1).run(st, nil)
 			}
 		}
+		ic.removing = false
 		for relID, ts := range ic.frontier {
 			ic.stageDel[relID] = append(ic.stageDel[relID], ts...)
 		}
@@ -517,10 +548,11 @@ func (e *Engine) runDelta(prev, prog *Program, in *StageInput, rv *RemoteView) *
 		ic.marks = nil
 		e.rederive(prog, st, marks)
 	}
-	// Nothing local reads a remote fact, so the remote view facts the DRed
-	// passes retracted need one check, against the final database.
+	// Nothing local reads a remote fact, so the remote view facts and
+	// residuals the DRed passes retracted need one check, against the final
+	// database.
 	for _, m := range ic.remoteMarks {
-		if rel, peer := store.SplitID(m.relID); rv.retracted(m.factID) && e.rederivable(prog, st, rel, peer, m.args) {
+		if rv.retracted(m.factID) && e.stands(prog, st, m) {
 			rv.addMaint(m.dst, m.relID, m.key, m.args)
 		}
 	}
@@ -616,8 +648,9 @@ func (e *Engine) insertPhase(stratum []*CompiledRule, st *stageState, seed delta
 // database, i.e. relation ∪ ghosts; a fully matched body marks the produced
 // head as over-deleted), then rederive the over-deleted tuples that still
 // have standing support. A remote view rule's match retracts its head from
-// the RemoteView instead; runDelta checks those at the end. Added rules take
-// no part: nothing they derive is materialized yet.
+// the RemoteView instead, and a delegating rule's its residual; runDelta
+// checks those at the end. Added rules take no part: nothing they derive is
+// materialized yet.
 func (e *Engine) deletePhase(prog *Program, stratum []*CompiledRule, st *stageState, added map[*CompiledRule]bool) {
 	ic := st.incr
 	frontier := maps.Clone(ic.stageDel)
@@ -632,7 +665,7 @@ func (e *Engine) deletePhase(prog *Program, stratum []*CompiledRule, st *stageSt
 		}
 		ic.frontier = deltaSet{}
 		for _, cr := range stratum {
-			if !cr.MaybeView && !cr.Remote || added[cr] {
+			if !cr.MaybeView && cr.Event || added[cr] {
 				continue
 			}
 			forDeltaPositions(cr, frontier, func(j int) {
@@ -723,6 +756,29 @@ func (e *Engine) rederivable(prog *Program, st *stageState, relName, peerName st
 		}
 	}
 	return false
+}
+
+// remoteMark is a remote view fact or residual the DRed pass retracted. A
+// residual records the rule that delegated it (a residual names its rule,
+// and its suffix fixes the split), where, and the frame of the retracting
+// walk: every slot the residual depends on is bound there.
+type remoteMark struct {
+	factRef
+	cr  *CompiledRule // nil: a remote view fact
+	pos int
+	env []value.Value
+}
+
+// stands reports whether the retracted fact m is derived still, over the
+// final database: a remote view fact by some remote view rule
+// (rederivable), a residual by a valuation of its rule's prefix that agrees
+// with it.
+func (e *Engine) stands(prog *Program, st *stageState, m remoteMark) bool {
+	if m.cr == nil {
+		rel, peer := store.SplitID(m.relID)
+		return e.rederivable(prog, st, rel, peer, m.args)
+	}
+	return st.planner.compiledFor(m.cr, kindResidual, m.pos).runMatch(st, m.env)
 }
 
 // unifyHead binds the rule's head against the target fact; false if the head

@@ -643,6 +643,48 @@ func TestIncrementalRemoteDiff(t *testing.T) {
 	}
 }
 
+// TestResidualOutlivesOneOfItsValuations: a delegating rule whose prefix
+// binds a variable the residual does not keep ($w) delegates one residual
+// for two prefix valuations. Deleting one valuation ships nothing — the
+// end-of-stage check finds the other — and deleting the second withdraws
+// the residual with one maintained delete; a new valuation of a new
+// residual delegates it with one maintained insert.
+func TestResidualOutlivesOneOfItsValuations(t *testing.T) {
+	e2 := func(a, b int64) ast.Fact { return ast.NewFact("edge", "local", value.Int(a), value.Int(b)) }
+	h := newIncrHarness(t, []string{"ext edge(a,b)", "ext follows(p)", "int seen(a,b)"},
+		mustRules(t, `seen@local($x, $y) :- edge@local($x, $w), follows@local($p), edge@$p($x, $y);`))
+	residuals := func(res *Result) []string {
+		var out []string
+		for _, op := range res.RemoteOut["far"] {
+			if !op.Maint || op.Fact.Rel != ResidualRel {
+				t.Fatalf("unexpected remote op %v", op)
+			}
+			_, _, r, err := Residual(op.Fact.Args)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sign := "+"
+			if op.Op == ast.Delete {
+				sign = "-"
+			}
+			out = append(out, sign+" "+r.String())
+		}
+		return out
+	}
+	h.step([]ast.Fact{ast.NewFact("follows", "local", value.Str("far"))}, nil)
+	if got := residuals(h.step([]ast.Fact{e2(1, 2), e2(1, 3)}, nil)); len(got) != 1 ||
+		got[0] != "+ seen@local(1, $y) :- edge@far(1, $y)" {
+		t.Fatalf("two valuations of one residual shipped %v, want its one insert", got)
+	}
+	if got := residuals(h.step(nil, []ast.Fact{e2(1, 2)})); len(got) != 0 {
+		t.Fatalf("deleting one of two valuations shipped %v, want nothing", got)
+	}
+	if got := residuals(h.step([]ast.Fact{e2(4, 5)}, []ast.Fact{e2(1, 3)})); len(got) != 2 ||
+		got[0] != "- seen@local(1, $y) :- edge@far(1, $y)" || got[1] != "+ seen@local(4, $y) :- edge@far(4, $y)" {
+		t.Fatalf("deleting the last valuation and adding another shipped %v, want one delete and one insert", got)
+	}
+}
+
 // TestIncrementalEquivalentToRecomputeOnRandomSequences is the central
 // correctness property of incremental maintenance: on random positive
 // programs and random insert/delete sequences, the maintained views equal a

@@ -120,7 +120,7 @@ func TestPlannerDelegationsUnchanged(t *testing.T) {
 		}
 		res := eval(e, prog)
 		checkNoErrors(t, res)
-		if n := len(res.Delegations["r1"]["remote"]); n != 3 {
+		if n := len(delegations(t, res)["r1"]["remote"]); n != 3 {
 			t.Fatalf("%d residuals delegated, want 3", n)
 		}
 		return stageOutputs(db, "local", res)

@@ -227,6 +227,8 @@ func withDelegatingRules(rnd *rand.Rand, schemas []store.Schema, rules []ast.Rul
 		{body: []ast.Atom{e("x", "y"), atom(ast.CStr("cmp"), local, "o", "p"), atom(ast.V("o"), ast.V("p"), "x", "y")}, peerVar: true, topOnly: true},
 		{body: []ast.Atom{e("x", "y"), atom(ast.CStr("peers"), local, "p"), {Neg: true, Rel: ast.CStr("e"), Peer: ast.V("p"), Args: []ast.Term{ast.V("y"), ast.V("x")}}}, peerVar: true},
 		{body: []ast.Atom{e("x", "y"), atom(ast.CStr("peers"), local, "p")}, peerVar: true}, // emits to far from a local body
+		// $w is the prefix's alone: one residual stands for several valuations.
+		{body: []ast.Atom{e("x", "w"), atom(ast.CStr("peers"), local, "p"), atom(ast.CStr("e"), ast.V("p"), "x", "y")}, peerVar: true},
 	}
 	for n := 1 + rnd.Intn(3); n > 0; n-- {
 		b := bodies[rnd.Intn(len(bodies))]
@@ -330,13 +332,15 @@ func randomBatches(rnd *rand.Rand, n, domain int, delegating bool) [][]FactOp {
 // delegating/run-time-resolved shapes and remote view rules — production
 // rule execution, both incrementally maintained and recomputed, produces
 // exactly what the reference evaluator produces: view contents, the remote
-// facts its RemoteOut sequence leaves at each destination, Result.Delegations,
-// Result.LocalUpdates and Result.Errors, after the initial stage and after
-// each of 10 random insert/delete batches — across a program change: one
-// random rule is replaced by another at batch 3 and restored at batch 7.
+// facts its RemoteOut sequence leaves at each destination — the delegated
+// residuals included, replayed from their maintained deltas against the
+// reference's per-stage residual set — Result.LocalUpdates and
+// Result.Errors, after the initial stage and after each of 10 random
+// insert/delete batches — across a program change: one random rule is
+// replaced by another at batch 3 and restored at batch 7.
 func TestProductionEquivalentToReference(t *testing.T) {
 	rnd := rand.New(rand.NewSource(20130523)) // SIGMOD'13 demo week
-	delegating, incremental, remote := 0, 0, 0
+	delegating, incremental, remote, withdrawn := 0, 0, 0, 0
 	for trial := 0; trial < 180; trial++ {
 		var schemas []store.Schema
 		var tuples []value.Tuple
@@ -371,38 +375,35 @@ func TestProductionEquivalentToReference(t *testing.T) {
 		replaced[k] = alt[rnd.Intn(len(alt))]
 		replaced[k].ID = rules[k].ID
 		edits := map[int][]ast.Rule{3: replaced, 7: rules}
-		incr, rv := checkAgainstReference(t, fmt.Sprintf("trial %d", trial), schemas, facts, rules, randomBatches(rnd, 10, domain, withDeleg), edits)
-		if incr {
+		cov := checkAgainstReference(t, fmt.Sprintf("trial %d", trial), schemas, facts, rules, randomBatches(rnd, 10, domain, withDeleg), edits)
+		if cov.incremental {
 			incremental++
 		}
-		if rv {
+		if cov.remote {
 			remote++
 		}
+		if cov.withdrawn {
+			withdrawn++
+		}
 	}
-	t.Logf("%d delegating programs, %d incrementally maintained, %d with a remote view rule", delegating, incremental, remote)
-	if delegating < 50 || incremental < 50 || remote < 50 {
-		t.Fatalf("coverage too thin: %d delegating programs, %d incrementally maintained, %d with a remote view rule (want ≥ 50 each)",
-			delegating, incremental, remote)
+	t.Logf("%d delegating programs, %d incrementally maintained, %d with a remote view rule, %d withdrawing a residual incrementally",
+		delegating, incremental, remote, withdrawn)
+	if delegating < 50 || incremental < 50 || remote < 50 || withdrawn < 25 {
+		t.Fatalf("coverage too thin: %d delegating programs, %d incrementally maintained, %d with a remote view rule (want ≥ 50 each), %d withdrawing a residual incrementally (want ≥ 25)",
+			delegating, incremental, remote, withdrawn)
 	}
 }
 
 // stageOutputs canonicalizes everything a stage produced locally — view
-// contents of the given peer plus Result.Delegations, LocalUpdates and
-// Errors — as sorted text, so two evaluators compare with one string
-// equality. Remote emissions are compared separately (remoteReplica):
+// contents of the given peer plus Result.LocalUpdates and Errors — as sorted
+// text, so two evaluators compare with one string equality. Remote emissions,
+// delegated residuals included, are compared separately (remoteReplica):
 // production's Result.Remote holds the event rules' emissions only.
 func stageOutputs(db *store.Store, local string, res *Result) string {
 	var lines []string
 	for _, rel := range db.RelationsOf(local) {
 		for _, t := range rel.Tuples() {
 			lines = append(lines, "fact "+rel.Schema().ID()+t.String())
-		}
-	}
-	for id, byTarget := range res.Delegations {
-		for target, rules := range byTarget {
-			for _, r := range rules {
-				lines = append(lines, "delegate "+id+" -> "+target+": "+r.String())
-			}
 		}
 	}
 	for _, op := range res.LocalUpdates {
@@ -611,10 +612,8 @@ func remoteOutText(out map[string][]RemoteOp, oneShot bool) string {
 // rule set every world recompiles to before batch i: a program change the
 // incremental engine maintains as a program delta. The incremental world's
 // first stage is a RunStageIncremental too — the delta from the empty
-// program. It reports whether the program was incrementally maintainable at
-// every stage (otherwise the "incremental" engine recomputed too) and
-// whether it had a remote view rule.
-func checkAgainstReference(t testing.TB, label string, schemas []store.Schema, facts []ast.Fact, rules []ast.Rule, batches [][]FactOp, edits map[int][]ast.Rule) (incremental, remote bool) {
+// program. It reports what the run covered (coverage).
+func checkAgainstReference(t testing.TB, label string, schemas []store.Schema, facts []ast.Fact, rules []ast.Rule, batches [][]FactOp, edits map[int][]ast.Rule) (cov coverage) {
 	t.Helper()
 	full := DefaultOptions()
 	full.Incremental = false
@@ -678,16 +677,22 @@ func checkAgainstReference(t testing.TB, label string, schemas []store.Schema, f
 			}
 		}
 	}
-	incremental = true
+	cov.incremental = true
 	stage := func(in *StageInput) *Result {
 		for _, cr := range incr.prog.Rules {
-			remote = remote || cr.Remote
+			cov.remote = cov.remote || cr.Remote
 		}
 		if !incr.prog.Incremental {
-			incremental = false
+			cov.incremental = false
 			return incr.e.RunStageFull(incr.prog, nil, rvI)
 		}
-		return incr.e.RunStageIncremental(incr.prog, in, rvI)
+		res := incr.e.RunStageIncremental(incr.prog, in, rvI)
+		for _, ops := range res.RemoteOut {
+			for _, op := range ops {
+				cov.withdrawn = cov.withdrawn || op.Maint && op.Op == ast.Delete && op.Fact.Rel == ResidualRel
+			}
+		}
+		return res
 	}
 	compare(-1, stage(nil), reco.e.RunStageFull(reco.prog, nil, rvR))
 	for step, b := range batches {
@@ -706,8 +711,14 @@ func checkAgainstReference(t testing.TB, label string, schemas []store.Schema, f
 		ref.apply(b)
 		compare(step, stage(in), reco.e.RunStageFull(reco.prog, nil, rvR))
 	}
-	return incremental, remote
+	return cov
 }
+
+// coverage is what one checkAgainstReference run exercised: whether the
+// program was incrementally maintainable at every stage (otherwise the
+// "incremental" engine recomputed too), whether it had a remote view rule,
+// and whether an incremental stage withdrew a delegated residual.
+type coverage struct{ incremental, remote, withdrawn bool }
 
 // TestMaxIterationsGuard verifies the runaway-fixpoint safety net.
 func TestMaxIterationsGuard(t *testing.T) {

@@ -14,8 +14,8 @@ import (
 // Relation.Iterate, names resolved per visit, recompute only — no deltas, no
 // indexes, no plans, no compiled steps. It shares exactly two things with
 // production: head routing (produce) and residual construction
-// (addDelegation), which define *what* a stage outputs rather than how the
-// body is matched.
+// (residualArgs, emitted into Result.Remote as a ResidualRel fact), which
+// define *what* a stage outputs rather than how the body is matched.
 
 // referenceStage evaluates prog from scratch: intensional relations are
 // cleared, then every stratum is iterated until nothing new is derived.
@@ -71,7 +71,7 @@ func referenceWalk(e *Engine, cr *CompiledRule, i int, env []value.Value, bound 
 		return
 	}
 	if peerName != e.local && peerName != BuiltinPeer {
-		e.addDelegation(cr, i, env, bound, peerName, st)
+		emitRemote(st, peerName, FactOp{Op: ast.Derive, Fact: ast.Fact{Rel: ResidualRel, Peer: peerName, Args: e.residualArgs(cr, i, env, bound)}})
 		return
 	}
 	relName, ok := resolveName(a.rel, env)

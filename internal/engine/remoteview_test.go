@@ -122,32 +122,46 @@ func init() {
 // TestClassifyRemoteViewRules: a Derive rule with a constant remote head
 // over a local, positive, constant-named body is a remote view rule — the
 // paper's §2 rule once delegated to emilien, the Wepic hub publish rule and
-// a swarm follow rule — and Explain says so; deletion heads, variable head
-// peers, negated bodies and bodies that leave the peer stay event rules.
+// a swarm follow rule — and Explain says so. A rule that delegates after a
+// positive, constant-named local prefix is maintained too: the hub rule,
+// whose owners' atom may resolve to the hub itself, is a remote view rule;
+// the §2 rule at jules, over its declared view, a maintained delegation; a
+// rule whose next atom is always remote, whatever its head, one as well.
+// Deletion heads, variable head peers, negated bodies and prefixes that
+// name a relation by a variable stay event rules.
 func TestClassifyRemoteViewRules(t *testing.T) {
 	for _, c := range []struct {
-		local, rule string
-		remote      bool
+		local, rule   string
+		remote, event bool
 	}{
-		{"emilien", `attendeePictures@jules($id, $name, $owner, $data) :- pictures@emilien($id, $name, $owner, $data);`, true},
-		{"sigmod", `hubRatings@jules($i, $s) :- rate@sigmod($i, $s);`, true},
-		{"a", `feed@f("a", $i) :- post@a($i);`, true},
-		{"a", `out@f($x) :- post@a($x), lt@builtin($x, 5);`, true},
-		{"jules", `attendeePictures@jules($id, $name) :- selectedAttendee@jules($a), pictures@$a($id, $name);`, false},
-		{"a", `-out@f($x) :- post@a($x);`, false},
-		{"a", `out@$p($x) :- post@a($x), peers@a($p);`, false},
-		{"a", `out@f($x) :- post@a($x), not hidden@a($x);`, false},
-		{"a", `out@f($x) :- names@a($r), $r@a($x);`, false},
-		{"a", `out@f($x) :- post@a($x), more@g($x);`, false},
+		{"emilien", `attendeePictures@jules($id, $name, $owner, $data) :- pictures@emilien($id, $name, $owner, $data);`, true, false},
+		{"sigmod", `hubRatings@jules($i, $s) :- rate@sigmod($i, $s);`, true, false},
+		{"a", `feed@f("a", $i) :- post@a($i);`, true, false},
+		{"a", `out@f($x) :- post@a($x), lt@builtin($x, 5);`, true, false},
+		{"sigmod", `pictures@fb($id, $o) :- pictures@sigmod($id, $o), authorized@$o("facebook", $id, $o);`, true, false},
+		{"jules", `attendeePictures@jules($id, $name) :- selectedAttendee@jules($a), pictures@$a($id, $name);`, false, false},
+		{"a", `out@f($x) :- post@a($x), more@g($x);`, false, false},
+		{"a", `-out@$p($x) :- post@a($x), peers@a($p), more@g($x);`, false, false},
+		{"a", `-out@f($x) :- post@a($x);`, false, true},
+		{"a", `out@$p($x) :- post@a($x), peers@a($p);`, false, true},
+		{"a", `out@f($x) :- post@a($x), not hidden@a($x);`, false, true},
+		{"a", `out@f($x) :- names@a($r), $r@a($x);`, false, true},
+		{"a", `out@f($x) :- post@a($x), not hidden@a($x), more@g($x);`, false, true},
+		{"a", `out@f($x) :- names@a($r), $r@a($x), more@g($x);`, false, true},
+		{"a", `out@a($x) :- peers@a($p), more@$p($x);`, false, true},
 	} {
-		e := New(c.local, store.New(), DefaultOptions())
+		db := store.New()
+		if _, err := db.Declare(store.Schema{Name: "attendeePictures", Peer: "jules", Kind: ast.Intensional, Cols: []string{"id", "name"}}); err != nil {
+			t.Fatal(err)
+		}
+		e := New(c.local, db, DefaultOptions())
 		prog, err := e.CompileProgram(mustRules(t, c.rule))
 		if err != nil {
 			t.Fatal(err)
 		}
 		cr := prog.Rules[0]
-		if cr.Remote != c.remote || cr.Event == c.remote {
-			t.Errorf("at %s, %s: Remote=%v Event=%v, want Remote=%v", c.local, c.rule, cr.Remote, cr.Event, c.remote)
+		if cr.Remote != c.remote || cr.Event != c.event {
+			t.Errorf("at %s, %s: Remote=%v Event=%v, want Remote=%v Event=%v", c.local, c.rule, cr.Remote, cr.Event, c.remote, c.event)
 		}
 		if got := strings.Contains(e.Explain(prog), ", remote view): "); got != c.remote {
 			t.Errorf("at %s, Explain(%s) shows remote view: %v, want %v", c.local, c.rule, got, c.remote)

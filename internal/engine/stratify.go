@@ -48,9 +48,9 @@ func (e *Engine) localIntensional() map[string]bool {
 // delegation rules) are placed after every stratum they depend on.
 func (e *Engine) stratify(prog *Program) error {
 	idb := e.localIntensional()
-	rules := make([]ast.Rule, len(prog.Rules))
+	rules := make([]*ast.Rule, len(prog.Rules))
 	for i, cr := range prog.Rules {
-		rules[i] = *cr.Rule
+		rules[i] = cr.Rule
 	}
 	st, v := analysis.Stratify(e.local, idb, rules)
 	if v != nil {

@@ -37,7 +37,7 @@ func eventually(t *testing.T, d time.Duration, cond func() bool, msg string) {
 // TestApplyFailFastBackpressure: a full outbox queue under AdmitFailFast
 // rejects Apply with ErrBackpressure instead of growing.
 func TestApplyFailFastBackpressure(t *testing.T) {
-	n := NewNetwork()
+	n := closingNetwork(t)
 	alice, err := n.NewPeer(Config{Name: "alice", OutboxLimit: 2, Admission: AdmitFailFast})
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestApplyFailFastBackpressure(t *testing.T) {
 // TestApplyBlocksUntilSpace: under AdmitBlock a full queue parks the Apply
 // caller, and it completes once the destination starts acking.
 func TestApplyBlocksUntilSpace(t *testing.T) {
-	n := NewNetwork()
+	n := closingNetwork(t)
 	alice, err := n.NewPeer(Config{Name: "alice", OutboxLimit: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestApplyBlocksUntilSpace(t *testing.T) {
 // TestApplyBackpressureCtxExpiry: a blocking admission that cannot make
 // progress surfaces the caller's context error wrapped in ErrBackpressure.
 func TestApplyBackpressureCtxExpiry(t *testing.T) {
-	n := NewNetwork()
+	n := closingNetwork(t)
 	alice, err := n.NewPeer(Config{Name: "alice", OutboxLimit: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestApplyBackpressureCtxExpiry(t *testing.T) {
 // TestApplyPendingOpsBound: the staged-local-update queue is bounded the
 // same way, and a stage drains it back under the limit.
 func TestApplyPendingOpsBound(t *testing.T) {
-	n := NewNetwork()
+	n := closingNetwork(t)
 	alice, err := n.NewPeer(Config{Name: "alice", MaxPendingOps: 2, Admission: AdmitFailFast})
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestApplyPendingOpsBound(t *testing.T) {
 // ack progress for the shed window has its stream reset with the backlog
 // discarded — the queue depth collapses to the single repair entry.
 func TestSlowPeerShedResetsStream(t *testing.T) {
-	n := NewNetwork()
+	n := closingNetwork(t)
 	alice, err := n.NewPeer(Config{Name: "alice", OutboxShedAfter: 80 * time.Millisecond, ResyncInterval: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestSlowPeerShedResetsStream(t *testing.T) {
 // destination wakes up it adopts the fresh stream and the shed stream's
 // repair run rebuilds the full view, despite the discarded backlog.
 func TestShedRepairedByResync(t *testing.T) {
-	n := NewNetwork()
+	n := closingNetwork(t)
 	alice, err := n.NewPeer(Config{Name: "alice", OutboxShedAfter: 80 * time.Millisecond, ResyncInterval: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)

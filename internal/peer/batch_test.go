@@ -120,7 +120,7 @@ func TestBatchRemoteWireBatching(t *testing.T) {
 func TestBatchDurability(t *testing.T) {
 	dir := t.TempDir()
 	open := func() (*Peer, *Network) {
-		n := NewNetwork()
+		n := closingNetwork(t)
 		w, err := store.OpenWAL(dir)
 		if err != nil {
 			t.Fatal(err)

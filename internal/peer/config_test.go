@@ -27,7 +27,7 @@ func TestNewPeerValidation(t *testing.T) {
 }
 
 func TestRecomputeEngineConfig(t *testing.T) {
-	n := NewNetwork()
+	n := closingNetwork(t)
 	opts := engine.DefaultOptions()
 	opts.Incremental = false
 	p, err := n.NewPeer(Config{Name: "alice", Engine: &opts})
@@ -55,7 +55,7 @@ func TestRecomputeEngineConfig(t *testing.T) {
 }
 
 func TestDuplicateRuleIDRejected(t *testing.T) {
-	n := NewNetwork()
+	n := closingNetwork(t)
 	p, err := n.NewPeer(Config{Name: "alice"})
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestDuplicateRuleIDRejected(t *testing.T) {
 }
 
 func TestRemoveUnknownRule(t *testing.T) {
-	n := NewNetwork()
+	n := closingNetwork(t)
 	p, err := n.NewPeer(Config{Name: "alice"})
 	if err != nil {
 		t.Fatal(err)

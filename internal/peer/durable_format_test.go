@@ -23,7 +23,7 @@ func openDurable(t *testing.T, dir string) (*Peer, *Network, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := NewNetwork()
+	n := closingNetwork(t)
 	p, err := New(Config{Name: "alice", WAL: w}, n.Bus().Endpoint("alice"))
 	if err != nil {
 		w.Close()

@@ -74,7 +74,7 @@ func TestTwoPeerConvergenceUnderFaults(t *testing.T) {
 	}
 	for _, sched := range schedules {
 		t.Run(sched.name, func(t *testing.T) {
-			n := NewNetwork()
+			n := closingNetwork(t)
 			a := newFaultyPeer(t, n, "a", sched.cfg)
 			b := newFaultyPeer(t, n, "b", sched.cfg)
 			if err := a.LoadSource(`
@@ -208,7 +208,7 @@ func TestThreePeerDelegationConvergenceUnderFaults(t *testing.T) {
 	expected := tupleSet(rc, "view")
 
 	// Faulty run: same program, same updates, every link injecting faults.
-	n := NewNetwork()
+	n := closingNetwork(t)
 	a := newFaultyPeer(t, n, "a", cfg)
 	b := newFaultyPeer(t, n, "b", cfg)
 	c := newFaultyPeer(t, n, "c", cfg)
@@ -243,7 +243,7 @@ func TestThreePeerDelegationConvergenceUnderFaults(t *testing.T) {
 // update stream (SetDown) heals: everything queued during the outage is
 // delivered when the link returns.
 func TestConvergenceAcrossDisconnect(t *testing.T) {
-	n := NewNetwork()
+	n := closingNetwork(t)
 	a := newFaultyPeer(t, n, "a", transport.FaultConfig{Seed: 7})
 	b := newFaultyPeer(t, n, "b", transport.FaultConfig{Seed: 8})
 	if err := a.LoadSource(`
@@ -292,7 +292,7 @@ func TestConvergenceAcrossDisconnect(t *testing.T) {
 func TestStageCommitDoesNotWaitForLink(t *testing.T) {
 	const rtt = 20 * time.Millisecond
 	const updates = 6
-	n := NewNetwork()
+	n := closingNetwork(t)
 	a := newFaultyPeer(t, n, "a", transport.FaultConfig{Latency: rtt})
 	b := newFaultyPeer(t, n, "b", transport.FaultConfig{})
 	loadViewSender(t, a)

@@ -477,7 +477,7 @@ func TestCoalescedMaintainedDeltas(t *testing.T) {
 // the engine's equivalence property.
 func TestIncrementalAndNaiveAgreeAcrossStages(t *testing.T) {
 	build := func(opts engine.Options) (*Network, *Peer) {
-		n := NewNetwork()
+		n := closingNetwork(t)
 		p, err := n.NewPeer(Config{Name: "p", Engine: &opts})
 		if err != nil {
 			t.Fatal(err)
@@ -603,15 +603,95 @@ func TestDelegatedRuleStaysODelta(t *testing.T) {
 	}
 }
 
-// TestDelegationIsAProgramDelta: installing, withdrawing and re-sending a
+// TestDelegatingRuleStaysODelta: the hub publish rule at sigmod,
+// pictures@fb($id, $o) :- pictures@sigmod($id, $o),
+// authorized@$o("facebook", $id, $o), delegates one residual per picture to
+// its owner. One new picture ships exactly one residual insert to the owner,
+// and a delete+insert round trip over the three peers allocates no more
+// than twice as much with 5 000 pictures in the album as with 500: the hub
+// maintains the residuals from the delta instead of re-deriving and
+// re-shipping the album's, and the owner installs or removes one rule
+// instead of recompiling them all.
+func TestDelegatingRuleStaysODelta(t *testing.T) {
+	allocs := func(album int) float64 {
+		n := NewSequentialNetwork()
+		peers := map[string]*Peer{}
+		for _, name := range []string{"emilien", "fb", "sigmod"} {
+			p, err := n.NewPeer(Config{Name: name})
+			if err != nil {
+				t.Fatal(err)
+			}
+			peers[name] = p
+		}
+		sigmod, emilien, fb := peers["sigmod"], peers["emilien"], peers["fb"]
+		if err := sigmod.LoadSource(`
+			relation extensional pictures@sigmod(id, owner);
+			pictures@fb($id, $o) :- pictures@sigmod($id, $o), authorized@$o("facebook", $id, $o);
+		`); err != nil {
+			t.Fatal(err)
+		}
+		if err := emilien.LoadSource(`relation extensional authorized@emilien(app, id, owner);`); err != nil {
+			t.Fatal(err)
+		}
+		if err := fb.LoadSource(`relation intensional pictures@fb(id, owner);`); err != nil {
+			t.Fatal(err)
+		}
+		pics, auth := engine.NewBatch(), engine.NewBatch()
+		for i := 0; i <= album; i++ {
+			if i < album {
+				pics.Insert(ast.NewFact("pictures", "sigmod", value.Int(int64(i)), value.Str("emilien")))
+			}
+			auth.Insert(ast.NewFact("authorized", "emilien", value.Str("facebook"), value.Int(int64(i)), value.Str("emilien")))
+		}
+		for p, b := range map[*Peer]*engine.Batch{sigmod: pics, emilien: auth} {
+			if err := p.Apply(context.Background(), b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		quiesce(t, n)
+		if got := len(fb.Query("pictures")); got != album {
+			t.Fatalf("fb holds %d pictures, want %d", got, album)
+		}
+		pic := fmt.Sprintf(`pictures@sigmod(%d, "emilien");`, album)
+		if err := sigmod.InsertString(pic); err != nil {
+			t.Fatal(err)
+		}
+		out, in := sigmod.Stats().DelegationsOut, emilien.Stats().DelegationsIn
+		if rep := sigmod.RunStage(); rep.DelegationsSent != 1 || sigmod.Stats().DelegationsOut != out+1 {
+			t.Fatalf("%d pictures: sigmod's stage shipped %d delegations for one picture, want one residual insert", album, rep.DelegationsSent)
+		}
+		quiesce(t, n)
+		if got := emilien.Stats().DelegationsIn; got != in+1 || len(fb.Query("pictures")) != album+1 {
+			t.Fatalf("%d pictures: emilien took %d delegations for one picture, fb holds %d pictures; want 1 and %d",
+				album, got-in, len(fb.Query("pictures")), album+1)
+		}
+		return testing.AllocsPerRun(10, func() {
+			if err := sigmod.DeleteString(pic); err != nil {
+				t.Fatal(err)
+			}
+			quiesce(t, n)
+			if err := sigmod.InsertString(pic); err != nil {
+				t.Fatal(err)
+			}
+			quiesce(t, n)
+		})
+	}
+	small, large := allocs(500), allocs(5000)
+	t.Logf("allocations per delete+insert round trip: %.0f with 500 pictures, %.0f with 5000", small, large)
+	if large > 2*small {
+		t.Fatalf("a round trip allocates %.0f with 5000 pictures, %.0f with 500: the delegating rule is not maintained in O(δ)", large, small)
+	}
+}
+
+// TestDelegationIsAProgramDelta: installing, withdrawing and restoring a
 // delegation changes the program at a peer, and a program change is a
 // program delta to its views, not a rebuild. When jules selects emilien, the
 // §2 rule's residual arrives at emilien, whose stage ships the three
 // pictures as maintained inserts and derives nothing into its unrelated
 // 5 000-row view; unselecting withdraws it, and the stage ships maintained
-// deletes, again deriving nothing. A plain ResyncRequestMsg from emilien
-// makes jules re-send the delegation, and that stage derives nothing into
-// jules' own 5 000-row view either.
+// deletes, again deriving nothing. When emilien loses the residual, jules'
+// advert finds it missing and the ranged repair of the residuals' relation
+// restores it, again deriving nothing into either 5 000-row view.
 func TestDelegationIsAProgramDelta(t *testing.T) {
 	const rows = 5000
 	n := NewSequentialNetwork()
@@ -690,17 +770,41 @@ func TestDelegationIsAProgramDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	quiesce(t, n)
+	// emilien loses the installed residual, from its ledger and its program,
+	// and its stage withdraws the pictures. jules' advert shows the
+	// residuals' digest diverged, and the ranged repair jules serves restores
+	// the residual: no stage derives into a 5 000-row view.
 	emilien.mu.Lock()
-	emilien.outbox.EnqueueControl("jules", protocol.ResyncRequestMsg{})
+	sess := emilien.sessionLocked("jules")
+	for _, key := range sess.ledgerKeys(emilien.residualRelID()) {
+		sess.ledgerRemove(emilien.residualRelID(), key)
+		emilien.uninstallResidualLocked(key)
+	}
 	emilien.mu.Unlock()
-	emilien.RunStage() // nothing to do, but a sync peer flushes its outbox
-	rep := jules.RunStage()
-	if !rep.Ran || rep.Derived != 0 || rep.DelegationsSent != 1 || len(rep.Errors) > 0 {
-		t.Fatalf("jules' stage serving the request: ran %v, derived %d, sent %d delegation messages, errors %v; want derived 0, 1 message",
-			rep.Ran, rep.Derived, rep.DelegationsSent, rep.Errors)
+	if rep := emilien.RunStage(); !rep.Ran || rep.Derived != 0 || rep.FactsSent != 3 || len(rep.Errors) > 0 {
+		t.Fatalf("emilien's stage dropping the residual: ran %v, derived %d, shipped %d facts, errors %v; want derived 0, 3 facts",
+			rep.Ran, rep.Derived, rep.FactsSent, rep.Errors)
+	}
+	quiesce(t, n)
+	if !jules.advertise("emilien") {
+		t.Fatal("jules maintains nothing at emilien to advertise")
+	}
+	jules.FlushOutbox()
+	emilien.RunStage() // compares the advert and asks for the residuals' range
+	if rep := jules.RunStage(); rep.Derived != 0 || len(rep.Errors) > 0 || jules.Stats().ResyncRangedRepairs != 1 {
+		t.Fatalf("jules' stage serving the request: derived %d, errors %v, %d ranged repairs served; want derived 0, 1 repair",
+			rep.Derived, rep.Errors, jules.Stats().ResyncRangedRepairs)
+	}
+	rep := emilien.RunStage()
+	if !rep.Ran || rep.Derived != 0 || rep.FactsSent != 3 || len(rep.Errors) > 0 {
+		t.Fatalf("emilien's stage applying the repair: ran %v, derived %d, shipped %d facts, errors %v; want derived 0, 3 facts",
+			rep.Ran, rep.Derived, rep.FactsSent, rep.Errors)
 	}
 	quiesce(t, n)
 	if got := len(jules.Query("attendeePictures")); got != 3 {
-		t.Fatalf("jules holds %d pictures after the resync, want 3", got)
+		t.Fatalf("jules holds %d pictures after the repair, want 3", got)
+	}
+	if st := jules.Stats(); st.OutboxResets != 0 {
+		t.Errorf("the lost residual restarted the stream: %+v", st)
 	}
 }

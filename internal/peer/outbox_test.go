@@ -14,6 +14,45 @@ import (
 	"repro/internal/value"
 )
 
+// TestMalformedResidualsRefused: on the sequenced stream from a, a residual
+// a delegates on another peer's behalf, one delivered one-shot and one whose
+// rule does not decode are each refused; none enters a's ledger or the
+// program. a's own maintained residual installs.
+func TestMalformedResidualsRefused(t *testing.T) {
+	n := NewSequentialNetwork()
+	b, err := n.NewPeer(Config{Name: "b", ResyncInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := n.Bus().Endpoint("a")
+	rule := value.Blob(ast.Rule{Head: ast.NewAtom("m", "a"), Body: []ast.Atom{ast.NewAtom("n", "b")}}.AppendBinary(nil))
+	residual := func(maint bool, args ...value.Value) protocol.FactDelta {
+		return protocol.FactDelta{Maint: maint, Fact: ast.NewFact(engine.ResidualRel, "b", args...)}
+	}
+	for seq, fd := range []protocol.FactDelta{
+		residual(true, value.Str("mallory"), value.Str("r1"), rule),
+		residual(false, value.Str("a"), value.Str("r1"), rule),
+		residual(true, value.Str("a"), value.Str("r1"), value.Blob([]byte{9})),
+		residual(true, value.Str("a"), value.Str("r1")),
+		residual(true, value.Str("a"), value.Str("r1"), rule),
+	} {
+		msg := protocol.DataMsg{Epoch: 1, Seq: uint64(seq + 1), Msg: protocol.FactsMsg{Ops: []protocol.FactDelta{fd}}}
+		if err := a.Send(context.Background(), "b", msg); err != nil {
+			t.Fatal(err)
+		}
+		rep := b.RunStage()
+		if want := seq < 4; (len(rep.Errors) == 1) != want {
+			t.Errorf("residual %s: errors %v, want refused %v", fd.String(), rep.Errors, want)
+		}
+	}
+	b.mu.Lock()
+	ledger := len(b.sessionLocked("a").ledgerKeys(b.residualRelID()))
+	b.mu.Unlock()
+	if got := b.DelegatedRules()["a"]; ledger != 1 || len(got) != 1 || b.Stats().DelegationsIn != 1 {
+		t.Fatalf("a's ledger holds %d residuals, b installed %v, took %d; want only a's own", ledger, b.DelegatedRules(), b.Stats().DelegationsIn)
+	}
+}
+
 // TestDataMsgReplayIsDeduplicated: a retransmitted DataMsg must be re-acked
 // but not re-applied — the receiver's watermark gives exactly-once
 // application under at-least-once delivery.
@@ -156,7 +195,8 @@ func TestBareDataRefused(t *testing.T) {
 		protocol.RangeRepairMsg{RelID: "view@b", Ranges: []protocol.HashRange{fullRange}},
 		facts(8),
 		facts(8),
-		protocol.DelegationMsg{RuleID: "r"},
+		protocol.FactsMsg{Ops: []protocol.FactDelta{{Maint: true, Fact: ast.NewFact(engine.ResidualRel, "b",
+			value.Str("a"), value.Str("r"), value.Blob(ast.Rule{Head: ast.NewAtom("m", "a")}.AppendBinary(nil)))}}},
 		protocol.DigestMsg{Advert: true},
 	}
 	state := func() string {
@@ -224,7 +264,7 @@ func (h *addPeerHook) AfterStage(p *Peer, rep *StageReport) error {
 func TestPeerAddedMidRunIsScheduled(t *testing.T) {
 	for _, mode := range []string{"concurrent", "sequential"} {
 		t.Run(mode, func(t *testing.T) {
-			n := NewNetwork()
+			n := closingNetwork(t)
 			if mode == "sequential" {
 				n = NewSequentialNetwork()
 			}
@@ -376,7 +416,7 @@ func TestCloseCancelsInFlightDial(t *testing.T) {
 // pending when the restarted receiver it wedged asks for the reset, must not
 // be compared again behind the run.
 func TestResetDropsPendingDigests(t *testing.T) {
-	n := NewNetwork()
+	n := closingNetwork(t)
 	a, err := New(Config{Name: "a", ResyncInterval: -1}, &unreachableEndpoint{Endpoint: n.Bus().Endpoint("a"), dst: "b"})
 	if err != nil {
 		t.Fatal(err)
@@ -390,7 +430,7 @@ func TestResetDropsPendingDigests(t *testing.T) {
 	a.outbox.EnqueueData("b", protocol.DigestMsg{Rels: map[string][]protocol.RangeDigest{"view@b": {{Lo: 1, Hi: 2}}}})
 	a.outbox.EnqueueData("b", fact(2))
 	run := protocol.RangeRepairMsg{RelID: "view@b", Ranges: []protocol.HashRange{fullRange}}
-	advert := protocol.DigestMsg{Advert: true, Deleg: map[string]uint64{"r": 1}}
+	advert := protocol.DigestMsg{Advert: true, Rels: map[string][]protocol.RangeDigest{"view@b": {{Lo: 0, Hi: ^uint64(0), Hash: 1, Count: 1}}}}
 	a.outbox.Reset("b", run, advert)
 
 	dq := a.outbox.queue("b")

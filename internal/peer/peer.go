@@ -17,7 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -141,6 +141,11 @@ type Hooks interface {
 // Stats accumulates peer-lifetime counters. RuntimeErrors counts every error
 // a stage reported (StageReport.Errors): rule evaluation, refused or
 // malformed input, persistence, hooks.
+//
+// DelegationsIn counts the residual rules delegated here (each residual
+// once, when its sender starts delegating it), DelegationsOut the residuals
+// this peer started delegating and Withdrawals those it stopped delegating;
+// FactsIn and FactsOut count the other facts.
 type Stats struct {
 	Stages         uint64
 	StagesSkipped  uint64
@@ -205,8 +210,8 @@ type StageReport struct {
 	Seeds int
 	// FactsSent counts facts emitted to remote peers.
 	FactsSent int
-	// DelegationsSent counts delegation-set messages emitted (including
-	// withdrawals).
+	// DelegationsSent counts residual rules this stage started or stopped
+	// delegating (engine.ResidualRel inserts and deletes it shipped).
 	DelegationsSent int
 	// Ingest, Fixpoint and Emit decompose the stage latency (the ledger's
 	// peer.ingest_us_p50, engine.fixpoint_us_p50 and peer.emit_us_p50).
@@ -220,12 +225,6 @@ type StageReport struct {
 
 // Duration returns the total stage latency.
 func (r *StageReport) Duration() time.Duration { return r.Ingest + r.Fixpoint + r.Emit }
-
-// delegationKey identifies an installed delegation group.
-type delegationKey struct {
-	Origin string
-	RuleID string
-}
 
 // Peer is one WebdamLog peer.
 type Peer struct {
@@ -252,13 +251,18 @@ type Peer struct {
 	cancel context.CancelFunc
 	outbox *outbox
 
-	mu         sync.Mutex
-	ownRules   []ast.Rule
-	delegated  map[delegationKey][]ast.Rule
-	ruleSeq    int
-	progDirty  bool
-	prog       *engine.Program
-	compileErr []error
+	mu       sync.Mutex
+	ownRules []ast.Rule
+	// delegated holds the installed residual rules other peers delegate
+	// here, compiled once, by their residual's key (engine.ResidualRel);
+	// delegatedOrder holds them in installation order, the order the
+	// program lists them in.
+	delegated      map[string]*engine.CompiledRule
+	delegatedOrder []*engine.CompiledRule
+	ruleSeq        int
+	progDirty      bool
+	prog           *engine.Program
+	compileErr     []error
 
 	pendingOps []engine.FactOp // buffered updates for the next stage
 	// pendingSpace, when non-nil, is closed (and cleared) when a stage
@@ -292,12 +296,11 @@ type Peer struct {
 	// resyncEvery is the resolved anti-entropy period (0 = disabled).
 	resyncEvery time.Duration
 
-	lastSentDeleg map[string]map[string]string // ruleID -> target -> set fingerprint
-	poked         bool
-	hooks         Hooks
-	stats         Stats
-	stageNo       uint64
-	wake          chan struct{}
+	poked   bool
+	hooks   Hooks
+	stats   Stats
+	stageNo uint64
+	wake    chan struct{}
 	// onReady, when set (network.go, setSchedHooks), is fired by kick() so
 	// the concurrent scheduler's wake queue learns this peer has work without
 	// scanning. Atomic: kick() runs outside p.mu and may race the installer.
@@ -344,19 +347,18 @@ func New(cfg Config, ep transport.Endpoint) (*Peer, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &Peer{
-		name:          cfg.Name,
-		db:            db,
-		ep:            ep,
-		wal:           cfg.WAL,
-		ctx:           ctx,
-		cancel:        cancel,
-		inbound:       make(map[string]*inSession),
-		rv:            engine.NewRemoteView(),
-		delegated:     make(map[delegationKey][]ast.Rule),
-		lastSentDeleg: make(map[string]map[string]string),
-		wake:          make(chan struct{}, 1),
-		subs:          make(map[int]*subscription),
-		progDirty:     true, // the first stage compiles, rules or not
+		name:      cfg.Name,
+		db:        db,
+		ep:        ep,
+		wal:       cfg.WAL,
+		ctx:       ctx,
+		cancel:    cancel,
+		inbound:   make(map[string]*inSession),
+		rv:        engine.NewRemoteView(),
+		delegated: make(map[string]*engine.CompiledRule),
+		wake:      make(chan struct{}, 1),
+		subs:      make(map[int]*subscription),
+		progDirty: true, // the first stage compiles, rules or not
 	}
 	p.supported = p.supportedLocked
 	p.intern = cfg.Interner
@@ -386,7 +388,7 @@ func New(cfg Config, ep transport.Endpoint) (*Peer, error) {
 		}
 	}
 	p.eng = engine.New(cfg.Name, db, opts)
-	p.ctrl = acl.NewController(cfg.Policy, p.installDelegation)
+	p.ctrl = acl.NewController(cfg.Policy, p.Poke)
 	if cfg.Metrics != nil {
 		p.registerMetrics(cfg.Metrics)
 	}
@@ -516,7 +518,7 @@ func (p *Peer) advertise(dst string) bool {
 		return false
 	}
 	msg := p.digestMsgLocked(dst)
-	if len(msg.Rels) == 0 && len(msg.Deleg) == 0 {
+	if len(msg.Rels) == 0 {
 		return false
 	}
 	p.outbox.EnqueueData(dst, msg)
@@ -524,27 +526,18 @@ func (p *Peer) advertise(dst string) bool {
 }
 
 // digestMsgLocked builds the complete advert for dst — per relation, the
-// digest of the full hash range of everything this peer maintains there,
-// plus fingerprint hashes of the rule sets it currently delegates there —
-// empty maps and all: an advert *request* (ResyncRequestMsg.Advert) is
-// answered even when this peer maintains nothing at the requester, because
-// "nothing" is exactly what the requester's stale ledger needs to learn.
+// residuals this peer delegates there among them, the digest of the full
+// hash range of everything this peer maintains there — empty map and all:
+// an advert *request* is answered even when this peer maintains nothing at
+// the requester, because "nothing" is exactly what the requester's stale
+// ledger needs to learn.
 func (p *Peer) digestMsgLocked(dst string) protocol.DigestMsg {
 	digs := p.rv.Digests(dst)
-	var deleg map[string]uint64
-	for ruleID, targets := range p.lastSentDeleg {
-		if fp, ok := targets[dst]; ok {
-			if deleg == nil {
-				deleg = map[string]uint64{}
-			}
-			deleg[ruleID] = store.KeyHash(fp)
-		}
-	}
 	rels := make(map[string][]protocol.RangeDigest, len(digs))
 	for relID, d := range digs {
 		rels[relID] = []protocol.RangeDigest{{Lo: fullRange.Lo, Hi: fullRange.Hi, Hash: d.Hash, Count: d.Count}}
 	}
-	return protocol.DigestMsg{Rels: rels, Deleg: deleg, Advert: true}
+	return protocol.DigestMsg{Rels: rels, Advert: true}
 }
 
 // Name returns the peer's name.
@@ -718,8 +711,8 @@ func (p *Peer) AddRuleAST(r ast.Rule) (string, error) {
 	return r.ID, nil
 }
 
-// RemoveRule removes an own rule by id. Any delegations this rule installed
-// at other peers are withdrawn at the end of the next stage.
+// RemoveRule removes an own rule by id. The residuals it delegates to other
+// peers are withdrawn by the next stage.
 func (p *Peer) RemoveRule(id string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -771,25 +764,16 @@ func (p *Peer) Rules() []ast.Rule {
 }
 
 // DelegatedRules returns the rules installed by remote peers, grouped by
-// origin, in deterministic order.
+// origin, each group in rule-text order.
 func (p *Peer) DelegatedRules() map[string][]ast.Rule {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := map[string][]ast.Rule{}
-	keys := make([]delegationKey, 0, len(p.delegated))
-	for k := range p.delegated {
-		keys = append(keys, k)
+	for _, cr := range p.delegated {
+		out[cr.Rule.Origin] = append(out[cr.Rule.Origin], cr.Rule.Clone())
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Origin != keys[j].Origin {
-			return keys[i].Origin < keys[j].Origin
-		}
-		return keys[i].RuleID < keys[j].RuleID
-	})
-	for _, k := range keys {
-		for _, r := range p.delegated[k] {
-			out[k.Origin] = append(out[k.Origin], r.Clone())
-		}
+	for _, rules := range out {
+		slices.SortFunc(rules, func(a, b ast.Rule) int { return strings.Compare(a.String(), b.String()) })
 	}
 	return out
 }
@@ -808,52 +792,6 @@ func (p *Peer) ProgramText() string {
 		}
 	}
 	return sb.String()
-}
-
-// installDelegation is the acl.Controller callback: it replaces the rule set
-// delegated by (origin, ruleID). nil rules withdraws the group.
-func (p *Peer) installDelegation(origin, ruleID string, rules []ast.Rule) {
-	key := delegationKey{Origin: origin, RuleID: ruleID}
-	// Localize ids deterministically so that re-delegation downstream has a
-	// stable identity across stages.
-	sorted := make([]ast.Rule, len(rules))
-	for i, r := range rules {
-		sorted[i] = r.Clone()
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].String() < sorted[j].String() })
-	for i := range sorted {
-		sorted[i].ID = fmt.Sprintf("d[%s/%s]/%d", origin, ruleID, i)
-		sorted[i].Origin = origin
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(sorted) == 0 {
-		if _, had := p.delegated[key]; !had {
-			return // withdrawal of nothing: no change
-		}
-		delete(p.delegated, key)
-		p.progDirty = true
-		p.kick()
-		return
-	}
-	if sameRules(p.delegated[key], sorted) {
-		return // maintenance resend with no change: do not re-trigger work
-	}
-	p.delegated[key] = sorted
-	p.progDirty = true
-	p.kick()
-}
-
-func sameRules(a, b []ast.Rule) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // Insert stages the insertion of a fact. Facts for this peer are applied at
@@ -1128,7 +1066,8 @@ func (p *Peer) Poke() {
 }
 
 // CompileErrors returns the rule errors from the most recent compilation
-// (unsafe delegated rules are skipped but reported here).
+// of the peer's own rules (a delegated rule that fails to compile is
+// reported by the stage that receives it).
 func (p *Peer) CompileErrors() []error {
 	p.mu.Lock()
 	defer p.mu.Unlock()

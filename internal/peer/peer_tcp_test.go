@@ -95,7 +95,7 @@ func TestPeerWALRecovery(t *testing.T) {
 	dir := t.TempDir()
 
 	open := func() (*Peer, *Network) {
-		n := NewNetwork()
+		n := closingNetwork(t)
 		w, err := store.OpenWAL(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -151,7 +151,7 @@ func TestPeerWALRecovery(t *testing.T) {
 // log rewritten to a snapshot of the live state) + tail.
 func TestPeerWALSnapshotRecovery(t *testing.T) {
 	dir := t.TempDir()
-	n := NewNetwork()
+	n := closingNetwork(t)
 	w, err := store.OpenWAL(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestPeerWALSnapshotRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n2 := NewNetwork()
+	n2 := closingNetwork(t)
 	p2, err := New(Config{Name: "alice", WAL: w2}, n2.Bus().Endpoint("alice"))
 	if err != nil {
 		t.Fatal(err)

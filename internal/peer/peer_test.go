@@ -12,7 +12,7 @@ import (
 
 func newTestNetwork(t *testing.T, names ...string) (*Network, map[string]*Peer) {
 	t.Helper()
-	n := NewNetwork()
+	n := closingNetwork(t)
 	peers := make(map[string]*Peer, len(names))
 	for _, name := range names {
 		p, err := n.NewPeer(Config{Name: name})
@@ -22,6 +22,19 @@ func newTestNetwork(t *testing.T, names ...string) (*Network, map[string]*Peer) 
 		peers[name] = p
 	}
 	return n, peers
+}
+
+// closingNetwork is NewNetwork whose peers close when the test ends, so
+// that no flusher of theirs runs on into later tests — whose allocation
+// counts, taken process-wide, it would inflate.
+func closingNetwork(t testing.TB) *Network {
+	n := NewNetwork()
+	t.Cleanup(func() {
+		for _, p := range n.Peers() {
+			p.Close()
+		}
+	})
+	return n
 }
 
 func quiesce(t *testing.T, n *Network) int {
@@ -151,7 +164,7 @@ func TestPaperDelegationScenario(t *testing.T) {
 func TestDelegationControlHoldAndAccept(t *testing.T) {
 	// Figure 3 of the paper: an untrusted peer's delegation waits in a
 	// queue; the program changes only after explicit approval.
-	n := NewNetwork()
+	n := closingNetwork(t)
 	jules, err := n.NewPeer(Config{Name: "jules", Policy: acl.NewTrustPolicy("sigmod")})
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +219,7 @@ func TestDelegationControlHoldAndAccept(t *testing.T) {
 }
 
 func TestDelegationControlReject(t *testing.T) {
-	n := NewNetwork()
+	n := closingNetwork(t)
 	jules, err := n.NewPeer(Config{Name: "jules", Policy: acl.NewTrustPolicy()})
 	if err != nil {
 		t.Fatal(err)
@@ -242,6 +255,116 @@ func TestDelegationControlReject(t *testing.T) {
 	quiesce(t, n)
 	if got := jules.DelegatedRules()["julia"]; len(got) != 0 {
 		t.Errorf("rejected delegation was installed: %v", got)
+	}
+}
+
+// TestDelegationControlPerResidual: under a policy that holds everything,
+// a rule's residuals arrive one at a time and wait in one approval entry;
+// one withdrawn while pending leaves the queue, the user's acceptance lets
+// the next stage install the rest, and later residuals of the accepted rule
+// install without approval. Another rule of the same origin is rejected and
+// never installed.
+func TestDelegationControlPerResidual(t *testing.T) {
+	n := NewSequentialNetwork()
+	jules, err := n.NewPeer(Config{Name: "jules", Policy: acl.NewTrustPolicy()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	julia, err := n.NewPeer(Config{Name: "julia"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jules.LoadSource(`
+		relation extensional pictures@jules(id, tag);
+		pictures@jules(1, "sea");
+		pictures@jules(2, "sky");
+		pictures@jules(3, "sun");
+	`); err != nil {
+		t.Fatal(err)
+	}
+	if err := julia.LoadSource(`
+		relation extensional wanted@julia(p, tag);
+		relation extensional collected@julia(id, tag);
+		relation extensional asked@julia(p, tag);
+		relation extensional other@julia(id);
+		wanted@julia("jules", "sea");
+		wanted@julia("jules", "sky");
+		collected@julia($id, $tag) :- wanted@julia($p, $tag), pictures@$p($id, $tag);
+	`); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, n)
+	ctrl := jules.Controller()
+	pend := ctrl.Pending()
+	if len(pend) != 1 || len(pend[0].Rules) != 2 || len(jules.DelegatedRules()) != 0 {
+		t.Fatalf("pending = %v, installed %v; want one entry of two residuals, nothing installed", pend, jules.DelegatedRules())
+	}
+
+	// A residual withdrawn while pending leaves the queue.
+	if err := julia.DeleteString(`wanted@julia("jules", "sky");`); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, n)
+	if pend = ctrl.Pending(); len(pend) != 1 || len(pend[0].Rules) != 1 {
+		t.Fatalf("pending after the withdrawal = %v, want the sea residual alone", pend)
+	}
+
+	// Accepting installs it at jules' next stage; data flows.
+	if err := ctrl.Accept(pend[0].ID); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, n)
+	if got := tuples(julia, "collected"); len(jules.DelegatedRules()["julia"]) != 1 || len(got) != 1 || got[0] != "(1, sea)" {
+		t.Fatalf("after the acceptance jules installed %v and julia collected %v; want the sea residual and [(1, sea)]",
+			jules.DelegatedRules(), got)
+	}
+
+	// A later residual of the accepted rule installs without approval.
+	if err := julia.InsertString(`wanted@julia("jules", "sun");`); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, n)
+	if got := tuples(julia, "collected"); len(ctrl.Pending()) != 0 || len(got) != 2 {
+		t.Fatalf("a later residual: pending %v, julia collected %v; want it installed without approval", ctrl.Pending(), got)
+	}
+
+	// Another rule of julia's is held on its own, and rejected.
+	if _, err := julia.AddRule(`other@julia($id) :- asked@julia($p, $t), pictures@$p($id, $t)`); err != nil {
+		t.Fatal(err)
+	}
+	if err := julia.InsertString(`asked@julia("jules", "sky");`); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, n)
+	if pend = ctrl.Pending(); len(pend) != 1 {
+		t.Fatalf("pending = %v, want the other rule's residual", pend)
+	}
+	if err := ctrl.Reject(pend[0].ID); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, n)
+	if got := tuples(julia, "other"); ctrl.Rejected() != 1 || len(jules.DelegatedRules()["julia"]) != 2 || len(got) != 0 {
+		t.Fatalf("after the rejection: rejected %d, installed %v, julia's other = %v; want 1, two residuals, nothing",
+			ctrl.Rejected(), jules.DelegatedRules(), got)
+	}
+
+	// Its next residual is held again. Once julia is trusted, the residual
+	// after that installs in the stage that receives it, the held one with
+	// it.
+	if err := julia.InsertString(`asked@julia("jules", "sun");`); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, n)
+	if pend = ctrl.Pending(); len(pend) != 1 {
+		t.Fatalf("pending = %v, want the other rule's next residual", pend)
+	}
+	ctrl.Policy().(*acl.TrustPolicy).Trust("julia")
+	if err := julia.InsertString(`asked@julia("jules", "sea");`); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, n)
+	if got := tuples(julia, "other"); len(ctrl.Pending()) != 0 || len(got) != 2 {
+		t.Fatalf("trusted: pending %v, julia's other = %v; want nothing pending and [(1) (3)]", ctrl.Pending(), got)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // TestProvenanceRecordedAcrossStages checks that why-provenance answers for
 // facts derived during a peer stage, including multi-rule chains.
 func TestProvenanceRecordedAcrossStages(t *testing.T) {
-	n := NewNetwork()
+	n := closingNetwork(t)
 	p, err := n.NewPeer(Config{Name: "alice"})
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestProvenanceRecordedAcrossStages(t *testing.T) {
 // end: grants on stored relations + the provenance-derived default policy
 // for views, with declassification as the override.
 func TestViewGuardOverPeerProvenance(t *testing.T) {
-	n := NewNetwork()
+	n := closingNetwork(t)
 	p, err := n.NewPeer(Config{Name: "alice"})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestViewGuardOverPeerProvenance(t *testing.T) {
 // TestProvenanceResetsPerStage checks that stale derivations do not leak
 // across stages: a fact no longer derivable has no answer.
 func TestProvenanceResetsPerStage(t *testing.T) {
-	n := NewNetwork()
+	n := closingNetwork(t)
 	p, err := n.NewPeer(Config{Name: "alice"})
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestProvenanceResetsPerStage(t *testing.T) {
 // the stage loop nothing — after one insert into a 5 000-row base the stage
 // derives one view row, and Why and BaseSupports answer for it.
 func TestProvenancePeerStaysIncremental(t *testing.T) {
-	n := NewNetwork()
+	n := closingNetwork(t)
 	p, err := n.NewPeer(Config{Name: "alice"})
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestProvenancePeerStaysIncremental(t *testing.T) {
 
 // TestStageReportShape sanity-checks the metrics the benchmarks rely on.
 func TestStageReportShape(t *testing.T) {
-	n := NewNetwork()
+	n := closingNetwork(t)
 	p, err := n.NewPeer(Config{Name: "alice"})
 	if err != nil {
 		t.Fatal(err)

@@ -51,7 +51,7 @@ func applySrcFacts(t *testing.T, a *Peer, keys []int64) {
 // restarts — the reference every repair must reproduce exactly.
 func fixpointFor(t *testing.T, keys []int64) string {
 	t.Helper()
-	n := NewNetwork()
+	n := closingNetwork(t)
 	a := newRangedPeer(t, n, "a", nil)
 	defer a.Close()
 	loadViewSender(t, a)
@@ -120,7 +120,7 @@ func TestSenderRestartRangedRepair(t *testing.T) {
 				want.Add(value.Tuple{value.Int(k)}.Key())
 			}
 
-			n := NewNetwork()
+			n := closingNetwork(t)
 			a := newRangedPeer(t, n, "a", nil)
 			loadViewSender(t, a)
 			b := newRangedPeer(t, n, "b", nil)
@@ -167,7 +167,7 @@ func TestSenderRestartRangedRepair(t *testing.T) {
 // and drives sender and receiver until it has crossed and every ack landed.
 func convergedViewPair(t *testing.T, viewSize int, interval time.Duration) (a, b *Peer) {
 	t.Helper()
-	n := NewNetwork()
+	n := closingNetwork(t)
 	a = newResyncPeer(t, n, "a", interval)
 	t.Cleanup(func() { a.Close() })
 	loadViewSender(t, a)
@@ -293,7 +293,7 @@ func (e *repairCutEndpoint) Send(ctx context.Context, to string, msg protocol.Pa
 // its successor still converges to the fault-free fixpoint.
 func TestChunkedRepairRestart(t *testing.T) {
 	const viewSize = repairChunkOps + 1000
-	n := NewNetwork()
+	n := closingNetwork(t)
 	link := &repairCutEndpoint{Endpoint: n.Bus().Endpoint("a")}
 	a, err := New(Config{Name: "a", ResyncInterval: resyncTestInterval}, link)
 	if err != nil {
@@ -398,7 +398,7 @@ func TestRangedDifferentialUnderFaults(t *testing.T) {
 			want := fixpointFor(t, finalKeys)
 
 			cfg := transport.FaultConfig{Seed: seed, Drop: 0.15, Dup: 0.1, Reorder: 0.1}
-			n := NewNetwork()
+			n := closingNetwork(t)
 			a := newRangedPeer(t, n, "a", &cfg)
 			loadViewSender(t, a)
 			b := newRangedPeer(t, n, "b", &cfg)
@@ -457,7 +457,7 @@ func TestRangedDifferentialUnderFaults(t *testing.T) {
 // exactly the facts of its own ranges.
 func TestWideRepairRequestServedInBoundedChunks(t *testing.T) {
 	const viewSize = 10_000
-	n := NewNetwork()
+	n := closingNetwork(t)
 	a := newRangedPeer(t, n, "a", nil)
 	defer a.Close()
 	loadViewSender(t, a)

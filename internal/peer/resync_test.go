@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -99,7 +100,7 @@ func TestVolatileReceiverRestartResyncs(t *testing.T) {
 			interval = -1
 		}
 		t.Run(name, func(t *testing.T) {
-			n := NewNetwork()
+			n := closingNetwork(t)
 			a := newResyncPeer(t, n, "a", interval)
 			defer a.Close()
 			loadViewSender(t, a)
@@ -202,7 +203,7 @@ func TestVolatileReceiverRestartResyncs(t *testing.T) {
 // pre-session code this scenario wedged the stream forever: the receiver
 // dropped the gap and the sender retransmitted it until the end of time.
 func TestReceiverRestartStreamRepairedOnNextSend(t *testing.T) {
-	n := NewNetwork()
+	n := closingNetwork(t)
 	a := newResyncPeer(t, n, "a", -1)
 	defer a.Close()
 	loadViewSender(t, a)
@@ -247,7 +248,7 @@ func TestReceiverRestartStreamRepairedOnNextSend(t *testing.T) {
 // maintain at all — and the receiver drops both and converges to the new
 // fixpoint.
 func TestEpochAdoptionDropsStaleSupport(t *testing.T) {
-	n := NewNetwork()
+	n := closingNetwork(t)
 	a := newResyncPeer(t, n, "a", -1)
 	loadViewSender(t, a)
 	if _, err := a.AddRule(`gone@b($x) :- src@a($x)`); err != nil {
@@ -301,7 +302,7 @@ func TestEpochAdoptionDropsStaleSupport(t *testing.T) {
 func TestEpochAdoptionRepairBusySender(t *testing.T) {
 	for _, loseRequest := range []bool{false, true} {
 		t.Run(fmt.Sprintf("loseRequest=%v", loseRequest), func(t *testing.T) {
-			n := NewNetwork()
+			n := closingNetwork(t)
 			a := newResyncPeer(t, n, "a", -1)
 			loadViewSender(t, a)
 			if _, err := a.AddRule(`gone@b($x) :- src@a($x)`); err != nil {
@@ -327,7 +328,7 @@ func TestEpochAdoptionRepairBusySender(t *testing.T) {
 			if loseRequest {
 				drop := func(msg protocol.Payload) bool {
 					req, ok := msg.(protocol.ResyncRequestMsg)
-					return ok && req.Advert && lost.Add(1) == 1
+					return ok && !req.Reset && lost.Add(1) == 1
 				}
 				link.drop.Store(&drop)
 			}
@@ -368,7 +369,7 @@ func TestEpochAdoptionRepairBusySender(t *testing.T) {
 // sender maintains nothing in it any more. The advert that ends the run must
 // clear it at the receiver, with the receiver's own advert requests lost.
 func TestShedStreamClearsDroppedRelation(t *testing.T) {
-	n := NewNetwork()
+	n := closingNetwork(t)
 	a, aLink := newLossyPeer(t, n, "a")
 	defer a.Close()
 	if err := a.LoadSource(`
@@ -402,7 +403,7 @@ func TestShedStreamClearsDroppedRelation(t *testing.T) {
 
 	noAdvertRequests := func(msg protocol.Payload) bool {
 		req, ok := msg.(protocol.ResyncRequestMsg)
-		return ok && req.Advert
+		return ok && !req.Reset
 	}
 	bLink.drop.Store(&noAdvertRequests)
 	allData := func(msg protocol.Payload) bool { _, ok := msg.(protocol.DataMsg); return ok }
@@ -429,12 +430,12 @@ func TestShedStreamClearsDroppedRelation(t *testing.T) {
 }
 
 // TestResyncRestoresDelegations: a restarted receiver lost the rules other
-// peers had delegated to it; the delegating peer's fingerprint cache says
-// "unchanged" and would never re-send them. A stream reset forgets those
-// fingerprints, so the delegation is re-installed and the delegated flow
-// resumes.
+// peers had delegated to it, which the delegating peer maintains there and
+// would never re-send of its own accord. The stream reset's repair run
+// carries them like any maintained fact, so the delegation is re-installed
+// and the delegated flow resumes.
 func TestResyncRestoresDelegations(t *testing.T) {
-	n := NewNetwork()
+	n := closingNetwork(t)
 	// c's rule delegates its residual to b; b evaluates it against data@b.
 	c := newResyncPeer(t, n, "c", resyncTestInterval)
 	defer c.Close()
@@ -476,15 +477,35 @@ func TestResyncRestoresDelegations(t *testing.T) {
 	}
 }
 
-// TestDelegationDivergenceResendsDelegationsOnly: a receiver whose installed
-// delegations no longer match the advertised fingerprints, while every fact
-// the sender maintains there still does, asks for the delegations alone —
-// the plain ResyncRequestMsg — and gets them back without the sender
-// restarting the stream or re-shipping a single maintained fact.
+// TestDelegationDivergenceResendsDelegationsOnly: a receiver that lost an
+// installed residual, while every fact the sender maintains there still
+// matches, learns it from the sender's periodic advert — the residuals are
+// one more relation of the digest — and gets it back through a ranged repair
+// of that relation alone, without the sender restarting the stream or
+// re-shipping a single maintained fact.
 func TestDelegationDivergenceResendsDelegationsOnly(t *testing.T) {
-	n := NewNetwork()
-	c := newResyncPeer(t, n, "c", resyncTestInterval)
+	n := closingNetwork(t)
+	link := &lossyEndpoint{Endpoint: n.Bus().Endpoint("c")}
+	c, err := New(Config{Name: "c", ResyncInterval: resyncTestInterval}, link)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shrinkOutboxTimers(c, 10*time.Millisecond)
+	n.Add(c)
 	defer c.Close()
+	var mu sync.Mutex
+	var repaired []string // the relation of every ranged repair c sends
+	spy := func(msg protocol.Payload) bool {
+		if dm, ok := msg.(protocol.DataMsg); ok {
+			if rr, ok := dm.Msg.(protocol.RangeRepairMsg); ok {
+				mu.Lock()
+				repaired = append(repaired, rr.RelID)
+				mu.Unlock()
+			}
+		}
+		return false
+	}
+	link.drop.Store(&spy)
 	if err := c.LoadSource(`
 		relation extensional sel@c(p);
 		relation extensional base@c(x);
@@ -512,20 +533,33 @@ func TestDelegationDivergenceResendsDelegationsOnly(t *testing.T) {
 		t.Fatalf("initial convergence failed: out@c = %v, mirror@b = %v", c.Query("out"), b.Query("mirror"))
 	}
 
-	// b loses the installed delegation (and with it what it derived for c);
-	// c's fingerprint cache still says "sent, unchanged".
+	// b loses the installed residual, from its ledger and its program.
 	installs := b.Stats().DelegationsIn
 	b.mu.Lock()
-	b.dropDelegationsLocked("c")
+	sess := b.sessionLocked("c")
+	for _, key := range sess.ledgerKeys(b.residualRelID()) {
+		sess.ledgerRemove(b.residualRelID(), key)
+		b.uninstallResidualLocked(key)
+	}
 	b.mu.Unlock()
 	b.Poke()
 	if !drive([]*Peer{c, b}, func() bool {
-		return b.Stats().DelegationsIn > installs && len(c.Query("out")) == 1
+		return b.Stats().DelegationsIn > installs && len(b.DelegatedRules()["c"]) == 1 && len(c.Query("out")) == 1
 	}, 20*time.Second) {
-		t.Fatalf("delegation was never re-sent: out@c = %v, delegated at b: %v", c.Query("out"), b.DelegatedRules())
+		t.Fatalf("the residual was never restored: out@c = %v, delegated at b: %v", c.Query("out"), b.DelegatedRules())
 	}
-	if st := c.Stats(); st.OutboxResets != 0 || st.ResyncRangedRepairs != 0 {
-		t.Errorf("delegation divergence restarted the stream or re-shipped facts: %+v", st)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(repaired) == 0 {
+		t.Fatal("the residual came back without a ranged repair")
+	}
+	for _, relID := range repaired {
+		if relID != b.residualRelID() {
+			t.Errorf("c repaired %s too, want the residuals' relation only: %v", relID, repaired)
+		}
+	}
+	if st := c.Stats(); st.OutboxResets != 0 {
+		t.Errorf("the lost residual restarted the stream: %+v", st)
 	}
 }
 
@@ -615,7 +649,7 @@ func (e *unreachableEndpoint) Send(ctx context.Context, to string, msg protocol.
 func TestUnreachableDestinationHoldsOneAdvert(t *testing.T) {
 	for _, fail := range []bool{false, true} {
 		t.Run(fmt.Sprintf("fail=%v", fail), func(t *testing.T) {
-			n := NewNetwork()
+			n := closingNetwork(t)
 			link := &unreachableEndpoint{Endpoint: n.Bus().Endpoint("a"), dst: "b", fail: fail}
 			a, err := New(Config{Name: "a", ResyncInterval: resyncTestInterval}, link)
 			if err != nil {

@@ -18,7 +18,7 @@ import (
 // running must be picked up by the wake queue — the run cannot settle until
 // the newcomer has ingested (and acked) the traffic queued for it.
 func TestSchedulerMidRunAdd(t *testing.T) {
-	n := NewNetwork()
+	n := closingNetwork(t)
 	a, err := n.NewPeer(Config{Name: "a"})
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestSchedulerMidRunAdd(t *testing.T) {
 // (stalled-exempt), the entries stay pending, and a later run after the
 // link heals drains them.
 func TestSchedulerQuiescenceRequiresDrain(t *testing.T) {
-	n := NewNetwork()
+	n := closingNetwork(t)
 	a := newFaultyPeer(t, n, "a", transport.FaultConfig{Seed: 51})
 	b := newFaultyPeer(t, n, "b", transport.FaultConfig{Seed: 52})
 	if err := a.LoadSource(`
@@ -122,7 +122,7 @@ func TestSchedulerQuiescenceRequiresDrain(t *testing.T) {
 // API inserts racing the scheduler must never be stranded by a missed
 // wake — every fact ends up in the maintained remote view. Run with -race.
 func TestSchedulerNoLostWakeup(t *testing.T) {
-	n := NewNetwork()
+	n := closingNetwork(t)
 	a, err := n.NewPeer(Config{Name: "a"})
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +260,7 @@ func TestSequentialDeterminismPinned(t *testing.T) {
 // wake hook and routing are part of the Endpoint contract every wrapper
 // forwards.
 func TestSchedulerScansQuiescent(t *testing.T) {
-	n := NewNetwork()
+	n := closingNetwork(t)
 	var peers []*Peer
 	for i := 0; i < 20; i++ {
 		p, err := n.NewPeer(Config{Name: fmt.Sprintf("q%02d", i)})

@@ -86,11 +86,10 @@ func newInSession(from string) *inSession {
 
 // accept runs the stream-acceptance state machine for one sequenced
 // message: epoch adoption, watermark dedup, gap detection, ack staging.
-// It reports whether the payload should be applied, and whether this
-// message adopted a new epoch of an already-known stream — from which on the
-// session wants the sender's advert (the previous incarnation may have died
-// owing us retractions).
-func (s *inSession) accept(msg protocol.DataMsg) (apply, adopted bool) {
+// It reports whether the payload should be applied. Adopting a new epoch of
+// an already-known stream makes the session want the sender's advert (the
+// previous incarnation may have died owing us retractions).
+func (s *inSession) accept(msg protocol.DataMsg) bool {
 	if !s.known {
 		// First contact (or first after this peer lost its own state):
 		// record the stream. The watermark starts at zero, so only
@@ -103,7 +102,7 @@ func (s *inSession) accept(msg protocol.DataMsg) (apply, adopted bool) {
 	} else if s.epoch != msg.Epoch {
 		if msg.Seq != 1 {
 			// A stray from a stale (or not yet adopted) stream.
-			return false, false
+			return false
 		}
 		// The sender restarted (or reset) its stream: adopt it with a
 		// fresh watermark, so its re-sends apply instead of being misread
@@ -112,19 +111,18 @@ func (s *inSession) accept(msg protocol.DataMsg) (apply, adopted bool) {
 		s.seq = 0
 		s.advertWanted = true
 		s.repairAsked = time.Time{} // a dialogue with the old epoch does not delay asking the new one
-		adopted = true
 	}
 	if msg.Seq <= s.seq {
 		s.stageAck() // replay: re-ack the watermark without re-applying
-		return false, adopted
+		return false
 	}
 	if msg.Seq != s.seq+1 {
-		return false, adopted // gap: wait for the in-order retransmission
+		return false // gap: wait for the in-order retransmission
 	}
 	s.seq = msg.Seq
 	s.stageAck()
 	s.resetAsked = time.Time{}
-	return true, adopted
+	return true
 }
 
 // wedged reports whether a rejected message reveals a stream this session

@@ -1,13 +1,11 @@
 package peer
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"maps"
 	"slices"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/acl"
@@ -126,8 +124,8 @@ func (d *stageDeltas) engineInput() *engine.StageInput {
 // between stages and the engine maintains them from this stage's base-fact
 // deltas — local updates, arrivals and wrapper pulls alike — and from the
 // program delta since the last stage: the first stage builds the views as
-// the delta from the empty program, and a delegation installed, withdrawn
-// or dropped costs the rules it adds or removes, not a rebuild. Otherwise
+// the delta from the empty program, and a delegated residual arriving or
+// leaving costs the one rule it adds or removes, not a rebuild. Otherwise
 // every stage rebuilds the views, re-seeding externally supported and
 // freshly arrived transient facts. Both paths report the exact view deltas
 // subscriptions stream.
@@ -154,6 +152,7 @@ func (p *Peer) runStageLocked() *StageReport {
 
 	d := newStageDeltas()
 	changed := p.ingestLocked(rep, d)
+	p.installApprovedLocked(rep)
 	if p.progDirty {
 		p.compileLocked(rep)
 		changed = true
@@ -198,11 +197,10 @@ func (p *Peer) runStageLocked() *StageReport {
 	rep.Errors = append(rep.Errors, res.Errors...)
 
 	// Step 3: emit. Local updates buffer for the next stage; remote fact
-	// deltas and delegations go out now.
+	// deltas, delegated residuals among them, go out now.
 	startEmit := time.Now()
 	p.pendingOps = append(p.pendingOps, res.LocalUpdates...)
 	p.emitFactsLocked(res, rep)
-	p.emitDelegationsLocked(res, rep)
 	rep.Emit = time.Since(startEmit)
 
 	p.stats.Stages++
@@ -286,7 +284,7 @@ func (p *Peer) ingestLocked(rep *StageReport, d *stageDeltas) bool {
 		case protocol.AckMsg:
 			// Delivery bookkeeping, not peer state: never triggers a stage.
 			p.outbox.Ack(env.From, msg.Epoch, msg.Seq)
-		case protocol.FactsMsg, protocol.DelegationMsg, protocol.RangeRepairMsg, protocol.DigestMsg:
+		case protocol.FactsMsg, protocol.RangeRepairMsg, protocol.DigestMsg:
 			// Data and digests outside a DataMsg have no sequence number to
 			// dedup or order them by (a digest is compared at its stream
 			// position), and the outbox never sends them that way.
@@ -391,49 +389,26 @@ func (p *Peer) stagedAckSessionsLocked() []*inSession {
 // of a known stream wants the sender's digest advert: its previous
 // incarnation may have died owing us retractions, which its fresh
 // incarnation will never re-send — the advert comparison finds exactly
-// those, O(δ log n) against a ledger that is in fact nearly correct. The
+// those — delegated residuals included — O(δ log n) against a ledger that is
+// in fact nearly correct. The
 // request is best-effort, so it is repeated (rate-limited) on every later
 // message of the stream until an advert of this epoch has been compared; the
 // answer rides the sequenced stream like every digest, and cannot be lost or
 // arrive early.
 func (p *Peer) ingestDataLocked(from string, msg protocol.DataMsg, rep *StageReport, d *stageDeltas) bool {
 	sess := p.sessionLocked(from)
-	apply, adopted := sess.accept(msg)
-	if !apply {
+	if !sess.accept(msg) {
 		if sess.wedged(msg) {
 			p.requestResetLocked(from)
 		}
 		return false
 	}
-	if adopted {
-		// A fresh incarnation (or reset stream) of a known sender: its old
-		// incarnation's delegations are stale — whatever it still delegates
-		// is re-sent on this stream (its fingerprint cache died with it, or
-		// the reset handler cleared it). Drop before applying the payload,
-		// which may itself be the first re-delegation.
-		p.dropDelegationsLocked(from)
-	}
 	changed := p.ingestPayloadLocked(from, msg.Msg, rep, d)
 	if sess.advertWanted && sess.repairDue(time.Now()) {
 		p.stats.ResyncRequested++
-		p.outbox.EnqueueControl(from, protocol.ResyncRequestMsg{Advert: true})
+		p.outbox.EnqueueControl(from, protocol.ResyncRequestMsg{})
 	}
 	return changed
-}
-
-// dropDelegationsLocked removes every delegation group the given origin
-// installed here, scheduling a recompile when anything was dropped.
-func (p *Peer) dropDelegationsLocked(origin string) {
-	dropped := false
-	for key := range p.delegated {
-		if key.Origin == origin {
-			delete(p.delegated, key)
-			dropped = true
-		}
-	}
-	if dropped {
-		p.progDirty = true
-	}
 }
 
 // requestResetLocked asks a stream's sender, best-effort, to restart a
@@ -461,10 +436,10 @@ var fullRange = protocol.HashRange{Lo: 0, Hi: ^uint64(0)}
 // before it has been applied here, nothing after it has. A bisection reply
 // goes straight to the compare step. A complete advert also states what it
 // leaves out — a relation the ledger holds and the advert does not list is
-// empty at the sender — and its delegation fingerprints, which, when they
-// disagree, ask the sender to re-send its delegations. Each relation whose
-// digest disagrees enters the ranged dialogue with the advertised digest as
-// its round zero — the digest of the full hash range.
+// empty at the sender. Each relation whose digest disagrees enters the
+// ranged dialogue with the advertised digest as its round zero — the digest
+// of the full hash range. The residual rules the sender delegates here are
+// one relation among them (engine.ResidualRel).
 func (p *Peer) handleDigestLocked(from string, msg protocol.DigestMsg) {
 	s := p.sessionLocked(from)
 	if !msg.Advert {
@@ -496,8 +471,7 @@ func (p *Peer) handleDigestLocked(from string, msg protocol.DigestMsg) {
 			}
 		}
 	}
-	delegOK := p.delegationsMatchLocked(from, msg.Deleg)
-	if len(diverged) == 0 && delegOK {
+	if len(diverged) == 0 {
 		s.repairAsked = time.Time{}
 		return
 	}
@@ -505,85 +479,35 @@ func (p *Peer) handleDigestLocked(from string, msg protocol.DigestMsg) {
 		return
 	}
 	p.stats.ResyncRequested++
-	if !delegOK {
-		p.outbox.EnqueueControl(from, protocol.ResyncRequestMsg{})
-	}
 	slices.Sort(diverged)
 	for _, relID := range diverged {
 		p.compareRangesLocked(from, relID, rounds[relID])
 	}
 }
 
-// delegationsMatchLocked compares the sender's advertised delegation
-// fingerprints against the groups it has installed here. Both sides sort
-// residual sets by rule text before fingerprinting, so the hashes agree
-// exactly when the installed rules are the currently delegated ones.
-func (p *Peer) delegationsMatchLocked(from string, deleg map[string]uint64) bool {
-	for ruleID, want := range deleg {
-		rules := p.delegated[delegationKey{Origin: from, RuleID: ruleID}]
-		if len(rules) == 0 || store.KeyHash(fingerprint(rules)) != want {
-			return false
-		}
-	}
-	for key := range p.delegated {
-		if key.Origin != from {
-			continue
-		}
-		if _, ok := deleg[key.RuleID]; !ok {
-			return false // installed here, no longer delegated by the sender
-		}
-	}
-	return true
-}
-
-// forgetSentDelegationsLocked drops the delegation fingerprints recorded for
-// dst — it may have lost its installed delegations along with its data — so
-// the next stage (forced via progDirty) re-sends the current residual sets,
-// which dst installs idempotently.
-func (p *Peer) forgetSentDelegationsLocked(dst string) {
-	for ruleID, targets := range p.lastSentDeleg {
-		if _, ok := targets[dst]; ok {
-			delete(targets, dst)
-			if len(targets) == 0 {
-				delete(p.lastSentDeleg, ruleID)
-			}
-			p.progDirty = true
-		}
-	}
-}
-
 // handleResyncRequestLocked serves a receiver's request for what the ranged
-// dialogue does not carry. The plain form re-sends this peer's delegations
-// to the requester; a reset request restarts the stream as well.
-//
-// An Advert request is different in kind: the requester adopted a fresh
-// epoch of this stream and wants the digest advert *now* instead of waiting
-// out the advert clock — the comparison then repairs what differs, or
-// nothing. No view is shipped and no delegation state is touched. Like every
-// advert it is sequenced: a requester still catching up with a busy stream
-// compares it exactly when it reaches the advert's position, and it is
-// retransmitted until acknowledged like any other entry.
+// dialogue does not carry. A reset request restarts the stream. An advert
+// request comes from a requester that adopted a fresh epoch of this stream
+// and wants the digest advert *now* instead of waiting out the advert clock
+// — the comparison then repairs what differs, or nothing; no view is
+// shipped. Like every advert it is sequenced: a requester still catching up
+// with a busy stream compares it exactly when it reaches the advert's
+// position, and it is retransmitted until acknowledged like any other entry.
 func (p *Peer) handleResyncRequestLocked(from string, msg protocol.ResyncRequestMsg) {
-	switch {
-	case msg.Advert:
-		p.outbox.EnqueueData(from, p.digestMsgLocked(from))
-	case msg.Reset:
+	if msg.Reset {
 		p.restartStreamLocked(from, p.outbox.Reset)
-	default:
-		p.forgetSentDelegationsLocked(from)
+		return
 	}
+	p.outbox.EnqueueData(from, p.digestMsgLocked(from))
 }
 
 // restartStreamLocked restarts the stream to dst under a fresh epoch (reset
 // is the outbox's Reset or ShedReset): its first sequences are the
 // full-range repair of every relation this peer maintains there, then a
 // digest advert — against which dst finds whatever the run did not state,
-// such as a relation this peer no longer maintains at all. The delegation
-// fingerprints for dst are forgotten first — it dropped its installed
-// delegations on adopting the epoch, and may have lost them with its data —
-// so the advert lists none and the next stage re-sends the residual sets.
+// such as a relation this peer no longer maintains at all. The residuals it
+// delegates to dst are one relation of the run.
 func (p *Peer) restartStreamLocked(dst string, reset func(string, ...protocol.Payload)) {
-	p.forgetSentDelegationsLocked(dst)
 	run := p.viewRepairsLocked(dst)
 	p.countRepairsLocked(run)
 	reset(dst, append(run, p.digestMsgLocked(dst))...)
@@ -892,7 +816,9 @@ func (p *Peer) ingestPayloadLocked(from string, payload protocol.Payload, rep *S
 	case protocol.FactsMsg:
 		batch := make([]ingestOp, 0, len(msg.Ops))
 		for _, fd := range msg.Ops {
-			p.stats.FactsIn++
+			if fd.Fact.Rel != engine.ResidualRel {
+				p.stats.FactsIn++ // residuals count as DelegationsIn
+			}
 			if fd.Fact.Peer != p.name {
 				rep.Errors = append(rep.Errors, fmt.Errorf(
 					"peer %s: misrouted fact %s from %s", p.name, fd.Fact.String(), from))
@@ -902,19 +828,6 @@ func (p *Peer) ingestPayloadLocked(from string, payload protocol.Payload, rep *S
 		}
 		if p.applyOpsLocked(batch, rep, d) {
 			changed = true
-		}
-	case protocol.DelegationMsg:
-		p.stats.DelegationsIn++
-		// The controller's install callback takes p.mu; release it for
-		// the duration of the decision.
-		p.mu.Unlock()
-		decision := p.ctrl.OnDelegation(from, msg.RuleID, msg.Rules)
-		p.mu.Lock()
-		// installDelegation sets progDirty only on real changes; fold
-		// that into `changed` via the progDirty check in RunStage.
-		if decision == acl.Reject {
-			rep.Errors = append(rep.Errors, fmt.Errorf(
-				"peer %s: %w: delegation %s from %s", p.name, errdefs.ErrPolicyDenied, msg.RuleID, from))
 		}
 	case protocol.RangeRepairMsg:
 		if p.applyRangeRepairLocked(from, msg, rep, d) {
@@ -947,8 +860,8 @@ func (p *Peer) ingestPayloadLocked(from string, payload protocol.Payload, rep *S
 // An insert into a relation this peer does not know declares it extensional
 // first ("peers may discover … new relations"). Intensional facts, arity
 // mismatches, deletes from unknown relations and maintained retractions take
-// the per-fact path (applyFactLocked), preserving operation order either
-// way.
+// the per-fact path (applyFactLocked), and delegated residuals their own
+// (applyResidualLocked), preserving operation order either way.
 func (p *Peer) applyOpsLocked(ops []ingestOp, rep *StageReport, d *stageDeltas) bool {
 	changed := false
 	// One run's tuples and keys; a run of one, the usual case, stays off the
@@ -959,6 +872,11 @@ func (p *Peer) applyOpsLocked(ops []ingestOp, rep *StageReport, d *stageDeltas) 
 	for i := 0; i < len(ops); {
 		op := ops[i]
 		f := op.fact
+		if f.Rel == engine.ResidualRel {
+			p.applyResidualLocked(op, rep)
+			i++
+			continue
+		}
 		rel := p.db.Get(f.Rel, p.name)
 		if rel == nil && !op.del {
 			schema := store.Schema{Name: f.Rel, Peer: p.name, Kind: ast.Extensional, Cols: store.GenericCols(len(f.Args))}
@@ -1119,19 +1037,13 @@ func (p *Peer) applyFactLocked(op ingestOp, rep *StageReport, d *stageDeltas) bo
 	return cancelled
 }
 
-// compileLocked rebuilds the engine program from own + delegated rules.
+// compileLocked rebuilds the engine program from own + delegated rules: the
+// own rules compile afresh, the delegated ones were compiled on arrival.
 // Unsafe rules are skipped with errors recorded; if stratification fails
 // with delegated rules included, the peer falls back to its own rules so a
 // hostile delegation cannot wedge it.
 func (p *Peer) compileLocked(rep *StageReport) {
-	all := make([]ast.Rule, 0, len(p.ownRules)+len(p.delegated))
-	all = append(all, p.ownRules...)
-	for _, k := range slices.SortedFunc(maps.Keys(p.delegated), func(a, b delegationKey) int {
-		return cmp.Or(strings.Compare(a.Origin, b.Origin), strings.Compare(a.RuleID, b.RuleID))
-	}) {
-		all = append(all, p.delegated[k]...)
-	}
-	prog, errs := p.eng.CompileRules(all)
+	prog, errs := p.eng.CompileRules(p.ownRules, p.delegatedOrder...)
 	if prog == nil {
 		rep.Errors = append(rep.Errors, fmt.Errorf(
 			"peer %s: program with delegated rules does not stratify; quarantining delegations", p.name))
@@ -1150,10 +1062,93 @@ func (p *Peer) compileLocked(rep *StageReport) {
 	p.progDirty = false
 }
 
+// residualRelID is the id of this peer's reserved relation of delegated
+// residuals.
+func (p *Peer) residualRelID() string { return engine.ResidualRel + "@" + p.name }
+
+// applyResidualLocked applies one delta of a residual rule its sender
+// delegates here (engine.ResidualRel): a maintained insert adds the residual
+// to the sender's ledger and, once the controller accepts it, one rule to
+// the program; a maintained delete removes both, or withdraws it from the
+// approval queue. The ledger mirrors the sender's view like any maintained
+// fact's — digests, ranged repair and epoch adoption cover residuals — and
+// only the residuals a sender delegates on its own behalf are taken.
+func (p *Peer) applyResidualLocked(op ingestOp, rep *StageReport) {
+	f := op.fact
+	origin, ruleID, rule, err := engine.Residual(f.Args)
+	if err == nil && (!op.maint || origin != op.src) {
+		err = fmt.Errorf("not maintained by its origin")
+	}
+	if err != nil {
+		rep.Errors = append(rep.Errors, fmt.Errorf("peer %s: residual %s from %s refused: %w", p.name, f.String(), op.src, err))
+		return
+	}
+	sess, relID, key := p.sessionLocked(op.src), p.residualRelID(), f.Args.Key()
+	if op.del {
+		if sess.ledgerRemove(relID, key) {
+			p.ctrl.Withdraw(origin, ruleID, key)
+			p.uninstallResidualLocked(key)
+		}
+		return
+	}
+	if sess.ledgerHas(relID, key) {
+		return
+	}
+	sess.ledgerAdd(relID, key)
+	p.stats.DelegationsIn++
+	rule.ID = fmt.Sprintf("d[%s/%s]/%016x", origin, ruleID, store.KeyHash(key))
+	rule.Origin = origin
+	switch p.ctrl.Decide(acl.Residual{Origin: origin, RuleID: ruleID, Key: key, Rule: rule}) {
+	case acl.Accept:
+		p.installResidualLocked(key, rule, rep)
+	case acl.Reject:
+		rep.Errors = append(rep.Errors, fmt.Errorf(
+			"peer %s: %w: delegation %s from %s", p.name, errdefs.ErrPolicyDenied, ruleID, origin))
+	}
+}
+
+// installApprovedLocked installs the residuals the controller approved since
+// the last stage (acl.Controller.Accept) that their origin still delegates.
+func (p *Peer) installApprovedLocked(rep *StageReport) {
+	for _, r := range p.ctrl.TakeApproved() {
+		if p.sessionLocked(r.Origin).ledgerHas(p.residualRelID(), r.Key) {
+			p.installResidualLocked(r.Key, r.Rule, rep)
+		}
+	}
+}
+
+// installResidualLocked compiles one accepted residual and adds it to the
+// program's next delta.
+func (p *Peer) installResidualLocked(key string, rule ast.Rule, rep *StageReport) {
+	if _, ok := p.delegated[key]; ok {
+		return
+	}
+	cr, err := p.eng.CompileRule(rule)
+	if err != nil {
+		rep.Errors = append(rep.Errors, fmt.Errorf("peer %s: delegated by %s: %w", p.name, rule.Origin, err))
+		return
+	}
+	p.delegated[key] = cr
+	p.delegatedOrder = append(p.delegatedOrder, cr)
+	p.progDirty = true
+}
+
+// uninstallResidualLocked removes an installed residual from the program's
+// next delta.
+func (p *Peer) uninstallResidualLocked(key string) {
+	if cr, ok := p.delegated[key]; ok {
+		delete(p.delegated, key)
+		i := slices.Index(p.delegatedOrder, cr)
+		p.delegatedOrder = slices.Delete(p.delegatedOrder, i, i+1)
+		p.progDirty = true
+	}
+}
+
 // emitFactsLocked ships the engine's remote deltas: maintained inserts for
-// newly derived facts, maintained deletes for facts whose last derivation
-// vanished, and pass-through one-shot deletion-rule updates — one FactsMsg
-// per destination instead of re-sending every derived fact every stage.
+// newly derived facts and delegated residuals, maintained deletes for those
+// whose last derivation vanished, and pass-through one-shot deletion-rule
+// updates — one FactsMsg per destination instead of re-sending every derived
+// fact every stage.
 //
 // Emission commits to the per-destination outbox and returns immediately:
 // the engine's maintained remoteView counts these deltas as delivered, and
@@ -1164,72 +1159,22 @@ func (p *Peer) emitFactsLocked(res *engine.Result, rep *StageReport) {
 		ops := res.RemoteOut[dst]
 		deltas := make([]protocol.FactDelta, len(ops))
 		for i, op := range ops {
-			deltas[i] = protocol.FactDelta{Delete: op.Op == ast.Delete, Maint: op.Maint, Fact: op.Fact}
+			del := op.Op == ast.Delete
+			deltas[i] = protocol.FactDelta{Delete: del, Maint: op.Maint, Fact: op.Fact}
+			switch {
+			case op.Fact.Rel != engine.ResidualRel:
+				rep.FactsSent++
+				p.stats.FactsOut++
+			case del:
+				rep.DelegationsSent++
+				p.stats.Withdrawals++
+			default:
+				rep.DelegationsSent++
+				p.stats.DelegationsOut++
+			}
 		}
 		p.outbox.EnqueueData(dst, protocol.FactsMsg{Ops: deltas})
-		rep.FactsSent += len(deltas)
-		p.stats.FactsOut += uint64(len(deltas))
 	}
-}
-
-// emitDelegationsLocked sends the current residual sets and withdraws the
-// (rule, target) pairs that no longer produce residuals — the paper's
-// delegation maintenance. Delegations and withdrawals ride the same
-// sequenced outbox as fact deltas, so the old "retry next stage"
-// bookkeeping for failed sends is gone: once enqueued, delivery is the
-// outbox's guarantee, and ordering with the stage's facts is preserved
-// per destination.
-func (p *Peer) emitDelegationsLocked(res *engine.Result, rep *StageReport) {
-	current := make(map[string]map[string]string, len(res.Delegations))
-	ruleIDs := make([]string, 0, len(res.Delegations))
-	for ruleID := range res.Delegations {
-		ruleIDs = append(ruleIDs, ruleID)
-	}
-	sort.Strings(ruleIDs)
-	for _, ruleID := range ruleIDs {
-		byTarget := res.Delegations[ruleID]
-		targets := make([]string, 0, len(byTarget))
-		for t := range byTarget {
-			targets = append(targets, t)
-		}
-		sort.Strings(targets)
-		for _, target := range targets {
-			rules := byTarget[target]
-			sort.Slice(rules, func(i, j int) bool { return rules[i].String() < rules[j].String() })
-			fp := fingerprint(rules)
-			if current[ruleID] == nil {
-				current[ruleID] = map[string]string{}
-			}
-			current[ruleID][target] = fp
-			if p.lastSentDeleg[ruleID][target] == fp {
-				continue // unchanged since last send
-			}
-			p.outbox.EnqueueData(target, protocol.DelegationMsg{RuleID: ruleID, Rules: rules})
-			rep.DelegationsSent++
-			p.stats.DelegationsOut++
-		}
-	}
-	// Withdrawals: (rule, target) pairs that had residuals before but none now.
-	for ruleID, targets := range p.lastSentDeleg {
-		for target := range targets {
-			if current[ruleID][target] != "" {
-				continue
-			}
-			p.outbox.EnqueueData(target, protocol.DelegationMsg{RuleID: ruleID, Rules: nil})
-			rep.DelegationsSent++
-			p.stats.Withdrawals++
-		}
-	}
-	p.lastSentDeleg = current
-}
-
-func fingerprint(rules []ast.Rule) string {
-	var sb []byte
-	for _, r := range rules {
-		sb = append(sb, r.String()...)
-		sb = append(sb, '\n')
-	}
-	return string(sb)
 }
 
 // Run drives the peer until ctx is cancelled: stages run whenever there is

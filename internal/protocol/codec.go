@@ -18,44 +18,41 @@ import (
 // from the value package's primitives:
 //
 //   - counts, lengths, sequence numbers, epochs and tokens are uvarints;
-//   - hashes (hash-range bounds, digests, delegation fingerprints) are 8
-//     little-endian bytes;
+//   - hashes (hash-range bounds, digests) are 8 little-endian bytes;
 //   - strings are a uvarint length and the bytes;
 //   - the bools of a message or fact delta form one flags byte;
 //   - a fact is its relation, its peer and its tuple in value.Tuple.Encode
 //     form;
 //   - a slice is a count and its elements, a map a count and its entries in
-//     increasing key order;
-//   - a rule is ID, Origin, Op, head atom and body atoms; an atom is a
-//     negation byte, relation, peer and argument terms; a term is a tag byte
-//     and then the constant value (0) or the variable name (1).
+//     increasing key order.
 //
 // The codec keeps no state between frames. Decoding accepts exactly what
 // encoding writes — an unknown tag or flag bit, an overlong uvarint, an
 // unsorted or repeated map key, a DataMsg inside a DataMsg or a trailing
 // byte is an error — so whatever decodes re-encodes to the same bytes, and
 // every count and length is checked against the bytes left before anything
-// is allocated. Three things do not round-trip: nil and empty slices and
-// maps both encode as count 0 and decode as nil; source positions (ast.Pos)
-// are not carried; a variable term carries no constant.
+// is allocated. Nil and empty slices and maps both encode as count 0 and
+// decode as nil.
 
 // Payload kind tags. A tag whose layout changes gets a fresh number and the
 // old one stays reserved, so a payload of an older layout — on the wire or in
 // a log — fails to decode instead of being misread.
 const (
-	tagFacts byte = iota + 1
-	tagDelegation
+	tagFacts      byte = iota + 1
+	tagDelegation      // retired: the set-replacement delegation message
 	tagControl
 	tagData
 	tagAck
-	tagDigest // retired: a DigestMsg stamped with Epoch and AsOfSeq
-	tagResync
+	tagDigest             // retired: a DigestMsg stamped with Epoch and AsOfSeq
+	tagResync             // retired: a ResyncRequestMsg with Reset and Advert flags
 	tagRangeDigestRequest // retired
 	tagRangeDigest        // retired
 	tagRangeRepairRequest // retired
 	tagRangeRepair
-	tagDigestV2
+	tagDigestV2 // retired: a DigestMsg with delegation fingerprints
 	tagRangeRequest
+	tagDigestV3
+	tagResyncV2
 )
 
 // Flag bits: FactDelta's, then ResyncRequestMsg's (DigestMsg's Advert is
@@ -70,18 +67,9 @@ const (
 	flagAdvert
 )
 
-// Term tags.
-const (
-	termConst byte = iota
-	termVar
-)
-
 // Smallest encodings, for checking counts against the bytes left.
 const (
-	minOpSize    = 4  // flags, empty relation, empty peer, arity 0
-	minTermSize  = 3  // tag and a bool, or tag and a one-byte name
-	minAtomSize  = 8  // negation, two terms, no arguments
-	minRuleSize  = 12 // empty ID and Origin, op, head, no body
+	minOpSize    = 4 // flags, empty relation, empty peer, arity 0
 	minRangeSize = 16
 )
 
@@ -166,12 +154,6 @@ func appendPayload(dst []byte, p Payload, top bool) ([]byte, error) {
 	switch m := p.(type) {
 	case FactsMsg:
 		dst = appendOps(append(dst, tagFacts), m.Ops)
-	case DelegationMsg:
-		dst = value.AppendString(append(dst, tagDelegation), m.RuleID)
-		dst = binary.AppendUvarint(dst, uint64(len(m.Rules)))
-		for _, r := range m.Rules {
-			dst = appendRule(dst, r)
-		}
 	case ControlMsg:
 		dst = binary.AppendUvarint(append(dst, tagControl, byte(m.Kind)), m.Token)
 	case DataMsg:
@@ -185,7 +167,7 @@ func appendPayload(dst []byte, p Payload, top bool) ([]byte, error) {
 		dst = binary.AppendUvarint(append(dst, tagAck), m.Epoch)
 		dst = binary.AppendUvarint(dst, m.Seq)
 	case DigestMsg:
-		dst = binary.AppendUvarint(append(dst, tagDigestV2), uint64(len(m.Rels)))
+		dst = binary.AppendUvarint(append(dst, tagDigestV3), uint64(len(m.Rels)))
 		for _, k := range slices.Sorted(maps.Keys(m.Rels)) {
 			dst = binary.AppendUvarint(value.AppendString(dst, k), uint64(len(m.Rels[k])))
 			for _, r := range m.Rels[k] {
@@ -195,10 +177,6 @@ func appendPayload(dst []byte, p Payload, top bool) ([]byte, error) {
 				dst = binary.AppendUvarint(dst, r.Count)
 			}
 		}
-		dst = binary.AppendUvarint(dst, uint64(len(m.Deleg)))
-		for _, k := range slices.Sorted(maps.Keys(m.Deleg)) {
-			dst = binary.LittleEndian.AppendUint64(value.AppendString(dst, k), m.Deleg[k])
-		}
 		var f byte
 		if m.Advert {
 			f = flagAdvert
@@ -207,12 +185,9 @@ func appendPayload(dst []byte, p Payload, top bool) ([]byte, error) {
 	case ResyncRequestMsg:
 		var f byte
 		if m.Reset {
-			f |= flagReset
+			f = flagReset
 		}
-		if m.Advert {
-			f |= flagAdvert
-		}
-		dst = append(dst, tagResync, f)
+		dst = append(dst, tagResyncV2, f)
 	case RangeRequestMsg:
 		dst = appendRanges(value.AppendString(append(dst, tagRangeRequest), m.RelID), m.Digest)
 		dst = appendRanges(dst, m.Repair)
@@ -249,38 +224,6 @@ func appendRanges(dst []byte, rs []HashRange) []byte {
 		dst = binary.LittleEndian.AppendUint64(dst, r.Hi)
 	}
 	return dst
-}
-
-func appendRule(dst []byte, r ast.Rule) []byte {
-	dst = value.AppendString(dst, r.ID)
-	dst = value.AppendString(dst, r.Origin)
-	dst = appendAtom(append(dst, byte(r.Op)), r.Head)
-	dst = binary.AppendUvarint(dst, uint64(len(r.Body)))
-	for _, a := range r.Body {
-		dst = appendAtom(dst, a)
-	}
-	return dst
-}
-
-func appendAtom(dst []byte, a ast.Atom) []byte {
-	var neg byte
-	if a.Neg {
-		neg = 1
-	}
-	dst = appendTerm(append(dst, neg), a.Rel)
-	dst = appendTerm(dst, a.Peer)
-	dst = binary.AppendUvarint(dst, uint64(len(a.Args)))
-	for _, t := range a.Args {
-		dst = appendTerm(dst, t)
-	}
-	return dst
-}
-
-func appendTerm(dst []byte, t ast.Term) []byte {
-	if t.IsVar() {
-		return value.AppendString(append(dst, termVar), t.Var)
-	}
-	return t.Val.Encode(append(dst, termConst))
 }
 
 // decoder reads one frame or payload.
@@ -325,15 +268,6 @@ func (d *decoder) payload(top bool) Payload {
 	switch d.Byte() {
 	case tagFacts:
 		return FactsMsg{Ops: d.ops()}
-	case tagDelegation:
-		m := DelegationMsg{RuleID: d.Str()}
-		if n := d.Count(minRuleSize); n > 0 {
-			m.Rules = make([]ast.Rule, n)
-			for i := range m.Rules {
-				m.Rules[i] = d.rule()
-			}
-		}
-		return m
 	case tagControl:
 		return ControlMsg{Kind: ControlKind(d.Byte()), Token: d.Uvarint()}
 	case tagData:
@@ -344,7 +278,7 @@ func (d *decoder) payload(top bool) Payload {
 		return DataMsg{Epoch: d.Uvarint(), Seq: d.Uvarint(), Msg: d.payload(false)}
 	case tagAck:
 		return AckMsg{Epoch: d.Uvarint(), Seq: d.Uvarint()}
-	case tagDigestV2:
+	case tagDigestV3:
 		var m DigestMsg
 		var prev string
 		if n := d.Count(2); n > 0 {
@@ -361,18 +295,10 @@ func (d *decoder) payload(top bool) Payload {
 				m.Rels[k] = rs
 			}
 		}
-		if n := d.Count(9); n > 0 {
-			m.Deleg = make(map[string]uint64, n)
-			for i := 0; i < n; i++ {
-				k := d.mapKey(&prev, i)
-				m.Deleg[k] = d.Uint64()
-			}
-		}
 		m.Advert = d.flags(flagAdvert) != 0
 		return m
-	case tagResync:
-		f := d.flags(flagReset | flagAdvert)
-		return ResyncRequestMsg{Reset: f&flagReset != 0, Advert: f&flagAdvert != 0}
+	case tagResyncV2:
+		return ResyncRequestMsg{Reset: d.flags(flagReset) != 0}
 	case tagRangeRequest:
 		return RangeRequestMsg{RelID: d.Str(), Digest: d.ranges(), Repair: d.ranges()}
 	case tagRangeRepair:
@@ -417,43 +343,4 @@ func (d *decoder) ranges() []HashRange {
 		rs[i] = HashRange{Lo: d.Uint64(), Hi: d.Uint64()}
 	}
 	return rs
-}
-
-func (d *decoder) rule() ast.Rule {
-	r := ast.Rule{ID: d.Str(), Origin: d.Str(), Op: ast.UpdateOp(d.Byte())}
-	if r.Op > ast.Delete {
-		d.Fail(errNotCanonical)
-	}
-	r.Head = d.atom()
-	if n := d.Count(minAtomSize); n > 0 {
-		r.Body = make([]ast.Atom, n)
-		for i := range r.Body {
-			r.Body[i] = d.atom()
-		}
-	}
-	return r
-}
-
-func (d *decoder) atom() ast.Atom {
-	a := ast.Atom{Neg: d.Bool(), Rel: d.term(), Peer: d.term()}
-	if n := d.Count(minTermSize); n > 0 {
-		a.Args = make([]ast.Term, n)
-		for i := range a.Args {
-			a.Args[i] = d.term()
-		}
-	}
-	return a
-}
-
-func (d *decoder) term() ast.Term {
-	switch d.Byte() {
-	case termConst:
-		return ast.Term{Val: d.Value()}
-	case termVar:
-		if v := d.Str(); v != "" {
-			return ast.Term{Var: v}
-		}
-	}
-	d.Fail(errNotCanonical)
-	return ast.Term{}
 }

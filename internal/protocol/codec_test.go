@@ -65,33 +65,6 @@ func (g gen) ops() []FactDelta {
 	return ops
 }
 
-func (g gen) term() ast.Term {
-	if g.Intn(2) == 0 {
-		return ast.V("v" + g.str())
-	}
-	return ast.C(g.value())
-}
-
-func (g gen) atom() ast.Atom {
-	a := ast.Atom{Neg: g.Intn(2) == 0, Rel: g.term(), Peer: g.term()}
-	for i := g.Intn(3); i > 0; i-- {
-		a.Args = append(a.Args, g.term())
-	}
-	return a
-}
-
-func (g gen) rules() []ast.Rule {
-	var rs []ast.Rule
-	for i := g.Intn(3); i > 0; i-- {
-		r := ast.Rule{ID: g.str(), Origin: g.str(), Op: ast.UpdateOp(g.Intn(2)), Head: g.atom()}
-		for j := g.Intn(3); j > 0; j-- {
-			r.Body = append(r.Body, g.atom())
-		}
-		rs = append(rs, r)
-	}
-	return rs
-}
-
 func (g gen) ranges() []HashRange {
 	var rs []HashRange
 	for i := g.Intn(3); i > 0; i-- {
@@ -100,7 +73,7 @@ func (g gen) ranges() []HashRange {
 	return rs
 }
 
-// payload draws one of the nine kinds (kind < 0: any); a DataMsg wraps any
+// payload draws one of the eight kinds (kind < 0: any); a DataMsg wraps any
 // other kind.
 func (g gen) payload(kind int) Payload {
 	if kind < 0 {
@@ -110,18 +83,16 @@ func (g gen) payload(kind int) Payload {
 	case 0:
 		return FactsMsg{Ops: g.ops()}
 	case 1:
-		return DelegationMsg{RuleID: g.str(), Rules: g.rules()}
-	case 2:
 		return ControlMsg{Kind: ControlKind(g.Intn(3)), Token: g.u64()}
-	case 3:
-		inner := 3
-		for inner == 3 {
+	case 2:
+		inner := 2
+		for inner == 2 {
 			inner = g.Intn(payloadKinds)
 		}
 		return DataMsg{Epoch: g.u64(), Seq: g.u64(), Msg: g.payload(inner)}
-	case 4:
+	case 3:
 		return AckMsg{Epoch: g.u64(), Seq: g.u64()}
-	case 5:
+	case 4:
 		m := DigestMsg{Advert: g.Intn(2) == 0}
 		for i := g.Intn(3); i > 0; i-- {
 			if m.Rels == nil {
@@ -133,34 +104,35 @@ func (g gen) payload(kind int) Payload {
 			}
 			m.Rels[g.str()] = rs
 		}
-		for i := g.Intn(3); i > 0; i-- {
-			if m.Deleg == nil {
-				m.Deleg = map[string]uint64{}
-			}
-			m.Deleg[g.str()] = g.u64()
-		}
 		return m
+	case 5:
+		return ResyncRequestMsg{Reset: g.Intn(2) == 0}
 	case 6:
-		return ResyncRequestMsg{Reset: g.Intn(2) == 0, Advert: g.Intn(2) == 0}
-	case 7:
 		return RangeRequestMsg{RelID: g.str(), Digest: g.ranges(), Repair: g.ranges()}
 	}
 	return RangeRepairMsg{RelID: g.str(), Ranges: g.ranges(), Ops: g.ops()}
 }
 
 // payloadKinds is the number of payload types.
-const payloadKinds = 9
+const payloadKinds = 8
 
 // retiredPayloads are payloads of the retired layouts — an advert stamped
 // with Epoch and AsOfSeq, a range-digest request, a stamped range-digest
-// reply and a range-repair request — as older versions wrote them to the
-// wire and to outbox logs. Their tags stay reserved: each must fail to
-// decode.
+// reply, a range-repair request, the set-replacement delegation message (a
+// residual set and a withdrawal), a digest carrying delegation fingerprints
+// and a resync request with its Reset and Advert flags (the plain form and
+// an advert request) — as older versions wrote them to the wire and to
+// outbox logs. Their tags stay reserved: each must fail to decode.
 var retiredPayloads = [][]byte{
 	{tagDigest, 3, 9, 1, 1, 'r', 0xEF, 0xBE, 0, 0, 0, 0, 0, 0, 3, 0},
 	{tagRangeDigestRequest, 1, 'r', 1, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF},
 	{tagRangeDigest, 3, 9, 1, 'r', 0},
 	{tagRangeRepairRequest, 1, 'r', 0},
+	{tagDelegation, 2, 'r', '1', 1, 0, 0, 0, 0, 1, 1, 'o', 1, 1, 'b', 0, 0},
+	{tagDelegation, 2, 'r', '1', 0},
+	{tagDigestV2, 0, 1, 5, 'r', 'u', 'l', 'e', '1', 9, 0, 0, 0, 0, 0, 0, 0, 1},
+	{tagResync, 0},
+	{tagResync, 2},
 }
 
 // same compares two decoded structures by their Go syntax, which (unlike
@@ -208,14 +180,12 @@ func TestCodecRoundTripProperty(t *testing.T) {
 func TestNilAndEmptyDecodeAsNil(t *testing.T) {
 	in := []Payload{
 		FactsMsg{Ops: []FactDelta{{Fact: ast.Fact{Rel: "r", Peer: "p", Args: value.Tuple{}}}}},
-		DelegationMsg{RuleID: "r1", Rules: []ast.Rule{{Head: ast.Atom{Args: []ast.Term{}}, Body: []ast.Atom{}}}},
-		DigestMsg{Rels: map[string][]RangeDigest{}, Deleg: map[string]uint64{}},
+		DigestMsg{Rels: map[string][]RangeDigest{}},
 		DigestMsg{Rels: map[string][]RangeDigest{"r": {}}},
 		RangeRepairMsg{Ranges: []HashRange{}, Ops: []FactDelta{}},
 	}
 	want := []Payload{
 		FactsMsg{Ops: []FactDelta{{Fact: ast.Fact{Rel: "r", Peer: "p"}}}},
-		DelegationMsg{RuleID: "r1", Rules: []ast.Rule{{}}},
 		DigestMsg{},
 		DigestMsg{Rels: map[string][]RangeDigest{"r": nil}},
 		RangeRepairMsg{},
@@ -270,9 +240,9 @@ func TestDecodeAllocations(t *testing.T) {
 	}
 }
 
-// TestForgedCountsAllocateNothing: frames announcing 2^32 ops, rules, digest
-// entries or tuple values, or a 2^40-byte string, fail without allocating
-// what they announce.
+// TestForgedCountsAllocateNothing: frames announcing 2^32 ops, digest
+// entries, ranges or tuple values, or a 2^40-byte string, fail without
+// allocating what they announce.
 func TestForgedCountsAllocateNothing(t *testing.T) {
 	uv := func(x uint64) []byte { return binary.AppendUvarint(nil, x) }
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
@@ -280,14 +250,13 @@ func TestForgedCountsAllocateNothing(t *testing.T) {
 	huge := make([]byte, 8)
 	binary.LittleEndian.PutUint64(huge, 1<<40)
 	forged := map[string][]byte{
-		"2^32 ops":          cat(route, []byte{tagFacts}, uv(1<<32), []byte{0, 1, 'r', 1, 'p', 0}),
-		"2^32 rules":        cat(route, []byte{tagDelegation}, uv(0), uv(1<<32), make([]byte, 40)),
-		"2^32 digests":      cat(route, []byte{tagDigestV2}, uv(1), uv(1), []byte("r"), uv(1<<32), make([]byte, 40)),
-		"2^32 values":       cat(route, []byte{tagFacts}, uv(1), []byte{0}, uv(1), []byte("r"), uv(1), []byte("p"), uv(1<<32), make([]byte, 40)),
-		"2^40-byte name":    cat(uv(1<<40), []byte("abc")),
-		"2^40-byte value":   cat(route, []byte{tagFacts}, uv(1), []byte{0}, uv(1), []byte("r"), uv(1), []byte("p"), uv(1), []byte{byte(value.KindBlob)}, huge, []byte("xyz")),
-		"2^32 ranges":       cat(route, []byte{tagRangeRequest}, uv(0), uv(1<<32), make([]byte, 40)),
-		"2^40-byte rule id": cat(route, []byte{tagDelegation}, uv(1<<40), make([]byte, 40)),
+		"2^32 ops":         cat(route, []byte{tagFacts}, uv(1<<32), []byte{0, 1, 'r', 1, 'p', 0}),
+		"2^32 digests":     cat(route, []byte{tagDigestV3}, uv(1), uv(1), []byte("r"), uv(1<<32), make([]byte, 40)),
+		"2^32 values":      cat(route, []byte{tagFacts}, uv(1), []byte{0}, uv(1), []byte("r"), uv(1), []byte("p"), uv(1<<32), make([]byte, 40)),
+		"2^40-byte name":   cat(uv(1<<40), []byte("abc")),
+		"2^40-byte value":  cat(route, []byte{tagFacts}, uv(1), []byte{0}, uv(1), []byte("r"), uv(1), []byte("p"), uv(1), []byte{byte(value.KindBlob)}, huge, []byte("xyz")),
+		"2^32 ranges":      cat(route, []byte{tagRangeRequest}, uv(0), uv(1<<32), make([]byte, 40)),
+		"2^40-byte rel id": cat(route, []byte{tagRangeRequest}, uv(1<<40), make([]byte, 40)),
 	}
 	for name, b := range forged {
 		var before, after runtime.MemStats
@@ -326,7 +295,9 @@ func TestEncodeRefusesWhatCannotDecode(t *testing.T) {
 }
 
 // TestRetiredTagsRefused: a payload of a retired layout is refused, not
-// misread, whether it arrives bare or inside a DataMsg.
+// misread, whether it arrives bare or inside a DataMsg — among them a frame
+// carrying the retired delegation tag and a digest carrying a delegation
+// map.
 func TestRetiredTagsRefused(t *testing.T) {
 	for _, b := range retiredPayloads {
 		if p, err := DecodePayload(b); err == nil {
@@ -344,7 +315,7 @@ func FuzzDecodePayload(f *testing.F) {
 	g := gen{rand.New(rand.NewSource(1))}
 	full := RangeDigest{Lo: 0, Hi: ^uint64(0), Hash: 0xBEEF, Count: 3}
 	seeds := []Payload{
-		DigestMsg{Rels: map[string][]RangeDigest{"r@b": {full}}, Deleg: map[string]uint64{"rule1": 9}, Advert: true},
+		DigestMsg{Rels: map[string][]RangeDigest{"r@b": {full}}, Advert: true},
 		DigestMsg{Rels: map[string][]RangeDigest{"r@b": {{Lo: 1, Hi: 2, Hash: 5, Count: 1}, {Lo: 3, Hi: 4}}}},
 		RangeRequestMsg{RelID: "r@b", Digest: []HashRange{{Lo: 0, Hi: 1 << 60}}, Repair: []HashRange{{Lo: 7, Hi: 7}}},
 	}
@@ -370,7 +341,7 @@ func FuzzDecodePayload(f *testing.F) {
 			return
 		}
 		switch data[0] {
-		case tagDigest, tagRangeDigestRequest, tagRangeDigest, tagRangeRepairRequest:
+		case tagDelegation, tagDigest, tagResync, tagRangeDigestRequest, tagRangeDigest, tagRangeRepairRequest, tagDigestV2:
 			t.Fatalf("retired tag %d decoded as %#v", data[0], p)
 		}
 		back, err := EncodePayload(p)

@@ -1,7 +1,8 @@
 // Package protocol defines the messages WebdamLog peers exchange at the end
 // of each computation stage (paper §2: "the peer sends facts (updates) and
 // rules (delegations) to other peers"), and their binary wire codec
-// (codec.go), which also encodes the payloads a durable outbox persists.
+// (codec.go), which also encodes the payloads a durable outbox persists. A
+// delegated rule travels as a fact like any other: see engine.ResidualRel.
 package protocol
 
 import (
@@ -57,16 +58,6 @@ func (m *FactsMsg) Append(del bool, f ast.Fact) {
 // Len returns the number of deltas carried.
 func (m FactsMsg) Len() int { return len(m.Ops) }
 
-// DelegationMsg installs, at the destination, the current residual-rule set
-// for one source rule of the sender. It *replaces* any set previously
-// delegated by (sender, RuleID) — an empty Rules slice withdraws the
-// delegation entirely. This implements the paper's delegation maintenance:
-// delegations are recomputed at every stage of the delegating peer.
-type DelegationMsg struct {
-	RuleID string
-	Rules  []ast.Rule
-}
-
 // DataMsg wraps a payload with a per-(sender, destination) outbox sequence
 // number, starting at 1. It is the unit of the peer layer's at-least-once
 // delivery: the sender's outbox retains the message until the destination
@@ -103,43 +94,36 @@ type AckMsg struct {
 // current as of its own stream position: the receiver compares it exactly
 // when it gets there, whatever was enqueued around it, and a lost one is
 // retransmitted like any other entry. Rels maps a receiver relation id to
-// range digests of the facts the sender maintains there (its remote view).
+// range digests of the facts the sender maintains there (its remote view) —
+// the residual rules it delegates there (engine.ResidualRel) among them.
 //
 // With Advert set it is the complete advert — the periodic one, the answer
-// to an Advert request, or the end of a restarted stream's repair run: every
+// to an advert request, or the end of a restarted stream's repair run: every
 // relation the sender maintains at the receiver, each as one digest of the
-// full hash range (a relation not listed is empty), plus, per source rule, a
-// fingerprint hash of the residual rule set currently delegated to the
-// receiver. Each relation's digest is round zero of the ranged-repair
-// dialogue, and diverging delegation fingerprints are answered with a
-// ResyncRequestMsg. Otherwise it answers one bisection round
-// (RangeRequestMsg.Digest): the digests of the requested ranges of one
-// relation, and no delegations.
+// full hash range (a relation not listed is empty). Each relation's digest is
+// round zero of the ranged-repair dialogue. Otherwise it answers one
+// bisection round (RangeRequestMsg.Digest): the digests of the requested
+// ranges of one relation.
 type DigestMsg struct {
 	Rels   map[string][]RangeDigest
-	Deleg  map[string]uint64
 	Advert bool
 }
 
 // ResyncRequestMsg asks the message's *receiver* (the stream's sender) for
-// help the ranged-repair dialogue does not carry. The plain form says "re-send
-// your delegations to me": the requester's installed rule sets disagree with
-// the advertised fingerprints, so the sender forgets what it believes it
-// delegated there and its next stage re-sends the current residual sets. With
-// Reset true the requester cannot follow the stream at all — typically it
-// restarted and lost its watermark while the sender's stream is mid-sequence —
-// so the sender tears the stream down: fresh per-stream epoch, its maintained
-// view as full-range RangeRepairMsgs from sequence 1, a sequenced advert
-// after them (it clears what the run cannot state: relations the sender no
-// longer maintains), surviving pending entries renumbered behind, delegations
-// re-sent. With Advert true the requester adopted a fresh epoch of a known
-// sender over whatever ledger it holds and asks for the digest advert now
-// rather than at the sender's next period: the comparison repairs what
-// differs — nothing at all if the ledger already matches. Requests are idempotent and best-effort; the
-// requester rate-limits and re-asks.
+// help the ranged-repair dialogue does not carry. With Reset false the
+// requester adopted a fresh epoch of a known sender over whatever ledger it
+// holds and asks for the digest advert now rather than at the sender's next
+// period: the comparison repairs what differs — nothing at all if the ledger
+// already matches. With Reset true the requester cannot follow the stream
+// at all — typically it restarted and lost its watermark while the sender's
+// stream is mid-sequence — so the sender tears the stream down: fresh
+// per-stream epoch, its maintained view (delegated residuals included) as
+// full-range RangeRepairMsgs from sequence 1, a sequenced advert after them
+// (it clears what the run cannot state: relations the sender no longer
+// maintains), surviving pending entries renumbered behind. Requests are
+// idempotent and best-effort; the requester rate-limits and re-asks.
 type ResyncRequestMsg struct {
-	Reset  bool
-	Advert bool
+	Reset bool
 }
 
 // HashRange is an inclusive interval [Lo, Hi] on the canonical 64-bit
@@ -216,7 +200,6 @@ type Payload interface {
 }
 
 func (FactsMsg) payload()         {}
-func (DelegationMsg) payload()    {}
 func (ControlMsg) payload()       {}
 func (DataMsg) payload()          {}
 func (AckMsg) payload()           {}

@@ -33,49 +33,6 @@ func TestFactsMsgRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDelegationMsgRoundTrip(t *testing.T) {
-	rule := ast.Rule{
-		ID:     "r1",
-		Origin: "a",
-		Op:     ast.Delete,
-		Head:   ast.Atom{Rel: ast.CStr("out"), Peer: ast.V("p"), Args: []ast.Term{ast.V("x"), ast.CInt(5)}},
-		Body: []ast.Atom{
-			{Neg: true, Rel: ast.V("r"), Peer: ast.CStr("b"), Args: []ast.Term{ast.V("x")}},
-		},
-	}
-	env := Envelope{From: "a", To: "b", Seq: 1, Msg: DelegationMsg{RuleID: "r1", Rules: []ast.Rule{rule}}}
-	b, err := Encode(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeEnvelope(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dm := got.Msg.(DelegationMsg)
-	if dm.RuleID != "r1" || len(dm.Rules) != 1 {
-		t.Fatalf("msg = %+v", dm)
-	}
-	if !dm.Rules[0].Equal(rule) || dm.Rules[0].Op != ast.Delete || dm.Rules[0].Origin != "a" {
-		t.Errorf("rule corrupted: %v vs %v", dm.Rules[0], rule)
-	}
-}
-
-func TestWithdrawalEncodesEmptyRules(t *testing.T) {
-	env := Envelope{From: "a", To: "b", Msg: DelegationMsg{RuleID: "r1"}}
-	b, err := Encode(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeEnvelope(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dm := got.Msg.(DelegationMsg); len(dm.Rules) != 0 {
-		t.Errorf("withdrawal decoded with rules: %v", dm.Rules)
-	}
-}
-
 func TestControlMsgRoundTrip(t *testing.T) {
 	for _, kind := range []ControlKind{ControlPing, ControlPong, ControlBye} {
 		env := Envelope{From: "a", To: "b", Msg: ControlMsg{Kind: kind, Token: 7}}
@@ -99,7 +56,7 @@ func TestControlMsgRoundTrip(t *testing.T) {
 func TestRangedMessagesRoundTrip(t *testing.T) {
 	full := HashRange{Lo: 0, Hi: ^uint64(0)}
 	msgs := []Payload{
-		ResyncRequestMsg{Advert: true},
+		ResyncRequestMsg{},
 		RangeRequestMsg{RelID: "r@b", Digest: []HashRange{full, {Lo: 1, Hi: 2}}, Repair: []HashRange{{Lo: 5, Hi: 6}}},
 		DigestMsg{Rels: map[string][]RangeDigest{"r@b": {{Lo: 1, Hi: 2, Hash: 0xDEAD, Count: 4}}}},
 		RangeRepairMsg{RelID: "r@b", Ranges: []HashRange{full}, Ops: []FactDelta{
@@ -117,7 +74,7 @@ func TestRangedMessagesRoundTrip(t *testing.T) {
 		}
 		switch m := got.Msg.(type) {
 		case ResyncRequestMsg:
-			if !m.Advert || m.Reset {
+			if m.Reset {
 				t.Errorf("resync request = %+v", m)
 			}
 		case RangeRequestMsg:
@@ -148,8 +105,7 @@ func TestRangedMessagesInsideDataMsg(t *testing.T) {
 	full := HashRange{Lo: 0, Hi: ^uint64(0)}
 	for _, inner := range []Payload{
 		RangeRepairMsg{RelID: "r@b", Ranges: []HashRange{{Lo: 7, Hi: 8}}},
-		DigestMsg{Rels: map[string][]RangeDigest{"r@b": {{Lo: full.Lo, Hi: full.Hi, Hash: 0xBEEF, Count: 3}}},
-			Deleg: map[string]uint64{"rule1": 9}, Advert: true},
+		DigestMsg{Rels: map[string][]RangeDigest{"r@b": {{Lo: full.Lo, Hi: full.Hi, Hash: 0xBEEF, Count: 3}}}, Advert: true},
 		DigestMsg{Rels: map[string][]RangeDigest{"r@b": {{Lo: 7, Hi: 8, Hash: 0xBEEF, Count: 3}, {Lo: 9, Hi: 9}}}},
 	} {
 		b, err := Encode(Envelope{From: "a", To: "b", Msg: DataMsg{Epoch: 2, Seq: 5, Msg: inner}})

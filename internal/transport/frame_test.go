@@ -76,13 +76,13 @@ func frameSeeds(tb testing.TB) [][]byte {
 	ranges := []protocol.HashRange{{Lo: 1, Hi: 1 << 40}}
 	payloads := []protocol.Payload{
 		protocol.FactsMsg{Ops: ops},
-		protocol.DelegationMsg{RuleID: "r1", Rules: []ast.Rule{{ID: "x", Origin: "a", Head: ast.NewAtom("m", "b", ast.V("v"))}}},
 		protocol.ControlMsg{Kind: protocol.ControlPong, Token: 7},
 		protocol.DataMsg{Epoch: 3, Seq: 1, Msg: protocol.FactsMsg{Ops: ops}},
 		protocol.AckMsg{Epoch: 3, Seq: 1},
 		protocol.DataMsg{Epoch: 3, Seq: 2, Msg: protocol.DigestMsg{Rels: map[string][]protocol.RangeDigest{
-			"r": {{Lo: 0, Hi: ^uint64(0), Hash: 9, Count: 2}}}, Deleg: map[string]uint64{"r1": 5}, Advert: true}},
-		protocol.ResyncRequestMsg{Reset: true, Advert: true},
+			"r": {{Lo: 0, Hi: ^uint64(0), Hash: 9, Count: 2}}}, Advert: true}},
+		protocol.ResyncRequestMsg{Reset: true},
+		protocol.ResyncRequestMsg{},
 		protocol.RangeRequestMsg{RelID: "r", Digest: ranges, Repair: ranges},
 		protocol.DataMsg{Epoch: 3, Seq: 3, Msg: protocol.DigestMsg{Rels: map[string][]protocol.RangeDigest{
 			"r": {{Lo: 1, Hi: 2, Hash: 3, Count: 4}}}}},

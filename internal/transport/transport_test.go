@@ -335,9 +335,8 @@ func TestTCPSendAfterClose(t *testing.T) {
 }
 
 func TestEnvelopeCodec(t *testing.T) {
-	env := protocol.Envelope{From: "a", To: "b", Seq: 9, Msg: protocol.DelegationMsg{
-		RuleID: "r1",
-		Rules:  []ast.Rule{{ID: "x", Origin: "a", Head: ast.NewAtom("m", "b", ast.V("v"))}},
+	env := protocol.Envelope{From: "a", To: "b", Seq: 9, Msg: protocol.FactsMsg{
+		Ops: []protocol.FactDelta{{Maint: true, Fact: ast.NewFact("m", "b", value.Str("v"))}},
 	}}
 	b, err := protocol.Encode(env)
 	if err != nil {
@@ -350,8 +349,8 @@ func TestEnvelopeCodec(t *testing.T) {
 	if got.From != "a" || got.Seq != 9 {
 		t.Errorf("metadata = %+v", got)
 	}
-	dm, ok := got.Msg.(protocol.DelegationMsg)
-	if !ok || dm.RuleID != "r1" || len(dm.Rules) != 1 || !dm.Rules[0].Equal(env.Msg.(protocol.DelegationMsg).Rules[0]) {
+	fm, ok := got.Msg.(protocol.FactsMsg)
+	if !ok || len(fm.Ops) != 1 || !fm.Ops[0].Maint || !fm.Ops[0].Fact.Equal(env.Msg.(protocol.FactsMsg).Ops[0].Fact) {
 		t.Errorf("payload = %#v", got.Msg)
 	}
 }
