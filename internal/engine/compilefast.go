@@ -32,7 +32,8 @@ import (
 // Relations unresolved at compile time are not an obstacle: an undeclared
 // local relation is empty for the whole stage (intensional heads must be
 // pre-declared, and auto-declared extensional heads only buffer updates for
-// the next stage), so those atoms compile to constant dead or pass steps.
+// the next stage), so those atoms compile to constant dead or pass steps —
+// and the chain is compiled again once the store declares a relation.
 
 // stepSpec shapes (stepSpec.sKind).
 const (
@@ -203,7 +204,7 @@ func (e *Engine) analyzeAtom(cr *CompiledRule, pos int, peer, rel value.Value, k
 
 // compileExec compiles one (rule, stage kind, delta position) walk under
 // the given plan order (nil = written order) into a closure-chain program.
-// Called through the stage's compiledFor cache.
+// Called through compiledFor, which keeps the chain for later stages.
 func (e *Engine) compileExec(cr *CompiledRule, kind stageKind, deltaPos int, ord []int) *execProg {
 	// Forward pass: simulate the binding state the fixed order produces and
 	// analyze every step against it. Nothing runs past a step that ends the
@@ -318,7 +319,8 @@ func (e *Engine) compileStep(cr *CompiledRule, sp *stepSpec, p *execProg, next s
 		return func() { e.deriveResidual(x, cr, pos, bound, target) }
 	case specDynamic:
 		// One specialized step per (peer, relation) pair the terms resolve
-		// to, built on first sight; the chain lives for one stage.
+		// to, built on first sight; a declaration in the store voids the
+		// chain, so a memoized dead or pass step never outlives it.
 		pos, bound, deltaPos := sp.pos, sp.bound, p.deltaPos
 		steps := map[[2]value.Value]stepFn{}
 		return func() {

@@ -18,6 +18,7 @@ package engine
 import (
 	"sort"
 	"sync/atomic"
+	"weak"
 
 	"repro/internal/ast"
 	"repro/internal/store"
@@ -159,8 +160,8 @@ type Engine struct {
 	planHits   atomic.Uint64
 	planMisses atomic.Uint64
 
-	// Rule-execution telemetry: closure chains freshly compiled and cache
-	// lookups that reused one (per stage, like the plan cache).
+	// Rule-execution telemetry: closure chains freshly compiled and lookups
+	// that reused one, compiled in this stage or an earlier one.
 	ruleCompiles atomic.Uint64
 	compiledHits atomic.Uint64
 }
@@ -275,7 +276,12 @@ type CompiledRule struct {
 	// the rules whose key and classification only one of them has
 	// (programDelta).
 	key string
+	// chains holds the rule's compiled walks weakly (compiledFor).
+	chains weak.Pointer[ruleChains]
 }
+
+// class returns the rule's classification as classify last left it.
+func (c *CompiledRule) class() ruleClass { return ruleClass{c.Event, c.Remote, c.MaybeView} }
 
 // String renders the original rule.
 func (c *CompiledRule) String() string { return c.Rule.String() }
@@ -294,4 +300,6 @@ type Program struct {
 	// keys holds each rule's identity and classification, as classify left
 	// them: a rule shared with a later program may be reclassified there.
 	keys []ruleKey
+	// maxSlots is the widest rule's NumSlots: rederivable's frame size.
+	maxSlots int
 }

@@ -14,15 +14,16 @@ import (
 // handles, precomputed ColMask probe masks, and fixed binding slots, with
 // probe keys appended into one reused buffer. The four walk kinds compile
 // separately: their terminals, delta sources, and ghost sweeps differ (see
-// stageKind). This is the only way rules run; the test-only reference
+// stageKind). A chain serves every later stage that plans the same order
+// (compiledFor). This is the only way rules run; the test-only reference
 // evaluator (reference_test.go) is the oracle it is checked against.
 //
 // Every closure captures the program's own *execCtx, allocated once at
 // compile time, so a walk allocates nothing per tuple. That makes a
 // compiled program single-flight: the engine never re-enters the same
 // (rule, kind, delta position) walk while it is running — step chains are
-// linear, produce/produceDelete do not evaluate rules — and the engine runs
-// its fixpoint on one goroutine, so the shared ctx is safe.
+// linear, produce/produceDelete do not evaluate rules — and an engine runs
+// one stage or query at a time, on one goroutine, so the shared ctx is safe.
 
 // stageKind distinguishes the four body walks a rule compiles for. The
 // kinds share a rule and often a plan order but compile to behaviorally
@@ -88,6 +89,8 @@ type execProg struct {
 	deltaPos int
 	entry    stepFn
 	ctx      execCtx
+	ord      []int       // the plan order it was compiled under
+	set      *ruleChains // its rule's set: a stage holding one chain holds all
 }
 
 // run runs a kindEval or kindDRed walk with delta as its delta source: the

@@ -24,9 +24,10 @@ var fuzzSchemas = []store.Schema{
 // builtin-filtered projection, one rule per delegating shape (variable peer,
 // constant remote atom mid-body, variable relation and peer resolving to a
 // local relation, a builtin or a remote peer; view, remote and extensional
-// heads), and remote view rules into the same out@far an event rule and a
-// one-shot deletion rule also reach. No rule negates, so every subset
-// stratifies.
+// heads), remote view rules into the same out@far an event rule and a
+// one-shot deletion rule also reach, and a view over late@local, which the
+// store declares only when its first fact arrives. No rule negates, so every
+// subset stratifies.
 var fuzzRules = []string{
 	`reach@local($x, $y) :- edge@local($x, $y);`,
 	`reach@local($x, $z) :- reach@local($x, $y), edge@local($y, $z);`,
@@ -38,6 +39,7 @@ var fuzzRules = []string{
 	`out@far($x, $y) :- reach@local($x, $y), edge@local($y, $x);`,
 	`out@far($x, $x) :- seen@local($x, $y), lt@builtin($y, $x);`,
 	`-out@far($x, $y) :- edge@local($x, $y), follows@local("far");`,
+	`seen@local($x, $y) :- late@local($x, $y), reach@local($y, $x);`,
 }
 
 // FuzzEngineStage decodes the fuzz input into batches of base-fact inserts
@@ -52,7 +54,10 @@ var fuzzRules = []string{
 // alike — and renumbers the rest by position, so the rules after it come
 // back under new IDs: the incremental engine maintains the change as a
 // program delta, and a renumbered rule's residuals are withdrawn and
-// delegated again under its new ID.
+// delegated again under its new ID. A fact of late@local declares that
+// relation on its first arrival, as a peer does, so the chains compiled while
+// it was undeclared — a dead step for the constant atom, a memoized one for
+// $r@local — must give way to ones that read it.
 // This fuzzes the whole execution surface: semi-naive delta walks, DRed
 // over-deletion, rederivation, the remote view's two sources, the
 // run-time-resolved steps and added and removed rules, across arbitrary
@@ -71,11 +76,17 @@ func FuzzEngineStage(f *testing.F) {
 	f.Add([]byte{0x01, 0x12, 0x01, 0x23, 0x01, 0x21, 0x40, 0x00, 0x40, 0x01,
 		0x60, 0x01, 0x60, 0x07, 0x01, 0x34, 0x60, 0x03, 0x60, 0x09, 0x81, 0x12,
 		0x60, 0x01, 0x60, 0x07, 0x60, 0x03, 0x60, 0x09})
+	// Edges, kinds (late,local), then late@local facts: the first declares
+	// the relation between stages; one is retracted later.
+	f.Add([]byte{0x01, 0x12, 0x01, 0x21, 0x20, 0x04, 0x01, 0x23, 0x01, 0x32,
+		0xe0, 0x21, 0xe0, 0x12, 0x01, 0x13, 0xe0, 0x21, 0x81, 0x12})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 120 {
 			data = data[:120] // bound fixpoint sizes, keep iterations fast
 		}
-		// Decode: 2 bytes per op. Bits 6 and 5 both set toggle rule
+		// Decode: 2 bytes per op. Bits 7, 6 and 5 all set toggle the
+		// late@local fact the second byte packs like an edge (insert it,
+		// or delete it if present). Bits 6 and 5 alone toggle rule
 		// fuzzRules[second byte % len]: the batch so far ends and the
 		// program changes before the next one. Otherwise the high bit of
 		// the first byte selects delete; bit 6 targets follows, bit 5
@@ -83,7 +94,8 @@ func FuzzEngineStage(f *testing.F) {
 		// byte packs into a small domain so joins and collisions actually
 		// happen. Batch boundary every 4 ops.
 		peers := []string{"local", "far"}
-		kinds := [][2]string{{"edge", "local"}, {"reach", "local"}, {"edge", "far"}, {"lt", BuiltinPeer}}
+		kinds := [][2]string{{"edge", "local"}, {"reach", "local"}, {"edge", "far"}, {"lt", BuiltinPeer}, {"late", "local"}}
+		late := map[byte]bool{}
 		all := mustRules(t, fuzzRules...)
 		on := make([]bool, len(all))
 		for i := range on {
@@ -93,7 +105,16 @@ func FuzzEngineStage(f *testing.F) {
 		var cur []FactOp
 		edits := map[int][]ast.Rule{}
 		for i := 0; i+1 < len(data); i += 2 {
-			if data[i]&0x60 == 0x60 {
+			op := FactOp{Op: ast.Derive}
+			switch {
+			case data[i]&0xe0 == 0xe0:
+				v := data[i+1] & 0x77
+				if late[v] {
+					op.Op = ast.Delete
+				}
+				late[v] = !late[v]
+				op.Fact = ast.NewFact("late", "local", value.Int(int64(v>>4)), value.Int(int64(v&0x7)))
+			case data[i]&0x60 == 0x60:
 				if len(cur) > 0 {
 					batches, cur = append(batches, cur), nil
 				}
@@ -107,18 +128,18 @@ func FuzzEngineStage(f *testing.F) {
 				}
 				edits[len(batches)] = rules
 				continue
-			}
-			op := FactOp{Op: ast.Derive}
-			if data[i]&0x80 != 0 {
-				op.Op = ast.Delete
-			}
-			switch v := data[i+1]; {
-			case data[i]&0x40 != 0:
-				op.Fact = ast.NewFact("follows", "local", value.Str(peers[v%2]))
-			case data[i]&0x20 != 0:
-				op.Fact = ast.NewFact("kinds", "local", value.Str(kinds[v%4][0]), value.Str(kinds[v%4][1]))
 			default:
-				op.Fact = ast.NewFact("edge", "local", value.Int(int64(v>>4&0x7)), value.Int(int64(v&0x7)))
+				if data[i]&0x80 != 0 {
+					op.Op = ast.Delete
+				}
+				switch v := data[i+1]; {
+				case data[i]&0x40 != 0:
+					op.Fact = ast.NewFact("follows", "local", value.Str(peers[v%2]))
+				case data[i]&0x20 != 0:
+					op.Fact = ast.NewFact("kinds", "local", value.Str(kinds[v%5][0]), value.Str(kinds[v%5][1]))
+				default:
+					op.Fact = ast.NewFact("edge", "local", value.Int(int64(v>>4&0x7)), value.Int(int64(v&0x7)))
+				}
 			}
 			if cur = append(cur, op); len(cur) == 4 {
 				batches = append(batches, cur)

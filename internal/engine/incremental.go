@@ -294,6 +294,7 @@ func (e *Engine) classify(prog *Program) {
 	ok := e.opts.Incremental
 	prog.keys = make([]ruleKey, len(prog.Rules))
 	for n, cr := range prog.Rules {
+		prog.maxSlots = max(prog.maxSlots, cr.NumSlots)
 		// deleg is the first atom that may leave the peer (len(Body): none
 		// may), where a delegation splits the rule; atoms past one named at
 		// another peer never run here.
@@ -337,7 +338,7 @@ func (e *Engine) classify(prog *Program) {
 		cr.Remote = derive && stays && !hasNeg && constNames &&
 			headPeerNamed && !headPeerLocal && headRelNamed
 		cr.Event = !isView && !cr.Remote && !(static && prefixOK)
-		prog.keys[n] = ruleKey{cr.key, ruleClass{cr.Event, cr.Remote, cr.MaybeView}}
+		prog.keys[n] = ruleKey{cr.key, cr.class()}
 		if cr.MaybeView && hasNeg {
 			// Deleting through negation would need insert deltas to feed
 			// view deletions and vice versa; fall back to recomputation.
@@ -740,22 +741,37 @@ func (e *Engine) rederive(prog *Program, st *stageState, marks []relTuple) {
 // not a local derivation. A local fact is checked against the rules that may
 // derive into a view; a remote one against the remote view rules only, since
 // an event rule's emission of it belongs to the event source.
+// Rules whose head cannot produce the fact are skipped before the frame,
+// shared by the rest and sized to the widest rule, is touched.
 func (e *Engine) rederivable(prog *Program, st *stageState, relName, peerName string, t value.Tuple) bool {
 	remote := peerName != e.local
+	var env []value.Value
+	var bound []bool
 	for _, cr := range prog.Rules {
-		if remote && !cr.Remote || !remote && !cr.MaybeView {
+		h := &cr.Head
+		if remote && !cr.Remote || !remote && !cr.MaybeView || len(h.args) != len(t) ||
+			namesOther(h.rel, relName) || namesOther(h.peer, peerName) {
 			continue
 		}
-		env := make([]value.Value, cr.NumSlots)
-		bound := make([]bool, cr.NumSlots)
-		if !unifyHead(cr, relName, peerName, t, env, bound) {
+		if env == nil {
+			env, bound = make([]value.Value, prog.maxSlots), make([]bool, prog.maxSlots)
+		} else {
+			clear(bound)
+		}
+		if !unifyHead(cr, relName, peerName, t, env[:cr.NumSlots], bound) {
 			continue
 		}
-		if st.planner.compiledFor(cr, kindMatch, -1).runMatch(st, env) {
+		if st.planner.compiledFor(cr, kindMatch, -1).runMatch(st, env[:cr.NumSlots]) {
 			return true
 		}
 	}
 	return false
+}
+
+// namesOther reports whether a constant name term names something other
+// than name.
+func namesOther(t termRef, name string) bool {
+	return !t.isVar && (t.val.Kind() != value.KindString || t.val.StringVal() != name)
 }
 
 // remoteMark is a remote view fact or residual the DRed pass retracted. A

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"weak"
 
 	"repro/internal/store"
 	"repro/internal/value"
@@ -51,7 +53,7 @@ import (
 // stage, against the store cardinalities current at that moment; the
 // orders are deterministic given the store state. plan_test.go pins the
 // orders; the written-order reference evaluator pins that they do not
-// change results.
+// change results. The chains compiled from them outlive it (compiledFor).
 
 // plannerUnknownCost ranks atoms whose relation cannot be resolved at plan
 // time (a variable in relation position): after anything that estimates
@@ -80,7 +82,18 @@ type compiledKey struct {
 	deltaPos int
 }
 
-// stagePlanner owns the per-stage plan and compiled-chain caches.
+// ruleChains is one rule's chains kept across stages: at most one per (walk
+// kind, delta position), each with its plan order. Beside the order,
+// compileExec reads only the rule's engine, the store's catalog and the
+// rule's classification, so the set is valid while the last two are what it
+// was made for.
+type ruleChains struct {
+	decls uint64
+	class ruleClass
+	progs []*execProg
+}
+
+// stagePlanner owns the stage's plans and strong references to its chains.
 type stagePlanner struct {
 	e        *Engine
 	plans    map[*CompiledRule]*rulePlan
@@ -91,9 +104,11 @@ func (e *Engine) newPlanner() *stagePlanner {
 	return &stagePlanner{e: e, plans: map[*CompiledRule]*rulePlan{}, compiled: map[compiledKey]*execProg{}}
 }
 
-// compiledFor returns the cached closure chain for one (rule, stage kind,
-// delta position) triple, compiling it on first use against the stage's
-// plan order for that triple.
+// compiledFor returns the closure chain for one (rule, stage kind, delta
+// position) triple under the order the stage plans for it. The rule holds
+// its chains weakly: a later stage planning the same order reuses one, and a
+// collection between stages takes an idle rule's chains back. A declaration
+// in the store or a reclassification voids the set; a new order, one chain.
 func (pl *stagePlanner) compiledFor(cr *CompiledRule, kind stageKind, deltaPos int) *execProg {
 	k := compiledKey{cr: cr, kind: kind, deltaPos: deltaPos}
 	if ep := pl.compiled[k]; ep != nil {
@@ -106,10 +121,25 @@ func (pl *stagePlanner) compiledFor(cr *CompiledRule, kind stageKind, deltaPos i
 	} else {
 		ord = pl.orderFor(cr, deltaPos)
 	}
-	ep := pl.e.compileExec(cr, kind, deltaPos, ord)
-	pl.compiled[k] = ep
-	pl.e.ruleCompiles.Add(1)
-	return ep
+	set, decls := cr.chains.Value(), pl.e.db.Declarations()
+	if set == nil || set.decls != decls || set.class != cr.class() {
+		set = &ruleChains{decls: decls, class: cr.class()}
+		cr.chains = weak.Make(set)
+	}
+	i := slices.IndexFunc(set.progs, func(ep *execProg) bool { return ep.kind == kind && ep.deltaPos == deltaPos })
+	if i >= 0 && slices.Equal(set.progs[i].ord, ord) {
+		pl.e.compiledHits.Add(1)
+	} else {
+		ep := pl.e.compileExec(cr, kind, deltaPos, ord)
+		ep.ord, ep.set = ord, set
+		if i < 0 {
+			i, set.progs = len(set.progs), append(set.progs, nil)
+		}
+		set.progs[i] = ep
+		pl.e.ruleCompiles.Add(1)
+	}
+	pl.compiled[k] = set.progs[i]
+	return set.progs[i]
 }
 
 // planRegion returns the length of the rule's reorderable prefix: atoms

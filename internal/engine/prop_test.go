@@ -461,13 +461,18 @@ func newRefWorld(t testing.TB, opts Options, schemas []store.Schema, facts []ast
 // apply replays one batch of extensional inserts/deletes against the
 // world's store and returns its net effect as a StageInput (the peer
 // layer's contract: Ins present, Del absent, a tuple inserted and deleted
-// within the batch in neither).
+// within the batch in neither). A fact of an undeclared relation declares
+// it extensional, as a peer does on a fact's first arrival.
 func (w *refWorld) apply(batch []FactOp) *StageInput {
 	in := &StageInput{Ins: map[string][]value.Tuple{}, Del: map[string][]value.Tuple{}}
 	was := map[string]bool{}
 	var order []ast.Fact
 	for _, op := range batch {
 		rel := w.db.Get(op.Fact.Rel, op.Fact.Peer)
+		if rel == nil {
+			rel, _ = w.db.Declare(store.Schema{Name: op.Fact.Rel, Peer: op.Fact.Peer,
+				Kind: ast.Extensional, Cols: store.GenericCols(len(op.Fact.Args))})
+		}
 		if _, seen := was[op.Fact.Key()]; !seen {
 			was[op.Fact.Key()] = rel.Contains(op.Fact.Args)
 			order = append(order, op.Fact)

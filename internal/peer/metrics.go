@@ -147,12 +147,12 @@ func (p *Peer) registerMetrics(reg *metrics.Registry) {
 		return float64(misses)
 	}, name)
 	reg.Counter("wdl_rule_compiles_total",
-		"Rule walks compiled into closure chains (per stage kind and delta position).", "peer").Func(func() float64 {
+		"Rule walks compiled into closure chains (per stage kind, delta position and plan order).", "peer").Func(func() float64 {
 		compiles, _, _ := eng.CompiledStats()
 		return float64(compiles)
 	}, name)
 	reg.Counter("wdl_compiled_hits_total",
-		"Rule walks served from the compiled-program cache.", "peer").Func(func() float64 {
+		"Rule walks served from a chain compiled earlier, in this stage or an earlier one.", "peer").Func(func() float64 {
 		_, hits, _ := eng.CompiledStats()
 		return float64(hits)
 	}, name)

@@ -16,6 +16,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/errdefs"
@@ -618,6 +619,9 @@ type Store struct {
 	mu     sync.RWMutex
 	rels   map[string]*Relation // key = name@peer
 	intern *value.Interner      // shared by every relation declared here
+	// decls counts the relations ever declared. Relations are never
+	// dropped, so an unchanged count means every Get answers as before.
+	decls atomic.Uint64
 }
 
 // New creates an empty store.
@@ -658,8 +662,13 @@ func (s *Store) Declare(schema Schema) (*Relation, error) {
 		r.SetInterner(s.intern)
 	}
 	s.rels[id] = r
+	s.decls.Add(1)
 	return r, nil
 }
+
+// Declarations returns how many relations have been declared so far; a
+// relation's declaration is the only change to what Get and GetID answer.
+func (s *Store) Declarations() uint64 { return s.decls.Load() }
 
 // Get returns the relation called name at peer, or nil if undeclared.
 func (s *Store) Get(name, peer string) *Relation {
