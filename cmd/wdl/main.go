@@ -109,7 +109,7 @@ func cmdRun(args []string) error {
 	}
 	for _, p := range sys.Peers() {
 		for _, rel := range p.Store().RelationsOf(p.Name()) {
-			id := rel.Schema().ID()
+			id := rel.ID()
 			if len(want) > 0 && !want[id] {
 				continue
 			}
@@ -276,7 +276,7 @@ func repl(ctx context.Context, p *peer.Peer, in io.Reader, out io.Writer) {
 			fmt.Fprint(out, p.ProgramText())
 		case line == "dump":
 			for _, rel := range p.Store().RelationsOf(p.Name()) {
-				fmt.Fprintf(out, "%s (%s, %d tuples)\n", rel.Schema().ID(), rel.Kind(), rel.Len())
+				fmt.Fprintf(out, "%s (%s, %d tuples)\n", rel.ID(), rel.Kind(), rel.Len())
 				for _, t := range rel.Tuples() {
 					fmt.Fprintf(out, "  %s\n", t)
 				}

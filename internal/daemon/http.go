@@ -96,7 +96,7 @@ func (d *Daemon) servePeer(w http.ResponseWriter, r *http.Request) {
 	var rels []relationSummary
 	for _, rel := range p.Store().RelationsOf(p.Name()) {
 		rels = append(rels, relationSummary{
-			ID:     rel.Schema().ID(),
+			ID:     rel.ID(),
 			Kind:   fmt.Sprint(rel.Kind()),
 			Tuples: rel.Len(),
 		})

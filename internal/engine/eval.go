@@ -160,7 +160,7 @@ func (e *Engine) produce(cr *CompiledRule, env []value.Value, st *stageState) {
 				cr.Rule.ID, headRel, headPeer)
 			return
 		}
-		e.deriveLocal(st, rel, headRel+"@"+headPeer, t)
+		e.deriveLocal(st, rel, rel.ID(), t)
 		return
 	}
 
@@ -181,7 +181,8 @@ func (e *Engine) produce(cr *CompiledRule, env []value.Value, st *stageState) {
 // produce and the terminal fast path (compilefast.go), which resolves the
 // head statically and skips produce's name resolution per derivation.
 func (e *Engine) deriveLocal(st *stageState, rel *store.Relation, relID string, t value.Tuple) {
-	if !rel.Insert(t) {
+	key := t.Key()
+	if !rel.InsertKeyed(t, key) {
 		return
 	}
 	st.out.Derived++
@@ -195,7 +196,6 @@ func (e *Engine) deriveLocal(st *stageState, rel *store.Relation, relID string, 
 	if fresh && len(m) == 0 {
 		return
 	}
-	key := t.Key()
 	if m[key] != nil {
 		delete(m, key) // deleted then rederived this stage: net zero
 		// Un-ghost so a later deletion round can re-target it.

@@ -67,7 +67,9 @@ import (
 // evaluator deletes them unless a local derivation (or a seed in Ins) keeps
 // them alive. InsKeys, when set, holds the Tuple.Key of each Ins tuple, in
 // the same order: the key strings the store holds, which a remote view rule
-// deriving an equal tuple then shares instead of copying. Supported, when
+// deriving an equal tuple then shares instead of copying. DelKeys and
+// CandKeys, when set, hold the keys of Del and Cand the same way, so the
+// caller's keys are not encoded again (keyAt). Supported, when
 // set, reports whether a remote sender currently maintains the intensional
 // tuple of relID whose Tuple.Key is key here — an external support that
 // keeps an over-deleted tuple alive.
@@ -75,8 +77,19 @@ type StageInput struct {
 	Ins       map[string][]value.Tuple // relID -> tuples inserted before the stage
 	InsKeys   map[string][]string      // relID -> the key of each Ins tuple
 	Del       map[string][]value.Tuple // relID -> extensional tuples removed before the stage
+	DelKeys   map[string][]string      // relID -> the key of each Del tuple
 	Cand      map[string][]value.Tuple // relID -> intensional tuples that lost external support
+	CandKeys  map[string][]string      // relID -> the key of each Cand tuple
 	Supported func(relID, key string) bool
+}
+
+// keyAt returns the key of ts[i]: keys[i] when keys holds one per tuple of
+// ts, else its encoding.
+func keyAt(ts []value.Tuple, keys []string, i int) string {
+	if len(keys) == len(ts) {
+		return keys[i]
+	}
+	return ts[i].Key()
 }
 
 // supported reports whether a remote sender maintains the tuple (see
@@ -164,13 +177,9 @@ func (ic *incrState) seedsOf(relID string) map[string]string {
 	ts, keys := ic.in.Ins[relID], ic.in.InsKeys[relID]
 	if len(ts) > 0 {
 		s = make(map[string]string, len(ts))
-		for i, t := range ts {
-			if len(keys) == len(ts) {
-				s[keys[i]] = keys[i]
-			} else {
-				key := t.Key()
-				s[key] = key
-			}
+		for i := range ts {
+			key := keyAt(ts, keys, i)
+			s[key] = key
 		}
 	}
 	ic.seeded[relID] = s
@@ -456,8 +465,8 @@ func (e *Engine) runDelta(prev, prog *Program, in *StageInput, rv *RemoteView) *
 			ic.stageIns[relID] = ts[:len(ts):len(ts)]
 		}
 		for relID, ts := range in.Del {
-			for _, t := range ts {
-				ic.ghost(relID, t.Key(), t)
+			for i, t := range ts {
+				ic.ghost(relID, keyAt(ts, in.DelKeys[relID], i), t)
 			}
 			ic.stageDel[relID] = append(ic.stageDel[relID], ts...)
 		}
@@ -474,8 +483,8 @@ func (e *Engine) runDelta(prev, prog *Program, in *StageInput, rv *RemoteView) *
 				continue
 			}
 			var unseeded map[string]bool
-			for _, t := range ts {
-				key := t.Key()
+			for i, t := range ts {
+				key := keyAt(ts, in.CandKeys[relID], i)
 				if ic.isSeeded(relID, key) {
 					delete(ic.seeded[relID], key)
 					if unseeded == nil {
@@ -483,7 +492,7 @@ func (e *Engine) runDelta(prev, prog *Program, in *StageInput, rv *RemoteView) *
 					}
 					unseeded[key] = true
 				}
-				if rel.Delete(t) {
+				if rel.DeleteKeyed(t, key) {
 					ic.ghost(relID, key, t)
 					ic.mark(relID, key, t)
 					ic.stageDel[relID] = append(ic.stageDel[relID], t)
@@ -716,7 +725,7 @@ func (e *Engine) rederive(prog *Program, st *stageState, marks []relTuple) {
 				ic.in.supported(m.relID, m.key) ||
 				e.rederivable(prog, st, name, peerName, m.tuple)
 			if keep {
-				rel.Insert(m.tuple)
+				rel.InsertKeyed(m.tuple, m.key)
 				delete(ic.marked[m.relID], m.key)
 				// Un-ghost: the tuple is back in the relation (the
 				// pre-deletion union view still sees it there), and a later
@@ -851,12 +860,12 @@ func (e *Engine) produceDelete(cr *CompiledRule, env []value.Value, st *stageSta
 	if len(t) != rel.Schema().Arity() {
 		return
 	}
-	relID := headRel + "@" + headPeer
+	relID := rel.ID()
 	key := t.Key()
 	if ic.ghosts[relID][key] != nil {
 		return // already processed this stage
 	}
-	if !rel.Delete(t) {
+	if !rel.DeleteKeyed(t, key) {
 		return
 	}
 	ic.ghost(relID, key, t)

@@ -87,30 +87,28 @@ func putTuple(m map[string]map[string]value.Tuple, relID, key string, t value.Tu
 
 // engineInput converts the collected deltas into the engine's stage input.
 func (d *stageDeltas) engineInput() *engine.StageInput {
-	in := &engine.StageInput{
-		Ins:     map[string][]value.Tuple{},
-		InsKeys: map[string][]string{},
-		Del:     map[string][]value.Tuple{},
-		Cand:    map[string][]value.Tuple{},
-	}
-	for relID, m := range d.ins {
-		ts, keys := make([]value.Tuple, 0, len(m)), make([]string, 0, len(m))
-		for key, t := range m {
-			ts, keys = append(ts, t), append(keys, key)
-		}
-		in.Ins[relID], in.InsKeys[relID] = ts, keys
-	}
-	for relID, m := range d.del {
-		for _, t := range m {
-			in.Del[relID] = append(in.Del[relID], t)
-		}
-	}
-	for relID, m := range d.cand {
-		for _, t := range m {
-			in.Cand[relID] = append(in.Cand[relID], t)
-		}
-	}
+	in := &engine.StageInput{}
+	in.Ins, in.InsKeys = flatten(d.ins)
+	in.Del, in.DelKeys = flatten(d.del)
+	in.Cand, in.CandKeys = flatten(d.cand)
 	return in
+}
+
+// flatten lists each relation's tuples and, in the same order, their keys;
+// a relation whose changes netted out is left out.
+func flatten(m map[string]map[string]value.Tuple) (map[string][]value.Tuple, map[string][]string) {
+	tuples, keys := make(map[string][]value.Tuple, len(m)), make(map[string][]string, len(m))
+	for relID, byKey := range m {
+		if len(byKey) == 0 {
+			continue
+		}
+		ts, ks := make([]value.Tuple, 0, len(byKey)), make([]string, 0, len(byKey))
+		for key, t := range byKey {
+			ts, ks = append(ts, t), append(ks, key)
+		}
+		tuples[relID], keys[relID] = ts, ks
+	}
+	return tuples, keys
 }
 
 // RunStage executes one computation stage: ingest inputs, run the fixpoint,
@@ -911,7 +909,7 @@ func (p *Peer) applyOpsLocked(ops []ingestOp, rep *StageReport, d *stageDeltas) 
 		}
 		// One key per tuple for the whole run: the ledger, the store and the
 		// deltas share it.
-		relID := rel.Schema().ID()
+		relID := rel.ID()
 		tuples, keys = tuples[:0], keys[:0]
 		for k := i; k < j; k++ {
 			t, key := ops[k].fact.Args, ""
@@ -970,13 +968,14 @@ func (p *Peer) applyFactLocked(op ingestOp, rep *StageReport, d *stageDeltas) bo
 	} else {
 		f.Args, key = p.keyOf(f.Args)
 	}
+	relID := f.Rel + "@" + p.name
 	dropped := false // op.src maintained the fact until this delete
 	if op.maint {
 		sess := p.sessionLocked(op.src)
 		if op.del {
-			dropped = sess.ledgerRemove(f.Rel+"@"+p.name, key)
+			dropped = sess.ledgerRemove(relID, key)
 		} else {
-			sess.ledgerAdd(f.Rel+"@"+p.name, key)
+			sess.ledgerAdd(relID, key)
 		}
 	}
 	rel := p.db.Get(f.Rel, p.name)
@@ -985,10 +984,9 @@ func (p *Peer) applyFactLocked(op ingestOp, rep *StageReport, d *stageDeltas) bo
 	}
 	if len(f.Args) != rel.Schema().Arity() {
 		rep.Errors = append(rep.Errors, fmt.Errorf(
-			"peer %s: %w: fact %s has wrong arity for %s", p.name, errdefs.ErrArity, f.String(), rel.Schema().ID()))
+			"peer %s: %w: fact %s has wrong arity for %s", p.name, errdefs.ErrArity, f.String(), relID))
 		return false
 	}
-	relID := rel.Schema().ID()
 	if rel.Kind() != ast.Intensional {
 		return false // a maintained retraction of an extensional fact
 	}

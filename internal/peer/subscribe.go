@@ -127,7 +127,7 @@ func (p *Peer) emitSubscriptionsLocked(rep *StageReport, d *stageDeltas, res *en
 // collectDeltas assembles the stage's exact deltas for this subscription:
 // deletions first, then insertions, each sorted.
 func (sub *subscription) collectDeltas(d *stageDeltas, res *engine.Result) []Delta {
-	relID := sub.rel.Schema().ID()
+	relID := sub.rel.ID()
 	var dels, ins []value.Tuple
 	for _, t := range d.del[relID] {
 		dels = append(dels, t)

@@ -1,5 +1,7 @@
 package store
 
+import "repro/internal/value"
+
 // Order-insensitive set digests.
 //
 // A Digest summarizes a set of tuples as (XOR-folded FNV-64a hash, count).
@@ -58,7 +60,7 @@ func (d Digest) Zero() bool { return d.Count == 0 && d.Hash == 0 }
 // KeyHash is the FNV-64a hash of a canonical key — the single hash both
 // ends of a digest comparison must use (it is the same function the
 // relation fingerprint folds).
-func KeyHash(key string) uint64 { return tupleHash(key) }
+func KeyHash(key string) uint64 { return value.Hash64(key) }
 
 // Digest returns the relation's content digest: the incrementally
 // maintained member-hash fold plus the member count. O(1) — both parts are

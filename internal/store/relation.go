@@ -13,8 +13,10 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -106,6 +108,7 @@ func degenerateBucket(n, total int) bool {
 // engine holds it on a single goroutine but UIs may read concurrently.
 type Relation struct {
 	schema Schema
+	id     string // schema.ID(), computed once
 
 	mu      sync.RWMutex
 	tuples  map[string]value.Tuple // key = Tuple.Key()
@@ -130,20 +133,6 @@ type Relation struct {
 	intern *value.Interner
 }
 
-// tupleHash is FNV-64a over a tuple's canonical key. XOR-folding these per
-// member gives an order-independent, incrementally-maintainable content
-// fingerprint: two relations with the same tuples have the same value no
-// matter how they got there (clear + re-derivation included).
-func tupleHash(key string) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return h
-}
-
 // NewRelation creates an empty relation with the given schema.
 func NewRelation(schema Schema) *Relation {
 	if len(schema.Cols) > 64 {
@@ -151,6 +140,7 @@ func NewRelation(schema Schema) *Relation {
 	}
 	return &Relation{
 		schema:  schema,
+		id:      schema.ID(),
 		tuples:  make(map[string]value.Tuple),
 		indexes: make(map[ColMask]map[string][]value.Tuple),
 	}
@@ -168,6 +158,9 @@ func (r *Relation) SetInterner(in *value.Interner) {
 
 // Schema returns the relation's schema.
 func (r *Relation) Schema() Schema { return r.schema }
+
+// ID returns the relation's canonical "name@peer" identifier (Schema.ID).
+func (r *Relation) ID() string { return r.id }
 
 // Name returns the relation name (without the peer part).
 func (r *Relation) Name() string { return r.schema.Name }
@@ -200,8 +193,9 @@ func (r *Relation) Insert(t value.Tuple) bool {
 }
 
 // InsertKeyed is Insert for a caller that already holds key == t.Key(). The
-// relation keeps key itself, so a caller that files the same key elsewhere
-// (a peer's session ledger) stores its bytes once.
+// relation keeps key itself — the stored tuple's string payloads and its
+// index bucket keys are substrings of it (indexKey) — so a caller that files
+// the same key elsewhere (a peer's session ledger) stores its bytes once.
 func (r *Relation) InsertKeyed(t value.Tuple, key string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -214,7 +208,7 @@ func (r *Relation) InsertKeyed(t value.Tuple, key string) bool {
 func (r *Relation) insertLocked(t value.Tuple, key string) (value.Tuple, string, bool) {
 	if len(t) != r.schema.Arity() {
 		panic(fmt.Sprintf("store: arity mismatch inserting %d-tuple into %s(%d)",
-			len(t), r.schema.ID(), r.schema.Arity()))
+			len(t), r.id, r.schema.Arity()))
 	}
 	if _, dup := r.tuples[key]; dup {
 		return nil, "", false
@@ -226,7 +220,7 @@ func (r *Relation) insertLocked(t value.Tuple, key string) (value.Tuple, string,
 	}
 	r.tuples[key] = t
 	for mask, idx := range r.indexes {
-		ik := indexKey(t, mask)
+		ik := indexKey(t, key, mask)
 		bucket := append(idx[ik], t)
 		if degenerateBucket(len(bucket), len(r.tuples)) {
 			r.dropIndexLocked(mask)
@@ -234,7 +228,7 @@ func (r *Relation) insertLocked(t value.Tuple, key string) (value.Tuple, string,
 		}
 		idx[ik] = bucket
 	}
-	r.fp ^= tupleHash(key)
+	r.fp ^= KeyHash(key)
 	return t, key, true
 }
 
@@ -299,7 +293,11 @@ func (r *Relation) ApplyMany(del bool, ts []value.Tuple, keys []string) int {
 
 // Delete removes t from the relation. It returns true if the tuple existed.
 func (r *Relation) Delete(t value.Tuple) bool {
-	key := t.Key()
+	return r.DeleteKeyed(t, t.Key())
+}
+
+// DeleteKeyed is Delete for a caller that already holds key == t.Key().
+func (r *Relation) DeleteKeyed(t value.Tuple, key string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.deleteLocked(t, key)
@@ -312,7 +310,7 @@ func (r *Relation) deleteLocked(t value.Tuple, key string) bool {
 	}
 	delete(r.tuples, key)
 	for mask, idx := range r.indexes {
-		ik := indexKey(t, mask)
+		ik := indexKey(t, key, mask)
 		bucket := idx[ik]
 		for i := range bucket {
 			if bucket[i].Equal(t) {
@@ -327,7 +325,7 @@ func (r *Relation) deleteLocked(t value.Tuple, key string) bool {
 			idx[ik] = bucket
 		}
 	}
-	r.fp ^= tupleHash(key)
+	r.fp ^= KeyHash(key)
 	return true
 }
 
@@ -432,8 +430,8 @@ func (r *Relation) ensureIndexLocked(mask ColMask) map[string][]value.Tuple {
 		delete(r.degraded, mask) // 2x growth or shrinkage: re-evaluate below
 	}
 	idx := make(map[string][]value.Tuple, len(r.tuples))
-	for _, t := range r.tuples {
-		ik := indexKey(t, mask)
+	for key, t := range r.tuples {
+		ik := indexKey(t, key, mask)
 		bucket := append(idx[ik], t)
 		if degenerateBucket(len(bucket), len(r.tuples)) {
 			r.dropIndexLocked(mask) // records the degradation
@@ -497,8 +495,9 @@ func (r *Relation) ContainsKey(key []byte) bool {
 }
 
 // Probe calls fn for every tuple whose columns in mask encode (AppendKey,
-// ascending column order — the index-bucket key convention) to key; rule
-// execution builds keys directly into a scratch buffer. An index over mask
+// ascending column order — the index-bucket key convention, indexKey) to
+// key; rule execution builds keys directly into a scratch buffer, and the
+// lookup converts it without allocating. An index over mask
 // is built on first use. A zero mask iterates the whole relation; a
 // degraded mask falls back to a scan. fn sees a snapshot taken at call time
 // and may mutate the relation (inserts during recursive rule evaluation).
@@ -604,14 +603,42 @@ func (r *Relation) ProbeBatch(mask ColMask, keys [][]byte, scratch [][]value.Tup
 	return scratch
 }
 
-func indexKey(t value.Tuple, mask ColMask) string {
-	var dst []byte
-	for c := 0; c < len(t); c++ {
+// indexKey returns t's index-bucket key over mask: the canonical keys of its
+// masked columns in ascending column order. key is t.Key(), the
+// concatenation of every column's canonical key, so when the masked columns
+// are contiguous — a single-column index always is — the bucket key is a
+// substring of key and costs no allocation. A bucket key so keeps the key
+// of the tuple that last wrote it alive, even once that tuple is deleted,
+// for as long as the bucket lives: at most one key per live bucket. Other
+// masks are encoded into one exact-size allocation.
+func indexKey(t value.Tuple, key string, mask ColMask) string {
+	lo := bits.TrailingZeros64(uint64(mask))
+	if run := uint64(mask) >> uint(lo); run&(run+1) == 0 {
+		lo, hi := min(lo, len(t)), min(lo+bits.Len64(run), len(t))
+		start := 0
+		for _, v := range t[:lo] {
+			start += v.KeyLen()
+		}
+		end := start
+		for _, v := range t[lo:hi] {
+			end += v.KeyLen()
+		}
+		return key[start:end]
+	}
+	n := 0
+	for c, v := range t {
 		if mask.Has(c) {
-			dst = t[c].AppendKey(dst)
+			n += v.KeyLen()
 		}
 	}
-	return string(dst)
+	var sb strings.Builder
+	sb.Grow(n)
+	for c, v := range t {
+		if mask.Has(c) {
+			v.WriteKey(&sb)
+		}
+	}
+	return sb.String()
 }
 
 // Store is the catalog of relations at one peer.
@@ -694,7 +721,7 @@ func (s *Store) Relations() []*Relation {
 		out = append(out, r)
 	}
 	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].schema.ID() < out[j].schema.ID() })
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
 }
 
@@ -716,7 +743,7 @@ func (s *Store) ClearIntensional() map[string]map[string]value.Tuple {
 	dropped := map[string]map[string]value.Tuple{}
 	for _, r := range s.Relations() {
 		if r.Kind() == ast.Intensional {
-			dropped[r.schema.ID()] = r.Clear()
+			dropped[r.id] = r.Clear()
 		}
 	}
 	return dropped

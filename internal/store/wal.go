@@ -515,7 +515,7 @@ func (w *WAL) Recover(s *Store) (*OutboxState, error) {
 			}
 			if len(rec.Args) != rel.Schema().Arity() {
 				return fmt.Errorf("store: %w: wal record %d has %d values, %s has arity %d",
-					errdefs.ErrWAL, n, len(rec.Args), rel.Schema().ID(), rel.Schema().Arity())
+					errdefs.ErrWAL, n, len(rec.Args), rel.ID(), rel.Schema().Arity())
 			}
 			if rec.Op == walIns {
 				rel.Insert(rec.Args)

@@ -56,16 +56,8 @@ func NewInterner() *Interner {
 	return in
 }
 
-// shardOf hashes s to a shard index (FNV-64a folded to internShards).
-func shardOf(s string) int {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return int(h & (internShards - 1))
-}
+// shardOf hashes s to a shard index (Hash64 folded to internShards).
+func shardOf(s string) int { return int(Hash64(s) & (internShards - 1)) }
 
 // String returns the canonical instance of s: every call with equal contents
 // returns a string sharing one backing array. A nil interner returns s.

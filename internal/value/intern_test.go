@@ -163,7 +163,16 @@ func FuzzTupleIntern(f *testing.F) {
 			return // malformed input: rejection is the correct behavior
 		}
 		_ = rest
-		key := tup.Key()
+		key, n := tup.Key(), 0
+		for _, v := range tup {
+			if v.KeyLen() != len(v.AppendKey(nil)) {
+				t.Fatalf("%s %v: KeyLen %d, len(AppendKey) %d", v.Kind(), v, v.KeyLen(), len(v.AppendKey(nil)))
+			}
+			n += v.KeyLen()
+		}
+		if n != len(key) {
+			t.Fatalf("KeyLen sums to %d, key is %d bytes", n, len(key))
+		}
 		ct, ckey := in.Tuple(tup)
 		if ckey != key {
 			t.Fatalf("canonical key %x != original %x", ckey, key)

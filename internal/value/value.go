@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 	"strconv"
@@ -179,15 +178,16 @@ func (v Value) Literal() string {
 	return v.String()
 }
 
-// Hash returns a 64-bit FNV-1a hash of the value's canonical key.
-func (v Value) Hash() uint64 {
-	h := fnv.New64a()
-	var buf [9]byte
-	h.Write(v.appendHead(buf[:0]))
-	if v.k == KindString || v.k == KindBlob {
-		h.Write([]byte(v.s))
+// Hash64 is FNV-64a over s: the hash of canonical keys behind the store's
+// fingerprints and digests and the intern table's shards.
+func Hash64(s string) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime64
 	}
-	return h.Sum64()
+	return h
 }
 
 // appendHead appends v's canonical key up to its string payload: the kind
@@ -212,6 +212,22 @@ func (v Value) AppendKey(dst []byte) []byte {
 
 // Key returns the canonical byte encoding of v as a string (usable as a map key).
 func (v Value) Key() string { return string(v.AppendKey(nil)) }
+
+// KeyLen returns the length of v's canonical key, len(v.AppendKey(nil)).
+func (v Value) KeyLen() int {
+	if v.k == KindBool {
+		return 2
+	}
+	return 9 + len(v.s)
+}
+
+// WriteKey writes v's canonical key (AppendKey) to sb, so a caller that sized
+// sb with KeyLen builds a key in one allocation.
+func (v Value) WriteKey(sb *strings.Builder) {
+	var head [9]byte
+	sb.Write(v.appendHead(head[:0]))
+	sb.WriteString(v.s)
+}
 
 // Encode appends the wire encoding of v to dst: the canonical key form, a
 // kind byte then 8 little-endian bytes (int, float bits, string and blob
@@ -347,13 +363,19 @@ func (t Tuple) Compare(u Tuple) int {
 }
 
 // Key returns a canonical byte-string encoding of the whole tuple, suitable
-// for use as a map key. Distinct tuples have distinct keys.
+// for use as a map key. Distinct tuples have distinct keys. The key is built
+// in one exact-size allocation.
 func (t Tuple) Key() string {
-	var dst []byte
+	n := 0
 	for _, v := range t {
-		dst = v.AppendKey(dst)
+		n += v.KeyLen()
 	}
-	return string(dst)
+	var sb strings.Builder
+	sb.Grow(n)
+	for _, v := range t {
+		v.WriteKey(&sb)
+	}
+	return sb.String()
 }
 
 // DecodeKey reverses Tuple.Key: it parses the canonical key encoding back
@@ -372,17 +394,6 @@ func DecodeKey(key string) (Tuple, error) {
 		b = rest
 	}
 	return t, nil
-}
-
-// Hash returns a 64-bit hash of the tuple.
-func (t Tuple) Hash() uint64 {
-	h := fnv.New64a()
-	var buf []byte
-	for _, v := range t {
-		buf = v.AppendKey(buf[:0])
-		h.Write(buf)
-	}
-	return h.Sum64()
 }
 
 // String renders the tuple as "(v1, v2, ...)".

@@ -78,10 +78,10 @@ func TestValueKeyInjective(t *testing.T) {
 	}
 }
 
-func TestHashEqualValuesAgree(t *testing.T) {
-	f := func(a qv) bool {
-		cp := a.V
-		return cp.Hash() == a.V.Hash()
+func TestCloneKeepsKey(t *testing.T) {
+	f := func(a, b qv) bool {
+		cp, tp := a.V, Tuple{a.V, b.V}
+		return cp.Key() == a.V.Key() && tp.Clone().Key() == tp.Key()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
