@@ -38,17 +38,25 @@ func NewSystem() *System {
 func (s *System) Network() *peer.Network { return s.net }
 
 // PeerOption customizes peer creation.
-type PeerOption func(*peer.Config)
+type PeerOption func(*peerSetup)
+
+// peerSetup is what the options of one AddPeer call build: the peer's
+// config, and the directory of the log AddPeer opens for it.
+type peerSetup struct {
+	peer.Config
+	walDir  string
+	durable bool // WithWAL was given
+}
 
 // WithPolicy sets the peer's delegation-control policy.
 func WithPolicy(p acl.Policy) PeerOption {
-	return func(c *peer.Config) { c.Policy = p }
+	return func(s *peerSetup) { s.Policy = p }
 }
 
 // WithEngineOptions overrides evaluation options (per-stage recomputation
 // instead of incremental maintenance, the iteration bound).
 func WithEngineOptions(o engine.Options) PeerOption {
-	return func(c *peer.Config) { c.Engine = &o }
+	return func(s *peerSetup) { s.Engine = &o }
 }
 
 // WithWAL makes the peer durable: state is logged to dir and recovered from
@@ -56,23 +64,28 @@ func WithEngineOptions(o engine.Options) PeerOption {
 // wrapping errdefs.ErrWAL — a peer configured for durability never silently
 // comes up volatile.
 func WithWAL(dir string) PeerOption {
-	return func(c *peer.Config) {
-		w, err := store.OpenWAL(dir)
-		if err != nil {
-			c.WALErr = fmt.Errorf("opening WAL in %s: %w", dir, err)
-			return
-		}
-		c.WAL = w
-	}
+	return func(s *peerSetup) { s.walDir, s.durable = dir, true }
 }
 
-// AddPeer creates a peer named name in the system.
+// AddPeer creates a peer named name in the system. A WAL it opens for the
+// peer is closed again if the peer cannot be created.
 func (s *System) AddPeer(name string, opts ...PeerOption) (*peer.Peer, error) {
-	cfg := peer.Config{Name: name}
+	setup := peerSetup{Config: peer.Config{Name: name}}
 	for _, o := range opts {
-		o(&cfg)
+		o(&setup)
 	}
-	return s.net.NewPeer(cfg)
+	if setup.durable {
+		w, err := store.OpenWAL(setup.walDir)
+		if err != nil {
+			return nil, fmt.Errorf("peer %s: opening WAL in %s: %w", name, setup.walDir, err)
+		}
+		setup.WAL = w
+	}
+	p, err := s.net.NewPeer(setup.Config)
+	if err != nil && setup.WAL != nil {
+		setup.WAL.Close()
+	}
+	return p, err
 }
 
 // Peer returns the peer named name, or nil.

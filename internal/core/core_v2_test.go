@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -80,6 +81,56 @@ func TestWithWALErrorSurfaces(t *testing.T) {
 	// The failed peer must not be registered.
 	if sys.Peer("alice") != nil {
 		t.Error("failed durable peer was registered anyway")
+	}
+}
+
+// TestAddPeerClosesWALOnFailure: a WAL AddPeer opened for a peer it then
+// fails to create — an empty name, a log recovery refuses — is closed
+// again, not left holding the log's files.
+func TestAddPeerClosesWALOnFailure(t *testing.T) {
+	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
+		t.Skip("counting open files needs /proc/self/fd")
+	}
+	// openUnder counts this process's open files inside dir.
+	openUnder := func(dir string) int {
+		fds, _ := os.ReadDir("/proc/self/fd")
+		n := 0
+		for _, fd := range fds {
+			if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil &&
+				strings.HasPrefix(target, dir+string(filepath.Separator)) {
+				n++
+			}
+		}
+		return n
+	}
+	cases := map[string]struct {
+		peer  string
+		setup func(t *testing.T, dir string)
+	}{
+		"empty name": {peer: "", setup: func(*testing.T, string) {}},
+		"old-format log": {peer: "alice", setup: func(t *testing.T, dir string) {
+			for _, name := range []string{"wal.log", "outbox.log", "snapshot.log"} {
+				b, err := os.ReadFile(filepath.Join("..", "store", "testdata", "v1", name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			c.setup(t, dir)
+			if _, err := NewSystem().AddPeer(c.peer, WithWAL(dir)); err == nil {
+				t.Fatal("AddPeer succeeded")
+			}
+			if n := openUnder(dir); n != 0 {
+				t.Errorf("%d files of the WAL left open after AddPeer failed", n)
+			}
+		})
 	}
 }
 

@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/errdefs"
 	"repro/internal/protocol"
 	"repro/internal/store"
 	"repro/internal/transport"
@@ -23,13 +23,17 @@ import (
 // correctness obligation that delta shipping (PR 2) created.
 //
 // Stream state itself — the per-destination epoch, sequence numbers, entry
-// queue, ack floor — lives in sendSession (session.go); the outbox is the
-// delivery engine that creates and drives the sessions. Two flush modes:
+// queue, ack floor — and the four clocks that govern a stream live in
+// sendSession (session.go): the backoff gate (failed), the ack deadline
+// (sent), the advert period (advertDue) and the shed window (enqueue, ack,
+// reset); sendSession.due reads all four. The outbox only drives the
+// sessions, and reads the time through its now function alone. Two flush
+// modes:
 //
-//   - async (the default): one flusher goroutine per destination drains the
-//     queue, retransmits unacked entries after ackTimeout, and backs off
-//     exponentially while the destination is unreachable. Stage latency is
-//     thereby decoupled from destination RTT and dial stalls
+//   - async (the default): one flusher goroutine per destination flushes
+//     the queue, acts on what the session's clocks call for (a retransmit,
+//     an advert, a shed) and sleeps until the next deadline or a wake. Stage
+//     latency is thereby decoupled from destination RTT and dial stalls
 //     (TestStageCommitDoesNotWaitForLink).
 //   - sync (Config.SyncEmit, used by NewSequentialNetwork): no goroutines;
 //     the queue is flushed synchronously at the end of every RunStage and
@@ -40,9 +44,8 @@ import (
 // Entries with a sequence number are retained until acked. Control traffic
 // (acks of the peer's own inbox, pongs, resync and range requests) is
 // best-effort: sent after the data flush, dropped on failure (the protocol
-// regenerates it). Nothing else travels outside a DataMsg: the anti-entropy
-// advert clock (resyncEvery) lives here, but the advert it triggers is a
-// sequenced entry like any other.
+// regenerates it). Nothing else travels outside a DataMsg: the advert the
+// advert clock triggers is a sequenced entry like any other.
 
 // outboxDefaults tuning; tests shrink these for fast fault convergence.
 const (
@@ -71,39 +74,37 @@ type outbox struct {
 	// session away from it.
 	defaultEpoch uint64
 
-	ackTimeout  time.Duration
-	baseBackoff time.Duration
-	maxBackoff  time.Duration
+	// now is the outbox's clock, the wall clock but in tests: every
+	// session method is handed its reading.
+	now func() time.Time
+	timing
 	sendTimeout time.Duration
 
-	// resyncEvery is the anti-entropy advert period (0 = disabled):
-	// roughly every resyncEvery per destination, the flush cycle asks
-	// onDigest to enqueue an advert of the maintained view, unless one is
-	// still awaiting its ack. The peer's callback reports whether it
-	// enqueued one (there may be nothing to advertise).
-	resyncEvery time.Duration
-	onDigest    func(dst string) bool
+	// onDigest is the advert clock's callback: when a session's advert is
+	// due, the flush cycle asks it to enqueue an advert of the maintained
+	// view; it reports whether it enqueued one (there may be nothing to
+	// advertise). Set whenever resyncEvery is.
+	onDigest func(dst string) bool
 
 	// Flow control. limit bounds each destination's unacknowledged entry
-	// queue for admission-controlled enqueues (EnqueueDataCtx — the Apply
-	// path); 0 = unbounded. Stage emissions (EnqueueData) are exempt: a
-	// committed fixpoint's maintained deltas are already reflected in the
-	// remote view and must reach the stream unconditionally, so a queue can
-	// temporarily overshoot the limit by a stage's worth of output — the
-	// bound is on API-driven intake, which is where unbounded growth
-	// originates. failFast selects rejection (ErrBackpressure) over
-	// blocking when a queue is full.
-	limit    int
-	failFast bool
+	// queue for admission-controlled enqueues (the Apply path); 0 =
+	// unbounded. Stage emissions (EnqueueData) are exempt: a committed
+	// fixpoint's maintained deltas are already reflected in the remote view
+	// and must reach the stream unconditionally, so a queue can temporarily
+	// overshoot the limit by a stage's worth of output — the bound is on
+	// API-driven intake, which is where unbounded growth originates. The
+	// gate's policy and counters are shared with the peer's staged-update
+	// queue.
+	limit int
+	admission
 
-	// shedAfter, when positive, arms slow-peer shedding: a destination
-	// whose queue has pending entries but has made no ack progress for
-	// this long is shed — onShed is invoked (off all outbox locks) and is
-	// expected to reset the stream around a fresh repair run via ShedReset,
+	// onShed is the shed window's callback (set whenever shedAfter is): a
+	// destination whose queue has pending entries but has made no ack
+	// progress for shedAfter is shed — onShed is invoked off all outbox
+	// locks and is expected to reset the stream around a fresh repair run,
 	// dropping the wedged backlog and letting anti-entropy repair the
 	// destination when it recovers.
-	shedAfter time.Duration
-	onShed    func(dst string)
+	onShed func(dst string)
 
 	mu     sync.Mutex
 	queues map[string]*sendSession
@@ -140,8 +141,6 @@ type outbox struct {
 	resets      atomic.Uint64 // stream resets (anti-entropy repairs + sheds)
 	sheds       atomic.Uint64 // slow-peer sheds (subset of resets)
 	adverts     atomic.Uint64 // periodic anti-entropy digest adverts enqueued
-	bpWaits     atomic.Uint64 // admissions that had to wait for queue space
-	bpRejects   atomic.Uint64 // admissions rejected with ErrBackpressure
 }
 
 func newOutbox(ep transport.Endpoint, ctx context.Context, syncMode bool) *outbox {
@@ -150,9 +149,8 @@ func newOutbox(ep transport.Endpoint, ctx context.Context, syncMode bool) *outbo
 		ctx:          ctx,
 		sync:         syncMode,
 		defaultEpoch: newEpoch(),
-		ackTimeout:   defaultAckTimeout,
-		baseBackoff:  defaultBaseBackoff,
-		maxBackoff:   defaultMaxBackoff,
+		now:          time.Now,
+		timing:       timing{ackTimeout: defaultAckTimeout, baseBackoff: defaultBaseBackoff, maxBackoff: defaultMaxBackoff},
 		sendTimeout:  defaultSendTimeout,
 		queues:       make(map[string]*sendSession),
 	}
@@ -185,12 +183,7 @@ func (o *outbox) queue(dst string) *sendSession {
 	if dq, ok := o.queues[dst]; ok {
 		return dq
 	}
-	dq := &sendSession{
-		dst:        dst,
-		epoch:      o.defaultEpoch,
-		lastAdvert: time.Now(), // first advert one period after first contact
-		wake:       make(chan struct{}, 1),
-	}
+	dq := newSendSession(dst, &o.timing, o.defaultEpoch, o.now())
 	o.queues[dst] = dq
 	o.order = append(o.order, dst)
 	if !o.sync && !o.closed {
@@ -214,90 +207,50 @@ func (o *outbox) snapshot() []*sendSession {
 // EnqueueData appends a sequenced payload for dst and returns its sequence
 // number. The payload is retained until dst acknowledges it. Never fails:
 // delivery trouble is the flusher's problem, not the committing stage's.
-// For durable peers the entry is persisted before it becomes visible to a
-// flusher, so a crash can never have transmitted an unlogged sequence.
-// Admission limits do not apply here (see EnqueueDataCtx): stage emissions
-// commit unconditionally.
+// Admission limits do not apply here: stage emissions commit
+// unconditionally.
 func (o *outbox) EnqueueData(dst string, msg protocol.Payload) uint64 {
+	seq, _ := o.enqueue(context.Background(), dst, msg, false)
+	return seq
+}
+
+// enqueue is the one enqueue path. For durable peers the entry is persisted
+// before it becomes visible to a flusher, so a crash can never have
+// transmitted an unlogged sequence. A bounded enqueue (the API intake path,
+// Apply) passes the admission gate first: when the destination's queue holds
+// limit or more unacknowledged entries it fails fast or waits for space
+// until ctx (or the peer) is done, so a slow or dead destination pushes back
+// on clients instead of growing the queue without bound.
+func (o *outbox) enqueue(ctx context.Context, dst string, msg protocol.Payload, bounded bool) (uint64, error) {
 	dq := o.queue(dst)
-	dq.enqMu.Lock()
-	seq := o.enqueueHeld(dq, dst, msg)
-	dq.enqMu.Unlock()
+	var seq uint64
+	err := o.admit(ctx, o.ctx, o.limit, func() (<-chan struct{}, error) {
+		dq.enqMu.Lock()
+		defer dq.enqMu.Unlock()
+		dq.mu.Lock()
+		if bounded && o.limit > 0 && len(dq.entries) >= o.limit {
+			defer dq.mu.Unlock()
+			return dq.space.wait(), nil
+		}
+		next := dq.nextSeq + 1 // enqMu keeps it ours
+		dq.mu.Unlock()
+		o.persistMu.RLock()
+		defer o.persistMu.RUnlock()
+		if o.onEnqueue != nil {
+			o.onEnqueue(dst, next, msg)
+		}
+		dq.mu.Lock()
+		seq = dq.enqueue(o.now(), msg)
+		dq.mu.Unlock()
+		return nil, nil
+	}, dq.signal)
+	if err != nil {
+		return 0, fmt.Errorf("outbox %s: %w", dst, err)
+	}
 	o.enqueued.Add(1)
 	dq.signal()
 	o.notifyActive()
-	return seq
-}
-
-// EnqueueDataCtx is EnqueueData with admission control: when the
-// destination's queue holds limit or more unacknowledged entries, a
-// fail-fast outbox rejects with ErrBackpressure immediately, a blocking one
-// waits for queue space until ctx (or the peer) is done. The API intake
-// path (Apply) comes through here so a slow or dead destination pushes back
-// on clients instead of growing the queue without bound.
-func (o *outbox) EnqueueDataCtx(ctx context.Context, dst string, msg protocol.Payload) (uint64, error) {
-	dq := o.queue(dst)
-	for {
-		dq.enqMu.Lock()
-		dq.mu.Lock()
-		if o.limit <= 0 || len(dq.entries) < o.limit {
-			dq.mu.Unlock()
-			seq := o.enqueueHeld(dq, dst, msg)
-			dq.enqMu.Unlock()
-			o.enqueued.Add(1)
-			dq.signal()
-			o.notifyActive()
-			return seq, nil
-		}
-		if o.failFast {
-			dq.mu.Unlock()
-			dq.enqMu.Unlock()
-			o.bpRejects.Add(1)
-			return 0, fmt.Errorf("outbox %s: %d entries pending: %w", dst, o.limit, errdefs.ErrBackpressure)
-		}
-		// Blocking admission: subscribe to the space channel (closed when
-		// acks, a reset, or a shed free room), then wait off all locks.
-		if dq.spaceWait == nil {
-			dq.spaceWait = make(chan struct{})
-		}
-		wait := dq.spaceWait
-		dq.mu.Unlock()
-		dq.enqMu.Unlock()
-		o.bpWaits.Add(1)
-		dq.signal() // make sure a flusher is pushing the backlog
-		select {
-		case <-ctx.Done():
-			return 0, fmt.Errorf("outbox %s: waiting for queue space: %w: %w", dst, errdefs.ErrBackpressure, ctx.Err())
-		case <-o.ctx.Done():
-			return 0, fmt.Errorf("outbox %s: %w", dst, errdefs.ErrClosed)
-		case <-wait:
-		}
-	}
-}
-
-// enqueueHeld runs the assign-seq / persist / publish sequence for one
-// entry with dq.enqMu held (the caller owns admission and signaling).
-func (o *outbox) enqueueHeld(dq *sendSession, dst string, msg protocol.Payload) uint64 {
-	o.persistMu.RLock()
-	dq.mu.Lock()
-	dq.nextSeq++
-	seq := dq.nextSeq
-	dq.mu.Unlock()
-	if o.onEnqueue != nil {
-		o.onEnqueue(dst, seq, msg)
-	}
-	dq.mu.Lock()
-	if len(dq.entries) == 0 {
-		// The pending era starts now: the shed clock must measure from here,
-		// not from whenever the queue last drained.
-		dq.lastProgress = time.Now()
-	}
-	dq.entries = append(dq.entries, outEntry{seq: seq, msg: msg})
-	dq.stalled = false // fresh work deserves a fresh attempt
-	dq.nextTry = time.Time{}
-	dq.mu.Unlock()
-	o.persistMu.RUnlock()
-	return seq
+	return seq, nil
 }
 
 // Reset tears down and restarts the stream to dst under a fresh epoch — the
@@ -308,78 +261,48 @@ func (o *outbox) enqueueHeld(dq *sendSession, dst string, msg protocol.Payload) 
 // the run and replay as no-ops; one-shot updates must still be delivered),
 // except digests, which describe a stream position the reset discards and
 // which the run's own advert supersedes.
-// The destination adopts the fresh epoch at sequence 1 with a fresh
-// watermark. For durable peers onReset re-logs the stream so recovery sees
-// the renumbering, not the superseded entries.
 func (o *outbox) Reset(dst string, firsts ...protocol.Payload) {
 	o.reset(dst, firsts, false)
 }
 
-// ShedReset is the slow-peer variant of Reset: the pending backlog is
-// *discarded* instead of renumbered behind the repair run. Retaining it is
-// exactly what the queue bound exists to prevent, and the run already
-// carries the full maintained view; one-shot updates still queued to the
-// shed destination are abandoned (that loss is the documented cost of
-// shedding — the destination was unackable for the whole shed window).
-func (o *outbox) ShedReset(dst string, firsts ...protocol.Payload) {
-	o.sheds.Add(1)
-	o.reset(dst, firsts, true)
-}
-
+// reset restarts the stream to dst (sendSession.reset). A shed passes drop:
+// the pending backlog is discarded instead of renumbered behind the repair
+// run. Retaining it is exactly what the queue bound exists to prevent, and
+// the run already carries the full maintained view; one-shot updates still
+// queued to the shed destination are abandoned (that loss is the documented
+// cost of shedding — the destination was unackable for the whole shed
+// window). The destination adopts the fresh epoch at sequence 1 with a
+// fresh watermark. For durable peers onReset re-logs the stream so recovery
+// sees the renumbering, not the superseded entries.
 func (o *outbox) reset(dst string, firsts []protocol.Payload, drop bool) {
 	dq := o.queue(dst)
 	dq.enqMu.Lock()
 	o.persistMu.RLock()
 	dq.mu.Lock()
-	dq.epoch = newEpoch()
-	dq.resets++
-	o.resets.Add(1)
-	entries := make([]outEntry, 0, len(dq.entries)+len(firsts))
-	for _, msg := range firsts {
-		entries = append(entries, outEntry{seq: uint64(len(entries)) + 1, msg: msg})
-	}
-	if !drop {
-		for _, e := range dq.entries {
-			if _, ok := e.msg.(protocol.DigestMsg); ok {
-				continue // describes a stream position the reset discards
-			}
-			entries = append(entries, outEntry{seq: uint64(len(entries)) + 1, msg: e.msg})
-		}
-	}
-	dq.entries = entries
-	dq.nextSeq = uint64(len(entries))
-	dq.acked = 0
-	dq.stalled = false
-	dq.nextTry = time.Time{}
-	dq.backoff = 0
-	dq.lastProgress = time.Now()
-	dq.notifySpaceLocked()
-	epoch := dq.epoch
-	logged := make([]outEntry, len(entries))
-	copy(logged, entries)
+	dq.reset(o.now(), newEpoch(), firsts, drop)
+	dq.space.release()
+	epoch, logged := dq.epoch, slices.Clone(dq.entries)
 	dq.mu.Unlock()
 	if o.onReset != nil {
 		o.onReset(dst, epoch, logged)
 	}
 	o.persistMu.RUnlock()
 	dq.enqMu.Unlock()
+	o.resets.Add(1)
+	if drop {
+		o.sheds.Add(1)
+	}
 	o.enqueued.Add(1)
 	dq.signal()
 	o.notifyActive()
 }
 
 // EnqueueAck schedules a cumulative acknowledgment of the peer's own inbox
-// back to dst, for the given inbound stream epoch. Acks coalesce: only the
-// highest sequence of the current epoch is kept (a new epoch supersedes).
+// back to dst, for the given inbound stream epoch (sendSession.stageAck).
 func (o *outbox) EnqueueAck(dst string, epoch, seq uint64) {
 	dq := o.queue(dst)
 	dq.mu.Lock()
-	if epoch != dq.ackEpoch {
-		dq.ackEpoch = epoch
-		dq.pendingAck = seq
-	} else if seq > dq.pendingAck {
-		dq.pendingAck = seq
-	}
+	dq.stageAck(epoch, seq)
 	dq.mu.Unlock()
 	dq.signal()
 }
@@ -394,11 +317,8 @@ func (o *outbox) EnqueueControl(dst string, msg protocol.Payload) {
 	dq.signal()
 }
 
-// Ack processes a cumulative acknowledgment from dst: every entry with
-// sequence <= seq is delivered and dropped. Acks for a different epoch are
-// stale (sent for a stream a previous incarnation of this peer — or this
-// stream before a reset — was running) and are ignored: they must not drop
-// entries of the current stream.
+// Ack processes a cumulative acknowledgment from dst (sendSession.ack) and
+// releases admission waiters into the space it frees.
 func (o *outbox) Ack(dst string, epoch, seq uint64) {
 	o.mu.Lock()
 	dq := o.queues[dst]
@@ -407,32 +327,9 @@ func (o *outbox) Ack(dst string, epoch, seq uint64) {
 		return // ack for nothing we track
 	}
 	dq.mu.Lock()
-	if epoch != dq.epoch {
-		dq.mu.Unlock()
-		return
-	}
-	if seq > dq.acked {
-		dq.acked = seq
-	}
-	kept := dq.entries[:0]
-	dropped := 0
-	for _, e := range dq.entries {
-		if e.seq <= seq {
-			dropped++
-			continue
-		}
-		kept = append(kept, e)
-	}
-	dq.entries = kept
-	if dropped > 0 {
-		// The link evidently works; clear any failure state, stamp the shed
-		// clock, and release any admission waiters into the freed space.
-		dq.stalled = false
-		dq.nextTry = time.Time{}
-		dq.lastProgress = time.Now()
-		if o.limit <= 0 || len(dq.entries) < o.limit {
-			dq.notifySpaceLocked()
-		}
+	dropped := dq.ack(o.now(), epoch, seq)
+	if dropped > 0 && (o.limit <= 0 || len(dq.entries) < o.limit) {
+		dq.space.release()
 	}
 	dq.mu.Unlock()
 	if dropped > 0 {
@@ -453,31 +350,10 @@ func (o *outbox) send(dst string, msg protocol.Payload) error {
 	return o.ep.Send(ctx, dst, msg)
 }
 
-// advertDue checks (and, when due, re-arms) the session's anti-entropy
-// advert clock. A period in which an advert still awaits its ack passes
-// without another: an unreachable destination holds one, not one per period.
-func (o *outbox) advertDue(dq *sendSession) bool {
-	if o.resyncEvery <= 0 || o.onDigest == nil {
-		return false
-	}
-	dq.mu.Lock()
-	defer dq.mu.Unlock()
-	if time.Since(dq.lastAdvert) < o.resyncEvery {
-		return false
-	}
-	dq.lastAdvert = time.Now()
-	for _, e := range dq.entries {
-		if m, ok := e.msg.(protocol.DigestMsg); ok && m.Advert {
-			return false
-		}
-	}
-	return true
-}
-
 // flushQueue pushes everything currently sendable for one destination: when
-// its clock says so it first has the peer enqueue the anti-entropy digest
-// advert, then sends unsent data entries in sequence order, then the pending
-// ack, then control messages.
+// its advert clock says so it first has the peer enqueue the anti-entropy
+// digest advert, then sends unsent data entries in sequence order, then the
+// pending ack, then control messages.
 // Reports whether anything was transmitted, whether a send failed, and
 // whether another flush of the same queue was already in progress (busy —
 // this call did nothing). Respects the queue's backoff gate.
@@ -487,38 +363,21 @@ func (o *outbox) flushQueue(dq *sendSession) (sent, failed, busy bool) {
 		dq.mu.Unlock()
 		return false, false, true
 	}
-	if !dq.nextTry.IsZero() && time.Now().Before(dq.nextTry) {
+	now := o.now()
+	if dq.gated(now) {
 		dq.mu.Unlock()
 		return false, false, false
 	}
 	dq.flushing = true
+	advert := dq.advertDue(now)
 	dq.mu.Unlock()
 	defer func() {
 		dq.mu.Lock()
 		dq.flushing = false
 		if failed {
-			dq.stalled = true
-			// Exponential backoff: double the gate on consecutive failures.
-			if dq.backoff == 0 {
-				dq.backoff = o.baseBackoff
-			} else {
-				dq.backoff *= 2
-				if dq.backoff > o.maxBackoff {
-					dq.backoff = o.maxBackoff
-				}
-			}
-			dq.nextTry = time.Now().Add(dq.backoff)
-			// A failure invalidates the cycle: retransmit everything once the
-			// link recovers, oldest first (the receiver dedups replays).
-			for i := range dq.entries {
-				dq.entries[i].sent = false
-			}
+			dq.failed(o.now())
 		} else {
-			dq.backoff = 0
-			dq.nextTry = time.Time{}
-			if sent {
-				dq.stalled = false
-			}
+			dq.succeeded()
 		}
 		dq.mu.Unlock()
 	}()
@@ -526,25 +385,15 @@ func (o *outbox) flushQueue(dq *sendSession) (sent, failed, busy bool) {
 	// The advert joins the stream whatever is still in flight: the receiver
 	// compares it at its own position, so a busy stream needs no quiet
 	// moment for it.
-	if o.advertDue(dq) && o.onDigest(dq.dst) {
+	if advert && o.onDigest(dq.dst) {
 		o.adverts.Add(1)
 	}
 
 	synced := false
 	for {
 		dq.mu.Lock()
-		var seq uint64
-		var msg protocol.Payload
-		epoch := dq.epoch
-		gen := dq.resets
-		for i := range dq.entries {
-			if !dq.entries[i].sent {
-				seq = dq.entries[i].seq
-				msg = dq.entries[i].msg
-				break
-			}
-		}
-		if msg != nil && !synced && o.onPreFlush != nil {
+		i := dq.unsent()
+		if i >= 0 && !synced && o.onPreFlush != nil {
 			// Durable peers: the entry's log record must be on disk before
 			// the first transmission of this cycle — otherwise a crash could
 			// reuse an already-transmitted sequence number for a different
@@ -557,9 +406,8 @@ func (o *outbox) flushQueue(dq *sendSession) (sent, failed, busy bool) {
 			synced = true
 			continue
 		}
-		if msg == nil {
-			ack := dq.pendingAck
-			ackEpoch := dq.ackEpoch
+		if i < 0 {
+			ack, ackEpoch := dq.pendingAck, dq.ackEpoch
 			controls := dq.controls
 			dq.controls = nil
 			dq.mu.Unlock()
@@ -570,9 +418,7 @@ func (o *outbox) flushQueue(dq *sendSession) (sent, failed, busy bool) {
 				}
 				sent = true
 				dq.mu.Lock()
-				if dq.pendingAck == ack {
-					dq.pendingAck = 0
-				}
+				dq.ackSent(ackEpoch, ack)
 				dq.mu.Unlock()
 			}
 			for _, c := range controls {
@@ -584,195 +430,74 @@ func (o *outbox) flushQueue(dq *sendSession) (sent, failed, busy bool) {
 			}
 			return sent, false, false
 		}
+		e, epoch, gen := dq.entries[i], dq.epoch, dq.resets
 		dq.mu.Unlock()
 
-		if err := o.send(dq.dst, protocol.DataMsg{Epoch: epoch, Seq: seq, Msg: msg}); err != nil {
+		if err := o.send(dq.dst, protocol.DataMsg{Epoch: epoch, Seq: e.seq, Msg: e.msg}); err != nil {
 			o.sendErrors.Add(1)
 			return sent, true, false
 		}
 		sent = true
 		dq.mu.Lock()
-		if dq.resets == gen {
-			for i := range dq.entries {
-				if dq.entries[i].seq == seq {
-					dq.entries[i].sent = true
-					break
-				}
-			}
-		}
-		// The ack clock runs from the last transmission: retransmit only
-		// once the destination has had a full ackTimeout to answer it.
-		dq.retransmitAt = time.Now().Add(o.ackTimeout)
+		dq.sent(o.now(), gen, e.seq)
 		dq.mu.Unlock()
 	}
 }
 
-// flusher is the per-destination delivery goroutine (async mode): it drains
-// the queue whenever work arrives, retransmits unacked entries after
-// ackTimeout, sleeps under the backoff gate while the destination is
-// unreachable, and wakes for the anti-entropy advert clock when idle.
+// flusher is the per-destination delivery goroutine (async mode): it
+// flushes the queue, acts on what the session's clocks call for, and sleeps
+// until the next deadline or a wake (new work or an ack).
 func (o *outbox) flusher(dq *sendSession) {
 	defer o.wg.Done()
 	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		select {
-		case <-o.ctx.Done():
-			return
-		default:
-		}
-		_, failed, busy := o.flushQueue(dq)
-		o.maybeShed(dq)
-
+	timer.Stop()
+	for o.ctx.Err() == nil {
+		_, _, busy := o.flushQueue(dq)
+		now := o.now()
 		dq.mu.Lock()
-		pendingData := len(dq.entries) > 0
-		unsent := false
-		for i := range dq.entries {
-			if !dq.entries[i].sent {
-				unsent = true
-				break
-			}
+		d := dq.due(now)
+		if d.retransmit {
+			dq.resend()
 		}
-		pendingOther := dq.pendingAck > 0 || len(dq.controls) > 0
-		gate := dq.nextTry
-		lastAdvert := dq.lastAdvert
-		retransmitAt := dq.retransmitAt
-		lastProgress := dq.lastProgress
+		if d.shed {
+			// The shed's reset restarts the window; should the callback
+			// decline (the peer is closing), the next shed waits a whole one.
+			dq.lastProgress = now
+		}
 		dq.mu.Unlock()
-
-		var wait time.Duration
-		gated := false
-		switch {
-		case busy:
-			// Another flusher (the scheduler's inline FlushAll) is mid-send;
+		if d.retransmit {
+			o.retransmits.Add(1)
+		}
+		if d.shed {
+			// Off all outbox locks: the callback takes the peer lock and
+			// then the session's, the order the stage path uses.
+			o.onShed(dq.dst)
+		}
+		if busy {
+			// Another flusher (the scheduler's inline FlushAll) is mid-send:
 			// wait for a signal or a beat instead of spinning on its lock.
-			wait = o.baseBackoff
-		case failed || (!gate.IsZero() && time.Now().Before(gate)):
-			// Unreachable: sleep out the backoff gate (an ack or new work
-			// wakes us early — an ack means the link recovered).
-			gated = true
-			wait = time.Until(gate)
-			if wait <= 0 {
-				wait = o.baseBackoff
-			}
-		case unsent || pendingOther:
-			// More to push right now (raced an enqueue): loop immediately.
+			d.next = now.Add(o.baseBackoff)
+		} else if d.flush || d.advert || d.retransmit || d.shed {
 			continue
-		case pendingData:
-			// Everything sent, awaiting acks: retransmit once the ack
-			// deadline (stamped at the last transmission) passes.
-			wait = time.Until(retransmitAt)
-			if wait <= 0 {
-				wait = time.Millisecond
-			}
-		default:
-			// Idle: wait for work (or the advert clock below).
-			wait = 0
 		}
-		// The advert clock can shorten an idle or ack wait, but never a
-		// backoff gate: a gated queue cannot transmit the advert anyway, and
-		// an overdue clock would just spin the flusher against the gate.
-		if o.resyncEvery > 0 && o.onDigest != nil && !gated && !busy {
-			untilAdvert := time.Until(lastAdvert.Add(o.resyncEvery))
-			if untilAdvert <= 0 {
-				untilAdvert = time.Millisecond
-			}
-			if wait <= 0 || untilAdvert < wait {
-				wait = untilAdvert
-			}
-		}
-		// The shed clock *does* shorten a backoff gate: a persistently
-		// unreachable destination is the very case shedding exists for, and
-		// its flusher would otherwise sleep out maxBackoff oblivious to the
-		// deadline.
-		if o.shedAfter > 0 && o.onShed != nil && pendingData && !lastProgress.IsZero() {
-			untilShed := time.Until(lastProgress.Add(o.shedAfter))
-			if untilShed <= 0 {
-				untilShed = time.Millisecond
-			}
-			if wait <= 0 || untilShed < wait {
-				wait = untilShed
-			}
-		}
-
-		if wait > 0 {
-			timer.Reset(wait)
-			select {
-			case <-o.ctx.Done():
-				if !timer.Stop() {
-					<-timer.C
-				}
-				return
-			case <-dq.wake:
-				if !timer.Stop() {
-					<-timer.C
-				}
-			case <-timer.C:
-				// Only a genuinely elapsed ack deadline invalidates the
-				// cycle for retransmission — the timer also fires for
-				// advert-clock wakeups, which must not re-send anything.
-				if pendingData && !failed && !time.Now().Before(retransmitAt) {
-					dq.mu.Lock()
-					resend := false
-					for i := range dq.entries {
-						if dq.entries[i].sent {
-							dq.entries[i].sent = false
-							resend = true
-						}
-					}
-					dq.mu.Unlock()
-					if resend {
-						o.retransmits.Add(1)
-					}
-				}
-			}
-			continue
+		var fire <-chan time.Time
+		if !d.next.IsZero() {
+			timer.Reset(d.next.Sub(now))
+			fire = timer.C
 		}
 		select {
 		case <-o.ctx.Done():
-			return
 		case <-dq.wake:
+		case <-fire:
 		}
+		timer.Stop()
 	}
-}
-
-// maybeShed sheds a persistently-unackable destination: its queue has
-// pending entries but has seen no ack progress for shedAfter. The callback
-// runs off all outbox locks — it takes the peer lock to read the
-// maintained view and then calls ShedReset, which takes the session locks,
-// the same ordering the stage path uses (p.mu → session locks). Only the
-// async flusher calls this; sync-emit peers (in-process test networks) do
-// not shed.
-func (o *outbox) maybeShed(dq *sendSession) {
-	if o.shedAfter <= 0 || o.onShed == nil {
-		return
-	}
-	dq.mu.Lock()
-	pending := len(dq.entries)
-	due := pending > 0 && !dq.shedding &&
-		!dq.lastProgress.IsZero() && time.Since(dq.lastProgress) >= o.shedAfter
-	if due {
-		dq.shedding = true
-	}
-	dq.mu.Unlock()
-	if !due {
-		return
-	}
-	o.onShed(dq.dst)
-	dq.mu.Lock()
-	dq.shedding = false
-	// ShedReset stamped the clock; stamp again in case the callback
-	// declined to reset (peer closing) so the next check waits a full
-	// window instead of spinning.
-	dq.lastProgress = time.Now()
-	dq.mu.Unlock()
 }
 
 // FlushAll synchronously attempts one flush of every queue (sync mode after
 // a stage, and the network scheduler accelerating delivery). Reports whether
-// anything was transmitted.
+// anything was transmitted. Sync-emit peers do not shed or retransmit on a
+// clock: only the async flusher does.
 func (o *outbox) FlushAll() bool {
 	sent := false
 	for _, dq := range o.snapshot() {
@@ -783,15 +508,15 @@ func (o *outbox) FlushAll() bool {
 }
 
 // Pending returns the number of unacknowledged sequenced entries and how
-// many of them sit in queues whose last delivery attempt failed (stalled —
-// retrying under backoff). The network scheduler's quiescence condition is
-// "no peer has work and no outbox entry is pending", with stalled entries
-// exempt so an unreachable destination cannot wedge RunToQuiescence.
+// many of them sit in stalled queues (retrying under backoff). The network
+// scheduler's quiescence condition is "no peer has work and no outbox entry
+// is pending", with stalled entries exempt so an unreachable destination
+// cannot wedge RunToQuiescence.
 func (o *outbox) Pending() (total, stalled int) {
 	for _, dq := range o.snapshot() {
 		dq.mu.Lock()
 		total += len(dq.entries)
-		if dq.stalled || (!dq.nextTry.IsZero() && time.Now().Before(dq.nextTry)) {
+		if dq.stalled() {
 			stalled += len(dq.entries)
 		}
 		dq.mu.Unlock()
@@ -812,7 +537,7 @@ func (o *outbox) seed(dst string, epoch, nextSeq, acked uint64, entries []outEnt
 	dq.nextSeq = nextSeq
 	dq.acked = acked
 	if len(dq.entries) == 0 && len(entries) > 0 {
-		dq.lastProgress = time.Now()
+		dq.lastProgress = o.now()
 	}
 	dq.entries = append(dq.entries, entries...)
 	dq.mu.Unlock()

@@ -52,12 +52,6 @@ type Config struct {
 	Interner *value.Interner
 	// WAL, when non-nil, makes the peer's extensional relations durable.
 	WAL *store.WAL
-	// WALErr records a failure to open the WAL this config asked for.
-	// Options that open the WAL on the caller's behalf (core.WithWAL) store
-	// the error here instead of swallowing it; New refuses the config with
-	// an error wrapping errdefs.ErrWAL, so a peer that was meant to be
-	// durable can never silently come up volatile.
-	WALErr error
 	// Policy controls incoming delegations; nil accepts everything.
 	Policy acl.Policy
 	// SyncEmit disables the outbox's background flusher goroutines: outgoing
@@ -265,12 +259,10 @@ type Peer struct {
 	compileErr     []error
 
 	pendingOps []engine.FactOp // buffered updates for the next stage
-	// pendingSpace, when non-nil, is closed (and cleared) when a stage
-	// drains pendingOps: blocked Apply callers wait on it and re-check
-	// admission against maxPendingOps.
-	pendingSpace  chan struct{}
+	// pendingSpace is released when a stage drains pendingOps: blocked
+	// Apply callers wait on it and re-check admission against maxPendingOps.
+	pendingSpace  space
 	maxPendingOps int
-	admitFailFast bool
 	// pm caches the hot-path metric children (nil = metrics disabled).
 	pm *peerMetrics
 
@@ -323,13 +315,6 @@ func New(cfg Config, ep transport.Endpoint) (*Peer, error) {
 	if ep.Name() != cfg.Name {
 		return nil, fmt.Errorf("peer: endpoint is named %q, peer %q", ep.Name(), cfg.Name)
 	}
-	if cfg.WALErr != nil {
-		err := cfg.WALErr
-		if !errors.Is(err, errdefs.ErrWAL) {
-			err = fmt.Errorf("%w: %v", errdefs.ErrWAL, err)
-		}
-		return nil, fmt.Errorf("peer %s: %w", cfg.Name, err)
-	}
 	db := store.New()
 	if cfg.Interner != nil {
 		db.SetInterner(cfg.Interner)
@@ -380,7 +365,6 @@ func New(cfg Config, ep transport.Endpoint) (*Peer, error) {
 	p.outbox.shedAfter = cfg.OutboxShedAfter
 	p.outbox.onShed = p.shedStream
 	p.maxPendingOps = cfg.MaxPendingOps
-	p.admitFailFast = cfg.Admission == AdmitFailFast
 	if cfg.WAL != nil {
 		if err := p.resumeDelivery(recovered); err != nil {
 			cancel()
@@ -854,7 +838,7 @@ func (p *Peer) Apply(ctx context.Context, b *engine.Batch) error {
 					p.name, remote[dst].Len(), dst, errdefs.ErrUnknownPeer))
 				continue
 			}
-			if _, err := p.outbox.EnqueueDataCtx(ctx, dst, *remote[dst]); err != nil {
+			if _, err := p.outbox.enqueue(ctx, dst, *remote[dst], true); err != nil {
 				errs = append(errs, fmt.Errorf("peer %s: %w", p.name, err))
 			}
 		}
@@ -874,46 +858,85 @@ func (p *Peer) Apply(ctx context.Context, b *engine.Batch) error {
 // than the whole bound is admitted whenever the queue is empty, so
 // oversized batches degrade to serialized admission instead of deadlock.
 func (p *Peer) stageLocal(ctx context.Context, ops []engine.FactOp) error {
-	for {
+	err := p.outbox.admit(ctx, p.ctx, p.maxPendingOps, func() (<-chan struct{}, error) {
 		p.mu.Lock()
+		defer p.mu.Unlock()
 		if p.closed {
-			p.mu.Unlock()
-			return fmt.Errorf("peer %s: %w", p.name, errdefs.ErrClosed)
+			return nil, errdefs.ErrClosed
 		}
-		if p.maxPendingOps <= 0 || len(p.pendingOps) == 0 ||
-			len(p.pendingOps)+len(ops) <= p.maxPendingOps {
-			p.pendingOps = append(p.pendingOps, ops...)
-			p.mu.Unlock()
-			p.kick()
-			return nil
+		if p.maxPendingOps > 0 && len(p.pendingOps) > 0 && len(p.pendingOps)+len(ops) > p.maxPendingOps {
+			return p.pendingSpace.wait(), nil
 		}
-		if p.admitFailFast {
-			p.mu.Unlock()
-			p.outbox.bpRejects.Add(1)
-			return fmt.Errorf("peer %s: %d staged updates pending: %w",
-				p.name, p.maxPendingOps, errdefs.ErrBackpressure)
+		p.pendingOps = append(p.pendingOps, ops...)
+		return nil, nil
+	}, p.kick)
+	if err != nil {
+		return fmt.Errorf("peer %s: staging updates: %w", p.name, err)
+	}
+	p.kick()
+	return nil
+}
+
+// admission is a peer's admission policy for its bounded queues (the
+// staged-update queue and each destination's outbox queue) and the
+// counters they share.
+type admission struct {
+	failFast  bool          // Config.Admission: reject instead of blocking
+	bpWaits   atomic.Uint64 // admissions that had to wait for queue space
+	bpRejects atomic.Uint64 // admissions rejected with ErrBackpressure
+}
+
+// admit admits one caller to a bounded queue of at most limit entries. try
+// runs under the queue's own lock: it either admits the caller (and
+// enqueues) and returns nil, nil, or returns an error (the peer closed), or
+// finds the queue full and returns its space channel. On a full queue a
+// fail-fast gate rejects with ErrBackpressure; a blocking one nudges the
+// queue's drainer and waits off the lock until space frees up, ctx is done
+// or the peer (life) is.
+func (a *admission) admit(ctx, life context.Context, limit int, try func() (<-chan struct{}, error), nudge func()) error {
+	for {
+		wait, err := try()
+		if wait == nil {
+			return err
 		}
-		if p.pendingSpace == nil {
-			p.pendingSpace = make(chan struct{})
+		if a.failFast {
+			a.bpRejects.Add(1)
+			return fmt.Errorf("%d pending: %w", limit, errdefs.ErrBackpressure)
 		}
-		wait := p.pendingSpace
-		p.mu.Unlock()
-		p.outbox.bpWaits.Add(1)
-		p.kick() // make sure a stage is coming to drain the queue
+		a.bpWaits.Add(1)
+		nudge()
 		select {
 		case <-ctx.Done():
-			return fmt.Errorf("peer %s: waiting to stage updates: %w: %w",
-				p.name, errdefs.ErrBackpressure, ctx.Err())
-		case <-p.ctx.Done():
-			return fmt.Errorf("peer %s: %w", p.name, errdefs.ErrClosed)
+			return fmt.Errorf("waiting for queue space: %w: %w", errdefs.ErrBackpressure, ctx.Err())
+		case <-life.Done():
+			return errdefs.ErrClosed
 		case <-wait:
 		}
 	}
 }
 
+// space is a bounded queue's wait channel: blocked admissions wait on it,
+// and it is closed (and cleared) whenever room frees up. Guarded by the
+// queue's lock.
+type space struct{ ch chan struct{} }
+
+func (s *space) wait() <-chan struct{} {
+	if s.ch == nil {
+		s.ch = make(chan struct{})
+	}
+	return s.ch
+}
+
+func (s *space) release() {
+	if s.ch != nil {
+		close(s.ch)
+		s.ch = nil
+	}
+}
+
 // shedStream is the outbox's slow-peer callback: dst has had pending
 // entries with no ack progress for the whole shed window. Restart its
-// stream (ShedReset discards the wedged backlog) exactly as a served reset
+// stream, discarding the wedged backlog, exactly as a served reset
 // request would — when the destination recovers, it adopts the new epoch at
 // sequence 1, and the advert that ends the restart's repair run settles
 // whatever the discarded backlog would have retracted.
@@ -923,7 +946,9 @@ func (p *Peer) shedStream(dst string) {
 	if p.closed {
 		return
 	}
-	p.restartStreamLocked(dst, p.outbox.ShedReset)
+	p.restartStreamLocked(dst, func(dst string, firsts ...protocol.Payload) {
+		p.outbox.reset(dst, firsts, true)
+	})
 	p.kick()
 }
 

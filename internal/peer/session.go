@@ -1,6 +1,7 @@
 package peer
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -15,15 +16,15 @@ import (
 //
 //   - sendSession — the sender half of one (this peer → dst) stream: the
 //     per-stream epoch, sequence numbering, the unacknowledged entry queue,
-//     the destination's cumulative ack floor, flusher/backoff state, and the
-//     anti-entropy advert clock. The outbox (outbox.go) is the delivery
-//     engine that drives sendSessions; it no longer holds stream state of
-//     its own.
+//     the destination's cumulative ack floor, and the stream's four clocks
+//     (backoff gate, ack deadline, advert period, shed window). The outbox
+//     (outbox.go) is the delivery engine that drives sendSessions; it holds
+//     no stream state of its own.
 //   - inSession — the receiver half of one (src → this peer) stream: the
 //     adopted epoch, the applied watermark (exactly-once application), the
 //     staged acknowledgment released after durability, the per-sender
 //     support ledger (which facts src currently maintains here, per
-//     relation, with O(1) digests), and the resync rate limiters.
+//     relation, with O(1) digests), and the resync request limiters.
 //
 // Epoch adoption, watermark dedup and ack staging — previously inlined
 // across peer.go and stage.go — live in inSession.accept/stageAck. The
@@ -58,16 +59,16 @@ type inSession struct {
 	ackEpoch  uint64
 	ackSeq    uint64
 
-	// Resync rate limiters: when the matching request was last sent.
-	// Cleared on progress (stream adoption, repair application).
+	// Resync request limiters, one per kind of request. Cleared on progress
+	// (stream adoption, repair application).
 	// advertWanted is set from the adoption of a fresh epoch until an advert
 	// of that epoch has been compared against the ledger: while it is set
 	// the sender is asked for one (an Advert repair request, re-sent under
 	// the repairAsked limiter), and the comparison it triggers may bypass
 	// that limiter once — the stamp rate-limits the *request*, not the
 	// repair the requested advert concludes is needed.
-	resetAsked   time.Time
-	repairAsked  time.Time
+	resetAsked   limiter
+	repairAsked  limiter
 	advertWanted bool
 
 	// trees is the per-sender support ledger: the facts src currently
@@ -110,7 +111,7 @@ func (s *inSession) accept(msg protocol.DataMsg) bool {
 		s.epoch = msg.Epoch
 		s.seq = 0
 		s.advertWanted = true
-		s.repairAsked = time.Time{} // a dialogue with the old epoch does not delay asking the new one
+		s.repairAsked = limiter{} // a dialogue with the old epoch does not delay asking the new one
 	}
 	if msg.Seq <= s.seq {
 		s.stageAck() // replay: re-ack the watermark without re-applying
@@ -121,7 +122,7 @@ func (s *inSession) accept(msg protocol.DataMsg) bool {
 	}
 	s.seq = msg.Seq
 	s.stageAck()
-	s.resetAsked = time.Time{}
+	s.resetAsked = limiter{}
 	return true
 }
 
@@ -204,61 +205,91 @@ func (s *inSession) rangeDigest(relID string, lo, hi uint64) store.Digest {
 	return store.Digest{}
 }
 
-// repairDue checks and, when due, re-arms the repair-request limiter.
-func (s *inSession) repairDue(now time.Time) bool {
-	if !s.repairAsked.IsZero() && now.Sub(s.repairAsked) < resyncRequestTTL {
+// limiter rate-limits one kind of best-effort request to a sender to one per
+// resyncRequestTTL. The zero limiter lets the next request go at once.
+type limiter struct{ at time.Time }
+
+// due reports whether a request may go at now, and if so arms the limiter.
+func (l *limiter) due(now time.Time) bool {
+	if !l.at.IsZero() && now.Sub(l.at) < resyncRequestTTL {
 		return false
 	}
-	s.repairAsked = now
+	l.at = now
 	return true
 }
 
-// sendSession is the sender half of one (this peer → dst) stream session:
-// the per-stream epoch, the sequence numbers, the unacknowledged entries,
-// and the delivery state the outbox's flushers drive. Locking: enqMu
-// serializes enqueuers across the assign-seq / persist / publish sequence
-// (so the durable log always records an entry before a flusher can
-// transmit it, and entries publish in sequence order); mu guards the rest.
+// timing is the delivery tuning shared by every send session of one outbox;
+// tests shrink it for fast fault convergence.
+type timing struct {
+	ackTimeout  time.Duration // retransmit what is still unacked this long after the last transmission
+	baseBackoff time.Duration // the backoff after a first failed flush
+	maxBackoff  time.Duration // the cap of the doubling backoff
+	resyncEvery time.Duration // the anti-entropy advert period (0 = no adverts)
+	shedAfter   time.Duration // the shed window (0 = never shed)
+}
+
+// sendSession is the sender half of one (this peer → dst) stream session and
+// the one place where its delivery is decided: the per-stream epoch, the
+// sequence numbers, the unacknowledged entries, and four clocks.
+//
+//   - The backoff gate (nextTry): after a failed flush nothing is sent
+//     before it; each consecutive failure doubles the step up to maxBackoff
+//     (failed). A flush that goes through, or an ack, clears it.
+//   - The ack deadline (retransmitAt): ackTimeout after the last
+//     transmission, entries still unacked are sent again (due).
+//   - The advert period (advertAt): every resyncEvery an anti-entropy advert
+//     joins the stream, unless one is still pending (advertDue).
+//   - The shed window (lastProgress): a queue with entries and no ack
+//     progress for shedAfter, counted from the start of its pending era or
+//     from its last reset, is shed (due).
+//
+// The methods take the current time and are called with mu held; the
+// outbox (outbox.go) only drives them. Locking: enqMu serializes enqueuers
+// across the assign-seq / persist / publish sequence (so the durable log
+// always records an entry before a flusher can transmit it, and entries
+// publish in sequence order); mu guards the rest.
 type sendSession struct {
 	dst string
+	t   *timing
 
 	enqMu sync.Mutex
 
 	mu sync.Mutex
 	// epoch identifies this stream (protocol.DataMsg): it starts as the
 	// outbox default (random per incarnation for volatile peers, persisted
-	// for WAL-backed ones) and is rotated by Reset when the receiver asks
+	// for WAL-backed ones) and is rotated by reset when the receiver asks
 	// for a fresh stream. Acks carrying another epoch are stale and
 	// ignored.
 	epoch uint64
 	// resets counts stream resets — a generation guard so an in-flight
 	// transmission of the old stream cannot mark a renumbered entry sent.
-	resets       uint64
-	entries      []outEntry // unacked, in sequence order
-	nextSeq      uint64     // last assigned sequence number
-	acked        uint64     // highest cumulative ack received
-	ackEpoch     uint64     // stream epoch of the pending inbound ack
-	pendingAck   uint64     // highest inbox seq to acknowledge back to dst (0 = none)
-	controls     []protocol.Payload
-	flushing     bool          // a flusher (goroutine or inline) is mid-send
-	stalled      bool          // the last flush attempt failed
-	backoff      time.Duration // current backoff step (doubles per failure)
-	nextTry      time.Time     // backoff gate for retries after a failure
-	lastAdvert   time.Time     // when the anti-entropy advert clock last fired
-	retransmitAt time.Time     // ack deadline: pushed on every data transmission
+	resets     uint64
+	entries    []outEntry // unacked, in sequence order
+	nextSeq    uint64     // last assigned sequence number
+	acked      uint64     // highest cumulative ack received
+	ackEpoch   uint64     // stream epoch of the pending inbound ack
+	pendingAck uint64     // highest inbox seq to acknowledge back to dst (0 = none)
+	controls   []protocol.Payload
+	flushing   bool  // a flusher (goroutine or inline) is mid-send
+	space      space // blocked admissions (outbox.enqueue) wait here
 
-	// Flow-control state. spaceWait, when non-nil, is closed (and cleared)
-	// whenever queue space frees up — blocked EnqueueDataCtx callers wait on
-	// it and re-check admission. lastProgress is the shed clock: the last
-	// instant the destination acked something, the queue's pending era
-	// began, or the stream was reset; a queue with entries but no progress
-	// for the configured window is persistently unackable. shedding guards
-	// against dispatching a second shed while one is in flight.
-	spaceWait    chan struct{}
-	lastProgress time.Time
-	shedding     bool
+	backoff      time.Duration // current backoff step (0 after a flush that went through)
+	nextTry      time.Time     // backoff gate; nonzero while the last flush attempt counts as failed
+	retransmitAt time.Time     // ack deadline
+	advertAt     time.Time     // when the next advert is due
+	lastProgress time.Time     // start of the shed window
 
 	wake chan struct{} // one-slot: new work or ack arrived
+}
+
+func newSendSession(dst string, t *timing, epoch uint64, now time.Time) *sendSession {
+	return &sendSession{
+		dst:      dst,
+		t:        t,
+		epoch:    epoch,
+		advertAt: now.Add(t.resyncEvery), // first advert one period after first contact
+		wake:     make(chan struct{}, 1),
+	}
 }
 
 func (dq *sendSession) signal() {
@@ -268,10 +299,189 @@ func (dq *sendSession) signal() {
 	}
 }
 
-// notifySpaceLocked releases every blocked admission waiter; dq.mu held.
-func (dq *sendSession) notifySpaceLocked() {
-	if dq.spaceWait != nil {
-		close(dq.spaceWait)
-		dq.spaceWait = nil
+// enqueue appends msg as the stream's next sequence number and returns it.
+// An entry that finds the queue empty starts a pending era, from which the
+// shed window counts; fresh work also opens the backoff gate for a fresh
+// attempt.
+func (dq *sendSession) enqueue(now time.Time, msg protocol.Payload) uint64 {
+	if len(dq.entries) == 0 {
+		dq.lastProgress = now
 	}
+	dq.nextSeq++
+	dq.entries = append(dq.entries, outEntry{seq: dq.nextSeq, msg: msg})
+	dq.nextTry = time.Time{}
+	return dq.nextSeq
+}
+
+// unsent returns the index of the first entry not yet transmitted in this
+// cycle, or -1.
+func (dq *sendSession) unsent() int {
+	for i := range dq.entries {
+		if !dq.entries[i].sent {
+			return i
+		}
+	}
+	return -1
+}
+
+// sent records the transmission of seq, taken in stream generation gen, and
+// restarts the ack deadline.
+func (dq *sendSession) sent(now time.Time, gen, seq uint64) {
+	if dq.resets == gen {
+		for i := range dq.entries {
+			if dq.entries[i].seq == seq {
+				dq.entries[i].sent = true
+				break
+			}
+		}
+	}
+	dq.retransmitAt = now.Add(dq.t.ackTimeout)
+}
+
+// resend marks every entry for transmission again, oldest first (the
+// receiver dedups replays).
+func (dq *sendSession) resend() {
+	for i := range dq.entries {
+		dq.entries[i].sent = false
+	}
+}
+
+// failed closes the backoff gate after a failed flush: the step starts at
+// baseBackoff and doubles per consecutive failure up to maxBackoff. A
+// failure invalidates the cycle, so everything is sent again once the link
+// recovers.
+func (dq *sendSession) failed(now time.Time) {
+	dq.backoff = min(max(2*dq.backoff, dq.t.baseBackoff), dq.t.maxBackoff)
+	dq.nextTry = now.Add(dq.backoff)
+	dq.resend()
+}
+
+// succeeded opens the backoff gate after a flush that went through.
+func (dq *sendSession) succeeded() {
+	dq.backoff = 0
+	dq.nextTry = time.Time{}
+}
+
+// gated reports whether the backoff gate holds sends back at now.
+func (dq *sendSession) gated(now time.Time) bool { return now.Before(dq.nextTry) }
+
+// stalled reports whether the last flush attempt failed and neither fresh
+// work nor an ack has come since: the queue is retrying under backoff.
+func (dq *sendSession) stalled() bool { return !dq.nextTry.IsZero() }
+
+// ack applies a cumulative acknowledgment from dst and returns how many
+// entries it delivered: those of the current epoch up to seq. An ack of
+// another epoch is stale (sent for a stream a previous incarnation of this
+// peer, or this stream before a reset, was running) and must not drop
+// entries of the current stream. Progress is evidence the link works: it
+// clears the backoff and restarts the shed window.
+func (dq *sendSession) ack(now time.Time, epoch, seq uint64) int {
+	if epoch != dq.epoch {
+		return 0
+	}
+	dq.acked = max(dq.acked, seq)
+	n := 0
+	for n < len(dq.entries) && dq.entries[n].seq <= seq {
+		n++
+	}
+	if n > 0 {
+		dq.entries = slices.Delete(dq.entries, 0, n)
+		dq.succeeded()
+		dq.lastProgress = now
+	}
+	return n
+}
+
+// stageAck schedules a cumulative acknowledgment of dst's stream (epoch) up
+// to seq. Acks coalesce: only the highest sequence of the newest epoch is
+// kept.
+func (dq *sendSession) stageAck(epoch, seq uint64) {
+	if epoch != dq.ackEpoch {
+		dq.ackEpoch, dq.pendingAck = epoch, seq
+	} else {
+		dq.pendingAck = max(dq.pendingAck, seq)
+	}
+}
+
+// ackSent clears the staged acknowledgment once (epoch, seq) has been sent,
+// unless another was staged meanwhile — a new epoch's ack can carry the same
+// sequence number as the old epoch's.
+func (dq *sendSession) ackSent(epoch, seq uint64) {
+	if dq.ackEpoch == epoch && dq.pendingAck == seq {
+		dq.pendingAck = 0
+	}
+}
+
+// advertDue checks, and when the period has elapsed re-arms, the advert
+// clock. A period in which an advert still awaits its ack passes without
+// another: an unreachable destination holds one, not one per period.
+func (dq *sendSession) advertDue(now time.Time) bool {
+	if dq.t.resyncEvery <= 0 || now.Before(dq.advertAt) {
+		return false
+	}
+	dq.advertAt = now.Add(dq.t.resyncEvery)
+	return !slices.ContainsFunc(dq.entries, func(e outEntry) bool {
+		m, ok := e.msg.(protocol.DigestMsg)
+		return ok && m.Advert
+	})
+}
+
+// reset restarts the stream under a fresh epoch. firsts become sequences
+// 1..n; the pending backlog is dropped, or renumbered behind them except
+// for digests, which describe a stream position the reset discards. Every
+// clock restarts.
+func (dq *sendSession) reset(now time.Time, epoch uint64, firsts []protocol.Payload, drop bool) {
+	entries := make([]outEntry, 0, len(dq.entries)+len(firsts))
+	for _, msg := range firsts {
+		entries = append(entries, outEntry{seq: uint64(len(entries)) + 1, msg: msg})
+	}
+	if !drop {
+		for _, e := range dq.entries {
+			if _, ok := e.msg.(protocol.DigestMsg); !ok {
+				entries = append(entries, outEntry{seq: uint64(len(entries)) + 1, msg: e.msg})
+			}
+		}
+	}
+	dq.epoch = epoch
+	dq.resets++
+	dq.entries = entries
+	dq.nextSeq = uint64(len(entries))
+	dq.acked = 0
+	dq.succeeded()
+	dq.retransmitAt = time.Time{}
+	dq.advertAt = now.Add(dq.t.resyncEvery)
+	dq.lastProgress = now
+}
+
+// dueSet is what a send session's clocks call for at one instant.
+type dueSet struct {
+	flush      bool      // unsent entries, an ack or controls wait, and the gate is open
+	advert     bool      // the advert period has elapsed, and the gate is open
+	retransmit bool      // every entry was sent, and the ack deadline has passed
+	shed       bool      // the shed window has passed without progress
+	next       time.Time // the earliest deadline still ahead (zero: none)
+}
+
+// due says what the session's clocks call for at now, and when they next
+// will. The backoff gate holds back everything but the shed: a destination
+// unreachable for the whole window is the very case shedding exists for.
+func (dq *sendSession) due(now time.Time) (d dueSet) {
+	at := func(deadline time.Time) bool {
+		if now.Before(deadline) {
+			if d.next.IsZero() || deadline.Before(d.next) {
+				d.next = deadline
+			}
+			return false
+		}
+		return true
+	}
+	if dq.t.shedAfter > 0 && len(dq.entries) > 0 {
+		d.shed = at(dq.lastProgress.Add(dq.t.shedAfter))
+	}
+	if at(dq.nextTry) {
+		d.flush = dq.unsent() >= 0 || dq.pendingAck > 0 || len(dq.controls) > 0
+		d.retransmit = !d.flush && len(dq.entries) > 0 && at(dq.retransmitAt)
+		d.advert = dq.t.resyncEvery > 0 && at(dq.advertAt)
+	}
+	return d
 }

@@ -259,10 +259,7 @@ func (p *Peer) ingestLocked(rep *StageReport, d *stageDeltas) bool {
 	// pending-op bound.
 	staged := p.pendingOps
 	p.pendingOps = nil
-	if p.pendingSpace != nil {
-		close(p.pendingSpace)
-		p.pendingSpace = nil
-	}
+	p.pendingSpace.release()
 	ops := make([]ingestOp, len(staged))
 	for i, op := range staged {
 		ops[i] = ingestOp{del: op.Op == ast.Delete, src: p.name, fact: op.Fact}
@@ -402,7 +399,7 @@ func (p *Peer) ingestDataLocked(from string, msg protocol.DataMsg, rep *StageRep
 		return false
 	}
 	changed := p.ingestPayloadLocked(from, msg.Msg, rep, d)
-	if sess.advertWanted && sess.repairDue(time.Now()) {
+	if sess.advertWanted && sess.repairAsked.due(p.outbox.now()) {
 		p.stats.ResyncRequested++
 		p.outbox.EnqueueControl(from, protocol.ResyncRequestMsg{})
 	}
@@ -414,12 +411,9 @@ func (p *Peer) ingestDataLocked(from string, msg protocol.DataMsg, rep *StageRep
 // (resyncRequestTTL) so retransmission storms and repeated digest adverts do
 // not multiply resets.
 func (p *Peer) requestResetLocked(from string) {
-	s := p.sessionLocked(from)
-	now := time.Now()
-	if !s.resetAsked.IsZero() && now.Sub(s.resetAsked) < resyncRequestTTL {
+	if !p.sessionLocked(from).resetAsked.due(p.outbox.now()) {
 		return
 	}
-	s.resetAsked = now
 	p.stats.ResyncRequested++
 	p.outbox.EnqueueControl(from, protocol.ResyncRequestMsg{Reset: true})
 }
@@ -451,7 +445,7 @@ func (p *Peer) handleDigestLocked(from string, msg protocol.DigestMsg) {
 		// rate-limited the request must not also suppress the repair the
 		// comparison may conclude is needed.
 		s.advertWanted = false
-		s.repairAsked = time.Time{}
+		s.repairAsked = limiter{}
 	}
 	rounds := make(map[string][]protocol.RangeDigest, len(msg.Rels)+len(s.trees))
 	maps.Copy(rounds, msg.Rels)
@@ -470,10 +464,10 @@ func (p *Peer) handleDigestLocked(from string, msg protocol.DigestMsg) {
 		}
 	}
 	if len(diverged) == 0 {
-		s.repairAsked = time.Time{}
+		s.repairAsked = limiter{}
 		return
 	}
-	if !s.repairDue(time.Now()) {
+	if !s.repairAsked.due(p.outbox.now()) {
 		return
 	}
 	p.stats.ResyncRequested++
@@ -500,11 +494,11 @@ func (p *Peer) handleResyncRequestLocked(from string, msg protocol.ResyncRequest
 }
 
 // restartStreamLocked restarts the stream to dst under a fresh epoch (reset
-// is the outbox's Reset or ShedReset): its first sequences are the
-// full-range repair of every relation this peer maintains there, then a
-// digest advert — against which dst finds whatever the run did not state,
-// such as a relation this peer no longer maintains at all. The residuals it
-// delegates to dst are one relation of the run.
+// is the outbox's Reset, or a shed's reset that drops the backlog): its
+// first sequences are the full-range repair of every relation this peer
+// maintains there, then a digest advert — against which dst finds whatever
+// the run did not state, such as a relation this peer no longer maintains
+// at all. The residuals it delegates to dst are one relation of the run.
 func (p *Peer) restartStreamLocked(dst string, reset func(string, ...protocol.Payload)) {
 	run := p.viewRepairsLocked(dst)
 	p.countRepairsLocked(run)
@@ -592,7 +586,7 @@ func (p *Peer) compareRangesLocked(from, relID string, ranges []protocol.RangeDi
 	}
 	// Progress: re-arm the limiter so the periodic advert does not open a
 	// competing dialogue mid-way.
-	s.repairAsked = time.Now()
+	s.repairAsked = limiter{at: p.outbox.now()}
 	p.stats.ResyncRangesRequested += uint64(len(repair))
 	var deeper []protocol.HashRange
 	for _, r := range bisect {
@@ -783,7 +777,7 @@ func (p *Peer) applyRangeRepairLocked(from string, msg protocol.RangeRepairMsg, 
 			}
 		}
 	}
-	sess.repairAsked = time.Time{}
+	sess.repairAsked = limiter{}
 	return p.applyOpsLocked(append(ops, ins...), rep, d)
 }
 
