@@ -14,7 +14,6 @@ package acl
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
@@ -49,7 +48,7 @@ func (d Decision) String() string {
 
 // Policy decides what to do with delegations arriving from a peer.
 type Policy interface {
-	// DecideDelegation is consulted for each incoming residual.
+	// DecideDelegation is consulted for each incoming template.
 	DecideDelegation(origin string) Decision
 }
 
@@ -112,44 +111,37 @@ type ClosedPolicy struct{}
 // DecideDelegation implements Policy.
 func (ClosedPolicy) DecideDelegation(string) Decision { return Reject }
 
-// Residual is one delegated rule as the controller sees it. The unit a user
-// approves is the origin's source rule (Origin, RuleID), which delegates its
-// residuals one at a time; Key identifies the residual itself.
-type Residual struct {
+// Template is one delegated rule as the controller sees it: a template its
+// origin's rule RuleID delegates here, identified by Key. Approving it
+// approves every valuation: the bindings that instantiate a template are
+// facts, and never reach the controller.
+type Template struct {
 	Origin, RuleID, Key string
 	Rule                ast.Rule
 }
 
-// PendingDelegation is a delegation held in the approval queue: the
-// residuals of one (origin, rule) received and not withdrawn so far.
+// PendingDelegation is a template held in the approval queue.
 type PendingDelegation struct {
-	ID     int
-	Origin string
-	RuleID string
-	Rules  []ast.Rule
-	keys   []string // Rules[i] is the residual keys[i]
+	ID int
+	Template
 }
 
 // String renders the pending entry the way the demo UI shows it.
 func (p PendingDelegation) String() string {
-	s := fmt.Sprintf("#%d from %s (rule %s):", p.ID, p.Origin, p.RuleID)
-	for _, r := range p.Rules {
-		s += "\n  " + r.String() + ";"
-	}
-	return s
+	return fmt.Sprintf("#%d from %s (rule %s):\n  %s;", p.ID, p.Origin, p.RuleID, p.Rule.String())
 }
 
 // Controller mediates between incoming delegations and the local program,
 // implementing the approval queue of Figure 3. It only decides: the peer
-// installs what it accepts, one residual at a time, under its own stage.
+// installs what it accepts, under its own stage.
 type Controller struct {
 	policy Policy
 	ready  func()
 
 	mu       sync.Mutex
-	pending  map[string]*PendingDelegation // key = origin+"\x00"+ruleID
-	accepted map[string]bool               // keys whose residuals now auto-apply
-	approved []Residual                    // held, then accepted: for the peer's next stage
+	pending  map[string]*PendingDelegation // by template key
+	accepted map[string]bool               // origin+"\x00"+ruleID: its templates auto-apply
+	approved []Template                    // held, then accepted: for the peer's next stage
 	nextID   int
 	rejected int
 }
@@ -158,7 +150,7 @@ type Controller struct {
 var ErrNoSuchDelegation = errors.New("acl: no such pending delegation")
 
 // NewController builds a controller with the given policy. Accept calls
-// ready, outside the controller's lock, once the residuals it approved await
+// ready, outside the controller's lock, once the templates it approved await
 // installation (TakeApproved).
 func NewController(policy Policy, ready func()) *Controller {
 	if policy == nil {
@@ -175,37 +167,28 @@ func NewController(policy Policy, ready func()) *Controller {
 // Policy returns the controller's policy (e.g. to adjust trust at runtime).
 func (c *Controller) Policy() Policy { return c.policy }
 
-// Decide handles one residual arriving from its origin: Accept means the
-// caller installs it now, Hold queues it for approval, Reject drops it.
-// Residuals of a delegation that was accepted before are auto-applied: the
-// user approved the rule, and the origin is merely maintaining it. Once the
-// policy accepts a delegation, its residuals still held are approved too,
-// for the caller's stage to take (TakeApproved) — ready is not called.
-func (c *Controller) Decide(r Residual) Decision {
-	key := r.Origin + "\x00" + r.RuleID
-	d := c.policy.DecideDelegation(r.Origin)
+// Decide handles one template arriving from its origin, or asked about
+// again when a binding of it arrives while it is not installed: Accept means
+// the caller installs it now, Hold queues it for approval, Reject drops it.
+// Templates of a rule accepted before are auto-applied: the user approved
+// the rule, and the origin is merely maintaining it. Once the policy accepts
+// a rule's template, its templates still held are approved too, for the
+// caller's stage to take (TakeApproved) — ready is not called.
+func (c *Controller) Decide(t Template) Decision {
+	rule := t.Origin + "\x00" + t.RuleID
+	d := c.policy.DecideDelegation(t.Origin)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.accepted[key] && d == Hold {
+	if c.accepted[rule] && d == Hold {
 		d = Accept
 	}
-	held := c.pending[key]
 	switch d {
 	case Accept:
-		c.accepted[key] = true
-		if held != nil {
-			c.approveLocked(key, held)
-		}
+		c.approveLocked(rule)
 	case Hold:
-		if held == nil {
+		if c.pending[t.Key] == nil {
 			c.nextID++
-			held = &PendingDelegation{ID: c.nextID, Origin: r.Origin, RuleID: r.RuleID}
-			c.pending[key] = held
-		}
-		if i := slices.Index(held.keys, r.Key); i >= 0 {
-			held.Rules[i] = r.Rule // origin re-sent: keep the freshest version
-		} else {
-			held.Rules, held.keys = append(held.Rules, r.Rule), append(held.keys, r.Key)
+			c.pending[t.Key] = &PendingDelegation{ID: c.nextID, Template: t}
 		}
 	case Reject:
 		c.rejected++
@@ -213,32 +196,21 @@ func (c *Controller) Decide(r Residual) Decision {
 	return d
 }
 
-// Withdraw drops a residual its origin no longer delegates from the approval
+// Withdraw drops a template its origin no longer delegates from the approval
 // queue; nothing happens unless it is held there.
-func (c *Controller) Withdraw(origin, ruleID, key string) {
+func (c *Controller) Withdraw(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	k := origin + "\x00" + ruleID
-	held := c.pending[k]
-	if held == nil {
-		return
-	}
-	if i := slices.Index(held.keys, key); i >= 0 {
-		held.Rules, held.keys = slices.Delete(held.Rules, i, i+1), slices.Delete(held.keys, i, i+1)
-	}
-	if len(held.keys) == 0 {
-		delete(c.pending, k)
-	}
+	delete(c.pending, key)
 }
 
-// Pending lists queued delegations ordered by arrival, as copies: the queue
-// changes as residuals arrive and leave.
+// Pending lists queued delegations ordered by arrival, as copies.
 func (c *Controller) Pending() []PendingDelegation {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]PendingDelegation, 0, len(c.pending))
 	for _, p := range c.pending {
-		out = append(out, PendingDelegation{ID: p.ID, Origin: p.Origin, RuleID: p.RuleID, Rules: slices.Clone(p.Rules)})
+		out = append(out, *p)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -251,35 +223,47 @@ func (c *Controller) Rejected() int {
 	return c.rejected
 }
 
-// Accept approves pending delegation id: its residuals await the peer's next
-// stage (TakeApproved), and later residuals of the same (origin, rule)
-// auto-apply.
+// Accept approves pending delegation id and every other held template of
+// its rule: they await the peer's next stage (TakeApproved), and later
+// templates of the rule auto-apply.
 func (c *Controller) Accept(id int) error {
 	c.mu.Lock()
+	p := c.findLocked(id)
+	if p == nil {
+		c.mu.Unlock()
+		return fmt.Errorf("%w: id %d", ErrNoSuchDelegation, id)
+	}
+	c.approveLocked(p.Origin + "\x00" + p.RuleID)
+	c.mu.Unlock()
+	c.ready()
+	return nil
+}
+
+// approveLocked accepts rule and moves its held templates to the approved
+// list.
+func (c *Controller) approveLocked(rule string) {
+	c.accepted[rule] = true
 	for key, p := range c.pending {
-		if p.ID == id {
-			c.accepted[key] = true
-			c.approveLocked(key, p)
-			c.mu.Unlock()
-			c.ready()
-			return nil
+		if p.Origin+"\x00"+p.RuleID == rule {
+			delete(c.pending, key)
+			c.approved = append(c.approved, p.Template)
 		}
 	}
-	c.mu.Unlock()
-	return fmt.Errorf("%w: id %d", ErrNoSuchDelegation, id)
 }
 
-// approveLocked moves a pending delegation's residuals to the approved list.
-func (c *Controller) approveLocked(key string, p *PendingDelegation) {
-	delete(c.pending, key)
-	for i, r := range p.Rules {
-		c.approved = append(c.approved, Residual{Origin: p.Origin, RuleID: p.RuleID, Key: p.keys[i], Rule: r})
+// findLocked returns pending delegation id, or nil.
+func (c *Controller) findLocked(id int) *PendingDelegation {
+	for _, p := range c.pending {
+		if p.ID == id {
+			return p
+		}
 	}
+	return nil
 }
 
-// TakeApproved returns the residuals accepted while held, in approval order,
-// and forgets them: the caller installs those its origin still delegates.
-func (c *Controller) TakeApproved() []Residual {
+// TakeApproved returns the templates accepted while held and forgets them:
+// the caller installs those its origin still delegates.
+func (c *Controller) TakeApproved() []Template {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := c.approved
@@ -291,12 +275,11 @@ func (c *Controller) TakeApproved() []Residual {
 func (c *Controller) Reject(id int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for k, p := range c.pending {
-		if p.ID == id {
-			delete(c.pending, k)
-			c.rejected++
-			return nil
-		}
+	p := c.findLocked(id)
+	if p == nil {
+		return fmt.Errorf("%w: id %d", ErrNoSuchDelegation, id)
 	}
-	return fmt.Errorf("%w: id %d", ErrNoSuchDelegation, id)
+	delete(c.pending, p.Key)
+	c.rejected++
+	return nil
 }

@@ -8,14 +8,14 @@ import (
 	"testing"
 
 	"repro/internal/ast"
-	"repro/internal/value"
 )
 
-// residual returns the i-th residual of julia's rule r1.
-func residual(i int) Residual {
-	return Residual{Origin: "julia", RuleID: "r1", Key: fmt.Sprint(i), Rule: ast.Rule{
+// template returns the i-th template of julia's rule r1: one per value the
+// rule's prefix binds a peer or relation name to.
+func template(i int) Template {
+	return Template{Origin: "julia", RuleID: "r1", Key: fmt.Sprint(i), Rule: ast.Rule{
 		Head: ast.NewAtom("out", "julia", ast.V("x")),
-		Body: []ast.Atom{{Rel: ast.CStr("in"), Peer: ast.CStr("me"), Args: []ast.Term{ast.C(value.Int(int64(i))), ast.V("x")}}},
+		Body: []ast.Atom{{Rel: ast.CStr(fmt.Sprintf("in%d", i)), Peer: ast.CStr("me"), Args: []ast.Term{ast.V("x")}}},
 	}}
 }
 
@@ -58,37 +58,38 @@ func TestOpenAndClosedPolicies(t *testing.T) {
 
 func TestControllerAcceptFlow(t *testing.T) {
 	c, ready := newRecordingController(NewTrustPolicy())
-	if d := c.Decide(residual(1)); d != Hold {
+	if d := c.Decide(template(1)); d != Hold {
 		t.Fatalf("decision = %v, want hold", d)
 	}
-	if d := c.Decide(residual(2)); d != Hold {
+	if d := c.Decide(template(2)); d != Hold {
 		t.Fatalf("decision = %v, want hold", d)
 	}
 	if *ready != 0 || len(c.TakeApproved()) != 0 {
-		t.Fatal("residuals approved before the user accepted them")
+		t.Fatal("templates approved before the user accepted them")
 	}
 	pend := c.Pending()
-	if len(pend) != 1 || pend[0].Origin != "julia" || len(pend[0].Rules) != 2 {
-		t.Fatalf("pending = %v, want one delegation of two residuals", pend)
+	if len(pend) != 2 || pend[0].Origin != "julia" || pend[0].Key != "1" || pend[1].Key != "2" {
+		t.Fatalf("pending = %v, want the two templates in arrival order", pend)
 	}
+	// Accepting one approves the rule: its other held template goes too.
 	if err := c.Accept(pend[0].ID); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.TakeApproved(); *ready != 1 || len(got) != 2 || got[0].Key != "1" || got[1].Key != "2" {
+	if got := c.TakeApproved(); *ready != 1 || len(got) != 2 || got[0].Key == got[1].Key {
 		t.Fatalf("accept: ready called %d times, approved %v", *ready, got)
 	}
 	if len(c.Pending()) != 0 || len(c.TakeApproved()) != 0 {
 		t.Error("queue not cleared after accept")
 	}
-	// Later residuals of the accepted rule auto-apply.
-	if d := c.Decide(residual(3)); d != Accept {
+	// Later templates of the accepted rule auto-apply.
+	if d := c.Decide(template(3)); d != Accept {
 		t.Errorf("maintenance decision = %v, want accept", d)
 	}
 }
 
 func TestControllerRejectFlow(t *testing.T) {
 	c, ready := newRecordingController(NewTrustPolicy())
-	c.Decide(residual(1))
+	c.Decide(template(1))
 	pend := c.Pending()
 	if err := c.Reject(pend[0].ID); err != nil {
 		t.Fatal(err)
@@ -100,36 +101,37 @@ func TestControllerRejectFlow(t *testing.T) {
 		t.Error("rejected delegation was approved")
 	}
 	// A rejected (not accepted) origin stays held on resend.
-	if d := c.Decide(residual(1)); d != Hold {
+	if d := c.Decide(template(1)); d != Hold {
 		t.Errorf("resend decision = %v, want hold", d)
 	}
 }
 
 func TestControllerWithdrawalAlwaysApplies(t *testing.T) {
 	c, _ := newRecordingController(NewTrustPolicy())
-	c.Decide(residual(1)) // held
-	c.Decide(residual(2)) // held
-	c.Withdraw("julia", "r1", "1")
-	if pend := c.Pending(); len(pend) != 1 || len(pend[0].Rules) != 1 {
-		t.Fatalf("pending = %v, want the one residual not withdrawn", pend)
+	c.Decide(template(1)) // held
+	c.Decide(template(2)) // held
+	c.Withdraw("1")
+	if pend := c.Pending(); len(pend) != 1 || pend[0].Key != "2" {
+		t.Fatalf("pending = %v, want the one template not withdrawn", pend)
 	}
-	c.Withdraw("julia", "r1", "2")
-	c.Withdraw("julia", "r1", "3") // never held: nothing to do
+	c.Withdraw("2")
+	c.Withdraw("3") // never held: nothing to do
 	if len(c.Pending()) != 0 {
-		t.Error("withdrawing every residual must clear the pending entry")
+		t.Error("withdrawing every template must clear the queue")
 	}
 }
 
+// TestControllerResendRefreshesPending: a template re-delivered while it is
+// held (its origin's stream restarted, say) stays one entry under its first
+// queue id.
 func TestControllerResendRefreshesPending(t *testing.T) {
 	c, _ := newRecordingController(NewTrustPolicy())
-	c.Decide(residual(1))
-	c.Decide(residual(2))
-	fresh := residual(1)
-	fresh.Rule.Head = ast.NewAtom("fresh", "julia", ast.V("x"))
-	c.Decide(fresh) // the same residual re-delivered while pending
-	pend := c.Pending()
-	if len(pend) != 1 || len(pend[0].Rules) != 2 || pend[0].Rules[0].Head.String() != fresh.Rule.Head.String() {
-		t.Fatalf("pending = %v, want one entry of 2 residuals, the first refreshed", pend)
+	c.Decide(template(1))
+	c.Decide(template(2))
+	first := c.Pending()
+	c.Decide(template(1))
+	if pend := c.Pending(); len(pend) != 2 || pend[0].ID != first[0].ID || pend[0].Key != "1" {
+		t.Fatalf("pending = %v, want the same two entries as %v", pend, first)
 	}
 }
 
@@ -145,33 +147,33 @@ func TestControllerUnknownIDs(t *testing.T) {
 
 func TestControllerNilPolicyAcceptsAll(t *testing.T) {
 	c, _ := newRecordingController(nil)
-	if d := c.Decide(residual(1)); d != Accept {
+	if d := c.Decide(template(1)); d != Accept {
 		t.Errorf("decision = %v", d)
 	}
 }
 
 // TestControllerTrustApprovesHeld: once the policy trusts the origin, its
-// next residual is accepted and the ones still held are approved with it,
-// for the deciding caller to take without being called back.
+// rule's next template is accepted and the ones still held are approved
+// with it, for the deciding caller to take without being called back.
 func TestControllerTrustApprovesHeld(t *testing.T) {
 	policy := NewTrustPolicy()
 	c, ready := newRecordingController(policy)
-	c.Decide(residual(1))
+	c.Decide(template(1))
 	policy.Trust("julia")
-	if d := c.Decide(residual(2)); d != Accept {
+	if d := c.Decide(template(2)); d != Accept {
 		t.Fatalf("decision = %v, want accept", d)
 	}
 	if got := c.TakeApproved(); *ready != 0 || len(got) != 1 || got[0].Key != "1" || len(c.Pending()) != 0 {
-		t.Fatalf("held residual not approved: ready %d, approved %v, pending %v", *ready, got, c.Pending())
+		t.Fatalf("held template not approved: ready %d, approved %v, pending %v", *ready, got, c.Pending())
 	}
 }
 
 // TestControllerConcurrentUse: a peer's stages decide, withdraw and take
-// residuals while a user lists, accepts and rejects the queue from another
-// goroutine (run with -race): no residual is handed over twice.
+// templates while a user lists, accepts and rejects the queue from another
+// goroutine (run with -race): no template is handed over twice.
 func TestControllerConcurrentUse(t *testing.T) {
 	c := NewController(NewTrustPolicy(), func() {})
-	const rules, residuals = 8, 400
+	const rules, templates = 8, 400
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -194,20 +196,20 @@ func TestControllerConcurrentUse(t *testing.T) {
 		}
 	}()
 	installed := map[string]bool{}
-	take := func(r Residual) {
-		if installed[r.Key] {
-			t.Fatalf("residual %s handed over twice", r.Key)
+	take := func(tp Template) {
+		if installed[tp.Key] {
+			t.Fatalf("template %s handed over twice", tp.Key)
 		}
-		installed[r.Key] = true
+		installed[tp.Key] = true
 	}
-	for i := 0; i < residuals; i++ {
-		r := residual(i)
-		r.RuleID = fmt.Sprint(i % rules)
-		if c.Decide(r) == Accept {
-			take(r)
+	for i := 0; i < templates; i++ {
+		tp := template(i)
+		tp.RuleID = fmt.Sprint(i % rules)
+		if c.Decide(tp) == Accept {
+			take(tp)
 		}
 		if i%5 == 4 {
-			c.Withdraw(r.Origin, r.RuleID, r.Key)
+			c.Withdraw(tp.Key)
 		}
 		for _, a := range c.TakeApproved() {
 			take(a)
@@ -225,7 +227,7 @@ func TestControllerConcurrentUse(t *testing.T) {
 
 func TestControllerRejectPolicy(t *testing.T) {
 	c, ready := newRecordingController(ClosedPolicy{})
-	if d := c.Decide(residual(1)); d != Reject {
+	if d := c.Decide(template(1)); d != Reject {
 		t.Errorf("decision = %v", d)
 	}
 	if c.Rejected() != 1 || *ready != 0 || len(c.Pending()) != 0 {

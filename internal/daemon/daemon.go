@@ -305,6 +305,9 @@ func (d *Daemon) Start(ctx context.Context) error {
 		}
 		p, err := peer.New(cfg, eps[i])
 		if err != nil {
+			if cfg.WAL != nil {
+				cfg.WAL.Close() // the peer took no ownership of it
+			}
 			d.teardown()
 			return fmt.Errorf("daemon: peer %s: %w", pc.Name, err)
 		}

@@ -8,6 +8,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,8 +18,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ast"
 	"repro/internal/engine"
+	"repro/internal/errdefs"
 	"repro/internal/peer"
+	"repro/internal/store"
+	"repro/internal/value"
 )
 
 // testConfig hosts a hub peer shipping a derived view to a watcher peer
@@ -486,4 +493,46 @@ func TestDaemonLoadBoundedOutbox(t *testing.T) {
 	}
 	t.Logf("max outbox depth %d, %d backpressure waits, %d subscription drops",
 		depth, hub.Stats().BackpressureWaits, watcher.Stats().SubscriptionDrops)
+}
+
+// TestDaemonClosesWALOfRejectedPeer: a hosted peer whose log holds a record
+// recovery refuses (an insert of the wrong arity, not a torn tail) fails
+// Start, and no file of its log stays open.
+func TestDaemonClosesWALOfRejectedPeer(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("lists open files through /proc/self/fd")
+	}
+	dir := t.TempDir()
+	w, err := store.OpenWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.LogDeclare(store.Schema{Name: "data", Peer: "hub", Kind: ast.Extensional, Cols: []string{"x"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.LogMany(false, "data", "hub", []value.Tuple{{value.Int(1), value.Int(2)}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(&Config{Peers: []PeerConfig{{Name: "hub", WAL: dir}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Start(context.Background()); !errors.Is(err, errdefs.ErrWAL) {
+		if err == nil {
+			d.Close()
+		}
+		t.Fatalf("Start on a log that does not recover: err = %v, want ErrWAL", err)
+	}
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, dir+"/") {
+			t.Errorf("fd %s still open on %s after Start failed", fd.Name(), target)
+		}
+	}
 }

@@ -25,16 +25,6 @@ const BuiltinPeer = analysis.BuiltinPeer
 // builtinArity maps predicate names to their required arity.
 var builtinArity = analysis.Builtins()
 
-// IsBuiltinAtom reports whether a (relation, peer) pair names a built-in
-// predicate.
-func IsBuiltinAtom(rel, peerName string) bool {
-	if peerName != BuiltinPeer {
-		return false
-	}
-	_, ok := builtinArity[rel]
-	return ok
-}
-
 // Builtin comparison op codes.
 const (
 	biLt uint8 = iota

@@ -80,10 +80,12 @@ func TestChainsRecompiledOnDeclaration(t *testing.T) {
 	}
 }
 
-// TestChainsRecompiledOnReclassification: a rule shared by two programs
-// (a delegated rule is compiled once) is reclassified when its head's
-// relation turns out intensional; the second program's stage must not run
-// the chains compiled for the event rule it was.
+// TestChainsRecompiledOnReclassification: a rule shared by two programs is
+// reclassified when its head's relation turns out intensional; the second
+// program's stage must not run the chains compiled for the event rule it
+// was. CompileRules compiles every rule afresh, so only a program built
+// around a rule compiled earlier shares one: the chain set's classification
+// check keeps that safe.
 func TestChainsRecompiledOnReclassification(t *testing.T) {
 	noGC(t)
 	e, db := testEnv(t, DefaultOptions(), "ext e(a)")
@@ -92,7 +94,15 @@ func TestChainsRecompiledOnReclassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	progA, _ := e.CompileRules(nil, cr)
+	share := func() *Program {
+		prog := &Program{Rules: []*CompiledRule{cr}}
+		if err := e.stratify(prog); err != nil {
+			t.Fatal(err)
+		}
+		e.classify(prog)
+		return prog
+	}
+	progA := share()
 	if !cr.Event {
 		t.Fatal("a head over an undeclared relation must classify as an event rule")
 	}
@@ -110,7 +120,7 @@ func TestChainsRecompiledOnReclassification(t *testing.T) {
 		return nil
 	}
 	old := evalChain()
-	progB, _ := e.CompileRules(nil, cr)
+	progB := share()
 	if cr.Event || !cr.MaybeView {
 		t.Fatal("the shared rule was not reclassified as a view rule")
 	}

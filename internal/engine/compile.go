@@ -122,13 +122,10 @@ func (e *Engine) CompileProgram(rules []ast.Rule) (*Program, error) {
 
 // CompileRules is the tolerant variant used by the peer runtime: rules that
 // fail safety checks are skipped (with their errors reported) and the rest
-// of the program still compiles. compiled are rules compiled earlier, by
-// CompileRule, which the program takes as they are: a peer compiles a
-// delegated rule once, when it arrives, not on every program change. A
-// stratification failure, which concerns the rule set as a whole, returns a
-// nil program.
-func (e *Engine) CompileRules(rules []ast.Rule, compiled ...*CompiledRule) (*Program, []error) {
-	prog := &Program{Rules: make([]*CompiledRule, 0, len(rules)+len(compiled))}
+// of the program still compiles. A stratification failure, which concerns
+// the rule set as a whole, returns a nil program.
+func (e *Engine) CompileRules(rules []ast.Rule) (*Program, []error) {
+	prog := &Program{Rules: make([]*CompiledRule, 0, len(rules))}
 	var errs []error
 	for _, r := range rules {
 		cr, err := e.CompileRule(r)
@@ -138,7 +135,6 @@ func (e *Engine) CompileRules(rules []ast.Rule, compiled ...*CompiledRule) (*Pro
 		}
 		prog.Rules = append(prog.Rules, cr)
 	}
-	prog.Rules = append(prog.Rules, compiled...)
 	if err := e.stratify(prog); err != nil {
 		return nil, append(errs, err)
 	}

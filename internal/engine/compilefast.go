@@ -70,10 +70,10 @@ type stepSpec struct {
 	scanActs  []argAct
 	binds     []argAct // the actBind subset, for fused-batch rebinding
 
-	// bound snapshots the binding state before the step, for the steps that
-	// need it at run time: the substitution of a delegated residual, and a
-	// dynamic step's deferred classification.
+	// bound snapshots the binding state before a dynamic step, for its
+	// deferred classification.
 	bound []bool
+	split *split // specDelegate
 	msg   string // specError
 
 	// builtin fields
@@ -142,8 +142,7 @@ func (e *Engine) analyzeAtom(cr *CompiledRule, pos int, peer, rel value.Value, k
 		// A delegated suffix is not a local derivation: only evaluation and
 		// a maintained rule's over-delete act on the delegation.
 		if kind == kindEval || kind == kindDRed && !cr.Event {
-			sp.sKind = specDelegate
-			sp.bound = slices.Clone(bound)
+			sp.sKind, sp.split = specDelegate, newSplit(cr, pos, bound)
 		}
 		return sp
 	}
@@ -151,6 +150,9 @@ func (e *Engine) analyzeAtom(cr *CompiledRule, pos int, peer, rel value.Value, k
 		return fail("relation term of body atom %d is not a string", pos+1)
 	}
 	sp.relName = rel.StringVal()
+	if a.rel.isVar && Reserved(sp.relName) {
+		return sp // a template reads its bindings by name, and nothing else reads reserved relations
+	}
 	if sp.peerName == BuiltinPeer {
 		op, ok := builtinOps[sp.relName]
 		if !ok {
@@ -309,14 +311,11 @@ func (e *Engine) compileStep(cr *CompiledRule, sp *stepSpec, p *execProg, next s
 		msg := sp.msg
 		return func() { x.st.errf("%s", msg) }
 	case specDelegate:
-		pos, bound, target := sp.pos, sp.bound, sp.peerName
-		switch {
-		case p.deltaPos >= pos:
+		split, target, retract := sp.split, sp.peerName, kind == kindDRed
+		if p.deltaPos >= sp.pos {
 			return func() {} // the delta lies past the split: nothing new here
-		case kind == kindDRed:
-			return func() { e.retractResidual(x, cr, pos, bound, target) }
 		}
-		return func() { e.deriveResidual(x, cr, pos, bound, target) }
+		return func() { e.delegate(x, cr, split, target, retract) }
 	case specDynamic:
 		// One specialized step per (peer, relation) pair the terms resolve
 		// to, built on first sight; a declaration in the store voids the

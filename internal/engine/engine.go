@@ -11,8 +11,10 @@
 // evaluated from left to right. The order matters"). When evaluation of a
 // body reaches an atom whose peer term resolves to a remote peer, the
 // remainder of the body — with the prefix's bindings substituted in — is
-// delegated to that peer as a residual rule, which travels as a fact of the
-// reserved relation ResidualRel and is maintained like any remote fact.
+// delegated to that peer as a residual rule. It travels as data: a template
+// fact (TemplateRel), the rule with the prefix's bindings as parameters,
+// installed once, and a binding fact per valuation, both maintained like any
+// remote fact.
 package engine
 
 import (
@@ -92,8 +94,8 @@ type Result struct {
 	// applied at the beginning of the next local stage.
 	LocalUpdates []FactOp
 	// Remote maps destination peer name to the facts the stage's event rules
-	// emitted for it: the full Derive-op set, residual facts included (see
-	// ResidualRel), and the one-shot deletes, before delta maintenance.
+	// emitted for it: the full Derive-op set, templates and bindings included
+	// (see TemplateRel), and the one-shot deletes, before delta maintenance.
 	// Maintained rules are not in it under RunStageIncremental and
 	// RunStageFull — their derivations go straight into the caller's
 	// RemoteView — so RemoteOut, not Remote, is what the stage ships. Bare
@@ -101,11 +103,11 @@ type Result struct {
 	// here.
 	Remote map[string][]FactOp
 	// RemoteOut maps destination peer name to the deltas to actually ship:
-	// maintained inserts for newly derived facts and residuals, maintained
-	// deletes for those whose last derivation disappeared, and pass-through
-	// one-shot deletion-rule updates. Populated by RunStageIncremental and
-	// RunStageFull (which maintain the caller's RemoteView), not by bare
-	// RunStage.
+	// maintained inserts for newly derived facts, templates and bindings,
+	// maintained deletes for those whose last derivation disappeared, and
+	// pass-through one-shot deletion-rule updates. Populated by
+	// RunStageIncremental and RunStageFull (which maintain the caller's
+	// RemoteView), not by bare RunStage.
 	RemoteOut map[string][]RemoteOp
 	// Views maps "rel@peer" to the net change the stage made to that
 	// materialized local view, relative to the store as the stage found it,
@@ -173,9 +175,6 @@ func New(local string, db *store.Store, opts Options) *Engine {
 	}
 	return &Engine{local: local, db: db, opts: opts}
 }
-
-// Local returns the local peer name.
-func (e *Engine) Local() string { return e.local }
 
 // Store returns the underlying store.
 func (e *Engine) Store() *store.Store { return e.db }

@@ -80,21 +80,29 @@ func relContents(db *store.Store, name, peer string) []string {
 	return out
 }
 
-// delegations reads a stage's residual facts (Result.Remote) back as rules:
-// source rule ID -> target peer -> residual rules, each with its origin.
+// delegations reads a stage's templates and bindings (Result.Remote) back
+// as the residual rules they stand for: source rule ID -> target peer ->
+// residual rules, each with its origin.
 func delegations(t testing.TB, res *Result) map[string]map[string][]ast.Rule {
 	t.Helper()
-	out := map[string]map[string][]ast.Rule{}
+	facts := map[string][]ast.Fact{}
 	for target, ops := range res.Remote {
 		for _, op := range ops {
-			if op.Fact.Rel != ResidualRel {
+			facts[target] = append(facts[target], op.Fact)
+		}
+	}
+	out := map[string]map[string][]ast.Rule{}
+	for target, fs := range asResiduals(t, facts) {
+		for _, f := range fs {
+			if f.Rel != refResidualRel {
 				continue
 			}
-			origin, ruleID, r, err := Residual(op.Fact.Args)
+			r, err := ast.DecodeRule([]byte(f.Args[2].StringVal()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			r.ID, r.Origin = ruleID, origin
+			ruleID := f.Args[1].StringVal()
+			r.ID, r.Origin = ruleID, f.Args[0].StringVal()
 			if out[ruleID] == nil {
 				out[ruleID] = map[string][]ast.Rule{}
 			}
@@ -245,6 +253,30 @@ func TestVariableRelationInBody(t *testing.T) {
 	checkNoErrors(t, res)
 	if got := relContents(db, "got", "local"); len(got) != 1 || got[0] != "(m1)" {
 		t.Errorf("got = %v, want [(m1)]", got)
+	}
+}
+
+// TestVariableRelationNeverNamesReserved: a variable relation term bound to
+// a reserved name (another origin's binding relation, say) matches nothing,
+// so no rule — an accepted template included — reads delegation data by a
+// name its data supplies.
+func TestVariableRelationNeverNamesReserved(t *testing.T) {
+	bind := "#bind/alice/0123456789abcdef"
+	e, db := testEnv(t, DefaultOptions(), "ext which(r)", "int got(x)")
+	if _, err := db.Declare(store.Schema{Name: bind, Peer: "local", Kind: ast.Intensional, Cols: []string{"x"}}); err != nil {
+		t.Fatal(err)
+	}
+	db.Get(bind, "local").Insert(value.Tuple{value.Str("secret")})
+	insertFacts(t, db, fmt.Sprintf(`which@local(%q);`, bind))
+	prog, err := e.CompileProgram(mustRules(t,
+		`got@local($x) :- which@local($r), $r@local($x);`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := e.RunStage(prog)
+	checkNoErrors(t, res)
+	if got := relContents(db, "got", "local"); len(got) != 0 {
+		t.Errorf("got = %v, want nothing read from %s", got, bind)
 	}
 }
 

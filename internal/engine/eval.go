@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/store"
@@ -126,8 +127,8 @@ func (e *Engine) produce(cr *CompiledRule, env []value.Value, st *stageState) {
 	fact := ast.Fact{Rel: headRel, Peer: headPeer, Args: t}
 	op := cr.Rule.Op
 
-	if headRel == ResidualRel {
-		st.errf("engine: rule %s: %s is reserved for delegations", cr.Rule.ID, ResidualRel)
+	if Reserved(headRel) {
+		st.errf("engine: rule %s: %s is reserved for delegations", cr.Rule.ID, headRel)
 		return
 	}
 	if headPeer != e.local {
@@ -254,63 +255,143 @@ func appendHeadKey(x *execCtx, dst []byte, h *cAtom) []byte {
 	return dst
 }
 
-// ResidualRel is the reserved relation delegations travel in. The residual
-// rule a stage delegates to peer target for the suffix of rule ruleID at
-// this peer is the fact ResidualRel@target(origin, ruleID, rule), the rule
-// in ast.Rule.AppendBinary form (see Residual), maintained in the RemoteView
-// like any remote fact: it ships as a maintained insert when its first
-// derivation appears and as a maintained delete when its last one goes. The
-// name is no identifier, so no parsed program can name the relation.
-const ResidualRel = "#residual"
+// TemplateRel is the reserved relation delegations travel in. A rule
+// delegating its suffix from body position i to peer target ships there the
+// template TemplateRel@target(origin, ruleID, rule): head and suffix in
+// ast.Rule.AppendBinary form, with the prefix's values of the variables
+// naming a peer or relation substituted in and its other variables left as
+// parameters, which the template reads from its first atom, a binding
+// relation "#bind/<origin>/<hash>"@target of its own. Each prefix valuation
+// ships its parameter values there as a binding fact. Both are maintained
+// in the RemoteView like any remote fact, and a template stands while a
+// binding of it does. No parsed program can name a reserved relation.
+const TemplateRel = "#template"
 
-// Residual decodes a residual fact's arguments (see ResidualRel).
-func Residual(args value.Tuple) (origin, ruleID string, r ast.Rule, err error) {
+// Reserved reports whether rel is a relation delegations travel in.
+func Reserved(rel string) bool { return strings.HasPrefix(rel, "#") }
+
+// IsBinding reports whether rel names a binding relation of origin's.
+func IsBinding(rel, origin string) bool {
+	rest, ok := strings.CutPrefix(rel, "#bind/")
+	return ok && len(rest) == len(origin)+17 && strings.HasPrefix(rest, origin) && rest[len(origin)] == '/'
+}
+
+// Template decodes a template fact shipped to target (see TemplateRel). The
+// only reserved relations its rule may read are origin's binding relations
+// at target.
+func Template(args value.Tuple, target string) (origin, ruleID string, r ast.Rule, err error) {
 	if len(args) != 3 || args[0].Kind() != value.KindString || args[1].Kind() != value.KindString ||
 		args[2].Kind() != value.KindBlob {
-		return "", "", r, fmt.Errorf("engine: %s%s is not a residual", ResidualRel, args)
+		return "", "", r, fmt.Errorf("engine: %s%s is not a template", TemplateRel, args)
 	}
-	r, err = ast.DecodeRule([]byte(args[2].StringVal()))
-	return args[0].StringVal(), args[1].StringVal(), r, err
-}
-
-// residualArgs builds the residual fact's arguments for the suffix starting
-// at body position i, with the prefix's bindings (the slots marked in bound)
-// substituted in.
-func (e *Engine) residualArgs(cr *CompiledRule, i int, env []value.Value, bound []bool) value.Tuple {
-	sub := ast.Substitution{}
-	for slot, name := range cr.SlotNames {
-		if bound[slot] {
-			sub[name] = env[slot]
+	if r, err = ast.DecodeRule([]byte(args[2].StringVal())); err != nil {
+		return "", "", r, err
+	}
+	for _, a := range r.Body {
+		rel := a.Rel.Val.StringVal()
+		if !a.Rel.IsVar() && Reserved(rel) && !(IsBinding(rel, args[0].StringVal()) && a.Peer.Equal(ast.CStr(target))) {
+			return "", "", r, fmt.Errorf("engine: template %s reads the reserved relation %s", r.String(), rel)
 		}
 	}
-	r := sub.ApplyRule(ast.Rule{Op: cr.Rule.Op, Head: cr.Rule.Head, Body: cr.Rule.Body[i:]})
-	return value.Tuple{value.Str(e.local), value.Str(cr.Rule.ID), value.Blob(r.AppendBinary(nil))}
+	return args[0].StringVal(), args[1].StringVal(), r, nil
 }
 
-// deriveResidual is the kindEval step at a body atom that resolved to the
-// remote peer target: it delegates the suffix from position i there. A
-// maintained rule adds the residual to the stage's RemoteView, an event rule
-// (or bare RunStage) emits it into Result.Remote.
-func (e *Engine) deriveResidual(x *execCtx, cr *CompiledRule, i int, bound []bool, target string) {
-	st := x.st
-	args := e.residualArgs(cr, i, x.env, bound)
-	if cr.Event || st.rv == nil {
-		emitRemote(st, target, FactOp{Op: ast.Derive, Fact: ast.Fact{Rel: ResidualRel, Peer: target, Args: args}})
-		return
+// split is a rule's delegation point at body position pos: as the argument
+// terms of two atoms, the prefix-bound slots the head and suffix use as
+// names and those they use otherwise, the parameters; and the templates
+// built there, by the names' values. Each compiled walk holds its own.
+type split struct {
+	pos           int
+	names, params cAtom
+	tmpls         map[string]*template
+}
+
+// template is one built template fact, with the id of its binding relation
+// ("" without parameters).
+type template struct {
+	factRef
+	bindID string
+}
+
+// newSplit analyses the delegation point at body position pos of rule cr,
+// whose binding state is bound.
+func newSplit(cr *CompiledRule, pos int, bound []bool) *split {
+	sp := &split{pos: pos, tmpls: map[string]*template{}}
+	used, name := make([]bool, cr.NumSlots), make([]bool, cr.NumSlots)
+	for _, a := range append([]cAtom{cr.Head}, cr.Body[pos:]...) {
+		markAtomSlots(&a, used)
+		markAtomSlots(&cAtom{rel: a.rel, peer: a.peer}, name)
 	}
-	st.rv.addMaint(target, ResidualRel+"@"+target, args.Key(), args)
+	for s := range used {
+		if bound[s] && name[s] {
+			sp.names.args = append(sp.names.args, termRef{isVar: true, slot: s})
+		} else if bound[s] && used[s] {
+			sp.params.args = append(sp.params.args, termRef{isVar: true, slot: s})
+		}
+	}
+	return sp
 }
 
-// retractResidual is the kindDRed step of a maintained rule at a body atom
-// that resolved to the remote peer target: it retracts the residual from the
-// stage's RemoteView and queues it, with the walk's frame, for the
-// end-of-stage check (stands) — unless the rule is being removed.
-func (e *Engine) retractResidual(x *execCtx, cr *CompiledRule, i int, bound []bool, target string) {
+// templateFor returns the template the current valuation delegates to
+// target at split sp, building it once.
+func (e *Engine) templateFor(x *execCtx, cr *CompiledRule, sp *split, target string) *template {
+	base := len(x.key)
+	x.key = appendHeadKey(x, x.key, &sp.names)
+	tp := sp.tmpls[string(x.key[base:])]
+	if tp == nil {
+		sub := ast.Substitution{}
+		for _, t := range sp.names.args {
+			sub[cr.SlotNames[t.slot]] = x.env[t.slot]
+		}
+		r := sub.ApplyRule(ast.Rule{Op: cr.Rule.Op, Head: cr.Rule.Head, Body: cr.Rule.Body[sp.pos:]})
+		tp = &template{factRef: factRef{factID: factID{dst: target, relID: TemplateRel + "@" + target}}}
+		if len(sp.params.args) > 0 {
+			rel := fmt.Sprintf("#bind/%s/%016x", e.local, value.Hash64(string(r.AppendBinary([]byte(cr.Rule.ID+"\x00")))))
+			tp.bindID = rel + "@" + target
+			bind := ast.NewAtom(rel, target)
+			for _, t := range sp.params.args {
+				bind.Args = append(bind.Args, ast.V(cr.SlotNames[t.slot]))
+			}
+			r.Body = append([]ast.Atom{bind}, r.Body...)
+		}
+		tp.args = value.Tuple{value.Str(e.local), value.Str(cr.Rule.ID), value.Blob(r.AppendBinary(nil))}
+		tp.key = tp.args.Key()
+		sp.tmpls[string(x.key[base:])] = tp
+	}
+	x.key = x.key[:base]
+	return tp
+}
+
+// delegate is the step at a body atom that resolved to the remote peer
+// target: it delegates the suffix from split sp there, as its template and
+// the valuation's binding, into the stage's RemoteView (a maintained rule)
+// or Result.Remote (an event rule, or bare RunStage). In a maintained rule's
+// DRed walk (retract) it retracts the binding, or a template without
+// parameters, and queues it with the walk's frame for the end-of-stage check
+// (stands) unless the rule is being removed; a template whose binding it
+// retracts goes at the end of the stage if none is left.
+func (e *Engine) delegate(x *execCtx, cr *CompiledRule, sp *split, target string, retract bool) {
 	st := x.st
-	args := e.residualArgs(cr, i, x.env, bound)
-	relID := ResidualRel + "@" + target
-	if key, ok := st.rv.retractMaint(target, relID, []byte(args.Key())); ok && !st.incr.removing {
-		st.incr.remoteMarks = append(st.incr.remoteMarks, remoteMark{
-			factRef: factRef{factID{target, relID, key}, args}, cr: cr, pos: i, env: slices.Clone(x.env)})
+	tp := e.templateFor(x, cr, sp, target)
+	ref := tp.factRef
+	if tp.bindID != "" {
+		ref.relID, ref.args = tp.bindID, sp.params.tuple(x.env)
+		ref.key = ref.args.Key()
+	}
+	switch {
+	case retract:
+		if tp.bindID != "" {
+			st.incr.templates = append(st.incr.templates, tp)
+		}
+		if key, ok := st.rv.retractMaint(target, ref.relID, []byte(ref.key)); ok && !st.incr.removing {
+			ref.key = key
+			st.incr.remoteMarks = append(st.incr.remoteMarks, remoteMark{factRef: ref, cr: cr, pos: sp.pos, env: slices.Clone(x.env)})
+		}
+	case cr.Event || st.rv == nil:
+		emitRemote(st, target, FactOp{Op: ast.Derive, Fact: factOf(tp.factRef)})
+		emitRemote(st, target, FactOp{Op: ast.Derive, Fact: factOf(ref)})
+	default:
+		st.rv.addMaint(target, ref.relID, ref.key, ref.args)
+		st.rv.addMaint(target, tp.relID, tp.key, tp.args)
 	}
 }

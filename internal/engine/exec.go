@@ -41,7 +41,7 @@ const (
 	// the deletion frontier, every other positive position over the
 	// pre-deletion database (relation ∪ ghosts), a match marks the head as
 	// over-deleted, and a maintained rule's delegation retracts its
-	// residual.
+	// binding.
 	kindDRed
 	// kindMatch: the rederivation existence check; head slots are pre-bound
 	// by unifyHead, the walk stops at the first full match.
@@ -49,7 +49,7 @@ const (
 	// kindWhy: the provenance query (why.go); head slots are pre-bound as
 	// for kindMatch, but every full match is recorded as a Derivation.
 	kindWhy
-	// kindResidual: the residual existence check (stands); the walk covers
+	// kindResidual: the delegation existence check (stands); the walk covers
 	// the prefix before the delegation point (the deltaPos of its cache
 	// key), the slots of the head and the suffix are pre-bound from the
 	// retracting walk's frame, and reaching the point is a match.

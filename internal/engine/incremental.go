@@ -40,11 +40,12 @@ import (
 //     O(view).
 //   - delegating rules — a body that may leave the peer after a positive,
 //     constant-named local prefix. The walk that reaches a remote atom
-//     derives a residual fact (ResidualRel) at that peer instead of the
-//     head, and the residuals are maintained in the RemoteView exactly like
-//     remote view facts: added by the semi-naive pass, retracted by the DRed
-//     over-delete, restored by an end-of-stage check of the prefix
-//     (kindResidual). A rule whose atom may also resolve to this peer must
+//     derives the residual's template (TemplateRel) and the valuation's
+//     binding at that peer instead of the head, and both are maintained in
+//     the RemoteView exactly like remote view facts: added by the semi-naive
+//     pass, retracted by the DRed over-delete, restored by an end-of-stage
+//     check of the prefix (kindResidual); a template goes with its last
+//     binding. A rule whose atom may also resolve to this peer must
 //     be a view or remote view rule for the valuations that stay here.
 //   - event rules — everything else: deletion rules and rules with
 //     extensional or variable heads that may run to the end here, rules
@@ -52,7 +53,7 @@ import (
 //     variable-named atoms. Event rules are evaluated in full every stage,
 //     which preserves the paper's update-emission semantics unchanged, so
 //     adding or removing one needs no walk of its own. Result.Remote holds
-//     their emissions, the residuals they delegate included.
+//     their emissions, the templates and bindings they delegate included.
 //
 // RemoteView.Diff ends the stage: it reconciles the event rules' emission
 // set against the previous stage's and folds in the maintained rules'
@@ -135,11 +136,14 @@ type incrState struct {
 	// folds in so a candidate with a surviving local derivation is
 	// restored, and the current deletion phase's over-deletions.
 	marks []relTuple
-	// remoteMarks holds the remote view facts and residuals the DRed pass
-	// retracted, for the end-of-stage rederive check.
+	// remoteMarks holds the remote view facts, templates and bindings the
+	// DRed pass retracted, for the end-of-stage rederive check.
 	remoteMarks []remoteMark
+	// templates holds the templates a binding of was retracted: each goes at
+	// the end of the stage if none of its bindings is left.
+	templates []*template
 	// removing is set while removed rules take their over-delete walk: the
-	// residuals they retract have no rule left to restore them.
+	// delegations they retract have no rule left to restore them.
 	removing bool
 	// stageIns / stageDel accumulate all insertions / deletions seen so far
 	// this stage, seeding the delta passes of later strata.
@@ -559,11 +563,16 @@ func (e *Engine) runDelta(prev, prog *Program, in *StageInput, rv *RemoteView) *
 		e.rederive(prog, st, marks)
 	}
 	// Nothing local reads a remote fact, so the remote view facts and
-	// residuals the DRed passes retracted need one check, against the final
-	// database.
+	// delegations the DRed passes retracted need one check, against the final
+	// database; a template then stands while a binding of it does.
 	for _, m := range ic.remoteMarks {
 		if rv.retracted(m.factID) && e.stands(prog, st, m) {
 			rv.addMaint(m.dst, m.relID, m.key, m.args)
+		}
+	}
+	for _, tp := range ic.templates {
+		if !rv.derives(tp.dst, tp.bindID) {
+			rv.retractMaint(tp.dst, tp.relID, []byte(tp.key))
 		}
 	}
 	if rv != nil {
@@ -658,7 +667,7 @@ func (e *Engine) insertPhase(stratum []*CompiledRule, st *stageState, seed delta
 // database, i.e. relation ∪ ghosts; a fully matched body marks the produced
 // head as over-deleted), then rederive the over-deleted tuples that still
 // have standing support. A remote view rule's match retracts its head from
-// the RemoteView instead, and a delegating rule's its residual; runDelta
+// the RemoteView instead, and a delegating rule's its binding; runDelta
 // checks those at the end. Added rules take no part: nothing they derive is
 // materialized yet.
 func (e *Engine) deletePhase(prog *Program, stratum []*CompiledRule, st *stageState, added map[*CompiledRule]bool) {
@@ -783,10 +792,11 @@ func namesOther(t termRef, name string) bool {
 	return !t.isVar && (t.val.Kind() != value.KindString || t.val.StringVal() != name)
 }
 
-// remoteMark is a remote view fact or residual the DRed pass retracted. A
-// residual records the rule that delegated it (a residual names its rule,
-// and its suffix fixes the split), where, and the frame of the retracting
-// walk: every slot the residual depends on is bound there.
+// remoteMark is a remote view fact, binding or template the DRed pass
+// retracted. A delegation records the rule that delegated it (a template
+// names its rule, and its suffix fixes the split), where, and the frame of
+// the retracting walk: every slot the template and binding depend on is
+// bound there.
 type remoteMark struct {
 	factRef
 	cr  *CompiledRule // nil: a remote view fact
@@ -796,8 +806,8 @@ type remoteMark struct {
 
 // stands reports whether the retracted fact m is derived still, over the
 // final database: a remote view fact by some remote view rule
-// (rederivable), a residual by a valuation of its rule's prefix that agrees
-// with it.
+// (rederivable), a binding, or a template without parameters, by a
+// valuation of its rule's prefix that agrees with it.
 func (e *Engine) stands(prog *Program, st *stageState, m remoteMark) bool {
 	if m.cr == nil {
 		rel, peer := store.SplitID(m.relID)

@@ -653,23 +653,41 @@ func TestResidualOutlivesOneOfItsValuations(t *testing.T) {
 	e2 := func(a, b int64) ast.Fact { return ast.NewFact("edge", "local", value.Int(a), value.Int(b)) }
 	h := newIncrHarness(t, []string{"ext edge(a,b)", "ext follows(p)", "int seen(a,b)"},
 		mustRules(t, `seen@local($x, $y) :- edge@local($x, $w), follows@local($p), edge@$p($x, $y);`))
+	// residuals reads the shipped templates and bindings as the residual
+	// rules they add and remove: a template with parameters is no residual
+	// by itself, each binding delta adds or removes one instantiation of it.
+	templates := map[string]value.Tuple{} // binding relation -> its template
 	residuals := func(res *Result) []string {
-		var out []string
+		var rest []RemoteOp
 		for _, op := range res.RemoteOut["far"] {
-			if !op.Maint || op.Fact.Rel != ResidualRel {
+			if !op.Maint || !Reserved(op.Fact.Rel) {
 				t.Fatalf("unexpected remote op %v", op)
 			}
-			_, _, r, err := Residual(op.Fact.Args)
-			if err != nil {
-				t.Fatal(err)
+			if _, _, r, err := Template(op.Fact.Args, "far"); err == nil && len(r.Body) > 0 && Reserved(r.Body[0].Rel.Val.StringVal()) {
+				templates[r.Body[0].Rel.Val.StringVal()] = op.Fact.Args
+			} else {
+				rest = append(rest, op)
+			}
+		}
+		var lines []string
+		for _, op := range rest {
+			tmpl, bindings := op.Fact.Args, []value.Tuple(nil)
+			if op.Fact.Rel != TemplateRel {
+				tmpl, bindings = templates[op.Fact.Rel], []value.Tuple{op.Fact.Args}
 			}
 			sign := "+"
 			if op.Op == ast.Delete {
 				sign = "-"
 			}
-			out = append(out, sign+" "+r.String())
+			for _, a := range instantiate(t, tmpl, "far", func(string) []value.Tuple { return bindings }) {
+				r, err := ast.DecodeRule([]byte(a[2].StringVal()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				lines = append(lines, sign+" "+r.String())
+			}
 		}
-		return out
+		return lines
 	}
 	h.step([]ast.Fact{ast.NewFact("follows", "local", value.Str("far"))}, nil)
 	if got := residuals(h.step([]ast.Fact{e2(1, 2), e2(1, 3)}, nil)); len(got) != 1 ||

@@ -333,8 +333,9 @@ func randomBatches(rnd *rand.Rand, n, domain int, delegating bool) [][]FactOp {
 // rule execution, both incrementally maintained and recomputed, produces
 // exactly what the reference evaluator produces: view contents, the remote
 // facts its RemoteOut sequence leaves at each destination — the delegated
-// residuals included, replayed from their maintained deltas against the
-// reference's per-stage residual set — Result.LocalUpdates and
+// templates included, replayed from their maintained deltas and
+// instantiated by their live bindings against the reference's per-stage
+// residual set — Result.LocalUpdates and
 // Result.Errors, after the initial stage and after each of 10 random
 // insert/delete batches — across a program change: one random rule is
 // replaced by another at batch 3 and restored at batch 7.
@@ -528,6 +529,27 @@ func (r remoteReplica) put(dst string, f ast.Fact, present bool) {
 	delete(r[dst][relID], f.Args.Key())
 }
 
+// residuals returns the replica with its templates instantiated by their
+// live bindings (asResiduals): what the reference's residuals must equal.
+func (r remoteReplica) residuals(t testing.TB) remoteReplica {
+	t.Helper()
+	facts := map[string][]ast.Fact{}
+	for dst, rels := range r {
+		for _, fs := range rels {
+			for _, f := range fs {
+				facts[dst] = append(facts[dst], f)
+			}
+		}
+	}
+	out := remoteReplica{}
+	for dst, fs := range asResiduals(t, facts) {
+		for _, f := range fs {
+			out.put(dst, f, true)
+		}
+	}
+	return out
+}
+
 // text renders the replica as sorted "dst fact" lines.
 func (r remoteReplica) text() string {
 	var lines []string
@@ -662,7 +684,7 @@ func checkAgainstReference(t testing.TB, label string, schemas []store.Schema, f
 			rv   *RemoteView
 		}{{"incremental", resI, replI, rvI}, {"recompute", resR, replR, rvR}} {
 			w.repl.replay(t, w.res.RemoteOut)
-			if got, want := w.repl.text(), held.text(); got != want {
+			if got, want := w.repl.residuals(t).text(), held.text(); got != want {
 				t.Fatalf("%s step %d: %s RemoteOut sequence leaves other facts than the reference emits\nrules: %v\n--- reference\n%s\n--- %s replica\n%s",
 					label, step, w.name, rules, want, w.name, got)
 			}
@@ -694,7 +716,7 @@ func checkAgainstReference(t testing.TB, label string, schemas []store.Schema, f
 		res := incr.e.RunStageIncremental(incr.prog, in, rvI)
 		for _, ops := range res.RemoteOut {
 			for _, op := range ops {
-				cov.withdrawn = cov.withdrawn || op.Maint && op.Op == ast.Delete && op.Fact.Rel == ResidualRel
+				cov.withdrawn = cov.withdrawn || op.Maint && op.Op == ast.Delete && Reserved(op.Fact.Rel)
 			}
 		}
 		return res

@@ -64,6 +64,7 @@ type RemoteView struct {
 type remoteRel struct {
 	facts map[string]factState // tuple key -> its sources
 	tree  *store.MerkleTree    // the held facts; nil while there are none
+	rules int                  // the facts a remote view rule derives
 }
 
 // factState is what the view knows of one fact. It packs into a word, so a
@@ -186,7 +187,15 @@ func (v *RemoteView) addMaint(dst, relID, key string, args value.Tuple) {
 	}
 	f.rule = true
 	r.facts[key] = f
+	r.rules++
 	v.touched = append(v.touched, factRef{factID{dst, relID, key}, args})
+}
+
+// derives reports whether a remote view rule derives some fact of relID at
+// dst.
+func (v *RemoteView) derives(dst, relID string) bool {
+	r := v.rels[dst][relID]
+	return r != nil && r.rules > 0
 }
 
 // retractMaint clears the rule flag of the fact of relID at dst whose tuple
@@ -204,6 +213,7 @@ func (v *RemoteView) retractMaint(dst, relID string, key []byte) (string, bool) 
 	k := string(key)
 	f.rule = false
 	r.facts[k] = f
+	r.rules--
 	v.touched = append(v.touched, factRef{factID: factID{dst, relID, k}})
 	return k, true
 }
@@ -224,6 +234,7 @@ func (v *RemoteView) retracted(ref factID) bool {
 func (v *RemoteView) clearMaint() {
 	for dst, rels := range v.rels {
 		for relID, r := range rels {
+			r.rules = 0
 			for key, f := range r.facts {
 				if f.rule {
 					f.rule = false

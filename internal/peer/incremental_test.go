@@ -3,7 +3,9 @@ package peer
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
+	"time"
 	"unsafe"
 
 	"repro/internal/ast"
@@ -605,15 +607,23 @@ func TestDelegatedRuleStaysODelta(t *testing.T) {
 
 // TestDelegatingRuleStaysODelta: the hub publish rule at sigmod,
 // pictures@fb($id, $o) :- pictures@sigmod($id, $o),
-// authorized@$o("facebook", $id, $o), delegates one residual per picture to
-// its owner. One new picture ships exactly one residual insert to the owner,
-// and a delete+insert round trip over the three peers allocates no more
-// than twice as much with 5 000 pictures in the album as with 500: the hub
-// maintains the residuals from the delta instead of re-deriving and
-// re-shipping the album's, and the owner installs or removes one rule
-// instead of recompiling them all.
+// authorized@$o("facebook", $id, $o), delegates to each owner one template,
+// pictures@fb($id, "emilien") :- authorized@emilien("facebook", $id,
+// "emilien") with $id a parameter, and one binding per picture. One new
+// picture ships exactly one delegation to the owner, a binding insert, and
+// a delete+insert round trip over the three peers allocates no more than
+// twice as much with 5 000 pictures in the album as with 500: the hub
+// maintains the bindings from the delta instead of re-deriving and
+// re-shipping the album's. The owner holds one installed rule whatever the
+// album's size, and a binding arriving or leaving is a fact delta to it,
+// not a program change: its stage for one picture takes less than 3× as
+// long (p50) with 5 000 pictures as with 500, timed in alternating rounds.
 func TestDelegatingRuleStaysODelta(t *testing.T) {
-	allocs := func(album int) float64 {
+	// setup builds the three peers around an album of the given size, checks
+	// the structure, and returns the allocations of a delete+insert round
+	// trip and a function timing emilien's stage for the picture deleted
+	// (even rounds) or inserted (odd rounds) at sigmod.
+	setup := func(album int) (float64, func(i int) time.Duration) {
 		n := NewSequentialNetwork()
 		peers := map[string]*Peer{}
 		for _, name := range []string{"emilien", "fb", "sigmod"} {
@@ -665,7 +675,10 @@ func TestDelegatingRuleStaysODelta(t *testing.T) {
 			t.Fatalf("%d pictures: emilien took %d delegations for one picture, fb holds %d pictures; want 1 and %d",
 				album, got-in, len(fb.Query("pictures")), album+1)
 		}
-		return testing.AllocsPerRun(10, func() {
+		if got := emilien.DelegatedRules()["sigmod"]; len(got) != 1 {
+			t.Fatalf("%d pictures: emilien holds %d delegated rules, want the one template", album, len(got))
+		}
+		allocs := testing.AllocsPerRun(10, func() {
 			if err := sigmod.DeleteString(pic); err != nil {
 				t.Fatal(err)
 			}
@@ -675,11 +688,45 @@ func TestDelegatingRuleStaysODelta(t *testing.T) {
 			}
 			quiesce(t, n)
 		})
+		return allocs, func(i int) time.Duration {
+			op := sigmod.DeleteString
+			if i%2 == 1 {
+				op = sigmod.InsertString
+			}
+			if err := op(pic); err != nil {
+				t.Fatal(err)
+			}
+			sigmod.RunStage()
+			rep := emilien.RunStage()
+			if !rep.Ran || len(rep.Errors) > 0 {
+				t.Fatalf("%d pictures: emilien's stage ran %v, errors %v", album, rep.Ran, rep.Errors)
+			}
+			quiesce(t, n)
+			return rep.Duration()
+		}
 	}
-	small, large := allocs(500), allocs(5000)
+	small, smallRound := setup(500)
+	large, largeRound := setup(5000)
 	t.Logf("allocations per delete+insert round trip: %.0f with 500 pictures, %.0f with 5000", small, large)
 	if large > 2*small {
 		t.Fatalf("a round trip allocates %.0f with 5000 pictures, %.0f with 500: the delegating rule is not maintained in O(δ)", large, small)
+	}
+	// The two albums' rounds alternate, so both see the same load; a ratio
+	// over the bound is measured again, up to three times, before it fails.
+	p50 := func(d []time.Duration) time.Duration { slices.Sort(d); return d[len(d)/2] }
+	for try := 1; ; try++ {
+		var s, l []time.Duration
+		for i := 0; i < 40; i++ {
+			s, l = append(s, smallRound(i)), append(l, largeRound(i))
+		}
+		smallStage, largeStage := p50(s), p50(l)
+		t.Logf("emilien's stage for one picture (p50): %v with 500 pictures, %v with 5000", smallStage, largeStage)
+		if largeStage < 3*smallStage {
+			break
+		}
+		if try == 3 {
+			t.Fatalf("emilien's stage for one picture takes %v with 5000 pictures, %v with 500: the owner is not O(δ)", largeStage, smallStage)
+		}
 	}
 }
 
@@ -774,13 +821,7 @@ func TestDelegationIsAProgramDelta(t *testing.T) {
 	// and its stage withdraws the pictures. jules' advert shows the
 	// residuals' digest diverged, and the ranged repair jules serves restores
 	// the residual: no stage derives into a 5 000-row view.
-	emilien.mu.Lock()
-	sess := emilien.sessionLocked("jules")
-	for _, key := range sess.ledgerKeys(emilien.residualRelID()) {
-		sess.ledgerRemove(emilien.residualRelID(), key)
-		emilien.uninstallResidualLocked(key)
-	}
-	emilien.mu.Unlock()
+	loseTemplates(emilien, "jules")
 	if rep := emilien.RunStage(); !rep.Ran || rep.Derived != 0 || rep.FactsSent != 3 || len(rep.Errors) > 0 {
 		t.Fatalf("emilien's stage dropping the residual: ran %v, derived %d, shipped %d facts, errors %v; want derived 0, 3 facts",
 			rep.Ran, rep.Derived, rep.FactsSent, rep.Errors)
@@ -806,5 +847,18 @@ func TestDelegationIsAProgramDelta(t *testing.T) {
 	}
 	if st := jules.Stats(); st.OutboxResets != 0 {
 		t.Errorf("the lost residual restarted the stream: %+v", st)
+	}
+}
+
+// loseTemplates drops every template from delegates to p, from the ledger
+// and the program, as a receiver that lost them would.
+func loseTemplates(p *Peer, from string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	sess, relID := p.sessionLocked(from), engine.TemplateRel+"@"+p.name
+	for _, key := range sess.ledgerKeys(relID) {
+		sess.ledgerRemove(relID, key)
+		delete(p.delegated, key)
+		p.progDirty = true
 	}
 }

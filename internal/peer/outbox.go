@@ -106,11 +106,11 @@ type outbox struct {
 	// destination when it recovers.
 	onShed func(dst string)
 
-	mu     sync.Mutex
-	queues map[string]*sendSession
-	order  []string
-	closed bool
-	wg     sync.WaitGroup
+	mu       sync.Mutex
+	queues   map[string]*sendSession
+	sessions []*sendSession // in creation order, append-only (snapshot)
+	closed   bool
+	wg       sync.WaitGroup
 
 	// persistMu serializes enqueue persistence (shared) against a log
 	// checkpoint (exclusive): the checkpoint's state must never race an
@@ -185,7 +185,7 @@ func (o *outbox) queue(dst string) *sendSession {
 	}
 	dq := newSendSession(dst, &o.timing, o.defaultEpoch, o.now())
 	o.queues[dst] = dq
-	o.order = append(o.order, dst)
+	o.sessions = append(o.sessions, dq)
 	if !o.sync && !o.closed {
 		o.wg.Add(1)
 		go o.flusher(dq)
@@ -193,15 +193,13 @@ func (o *outbox) queue(dst string) *sendSession {
 	return dq
 }
 
-// snapshot returns the sessions in creation order.
+// snapshot returns the sessions in creation order: the prefix that exists
+// now, which appends never write again, capped against the caller's.
 func (o *outbox) snapshot() []*sendSession {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	out := make([]*sendSession, 0, len(o.order))
-	for _, dst := range o.order {
-		out = append(out, o.queues[dst])
-	}
-	return out
+	n := len(o.sessions)
+	return o.sessions[:n:n]
 }
 
 // EnqueueData appends a sequenced payload for dst and returns its sequence

@@ -14,10 +14,14 @@ import (
 	"repro/internal/value"
 )
 
-// TestMalformedResidualsRefused: on the sequenced stream from a, a residual
-// a delegates on another peer's behalf, one delivered one-shot and one whose
-// rule does not decode are each refused; none enters a's ledger or the
-// program. a's own maintained residual installs.
+// TestMalformedResidualsRefused: on the sequenced stream from a, delegations
+// b must not take are each refused with a stage error, and none enters a's
+// ledger or the program: a residual as an older peer shipped it, a template
+// a delegates on another peer's behalf, one delivered one-shot, one whose
+// rule does not decode or whose arguments are short, a template reading
+// another origin's binding relation, and bindings of another origin's
+// template, delivered one-shot or of another arity than the relation's.
+// a's own maintained template installs and its own binding is taken.
 func TestMalformedResidualsRefused(t *testing.T) {
 	n := NewSequentialNetwork()
 	b, err := n.NewPeer(Config{Name: "b", ResyncInterval: -1})
@@ -25,31 +29,45 @@ func TestMalformedResidualsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := n.Bus().Endpoint("a")
-	rule := value.Blob(ast.Rule{Head: ast.NewAtom("m", "a"), Body: []ast.Atom{ast.NewAtom("n", "b")}}.AppendBinary(nil))
-	residual := func(maint bool, args ...value.Value) protocol.FactDelta {
-		return protocol.FactDelta{Maint: maint, Fact: ast.NewFact(engine.ResidualRel, "b", args...)}
+	bindRel := func(origin string) string { return "#bind/" + origin + "/0123456789abcdef" }
+	rule := func(origin string) value.Value {
+		return value.Blob(ast.Rule{Head: ast.NewAtom("m", "a", ast.V("x")), Body: []ast.Atom{
+			ast.NewAtom(bindRel(origin), "b", ast.V("x")), ast.NewAtom("n", "b", ast.V("x"))}}.AppendBinary(nil))
 	}
-	for seq, fd := range []protocol.FactDelta{
-		residual(true, value.Str("mallory"), value.Str("r1"), rule),
-		residual(false, value.Str("a"), value.Str("r1"), rule),
-		residual(true, value.Str("a"), value.Str("r1"), value.Blob([]byte{9})),
-		residual(true, value.Str("a"), value.Str("r1")),
-		residual(true, value.Str("a"), value.Str("r1"), rule),
+	fact := func(maint bool, rel string, args ...value.Value) protocol.FactDelta {
+		return protocol.FactDelta{Maint: maint, Fact: ast.NewFact(rel, "b", args...)}
+	}
+	for seq, c := range []struct {
+		fd      protocol.FactDelta
+		refused bool
+	}{
+		{fact(true, "#residual", value.Str("a"), value.Str("r1"), rule("a")), true},
+		{fact(true, engine.TemplateRel, value.Str("mallory"), value.Str("r1"), rule("mallory")), true},
+		{fact(false, engine.TemplateRel, value.Str("a"), value.Str("r1"), rule("a")), true},
+		{fact(true, engine.TemplateRel, value.Str("a"), value.Str("r1"), value.Blob([]byte{9})), true},
+		{fact(true, engine.TemplateRel, value.Str("a"), value.Str("r1")), true},
+		{fact(true, engine.TemplateRel, value.Str("a"), value.Str("r1"), rule("mallory")), true},
+		{fact(true, bindRel("mallory"), value.Int(1)), true},
+		{fact(false, bindRel("a"), value.Int(1)), true},
+		{fact(true, engine.TemplateRel, value.Str("a"), value.Str("r1"), rule("a")), false},
+		{fact(true, bindRel("a"), value.Int(1)), false},
+		{fact(true, bindRel("a"), value.Int(1), value.Int(2)), true}, // not the relation's arity
 	} {
-		msg := protocol.DataMsg{Epoch: 1, Seq: uint64(seq + 1), Msg: protocol.FactsMsg{Ops: []protocol.FactDelta{fd}}}
+		msg := protocol.DataMsg{Epoch: 1, Seq: uint64(seq + 1), Msg: protocol.FactsMsg{Ops: []protocol.FactDelta{c.fd}}}
 		if err := a.Send(context.Background(), "b", msg); err != nil {
 			t.Fatal(err)
 		}
-		rep := b.RunStage()
-		if want := seq < 4; (len(rep.Errors) == 1) != want {
-			t.Errorf("residual %s: errors %v, want refused %v", fd.String(), rep.Errors, want)
+		if rep := b.RunStage(); (len(rep.Errors) == 1) != c.refused {
+			t.Errorf("delegation %s: errors %v, want refused %v", c.fd.String(), rep.Errors, c.refused)
 		}
 	}
 	b.mu.Lock()
-	ledger := len(b.sessionLocked("a").ledgerKeys(b.residualRelID()))
+	sess := b.sessionLocked("a")
+	ledger := fmt.Sprint(len(sess.trees), len(sess.ledgerKeys(engine.TemplateRel+"@b")), len(sess.ledgerKeys(bindRel("a")+"@b")))
 	b.mu.Unlock()
-	if got := b.DelegatedRules()["a"]; ledger != 1 || len(got) != 1 || b.Stats().DelegationsIn != 1 {
-		t.Fatalf("a's ledger holds %d residuals, b installed %v, took %d; want only a's own", ledger, b.DelegatedRules(), b.Stats().DelegationsIn)
+	if got := b.DelegatedRules()["a"]; ledger != "2 1 1" || len(got) != 1 || b.Stats().DelegationsIn != 2 {
+		t.Fatalf("a's ledger holds %s (relations, templates, bindings), b installed %v, took %d; want 2 1 1, a's own template and binding",
+			ledger, b.DelegatedRules(), b.Stats().DelegationsIn)
 	}
 }
 
@@ -195,7 +213,7 @@ func TestBareDataRefused(t *testing.T) {
 		protocol.RangeRepairMsg{RelID: "view@b", Ranges: []protocol.HashRange{fullRange}},
 		facts(8),
 		facts(8),
-		protocol.FactsMsg{Ops: []protocol.FactDelta{{Maint: true, Fact: ast.NewFact(engine.ResidualRel, "b",
+		protocol.FactsMsg{Ops: []protocol.FactDelta{{Maint: true, Fact: ast.NewFact(engine.TemplateRel, "b",
 			value.Str("a"), value.Str("r"), value.Blob(ast.Rule{Head: ast.NewAtom("m", "a")}.AppendBinary(nil)))}}},
 		protocol.DigestMsg{Advert: true},
 	}
@@ -444,5 +462,24 @@ func TestResetDropsPendingDigests(t *testing.T) {
 		if e.seq != uint64(i+1) || !reflect.DeepEqual(e.msg, want[i]) {
 			t.Errorf("entry %d = seq %d %#v, want seq %d %#v", i, e.seq, e.msg, i+1, want[i])
 		}
+	}
+}
+
+// TestOutboxPendingAllocatesNothing: the scheduler asks every peer's outbox
+// for its pending count each round; reading the sessions takes no copy.
+func TestOutboxPendingAllocatesNothing(t *testing.T) {
+	n := NewSequentialNetwork()
+	p, err := n.NewPeer(Config{Name: "alice"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dst := range []string{"bob", "carol"} {
+		p.outbox.EnqueueData(dst, protocol.FactsMsg{Ops: []protocol.FactDelta{{Fact: ast.NewFact("data", dst, value.Int(1))}}})
+	}
+	if total, _ := p.outbox.Pending(); total != 2 {
+		t.Fatalf("pending = %d, want 2", total)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { p.outbox.Pending() }); allocs != 0 {
+		t.Fatalf("Pending allocates %.1f objects per call, want 0", allocs)
 	}
 }

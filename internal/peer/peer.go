@@ -136,10 +136,11 @@ type Hooks interface {
 // a stage reported (StageReport.Errors): rule evaluation, refused or
 // malformed input, persistence, hooks.
 //
-// DelegationsIn counts the residual rules delegated here (each residual
-// once, when its sender starts delegating it), DelegationsOut the residuals
-// this peer started delegating and Withdrawals those it stopped delegating;
-// FactsIn and FactsOut count the other facts.
+// DelegationsIn counts the template and binding inserts delegated here (each
+// once, when its sender starts maintaining it), DelegationsOut the template
+// and binding inserts this peer shipped and Withdrawals the deletes; FactsIn
+// and FactsOut count the other facts. A new valuation of a delegating rule
+// whose template stands is one binding: one delegation.
 type Stats struct {
 	Stages         uint64
 	StagesSkipped  uint64
@@ -204,8 +205,8 @@ type StageReport struct {
 	Seeds int
 	// FactsSent counts facts emitted to remote peers.
 	FactsSent int
-	// DelegationsSent counts residual rules this stage started or stopped
-	// delegating (engine.ResidualRel inserts and deletes it shipped).
+	// DelegationsSent counts the template and binding inserts and deletes
+	// this stage shipped (engine.TemplateRel).
 	DelegationsSent int
 	// Ingest, Fixpoint and Emit decompose the stage latency (the ledger's
 	// peer.ingest_us_p50, engine.fixpoint_us_p50 and peer.emit_us_p50).
@@ -247,16 +248,16 @@ type Peer struct {
 
 	mu       sync.Mutex
 	ownRules []ast.Rule
-	// delegated holds the installed residual rules other peers delegate
-	// here, compiled once, by their residual's key (engine.ResidualRel);
-	// delegatedOrder holds them in installation order, the order the
-	// program lists them in.
-	delegated      map[string]*engine.CompiledRule
-	delegatedOrder []*engine.CompiledRule
-	ruleSeq        int
-	progDirty      bool
-	prog           *engine.Program
-	compileErr     []error
+	// delegated holds the installed templates other peers delegate here, by
+	// their template fact's key (engine.TemplateRel).
+	delegated map[string]ast.Rule
+	// held holds the templates with parameters not installed, by binding
+	// relation.
+	held       map[string]acl.Template
+	ruleSeq    int
+	progDirty  bool
+	prog       *engine.Program
+	compileErr []error
 
 	pendingOps []engine.FactOp // buffered updates for the next stage
 	// pendingSpace is released when a stage drains pendingOps: blocked
@@ -340,7 +341,8 @@ func New(cfg Config, ep transport.Endpoint) (*Peer, error) {
 		cancel:    cancel,
 		inbound:   make(map[string]*inSession),
 		rv:        engine.NewRemoteView(),
-		delegated: make(map[string]*engine.CompiledRule),
+		delegated: make(map[string]ast.Rule),
+		held:      make(map[string]acl.Template),
 		wake:      make(chan struct{}, 1),
 		subs:      make(map[int]*subscription),
 		progDirty: true, // the first stage compiles, rules or not
@@ -510,7 +512,7 @@ func (p *Peer) advertise(dst string) bool {
 }
 
 // digestMsgLocked builds the complete advert for dst — per relation, the
-// residuals this peer delegates there among them, the digest of the full
+// delegations this peer makes there among them, the digest of the full
 // hash range of everything this peer maintains there — empty map and all:
 // an advert *request* is answered even when this peer maintains nothing at
 // the requester, because "nothing" is exactly what the requester's stale
@@ -695,7 +697,7 @@ func (p *Peer) AddRuleAST(r ast.Rule) (string, error) {
 	return r.ID, nil
 }
 
-// RemoveRule removes an own rule by id. The residuals it delegates to other
+// RemoveRule removes an own rule by id. The delegations it makes to other
 // peers are withdrawn by the next stage.
 func (p *Peer) RemoveRule(id string) error {
 	p.mu.Lock()
@@ -753,8 +755,8 @@ func (p *Peer) DelegatedRules() map[string][]ast.Rule {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := map[string][]ast.Rule{}
-	for _, cr := range p.delegated {
-		out[cr.Rule.Origin] = append(out[cr.Rule.Origin], cr.Rule.Clone())
+	for _, r := range p.delegated {
+		out[r.Origin] = append(out[r.Origin], r.Clone())
 	}
 	for _, rules := range out {
 		slices.SortFunc(rules, func(a, b ast.Rule) int { return strings.Compare(a.String(), b.String()) })
@@ -1038,15 +1040,6 @@ func (p *Peer) Query(relName string) []value.Tuple {
 	return rel.Tuples()
 }
 
-// QueryFacts is Query but renders tuples as facts.
-func (p *Peer) QueryFacts(relName string) []ast.Fact {
-	var out []ast.Fact
-	for _, t := range p.Query(relName) {
-		out = append(out, ast.Fact{Rel: relName, Peer: p.name, Args: t})
-	}
-	return out
-}
-
 // HasWork reports whether a stage would make progress: unread inbox
 // messages, staged updates, transient seeds, or program changes (the very
 // first stage compiles one).
@@ -1091,8 +1084,7 @@ func (p *Peer) Poke() {
 }
 
 // CompileErrors returns the rule errors from the most recent compilation
-// of the peer's own rules (a delegated rule that fails to compile is
-// reported by the stage that receives it).
+// of the peer's program, own rules and delegated templates.
 func (p *Peer) CompileErrors() []error {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -259,11 +259,13 @@ func TestDelegationControlReject(t *testing.T) {
 }
 
 // TestDelegationControlPerResidual: under a policy that holds everything,
-// a rule's residuals arrive one at a time and wait in one approval entry;
-// one withdrawn while pending leaves the queue, the user's acceptance lets
-// the next stage install the rest, and later residuals of the accepted rule
-// install without approval. Another rule of the same origin is rejected and
-// never installed.
+// the user approves a delegating rule's template, not each valuation. The
+// template waits in one approval entry while its bindings wait, unread, in
+// their relation; a binding withdrawn while the template is pending leaves
+// it pending, the user's acceptance lets the next stage install it, and a
+// later valuation flows without approval. Another rule of the same origin
+// is held on its own and rejected: its bindings stay unread until its
+// origin withdraws the template and, trusted now, delegates it again.
 func TestDelegationControlPerResidual(t *testing.T) {
 	n := NewSequentialNetwork()
 	jules, err := n.NewPeer(Config{Name: "jules", Policy: acl.NewTrustPolicy()})
@@ -296,17 +298,17 @@ func TestDelegationControlPerResidual(t *testing.T) {
 	quiesce(t, n)
 	ctrl := jules.Controller()
 	pend := ctrl.Pending()
-	if len(pend) != 1 || len(pend[0].Rules) != 2 || len(jules.DelegatedRules()) != 0 {
-		t.Fatalf("pending = %v, installed %v; want one entry of two residuals, nothing installed", pend, jules.DelegatedRules())
+	if len(pend) != 1 || pend[0].RuleID != "r1" || len(jules.DelegatedRules()) != 0 {
+		t.Fatalf("pending = %v, installed %v; want one entry holding the rule's template, nothing installed", pend, jules.DelegatedRules())
 	}
 
-	// A residual withdrawn while pending leaves the queue.
+	// A binding withdrawn while the template is pending leaves it pending.
 	if err := julia.DeleteString(`wanted@julia("jules", "sky");`); err != nil {
 		t.Fatal(err)
 	}
 	quiesce(t, n)
-	if pend = ctrl.Pending(); len(pend) != 1 || len(pend[0].Rules) != 1 {
-		t.Fatalf("pending after the withdrawal = %v, want the sea residual alone", pend)
+	if got := ctrl.Pending(); len(got) != 1 || got[0].ID != pend[0].ID {
+		t.Fatalf("pending after the withdrawal = %v, want %v", got, pend)
 	}
 
 	// Accepting installs it at jules' next stage; data flows.
@@ -315,17 +317,17 @@ func TestDelegationControlPerResidual(t *testing.T) {
 	}
 	quiesce(t, n)
 	if got := tuples(julia, "collected"); len(jules.DelegatedRules()["julia"]) != 1 || len(got) != 1 || got[0] != "(1, sea)" {
-		t.Fatalf("after the acceptance jules installed %v and julia collected %v; want the sea residual and [(1, sea)]",
+		t.Fatalf("after the acceptance jules installed %v and julia collected %v; want the template and [(1, sea)]",
 			jules.DelegatedRules(), got)
 	}
 
-	// A later residual of the accepted rule installs without approval.
+	// A later valuation of the accepted rule is a binding: no approval.
 	if err := julia.InsertString(`wanted@julia("jules", "sun");`); err != nil {
 		t.Fatal(err)
 	}
 	quiesce(t, n)
 	if got := tuples(julia, "collected"); len(ctrl.Pending()) != 0 || len(got) != 2 {
-		t.Fatalf("a later residual: pending %v, julia collected %v; want it installed without approval", ctrl.Pending(), got)
+		t.Fatalf("a later valuation: pending %v, julia collected %v; want it flowing without approval", ctrl.Pending(), got)
 	}
 
 	// Another rule of julia's is held on its own, and rejected.
@@ -337,34 +339,89 @@ func TestDelegationControlPerResidual(t *testing.T) {
 	}
 	quiesce(t, n)
 	if pend = ctrl.Pending(); len(pend) != 1 {
-		t.Fatalf("pending = %v, want the other rule's residual", pend)
+		t.Fatalf("pending = %v, want the other rule's template", pend)
 	}
 	if err := ctrl.Reject(pend[0].ID); err != nil {
 		t.Fatal(err)
 	}
 	quiesce(t, n)
-	if got := tuples(julia, "other"); ctrl.Rejected() != 1 || len(jules.DelegatedRules()["julia"]) != 2 || len(got) != 0 {
-		t.Fatalf("after the rejection: rejected %d, installed %v, julia's other = %v; want 1, two residuals, nothing",
+	if got := tuples(julia, "other"); ctrl.Rejected() != 1 || len(jules.DelegatedRules()["julia"]) != 1 || len(got) != 0 {
+		t.Fatalf("after the rejection: rejected %d, installed %v, julia's other = %v; want 1, one template, nothing",
 			ctrl.Rejected(), jules.DelegatedRules(), got)
 	}
 
-	// Its next residual is held again. Once julia is trusted, the residual
-	// after that installs in the stage that receives it, the held one with
-	// it.
+	// Its next valuation holds the template again. Once julia is trusted,
+	// the valuation after that installs it in the stage that receives it:
+	// the template stands for every valuation, the earlier ones included.
 	if err := julia.InsertString(`asked@julia("jules", "sun");`); err != nil {
 		t.Fatal(err)
 	}
 	quiesce(t, n)
-	if pend = ctrl.Pending(); len(pend) != 1 {
-		t.Fatalf("pending = %v, want the other rule's next residual", pend)
+	if pend = ctrl.Pending(); len(pend) != 1 || len(tuples(julia, "other")) != 0 {
+		t.Fatalf("pending = %v, julia's other = %v; want the other rule's template held again, nothing", pend, tuples(julia, "other"))
 	}
 	ctrl.Policy().(*acl.TrustPolicy).Trust("julia")
 	if err := julia.InsertString(`asked@julia("jules", "sea");`); err != nil {
 		t.Fatal(err)
 	}
 	quiesce(t, n)
-	if got := tuples(julia, "other"); len(ctrl.Pending()) != 0 || len(got) != 2 {
-		t.Fatalf("trusted: pending %v, julia's other = %v; want nothing pending and [(1) (3)]", ctrl.Pending(), got)
+	if got := tuples(julia, "other"); len(ctrl.Pending()) != 0 || len(got) != 3 || len(jules.DelegatedRules()["julia"]) != 2 {
+		t.Fatalf("trusted: pending %v, julia's other = %v, installed %v; want nothing pending, [(1) (2) (3)] and two templates",
+			ctrl.Pending(), got, jules.DelegatedRules())
+	}
+}
+
+// TestChainedTemplateHeldApart: a's rule r1 delegates to b, and b's
+// installed template delegates on to c; b's own rule r1 also delegates to c,
+// and c's user approved it. a's chained template is another rule of b's at
+// c, so it waits in c's queue: approving one rule approves no other.
+func TestChainedTemplateHeldApart(t *testing.T) {
+	n := NewSequentialNetwork()
+	peers := map[string]*Peer{}
+	for _, name := range []string{"a", "b", "c"} {
+		p, err := n.NewPeer(Config{Name: name, Policy: acl.NewTrustPolicy("a")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		peers[name] = p
+	}
+	a, b, c := peers["a"], peers["b"], peers["c"]
+	for p, src := range map[*Peer]string{
+		c: `relation extensional data@c(x); data@c(1); data@c(2);`,
+		b: `relation extensional src@b(x); relation extensional mid@b(x); relation extensional outb@b(x);
+			src@b(1); mid@b(2);
+			outb@b($x) :- src@b($x), data@c($x);`,
+		a: `relation extensional go@a(x); relation extensional outa@a(x);
+			go@a(2);
+			outa@a($x) :- go@a($x), mid@b($x), data@c($x);`,
+	} {
+		if err := p.LoadSource(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	quiesce(t, n)
+	// b's own r1 is the first rule c holds; approve it alone.
+	pend := c.Controller().Pending()
+	if len(pend) == 0 || pend[0].Origin != "b" || pend[0].RuleID != "r1" {
+		t.Fatalf("c's queue = %v, want b's own r1 first", pend)
+	}
+	if err := c.Controller().Accept(pend[0].ID); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, n)
+	if got := tuples(b, "outb"); len(got) != 1 || len(tuples(a, "outa")) != 0 {
+		t.Fatalf("after approving b's r1: b's outb = %v, a's outa = %v; want [(1)] and nothing", got, tuples(a, "outa"))
+	}
+	pend = c.Controller().Pending()
+	if len(pend) != 1 || pend[0].Origin != "b" || pend[0].RuleID == "r1" {
+		t.Fatalf("c's queue = %v, want a's chained template held, under an ID of its own", pend)
+	}
+	if err := c.Controller().Accept(pend[0].ID); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, n)
+	if got := tuples(a, "outa"); len(got) != 1 || got[0] != "(2)" {
+		t.Fatalf("after approving the chained template a's outa = %v, want [(2)]", got)
 	}
 }
 

@@ -535,13 +535,7 @@ func TestDelegationDivergenceResendsDelegationsOnly(t *testing.T) {
 
 	// b loses the installed residual, from its ledger and its program.
 	installs := b.Stats().DelegationsIn
-	b.mu.Lock()
-	sess := b.sessionLocked("c")
-	for _, key := range sess.ledgerKeys(b.residualRelID()) {
-		sess.ledgerRemove(b.residualRelID(), key)
-		b.uninstallResidualLocked(key)
-	}
-	b.mu.Unlock()
+	loseTemplates(b, "c")
 	b.Poke()
 	if !drive([]*Peer{c, b}, func() bool {
 		return b.Stats().DelegationsIn > installs && len(b.DelegatedRules()["c"]) == 1 && len(c.Query("out")) == 1
@@ -554,7 +548,7 @@ func TestDelegationDivergenceResendsDelegationsOnly(t *testing.T) {
 		t.Fatal("the residual came back without a ranged repair")
 	}
 	for _, relID := range repaired {
-		if relID != b.residualRelID() {
+		if relID != engine.TemplateRel+"@b" {
 			t.Errorf("c repaired %s too, want the residuals' relation only: %v", relID, repaired)
 		}
 	}

@@ -2,6 +2,7 @@ package peer
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -122,7 +123,7 @@ func flatten(m map[string]map[string]value.Tuple) (map[string][]value.Tuple, map
 // between stages and the engine maintains them from this stage's base-fact
 // deltas — local updates, arrivals and wrapper pulls alike — and from the
 // program delta since the last stage: the first stage builds the views as
-// the delta from the empty program, and a delegated residual arriving or
+// the delta from the empty program, and a delegated template arriving or
 // leaving costs the one rule it adds or removes, not a rebuild. Otherwise
 // every stage rebuilds the views, re-seeding externally supported and
 // freshly arrived transient facts. Both paths report the exact view deltas
@@ -150,7 +151,7 @@ func (p *Peer) runStageLocked() *StageReport {
 
 	d := newStageDeltas()
 	changed := p.ingestLocked(rep, d)
-	p.installApprovedLocked(rep)
+	p.installApprovedLocked()
 	if p.progDirty {
 		p.compileLocked(rep)
 		changed = true
@@ -195,7 +196,7 @@ func (p *Peer) runStageLocked() *StageReport {
 	rep.Errors = append(rep.Errors, res.Errors...)
 
 	// Step 3: emit. Local updates buffer for the next stage; remote fact
-	// deltas, delegated residuals among them, go out now.
+	// deltas, delegations among them, go out now.
 	startEmit := time.Now()
 	p.pendingOps = append(p.pendingOps, res.LocalUpdates...)
 	p.emitFactsLocked(res, rep)
@@ -384,7 +385,7 @@ func (p *Peer) stagedAckSessionsLocked() []*inSession {
 // of a known stream wants the sender's digest advert: its previous
 // incarnation may have died owing us retractions, which its fresh
 // incarnation will never re-send — the advert comparison finds exactly
-// those — delegated residuals included — O(δ log n) against a ledger that is
+// those — delegations included — O(δ log n) against a ledger that is
 // in fact nearly correct. The
 // request is best-effort, so it is repeated (rate-limited) on every later
 // message of the stream until an advert of this epoch has been compared; the
@@ -430,8 +431,8 @@ var fullRange = protocol.HashRange{Lo: 0, Hi: ^uint64(0)}
 // leaves out — a relation the ledger holds and the advert does not list is
 // empty at the sender. Each relation whose digest disagrees enters the
 // ranged dialogue with the advertised digest as its round zero — the digest
-// of the full hash range. The residual rules the sender delegates here are
-// one relation among them (engine.ResidualRel).
+// of the full hash range. The templates the sender delegates here are one
+// relation among them (engine.TemplateRel), the bindings of each another.
 func (p *Peer) handleDigestLocked(from string, msg protocol.DigestMsg) {
 	s := p.sessionLocked(from)
 	if !msg.Advert {
@@ -498,7 +499,7 @@ func (p *Peer) handleResyncRequestLocked(from string, msg protocol.ResyncRequest
 // first sequences are the full-range repair of every relation this peer
 // maintains there, then a digest advert — against which dst finds whatever
 // the run did not state, such as a relation this peer no longer maintains
-// at all. The residuals it delegates to dst are one relation of the run.
+// at all. The delegations it makes to dst are relations of the run like any.
 func (p *Peer) restartStreamLocked(dst string, reset func(string, ...protocol.Payload)) {
 	run := p.viewRepairsLocked(dst)
 	p.countRepairsLocked(run)
@@ -808,8 +809,8 @@ func (p *Peer) ingestPayloadLocked(from string, payload protocol.Payload, rep *S
 	case protocol.FactsMsg:
 		batch := make([]ingestOp, 0, len(msg.Ops))
 		for _, fd := range msg.Ops {
-			if fd.Fact.Rel != engine.ResidualRel {
-				p.stats.FactsIn++ // residuals count as DelegationsIn
+			if !engine.Reserved(fd.Fact.Rel) {
+				p.stats.FactsIn++ // delegations count as DelegationsIn
 			}
 			if fd.Fact.Peer != p.name {
 				rep.Errors = append(rep.Errors, fmt.Errorf(
@@ -852,8 +853,8 @@ func (p *Peer) ingestPayloadLocked(from string, payload protocol.Payload, rep *S
 // An insert into a relation this peer does not know declares it extensional
 // first ("peers may discover … new relations"). Intensional facts, arity
 // mismatches, deletes from unknown relations and maintained retractions take
-// the per-fact path (applyFactLocked), and delegated residuals their own
-// (applyResidualLocked), preserving operation order either way.
+// the per-fact path (applyFactLocked), and delegations their own
+// (applyDelegationLocked), preserving operation order either way.
 func (p *Peer) applyOpsLocked(ops []ingestOp, rep *StageReport, d *stageDeltas) bool {
 	changed := false
 	// One run's tuples and keys; a run of one, the usual case, stays off the
@@ -864,8 +865,10 @@ func (p *Peer) applyOpsLocked(ops []ingestOp, rep *StageReport, d *stageDeltas) 
 	for i := 0; i < len(ops); {
 		op := ops[i]
 		f := op.fact
-		if f.Rel == engine.ResidualRel {
-			p.applyResidualLocked(op, rep)
+		if engine.Reserved(f.Rel) {
+			if p.applyDelegationLocked(op, rep, d) {
+				changed = true
+			}
 			i++
 			continue
 		}
@@ -1029,13 +1032,16 @@ func (p *Peer) applyFactLocked(op ingestOp, rep *StageReport, d *stageDeltas) bo
 	return cancelled
 }
 
-// compileLocked rebuilds the engine program from own + delegated rules: the
-// own rules compile afresh, the delegated ones were compiled on arrival.
-// Unsafe rules are skipped with errors recorded; if stratification fails
-// with delegated rules included, the peer falls back to its own rules so a
-// hostile delegation cannot wedge it.
+// compileLocked rebuilds the engine program from own rules and delegated
+// templates, listed by key. Unsafe rules are skipped with errors recorded;
+// if stratification fails with delegated rules included, the peer falls
+// back to its own rules so a hostile delegation cannot wedge it.
 func (p *Peer) compileLocked(rep *StageReport) {
-	prog, errs := p.eng.CompileRules(p.ownRules, p.delegatedOrder...)
+	rules := slices.Clone(p.ownRules)
+	for _, key := range slices.Sorted(maps.Keys(p.delegated)) {
+		rules = append(rules, p.delegated[key])
+	}
+	prog, errs := p.eng.CompileRules(rules)
 	if prog == nil {
 		rep.Errors = append(rep.Errors, fmt.Errorf(
 			"peer %s: program with delegated rules does not stratify; quarantining delegations", p.name))
@@ -1054,90 +1060,114 @@ func (p *Peer) compileLocked(rep *StageReport) {
 	p.progDirty = false
 }
 
-// residualRelID is the id of this peer's reserved relation of delegated
-// residuals.
-func (p *Peer) residualRelID() string { return engine.ResidualRel + "@" + p.name }
-
-// applyResidualLocked applies one delta of a residual rule its sender
-// delegates here (engine.ResidualRel): a maintained insert adds the residual
-// to the sender's ledger and, once the controller accepts it, one rule to
-// the program; a maintained delete removes both, or withdraws it from the
-// approval queue. The ledger mirrors the sender's view like any maintained
-// fact's — digests, ranged repair and epoch adoption cover residuals — and
-// only the residuals a sender delegates on its own behalf are taken.
-func (p *Peer) applyResidualLocked(op ingestOp, rep *StageReport) {
-	f := op.fact
-	origin, ruleID, rule, err := engine.Residual(f.Args)
+// applyDelegationLocked applies one delta of the reserved relations
+// delegations travel in (engine.TemplateRel): a template its sender
+// delegates here or a binding of one. Both are maintained facts the sender's
+// ledger mirrors like any other — digests, ranged repair and epoch adoption
+// cover delegations — and only a sender's own delegations are taken. A
+// binding is a fact of its template's intensional relation, so a valuation
+// arriving or leaving is a fact delta; a template, once the controller
+// accepts it, is one rule of the program. Anything else reserved is
+// refused. It reports whether the fixpoint must observe the change.
+func (p *Peer) applyDelegationLocked(op ingestOp, rep *StageReport, d *stageDeltas) bool {
+	f, origin := op.fact, op.src
+	var ruleID string
+	var rule ast.Rule
+	var err error
+	switch {
+	case f.Rel == engine.TemplateRel:
+		origin, ruleID, rule, err = engine.Template(f.Args, p.name)
+	case !engine.IsBinding(f.Rel, op.src):
+		err = errors.New("not a delegation of its sender's")
+	}
 	if err == nil && (!op.maint || origin != op.src) {
-		err = fmt.Errorf("not maintained by its origin")
+		err = errors.New("not maintained by its origin")
 	}
 	if err != nil {
-		rep.Errors = append(rep.Errors, fmt.Errorf("peer %s: residual %s from %s refused: %w", p.name, f.String(), op.src, err))
-		return
+		rep.Errors = append(rep.Errors, fmt.Errorf("peer %s: delegation %s from %s refused: %w", p.name, f.String(), op.src, err))
+		return false
 	}
-	sess, relID, key := p.sessionLocked(op.src), p.residualRelID(), f.Args.Key()
+	sess, relID, key := p.sessionLocked(op.src), f.Rel+"@"+p.name, f.Args.Key()
+	if f.Rel != engine.TemplateRel {
+		if !op.del && !sess.ledgerHas(relID, key) {
+			schema := store.Schema{Name: f.Rel, Peer: p.name, Kind: ast.Intensional, Cols: store.GenericCols(len(f.Args))}
+			if _, err := p.db.Declare(schema); err != nil {
+				rep.Errors = append(rep.Errors, fmt.Errorf("peer %s: binding %s from %s refused: %w", p.name, f.String(), op.src, err))
+				return false
+			}
+			p.stats.DelegationsIn++
+			if t, ok := p.held[f.Rel]; ok {
+				p.decideLocked(t, rep) // the rule's next instance asks again
+			}
+		}
+		return p.applyFactLocked(op, rep, d)
+	}
+	// Its ID names its origin: installed, it may delegate on, and a third
+	// peer's controller must tell it from this peer's and other origins' rules.
+	rule.ID, rule.Origin = origin+":"+ruleID, origin
+	t := acl.Template{Origin: origin, RuleID: ruleID, Key: key, Rule: rule}
 	if op.del {
 		if sess.ledgerRemove(relID, key) {
-			p.ctrl.Withdraw(origin, ruleID, key)
-			p.uninstallResidualLocked(key)
+			p.ctrl.Withdraw(key)
+			delete(p.held, bindingOf(t))
+			if _, ok := p.delegated[key]; ok {
+				delete(p.delegated, key)
+				p.progDirty = true
+			}
 		}
-		return
+	} else if !sess.ledgerHas(relID, key) {
+		sess.ledgerAdd(relID, key)
+		p.stats.DelegationsIn++
+		p.decideLocked(t, rep)
 	}
-	if sess.ledgerHas(relID, key) {
-		return
-	}
-	sess.ledgerAdd(relID, key)
-	p.stats.DelegationsIn++
-	rule.ID = fmt.Sprintf("d[%s/%s]/%016x", origin, ruleID, store.KeyHash(key))
-	rule.Origin = origin
-	switch p.ctrl.Decide(acl.Residual{Origin: origin, RuleID: ruleID, Key: key, Rule: rule}) {
+	return false
+}
+
+// decideLocked asks the controller about template t and installs it if
+// accepted; held or rejected, its next binding asks again (held).
+func (p *Peer) decideLocked(t acl.Template, rep *StageReport) {
+	switch p.ctrl.Decide(t) {
 	case acl.Accept:
-		p.installResidualLocked(key, rule, rep)
+		p.installLocked(t)
+		return
 	case acl.Reject:
 		rep.Errors = append(rep.Errors, fmt.Errorf(
-			"peer %s: %w: delegation %s from %s", p.name, errdefs.ErrPolicyDenied, ruleID, origin))
+			"peer %s: %w: delegation %s from %s", p.name, errdefs.ErrPolicyDenied, t.RuleID, t.Origin))
+	}
+	if bind := bindingOf(t); bind != "" {
+		p.held[bind] = t
 	}
 }
 
-// installApprovedLocked installs the residuals the controller approved since
-// the last stage (acl.Controller.Accept) that their origin still delegates.
-func (p *Peer) installApprovedLocked(rep *StageReport) {
-	for _, r := range p.ctrl.TakeApproved() {
-		if p.sessionLocked(r.Origin).ledgerHas(p.residualRelID(), r.Key) {
-			p.installResidualLocked(r.Key, r.Rule, rep)
+// installLocked adds accepted template t to the program's next delta.
+func (p *Peer) installLocked(t acl.Template) {
+	delete(p.held, bindingOf(t))
+	if _, ok := p.delegated[t.Key]; !ok {
+		p.delegated[t.Key], p.progDirty = t.Rule, true
+	}
+}
+
+// bindingOf returns the binding relation template t reads, "" if none.
+func bindingOf(t acl.Template) string {
+	if len(t.Rule.Body) > 0 && engine.IsBinding(t.Rule.Body[0].Rel.Val.StringVal(), t.Origin) {
+		return t.Rule.Body[0].Rel.Val.StringVal()
+	}
+	return ""
+}
+
+// installApprovedLocked installs the templates the controller approved
+// since the last stage (acl.Controller.Accept) that their origin still
+// delegates.
+func (p *Peer) installApprovedLocked() {
+	for _, t := range p.ctrl.TakeApproved() {
+		if p.sessionLocked(t.Origin).ledgerHas(engine.TemplateRel+"@"+p.name, t.Key) {
+			p.installLocked(t)
 		}
-	}
-}
-
-// installResidualLocked compiles one accepted residual and adds it to the
-// program's next delta.
-func (p *Peer) installResidualLocked(key string, rule ast.Rule, rep *StageReport) {
-	if _, ok := p.delegated[key]; ok {
-		return
-	}
-	cr, err := p.eng.CompileRule(rule)
-	if err != nil {
-		rep.Errors = append(rep.Errors, fmt.Errorf("peer %s: delegated by %s: %w", p.name, rule.Origin, err))
-		return
-	}
-	p.delegated[key] = cr
-	p.delegatedOrder = append(p.delegatedOrder, cr)
-	p.progDirty = true
-}
-
-// uninstallResidualLocked removes an installed residual from the program's
-// next delta.
-func (p *Peer) uninstallResidualLocked(key string) {
-	if cr, ok := p.delegated[key]; ok {
-		delete(p.delegated, key)
-		i := slices.Index(p.delegatedOrder, cr)
-		p.delegatedOrder = slices.Delete(p.delegatedOrder, i, i+1)
-		p.progDirty = true
 	}
 }
 
 // emitFactsLocked ships the engine's remote deltas: maintained inserts for
-// newly derived facts and delegated residuals, maintained deletes for those
+// newly derived facts, templates and bindings, maintained deletes for those
 // whose last derivation vanished, and pass-through one-shot deletion-rule
 // updates — one FactsMsg per destination instead of re-sending every derived
 // fact every stage.
@@ -1154,7 +1184,7 @@ func (p *Peer) emitFactsLocked(res *engine.Result, rep *StageReport) {
 			del := op.Op == ast.Delete
 			deltas[i] = protocol.FactDelta{Delete: del, Maint: op.Maint, Fact: op.Fact}
 			switch {
-			case op.Fact.Rel != engine.ResidualRel:
+			case !engine.Reserved(op.Fact.Rel):
 				rep.FactsSent++
 				p.stats.FactsOut++
 			case del:

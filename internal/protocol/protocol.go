@@ -2,7 +2,7 @@
 // of each computation stage (paper §2: "the peer sends facts (updates) and
 // rules (delegations) to other peers"), and their binary wire codec
 // (codec.go), which also encodes the payloads a durable outbox persists. A
-// delegated rule travels as a fact like any other: see engine.ResidualRel.
+// delegated rule travels as facts like any other: see engine.TemplateRel.
 package protocol
 
 import (
@@ -95,7 +95,8 @@ type AckMsg struct {
 // when it gets there, whatever was enqueued around it, and a lost one is
 // retransmitted like any other entry. Rels maps a receiver relation id to
 // range digests of the facts the sender maintains there (its remote view) —
-// the residual rules it delegates there (engine.ResidualRel) among them.
+// the templates and bindings it delegates there (engine.TemplateRel) among
+// them.
 //
 // With Advert set it is the complete advert — the periodic one, the answer
 // to an advert request, or the end of a restarted stream's repair run: every

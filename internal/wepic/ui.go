@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/acl"
 	"repro/internal/ast"
 )
 
@@ -95,25 +96,13 @@ type rulesData struct {
 	Me      string
 	Rules   []ast.Rule
 	Deleg   map[string][]ast.Rule
-	Pending []pendingView
+	Pending []acl.PendingDelegation
 	Errors  []string
 }
 
-type pendingView struct {
-	ID     int
-	Origin string
-	Text   string
-}
-
 func (u *UI) handleRules(w http.ResponseWriter, r *http.Request) {
-	d := rulesData{Me: u.app.Name(), Rules: u.app.Peer().Rules(), Deleg: u.app.Peer().DelegatedRules()}
-	for _, pd := range u.app.PendingDelegations() {
-		var lines []string
-		for _, rr := range pd.Rules {
-			lines = append(lines, rr.String()+";")
-		}
-		d.Pending = append(d.Pending, pendingView{ID: pd.ID, Origin: pd.Origin, Text: strings.Join(lines, "\n")})
-	}
+	d := rulesData{Me: u.app.Name(), Rules: u.app.Peer().Rules(), Deleg: u.app.Peer().DelegatedRules(),
+		Pending: u.app.PendingDelegations()}
 	for _, err := range u.app.Peer().CompileErrors() {
 		d.Errors = append(d.Errors, err.Error())
 	}
@@ -380,7 +369,7 @@ pre{background:#f6f6f6;padding:.5em} nav a{margin-right:1em}
 <nav><a href="/">Pictures</a> <a href="/rules">Rules</a></nav>
 
 {{if .Pending}}<div class="frame"><h2>Pending delegations</h2>
-{{range .Pending}}<div class="pending"><strong>{{.Origin}}</strong> wants to install:<pre>{{.Text}}</pre>
+{{range .Pending}}<div class="pending"><strong>{{.Origin}}</strong> wants to install:<pre>{{.Rule}};</pre>
 <form style="display:inline" method="post" action="/delegations/accept"><input type="hidden" name="id" value="{{.ID}}"><button>accept</button></form>
 <form style="display:inline" method="post" action="/delegations/reject"><input type="hidden" name="id" value="{{.ID}}"><button>reject</button></form>
 </div>{{end}}</div>{{end}}
