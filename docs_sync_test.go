@@ -89,9 +89,11 @@ func TestDocProgramsParse(t *testing.T) {
 }
 
 // TestOperationsDocMetricsCurrent cross-checks docs/operations.md against
-// the metric registrations in internal/peer/metrics.go: every metric name
-// the code registers must appear in the operations doc's catalog, so the
-// documented exposition cannot drift from what /metrics actually serves.
+// the metric registrations in internal/peer/metrics.go, both ways: every
+// metric name the code registers must appear in the operations doc's
+// catalog, and every wdl_* metric the doc names (a histogram's _bucket,
+// _sum and _count series included) must be registered, so the documented
+// exposition cannot drift from what /metrics actually serves.
 func TestOperationsDocMetricsCurrent(t *testing.T) {
 	doc, err := os.ReadFile("docs/operations.md")
 	if err != nil {
@@ -106,9 +108,23 @@ func TestOperationsDocMetricsCurrent(t *testing.T) {
 	if len(names) < 10 {
 		t.Fatalf("found only %d metric registrations in internal/peer/metrics.go; the gate is miswired", len(names))
 	}
+	registered := map[string]bool{}
 	for _, m := range names {
+		registered[m[1]] = true
 		if !strings.Contains(string(doc), "`"+m[1]+"`") {
 			t.Errorf("metric %s is registered but not documented in docs/operations.md", m[1])
+		}
+	}
+	named := regexp.MustCompile(`\bwdl_[a-z0-9_]*[a-z0-9]`)
+	for _, name := range named.FindAllString(string(doc), -1) {
+		base := name
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if b, ok := strings.CutSuffix(name, suffix); ok && registered[b] {
+				base = b
+			}
+		}
+		if !registered[base] {
+			t.Errorf("docs/operations.md names metric %s, which internal/peer/metrics.go does not register", name)
 		}
 	}
 }

@@ -338,9 +338,12 @@ func (l *Lexer) Next() (Token, error) {
 		l.advance()
 		l.advance()
 		start := l.pos
+		// Hex digits are single bytes and never a newline: scan the run
+		// bytewise and move the column by its length.
 		for l.pos < len(l.src) && isHexDigit(l.src[l.pos]) {
-			l.advance()
+			l.pos++
 		}
+		l.col += l.pos - start
 		if l.pos == start {
 			return Token{}, l.errf("expected hex digits after 0x")
 		}

@@ -110,6 +110,36 @@ func TestHexBlob(t *testing.T) {
 	}
 }
 
+// TestPositionAfterLongHex: the hex scanner moves the column by the length
+// of the digit run, so the tokens after a long literal, on its line and the
+// next, keep their positions.
+func TestPositionAfterLongHex(t *testing.T) {
+	digits := strings.Repeat("0123456789abcdefABCDEF", 100)
+	toks, err := Tokenize("f(0x" + digits + ", $y)\n  0xff $z")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		kind      Kind
+		line, col int
+	}{
+		{Ident, 1, 1}, {LParen, 1, 2}, {Hex, 1, 3},
+		{Comma, 1, 5 + len(digits)}, {Variable, 1, 7 + len(digits)}, {RParen, 1, 9 + len(digits)},
+		{Hex, 2, 3}, {Variable, 2, 8},
+	}
+	if len(toks) != len(want) {
+		t.Fatalf("got %d tokens %v, want %d", len(toks), toks, len(want))
+	}
+	for i, w := range want {
+		if tk := toks[i]; tk.Kind != w.kind || tk.Line != w.line || tk.Col != w.col {
+			t.Errorf("token %d = %v at %d:%d, want %v at %d:%d", i, tk, tk.Line, tk.Col, w.kind, w.line, w.col)
+		}
+	}
+	if toks[2].Text != digits {
+		t.Errorf("hex text has %d digits, want %d", len(toks[2].Text), len(digits))
+	}
+}
+
 func TestComments(t *testing.T) {
 	src := `
 		// line comment

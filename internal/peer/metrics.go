@@ -159,24 +159,3 @@ func (p *Peer) registerMetrics(reg *metrics.Registry) {
 
 	p.pm = pm
 }
-
-// RegisterNetworkMetrics exposes the concurrent scheduler's wake-queue
-// counters on the registry: how many peers the scheduler has examined and
-// how much of the network is currently awake. On a quiescent swarm the scan
-// counter stays flat — the property TestSwarmQuiescentScans asserts.
-func RegisterNetworkMetrics(reg *metrics.Registry, n *Network) {
-	reg.Counter("wdl_sched_scans_total",
-		"Peers examined by the concurrent scheduler (HasWork/outbox probes).").Func(func() float64 {
-		return float64(n.SchedulerScans())
-	})
-	reg.Gauge("wdl_sched_ready_peers",
-		"Peers currently in the scheduler's wake queue.").Func(func() float64 {
-		ready, _ := n.SchedulerQueueDepths()
-		return float64(ready)
-	})
-	reg.Gauge("wdl_sched_active_outboxes",
-		"Peers whose outbox the scheduler tracks as possibly undrained.").Func(func() float64 {
-		_, outboxes := n.SchedulerQueueDepths()
-		return float64(outboxes)
-	})
-}

@@ -151,14 +151,6 @@ func (n *Network) markOutbox(name string) {
 // RunToQuiescence adds zero: no hook fired, so nothing is examined.
 func (n *Network) SchedulerScans() uint64 { return n.scans.Load() }
 
-// SchedulerQueueDepths returns the current sizes of the wake queue and the
-// outbox-active set (metrics).
-func (n *Network) SchedulerQueueDepths() (ready, outboxes int) {
-	n.schedMu.Lock()
-	defer n.schedMu.Unlock()
-	return len(n.ready), len(n.obAct)
-}
-
 // Peer returns the registered peer with the given name, or nil.
 func (n *Network) Peer(name string) *Peer {
 	n.mu.Lock()
@@ -271,7 +263,6 @@ func (n *Network) runSequential(ctx context.Context, maxRounds int) (rounds, sta
 // Work discovery is O(active peers): a peer that stays quiet is never
 // examined, so idle regions of a large swarm cost nothing per round.
 func (n *Network) runConcurrent(ctx context.Context, maxRounds int) (rounds, stages int, err error) {
-	workers := runtime.GOMAXPROCS(0)
 	for r := 0; r < maxRounds; r++ {
 		if err := ctx.Err(); err != nil {
 			return rounds, stages, err
@@ -305,35 +296,51 @@ func (n *Network) runConcurrent(ctx context.Context, maxRounds int) (rounds, sta
 			continue
 		}
 
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		var mu sync.Mutex
+		stages += n.stageRound(work)
+		// Sync-emit peers flushed inside RunStage; should one of those
+		// flushes have found its queue busy, the enqueue hook has marked the
+		// outbox active and checkOutboxes delivers the entry.
 		for _, p := range work {
-			sem <- struct{}{}
-			wg.Add(1)
-			go func(p *Peer) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				rep := p.RunStage()
-				if rep.Ran {
-					mu.Lock()
-					stages++
-					mu.Unlock()
-				}
-				if p.HasWork() {
-					// A stage can queue its own follow-up work (staged local
-					// updates) without a kick; re-wake explicitly.
-					n.markReady(p.Name())
-				}
-			}(p)
-		}
-		wg.Wait()
-		for _, p := range work {
-			p.FlushOutbox()
+			if !p.outbox.sync {
+				p.FlushOutbox()
+			}
 		}
 		rounds = r + 1
 	}
 	return rounds, stages, &QuiescenceError{Rounds: maxRounds}
+}
+
+// stageRound runs one stage of every peer in work on a pool of
+// min(GOMAXPROCS, len(work)) workers, the calling goroutine one of them:
+// each worker takes the next peer from a shared index until none is left,
+// so a round starts at most GOMAXPROCS-1 goroutines, whatever its size, and
+// all of them have exited when it returns. It returns the stages that ran.
+func (n *Network) stageRound(work []*Peer) int {
+	var next, ran atomic.Int64
+	worker := func() {
+		for i := int(next.Add(1)) - 1; i < len(work); i = int(next.Add(1)) - 1 {
+			p := work[i]
+			if p.RunStage().Ran {
+				ran.Add(1)
+			}
+			if p.HasWork() {
+				// A stage can queue its own follow-up work (staged local
+				// updates) without a kick; re-wake explicitly.
+				n.markReady(p.Name())
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(work)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			worker()
+		}()
+	}
+	worker()
+	wg.Wait()
+	return int(ran.Load())
 }
 
 // takeReady drains the wake queue and returns the woken peers that actually

@@ -52,7 +52,6 @@ const (
 	defaultAckTimeout  = 200 * time.Millisecond
 	defaultBaseBackoff = 10 * time.Millisecond
 	defaultMaxBackoff  = 2 * time.Second
-	defaultSendTimeout = 10 * time.Second
 )
 
 // outEntry is one sequenced payload awaiting acknowledgment.
@@ -78,7 +77,6 @@ type outbox struct {
 	// session method is handed its reading.
 	now func() time.Time
 	timing
-	sendTimeout time.Duration
 
 	// onDigest is the advert clock's callback: when a session's advert is
 	// due, the flush cycle asks it to enqueue an advert of the maintained
@@ -151,7 +149,6 @@ func newOutbox(ep transport.Endpoint, ctx context.Context, syncMode bool) *outbo
 		defaultEpoch: newEpoch(),
 		now:          time.Now,
 		timing:       timing{ackTimeout: defaultAckTimeout, baseBackoff: defaultBaseBackoff, maxBackoff: defaultMaxBackoff},
-		sendTimeout:  defaultSendTimeout,
 		queues:       make(map[string]*sendSession),
 	}
 }
@@ -339,30 +336,30 @@ func (o *outbox) Ack(dst string, epoch, seq uint64) {
 	}
 }
 
-// send transmits one payload, bounding the attempt with the peer-lifetime
-// context plus a per-attempt timeout so a black-holed link cannot wedge a
-// flusher (or Close) forever.
+// send transmits one payload under the peer-lifetime context: Close
+// aborts it. The context carries no deadline of its own; an endpoint whose
+// send can block bounds the attempt itself (the TCP endpoint's write
+// deadline and dial timeout), so a black-holed link cannot wedge a flusher
+// (or Close) forever.
 func (o *outbox) send(dst string, msg protocol.Payload) error {
-	ctx, cancel := context.WithTimeout(o.ctx, o.sendTimeout)
-	defer cancel()
-	return o.ep.Send(ctx, dst, msg)
+	return o.ep.Send(o.ctx, dst, msg)
 }
 
-// flushQueue pushes everything currently sendable for one destination: when
+// flushQueue pushes everything sendable at now for one destination: when
 // its advert clock says so it first has the peer enqueue the anti-entropy
 // digest advert, then sends unsent data entries in sequence order, then the
 // pending ack, then control messages.
 // Reports whether anything was transmitted, whether a send failed, and
 // whether another flush of the same queue was already in progress (busy —
-// this call did nothing). Respects the queue's backoff gate.
-func (o *outbox) flushQueue(dq *sendSession) (sent, failed, busy bool) {
+// this call did nothing). Respects the queue's backoff gate. A session with
+// nothing to send (sendSession.idle) costs one lock and no state change.
+func (o *outbox) flushQueue(dq *sendSession, now time.Time) (sent, failed, busy bool) {
 	dq.mu.Lock()
 	if dq.flushing {
 		dq.mu.Unlock()
 		return false, false, true
 	}
-	now := o.now()
-	if dq.gated(now) {
+	if dq.idle(now) || dq.gated(now) {
 		dq.mu.Unlock()
 		return false, false, false
 	}
@@ -450,7 +447,7 @@ func (o *outbox) flusher(dq *sendSession) {
 	timer := time.NewTimer(time.Hour)
 	timer.Stop()
 	for o.ctx.Err() == nil {
-		_, _, busy := o.flushQueue(dq)
+		_, _, busy := o.flushQueue(dq, o.now())
 		now := o.now()
 		dq.mu.Lock()
 		d := dq.due(now)
@@ -493,13 +490,15 @@ func (o *outbox) flusher(dq *sendSession) {
 }
 
 // FlushAll synchronously attempts one flush of every queue (sync mode after
-// a stage, and the network scheduler accelerating delivery). Reports whether
-// anything was transmitted. Sync-emit peers do not shed or retransmit on a
-// clock: only the async flusher does.
+// a stage, and the network scheduler accelerating delivery), reading the
+// clock once for all of them. Reports whether anything was transmitted.
+// Sync-emit peers do not shed or retransmit on a clock: only the async
+// flusher does.
 func (o *outbox) FlushAll() bool {
 	sent := false
+	now := o.now()
 	for _, dq := range o.snapshot() {
-		s, _, _ := o.flushQueue(dq)
+		s, _, _ := o.flushQueue(dq, now)
 		sent = sent || s
 	}
 	return sent

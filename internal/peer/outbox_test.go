@@ -483,3 +483,84 @@ func TestOutboxPendingAllocatesNothing(t *testing.T) {
 		t.Fatalf("Pending allocates %.1f objects per call, want 0", allocs)
 	}
 }
+
+// TestSchedulerIdleFlushAllocatesNothing: the scheduler and every sync-emit
+// stage flush all of a peer's sessions; once the traffic is acknowledged a
+// session with nothing to send is passed over without an allocation, with
+// adverts off and with an advert period that has not elapsed.
+func TestSchedulerIdleFlushAllocatesNothing(t *testing.T) {
+	for _, resync := range []time.Duration{-1, time.Hour} {
+		n := closingNetwork(t)
+		var peers []*Peer
+		for _, name := range []string{"a", "b", "c"} {
+			p, err := n.NewPeer(Config{Name: name, SyncEmit: true, ResyncInterval: resync})
+			if err != nil {
+				t.Fatal(err)
+			}
+			peers = append(peers, p)
+		}
+		a := peers[0]
+		if err := a.LoadSource(`
+			relation extensional src@a(x);
+			view@b($x) :- src@a($x);
+			view@c($x) :- src@a($x);
+			src@a(1);
+		`); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := n.RunToQuiescence(context.Background(), 0); err != nil {
+			t.Fatal(err)
+		}
+		if len(a.outbox.snapshot()) != 2 || len(peers[1].outbox.snapshot()) != 1 {
+			t.Fatalf("resync %v: the peers hold no sessions to flush", resync)
+		}
+		for _, p := range peers {
+			if total, _ := p.OutboxPending(); total != 0 {
+				t.Fatalf("resync %v: %s has %d entries pending after quiescence", resync, p.Name(), total)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { p.FlushOutbox() }); allocs != 0 {
+				t.Errorf("resync %v: FlushAll over %s's idle sessions allocates %.1f objects, want 0", resync, p.Name(), allocs)
+			}
+		}
+	}
+}
+
+// TestOutboxSendDerivesNoContext: flushing one data entry over a bus
+// endpoint allocates no more than handing the same message to the endpoint
+// directly — the send runs under the peer's own context, with no derived
+// context and no timer per message.
+func TestOutboxSendDerivesNoContext(t *testing.T) {
+	n := NewSequentialNetwork()
+	p, err := n.NewPeer(Config{Name: "alice", ResyncInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	bob := n.Bus().Endpoint("bob") // a bare endpoint: nothing acks
+	p.outbox.EnqueueData("bob", protocol.FactsMsg{Ops: []protocol.FactDelta{{Fact: ast.NewFact("data", "bob", value.Int(1))}}})
+	dq := p.outbox.queue("bob")
+	flushOne := func() {
+		dq.mu.Lock()
+		dq.resend()
+		dq.mu.Unlock()
+		if !p.outbox.FlushAll() {
+			t.Fatal("the flush sent nothing")
+		}
+	}
+	flushOne()
+	if got := len(bob.Drain()); got != 1 {
+		t.Fatalf("bob received %d envelopes, want 1", got)
+	}
+	e := dq.entries[0]
+	sendOne := func() {
+		if err := p.ep.Send(p.ctx, "bob", protocol.DataMsg{Epoch: dq.epoch, Seq: e.seq, Msg: e.msg}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	direct := testing.AllocsPerRun(200, sendOne)
+	flushed := testing.AllocsPerRun(200, flushOne)
+	if flushed > direct {
+		t.Errorf("flushing one entry allocates %.1f objects, sending it directly %.1f", flushed, direct)
+	}
+	t.Logf("one data entry: %.1f allocations flushed, %.1f sent directly", flushed, direct)
+}

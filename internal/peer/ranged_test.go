@@ -542,3 +542,12 @@ func TestSplitRange(t *testing.T) {
 		}
 	}
 }
+
+// ViewRepairBytes returns what re-sending everything this peer maintains at
+// dst costs on the wire: the encoded size of the view's full-range repair
+// run, the baseline a narrower repair is measured against.
+func (p *Peer) ViewRepairBytes(dst string) uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return repairBytes(p.viewRepairsLocked(dst))
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -318,3 +319,83 @@ func TestSchedulerScansQuiescent(t *testing.T) {
 		}
 	}
 }
+
+// TestSchedulerPoolLeavesNoGoroutines: the concurrent scheduler's worker
+// pool lives for one round, so once RunToQuiescence returns — converged, or
+// cancelled mid-run — the goroutine count is back where it started.
+func TestSchedulerPoolLeavesNoGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // a pool of more than the caller
+	n := closingNetwork(t)
+	const fan = 32
+	for i := 0; i <= fan; i++ {
+		// Sync-emit peers own no goroutines: whatever runs is the pool's.
+		p, err := n.NewPeer(Config{Name: fmt.Sprintf("p%02d", i), SyncEmit: true, ResyncInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.DeclareRelation("view", ast.Extensional, "x"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hub := n.Peer("p00")
+	if err := hub.DeclareRelation("src", ast.Extensional, "x"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= fan; i++ {
+		if _, err := hub.AddRule(fmt.Sprintf(`view@p%02d($x) :- src@p00($x);`, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settled := func(base int) int {
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond) // a worker past wg.Done is still exiting
+		}
+		return runtime.NumGoroutine()
+	}
+
+	base := runtime.NumGoroutine()
+	if err := hub.Insert(ast.NewFact("src", "p00", value.Int(1))); err != nil {
+		t.Fatal(err)
+	}
+	if _, stages, err := n.RunToQuiescence(context.Background(), 0); err != nil || stages < fan {
+		t.Fatalf("RunToQuiescence: %d stages, %v", stages, err)
+	}
+	if got := settled(base); got > base {
+		t.Errorf("%d goroutines after a converged run, %d before", got, base)
+	}
+
+	// Cancel from inside a round: the receivers' stages run on the pool
+	// while the hook fires.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	n.Peer(fmt.Sprintf("p%02d", fan)).SetHooks(cancelHook(cancel))
+	if err := hub.Insert(ast.NewFact("src", "p00", value.Int(2))); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := n.RunToQuiescence(ctx, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+	}
+	if got := settled(base); got > base {
+		t.Errorf("%d goroutines after a cancelled run, %d before", got, base)
+	}
+	// The run resumes where it stopped.
+	if _, _, err := n.RunToQuiescence(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= fan; i++ {
+		if got := len(n.Peer(fmt.Sprintf("p%02d", i)).Query("view")); got != 2 {
+			t.Fatalf("p%02d holds %d views, want 2", i, got)
+		}
+	}
+}
+
+// cancelHook cancels a context from inside the stage of the peer it hooks.
+type cancelHook context.CancelFunc
+
+func (h cancelHook) BeforeStage(*Peer, *engine.Batch) error {
+	h()
+	return nil
+}
+
+func (cancelHook) AfterStage(*Peer, *StageReport) error { return nil }

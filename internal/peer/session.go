@@ -176,26 +176,6 @@ func (s *inSession) ledgerHas(relID, key string) bool {
 	return tr != nil && tr.Has(key)
 }
 
-// ledgerKeys returns the keys of every tuple of relID the sender maintains
-// here, in canonical order.
-func (s *inSession) ledgerKeys(relID string) []string {
-	tr := s.trees[relID]
-	if tr == nil {
-		return nil
-	}
-	keys, _ := tr.RangeKeys(fullRange.Lo, fullRange.Hi, 0)
-	return keys
-}
-
-// ledgerDigest returns the digest of one relation's ledger — a tree root
-// read, zero when the sender maintains nothing in the relation.
-func (s *inSession) ledgerDigest(relID string) store.Digest {
-	if tr := s.trees[relID]; tr != nil {
-		return tr.Root()
-	}
-	return store.Digest{}
-}
-
 // rangeDigest digests one hash range of one relation's ledger — the
 // receiver half of a bisection comparison.
 func (s *inSession) rangeDigest(relID string, lo, hi uint64) store.Digest {
@@ -360,6 +340,14 @@ func (dq *sendSession) failed(now time.Time) {
 func (dq *sendSession) succeeded() {
 	dq.backoff = 0
 	dq.nextTry = time.Time{}
+}
+
+// idle reports whether a flush at now has nothing to do: no entry awaits
+// transmission in this cycle, no ack or control is staged, and no advert is
+// due.
+func (dq *sendSession) idle(now time.Time) bool {
+	return dq.pendingAck == 0 && len(dq.controls) == 0 && dq.unsent() < 0 &&
+		(dq.t.resyncEvery <= 0 || now.Before(dq.advertAt))
 }
 
 // gated reports whether the backoff gate holds sends back at now.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/protocol"
+	"repro/internal/store"
 	"repro/internal/value"
 )
 
@@ -174,4 +175,24 @@ func TestAckSentKeepsNewEpochAck(t *testing.T) {
 	if dq.pendingAck != 0 {
 		t.Fatalf("staged ack %d after it was sent, want none", dq.pendingAck)
 	}
+}
+
+// ledgerKeys returns the keys of every tuple of relID the sender maintains
+// here, in canonical order.
+func (s *inSession) ledgerKeys(relID string) []string {
+	tr := s.trees[relID]
+	if tr == nil {
+		return nil
+	}
+	keys, _ := tr.RangeKeys(fullRange.Lo, fullRange.Hi, 0)
+	return keys
+}
+
+// ledgerDigest returns the digest of one relation's ledger — a tree root
+// read, zero when the sender maintains nothing in the relation.
+func (s *inSession) ledgerDigest(relID string) store.Digest {
+	if tr := s.trees[relID]; tr != nil {
+		return tr.Root()
+	}
+	return store.Digest{}
 }

@@ -715,15 +715,6 @@ func (p *Peer) countRepairsLocked(run []protocol.Payload) {
 	p.stats.ResyncRangedRepairBytes += repairBytes(run)
 }
 
-// ViewRepairBytes returns what re-sending everything this peer maintains at
-// dst costs on the wire: the encoded size of the view's full-range repair
-// run, the baseline a narrower repair is measured against.
-func (p *Peer) ViewRepairBytes(dst string) uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return repairBytes(p.viewRepairsLocked(dst))
-}
-
 // applyRangeRepairLocked applies one ranged repair: within the message's
 // ranges, the sender's support here becomes exactly the message's ops —
 // ledger facts inside the ranges that the ops do not cover are applied as

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/value"
 )
 
@@ -183,4 +184,76 @@ func equalStrings(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// TestDeleteFromLargeBucket: deleting from a relation whose indexed bucket
+// holds many tuples removes exactly the deleted ones from every index — the
+// bucket entry is found by identity with the stored tuple, whatever slice
+// the caller passes — in a plain relation and in interned ones whose tuples
+// another relation also holds.
+func TestDeleteFromLargeBucket(t *testing.T) {
+	in := value.NewInterner()
+	other := NewRelation(schema2("other"))
+	other.SetInterner(in)
+	interned := NewRelation(schema2("r"))
+	interned.SetInterner(in)
+	for name, r := range map[string]*Relation{"plain": NewRelation(schema2("r")), "interned": interned} {
+		t.Run(name, func(t *testing.T) {
+			masks := []ColMask{MaskOf(0), MaskOf(1)}
+			for _, m := range masks {
+				r.EnsureIndex(m)
+			}
+			// One hot bucket of 500 tuples under column 0 = "hot", among
+			// 2 500 others, so the index stays selective enough to keep.
+			for i := 0; i < 500; i++ {
+				tp := tup("hot", fmt.Sprintf("v%d", i))
+				other.Insert(tp)
+				r.Insert(tp)
+			}
+			for i := 0; i < 2500; i++ {
+				r.Insert(tup(fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i%50)))
+			}
+			// Delete every third hot tuple with a freshly built equal tuple,
+			// half one at a time and half in one batch.
+			var batch []value.Tuple
+			for i := 0; i < 500; i += 3 {
+				if tp := tup("hot", fmt.Sprintf("v%d", i)); i%2 == 0 {
+					if !r.Delete(tp) {
+						t.Fatalf("Delete(%v) found nothing", tp)
+					}
+				} else {
+					batch = append(batch, tp)
+				}
+			}
+			if got := r.DeleteMany(batch); len(got) != len(batch) {
+				t.Fatalf("DeleteMany removed %d of %d", len(got), len(batch))
+			}
+			if r.IndexCount() != len(masks) {
+				t.Fatalf("%d indexes, want %d", r.IndexCount(), len(masks))
+			}
+			hot := probeMatches(r, MaskOf(0), []value.Value{value.Str("hot")})
+			if len(hot) != 500-167 {
+				t.Fatalf("hot bucket holds %d tuples, want %d", len(hot), 500-167)
+			}
+			for i := 0; i < 500; i++ {
+				if kept := hot[tup("hot", fmt.Sprintf("v%d", i)).Key()] == 1; kept != (i%3 != 0) {
+					t.Fatalf("hot tuple v%d: kept=%v", i, kept)
+				}
+			}
+			for _, m := range masks {
+				for _, k := range []string{"hot", "v0", "v3", "v7", "v499", "k9"} {
+					bound := []value.Value{value.Str(k)}
+					diffMultiset(t, fmt.Sprintf("mask %b bound %s", m, k), scanMatches(r, m, bound), probeMatches(r, m, bound))
+				}
+			}
+		})
+	}
+	if other.Len() != 500 {
+		t.Errorf("the relation sharing the interned tuples lost some: %d left", other.Len())
+	}
+	zero := NewRelation(Schema{Name: "z", Peer: "p", Kind: ast.Extensional})
+	zero.Insert(value.Tuple{})
+	if !zero.Delete(value.Tuple{}) || zero.Len() != 0 {
+		t.Error("zero-arity delete failed")
+	}
 }

@@ -304,8 +304,12 @@ func (r *Relation) DeleteKeyed(t value.Tuple, key string) bool {
 }
 
 // deleteLocked removes t, whose key is key, reporting whether it was there.
+// Every bucket holds the very slice r.tuples stores, so the stored tuple is
+// found by identity, not by comparing values; only a zero-arity tuple, which
+// has no element to point at, is compared.
 func (r *Relation) deleteLocked(t value.Tuple, key string) bool {
-	if _, ok := r.tuples[key]; !ok {
+	st, ok := r.tuples[key]
+	if !ok {
 		return false
 	}
 	delete(r.tuples, key)
@@ -313,7 +317,7 @@ func (r *Relation) deleteLocked(t value.Tuple, key string) bool {
 		ik := indexKey(t, key, mask)
 		bucket := idx[ik]
 		for i := range bucket {
-			if bucket[i].Equal(t) {
+			if sameTuple(bucket[i], st) {
 				bucket[i] = bucket[len(bucket)-1]
 				bucket = bucket[:len(bucket)-1]
 				break
@@ -327,6 +331,14 @@ func (r *Relation) deleteLocked(t value.Tuple, key string) bool {
 	}
 	r.fp ^= KeyHash(key)
 	return true
+}
+
+// sameTuple reports whether b is the stored tuple st itself.
+func sameTuple(b, st value.Tuple) bool {
+	if len(st) == 0 {
+		return b.Equal(st)
+	}
+	return len(b) > 0 && &b[0] == &st[0]
 }
 
 // Contains reports whether t is in the relation.

@@ -41,6 +41,10 @@ type TCPEndpoint struct {
 
 var _ Endpoint = (*TCPEndpoint)(nil)
 
+// writeTimeout bounds one frame write when the Send context has no
+// deadline. A variable only so tests can shorten it.
+var writeTimeout = 10 * time.Second
+
 type tcpConn struct {
 	c net.Conn
 
@@ -277,6 +281,9 @@ func (e *TCPEndpoint) dropLink(to string, conn *tcpConn) {
 // One transient link failure is retried with a fresh connection. The
 // context bounds both the dial and the write: a deadline becomes the
 // connection's write deadline, and cancellation aborts before each attempt.
+// Without a deadline in ctx the write gets its own, writeTimeout from now,
+// and the dial is bounded by DialTimeout: a destination that stops reading
+// fails the send instead of blocking it forever.
 func (e *TCPEndpoint) Send(ctx context.Context, to string, msg protocol.Payload) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -302,11 +309,11 @@ func (e *TCPEndpoint) Send(ctx context.Context, to string, msg protocol.Payload)
 		// Serialize writers on the same link only: concurrent sends to
 		// different destinations proceed independently.
 		conn.mu.Lock()
-		if deadline, ok := ctx.Deadline(); ok {
-			conn.c.SetWriteDeadline(deadline)
-		} else {
-			conn.c.SetWriteDeadline(time.Time{})
+		deadline, ok := ctx.Deadline()
+		if !ok {
+			deadline = time.Now().Add(writeTimeout)
 		}
+		conn.c.SetWriteDeadline(deadline)
 		err = conn.write(env)
 		conn.mu.Unlock()
 		if err == nil {

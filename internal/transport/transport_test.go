@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -315,6 +318,65 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 			t.Fatal("no delivery after restart despite retries")
 		case <-time.After(50 * time.Millisecond):
 		}
+	}
+}
+
+// TestTCPSendFailsWhenReceiverStopsReading: a Send whose context carries no
+// deadline cannot block forever on a destination that accepts the link and
+// then never reads: once the endpoint's own write deadline passes, the
+// write (and its one retry on a fresh link) fails with a deadline error.
+func TestTCPSendFailsWhenReceiverStopsReading(t *testing.T) {
+	defer func(d time.Duration) { writeTimeout = d }(writeTimeout)
+	writeTimeout = 100 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu   sync.Mutex
+		held []net.Conn
+	)
+	accepted := make(chan struct{})
+	go func() {
+		defer close(accepted)
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, c) // accepted, never read
+			mu.Unlock()
+		}
+	}()
+	defer func() {
+		ln.Close()
+		<-accepted
+		for _, c := range held {
+			c.Close()
+		}
+	}()
+	a, err := ListenTCP(context.Background(), "a", "127.0.0.1:0", map[string]string{"b": ln.Addr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	// One frame larger than what a loopback link buffers for a reader
+	// that never reads: the write cannot complete.
+	big := protocol.FactsMsg{Ops: []protocol.FactDelta{{
+		Fact: ast.NewFact("r", "b", value.Str(strings.Repeat("x", 16<<20))),
+	}}}
+	start := time.Now()
+	err = a.Send(context.Background(), "b", big)
+	elapsed := time.Since(start)
+	if err == nil {
+		t.Fatal("a send to a destination that never reads succeeded")
+	}
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("err = %v, want a write deadline error", err)
+	}
+	if elapsed < writeTimeout || elapsed > 5*time.Second {
+		t.Errorf("send failed after %v, want about 2 x %v (one attempt and one retry)", elapsed, writeTimeout)
 	}
 }
 
