@@ -33,7 +33,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/parser"
 	"repro/internal/peer"
-	"repro/internal/store"
 	"repro/internal/transport"
 )
 
@@ -158,7 +157,7 @@ func cmdServe(args []string) error {
 	listen := fs.String("listen", ":7070", "TCP listen address")
 	program := fs.String("program", "", "WebdamLog program file to load at startup")
 	trust := fs.String("trust", "", "comma-separated peers whose delegations are auto-accepted")
-	walDir := fs.String("wal", "", "directory for durable state (write-ahead log + snapshots)")
+	walDir := fs.String("wal", "", "directory of the peer's durable log")
 	peers := peerList{}
 	fs.Var(peers, "peer", "remote peer address as NAME=ADDR (repeatable)")
 	if err := fs.Parse(args); err != nil {
@@ -176,16 +175,9 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg := peer.Config{Name: *name}
+	cfg := peer.Config{Name: *name, WAL: *walDir}
 	if *trust != "" {
 		cfg.Policy = acl.NewTrustPolicy(strings.Split(*trust, ",")...)
-	}
-	if *walDir != "" {
-		w, err := store.OpenWAL(*walDir)
-		if err != nil {
-			return err
-		}
-		cfg.WAL = w
 	}
 	p, err := peer.New(cfg, ep)
 	if err != nil {

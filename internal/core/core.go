@@ -21,7 +21,6 @@ import (
 	"repro/internal/errdefs"
 	"repro/internal/parser"
 	"repro/internal/peer"
-	"repro/internal/store"
 )
 
 // System is an in-process WebdamLog deployment.
@@ -38,54 +37,34 @@ func NewSystem() *System {
 func (s *System) Network() *peer.Network { return s.net }
 
 // PeerOption customizes peer creation.
-type PeerOption func(*peerSetup)
-
-// peerSetup is what the options of one AddPeer call build: the peer's
-// config, and the directory of the log AddPeer opens for it.
-type peerSetup struct {
-	peer.Config
-	walDir  string
-	durable bool // WithWAL was given
-}
+type PeerOption func(*peer.Config)
 
 // WithPolicy sets the peer's delegation-control policy.
 func WithPolicy(p acl.Policy) PeerOption {
-	return func(s *peerSetup) { s.Policy = p }
+	return func(s *peer.Config) { s.Policy = p }
 }
 
 // WithEngineOptions overrides evaluation options (per-stage recomputation
 // instead of incremental maintenance, the iteration bound).
 func WithEngineOptions(o engine.Options) PeerOption {
-	return func(s *peerSetup) { s.Engine = &o }
+	return func(s *peer.Config) { s.Engine = &o }
 }
 
 // WithWAL makes the peer durable: state is logged to dir and recovered from
-// it at creation. If the WAL cannot be opened, AddPeer fails with an error
+// it at creation. If the log cannot be opened, AddPeer fails with an error
 // wrapping errdefs.ErrWAL — a peer configured for durability never silently
-// comes up volatile.
+// comes up volatile. An empty dir leaves the peer volatile.
 func WithWAL(dir string) PeerOption {
-	return func(s *peerSetup) { s.walDir, s.durable = dir, true }
+	return func(s *peer.Config) { s.WAL = dir }
 }
 
-// AddPeer creates a peer named name in the system. A WAL it opens for the
-// peer is closed again if the peer cannot be created.
+// AddPeer creates a peer named name in the system.
 func (s *System) AddPeer(name string, opts ...PeerOption) (*peer.Peer, error) {
-	setup := peerSetup{Config: peer.Config{Name: name}}
+	cfg := peer.Config{Name: name}
 	for _, o := range opts {
-		o(&setup)
+		o(&cfg)
 	}
-	if setup.durable {
-		w, err := store.OpenWAL(setup.walDir)
-		if err != nil {
-			return nil, fmt.Errorf("peer %s: opening WAL in %s: %w", name, setup.walDir, err)
-		}
-		setup.WAL = w
-	}
-	p, err := s.net.NewPeer(setup.Config)
-	if err != nil && setup.WAL != nil {
-		setup.WAL.Close()
-	}
-	return p, err
+	return s.net.NewPeer(cfg)
 }
 
 // Peer returns the peer named name, or nil.

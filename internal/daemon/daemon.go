@@ -27,7 +27,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/parser"
 	"repro/internal/peer"
-	"repro/internal/store"
 	"repro/internal/transport"
 )
 
@@ -291,23 +290,13 @@ func (d *Daemon) Start(ctx context.Context) error {
 			MaxPendingOps:   d.cfg.MaxPendingOps,
 			Admission:       admit,
 			OutboxShedAfter: shed,
+			WAL:             pc.WAL,
 		}
 		if len(pc.Trust) > 0 {
 			cfg.Policy = acl.NewTrustPolicy(pc.Trust...)
 		}
-		if pc.WAL != "" {
-			w, err := store.OpenWAL(pc.WAL)
-			if err != nil {
-				d.teardown()
-				return err
-			}
-			cfg.WAL = w
-		}
 		p, err := peer.New(cfg, eps[i])
 		if err != nil {
-			if cfg.WAL != nil {
-				cfg.WAL.Close() // the peer took no ownership of it
-			}
 			d.teardown()
 			return fmt.Errorf("daemon: peer %s: %w", pc.Name, err)
 		}

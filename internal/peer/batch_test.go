@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/engine"
-	"repro/internal/store"
 	"repro/internal/value"
 )
 
@@ -121,11 +120,7 @@ func TestBatchDurability(t *testing.T) {
 	dir := t.TempDir()
 	open := func() (*Peer, *Network) {
 		n := closingNetwork(t)
-		w, err := store.OpenWAL(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := New(Config{Name: "alice", WAL: w}, n.Bus().Endpoint("alice"))
+		p, err := New(Config{Name: "alice", WAL: dir}, n.Bus().Endpoint("alice"))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,14 +19,9 @@ import (
 // openDurable starts peer alice over the WAL directory dir.
 func openDurable(t *testing.T, dir string) (*Peer, *Network, error) {
 	t.Helper()
-	w, err := store.OpenWAL(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	n := closingNetwork(t)
-	p, err := New(Config{Name: "alice", WAL: w}, n.Bus().Endpoint("alice"))
+	p, err := New(Config{Name: "alice", WAL: dir}, n.Bus().Endpoint("alice"))
 	if err != nil {
-		w.Close()
 		return nil, nil, err
 	}
 	n.Add(p)
@@ -94,7 +89,7 @@ func TestPeerRefusesOldFormatLogs(t *testing.T) {
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return "outbox.log"
+		return "wal.log"
 	}
 	setups := map[string]func(t *testing.T, dir string) string{
 		"json wal": func(t *testing.T, dir string) string { copyFixture(t, dir, "jsonera", "wal.log"); return "wal.log" },

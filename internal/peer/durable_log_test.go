@@ -14,19 +14,14 @@ import (
 )
 
 // TestDurablePeerLogFiles: a durable peer that enqueues, is acked, has a
-// stream reset and takes a checkpoint keeps exactly the log's two files,
-// outbox.log and wal.log, and comes back from them with its facts and its
-// stream.
+// stream reset and takes a checkpoint keeps exactly the log's one file,
+// wal.log, and comes back from it with its facts and its stream.
 func TestDurablePeerLogFiles(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	open := func() (*Peer, *Peer, *Network) {
 		n := NewSequentialNetwork()
-		w, err := store.OpenWAL(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		alice, err := n.NewPeer(Config{Name: "alice", WAL: w})
+		alice, err := n.NewPeer(Config{Name: "alice", WAL: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,8 +87,8 @@ func TestDurablePeerLogFiles(t *testing.T) {
 	for _, e := range entries {
 		names = append(names, e.Name())
 	}
-	if len(names) != 2 || names[0] != "outbox.log" || names[1] != "wal.log" {
-		t.Fatalf("the log directory holds %v, want exactly outbox.log and wal.log", names)
+	if len(names) != 1 || names[0] != "wal.log" {
+		t.Fatalf("the log directory holds %v, want exactly wal.log", names)
 	}
 
 	alice, bob, n = open()
@@ -111,42 +106,52 @@ func TestDurablePeerLogFiles(t *testing.T) {
 	}
 }
 
-// ackSpy is an endpoint that reads the log's fsync count at every ack it
-// sends.
-type ackSpy struct {
+// syncSpy is an endpoint that reads the log's fsync count at every data
+// entry and every ack it sends.
+type syncSpy struct {
 	transport.Endpoint
-	wal        *store.WAL
-	syncsAtAck []uint64
+	wal                     *store.WAL
+	syncsAtData, syncsAtAck []uint64
 }
 
-func (e *ackSpy) Send(ctx context.Context, to string, msg protocol.Payload) error {
-	if _, ok := msg.(protocol.AckMsg); ok {
+func (e *syncSpy) Send(ctx context.Context, to string, msg protocol.Payload) error {
+	switch msg.(type) {
+	case protocol.DataMsg:
+		e.syncsAtData = append(e.syncsAtData, e.wal.Syncs())
+	case protocol.AckMsg:
 		e.syncsAtAck = append(e.syncsAtAck, e.wal.Syncs())
 	}
 	return e.Endpoint.Send(ctx, to, msg)
 }
 
-// TestLogSyncsOncePerStageEnd pins the log's two sync points. A stage that
-// applies extensional updates and releases acks syncs once, covering the
-// updates and the applied watermark, before those acks go out; a flush
-// cycle over several destinations syncs once before it transmits what the
-// stage enqueued.
+// TestLogSyncsOncePerStageEnd pins the log's sync points. A stage syncs
+// once, at its end, covering what it ingested, the applied watermarks of
+// the acks it releases and what it enqueued: a receiving stage's ack and a
+// sync-emit stage's transmission both follow that one sync. A flush cycle
+// over several destinations of entries enqueued outside a stage syncs once
+// before it transmits them, and a flush with a clean log does not sync. A
+// stage that cannot sync releases no ack.
 func TestLogSyncsOncePerStageEnd(t *testing.T) {
 	ctx := context.Background()
 	bus := transport.NewBus()
-	w, err := store.OpenWAL(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	spy := &ackSpy{Endpoint: bus.Endpoint("alice"), wal: w}
-	alice, err := New(Config{Name: "alice", WAL: w, SyncEmit: true}, spy)
+	spy := &syncSpy{Endpoint: bus.Endpoint("alice")}
+	alice, err := New(Config{Name: "alice", WAL: t.TempDir(), SyncEmit: true}, spy)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer alice.Close()
-	if err := alice.DeclareRelation("data", ast.Extensional, "id"); err != nil {
+	w := alice.wal
+	spy.wal = w
+	if err := alice.LoadSource(`
+		relation extensional data@alice(id);
+		relation extensional src@alice(x);
+		view@bob($x) :- src@alice($x);
+	`); err != nil {
 		t.Fatal(err)
 	}
+	alice.RunStage()
+
+	// A receiving stage: three data entries applied, one sync, then the ack.
 	sender := bus.Endpoint("sender")
 	for seq := uint64(1); seq <= 3; seq++ {
 		msg := protocol.DataMsg{Epoch: 1, Seq: seq, Msg: protocol.FactsMsg{Ops: []protocol.FactDelta{
@@ -161,16 +166,34 @@ func TestLogSyncsOncePerStageEnd(t *testing.T) {
 		t.Fatalf("applied %d updates, want 3 (%v)", rep.Applied, rep.Errors)
 	}
 	if got := w.Syncs() - before; got != 1 {
-		t.Errorf("the stage synced the log %d times, want once", got)
+		t.Errorf("the receiving stage synced the log %d times, want once", got)
 	}
 	if len(spy.syncsAtAck) != 1 || spy.syncsAtAck[0] != before+1 {
 		t.Errorf("fsyncs seen by the acks = %v, want one ack after exactly one sync (from %d)", spy.syncsAtAck, before)
 	}
 
-	// Two destinations, two queues, one flush cycle: one sync.
-	for _, dst := range []string{"bob", "carol"} {
-		bus.Endpoint(dst)
+	// A sync-emit stage that applies a local update and emits to bob: one
+	// sync, then the transmission.
+	bob := bus.Endpoint("bob")
+	before = w.Syncs()
+	if err := alice.InsertString(`src@alice(1);`); err != nil {
+		t.Fatal(err)
 	}
+	if rep := alice.RunStage(); rep.Applied != 1 || len(rep.Errors) > 0 {
+		t.Fatalf("applied %d updates, want 1 (%v)", rep.Applied, rep.Errors)
+	}
+	if got := w.Syncs() - before; got != 1 {
+		t.Errorf("the emitting stage synced the log %d times, want once", got)
+	}
+	if bob.Pending() == 0 {
+		t.Fatal("nothing was transmitted to bob")
+	}
+	if len(spy.syncsAtData) != 1 || spy.syncsAtData[0] != before+1 {
+		t.Errorf("fsyncs seen by the transmissions = %v, want one after exactly one sync (from %d)", spy.syncsAtData, before)
+	}
+
+	// Two destinations, two queues, one flush cycle: one sync.
+	bus.Endpoint("carol")
 	before = w.Syncs()
 	b := engine.NewBatch().Insert(ast.NewFact("data", "bob", value.Int(1))).Insert(ast.NewFact("data", "carol", value.Int(1)))
 	if err := alice.Apply(ctx, b); err != nil {
@@ -179,14 +202,27 @@ func TestLogSyncsOncePerStageEnd(t *testing.T) {
 	if got := w.Syncs() - before; got != 1 {
 		t.Errorf("the flush cycle synced the log %d times, want once", got)
 	}
-	for _, dst := range []string{"bob", "carol"} {
-		if bus.Endpoint(dst).Pending() == 0 {
-			t.Errorf("nothing was transmitted to %s", dst)
-		}
+	if bus.Endpoint("carol").Pending() == 0 || bob.Pending() < 2 {
+		t.Errorf("the flush cycle did not transmit to both bob and carol")
 	}
 	alice.FlushOutbox()
 	if w.Syncs()-before != 1 {
 		t.Errorf("a flush with a clean log synced it again: %d syncs", w.Syncs()-before)
+	}
+
+	// A stage whose sync fails releases no ack.
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	msg := protocol.DataMsg{Epoch: 1, Seq: 4, Msg: protocol.FactsMsg{Ops: []protocol.FactDelta{
+		{Fact: ast.NewFact("data", "alice", value.Int(4))},
+	}}}
+	if err := sender.Send(ctx, "alice", msg); err != nil {
+		t.Fatal(err)
+	}
+	if rep := alice.RunStage(); len(rep.Errors) == 0 || len(spy.syncsAtAck) != 1 {
+		t.Errorf("a stage that could not sync its log sent %d acks in all (errors %v), want no new one",
+			len(spy.syncsAtAck), rep.Errors)
 	}
 }
 
@@ -197,14 +233,11 @@ func TestLogRestartBounded(t *testing.T) {
 	const live, churn, perStage = 1000, 100_000, 100
 	ctx := context.Background()
 	dir := t.TempDir()
-	w, err := store.OpenWAL(dir)
+	p, err := New(Config{Name: "alice", WAL: dir, SyncEmit: true}, transport.NewBus().Endpoint("alice"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(Config{Name: "alice", WAL: w, SyncEmit: true}, transport.NewBus().Endpoint("alice"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := p.wal
 	if err := p.DeclareRelation("src", ast.Extensional, "x"); err != nil {
 		t.Fatal(err)
 	}
@@ -239,20 +272,74 @@ func TestLogRestartBounded(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	w, err = store.OpenWAL(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err = New(Config{Name: "alice", WAL: w, SyncEmit: true}, transport.NewBus().Endpoint("alice"))
+	p, err = New(Config{Name: "alice", WAL: dir, SyncEmit: true}, transport.NewBus().Endpoint("alice"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if n := w.Records(); n > bound {
+	if n := p.wal.Records(); n > bound {
 		t.Errorf("recovery replayed %d records, over the bound %d", n, bound)
 	}
 	got := p.Query("src")
 	if len(got) != live || got[0][0].IntVal() != int64(lo) {
 		t.Errorf("recovered %d facts from %v, want %d from %d", len(got), got[0], live, lo)
+	}
+}
+
+// TestLogSyncsPerUpdate: two durable peers, alice shipping each update of
+// src to bob's view, sync their logs at most 2.1 times per single-fact
+// update between them, under either scheduler: once at the end of alice's
+// stage, which covers the update and the entry it enqueues, and once at the
+// end of bob's, which covers the delivery and the watermark its ack
+// certifies. Bob's ack costs alice no sync of its own.
+func TestLogSyncsPerUpdate(t *testing.T) {
+	const updates = 200
+	for name, newNetwork := range map[string]func() *Network{"concurrent": NewNetwork, "sequential": NewSequentialNetwork} {
+		t.Run(name, func(t *testing.T) {
+			ctx := context.Background()
+			n := newNetwork()
+			alice, err := n.NewPeer(Config{Name: "alice", WAL: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer alice.Close()
+			bob, err := n.NewPeer(Config{Name: "bob", WAL: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer bob.Close()
+			if err := bob.DeclareRelation("view", ast.Intensional, "x"); err != nil {
+				t.Fatal(err)
+			}
+			if err := alice.LoadSource(`
+				relation extensional src@alice(x);
+				view@bob($x) :- src@alice($x);
+			`); err != nil {
+				t.Fatal(err)
+			}
+			settle := func() {
+				t.Helper()
+				if _, _, err := n.RunToQuiescence(ctx, 100); err != nil {
+					t.Fatal(err)
+				}
+			}
+			settle()
+			syncs := func() uint64 { return alice.wal.Syncs() + bob.wal.Syncs() }
+			before := syncs()
+			for i := range updates {
+				if err := alice.Apply(ctx, engine.NewBatch().Insert(ast.NewFact("src", "alice", value.Int(int64(i))))); err != nil {
+					t.Fatal(err)
+				}
+				settle()
+			}
+			if got := len(bob.Query("view")); got != updates {
+				t.Fatalf("bob's view holds %d facts, want %d", got, updates)
+			}
+			perUpdate := float64(syncs()-before) / updates
+			t.Logf("%.2f fsyncs per update", perUpdate)
+			if perUpdate > 2.1 {
+				t.Errorf("%.2f fsyncs per update, want at most 2.1", perUpdate)
+			}
+		})
 	}
 }

@@ -118,9 +118,9 @@ type outbox struct {
 
 	// onEnqueue/onAck/onReset, when set, persist outbox transitions
 	// (WAL-backed peers) in the peer's log. onPreFlush runs before a
-	// flush cycle transmits data entries: durable peers sync the log there,
-	// off the stage path, preserving the invariant that a transmitted
-	// sequence number is always recoverable.
+	// flush cycle transmits data entries: durable peers sync the log there
+	// (a no-op after a stage's own sync), so that a transmitted sequence
+	// number is always recoverable.
 	onEnqueue  func(dst string, seq uint64, msg protocol.Payload)
 	onAck      func(dst string, seq uint64)
 	onReset    func(dst string, epoch uint64, entries []outEntry)
@@ -365,6 +365,7 @@ func (o *outbox) flushQueue(dq *sendSession, now time.Time) (sent, failed, busy 
 	}
 	dq.flushing = true
 	advert := dq.advertDue(now)
+	syncedGen, syncedSeq := dq.resets, uint64(0) // the log is durable up to this entry
 	dq.mu.Unlock()
 	defer func() {
 		dq.mu.Lock()
@@ -384,21 +385,21 @@ func (o *outbox) flushQueue(dq *sendSession, now time.Time) (sent, failed, busy 
 		o.adverts.Add(1)
 	}
 
-	synced := false
 	for {
 		dq.mu.Lock()
 		i := dq.unsent()
-		if i >= 0 && !synced && o.onPreFlush != nil {
-			// Durable peers: the entry's log record must be on disk before
-			// the first transmission of this cycle — otherwise a crash could
-			// reuse an already-transmitted sequence number for a different
-			// message, which the receiver would silently drop as a replay.
+		if i >= 0 && o.onPreFlush != nil && (dq.resets != syncedGen || dq.entries[i].seq > syncedSeq) {
+			// Durable peers: an entry's log record must be on disk before
+			// it is transmitted — otherwise a crash could reuse a
+			// transmitted sequence number for a different message, which
+			// the receiver would silently drop as a replay. The sync covers
+			// every entry enqueued so far; a later one calls for another.
+			syncedGen, syncedSeq = dq.resets, dq.nextSeq
 			dq.mu.Unlock()
 			if err := o.onPreFlush(); err != nil {
 				o.sendErrors.Add(1)
 				return sent, true, false
 			}
-			synced = true
 			continue
 		}
 		if i < 0 {

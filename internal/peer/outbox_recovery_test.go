@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/protocol"
-	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/value"
 )
@@ -37,16 +36,12 @@ func TestDurableOutboxRedeliversAfterRestart(t *testing.T) {
 	}
 
 	openSender := func(rcvAddr string) *Peer {
-		w, err := store.OpenWAL(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
 		ep, err := transport.ListenTCP(ctx, "sender", "127.0.0.1:0", map[string]string{"rcv": rcvAddr})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ep.DialTimeout = 500 * time.Millisecond
-		p, err := New(Config{Name: "sender", WAL: w}, ep)
+		p, err := New(Config{Name: "sender", WAL: dir}, ep)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,11 +205,7 @@ func TestDurableWatermarkSuppressesReplayAfterRestart(t *testing.T) {
 	// durable state can carry over between them).
 	open := func() (*Peer, *transport.BusEndpoint) {
 		bus := transport.NewBus()
-		w, err := store.OpenWAL(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := New(Config{Name: "alice", WAL: w, SyncEmit: true}, bus.Endpoint("alice"))
+		p, err := New(Config{Name: "alice", WAL: dir, SyncEmit: true}, bus.Endpoint("alice"))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -50,8 +50,10 @@ type Config struct {
 	// The table is append-only: it never evicts, so it is suited to
 	// corpus-like data, not unbounded unique streams.
 	Interner *value.Interner
-	// WAL, when non-nil, makes the peer's extensional relations durable.
-	WAL *store.WAL
+	// WAL, when not empty, is the directory of the peer's durable log (its
+	// extensional relations and delivery state), which New opens and Close
+	// closes.
+	WAL string
 	// Policy controls incoming delegations; nil accepts everything.
 	Policy acl.Policy
 	// SyncEmit disables the outbox's background flusher goroutines: outgoing
@@ -305,7 +307,7 @@ type Peer struct {
 }
 
 // New creates a peer attached to the given transport endpoint. If cfg.WAL
-// is set, previously-logged state is recovered into the store first.
+// is set, New opens the log there and recovers the previously-logged state.
 func New(cfg Config, ep transport.Endpoint) (*Peer, error) {
 	if cfg.Name == "" {
 		return nil, errors.New("peer: name must not be empty")
@@ -320,13 +322,6 @@ func New(cfg Config, ep transport.Endpoint) (*Peer, error) {
 	if cfg.Interner != nil {
 		db.SetInterner(cfg.Interner)
 	}
-	var recovered *store.OutboxState
-	if cfg.WAL != nil {
-		var err error
-		if recovered, err = cfg.WAL.Recover(db); err != nil {
-			return nil, fmt.Errorf("peer %s: recovering: %w", cfg.Name, err)
-		}
-	}
 	opts := engine.DefaultOptions()
 	if cfg.Engine != nil {
 		opts = *cfg.Engine
@@ -336,7 +331,6 @@ func New(cfg Config, ep transport.Endpoint) (*Peer, error) {
 		name:      cfg.Name,
 		db:        db,
 		ep:        ep,
-		wal:       cfg.WAL,
 		ctx:       ctx,
 		cancel:    cancel,
 		inbound:   make(map[string]*inSession),
@@ -367,8 +361,8 @@ func New(cfg Config, ep transport.Endpoint) (*Peer, error) {
 	p.outbox.shedAfter = cfg.OutboxShedAfter
 	p.outbox.onShed = p.shedStream
 	p.maxPendingOps = cfg.MaxPendingOps
-	if cfg.WAL != nil {
-		if err := p.resumeDelivery(recovered); err != nil {
+	if cfg.WAL != "" {
+		if err := p.openLog(cfg.WAL); err != nil {
 			cancel()
 			return nil, fmt.Errorf("peer %s: %w", cfg.Name, err)
 		}
@@ -381,13 +375,26 @@ func New(cfg Config, ep transport.Endpoint) (*Peer, error) {
 	return p, nil
 }
 
-// resumeDelivery restores the delivery state recovered from the log —
-// applied watermarks, the default epoch, pending entries — and installs the
-// hooks that log every outbox transition. An entry is logged and synced
-// before a flusher can transmit it, so a transmitted sequence number is
-// never reused after a crash.
-func (p *Peer) resumeDelivery(st *store.OutboxState) error {
-	l := p.wal
+// openLog opens the log in dir (closing it again on failure), recovers the
+// store and the delivery state — applied watermarks, the default epoch,
+// pending entries — and installs the hooks that log every outbox
+// transition. An entry is logged and synced before a flusher can transmit
+// it, so a transmitted sequence number is never reused after a crash.
+func (p *Peer) openLog(dir string) (err error) {
+	l, err := store.OpenWAL(dir)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			l.Close()
+		}
+	}()
+	st, err := l.Recover(p.db)
+	if err != nil {
+		return err
+	}
+	p.wal = l
 	for from, mark := range st.Applied {
 		s := p.sessionLocked(from)
 		s.known = true
@@ -396,15 +403,10 @@ func (p *Peer) resumeDelivery(st *store.OutboxState) error {
 	}
 	epoch := st.Epoch
 	if epoch == 0 {
-		// First durable run: pick the default stream epoch and persist it
-		// so it stays stable across restarts (receivers keep their
-		// watermarks).
+		// First durable run: pick the default stream epoch and log it, so
+		// it stays stable across restarts (receivers keep their watermarks).
 		epoch = newEpoch()
-		err := l.LogEpoch(epoch)
-		if err == nil {
-			err = l.Sync()
-		}
-		if err != nil {
+		if err := l.LogEpoch(epoch); err != nil {
 			return err
 		}
 	}
@@ -414,14 +416,13 @@ func (p *Peer) resumeDelivery(st *store.OutboxState) error {
 	// write is sticky in the log's buffered writer, so it fails the
 	// onPreFlush sync that gates every transmission instead.
 	p.outbox.onEnqueue = func(dst string, seq uint64, msg protocol.Payload) {
-		// Buffered append only: the fsync happens in onPreFlush, before the
-		// first transmission of a flush cycle, keeping stage commits off
-		// the disk path.
+		// Buffered append only: the stage's one sync at its end covers it.
 		if b, err := protocol.EncodePayload(msg); err == nil {
 			_ = l.LogEnqueue(dst, seq, b)
 		}
 	}
 	p.outbox.onAck = func(dst string, seq uint64) {
+		// Never synced on its own: losing it costs only a retransmit.
 		_ = l.LogAck(dst, seq)
 	}
 	p.outbox.onReset = func(dst string, epoch uint64, entries []outEntry) {
@@ -437,14 +438,14 @@ func (p *Peer) resumeDelivery(st *store.OutboxState) error {
 			}
 		}
 	}
-	p.outbox.onPreFlush = l.SyncOutbox
+	p.outbox.onPreFlush = l.Sync
 	for dst, next := range st.NextSeq {
 		var entries []outEntry
 		for _, e := range st.Pending[dst] {
 			msg, err := protocol.DecodePayload(e.Payload)
 			if err != nil {
 				return fmt.Errorf("%w: recovering outbox entry %d for %s from %s (written by an older version?): %w; "+
-					"drain the log with the version that wrote it, or remove it", errdefs.ErrWAL, e.Seq, dst, l.OutboxPath(), err)
+					"drain the log with the version that wrote it, or remove it", errdefs.ErrWAL, e.Seq, dst, l.Path(), err)
 			}
 			entries = append(entries, outEntry{seq: e.Seq, msg: msg})
 		}
@@ -1109,7 +1110,7 @@ func (p *Peer) Close() error {
 	// Cancel the peer context first (aborts in-flight dials and stops the
 	// flushers at their next check), then close the endpoint (unblocks any
 	// write in progress), then wait for the flushers to exit, and only then
-	// sync and close the log they append to.
+	// close (and so sync) the log they append to.
 	p.cancel()
 	var errs []error
 	if err := p.ep.Close(); err != nil {
@@ -1117,9 +1118,6 @@ func (p *Peer) Close() error {
 	}
 	p.outbox.Shutdown()
 	if p.wal != nil {
-		if err := p.wal.Sync(); err != nil {
-			errs = append(errs, err)
-		}
 		if err := p.wal.Close(); err != nil {
 			errs = append(errs, err)
 		}

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/value"
 )
@@ -96,11 +95,7 @@ func TestPeerWALRecovery(t *testing.T) {
 
 	open := func() (*Peer, *Network) {
 		n := closingNetwork(t)
-		w, err := store.OpenWAL(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := New(Config{Name: "alice", WAL: w}, n.Bus().Endpoint("alice"))
+		p, err := New(Config{Name: "alice", WAL: dir}, n.Bus().Endpoint("alice"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,11 +147,7 @@ func TestPeerWALRecovery(t *testing.T) {
 func TestPeerWALSnapshotRecovery(t *testing.T) {
 	dir := t.TempDir()
 	n := closingNetwork(t)
-	w, err := store.OpenWAL(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := New(Config{Name: "alice", WAL: w}, n.Bus().Endpoint("alice"))
+	p, err := New(Config{Name: "alice", WAL: dir}, n.Bus().Endpoint("alice"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,12 +172,8 @@ func TestPeerWALSnapshotRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2, err := store.OpenWAL(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	n2 := closingNetwork(t)
-	p2, err := New(Config{Name: "alice", WAL: w2}, n2.Bus().Endpoint("alice"))
+	p2, err := New(Config{Name: "alice", WAL: dir}, n2.Bus().Endpoint("alice"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/ast"
 	"repro/internal/engine"
 	"repro/internal/protocol"
-	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/value"
 )
@@ -684,11 +683,7 @@ func TestDurableReceiverRestartRepairedUnderLoad(t *testing.T) {
 	n := NewSequentialNetwork()
 	dir := t.TempDir()
 	openB := func() *Peer {
-		w, err := store.OpenWAL(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := n.NewPeer(Config{Name: "b", WAL: w, ResyncInterval: -1})
+		b, err := n.NewPeer(Config{Name: "b", WAL: dir, ResyncInterval: -1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -113,10 +113,10 @@ func flatten(m map[string]map[string]value.Tuple) (map[string][]value.Tuple, map
 }
 
 // RunStage executes one computation stage: ingest inputs, run the fixpoint,
-// emit outputs. If ingestion changed nothing (all inbox messages were
-// no-ops, no staged updates, no program change), the fixpoint and emission
-// are skipped — the previous stage's outputs already reflect this state,
-// which is what lets a network of peers reach quiescence.
+// emit outputs, commit. If ingestion changed nothing (all inbox messages
+// were no-ops, no staged updates, no program change), the fixpoint and
+// emission are skipped — the previous stage's outputs already reflect this
+// state, which is what lets a network of peers reach quiescence.
 //
 // When the program is incrementally maintainable (engine.Options.Incremental
 // and no negation through views), derived relations stay materialized
@@ -167,6 +167,7 @@ func (p *Peer) runStageLocked() *StageReport {
 		// fixpoint has observed them yet, so they must live through the
 		// next stage that actually runs and expire only at the one after.
 		// freshTransient simply keeps accumulating until a stage runs.
+		p.commitLocked(rep)
 		return rep
 	}
 
@@ -201,6 +202,7 @@ func (p *Peer) runStageLocked() *StageReport {
 	p.pendingOps = append(p.pendingOps, res.LocalUpdates...)
 	p.emitFactsLocked(res, rep)
 	rep.Emit = time.Since(startEmit)
+	p.commitLocked(rep)
 
 	p.stats.Stages++
 	p.stats.Derived += uint64(res.Derived)
@@ -298,32 +300,30 @@ func (p *Peer) ingestLocked(rep *StageReport, d *stageDeltas) bool {
 		changed = true
 	}
 
-	// Release the staged acks only once everything they certify is durable:
-	// the applied facts and the per-sender watermarks, in one sync of the
-	// log's wal.log. On a persistence failure the acks stay staged — the sender
-	// retransmits, the replay coalesces onto the same staged ack, and the
-	// release is retried by a later ingestion.
+	return changed
+}
+
+// commitLocked ends a stage, run or skipped: it logs the staged acks'
+// watermarks and syncs the log once — covering those, the stage's ingest
+// records and its enqueues — before it releases the acks (and the caller
+// the subscription deltas). A skipped stage syncs only for acks replayed
+// data staged. On a persistence failure the acks stay staged: the sender
+// retransmits, and a later stage retries.
+func (p *Peer) commitLocked(rep *StageReport) {
 	ackable := p.stagedAckSessionsLocked()
-	if p.wal != nil && (rep.Applied > 0 || len(ackable) > 0) {
-		var err error
+	if p.wal != nil && (rep.Ran || len(ackable) > 0) {
 		for _, s := range ackable {
-			if err == nil {
-				err = p.wal.LogApplied(s.from, s.ackEpoch, s.ackSeq)
-			}
+			_ = p.wal.LogApplied(s.from, s.ackEpoch, s.ackSeq) // a failed append fails the sync
 		}
-		if err == nil {
-			err = p.wal.SyncUpdates()
-		}
-		if err != nil {
+		if err := p.wal.Sync(); err != nil {
 			rep.Errors = append(rep.Errors, err)
-			return changed
+			return
 		}
 	}
 	for _, s := range ackable {
 		p.outbox.EnqueueAck(s.from, s.ackEpoch, s.ackSeq)
 		s.ackStaged = false
 	}
-	return changed
 }
 
 // pullLocked runs the wrapper pull hook (Hooks.BeforeStage) with the lock
@@ -372,7 +372,7 @@ func (p *Peer) stagedAckSessionsLocked() []*inSession {
 // epoch starting at sequence 1 is adopted with a fresh watermark.
 //
 // Acks are *staged* on the session rather than enqueued directly: they are
-// released at the end of ingestion, after the durable watermark has been
+// released at the end of the stage, after the durable watermark has been
 // synced, so a crash can never leave a sender believing a message was
 // applied when the receiver's recovered watermark says otherwise.
 //

@@ -87,7 +87,7 @@ func TestOutboxLogCompact(t *testing.T) {
 		t.Errorf("records after checkpoint = %d, want 5", l.Records())
 	}
 	// The checkpoint must shrink the file to the live state.
-	fi, err := os.Stat(filepath.Join(dir, outboxName))
+	fi, err := os.Stat(filepath.Join(dir, logName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestOutboxLogTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate a crash mid-append: a torn trailing record.
-	tearLog(t, dir, outboxName, tornOutboxRecord())
+	tearLog(t, dir, tornOutboxRecord())
 
 	l2, err := OpenWAL(dir)
 	if err != nil {
@@ -261,7 +261,7 @@ func TestOutboxLogTornTailSurvivesSecondRestart(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tearLog(t, dir, outboxName, tornOutboxRecord())
+	tearLog(t, dir, tornOutboxRecord())
 
 	l, _, err = recoverOutboxLog(t, dir)
 	if err != nil {

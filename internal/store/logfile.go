@@ -8,13 +8,14 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 
 	"repro/internal/errdefs"
 	"repro/internal/value"
 )
 
-// Each file of the log (wal.log, outbox.log) is an 8-byte header — six magic bytes naming the
+// The log's file, wal.log, is an 8-byte header — six magic bytes naming the
 // file kind and a big-endian format version — and then records, each a
 // 4-byte little-endian body length, that length's 4-byte CRC-32C, the body's
 // 4-byte CRC-32C and the body. The length has its own checksum so that a
@@ -27,7 +28,12 @@ import (
 // A file that does not start with this version's header was written by an
 // older version (version 1 wrote outbox.log under a magic of its own and
 // kept snapshots in snapshot.log; before it, the logs were JSON lines) or is
-// not a log at all: it is refused, never misread.
+// not a log at all: it is refused, never misread. So is a directory that
+// holds a file an older version kept beside the log (oldLogNames).
+//
+// Creating the file and renaming a checkpoint over it are made durable by
+// an fsync of the directory: without it a crash could bring back the
+// superseded file, and with it lose records synced to the new one.
 const (
 	walMagic = "WDLWAL\x00\x02"
 
@@ -73,6 +79,9 @@ func openLogFile(path string) (*logFile, error) {
 		if err == nil {
 			_, err = f.WriteString(walMagic)
 		}
+		if err == nil {
+			err = syncDir(filepath.Dir(path))
+		}
 		if err != nil {
 			f.Close()
 			return nil, fmt.Errorf("store: %w: writing wal header: %w", errdefs.ErrWAL, err)
@@ -94,11 +103,13 @@ func (l *logFile) write(rec []byte) error {
 	if cap(rec) <= keepRecord {
 		l.rec = rec
 	}
+	// Dirty even if the write fails: the buffered writer keeps the error,
+	// so the next sync fails with it instead of skipping a clean file.
+	l.dirty = true
 	if _, err := l.w.Write(rec); err != nil {
 		return fmt.Errorf("store: %w: appending wal record: %w", errdefs.ErrWAL, err)
 	}
 	l.records++
-	l.dirty = true
 	return nil
 }
 
@@ -142,21 +153,37 @@ func (l *logFile) swap(f *os.File, records int) {
 	l.dirty = false
 }
 
+// close syncs and closes the file.
 func (l *logFile) close() error {
 	if l.closed {
 		return nil
 	}
+	err := l.sync()
 	l.closed = true
-	if err := l.w.Flush(); err != nil {
-		l.f.Close()
-		return fmt.Errorf("store: flushing wal on close: %w", err)
+	if cerr := l.f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("store: %w: closing wal: %w", errdefs.ErrWAL, cerr)
 	}
-	return l.f.Close()
+	return err
+}
+
+// syncDir fsyncs the directory dir, making the creation or renaming of a
+// file in it durable. A variable so that tests can count its calls.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // writeLogFile atomically replaces path with a log of the given records:
-// written to a temporary file, synced, then renamed over path. It returns
-// the new file open for appending.
+// written to a temporary file, synced, then renamed over path, and the
+// rename made durable by syncing the directory. It returns the new file
+// open for appending, also when only that last sync failed.
 func writeLogFile(path string, recs func(add func(body []byte) error) error) (*os.File, error) {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_RDWR|os.O_APPEND, 0o644)
@@ -187,7 +214,9 @@ func writeLogFile(path string, recs func(add func(body []byte) error) error) (*o
 		os.Remove(tmp)
 		return nil, err
 	}
-	return f, nil
+	// The new file is in place: it is handed over even when the rename
+	// cannot be made durable, so that appends reach it, not the old one.
+	return f, syncDir(filepath.Dir(path))
 }
 
 // replayLog decodes every record of the log at path, in order, hands it to

@@ -119,6 +119,91 @@ func TestV1LogsRefused(t *testing.T) {
 	}
 }
 
+// TestTwoFileLayoutRefused: a log directory of the previous layout, which
+// kept the delivery records in a file of their own, outbox.log, in this
+// version's record format, is refused with ErrWAL naming outbox.log, and
+// neither file is changed: it is never half-read.
+func TestTwoFileLayoutRefused(t *testing.T) {
+	prev := t.TempDir()
+	w, err := OpenWAL(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	must(t, w.LogDeclare(Schema{Name: "r", Peer: "p", Kind: ast.Extensional, Cols: []string{"a"}}))
+	must(t, w.LogMany(false, "r", "p", []value.Tuple{{value.Int(1)}}))
+	must(t, w.LogEpoch(3))
+	must(t, w.LogEnqueue("bob", 1, []byte("m1")))
+	must(t, w.Close())
+	// Both files of that layout had this header and record format.
+	checkRefused(t, map[string]string{logName: filepath.Join(prev, logName), "outbox.log": filepath.Join(prev, logName)}, "outbox.log")
+}
+
+// TestLogDirSynced: creating the log and renaming a checkpoint over it each
+// fsync the log's directory, so that a crash can undo neither; reopening a
+// log that exists does not. A checkpoint whose directory sync fails reports
+// ErrWAL, and the log goes on appending to the file the checkpoint wrote.
+func TestLogDirSynced(t *testing.T) {
+	var synced []string
+	fail := false
+	sync := syncDir
+	defer func() { syncDir = sync }()
+	syncDir = func(dir string) error {
+		synced = append(synced, dir)
+		if fail {
+			return errors.New("directory sync failed")
+		}
+		return sync(dir)
+	}
+	dir := t.TempDir()
+	w, err := OpenWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(synced, []string{dir}) {
+		t.Fatalf("creating the log synced %v, want %s once", synced, dir)
+	}
+	must(t, w.LogDeclare(Schema{Name: "r", Peer: "p", Kind: ast.Extensional, Cols: []string{"a"}}))
+	must(t, w.LogMany(false, "r", "p", []value.Tuple{{value.Int(1)}}))
+	must(t, w.Close())
+	w, s, err := recoverWAL(t, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(synced) != 1 {
+		t.Fatalf("reopening the log synced %v, want no directory sync", synced[1:])
+	}
+	must(t, w.Checkpoint(s, "p", NewOutboxState()))
+	if !reflect.DeepEqual(synced, []string{dir, dir}) {
+		t.Fatalf("the checkpoint synced %v, want %s", synced[1:], dir)
+	}
+	fail = true
+	if err := w.Checkpoint(s, "p", NewOutboxState()); !errors.Is(err, errdefs.ErrWAL) {
+		t.Fatalf("checkpoint with a failing directory sync: err = %v, want ErrWAL", err)
+	}
+	fail = false
+	must(t, w.LogMany(false, "r", "p", []value.Tuple{{value.Int(2)}}))
+	must(t, w.Close())
+	w, s, err = recoverWAL(t, dir)
+	w.Close()
+	if err != nil || s.Get("r", "p").Len() != 2 {
+		t.Fatalf("after the failed directory sync: recovered %v, %v; want both tuples", s.Get("r", "p"), err)
+	}
+}
+
+// TestWALCloseFlushFailure: a close whose flush of buffered records fails
+// reports ErrWAL.
+func TestWALCloseFlushFailure(t *testing.T) {
+	w, err := OpenWAL(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	must(t, w.LogEpoch(1))
+	w.log.f.Close() // the buffered record can no longer reach the file
+	if err := w.Close(); !errors.Is(err, errdefs.ErrWAL) {
+		t.Fatalf("close: err = %v, want ErrWAL", err)
+	}
+}
+
 // checkRefused copies files (name → source) into a fresh directory and
 // checks that recovering it fails with ErrWAL naming the file named (any of
 // them when named is empty) and saying to drain or remove it, and that the
@@ -201,16 +286,16 @@ func TestLogTornAtEveryByte(t *testing.T) {
 		l.LogEpoch(5)
 		l.LogEnqueue("bob", 1, []byte("m1"))
 		l.Sync()
-		before := fileSize(t, filepath.Join(dir, outboxName))
+		before := fileSize(t, filepath.Join(dir, logName))
 		l.LogEnqueue("bob", 2, []byte("m2"))
 		l.Close()
-		full, err := os.ReadFile(filepath.Join(dir, outboxName))
+		full, err := os.ReadFile(filepath.Join(dir, logName))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for cut := before; cut <= int64(len(full)); cut++ {
 			d := t.TempDir()
-			if err := os.WriteFile(filepath.Join(d, outboxName), full[:cut], 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(d, logName), full[:cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
 			l, st, err := recoverOutboxLog(t, d)
@@ -297,7 +382,7 @@ func TestLogDamagedLengthIsNotATornTail(t *testing.T) {
 			w.Close()
 			return err
 		}},
-		{outboxName, func(dir string) {
+		{"delivery records", func(dir string) {
 			l, _ := OpenWAL(dir)
 			l.LogEpoch(1)
 			for seq := uint64(1); seq <= 4; seq++ {
@@ -313,7 +398,7 @@ func TestLogDamagedLengthIsNotATornTail(t *testing.T) {
 		t.Run(lg.name, func(t *testing.T) {
 			dir := t.TempDir()
 			lg.write(dir)
-			path := filepath.Join(dir, lg.name)
+			path := filepath.Join(dir, logName)
 			b, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)

@@ -2,7 +2,6 @@ package store
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,8 +11,8 @@ import (
 	"repro/internal/value"
 )
 
-// WAL is a peer's one durable log. It holds two kinds of record, in one
-// format under one tag byte:
+// WAL is a peer's one durable log: one file, wal.log, of records in one
+// format under one tag byte. They are of two kinds:
 //
 //   - the declarations, inserts and deletes of the peer's extensional
 //     relations;
@@ -24,13 +23,9 @@ import (
 //     pending entries and re-sends them, and recovers the watermarks so
 //     retransmissions it already applied are deduplicated.
 //
-// The records are split over two files by the end of a stage that syncs
-// them (fileOf): wal.log takes what a stage ingests — the store's records
-// and the applied watermarks — and is synced once after ingest
-// (SyncUpdates); outbox.log takes what it sends — enqueues, acks, the epoch
-// and resets — and is synced by the flusher before it transmits
-// (SyncOutbox). Each file replays on its own, so files that a crash cut at
-// different points still recover a state the peer went through.
+// Appends are buffered; Sync makes everything appended so far durable at
+// once. A stage appends what it ingests, the watermarks it will acknowledge
+// and what it enqueues, and syncs once at its end.
 //
 // Recover replays the log; Checkpoint rewrites it to the live state once the
 // records appended since the last checkpoint outgrow it (CheckpointDue).
@@ -40,40 +35,25 @@ import (
 // The paper's system keeps peer state in the Bud runtime's persistent
 // collections; this is our equivalent storage substrate.
 type WAL struct {
-	dir  string
-	logs [2]*logFile // indexed by updatesFile and outboxFile
+	dir string
+	log *logFile
 	// written is the number of records the last checkpoint wrote; 0 after
-	// recovery, when the files' history is unknown.
+	// recovery, when the file's history is unknown.
 	written int
 }
 
 const (
-	logName    = "wal.log"
-	outboxName = "outbox.log"
+	logName = "wal.log"
 	// checkpointMin is how many records may be appended after a checkpoint
 	// before the next is due, however small it was.
 	checkpointMin = 8192
 )
 
-// The log's files, as indexes of WAL.logs and logNames.
-const (
-	updatesFile = iota
-	outboxFile
-)
-
-var logNames = [2]string{logName, outboxName}
-
-// fileOf returns the file a record with tag op is appended to.
-func fileOf(op byte) int {
-	if op <= walDel || op == walApplied {
-		return updatesFile
-	}
-	return outboxFile
-}
-
-// oldLogNames are the files older versions kept beside the log. Recovery
-// refuses to start over one: ignoring it would drop the snapshot it holds.
-var oldLogNames = []string{"snapshot.log", "snapshot.json"}
+// oldLogNames are the files older versions kept beside the log: snapshots,
+// and the delivery records that had a file of their own. Recovery refuses
+// to start over one: ignoring it would drop the snapshot or the pending
+// deliveries it holds.
+var oldLogNames = []string{"snapshot.log", "snapshot.json", "outbox.log"}
 
 // Log record tags.
 const (
@@ -280,65 +260,45 @@ func (st *OutboxState) records(write func(walRecord) error) error {
 	return nil
 }
 
-// OpenWAL opens (creating if needed) the log's files in dir. Failures wrap
+// OpenWAL opens (creating if needed) the log in dir. Failures wrap
 // errdefs.ErrWAL so callers can detect them with errors.Is.
 func OpenWAL(dir string) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w: opening wal dir: %w", errdefs.ErrWAL, err)
 	}
-	w := &WAL{dir: dir}
-	for i, name := range logNames {
-		l, err := openLogFile(filepath.Join(dir, name))
-		if err != nil {
-			if i > 0 {
-				w.logs[0].close()
-			}
-			return nil, err
-		}
-		w.logs[i] = l
+	l, err := openLogFile(filepath.Join(dir, logName))
+	if err != nil {
+		return nil, err
 	}
-	return w, nil
+	return &WAL{dir: dir, log: l}, nil
 }
 
 // OpenOutboxLog is OpenWAL: the delivery records, once a log of their own,
-// are the log's outbox.log. benchmark/probes.go still calls it.
+// are records of the one log. benchmark/probes.go still calls it.
 func OpenOutboxLog(dir string) (*WAL, error) { return OpenWAL(dir) }
 
-// Dir returns the directory holding the log.
-func (w *WAL) Dir() string { return w.dir }
+// Path returns the path of the log's file, for errors about the records it
+// holds.
+func (w *WAL) Path() string { return filepath.Join(w.dir, logName) }
 
-// OutboxPath returns the path of the log's outbox.log, for errors about the
-// delivery records it holds.
-func (w *WAL) OutboxPath() string { return filepath.Join(w.dir, outboxName) }
-
-// lock takes both files' locks, in file order, and returns their release.
-func (w *WAL) lock() (unlock func()) {
-	for _, l := range w.logs {
-		l.mu.Lock()
-	}
-	return func() {
-		for _, l := range w.logs {
-			l.mu.Unlock()
-		}
-	}
-}
-
-// Records returns the number of records in the log's files: those recovered
-// or written by the last checkpoint, plus those appended since.
+// Records returns the number of records in the log: those recovered or
+// written by the last checkpoint, plus those appended since.
 func (w *WAL) Records() int {
-	defer w.lock()()
-	return w.logs[updatesFile].records + w.logs[outboxFile].records
+	w.log.mu.Lock()
+	defer w.log.mu.Unlock()
+	return w.log.records
 }
 
-// Syncs returns the number of fsyncs of the log's files so far; a sync of a
-// file with nothing appended since its last one does not count.
+// Syncs returns the number of fsyncs of the log so far; a sync with nothing
+// appended since the last one does not count.
 func (w *WAL) Syncs() uint64 {
-	defer w.lock()()
-	return w.logs[updatesFile].syncs + w.logs[outboxFile].syncs
+	w.log.mu.Lock()
+	defer w.log.mu.Unlock()
+	return w.log.syncs
 }
 
 func (w *WAL) append(rec walRecord) error {
-	l := w.logs[fileOf(rec.Op)]
+	l := w.log
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.write(rec.append(l.record()))
@@ -351,7 +311,7 @@ func (w *WAL) LogMany(del bool, rel, peer string, ts []value.Tuple) error {
 	if del {
 		rec.Op = walDel
 	}
-	l := w.logs[updatesFile]
+	l := w.log
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, t := range ts {
@@ -399,86 +359,65 @@ func (w *WAL) LogReset(dst string, epoch uint64) error {
 	return w.append(walRecord{Op: walReset, Peer: dst, Epoch: epoch})
 }
 
-// Sync flushes buffered records and fsyncs both of the log's files, each
-// only if something was appended to it since its last sync.
+// Sync flushes buffered records and fsyncs the log; a no-op when nothing
+// was appended since the last sync, so callers can invoke it liberally.
 func (w *WAL) Sync() error {
-	return errors.Join(w.SyncUpdates(), w.SyncOutbox())
-}
-
-// SyncUpdates syncs wal.log alone: the store's records and the applied
-// watermarks, which a stage's acks certify. A no-op when it is clean.
-func (w *WAL) SyncUpdates() error { return w.sync(updatesFile) }
-
-// SyncOutbox syncs outbox.log alone: the entries a flush cycle is about to
-// transmit, with the acks and resets logged before them. A no-op when it is
-// clean, so callers can invoke it liberally (the outbox flushers do, before
-// every transmit cycle).
-func (w *WAL) SyncOutbox() error { return w.sync(outboxFile) }
-
-func (w *WAL) sync(file int) error {
-	l := w.logs[file]
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.sync()
+	w.log.mu.Lock()
+	defer w.log.mu.Unlock()
+	return w.log.sync()
 }
 
 // CheckpointDue reports whether the records appended since the last
 // checkpoint exceed max(checkpointMin, the records that checkpoint wrote) —
-// so the files never hold more than twice the live state plus
-// checkpointMin records. After recovery every record in them counts as
-// appended.
+// so the log never holds more than twice the live state plus checkpointMin
+// records. After recovery every record in it counts as appended.
 func (w *WAL) CheckpointDue() bool {
-	defer w.lock()()
-	records := w.logs[updatesFile].records + w.logs[outboxFile].records
-	return records-w.written > max(checkpointMin, w.written)
+	w.log.mu.Lock()
+	defer w.log.mu.Unlock()
+	return w.log.records-w.written > max(checkpointMin, w.written)
 }
 
-// Checkpoint atomically rewrites each of the log's files to the live state:
-// wal.log to a declaration per extensional relation of peer in s, an insert
-// per tuple and the applied watermarks of st; outbox.log to the rest of st.
-// The caller excludes every other append until it returns: a record that
-// reached a superseded file would be lost with it. A crash between the two
-// rewrites leaves one file rewritten and the other whole, which recovers
-// the same state.
+// Checkpoint atomically rewrites the log to the live state: a declaration
+// per extensional relation of peer in s, an insert per tuple, and the
+// delivery state st. The caller excludes every other append until it
+// returns: a record that reached the superseded file would be lost with it.
 func (w *WAL) Checkpoint(s *Store, peer string, st *OutboxState) error {
-	defer w.lock()()
-	if w.logs[updatesFile].closed {
+	l := w.log
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
 		return fmt.Errorf("store: %w: wal is closed", errdefs.ErrWAL)
 	}
-	w.written = 0
-	for file, l := range w.logs {
-		n := 0
-		f, err := writeLogFile(filepath.Join(w.dir, logNames[file]), func(add func([]byte) error) error {
-			var body []byte
-			write := func(rec walRecord) error {
-				if fileOf(rec.Op) != file {
-					return nil
-				}
-				body = rec.append(body[:0])
-				n++
-				return add(body)
+	n := 0
+	f, err := writeLogFile(w.Path(), func(add func([]byte) error) error {
+		var body []byte
+		write := func(rec walRecord) error {
+			body = rec.append(body[:0])
+			n++
+			return add(body)
+		}
+		for _, r := range s.RelationsOf(peer) {
+			if r.Kind() != ast.Extensional {
+				continue
 			}
-			for _, r := range s.RelationsOf(peer) {
-				if file != updatesFile || r.Kind() != ast.Extensional {
-					continue
-				}
-				sch := r.Schema()
-				if err := write(walRecord{Op: walDecl, Rel: sch.Name, Peer: sch.Peer, Kind: sch.Kind, Cols: sch.Cols}); err != nil {
+			sch := r.Schema()
+			if err := write(walRecord{Op: walDecl, Rel: sch.Name, Peer: sch.Peer, Kind: sch.Kind, Cols: sch.Cols}); err != nil {
+				return err
+			}
+			for _, t := range r.Tuples() {
+				if err := write(walRecord{Op: walIns, Rel: sch.Name, Peer: sch.Peer, Args: t}); err != nil {
 					return err
 				}
-				for _, t := range r.Tuples() {
-					if err := write(walRecord{Op: walIns, Rel: sch.Name, Peer: sch.Peer, Args: t}); err != nil {
-						return err
-					}
-				}
 			}
-			return st.records(write)
-		})
-		if err != nil {
-			return fmt.Errorf("store: %w: writing checkpoint of %s: %w", errdefs.ErrWAL, logNames[file], err)
 		}
+		return st.records(write)
+	})
+	if f != nil {
 		l.swap(f, n)
-		w.written += n
+		w.written = n
+	}
+	if err != nil {
+		return fmt.Errorf("store: %w: writing checkpoint: %w", errdefs.ErrWAL, err)
 	}
 	return nil
 }
@@ -486,7 +425,7 @@ func (w *WAL) Checkpoint(s *Store, peer string, st *OutboxState) error {
 // Recover replays the log into s and returns the delivery state it holds.
 // It is meant to be called once, on an empty or freshly-created store,
 // before any new records are appended. A torn final record (a crash
-// mid-append) is tolerated and cut off its file. A record whose tuple does
+// mid-append) is tolerated and cut off the file. A record whose tuple does
 // not fit its relation's arity fails recovery with an error wrapping
 // errdefs.ErrWAL, and so does a file not in this version's format or a
 // file of an older version beside the log.
@@ -494,43 +433,41 @@ func (w *WAL) Recover(s *Store) (*OutboxState, error) {
 	for _, name := range oldLogNames {
 		path := filepath.Join(w.dir, name)
 		if _, err := os.Stat(path); err == nil {
-			return nil, fmt.Errorf("store: %w: %s is a log written by an older version, which kept more than %s and %s: "+
-				"drain it with the version that wrote it, or remove it", errdefs.ErrWAL, path, logName, outboxName)
+			return nil, fmt.Errorf("store: %w: %s is a log written by an older version, which kept more than %s: "+
+				"drain it with the version that wrote it, or remove it", errdefs.ErrWAL, path, logName)
 		}
 	}
 	st := NewOutboxState()
-	for file, l := range w.logs {
-		n, err := replayLog(filepath.Join(w.dir, logNames[file]), func(n int, rec walRecord) error {
-			if rec.Op > walDel {
-				st.apply(rec)
-				return nil
-			}
-			if rec.Op == walDecl {
-				_, err := s.Declare(Schema{Name: rec.Rel, Peer: rec.Peer, Kind: rec.Kind, Cols: rec.Cols})
-				return err
-			}
-			rel := s.Get(rec.Rel, rec.Peer)
-			if rel == nil {
-				return fmt.Errorf("store: %w: wal record %d changes undeclared relation %s@%s", errdefs.ErrWAL, n, rec.Rel, rec.Peer)
-			}
-			if len(rec.Args) != rel.Schema().Arity() {
-				return fmt.Errorf("store: %w: wal record %d has %d values, %s has arity %d",
-					errdefs.ErrWAL, n, len(rec.Args), rel.ID(), rel.Schema().Arity())
-			}
-			if rec.Op == walIns {
-				rel.Insert(rec.Args)
-			} else {
-				rel.Delete(rec.Args)
-			}
+	n, err := replayLog(w.Path(), func(n int, rec walRecord) error {
+		if rec.Op > walDel {
+			st.apply(rec)
 			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
-		l.mu.Lock()
-		l.records += n
-		l.mu.Unlock()
+		if rec.Op == walDecl {
+			_, err := s.Declare(Schema{Name: rec.Rel, Peer: rec.Peer, Kind: rec.Kind, Cols: rec.Cols})
+			return err
+		}
+		rel := s.Get(rec.Rel, rec.Peer)
+		if rel == nil {
+			return fmt.Errorf("store: %w: wal record %d changes undeclared relation %s@%s", errdefs.ErrWAL, n, rec.Rel, rec.Peer)
+		}
+		if len(rec.Args) != rel.Schema().Arity() {
+			return fmt.Errorf("store: %w: wal record %d has %d values, %s has arity %d",
+				errdefs.ErrWAL, n, len(rec.Args), rel.ID(), rel.Schema().Arity())
+		}
+		if rec.Op == walIns {
+			rel.Insert(rec.Args)
+		} else {
+			rel.Delete(rec.Args)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	w.log.mu.Lock()
+	w.log.records += n
+	w.log.mu.Unlock()
 	for dst, pending := range st.Pending {
 		if len(pending) == 0 {
 			delete(st.Pending, dst)
@@ -539,8 +476,9 @@ func (w *WAL) Recover(s *Store) (*OutboxState, error) {
 	return st, nil
 }
 
-// Close flushes and closes the log's files.
+// Close syncs and closes the log.
 func (w *WAL) Close() error {
-	defer w.lock()()
-	return errors.Join(w.logs[updatesFile].close(), w.logs[outboxFile].close())
+	w.log.mu.Lock()
+	defer w.log.mu.Unlock()
+	return w.log.close()
 }

@@ -154,7 +154,7 @@ func TestWALTornFinalRecordTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate a crash mid-append: half a record at the end.
-	tearLog(t, dir, logName, tornWALRecord())
+	tearLog(t, dir, tornWALRecord())
 
 	w2, err := OpenWAL(dir)
 	if err != nil {
@@ -240,11 +240,11 @@ func TestWALSnapshotOnlyExtensional(t *testing.T) {
 	}
 }
 
-// tearLog appends half a record to the log file name in dir: a crash in the
-// middle of an append.
-func tearLog(t testing.TB, dir, name string, half []byte) {
+// tearLog appends half a record to the log in dir: a crash in the middle of
+// an append.
+func tearLog(t testing.TB, dir string, half []byte) {
 	t.Helper()
-	f, err := os.OpenFile(filepath.Join(dir, name), os.O_APPEND|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestWALTornTailSurvivesSecondRestart(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tearLog(t, dir, logName, tornWALRecord())
+	tearLog(t, dir, tornWALRecord())
 
 	w, _, err = recoverWAL(t, dir)
 	if err != nil {
@@ -399,7 +399,7 @@ func recoverBoth(t testing.TB, dir string) (*WAL, *Store, *OutboxState, error) {
 	return w, s, st, err
 }
 
-// logMore appends the records fuzzLogReplay and TestLogCrashPoints log after
+// logMore appends the records FuzzWALReplay and TestLogCrashPoints log after
 // a recovery: a fresh relation with one tuple and an entry for a fresh
 // destination, neither named anywhere in before.
 func logMore(t testing.TB, w *WAL, before recovery) (rel, dst string) {
@@ -445,29 +445,14 @@ func hasKey(m map[string]uint64, k string) bool {
 	return ok
 }
 
-// FuzzWALReplay fuzzes wal.log, the file of the store's records and the
-// applied watermarks (fuzzLogReplay).
+// FuzzWALReplay feeds arbitrary bytes to WAL.Recover as the log, seeded
+// with a log holding every record tag — the store's and the delivery
+// state's — whole, cut inside its last record, and with a torn store record
+// or a torn delivery record after it. Recover must not panic; and when it
+// succeeds, a restarted peer that logs more — store records and delivery
+// records — and restarts again must recover exactly the first recovery plus
+// what it logged, whatever torn tail the bytes ended in.
 func FuzzWALReplay(f *testing.F) {
-	fuzzLogReplay(f, logName, func(logged []byte) [][]byte {
-		return [][]byte{logged, append(slices.Clip(logged), tornWALRecord()...), logged[:len(logged)-3], []byte(walMagic[:5])}
-	})
-}
-
-// FuzzOutboxLogReplay fuzzes outbox.log, the file of the rest of the
-// delivery state (fuzzLogReplay).
-func FuzzOutboxLogReplay(f *testing.F) {
-	fuzzLogReplay(f, outboxName, func(logged []byte) [][]byte {
-		return [][]byte{logged, append(slices.Clip(logged), tornOutboxRecord()...), logged[:len(logged)-3]}
-	})
-}
-
-// fuzzLogReplay feeds arbitrary bytes to WAL.Recover as the log's file name,
-// seeded with what seeds makes of that file of a log holding every record
-// tag. Recover must not panic; and when it succeeds, a restarted peer that
-// logs more — store records and delivery records — and restarts again must
-// recover exactly the first recovery plus what it logged, whatever torn tail
-// the bytes ended in.
-func fuzzLogReplay(f *testing.F, name string, seeds func(logged []byte) [][]byte) {
 	dir := f.TempDir()
 	w, err := OpenWAL(dir)
 	if err != nil {
@@ -475,9 +460,9 @@ func fuzzLogReplay(f *testing.F, name string, seeds func(logged []byte) [][]byte
 	}
 	w.LogDeclare(Schema{Name: "r", Peer: "p", Kind: ast.Extensional, Cols: []string{"a", "b"}})
 	w.LogMany(false, "r", "p", []value.Tuple{{value.Int(1), value.Str("x")}, {value.Int(2), value.Str("y")}})
-	w.LogMany(true, "r", "p", []value.Tuple{{value.Int(1), value.Str("x")}})
 	w.LogEpoch(9)
 	w.LogEnqueue("bob", 1, []byte("m1"))
+	w.LogMany(true, "r", "p", []value.Tuple{{value.Int(1), value.Str("x")}})
 	w.LogEnqueue("bob", 2, []byte("m2"))
 	w.LogAck("bob", 1)
 	w.LogApplied("carol", 4, 6)
@@ -485,16 +470,22 @@ func fuzzLogReplay(f *testing.F, name string, seeds func(logged []byte) [][]byte
 	if err := w.Close(); err != nil {
 		f.Fatal(err)
 	}
-	logged, err := os.ReadFile(filepath.Join(dir, name))
+	logged, err := os.ReadFile(filepath.Join(dir, logName))
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, seed := range seeds(logged) {
+	for _, seed := range [][]byte{
+		logged,
+		append(slices.Clip(logged), tornWALRecord()...),
+		append(slices.Clip(logged), tornOutboxRecord()...),
+		logged[:len(logged)-3],
+		[]byte(walMagic[:5]),
+	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, logName), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		w, s, st, err := recoverBoth(t, dir)
@@ -516,20 +507,21 @@ func fuzzLogReplay(f *testing.F, name string, seeds func(logged []byte) [][]byte
 }
 
 // TestLogCrashPoints cuts a log mixing every record tag at every record
-// boundary and at every byte of the last record, one file at a time, the
-// other left whole — a crash at any point of any append, in either file.
-// Every recovery must equal the recovery of a log that never held the
-// records past the cut, and logging more after it and recovering again
-// must give that plus what was logged.
+// boundary and at every byte inside every record: a crash at any point of
+// any append. Every recovery must equal the recovery of a log that only
+// ever held the records whole before the cut, and logging more after it
+// and recovering again must give that plus what was logged.
 func TestLogCrashPoints(t *testing.T) {
 	sch := Schema{Name: "r", Peer: "p", Kind: ast.Extensional, Cols: []string{"a", "b"}}
 	one, two := value.Tuple{value.Int(1), value.Str("one")}, extremeTuple()[:2]
+	// Each step appends one record.
 	steps := []func(w *WAL) error{
 		func(w *WAL) error { return w.LogEpoch(5) },
 		func(w *WAL) error { return w.LogDeclare(sch) },
-		func(w *WAL) error { return w.LogMany(false, "r", "p", []value.Tuple{one, two}) },
+		func(w *WAL) error { return w.LogMany(false, "r", "p", []value.Tuple{one}) },
 		func(w *WAL) error { return w.LogEnqueue("bob", 1, []byte("m1")) },
 		func(w *WAL) error { return w.LogApplied("carol", 3, 4) },
+		func(w *WAL) error { return w.LogMany(false, "r", "p", []value.Tuple{two}) },
 		func(w *WAL) error { return w.LogEnqueue("bob", 2, []byte("m2")) },
 		func(w *WAL) error { return w.LogMany(true, "r", "p", []value.Tuple{one}) },
 		func(w *WAL) error { return w.LogAck("bob", 1) },
@@ -537,91 +529,60 @@ func TestLogCrashPoints(t *testing.T) {
 		func(w *WAL) error { return w.LogEnqueue("dave", 1, []byte("d1")) },
 		func(w *WAL) error { return w.LogApplied("carol", 3, 9) },
 	}
-	// Each step appends to one file: of[i] is step i's file, ends[f][k] the
-	// size of file f holding its first k steps.
 	dir := t.TempDir()
 	w, err := OpenWAL(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	of := make([]int, len(steps))
-	ends := [2][]int64{{headerLen}, {headerLen}}
+	ends := []int64{headerLen} // ends[k]: the log's size holding its first k records
 	for i, step := range steps {
 		must(t, step(w))
 		must(t, w.Sync())
-		grew := 0
-		for file, name := range logNames {
-			if size := fileSize(t, filepath.Join(dir, name)); size != ends[file][len(ends[file])-1] {
-				ends[file] = append(ends[file], size)
-				of[i] = file
-				grew++
-			}
-		}
-		if grew != 1 {
-			t.Fatalf("step %d changed %d files", i, grew)
+		ends = append(ends, fileSize(t, filepath.Join(dir, logName)))
+		if w.Records() != i+1 || ends[i+1] <= ends[i] {
+			t.Fatalf("step %d did not append exactly one record", i)
 		}
 	}
 	w.Close()
-	// want recovers a log that holds only the first k steps of file.
-	want := func(file, k int) recovery {
+	full, err := os.ReadFile(filepath.Join(dir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// wants[k] recovers a log that only ever held the first k records.
+	wants := make([]recovery, len(steps)+1)
+	for k := range wants {
 		d := t.TempDir()
 		w, err := OpenWAL(d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen := 0
-		for i, step := range steps {
-			if of[i] == file {
-				if seen++; seen > k {
-					continue
-				}
-			}
+		for _, step := range steps[:k] {
 			must(t, step(w))
 		}
 		w.Close()
-		r, err := recoverDir(t, d)
-		if err != nil {
+		if wants[k], err = recoverDir(t, d); err != nil {
 			t.Fatal(err)
 		}
-		return r
 	}
-	for file, name := range logNames {
-		other := logNames[1-file]
-		full, err := os.ReadFile(filepath.Join(dir, name))
+	k := 0
+	for cut := ends[0]; cut <= ends[len(steps)]; cut++ {
+		for k < len(steps) && ends[k+1] <= cut {
+			k++
+		}
+		d := t.TempDir()
+		must(t, os.WriteFile(filepath.Join(d, logName), full[:cut], 0o644))
+		w, s, st, err := recoverBoth(t, d)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("cut at %d: %v", cut, err)
 		}
-		whole, err := os.ReadFile(filepath.Join(dir, other))
-		if err != nil {
-			t.Fatal(err)
+		if got := (recovery{dumpStore(s), st}); !reflect.DeepEqual(got, wants[k]) {
+			t.Fatalf("cut at %d: recovered %+v\nwant its first %d records: %+v", cut, got, k, wants[k])
 		}
-		fe := ends[file]
-		cuts := slices.Clone(fe)
-		for cut := fe[len(fe)-2] + 1; cut < fe[len(fe)-1]; cut++ {
-			cuts = append(cuts, cut)
-		}
-		for _, cut := range cuts {
-			k := 0
-			for k+1 < len(fe) && fe[k+1] <= cut {
-				k++
-			}
-			d := t.TempDir()
-			must(t, os.WriteFile(filepath.Join(d, name), full[:cut], 0o644))
-			must(t, os.WriteFile(filepath.Join(d, other), whole, 0o644))
-			w, s, st, err := recoverBoth(t, d)
-			if err != nil {
-				t.Fatalf("%s cut at %d: %v", name, cut, err)
-			}
-			before := want(file, k)
-			if got := (recovery{dumpStore(s), st}); !reflect.DeepEqual(got, before) {
-				t.Fatalf("%s cut at %d: recovered %+v\nwant its first %d records: %+v", name, cut, got, k, before)
-			}
-			rel, dst := logMore(t, w, before)
-			w.Close()
-			got, err := recoverDir(t, d)
-			if want := plusMore(before, rel, dst); err != nil || !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s cut at %d: second restart: %v\n got %+v\nwant %+v", name, cut, err, got, want)
-			}
+		rel, dst := logMore(t, w, wants[k])
+		w.Close()
+		got, err := recoverDir(t, d)
+		if want := plusMore(wants[k], rel, dst); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("cut at %d: second restart: %v\n got %+v\nwant %+v", cut, err, got, want)
 		}
 	}
 }
