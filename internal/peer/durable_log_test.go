@@ -14,8 +14,9 @@ import (
 )
 
 // TestDurablePeerLogFiles: a durable peer that enqueues, is acked, has a
-// stream reset and takes a checkpoint keeps exactly the log's one file,
-// wal.log, and comes back from it with its facts and its stream.
+// stream reset and takes a checkpoint keeps exactly the log's two files,
+// wal.log and outbox.log (its acks), and comes back from them with its
+// facts and its stream.
 func TestDurablePeerLogFiles(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -87,8 +88,8 @@ func TestDurablePeerLogFiles(t *testing.T) {
 	for _, e := range entries {
 		names = append(names, e.Name())
 	}
-	if len(names) != 1 || names[0] != "wal.log" {
-		t.Fatalf("the log directory holds %v, want exactly wal.log", names)
+	if len(names) != 2 || names[0] != "outbox.log" || names[1] != "wal.log" {
+		t.Fatalf("the log directory holds %v, want exactly outbox.log and wal.log", names)
 	}
 
 	alice, bob, n = open()

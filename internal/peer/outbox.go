@@ -122,7 +122,7 @@ type outbox struct {
 	// (a no-op after a stage's own sync), so that a transmitted sequence
 	// number is always recoverable.
 	onEnqueue  func(dst string, seq uint64, msg protocol.Payload)
-	onAck      func(dst string, seq uint64)
+	onAck      func(dst string, epoch, seq uint64)
 	onReset    func(dst string, epoch uint64, entries []outEntry)
 	onPreFlush func() error
 
@@ -330,7 +330,7 @@ func (o *outbox) Ack(dst string, epoch, seq uint64) {
 	if dropped > 0 {
 		o.delivered.Add(uint64(dropped))
 		if o.onAck != nil {
-			o.onAck(dst, seq)
+			o.onAck(dst, epoch, seq)
 		}
 		dq.signal()
 	}

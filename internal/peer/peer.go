@@ -421,9 +421,9 @@ func (p *Peer) openLog(dir string) (err error) {
 			_ = l.LogEnqueue(dst, seq, b)
 		}
 	}
-	p.outbox.onAck = func(dst string, seq uint64) {
+	p.outbox.onAck = func(dst string, epoch, seq uint64) {
 		// Never synced on its own: losing it costs only a retransmit.
-		_ = l.LogAck(dst, seq)
+		_ = l.LogAck(dst, epoch, seq)
 	}
 	p.outbox.onReset = func(dst string, epoch uint64, entries []outEntry) {
 		// A reset supersedes everything logged for dst; the renumbered

@@ -15,12 +15,12 @@ import (
 	"repro/internal/value"
 )
 
-// The log's file, wal.log, is an 8-byte header — six magic bytes naming the
-// file kind and a big-endian format version — and then records, each a
-// 4-byte little-endian body length, that length's 4-byte CRC-32C, the body's
-// 4-byte CRC-32C and the body. The length has its own checksum so that a
-// damaged length is told apart from a torn tail: it cannot be mistaken for a
-// record running past the end of the file. A body is a tag byte and the
+// Each of the log's files, wal.log and outbox.log, is an 8-byte header — six
+// magic bytes naming the file kind and a big-endian format version — and
+// then records, each a 4-byte little-endian body length, that length's
+// 4-byte CRC-32C, the body's 4-byte CRC-32C and the body. The length has its
+// own checksum so that a damaged length is told apart from a torn tail: it
+// cannot be mistaken for a record running past the end of the file. A body is a tag byte and the
 // tag's fields in the value package's codec (uvarints, length-prefixed
 // strings, tuples in Tuple.Encode form), so every value a peer stores — a
 // blob holding any bytes, NaN, ±Inf, −0.0 — comes back bit for bit.
@@ -31,9 +31,9 @@ import (
 // not a log at all: it is refused, never misread. So is a directory that
 // holds a file an older version kept beside the log (oldLogNames).
 //
-// Creating the file and renaming a checkpoint over it are made durable by
-// an fsync of the directory: without it a crash could bring back the
-// superseded file, and with it lose records synced to the new one.
+// Creating the files and renaming a checkpoint over wal.log are made
+// durable by an fsync of the directory: without it a crash could bring back
+// the superseded file, and with it lose records synced to the new one.
 const (
 	walMagic = "WDLWAL\x00\x02"
 

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,8 +12,8 @@ import (
 	"repro/internal/value"
 )
 
-// WAL is a peer's one durable log: one file, wal.log, of records in one
-// format under one tag byte. They are of two kinds:
+// WAL is a peer's durable log. Its records, in one format under one tag
+// byte, are of two kinds:
 //
 //   - the declarations, inserts and deletes of the peer's extensional
 //     relations;
@@ -23,48 +24,58 @@ import (
 //     pending entries and re-sends them, and recovers the watermarks so
 //     retransmissions it already applied are deduplicated.
 //
-// Appends are buffered; Sync makes everything appended so far durable at
-// once. A stage appends what it ingests, the watermarks it will acknowledge
-// and what it enqueues, and syncs once at its end.
+// Every record a stage must make durable goes to one file, wal.log. Appends
+// are buffered; Sync makes everything appended so far durable at once. A
+// stage appends what it ingests, the watermarks it will acknowledge and
+// what it enqueues, and syncs once at its end.
 //
-// Recover replays the log; Checkpoint rewrites it to the live state once the
-// records appended since the last checkpoint outgrow it (CheckpointDue).
+// The destinations' acknowledgments arrive outside any stage and need no
+// sync: losing one costs a retransmit, which the destination deduplicates.
+// They go to a file of their own, outbox.log, written through but synced
+// only on Close, so an ack never makes wal.log dirty and never costs a
+// fsync. Each names its stream's epoch, and recovery applies it after
+// wal.log and only in that epoch: an ack of a stream since reset is void.
+//
+// Recover replays the log; Checkpoint rewrites wal.log to the live state
+// once the records appended since the last checkpoint outgrow it
+// (CheckpointDue), and empties outbox.log, whose acks the state holds.
 // Payloads are opaque bytes (the peer encodes them with protocol's codec),
 // keeping this package free of protocol types.
 //
 // The paper's system keeps peer state in the Bud runtime's persistent
 // collections; this is our equivalent storage substrate.
 type WAL struct {
-	dir string
-	log *logFile
+	dir  string
+	log  *logFile // wal.log
+	acks *logFile // outbox.log
 	// written is the number of records the last checkpoint wrote; 0 after
 	// recovery, when the file's history is unknown.
 	written int
 }
 
 const (
-	logName = "wal.log"
+	logName  = "wal.log"
+	acksName = "outbox.log"
 	// checkpointMin is how many records may be appended after a checkpoint
 	// before the next is due, however small it was.
 	checkpointMin = 8192
 )
 
-// oldLogNames are the files older versions kept beside the log: snapshots,
-// and the delivery records that had a file of their own. Recovery refuses
-// to start over one: ignoring it would drop the snapshot or the pending
-// deliveries it holds.
-var oldLogNames = []string{"snapshot.log", "snapshot.json", "outbox.log"}
+// oldLogNames are the files older versions kept beside the log. Recovery
+// refuses to start over one: ignoring it would drop the snapshot it holds.
+var oldLogNames = []string{"snapshot.log", "snapshot.json"}
 
 // Log record tags.
 const (
-	walDecl    byte = iota + 1 // Rel, Peer, Kind, Cols
-	walIns                     // Rel, Peer, Args
-	walDel                     // Rel, Peer, Args
-	walEnqueue                 // Peer (the destination), Seq, Payload
-	walAck                     // Peer (the destination), Seq
-	walApplied                 // Peer (the sender), Epoch, Seq
-	walEpoch                   // Epoch
-	walReset                   // Peer (the destination), Epoch
+	walDecl      byte = iota + 1 // Rel, Peer, Kind, Cols
+	walIns                       // Rel, Peer, Args
+	walDel                       // Rel, Peer, Args
+	walEnqueue                   // Peer (the destination), Seq, Payload
+	walAck                       // Peer (the destination), Seq
+	walApplied                   // Peer (the sender), Epoch, Seq
+	walEpoch                     // Epoch
+	walReset                     // Peer (the destination), Epoch
+	walStreamAck                 // Peer (the destination), Epoch, Seq: outbox.log's one tag
 )
 
 // walRecord is one log record; the tag says which fields it holds.
@@ -97,7 +108,7 @@ func (rec *walRecord) append(dst []byte) []byte {
 		return binary.AppendUvarint(dst, rec.Epoch)
 	}
 	dst = value.AppendString(dst, rec.Peer)
-	if rec.Op == walApplied || rec.Op == walReset {
+	if rec.Op == walApplied || rec.Op == walReset || rec.Op == walStreamAck {
 		dst = binary.AppendUvarint(dst, rec.Epoch)
 	}
 	if rec.Op != walReset {
@@ -129,9 +140,9 @@ func decodeWALRecord(r *value.Reader) walRecord {
 		}
 	case walEpoch:
 		rec.Epoch = r.Uvarint()
-	case walEnqueue, walAck, walApplied, walReset:
+	case walEnqueue, walAck, walApplied, walReset, walStreamAck:
 		rec.Peer = r.Str()
-		if rec.Op == walApplied || rec.Op == walReset {
+		if rec.Op == walApplied || rec.Op == walReset || rec.Op == walStreamAck {
 			rec.Epoch = r.Uvarint()
 		}
 		if rec.Op != walReset {
@@ -215,6 +226,10 @@ func (st *OutboxState) apply(rec walRecord) {
 		delete(st.Pending, rec.Peer)
 		st.NextSeq[rec.Peer] = 0
 		st.Acked[rec.Peer] = 0
+	case walStreamAck:
+		if epoch := st.Epochs[rec.Peer]; rec.Epoch == epoch || epoch == 0 && rec.Epoch == st.Epoch {
+			st.apply(walRecord{Op: walAck, Peer: rec.Peer, Seq: rec.Seq})
+		}
 	}
 }
 
@@ -270,18 +285,23 @@ func OpenWAL(dir string) (*WAL, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &WAL{dir: dir, log: l}, nil
+	acks, err := openLogFile(filepath.Join(dir, acksName))
+	if err != nil {
+		l.close()
+		return nil, err
+	}
+	return &WAL{dir: dir, log: l, acks: acks}, nil
 }
 
 // OpenOutboxLog is OpenWAL: the delivery records, once a log of their own,
-// are records of the one log. benchmark/probes.go still calls it.
+// are records of wal.log. benchmark/probes.go still calls it.
 func OpenOutboxLog(dir string) (*WAL, error) { return OpenWAL(dir) }
 
 // Path returns the path of the log's file, for errors about the records it
 // holds.
 func (w *WAL) Path() string { return filepath.Join(w.dir, logName) }
 
-// Records returns the number of records in the log: those recovered or
+// Records returns the number of records in wal.log: those recovered or
 // written by the last checkpoint, plus those appended since.
 func (w *WAL) Records() int {
 	w.log.mu.Lock()
@@ -289,12 +309,16 @@ func (w *WAL) Records() int {
 	return w.log.records
 }
 
-// Syncs returns the number of fsyncs of the log so far; a sync with nothing
-// appended since the last one does not count.
+// Syncs returns the number of fsyncs of the log's files so far; a sync with
+// nothing appended since the last one does not count.
 func (w *WAL) Syncs() uint64 {
-	w.log.mu.Lock()
-	defer w.log.mu.Unlock()
-	return w.log.syncs
+	var n uint64
+	for _, l := range []*logFile{w.log, w.acks} {
+		l.mu.Lock()
+		n += l.syncs
+		l.mu.Unlock()
+	}
+	return n
 }
 
 func (w *WAL) append(rec walRecord) error {
@@ -333,9 +357,20 @@ func (w *WAL) LogEnqueue(dst string, seq uint64, payload []byte) error {
 	return w.append(walRecord{Op: walEnqueue, Peer: dst, Seq: seq, Payload: payload})
 }
 
-// LogAck records dst's cumulative acknowledgment of sequences <= seq.
-func (w *WAL) LogAck(dst string, seq uint64) error {
-	return w.append(walRecord{Op: walAck, Peer: dst, Seq: seq})
+// LogAck records dst's cumulative acknowledgment of sequences <= seq of its
+// stream in epoch, in outbox.log: written through to the file, never synced
+// on its own.
+func (w *WAL) LogAck(dst string, epoch, seq uint64) error {
+	l := w.acks
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.write((&walRecord{Op: walStreamAck, Peer: dst, Epoch: epoch, Seq: seq}).append(l.record())); err != nil {
+		return err
+	}
+	if err := l.w.Flush(); err != nil {
+		return fmt.Errorf("store: %w: writing ack: %w", errdefs.ErrWAL, err)
+	}
+	return nil
 }
 
 // LogApplied records that the incoming message from sender with the given
@@ -359,7 +394,7 @@ func (w *WAL) LogReset(dst string, epoch uint64) error {
 	return w.append(walRecord{Op: walReset, Peer: dst, Epoch: epoch})
 }
 
-// Sync flushes buffered records and fsyncs the log; a no-op when nothing
+// Sync flushes buffered records and fsyncs wal.log; a no-op when nothing
 // was appended since the last sync, so callers can invoke it liberally.
 func (w *WAL) Sync() error {
 	w.log.mu.Lock()
@@ -377,10 +412,13 @@ func (w *WAL) CheckpointDue() bool {
 	return w.log.records-w.written > max(checkpointMin, w.written)
 }
 
-// Checkpoint atomically rewrites the log to the live state: a declaration
+// Checkpoint atomically rewrites wal.log to the live state: a declaration
 // per extensional relation of peer in s, an insert per tuple, and the
-// delivery state st. The caller excludes every other append until it
-// returns: a record that reached the superseded file would be lost with it.
+// delivery state st; then it empties outbox.log. The caller excludes every
+// other append to wal.log until it returns: a record that reached the
+// superseded file would be lost with it. An ack logged after st was taken
+// may be lost with outbox.log, which costs a retransmit; one that survives
+// a crash in the emptied file is no newer than st's.
 func (w *WAL) Checkpoint(s *Store, peer string, st *OutboxState) error {
 	l := w.log
 	l.mu.Lock()
@@ -419,16 +457,23 @@ func (w *WAL) Checkpoint(s *Store, peer string, st *OutboxState) error {
 	if err != nil {
 		return fmt.Errorf("store: %w: writing checkpoint: %w", errdefs.ErrWAL, err)
 	}
+	w.acks.mu.Lock()
+	defer w.acks.mu.Unlock()
+	w.acks.w.Reset(w.acks.f) // drops nothing: LogAck writes through
+	if err := w.acks.f.Truncate(headerLen); err != nil {
+		return fmt.Errorf("store: %w: emptying %s: %w", errdefs.ErrWAL, acksName, err)
+	}
 	return nil
 }
 
 // Recover replays the log into s and returns the delivery state it holds.
 // It is meant to be called once, on an empty or freshly-created store,
 // before any new records are appended. A torn final record (a crash
-// mid-append) is tolerated and cut off the file. A record whose tuple does
+// mid-append) is tolerated and cut off its file. A record whose tuple does
 // not fit its relation's arity fails recovery with an error wrapping
-// errdefs.ErrWAL, and so does a file not in this version's format or a
-// file of an older version beside the log.
+// errdefs.ErrWAL, and so does a file not in this version's format, a file
+// of an older version beside the log, and an outbox.log holding anything but
+// acks: the previous layout kept the delivery state there.
 func (w *WAL) Recover(s *Store) (*OutboxState, error) {
 	for _, name := range oldLogNames {
 		path := filepath.Join(w.dir, name)
@@ -436,6 +481,21 @@ func (w *WAL) Recover(s *Store) (*OutboxState, error) {
 			return nil, fmt.Errorf("store: %w: %s is a log written by an older version, which kept more than %s: "+
 				"drain it with the version that wrote it, or remove it", errdefs.ErrWAL, path, logName)
 		}
+	}
+	// outbox.log first, so that one of the previous layout is refused
+	// before wal.log is touched; its acks apply once wal.log has set the
+	// streams' epochs.
+	var acks []walRecord
+	_, err := replayLog(filepath.Join(w.dir, acksName), func(n int, rec walRecord) error {
+		if rec.Op != walStreamAck {
+			return fmt.Errorf("store: %w: %s holds delivery records of the previous layout, which kept them there: "+
+				"drain it with the version that wrote it, or remove it", errdefs.ErrWAL, filepath.Join(w.dir, acksName))
+		}
+		acks = append(acks, rec)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	st := NewOutboxState()
 	n, err := replayLog(w.Path(), func(n int, rec walRecord) error {
@@ -465,6 +525,9 @@ func (w *WAL) Recover(s *Store) (*OutboxState, error) {
 	if err != nil {
 		return nil, err
 	}
+	for _, rec := range acks {
+		st.apply(rec)
+	}
 	w.log.mu.Lock()
 	w.log.records += n
 	w.log.mu.Unlock()
@@ -476,9 +539,13 @@ func (w *WAL) Recover(s *Store) (*OutboxState, error) {
 	return st, nil
 }
 
-// Close syncs and closes the log.
+// Close syncs and closes the log's files.
 func (w *WAL) Close() error {
-	w.log.mu.Lock()
-	defer w.log.mu.Unlock()
-	return w.log.close()
+	var errs []error
+	for _, l := range []*logFile{w.log, w.acks} {
+		l.mu.Lock()
+		errs = append(errs, l.close())
+		l.mu.Unlock()
+	}
+	return errors.Join(errs...)
 }

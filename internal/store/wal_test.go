@@ -399,9 +399,10 @@ func recoverBoth(t testing.TB, dir string) (*WAL, *Store, *OutboxState, error) {
 	return w, s, st, err
 }
 
-// logMore appends the records FuzzWALReplay and TestLogCrashPoints log after
-// a recovery: a fresh relation with one tuple and an entry for a fresh
-// destination, neither named anywhere in before.
+// logMore appends the records the replay fuzzers and TestLogCrashPoints log
+// after a recovery: a fresh relation with one tuple, and two entries for a
+// fresh destination, neither named anywhere in before, the first of them
+// acknowledged in the destination's stream.
 func logMore(t testing.TB, w *WAL, before recovery) (rel, dst string) {
 	t.Helper()
 	rel, dst = "more", "later"
@@ -414,7 +415,9 @@ func logMore(t testing.TB, w *WAL, before recovery) (rel, dst string) {
 	must(t, w.LogDeclare(Schema{Name: rel, Peer: "p", Kind: ast.Extensional, Cols: []string{"a"}}))
 	must(t, w.LogMany(false, rel, "p", []value.Tuple{{value.Int(7)}}))
 	must(t, w.LogEnqueue(dst, 5, []byte("m")))
+	must(t, w.LogEnqueue(dst, 6, []byte("n")))
 	must(t, w.Sync())
+	must(t, w.LogAck(dst, before.st.Epoch, 5))
 	return rel, dst
 }
 
@@ -426,8 +429,10 @@ func plusMore(before recovery, rel, dst string) recovery {
 	st := *before.st
 	st.Pending = maps.Clone(st.Pending)
 	st.NextSeq = maps.Clone(st.NextSeq)
-	st.Pending[dst] = []OutboxEntry{{Seq: 5, Payload: []byte("m")}}
-	st.NextSeq[dst] = 5
+	st.Acked = maps.Clone(st.Acked)
+	st.Pending[dst] = []OutboxEntry{{Seq: 6, Payload: []byte("n")}}
+	st.NextSeq[dst] = 6
+	st.Acked[dst] = 5
 	lines := append(slices.Clone(before.store), dumpStore(s)...)
 	sort.Strings(lines)
 	return recovery{lines, &st}
@@ -445,14 +450,34 @@ func hasKey(m map[string]uint64, k string) bool {
 	return ok
 }
 
-// FuzzWALReplay feeds arbitrary bytes to WAL.Recover as the log, seeded
-// with a log holding every record tag — the store's and the delivery
-// state's — whole, cut inside its last record, and with a torn store record
-// or a torn delivery record after it. Recover must not panic; and when it
-// succeeds, a restarted peer that logs more — store records and delivery
-// records — and restarts again must recover exactly the first recovery plus
-// what it logged, whatever torn tail the bytes ended in.
+// FuzzWALReplay fuzzes wal.log, the file of the store's records and the
+// delivery records a stage syncs (fuzzLogReplay), seeded with a log holding
+// every tag wal.log takes, whole, cut inside its last record, and with a
+// torn store record or a torn delivery record after it.
 func FuzzWALReplay(f *testing.F) {
+	fuzzLogReplay(f, logName, func(logged []byte) [][]byte {
+		return [][]byte{logged, append(slices.Clip(logged), tornWALRecord()...),
+			append(slices.Clip(logged), tornOutboxRecord()...), logged[:len(logged)-3], []byte(walMagic[:5])}
+	})
+}
+
+// FuzzOutboxLogReplay fuzzes outbox.log, the file of the destinations'
+// acks (fuzzLogReplay), seeded with acks in the current stream, in a stream
+// since reset and in a stream reset after them, whole, cut inside the last
+// one and with a torn ack after them.
+func FuzzOutboxLogReplay(f *testing.F) {
+	fuzzLogReplay(f, acksName, func(logged []byte) [][]byte {
+		return [][]byte{logged, append(slices.Clip(logged), tornAckRecord()...), logged[:len(logged)-3]}
+	})
+}
+
+// fuzzLogReplay feeds arbitrary bytes to WAL.Recover as the log's file name,
+// seeded with what seeds makes of that file of a log holding every record
+// tag. Recover must not panic; and when it succeeds, a restarted peer that
+// logs more — store records, delivery records and an ack — and restarts
+// again must recover exactly the first recovery plus what it logged,
+// whatever torn tail the bytes ended in.
+func fuzzLogReplay(f *testing.F, name string, seeds func(logged []byte) [][]byte) {
 	dir := f.TempDir()
 	w, err := OpenWAL(dir)
 	if err != nil {
@@ -464,28 +489,27 @@ func FuzzWALReplay(f *testing.F) {
 	w.LogEnqueue("bob", 1, []byte("m1"))
 	w.LogMany(true, "r", "p", []value.Tuple{{value.Int(1), value.Str("x")}})
 	w.LogEnqueue("bob", 2, []byte("m2"))
-	w.LogAck("bob", 1)
+	w.append(walRecord{Op: walAck, Peer: "bob", Seq: 1}) // as a checkpoint writes it
 	w.LogApplied("carol", 4, 6)
+	w.LogEnqueue("dave", 1, []byte("d1"))
+	w.LogAck("bob", 9, 1)
+	w.LogAck("dave", 9, 1) // void: the stream is reset below
 	w.LogReset("dave", 11)
+	w.LogEnqueue("dave", 1, []byte("d1"))
+	w.LogAck("dave", 11, 1)
 	if err := w.Close(); err != nil {
 		f.Fatal(err)
 	}
-	logged, err := os.ReadFile(filepath.Join(dir, logName))
+	logged, err := os.ReadFile(filepath.Join(dir, name))
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, seed := range [][]byte{
-		logged,
-		append(slices.Clip(logged), tornWALRecord()...),
-		append(slices.Clip(logged), tornOutboxRecord()...),
-		logged[:len(logged)-3],
-		[]byte(walMagic[:5]),
-	} {
+	for _, seed := range seeds(logged) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, logName), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		w, s, st, err := recoverBoth(t, dir)
@@ -524,7 +548,7 @@ func TestLogCrashPoints(t *testing.T) {
 		func(w *WAL) error { return w.LogMany(false, "r", "p", []value.Tuple{two}) },
 		func(w *WAL) error { return w.LogEnqueue("bob", 2, []byte("m2")) },
 		func(w *WAL) error { return w.LogMany(true, "r", "p", []value.Tuple{one}) },
-		func(w *WAL) error { return w.LogAck("bob", 1) },
+		func(w *WAL) error { return w.append(walRecord{Op: walAck, Peer: "bob", Seq: 1}) }, // as a checkpoint writes it
 		func(w *WAL) error { return w.LogReset("dave", 8) },
 		func(w *WAL) error { return w.LogEnqueue("dave", 1, []byte("d1")) },
 		func(w *WAL) error { return w.LogApplied("carol", 3, 9) },
