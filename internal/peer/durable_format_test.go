@@ -89,7 +89,7 @@ func TestPeerRefusesOldFormatLogs(t *testing.T) {
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return "wal.log"
+		return "outbox.log"
 	}
 	setups := map[string]func(t *testing.T, dir string) string{
 		"json wal": func(t *testing.T, dir string) string { copyFixture(t, dir, "jsonera", "wal.log"); return "wal.log" },

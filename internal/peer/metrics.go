@@ -75,7 +75,7 @@ func (p *Peer) registerMetrics(reg *metrics.Registry) {
 		"Periodic anti-entropy digest adverts enqueued in the sequenced stream.", "peer").Func(atomicFn(&ob.adverts), name)
 	if w := p.wal; w != nil {
 		reg.Counter("wdl_log_syncs_total",
-			"Fsyncs of the durable log: one per stage end, plus one per flush of entries enqueued outside a stage; acks are synced only at close.", "peer").Func(func() float64 {
+			"Fsyncs of the durable log's files (wal.log, outbox.log): at a stage's end, one per file it appended to, plus those of flushes of entries enqueued outside a stage.", "peer").Func(func() float64 {
 			return float64(w.Syncs())
 		}, name)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -122,7 +121,7 @@ type outbox struct {
 	// (a no-op after a stage's own sync), so that a transmitted sequence
 	// number is always recoverable.
 	onEnqueue  func(dst string, seq uint64, msg protocol.Payload)
-	onAck      func(dst string, epoch, seq uint64)
+	onAck      func(dst string, seq uint64)
 	onReset    func(dst string, epoch uint64, entries []outEntry)
 	onPreFlush func() error
 
@@ -276,11 +275,12 @@ func (o *outbox) reset(dst string, firsts []protocol.Payload, drop bool) {
 	dq.mu.Lock()
 	dq.reset(o.now(), newEpoch(), firsts, drop)
 	dq.space.release()
-	epoch, logged := dq.epoch, slices.Clone(dq.entries)
-	dq.mu.Unlock()
 	if o.onReset != nil {
-		o.onReset(dst, epoch, logged)
+		// Logged before dq.mu lets a flusher see the renumbered entries, so
+		// the sync that flusher makes before transmitting covers them.
+		o.onReset(dst, dq.epoch, dq.entries)
 	}
+	dq.mu.Unlock()
 	o.persistMu.RUnlock()
 	dq.enqMu.Unlock()
 	o.resets.Add(1)
@@ -330,7 +330,7 @@ func (o *outbox) Ack(dst string, epoch, seq uint64) {
 	if dropped > 0 {
 		o.delivered.Add(uint64(dropped))
 		if o.onAck != nil {
-			o.onAck(dst, epoch, seq)
+			o.onAck(dst, seq)
 		}
 		dq.signal()
 	}

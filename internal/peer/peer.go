@@ -421,9 +421,9 @@ func (p *Peer) openLog(dir string) (err error) {
 			_ = l.LogEnqueue(dst, seq, b)
 		}
 	}
-	p.outbox.onAck = func(dst string, epoch, seq uint64) {
+	p.outbox.onAck = func(dst string, seq uint64) {
 		// Never synced on its own: losing it costs only a retransmit.
-		_ = l.LogAck(dst, epoch, seq)
+		_ = l.LogAck(dst, seq)
 	}
 	p.outbox.onReset = func(dst string, epoch uint64, entries []outEntry) {
 		// A reset supersedes everything logged for dst; the renumbered
@@ -445,7 +445,7 @@ func (p *Peer) openLog(dir string) (err error) {
 			msg, err := protocol.DecodePayload(e.Payload)
 			if err != nil {
 				return fmt.Errorf("%w: recovering outbox entry %d for %s from %s (written by an older version?): %w; "+
-					"drain the log with the version that wrote it, or remove it", errdefs.ErrWAL, e.Seq, dst, l.Path(), err)
+					"drain the log with the version that wrote it, or remove it", errdefs.ErrWAL, e.Seq, dst, l.OutboxPath(), err)
 			}
 			entries = append(entries, outEntry{seq: e.Seq, msg: msg})
 		}

@@ -21,7 +21,7 @@ func TestOutboxLogRecover(t *testing.T) {
 	must(l.LogEnqueue("bob", 1, []byte("m1")))
 	must(l.LogEnqueue("bob", 2, []byte("m2")))
 	must(l.LogEnqueue("carol", 1, []byte("c1")))
-	must(l.LogAck("bob", 0, 1))
+	must(l.LogAck("bob", 1))
 	must(l.LogApplied("dave", 5, 7))
 	must(l.Sync())
 	must(l.Close())
@@ -60,7 +60,7 @@ func TestOutboxLogCompact(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i < 100 {
-			if err := l.LogAck("bob", 99, i); err != nil {
+			if err := l.LogAck("bob", i); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -87,7 +87,7 @@ func TestOutboxLogCompact(t *testing.T) {
 		t.Errorf("records after checkpoint = %d, want 5", l.Records())
 	}
 	// The checkpoint must shrink the file to the live state.
-	fi, err := os.Stat(filepath.Join(dir, logName))
+	fi, err := os.Stat(filepath.Join(dir, outboxName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestOutboxLogCompactionRoundTripInterleaved(t *testing.T) {
 	must(l.LogEnqueue("c", 1, []byte("c1")))
 	must(l.LogApplied("d", 77, 4))
 	must(l.LogEnqueue("b", 2, []byte("b2")))
-	must(l.LogAck("b", 77, 1))
+	must(l.LogAck("b", 1))
 	must(l.LogEnqueue("c", 2, []byte("c2")))
 	must(l.LogReset("c", 99))
 	must(l.LogEnqueue("c", 1, []byte("c1'")))
@@ -170,7 +170,7 @@ func TestOutboxLogCompactionRoundTripInterleaved(t *testing.T) {
 
 	// Phase 2: more appends interleave after the rewrite.
 	must(l.LogEnqueue("b", 3, []byte("b3")))
-	must(l.LogAck("b", 77, 2))
+	must(l.LogAck("b", 2))
 	must(l.LogApplied("d", 77, 9))
 	must(l.LogEnqueue("c", 2, []byte("c2'")))
 	must(l.Sync())
@@ -223,7 +223,7 @@ func TestOutboxLogTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate a crash mid-append: a torn trailing record.
-	tearLog(t, dir, tornOutboxRecord())
+	tearLog(t, dir, outboxName, tornOutboxRecord())
 
 	l2, err := OpenWAL(dir)
 	if err != nil {
@@ -261,7 +261,7 @@ func TestOutboxLogTornTailSurvivesSecondRestart(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tearLog(t, dir, tornOutboxRecord())
+	tearLog(t, dir, outboxName, tornOutboxRecord())
 
 	l, _, err = recoverOutboxLog(t, dir)
 	if err != nil {
@@ -290,63 +290,4 @@ func tornOutboxRecord() []byte {
 	rec := walRecord{Op: walEnqueue, Peer: "bob", Seq: 3, Payload: []byte("m3")}
 	b := framed(rec.append(nil))
 	return b[:len(b)/2]
-}
-
-// tornAckRecord returns the first half of an ack record for bob.
-func tornAckRecord() []byte {
-	rec := walRecord{Op: walStreamAck, Peer: "bob", Epoch: 9, Seq: 2}
-	b := framed(rec.append(nil))
-	return b[:len(b)/2]
-}
-
-// TestOutboxLogAcks: acks go to outbox.log, written through at once and
-// never making wal.log dirty; recovery applies them after wal.log, and only
-// in the stream they name, so an ack of a stream since reset is void; a
-// checkpoint empties outbox.log, and acks logged after it still count.
-func TestOutboxLogAcks(t *testing.T) {
-	dir := t.TempDir()
-	l, err := OpenWAL(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	must(t, l.LogEpoch(7))
-	must(t, l.LogEnqueue("bob", 1, []byte("b1")))
-	must(t, l.LogEnqueue("bob", 2, []byte("b2")))
-	must(t, l.LogEnqueue("carol", 1, []byte("c1")))
-	must(t, l.Sync())
-	syncs, size := l.Syncs(), fileSize(t, filepath.Join(dir, acksName))
-	must(t, l.LogAck("bob", 7, 1))
-	must(t, l.LogAck("carol", 7, 1))
-	if got := fileSize(t, filepath.Join(dir, acksName)); got <= size {
-		t.Errorf("outbox.log holds %d bytes after two acks, %d before: acks are written through", got, size)
-	}
-	must(t, l.Sync())
-	if l.Syncs() != syncs {
-		t.Errorf("acks made the log sync %d more times, want none", l.Syncs()-syncs)
-	}
-	must(t, l.LogReset("carol", 8))
-	must(t, l.LogEnqueue("carol", 1, []byte("c1'")))
-	must(t, l.Close())
-
-	l, st, err := recoverOutboxLog(t, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := st.Pending["bob"]; len(got) != 1 || got[0].Seq != 2 || st.Acked["bob"] != 1 {
-		t.Errorf("bob pending %v acked %d, want seq 2 pending after the ack of 1", got, st.Acked["bob"])
-	}
-	if got := st.Pending["carol"]; len(got) != 1 || string(got[0].Payload) != "c1'" || st.Acked["carol"] != 0 {
-		t.Errorf("carol pending %v acked %d, want c1' pending: the ack was of the stream before its reset", got, st.Acked["carol"])
-	}
-	must(t, l.Checkpoint(New(), "p", st))
-	if got := fileSize(t, filepath.Join(dir, acksName)); got != headerLen {
-		t.Errorf("outbox.log holds %d bytes after a checkpoint, want only its header", got)
-	}
-	must(t, l.LogAck("bob", 7, 2))
-	must(t, l.Close())
-	l, st, err = recoverOutboxLog(t, dir)
-	l.Close()
-	if err != nil || len(st.Pending["bob"]) != 0 || st.Acked["bob"] != 2 || len(st.Pending["carol"]) != 1 {
-		t.Errorf("after the checkpoint: recovered %+v, %v; want bob acked to 2 and carol's entry pending", st, err)
-	}
 }

@@ -15,25 +15,21 @@ import (
 	"repro/internal/value"
 )
 
-// Each of the log's files, wal.log and outbox.log, is an 8-byte header — six
+// Each file of the log (wal.log, outbox.log) is an 8-byte header — six
 // magic bytes naming the file kind and a big-endian format version — and
 // then records, each a 4-byte little-endian body length, that length's
-// 4-byte CRC-32C, the body's 4-byte CRC-32C and the body. The length has its
-// own checksum so that a damaged length is told apart from a torn tail: it
-// cannot be mistaken for a record running past the end of the file. A body is a tag byte and the
-// tag's fields in the value package's codec (uvarints, length-prefixed
-// strings, tuples in Tuple.Encode form), so every value a peer stores — a
-// blob holding any bytes, NaN, ±Inf, −0.0 — comes back bit for bit.
+// 4-byte CRC-32C, the body's 4-byte CRC-32C and the body. The length has
+// its own checksum so that a damaged length is told apart from a torn tail:
+// it cannot be mistaken for a record running past the end of the file. A
+// body is a tag byte and the tag's fields in the value package's codec
+// (uvarints, length-prefixed strings, tuples in Tuple.Encode form), so every
+// value a peer stores — a blob holding any bytes, NaN, ±Inf, −0.0 — comes
+// back bit for bit.
 //
 // A file that does not start with this version's header was written by an
 // older version (version 1 wrote outbox.log under a magic of its own and
 // kept snapshots in snapshot.log; before it, the logs were JSON lines) or is
-// not a log at all: it is refused, never misread. So is a directory that
-// holds a file an older version kept beside the log (oldLogNames).
-//
-// Creating the files and renaming a checkpoint over wal.log are made
-// durable by an fsync of the directory: without it a crash could bring back
-// the superseded file, and with it lose records synced to the new one.
+// not a log at all: it is refused, never misread.
 const (
 	walMagic = "WDLWAL\x00\x02"
 
@@ -167,17 +163,16 @@ func (l *logFile) close() error {
 }
 
 // syncDir fsyncs the directory dir, making the creation or renaming of a
-// file in it durable. A variable so that tests can count its calls.
+// file in it durable: without it a crash could bring back a superseded
+// file, and with it lose records synced to the new one. A variable so that
+// tests can count its calls.
 var syncDir = func(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	defer d.Close()
+	return d.Sync()
 }
 
 // writeLogFile atomically replaces path with a log of the given records:

@@ -119,29 +119,11 @@ func TestV1LogsRefused(t *testing.T) {
 	}
 }
 
-// TestTwoFileLayoutRefused: a log directory of the previous layout, which
-// kept the delivery records in outbox.log, in this version's record format,
-// is refused with ErrWAL naming outbox.log, and neither file is changed: it
-// is never half-read.
-func TestTwoFileLayoutRefused(t *testing.T) {
-	prev := t.TempDir()
-	w, err := OpenWAL(prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	must(t, w.LogDeclare(Schema{Name: "r", Peer: "p", Kind: ast.Extensional, Cols: []string{"a"}}))
-	must(t, w.LogMany(false, "r", "p", []value.Tuple{{value.Int(1)}}))
-	must(t, w.LogEpoch(3))
-	must(t, w.LogEnqueue("bob", 1, []byte("m1")))
-	must(t, w.Close())
-	// Both files of that layout had this header and record format.
-	checkRefused(t, map[string]string{logName: filepath.Join(prev, logName), "outbox.log": filepath.Join(prev, logName)}, "outbox.log")
-}
-
 // TestLogDirSynced: creating each of the log's files and renaming a
-// checkpoint over wal.log each fsync the log's directory, so that a crash can
-// undo neither; reopening a log that exists does not. A checkpoint whose directory sync fails reports
-// ErrWAL, and the log goes on appending to the file the checkpoint wrote.
+// checkpoint over it each fsync the log's directory, so that a crash can
+// undo neither; reopening a log that exists does not. A checkpoint whose
+// directory sync fails reports ErrWAL, and the log goes on appending to the
+// file the checkpoint wrote.
 func TestLogDirSynced(t *testing.T) {
 	var synced []string
 	fail := false
@@ -173,8 +155,8 @@ func TestLogDirSynced(t *testing.T) {
 		t.Fatalf("reopening the log synced %v, want no directory sync", synced[2:])
 	}
 	must(t, w.Checkpoint(s, "p", NewOutboxState()))
-	if !reflect.DeepEqual(synced, []string{dir, dir, dir}) {
-		t.Fatalf("the checkpoint synced %v, want %s", synced[2:], dir)
+	if !reflect.DeepEqual(synced[2:], []string{dir, dir}) {
+		t.Fatalf("the checkpoint synced %v, want %s once per file", synced[2:], dir)
 	}
 	fail = true
 	if err := w.Checkpoint(s, "p", NewOutboxState()); !errors.Is(err, errdefs.ErrWAL) {
@@ -198,7 +180,7 @@ func TestWALCloseFlushFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	must(t, w.LogEpoch(1))
-	w.log.f.Close() // the buffered record can no longer reach the file
+	w.logs[fileOf(walEpoch)].f.Close() // the buffered record can no longer reach the file
 	if err := w.Close(); !errors.Is(err, errdefs.ErrWAL) {
 		t.Fatalf("close: err = %v, want ErrWAL", err)
 	}
@@ -286,16 +268,16 @@ func TestLogTornAtEveryByte(t *testing.T) {
 		l.LogEpoch(5)
 		l.LogEnqueue("bob", 1, []byte("m1"))
 		l.Sync()
-		before := fileSize(t, filepath.Join(dir, logName))
+		before := fileSize(t, filepath.Join(dir, outboxName))
 		l.LogEnqueue("bob", 2, []byte("m2"))
 		l.Close()
-		full, err := os.ReadFile(filepath.Join(dir, logName))
+		full, err := os.ReadFile(filepath.Join(dir, outboxName))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for cut := before; cut <= int64(len(full)); cut++ {
 			d := t.TempDir()
-			if err := os.WriteFile(filepath.Join(d, logName), full[:cut], 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(d, outboxName), full[:cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
 			l, st, err := recoverOutboxLog(t, d)
@@ -305,54 +287,11 @@ func TestLogTornAtEveryByte(t *testing.T) {
 			if want := 1 + b2i(cut == int64(len(full))); len(st.Pending["bob"]) != want || st.Epoch != 5 {
 				t.Fatalf("cut at %d: recovered %+v, want %d pending", cut, st, want)
 			}
-			l.LogAck("bob", 5, 1)
+			l.LogAck("bob", 1)
 			l.Close()
 			l, st, err = recoverOutboxLog(t, d)
 			l.Close()
 			if err != nil || st.Acked["bob"] != 1 {
-				t.Fatalf("cut at %d: second restart: %v, %+v", cut, err, st)
-			}
-		}
-	})
-	t.Run("acks", func(t *testing.T) {
-		dir := t.TempDir()
-		l, err := OpenWAL(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l.LogEpoch(5)
-		for seq := uint64(1); seq <= 3; seq++ {
-			l.LogEnqueue("bob", seq, []byte("m"))
-		}
-		l.Sync()
-		l.LogAck("bob", 5, 1)
-		before := fileSize(t, filepath.Join(dir, acksName))
-		l.LogAck("bob", 5, 2)
-		l.Close()
-		wal, err := os.ReadFile(filepath.Join(dir, logName))
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, err := os.ReadFile(filepath.Join(dir, acksName))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for cut := before; cut <= int64(len(full)); cut++ {
-			d := t.TempDir()
-			must(t, os.WriteFile(filepath.Join(d, logName), wal, 0o644))
-			must(t, os.WriteFile(filepath.Join(d, acksName), full[:cut], 0o644))
-			l, st, err := recoverOutboxLog(t, d)
-			if err != nil {
-				t.Fatalf("cut at %d: %v", cut, err)
-			}
-			if want := 1 + uint64(b2i(cut == int64(len(full)))); st.Acked["bob"] != want || len(st.Pending["bob"]) != int(3-want) {
-				t.Fatalf("cut at %d: recovered %+v, want bob acked to %d", cut, st, want)
-			}
-			l.LogAck("bob", 5, 3)
-			l.Close()
-			l, st, err = recoverOutboxLog(t, d)
-			l.Close()
-			if err != nil || st.Acked["bob"] != 3 || len(st.Pending["bob"]) != 0 {
 				t.Fatalf("cut at %d: second restart: %v, %+v", cut, err, st)
 			}
 		}
@@ -406,14 +345,14 @@ func TestLogDamageIsNotATornTail(t *testing.T) {
 // TestLogDamagedLengthIsNotATornTail: a middle record whose length is
 // damaged so that it points past the end of the file is corruption, not a
 // torn tail — recovery fails with ErrWAL and cuts nothing — among the
-// store's records, among the delivery records and among the acks.
+// store's records and among the delivery records.
 func TestLogDamagedLengthIsNotATornTail(t *testing.T) {
 	for _, lg := range []struct {
-		name, file string
-		write      func(dir string)
-		open       func(dir string) error
+		name  string
+		write func(dir string)
+		open  func(dir string) error
 	}{
-		{logName, logName, func(dir string) {
+		{logName, func(dir string) {
 			w, _ := OpenWAL(dir)
 			w.LogDeclare(Schema{Name: "r", Peer: "p", Kind: ast.Extensional, Cols: []string{"a"}})
 			for i := int64(1); i <= 4; i++ {
@@ -425,7 +364,7 @@ func TestLogDamagedLengthIsNotATornTail(t *testing.T) {
 			w.Close()
 			return err
 		}},
-		{"delivery records", logName, func(dir string) {
+		{outboxName, func(dir string) {
 			l, _ := OpenWAL(dir)
 			l.LogEpoch(1)
 			for seq := uint64(1); seq <= 4; seq++ {
@@ -437,22 +376,11 @@ func TestLogDamagedLengthIsNotATornTail(t *testing.T) {
 			l.Close()
 			return err
 		}},
-		{acksName, acksName, func(dir string) {
-			l, _ := OpenWAL(dir)
-			for seq := uint64(1); seq <= 5; seq++ {
-				l.LogAck("bob", 1, seq)
-			}
-			l.Close()
-		}, func(dir string) error {
-			l, _, err := recoverOutboxLog(t, dir)
-			l.Close()
-			return err
-		}},
 	} {
 		t.Run(lg.name, func(t *testing.T) {
 			dir := t.TempDir()
 			lg.write(dir)
-			path := filepath.Join(dir, lg.file)
+			path := filepath.Join(dir, lg.name)
 			b, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)

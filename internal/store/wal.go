@@ -12,8 +12,8 @@ import (
 	"repro/internal/value"
 )
 
-// WAL is a peer's durable log. Its records, in one format under one tag
-// byte, are of two kinds:
+// WAL is a peer's one durable log. It holds two kinds of record, in one
+// format under one tag byte:
 //
 //   - the declarations, inserts and deletes of the peer's extensional
 //     relations;
@@ -24,21 +24,16 @@ import (
 //     pending entries and re-sends them, and recovers the watermarks so
 //     retransmissions it already applied are deduplicated.
 //
-// Every record a stage must make durable goes to one file, wal.log. Appends
-// are buffered; Sync makes everything appended so far durable at once. A
-// stage appends what it ingests, the watermarks it will acknowledge and
-// what it enqueues, and syncs once at its end.
+// The records are split over two files (fileOf): wal.log takes what a stage
+// ingests — the store's records and the applied watermarks — and outbox.log
+// what it sends — enqueues, acks, the epoch and resets. Appends are
+// buffered, and Sync makes everything appended so far durable: a stage
+// appends as it goes and syncs once, at its end. Each file replays on its
+// own, so files that a crash cut at different points still recover a state
+// the peer went through.
 //
-// The destinations' acknowledgments arrive outside any stage and need no
-// sync: losing one costs a retransmit, which the destination deduplicates.
-// They go to a file of their own, outbox.log, written through but synced
-// only on Close, so an ack never makes wal.log dirty and never costs a
-// fsync. Each names its stream's epoch, and recovery applies it after
-// wal.log and only in that epoch: an ack of a stream since reset is void.
-//
-// Recover replays the log; Checkpoint rewrites wal.log to the live state
-// once the records appended since the last checkpoint outgrow it
-// (CheckpointDue), and empties outbox.log, whose acks the state holds.
+// Recover replays the log; Checkpoint rewrites it to the live state once the
+// records appended since the last checkpoint outgrow it (CheckpointDue).
 // Payloads are opaque bytes (the peer encodes them with protocol's codec),
 // keeping this package free of protocol types.
 //
@@ -46,20 +41,35 @@ import (
 // collections; this is our equivalent storage substrate.
 type WAL struct {
 	dir  string
-	log  *logFile // wal.log
-	acks *logFile // outbox.log
+	logs [2]*logFile // indexed by updatesFile and outboxFile
 	// written is the number of records the last checkpoint wrote; 0 after
-	// recovery, when the file's history is unknown.
+	// recovery, when the files' history is unknown.
 	written int
 }
 
 const (
-	logName  = "wal.log"
-	acksName = "outbox.log"
+	logName    = "wal.log"
+	outboxName = "outbox.log"
 	// checkpointMin is how many records may be appended after a checkpoint
 	// before the next is due, however small it was.
 	checkpointMin = 8192
 )
+
+// The log's files, as indexes of WAL.logs and logNames.
+const (
+	updatesFile = iota
+	outboxFile
+)
+
+var logNames = [2]string{logName, outboxName}
+
+// fileOf returns the file a record with tag op is appended to.
+func fileOf(op byte) int {
+	if op <= walDel || op == walApplied {
+		return updatesFile
+	}
+	return outboxFile
+}
 
 // oldLogNames are the files older versions kept beside the log. Recovery
 // refuses to start over one: ignoring it would drop the snapshot it holds.
@@ -67,15 +77,14 @@ var oldLogNames = []string{"snapshot.log", "snapshot.json"}
 
 // Log record tags.
 const (
-	walDecl      byte = iota + 1 // Rel, Peer, Kind, Cols
-	walIns                       // Rel, Peer, Args
-	walDel                       // Rel, Peer, Args
-	walEnqueue                   // Peer (the destination), Seq, Payload
-	walAck                       // Peer (the destination), Seq
-	walApplied                   // Peer (the sender), Epoch, Seq
-	walEpoch                     // Epoch
-	walReset                     // Peer (the destination), Epoch
-	walStreamAck                 // Peer (the destination), Epoch, Seq: outbox.log's one tag
+	walDecl    byte = iota + 1 // Rel, Peer, Kind, Cols
+	walIns                     // Rel, Peer, Args
+	walDel                     // Rel, Peer, Args
+	walEnqueue                 // Peer (the destination), Seq, Payload
+	walAck                     // Peer (the destination), Seq
+	walApplied                 // Peer (the sender), Epoch, Seq
+	walEpoch                   // Epoch
+	walReset                   // Peer (the destination), Epoch
 )
 
 // walRecord is one log record; the tag says which fields it holds.
@@ -108,7 +117,7 @@ func (rec *walRecord) append(dst []byte) []byte {
 		return binary.AppendUvarint(dst, rec.Epoch)
 	}
 	dst = value.AppendString(dst, rec.Peer)
-	if rec.Op == walApplied || rec.Op == walReset || rec.Op == walStreamAck {
+	if rec.Op == walApplied || rec.Op == walReset {
 		dst = binary.AppendUvarint(dst, rec.Epoch)
 	}
 	if rec.Op != walReset {
@@ -140,9 +149,9 @@ func decodeWALRecord(r *value.Reader) walRecord {
 		}
 	case walEpoch:
 		rec.Epoch = r.Uvarint()
-	case walEnqueue, walAck, walApplied, walReset, walStreamAck:
+	case walEnqueue, walAck, walApplied, walReset:
 		rec.Peer = r.Str()
-		if rec.Op == walApplied || rec.Op == walReset || rec.Op == walStreamAck {
+		if rec.Op == walApplied || rec.Op == walReset {
 			rec.Epoch = r.Uvarint()
 		}
 		if rec.Op != walReset {
@@ -226,10 +235,6 @@ func (st *OutboxState) apply(rec walRecord) {
 		delete(st.Pending, rec.Peer)
 		st.NextSeq[rec.Peer] = 0
 		st.Acked[rec.Peer] = 0
-	case walStreamAck:
-		if epoch := st.Epochs[rec.Peer]; rec.Epoch == epoch || epoch == 0 && rec.Epoch == st.Epoch {
-			st.apply(walRecord{Op: walAck, Peer: rec.Peer, Seq: rec.Seq})
-		}
 	}
 }
 
@@ -275,54 +280,62 @@ func (st *OutboxState) records(write func(walRecord) error) error {
 	return nil
 }
 
-// OpenWAL opens (creating if needed) the log in dir. Failures wrap
+// OpenWAL opens (creating if needed) the log's files in dir. Failures wrap
 // errdefs.ErrWAL so callers can detect them with errors.Is.
 func OpenWAL(dir string) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w: opening wal dir: %w", errdefs.ErrWAL, err)
 	}
-	l, err := openLogFile(filepath.Join(dir, logName))
-	if err != nil {
-		return nil, err
+	w := &WAL{dir: dir}
+	for i, name := range logNames {
+		l, err := openLogFile(filepath.Join(dir, name))
+		if err != nil {
+			if i > 0 {
+				w.logs[0].close()
+			}
+			return nil, err
+		}
+		w.logs[i] = l
 	}
-	acks, err := openLogFile(filepath.Join(dir, acksName))
-	if err != nil {
-		l.close()
-		return nil, err
-	}
-	return &WAL{dir: dir, log: l, acks: acks}, nil
+	return w, nil
 }
 
 // OpenOutboxLog is OpenWAL: the delivery records, once a log of their own,
-// are records of wal.log. benchmark/probes.go still calls it.
+// are the log's outbox.log. benchmark/probes.go still calls it.
 func OpenOutboxLog(dir string) (*WAL, error) { return OpenWAL(dir) }
 
-// Path returns the path of the log's file, for errors about the records it
-// holds.
-func (w *WAL) Path() string { return filepath.Join(w.dir, logName) }
+// OutboxPath returns the path of the log's outbox.log, for errors about the
+// delivery records it holds.
+func (w *WAL) OutboxPath() string { return filepath.Join(w.dir, outboxName) }
 
-// Records returns the number of records in wal.log: those recovered or
-// written by the last checkpoint, plus those appended since.
-func (w *WAL) Records() int {
-	w.log.mu.Lock()
-	defer w.log.mu.Unlock()
-	return w.log.records
+// lock takes both files' locks, in file order, and returns their release.
+func (w *WAL) lock() (unlock func()) {
+	for _, l := range w.logs {
+		l.mu.Lock()
+	}
+	return func() {
+		for _, l := range w.logs {
+			l.mu.Unlock()
+		}
+	}
 }
 
-// Syncs returns the number of fsyncs of the log's files so far; a sync with
-// nothing appended since the last one does not count.
+// Records returns the number of records in the log's files: those recovered
+// or written by the last checkpoint, plus those appended since.
+func (w *WAL) Records() int {
+	defer w.lock()()
+	return w.logs[updatesFile].records + w.logs[outboxFile].records
+}
+
+// Syncs returns the number of fsyncs of the log's files so far; a sync of a
+// file with nothing appended since its last one does not count.
 func (w *WAL) Syncs() uint64 {
-	var n uint64
-	for _, l := range []*logFile{w.log, w.acks} {
-		l.mu.Lock()
-		n += l.syncs
-		l.mu.Unlock()
-	}
-	return n
+	defer w.lock()()
+	return w.logs[updatesFile].syncs + w.logs[outboxFile].syncs
 }
 
 func (w *WAL) append(rec walRecord) error {
-	l := w.log
+	l := w.logs[fileOf(rec.Op)]
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.write(rec.append(l.record()))
@@ -335,7 +348,7 @@ func (w *WAL) LogMany(del bool, rel, peer string, ts []value.Tuple) error {
 	if del {
 		rec.Op = walDel
 	}
-	l := w.log
+	l := w.logs[updatesFile]
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, t := range ts {
@@ -357,20 +370,9 @@ func (w *WAL) LogEnqueue(dst string, seq uint64, payload []byte) error {
 	return w.append(walRecord{Op: walEnqueue, Peer: dst, Seq: seq, Payload: payload})
 }
 
-// LogAck records dst's cumulative acknowledgment of sequences <= seq of its
-// stream in epoch, in outbox.log: written through to the file, never synced
-// on its own.
-func (w *WAL) LogAck(dst string, epoch, seq uint64) error {
-	l := w.acks
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.write((&walRecord{Op: walStreamAck, Peer: dst, Epoch: epoch, Seq: seq}).append(l.record())); err != nil {
-		return err
-	}
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("store: %w: writing ack: %w", errdefs.ErrWAL, err)
-	}
-	return nil
+// LogAck records dst's cumulative acknowledgment of sequences <= seq.
+func (w *WAL) LogAck(dst string, seq uint64) error {
+	return w.append(walRecord{Op: walAck, Peer: dst, Seq: seq})
 }
 
 // LogApplied records that the incoming message from sender with the given
@@ -394,74 +396,78 @@ func (w *WAL) LogReset(dst string, epoch uint64) error {
 	return w.append(walRecord{Op: walReset, Peer: dst, Epoch: epoch})
 }
 
-// Sync flushes buffered records and fsyncs wal.log; a no-op when nothing
-// was appended since the last sync, so callers can invoke it liberally.
+// Sync flushes buffered records and fsyncs each of the log's files that
+// something was appended to since its last sync; a no-op on a clean log,
+// so callers can invoke it liberally.
 func (w *WAL) Sync() error {
-	w.log.mu.Lock()
-	defer w.log.mu.Unlock()
-	return w.log.sync()
+	var errs [2]error
+	for i, l := range w.logs {
+		l.mu.Lock()
+		errs[i] = l.sync()
+		l.mu.Unlock()
+	}
+	return errors.Join(errs[:]...)
 }
 
 // CheckpointDue reports whether the records appended since the last
 // checkpoint exceed max(checkpointMin, the records that checkpoint wrote) —
-// so the log never holds more than twice the live state plus checkpointMin
-// records. After recovery every record in it counts as appended.
+// so the files never hold more than twice the live state plus
+// checkpointMin records. After recovery every record in them counts as
+// appended.
 func (w *WAL) CheckpointDue() bool {
-	w.log.mu.Lock()
-	defer w.log.mu.Unlock()
-	return w.log.records-w.written > max(checkpointMin, w.written)
+	defer w.lock()()
+	records := w.logs[updatesFile].records + w.logs[outboxFile].records
+	return records-w.written > max(checkpointMin, w.written)
 }
 
-// Checkpoint atomically rewrites wal.log to the live state: a declaration
-// per extensional relation of peer in s, an insert per tuple, and the
-// delivery state st; then it empties outbox.log. The caller excludes every
-// other append to wal.log until it returns: a record that reached the
-// superseded file would be lost with it. An ack logged after st was taken
-// may be lost with outbox.log, which costs a retransmit; one that survives
-// a crash in the emptied file is no newer than st's.
+// Checkpoint atomically rewrites each of the log's files to the live state:
+// wal.log to a declaration per extensional relation of peer in s, an insert
+// per tuple and the applied watermarks of st; outbox.log to the rest of st.
+// The caller excludes every other append until it returns: a record that
+// reached a superseded file would be lost with it. A crash between the two
+// rewrites leaves one file rewritten and the other whole, which recovers
+// the same state.
 func (w *WAL) Checkpoint(s *Store, peer string, st *OutboxState) error {
-	l := w.log
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
+	defer w.lock()()
+	if w.logs[updatesFile].closed {
 		return fmt.Errorf("store: %w: wal is closed", errdefs.ErrWAL)
 	}
-	n := 0
-	f, err := writeLogFile(w.Path(), func(add func([]byte) error) error {
-		var body []byte
-		write := func(rec walRecord) error {
-			body = rec.append(body[:0])
-			n++
-			return add(body)
-		}
-		for _, r := range s.RelationsOf(peer) {
-			if r.Kind() != ast.Extensional {
-				continue
+	w.written = 0
+	for file, l := range w.logs {
+		n := 0
+		f, err := writeLogFile(filepath.Join(w.dir, logNames[file]), func(add func([]byte) error) error {
+			var body []byte
+			write := func(rec walRecord) error {
+				if fileOf(rec.Op) != file {
+					return nil
+				}
+				body = rec.append(body[:0])
+				n++
+				return add(body)
 			}
-			sch := r.Schema()
-			if err := write(walRecord{Op: walDecl, Rel: sch.Name, Peer: sch.Peer, Kind: sch.Kind, Cols: sch.Cols}); err != nil {
-				return err
-			}
-			for _, t := range r.Tuples() {
-				if err := write(walRecord{Op: walIns, Rel: sch.Name, Peer: sch.Peer, Args: t}); err != nil {
+			for _, r := range s.RelationsOf(peer) {
+				if file != updatesFile || r.Kind() != ast.Extensional {
+					continue
+				}
+				sch := r.Schema()
+				if err := write(walRecord{Op: walDecl, Rel: sch.Name, Peer: sch.Peer, Kind: sch.Kind, Cols: sch.Cols}); err != nil {
 					return err
 				}
+				for _, t := range r.Tuples() {
+					if err := write(walRecord{Op: walIns, Rel: sch.Name, Peer: sch.Peer, Args: t}); err != nil {
+						return err
+					}
+				}
 			}
+			return st.records(write)
+		})
+		if f != nil {
+			l.swap(f, n)
+			w.written += n
 		}
-		return st.records(write)
-	})
-	if f != nil {
-		l.swap(f, n)
-		w.written = n
-	}
-	if err != nil {
-		return fmt.Errorf("store: %w: writing checkpoint: %w", errdefs.ErrWAL, err)
-	}
-	w.acks.mu.Lock()
-	defer w.acks.mu.Unlock()
-	w.acks.w.Reset(w.acks.f) // drops nothing: LogAck writes through
-	if err := w.acks.f.Truncate(headerLen); err != nil {
-		return fmt.Errorf("store: %w: emptying %s: %w", errdefs.ErrWAL, acksName, err)
+		if err != nil {
+			return fmt.Errorf("store: %w: writing checkpoint of %s: %w", errdefs.ErrWAL, logNames[file], err)
+		}
 	}
 	return nil
 }
@@ -471,66 +477,49 @@ func (w *WAL) Checkpoint(s *Store, peer string, st *OutboxState) error {
 // before any new records are appended. A torn final record (a crash
 // mid-append) is tolerated and cut off its file. A record whose tuple does
 // not fit its relation's arity fails recovery with an error wrapping
-// errdefs.ErrWAL, and so does a file not in this version's format, a file
-// of an older version beside the log, and an outbox.log holding anything but
-// acks: the previous layout kept the delivery state there.
+// errdefs.ErrWAL, and so does a file not in this version's format or a
+// file of an older version beside the log.
 func (w *WAL) Recover(s *Store) (*OutboxState, error) {
 	for _, name := range oldLogNames {
 		path := filepath.Join(w.dir, name)
 		if _, err := os.Stat(path); err == nil {
-			return nil, fmt.Errorf("store: %w: %s is a log written by an older version, which kept more than %s: "+
-				"drain it with the version that wrote it, or remove it", errdefs.ErrWAL, path, logName)
+			return nil, fmt.Errorf("store: %w: %s is a log written by an older version, which kept more than %s and %s: "+
+				"drain it with the version that wrote it, or remove it", errdefs.ErrWAL, path, logName, outboxName)
 		}
-	}
-	// outbox.log first, so that one of the previous layout is refused
-	// before wal.log is touched; its acks apply once wal.log has set the
-	// streams' epochs.
-	var acks []walRecord
-	_, err := replayLog(filepath.Join(w.dir, acksName), func(n int, rec walRecord) error {
-		if rec.Op != walStreamAck {
-			return fmt.Errorf("store: %w: %s holds delivery records of the previous layout, which kept them there: "+
-				"drain it with the version that wrote it, or remove it", errdefs.ErrWAL, filepath.Join(w.dir, acksName))
-		}
-		acks = append(acks, rec)
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	st := NewOutboxState()
-	n, err := replayLog(w.Path(), func(n int, rec walRecord) error {
-		if rec.Op > walDel {
-			st.apply(rec)
+	for file, l := range w.logs {
+		n, err := replayLog(filepath.Join(w.dir, logNames[file]), func(n int, rec walRecord) error {
+			if rec.Op > walDel {
+				st.apply(rec)
+				return nil
+			}
+			if rec.Op == walDecl {
+				_, err := s.Declare(Schema{Name: rec.Rel, Peer: rec.Peer, Kind: rec.Kind, Cols: rec.Cols})
+				return err
+			}
+			rel := s.Get(rec.Rel, rec.Peer)
+			if rel == nil {
+				return fmt.Errorf("store: %w: wal record %d changes undeclared relation %s@%s", errdefs.ErrWAL, n, rec.Rel, rec.Peer)
+			}
+			if len(rec.Args) != rel.Schema().Arity() {
+				return fmt.Errorf("store: %w: wal record %d has %d values, %s has arity %d",
+					errdefs.ErrWAL, n, len(rec.Args), rel.ID(), rel.Schema().Arity())
+			}
+			if rec.Op == walIns {
+				rel.Insert(rec.Args)
+			} else {
+				rel.Delete(rec.Args)
+			}
 			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		if rec.Op == walDecl {
-			_, err := s.Declare(Schema{Name: rec.Rel, Peer: rec.Peer, Kind: rec.Kind, Cols: rec.Cols})
-			return err
-		}
-		rel := s.Get(rec.Rel, rec.Peer)
-		if rel == nil {
-			return fmt.Errorf("store: %w: wal record %d changes undeclared relation %s@%s", errdefs.ErrWAL, n, rec.Rel, rec.Peer)
-		}
-		if len(rec.Args) != rel.Schema().Arity() {
-			return fmt.Errorf("store: %w: wal record %d has %d values, %s has arity %d",
-				errdefs.ErrWAL, n, len(rec.Args), rel.ID(), rel.Schema().Arity())
-		}
-		if rec.Op == walIns {
-			rel.Insert(rec.Args)
-		} else {
-			rel.Delete(rec.Args)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		l.mu.Lock()
+		l.records += n
+		l.mu.Unlock()
 	}
-	for _, rec := range acks {
-		st.apply(rec)
-	}
-	w.log.mu.Lock()
-	w.log.records += n
-	w.log.mu.Unlock()
 	for dst, pending := range st.Pending {
 		if len(pending) == 0 {
 			delete(st.Pending, dst)
@@ -541,11 +530,6 @@ func (w *WAL) Recover(s *Store) (*OutboxState, error) {
 
 // Close syncs and closes the log's files.
 func (w *WAL) Close() error {
-	var errs []error
-	for _, l := range []*logFile{w.log, w.acks} {
-		l.mu.Lock()
-		errs = append(errs, l.close())
-		l.mu.Unlock()
-	}
-	return errors.Join(errs...)
+	defer w.lock()()
+	return errors.Join(w.logs[updatesFile].close(), w.logs[outboxFile].close())
 }

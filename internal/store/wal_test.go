@@ -154,7 +154,7 @@ func TestWALTornFinalRecordTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate a crash mid-append: half a record at the end.
-	tearLog(t, dir, tornWALRecord())
+	tearLog(t, dir, logName, tornWALRecord())
 
 	w2, err := OpenWAL(dir)
 	if err != nil {
@@ -240,11 +240,11 @@ func TestWALSnapshotOnlyExtensional(t *testing.T) {
 	}
 }
 
-// tearLog appends half a record to the log in dir: a crash in the middle of
-// an append.
-func tearLog(t testing.TB, dir string, half []byte) {
+// tearLog appends half a record to the log file name in dir: a crash in the
+// middle of an append.
+func tearLog(t testing.TB, dir, name string, half []byte) {
 	t.Helper()
-	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_APPEND|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, name), os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestWALTornTailSurvivesSecondRestart(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tearLog(t, dir, tornWALRecord())
+	tearLog(t, dir, logName, tornWALRecord())
 
 	w, _, err = recoverWAL(t, dir)
 	if err != nil {
@@ -399,10 +399,9 @@ func recoverBoth(t testing.TB, dir string) (*WAL, *Store, *OutboxState, error) {
 	return w, s, st, err
 }
 
-// logMore appends the records the replay fuzzers and TestLogCrashPoints log
-// after a recovery: a fresh relation with one tuple, and two entries for a
-// fresh destination, neither named anywhere in before, the first of them
-// acknowledged in the destination's stream.
+// logMore appends the records fuzzLogReplay and TestLogCrashPoints log after
+// a recovery: a fresh relation with one tuple and an entry for a fresh
+// destination, neither named anywhere in before.
 func logMore(t testing.TB, w *WAL, before recovery) (rel, dst string) {
 	t.Helper()
 	rel, dst = "more", "later"
@@ -415,9 +414,7 @@ func logMore(t testing.TB, w *WAL, before recovery) (rel, dst string) {
 	must(t, w.LogDeclare(Schema{Name: rel, Peer: "p", Kind: ast.Extensional, Cols: []string{"a"}}))
 	must(t, w.LogMany(false, rel, "p", []value.Tuple{{value.Int(7)}}))
 	must(t, w.LogEnqueue(dst, 5, []byte("m")))
-	must(t, w.LogEnqueue(dst, 6, []byte("n")))
 	must(t, w.Sync())
-	must(t, w.LogAck(dst, before.st.Epoch, 5))
 	return rel, dst
 }
 
@@ -429,10 +426,8 @@ func plusMore(before recovery, rel, dst string) recovery {
 	st := *before.st
 	st.Pending = maps.Clone(st.Pending)
 	st.NextSeq = maps.Clone(st.NextSeq)
-	st.Acked = maps.Clone(st.Acked)
-	st.Pending[dst] = []OutboxEntry{{Seq: 6, Payload: []byte("n")}}
-	st.NextSeq[dst] = 6
-	st.Acked[dst] = 5
+	st.Pending[dst] = []OutboxEntry{{Seq: 5, Payload: []byte("m")}}
+	st.NextSeq[dst] = 5
 	lines := append(slices.Clone(before.store), dumpStore(s)...)
 	sort.Strings(lines)
 	return recovery{lines, &st}
@@ -451,32 +446,27 @@ func hasKey(m map[string]uint64, k string) bool {
 }
 
 // FuzzWALReplay fuzzes wal.log, the file of the store's records and the
-// delivery records a stage syncs (fuzzLogReplay), seeded with a log holding
-// every tag wal.log takes, whole, cut inside its last record, and with a
-// torn store record or a torn delivery record after it.
+// applied watermarks (fuzzLogReplay).
 func FuzzWALReplay(f *testing.F) {
 	fuzzLogReplay(f, logName, func(logged []byte) [][]byte {
-		return [][]byte{logged, append(slices.Clip(logged), tornWALRecord()...),
-			append(slices.Clip(logged), tornOutboxRecord()...), logged[:len(logged)-3], []byte(walMagic[:5])}
+		return [][]byte{logged, append(slices.Clip(logged), tornWALRecord()...), logged[:len(logged)-3], []byte(walMagic[:5])}
 	})
 }
 
-// FuzzOutboxLogReplay fuzzes outbox.log, the file of the destinations'
-// acks (fuzzLogReplay), seeded with acks in the current stream, in a stream
-// since reset and in a stream reset after them, whole, cut inside the last
-// one and with a torn ack after them.
+// FuzzOutboxLogReplay fuzzes outbox.log, the file of the rest of the
+// delivery state (fuzzLogReplay).
 func FuzzOutboxLogReplay(f *testing.F) {
-	fuzzLogReplay(f, acksName, func(logged []byte) [][]byte {
-		return [][]byte{logged, append(slices.Clip(logged), tornAckRecord()...), logged[:len(logged)-3]}
+	fuzzLogReplay(f, outboxName, func(logged []byte) [][]byte {
+		return [][]byte{logged, append(slices.Clip(logged), tornOutboxRecord()...), logged[:len(logged)-3]}
 	})
 }
 
 // fuzzLogReplay feeds arbitrary bytes to WAL.Recover as the log's file name,
 // seeded with what seeds makes of that file of a log holding every record
 // tag. Recover must not panic; and when it succeeds, a restarted peer that
-// logs more — store records, delivery records and an ack — and restarts
-// again must recover exactly the first recovery plus what it logged,
-// whatever torn tail the bytes ended in.
+// logs more — store records and delivery records — and restarts again must
+// recover exactly the first recovery plus what it logged, whatever torn tail
+// the bytes ended in.
 func fuzzLogReplay(f *testing.F, name string, seeds func(logged []byte) [][]byte) {
 	dir := f.TempDir()
 	w, err := OpenWAL(dir)
@@ -485,18 +475,13 @@ func fuzzLogReplay(f *testing.F, name string, seeds func(logged []byte) [][]byte
 	}
 	w.LogDeclare(Schema{Name: "r", Peer: "p", Kind: ast.Extensional, Cols: []string{"a", "b"}})
 	w.LogMany(false, "r", "p", []value.Tuple{{value.Int(1), value.Str("x")}, {value.Int(2), value.Str("y")}})
+	w.LogMany(true, "r", "p", []value.Tuple{{value.Int(1), value.Str("x")}})
 	w.LogEpoch(9)
 	w.LogEnqueue("bob", 1, []byte("m1"))
-	w.LogMany(true, "r", "p", []value.Tuple{{value.Int(1), value.Str("x")}})
 	w.LogEnqueue("bob", 2, []byte("m2"))
-	w.append(walRecord{Op: walAck, Peer: "bob", Seq: 1}) // as a checkpoint writes it
+	w.LogAck("bob", 1)
 	w.LogApplied("carol", 4, 6)
-	w.LogEnqueue("dave", 1, []byte("d1"))
-	w.LogAck("bob", 9, 1)
-	w.LogAck("dave", 9, 1) // void: the stream is reset below
 	w.LogReset("dave", 11)
-	w.LogEnqueue("dave", 1, []byte("d1"))
-	w.LogAck("dave", 11, 1)
 	if err := w.Close(); err != nil {
 		f.Fatal(err)
 	}
@@ -530,11 +515,13 @@ func fuzzLogReplay(f *testing.F, name string, seeds func(logged []byte) [][]byte
 	})
 }
 
-// TestLogCrashPoints cuts a log mixing every record tag at every record
-// boundary and at every byte inside every record: a crash at any point of
-// any append. Every recovery must equal the recovery of a log that only
-// ever held the records whole before the cut, and logging more after it
-// and recovering again must give that plus what was logged.
+// TestLogCrashPoints cuts a log mixing every record tag: each file at every
+// byte — every record boundary and every byte inside every record — with
+// the other file whole, and both files at every pair of record boundaries,
+// as a crash can leave them, each file synced to its own point. Every
+// recovery must equal the recovery of a log that never held the records
+// past the cuts, and logging more after it and recovering again must give
+// that plus what was logged.
 func TestLogCrashPoints(t *testing.T) {
 	sch := Schema{Name: "r", Peer: "p", Kind: ast.Extensional, Cols: []string{"a", "b"}}
 	one, two := value.Tuple{value.Int(1), value.Str("one")}, extremeTuple()[:2]
@@ -548,65 +535,105 @@ func TestLogCrashPoints(t *testing.T) {
 		func(w *WAL) error { return w.LogMany(false, "r", "p", []value.Tuple{two}) },
 		func(w *WAL) error { return w.LogEnqueue("bob", 2, []byte("m2")) },
 		func(w *WAL) error { return w.LogMany(true, "r", "p", []value.Tuple{one}) },
-		func(w *WAL) error { return w.append(walRecord{Op: walAck, Peer: "bob", Seq: 1}) }, // as a checkpoint writes it
+		func(w *WAL) error { return w.LogAck("bob", 1) },
 		func(w *WAL) error { return w.LogReset("dave", 8) },
 		func(w *WAL) error { return w.LogEnqueue("dave", 1, []byte("d1")) },
+		func(w *WAL) error { return w.LogAck("dave", 1) },
 		func(w *WAL) error { return w.LogApplied("carol", 3, 9) },
 	}
+	// of[i] is the file step i appends to; ends[f][k] is the size of file f
+	// holding its first k records.
 	dir := t.TempDir()
 	w, err := OpenWAL(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ends := []int64{headerLen} // ends[k]: the log's size holding its first k records
+	of := make([]int, len(steps))
+	ends := [2][]int64{{headerLen}, {headerLen}}
 	for i, step := range steps {
 		must(t, step(w))
 		must(t, w.Sync())
-		ends = append(ends, fileSize(t, filepath.Join(dir, logName)))
-		if w.Records() != i+1 || ends[i+1] <= ends[i] {
-			t.Fatalf("step %d did not append exactly one record", i)
+		grew := 0
+		for file, name := range logNames {
+			if size := fileSize(t, filepath.Join(dir, name)); size != ends[file][len(ends[file])-1] {
+				ends[file] = append(ends[file], size)
+				of[i] = file
+				grew++
+			}
+		}
+		if grew != 1 {
+			t.Fatalf("step %d changed %d files", i, grew)
 		}
 	}
 	w.Close()
-	full, err := os.ReadFile(filepath.Join(dir, logName))
-	if err != nil {
-		t.Fatal(err)
+	var full [2][]byte
+	for file, name := range logNames {
+		if full[file], err = os.ReadFile(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// wants[k] recovers a log that only ever held the first k records.
-	wants := make([]recovery, len(steps)+1)
-	for k := range wants {
+	// want recovers a log that only ever held the first ks[f] records of
+	// each file f.
+	wants := map[[2]int]recovery{}
+	want := func(ks [2]int) recovery {
+		if r, ok := wants[ks]; ok {
+			return r
+		}
 		d := t.TempDir()
 		w, err := OpenWAL(d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, step := range steps[:k] {
-			must(t, step(w))
+		var seen [2]int
+		for i, step := range steps {
+			if seen[of[i]]++; seen[of[i]] <= ks[of[i]] {
+				must(t, step(w))
+			}
 		}
 		w.Close()
-		if wants[k], err = recoverDir(t, d); err != nil {
+		r, err := recoverDir(t, d)
+		if err != nil {
 			t.Fatal(err)
 		}
+		wants[ks] = r
+		return r
 	}
-	k := 0
-	for cut := ends[0]; cut <= ends[len(steps)]; cut++ {
-		for k < len(steps) && ends[k+1] <= cut {
-			k++
-		}
+	// check recovers the log cut to cuts[f] bytes of each file f.
+	check := func(cuts [2]int64) {
+		var ks [2]int
 		d := t.TempDir()
-		must(t, os.WriteFile(filepath.Join(d, logName), full[:cut], 0o644))
+		for file, name := range logNames {
+			fe := ends[file]
+			for ks[file]+1 < len(fe) && fe[ks[file]+1] <= cuts[file] {
+				ks[file]++
+			}
+			must(t, os.WriteFile(filepath.Join(d, name), full[file][:cuts[file]], 0o644))
+		}
 		w, s, st, err := recoverBoth(t, d)
 		if err != nil {
-			t.Fatalf("cut at %d: %v", cut, err)
+			t.Fatalf("cut at %v: %v", cuts, err)
 		}
-		if got := (recovery{dumpStore(s), st}); !reflect.DeepEqual(got, wants[k]) {
-			t.Fatalf("cut at %d: recovered %+v\nwant its first %d records: %+v", cut, got, k, wants[k])
+		before := want(ks)
+		if got := (recovery{dumpStore(s), st}); !reflect.DeepEqual(got, before) {
+			t.Fatalf("cut at %v: recovered %+v\nwant the first %v records: %+v", cuts, got, ks, before)
 		}
-		rel, dst := logMore(t, w, wants[k])
+		rel, dst := logMore(t, w, before)
 		w.Close()
 		got, err := recoverDir(t, d)
-		if want := plusMore(wants[k], rel, dst); err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("cut at %d: second restart: %v\n got %+v\nwant %+v", cut, err, got, want)
+		if want := plusMore(before, rel, dst); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("cut at %v: second restart: %v\n got %+v\nwant %+v", cuts, err, got, want)
+		}
+	}
+	whole := [2]int64{int64(len(full[0])), int64(len(full[1]))}
+	for file := range logNames {
+		cuts := whole
+		for cuts[file] = headerLen; cuts[file] <= whole[file]; cuts[file]++ {
+			check(cuts)
+		}
+	}
+	for _, a := range ends[0] {
+		for _, b := range ends[1] {
+			check([2]int64{a, b})
 		}
 	}
 }
