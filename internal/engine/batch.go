@@ -7,7 +7,7 @@ import "repro/internal/ast"
 // transaction and one fixpoint stage at each destination instead of one
 // kick per fact, and one wire message per destination peer instead of one
 // per fact. Build it with the fluent Insert/Delete methods and hand it to
-// Peer.Apply.
+// Peer.Apply, which keeps the ops it stages without copying them (see Ops).
 //
 // A Batch is not safe for concurrent mutation; build it on one goroutine.
 type Batch struct {
@@ -42,6 +42,8 @@ func (b *Batch) Len() int { return len(b.ops) }
 func (b *Batch) Empty() bool { return len(b.ops) == 0 }
 
 // Ops returns the staged operations in insertion order. The slice is the
-// batch's backing array; callers must not mutate it while the batch is
-// still being built.
+// batch's backing array, not a copy: never write through it. Peer.Apply
+// hands it over, so after Apply the batch's first Len() ops belong to the
+// peer until a stage ingests them; Insert, Delete and Add stay safe
+// because they only append.
 func (b *Batch) Ops() []FactOp { return b.ops }

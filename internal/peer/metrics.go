@@ -93,7 +93,7 @@ func (p *Peer) registerMetrics(reg *metrics.Registry) {
 	reg.Gauge("wdl_pending_ops",
 		"Staged local updates awaiting the next stage.", "peer").Func(func() float64 {
 		p.mu.Lock()
-		n := len(p.pendingOps)
+		n := p.pendingN
 		p.mu.Unlock()
 		return float64(n)
 	}, name)

@@ -261,7 +261,11 @@ type Peer struct {
 	prog       *engine.Program
 	compileErr []error
 
-	pendingOps []engine.FactOp // buffered updates for the next stage
+	// pendingOps queues the batches for the next stage, in order, holding
+	// their pendingN ops; Insert and Delete append to a tail the peer owns.
+	pendingOps [][]engine.FactOp
+	pendingN   int
+	ownTail    bool
 	// pendingSpace is released when a stage drains pendingOps: blocked
 	// Apply callers wait on it and re-check admission against maxPendingOps.
 	pendingSpace  space
@@ -791,17 +795,22 @@ func (p *Peer) Insert(f ast.Fact) error { return p.update(ast.Derive, f) }
 // Delete stages the deletion of a fact, with the same routing as Insert.
 func (p *Peer) Delete(f ast.Fact) error { return p.update(ast.Delete, f) }
 
-// Apply stages every operation of the batch atomically: operations on this
-// peer's relations are buffered as one unit and applied in a single
+// Apply stages every operation of the batch: operations on this peer's
+// relations are buffered as one unit and applied in a single
 // ingest+fixpoint stage (one store transaction, one WAL append run, one
 // scheduler wakeup); operations on remote relations are grouped into one
 // FactsMsg per destination peer, so each destination also ingests its share
 // in a single stage. Remote shares are committed to the per-destination
 // outbox — delivered at-least-once, out of band — so Apply never blocks on
-// the network; it fails only for unroutable destinations or a closed peer.
+// the network. A batch naming an unroutable destination is refused whole;
+// past that, an outbox failing fast with ErrBackpressure can cut a batch
+// part-way, the shares committed before it staying committed.
 //
 // Operations keep their relative order, so an insert followed by a delete
-// of the same fact inside one batch nets out to the delete.
+// of the same fact inside one batch nets out to the delete. The local share
+// is handed over, not copied: the batch's first Len() ops belong to the peer
+// until a stage ingests them. Insert and Delete on the batch stay safe, as
+// they only append; writing through Ops() is not.
 //
 // Apply is the admission-controlled intake: when Config.OutboxLimit or
 // Config.MaxPendingOps bound a queue, a full queue blocks the caller under
@@ -811,24 +820,35 @@ func (p *Peer) Apply(ctx context.Context, b *engine.Batch) error {
 	if b == nil || b.Empty() {
 		return nil
 	}
-	var local []engine.FactOp
-	remote := make(map[string]*protocol.FactsMsg)
-	var order []string
-	for _, op := range b.Ops() {
+	ops := slices.Clip(b.Ops()) // appends to b never reach the staged ops
+	nLocal := 0
+	for _, op := range ops {
 		if op.Fact.Peer == p.name {
-			local = append(local, op)
-			continue
+			nLocal++
 		}
-		m := remote[op.Fact.Peer]
-		if m == nil {
-			m = &protocol.FactsMsg{}
-			remote[op.Fact.Peer] = m
-			order = append(order, op.Fact.Peer)
-		}
-		m.Append(op.Op == ast.Delete, op.Fact)
 	}
+	local := ops
 	var errs []error
-	if len(order) > 0 {
+	if nLocal < len(ops) {
+		local = make([]engine.FactOp, 0, nLocal)
+		remote := make(map[string]*protocol.FactsMsg)
+		var order []string
+		for _, op := range ops {
+			if op.Fact.Peer == p.name {
+				local = append(local, op)
+				continue
+			}
+			m := remote[op.Fact.Peer]
+			if m == nil {
+				if !p.ep.CanRoute(op.Fact.Peer) {
+					return fmt.Errorf("peer %s: refusing batch for %s: %w", p.name, op.Fact.Peer, errdefs.ErrUnknownPeer)
+				}
+				m = &protocol.FactsMsg{}
+				remote[op.Fact.Peer] = m
+				order = append(order, op.Fact.Peer)
+			}
+			m.Append(op.Op == ast.Delete, op.Fact)
+		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -836,11 +856,6 @@ func (p *Peer) Apply(ctx context.Context, b *engine.Batch) error {
 			return fmt.Errorf("peer %s: %w", p.name, errdefs.ErrClosed)
 		}
 		for _, dst := range order {
-			if !p.ep.CanRoute(dst) {
-				errs = append(errs, fmt.Errorf("peer %s: sending batch of %d to %s: %w",
-					p.name, remote[dst].Len(), dst, errdefs.ErrUnknownPeer))
-				continue
-			}
 			if _, err := p.outbox.enqueue(ctx, dst, *remote[dst], true); err != nil {
 				errs = append(errs, fmt.Errorf("peer %s: %w", p.name, err))
 			}
@@ -855,11 +870,11 @@ func (p *Peer) Apply(ctx context.Context, b *engine.Batch) error {
 	return errors.Join(errs...)
 }
 
-// stageLocal appends ops to the pending-op queue under admission control:
-// once maxPendingOps operations are staged, the caller blocks until a
-// stage drains the queue (or fails fast, per the policy). A batch larger
-// than the whole bound is admitted whenever the queue is empty, so
-// oversized batches degrade to serialized admission instead of deadlock.
+// stageLocal queues ops, kept and never written to, as one pending batch
+// under admission control: once maxPendingOps operations are staged, the
+// caller blocks until a stage drains the queue (or fails fast, per the
+// policy). A batch larger than the whole bound is admitted whenever the
+// queue is empty, so oversized batches never deadlock.
 func (p *Peer) stageLocal(ctx context.Context, ops []engine.FactOp) error {
 	err := p.outbox.admit(ctx, p.ctx, p.maxPendingOps, func() (<-chan struct{}, error) {
 		p.mu.Lock()
@@ -867,10 +882,10 @@ func (p *Peer) stageLocal(ctx context.Context, ops []engine.FactOp) error {
 		if p.closed {
 			return nil, errdefs.ErrClosed
 		}
-		if p.maxPendingOps > 0 && len(p.pendingOps) > 0 && len(p.pendingOps)+len(ops) > p.maxPendingOps {
+		if p.maxPendingOps > 0 && p.pendingN > 0 && p.pendingN+len(ops) > p.maxPendingOps {
 			return p.pendingSpace.wait(), nil
 		}
-		p.pendingOps = append(p.pendingOps, ops...)
+		p.queueLocked(ops)
 		return nil, nil
 	}, p.kick)
 	if err != nil {
@@ -878,6 +893,13 @@ func (p *Peer) stageLocal(ctx context.Context, ops []engine.FactOp) error {
 	}
 	p.kick()
 	return nil
+}
+
+// queueLocked queues a batch the peer does not own.
+func (p *Peer) queueLocked(ops []engine.FactOp) {
+	if len(ops) > 0 {
+		p.pendingOps, p.pendingN, p.ownTail = append(p.pendingOps, ops), p.pendingN+len(ops), false
+	}
 }
 
 // admission is a peer's admission policy for its bounded queues (the
@@ -956,21 +978,17 @@ func (p *Peer) shedStream(dst string) {
 }
 
 // InsertString parses a fact in concrete syntax and stages its insertion.
-func (p *Peer) InsertString(src string) error {
-	f, err := parser.ParseFact(src)
-	if err != nil {
-		return fmt.Errorf("peer %s: %w", p.name, err)
-	}
-	return p.Insert(f)
-}
+func (p *Peer) InsertString(src string) error { return p.updateString(ast.Derive, src) }
 
 // DeleteString parses a fact in concrete syntax and stages its deletion.
-func (p *Peer) DeleteString(src string) error {
+func (p *Peer) DeleteString(src string) error { return p.updateString(ast.Delete, src) }
+
+func (p *Peer) updateString(op ast.UpdateOp, src string) error {
 	f, err := parser.ParseFact(src)
 	if err != nil {
 		return fmt.Errorf("peer %s: %w", p.name, err)
 	}
-	return p.Delete(f)
+	return p.update(op, f)
 }
 
 func (p *Peer) update(op ast.UpdateOp, f ast.Fact) error {
@@ -981,8 +999,7 @@ func (p *Peer) update(op ast.UpdateOp, f ast.Fact) error {
 		if p.isClosed() {
 			return fmt.Errorf("peer %s: %w", p.name, errdefs.ErrClosed)
 		}
-		del := op == ast.Delete
-		p.outbox.EnqueueData(f.Peer, protocol.FactsMsg{Ops: []protocol.FactDelta{{Delete: del, Fact: f}}})
+		p.outbox.EnqueueData(f.Peer, protocol.FactsMsg{Ops: []protocol.FactDelta{{Delete: op == ast.Delete, Fact: f}}})
 		p.flushIfSync()
 		return nil
 	}
@@ -991,7 +1008,12 @@ func (p *Peer) update(op ast.UpdateOp, f ast.Fact) error {
 		p.mu.Unlock()
 		return fmt.Errorf("peer %s: %w", p.name, errdefs.ErrClosed)
 	}
-	p.pendingOps = append(p.pendingOps, engine.FactOp{Op: op, Fact: f})
+	if !p.ownTail {
+		p.pendingOps, p.ownTail = append(p.pendingOps, nil), true
+	}
+	tail := &p.pendingOps[len(p.pendingOps)-1]
+	*tail = append(*tail, engine.FactOp{Op: op, Fact: f})
+	p.pendingN++
 	p.mu.Unlock()
 	p.kick()
 	return nil
@@ -1050,7 +1072,7 @@ func (p *Peer) HasWork() bool {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.pendingOps) > 0 || p.progDirty || p.poked
+	return p.pendingN > 0 || p.progDirty || p.poked
 }
 
 // OutboxPending returns the number of outgoing messages not yet acknowledged

@@ -19,8 +19,8 @@ import (
 )
 
 // ingestOp is one fact operation entering the peer: from the local API
-// (pendingOps), or from the wire with the sender and the maintenance flag
-// attached.
+// (a pending batch), or from the wire with the sender and the maintenance
+// flag attached.
 type ingestOp struct {
 	del   bool
 	maint bool
@@ -199,7 +199,7 @@ func (p *Peer) runStageLocked() *StageReport {
 	// Step 3: emit. Local updates buffer for the next stage; remote fact
 	// deltas, delegations among them, go out now.
 	startEmit := time.Now()
-	p.pendingOps = append(p.pendingOps, res.LocalUpdates...)
+	p.queueLocked(res.LocalUpdates)
 	p.emitFactsLocked(res, rep)
 	rep.Emit = time.Since(startEmit)
 	p.commitLocked(rep)
@@ -257,18 +257,21 @@ func (p *Peer) expireTransientsLocked(d *stageDeltas) {
 func (p *Peer) ingestLocked(rep *StageReport, d *stageDeltas) bool {
 	changed := false
 
-	// Apply updates staged by the previous stage and by the local API. The
-	// drain frees admission space: release any Apply caller blocked on the
-	// pending-op bound.
+	// Apply the batches staged by the previous stage and by the local API,
+	// in order, through one buffer. The drain frees admission space: release
+	// any Apply caller blocked on the pending-op bound.
 	staged := p.pendingOps
-	p.pendingOps = nil
+	p.pendingOps, p.pendingN, p.ownTail = nil, 0, false
 	p.pendingSpace.release()
-	ops := make([]ingestOp, len(staged))
-	for i, op := range staged {
-		ops[i] = ingestOp{del: op.Op == ast.Delete, src: p.name, fact: op.Fact}
-	}
-	if p.applyOpsLocked(ops, rep, d) {
-		changed = true
+	var ops []ingestOp
+	for _, batch := range staged {
+		ops = slices.Grow(ops[:0], len(batch))
+		for _, op := range batch {
+			ops = append(ops, ingestOp{del: op.Op == ast.Delete, src: p.name, fact: op.Fact})
+		}
+		if p.applyOpsLocked(ops, rep, d) {
+			changed = true
+		}
 	}
 
 	// Drain the transport inbox.

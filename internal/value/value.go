@@ -14,7 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -413,5 +413,5 @@ func (t Tuple) String() string {
 // SortTuples sorts a slice of tuples in place in lexicographic order.
 // Useful for deterministic test output and display.
 func SortTuples(ts []Tuple) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) < 0 })
+	slices.SortFunc(ts, Tuple.Compare)
 }
