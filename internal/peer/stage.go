@@ -28,42 +28,74 @@ type ingestOp struct {
 	fact  ast.Fact
 }
 
-// stageDeltas collects the net base-fact changes of one ingestion, keyed by
-// "rel@peer". A tuple is recorded as inserted iff it was absent when the
-// stage began and present afterwards (and symmetrically for deletions), so
-// an insert-then-delete inside one batch nets out to nothing. These deltas
-// seed the engine's incremental evaluation and the subscription streams.
+// stageDeltas collects the base-fact changes of one ingestion per "rel@peer",
+// as lists in apply order that the engine takes as they are and the
+// subscriptions read. The store reports only the changes it makes, so a
+// relation that saw one sign holds its net change already; net reduces one
+// that saw both, so an insert-then-delete inside one stage comes to nothing.
 type stageDeltas struct {
-	ins  map[string]map[string]value.Tuple
-	del  map[string]map[string]value.Tuple
+	rels map[string]*relDelta
 	cand map[string]map[string]value.Tuple // intensional tuples that lost support
 }
 
-func newStageDeltas() *stageDeltas {
-	return &stageDeltas{
-		ins:  map[string]map[string]value.Tuple{},
-		del:  map[string]map[string]value.Tuple{},
-		cand: map[string]map[string]value.Tuple{},
+// relDelta is one relation's inserts and deletes in one stage.
+type relDelta struct{ ins, del changes }
+
+// changes lists tuples, as stored, and their keys.
+type changes struct {
+	ts   []value.Tuple
+	keys []string
+}
+
+// add appends t, stored under key.
+func (c *changes) add(t value.Tuple, key string) {
+	c.ts, c.keys = append(c.ts, t), append(c.keys, key)
+}
+
+// rel returns relID's changes, adding an empty entry on first use.
+func (d *stageDeltas) rel(relID string) *relDelta {
+	if d.rels[relID] == nil {
+		d.rels[relID] = &relDelta{}
+	}
+	return d.rels[relID]
+}
+
+// net reduces every relation that saw both signs, at the end of ingest. A
+// key's changes alternate in sign, so they sum to +1, a net insert of the
+// tuple stored last (the one the index buckets hold), to −1 or to 0.
+func (d *stageDeltas) net() {
+	for _, rd := range d.rels {
+		if len(rd.ins.ts) > 0 && len(rd.del.ts) > 0 {
+			sum := make(map[string]int, len(rd.ins.keys)+len(rd.del.keys))
+			for _, k := range rd.ins.keys {
+				sum[k]++
+			}
+			for _, k := range rd.del.keys {
+				sum[k]--
+			}
+			rd.ins.keepLast(sum, 1)
+			rd.del.keepLast(sum, -1)
+		}
 	}
 }
 
-func (d *stageDeltas) record(relID, key string, t value.Tuple, del bool) {
-	if del {
-		if m := d.ins[relID]; m[key] != nil {
-			delete(m, key) // inserted earlier this stage: net zero
-			return
+// keepLast keeps, in order, the last entry of each key whose sum has the
+// given sign.
+func (c *changes) keepLast(sum map[string]int, sign int) {
+	w := len(c.ts)
+	for i := w - 1; i >= 0; i-- {
+		if k := c.keys[i]; sum[k]*sign > 0 {
+			sum[k], w = 0, w-1
+			c.ts[w], c.keys[w] = c.ts[i], k
 		}
-		putTuple(d.del, relID, key, t)
-		return
 	}
-	if m := d.del[relID]; m[key] != nil {
-		delete(m, key) // deleted earlier this stage: net zero
-		return
-	}
-	putTuple(d.ins, relID, key, t)
+	c.ts, c.keys = c.ts[w:], c.keys[w:]
 }
 
 func (d *stageDeltas) addCand(relID, key string, t value.Tuple) {
+	if d.cand == nil {
+		d.cand = map[string]map[string]value.Tuple{}
+	}
 	putTuple(d.cand, relID, key, t)
 }
 
@@ -86,28 +118,38 @@ func putTuple(m map[string]map[string]value.Tuple, relID, key string, t value.Tu
 	inner[key] = t
 }
 
-// engineInput converts the collected deltas into the engine's stage input.
+// engineInput hands the netted lists to the engine's stage input as they
+// are; the engine copies before it appends.
 func (d *stageDeltas) engineInput() *engine.StageInput {
 	in := &engine.StageInput{}
-	in.Ins, in.InsKeys = flatten(d.ins)
-	in.Del, in.DelKeys = flatten(d.del)
+	for relID, rd := range d.rels {
+		rd.ins.addTo(relID, &in.Ins, &in.InsKeys)
+		rd.del.addTo(relID, &in.Del, &in.DelKeys)
+	}
 	in.Cand, in.CandKeys = flatten(d.cand)
 	return in
 }
 
+// addTo adds c, unless it is empty, to *tuples and *keys under relID,
+// making the maps on first use.
+func (c changes) addTo(relID string, tuples *map[string][]value.Tuple, keys *map[string][]string) {
+	if len(c.ts) > 0 {
+		if *tuples == nil {
+			*tuples, *keys = map[string][]value.Tuple{}, map[string][]string{}
+		}
+		(*tuples)[relID], (*keys)[relID] = c.ts, c.keys
+	}
+}
+
 // flatten lists each relation's tuples and, in the same order, their keys;
 // a relation whose changes netted out is left out.
-func flatten(m map[string]map[string]value.Tuple) (map[string][]value.Tuple, map[string][]string) {
-	tuples, keys := make(map[string][]value.Tuple, len(m)), make(map[string][]string, len(m))
+func flatten(m map[string]map[string]value.Tuple) (tuples map[string][]value.Tuple, keys map[string][]string) {
 	for relID, byKey := range m {
-		if len(byKey) == 0 {
-			continue
-		}
-		ts, ks := make([]value.Tuple, 0, len(byKey)), make([]string, 0, len(byKey))
+		c := changes{make([]value.Tuple, 0, len(byKey)), make([]string, 0, len(byKey))}
 		for key, t := range byKey {
-			ts, ks = append(ts, t), append(ks, key)
+			c.add(t, key)
 		}
-		tuples[relID], keys[relID] = ts, ks
+		c.addTo(relID, &tuples, &keys)
 	}
 	return tuples, keys
 }
@@ -149,7 +191,7 @@ func (p *Peer) runStageLocked() *StageReport {
 	startIngest := time.Now()
 	p.poked = false
 
-	d := newStageDeltas()
+	d := &stageDeltas{rels: map[string]*relDelta{}}
 	changed := p.ingestLocked(rep, d)
 	p.installApprovedLocked()
 	if p.progDirty {
@@ -263,6 +305,7 @@ func (p *Peer) ingestLocked(rep *StageReport, d *stageDeltas) bool {
 	staged := p.pendingOps
 	p.pendingOps, p.pendingN, p.ownTail = nil, 0, false
 	p.pendingSpace.release()
+	p.presizeLocked(staged, d)
 	var ops []ingestOp
 	for _, batch := range staged {
 		ops = slices.Grow(ops[:0], len(batch))
@@ -303,7 +346,45 @@ func (p *Peer) ingestLocked(rep *StageReport, d *stageDeltas) bool {
 		changed = true
 	}
 
+	d.net()
 	return changed
+}
+
+// presizeLocked sizes each empty extensional relation that the staged batches
+// insert more than eight facts into (a map group holds eight), its tuple map
+// and its delta list, so a cold load does not rehash. A relation the batches
+// also delete from is left as it is: a map never shrinks, and inserts that
+// deletes cancel would size it for tuples it never holds. Repeated inserts
+// of one fact still count, so such a stage leaves the map sized for its own
+// op count. Only the first eight relations named are counted, keeping a
+// stage linear.
+func (p *Peer) presizeLocked(staged [][]engine.FactOp, d *stageDeltas) {
+	var rels [8]string
+	var counts [8]int
+	var deletes [8]bool
+	for _, batch := range staged {
+		for _, op := range batch {
+			i := 0
+			for i < len(rels) && rels[i] != op.Fact.Rel && rels[i] != "" {
+				i++
+			}
+			if i < len(rels) {
+				rels[i] = op.Fact.Rel
+				if op.Op == ast.Delete {
+					deletes[i] = true
+				} else {
+					counts[i]++
+				}
+			}
+		}
+	}
+	for i, n := range counts {
+		if n > 8 && !deletes[i] {
+			if rel := p.db.Get(rels[i], p.name); rel != nil && rel.Kind() == ast.Extensional && rel.Reserve(n) {
+				d.rel(rel.ID()).ins = changes{make([]value.Tuple, 0, n), make([]string, 0, n)}
+			}
+		}
+	}
 }
 
 // commitLocked ends a stage, run or skipped: it logs the staged acks'
@@ -851,11 +932,6 @@ func (p *Peer) ingestPayloadLocked(from string, payload protocol.Payload, rep *S
 // (applyDelegationLocked), preserving operation order either way.
 func (p *Peer) applyOpsLocked(ops []ingestOp, rep *StageReport, d *stageDeltas) bool {
 	changed := false
-	// One run's tuples and keys; a run of one, the usual case, stays off the
-	// heap.
-	var tbuf [1]value.Tuple
-	var kbuf [1]string
-	tuples, keys := tbuf[:0], kbuf[:0]
 	for i := 0; i < len(ops); {
 		op := ops[i]
 		f := op.fact
@@ -898,10 +974,16 @@ func (p *Peer) applyOpsLocked(ops []ingestOp, rep *StageReport, d *stageDeltas) 
 			len(ops[j].fact.Args) == rel.Schema().Arity() {
 			j++
 		}
-		// One key per tuple for the whole run: the ledger, the store and the
-		// deltas share it.
+		// The run goes onto its delta list; the store keeps what it applied
+		// there, and the rest is cut. The ledger, store and deltas share keys.
 		relID := rel.ID()
-		tuples, keys = tuples[:0], keys[:0]
+		rd := d.rel(relID)
+		ch := &rd.ins
+		if op.del {
+			ch = &rd.del
+		}
+		base := len(ch.ts)
+		ch.ts, ch.keys = slices.Grow(ch.ts, j-i), slices.Grow(ch.keys, j-i)
 		for k := i; k < j; k++ {
 			t, key := ops[k].fact.Args, ""
 			if op.del {
@@ -909,7 +991,7 @@ func (p *Peer) applyOpsLocked(ops []ingestOp, rep *StageReport, d *stageDeltas) 
 			} else {
 				t, key = p.keyOf(t)
 			}
-			tuples, keys = append(tuples, t), append(keys, key)
+			ch.add(t, key)
 			// Maintained inserts into an extensional relation: the sender
 			// keeps them in its remote view, so the session ledger mirrors
 			// them (dedup inside ledgerAdd), applied or not. Runs may mix
@@ -919,14 +1001,13 @@ func (p *Peer) applyOpsLocked(ops []ingestOp, rep *StageReport, d *stageDeltas) 
 				p.sessionLocked(ops[k].src).ledgerAdd(relID, key)
 			}
 		}
-		if n := rel.ApplyMany(op.del, tuples, keys); n > 0 {
-			applied := tuples[:n]
+		n := rel.ApplyMany(op.del, ch.ts[base:], ch.keys[base:])
+		ch.ts, ch.keys = ch.ts[:base+n], ch.keys[:base+n]
+		if n > 0 {
+			applied := ch.ts[base:]
 			changed = true
 			rep.Applied += n
 			p.stats.UpdatesApplied += uint64(n)
-			for k, t := range applied {
-				d.record(relID, keys[k], t, op.del)
-			}
 			if p.wal != nil {
 				if err := p.wal.LogMany(op.del, f.Rel, p.name, applied); err != nil {
 					rep.Errors = append(rep.Errors, err)
@@ -1000,7 +1081,7 @@ func (p *Peer) applyFactLocked(op ingestOp, rep *StageReport, d *stageDeltas) bo
 		// ingestion nets out to "supported").
 		cancelled := d.removeCand(relID, key)
 		if rel.InsertKeyed(f.Args, key) {
-			d.record(relID, key, f.Args, false)
+			d.rel(relID).ins.add(f.Args, key)
 			rep.Seeds++
 			return true
 		}
@@ -1019,7 +1100,7 @@ func (p *Peer) applyFactLocked(op ingestOp, rep *StageReport, d *stageDeltas) bo
 	putTuple(p.freshTransient, relID, key, f.Args)
 	cancelled := d.removeCand(relID, key)
 	if rel.InsertKeyed(f.Args, key) {
-		d.record(relID, key, f.Args, false)
+		d.rel(relID).ins.add(f.Args, key)
 		rep.Seeds++
 		return true
 	}

@@ -3,6 +3,7 @@ package peer
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/errdefs"
@@ -129,11 +130,9 @@ func (p *Peer) emitSubscriptionsLocked(rep *StageReport, d *stageDeltas, res *en
 func (sub *subscription) collectDeltas(d *stageDeltas, res *engine.Result) []Delta {
 	relID := sub.rel.ID()
 	var dels, ins []value.Tuple
-	for _, t := range d.del[relID] {
-		dels = append(dels, t)
-	}
-	for _, t := range d.ins[relID] {
-		ins = append(ins, t)
+	if rd := d.rels[relID]; rd != nil {
+		// Copies: netTuples below compacts them in place.
+		dels, ins = slices.Clone(rd.del.ts), slices.Clone(rd.ins.ts)
 	}
 	if vd := res.Views[relID]; vd != nil {
 		dels = append(dels, vd.Del...)

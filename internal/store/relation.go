@@ -242,6 +242,20 @@ func (r *Relation) dropIndexLocked(mask ColMask) {
 	r.degraded[mask] = len(r.tuples)
 }
 
+// Reserve makes an empty relation's tuple map with room for n tuples, so a
+// load of that many does not rehash it as it grows, and reports whether it
+// did. A relation that holds tuples is left as it is: a Go map cannot grow
+// ahead.
+func (r *Relation) Reserve(n int) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.tuples) > 0 {
+		return false
+	}
+	r.tuples = make(map[string]value.Tuple, n)
+	return true
+}
+
 // InsertMany adds all tuples under a single lock acquisition — the store
 // half of an atomic batch. It returns the tuples that were actually new (in
 // input order), which is exactly what the caller must log to a WAL. Every
