@@ -163,7 +163,7 @@ func TestChainsFollowJoinOrder(t *testing.T) {
 		}
 		checkNoErrors(t, refRes)
 	}
-	order := func() []int { return h.e.newPlanner().orderFor(h.prog.Rules[0], 0) }
+	order := func() []int { return h.e.stage(nil).planner.orderFor(h.prog.Rules[0], 0) }
 
 	var b []ast.Fact
 	for z := int64(0); z < 100; z++ {

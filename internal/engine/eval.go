@@ -2,8 +2,10 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/ast"
 	"repro/internal/store"
@@ -18,34 +20,136 @@ type deltaSet map[string][]value.Tuple
 // exhaust memory with repeated runtime complaints.
 const maxCollectedErrors = 100
 
+// stageState is one stage's bookkeeping: the fixpoint's emission sets and
+// delta rounds, the maintenance state (incrState) and the planner's caches.
+// It comes from stagePool (Engine.stage) and goes back emptied when the
+// stage ends (release), so between stages it holds no tuple, key or slice of
+// the stage that used it, and a one-fact stage allocates for its fact, not
+// for its set-up. Emptied maps keep their tables for the next stage; one
+// that held more than ScratchCap entries is dropped instead, because a Go
+// map never shrinks and a big stage must leave no big table behind.
 type stageState struct {
 	out         *Result
 	updatesSeen map[string]bool
 	remoteSeen  map[string]bool
-	delta       deltaSet
+	// delta collects the current round's new facts, in one of rounds' maps.
+	delta  deltaSet
+	rounds deltaPair
+	// snap holds a phase's seed: a snapshot of stageIns or stageDel.
+	snap deltaSet
+	// env and bound are the head-unified frame rederivable checks in.
+	env   []value.Value
+	bound []bool
 	// why collects the derivations a kindWhy walk finds (why.go).
 	why      []Derivation
 	errCount int
 	// planner holds the stage's join-plan and compiled-chain caches
 	// (plan.go).
-	planner *stagePlanner
-	// incr is the stage's maintenance bookkeeping (incremental.go); nil
-	// outside runDelta.
+	planner stagePlanner
+	// incr points at ic during runDelta and is nil outside it.
 	incr *incrState
+	ic   incrState
 	// rv is the caller's RemoteView during RunStageIncremental and
 	// RunStageFull, where remote view rules derive into it; nil in bare
 	// RunStage, which emits them into Result.Remote like any remote head.
 	rv *RemoteView
 }
 
-func (e *Engine) newStageState() *stageState {
-	return &stageState{
-		planner:     e.newPlanner(),
-		out:         &Result{Remote: map[string][]FactOp{}},
-		updatesSeen: map[string]bool{},
-		remoteSeen:  map[string]bool{},
-		delta:       deltaSet{},
+// ScratchCap bounds what pooled stage scratch keeps for the next stage, the
+// engine's and the peer's alike: a map or list that held more entries is
+// dropped when the stage ends instead of emptied, because a Go map never
+// shrinks and a big stage must leave no big table behind.
+const ScratchCap = 64
+
+// stagePool holds the emptied stage states of every engine in the process:
+// a state per stage in flight, not one per engine, so thousands of idle
+// peers keep no tables.
+var stagePool = sync.Pool{New: func() any {
+	st := &stageState{}
+	st.reset()
+	return st
+}}
+
+// stage takes a stage state from the pool for one stage (or one Why,
+// BaseSupports or Explain) of e; the caller releases it.
+func (e *Engine) stage(rv *RemoteView) *stageState {
+	st := stagePool.Get().(*stageState)
+	st.out, st.rv, st.planner.e, st.delta = &Result{}, rv, e, st.rounds.next()
+	return st
+}
+
+// release empties st and returns it to the pool. The Result, and the why
+// list a Why returned, belong to the caller.
+func (st *stageState) release() {
+	st.reset()
+	stagePool.Put(st)
+}
+
+// reset empties every map and list of st, dropping those past ScratchCap.
+func (st *stageState) reset() {
+	st.out, st.rv, st.incr, st.why, st.errCount = nil, nil, nil, nil, 0
+	st.updatesSeen, st.remoteSeen = reuse(st.updatesSeen), reuse(st.remoteSeen)
+	st.delta, st.snap = nil, reuse(st.snap)
+	st.env, st.bound = reuseList(st.env), reuseList(st.bound)
+	st.rounds.reset()
+	st.planner.reset()
+	st.ic.reset()
+}
+
+// reuse returns m emptied, or a new map when m is nil or held more than
+// ScratchCap entries.
+func reuse[M ~map[K]V, K comparable, V any](m M) M {
+	if m == nil || len(m) > ScratchCap {
+		return M{}
 	}
+	clear(m)
+	return m
+}
+
+// reuseList returns s emptied, or nil when it grew past ScratchCap.
+func reuseList[S ~[]E, E any](s S) S {
+	if cap(s) > ScratchCap {
+		return nil
+	}
+	clear(s[:cap(s)])
+	return s[:0]
+}
+
+// scratch returns (*buf)[:n] zeroed, growing *buf when it is shorter.
+func scratch[E any](buf *[]E, n int) []E {
+	if cap(*buf) < n {
+		*buf = make([]E, n)
+	}
+	b := (*buf)[:n]
+	clear(b)
+	return b
+}
+
+// deltaPair is the two maps a phase's rounds alternate between: a round
+// writes its new facts into one while it reads the previous round's from
+// the other, or from the phase's seed.
+type deltaPair struct {
+	sets [2]deltaSet
+	cur  int
+}
+
+// next empties and returns the map the last next did not.
+func (p *deltaPair) next() deltaSet {
+	p.cur ^= 1
+	p.sets[p.cur] = reuse(p.sets[p.cur])
+	return p.sets[p.cur]
+}
+
+func (p *deltaPair) reset() {
+	p.sets[0], p.sets[1] = reuse(p.sets[0]), reuse(p.sets[1])
+}
+
+// snapshot returns d's entries in st's seed map, for a phase to read while
+// d grows.
+func (st *stageState) snapshot(d deltaSet) deltaSet {
+	st.snap = reuse(st.snap)
+	maps.Copy(st.snap, d)
+	return st.snap
 }
 
 func (st *stageState) errf(format string, args ...any) {
@@ -66,7 +170,9 @@ func (st *stageState) errf(format string, args ...any) {
 // relations gain what the program derives (nothing is retracted); everything
 // else is returned in Result for the peer to apply or transmit.
 func (e *Engine) RunStage(prog *Program) *Result {
-	return e.runDelta(nil, prog, nil, nil).out
+	st := e.runDelta(nil, prog, nil, nil)
+	defer st.release()
+	return st.out
 }
 
 // forDeltaPositions calls fn for every positive body position of cr that
@@ -105,6 +211,9 @@ func emitRemote(st *stageState, dst string, fo FactOp) {
 	key := dst + "\x00" + fo.Key()
 	if !st.remoteSeen[key] {
 		st.remoteSeen[key] = true
+		if st.out.Remote == nil {
+			st.out.Remote = map[string][]FactOp{}
+		}
 		st.out.Remote[dst] = append(st.out.Remote[dst], fo)
 	}
 }
@@ -202,12 +311,7 @@ func (e *Engine) deriveLocal(st *stageState, rel *store.Relation, relID string, 
 		// Un-ghost so a later deletion round can re-target it.
 		delete(ic.ghosts[relID], key)
 	} else if !fresh && !ic.isSeeded(relID, key) {
-		in := ic.insNew[relID]
-		if in == nil {
-			in = map[string]value.Tuple{}
-			ic.insNew[relID] = in
-		}
-		in[key] = t
+		ic.put(ic.insNew, relID, key, t)
 	}
 }
 

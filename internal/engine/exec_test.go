@@ -25,7 +25,7 @@ func TestCompiledCacheKeyedByStageKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	cr := prog.Rules[0]
-	pl := e.newPlanner()
+	pl := &e.stage(nil).planner
 	evalP := pl.compiledFor(cr, kindEval, 0)
 	dredP := pl.compiledFor(cr, kindDRed, 0)
 	matchP := pl.compiledFor(cr, kindMatch, -1)
@@ -75,7 +75,7 @@ func TestEveryRuleShapeCompiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := e.newPlanner()
+	pl := &e.stage(nil).planner
 	for _, cr := range prog.Rules {
 		for _, kind := range []stageKind{kindEval, kindDRed, kindMatch} {
 			for pos := -1; pos < len(cr.Body); pos++ {

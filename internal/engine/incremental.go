@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"maps"
-
 	"repro/internal/ast"
 	"repro/internal/store"
 	"repro/internal/value"
@@ -84,6 +82,15 @@ type StageInput struct {
 	Supported func(relID, key string) bool
 }
 
+// Reset empties in for another stage. Its maps keep their tables, except one
+// that held more than ScratchCap relations, which is dropped; Cand and
+// CandKeys are dropped.
+func (in *StageInput) Reset() {
+	in.Ins, in.InsKeys = reuse(in.Ins), reuse(in.InsKeys)
+	in.Del, in.DelKeys = reuse(in.Del), reuse(in.DelKeys)
+	in.Cand, in.CandKeys, in.Supported = nil, nil, nil
+}
+
 // keyAt returns the key of ts[i]: keys[i] when keys holds one per tuple of
 // ts, else its encoding.
 func keyAt(ts []value.Tuple, keys []string, i int) string {
@@ -99,7 +106,10 @@ func (in *StageInput) supported(relID, key string) bool {
 	return in != nil && in.Supported != nil && in.Supported(relID, key)
 }
 
-// incrState carries the per-stage bookkeeping of an incremental run.
+// incrState carries the maintenance bookkeeping of one stage. It lives in
+// the pooled stageState and is emptied at the stage's end (reset): its maps
+// keep their tables, the per-relation sets go to a free list, and a stage
+// whose sets grew past ScratchCap leaves none of them (grew).
 type incrState struct {
 	in *StageInput
 	// seeded marks the tuples of StageInput.Ins: externally present this
@@ -149,26 +159,76 @@ type incrState struct {
 	// this stage, seeding the delta passes of later strata.
 	stageIns deltaSet
 	stageDel deltaSet
+	// frontiers are the maps the over-delete rounds alternate between.
+	frontiers deltaPair
+	// tupleSets and keySets are emptied per-relation sets, for the next
+	// ghost, marked, insNew and seeded set a stage makes. grew records that
+	// one of this stage's sets held more than ScratchCap entries: deletions
+	// may have shrunk it since, but not its table.
+	tupleSets []map[string]value.Tuple
+	keySets   []map[string]string
+	grew      bool
+}
+
+// reset empties ic for the next stage (see incrState).
+func (ic *incrState) reset() {
+	keep := !ic.grew
+	for _, sets := range []map[string]map[string]value.Tuple{ic.ghosts, ic.marked, ic.insNew} {
+		for _, m := range sets {
+			ic.tupleSets = recycle(ic.tupleSets, m, keep)
+		}
+	}
+	for _, m := range ic.seeded {
+		ic.keySets = recycle(ic.keySets, m, keep)
+	}
+	ic.in, ic.ghostIdx, ic.removing, ic.grew = nil, nil, false, false
+	ic.seeded, ic.fresh = reuse(ic.seeded), reuse(ic.fresh)
+	ic.ghosts, ic.marked, ic.insNew = reuse(ic.ghosts), reuse(ic.marked), reuse(ic.insNew)
+	ic.stageIns, ic.stageDel = reuse(ic.stageIns), reuse(ic.stageDel)
+	ic.frontier = nil
+	ic.frontiers.reset()
+	ic.marks, ic.remoteMarks, ic.templates = reuseList(ic.marks), reuseList(ic.remoteMarks), reuseList(ic.templates)
+}
+
+// recycle empties m onto the free list when keep and the list has room.
+func recycle[V any](free []map[string]V, m map[string]V, keep bool) []map[string]V {
+	if keep && m != nil && len(free) < ScratchCap {
+		clear(m)
+		free = append(free, m)
+	}
+	return free
+}
+
+// takeSet returns an emptied set from the free list, or a new one.
+func takeSet[V any](free *[]map[string]V) map[string]V {
+	if n := len(*free); n > 0 {
+		m := (*free)[n-1]
+		(*free)[n-1], *free = nil, (*free)[:n-1]
+		return m
+	}
+	return map[string]V{}
+}
+
+// put adds t under key to relID's set in sets, taking the set from the free
+// list on first use.
+func (ic *incrState) put(sets map[string]map[string]value.Tuple, relID, key string, t value.Tuple) {
+	m := sets[relID]
+	if m == nil {
+		m = takeSet(&ic.tupleSets)
+		sets[relID] = m
+	}
+	m[key] = t
+	ic.grew = ic.grew || len(m) > ScratchCap
 }
 
 func (ic *incrState) ghost(relID, key string, t value.Tuple) {
-	g := ic.ghosts[relID]
-	if g == nil {
-		g = map[string]value.Tuple{}
-		ic.ghosts[relID] = g
-	}
-	g[key] = t
+	ic.put(ic.ghosts, relID, key, t)
 }
 
 // mark records t (whose key is key) as over-deleted, pending its
 // rederivation check.
 func (ic *incrState) mark(relID, key string, t value.Tuple) {
-	m := ic.marked[relID]
-	if m == nil {
-		m = map[string]value.Tuple{}
-		ic.marked[relID] = m
-	}
-	m[key] = t
+	ic.put(ic.marked, relID, key, t)
 	ic.marks = append(ic.marks, relTuple{relID, key, t})
 }
 
@@ -179,8 +239,12 @@ func (ic *incrState) seedsOf(relID string) map[string]string {
 		return s
 	}
 	ts, keys := ic.in.Ins[relID], ic.in.InsKeys[relID]
+	if len(ts) > ScratchCap {
+		s, ic.grew = make(map[string]string, len(ts)), true
+	} else if len(ts) > 0 {
+		s = takeSet(&ic.keySets)
+	}
 	if len(ts) > 0 {
-		s = make(map[string]string, len(ts))
 		for i := range ts {
 			key := keyAt(ts, keys, i)
 			s[key] = key
@@ -410,7 +474,9 @@ func (e *Engine) RunStageFull(prog *Program, keep func(relID, key string) bool, 
 	}
 	rv.clearMaint()
 	e.views = prog
-	res := e.runDelta(nil, prog, nil, rv).out
+	st := e.runDelta(nil, prog, nil, rv)
+	res := st.out
+	st.release()
 	for relID, old := range dropped {
 		if ins, del := e.db.GetID(relID).DiffSince(old); len(ins)+len(del) > 0 {
 			if res.Views == nil {
@@ -431,6 +497,7 @@ func (e *Engine) RunStageIncremental(prog *Program, in *StageInput, rv *RemoteVi
 	prev := e.views
 	e.views = prog
 	st := e.runDelta(prev, prog, in, rv)
+	defer st.release()
 	st.out.Views = e.netViews(st)
 	return st.out
 }
@@ -450,19 +517,9 @@ func (e *Engine) runDelta(prev, prog *Program, in *StageInput, rv *RemoteView) *
 	if prog == nil {
 		prog = &Program{}
 	}
-	st := e.newStageState()
-	st.rv = rv
-	ic := &incrState{
-		in:       in,
-		seeded:   map[string]map[string]string{},
-		fresh:    map[string]bool{},
-		ghosts:   map[string]map[string]value.Tuple{},
-		marked:   map[string]map[string]value.Tuple{},
-		insNew:   map[string]map[string]value.Tuple{},
-		stageIns: deltaSet{},
-		stageDel: deltaSet{},
-	}
-	st.incr = ic
+	st := e.stage(rv)
+	ic := &st.ic
+	ic.in, st.incr = in, ic
 	if in != nil {
 		for relID, ts := range in.Ins {
 			// Clipped: appending must not write into the caller's array.
@@ -472,7 +529,7 @@ func (e *Engine) runDelta(prev, prog *Program, in *StageInput, rv *RemoteView) *
 			for i, t := range ts {
 				ic.ghost(relID, keyAt(ts, in.DelKeys[relID], i), t)
 			}
-			ic.stageDel[relID] = append(ic.stageDel[relID], ts...)
+			ic.stageDel[relID] = ts[:len(ts):len(ts)]
 		}
 		// Deletion candidates: remove now, mark for rederivation. A
 		// candidate's external support is gone, so a same-stage maintained
@@ -509,7 +566,7 @@ func (e *Engine) runDelta(prev, prog *Program, in *StageInput, rv *RemoteView) *
 	}
 	added, removed := programDelta(prev, prog)
 	if len(removed) > 0 {
-		ic.frontier = deltaSet{}
+		ic.frontier = ic.frontiers.next()
 		ic.removing = true
 		for _, cr := range removed {
 			if cr.MaybeView || !cr.Event {
@@ -527,7 +584,7 @@ func (e *Engine) runDelta(prev, prog *Program, in *StageInput, rv *RemoteView) *
 			continue
 		}
 		e.deletePhase(prog, stratum, st, added)
-		e.insertPhase(stratum, st, maps.Clone(ic.stageIns), added)
+		e.insertPhase(stratum, st, st.snapshot(ic.stageIns), added)
 		// Event rules run on the maintained state. Their local derivations
 		// (variable-head rules) cascade back through the view rules until
 		// nothing new appears; emission dedup keeps outputs exact.
@@ -536,7 +593,7 @@ func (e *Engine) runDelta(prev, prog *Program, in *StageInput, rv *RemoteView) *
 				st.errf("engine: fixpoint exceeded %d iterations; aborting stratum", e.opts.MaxIterations)
 				break
 			}
-			st.delta = deltaSet{}
+			st.delta = st.rounds.next()
 			for _, cr := range stratum {
 				if cr.Event {
 					e.evalRule(cr, st, -1, nil)
@@ -558,9 +615,7 @@ func (e *Engine) runDelta(prev, prog *Program, in *StageInput, rv *RemoteView) *
 	// strata with no rules) still get their rederivation check — external
 	// support added back by a later coalesced message must restore them.
 	if len(ic.marks) > 0 {
-		marks := ic.marks
-		ic.marks = nil
-		e.rederive(prog, st, marks)
+		e.rederive(prog, st)
 	}
 	// Nothing local reads a remote fact, so the remote view facts and
 	// delegations the DRed passes retracted need one check, against the final
@@ -585,20 +640,20 @@ func (e *Engine) runDelta(prev, prog *Program, in *StageInput, rv *RemoteView) *
 // and counts its net retractions into Result.Retracted.
 func (e *Engine) netViews(st *stageState) map[string]*ViewDelta {
 	ic := st.incr
-	views := map[string]*ViewDelta{}
+	var views map[string]*ViewDelta
 	for relID, fresh := range ic.fresh {
 		if !fresh {
 			continue
 		}
 		if ins, _ := e.db.GetID(relID).DiffSince(nil); len(ins) > 0 {
-			views[relID] = &ViewDelta{Ins: ins}
+			viewDeltaFor(&views, relID).Ins = ins
 		}
 	}
 	for relID, m := range ic.insNew {
 		if len(m) == 0 {
 			continue
 		}
-		vd := viewDeltaFor(views, relID)
+		vd := viewDeltaFor(&views, relID)
 		for _, t := range m {
 			vd.Ins = append(vd.Ins, t)
 		}
@@ -607,23 +662,24 @@ func (e *Engine) netViews(st *stageState) map[string]*ViewDelta {
 		if len(m) == 0 || ic.fresh[relID] {
 			continue
 		}
-		vd := viewDeltaFor(views, relID)
+		vd := viewDeltaFor(&views, relID)
 		for _, t := range m {
 			vd.Del = append(vd.Del, t)
 			st.out.Retracted++
 		}
 	}
-	if len(views) == 0 {
-		return nil
-	}
 	return views
 }
 
-func viewDeltaFor(views map[string]*ViewDelta, relID string) *ViewDelta {
-	vd := views[relID]
+// viewDeltaFor returns relID's delta in *views, making both on first use.
+func viewDeltaFor(views *map[string]*ViewDelta, relID string) *ViewDelta {
+	vd := (*views)[relID]
 	if vd == nil {
+		if *views == nil {
+			*views = map[string]*ViewDelta{}
+		}
 		vd = &ViewDelta{}
-		views[relID] = vd
+		(*views)[relID] = vd
 	}
 	return vd
 }
@@ -637,14 +693,12 @@ func (e *Engine) insertPhase(stratum []*CompiledRule, st *stageState, seed delta
 	if len(seed) == 0 && added == nil {
 		return
 	}
-	st.delta = seed
-	for first := true; first || len(st.delta) > 0; first = false {
+	for first, prev := true, seed; first || len(prev) > 0; first, prev = false, st.delta {
 		if st.out.Iterations >= e.opts.MaxIterations {
 			st.errf("engine: fixpoint exceeded %d iterations; aborting stratum", e.opts.MaxIterations)
 			return
 		}
-		prev := st.delta
-		st.delta = deltaSet{}
+		st.delta = st.rounds.next()
 		for _, cr := range stratum {
 			switch {
 			case cr.Event:
@@ -672,7 +726,7 @@ func (e *Engine) insertPhase(stratum []*CompiledRule, st *stageState, seed delta
 // materialized yet.
 func (e *Engine) deletePhase(prog *Program, stratum []*CompiledRule, st *stageState, added map[*CompiledRule]bool) {
 	ic := st.incr
-	frontier := maps.Clone(ic.stageDel)
+	frontier := st.snapshot(ic.stageDel)
 	// Candidates and removed rules' marks (already in ic.marks) are checked
 	// in the first stratum; a check against not-yet-maintained later strata
 	// self-corrects — a wrongly kept tuple is re-marked when its support is
@@ -682,7 +736,7 @@ func (e *Engine) deletePhase(prog *Program, stratum []*CompiledRule, st *stageSt
 			st.errf("engine: deletion pass exceeded %d iterations; aborting stratum", e.opts.MaxIterations)
 			return
 		}
-		ic.frontier = deltaSet{}
+		ic.frontier = ic.frontiers.next()
 		for _, cr := range stratum {
 			if !cr.MaybeView && cr.Event || added[cr] {
 				continue
@@ -697,9 +751,7 @@ func (e *Engine) deletePhase(prog *Program, stratum []*CompiledRule, st *stageSt
 		}
 		frontier = ic.frontier
 	}
-	marks := ic.marks
-	ic.marks = nil
-	e.rederive(prog, st, marks)
+	e.rederive(prog, st)
 }
 
 // relTuple pairs a relation id with a tuple and its key.
@@ -708,12 +760,15 @@ type relTuple struct {
 	tuple      value.Tuple
 }
 
-// rederive restores over-deleted tuples that still have support: an external
-// (remote-maintained) supporter, a seed from this stage's input, or a rule
-// derivation from the remaining database. Restorations can support one
-// another, so the pass iterates to fixpoint.
-func (e *Engine) rederive(prog *Program, st *stageState, marks []relTuple) {
+// rederive restores the tuples marked since the last pass that still have
+// support: an external (remote-maintained) supporter, a seed from this
+// stage's input, or a rule derivation from the remaining database.
+// Restorations can support one another, so the pass iterates to fixpoint;
+// the marks list is empty afterwards.
+func (e *Engine) rederive(prog *Program, st *stageState) {
 	ic := st.incr
+	marks := ic.marks
+	ic.marks = nil
 	for changed := true; changed; {
 		changed = false
 		for i := range marks {
@@ -749,6 +804,9 @@ func (e *Engine) rederive(prog *Program, st *stageState, marks []relTuple) {
 			}
 		}
 	}
+	if ic.marks == nil {
+		ic.marks = marks[:0]
+	}
 }
 
 // rederivable reports whether some rule of the program derives rel@peer(t)
@@ -772,7 +830,7 @@ func (e *Engine) rederivable(prog *Program, st *stageState, relName, peerName st
 			continue
 		}
 		if env == nil {
-			env, bound = make([]value.Value, prog.maxSlots), make([]bool, prog.maxSlots)
+			env, bound = scratch(&st.env, prog.maxSlots), scratch(&st.bound, prog.maxSlots)
 		} else {
 			clear(bound)
 		}

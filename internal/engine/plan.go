@@ -94,14 +94,40 @@ type ruleChains struct {
 }
 
 // stagePlanner owns the stage's plans and strong references to its chains.
+// It lives in the pooled stageState: reset empties its caches, keeps up to
+// ScratchCap emptied plans for the next stage, and keeps the scratch the
+// greedy order runs in.
 type stagePlanner struct {
 	e        *Engine
 	plans    map[*CompiledRule]*rulePlan
 	compiled map[compiledKey]*execProg
+	free     []*rulePlan
+	// bound, placed and ord are order's scratch.
+	bound, placed []bool
+	ord           []int
 }
 
-func (e *Engine) newPlanner() *stagePlanner {
-	return &stagePlanner{e: e, plans: map[*CompiledRule]*rulePlan{}, compiled: map[compiledKey]*execProg{}}
+func (pl *stagePlanner) reset() {
+	for _, rp := range pl.plans {
+		if rp != nil && len(pl.free) < ScratchCap {
+			clear(rp.delta)
+			*rp = rulePlan{delta: rp.delta[:0]}
+			pl.free = append(pl.free, rp)
+		}
+	}
+	pl.e, pl.plans, pl.compiled = nil, reuse(pl.plans), reuse(pl.compiled)
+}
+
+// newPlan returns an empty plan for a rule whose region is region atoms.
+func (pl *stagePlanner) newPlan(region int) *rulePlan {
+	var rp *rulePlan
+	if n := len(pl.free); n > 0 {
+		rp, pl.free = pl.free[n-1], pl.free[:n-1]
+	} else {
+		rp = &rulePlan{}
+	}
+	rp.region = region
+	return rp
 }
 
 // compiledFor returns the closure chain for one (rule, stage kind, delta
@@ -169,8 +195,8 @@ func (pl *stagePlanner) planFor(cr *CompiledRule) *rulePlan {
 	pl.e.planMisses.Add(1)
 	var rp *rulePlan
 	if region := planRegion(cr, pl.e.local); region >= 2 {
-		rp = &rulePlan{region: region}
-		rp.full = pl.order(cr, region, -1, nil)
+		rp = pl.newPlan(region)
+		rp.full = pl.order(cr, region, -1, false)
 	}
 	pl.plans[cr] = rp
 	return rp
@@ -189,11 +215,11 @@ func (pl *stagePlanner) orderFor(cr *CompiledRule, deltaPos int) []int {
 		// anyway; the region still evaluates under the full plan.
 		return rp.full
 	}
-	if rp.delta == nil {
-		rp.delta = make([][]int, rp.region)
+	if len(rp.delta) < rp.region {
+		rp.delta = append(rp.delta[:0], make([][]int, rp.region)...)
 	}
 	if rp.delta[deltaPos] == nil {
-		rp.delta[deltaPos] = pl.order(cr, rp.region, deltaPos, nil)
+		rp.delta[deltaPos] = pl.order(cr, rp.region, deltaPos, false)
 	}
 	return rp.delta[deltaPos]
 }
@@ -207,9 +233,7 @@ func (pl *stagePlanner) rederiveOrder(cr *CompiledRule) []int {
 		return nil
 	}
 	if rp.rederive == nil {
-		pre := make([]bool, cr.NumSlots)
-		markAtomSlots(&cr.Head, pre)
-		rp.rederive = pl.order(cr, rp.region, -1, pre)
+		rp.rederive = pl.order(cr, rp.region, -1, true)
 	}
 	return rp.rederive
 }
@@ -257,14 +281,19 @@ func isFilter(cr *CompiledRule, i int) bool {
 // earliest position), then the cheapest eligible positive atom is placed
 // and its argument variables become bound. The delta atom, when in the
 // region, is taken as soon as it is eligible regardless of cost — delta
-// inputs are small by construction. preBound marks slots bound before the
-// body runs (rederivation's head unification). Ties break toward written
-// order, so the chosen order is deterministic.
-func (pl *stagePlanner) order(cr *CompiledRule, region, deltaPos int, preBound []bool) []int {
-	bound := make([]bool, cr.NumSlots)
-	copy(bound, preBound)
-	placed := make([]bool, region)
-	order := make([]int, 0, len(cr.Body))
+// inputs are small by construction. headBound binds the head's slots before
+// the body runs (rederivation's head unification). Ties break toward
+// written order, so the chosen order is deterministic. The order is worked
+// out in the planner's scratch and kept as the order of one of the rule's
+// chains when it equals one (keep), so a stage that plans as the last did
+// allocates nothing for it.
+func (pl *stagePlanner) order(cr *CompiledRule, region, deltaPos int, headBound bool) []int {
+	bound := scratch(&pl.bound, cr.NumSlots)
+	if headBound {
+		markAtomSlots(&cr.Head, bound)
+	}
+	placed := scratch(&pl.placed, region)
+	order := pl.ord[:0]
 
 	ready := func(i int, needArgs bool) bool {
 		a := &cr.Body[i]
@@ -331,7 +360,21 @@ func (pl *stagePlanner) order(cr *CompiledRule, region, deltaPos int, preBound [
 	for i := region; i < len(cr.Body); i++ {
 		order = append(order, i)
 	}
-	return order
+	pl.ord = order
+	return keep(cr, order)
+}
+
+// keep returns ord as a slice that outlives the planner's scratch: the
+// order of one of cr's chains when it is equal, else a copy.
+func keep(cr *CompiledRule, ord []int) []int {
+	if set := cr.chains.Value(); set != nil {
+		for _, ep := range set.progs {
+			if slices.Equal(ep.ord, ord) {
+				return ep.ord
+			}
+		}
+	}
+	return slices.Clone(ord)
 }
 
 // atomCost estimates the number of tuples body atom i yields when probed
@@ -377,7 +420,9 @@ func (pl *stagePlanner) atomCost(cr *CompiledRule, i int, bound []bool) float64 
 // estimates — the surface behind `wdl run -explain`.
 func (e *Engine) Explain(prog *Program) string {
 	var sb strings.Builder
-	pl := e.newPlanner()
+	st := e.stage(nil)
+	defer st.release()
+	pl := &st.planner
 	for _, cr := range prog.Rules {
 		kind := "event"
 		switch {

@@ -17,7 +17,7 @@ func planOrder(t *testing.T, e *Engine, src string, deltaPos int) []int {
 	if err != nil {
 		t.Fatalf("compile %q: %v", src, err)
 	}
-	ord := e.newPlanner().orderFor(cr, deltaPos)
+	ord := e.stage(nil).planner.orderFor(cr, deltaPos)
 	if ord == nil {
 		// Written order: materialize the identity for easy assertions.
 		ord = make([]int, len(cr.Body))

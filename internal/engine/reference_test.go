@@ -34,7 +34,8 @@ func referenceStage(e *Engine, prog *Program) *Result {
 // each rendered "ruleID from [supports]", supports in written body order.
 func referenceRun(e *Engine, prog *Program) (*Result, map[string][]string) {
 	e.db.ClearIntensional()
-	st := e.newStageState()
+	st := e.stage(nil)
+	defer st.release()
 	why := map[string][]string{}
 	for _, stratum := range prog.Strata {
 		for derived := -1; derived != st.out.Derived; st.out.Iterations++ {

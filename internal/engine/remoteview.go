@@ -262,9 +262,16 @@ func (v *RemoteView) Diff(remote map[string][]FactOp) map[string][]RemoteOp {
 	prev := v.event
 	v.touched = append(v.touched, v.shot...)
 	v.event, v.shot = nil, nil
-	out := map[string][]RemoteOp{}
-	ids := map[string][]factID{} // dst -> the fact of each op in out[dst]
-	var shot map[factID]bool     // this Diff's one-shot deletes
+	var out map[string][]RemoteOp
+	var ids map[string][]factID // dst -> the fact of each op in out[dst]
+	emit := func(dst string, op RemoteOp, id factID) {
+		if out == nil {
+			out, ids = map[string][]RemoteOp{}, map[string][]factID{}
+		}
+		out[dst] = append(out[dst], op)
+		ids[dst] = append(ids[dst], id)
+	}
+	var shot map[factID]bool // this Diff's one-shot deletes
 	for dst, ops := range remote {
 		var rel, peer, relID string // the last op's, reused while it repeats
 		for _, op := range ops {
@@ -273,8 +280,7 @@ func (v *RemoteView) Diff(remote map[string][]FactOp) map[string][]RemoteOp {
 			}
 			ref := factRef{factID{dst, relID, op.Fact.Args.Key()}, op.Fact.Args}
 			if op.Op == ast.Delete {
-				out[dst] = append(out[dst], RemoteOp{Op: ast.Delete, Fact: op.Fact})
-				ids[dst] = append(ids[dst], ref.factID)
+				emit(dst, RemoteOp{Op: ast.Delete, Fact: op.Fact}, ref.factID)
 				if shot == nil {
 					shot = map[factID]bool{}
 				}
@@ -333,8 +339,7 @@ func (v *RemoteView) Diff(remote map[string][]FactOp) map[string][]RemoteOp {
 					r.tree = nil
 				}
 			}
-			out[ref.dst] = append(out[ref.dst], RemoteOp{Op: op, Maint: true, Fact: factOf(ref)})
-			ids[ref.dst] = append(ids[ref.dst], ref.factID)
+			emit(ref.dst, RemoteOp{Op: op, Maint: true, Fact: factOf(ref)}, ref.factID)
 			if f.rule || f.held {
 				r.facts[ref.key] = f
 			}

@@ -23,7 +23,9 @@ type Derivation struct {
 // runs as a head-bound kindWhy walk over the store, recording every match.
 // A base fact has none; a body that leaves the peer derives nothing locally.
 func (e *Engine) Why(prog *Program, f ast.Fact) []Derivation {
-	return e.why(prog, e.newStageState(), f)
+	st := e.stage(nil)
+	defer st.release()
+	return e.why(prog, st, f)
 }
 
 // why answers Why under st, whose compiled chains persist across a query.
@@ -59,7 +61,8 @@ func derivation(cr *CompiledRule, env []value.Value) Derivation {
 // and sorted by key. A fact with no derivation supports itself; cycles
 // (recursive rules) are cut by marking.
 func (e *Engine) BaseSupports(prog *Program, f ast.Fact) []ast.Fact {
-	st := e.newStageState()
+	st := e.stage(nil)
+	defer st.release()
 	seen := map[string]bool{}
 	var out []ast.Fact
 	var walk func(f ast.Fact)

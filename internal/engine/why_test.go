@@ -56,7 +56,7 @@ func TestWhyDerivedAndBase(t *testing.T) {
 		`v@local($y) :- big@local($x, $y), small@local($x);`,
 		`-small@local($x) :- v@local($x);`,
 	})
-	if ord := e.newPlanner().rederiveOrder(prog.Rules[0]); !slices.Equal(ord, []int{1, 0}) {
+	if ord := e.stage(nil).planner.rederiveOrder(prog.Rules[0]); !slices.Equal(ord, []int{1, 0}) {
 		t.Fatalf("head-bound plan = %v, want small before big", ord)
 	}
 	got := whyLines(e.Why(prog, mustFact(t, `v@local(7);`)))

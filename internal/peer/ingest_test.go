@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"weak"
 
 	"repro/internal/ast"
 	"repro/internal/engine"
@@ -99,10 +100,13 @@ func TestPresizeSkipsCancelledInserts(t *testing.T) {
 	}
 }
 
-// TestOneFactStageAllocs: the lists and the presizing cost a one-fact stage
-// nothing. An insert stage and a delete stage of one fact, on a relation of
-// 1 000 rows that a rule reads, allocated 128 objects together with the delta
-// maps, and allocate 118 with the lists (124 under the race detector).
+// TestOneFactStageAllocs: a one-fact stage allocates for its fact, not for
+// its set-up. An insert stage and a delete stage of one fact, on a relation
+// of 1 000 rows that a rule reads, allocated 118 objects together (124 under
+// the race detector) when each stage made its bookkeeping anew, and allocate
+// 30 with the pooled stage scratch. Under the race detector they allocate
+// 52–62, because its sync.Pool drops a quarter of what is put back; the limit
+// lies between the two figures and above that.
 func TestOneFactStageAllocs(t *testing.T) {
 	p := newIngestPeer(t, `
 relation extensional data@p(a, b);
@@ -132,10 +136,62 @@ view@p($a, $b) :- data@p($a, $b);`)
 			t.Fatalf("delete stage: applied %d, retracted %d", rep.Applied, rep.Retracted)
 		}
 	})
-	const limit = 128
+	const limit = 72
 	t.Logf("a one-fact insert stage and delete stage allocated %.0f objects", allocs)
 	if allocs > limit {
 		t.Errorf("a one-fact insert stage and delete stage allocated %.0f objects, want at most %d", allocs, limit)
+	}
+}
+
+// TestStageKeepsNoTuples: a stage's scratch goes back to its pool emptied,
+// so nothing of the stages that inserted and deleted a tuple keeps it alive
+// once the store lets it go — not the pooled deltas, lists and engine input
+// of the peer, nor the engine's stage state — after a stage of 30 000 facts,
+// past every scratch cap, and after a stage of one. Checked are the stored
+// and the derived tuple, and the delete's own tuple, which the deletion pass
+// holds while the stage runs.
+func TestStageKeepsNoTuples(t *testing.T) {
+	p := newIngestPeer(t, `
+relation extensional data@p(a, b);
+relation intensional view@p(a, b);
+view@p($a, $b) :- data@p($a, $b);`)
+	defer p.Close()
+	// stage applies n inserts or deletes in one stage and returns a weak
+	// pointer to the first op's tuple.
+	stage := func(n int, del bool) weak.Pointer[value.Value] {
+		t.Helper()
+		b := engine.NewBatch()
+		for i := range n {
+			f := ast.NewFact("data", "p", value.Int(int64(i)), value.Int(int64(n-i)))
+			if del {
+				b.Delete(f)
+			} else {
+				b.Insert(f)
+			}
+		}
+		if err := p.Apply(context.Background(), b); err != nil {
+			t.Fatal(err)
+		}
+		if rep := p.RunStage(); rep.Applied != n || len(rep.Errors) > 0 {
+			t.Fatalf("stage applied %d of %d ops, errors %v", rep.Applied, n, rep.Errors)
+		}
+		return weak.Make(&b.Ops()[0].Fact.Args[0])
+	}
+	for _, n := range []int{30_000, 1} {
+		stage(n, false)
+		d, v := p.Query("data"), p.Query("view")
+		if len(d) != n || len(v) != n {
+			t.Fatalf("stored %d data and %d view tuples, want %d", len(d), len(v), n)
+		}
+		ptrs := []weak.Pointer[value.Value]{weak.Make(&d[0][0]), weak.Make(&v[0][0])}
+		d, v = nil, nil
+		ptrs = append(ptrs, stage(n, true))
+		runtime.GC()
+		for i, w := range ptrs {
+			if w.Value() != nil {
+				t.Errorf("after a %d-fact delete stage, the %s tuple is still reachable", n, []string{"stored", "derived", "deleted"}[i])
+			}
+		}
 	}
 }
 

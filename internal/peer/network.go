@@ -4,7 +4,8 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,7 +29,10 @@ type Network struct {
 
 	mu    sync.Mutex
 	peers map[string]*Peer
-	order []string
+	// list is the registered peers in name order. Add replaces it and never
+	// writes into it, so the schedulers range over the slice they read
+	// (snapshot) instead of a copy.
+	list []*Peer
 
 	sequential bool
 
@@ -99,11 +103,13 @@ func (n *Network) NewPeer(cfg Config) (*Peer, error) {
 func (n *Network) Add(p *Peer) {
 	name := p.Name()
 	n.mu.Lock()
-	if _, dup := n.peers[name]; !dup {
-		n.order = append(n.order, name)
-		sort.Strings(n.order)
-	}
 	n.peers[name] = p
+	i, dup := slices.BinarySearchFunc(n.list, name, func(q *Peer, name string) int { return strings.Compare(q.Name(), name) })
+	list := append(append(make([]*Peer, 0, len(n.list)+1), n.list[:i]...), p)
+	if dup {
+		i++ // a restarted peer takes its predecessor's place
+	}
+	n.list = append(list, n.list[i:]...)
 	sequential := n.sequential
 	n.mu.Unlock()
 	if sequential {
@@ -158,15 +164,18 @@ func (n *Network) Peer(name string) *Peer {
 	return n.peers[name]
 }
 
-// Peers returns all registered peers in name order.
+// Peers returns all registered peers in name order, in a slice the caller
+// may keep.
 func (n *Network) Peers() []*Peer {
+	return slices.Clone(n.snapshot())
+}
+
+// snapshot returns the registered peers in name order, read-only: a peer
+// that registers later is in the next snapshot.
+func (n *Network) snapshot() []*Peer {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make([]*Peer, 0, len(n.order))
-	for _, name := range n.order {
-		out = append(out, n.peers[name])
-	}
-	return out
+	return n.list
 }
 
 // QuiescenceError reports that RunToQuiescence hit its round budget, which
@@ -222,7 +231,7 @@ func (n *Network) runSequential(ctx context.Context, maxRounds int) (rounds, sta
 	for r := 0; r < maxRounds; r++ {
 		progressed := false
 		delivered := false
-		for _, p := range n.Peers() { // fresh snapshot: peers may join mid-run
+		for _, p := range n.snapshot() { // peers may join mid-run: read every round
 			if err := ctx.Err(); err != nil {
 				return rounds, stages, err
 			}
@@ -426,7 +435,7 @@ func (n *Network) outboxesDrained() bool {
 }
 
 func (n *Network) outboxTotals() (total, stalled int) {
-	for _, p := range n.Peers() {
+	for _, p := range n.snapshot() {
 		t, s := p.OutboxPending()
 		total += t
 		stalled += s
@@ -442,7 +451,7 @@ func (n *Network) StageAll() []*StageReport {
 	staged := map[string]bool{}
 	for {
 		progressed := false
-		for _, p := range n.Peers() {
+		for _, p := range n.snapshot() {
 			if staged[p.Name()] || !p.HasWork() {
 				continue
 			}

@@ -7,6 +7,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/acl"
@@ -18,9 +19,8 @@ import (
 	"repro/internal/value"
 )
 
-// ingestOp is one fact operation entering the peer: from the local API
-// (a pending batch), or from the wire with the sender and the maintenance
-// flag attached.
+// ingestOp is one fact operation entering the peer, with its sender and
+// maintenance flag: what the per-fact paths take.
 type ingestOp struct {
 	del   bool
 	maint bool
@@ -28,14 +28,63 @@ type ingestOp struct {
 	fact  ast.Fact
 }
 
+// stagedOps and wireOps are the fact operations ingest reads in place: a
+// staged local batch (or a wrapper's pull), and a message's deltas.
+type (
+	stagedOps []engine.FactOp
+	wireOps   []protocol.FactDelta
+)
+
+func (o stagedOps) at(i int) (f *ast.Fact, del, maint bool) {
+	return &o[i].Fact, o[i].Op == ast.Delete, false
+}
+
+func (o wireOps) at(i int) (f *ast.Fact, del, maint bool) {
+	return &o[i].Fact, o[i].Delete, o[i].Maint
+}
+
+// factOps is either kind of op sequence.
+type factOps interface {
+	stagedOps | wireOps
+	at(i int) (f *ast.Fact, del, maint bool)
+}
+
 // stageDeltas collects the base-fact changes of one ingestion per "rel@peer",
 // as lists in apply order that the engine takes as they are and the
 // subscriptions read. The store reports only the changes it makes, so a
 // relation that saw one sign holds its net change already; net reduces one
 // that saw both, so an insert-then-delete inside one stage comes to nothing.
+//
+// A stage takes its deltas from deltasPool and releases them when it ends,
+// emptied like the engine's stage state: the lists, the relations' entries
+// and the engine input keep their arrays and tables for the next stage,
+// unless they grew past engine.ScratchCap.
 type stageDeltas struct {
 	rels map[string]*relDelta
 	cand map[string]map[string]value.Tuple // intensional tuples that lost support
+	in   engine.StageInput                 // the lists, as the engine takes them
+	free []*relDelta                       // emptied entries for rel
+}
+
+// deltasPool holds the emptied stage deltas of every peer in the process.
+var deltasPool = sync.Pool{New: func() any { return &stageDeltas{rels: map[string]*relDelta{}} }}
+
+// release empties d and returns it to the pool.
+func (d *stageDeltas) release() {
+	for _, rd := range d.rels {
+		if len(d.free) < engine.ScratchCap {
+			rd.ins.reset()
+			rd.del.reset()
+			d.free = append(d.free, rd)
+		}
+	}
+	if len(d.rels) > engine.ScratchCap {
+		d.rels = map[string]*relDelta{}
+	}
+	clear(d.rels)
+	d.cand = nil
+	d.in.Reset()
+	deltasPool.Put(d)
 }
 
 // relDelta is one relation's inserts and deletes in one stage.
@@ -52,12 +101,30 @@ func (c *changes) add(t value.Tuple, key string) {
 	c.ts, c.keys = append(c.ts, t), append(c.keys, key)
 }
 
+// reset empties c, keeping its arrays unless they grew past
+// engine.ScratchCap.
+func (c *changes) reset() {
+	if cap(c.ts) > engine.ScratchCap || cap(c.keys) > engine.ScratchCap {
+		*c = changes{}
+		return
+	}
+	clear(c.ts[:cap(c.ts)])
+	clear(c.keys[:cap(c.keys)])
+	c.ts, c.keys = c.ts[:0], c.keys[:0]
+}
+
 // rel returns relID's changes, adding an empty entry on first use.
 func (d *stageDeltas) rel(relID string) *relDelta {
-	if d.rels[relID] == nil {
-		d.rels[relID] = &relDelta{}
+	rd := d.rels[relID]
+	if rd == nil {
+		if n := len(d.free); n > 0 {
+			rd, d.free = d.free[n-1], d.free[:n-1]
+		} else {
+			rd = &relDelta{}
+		}
+		d.rels[relID] = rd
 	}
-	return d.rels[relID]
+	return rd
 }
 
 // net reduces every relation that saw both signs, at the end of ingest. A
@@ -89,6 +156,10 @@ func (c *changes) keepLast(sum map[string]int, sign int) {
 			c.ts[w], c.keys[w] = c.ts[i], k
 		}
 	}
+	// The dropped front leaves the list's view of its array: clear it, or
+	// the array would keep its tuples in the pool (reset).
+	clear(c.ts[:w])
+	clear(c.keys[:w])
 	c.ts, c.keys = c.ts[w:], c.keys[w:]
 }
 
@@ -121,7 +192,7 @@ func putTuple(m map[string]map[string]value.Tuple, relID, key string, t value.Tu
 // engineInput hands the netted lists to the engine's stage input as they
 // are; the engine copies before it appends.
 func (d *stageDeltas) engineInput() *engine.StageInput {
-	in := &engine.StageInput{}
+	in := &d.in
 	for relID, rd := range d.rels {
 		rd.ins.addTo(relID, &in.Ins, &in.InsKeys)
 		rd.del.addTo(relID, &in.Del, &in.DelKeys)
@@ -191,7 +262,8 @@ func (p *Peer) runStageLocked() *StageReport {
 	startIngest := time.Now()
 	p.poked = false
 
-	d := &stageDeltas{rels: map[string]*relDelta{}}
+	d := deltasPool.Get().(*stageDeltas)
+	defer d.release()
 	changed := p.ingestLocked(rep, d)
 	p.installApprovedLocked()
 	if p.progDirty {
@@ -306,13 +378,8 @@ func (p *Peer) ingestLocked(rep *StageReport, d *stageDeltas) bool {
 	p.pendingOps, p.pendingN, p.ownTail = nil, 0, false
 	p.pendingSpace.release()
 	p.presizeLocked(staged, d)
-	var ops []ingestOp
 	for _, batch := range staged {
-		ops = slices.Grow(ops[:0], len(batch))
-		for _, op := range batch {
-			ops = append(ops, ingestOp{del: op.Op == ast.Delete, src: p.name, fact: op.Fact})
-		}
-		if p.applyOpsLocked(ops, rep, d) {
+		if applyOpsLocked(p, stagedOps(batch), p.name, rep, d) {
 			changed = true
 		}
 	}
@@ -423,16 +490,14 @@ func (p *Peer) pullLocked(rep *StageReport, d *stageDeltas) bool {
 	if err != nil {
 		rep.Errors = append(rep.Errors, fmt.Errorf("peer %s: before-stage hook: %w", p.name, err))
 	}
-	ops := make([]ingestOp, 0, pull.Len())
-	for _, op := range pull.Ops() {
+	ops := pull.Ops()
+	for _, op := range ops {
 		if op.Fact.Peer != p.name {
 			rep.Errors = append(rep.Errors, fmt.Errorf(
 				"peer %s: before-stage hook pulled foreign fact %s", p.name, op.Fact.String()))
-			continue
 		}
-		ops = append(ops, ingestOp{del: op.Op == ast.Delete, src: p.name, fact: op.Fact})
 	}
-	return p.applyOpsLocked(ops, rep, d)
+	return applyOpsLocked(p, stagedOps(ops), p.name, rep, d)
 }
 
 // stagedAckSessionsLocked returns the inbound sessions with a staged
@@ -825,7 +890,7 @@ func (p *Peer) applyRangeRepairLocked(from string, msg protocol.RangeRepairMsg, 
 		return false
 	}
 	covered := make(map[string]bool, len(msg.Ops))
-	ins := make([]ingestOp, 0, len(msg.Ops))
+	ins := make(wireOps, 0, len(msg.Ops))
 	for _, fd := range msg.Ops {
 		key := fd.Fact.Args.Key()
 		if fd.Fact.Peer != p.name || fd.Delete || !fd.Maint || fd.Fact.Rel+"@"+fd.Fact.Peer != msg.RelID || !inRanges(store.KeyHash(key)) {
@@ -834,9 +899,9 @@ func (p *Peer) applyRangeRepairLocked(from string, msg protocol.RangeRepairMsg, 
 			continue
 		}
 		covered[key] = true
-		ins = append(ins, ingestOp{maint: true, src: from, fact: fd.Fact})
+		ins = append(ins, fd)
 	}
-	var ops []ingestOp
+	var ops wireOps
 	if tr := sess.trees[msg.RelID]; tr != nil {
 		name, peerName := store.SplitID(msg.RelID)
 		for _, r := range msg.Ranges {
@@ -847,14 +912,14 @@ func (p *Peer) applyRangeRepairLocked(from string, msg protocol.RangeRepairMsg, 
 				}
 				// The ledger holds the keys it built itself: they decode.
 				if t, err := value.DecodeKey(key); err == nil {
-					ops = append(ops, ingestOp{del: true, maint: true, src: from,
-						fact: ast.Fact{Rel: name, Peer: peerName, Args: t}})
+					ops = append(ops, protocol.FactDelta{Delete: true, Maint: true,
+						Fact: ast.Fact{Rel: name, Peer: peerName, Args: t}})
 				}
 			}
 		}
 	}
 	sess.repairAsked = limiter{}
-	return p.applyOpsLocked(append(ops, ins...), rep, d)
+	return applyOpsLocked(p, append(ops, ins...), from, rep, d)
 }
 
 // checkpointLocked rewrites the log to the live state: the extensional
@@ -882,7 +947,6 @@ func (p *Peer) ingestPayloadLocked(from string, payload protocol.Payload, rep *S
 	changed := false
 	switch msg := payload.(type) {
 	case protocol.FactsMsg:
-		batch := make([]ingestOp, 0, len(msg.Ops))
 		for _, fd := range msg.Ops {
 			if !engine.Reserved(fd.Fact.Rel) {
 				p.stats.FactsIn++ // delegations count as DelegationsIn
@@ -890,11 +954,9 @@ func (p *Peer) ingestPayloadLocked(from string, payload protocol.Payload, rep *S
 			if fd.Fact.Peer != p.name {
 				rep.Errors = append(rep.Errors, fmt.Errorf(
 					"peer %s: misrouted fact %s from %s", p.name, fd.Fact.String(), from))
-				continue
 			}
-			batch = append(batch, ingestOp{del: fd.Delete, maint: fd.Maint, src: from, fact: fd.Fact})
 		}
-		if p.applyOpsLocked(batch, rep, d) {
+		if applyOpsLocked(p, wireOps(msg.Ops), from, rep, d) {
 			changed = true
 		}
 	case protocol.RangeRepairMsg:
@@ -919,31 +981,36 @@ func (p *Peer) ingestPayloadLocked(from string, payload protocol.Payload, rep *S
 	return changed
 }
 
-// applyOpsLocked applies a sequence of fact operations, recording the net
-// deltas and reporting whether any changed the peer's state. Every fact of
-// an extensional relation goes through one path: consecutive runs of the
-// same operation on the same relation are applied together — one store lock
-// acquisition and one WAL append run per run, a single fact being a run of
-// one — which is what makes a 1000-fact Batch a single cheap transaction.
-// An insert into a relation this peer does not know declares it extensional
-// first ("peers may discover … new relations"). Intensional facts, arity
-// mismatches, deletes from unknown relations and maintained retractions take
-// the per-fact path (applyFactLocked), and delegations their own
-// (applyDelegationLocked), preserving operation order either way.
-func (p *Peer) applyOpsLocked(ops []ingestOp, rep *StageReport, d *stageDeltas) bool {
+// applyOpsLocked applies a sequence of fact operations from src, read in
+// place, recording the net deltas and reporting whether any changed the
+// peer's state. An op on another peer's relation is skipped; the caller
+// reports it. Every fact of an extensional relation goes through one path:
+// consecutive runs of the same operation on the same relation are applied
+// together — one store lock acquisition and one WAL append run per run, a
+// single fact being a run of one — which is what makes a 1000-fact Batch a
+// single cheap transaction. An insert into a relation this peer does not
+// know declares it extensional first ("peers may discover … new
+// relations"). Intensional facts, arity mismatches, deletes from unknown
+// relations and maintained retractions take the per-fact path
+// (applyFactLocked), and delegations their own (applyDelegationLocked),
+// preserving operation order either way.
+func applyOpsLocked[O factOps](p *Peer, ops O, src string, rep *StageReport, d *stageDeltas) bool {
 	changed := false
 	for i := 0; i < len(ops); {
-		op := ops[i]
-		f := op.fact
+		f, del, maint := ops.at(i)
+		if f.Peer != p.name {
+			i++
+			continue
+		}
 		if engine.Reserved(f.Rel) {
-			if p.applyDelegationLocked(op, rep, d) {
+			if p.applyDelegationLocked(ingestOp{del: del, maint: maint, src: src, fact: *f}, rep, d) {
 				changed = true
 			}
 			i++
 			continue
 		}
 		rel := p.db.Get(f.Rel, p.name)
-		if rel == nil && !op.del {
+		if rel == nil && !del {
 			schema := store.Schema{Name: f.Rel, Peer: p.name, Kind: ast.Extensional, Cols: store.GenericCols(len(f.Args))}
 			var err error
 			if rel, err = p.db.Declare(schema); err != nil {
@@ -958,8 +1025,8 @@ func (p *Peer) applyOpsLocked(ops []ingestOp, rep *StageReport, d *stageDeltas) 
 			}
 		}
 		if rel == nil || rel.Kind() != ast.Extensional || len(f.Args) != rel.Schema().Arity() ||
-			(op.maint && op.del) {
-			if p.applyFactLocked(op, rep, d) {
+			(maint && del) {
+			if p.applyFactLocked(ingestOp{del: del, maint: maint, src: src, fact: *f}, rep, d) {
 				changed = true
 			}
 			i++
@@ -967,26 +1034,27 @@ func (p *Peer) applyOpsLocked(ops []ingestOp, rep *StageReport, d *stageDeltas) 
 		}
 		// Extend the run while the op and relation stay the same.
 		j := i + 1
-		for j < len(ops) &&
-			ops[j].del == op.del &&
-			!(ops[j].maint && ops[j].del) &&
-			ops[j].fact.Rel == f.Rel &&
-			len(ops[j].fact.Args) == rel.Schema().Arity() {
-			j++
+		for ; j < len(ops); j++ {
+			g, gdel, gmaint := ops.at(j)
+			if gdel != del || gmaint && gdel || g.Rel != f.Rel || g.Peer != p.name ||
+				len(g.Args) != rel.Schema().Arity() {
+				break
+			}
 		}
 		// The run goes onto its delta list; the store keeps what it applied
 		// there, and the rest is cut. The ledger, store and deltas share keys.
 		relID := rel.ID()
 		rd := d.rel(relID)
 		ch := &rd.ins
-		if op.del {
+		if del {
 			ch = &rd.del
 		}
 		base := len(ch.ts)
 		ch.ts, ch.keys = slices.Grow(ch.ts, j-i), slices.Grow(ch.keys, j-i)
 		for k := i; k < j; k++ {
-			t, key := ops[k].fact.Args, ""
-			if op.del {
+			g, _, gmaint := ops.at(k)
+			t, key := g.Args, ""
+			if del {
 				key = t.Key()
 			} else {
 				t, key = p.keyOf(t)
@@ -997,11 +1065,11 @@ func (p *Peer) applyOpsLocked(ops []ingestOp, rep *StageReport, d *stageDeltas) 
 			// them (dedup inside ledgerAdd), applied or not. Runs may mix
 			// maintained and one-shot inserts; only the maintained ones are
 			// ledgered.
-			if ops[k].maint {
-				p.sessionLocked(ops[k].src).ledgerAdd(relID, key)
+			if gmaint {
+				p.sessionLocked(src).ledgerAdd(relID, key)
 			}
 		}
-		n := rel.ApplyMany(op.del, ch.ts[base:], ch.keys[base:])
+		n := rel.ApplyMany(del, ch.ts[base:], ch.keys[base:])
 		ch.ts, ch.keys = ch.ts[:base+n], ch.keys[:base+n]
 		if n > 0 {
 			applied := ch.ts[base:]
@@ -1009,7 +1077,7 @@ func (p *Peer) applyOpsLocked(ops []ingestOp, rep *StageReport, d *stageDeltas) 
 			rep.Applied += n
 			p.stats.UpdatesApplied += uint64(n)
 			if p.wal != nil {
-				if err := p.wal.LogMany(op.del, f.Rel, p.name, applied); err != nil {
+				if err := p.wal.LogMany(del, f.Rel, p.name, applied); err != nil {
 					rep.Errors = append(rep.Errors, err)
 				}
 			}

@@ -130,15 +130,17 @@ func (p *Peer) emitSubscriptionsLocked(rep *StageReport, d *stageDeltas, res *en
 func (sub *subscription) collectDeltas(d *stageDeltas, res *engine.Result) []Delta {
 	relID := sub.rel.ID()
 	var dels, ins []value.Tuple
+	var delKeys, insKeys []string
 	if rd := d.rels[relID]; rd != nil {
 		// Copies: netTuples below compacts them in place.
 		dels, ins = slices.Clone(rd.del.ts), slices.Clone(rd.ins.ts)
+		delKeys, insKeys = rd.del.keys, rd.ins.keys
 	}
 	if vd := res.Views[relID]; vd != nil {
 		dels = append(dels, vd.Del...)
 		ins = append(ins, vd.Ins...)
 	}
-	dels, ins = netTuples(dels, ins)
+	dels, ins = netTuples(dels, delKeys, ins, insKeys)
 	if len(dels) == 0 && len(ins) == 0 {
 		return nil
 	}
@@ -154,35 +156,48 @@ func (sub *subscription) collectDeltas(d *stageDeltas, res *engine.Result) []Del
 	return out
 }
 
-// netTuples cancels same-key delete/insert pairs: a tuple seeded and
-// retracted within one stage (coalesced maintained deltas) produces no
-// observable change.
-func netTuples(dels, ins []value.Tuple) ([]value.Tuple, []value.Tuple) {
+// netTuples cancels same-key delete/insert pairs, compacting dels and ins in
+// place: a tuple seeded and retracted within one stage (coalesced maintained
+// deltas) produces no observable change. delKeys and insKeys hold the keys
+// of a prefix of dels and of ins (the stage's lists); every other tuple's key
+// is encoded once.
+func netTuples(dels []value.Tuple, delKeys []string, ins []value.Tuple, insKeys []string) ([]value.Tuple, []value.Tuple) {
 	if len(dels) == 0 || len(ins) == 0 {
 		return dels, ins
 	}
-	insKeys := make(map[string]bool, len(ins))
-	for _, t := range ins {
-		insKeys[t.Key()] = true
+	keys := insKeys
+	if len(keys) < len(ins) {
+		keys = append(make([]string, 0, len(ins)), insKeys...)
+		for _, t := range ins[len(insKeys):] {
+			keys = append(keys, t.Key())
+		}
 	}
-	var cancelled map[string]bool
+	// live maps each inserted key to whether a delete has not cancelled it.
+	live := make(map[string]bool, len(ins))
+	for _, k := range keys[:len(ins)] {
+		live[k] = true
+	}
+	cancelled := false
 	keptDels := dels[:0]
-	for _, t := range dels {
-		if insKeys[t.Key()] {
-			if cancelled == nil {
-				cancelled = map[string]bool{}
-			}
-			cancelled[t.Key()] = true
+	for i, t := range dels {
+		k := ""
+		if i < len(delKeys) {
+			k = delKeys[i]
+		} else {
+			k = t.Key()
+		}
+		if _, ok := live[k]; ok {
+			live[k], cancelled = false, true
 			continue
 		}
 		keptDels = append(keptDels, t)
 	}
-	if cancelled == nil {
+	if !cancelled {
 		return keptDels, ins
 	}
 	keptIns := ins[:0]
-	for _, t := range ins {
-		if !cancelled[t.Key()] {
+	for i, t := range ins {
+		if live[keys[i]] {
 			keptIns = append(keptIns, t)
 		}
 	}

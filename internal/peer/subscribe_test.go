@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -349,5 +350,60 @@ func TestSubscribeStalledConsumerStageNeverBlocks(t *testing.T) {
 	}
 	if drained != SubscribeBuffer {
 		t.Errorf("drained %d buffered deltas, want %d", drained, SubscribeBuffer)
+	}
+}
+
+// TestNetTuples: a delete and an insert of one tuple in a stage cancel and
+// the other deltas stand, and each key is encoded at most once: none that
+// the stage's lists hold, one for every other tuple. Netting the first case
+// without keys used to encode seven keys for its four tuples.
+func TestNetTuples(t *testing.T) {
+	tup := func(i int64) value.Tuple { return value.Tuple{value.Int(i)} }
+	f, g, h := tup(1), tup(2), tup(3)
+	keys := func(ts ...value.Tuple) []string {
+		var out []string
+		for _, t := range ts {
+			out = append(out, t.Key())
+		}
+		return out
+	}
+	cases := []struct {
+		name              string
+		dels, ins         []value.Tuple
+		delKeys, insKeys  []string
+		wantDels, wantIns []value.Tuple
+	}{
+		{"keys from the lists", []value.Tuple{f, g}, []value.Tuple{h, f}, keys(f, g), keys(h, f), []value.Tuple{g}, []value.Tuple{h}},
+		{"keys encoded", []value.Tuple{g, f}, []value.Tuple{f, h}, nil, nil, []value.Tuple{g}, []value.Tuple{h}},
+		{"keys of a prefix", []value.Tuple{f, g}, []value.Tuple{h, f}, keys(f), keys(h), []value.Tuple{g}, []value.Tuple{h}},
+		{"nothing cancels", []value.Tuple{g}, []value.Tuple{h}, nil, nil, []value.Tuple{g}, []value.Tuple{h}},
+		{"no deletes", nil, []value.Tuple{f, h}, nil, nil, nil, []value.Tuple{f, h}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dels, ins := netTuples(slices.Clone(c.dels), c.delKeys, slices.Clone(c.ins), c.insKeys)
+			if !slices.EqualFunc(dels, c.wantDels, value.Tuple.Equal) || !slices.EqualFunc(ins, c.wantIns, value.Tuple.Equal) {
+				t.Fatalf("netTuples = -%v +%v, want -%v +%v", dels, ins, c.wantDels, c.wantIns)
+			}
+			bufD, bufI := make([]value.Tuple, len(c.dels)), make([]value.Tuple, len(c.ins))
+			allocs := testing.AllocsPerRun(100, func() {
+				copy(bufD, c.dels)
+				copy(bufI, c.ins)
+				netTuples(bufD, c.delKeys, bufI, c.insKeys)
+			})
+			encodings := len(c.dels) - len(c.delKeys) + len(c.ins) - len(c.insKeys)
+			if len(c.dels) == 0 {
+				encodings = 0
+			}
+			// Beyond one allocation per encoding, only the insert keys' list
+			// when the stage's lists do not hold them all.
+			limit := encodings
+			if len(c.dels) > 0 && len(c.insKeys) < len(c.ins) {
+				limit++
+			}
+			if allocs > float64(limit) {
+				t.Errorf("netTuples allocated %.0f objects for %d encodings, want at most %d", allocs, encodings, limit)
+			}
+		})
 	}
 }
